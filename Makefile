@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-check clean
+.PHONY: all build test race verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-smoke bench-check clean
 
 all: build
 
@@ -70,7 +70,7 @@ adapt-smoke:
 # fault-spec parser, the exact Riemann solver, the artifact blob frame
 # decoder and the refinement midpoint table (errors, never panics), and
 # the serving, cluster, artifact-store, tracing, scenario and adaptive
-# smoke tests.
+# smoke tests, then the benchmark's own compile-and-gate check.
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -85,6 +85,7 @@ verify: build
 	$(GO) test -run TestTraceSmoke -count 1 ./cmd/eul3d
 	$(GO) test -run TestScenarioSmoke -count 1 ./cmd/eul3dd
 	$(GO) test -run TestAdaptSmoke -count 1 ./cmd/eul3d
+	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 
 # Benchmarks: the Go micro-benchmarks plus the shared-memory scaling run,
@@ -92,6 +93,15 @@ verify: build
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/benchsm -out BENCH_smsolver.json
+
+# Compile-and-gate check of the repository's benchmark (cmd/bench, the
+# program BENCHMARK.json declares). It is a module of its own, so `go build
+# ./...` above never compiles it and an API change it depends on would
+# otherwise surface only when the benchmark is next run. Its tests run
+# every workload at -smoke size with the bitwise / roundoff / result-hash
+# gates on (~15 s); nothing under cmd/bench is written.
+bench-smoke:
+	cd cmd/bench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark-honesty gate: a short strict benchsm pass that refuses to run
 # any series with more workers than the host has CPUs (a GOMAXPROCS-blind

@@ -32,7 +32,7 @@ func benchResidual(b *testing.B, build func(b *testing.B) *euler.Disc) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Residual(w, res)
+		d.Residual(w, nil, res)
 	}
 }
 

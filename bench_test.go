@@ -203,7 +203,7 @@ func BenchmarkEdgeLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Residual(w, res)
+		d.Residual(w, nil, res)
 	}
 }
 

@@ -111,7 +111,7 @@ func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) []fl
 			in.res = make([]euler.State, nv)
 		}
 		in.res = in.res[:nv]
-		in.d.Residual(w, in.res)
+		in.d.Residual(w, nil, in.res)
 		for t, tet := range m.Tets {
 			max := 0.0
 			for _, v := range tet {

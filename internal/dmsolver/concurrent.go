@@ -219,10 +219,12 @@ func (r *concRun) stepProc(l, p int) (float64, bool) {
 		return 0, false
 	}
 	s.pressuresProc(lev, p)
-	s.lamProc(lev, p)
-	r.count(p, func(c *CommCounters) { c.ScatterFloat++ })
-	if !r.scatterFloats(lev.SchedW, p, lev.Lam) {
-		return 0, false
+	if s.P.GlobalDt <= 0 { // see Solver.timeSteps
+		s.lamProc(lev, p)
+		r.count(p, func(c *CommCounters) { c.ScatterFloat++ })
+		if !r.scatterFloats(lev.SchedW, p, lev.Lam) {
+			return 0, false
+		}
 	}
 	s.dtProc(lev, p)
 
@@ -283,6 +285,12 @@ func (r *concRun) cycleProc(l, p int) (float64, bool) {
 	r.count(p, func(c *CommCounters) { c.GatherState += 2 })
 	if !r.gatherStates(lev.SchedW, p, lev.W) {
 		return 0, false
+	}
+	if lev.SchedCoarse != nil { // see Solver.cycle
+		r.count(p, func(c *CommCounters) { c.GatherState++ })
+		if !r.gatherStates(lev.SchedCoarse, p, lev.W) {
+			return 0, false
+		}
 	}
 	if !r.gatherStates(next.SchedFine, p, lev.W) {
 		return 0, false

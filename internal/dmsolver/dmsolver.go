@@ -1,9 +1,12 @@
 // Package dmsolver is the distributed-memory implementation of EUL3D,
 // mirroring the paper's Intel Touchstone Delta port. The mesh (and each
 // coarser mesh of a multigrid sequence) is partitioned across P simulated
-// processors; every compute kernel of the sequential solver is re-expressed
-// as a loop over partition-local edges with PARTI gather/scatter executors
-// at exactly the points where off-processor data is produced or consumed:
+// processors, and the port is the paper's inspector/executor
+// transformation: the *same* loop bodies as the sequential solver — the
+// reference operator of package euler, called here on each processor's
+// partition-local edge, face and vertex arrays — with PARTI gather/scatter
+// executors inserted at exactly the points where off-processor data is
+// produced or consumed:
 //
 //   - flow variables are gathered into ghost slots once per Runge-Kutta
 //     stage (the paper: "We can obtain all of the off-processor flow
@@ -14,8 +17,12 @@
 //   - multigrid transfers use incremental schedules on top of the flow
 //     variable schedule, fetching only addresses not already ghosted.
 //
-// The answers are identical (to roundoff) to the sequential solver; tests
-// assert this.
+// The package itself holds orchestration only — which phase runs when and
+// which exchange separates it from the next — so every euler.Params field
+// is honoured here by construction. On one processor the answers are
+// bitwise those of the sequential solver; across partition boundaries the
+// per-vertex sums reassociate and they agree to roundoff. Tests assert
+// both.
 package dmsolver
 
 import (
@@ -29,13 +36,6 @@ import (
 	"eul3d/internal/parti"
 	"eul3d/internal/simnet"
 )
-
-// localBFace is a boundary face with partition-local vertex indices.
-type localBFace struct {
-	V      [3]int32
-	Normal geom.Vec3
-	Kind   mesh.BCKind
-}
 
 // CommCounters tallies schedule executions per cycle class so the Delta
 // machine model can convert communication volume into time.
@@ -65,20 +65,21 @@ type Level struct {
 	// Per-processor topology, local indices into [owned | ghost] arrays.
 	Edges  [][][2]int32
 	ENorm  [][]geom.Vec3
-	BFaces [][]localBFace
-	Vol    [][]float64 // owned only
-	Deg    [][]float64 // true global degree, owned only
+	BFaces [][]mesh.BFace // vertex indices local
+	Vol    [][]float64    // owned only
+	Deg    [][]int32      // true global degree, owned only
 
 	// Per-processor solution and scratch arrays, sized TotalSize(p).
 	W, W0, Conv, Diss, Res, Lapl, Smooth, RHS, Forcing, WSaved, Corr [][]euler.State
 	Pres, Num, Den, Lam, Dt                                          [][]float64
 
-	// Multigrid transfer operators localized per processor: for each
-	// owned target vertex, 4 local source addresses + weights.
-	RestrictAddr [][][4]int32 // coarse-owned vertex -> fine-local addresses (on the same proc)
-	RestrictWt   [][][4]float64
-	ProlongAddr  [][][4]int32 // fine-owned vertex -> coarse-local addresses
-	ProlongWt    [][][4]float64
+	// Multigrid transfer operators localized per processor (nil on the
+	// finest level): the rows of the global operators whose target vertex
+	// the processor owns, with local source addresses. Restrict[p] takes
+	// the finer level's local arrays to this level's owned vertices;
+	// Prolong[p] takes this level's local arrays to the finer level's owned
+	// vertices, and its transpose restricts residuals.
+	Restrict, Prolong []multigrid.TransferOp
 }
 
 // Solver is the distributed-memory flow solver (single grid when it has one
@@ -202,29 +203,13 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 		}
 		coarse.SchedCoarse, _ = parti.BuildIncremental(coarse.GS, coarseRefs)
 
-		// Localized operator tables (must be built after all ghost slots
-		// are allocated; Localize on an existing ghost is a lookup).
-		coarse.RestrictAddr = make([][][4]int32, nproc)
-		coarse.RestrictWt = make([][][4]float64, nproc)
-		coarse.ProlongAddr = make([][][4]int32, nproc)
-		coarse.ProlongWt = make([][][4]float64, nproc)
+		// Localized operators (built after all ghost slots are allocated;
+		// Localize on an existing ghost is a lookup).
+		coarse.Restrict = make([]multigrid.TransferOp, nproc)
+		coarse.Prolong = make([]multigrid.TransferOp, nproc)
 		for p := 0; p < nproc; p++ {
-			for _, g := range coarse.Dist.L2G[p] {
-				var a [4]int32
-				for k := 0; k < 4; k++ {
-					a[k] = fine.GS.Localize(p, rop.Addr[g][k])
-				}
-				coarse.RestrictAddr[p] = append(coarse.RestrictAddr[p], a)
-				coarse.RestrictWt[p] = append(coarse.RestrictWt[p], rop.Wt[g])
-			}
-			for _, g := range fine.Dist.L2G[p] {
-				var a [4]int32
-				for k := 0; k < 4; k++ {
-					a[k] = coarse.GS.Localize(p, pop.Addr[g][k])
-				}
-				coarse.ProlongAddr[p] = append(coarse.ProlongAddr[p], a)
-				coarse.ProlongWt[p] = append(coarse.ProlongWt[p], pop.Wt[g])
-			}
+			coarse.Restrict[p] = localizeOp(rop, coarse.Dist.L2G[p], fine.GS, p)
+			coarse.Prolong[p] = localizeOp(pop, fine.Dist.L2G[p], coarse.GS, p)
 		}
 		s.recordBuild("incremental-build", l, bt)
 	}
@@ -235,6 +220,19 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	}
 	s.InitUniform()
 	return s, nil
+}
+
+// localizeOp returns the rows of op for the target vertices proc p owns,
+// their source addresses translated to p's local numbering in gs.
+func localizeOp(op *multigrid.TransferOp, targets []int32, gs *parti.GhostSpace, p int) multigrid.TransferOp {
+	loc := multigrid.TransferOp{Addr: make([][4]int32, len(targets)), Wt: make([][4]float64, len(targets))}
+	for li, g := range targets {
+		for k := 0; k < 4; k++ {
+			loc.Addr[li][k] = gs.Localize(p, op.Addr[g][k])
+		}
+		loc.Wt[li] = op.Wt[g]
+	}
+	return loc
 }
 
 // buildLevel partitions one mesh's topology across processors.
@@ -266,7 +264,7 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	// Executor-side topology with localized addresses.
 	lev.Edges = make([][][2]int32, nproc)
 	lev.ENorm = make([][]geom.Vec3, nproc)
-	lev.BFaces = make([][]localBFace, nproc)
+	lev.BFaces = make([][]mesh.BFace, nproc)
 	for ei, e := range m.Edges {
 		p := int(part[e[0]])
 		lev.Edges[p] = append(lev.Edges[p], [2]int32{
@@ -278,7 +276,7 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	for i := range m.BFaces {
 		f := &m.BFaces[i]
 		p := int(part[f.V[0]])
-		lev.BFaces[p] = append(lev.BFaces[p], localBFace{
+		lev.BFaces[p] = append(lev.BFaces[p], mesh.BFace{
 			V: [3]int32{
 				lev.GS.Localize(p, f.V[0]),
 				lev.GS.Localize(p, f.V[1]),
@@ -290,23 +288,19 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	}
 
 	// Owned dual volumes and true global degrees.
-	lev.Vol = make([][]float64, nproc)
-	lev.Deg = make([][]float64, nproc)
-	for p := 0; p < nproc; p++ {
-		lev.Vol[p] = make([]float64, dist.Count(p))
-		lev.Deg[p] = make([]float64, dist.Count(p))
-		for li, g := range dist.L2G[p] {
-			lev.Vol[p][li] = m.Vol[g]
-		}
-	}
 	deg := make([]int32, m.NV())
 	for _, e := range m.Edges {
 		deg[e[0]]++
 		deg[e[1]]++
 	}
+	lev.Vol = make([][]float64, nproc)
+	lev.Deg = make([][]int32, nproc)
 	for p := 0; p < nproc; p++ {
+		lev.Vol[p] = make([]float64, dist.Count(p))
+		lev.Deg[p] = make([]int32, dist.Count(p))
 		for li, g := range dist.L2G[p] {
-			lev.Deg[p][li] = float64(deg[g])
+			lev.Vol[p][li] = m.Vol[g]
+			lev.Deg[p][li] = deg[g]
 		}
 	}
 	return lev, nil

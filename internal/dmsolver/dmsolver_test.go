@@ -137,6 +137,68 @@ func TestMultigridMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDeepMultigridMatchesSequential is the regression test for stale
+// ghosts on middle levels. On a level that is both a prolongation source
+// and a restriction source (level >= 1 of a >= 3-level sequence) the
+// incremental restriction schedule leaves out the ghost slots the level's
+// own prolongation schedule allocated, and W never travelled through that
+// one — restriction read freestream-initialised ghosts there and the
+// W-cycle drifted from the serial multigrid at the 1e-3 level. It takes
+// independent per-level partitions to show: with inherited ones (as in
+// TestMultigridMatchesSequential) nearly every transfer address is local.
+func TestDeepMultigridMatchesSequential(t *testing.T) {
+	const nproc, cycles = 8, 10
+	p := euler.DefaultParams(0.675, 0)
+	for _, levels := range []int{3, 4} {
+		meshes, err := meshgen.Sequence(meshgen.DefaultChannel(24, 12, 8, 17), levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := make([][]int32, levels)
+		for l, m := range meshes {
+			g, err := graph.FromEdges(m.NV(), m.Edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parts[l], err = partition.Partition(g, m.X, nproc, partition.Spectral, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		smg, err := multigrid.New(meshes, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqNorms := make([]float64, cycles)
+		for c := range seqNorms {
+			seqNorms[c] = smg.Cycle()
+		}
+		for _, mode := range []struct {
+			name  string
+			cycle func(*Solver) (float64, error)
+		}{
+			{"sequential", (*Solver).Cycle},
+			{"concurrent", (*Solver).CycleConcurrent},
+		} {
+			dm, err := NewMultigrid(meshes, parts, nproc, p, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < cycles; c++ {
+				norm, err := mode.cycle(dm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel := math.Abs(norm-seqNorms[c]) / seqNorms[c]; rel > 1e-10 {
+					t.Fatalf("%d levels, %s, cycle %d: norm %g vs serial %g (rel %.2g)", levels, mode.name, c, norm, seqNorms[c], rel)
+				}
+			}
+			if d := maxRelDiff(dm.GatherSolution(), smg.Fine().W); d > 1e-10 {
+				t.Errorf("%d levels, %s: solutions diverge: max rel diff %g", levels, mode.name, d)
+			}
+		}
+	}
+}
+
 func TestFreestreamNoDrift(t *testing.T) {
 	spec := meshgen.DefaultChannel(8, 6, 4, 17)
 	spec.BumpHeight = 0

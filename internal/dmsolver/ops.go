@@ -4,171 +4,69 @@ import (
 	"math"
 
 	"eul3d/internal/euler"
-	"eul3d/internal/mesh"
+	"eul3d/internal/multigrid"
 	"eul3d/internal/parti"
 )
 
-// This file holds the per-processor loop bodies (the "executor" side of
+// This file holds the per-processor compute phases (the "executor" side of
 // the inspector/executor transformation) and the sequential orchestration
 // that loops them over all processors with whole-schedule exchanges.
-// concurrent.go runs the same bodies with one goroutine per processor and
+// concurrent.go runs the same phases with one goroutine per processor and
 // barrier-separated per-processor exchange halves; both modes produce
 // identical results.
+//
+// The phases hold no arithmetic of their own: each hands processor p's
+// local arrays — edge loops over [owned | ghost], vertex sweeps over the
+// owned prefix [0, Dist.Count(p)) — to the function the sequential engine
+// runs over the whole mesh: the reference operator of package euler, and
+// for the inter-grid pieces multigrid's TransferOp and FAS range functions.
 
 // ---- per-processor compute phases ----
 
+// owned returns processor p's owned prefix of a local array.
+func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
+
 func (s *Solver) copyW0Proc(lev *Level, p int) {
-	copy(lev.W0[p][:lev.Dist.Count(p)], lev.W[p][:lev.Dist.Count(p)])
+	copy(owned(lev, p, lev.W0[p]), lev.W[p])
 }
 
 func (s *Solver) pressuresProc(lev *Level, p int) {
-	g := s.P.Gas
-	wp, pp := lev.W[p], lev.Pres[p]
-	for i := range wp {
-		pp[i] = g.Pressure(wp[i])
-	}
-}
-
-func zeroStatesProc(a []euler.State) {
-	for i := range a {
-		a[i] = euler.State{}
-	}
+	euler.Pressures(s.P.Gas, lev.W[p], lev.Pres[p])
 }
 
 // convectiveProc assembles proc p's share of Q(w) into lev.Conv[p]
 // (including ghost accumulations, scatter-added by the orchestrator).
 func (s *Solver) convectiveProc(lev *Level, p int) {
-	zeroStatesProc(lev.Conv[p])
-	g := s.P.Gas
-	w, pres, conv := lev.W[p], lev.Pres[p], lev.Conv[p]
-	for e, ed := range lev.Edges[p] {
-		i, j := ed[0], ed[1]
-		n := lev.ENorm[p][e]
-		fi := euler.FluxDotN(w[i], pres[i], n.X, n.Y, n.Z)
-		fj := euler.FluxDotN(w[j], pres[j], n.X, n.Y, n.Z)
-		for k := 0; k < euler.NVar; k++ {
-			f := 0.5 * (fi[k] + fj[k])
-			conv[i][k] += f
-			conv[j][k] -= f
-		}
-	}
-	for bi := range lev.BFaces[p] {
-		f := &lev.BFaces[p][bi]
-		n := f.Normal
-		var flux euler.State
-		if f.Kind == mesh.FarField {
-			var wi euler.State
-			for k := 0; k < euler.NVar; k++ {
-				wi[k] = (w[f.V[0]][k] + w[f.V[1]][k] + w[f.V[2]][k]) / 3
-			}
-			wb := euler.FarFieldState(g, wi, s.P.Freestream, n)
-			flux = euler.FluxDotN(wb, g.Pressure(wb), n.X, n.Y, n.Z)
-		} else {
-			pf := (pres[f.V[0]] + pres[f.V[1]] + pres[f.V[2]]) / 3
-			flux = euler.State{0, pf * n.X, pf * n.Y, pf * n.Z, 0}
-		}
-		for k := 0; k < euler.NVar; k++ {
-			third := flux[k] / 3
-			conv[f.V[0]][k] += third
-			conv[f.V[1]][k] += third
-			conv[f.V[2]][k] += third
-		}
-	}
+	euler.Convective(&s.P, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], lev.Conv[p])
 }
 
 func (s *Solver) dissPass1Proc(lev *Level, p int) {
-	zeroStatesProc(lev.Lapl[p])
-	num, den := lev.Num[p], lev.Den[p]
-	for i := range num {
-		num[i] = 0
-		den[i] = 0
-	}
-	w, pres, lapl := lev.W[p], lev.Pres[p], lev.Lapl[p]
-	for _, ed := range lev.Edges[p] {
-		i, j := ed[0], ed[1]
-		for k := 0; k < euler.NVar; k++ {
-			dw := w[j][k] - w[i][k]
-			lapl[i][k] += dw
-			lapl[j][k] -= dw
-		}
-		dp := pres[j] - pres[i]
-		num[i] += dp
-		num[j] -= dp
-		sp := pres[j] + pres[i]
-		den[i] += sp
-		den[j] += sp
-	}
+	euler.DissPass1(lev.Edges[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], lev.Den[p])
 }
 
 func (s *Solver) nuProc(lev *Level, p int) {
-	num, den := lev.Num[p], lev.Den[p]
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		num[i] = math.Abs(num[i]) / den[i]
-	}
+	n := lev.Dist.Count(p)
+	euler.ShockSwitch(lev.Num[p][:n], lev.Den[p][:n])
 }
 
 func (s *Solver) dissPass2Proc(lev *Level, p int) {
-	zeroStatesProc(lev.Diss[p])
-	g := s.P.Gas
-	k2, k4 := s.P.K2, s.P.K4
-	w, pres, nu := lev.W[p], lev.Pres[p], lev.Num[p]
-	lapl, diss := lev.Lapl[p], lev.Diss[p]
-	for e, ed := range lev.Edges[p] {
-		i, j := ed[0], ed[1]
-		lamE := euler.SpectralRadius(g, w[i], w[j], pres[i], pres[j], lev.ENorm[p][e])
-		eps2 := k2 * math.Max(nu[i], nu[j])
-		eps4 := math.Max(0, k4-eps2)
-		for k := 0; k < euler.NVar; k++ {
-			f := lamE * (eps2*(w[j][k]-w[i][k]) - eps4*(lapl[j][k]-lapl[i][k]))
-			diss[i][k] += f
-			diss[j][k] -= f
-		}
-	}
+	euler.DissPass2(&s.P, lev.Edges[p], lev.ENorm[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], lev.Diss[p])
 }
 
 func (s *Solver) lamProc(lev *Level, p int) {
-	g := s.P.Gas
-	lam := lev.Lam[p]
-	for i := range lam {
-		lam[i] = 0
-	}
-	w, pres := lev.W[p], lev.Pres[p]
-	for e, ed := range lev.Edges[p] {
-		i, j := ed[0], ed[1]
-		lamE := euler.SpectralRadius(g, w[i], w[j], pres[i], pres[j], lev.ENorm[p][e])
-		lam[i] += lamE
-		lam[j] += lamE
-	}
-	for bi := range lev.BFaces[p] {
-		f := &lev.BFaces[p][bi]
-		n := f.Normal
-		for _, v := range f.V {
-			inv := 1 / w[v][0]
-			un := (w[v][1]*n.X + w[v][2]*n.Y + w[v][3]*n.Z) * inv
-			c := math.Sqrt(g.Gamma * pres[v] * inv)
-			lam[v] += (math.Abs(un) + c*n.Norm()) / 3
-		}
-	}
+	euler.SpectralRadii(s.P.Gas, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], lev.Lam[p])
 }
 
 func (s *Solver) dtProc(lev *Level, p int) {
-	cfl := s.P.CFL
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		lev.Dt[p][i] = cfl * lev.Vol[p][i] / lev.Lam[p][i]
-	}
+	s.P.TimeSteps(lev.Dt[p][:lev.Dist.Count(p)], lev.Vol[p], lev.Lam[p])
 }
 
 func (s *Solver) combineResProc(lev *Level, p int, withForcing bool) {
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		for k := 0; k < euler.NVar; k++ {
-			lev.Res[p][i][k] = lev.Conv[p][i][k] - lev.Diss[p][i][k]
-		}
-		if withForcing {
-			for k := 0; k < euler.NVar; k++ {
-				lev.Res[p][i][k] += lev.Forcing[p][i][k]
-			}
-		}
+	var forcing []euler.State
+	if withForcing {
+		forcing = lev.Forcing[p]
 	}
+	euler.CombineResidual(owned(lev, p, lev.Res[p]), lev.Conv[p], lev.Diss[p], forcing)
 }
 
 // normPartialProc sums this processor's share of the residual norm with
@@ -179,133 +77,50 @@ func (s *Solver) normPartialProc(lev *Level, p int) float64 {
 }
 
 func (s *Solver) smoothRHSProc(lev *Level, p int, arr [][]euler.State) {
-	copy(lev.RHS[p][:lev.Dist.Count(p)], arr[p][:lev.Dist.Count(p)])
+	copy(owned(lev, p, lev.RHS[p]), arr[p])
 }
 
 func (s *Solver) smoothAccumProc(lev *Level, p int, cur, next [][]euler.State) {
-	zeroStatesProc(next[p])
-	cp, np := cur[p], next[p]
-	for _, ed := range lev.Edges[p] {
-		i, j := ed[0], ed[1]
-		for k := 0; k < euler.NVar; k++ {
-			np[i][k] += cp[j][k]
-			np[j][k] += cp[i][k]
-		}
-	}
+	euler.SmoothAccum(lev.Edges[p], cur[p], next[p])
 }
 
 func (s *Solver) smoothCombineProc(lev *Level, p int, next [][]euler.State, eps float64) {
-	np, rp := next[p], lev.RHS[p]
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		inv := 1 / (1 + eps*lev.Deg[p][i])
-		for k := 0; k < euler.NVar; k++ {
-			np[i][k] = (rp[i][k] + eps*np[i][k]) * inv
-		}
-	}
+	euler.SmoothCombine(lev.RHS[p], owned(lev, p, next[p]), lev.Deg[p], eps)
 }
 
 func (s *Solver) smoothWritebackProc(lev *Level, p int, arr, cur [][]euler.State) {
-	copy(arr[p][:lev.Dist.Count(p)], cur[p][:lev.Dist.Count(p)])
+	copy(owned(lev, p, arr[p]), cur[p])
 }
 
 func (s *Solver) updateProc(lev *Level, p int, alpha float64) {
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		f := alpha * lev.Dt[p][i] / lev.Vol[p][i]
-		var cand euler.State
-		for k := 0; k < euler.NVar; k++ {
-			cand[k] = lev.W0[p][i][k] - f*lev.Res[p][i][k]
-		}
-		if !s.P.Guard(cand) {
-			cand = lev.W0[p][i] // positivity guard, identical to euler.Step
-		}
-		lev.W[p][i] = cand
-	}
+	s.P.StageUpdate(owned(lev, p, lev.W[p]), lev.W0[p], lev.Res[p], lev.Dt[p], lev.Vol[p], alpha)
 }
 
 // ---- multigrid per-processor phases ----
 
-func (s *Solver) addForcingToResProc(lev *Level, p int) {
-	for i := 0; i < lev.Dist.Count(p); i++ {
-		for k := 0; k < euler.NVar; k++ {
-			lev.Res[p][i][k] += lev.Forcing[p][i][k]
-		}
-	}
-}
-
 func (s *Solver) restrictInterpProc(fine, coarse *Level, p int) {
-	for li := range coarse.RestrictAddr[p] {
-		a, wt := coarse.RestrictAddr[p][li], coarse.RestrictWt[p][li]
-		var v euler.State
-		for k := 0; k < 4; k++ {
-			src := fine.W[p][a[k]]
-			f := wt[k]
-			for c := 0; c < euler.NVar; c++ {
-				v[c] += f * src[c]
-			}
-		}
-		v = s.P.Repair(v) // interpolated pressure can go negative
-		coarse.W[p][li] = v
-		coarse.WSaved[p][li] = v
-	}
+	coarse.Restrict[p].Interp(fine.W[p], coarse.W[p])
+	multigrid.RepairSave(&s.P, coarse.W[p], coarse.WSaved[p], 0, coarse.Dist.Count(p))
 }
 
 func (s *Solver) residualScatterProc(fine, coarse *Level, p int) {
-	zeroStatesProc(coarse.Forcing[p])
-	for li := range coarse.ProlongAddr[p] {
-		a, wt := coarse.ProlongAddr[p][li], coarse.ProlongWt[p][li]
-		rv := fine.Res[p][li]
-		for k := 0; k < 4; k++ {
-			f := wt[k]
-			dst := &coarse.Forcing[p][a[k]]
-			for c := 0; c < euler.NVar; c++ {
-				dst[c] += f * rv[c]
-			}
-		}
-	}
+	coarse.Prolong[p].ScatterTranspose(fine.Res[p], coarse.Forcing[p])
 }
 
 func (s *Solver) forcingCombineProc(coarse *Level, p int) {
-	for i := 0; i < coarse.Dist.Count(p); i++ {
-		for k := 0; k < euler.NVar; k++ {
-			coarse.Forcing[p][i][k] -= coarse.Res[p][i][k]
-		}
-	}
+	multigrid.Subtract(coarse.Forcing[p], coarse.Res[p], 0, coarse.Dist.Count(p))
 }
 
 func (s *Solver) corrDeltaProc(coarse *Level, p int) {
-	for i := 0; i < coarse.Dist.Count(p); i++ {
-		for k := 0; k < euler.NVar; k++ {
-			coarse.Corr[p][i][k] = coarse.W[p][i][k] - coarse.WSaved[p][i][k]
-		}
-	}
+	multigrid.Delta(coarse.Corr[p], coarse.W[p], coarse.WSaved[p], 0, coarse.Dist.Count(p))
 }
 
 func (s *Solver) corrInterpProc(fine, coarse *Level, p int) {
-	for li := range coarse.ProlongAddr[p] {
-		a, wt := coarse.ProlongAddr[p][li], coarse.ProlongWt[p][li]
-		var v euler.State
-		for k := 0; k < 4; k++ {
-			src := coarse.Corr[p][a[k]]
-			f := wt[k]
-			for c := 0; c < euler.NVar; c++ {
-				v[c] += f * src[c]
-			}
-		}
-		fine.Corr[p][li] = v
-	}
+	coarse.Prolong[p].Interp(coarse.Corr[p], fine.Corr[p])
 }
 
 func (s *Solver) applyCorrProc(fine *Level, p int) {
-	for i := 0; i < fine.Dist.Count(p); i++ {
-		var cand euler.State
-		for k := 0; k < euler.NVar; k++ {
-			cand[k] = fine.W[p][i][k] + fine.Corr[p][i][k]
-		}
-		if !s.P.Guard(cand) {
-			continue // positivity guard: skip the correction at this vertex
-		}
-		fine.W[p][i] = cand
-	}
+	multigrid.ApplyCorrection(&s.P, fine.W[p], fine.Corr[p], 0, fine.Dist.Count(p))
 }
 
 // ---- sequential orchestration ----
@@ -375,11 +190,15 @@ func (s *Solver) dissipation(lev *Level) error {
 	return s.seqScatterAddStates(lev.SchedW, lev, lev.Diss)
 }
 
-// timeSteps computes the local time steps on owned vertices.
+// timeSteps fills the time steps on owned vertices. In time-accurate mode
+// (GlobalDt) the spectral radii feed nothing, so their loop and its
+// scatter-add are skipped, as in the sequential engine.
 func (s *Solver) timeSteps(lev *Level) error {
-	s.forAll(func(p int) { s.lamProc(lev, p) })
-	if err := s.seqScatterAddFloats(lev.SchedW, lev, lev.Lam); err != nil {
-		return err
+	if s.P.GlobalDt <= 0 {
+		s.forAll(func(p int) { s.lamProc(lev, p) })
+		if err := s.seqScatterAddFloats(lev.SchedW, lev, lev.Lam); err != nil {
+			return err
+		}
 	}
 	s.forAll(func(p int) { s.dtProc(lev, p) })
 	return nil
@@ -491,11 +310,21 @@ func (s *Solver) cycle(l int) (float64, error) {
 		return 0, err
 	}
 
-	// Restrict flow variables: refresh fine ghosts through both the
-	// edge-loop schedule and the incremental restriction schedule, then
-	// interpolate onto coarse-owned vertices.
+	// Restrict flow variables: refresh this level's ghosts through every
+	// schedule that allocated slots the restriction may address — the
+	// edge-loop schedule, this level's own prolongation schedule when it is
+	// itself a coarse level (the incremental restriction schedule counts
+	// those slots as already ghosted and leaves them out, but only Corr and
+	// Forcing ever travel through SchedCoarse otherwise), and the
+	// incremental restriction schedule — then interpolate onto coarse-owned
+	// vertices.
 	if err := s.gatherW(lev); err != nil {
 		return 0, err
+	}
+	if lev.SchedCoarse != nil {
+		if err := s.seqGatherStates(lev.SchedCoarse, lev, lev.W); err != nil {
+			return 0, err
+		}
 	}
 	if err := s.seqGatherStates(next.SchedFine, lev, lev.W); err != nil {
 		return 0, err

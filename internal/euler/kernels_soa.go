@@ -6,22 +6,27 @@ import (
 	"eul3d/internal/mesh"
 )
 
-// SoA variants of the range kernels in kernels.go, operating on StateSoA
-// blocks instead of []State. The parallel executor (package smsolver) runs
-// its hot path — flux and dissipation accumulation over colored edge
-// groups, plus the fused vertex sweeps — on these, converting at the step
-// boundaries so every public interface keeps []State.
+// The SoA form of the operator: range kernels over explicit edge/face index
+// subsets and vertex ranges, operating on StateSoA blocks instead of
+// []State. The shared-memory parallel executor (package smsolver) calls
+// them per color group and per worker chunk — the Cray autotasking
+// decomposition of Section 3.1; within a color group no two edges touch the
+// same vertex, so the kernels are race-free. The engine converts at the
+// step boundaries so every public interface keeps []State. This is the
+// second and last statement of the scheme's arithmetic; the first is the
+// reference operator in ops.go, which the sequential and the distributed
+// engine drive.
 //
 // Bitwise contract: each kernel performs the exact floating-point
-// operations of its AoS counterpart, in the same order per (vertex,
-// component) accumulator slot. Where a full 5-vector is needed per element
-// (flux evaluation, spectral radii, the positivity guard) the state is
-// gathered component-wise into a State value and fed to the *same* helper
-// (FluxDotN, SpectralRadius, Params.Guard), so the arithmetic is literally
-// shared; the component-wise accumulation statements mirror the AoS
-// expressions term for term. Reordering across components is immaterial —
-// each accumulator slot still sees the same additions in the same edge
-// order.
+// operations of the reference operator, in the same order per (vertex,
+// component) accumulator slot (TestSoAKernelsBitwiseMatchReference). Where
+// a full 5-vector is needed per element (flux evaluation, spectral radii,
+// the stage-update admission) the state is gathered component-wise into a
+// State value and fed to the *same* helper (FluxDotN, SpectralRadius,
+// Params.admitUpdate), so the arithmetic is literally shared; the
+// component-wise accumulation statements mirror the reference expressions
+// term for term. Reordering across components is immaterial — each
+// accumulator slot still sees the same additions in the same edge order.
 //
 // Performance note: every kernel hoists the five component slices into
 // locals before its element loop and unrolls the component dimension.
@@ -30,6 +35,30 @@ import (
 // locals the compiler keeps the five base pointers in registers and the
 // inner body is straight-line loads, FMAs and stores — the layout the SoA
 // conversion exists to expose.
+
+// Scratch accessors for the parallel executor, which drives the kernels
+// itself but accumulates into this discretization's float workspace.
+
+// Lam returns the spectral-radius scratch array.
+func (d *Disc) Lam() []float64 { return d.lam }
+
+// Sensor returns the sensor numerator scratch (holds nu after NuRangeKernel).
+func (d *Disc) Sensor() []float64 { return d.sensor }
+
+// Den returns the sensor denominator scratch.
+func (d *Disc) Den() []float64 { return d.den }
+
+// NuRangeKernel converts the sensor sums to the shock switch for vertices
+// [lo,hi): the reference ShockSwitch on a range (no layout to convert).
+func (d *Disc) NuRangeKernel(num, den []float64, lo, hi int) {
+	ShockSwitch(num[lo:hi], den[lo:hi])
+}
+
+// DtRangeKernel fills the time steps for vertices [lo,hi): the reference
+// Params.TimeSteps on a range, GlobalDt included.
+func (d *Disc) DtRangeKernel(lam []float64, lo, hi int) {
+	d.P.TimeSteps(d.Dt[lo:hi], d.M.Vol[lo:hi], lam[lo:hi])
+}
 
 // StepInitSoAKernel fuses the time-step preamble for vertices [lo,hi):
 // load w into the SoA solution block and the stage-0 snapshot, refresh the
@@ -353,7 +382,6 @@ func (d *Disc) UpdateFinalSoAKernel(w []State, w0S, resS *StateSoA, alpha float6
 	for i := lo; i < hi; i++ {
 		f := alpha * d.Dt[i] / vol[i]
 		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
-		// Positivity safeguard, identical to the sequential step.
 		w[i] = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
 	}
 }

@@ -71,12 +71,13 @@ func (p *Params) LimitUpdate(w0, cand State) State {
 	return s
 }
 
-// admitUpdate is the single admission point of every stage-update kernel —
-// sequential (Disc.Step), AoS range (UpdateRangeKernel) and SoA
-// (UpdateFinalSoAKernel, UpdateNextSoAKernel) — so all engines perform
-// literally the same arithmetic and stay bitwise conformant. With
-// ConvexLimit unset it reproduces the historical guard exactly: revert the
-// whole vertex for the stage when the candidate leaves the admissible set.
+// admitUpdate is the single admission point of every stage update — the
+// reference Params.StageUpdate (sequential and distributed engines) and
+// the SoA kernels (UpdateFinalSoAKernel, UpdateNextSoAKernel) — so all
+// engines perform literally the same arithmetic and stay bitwise
+// conformant. With ConvexLimit unset it reproduces the historical guard
+// exactly: revert the whole vertex for the stage when the candidate leaves
+// the admissible set.
 func (p *Params) admitUpdate(w0, cand State) State {
 	if p.ConvexLimit {
 		return p.LimitUpdate(w0, cand)

@@ -16,7 +16,6 @@ type Params struct {
 	K4         float64   // biharmonic (background) dissipation coefficient
 	EpsSmooth  float64   // implicit residual averaging coefficient (0 = off)
 	NSmooth    int       // Jacobi sweeps for residual averaging
-	WideSensor bool      // widen the shock switch by one neighbourhood
 	Stages     []float64 // Runge-Kutta stage coefficients
 	Freestream State     // far-field reference state
 
@@ -174,28 +173,10 @@ func (d *Disc) Retarget(m *mesh.Mesh, p Params) {
 // scratch, so it is safe to call on any mesh/solution pair without a Disc.
 func MinStableDt(m *mesh.Mesh, p Params, w []State) float64 {
 	nv := m.NV()
-	g := p.Gas
 	pres := make([]float64, nv)
 	lam := make([]float64, nv)
-	for i := 0; i < nv; i++ {
-		pres[i] = g.Pressure(w[i])
-	}
-	for e, ed := range m.Edges {
-		i, j := ed[0], ed[1]
-		lamE := SpectralRadius(g, w[i], w[j], pres[i], pres[j], m.EdgeNorm[e])
-		lam[i] += lamE
-		lam[j] += lamE
-	}
-	for bi := range m.BFaces {
-		f := &m.BFaces[bi]
-		n := f.Normal
-		for _, v := range f.V {
-			inv := 1 / w[v][0]
-			un := (w[v][1]*n.X + w[v][2]*n.Y + w[v][3]*n.Z) * inv
-			c := math.Sqrt(g.Gamma * pres[v] * inv)
-			lam[v] += (math.Abs(un) + c*n.Norm()) / 3
-		}
-	}
+	Pressures(p.Gas, w, pres)
+	SpectralRadii(p.Gas, m.Edges, m.EdgeNorm, m.BFaces, w, pres, lam)
 	min := math.Inf(1)
 	for i := 0; i < nv; i++ {
 		if lam[i] > 0 {
@@ -207,58 +188,61 @@ func MinStableDt(m *mesh.Mesh, p Params, w []State) float64 {
 	return min
 }
 
-// computePressures fills d.pres from w.
-func (d *Disc) computePressures(w []State) {
-	g := d.P.Gas
+// The reference operator. The functions from here to StageUpdate are the
+// scheme's loop bodies over explicit arrays: an edge list with its dual
+// normals, a boundary-face list, the solution, its pressures and the
+// accumulators. They know nothing of who drives them. The sequential Disc
+// below runs them over the whole mesh; the distributed solver (package
+// dmsolver) runs the same functions over each processor's local
+// [owned | ghost] arrays with the PARTI exchanges between calls. Every
+// accumulating function overwrites its accumulators (it zeroes them first)
+// and visits edges and faces in list order, so the additions one slot
+// receives, and their order, are fixed by the lists alone. The SoA kernels
+// of kernels_soa.go are the only other statement of this arithmetic.
+
+// Pressures fills pres[i] with the static pressure of w[i].
+func Pressures(g Gas, w []State, pres []float64) {
 	for i := range w {
-		d.pres[i] = g.Pressure(w[i])
+		pres[i] = g.Pressure(w[i])
 	}
 }
 
-// Convective accumulates the convective operator Q(w) into res (which is
-// overwritten): a single loop over edges plus a loop over boundary faces,
-// exactly the structure of the paper's executor loops. Pressures must be
-// current (computePressures).
-func (d *Disc) Convective(w []State, res []State) {
-	m := d.M
+// Convective overwrites res with the convective operator Q(w): one loop
+// over edges plus the boundary closure — a weak pressure flux on walls and
+// symmetry planes, a characteristic far-field flux on in/outflow faces,
+// each face flux lumped equally onto the face's three vertices. pres must
+// hold the pressures of w.
+func Convective(p *Params, edges [][2]int32, normals []geom.Vec3, faces []mesh.BFace, w []State, pres []float64, res []State) {
 	for i := range res {
 		res[i] = State{}
 	}
-	for e, ed := range m.Edges {
+	for e, ed := range edges {
 		i, j := ed[0], ed[1]
-		n := m.EdgeNorm[e]
-		fi := FluxDotN(w[i], d.pres[i], n.X, n.Y, n.Z)
-		fj := FluxDotN(w[j], d.pres[j], n.X, n.Y, n.Z)
+		n := normals[e]
+		fi := FluxDotN(w[i], pres[i], n.X, n.Y, n.Z)
+		fj := FluxDotN(w[j], pres[j], n.X, n.Y, n.Z)
 		for k := 0; k < NVar; k++ {
 			f := 0.5 * (fi[k] + fj[k])
 			res[i][k] += f
 			res[j][k] -= f
 		}
 	}
-	d.boundaryFlux(w, res)
-}
-
-// boundaryFlux adds the boundary closure: a weak pressure flux on walls and
-// symmetry planes, and a characteristic far-field flux on in/outflow faces.
-// Each face flux is lumped equally onto the face's three vertices.
-func (d *Disc) boundaryFlux(w []State, res []State) {
-	m := d.M
-	g := d.P.Gas
-	for bi := range m.BFaces {
-		f := &m.BFaces[bi]
+	g := p.Gas
+	for bi := range faces {
+		f := &faces[bi]
 		n := f.Normal
 		var flux State
 		switch f.Kind {
 		case mesh.Wall, mesh.Symmetry:
 			// Impermeable: only the pressure term survives v.n = 0.
-			p := (d.pres[f.V[0]] + d.pres[f.V[1]] + d.pres[f.V[2]]) / 3
-			flux = State{0, p * n.X, p * n.Y, p * n.Z, 0}
+			pf := (pres[f.V[0]] + pres[f.V[1]] + pres[f.V[2]]) / 3
+			flux = State{0, pf * n.X, pf * n.Y, pf * n.Z, 0}
 		case mesh.FarField:
 			var wi State
 			for k := 0; k < NVar; k++ {
 				wi[k] = (w[f.V[0]][k] + w[f.V[1]][k] + w[f.V[2]][k]) / 3
 			}
-			wb := FarFieldState(g, wi, d.P.Freestream, n)
+			wb := FarFieldState(g, wi, p.Freestream, n)
 			flux = FluxDotN(wb, g.Pressure(wb), n.X, n.Y, n.Z)
 		}
 		for k := 0; k < NVar; k++ {
@@ -270,17 +254,9 @@ func (d *Disc) boundaryFlux(w []State, res []State) {
 	}
 }
 
-// edgeSpectralRadius returns lambda_ij = |v_avg . n| + c_avg |n| for edge
-// (i,j) with dual normal n.
-func (d *Disc) edgeSpectralRadius(w []State, i, j int32, n geom.Vec3) float64 {
-	return SpectralRadius(d.P.Gas, w[i], w[j], d.pres[i], d.pres[j], n)
-}
-
 // SpectralRadius returns the convective spectral radius |v_avg.n| +
 // c_avg*|n| of the edge joining states wi and wj (with precomputed
-// pressures pi, pj) across the dual face normal n. Exported for the
-// distributed-memory solver, which runs the same edge kernels on
-// partition-local data.
+// pressures pi, pj) across the dual face normal n.
 func SpectralRadius(g Gas, wi, wj State, pi, pj float64, n geom.Vec3) float64 {
 	ri, rj := 1/wi[0], 1/wj[0]
 	u := 0.5 * (wi[1]*ri + wj[1]*rj)
@@ -290,96 +266,187 @@ func SpectralRadius(g Gas, wi, wj State, pi, pj float64, n geom.Vec3) float64 {
 	return math.Abs(u*n.X+v*n.Y+ww*n.Z) + c*n.Norm()
 }
 
-// Dissipation accumulates the blended Laplacian/biharmonic artificial
-// dissipation D(w) into diss (overwritten). It is the two-pass edge loop of
-// Section 2.2: the first pass assembles the undivided Laplacian and the
-// pressure sensor, the second the blended dissipative flux.
-func (d *Disc) Dissipation(w []State, diss []State) {
-	m := d.M
-	// Pass 1: Laplacian of w and pressure-switch sensor.
-	num := d.sensor
-	den := d.den
-	for i := range w {
-		d.lapl[i] = State{}
+// DissPass1 is the first dissipation pass of Section 2.2: it overwrites
+// lapl with the undivided Laplacian of w and num/den with the sums of the
+// pressure sensor.
+func DissPass1(edges [][2]int32, w []State, pres []float64, lapl []State, num, den []float64) {
+	for i := range lapl {
+		lapl[i] = State{}
 		num[i] = 0
 		den[i] = 0
 	}
-	for _, ed := range m.Edges {
+	for _, ed := range edges {
 		i, j := ed[0], ed[1]
 		for k := 0; k < NVar; k++ {
 			dw := w[j][k] - w[i][k]
-			d.lapl[i][k] += dw
-			d.lapl[j][k] -= dw
+			lapl[i][k] += dw
+			lapl[j][k] -= dw
 		}
-		dp := d.pres[j] - d.pres[i]
+		dp := pres[j] - pres[i]
 		num[i] += dp
 		num[j] -= dp
-		sp := d.pres[j] + d.pres[i]
+		sp := pres[j] + pres[i]
 		den[i] += sp
 		den[j] += sp
 	}
-	nu := num // per-vertex shock switch, in place
-	for i := range nu {
-		nu[i] = math.Abs(num[i]) / den[i]
-	}
-	if d.P.WideSensor {
-		d.widenSensor(nu)
-	}
+}
 
-	// Pass 2: blended dissipative flux.
-	k2, k4 := d.P.K2, d.P.K4
+// ShockSwitch converts completed sensor sums to the per-vertex shock
+// switch nu = |num|/den, stored in num.
+func ShockSwitch(num, den []float64) {
+	for i := range num {
+		num[i] = math.Abs(num[i]) / den[i]
+	}
+}
+
+// DissPass2 is the second dissipation pass: it overwrites diss with the
+// blended Laplacian/biharmonic dissipative flux, given the shock switch nu
+// and the Laplacian lapl complete at both ends of every edge.
+func DissPass2(p *Params, edges [][2]int32, normals []geom.Vec3, w []State, pres []float64, lapl []State, nu []float64, diss []State) {
 	for i := range diss {
 		diss[i] = State{}
 	}
-	for e, ed := range m.Edges {
+	g, k2, k4 := p.Gas, p.K2, p.K4
+	for e, ed := range edges {
 		i, j := ed[0], ed[1]
-		lamE := d.edgeSpectralRadius(w, i, j, m.EdgeNorm[e])
+		lamE := SpectralRadius(g, w[i], w[j], pres[i], pres[j], normals[e])
 		eps2 := k2 * math.Max(nu[i], nu[j])
 		eps4 := math.Max(0, k4-eps2)
 		for k := 0; k < NVar; k++ {
-			f := lamE * (eps2*(w[j][k]-w[i][k]) - eps4*(d.lapl[j][k]-d.lapl[i][k]))
+			f := lamE * (eps2*(w[j][k]-w[i][k]) - eps4*(lapl[j][k]-lapl[i][k]))
 			diss[i][k] += f
 			diss[j][k] -= f
 		}
 	}
 }
 
-// ComputeTimeSteps fills d.Dt with the local time step CFL*V_i/sum(lambda)
-// (edge loop plus boundary-face contribution). Pressures must be current.
-func (d *Disc) ComputeTimeSteps(w []State) {
-	if dt := d.P.GlobalDt; dt > 0 {
-		// Time-accurate mode: one fixed step everywhere; the spectral-radius
-		// accumulation is skipped (lam feeds nothing else).
-		for i := range d.Dt {
-			d.Dt[i] = dt
-		}
-		return
+// SpectralRadii overwrites lam with the vertex sums of the edge and
+// boundary-face spectral radii (the denominator of the local time step).
+func SpectralRadii(g Gas, edges [][2]int32, normals []geom.Vec3, faces []mesh.BFace, w []State, pres, lam []float64) {
+	for i := range lam {
+		lam[i] = 0
 	}
-	m := d.M
-	g := d.P.Gas
-	for i := range d.lam {
-		d.lam[i] = 0
-	}
-	for e, ed := range m.Edges {
+	for e, ed := range edges {
 		i, j := ed[0], ed[1]
-		lamE := d.edgeSpectralRadius(w, i, j, m.EdgeNorm[e])
-		d.lam[i] += lamE
-		d.lam[j] += lamE
+		lamE := SpectralRadius(g, w[i], w[j], pres[i], pres[j], normals[e])
+		lam[i] += lamE
+		lam[j] += lamE
 	}
-	for bi := range m.BFaces {
-		f := &m.BFaces[bi]
+	for bi := range faces {
+		f := &faces[bi]
 		n := f.Normal
 		for _, v := range f.V {
 			inv := 1 / w[v][0]
 			un := (w[v][1]*n.X + w[v][2]*n.Y + w[v][3]*n.Z) * inv
-			c := math.Sqrt(g.Gamma * d.pres[v] * inv)
-			d.lam[v] += (math.Abs(un) + c*n.Norm()) / 3
+			c := math.Sqrt(g.Gamma * pres[v] * inv)
+			lam[v] += (math.Abs(un) + c*n.Norm()) / 3
 		}
 	}
-	cfl := d.P.CFL
-	for i := range d.Dt {
-		d.Dt[i] = cfl * d.M.Vol[i] / d.lam[i]
+}
+
+// TimeSteps fills dt: the fixed GlobalDt everywhere in time-accurate mode
+// (lam is then not read — drivers skip SpectralRadii), the local step
+// CFL*vol/lam otherwise.
+func (p *Params) TimeSteps(dt, vol, lam []float64) {
+	if g := p.GlobalDt; g > 0 {
+		for i := range dt {
+			dt[i] = g
+		}
+		return
 	}
+	cfl := p.CFL
+	for i := range dt {
+		dt[i] = cfl * vol[i] / lam[i]
+	}
+}
+
+// CombineResidual forms res = conv - diss (+ forcing when non-nil).
+func CombineResidual(res, conv, diss, forcing []State) {
+	for i := range res {
+		for k := 0; k < NVar; k++ {
+			res[i][k] = conv[i][k] - diss[i][k]
+		}
+		if forcing != nil {
+			for k := 0; k < NVar; k++ {
+				res[i][k] += forcing[i][k]
+			}
+		}
+	}
+}
+
+// SmoothAccum is the gather phase of one Jacobi sweep of the residual
+// averaging: it overwrites next with the neighbour sums of cur. It is small
+// enough to be inlined, and must not be: inlined into a driver's sweep /
+// processor / exchange loop nest the edge loop loses its registers to the
+// driver's state (measured +37% on this loop in dmsolver).
+//
+//go:noinline
+func SmoothAccum(edges [][2]int32, cur, next []State) {
+	for i := range next {
+		next[i] = State{}
+	}
+	for _, ed := range edges {
+		i, j := ed[0], ed[1]
+		for k := 0; k < NVar; k++ {
+			next[i][k] += cur[j][k]
+			next[j][k] += cur[i][k]
+		}
+	}
+}
+
+// SmoothCombine finishes the sweep on completed sums: next = (rhs +
+// eps*next) / (1 + eps*deg), deg being the vertex's edge count.
+func SmoothCombine(rhs, next []State, deg []int32, eps float64) {
+	for i := range next {
+		inv := 1 / (1 + eps*float64(deg[i]))
+		for k := 0; k < NVar; k++ {
+			next[i][k] = (rhs[i][k] + eps*next[i][k]) * inv
+		}
+	}
+}
+
+// StageUpdate applies one Runge-Kutta stage, w = w0 - alpha*dt/vol * res,
+// passing every vertex through admitUpdate (the positivity revert, or the
+// convex limiter under ConvexLimit).
+func (p *Params) StageUpdate(w, w0, res []State, dt, vol []float64, alpha float64) {
+	for i := range w {
+		f := alpha * dt[i] / vol[i]
+		var cand State
+		for k := 0; k < NVar; k++ {
+			cand[k] = w0[i][k] - f*res[i][k]
+		}
+		w[i] = p.admitUpdate(w0[i], cand)
+	}
+}
+
+// The sequential driver: the reference operator over the whole mesh.
+
+// computePressures fills d.pres from w.
+func (d *Disc) computePressures(w []State) { Pressures(d.P.Gas, w, d.pres) }
+
+// Convective overwrites res with Q(w). Pressures must be current
+// (computePressures).
+func (d *Disc) Convective(w []State, res []State) {
+	Convective(&d.P, d.M.Edges, d.M.EdgeNorm, d.M.BFaces, w, d.pres, res)
+}
+
+// Dissipation overwrites diss with the artificial dissipation D(w): the
+// two-pass edge loop of Section 2.2 with the shock switch between the
+// passes. Pressures must be current.
+func (d *Disc) Dissipation(w []State, diss []State) {
+	m := d.M
+	DissPass1(m.Edges, w, d.pres, d.lapl, d.sensor, d.den)
+	ShockSwitch(d.sensor, d.den)
+	DissPass2(&d.P, m.Edges, m.EdgeNorm, w, d.pres, d.lapl, d.sensor, diss)
+}
+
+// ComputeTimeSteps fills d.Dt. Pressures must be current.
+func (d *Disc) ComputeTimeSteps(w []State) {
+	m := d.M
+	if d.P.GlobalDt <= 0 {
+		SpectralRadii(d.P.Gas, m.Edges, m.EdgeNorm, m.BFaces, w, d.pres, d.lam)
+	}
+	d.P.TimeSteps(d.Dt, m.Vol, d.lam)
 }
 
 // SmoothResiduals applies NSmooth Jacobi sweeps of the implicit residual
@@ -389,51 +456,16 @@ func (d *Disc) SmoothResiduals(res []State) {
 	if eps == 0 || d.P.NSmooth == 0 || len(res) == 0 {
 		return
 	}
-	m := d.M
 	copy(d.rhs, res) // the original R stays the Jacobi right-hand side
-	cur := res
-	next := d.smooth
+	cur, next := res, d.smooth
 	for sweep := 0; sweep < d.P.NSmooth; sweep++ {
-		for i := range next {
-			next[i] = State{}
-		}
-		for _, ed := range m.Edges {
-			i, j := ed[0], ed[1]
-			for k := 0; k < NVar; k++ {
-				next[i][k] += cur[j][k]
-				next[j][k] += cur[i][k]
-			}
-		}
-		for i := range next {
-			inv := 1 / (1 + eps*float64(d.deg[i]))
-			for k := 0; k < NVar; k++ {
-				next[i][k] = (d.rhs[i][k] + eps*next[i][k]) * inv
-			}
-		}
+		SmoothAccum(d.M.Edges, cur, next)
+		SmoothCombine(d.rhs, next, d.deg, eps)
 		cur, next = next, cur
 	}
 	if &cur[0] != &res[0] {
 		copy(res, cur)
 	}
-}
-
-// widenSensor replaces each vertex's shock switch by the maximum over its
-// edge neighbourhood, spreading the Laplacian dissipation one cell beyond
-// the detected shock. This is the standard stencil widening that prevents
-// switch dithering at captured shocks.
-func (d *Disc) widenSensor(nu []float64) {
-	wide := d.den // den is free after the sensor pass
-	copy(wide, nu)
-	for _, ed := range d.M.Edges {
-		i, j := ed[0], ed[1]
-		if nu[j] > wide[i] {
-			wide[i] = nu[j]
-		}
-		if nu[i] > wide[j] {
-			wide[j] = nu[i]
-		}
-	}
-	copy(nu, wide)
 }
 
 // Guard returns true when s is physically admissible under the positivity

@@ -2,20 +2,17 @@ package euler
 
 import "math"
 
-// Residual evaluates the full steady residual R(w) = Q(w) - D(w) into res,
-// refreshing pressures first. It is used by the multigrid forcing-function
-// construction (once per level pair per cycle, so it runs on Disc-owned
-// scratch and allocates nothing) and by tests; the RK driver below inlines
-// the same pieces to control when the dissipation is refrozen.
-func (d *Disc) Residual(w []State, res []State) {
+// Residual evaluates the full steady residual R(w) = Q(w) - D(w) (+ the
+// FAS forcing when non-nil) into res, refreshing pressures first. It is
+// used by the multigrid forcing-function construction (once per level pair
+// per cycle, so it runs on Disc-owned scratch and allocates nothing), the
+// adaptation indicator and tests; the RK driver below calls the same pieces
+// itself to control when the dissipation is refrozen.
+func (d *Disc) Residual(w, forcing, res []State) {
 	d.computePressures(w)
 	d.Convective(w, res)
 	d.Dissipation(w, d.rdiss)
-	for i := range res {
-		for k := 0; k < NVar; k++ {
-			res[i][k] -= d.rdiss[i][k]
-		}
-	}
+	CombineResidual(res, res, d.rdiss, forcing)
 }
 
 // StepWorkspace holds the per-step scratch arrays of the RK driver.
@@ -75,29 +72,12 @@ func (d *Disc) Step(w []State, forcing []State, ws *StepWorkspace) float64 {
 		if q < DissipStages {
 			d.Dissipation(w, ws.diss)
 		}
-		for i := 0; i < nv; i++ {
-			for k := 0; k < NVar; k++ {
-				ws.res[i][k] = ws.conv[i][k] - ws.diss[i][k]
-			}
-			if forcing != nil {
-				for k := 0; k < NVar; k++ {
-					ws.res[i][k] += forcing[i][k]
-				}
-			}
-		}
+		CombineResidual(ws.res, ws.conv, ws.diss, forcing)
 		if q == 0 {
 			resNorm = math.Sqrt(ResidualNormSq(ws.res, m.Vol, nv) / float64(nv))
 		}
 		d.SmoothResiduals(ws.res)
-		for i := 0; i < nv; i++ {
-			f := alpha * d.Dt[i] / m.Vol[i]
-			var cand State
-			for k := 0; k < NVar; k++ {
-				cand[k] = ws.w0[i][k] - f*ws.res[i][k]
-			}
-			// Positivity safeguard: revert or convex-limit the stage update.
-			w[i] = d.P.admitUpdate(ws.w0[i], cand)
-		}
+		d.P.StageUpdate(w, ws.w0, ws.res, d.Dt, m.Vol, alpha)
 	}
 	return resNorm
 }

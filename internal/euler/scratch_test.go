@@ -19,8 +19,8 @@ func TestResidualZeroAllocs(t *testing.T) {
 	w := make([]State, m.NV())
 	d.InitUniform(w)
 	res := make([]State, m.NV())
-	d.Residual(w, res) // warm-up
-	if n := testing.AllocsPerRun(5, func() { d.Residual(w, res) }); n != 0 {
+	d.Residual(w, nil, res) // warm-up
+	if n := testing.AllocsPerRun(5, func() { d.Residual(w, nil, res) }); n != 0 {
 		t.Errorf("Residual allocates %v times per call, want 0", n)
 	}
 }

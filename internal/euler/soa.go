@@ -42,13 +42,13 @@ func (s *StateSoA) Resize(nv int) {
 // Len returns the number of vertices.
 func (s *StateSoA) Len() int { return len(s.Comp[0]) }
 
-// FromStates copies w[lo:hi] into the SoA layout (gather shim).
+// FromStates copies w[lo:hi] into the SoA layout (gather shim), reading
+// each 40-byte record once.
 func (s *StateSoA) FromStates(w []State, lo, hi int) {
-	for k := 0; k < NVar; k++ {
-		c := s.Comp[k]
-		for i := lo; i < hi; i++ {
-			c[i] = w[i][k]
-		}
+	c0, c1, c2, c3, c4 := s.Comp[0], s.Comp[1], s.Comp[2], s.Comp[3], s.Comp[4]
+	for i := lo; i < hi; i++ {
+		st := w[i]
+		c0[i], c1[i], c2[i], c3[i], c4[i] = st[0], st[1], st[2], st[3], st[4]
 	}
 }
 

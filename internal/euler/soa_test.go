@@ -1,6 +1,7 @@
 package euler
 
 import (
+	"math"
 	"testing"
 )
 
@@ -58,127 +59,205 @@ func TestStateSoARoundTrip(t *testing.T) {
 	}
 }
 
-// TestSoAKernelsBitwiseMatchAoS drives the full kernel sequence of one RK
-// stage — init, zeroing, convective flux, both dissipation passes,
-// spectral radii, time steps, residual combine, one smoothing sweep and
-// both update forms — through the AoS range kernels and their SoA
-// counterparts on the same mesh and field, asserting bitwise-identical
-// results everywhere. This is the contract the parallel executor's SoA
-// hot path rests on: the component streams change the memory layout, not
-// one floating-point operation.
-func TestSoAKernelsBitwiseMatchAoS(t *testing.T) {
-	dA, w := kernelFixture(t)
-	dB := NewDisc(dA.M, dA.P)
-	nv := dA.M.NV()
-	edges, faces := allEdges(dA), allFaces(dA)
+// soaStepper advances a solution through the SoA kernels, driven inline
+// over the identity edge and face lists, and after every kernel compares
+// what it produced — bitwise — with the reference operator run by ref's
+// Disc methods on the same stage state.
+type soaStepper struct {
+	t            *testing.T
+	d, ref       *Disc
+	edges, faces []int32
 
-	sameF := func(name string, a, b []float64) {
-		t.Helper()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: vertex %d: %v (AoS) vs %v (SoA)", name, i, a[i], b[i])
+	wS, w0S, convS, dissS, laplS, resS, smoothS, rhsS *StateSoA
+	wq, convR, dissR, resR, resOut                    []State
+}
+
+func newSoAStepper(t *testing.T, d *Disc) *soaStepper {
+	nv := d.M.NV()
+	soa := func() *StateSoA { return NewStateSoA(nv) }
+	aos := func() []State { return make([]State, nv) }
+	return &soaStepper{
+		t: t, d: d, ref: NewDisc(d.M, d.P),
+		edges: identity(d.M.NE()), faces: identity(len(d.M.BFaces)),
+		wS: soa(), w0S: soa(), convS: soa(), dissS: soa(), laplS: soa(), resS: soa(), smoothS: soa(), rhsS: soa(),
+		wq: aos(), convR: aos(), dissR: aos(), resR: aos(), resOut: aos(),
+	}
+}
+
+func (s *soaStepper) sameF(name string, ref, soa []float64) {
+	s.t.Helper()
+	for i := range ref {
+		if ref[i] != soa[i] {
+			s.t.Fatalf("%s: vertex %d: %v (reference) vs %v (SoA)", name, i, ref[i], soa[i])
+		}
+	}
+}
+
+func (s *soaStepper) sameS(name string, ref []State, soa *StateSoA) {
+	s.t.Helper()
+	for i := range ref {
+		if got := soa.At(i); ref[i] != got {
+			s.t.Fatalf("%s: vertex %d: %v (reference) vs %v (SoA)", name, i, ref[i], got)
+		}
+	}
+}
+
+// step is one multistage time step in the order the pooled engine issues
+// the kernels; it returns the first-stage residual norm.
+func (s *soaStepper) step(w, forcing []State) float64 {
+	d, ref := s.d, s.ref
+	nv := d.M.NV()
+
+	d.StepInitSoAKernel(w, s.wS, s.w0S, 0, nv)
+	ref.computePressures(w)
+	s.sameS("init w", w, s.wS)
+	s.sameS("init w0", w, s.w0S)
+	s.sameF("init pres", ref.pres, d.pres)
+	if d.P.GlobalDt <= 0 {
+		d.LambdaEdgesSoAKernel(s.wS, d.Lam(), s.edges)
+		d.LambdaBFacesSoAKernel(s.wS, d.Lam(), s.faces)
+	}
+	d.DtRangeKernel(d.Lam(), 0, nv)
+	ref.ComputeTimeSteps(w)
+	s.sameF("time steps", ref.Dt, d.Dt)
+	d.StageZeroSoAKernel(s.convS, s.dissS, s.laplS, true, 0, nv)
+
+	norm := 0.0
+	for q, alpha := range d.P.Stages {
+		s.wS.ToStates(s.wq, 0, nv)
+		ref.computePressures(s.wq)
+		s.sameF("stage pres", ref.pres, d.pres)
+
+		d.ConvectiveEdgesSoAKernel(s.wS, s.convS, s.edges)
+		d.BoundaryFluxSoAKernel(s.wS, s.convS, s.faces)
+		ref.Convective(s.wq, s.convR)
+		s.sameS("convective", s.convR, s.convS)
+
+		if q < DissipStages {
+			d.DissPass1SoAKernel(s.wS, s.laplS, d.Sensor(), d.Den(), s.edges)
+			d.NuRangeKernel(d.Sensor(), d.Den(), 0, nv)
+			d.DissPass2SoAKernel(s.wS, s.laplS, s.dissS, d.Sensor(), s.edges)
+			ref.Dissipation(s.wq, s.dissR)
+			s.sameS("laplacian", ref.lapl, s.laplS)
+			s.sameF("shock switch", ref.sensor, d.sensor)
+			s.sameS("dissipation", s.dissR, s.dissS)
+		}
+
+		d.CombineResidualSoAKernel(s.resS, s.convS, s.dissS, forcing, 0, nv)
+		d.CombineResidualOutKernel(s.resOut, s.convS, s.dissS, forcing, 0, nv)
+		CombineResidual(s.resR, s.convR, s.dissR, forcing)
+		s.sameS("residual", s.resR, s.resS)
+		for i := range s.resR {
+			if s.resR[i] != s.resOut[i] {
+				s.t.Fatalf("residual-out: vertex %d: %v vs %v", i, s.resR[i], s.resOut[i])
 			}
 		}
-	}
-	sameS := func(name string, aos []State, soa *StateSoA) {
-		t.Helper()
-		for i := range aos {
-			if got := soa.At(i); aos[i] != got {
-				t.Fatalf("%s: vertex %d: %v (AoS) vs %v (SoA)", name, i, aos[i], got)
+		if q == 0 {
+			norm = math.Sqrt(ResidualNormSq(s.resOut, d.M.Vol, nv) / float64(nv))
+		}
+
+		if eps := d.P.EpsSmooth; eps != 0 && d.P.NSmooth != 0 {
+			s.rhsS.CopyRange(s.resS, 0, nv)
+			cur, next := s.resS, s.smoothS
+			for sweep := 0; sweep < d.P.NSmooth; sweep++ {
+				next.ZeroRange(0, nv)
+				d.SmoothAccumSoAKernel(cur, next, s.edges)
+				d.SmoothCombineSoAKernel(s.rhsS, next, eps, 0, nv)
+				cur, next = next, cur
+			}
+			if cur != s.resS {
+				s.resS.CopyRange(cur, 0, nv)
 			}
 		}
-	}
+		ref.SmoothResiduals(s.resR)
+		s.sameS("smoothing", s.resR, s.resS)
 
-	// Init: snapshot + pressures + lam reset.
-	w0A := make([]State, nv)
-	dA.StepInitKernel(w, w0A, 0, nv)
-	wS, w0S := NewStateSoA(nv), NewStateSoA(nv)
-	dB.StepInitSoAKernel(w, wS, w0S, 0, nv)
-	sameS("init w", w, wS)
-	sameS("init w0", w0A, w0S)
-	sameF("init pres", dA.Pres(), dB.Pres())
-
-	// Stage zeroing (AoS zeroes d.lapl internally; SoA takes the block).
-	convA, dissA := make([]State, nv), make([]State, nv)
-	dA.StageZeroKernel(convA, dissA, true, 0, nv)
-	convS, dissS, laplS := NewStateSoA(nv), NewStateSoA(nv), NewStateSoA(nv)
-	dB.StageZeroSoAKernel(convS, dissS, laplS, true, 0, nv)
-
-	// Convective flux + boundary closure.
-	dA.ConvectiveEdgesKernel(w, convA, edges)
-	dA.BoundaryFluxKernel(w, convA, faces)
-	dB.ConvectiveEdgesSoAKernel(wS, convS, edges)
-	dB.BoundaryFluxSoAKernel(wS, convS, faces)
-	sameS("convective", convA, convS)
-
-	// Dissipation: Laplacian + sensor, switch, blended flux.
-	dA.DissPass1Kernel(w, dA.Lapl(), dA.Sensor(), dA.Den(), edges)
-	dB.DissPass1SoAKernel(wS, laplS, dB.Sensor(), dB.Den(), edges)
-	sameS("laplacian", dA.Lapl(), laplS)
-	sameF("sensor", dA.Sensor(), dB.Sensor())
-	sameF("den", dA.Den(), dB.Den())
-	dA.NuRangeKernel(dA.Sensor(), dA.Den(), 0, nv)
-	dB.NuRangeKernel(dB.Sensor(), dB.Den(), 0, nv)
-	dA.DissPass2Kernel(w, dA.Lapl(), dissA, dA.Sensor(), edges)
-	dB.DissPass2SoAKernel(wS, laplS, dissS, dB.Sensor(), edges)
-	sameS("dissipation", dissA, dissS)
-
-	// Spectral radii and local time steps.
-	dA.LambdaEdgesKernel(w, dA.Lam(), edges)
-	dA.LambdaBFacesKernel(w, dA.Lam(), faces)
-	dB.LambdaEdgesSoAKernel(wS, dB.Lam(), edges)
-	dB.LambdaBFacesSoAKernel(wS, dB.Lam(), faces)
-	sameF("lambda", dA.Lam(), dB.Lam())
-	dA.DtRangeKernel(dA.Lam(), 0, nv)
-	dB.DtRangeKernel(dB.Lam(), 0, nv)
-	sameF("dt", dA.Dt, dB.Dt)
-
-	// Residual combine, with and without forcing, both output layouts.
-	forcing := make([]State, nv)
-	for i := range forcing {
-		forcing[i] = State{1e-3, -2e-3, 3e-3, -4e-3, 5e-3}
-	}
-	resA := make([]State, nv)
-	resS := NewStateSoA(nv)
-	dA.CombineResidualKernel(resA, convA, dissA, forcing, 0, nv)
-	dB.CombineResidualSoAKernel(resS, convS, dissS, forcing, 0, nv)
-	sameS("residual+forcing", resA, resS)
-	resOut := make([]State, nv)
-	dB.CombineResidualOutKernel(resOut, convS, dissS, forcing, 0, nv)
-	for i := range resA {
-		if resA[i] != resOut[i] {
-			t.Fatalf("residual-out: vertex %d: %v vs %v", i, resA[i], resOut[i])
+		if q == len(d.P.Stages)-1 {
+			d.UpdateFinalSoAKernel(w, s.w0S, s.resS, alpha, 0, nv)
+		} else {
+			d.UpdateNextSoAKernel(s.wS, s.w0S, s.resS, alpha, 0, nv)
+			d.StageZeroSoAKernel(s.convS, s.dissS, s.laplS, q+1 < DissipStages, 0, nv)
 		}
 	}
-	dA.CombineResidualKernel(resA, convA, dissA, nil, 0, nv)
-	dB.CombineResidualSoAKernel(resS, convS, dissS, nil, 0, nv)
-	sameS("residual", resA, resS)
+	return norm
+}
 
-	// One Jacobi smoothing sweep.
-	rhsA, nextA := make([]State, nv), make([]State, nv)
-	copy(rhsA, resA)
-	dA.SmoothAccumKernel(resA, nextA, edges)
-	dA.SmoothCombineKernel(rhsA, nextA, dA.P.EpsSmooth, 0, nv)
-	rhsS, nextS := NewStateSoA(nv), NewStateSoA(nv)
-	rhsS.CopyRange(resS, 0, nv)
-	dB.SmoothAccumSoAKernel(resS, nextS, edges)
-	dB.SmoothCombineSoAKernel(rhsS, nextS, dA.P.EpsSmooth, 0, nv)
-	sameS("smoothing", nextA, nextS)
+// TestSoAKernelsBitwiseMatchReference is the contract between the two
+// statements of the scheme's arithmetic: every SoA kernel, run over the
+// identity edge and face lists, must reproduce the reference operator —
+// Disc.Convective, Dissipation, ComputeTimeSteps, SmoothResiduals and, for
+// the fused init/combine/update sweeps, a whole Disc.Step — bit for bit:
+// the component streams change the memory layout, not one floating-point
+// operation. The three cases cover the steady scheme, the FAS forcing term,
+// and the time-accurate scheme (global dt, no averaging) with the convex
+// limiter made to act.
+func TestSoAKernelsBitwiseMatchReference(t *testing.T) {
+	const steps = 3
+	for _, tc := range []struct {
+		name    string
+		forcing bool
+		tune    func(d *Disc, w []State)
+	}{
+		{"steady", false, func(*Disc, []State) {}},
+		{"forcing", true, func(*Disc, []State) {}},
+		{"global-dt-limited", false, func(d *Disc, w []State) {
+			p := &d.P
+			p.GlobalDt, p.EpsSmooth, p.NSmooth = 0.8*MinStableDt(d.M, *p, w), 0, 0
+			p.ConvexLimit, p.MinPressure = true, 0.7 // the fixture's lowest pressures sit on this floor
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, w := kernelFixture(t)
+			tc.tune(d, w)
+			nv := d.M.NV()
+			var forcing []State
+			if tc.forcing {
+				forcing = make([]State, nv)
+				for i := range forcing {
+					forcing[i] = State{1e-3, -2e-3, 3e-3, -4e-3, 5e-3}
+				}
+			}
 
-	// Both update forms: final stage scattering to []State, and the fused
-	// intermediate stage with its pressure refresh.
-	const alpha = 0.5
-	wOutA := make([]State, nv)
-	dA.UpdateRangeKernel(wOutA, w0A, resA, alpha, 0, nv)
-	wOutS := make([]State, nv)
-	dB.UpdateFinalSoAKernel(wOutS, w0S, resS, alpha, 0, nv)
-	for i := range wOutA {
-		if wOutA[i] != wOutS[i] {
-			t.Fatalf("update-final: vertex %d: %v vs %v", i, wOutA[i], wOutS[i])
-		}
+			seq := NewDisc(d.M, d.P)
+			ws := NewStepWorkspace(nv)
+			wSeq := append([]State(nil), w...)
+			soa := newSoAStepper(t, d)
+			for c := 0; c < steps; c++ {
+				normSeq := seq.Step(wSeq, forcing, ws)
+				if norm := soa.step(w, forcing); norm != normSeq {
+					t.Fatalf("step %d: norm %v (SoA) vs %v (Disc.Step)", c, norm, normSeq)
+				}
+				for i := range w {
+					if w[i] != wSeq[i] {
+						t.Fatalf("step %d: vertex %d: %v (SoA) vs %v (Disc.Step)", c, i, w[i], wSeq[i])
+					}
+				}
+			}
+
+			// The standalone-residual preamble: load + pressures.
+			wS := NewStateSoA(nv)
+			d.ResInitSoAKernel(w, wS, 0, nv)
+			seq.computePressures(w)
+			soa.sameS("res-init w", w, wS)
+			soa.sameF("res-init pres", seq.pres, d.pres)
+
+			if d.P.ConvexLimit {
+				// The limiter must have acted, or this case pins nothing the
+				// steady one does not: the same run without floors differs.
+				free := NewDisc(d.M, d.P)
+				free.P.MinDensity, free.P.MinPressure = 0, 0
+				_, wFree := kernelFixture(t)
+				for c := 0; c < steps; c++ {
+					free.Step(wFree, nil, ws)
+				}
+				same := true
+				for i := range w {
+					same = same && w[i] == wFree[i]
+				}
+				if same {
+					t.Fatal("limiter never acted: floors too low for this field")
+				}
+			}
+		})
 	}
-	dA.PressureRangeKernel(wOutA, 0, nv)
-	dB.UpdateNextSoAKernel(wS, w0S, resS, alpha, 0, nv)
-	sameS("update-next", wOutA, wS)
-	sameF("update-next pres", dA.Pres(), dB.Pres())
 }

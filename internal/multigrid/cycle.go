@@ -157,36 +157,20 @@ func (s *Solver) cycle(l int) float64 {
 
 	// Residual of the current (post-step) solution, including forcing:
 	// this is what the coarse grid must reproduce.
-	lev.Disc.Residual(lev.W, lev.Res)
-	if lev.Forcing != nil {
-		for i := range lev.Res {
-			for k := 0; k < euler.NVar; k++ {
-				lev.Res[i][k] += lev.Forcing[i][k]
-			}
-		}
-	}
+	lev.Disc.Residual(lev.W, lev.Forcing, lev.Res)
 	s.tick(phResiduals, s.residFl[l], &t)
 
-	// Transfer flow variables (interpolation) and residuals (conservative
-	// transpose scatter) to the coarse grid. Interpolated conserved
-	// variables can carry negative pressure (pressure is not convex in the
-	// conserved variables), so repair the restricted states before the
-	// coarse grid evaluates sound speeds on them.
+	// Transfer flow variables (interpolation, then the positivity repair of
+	// the restricted states) and residuals (conservative transpose scatter)
+	// to the coarse grid.
 	next.Restrict.Interp(lev.W, next.W)
-	for i := range next.W {
-		next.W[i] = next.Disc.P.Repair(next.W[i])
-	}
-	copy(next.WSaved, next.W)
+	RepairSave(&next.Disc.P, next.W, next.WSaved, 0, len(next.W))
 	next.Prolong.ScatterTranspose(lev.Res, next.Forcing) // next.Forcing := R'
 	s.tick(phTransfers, s.restrictFl[l], &t)
 
 	// Forcing P = R' - R(w').
-	next.Disc.Residual(next.W, next.Res)
-	for i := range next.Forcing {
-		for k := 0; k < euler.NVar; k++ {
-			next.Forcing[i][k] -= next.Res[i][k]
-		}
-	}
+	next.Disc.Residual(next.W, nil, next.Res)
+	Subtract(next.Forcing, next.Res, 0, len(next.Forcing))
 	s.tick(phResiduals, s.residFl[l+1], &t)
 
 	// Coarse-grid visits: gamma = 1 gives a V-cycle, 2 a W-cycle.
@@ -200,11 +184,7 @@ func (s *Solver) cycle(l int) float64 {
 	t = time.Now()
 
 	// Prolong the coarse-grid correction back to this level.
-	for i := range next.W {
-		for k := 0; k < euler.NVar; k++ {
-			next.Res[i][k] = next.W[i][k] - next.WSaved[i][k]
-		}
-	}
+	Delta(next.Res, next.W, next.WSaved, 0, len(next.W))
 	next.Prolong.Interp(next.Res, lev.Corr)
 	s.tick(phTransfers, s.prolongFl[l], &t)
 	// Smooth the prolonged correction: interpolation across non-nested
@@ -212,17 +192,7 @@ func (s *Solver) cycle(l int) float64 {
 	// fine-grid smoothing (the implicit averaging operator doubles as the
 	// correction smoother).
 	lev.Disc.SmoothResiduals(lev.Corr)
-	corr := lev.Corr
-	for i := range lev.W {
-		var cand euler.State
-		for k := 0; k < euler.NVar; k++ {
-			cand[k] = lev.W[i][k] + corr[i][k]
-		}
-		if !lev.Disc.P.Guard(cand) {
-			continue // positivity guard: skip the correction at this vertex
-		}
-		lev.W[i] = cand
-	}
+	ApplyCorrection(&lev.Disc.P, lev.W, lev.Corr, 0, len(lev.W))
 	s.tick(phCorrections, s.corrFl[l], &t)
 	return norm
 }

@@ -1,11 +1,15 @@
 package verify
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
+	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
+	"eul3d/internal/graph"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/partition"
 	"eul3d/internal/reorder"
 	"eul3d/internal/scenario"
 	"eul3d/internal/smsolver"
@@ -13,13 +17,18 @@ import (
 
 // TestScenarioConformance extends the cross-engine bitwise suite to the
 // scenario presets: on a color-canonical scenario mesh, the sequential
-// stepper, the pooled engine at workers {1, 2, 8}, and the pooled engine's
-// serial-cutoff inline path must produce bitwise-identical residual
-// histories and solutions from the scenario's initial state. The presets
-// run with ConvexLimit and (for the unsteady ones) GlobalDt, so this is
-// the bitwise check of the limiter across the AoS and SoA kernel families
-// — the startup transient of the Sod diaphragm exercises the limited
-// branch, not just the admissible fast path.
+// stepper, the pooled engine at workers {1, 2, 8}, the pooled engine's
+// serial-cutoff inline path, and the distributed engine on one processor
+// (sequential orchestration and concurrent MIMD) must produce
+// bitwise-identical residual histories and solutions from the scenario's
+// initial state. The presets run with ConvexLimit and (for the unsteady
+// ones) GlobalDt, so this is the bitwise check of the limiter and the
+// global step across both statements of the operator and all three ways of
+// driving them — the startup transient of the Sod diaphragm exercises the
+// limited branch, not just the admissible fast path. On four processors
+// the partition boundaries reassociate the vertex sums and the limiter
+// amplifies that, so those rows are held to the sanity bound
+// TestCrossEngineConformance uses for multi-processor runs.
 func TestScenarioConformance(t *testing.T) {
 	for _, name := range scenario.Names() {
 		sc, err := scenario.Get(name)
@@ -76,6 +85,46 @@ func TestScenarioConformance(t *testing.T) {
 				run("pooled", 0, nw)
 				run("serial-cutoff", 1<<30, nw)
 			}
+
+			runDist := func(label string, part []int32, nproc int, cycle func(*dmsolver.Solver) (float64, error), tol float64) {
+				t.Helper()
+				dm, err := dmsolver.NewSingle(cm, part, nproc, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dm.SetFineSolution(sc.InitialState(cm)); err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < steps; c++ {
+					norm, err := cycle(dm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(norm-refHist[c]) > tol*math.Max(1, math.Abs(refHist[c])) {
+						t.Fatalf("%s: step %d norm %v, sequential %v", label, c, norm, refHist[c])
+					}
+				}
+				for i, st := range dm.GatherSolution() {
+					for k := range st {
+						if math.Abs(st[k]-refW[i][k]) > tol*math.Max(1, math.Abs(refW[i][k])) {
+							t.Fatalf("%s: vertex %d state %v, sequential %v", label, i, st, refW[i])
+						}
+					}
+				}
+			}
+			one := make([]int32, cm.NV()) // everything on processor 0
+			runDist("distributed[nproc=1]", one, 1, (*dmsolver.Solver).Cycle, 0)
+			runDist("distributed-mimd[nproc=1]", one, 1, (*dmsolver.Solver).CycleConcurrent, 0)
+			g, err := graph.FromEdges(cm.NV(), cm.Edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			four, err := partition.Partition(g, cm.X, 4, partition.Spectral, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runDist("distributed[nproc=4]", four, 4, (*dmsolver.Solver).Cycle, 1e-4)
+			runDist("distributed-mimd[nproc=4]", four, 4, (*dmsolver.Solver).CycleConcurrent, 1e-4)
 		})
 	}
 }

@@ -326,10 +326,10 @@ func (mg *Multigrid) cycle(l int) float64 {
 	mg.tick(4*l+2, mg.prolongFl[l], &t)
 
 	// Smooth the prolonged correction (the implicit averaging operator
-	// doubles as the correction smoother) and apply it under the
-	// positivity guard.
-	e.smooth(lev.eng, lev.Corr)
-	e.vertexOp(tApplyCorr, lev.eng, lev.W, lev.Corr, nil)
+	// doubles as the correction smoother) — in this level's resS, free
+	// between steps — and apply it from there under the positivity guard.
+	e.smoothSoA(lev.eng, lev.Corr)
+	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
 	mg.tick(4*l+3, mg.corrFl[l], &t)
 	return norm
 }

@@ -79,11 +79,7 @@ const (
 	tCombine                        // resS = convS - dissS (+ forcing), SoA
 	tCombineOut                     // res = convS - dissS (+ forcing), []State out
 	tNorm                           // block partial sums of the residual norm
-	tSmoothStart                    // rhs copy + first-sweep zeroing (fused, []State)
-	tSmoothAccum                    // colored: Jacobi neighbour gather ([]State)
-	tSmoothCombine                  // Jacobi combine + next-sweep zeroing (fused, []State)
-	tCopyRes                        // copy smoothed result back ([]State, odd sweep counts)
-	tSmoothStartS                   // rhs copy + first-sweep zeroing (fused, SoA)
+	tSmoothStartS                   // optional []State load + rhs copy + first-sweep zeroing (fused, SoA)
 	tSmoothAccumS                   // colored: Jacobi neighbour gather (SoA)
 	tSmoothCombineS                 // Jacobi combine + next-sweep zeroing (fused, SoA)
 	tCopyResS                       // copy smoothed result back (SoA, odd sweep counts)
@@ -95,7 +91,7 @@ const (
 	tRepairSave                     // repair restricted states + snapshot (fused)
 	tCorrDelta                      // coarse correction delta W - WSaved
 	tForcingSub                     // FAS forcing P = R' - R(w')
-	tApplyCorr                      // guarded application of the prolonged correction
+	tApplyCorr                      // guarded application of the smoothed correction (read from SoA)
 )
 
 // Instrumented phases of one time step (the engine's internal phase
@@ -139,8 +135,10 @@ type normSlot struct {
 // stage-0 snapshot w0S are loaded from the caller's []State in the fused
 // init sweep, the edge kernels accumulate into convS/dissS/laplS, the
 // smoother ping-pongs resS against smoothS, and the final-stage update
-// scatters straight back to []State. res keeps the []State layout because
-// the multigrid transfer operators consume it directly.
+// scatters straight back to []State. Between steps resS is free, and the
+// multigrid driver smooths the prolonged correction in it. res keeps the
+// []State layout because the multigrid transfer operators consume it
+// directly.
 type levelEngine struct {
 	d          *euler.Disc
 	edgeColors *color.Coloring
@@ -291,20 +289,19 @@ type engine struct {
 	// Job descriptor for the current parallel region, published before the
 	// fork and read by the workers (the fork/join barrier orders both
 	// directions).
-	job       taskKind
-	group     int           // color group for colored tasks
-	alpha     float64       // RK stage coefficient
-	eps       float64       // residual-averaging coefficient
-	zeroDiss  bool          // tDtZero/tUpdateNext: also zero dissipation arrays
-	zeroCur   bool          // tSmoothCombine(+S): also zero the next sweep's target
-	w         []euler.State // solution being advanced
-	forcing   []euler.State
-	cur, next []euler.State // residual-averaging ping-pong ([]State, corrections)
-	smTarget  []euler.State // []State array being smoothed (a correction)
+	job      taskKind
+	group    int           // color group for colored tasks
+	alpha    float64       // RK stage coefficient
+	eps      float64       // residual-averaging coefficient
+	zeroDiss bool          // tDtZero/tUpdateNext: also zero dissipation arrays
+	zeroCur  bool          // tSmoothCombineS: also zero the next sweep's target
+	w        []euler.State // solution being advanced
+	forcing  []euler.State
 
-	// SoA residual-averaging ping-pong (the step path smooths resS).
+	// Residual-averaging ping-pong over the level's resS, which the
+	// preamble first loads from smLoad when that is non-nil.
 	curS, nextS *euler.StateSoA
-	smTargetS   *euler.StateSoA
+	smLoad      []euler.State
 
 	// Generic per-vertex operands (tRepairSave/tCorrDelta/tForcingSub/
 	// tApplyCorr) and the inter-grid transfer descriptor.
@@ -415,28 +412,12 @@ func (e *engine) exec(wk int) {
 			}
 			lev.normPartial[b].v = sum
 		}
-	case tSmoothStart:
-		sp := lev.vertSpans[wk]
-		copy(d.RHSScratch()[sp.lo:sp.hi], e.smTarget[sp.lo:sp.hi])
-		zero(e.next[sp.lo:sp.hi])
-	case tSmoothAccum:
-		sp := lev.edgeSpans[e.group][wk]
-		d.SmoothAccumKernel(e.cur, e.next, lev.edgeColors.Order[sp.lo:sp.hi])
-	case tSmoothCombine:
-		sp := lev.vertSpans[wk]
-		d.SmoothCombineKernel(d.RHSScratch(), e.next, e.eps, sp.lo, sp.hi)
-		if e.zeroCur {
-			// cur has been fully gathered (barrier before this region) and
-			// becomes the next sweep's accumulation target: zero it here
-			// instead of in a sweep of its own.
-			zero(e.cur[sp.lo:sp.hi])
-		}
-	case tCopyRes:
-		sp := lev.vertSpans[wk]
-		copy(e.smTarget[sp.lo:sp.hi], e.cur[sp.lo:sp.hi])
 	case tSmoothStartS:
 		sp := lev.vertSpans[wk]
-		lev.rhsS.CopyRange(e.smTargetS, sp.lo, sp.hi)
+		if e.smLoad != nil {
+			lev.resS.FromStates(e.smLoad, sp.lo, sp.hi)
+		}
+		lev.rhsS.CopyRange(lev.resS, sp.lo, sp.hi)
 		e.nextS.ZeroRange(sp.lo, sp.hi)
 	case tSmoothAccumS:
 		sp := lev.edgeSpans[e.group][wk]
@@ -449,7 +430,7 @@ func (e *engine) exec(wk int) {
 		}
 	case tCopyResS:
 		sp := lev.vertSpans[wk]
-		e.smTargetS.CopyRange(e.curS, sp.lo, sp.hi)
+		lev.resS.CopyRange(e.curS, sp.lo, sp.hi)
 	case tUpdate:
 		sp := lev.vertSpans[wk]
 		d.UpdateFinalSoAKernel(e.w, lev.w0S, lev.resS, e.alpha, sp.lo, sp.hi)
@@ -469,43 +450,18 @@ func (e *engine) exec(wk int) {
 		e.xplan.GatherRange(e.xsrc, e.xdst, sp.lo, sp.hi)
 	case tRepairSave:
 		sp := lev.vertSpans[wk]
-		for i := sp.lo; i < sp.hi; i++ {
-			st := d.P.Repair(e.va[i])
-			e.va[i] = st
-			e.vb[i] = st
-		}
+		multigrid.RepairSave(&d.P, e.va, e.vb, sp.lo, sp.hi)
 	case tCorrDelta:
 		sp := lev.vertSpans[wk]
-		for i := sp.lo; i < sp.hi; i++ {
-			for k := 0; k < euler.NVar; k++ {
-				e.vdst[i][k] = e.va[i][k] - e.vb[i][k]
-			}
-		}
+		multigrid.Delta(e.vdst, e.va, e.vb, sp.lo, sp.hi)
 	case tForcingSub:
 		sp := lev.vertSpans[wk]
-		for i := sp.lo; i < sp.hi; i++ {
-			for k := 0; k < euler.NVar; k++ {
-				e.va[i][k] -= e.vb[i][k]
-			}
-		}
+		multigrid.Subtract(e.va, e.vb, sp.lo, sp.hi)
 	case tApplyCorr:
 		sp := lev.vertSpans[wk]
 		for i := sp.lo; i < sp.hi; i++ {
-			var cand euler.State
-			for k := 0; k < euler.NVar; k++ {
-				cand[k] = e.va[i][k] + e.vb[i][k]
-			}
-			if !d.P.Guard(cand) {
-				continue // positivity guard: skip the correction at this vertex
-			}
-			e.va[i] = cand
+			e.va[i] = multigrid.Correct(&d.P, e.va[i], lev.resS.At(i))
 		}
-	}
-}
-
-func zero(a []euler.State) {
-	for i := range a {
-		a[i] = euler.State{}
 	}
 }
 
@@ -573,7 +529,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 		}
 		e.tick(phResidual, lev.flCombine, &t)
 
-		e.smoothSoA(lev, lev.resS)
+		e.smoothSoA(lev, nil)
 		e.tick(phSmoothing, lev.flSmooth, &t)
 
 		e.alpha = alpha
@@ -633,57 +589,38 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 	return math.Sqrt(sum / float64(lev.d.M.NV()))
 }
 
-// smooth applies the implicit residual averaging with colored parallel
-// sweeps on a []State target (a prolonged multigrid correction; the step
-// path smooths the SoA residual via smoothSoA). The right-hand-side copy,
-// the first sweep's zeroing and each following sweep's zeroing ride along
-// on neighbouring vertex sweeps.
-func (e *engine) smooth(lev *levelEngine, target []euler.State) {
+// smoothSoA applies the implicit residual averaging to lev.resS with
+// colored parallel sweeps, ping-ponging it against the level's SoA scratch.
+// The step path smooths the combined residual already there (load == nil);
+// the multigrid driver passes the prolonged correction as load, and the
+// preamble converts it into resS on the way. The right-hand-side copy, the
+// first sweep's zeroing and each following sweep's zeroing ride along on
+// neighbouring vertex sweeps. With averaging switched off a load still
+// happens, so the caller finds its data in resS either way.
+func (e *engine) smoothSoA(lev *levelEngine, load []euler.State) {
 	d := lev.d
-	eps := d.P.EpsSmooth
-	if eps == 0 || d.P.NSmooth == 0 || len(target) == 0 {
+	sweeps := d.P.NSmooth
+	if d.P.EpsSmooth == 0 {
+		sweeps = 0
+	}
+	if lev.resS.Len() == 0 || (sweeps == 0 && load == nil) {
 		return
 	}
 	e.lev = lev
-	e.eps = eps
-	e.smTarget = target
-	e.cur, e.next = target, d.SmoothScratch()
-	e.fork(tSmoothStart, 0, lev.vertActive)
-	for sweep := 0; sweep < d.P.NSmooth; sweep++ {
-		e.coloredEdges(tSmoothAccum)
-		e.zeroCur = sweep+1 < d.P.NSmooth
-		e.fork(tSmoothCombine, 0, lev.vertActive)
-		e.cur, e.next = e.next, e.cur
-	}
-	if &e.cur[0] != &target[0] {
-		e.fork(tCopyRes, 0, lev.vertActive)
-	}
-	e.smTarget = nil
-}
-
-// smoothSoA is smooth for the SoA step path: identical sweep structure on
-// the SoA layout, ping-ponging target against the level's SoA scratch.
-func (e *engine) smoothSoA(lev *levelEngine, target *euler.StateSoA) {
-	d := lev.d
-	eps := d.P.EpsSmooth
-	if eps == 0 || d.P.NSmooth == 0 || target.Len() == 0 {
-		return
-	}
-	e.lev = lev
-	e.eps = eps
-	e.smTargetS = target
-	e.curS, e.nextS = target, lev.smoothS
+	e.eps = d.P.EpsSmooth
+	e.smLoad = load
+	e.curS, e.nextS = lev.resS, lev.smoothS
 	e.fork(tSmoothStartS, 0, lev.vertActive)
-	for sweep := 0; sweep < d.P.NSmooth; sweep++ {
+	for sweep := 0; sweep < sweeps; sweep++ {
 		e.coloredEdges(tSmoothAccumS)
-		e.zeroCur = sweep+1 < d.P.NSmooth
+		e.zeroCur = sweep+1 < sweeps
 		e.fork(tSmoothCombineS, 0, lev.vertActive)
 		e.curS, e.nextS = e.nextS, e.curS
 	}
-	if e.curS != target {
+	if e.curS != lev.resS {
 		e.fork(tCopyResS, 0, lev.vertActive)
 	}
-	e.smTargetS = nil
+	e.smLoad = nil
 }
 
 // interp runs an inter-grid interpolation chunked over the target range

@@ -33,10 +33,6 @@ var taskNames = [...]string{
 	tCombine:        "combine",
 	tCombineOut:     "combine-out",
 	tNorm:           "norm",
-	tSmoothStart:    "smooth-start",
-	tSmoothAccum:    "smooth-accum",
-	tSmoothCombine:  "smooth-combine",
-	tCopyRes:        "copy-res",
 	tSmoothStartS:   "smooth-start",
 	tSmoothAccumS:   "smooth-accum",
 	tSmoothCombineS: "smooth-combine",
