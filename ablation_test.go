@@ -1,15 +1,17 @@
 package eul3d
 
 import (
-	"math/rand"
+	"fmt"
 	"testing"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/parti"
 	"eul3d/internal/partition"
 	"eul3d/internal/reorder"
+	"eul3d/internal/smsolver"
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: node
@@ -18,84 +20,78 @@ import (
 // measures the real effect in this Go implementation, complementing the
 // machine-model numbers in the tables.
 
-// benchResidual measures the full residual evaluation on the given mesh.
-func benchResidual(b *testing.B, build func(b *testing.B) *euler.Disc) {
-	d := build(b)
-	w := make([]euler.State, d.M.NV())
-	d.InitUniform(w)
-	// Perturb so the pressure switch does real work.
-	rng := rand.New(rand.NewSource(1))
-	for i := range w {
-		w[i][0] *= 1 + 0.01*rng.Float64()
+// BenchmarkAblationOrdering measures, in wall-clock on the benchmark's
+// 64x32x20 channel, what Section 4.2's reorderings are worth here: one
+// sequential Disc.Step on the generator's natural ordering, on that mesh's
+// color-canonical form (edges stored in color order — the order the pooled
+// engine sweeps) and on the RCM-renumbered mesh's color-canonical form; and
+// one pooled step at 1 and 2 workers on the natural and the RCM-renumbered
+// mesh (the engine lays either out color-contiguously itself). The finding
+// (EXPERIMENTS.md): color order costs the sequential loop some locality,
+// the pooled engine's contiguous layout wins it back, and RCM makes this
+// generator's already-local numbering worse, not better.
+func BenchmarkAblationOrdering(b *testing.B) {
+	natural, err := meshgen.Channel(meshgen.DefaultChannel(64, 32, 20, 1))
+	if err != nil {
+		b.Fatal(err)
 	}
-	res := make([]euler.State, d.M.NV())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Residual(w, nil, res)
+	rcm, err := reorder.RCMMesh(natural)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkAblationOrderingNatural: residual on the generator's natural
-// (structured) vertex ordering.
-func BenchmarkAblationOrderingNatural(b *testing.B) {
-	benchResidual(b, func(b *testing.B) *euler.Disc {
-		m, err := meshgen.Channel(meshgen.DefaultChannel(32, 16, 12, 17))
+	canonical := func(m *mesh.Mesh) *mesh.Mesh {
+		c, _, _, err := reorder.ColorCanonical(m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return euler.NewDisc(m, euler.DefaultParams(0.675, 0))
-	})
-}
+		return c
+	}
+	p := euler.DefaultParams(0.675, 0)
 
-// BenchmarkAblationOrderingScrambled: residual after randomly permuting
-// the vertex numbering — the cache-hostile baseline of Section 4.2.
-func BenchmarkAblationOrderingScrambled(b *testing.B) {
-	benchResidual(b, func(b *testing.B) *euler.Disc {
-		m, err := meshgen.Channel(meshgen.DefaultChannel(32, 16, 12, 17))
-		if err != nil {
-			b.Fatal(err)
-		}
-		perm := make([]int32, m.NV())
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		rand.New(rand.NewSource(3)).Shuffle(len(perm), func(i, j int) {
-			perm[i], perm[j] = perm[j], perm[i]
+	for _, tc := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"natural", natural},
+		{"canonical", canonical(natural)},
+		{"rcm-canonical", canonical(rcm)},
+	} {
+		b.Run("sequential/"+tc.name, func(b *testing.B) {
+			d := euler.NewDisc(tc.m, p)
+			ws := euler.NewStepWorkspace(tc.m.NV())
+			w := make([]euler.State, tc.m.NV())
+			d.InitUniform(w)
+			d.Step(w, nil, ws)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Step(w, nil, ws)
+			}
 		})
-		sm, err := reorder.ApplyToMesh(m, perm)
-		if err != nil {
-			b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"natural", natural},
+		{"rcm", rcm},
+	} {
+		for _, nw := range []int{1, 2} {
+			b.Run(fmt.Sprintf("pooled-w%d/%s", nw, tc.name), func(b *testing.B) {
+				s, err := smsolver.New(tc.m, p, nw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				w := make([]euler.State, tc.m.NV())
+				s.InitUniform(w)
+				s.Step(w, nil)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step(w, nil)
+				}
+			})
 		}
-		return euler.NewDisc(sm, euler.DefaultParams(0.675, 0))
-	})
-}
-
-// BenchmarkAblationOrderingRCM: residual after reverse Cuthill-McKee
-// renumbering of the scrambled mesh — the paper's node reordering fix.
-func BenchmarkAblationOrderingRCM(b *testing.B) {
-	benchResidual(b, func(b *testing.B) *euler.Disc {
-		m, err := meshgen.Channel(meshgen.DefaultChannel(32, 16, 12, 17))
-		if err != nil {
-			b.Fatal(err)
-		}
-		perm := make([]int32, m.NV())
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		rand.New(rand.NewSource(3)).Shuffle(len(perm), func(i, j int) {
-			perm[i], perm[j] = perm[j], perm[i]
-		})
-		sm, err := reorder.ApplyToMesh(m, perm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rm, err := reorder.RCMMesh(sm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return euler.NewDisc(rm, euler.DefaultParams(0.675, 0))
-	})
+	}
 }
 
 // BenchmarkAblationPartitioners compares the communication volume (ghost

@@ -287,8 +287,40 @@ func (d *Disc) LambdaBFacesSoAKernel(wS *StateSoA, lam []float64, faces []int32)
 	}
 }
 
+// SmoothGatherSoAKernel performs one whole Jacobi sweep of the residual
+// averaging for vertices [lo,hi) in gather form: next[i] = (rhs[i] +
+// eps*sum_j cur[j]) / (1 + eps*deg(i)), j running over row i of the CSR
+// vertex adjacency (adjStart, adj). Every vertex writes only its own slot,
+// so the sweep needs no coloring and no zeroing, and rhs and cur are only
+// read. With the rows in the order an edge loop meets each vertex's edges,
+// the additions into every sum are that loop's, in its order: the result
+// is bitwise SmoothAccumSoAKernel over the edges followed by
+// SmoothCombineSoAKernel, which remain as its oracle.
+func SmoothGatherSoAKernel(rhsS, curS, nextS *StateSoA, adjStart, adj []int32, eps float64, lo, hi int) {
+	r0, r1, r2, r3, r4 := rhsS.Comp[0], rhsS.Comp[1], rhsS.Comp[2], rhsS.Comp[3], rhsS.Comp[4]
+	a0, a1, a2, a3, a4 := curS.Comp[0], curS.Comp[1], curS.Comp[2], curS.Comp[3], curS.Comp[4]
+	n0, n1, n2, n3, n4 := nextS.Comp[0], nextS.Comp[1], nextS.Comp[2], nextS.Comp[3], nextS.Comp[4]
+	for i := lo; i < hi; i++ {
+		row := adj[adjStart[i]:adjStart[i+1]]
+		var s0, s1, s2, s3, s4 float64
+		for _, j := range row {
+			s0 += a0[j]
+			s1 += a1[j]
+			s2 += a2[j]
+			s3 += a3[j]
+			s4 += a4[j]
+		}
+		inv := 1 / (1 + eps*float64(len(row)))
+		n0[i] = (r0[i] + eps*s0) * inv
+		n1[i] = (r1[i] + eps*s1) * inv
+		n2[i] = (r2[i] + eps*s2) * inv
+		n3[i] = (r3[i] + eps*s3) * inv
+		n4[i] = (r4[i] + eps*s4) * inv
+	}
+}
+
 // SmoothAccumSoAKernel accumulates neighbour sums of curS into nextS for
-// the listed edges (one Jacobi sweep's gather phase).
+// the listed edges (the gather phase of one Jacobi sweep in edge form).
 func (d *Disc) SmoothAccumSoAKernel(curS, nextS *StateSoA, edges []int32) {
 	m := d.M
 	a0, a1, a2, a3, a4 := curS.Comp[0], curS.Comp[1], curS.Comp[2], curS.Comp[3], curS.Comp[4]

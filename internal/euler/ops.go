@@ -113,28 +113,18 @@ func degrees(m *mesh.Mesh) []int32 {
 	return deg
 }
 
-// growF64 returns a length-n float64 slice, reusing s's backing array when
-// it is large enough and otherwise allocating with 25% headroom so repeated
-// adaptation epochs amortize. Contents are unspecified beyond the old data.
-func growF64(s []float64, n int) []float64 {
+// Grow returns a length-n slice over s's backing array when that is large
+// enough, and otherwise a new one: exactly n long for a nil s, and with 25%
+// headroom when an existing array is outgrown, so repeated adaptation
+// epochs amortize. Contents are unspecified beyond the old data.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]float64, n, n+n/4)
-}
-
-func growState(s []State, n int) []State {
-	if cap(s) >= n {
-		return s[:n]
+	if s == nil {
+		return make([]T, n)
 	}
-	return make([]State, n, n+n/4)
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n, n+n/4)
+	return make([]T, n, n+n/4)
 }
 
 // Retarget points the discretization at a new (typically adaptively
@@ -146,16 +136,16 @@ func growI32(s []int32, n int) []int32 {
 func (d *Disc) Retarget(m *mesh.Mesh, p Params) {
 	d.M, d.P = m, p
 	nv := m.NV()
-	d.pres = growF64(d.pres, nv)
-	d.lam = growF64(d.lam, nv)
-	d.sensor = growF64(d.sensor, nv)
-	d.den = growF64(d.den, nv)
-	d.lapl = growState(d.lapl, nv)
-	d.smooth = growState(d.smooth, nv)
-	d.rhs = growState(d.rhs, nv)
-	d.rdiss = growState(d.rdiss, nv)
-	d.Dt = growF64(d.Dt, nv)
-	d.deg = growI32(d.deg, nv)
+	d.pres = Grow(d.pres, nv)
+	d.lam = Grow(d.lam, nv)
+	d.sensor = Grow(d.sensor, nv)
+	d.den = Grow(d.den, nv)
+	d.lapl = Grow(d.lapl, nv)
+	d.smooth = Grow(d.smooth, nv)
+	d.rhs = Grow(d.rhs, nv)
+	d.rdiss = Grow(d.rdiss, nv)
+	d.Dt = Grow(d.Dt, nv)
+	d.deg = Grow(d.deg, nv)
 	for i := range d.deg {
 		d.deg[i] = 0
 	}

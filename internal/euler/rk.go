@@ -36,10 +36,10 @@ func NewStepWorkspace(nv int) *StepWorkspace {
 // Resize grows the workspace for meshes of nv vertices, reusing the
 // existing arrays when their capacity allows (see Disc.Retarget).
 func (ws *StepWorkspace) Resize(nv int) {
-	ws.w0 = growState(ws.w0, nv)
-	ws.conv = growState(ws.conv, nv)
-	ws.diss = growState(ws.diss, nv)
-	ws.res = growState(ws.res, nv)
+	ws.w0 = Grow(ws.w0, nv)
+	ws.conv = Grow(ws.conv, nv)
+	ws.diss = Grow(ws.diss, nv)
+	ws.res = Grow(ws.res, nv)
 }
 
 // Step advances w by one multistage time step of the hybrid scheme:

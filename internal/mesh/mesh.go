@@ -11,6 +11,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"eul3d/internal/geom"
 )
@@ -60,6 +61,25 @@ type Mesh struct {
 	Vol      []float64   // median-dual control volume per vertex
 
 	BFaces []BFace
+
+	// derived memoises the one value Derived computes from the finished
+	// mesh; Finish resets it.
+	derived struct {
+		once sync.Once
+		val  any
+	}
+}
+
+// Derived returns build(m), computing it on the first call after Finish and
+// handing every later caller — concurrent ones included — that same value.
+// It is how preprocessing output that is a pure function of the mesh is
+// shared by everything built on it; the mesh has one slot, and the pooled
+// engine's color-contiguous layout (package smsolver) is what lives there.
+// The value must be treated as immutable, and the mesh must not be modified
+// while derived values are in use.
+func (m *Mesh) Derived(build func(*Mesh) any) any {
+	m.derived.once.Do(func() { m.derived.val = build(m) })
+	return m.derived.val
 }
 
 // NV returns the number of vertices.
@@ -84,45 +104,40 @@ var tetEdges = [6][4]int{
 	{2, 3, 0, 1},
 }
 
-// edgeKey packs an ordered vertex pair into a map key.
-func edgeKey(i, j int32) uint64 {
-	if i > j {
-		i, j = j, i
-	}
-	return uint64(uint32(i))<<32 | uint64(uint32(j))
-}
-
 // Finish builds the edge list, median-dual edge normals, dual control
 // volumes and boundary-face normals from the vertex coordinates, tetrahedra
 // and boundary-face vertex triples already stored in m. It must be called
 // once after the mesh topology is assembled and before the mesh is used by
-// a solver. It returns an error if a tetrahedron has non-positive volume.
+// a solver. It returns an error if a tetrahedron references a vertex out
+// of range or has non-positive volume.
+//
+// Edges are numbered in first-encounter order over the tetrahedra, and
+// every edge normal accumulates its tets' contributions in tet order. The
+// edge index is a chain per lower endpoint threaded through the edge list
+// itself (head[lo] -> next[id] -> ...): a lookup walks the handful of edges
+// that vertex owns, which its neighbouring tets created moments ago.
 func (m *Mesh) Finish() error {
+	m.derived.once, m.derived.val = sync.Once{}, nil
 	nv := m.NV()
-	m.Vol = make([]float64, nv)
-
-	// First pass: count unique edges to size the arrays.
-	index := make(map[uint64]int32, 7*nv)
 	for ti, tet := range m.Tets {
-		for _, e := range tetEdges {
-			a, b := tet[e[0]], tet[e[1]]
-			k := edgeKey(a, b)
-			if _, ok := index[k]; !ok {
-				if int(a) >= nv || int(b) >= nv || a < 0 || b < 0 {
-					return fmt.Errorf("mesh: tet %d references vertex out of range", ti)
-				}
-				index[k] = int32(len(index))
+		for _, v := range tet {
+			if v < 0 || int(v) >= nv {
+				return fmt.Errorf("mesh: tet %d references vertex out of range", ti)
 			}
 		}
 	}
-	ne := len(index)
-	m.Edges = make([][2]int32, ne)
-	m.EdgeNorm = make([]geom.Vec3, ne)
-	for k, id := range index {
-		m.Edges[id] = [2]int32{int32(k >> 32), int32(k & 0xffffffff)}
+	m.Vol = make([]float64, nv)
+	// Euler's formula gives V + T + Fb/2 - 1 edges for a triangulated ball;
+	// other topologies only make the hint inexact.
+	hint := nv + m.NT() + len(m.BFaces)/2
+	m.Edges = make([][2]int32, 0, hint)
+	m.EdgeNorm = make([]geom.Vec3, 0, hint)
+	head := make([]int32, nv)
+	for i := range head {
+		head[i] = -1
 	}
+	next := make([]int32, 0, hint)
 
-	// Second pass: accumulate dual-face normals and control volumes.
 	for ti, tet := range m.Tets {
 		xa, xb, xc, xd := m.X[tet[0]], m.X[tet[1]], m.X[tet[2]], m.X[tet[3]]
 		vol := geom.TetVolume(xa, xb, xc, xd)
@@ -141,9 +156,21 @@ func (m *Mesh) Finish() error {
 			g1 := geom.TriCentroid(pa, pb, pc)
 			g2 := geom.TriCentroid(pa, pb, pd)
 			n := geom.TriAreaNormal(mid, g1, gt).Add(geom.TriAreaNormal(mid, gt, g2))
-			id := index[edgeKey(a, b)]
+			lo, hi := a, b
 			if a > b { // stored edge runs b -> a; flip contribution
+				lo, hi = b, a
 				n = n.Scale(-1)
+			}
+			id := head[lo]
+			for id >= 0 && m.Edges[id][1] != hi {
+				id = next[id]
+			}
+			if id < 0 {
+				id = int32(len(m.Edges))
+				m.Edges = append(m.Edges, [2]int32{lo, hi})
+				m.EdgeNorm = append(m.EdgeNorm, geom.Vec3{})
+				next = append(next, head[lo])
+				head[lo] = id
 			}
 			m.EdgeNorm[id] = m.EdgeNorm[id].Add(n)
 		}

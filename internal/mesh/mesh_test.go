@@ -142,6 +142,10 @@ func TestFinishRejectsOutOfRangeVertex(t *testing.T) {
 	if err := m.Finish(); err == nil {
 		t.Error("Finish accepted an out-of-range vertex index")
 	}
+	m.Tets[0][3] = -1
+	if err := m.Finish(); err == nil {
+		t.Error("Finish accepted a negative vertex index")
+	}
 }
 
 func TestValidateBeforeFinish(t *testing.T) {

@@ -21,7 +21,9 @@ func TestSchedulerConcurrentMixedJobs(t *testing.T) {
 
 	// Two long blockers occupy both runners (and 4 = budget workers). They
 	// differ by one cycle so they don't coalesce into a single flight, yet
-	// still share an engine-cache key (Cycles is outside EngineKey).
+	// still share an engine-cache key (Cycles is outside EngineKey) — and an
+	// engine lease is exclusive, so only the runner that wins the build ever
+	// cycles; the other sits Running on the lease until the cancel below.
 	blockers := make([]*Job, 2)
 	for i, spec := range []JobSpec{
 		chanSpec(6, 3, 2, 1, KindSM, 2, 200000),
@@ -36,7 +38,7 @@ func TestSchedulerConcurrentMixedJobs(t *testing.T) {
 	for _, j := range blockers {
 		waitState(t, j, StateRunning)
 	}
-	waitCycles(t, blockers[0], 1)
+	waitCycles(t, blockers[0], 1, blockers[1])
 
 	// Fill the bounded queue: two more identical-mesh jobs (cache hits once
 	// they run; one cycle apart so they queue rather than coalesce), one

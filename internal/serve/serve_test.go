@@ -45,13 +45,17 @@ func waitDone(t *testing.T, j *Job) {
 	}
 }
 
-// waitCycles polls until the job has recorded at least n residual norms.
-func waitCycles(t *testing.T, j *Job, n int) {
+// waitCycles polls until the job — or any of the alternatives, for callers
+// that cannot know which of several jobs holds the engine they contend for
+// — has recorded at least n residual norms.
+func waitCycles(t *testing.T, j *Job, n int, or ...*Job) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if j.View().Cycles >= n {
-			return
+		for _, c := range append([]*Job{j}, or...) {
+			if c.View().Cycles >= n {
+				return
+			}
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

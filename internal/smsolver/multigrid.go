@@ -102,10 +102,11 @@ func NewMultigridColored(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers in
 		if cols != nil {
 			ec, fc = cols[l].Edges, cols[l].Faces
 		}
-		le, err := newLevelEngine(m, p, nworkers, ec, fc)
+		lay, err := layoutFor(m, ec, fc)
 		if err != nil {
 			return nil, fmt.Errorf("smsolver: level %d: %w", l, err)
 		}
+		le := newLevelEngine(lay, p, nworkers)
 		nv := m.NV()
 		lev := &MGLevel{
 			W:      make([]euler.State, nv),
@@ -326,8 +327,9 @@ func (mg *Multigrid) cycle(l int) float64 {
 	mg.tick(4*l+2, mg.prolongFl[l], &t)
 
 	// Smooth the prolonged correction (the implicit averaging operator
-	// doubles as the correction smoother) — in this level's resS, free
-	// between steps — and apply it from there under the positivity guard.
+	// doubles as the correction smoother) — in this level's step scratch,
+	// free between steps — and apply it from there under the positivity
+	// guard.
 	e.smoothSoA(lev.eng, lev.Corr)
 	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
 	mg.tick(4*l+3, mg.corrFl[l], &t)

@@ -20,73 +20,53 @@ import (
 //     bitwise deterministic across worker counts.
 //   - The parked worker pool is untouched: no goroutines are spawned or
 //     joined, and the engine's perf accumulator keeps accumulating.
-//   - The discretization scratch, SoA blocks, residual array and norm
+//   - The layout — the refined mesh's edges, normals and boundary faces
+//     permuted into the extended coloring's order, and the adjacency —
+//     the discretization scratch, SoA blocks, residual array and norm
 //     partials grow in place when capacity (reserved with 25% headroom)
 //     allows; after the first epoch or two of an adaptation run these are
-//     pure re-slices.
+//     pure re-slices. The mesh-shared layout an engine starts on is never
+//     written: the first Rebuild moves the engine to one it owns, and the
+//     layout of an extended coloring is never memoised on the mesh.
 //   - No coloring verification pass runs — ExtendGreedy's output is
 //     correct by construction (unit-tested), unlike caller-provided
 //     colorings in NewColored.
 //
-// Only the boundary-face coloring and the chunk tables are rebuilt from
-// scratch; both are linear in the mesh. Rebuild returns the number of
-// edges that kept their previous color. On error the solver is unchanged
-// and still valid on its old mesh.
+// The source mesh's coloring is not retained anywhere: ExtendGreedy looks
+// old colors up by vertex pair, so the view's edge list under its
+// identity-run coloring is the previous coloring. Only the boundary-face
+// coloring and the chunk tables are rebuilt from scratch; both are linear
+// in the mesh. Rebuild returns the number of edges that kept their previous
+// color. On error the solver is unchanged and still valid on its old mesh.
 func (s *Solver) Rebuild(m *mesh.Mesh, p euler.Params) (reusedColors int, err error) {
 	le := s.le
-	old := le.d.M
-	ec, reused, err := color.ExtendGreedy(m.NV(), m.Edges, le.edgeColors, old.Edges)
+	ec, reused, err := color.ExtendGreedy(m.NV(), m.Edges, le.lay.edges, le.lay.view.Edges)
 	if err != nil {
 		return 0, fmt.Errorf("smsolver: rebuild edge coloring: %w", err)
 	}
-	faces := make([][3]int32, len(m.BFaces))
-	for i := range m.BFaces {
-		faces[i] = m.BFaces[i].V
-	}
-	fc, err := color.GreedyFaces(m.NV(), faces)
+	fc, err := color.GreedyFaces(m.NV(), faceTriples(m))
 	if err != nil {
 		return 0, fmt.Errorf("smsolver: rebuild face coloring: %w", err)
 	}
 
 	// Past this point nothing can fail: mutate the level engine in place.
-	le.d.Retarget(m, p)
-	le.edgeColors, le.faceColors = ec, fc
+	if !le.ownLay {
+		le.lay, le.ownLay = &layout{view: &mesh.Mesh{}}, true
+	}
+	le.lay.permute(m, ec, fc)
+	le.d.Retarget(le.lay.view, p)
 
 	nv := m.NV()
-	le.wS.Resize(nv)
-	le.w0S.Resize(nv)
-	le.convS.Resize(nv)
-	le.dissS.Resize(nv)
-	le.resS.Resize(nv)
-	le.laplS.Resize(nv)
-	le.smoothS.Resize(nv)
-	le.rhsS.Resize(nv)
 	// Resize preserves no contents; the accumulators among these are zeroed
 	// by the fused stage sweeps before every read, but clear them anyway so
 	// a rebuild never leaks state from the previous mesh.
-	for _, b := range []*euler.StateSoA{le.wS, le.w0S, le.convS, le.dissS, le.resS, le.laplS, le.smoothS, le.rhsS} {
+	for _, b := range []*euler.StateSoA{le.wS, le.w0S, le.convS, le.dissS, le.resS, le.laplS} {
+		b.Resize(nv)
 		b.ZeroRange(0, nv)
 	}
-	if cap(le.res) < nv {
-		le.res = make([]euler.State, nv, nv+nv/4)
-	} else {
-		le.res = le.res[:nv]
-	}
-	nb := (nv + normBlock - 1) / normBlock
-	if cap(le.normPartial) < nb {
-		le.normPartial = make([]normSlot, nb, nb+nb/4)
-	} else {
-		le.normPartial = le.normPartial[:nb]
-	}
-
-	spanW := s.NWorkers
-	if m.NE() < SerialCutoffEdges {
-		spanW = 1
-	}
-	le.vertSpans, le.vertActive = buildSpans(nv, spanW)
-	le.normSpans, le.normActive = buildSpans(nb, spanW)
-	le.edgeSpans, le.edgeActive = colorSpans(ec, spanW)
-	le.faceSpans, le.faceActive = colorSpans(fc, spanW)
+	le.res = euler.Grow(le.res, nv)
+	le.normPartial = euler.Grow(le.normPartial, (nv+normBlock-1)/normBlock)
+	le.buildSpans(s.NWorkers)
 	le.chargeFlops()
 	return reused, nil
 }

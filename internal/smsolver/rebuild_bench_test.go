@@ -56,7 +56,7 @@ func BenchmarkRebuildScratch(b *testing.B) {
 	p, _, r := bigRefined(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := New(r.Mesh, p, 2)
+		f, err := New(unshared(r.Mesh), p, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -103,6 +103,13 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	}
 }
 
+// unshared returns a mesh over m's arrays that carries no memoised layout,
+// so that New on it pays the whole from-scratch build (coloring and
+// permutation included) the way it does on a mesh fresh out of refinement.
+func unshared(m *mesh.Mesh) *mesh.Mesh {
+	return &mesh.Mesh{X: m.X, Tets: m.Tets, Edges: m.Edges, EdgeNorm: m.EdgeNorm, Vol: m.Vol, BFaces: m.BFaces}
+}
+
 func mustGreedy(t *testing.T, m *mesh.Mesh) *color.Coloring {
 	t.Helper()
 	c, err := color.Greedy(m.NV(), m.Edges)
@@ -245,7 +252,7 @@ func TestIncrementalRebuildCheaper(t *testing.T) {
 		}
 	})
 	scratch, scratchT := bytesPer(func() {
-		f, err := New(r.Mesh, p, 2)
+		f, err := New(unshared(r.Mesh), p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

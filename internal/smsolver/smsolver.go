@@ -6,12 +6,20 @@
 // vertex, the floating-point accumulation order per vertex is fixed by the
 // color order and is independent of the chunking: the solver produces
 // *bitwise identical* results for every worker count (tests assert this).
-// Against the sequential solver — which accumulates in raw edge order —
-// results agree to roundoff, exactly as on the original machine, where the
-// vectorized/autotasked code also reordered the accumulations. (On a
-// color-canonical mesh, whose edge list is stored in color order — see
-// reorder.ColorCanonical — the two orders coincide and the agreement is
-// bitwise.)
+//
+// Every engine runs over a color-contiguous layout of its mesh (layout.go):
+// the edge list, its normals and the boundary faces physically permuted
+// into color order — the mesh's reorder.ColorCanonical form, Section 4.2's
+// edge reordering — so a worker's share of a color is an index range and
+// every colored sweep streams its element arrays. The layout is a pure
+// function of the mesh, built once per mesh (mesh.Derived) and shared by
+// all engines on it; New(m) is NewColored over that form, the one path.
+// On a color-canonical mesh the colored order is the stored order, so the
+// pooled solver is bitwise identical to the sequential solver on the view
+// (Solver.D.M); against the sequential solver on the source mesh, which
+// accumulates in that mesh's edge order, results agree to roundoff —
+// exactly as on the original machine, where the vectorized/autotasked code
+// also reordered the accumulations.
 //
 // Execution uses a persistent worker pool (see pool.go): the workers are
 // spawned once, parked between parallel regions, and driven through
@@ -19,19 +27,23 @@
 // zero/copy sweeps are fused into the neighbouring vertex kernels and all
 // scratch is solver-owned, so a steady-state Step (and multigrid Cycle)
 // performs zero heap allocations. The hot path — flux and dissipation
-// accumulation over the colored edge groups, the Jacobi smoothing sweeps,
-// and the fused vertex updates — runs on a structure-of-arrays state
-// layout (euler.StateSoA: five contiguous component streams instead of
-// 40-byte records), converting from the public []State interfaces inside
-// the fused preamble and update sweeps; the per-block residual-norm
-// partials are padded to cache-line boundaries so concurrent block writers
-// never share a line. Grid levels below SerialCutoffEdges skip the
-// fork/join barrier entirely and run every region inline on the caller —
-// chunking and inlining never affect results. The engine/levelEngine split
-// in this file lets the same N parked workers drive either a single grid
-// (Solver) or every level of a FAS multigrid sequence (Multigrid,
-// multigrid.go). Close releases the workers; a solver dropped without
-// Close is cleaned up by the garbage collector.
+// accumulation over the colored edge groups and the fused vertex updates —
+// runs on a structure-of-arrays state layout (euler.StateSoA: five
+// contiguous component streams instead of 40-byte records, six blocks per
+// level whose lifetimes levelEngine documents), converting from the public
+// []State interfaces inside the fused preamble and update sweeps. The
+// residual averaging is not a colored loop: each Jacobi sweep is one
+// vertex-parallel gather over the layout's adjacency, whose rows list the
+// neighbours in the order the colored edge sweep would meet them, so it is
+// that sweep's arithmetic bit for bit at one barrier instead of one per
+// color. The per-block residual-norm partials are padded to cache-line
+// boundaries so concurrent block writers never share a line. Grid levels
+// below SerialCutoffEdges skip the fork/join barrier entirely and run every
+// region inline on the caller — chunking and inlining never affect results.
+// The engine/levelEngine split in this file lets the same N parked workers
+// drive either a single grid (Solver) or every level of a FAS multigrid
+// sequence (Multigrid, multigrid.go). Close releases the workers; a solver
+// dropped without Close is cleaned up by the garbage collector.
 package smsolver
 
 import (
@@ -67,31 +79,30 @@ var SerialCutoffEdges = 4096
 type taskKind uint8
 
 const (
-	tInit           taskKind = iota // SoA load + w0 snapshot + pressures + lam reset (fused)
-	tLamEdges                       // colored: edge spectral radii
-	tLamFaces                       // colored: boundary-face spectral radii
-	tDtZero                         // local time steps + stage-0 accumulator zeroing (fused)
-	tConvEdges                      // colored: convective fluxes
-	tConvFaces                      // colored: boundary closure
-	tDiss1                          // colored: Laplacian + sensor sums
-	tNu                             // sensor sums -> shock switch
-	tDiss2                          // colored: blended dissipative flux
-	tCombine                        // resS = convS - dissS (+ forcing), SoA
-	tCombineOut                     // res = convS - dissS (+ forcing), []State out
-	tNorm                           // block partial sums of the residual norm
-	tSmoothStartS                   // optional []State load + rhs copy + first-sweep zeroing (fused, SoA)
-	tSmoothAccumS                   // colored: Jacobi neighbour gather (SoA)
-	tSmoothCombineS                 // Jacobi combine + next-sweep zeroing (fused, SoA)
-	tCopyResS                       // copy smoothed result back (SoA, odd sweep counts)
-	tUpdate                         // RK update scattered to []State (final stage)
-	tUpdateNext                     // RK update + next-stage pressures + zeroing (fused, SoA)
-	tResInit                        // SoA load + pressures + accumulator zeroing (standalone residual)
-	tInterp                         // inter-grid interpolation over a target chunk
-	tScatter                        // destination-grouped residual restriction rows
-	tRepairSave                     // repair restricted states + snapshot (fused)
-	tCorrDelta                      // coarse correction delta W - WSaved
-	tForcingSub                     // FAS forcing P = R' - R(w')
-	tApplyCorr                      // guarded application of the smoothed correction (read from SoA)
+	tInit         taskKind = iota // SoA load + w0 snapshot + pressures + lam reset (fused)
+	tLamEdges                     // colored: edge spectral radii
+	tLamFaces                     // colored: boundary-face spectral radii
+	tDtZero                       // local time steps + stage-0 accumulator zeroing (fused)
+	tConvEdges                    // colored: convective fluxes
+	tConvFaces                    // colored: boundary closure
+	tDiss1                        // colored: Laplacian + sensor sums
+	tNu                           // sensor sums -> shock switch
+	tDiss2                        // colored: blended dissipative flux
+	tCombine                      // resS = convS - dissS (+ forcing), SoA
+	tCombineOut                   // res = convS - dissS (+ forcing), []State out
+	tNorm                         // block partial sums of the residual norm
+	tLoadRes                      // []State load into resS (correction smoothing preamble)
+	tSmoothGather                 // one whole Jacobi sweep, gather form over the adjacency
+	tUpdate                       // RK update scattered to []State (final stage)
+	tUpdateNext                   // RK update + next-stage pressures + zeroing (fused, SoA)
+	tResInit                      // SoA load + pressures + accumulator zeroing (standalone residual)
+	tInterp                       // inter-grid interpolation over a target chunk
+	tScatter                      // destination-grouped residual restriction rows
+	tRepairSave                   // repair restricted states + snapshot (fused)
+	tCorrDelta                    // coarse correction delta W - WSaved
+	tForcingSub                   // FAS forcing P = R' - R(w')
+	tApplyCorr                    // guarded application of the smoothed correction (read from SoA)
+	nTasks
 )
 
 // Instrumented phases of one time step (the engine's internal phase
@@ -131,24 +142,31 @@ type normSlot struct {
 // Solver owns one; a Multigrid owns one per level, all driven by the same
 // engine (and thus the same parked workers).
 //
-// The step-path scratch is SoA (euler.StateSoA): the solution block wS and
-// stage-0 snapshot w0S are loaded from the caller's []State in the fused
-// init sweep, the edge kernels accumulate into convS/dissS/laplS, the
-// smoother ping-pongs resS against smoothS, and the final-stage update
-// scatters straight back to []State. Between steps resS is free, and the
-// multigrid driver smooths the prolonged correction in it. res keeps the
-// []State layout because the multigrid transfer operators consume it
+// The step-path scratch is six SoA blocks (euler.StateSoA), and their
+// lifetimes within a stage are what lets six suffice. wS (solution) and w0S
+// (stage-0 snapshot) are loaded from the caller's []State in the fused init
+// sweep and live for the step; dissS is written on the dissipation stages
+// and read, frozen, by every later combine. convS lives from the convective
+// sweep to the combine, laplS from dissipation pass 1 to pass 2 — both are
+// dead once resS is formed, so the smoother, whose right-hand side resS
+// must stay intact for every sweep, writes its sweeps alternately into
+// laplS and convS; the update reads whichever holds the last one
+// (engine.smS) and the stage-boundary sweep that follows re-zeroes both
+// before their next use. Between steps resS is free, and the multigrid
+// driver smooths the prolonged correction in it the same way. res keeps
+// the []State layout because the multigrid transfer operators consume it
 // directly.
 type levelEngine struct {
-	d          *euler.Disc
-	edgeColors *color.Coloring
-	faceColors *color.Coloring
+	d *euler.Disc // over lay.view
+
+	// lay is shared with every engine built on the same mesh until Rebuild
+	// replaces it with one this engine owns (ownLay) and may refill.
+	lay    *layout
+	ownLay bool
 
 	wS, w0S      *euler.StateSoA
 	convS, dissS *euler.StateSoA
 	resS, laplS  *euler.StateSoA
-	smoothS      *euler.StateSoA // SoA smoothing ping-pong scratch
-	rhsS         *euler.StateSoA // SoA smoothing right-hand side
 
 	res         []euler.State // standalone-residual output (AoS, fed to transfers)
 	normPartial []normSlot
@@ -171,60 +189,39 @@ type levelEngine struct {
 	flUpdate, flUpdateNext                          int64
 }
 
-// newLevelEngine builds the per-mesh tables. ec/fc may carry precomputed
-// colorings (verified here); nil selects the greedy ones.
-func newLevelEngine(m *mesh.Mesh, p euler.Params, nworkers int, ec, fc *color.Coloring) (*levelEngine, error) {
-	var err error
-	if ec == nil {
-		ec, err = color.Greedy(m.NV(), m.Edges)
-		if err != nil {
-			return nil, fmt.Errorf("edge coloring: %w", err)
-		}
-	} else if err = color.Verify(ec, m.NV(), m.Edges); err != nil {
-		return nil, fmt.Errorf("edge coloring: %w", err)
-	}
-	faces := make([][3]int32, len(m.BFaces))
-	for i := range m.BFaces {
-		faces[i] = m.BFaces[i].V
-	}
-	if fc == nil {
-		fc, err = color.GreedyFaces(m.NV(), faces)
-		if err != nil {
-			return nil, fmt.Errorf("face coloring: %w", err)
-		}
-	} else if err = color.VerifyFaces(fc, m.NV(), faces); err != nil {
-		return nil, fmt.Errorf("face coloring: %w", err)
-	}
-	nv := m.NV()
+// newLevelEngine allocates the per-level scratch and chunk tables over lay.
+func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
+	nv := lay.view.NV()
 	nb := (nv + normBlock - 1) / normBlock
 	le := &levelEngine{
-		d:           euler.NewDisc(m, p),
-		edgeColors:  ec,
-		faceColors:  fc,
+		d:           euler.NewDisc(lay.view, p),
+		lay:         lay,
 		wS:          euler.NewStateSoA(nv),
 		w0S:         euler.NewStateSoA(nv),
 		convS:       euler.NewStateSoA(nv),
 		dissS:       euler.NewStateSoA(nv),
 		resS:        euler.NewStateSoA(nv),
 		laplS:       euler.NewStateSoA(nv),
-		smoothS:     euler.NewStateSoA(nv),
-		rhsS:        euler.NewStateSoA(nv),
 		res:         make([]euler.State, nv),
 		normPartial: make([]normSlot, nb),
 	}
-	// Serial fallback: a level whose whole edge list is below the cutoff
-	// builds single-worker tables, so every fork runs inline on the caller
-	// and no barrier is paid. Chunking never affects results.
-	spanW := nworkers
-	if m.NE() < SerialCutoffEdges {
-		spanW = 1
-	}
-	le.vertSpans, le.vertActive = buildSpans(nv, spanW)
-	le.normSpans, le.normActive = buildSpans(nb, spanW)
-	le.edgeSpans, le.edgeActive = colorSpans(ec, spanW)
-	le.faceSpans, le.faceActive = colorSpans(fc, spanW)
+	le.buildSpans(nworkers)
 	le.chargeFlops()
-	return le, nil
+	return le
+}
+
+// buildSpans (re)builds the chunk tables for the level's current layout.
+// Serial fallback: a level whose whole edge list is below the cutoff gets
+// single-worker tables, so every fork runs inline on the caller and no
+// barrier is paid. Chunking never affects results.
+func (le *levelEngine) buildSpans(nworkers int) {
+	if le.lay.view.NE() < SerialCutoffEdges {
+		nworkers = 1
+	}
+	le.vertSpans, le.vertActive = buildSpans(le.lay.view.NV(), nworkers)
+	le.normSpans, le.normActive = buildSpans(len(le.normPartial), nworkers)
+	le.edgeSpans, le.edgeActive = colorSpans(le.lay.edges, nworkers)
+	le.faceSpans, le.faceActive = colorSpans(le.lay.faces, nworkers)
 }
 
 // chargeFlops recomputes the analytic per-phase flop charges from the
@@ -294,14 +291,15 @@ type engine struct {
 	alpha    float64       // RK stage coefficient
 	eps      float64       // residual-averaging coefficient
 	zeroDiss bool          // tDtZero/tUpdateNext: also zero dissipation arrays
-	zeroCur  bool          // tSmoothCombineS: also zero the next sweep's target
 	w        []euler.State // solution being advanced
 	forcing  []euler.State
 
-	// Residual-averaging ping-pong over the level's resS, which the
-	// preamble first loads from smLoad when that is non-nil.
-	curS, nextS *euler.StateSoA
-	smLoad      []euler.State
+	// Residual averaging: smS is the block holding the smoothed result so
+	// far, which a sweep in flight reads (writing nextS) and the update and
+	// correction sweeps consume; the right-hand side is always the level's
+	// resS, which tLoadRes first fills from smLoad.
+	smS, nextS *euler.StateSoA
+	smLoad     []euler.State
 
 	// Generic per-vertex operands (tRepairSave/tCorrDelta/tForcingSub/
 	// tApplyCorr) and the inter-grid transfer descriptor.
@@ -366,29 +364,29 @@ func (e *engine) exec(wk int) {
 		d.StepInitSoAKernel(e.w, lev.wS, lev.w0S, sp.lo, sp.hi)
 	case tLamEdges:
 		sp := lev.edgeSpans[e.group][wk]
-		d.LambdaEdgesSoAKernel(lev.wS, d.Lam(), lev.edgeColors.Order[sp.lo:sp.hi])
+		d.LambdaEdgesSoAKernel(lev.wS, d.Lam(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tLamFaces:
 		sp := lev.faceSpans[e.group][wk]
-		d.LambdaBFacesSoAKernel(lev.wS, d.Lam(), lev.faceColors.Order[sp.lo:sp.hi])
+		d.LambdaBFacesSoAKernel(lev.wS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
 	case tDtZero:
 		sp := lev.vertSpans[wk]
 		d.DtRangeKernel(d.Lam(), sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, e.zeroDiss, sp.lo, sp.hi)
 	case tConvEdges:
 		sp := lev.edgeSpans[e.group][wk]
-		d.ConvectiveEdgesSoAKernel(lev.wS, lev.convS, lev.edgeColors.Order[sp.lo:sp.hi])
+		d.ConvectiveEdgesSoAKernel(lev.wS, lev.convS, lev.lay.edges.Order[sp.lo:sp.hi])
 	case tConvFaces:
 		sp := lev.faceSpans[e.group][wk]
-		d.BoundaryFluxSoAKernel(lev.wS, lev.convS, lev.faceColors.Order[sp.lo:sp.hi])
+		d.BoundaryFluxSoAKernel(lev.wS, lev.convS, lev.lay.faces.Order[sp.lo:sp.hi])
 	case tDiss1:
 		sp := lev.edgeSpans[e.group][wk]
-		d.DissPass1SoAKernel(lev.wS, lev.laplS, d.Sensor(), d.Den(), lev.edgeColors.Order[sp.lo:sp.hi])
+		d.DissPass1SoAKernel(lev.wS, lev.laplS, d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tNu:
 		sp := lev.vertSpans[wk]
 		d.NuRangeKernel(d.Sensor(), d.Den(), sp.lo, sp.hi)
 	case tDiss2:
 		sp := lev.edgeSpans[e.group][wk]
-		d.DissPass2SoAKernel(lev.wS, lev.laplS, lev.dissS, d.Sensor(), lev.edgeColors.Order[sp.lo:sp.hi])
+		d.DissPass2SoAKernel(lev.wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tCombine:
 		sp := lev.vertSpans[wk]
 		d.CombineResidualSoAKernel(lev.resS, lev.convS, lev.dissS, e.forcing, sp.lo, sp.hi)
@@ -412,31 +410,18 @@ func (e *engine) exec(wk int) {
 			}
 			lev.normPartial[b].v = sum
 		}
-	case tSmoothStartS:
+	case tLoadRes:
 		sp := lev.vertSpans[wk]
-		if e.smLoad != nil {
-			lev.resS.FromStates(e.smLoad, sp.lo, sp.hi)
-		}
-		lev.rhsS.CopyRange(lev.resS, sp.lo, sp.hi)
-		e.nextS.ZeroRange(sp.lo, sp.hi)
-	case tSmoothAccumS:
-		sp := lev.edgeSpans[e.group][wk]
-		d.SmoothAccumSoAKernel(e.curS, e.nextS, lev.edgeColors.Order[sp.lo:sp.hi])
-	case tSmoothCombineS:
+		lev.resS.FromStates(e.smLoad, sp.lo, sp.hi)
+	case tSmoothGather:
 		sp := lev.vertSpans[wk]
-		d.SmoothCombineSoAKernel(lev.rhsS, e.nextS, e.eps, sp.lo, sp.hi)
-		if e.zeroCur {
-			e.curS.ZeroRange(sp.lo, sp.hi)
-		}
-	case tCopyResS:
-		sp := lev.vertSpans[wk]
-		lev.resS.CopyRange(e.curS, sp.lo, sp.hi)
+		euler.SmoothGatherSoAKernel(lev.resS, e.smS, e.nextS, lev.lay.adjStart, lev.lay.adj, e.eps, sp.lo, sp.hi)
 	case tUpdate:
 		sp := lev.vertSpans[wk]
-		d.UpdateFinalSoAKernel(e.w, lev.w0S, lev.resS, e.alpha, sp.lo, sp.hi)
+		d.UpdateFinalSoAKernel(e.w, lev.w0S, e.smS, e.alpha, sp.lo, sp.hi)
 	case tUpdateNext:
 		sp := lev.vertSpans[wk]
-		d.UpdateNextSoAKernel(lev.wS, lev.w0S, lev.resS, e.alpha, sp.lo, sp.hi)
+		d.UpdateNextSoAKernel(lev.wS, lev.w0S, e.smS, e.alpha, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, e.zeroDiss, sp.lo, sp.hi)
 	case tResInit:
 		sp := lev.vertSpans[wk]
@@ -460,7 +445,7 @@ func (e *engine) exec(wk int) {
 	case tApplyCorr:
 		sp := lev.vertSpans[wk]
 		for i := sp.lo; i < sp.hi; i++ {
-			e.va[i] = multigrid.Correct(&d.P, e.va[i], lev.resS.At(i))
+			e.va[i] = multigrid.Correct(&d.P, e.va[i], e.smS.At(i))
 		}
 	}
 }
@@ -589,38 +574,39 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 	return math.Sqrt(sum / float64(lev.d.M.NV()))
 }
 
-// smoothSoA applies the implicit residual averaging to lev.resS with
-// colored parallel sweeps, ping-ponging it against the level's SoA scratch.
-// The step path smooths the combined residual already there (load == nil);
-// the multigrid driver passes the prolonged correction as load, and the
-// preamble converts it into resS on the way. The right-hand-side copy, the
-// first sweep's zeroing and each following sweep's zeroing ride along on
-// neighbouring vertex sweeps. With averaging switched off a load still
-// happens, so the caller finds its data in resS either way.
+// smoothSoA applies the implicit residual averaging to lev.resS and leaves
+// e.smS pointing at the block that holds the result. Each Jacobi sweep is
+// one vertex-parallel gather over the layout's adjacency — one barrier,
+// where the colored edge form paid one per color plus a combine — reading
+// the right-hand side from resS, which no sweep writes, and writing
+// alternately into laplS and convS (dead at this point of a stage; see
+// levelEngine). The step path smooths the combined residual already in
+// resS (load == nil); the multigrid driver passes the prolonged correction
+// as load, converted into resS first. With averaging switched off the
+// result is resS itself.
 func (e *engine) smoothSoA(lev *levelEngine, load []euler.State) {
 	d := lev.d
 	sweeps := d.P.NSmooth
 	if d.P.EpsSmooth == 0 {
 		sweeps = 0
 	}
-	if lev.resS.Len() == 0 || (sweeps == 0 && load == nil) {
+	e.smS = lev.resS
+	if lev.resS.Len() == 0 {
 		return
 	}
 	e.lev = lev
+	if load != nil {
+		e.smLoad = load
+		e.fork(tLoadRes, 0, lev.vertActive)
+		e.smLoad = nil
+	}
 	e.eps = d.P.EpsSmooth
-	e.smLoad = load
-	e.curS, e.nextS = lev.resS, lev.smoothS
-	e.fork(tSmoothStartS, 0, lev.vertActive)
+	scratch := [2]*euler.StateSoA{lev.laplS, lev.convS}
 	for sweep := 0; sweep < sweeps; sweep++ {
-		e.coloredEdges(tSmoothAccumS)
-		e.zeroCur = sweep+1 < sweeps
-		e.fork(tSmoothCombineS, 0, lev.vertActive)
-		e.curS, e.nextS = e.nextS, e.curS
+		e.nextS = scratch[sweep&1]
+		e.fork(tSmoothGather, 0, lev.vertActive)
+		e.smS = e.nextS
 	}
-	if e.curS != lev.resS {
-		e.fork(tCopyResS, 0, lev.vertActive)
-	}
-	e.smLoad = nil
 }
 
 // interp runs an inter-grid interpolation chunked over the target range
@@ -650,6 +636,11 @@ func (e *engine) vertexOp(j taskKind, lev *levelEngine, a, b, dst []euler.State)
 // Solver executes the five-stage scheme on a single grid with colored
 // loops dispatched to a persistent worker pool.
 type Solver struct {
+	// D is the engine's discretization. D.M is the color-contiguous view of
+	// the mesh the solver was built on (or last rebuilt to): same vertices,
+	// coordinates, tets and volumes, with the edge and boundary-face lists
+	// in color order, so edge and face indices are the view's, not the
+	// source mesh's.
 	D        *euler.Disc
 	NWorkers int
 
@@ -657,25 +648,27 @@ type Solver struct {
 	eng engine
 }
 
-// New builds a parallel solver over mesh m. nworkers <= 0 selects
-// GOMAXPROCS. The worker goroutines persist until Close (or until the
-// Solver is garbage-collected).
+// New builds a parallel solver over mesh m, on the greedy-colored layout
+// all engines on m share. nworkers <= 0 selects GOMAXPROCS. The worker
+// goroutines persist until Close (or until the Solver is garbage-collected).
 func New(m *mesh.Mesh, p euler.Params, nworkers int) (*Solver, error) {
 	return NewColored(m, p, nworkers, nil, nil)
 }
 
 // NewColored is New with caller-provided edge and boundary-face colorings
-// (verified here) instead of the greedy ones — used with color-canonical
-// meshes, where the identity-run colorings make the parallel solver
-// bitwise identical to the sequential one.
+// (verified here; the layout is then private to this solver) instead of
+// the greedy ones — used with color-canonical meshes, where the
+// identity-run colorings make the parallel solver bitwise identical to the
+// sequential one.
 func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.Coloring) (*Solver, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	le, err := newLevelEngine(m, p, nworkers, edges, faces)
+	lay, err := layoutFor(m, edges, faces)
 	if err != nil {
 		return nil, fmt.Errorf("smsolver: %w", err)
 	}
+	le := newLevelEngine(lay, p, nworkers)
 	s := &Solver{D: le.d, NWorkers: nworkers, le: le}
 	s.eng.init(nworkers, perf.NewAccum(phaseNames[:]...))
 	// The workers reference only the pool (its fn slot is cleared between
@@ -704,7 +697,7 @@ func (s *Solver) SetTrace(tr *trace.Tracer) { s.eng.attachTrace(tr, "") }
 
 // NumColors returns the edge and boundary-face group counts.
 func (s *Solver) NumColors() (edges, faces int) {
-	return s.le.edgeColors.NumColors(), s.le.faceColors.NumColors()
+	return s.le.lay.edges.NumColors(), s.le.lay.faces.NumColors()
 }
 
 // Stats returns the accumulated per-phase wall-clock timings with their

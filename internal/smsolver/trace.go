@@ -20,32 +20,30 @@ import (
 
 // taskNames names every parallel region for the per-worker kernel spans,
 // indexed by taskKind.
-var taskNames = [...]string{
-	tInit:           "init",
-	tLamEdges:       "lam-edges",
-	tLamFaces:       "lam-faces",
-	tDtZero:         "dt-zero",
-	tConvEdges:      "conv-edges",
-	tConvFaces:      "conv-faces",
-	tDiss1:          "diss1",
-	tNu:             "nu",
-	tDiss2:          "diss2",
-	tCombine:        "combine",
-	tCombineOut:     "combine-out",
-	tNorm:           "norm",
-	tSmoothStartS:   "smooth-start",
-	tSmoothAccumS:   "smooth-accum",
-	tSmoothCombineS: "smooth-combine",
-	tCopyResS:       "copy-res",
-	tUpdate:         "update",
-	tUpdateNext:     "update-next",
-	tResInit:        "res-init",
-	tInterp:         "interp",
-	tScatter:        "scatter",
-	tRepairSave:     "repair-save",
-	tCorrDelta:      "corr-delta",
-	tForcingSub:     "forcing-sub",
-	tApplyCorr:      "apply-corr",
+var taskNames = [nTasks]string{
+	tInit:         "init",
+	tLamEdges:     "lam-edges",
+	tLamFaces:     "lam-faces",
+	tDtZero:       "dt-zero",
+	tConvEdges:    "conv-edges",
+	tConvFaces:    "conv-faces",
+	tDiss1:        "diss1",
+	tNu:           "nu",
+	tDiss2:        "diss2",
+	tCombine:      "combine",
+	tCombineOut:   "combine-out",
+	tNorm:         "norm",
+	tLoadRes:      "load-res",
+	tSmoothGather: "smooth-gather",
+	tUpdate:       "update",
+	tUpdateNext:   "update-next",
+	tResInit:      "res-init",
+	tInterp:       "interp",
+	tScatter:      "scatter",
+	tRepairSave:   "repair-save",
+	tCorrDelta:    "corr-delta",
+	tForcingSub:   "forcing-sub",
+	tApplyCorr:    "apply-corr",
 }
 
 // engineTrace holds the engine's preallocated tracing state; a nil pointer

@@ -41,6 +41,11 @@ func TestTracedStepTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for k, name := range taskNames {
+		if name == "" {
+			t.Errorf("taskKind %d has no trace name", k)
+		}
+	}
 	const nw = 3
 	s, err := New(m, euler.DefaultParams(0.675, 0), nw)
 	if err != nil {
@@ -80,6 +85,9 @@ func TestTracedStepTracks(t *testing.T) {
 	for _, wtk := range []string{"w0", "w1", "w2"} {
 		if count(byName[wtk], "conv-edges") == 0 {
 			t.Errorf("track %s has no conv-edges kernel spans", wtk)
+		}
+		if count(byName[wtk], "smooth-gather") == 0 {
+			t.Errorf("track %s has no smooth-gather kernel spans", wtk)
 		}
 		if count(byName[wtk], "barrier") == 0 {
 			t.Errorf("track %s has no barrier spans", wtk)
