@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-smoke bench-check clean
+.PHONY: all build test race loc verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-smoke bench-check clean
 
 all: build
 
@@ -20,9 +20,19 @@ test:
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
-# and the adaptive driver that rebuilds the pooled engine between epochs.
+# the adaptive driver that rebuilds the pooled engine between epochs, and
+# the party-counted flights both service tiers share work through.
 race:
-	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/...
+	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
+
+# Non-test Go lines per internal package and in total — the figures
+# ROADMAP and the issues quote. Plain line counts: comments and blanks
+# included, _test.go files not.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
+	done; \
+	printf '%6d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # End-to-end serving smoke: build eul3dd, start it on a random port, run a
 # channel-mesh job to completion, check /metrics, then SIGTERM it mid-job
@@ -74,7 +84,7 @@ adapt-smoke:
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/...
+	$(MAKE) race
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 2s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzRiemann -fuzztime 2s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzArtifactDecode -fuzztime 2s ./internal/store

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 
 	"eul3d/internal/store"
@@ -71,10 +70,7 @@ func (c *Coordinator) artifactAffinity(j *cjob, routed *node, exclude map[string
 // nodeHasAll HEAD-probes n for every named hash.
 func (c *Coordinator) nodeHasAll(n *node, hashes []string) bool {
 	for _, h := range hashes {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		ok, err := n.client.artifactHas(ctx, h)
-		cancel()
-		if err != nil || !ok {
+		if ok, err := n.client.artifactHas(c.ctx, h); err != nil || !ok {
 			return false
 		}
 	}
@@ -85,10 +81,7 @@ func (c *Coordinator) nodeHasAll(n *node, hashes []string) bool {
 // node already holds it; else push from the coordinator's cache; else
 // proxy the bytes from a peer node, cache them, and push.
 func (c *Coordinator) ensureArtifact(n *node, hash string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	ok, err := n.client.artifactHas(ctx, hash)
-	cancel()
-	if err == nil && ok {
+	if ok, err := n.client.artifactHas(c.ctx, hash); err == nil && ok {
 		return nil
 	}
 	data, gerr := c.store.Get(hash)
@@ -97,9 +90,7 @@ func (c *Coordinator) ensureArtifact(n *node, hash string) error {
 			return fmt.Errorf("cluster: artifact %s held by neither the coordinator nor any peer", hash[:12])
 		}
 	}
-	pctx, pcancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	got, err := n.client.artifactPut(pctx, data)
-	pcancel()
+	got, err := n.client.artifactPut(c.ctx, data)
 	if err != nil {
 		return err
 	}
@@ -126,9 +117,7 @@ func (c *Coordinator) proxyArtifact(hash, skip string) []byte {
 		if n.name == skip || n.statusNow() == StatusUnhealthy {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		data, err := n.client.artifactGet(ctx, hash)
-		cancel()
+		data, err := n.client.artifactGet(c.ctx, hash)
 		if err != nil || data == nil {
 			continue
 		}

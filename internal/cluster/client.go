@@ -13,213 +13,176 @@ import (
 	"eul3d/internal/serve"
 )
 
-// nodeClient speaks the eul3dd HTTP API for one node. All calls take a
-// context; the coordinator bounds them with its probe timeout so a wedged
-// node can't stall the health or watch loops.
+// nodeClient speaks the eul3dd HTTP API for one node. Every call is
+// bounded by timeout on top of the caller's context, so a wedged node
+// can't stall the health or watch loops.
 type nodeClient struct {
-	base string // e.g. http://127.0.0.1:8081
-	hc   *http.Client
+	base    string // e.g. http://127.0.0.1:8081
+	hc      *http.Client
+	timeout time.Duration
 }
 
-func newNodeClient(base string, hc *http.Client) *nodeClient {
-	return &nodeClient{base: base, hc: hc}
+func newNodeClient(base string, hc *http.Client, timeout time.Duration) *nodeClient {
+	return &nodeClient{base: base, hc: hc, timeout: timeout}
 }
 
-// retryAfter parses a Retry-After header into a duration (0 when absent or
-// malformed; only the delta-seconds form is produced by eul3dd).
-func retryAfter(resp *http.Response) time.Duration {
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if sec, err := strconv.Atoi(s); err == nil && sec > 0 {
-			return time.Duration(sec) * time.Second
-		}
+// Body-size caps per kind of answer. Job views carry the residual
+// history, so they are bounded like checkpoints.
+const (
+	maxProbeBody    = 1 << 16
+	maxJobBody      = 64 << 20
+	maxArtifactBody = 256 << 20
+	maxErrorQuote   = 1 << 12 // of a refusal's body quoted in the error
+)
+
+// reply is a node's answer to one call.
+type reply struct {
+	from  string        // method and URL, for error text
+	code  int           // HTTP status
+	after time.Duration // Retry-After hint (0 when absent or malformed; eul3dd only sends delta-seconds)
+	body  []byte
+}
+
+// do issues one request and reads the whole answer, up to limit body
+// bytes. Its error is a transport failure; what an HTTP status means is
+// the caller's to judge. Every coordinator→node call goes through here.
+func (nc *nodeClient) do(ctx context.Context, method, path, ctype string, body []byte, limit int64) (reply, error) {
+	r := reply{from: method + " " + nc.base + path}
+	ctx, cancel := context.WithTimeout(ctx, nc.timeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	return 0
+	req, err := http.NewRequestWithContext(ctx, method, nc.base+path, rd)
+	if err != nil {
+		return r, err
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := nc.hc.Do(req)
+	if err != nil {
+		return r, err
+	}
+	defer resp.Body.Close()
+	r.code = resp.StatusCode
+	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && sec > 0 {
+		r.after = time.Duration(sec) * time.Second
+	}
+	r.body, err = io.ReadAll(io.LimitReader(resp.Body, limit))
+	return r, err
+}
+
+// as checks the answer's status is want and, given a non-nil v, decodes
+// the JSON body into it; any other status is an error quoting the node.
+func (r reply) as(want int, v any) error {
+	if r.code != want {
+		return fmt.Errorf("node %s: status %d %s", r.from, r.code, bytes.TrimSpace(r.body[:min(len(r.body), maxErrorQuote)]))
+	}
+	if v == nil {
+		return nil
+	}
+	return json.Unmarshal(r.body, v)
+}
+
+// blob reads a binary answer: the bytes on 200, (nil, nil) on 404 — the
+// node does not hold what was asked for — and an error otherwise.
+func blob(r reply, err error) ([]byte, error) {
+	if err != nil || r.code == http.StatusNotFound {
+		return nil, err
+	}
+	return r.body, r.as(http.StatusOK, nil)
 }
 
 // readyz probes the node's readiness endpoint.
 func (nc *nodeClient) readyz(ctx context.Context) beatResult {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nc.base+"/readyz", nil)
-	if err != nil {
-		return beatResult{err: err}
-	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return beatResult{err: err}
-	}
-	defer resp.Body.Close()
 	var v struct {
 		Status  string `json:"status"`
 		Queued  int    `json:"queued"`
 		Running int    `json:"running"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&v); err != nil {
-		return beatResult{err: fmt.Errorf("decoding readyz: %w", err)}
+	r, err := nc.do(ctx, http.MethodGet, "/readyz", "", nil, maxProbeBody)
+	if err == nil {
+		if err = json.Unmarshal(r.body, &v); err != nil {
+			err = fmt.Errorf("decoding readyz: %w", err)
+		}
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return beatResult{load: v.Queued + v.Running}
-	case resp.StatusCode == http.StatusServiceUnavailable && v.Status == "draining":
-		return beatResult{draining: true, load: v.Queued + v.Running}
-	case resp.StatusCode == http.StatusServiceUnavailable && v.Status == "saturated":
-		return beatResult{saturated: true, load: v.Queued + v.Running}
+	switch b := (beatResult{load: v.Queued + v.Running}); {
+	case err != nil:
+		return beatResult{err: err}
+	case r.code == http.StatusOK:
+		return b
+	case r.code == http.StatusServiceUnavailable && v.Status == "draining":
+		b.draining = true
+		return b
+	case r.code == http.StatusServiceUnavailable && v.Status == "saturated":
+		b.saturated = true
+		return b
 	}
-	return beatResult{err: fmt.Errorf("readyz: unexpected status %d %q", resp.StatusCode, v.Status)}
-}
-
-// submitRequest mirrors eul3dd's solve body: the spec plus the handoff
-// identity and resume checkpoint — by artifact hash when the node's store
-// holds the checkpoint, inline base64 otherwise.
-type submitRequest struct {
-	serve.JobSpec
-	ID         string `json:"id,omitempty"`
-	Resume     string `json:"resume,omitempty"`
-	ResumeHash string `json:"resume_hash,omitempty"`
+	return beatResult{err: fmt.Errorf("readyz: unexpected status %d %q", r.code, v.Status)}
 }
 
 // submit dispatches a job to the node. On 202 it returns the node's view.
-// A non-2xx outcome is reported through code (with any Retry-After hint);
-// err is reserved for transport failures.
-func (nc *nodeClient) submit(ctx context.Context, sr submitRequest) (view serve.JobView, code int, after time.Duration, err error) {
+// A refusal is reported through code (with any Retry-After hint) and err;
+// code 0 with an error is a transport failure.
+func (nc *nodeClient) submit(ctx context.Context, sr serve.SolveRequest) (view serve.JobView, code int, after time.Duration, err error) {
 	body, err := json.Marshal(sr)
 	if err != nil {
 		return view, 0, 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, nc.base+"/v1/solve", bytes.NewReader(body))
+	r, err := nc.do(ctx, http.MethodPost, "/v1/solve", "application/json", body, maxJobBody)
 	if err != nil {
 		return view, 0, 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return view, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return view, resp.StatusCode, retryAfter(resp), fmt.Errorf("node %s: %d %s", nc.base, resp.StatusCode, bytes.TrimSpace(b))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return view, resp.StatusCode, 0, err
-	}
-	return view, resp.StatusCode, 0, nil
+	return view, r.code, r.after, r.as(http.StatusAccepted, &view)
 }
 
 // view fetches a job's status.
-func (nc *nodeClient) view(ctx context.Context, id string) (serve.JobView, error) {
-	var v serve.JobView
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nc.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return v, err
+func (nc *nodeClient) view(ctx context.Context, id string) (v serve.JobView, err error) {
+	r, err := nc.do(ctx, http.MethodGet, "/v1/jobs/"+id, "", nil, maxJobBody)
+	if err == nil {
+		err = r.as(http.StatusOK, &v)
 	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return v, fmt.Errorf("node %s: job %s: status %d", nc.base, id, resp.StatusCode)
-	}
-	return v, json.NewDecoder(resp.Body).Decode(&v)
+	return v, err
 }
 
 // cancel requests cooperative cancellation of a job (best effort).
 func (nc *nodeClient) cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, nc.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	_, err := nc.do(ctx, http.MethodDelete, "/v1/jobs/"+id, "", nil, maxJobBody)
+	return err
 }
 
 // artifactHas reports whether the node's artifact store holds hash.
 func (nc *nodeClient) artifactHas(ctx context.Context, hash string) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, nc.base+"/v1/artifacts/"+hash, nil)
-	if err != nil {
+	r, err := nc.do(ctx, http.MethodHead, "/v1/artifacts/"+hash, "", nil, 0)
+	if err != nil || r.code == http.StatusNotFound {
 		return false, err
 	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	}
-	return false, fmt.Errorf("node %s: artifact %s: status %d", nc.base, hash[:12], resp.StatusCode)
+	return true, r.as(http.StatusOK, nil)
 }
 
 // artifactGet fetches an artifact's bytes. A (nil, nil) return means the
 // node does not hold it.
 func (nc *nodeClient) artifactGet(ctx context.Context, hash string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nc.base+"/v1/artifacts/"+hash, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("node %s: artifact %s: status %d", nc.base, hash[:12], resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	return blob(nc.do(ctx, http.MethodGet, "/v1/artifacts/"+hash, "", nil, maxArtifactBody))
 }
 
 // artifactPut uploads bytes to the node's store, returning the hash the
 // node computed (the caller verifies it matches the expected one).
 func (nc *nodeClient) artifactPut(ctx context.Context, data []byte) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, nc.base+"/v1/artifacts", bytes.NewReader(data))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return "", fmt.Errorf("node %s: artifact put: %d %s", nc.base, resp.StatusCode, bytes.TrimSpace(b))
-	}
 	var v struct {
 		Hash string `json:"hash"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return "", err
+	r, err := nc.do(ctx, http.MethodPut, "/v1/artifacts", "application/octet-stream", data, maxProbeBody)
+	if err == nil {
+		err = r.as(http.StatusCreated, &v)
 	}
-	return v.Hash, nil
+	return v.Hash, err
 }
 
 // checkpoint pulls the job's latest periodic checkpoint. A (nil, nil)
 // return means the node has no checkpoint yet.
 func (nc *nodeClient) checkpoint(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nc.base+"/v1/jobs/"+id+"/checkpoint", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := nc.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("node %s: checkpoint %s: status %d", nc.base, id, resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return blob(nc.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/checkpoint", "", nil, maxJobBody))
 }

@@ -26,7 +26,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -36,8 +35,10 @@ import (
 	"log"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"eul3d/internal/flight"
 	"eul3d/internal/meshio"
 	"eul3d/internal/serve"
 	"eul3d/internal/store"
@@ -51,6 +52,12 @@ var ErrNoHealthyNodes = errors.New("cluster: no healthy node available")
 
 // ErrNotFound is returned for unknown job or node names.
 var ErrNotFound = errors.New("cluster: not found")
+
+// Causes a job's context is cancelled with.
+var (
+	errCancelled = errors.New("cluster: cancelled by its last interested party")
+	errClosed    = errors.New("cluster: coordinator closed")
+)
 
 // Config sizes a Coordinator.
 type Config struct {
@@ -121,9 +128,14 @@ func (c *Config) fill() {
 type Coordinator struct {
 	cfg Config
 	met *Metrics
-	trc *clusterTrace
+	trc clusterTrace
 	bo  *Backoff
 	hc  *http.Client
+
+	// ctx is the root of every job's context and of every node call; Close
+	// cancels it (under mu) with errClosed.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 
 	// store caches artifacts passing through the coordinator — client
 	// uploads, peer proxy fetches, pulled checkpoints — so placement can
@@ -135,31 +147,29 @@ type Coordinator struct {
 	nodes   map[string]*node
 	ring    *Ring
 	jobs    map[string]*cjob
-	warm    map[string]string // route key -> node the key's engine is warm on
-	flights map[string]*cjob  // spec hash -> in-flight job new identical submissions attach to
+	warm    map[string]string     // route key -> node the key's engine is warm on
+	flights flight.Group[JobView] // spec hash -> in-flight job new identical submissions attach to
 
-	stopc   chan struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New builds a coordinator with no nodes.
 func New(cfg Config) *Coordinator {
 	cfg.fill()
-	return &Coordinator{
-		cfg:     cfg,
-		met:     &Metrics{},
-		trc:     newClusterTrace(cfg.Trace),
-		bo:      NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
-		hc:      &http.Client{},
-		store:   store.NewMemory(),
-		nodes:   make(map[string]*node),
-		ring:    NewRing(cfg.Replicas),
-		jobs:    make(map[string]*cjob),
-		warm:    make(map[string]string),
-		flights: make(map[string]*cjob),
-		stopc:   make(chan struct{}),
+	c := &Coordinator{
+		cfg:   cfg,
+		met:   &Metrics{},
+		trc:   newClusterTrace(cfg.Trace),
+		bo:    NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		hc:    &http.Client{},
+		store: store.NewMemory(),
+		nodes: make(map[string]*node),
+		ring:  NewRing(cfg.Replicas),
+		jobs:  make(map[string]*cjob),
+		warm:  make(map[string]string),
 	}
+	c.ctx, c.cancel = context.WithCancelCause(context.Background())
+	return c
 }
 
 // Metrics returns the coordinator's counter block.
@@ -179,18 +189,18 @@ func (c *Coordinator) AddNode(name, url string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.stopped {
-		return errors.New("cluster: coordinator closed")
+	if c.ctx.Err() != nil {
+		return errClosed
 	}
 	if n, ok := c.nodes[name]; ok {
 		n.mu.Lock()
 		n.url = url
 		n.manualDrain = false
 		n.mu.Unlock()
-		n.client = newNodeClient(url, c.hc)
+		n.client = newNodeClient(url, c.hc, c.cfg.CallTimeout)
 		return nil
 	}
-	n := &node{name: name, url: url, client: newNodeClient(url, c.hc)}
+	n := &node{name: name, url: url, client: newNodeClient(url, c.hc, c.cfg.CallTimeout)}
 	c.nodes[name] = n
 	c.ring.Add(name)
 	c.wg.Add(1)
@@ -211,9 +221,7 @@ func (c *Coordinator) DrainNode(name string) error {
 		return ErrNotFound
 	}
 	n.setManualDrain(true)
-	if tk := c.trc.nodeTrack(name); tk != nil {
-		tk.Instant(c.trc.phState, time.Now(), int64(StatusDraining))
-	}
+	c.trc.nodeTrack(name).Instant(c.trc.phState, time.Now(), int64(StatusDraining))
 	c.cfg.Log.Printf("node %s: operator drain", name)
 	return nil
 }
@@ -237,26 +245,18 @@ func (c *Coordinator) NodeViews() []NodeView {
 // running on their nodes; the coordinator simply stops observing them.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
-	}
-	c.stopped = true
-	close(c.stopc)
+	c.cancel(errClosed)
 	c.mu.Unlock()
 	c.wg.Wait()
 }
 
-// sleep waits d or until the coordinator closes; it reports false on close.
-func (c *Coordinator) sleep(d time.Duration) bool {
+// sleep waits d, or less if ctx is cancelled first.
+func sleep(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
-	case <-c.stopc:
-		return false
+	case <-ctx.Done():
 	}
 }
 
@@ -268,28 +268,22 @@ func (c *Coordinator) sleep(d time.Duration) bool {
 func (c *Coordinator) monitorNode(n *node) {
 	defer c.wg.Done()
 	tk := c.trc.nodeTrack(n.name)
-	for {
+	for c.ctx.Err() == nil {
 		start := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
 		b := n.client.readyz(ctx)
 		cancel()
-		if tk != nil {
-			tk.Span(c.trc.phProbe, start, time.Now(), int64(b.load))
-		}
+		tk.Span(c.trc.phProbe, start, time.Now(), int64(b.load))
 		if b.err != nil {
 			c.met.BeatMisses.Add(1)
-			if tk != nil {
-				n.mu.Lock()
-				missed := n.missed + 1
-				n.mu.Unlock()
-				tk.Instant(c.trc.phMiss, time.Now(), int64(missed))
-			}
+			n.mu.Lock()
+			missed := n.missed + 1
+			n.mu.Unlock()
+			tk.Instant(c.trc.phMiss, time.Now(), int64(missed))
 		}
 		st, changed := n.apply(b, &c.cfg)
 		if changed {
-			if tk != nil {
-				tk.Instant(c.trc.phState, time.Now(), int64(st))
-			}
+			tk.Instant(c.trc.phState, time.Now(), int64(st))
 			c.cfg.Log.Printf("node %s: %s", n.name, st)
 			if st == StatusUnhealthy || st == StatusDraining {
 				// The per-job watchers notice the status themselves; nothing
@@ -298,9 +292,7 @@ func (c *Coordinator) monitorNode(n *node) {
 				c.dropPins(n.name)
 			}
 		}
-		if !c.sleep(c.cfg.HeartbeatInterval) {
-			return
-		}
+		sleep(c.ctx, c.cfg.HeartbeatInterval)
 	}
 }
 
@@ -411,19 +403,22 @@ func (c *Coordinator) pin(key, name string) {
 // --- jobs -----------------------------------------------------------------
 
 // cjob is one job tracked by the coordinator across placements — or, when
-// primary is set, a coalesced waiter that never places at all: it mirrors
-// the primary's terminal view when that run lands.
+// coalescedWith is set, a coalesced waiter that never places at all: it
+// mirrors its leader's terminal view when that run lands.
 type cjob struct {
-	ID       string
-	Spec     serve.JobSpec
-	key      string
-	specHash string // coalescing key; identical live submissions attach here
-	done     chan struct{}
+	ID   string
+	Spec serve.JobSpec
+	key  string
+	done chan struct{}
 
-	// Waiter-only fields (nil/unused on placed jobs).
-	primary    *cjob
-	cancelc    chan struct{}
-	cancelOnce sync.Once
+	// ctx ends the pursuit of the job: cancelled with errCancelled when its
+	// last interested party leaves (a waiter's: when the waiter itself is
+	// cancelled), with errClosed when the coordinator closes.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+
+	party         *flight.Party[JobView] // stake in the (possibly shared) run
+	coalescedWith string                 // waiters: the leader's job ID
 
 	mu        sync.Mutex
 	node      string // current placement ("" while unplaced)
@@ -432,27 +427,6 @@ type cjob struct {
 	ckptHash  string // the checkpoint's key in the coordinator's store
 	ckptCycle int
 	handoffs  int
-	cancelled bool // cancel requested through the coordinator
-	parties   int  // coalescing: submissions still interested in this run
-	dead      bool // last party left; the run is being cancelled
-}
-
-// join atomically admits one more party to this job's flight; it reports
-// false when the flight can no longer be joined (all parties cancelled,
-// or the run already finished).
-func (j *cjob) join() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead || j.parties <= 0 {
-		return false
-	}
-	select {
-	case <-j.done:
-		return false
-	default:
-	}
-	j.parties++
-	return true
 }
 
 // Done returns a channel closed when the job reaches a terminal state (or
@@ -474,150 +448,55 @@ func (j *cjob) View() JobView {
 	defer j.mu.Unlock()
 	v := JobView{JobView: j.view, Node: j.node, Handoffs: j.handoffs, CheckpointCycle: j.ckptCycle}
 	v.ID, v.Spec = j.ID, j.Spec
+	if j.coalescedWith != "" {
+		v.CoalescedWith = j.coalescedWith
+	}
 	if v.State == "" {
 		v.State = serve.StateQueued
 	}
 	return v
 }
 
-func newClusterJobID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err)
-	}
-	return "c" + hex.EncodeToString(b[:])
-}
-
 // Submit validates and accepts a job, returning ErrNoHealthyNodes (shed)
 // while the cluster is fully degraded. Placement, retries and handoffs run
-// asynchronously; watch the job through Done and View.
+// asynchronously; watch the job through Done and View. When an identical
+// job is already in flight somewhere on the cluster the submission
+// attaches to it instead of dispatching a duplicate run: the waiter is a
+// full job — pollable, cancellable — that mirrors the leader's terminal
+// view, which is bitwise identical to what its own run would have produced.
 func (c *Coordinator) Submit(spec serve.JobSpec) (*cjob, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if c.routableCount() == 0 {
 		c.met.Sheds.Add(1)
-		if tk := c.trc.jobTrack("shed"); tk != nil {
-			tk.Instant(c.trc.phShed, time.Now(), 0)
-		}
+		c.trc.jobTrack("shed").Instant(c.trc.phShed, time.Now(), 0)
 		return nil, ErrNoHealthyNodes
 	}
-	specHash := spec.SpecHash()
+	j := &cjob{ID: serve.NewJobID("c"), Spec: spec, key: RouteKey(spec), done: make(chan struct{})}
+	j.ctx, j.cancel = context.WithCancelCause(c.ctx)
+	pursue := c.runJob
 	c.mu.Lock()
-	if c.stopped {
+	if c.ctx.Err() != nil {
 		c.mu.Unlock()
-		return nil, errors.New("cluster: coordinator closed")
+		return nil, errClosed
 	}
-	if p := c.flights[specHash]; p != nil && p.join() {
-		// An identical job is already in flight somewhere on the cluster:
-		// attach instead of dispatching a duplicate run. The waiter is a
-		// full job — pollable, cancellable — that mirrors the primary's
-		// terminal view, which is bitwise identical to what its own run
-		// would have produced.
-		att := &cjob{
-			ID:      newClusterJobID(),
-			Spec:    spec,
-			key:     RouteKey(spec),
-			primary: p,
-			cancelc: make(chan struct{}),
-			done:    make(chan struct{}),
-		}
-		att.view.ID = att.ID
-		att.view.State = serve.StateCoalesced
-		att.view.CoalescedWith = p.ID
-		c.jobs[att.ID] = att
-		c.wg.Add(1)
-		c.mu.Unlock()
-		c.met.Submitted.Add(1)
-		c.met.CoalesceAttach.Add(1)
-		if tk := c.trc.jobTrack(att.ID); tk != nil {
-			tk.Instant(c.trc.phAttach, time.Now(), 0)
-		}
-		c.cfg.Log.Printf("job %s: coalesced onto %s", att.ID, p.ID)
-		go c.mirror(p, att)
-		return att, nil
+	var founded bool
+	j.party, founded = c.flights.Join(spec.SpecHash(), j.ID, func() { j.cancel(errCancelled) })
+	if !founded {
+		j.coalescedWith, j.view.State, pursue = j.party.Leader(), serve.StateCoalesced, c.mirror
 	}
-	j := &cjob{ID: newClusterJobID(), Spec: spec, key: RouteKey(spec), specHash: specHash, done: make(chan struct{})}
-	j.parties = 1
 	c.jobs[j.ID] = j
-	c.flights[specHash] = j
 	c.wg.Add(1)
 	c.mu.Unlock()
 	c.met.Submitted.Add(1)
-	go c.runJob(j)
+	if !founded {
+		c.met.CoalesceAttach.Add(1)
+		c.trc.jobTrack(j.ID).Instant(c.trc.phAttach, time.Now(), 0)
+		c.cfg.Log.Printf("job %s: coalesced onto %s", j.ID, j.coalescedWith)
+	}
+	go pursue(j)
 	return j, nil
-}
-
-// mirror is a coalesced waiter's watcher: copy the primary's terminal
-// view when its run lands, or detach on the waiter's own cancellation
-// (the primary's run is cancelled only when its last party leaves).
-func (c *Coordinator) mirror(p, att *cjob) {
-	defer c.wg.Done()
-	select {
-	case <-p.done:
-		pv := p.View()
-		att.mu.Lock()
-		att.view = pv.JobView
-		att.view.ID = att.ID
-		att.view.Spec = att.Spec
-		att.view.CoalescedWith = p.ID
-		att.node = pv.Node
-		att.handoffs = pv.Handoffs
-		att.ckptCycle = pv.CheckpointCycle
-		att.mu.Unlock()
-		c.met.CoalesceFanout.Add(1)
-		if tk := c.trc.jobTrack(att.ID); tk != nil {
-			tk.Instant(c.trc.phFanout, time.Now(), int64(pv.Cycles))
-		}
-		close(att.done)
-	case <-att.cancelc:
-		att.mu.Lock()
-		att.view.State = serve.StateCancelled
-		att.cancelled = true
-		att.mu.Unlock()
-		c.met.Cancelled.Add(1)
-		if tk := c.trc.jobTrack(att.ID); tk != nil {
-			tk.Instant(c.trc.phDone, time.Now(), 0)
-		}
-		close(att.done)
-		c.leaveParty(p)
-	}
-}
-
-// leaveParty drops one interested party from a flight; the last one out
-// cancels the underlying run on its node.
-func (c *Coordinator) leaveParty(j *cjob) {
-	j.mu.Lock()
-	j.parties--
-	last := j.parties <= 0 && !j.dead
-	if last {
-		j.dead = true
-		j.cancelled = true
-	}
-	name := j.node
-	j.mu.Unlock()
-	if !last {
-		return
-	}
-	if n := c.nodeByName(name); n != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		defer cancel()
-		n.client.cancel(ctx, j.ID)
-	}
-}
-
-// retireFlight deregisters a finished job's flight so late identical
-// submissions start a fresh run instead of attaching to a closed one. It
-// runs before the job's done channel closes.
-func (c *Coordinator) retireFlight(j *cjob) {
-	if j.specHash == "" {
-		return
-	}
-	c.mu.Lock()
-	if c.flights[j.specHash] == j {
-		delete(c.flights, j.specHash)
-	}
-	c.mu.Unlock()
 }
 
 // Job looks a job up by ID.
@@ -633,35 +512,17 @@ func (c *Coordinator) Job(id string) (*cjob, error) {
 
 // Cancel requests cooperative cancellation. Coalesced flights are
 // party-counted: cancelling a waiter (or the original submitter) detaches
-// only that caller; the run on the node is cancelled when the last
-// interested party leaves.
+// only that caller; the run is cancelled — on its node, or before it ever
+// reaches one — when the last interested party leaves.
 func (c *Coordinator) Cancel(id string) (*cjob, error) {
 	j, err := c.Job(id)
 	if err != nil {
 		return nil, err
 	}
-	if j.primary != nil {
-		j.cancelOnce.Do(func() { close(j.cancelc) })
-		return j, nil
-	}
-	j.mu.Lock()
-	if j.specHash != "" {
-		if j.cancelled {
-			j.mu.Unlock()
-			return j, nil
-		}
-		j.cancelled = true
-		j.mu.Unlock()
-		c.leaveParty(j)
-		return j, nil
-	}
-	j.cancelled = true
-	name := j.node
-	j.mu.Unlock()
-	if n := c.nodeByName(name); n != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		defer cancel()
-		n.client.cancel(ctx, id)
+	if j.coalescedWith != "" {
+		j.cancel(errCancelled) // the waiter's watcher settles it and leaves the flight
+	} else {
+		j.party.Leave()
 	}
 	return j, nil
 }
@@ -675,13 +536,77 @@ func (c *Coordinator) nodeByName(name string) *node {
 	return c.nodes[name]
 }
 
-// watchOutcome is what one placement's watch loop ended with.
-type watchOutcome int
+// ending is how the coordinator stopped pursuing a job: the terminal
+// state (with the error text of a failure), or — for a waiter whose
+// flight landed — the leader's view to copy. The zero ending abandons the
+// job as it stands: the coordinator is closing, and whatever runs on a
+// node keeps running unobserved.
+type ending struct {
+	state  serve.JobState
+	errMsg string
+	mirror *JobView
+}
 
-const (
-	watchDone    watchOutcome = iota // job terminal (or coordinator closed)
-	watchHandoff                     // node died or drained: re-dispatch
-)
+// stopped is the ending of a job whose context was cancelled.
+func stopped(j *cjob) ending {
+	if errors.Is(context.Cause(j.ctx), errCancelled) {
+		return ending{state: serve.StateCancelled}
+	}
+	return ending{}
+}
+
+// settle is the coordinator's one terminal transition: view, counter,
+// trace instant, log line, the flight, then the done channel. Landing the
+// flight before done closes means late identical submissions start a
+// fresh run instead of attaching to a finished one.
+func (c *Coordinator) settle(j *cjob, e ending) {
+	var counter *atomic.Int64
+	phase := c.trc.phDone
+	j.mu.Lock()
+	switch m := e.mirror; {
+	case m != nil:
+		j.view, j.node, j.handoffs, j.ckptCycle = m.JobView, m.Node, m.Handoffs, m.CheckpointCycle
+		counter, phase = &c.met.CoalesceFanout, c.trc.phFanout
+	case e.state == serve.StateCompleted:
+		counter = &c.met.Completed
+	case e.state == serve.StateCancelled:
+		counter = &c.met.Cancelled
+	case e.state == serve.StateExpired:
+		counter = &c.met.Expired
+	case e.state != "":
+		counter = &c.met.Failed
+	}
+	if e.state != "" {
+		j.view.State, j.view.Error = e.state, e.errMsg
+	}
+	state, cycles, node := j.view.State, j.view.Cycles, j.node
+	j.mu.Unlock()
+	if counter != nil {
+		counter.Add(1)
+		c.trc.jobTrack(j.ID).Instant(phase, time.Now(), int64(cycles))
+		c.cfg.Log.Printf("job %s: %s (node %q, %d cycles) %s", j.ID, state, node, cycles, e.errMsg)
+	}
+	if j.coalescedWith == "" {
+		j.party.Land(j.View())
+	} else {
+		j.party.Leave()
+	}
+	j.cancel(nil)
+	close(j.done)
+}
+
+// mirror is a coalesced waiter's watcher: copy the leader's terminal
+// view when its run lands, or detach on the waiter's own cancellation.
+func (c *Coordinator) mirror(j *cjob) {
+	defer c.wg.Done()
+	select {
+	case <-j.party.Done():
+		v := j.party.Value()
+		c.settle(j, ending{mirror: &v})
+	case <-j.ctx.Done():
+		c.settle(j, stopped(j))
+	}
+}
 
 // runJob drives one job across placements until it reaches a terminal
 // state: place (with retries and stealing), watch (view + checkpoint
@@ -689,72 +614,76 @@ const (
 // last pulled checkpoint.
 func (c *Coordinator) runJob(j *cjob) {
 	defer c.wg.Done()
-	defer close(j.done)
-	defer c.retireFlight(j) // before done closes: no attaching to a closed run
+	c.settle(j, c.pursue(j))
+}
+
+// pursue is runJob's loop; it returns how the job ended.
+func (c *Coordinator) pursue(j *cjob) ending {
 	parkDeadline := time.Now().Add(c.cfg.ParkTimeout)
 	for {
 		n, err := c.place(j)
-		if err != nil {
-			if errors.Is(err, ErrNoHealthyNodes) {
-				// Degraded: every node is down or saturated. Park and retry
-				// after a beat; fail only after ParkTimeout so a recovering
-				// cluster picks orphans back up.
-				if time.Now().After(parkDeadline) {
-					c.failJob(j, "no healthy node within park timeout")
-					return
-				}
-				if !c.sleep(c.cfg.HeartbeatInterval) {
-					return
-				}
-				continue
-			}
-			c.failJob(j, err.Error())
-			return
+		switch {
+		case err == nil:
+		case j.ctx.Err() != nil:
+			// Stopped while unplaced — placement backoff, degraded-mode
+			// parking or a handoff gap: nothing runs anywhere, so the job
+			// ends here and now.
+			return stopped(j)
+		case !errors.Is(err, ErrNoHealthyNodes):
+			return ending{state: serve.StateFailed, errMsg: err.Error()}
+		case time.Now().After(parkDeadline):
+			return ending{state: serve.StateFailed, errMsg: "no healthy node within park timeout"}
+		default:
+			// Degraded: every node is down or saturated. Park and retry
+			// after a beat; fail only after ParkTimeout so a recovering
+			// cluster picks orphans back up.
+			sleep(j.ctx, c.cfg.HeartbeatInterval)
+			continue
 		}
 		parkDeadline = time.Now().Add(c.cfg.ParkTimeout)
-		switch c.watch(j, n) {
-		case watchDone:
-			return
-		case watchHandoff:
-			n.inflight.Add(-1)
-			j.mu.Lock()
-			j.node = ""
-			j.handoffs++
-			cycle := j.ckptCycle
-			j.mu.Unlock()
-			c.met.Handoffs.Add(1)
-			if tk := c.trc.jobTrack(j.ID); tk != nil {
-				tk.Instant(c.trc.phHandoff, time.Now(), int64(cycle))
-			}
-			// Best-effort cancel on the old node in case it is merely
-			// drained or partitioned, not dead — the job's identity moves
-			// with the coordinator, and a zombie duplicate would only waste
-			// the old node's cycles.
-			if n.statusNow() != StatusUnhealthy {
-				ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-				n.client.cancel(ctx, j.ID)
-				cancel()
-			}
-			c.cfg.Log.Printf("job %s: handing off from %s at checkpoint cycle %d", j.ID, n.name, cycle)
+		e, handoff := c.watch(j, n)
+		n.inflight.Add(-1)
+		if !handoff {
+			return e
 		}
+		j.mu.Lock()
+		j.node = ""
+		j.handoffs++
+		cycle := j.ckptCycle
+		j.mu.Unlock()
+		c.met.Handoffs.Add(1)
+		c.trc.jobTrack(j.ID).Instant(c.trc.phHandoff, time.Now(), int64(cycle))
+		// Best-effort cancel on the old node in case it is merely
+		// drained or partitioned, not dead — the job's identity moves
+		// with the coordinator, and a zombie duplicate would only waste
+		// the old node's cycles.
+		if n.statusNow() != StatusUnhealthy {
+			n.client.cancel(c.ctx, j.ID)
+		}
+		c.cfg.Log.Printf("job %s: handing off from %s at checkpoint cycle %d", j.ID, n.name, cycle)
 	}
 }
 
 // place dispatches j to a routed node, retrying across the budget with
 // jittered backoff and honoring Retry-After hints. Nodes that answer 429
 // are excluded for the rest of the round, which is how a saturated ring
-// owner's overflow spreads to its peers.
+// owner's overflow spreads to its peers. The job's context is honoured
+// between attempts; a dispatch already on the wire is never torn, so the
+// coordinator always knows whether a node holds the job.
 func (c *Coordinator) place(j *cjob) (*node, error) {
 	exclude := make(map[string]bool)
 	for attempt := 0; attempt < c.cfg.RetryBudget; attempt++ {
-		select {
-		case <-c.stopc:
-			return nil, errors.New("cluster: coordinator closed")
-		default:
+		if err := context.Cause(j.ctx); err != nil {
+			return nil, err
 		}
 		n, ok := c.route(j.key, exclude)
 		if !ok {
 			return nil, ErrNoHealthyNodes
+		}
+		retry := func(after time.Duration) {
+			c.met.Retries.Add(1)
+			c.trc.jobTrack(j.ID).Instant(c.trc.phRetry, time.Now(), int64(attempt))
+			sleep(j.ctx, c.bo.DelayAfter(attempt, after))
 		}
 		// Hash-aware placement: if the routed node would need the job's
 		// artifacts pushed but a routable peer already holds them, place on
@@ -769,17 +698,11 @@ func (c *Coordinator) place(j *cjob) (*node, error) {
 			if err := c.ensureArtifact(n, h); err != nil {
 				c.cfg.Log.Printf("job %s: mesh artifact for %s: %v", j.ID, n.name, err)
 				exclude[n.name] = true
-				c.met.Retries.Add(1)
-				if tk := c.trc.jobTrack(j.ID); tk != nil {
-					tk.Instant(c.trc.phRetry, time.Now(), int64(attempt))
-				}
-				if !c.sleep(c.bo.DelayAfter(attempt, 0)) {
-					return nil, errors.New("cluster: coordinator closed")
-				}
+				retry(0)
 				continue
 			}
 		}
-		sr := submitRequest{JobSpec: j.Spec, ID: j.ID}
+		sr := serve.SolveRequest{JobSpec: j.Spec, ID: j.ID}
 		j.mu.Lock()
 		ckpt, ckptHash := j.ckpt, j.ckptHash
 		j.mu.Unlock()
@@ -789,23 +712,11 @@ func (c *Coordinator) place(j *cjob) (*node, error) {
 		if ckptHash != "" && c.ensureArtifact(n, ckptHash) == nil {
 			sr.ResumeHash = ckptHash
 		} else if len(ckpt) > 0 {
-			sr.Resume = encodeCheckpoint(ckpt)
+			sr.Resume = base64.StdEncoding.EncodeToString(ckpt)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		view, code, after, err := n.client.submit(ctx, sr)
-		cancel()
+		view, code, after, err := n.client.submit(c.ctx, sr)
 		if err == nil {
-			n.inflight.Add(1)
-			c.pin(j.key, n.name)
-			j.mu.Lock()
-			j.node = n.name
-			j.view = view
-			j.mu.Unlock()
-			c.met.Dispatches.Add(1)
-			if tk := c.trc.jobTrack(j.ID); tk != nil {
-				tk.Instant(c.trc.phDispatch, time.Now(), int64(attempt))
-			}
-			c.cfg.Log.Printf("job %s: dispatched to %s (attempt %d)", j.ID, n.name, attempt)
+			c.adopt(j, n, view, attempt, "dispatched to")
 			return n, nil
 		}
 		// Two failure shapes can still mean the node holds the job: a
@@ -815,65 +726,68 @@ func (c *Coordinator) place(j *cjob) (*node, error) {
 		// the job, adopt that placement instead of failing — the job's
 		// identity lives with the coordinator, not the placement attempt.
 		if code == 0 || code == http.StatusBadRequest {
-			vctx, vcancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-			if v, verr := n.client.view(vctx, j.ID); verr == nil && v.ID == j.ID {
-				vcancel()
-				n.inflight.Add(1)
-				c.pin(j.key, n.name)
-				j.mu.Lock()
-				j.node = n.name
-				j.view = v
-				j.mu.Unlock()
-				c.met.Dispatches.Add(1)
-				c.cfg.Log.Printf("job %s: adopted existing placement on %s", j.ID, n.name)
+			if v, verr := n.client.view(c.ctx, j.ID); verr == nil && v.ID == j.ID {
+				c.adopt(j, n, v, attempt, "adopted existing placement on")
 				return n, nil
 			}
-			vcancel()
 		}
 		switch {
-		case code == http.StatusTooManyRequests:
-			exclude[n.name] = true // full queue: steal to a peer this round
-		case code == http.StatusServiceUnavailable:
-			exclude[n.name] = true // draining or refusing: go elsewhere
-		case code == http.StatusPreconditionFailed:
-			exclude[n.name] = true // artifact vanished between push and submit
+		case code == http.StatusTooManyRequests, // full queue: steal to a peer this round
+			code == http.StatusServiceUnavailable, // draining or refusing: go elsewhere
+			code == http.StatusPreconditionFailed: // artifact vanished between push and submit
+			exclude[n.name] = true
 		case code >= 400 && code < 500:
 			return nil, fmt.Errorf("cluster: node %s rejected job: %w", n.name, err)
 		}
-		c.met.Retries.Add(1)
-		if tk := c.trc.jobTrack(j.ID); tk != nil {
-			tk.Instant(c.trc.phRetry, time.Now(), int64(attempt))
-		}
-		if !c.sleep(c.bo.DelayAfter(attempt, after)) {
-			return nil, errors.New("cluster: coordinator closed")
-		}
+		retry(after)
 	}
 	// Budget exhausted without a placement: treat like full degradation so
 	// the caller parks and retries rather than failing the job outright.
 	return nil, ErrNoHealthyNodes
 }
 
+// adopt records that n holds j — a fresh dispatch or a placement found
+// already there.
+func (c *Coordinator) adopt(j *cjob, n *node, v serve.JobView, attempt int, how string) {
+	n.inflight.Add(1)
+	c.pin(j.key, n.name)
+	j.mu.Lock()
+	j.node, j.view = n.name, v
+	j.mu.Unlock()
+	c.met.Dispatches.Add(1)
+	c.trc.jobTrack(j.ID).Instant(c.trc.phDispatch, time.Now(), int64(attempt))
+	c.cfg.Log.Printf("job %s: %s %s (attempt %d)", j.ID, how, n.name, attempt)
+}
+
 // watch polls the job's view and checkpoint on its node until the job
-// reaches a terminal state or the node stops being a sane host for it.
-func (c *Coordinator) watch(j *cjob, n *node) watchOutcome {
+// reaches a terminal state there — returning how it ended — or the node
+// stops being a sane host for it, in which case handoff is set.
+func (c *Coordinator) watch(j *cjob, n *node) (e ending, handoff bool) {
 	misses := 0
+	ctx := j.ctx
 	for {
-		if !c.sleep(c.cfg.FetchInterval) {
-			return watchDone
+		sleep(ctx, c.cfg.FetchInterval)
+		if c.ctx.Err() != nil {
+			return ending{}, false
+		}
+		if ctx.Err() != nil {
+			// The last interested party left: cancel the run on its node,
+			// once, and from here on wait — under the coordinator's own
+			// context — for the node to report it stopped.
+			n.client.cancel(c.ctx, j.ID)
+			ctx = c.ctx
 		}
 		if st := n.statusNow(); st == StatusUnhealthy || st == StatusDraining {
-			return watchHandoff
+			return ending{}, true
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		v, err := n.client.view(ctx, j.ID)
-		cancel()
+		v, err := n.client.view(c.ctx, j.ID)
 		if err != nil {
 			// The health monitor owns death detection, but a node that
 			// answers probes while losing job state (restarted without its
 			// state dir, say) must also trigger a handoff eventually.
 			misses++
 			if misses > c.cfg.MissThreshold {
-				return watchHandoff
+				return ending{}, true
 			}
 			continue
 		}
@@ -883,14 +797,13 @@ func (c *Coordinator) watch(j *cjob, n *node) watchOutcome {
 		j.mu.Unlock()
 		switch v.State {
 		case serve.StateCompleted, serve.StateFailed, serve.StateCancelled, serve.StateExpired:
-			c.finishJob(j, n, v)
-			return watchDone
+			return ending{state: v.State, errMsg: v.Error}, false
 		case serve.StateDrained:
 			// The node checkpointed the job during its own graceful drain;
 			// grab that final checkpoint if the process is still up, then
 			// hand off.
 			c.pullCheckpoint(j, n)
-			return watchHandoff
+			return ending{}, true
 		case serve.StateRunning:
 			c.pullCheckpoint(j, n)
 		}
@@ -901,13 +814,11 @@ func (c *Coordinator) watch(j *cjob, n *node) watchOutcome {
 // node and keeps it if it parses (CRC-valid) and is newer than what we
 // hold. The raw bytes are retained for re-upload on handoff.
 func (c *Coordinator) pullCheckpoint(j *cjob, n *node) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	raw, err := n.client.checkpoint(ctx, j.ID)
-	cancel()
+	raw, err := n.client.checkpoint(c.ctx, j.ID)
 	if err != nil || len(raw) == 0 {
 		return
 	}
-	ck, err := decodeCheckpoint(raw)
+	ck, err := meshio.ReadCheckpoint(bytes.NewReader(raw))
 	if err != nil {
 		return // torn or corrupt snapshot: keep the previous one
 	}
@@ -921,52 +832,7 @@ func (c *Coordinator) pullCheckpoint(j *cjob, n *node) {
 			j.ckptHash = hash
 		}
 		c.met.CkptPulls.Add(1)
-		if tk := c.trc.jobTrack(j.ID); tk != nil {
-			tk.Instant(c.trc.phCkpt, time.Now(), int64(ck.Cycle))
-		}
+		c.trc.jobTrack(j.ID).Instant(c.trc.phCkpt, time.Now(), int64(ck.Cycle))
 	}
 	j.mu.Unlock()
-}
-
-// finishJob records a job's terminal view from its node.
-func (c *Coordinator) finishJob(j *cjob, n *node, v serve.JobView) {
-	n.inflight.Add(-1)
-	j.mu.Lock()
-	j.view = v
-	j.mu.Unlock()
-	switch v.State {
-	case serve.StateCompleted:
-		c.met.Completed.Add(1)
-	case serve.StateCancelled:
-		c.met.Cancelled.Add(1)
-	case serve.StateExpired:
-		c.met.Expired.Add(1)
-	default:
-		c.met.Failed.Add(1)
-	}
-	if tk := c.trc.jobTrack(j.ID); tk != nil {
-		tk.Instant(c.trc.phDone, time.Now(), int64(v.Cycles))
-	}
-	c.cfg.Log.Printf("job %s: %s on %s (%d cycles)", j.ID, v.State, n.name, v.Cycles)
-}
-
-// failJob marks a job failed coordinator-side (no node view to mirror).
-func (c *Coordinator) failJob(j *cjob, msg string) {
-	j.mu.Lock()
-	j.view.ID = j.ID
-	j.view.State = serve.StateFailed
-	j.view.Error = msg
-	j.mu.Unlock()
-	c.met.Failed.Add(1)
-	c.cfg.Log.Printf("job %s: failed: %s", j.ID, msg)
-}
-
-// encodeCheckpoint / decodeCheckpoint translate between the raw meshio
-// bytes the nodes serve and the base64 form the solve endpoint accepts.
-func encodeCheckpoint(raw []byte) string {
-	return base64.StdEncoding.EncodeToString(raw)
-}
-
-func decodeCheckpoint(raw []byte) (*meshio.Checkpoint, error) {
-	return meshio.ReadCheckpoint(bytes.NewReader(raw))
 }

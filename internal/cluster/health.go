@@ -164,6 +164,8 @@ type NodeView struct {
 	Load      int    `json:"load"`     // last beat-reported queued+running
 	Inflight  int    `json:"inflight"` // jobs this coordinator has placed here
 	LastBeat  string `json:"last_beat,omitempty"`
+
+	status Status // Status as the state machine holds it, for the gauges
 }
 
 // view snapshots the node.
@@ -174,6 +176,7 @@ func (n *node) view() NodeView {
 		Name:      n.name,
 		URL:       n.url,
 		Status:    n.status.String(),
+		status:    n.status,
 		Saturated: n.saturated,
 		Missed:    n.missed,
 		Trips:     n.trips,

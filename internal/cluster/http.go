@@ -3,15 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 
 	"eul3d/internal/serve"
-	"eul3d/internal/store"
 )
 
 // API is the HTTP facade over a Coordinator:
@@ -40,25 +36,19 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/solve", a.handleSolve)
 	mux.HandleFunc("GET /v1/jobs/{id}", a.handleGetJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", a.handleCancelJob)
-	mux.HandleFunc("PUT /v1/artifacts", a.handleArtifactPut)
-	mux.HandleFunc("GET /v1/artifacts/{hash}", a.handleArtifactGet)
+	// Uploads land in the coordinator's cache and placement pushes them to
+	// whichever node a referencing job lands on ("upload once, solve
+	// everywhere"); a local miss is proxied from a live node.
+	serve.ArtifactRoutes(mux, a.c.store,
+		func() { a.c.met.ArtifactUploads.Add(1) },
+		func(hash string) []byte { return a.c.proxyArtifact(hash, "") })
 	mux.HandleFunc("GET /v1/nodes", a.handleGetNodes)
 	mux.HandleFunc("POST /v1/nodes", a.handleAddNode)
 	mux.HandleFunc("POST /v1/nodes/{name}/drain", a.handleDrainNode)
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
-	mux.HandleFunc("GET /debug/trace", a.handleTrace)
+	mux.HandleFunc("GET /debug/trace", serve.TraceHandler(a.c.Tracer(), a.c.cfg.Log))
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 type solveRequest struct {
@@ -68,102 +58,45 @@ type solveRequest struct {
 
 func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !serve.DecodeBody(w, r, 1<<20, &req) {
 		return
-	}
-	if r.URL.Query().Get("wait") == "1" {
-		req.Wait = true
 	}
 	j, err := a.c.Submit(req.JobSpec)
 	switch {
 	case errors.Is(err, ErrNoHealthyNodes):
 		// Degraded mode: shed with a hint instead of queueing unboundedly.
 		w.Header().Set("Retry-After", strconv.Itoa(a.c.RetryAfterHint()))
-		writeErr(w, http.StatusServiceUnavailable, err)
+		serve.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
+		serve.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, j.View())
-		return
-	}
-	select {
-	case <-j.Done():
-		writeJSON(w, http.StatusOK, j.View())
-	case <-r.Context().Done():
-		writeJSON(w, http.StatusAccepted, j.View())
-	}
+	serve.AnswerSubmit(w, r, req.Wait, j.Done(), j.View)
 }
 
 func (a *API) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, err := a.c.Job(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		serve.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	serve.WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (a *API) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j, err := a.c.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		serve.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
-}
-
-// handleArtifactPut stores uploaded bytes in the coordinator's cache and
-// answers with their content hash; placement pushes them to whichever
-// node a referencing job lands on ("upload once, solve everywhere").
-func (a *API) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, store.MaxBlobSize))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	hash, err := a.c.store.Put(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	a.c.met.ArtifactUploads.Add(1)
-	writeJSON(w, http.StatusCreated, map[string]any{"hash": hash, "bytes": len(data)})
-}
-
-// handleArtifactGet serves an artifact from the coordinator's cache,
-// proxying from a live node on a local miss (GET patterns match HEAD too).
-func (a *API) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	if !store.ValidHash(hash) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed artifact hash %q", hash))
-		return
-	}
-	data, err := a.c.store.Get(hash)
-	if err != nil {
-		if data = a.c.proxyArtifact(hash, ""); data == nil {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("artifact %s not found", hash[:12]))
-			return
-		}
-	}
-	w.Header().Set("ETag", `"`+hash+`"`)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if r.Method == http.MethodHead {
-		return
-	}
-	w.Write(data)
+	serve.WriteJSON(w, http.StatusOK, j.View())
 }
 
 func (a *API) handleGetNodes(w http.ResponseWriter, r *http.Request) {
 	views := a.c.NodeViews()
 	sort.Slice(views, func(i, k int) bool { return views[i].Name < views[k].Name })
-	writeJSON(w, http.StatusOK, views)
+	serve.WriteJSON(w, http.StatusOK, views)
 }
 
 func (a *API) handleAddNode(w http.ResponseWriter, r *http.Request) {
@@ -172,128 +105,63 @@ func (a *API) handleAddNode(w http.ResponseWriter, r *http.Request) {
 		URL  string `json:"url"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		serve.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := a.c.AddNode(req.Name, req.URL); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		serve.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "registered", "name": req.Name})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "registered", "name": req.Name})
 }
 
 func (a *API) handleDrainNode(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := a.c.DrainNode(name); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		serve.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "draining", "name": name})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "draining", "name": name})
 }
 
 func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"nodes":    len(a.c.NodeViews()),
 		"routable": a.c.routableCount(),
 	})
 }
 
-// handleMetrics renders the cluster metrics in the Prometheus text format
-// (hand-rolled, matching eul3dd's endpoint).
+// handleMetrics renders the cluster metrics in the Prometheus text format:
+// the counter table declared beside Metrics, the artifact cache's
+// counters, and one gauge family per node health reading.
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	m := a.c.Metrics()
-
-	counter := func(name string, v int64, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("eul3dc_jobs_submitted_total", m.Submitted.Load(), "jobs accepted by the coordinator")
-	counter("eul3dc_jobs_completed_total", m.Completed.Load(), "jobs completed on some node")
-	counter("eul3dc_jobs_failed_total", m.Failed.Load(), "jobs failed")
-	counter("eul3dc_jobs_cancelled_total", m.Cancelled.Load(), "jobs cancelled")
-	counter("eul3dc_jobs_expired_total", m.Expired.Load(), "jobs past their deadline")
-	counter("eul3dc_dispatches_total", m.Dispatches.Load(), "successful placements incl. handoffs")
-	counter("eul3dc_dispatch_retries_total", m.Retries.Load(), "dispatch attempts retried with backoff")
-	counter("eul3dc_handoffs_total", m.Handoffs.Load(), "jobs re-dispatched from a checkpoint")
-	counter("eul3dc_steals_total", m.Steals.Load(), "cold jobs placed off-ring by load")
-	counter("eul3dc_sheds_total", m.Sheds.Load(), "submissions shed in degraded mode")
-	counter("eul3dc_checkpoint_pulls_total", m.CkptPulls.Load(), "checkpoints pulled off running nodes")
-	counter("eul3dc_beat_misses_total", m.BeatMisses.Load(), "failed liveness probes")
-	counter("eul3dc_coalesce_attach_total", m.CoalesceAttach.Load(), "submissions attached to an identical in-flight job")
-	counter("eul3dc_coalesce_fanout_total", m.CoalesceFanout.Load(), "mirrored results delivered to attached submissions")
-	counter("eul3dc_artifact_uploads_total", m.ArtifactUploads.Load(), "artifacts uploaded to the coordinator")
-	counter("eul3dc_artifact_pushes_total", m.ArtifactPushes.Load(), "artifacts pushed to nodes at placement")
-	counter("eul3dc_artifact_proxies_total", m.ArtifactProxies.Load(), "artifacts proxied between nodes")
-	counter("eul3dc_hash_placements_total", m.HashPlacements.Load(), "placements rerouted to a node already holding the job's artifacts")
-
-	st := a.c.Store().Stats()
-	counter("eul3dc_artifact_hits_total", st.Hits, "artifact cache hits")
-	counter("eul3dc_artifact_misses_total", st.Misses, "artifact cache misses")
-	fmt.Fprintf(&b, "# HELP eul3dc_artifact_count artifacts in the coordinator cache\n# TYPE eul3dc_artifact_count gauge\neul3dc_artifact_count %d\n", a.c.Store().Len())
-	fmt.Fprintf(&b, "# HELP eul3dc_artifact_mem_bytes bytes held in the coordinator cache\n# TYPE eul3dc_artifact_mem_bytes gauge\neul3dc_artifact_mem_bytes %d\n", a.c.Store().MemBytes())
+	var e serve.Exposition
+	e.Counters(a.c.met.table())
+	st := a.c.store.Stats()
+	e.Value("eul3dc_artifact_hits_total", "artifact cache hits", "counter", st.Hits)
+	e.Value("eul3dc_artifact_misses_total", "artifact cache misses", "counter", st.Misses)
+	e.Value("eul3dc_artifact_count", "artifacts in the coordinator cache", "gauge", a.c.store.Len())
+	e.Value("eul3dc_artifact_mem_bytes", "bytes held in the coordinator cache", "gauge", a.c.store.MemBytes())
 
 	views := a.c.NodeViews()
 	sort.Slice(views, func(i, k int) bool { return views[i].Name < views[k].Name })
-	gaugeHead := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	perNode := func(name, help string, reading func(NodeView) int) {
+		e.Series(name, help, "node", len(views), func(i int) (string, any) {
+			return views[i].Name, reading(views[i])
+		})
 	}
-	gaugeHead("eul3dc_node_up", "1 while the node is routable (healthy and not saturated)")
-	for _, v := range views {
-		up := 0
-		if v.Status == "healthy" && !v.Saturated {
-			up = 1
+	perNode("eul3dc_node_up", "1 while the node is routable (healthy and not saturated)", func(v NodeView) int {
+		if v.status == StatusHealthy && !v.Saturated {
+			return 1
 		}
-		fmt.Fprintf(&b, "eul3dc_node_up{node=%q} %d\n", v.Name, up)
-	}
-	gaugeHead("eul3dc_node_state", "health state machine position (0 unknown, 1 healthy, 2 suspect, 3 unhealthy, 4 draining)")
-	for _, v := range views {
-		fmt.Fprintf(&b, "eul3dc_node_state{node=%q} %d\n", v.Name, statusCode(v.Status))
-	}
-	gaugeHead("eul3dc_node_missed_beats", "consecutive failed probes")
-	for _, v := range views {
-		fmt.Fprintf(&b, "eul3dc_node_missed_beats{node=%q} %d\n", v.Name, v.Missed)
-	}
-	gaugeHead("eul3dc_node_load", "queued+running the node last reported")
-	for _, v := range views {
-		fmt.Fprintf(&b, "eul3dc_node_load{node=%q} %d\n", v.Name, v.Load)
-	}
-	gaugeHead("eul3dc_node_inflight", "jobs this coordinator has placed on the node")
-	for _, v := range views {
-		fmt.Fprintf(&b, "eul3dc_node_inflight{node=%q} %d\n", v.Name, v.Inflight)
-	}
-	gaugeHead("eul3dc_node_breaker_trips", "times the node's circuit breaker opened")
-	for _, v := range views {
-		fmt.Fprintf(&b, "eul3dc_node_breaker_trips{node=%q} %d\n", v.Name, v.Trips)
-	}
-	w.Write([]byte(b.String()))
-}
-
-func statusCode(s string) int {
-	switch s {
-	case "healthy":
-		return int(StatusHealthy)
-	case "suspect":
-		return int(StatusSuspect)
-	case "unhealthy":
-		return int(StatusUnhealthy)
-	case "draining":
-		return int(StatusDraining)
-	}
-	return int(StatusUnknown)
-}
-
-// handleTrace streams the coordinator's flight recorder as Chrome
-// trace-event JSON; 404 when tracing is disabled.
-func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := a.c.Tracer()
-	if tr == nil {
-		writeErr(w, http.StatusNotFound, errors.New("cluster: tracing disabled (start with -trace)"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := tr.WriteChrome(w); err != nil {
-		a.c.cfg.Log.Printf("trace export: %v", err)
-	}
+		return 0
+	})
+	perNode("eul3dc_node_state", "health state machine position (0 unknown, 1 healthy, 2 suspect, 3 unhealthy, 4 draining)",
+		func(v NodeView) int { return int(v.status) })
+	perNode("eul3dc_node_missed_beats", "consecutive failed probes", func(v NodeView) int { return v.Missed })
+	perNode("eul3dc_node_load", "queued+running the node last reported", func(v NodeView) int { return v.Load })
+	perNode("eul3dc_node_inflight", "jobs this coordinator has placed on the node", func(v NodeView) int { return v.Inflight })
+	perNode("eul3dc_node_breaker_trips", "times the node's circuit breaker opened", func(v NodeView) int { return v.Trips })
+	e.Serve(w)
 }

@@ -15,8 +15,9 @@ const (
 	jobTrackCap  = 64
 )
 
-// clusterTrace holds the coordinator's interned phases; nil disables
-// tracing (every method is nil-safe through trace.Track's nil receiver).
+// clusterTrace holds the coordinator's interned phases. Over a nil tracer
+// it is inert: the track lookups return nil, and a nil trace.Track drops
+// every event.
 type clusterTrace struct {
 	tr *trace.Tracer
 
@@ -33,11 +34,8 @@ type clusterTrace struct {
 	phFanout   trace.PhaseID // mirrored result delivered to a waiter (instant; arg = cycles)
 }
 
-func newClusterTrace(tr *trace.Tracer) *clusterTrace {
-	if tr == nil {
-		return nil
-	}
-	return &clusterTrace{
+func newClusterTrace(tr *trace.Tracer) clusterTrace {
+	return clusterTrace{
 		tr:         tr,
 		phProbe:    tr.Phase("probe"),
 		phMiss:     tr.Phase("beat-miss"),
@@ -54,15 +52,9 @@ func newClusterTrace(tr *trace.Tracer) *clusterTrace {
 }
 
 func (t *clusterTrace) nodeTrack(name string) *trace.Track {
-	if t == nil {
-		return nil
-	}
 	return t.tr.TrackCap("node "+name, nodeTrackCap)
 }
 
 func (t *clusterTrace) jobTrack(id string) *trace.Track {
-	if t == nil {
-		return nil
-	}
 	return t.tr.TrackCap("job "+id, jobTrackCap)
 }

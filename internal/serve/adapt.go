@@ -2,28 +2,33 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
-	"time"
 
 	"eul3d/internal/adapt"
 	"eul3d/internal/euler"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshio"
 	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
 
-// runAdapt executes an adaptive job (Spec.Adapt != nil) through its
-// terminal state. It parallels dispatch's tail but deliberately bypasses
-// the engine cache: an adaptive run refines its mesh mid-flight, so a
-// cached engine would be poisoned for every later lease. The engine is
-// built fresh, rebuilt incrementally by the driver after every epoch, and
-// closed when the run ends. Drain and restart carry the current (adapted)
-// mesh next to the checkpoint — a plain solution checkpoint can no longer
-// describe the run once the mesh has changed.
-func (s *Scheduler) runAdapt(j *Job, ctx context.Context, tk *trace.Track) {
+// adaptDriver prepares an adaptive job (Spec.Adapt != nil). It
+// deliberately bypasses the engine cache: an adaptive run refines its
+// mesh mid-flight, so a cached engine would be poisoned for every later
+// lease. The engine is built fresh, rebuilt incrementally by the driver
+// after every epoch, and closed when the run ends. Drain and restart
+// carry the current (adapted) mesh next to the checkpoint — a plain
+// solution checkpoint can no longer describe the run once the mesh has
+// changed.
+//
+// A drained run's resume is bitwise-exact for the sequential engine. A
+// resumed pooled engine re-colors the adapted mesh from scratch, whereas
+// the uninterrupted run's coloring descends from the original mesh via
+// ExtendGreedy — a different edge order inside parallel chunks, so the
+// continuation can differ from the uninterrupted run in the last ulps
+// (it is still a valid solve of the same discrete system).
+func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *trace.Track) (executor, error) {
 	p := j.Spec.Params()
 	opts := adapt.Options{
 		Params:    p,
@@ -37,37 +42,36 @@ func (s *Scheduler) runAdapt(j *Job, ctx context.Context, tk *trace.Track) {
 		Indicator: j.Spec.Adapt.Indicator,
 		Frac:      j.Spec.Adapt.Frac,
 		Trace:     s.cfg.Trace,
-		Progress: func(step int, norm float64) {
-			j.mu.Lock()
-			j.history = append(j.history, norm)
-			j.mu.Unlock()
-		},
+		Progress:  j.progress,
 	}
-
-	switch {
-	case j.adaptResume != nil:
-		// Mesh-carrying resume point (drain or periodic checkpoint): the
-		// driver restarts exactly where the interrupted run stopped, on
-		// the adapted mesh. The spec's own mesh is not needed. The job's
-		// visible history is seeded with the pre-interruption steps, which
-		// Progress only reports from the resume point on.
-		opts.Resume = j.adaptResume
-		j.mu.Lock()
-		j.history = append(j.history[:0], j.adaptResume.History...)
-		j.mu.Unlock()
-	default:
-		if h := j.Spec.Mesh.Hash; h != "" {
-			if err := s.cfg.Store.Pin(h); err != nil {
-				s.finish(j, nil, fmt.Errorf("%w: %s", ErrNoArtifact, h))
-				return
+	if r := j.resume; r != nil {
+		// With its own mesh (drain or periodic checkpoint) the driver
+		// restarts exactly where the interrupted run stopped, on the adapted
+		// mesh. A handed-off plain checkpoint is resumable only while the
+		// run had not yet refined — its solution must still fit the spec's
+		// mesh. Past the first epoch the mesh travels in the adapt sidecar,
+		// which a coordinator handoff does not carry.
+		m, a, ck := r.mesh, r.adapt, r.ck
+		if m == nil {
+			if len(ck.Sol) != ms[0].NV() {
+				return executor{}, fmt.Errorf(
+					"serve: adapted checkpoint (%d states) no longer fits the spec mesh (%d points); adaptive jobs cannot be handed off mid-adaptation",
+					len(ck.Sol), ms[0].NV())
 			}
-			defer s.cfg.Store.Unpin(h)
+			m, a = ms[0], &adaptSidecar{Dt: p.GlobalDt, StepsLeft: j.Spec.Cycles - ck.Cycle}
 		}
-		ms, err := j.Spec.BuildMeshesFrom(s.cfg.Store)
-		if err != nil {
-			s.finish(j, nil, err)
-			return
+		opts.Resume = &adapt.Snapshot{
+			Mesh:         m,
+			W:            ck.Sol,
+			History:      ck.History,
+			Step:         ck.Cycle,
+			EpochsDone:   a.EpochsDone,
+			Dt:           a.Dt,
+			StepsLeft:    a.StepsLeft,
+			SinceEpoch:   a.SinceEpoch,
+			CellsRefined: a.CellsRefined,
 		}
+	} else {
 		opts.Mesh = ms[0]
 		if sc := j.Spec.scenario(); sc != nil {
 			opts.Init = sc.InitialState(ms[0])
@@ -77,119 +81,39 @@ func (s *Scheduler) runAdapt(j *Job, ctx context.Context, tk *trace.Track) {
 				opts.Init[i] = p.Freestream
 			}
 		}
-		if ck := j.resume; ck != nil {
-			// A handed-off plain checkpoint is resumable only while the run
-			// had not yet refined — its solution must still fit the spec's
-			// mesh. Past the first epoch the mesh travels in the adapt
-			// sidecar, which a coordinator handoff does not carry.
-			if len(ck.Sol) != ms[0].NV() {
-				s.finish(j, nil, fmt.Errorf(
-					"serve: adapted checkpoint (%d states) no longer fits the spec mesh (%d points); adaptive jobs cannot be handed off mid-adaptation",
-					len(ck.Sol), ms[0].NV()))
-				return
-			}
-			opts.Resume = &adapt.Snapshot{
-				Mesh:      ms[0],
-				W:         ck.Sol,
-				History:   ck.History,
-				Step:      ck.Cycle,
-				Dt:        p.GlobalDt,
-				StepsLeft: j.Spec.Cycles - ck.Cycle,
-			}
-			opts.Mesh, opts.Init = nil, nil
-		}
 	}
-
-	nw := j.Spec.pooledWorkers()
-	govStart := time.Now()
-	if err := s.gov.Acquire(ctx, nw); err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			err = cause
-		}
-		s.finish(j, nil, err)
-		return
-	}
-	defer s.gov.Release(nw)
-	if s.trc != nil {
-		tk.Span(s.trc.phGovWait, govStart, time.Now(), int64(nw))
-	}
-
-	if s.cfg.CheckpointEvery > 0 && s.cfg.StateDir != "" {
+	if s.periodic() {
 		opts.CheckpointEvery = s.cfg.CheckpointEvery
 		opts.OnCheckpoint = func(snap *adapt.Snapshot) error {
-			// A failed periodic checkpoint degrades survivability, not the
-			// run itself: log and keep solving.
-			if err := s.saveAdaptSnapshot(j, snap); err != nil {
-				s.cfg.Log.Printf("job %s: adapt checkpoint: %v", j.ID, err)
-			}
+			s.persistRunning(j, adaptSnapshot(j, snap))
 			return nil
 		}
-		if err := s.writeSidecar(sidecar{ID: j.ID, Spec: j.Spec}); err != nil {
-			s.cfg.Log.Printf("job %s: persisting run sidecar: %v", j.ID, err)
-		}
+		s.persistRunning(j, nil)
 	}
-
-	runStart := time.Now()
-	var res *adapt.Result
-	var err error
-	pprof.Do(ctx, pprof.Labels(
-		"job", j.ID, "engine", j.Spec.Engine, "adapt", "1",
-	), func(ctx context.Context) {
-		opts.Context = ctx
-		res, err = adapt.Run(opts)
-	})
-	runEnd := time.Now()
-	s.met.RunTime.Observe(runEnd.Sub(runStart))
-	if s.trc != nil {
-		var steps int64
-		if res != nil {
-			steps = int64(res.Steps)
-		}
-		tk.Span(s.trc.phRun, runStart, runEnd, steps)
-	}
-	if err != nil {
-		s.finish(j, nil, err)
-		return
-	}
-
-	s.met.AdaptEpochs.Add(int64(len(res.Epochs)))
-	s.met.AdaptCells.Add(int64(res.CellsRefined))
-	var rebuildNS int64
-	for _, ep := range res.Epochs {
-		rebuildNS += ep.RebuildNS
-	}
-	s.met.AdaptRebuildNS.Add(rebuildNS)
-	j.mu.Lock()
-	j.adaptEpochs = res.Epochs
-	j.mu.Unlock()
-
-	sr := adaptSolverResult(res)
-	if res.Cancelled {
-		cause := context.Cause(ctx)
-		if errors.Is(cause, errDrainStop) {
-			s.adaptDrainCheckpoint(j, res, sr)
-			return
-		}
-		s.finish(j, sr, cause)
-		return
-	}
-	if i, v, diverged := divergedAt(res.History); diverged {
-		s.finish(j, sr, fmt.Errorf("diverged: residual %g at cycle %d", v, i))
-		return
-	}
-	if sc := j.Spec.scenario(); sc != nil {
-		// Diagnose against the final adapted mesh — the solution lives on
-		// it, not on the spec's starting mesh.
-		d := sc.Diagnose(res.Mesh, res.Solution, res.FinalNorm)
-		j.mu.Lock()
-		j.diag = &d
-		j.mu.Unlock()
-	}
-	s.finish(j, sr, nil)
+	return executor{
+		exec: func(ctx context.Context) (ran, error) {
+			opts.Context = ctx
+			res, err := adapt.Run(opts)
+			if err != nil {
+				return ran{}, err
+			}
+			s.met.AdaptEpochs.Add(int64(len(res.Epochs)))
+			s.met.AdaptCells.Add(int64(res.CellsRefined))
+			var rebuildNS int64
+			for _, ep := range res.Epochs {
+				rebuildNS += ep.RebuildNS
+			}
+			s.met.AdaptRebuildNS.Add(rebuildNS)
+			j.mu.Lock()
+			j.adaptEpochs = res.Epochs
+			j.mu.Unlock()
+			return ran{res: adaptSolverResult(res), mesh: res.Mesh, snap: adaptSnapshot(j, res.Snap)}, nil
+		},
+	}, nil
 }
 
 // adaptSolverResult shapes an adaptive result into the solver.Result the
-// shared finish path records (steps map onto cycles).
+// shared run path classifies and settles (steps map onto cycles).
 func adaptSolverResult(res *adapt.Result) *solver.Result {
 	sr := &solver.Result{
 		Cycles:       res.Steps,
@@ -206,65 +130,29 @@ func adaptSolverResult(res *adapt.Result) *solver.Result {
 	return sr
 }
 
-// saveAdaptSnapshot persists an adaptive job's resume point: the solution
-// as a CRC-trailered checkpoint, the current (adapted) mesh, and a sidecar
-// carrying the adaptation counters. All three are needed — the solution is
-// meaningless without the mesh it lives on.
-func (s *Scheduler) saveAdaptSnapshot(j *Job, snap *adapt.Snapshot) error {
-	ck := &meshio.Checkpoint{
-		Cycle:    snap.Step,
-		Mach:     j.Spec.Mach,
-		AlphaDeg: j.Spec.AlphaDeg,
-		CFL:      j.Spec.Params().CFL,
-		History:  snap.History,
-		Sol:      snap.W,
+// adaptSnapshot shapes the driver's resume point for persist: the
+// solution as a checkpoint, the current (adapted) mesh, and the
+// adaptation counters. A nil driver snapshot stays nil.
+func adaptSnapshot(j *Job, snap *adapt.Snapshot) *snapshot {
+	if snap == nil {
+		return nil
 	}
-	if err := meshio.SaveCheckpoint(s.ckptPath(j.ID), ck); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := meshio.SaveMesh(s.ameshPath(j.ID), snap.Mesh); err != nil {
-		return fmt.Errorf("adapted mesh: %w", err)
-	}
-	return s.writeSidecar(sidecar{
-		ID: j.ID, Spec: j.Spec,
-		Checkpoint: j.ID + ".ckpt",
-		AdaptMesh:  j.ID + ".amesh",
-		Adapt: &adaptSidecar{
+	return &snapshot{
+		ck: &meshio.Checkpoint{
+			Cycle:    snap.Step,
+			Mach:     j.Spec.Mach,
+			AlphaDeg: j.Spec.AlphaDeg,
+			CFL:      j.Spec.Params().CFL,
+			History:  snap.History,
+			Sol:      snap.W,
+		},
+		mesh: snap.Mesh,
+		adapt: &adaptSidecar{
 			EpochsDone:   snap.EpochsDone,
 			Dt:           snap.Dt,
 			StepsLeft:    snap.StepsLeft,
 			SinceEpoch:   snap.SinceEpoch,
 			CellsRefined: snap.CellsRefined,
 		},
-	})
-}
-
-// adaptDrainCheckpoint is drainCheckpoint for adaptive jobs: persist the
-// driver's snapshot (mesh included) so a restarted server resumes the run
-// on the adapted mesh. The resume is bitwise-exact for the sequential
-// engine. A resumed pooled engine re-colors the adapted mesh from scratch,
-// whereas the uninterrupted run's coloring descends from the original mesh
-// via ExtendGreedy — a different edge order inside parallel chunks, so the
-// continuation can differ from the uninterrupted run in the last ulps
-// (it is still a valid solve of the same discrete system).
-func (s *Scheduler) adaptDrainCheckpoint(j *Job, res *adapt.Result, sr *solver.Result) {
-	s.retireFlight(j)
-	if s.cfg.StateDir == "" || res.Snap == nil {
-		s.finish(j, sr, errDrainStop)
-		return
 	}
-	if err := s.saveAdaptSnapshot(j, res.Snap); err != nil {
-		s.finish(j, sr, fmt.Errorf("adapt drain: %w", err))
-		return
-	}
-	j.mu.Lock()
-	j.state = StateDrained
-	j.result = sr
-	j.mu.Unlock()
-	s.met.Drained.Add(1)
-	if s.trc != nil {
-		s.trc.jobTrack(j.ID).Instant(s.trc.phDrain, time.Now(), int64(res.Steps))
-	}
-	s.cfg.Log.Printf("job %s: drained at step %d on a %d-cell adapted mesh",
-		j.ID, res.Steps, res.Snap.Mesh.NT())
 }

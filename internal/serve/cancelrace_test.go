@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"eul3d/internal/trace"
 )
 
 // Cancellation-race coverage: the scheduler's cancellation paths are
@@ -150,5 +152,49 @@ func TestSchedulerDoubleDrain(t *testing.T) {
 	}
 	if n := s.Metrics().Drained.Load(); n != 2 {
 		t.Errorf("drained counter %d, want 2", n)
+	}
+}
+
+// TestSchedulerStopKeepsTheBooks: Stop settles the jobs it finds still
+// queued through the same terminal transition as every other cancel, so
+// each one is counted in Cancelled and leaves its job-done instant on the
+// flight recorder.
+func TestSchedulerStopKeepsTheBooks(t *testing.T) {
+	tr := trace.New(256)
+	s := NewScheduler(Config{QueueCap: 8, Runners: 1, WorkerBudget: 4, Trace: tr})
+	blocker := submitOne(t, s, chanSpec(6, 3, 2, 1, KindSingle, 0, 200000))
+	waitState(t, blocker, StateRunning)
+	queued := make([]*Job, 3)
+	for i := range queued {
+		queued[i] = submitOne(t, s, chanSpec(4, 2, 2, int64(10+i), KindSingle, 0, 50))
+	}
+	if got := s.Metrics().Cancelled.Load(); got != 0 {
+		t.Fatalf("cancelled %d before Stop, want 0", got)
+	}
+	s.Stop()
+
+	// Three queued jobs plus the blocker a runner held.
+	if got := s.Metrics().Cancelled.Load(); got != 4 {
+		t.Errorf("Stop raised Cancelled to %d, want 4 (3 queued + the running blocker)", got)
+	}
+	for _, j := range append(queued, blocker) {
+		waitDone(t, j)
+		if st := j.State(); st != StateCancelled {
+			t.Errorf("job %s state %s after Stop, want cancelled", j.ID, st)
+		}
+		done := 0
+		for _, tk := range tr.Tracks() {
+			if tk.Name() != "job "+j.ID {
+				continue
+			}
+			for _, ev := range tk.Events() {
+				if tr.PhaseName(ev.Phase) == "job-done" {
+					done++
+				}
+			}
+		}
+		if done != 1 {
+			t.Errorf("job %s has %d job-done instants on its track, want 1", j.ID, done)
+		}
 	}
 }

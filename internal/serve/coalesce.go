@@ -1,179 +1,52 @@
 package serve
 
-import (
-	"context"
-	"errors"
-	"sync"
-	"time"
-)
+import "context"
 
 // Request coalescing: concurrent submissions whose SpecHash matches a
 // live job attach to it as waiters instead of running (or even queueing)
 // their own copy. The solver is bitwise deterministic, so every party
 // receives the single run's result unchanged.
 //
-// A flight is the unit of sharing. Its leader is the job actually
-// queued and dispatched; every attached waiter is a full Job in the
-// registry (pollable, cancellable, with its own deadline) whose watcher
-// goroutine mirrors the leader's terminal snapshot when the run lands.
-// Cancellation is party-counted: one party leaving — a waiter cancel, a
-// waiter deadline, or the leader's own client — detaches only that
-// party; the underlying run is cancelled when the last party leaves.
-// The flight deregisters (in finish, before the leader's done channel
-// closes) the moment the run reaches a terminal state, so late
-// identical submissions start a fresh run instead of attaching to a
-// finished one.
-type flight struct {
-	key    string
-	leader *Job
+// The unit of sharing is a flight (internal/flight), which owns the
+// party counting: one party leaving — a waiter cancel, a waiter
+// deadline, or the leader's own client — detaches only that party, the
+// run is cancelled when the last party leaves, and the flight
+// deregisters before the leader's done channel closes, so late identical
+// submissions start a fresh run instead of attaching to a finished one.
+// The leader is the job actually queued and dispatched. What this file
+// adds is what a waiter is here: a full Job in the registry (pollable,
+// cancellable, with its own deadline) whose watcher goroutine settles it
+// with the leader's terminal data when the run lands.
 
-	mu         sync.Mutex
-	parties    int // leader + attached waiters still interested
-	leaderLeft bool
-}
-
-// attachable reports whether a new waiter may still join. Callers hold
-// s.mu, which orders this against finish's retireFlight; a flight still
-// registered can only be doomed if its cancellation already fired.
-func (f *flight) attachable() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.parties <= 0 {
-		return false
-	}
-	return context.Cause(f.leader.ctx) == nil
-}
-
-// leave drops one party; the last one out cancels the run.
-func (f *flight) leave() {
-	f.mu.Lock()
-	f.parties--
-	last := f.parties <= 0
-	f.mu.Unlock()
-	if last {
-		f.leader.cancel(errClientStop)
-	}
-}
-
-// leaderCancel handles a client cancel aimed at the leader job: the
-// leader's party leaves (idempotently), but the run itself survives
-// while waiters remain attached.
-func (f *flight) leaderCancel() {
-	f.mu.Lock()
-	if f.leaderLeft {
-		f.mu.Unlock()
-		return
-	}
-	f.leaderLeft = true
-	f.mu.Unlock()
-	f.leave()
-}
-
-// attachLocked registers j as a waiter on f. Caller holds s.mu.
-func (s *Scheduler) attachLocked(f *flight, j *Job) {
-	now := time.Now()
+// attachLocked registers j, which joined a live flight, as a waiter on
+// it. Caller holds s.mu.
+func (s *Scheduler) attachLocked(j *Job) {
+	leader := j.party.Leader()
 	j.state = StateCoalesced
-	j.coalescedWith = f.leader.ID
-	j.enqueued = now
-	if j.Spec.DeadlineMS > 0 {
-		j.deadline = now.Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
-	}
-	j.done = make(chan struct{})
-	j.ctx, j.cancel = context.WithCancelCause(context.Background())
+	j.coalescedWith = leader
 	s.jobs[j.ID] = j
-	f.mu.Lock()
-	f.parties++
-	parties := f.parties
-	f.mu.Unlock()
 	s.met.Submitted.Add(1)
 	s.met.CoalesceAttach.Add(1)
-	if s.trc != nil {
-		// The attach instant lands on both tracks: the waiter's (what it
-		// attached to) and the leader's (its audience growing).
-		s.trc.jobTrack(j.ID).Instant(s.trc.phAttach, now, int64(parties))
-		s.trc.jobTrack(f.leader.ID).Instant(s.trc.phAttach, now, int64(parties))
-	}
+	// The attach instant lands on both tracks: the waiter's (what it
+	// attached to) and the leader's (its audience growing).
+	parties := int64(len(j.party.Live()))
+	s.trc.jobTrack(j.ID).Instant(s.trc.phAttach, j.enqueued, parties)
+	s.trc.jobTrack(leader).Instant(s.trc.phAttach, j.enqueued, parties)
 	s.wg.Add(1)
-	go s.waitFanout(f, j)
+	go s.await(j)
 }
 
-// waitFanout is a waiter's watcher: mirror the leader's terminal state
-// on completion, or detach on the waiter's own cancel/deadline.
-func (s *Scheduler) waitFanout(f *flight, j *Job) {
+// await is a waiter's watcher: mirror the leader's terminal data when the
+// flight lands, or detach on the waiter's own cancel or deadline.
+func (s *Scheduler) await(j *Job) {
 	defer s.wg.Done()
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		dctx, dcancel := context.WithDeadline(ctx, j.deadline)
-		defer dcancel()
-		ctx = dctx
-	}
+	ctx, stop := j.bounded()
+	defer stop()
 	select {
-	case <-f.leader.done:
-		s.fanout(f, j)
+	case <-j.party.Done():
+		t := j.party.Value()
+		s.settle(j, ending{mirror: &t})
 	case <-ctx.Done():
-		cause := context.Cause(ctx)
-		var cycles int64
-		j.mu.Lock()
-		if errors.Is(cause, context.DeadlineExceeded) {
-			j.state = StateExpired
-			j.errMsg = "deadline exceeded"
-			s.met.Expired.Add(1)
-		} else {
-			j.state = StateCancelled
-			s.met.Cancelled.Add(1)
-		}
-		cycles = int64(len(j.history))
-		j.mu.Unlock()
-		if s.trc != nil {
-			s.trc.jobTrack(j.ID).Instant(s.trc.phDone, time.Now(), cycles)
-		}
-		close(j.done)
-		f.leave()
-		s.cfg.Log.Printf("job %s: detached from %s (%s)", j.ID, f.leader.ID, j.State())
+		s.settle(j, ending{cause: context.Cause(ctx)})
 	}
-}
-
-// fanout copies the leader's terminal snapshot onto a waiter and closes
-// it. By the time leader.done closes, finish has recorded the terminal
-// state, so the copy is complete and — like the run itself — bitwise
-// identical for every waiter.
-func (s *Scheduler) fanout(f *flight, j *Job) {
-	l := f.leader
-	l.mu.Lock()
-	state := l.state
-	hist := append([]float64(nil), l.history...)
-	res, errMsg, diag := l.result, l.errMsg, l.diag
-	key, keySet := l.key, l.keySet
-	resultHash := l.resultHash
-	adaptEpochs := l.adaptEpochs
-	l.mu.Unlock()
-	j.mu.Lock()
-	j.state = state
-	j.history = hist
-	j.result = res
-	j.errMsg = errMsg
-	j.diag = diag
-	j.key, j.keySet = key, keySet
-	j.resultHash = resultHash
-	j.adaptEpochs = adaptEpochs
-	j.mu.Unlock()
-	s.met.CoalesceFanout.Add(1)
-	if s.trc != nil {
-		s.trc.jobTrack(j.ID).Instant(s.trc.phFanout, time.Now(), int64(len(hist)))
-	}
-	close(j.done)
-}
-
-// retireFlight deregisters a leader's flight so no further waiters can
-// attach. Idempotent; a no-op for flightless jobs.
-func (s *Scheduler) retireFlight(j *Job) {
-	f := j.flight
-	if f == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.flights[f.key] == f {
-		delete(s.flights, f.key)
-	}
-	s.mu.Unlock()
 }

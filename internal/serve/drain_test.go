@@ -143,3 +143,81 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 	jr, _ := s2.Job(running.ID)
 	waitDone(t, jr)
 }
+
+// A waiter coalesced onto a leader that is drained is not lost: the
+// leader's sidecar records it, Recover re-attaches it to the resumed run,
+// and it ends completed with the leader's result — its history bitwise
+// equal to an uninterrupted run of the same spec.
+func TestDrainedWaiterResumes(t *testing.T) {
+	dir := t.TempDir()
+	spec := chanSpec(6, 3, 2, 1, KindSM, 2, 600)
+
+	ref := NewScheduler(Config{Runners: 1, WorkerBudget: 4})
+	jr := submitOne(t, ref, spec)
+	waitDone(t, jr)
+	refHist := jr.View().History
+	ref.Stop()
+
+	s1 := NewScheduler(Config{Runners: 1, WorkerBudget: 4, StateDir: dir})
+	leader := submitOne(t, s1, spec)
+	waitCycles(t, leader, 5)
+	waiter := submitOne(t, s1, spec)
+	if v := waiter.View(); v.State != StateCoalesced || v.CoalescedWith != leader.ID {
+		t.Fatalf("waiter state %s coalesced with %q, want coalesced with %s", v.State, v.CoalescedWith, leader.ID)
+	}
+	s1.Drain()
+	for _, j := range []*Job{leader, waiter} {
+		waitDone(t, j)
+		if st := j.State(); st != StateDrained {
+			t.Fatalf("job %s state %s after drain, want drained", j.ID, st)
+		}
+	}
+	if cut := leader.View().Cycles; cut < 5 || cut >= 600 {
+		t.Fatalf("drained after %d cycles, want mid-flight", cut)
+	}
+
+	s2 := NewScheduler(Config{Runners: 1, WorkerBudget: 4, StateDir: dir})
+	defer s2.Stop()
+	n, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("recovered %d jobs, want 2 (leader + its waiter)", n)
+	}
+	l2, err := s2.Job(leader.ID)
+	if err != nil {
+		t.Fatalf("resumed leader lost its ID: %v", err)
+	}
+	w2, err := s2.Job(waiter.ID)
+	if err != nil {
+		t.Fatalf("drained waiter not resolvable after restart: %v", err)
+	}
+	waitDone(t, l2)
+	waitDone(t, w2)
+	lv, wv := l2.View(), w2.View()
+	if lv.State != StateCompleted || wv.State != StateCompleted {
+		t.Fatalf("leader ended %s (%q), waiter %s (%q); want both completed", lv.State, lv.Error, wv.State, wv.Error)
+	}
+	if wv.ResultHash == "" || wv.ResultHash != lv.ResultHash {
+		t.Errorf("waiter result hash %q, want the leader's %q", wv.ResultHash, lv.ResultHash)
+	}
+	if wv.CoalescedWith != leader.ID {
+		t.Errorf("waiter coalesced with %q after restart, want %s", wv.CoalescedWith, leader.ID)
+	}
+	if len(wv.History) != len(refHist) {
+		t.Fatalf("waiter history %d cycles, reference %d", len(wv.History), len(refHist))
+	}
+	for i := range refHist {
+		if wv.History[i] != refHist[i] {
+			t.Fatalf("cycle %d: waiter %g, reference %g (resume not bitwise)", i, wv.History[i], refHist[i])
+		}
+	}
+	if got := s2.Metrics().Completed.Load(); got != 1 {
+		t.Errorf("completed %d engine runs after restart, want 1 (the waiter shares the leader's)", got)
+	}
+	// Both records are gone once the run lands: a further restart is clean.
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("%d state files left after completion, want 0", len(ents))
+	}
+}

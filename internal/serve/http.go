@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 
 	"eul3d/internal/meshio"
 	"eul3d/internal/perf"
-	"eul3d/internal/store"
 )
 
 // API is the HTTP facade over a Scheduler:
@@ -49,32 +47,22 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", a.handleGetJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", a.handleCancelJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", a.handleJobCheckpoint)
-	mux.HandleFunc("PUT /v1/artifacts", a.handleArtifactPut)
-	mux.HandleFunc("GET /v1/artifacts/{hash}", a.handleArtifactGet)
+	ArtifactRoutes(mux, a.s.Store(), nil, nil)
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
 	mux.HandleFunc("GET /readyz", a.handleReadyz)
 	mux.HandleFunc("GET /metrics", a.handleMetrics)
-	mux.HandleFunc("GET /debug/trace", a.handleTrace)
+	mux.HandleFunc("GET /debug/trace", TraceHandler(a.s.Tracer(), a.s.cfg.Log))
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// solveRequest is a JobSpec plus the synchronous-wait flag and the cluster
-// handoff fields: ID pins the job's identity across nodes and the run
-// warm-starts from either Resume (an inline base64 meshio checkpoint) or
-// ResumeHash (a reference to checkpoint bytes already in this node's
-// artifact store — the coordinator pushes the blob once, then hands off
-// by hash).
-type solveRequest struct {
+// SolveRequest is the body of POST /v1/solve — what a client sends and
+// what a coordinator dispatches: a JobSpec plus the synchronous-wait flag
+// and the cluster handoff fields. ID pins the job's identity across nodes
+// and the run warm-starts from either Resume (an inline base64 meshio
+// checkpoint) or ResumeHash (a reference to checkpoint bytes already in
+// this node's artifact store — the coordinator pushes the blob once, then
+// hands off by hash).
+type SolveRequest struct {
 	JobSpec
 	Wait       bool   `json:"wait,omitempty"`
 	ID         string `json:"id,omitempty"`
@@ -83,22 +71,16 @@ type solveRequest struct {
 }
 
 func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	var req SolveRequest
+	if !DecodeBody(w, r, 16<<20, &req) {
 		return
-	}
-	if r.URL.Query().Get("wait") == "1" {
-		req.Wait = true
 	}
 	var ck *meshio.Checkpoint
 	switch {
 	case req.Resume != "":
 		raw, err := base64.StdEncoding.DecodeString(req.Resume)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding resume checkpoint: %w", err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding resume checkpoint: %w", err))
 			return
 		}
 		// ReadCheckpoint verifies the CRC trailer, so a truncated or
@@ -106,7 +88,7 @@ func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// solver from garbage.
 		ck, err = meshio.ReadCheckpoint(bytes.NewReader(raw))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint: %w", err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint: %w", err))
 			return
 		}
 	case req.ResumeHash != "":
@@ -114,12 +96,12 @@ func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// The referenced blob must be pushed before the handoff; 412
 			// tells the coordinator to fall back to inline bytes.
-			writeErr(w, http.StatusPreconditionFailed, fmt.Errorf("resume checkpoint artifact: %w", err))
+			WriteErr(w, http.StatusPreconditionFailed, fmt.Errorf("resume checkpoint artifact: %w", err))
 			return
 		}
 		ck, err = meshio.DecodeCheckpoint(raw)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint artifact: %w", err))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint artifact: %w", err))
 			return
 		}
 	}
@@ -133,36 +115,26 @@ func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(a.s.RetryAfterHint()))
-		writeErr(w, http.StatusTooManyRequests, err)
+		WriteErr(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", strconv.Itoa(a.s.RetryAfterHint()))
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrNoArtifact):
-		writeErr(w, http.StatusPreconditionFailed, err)
+		WriteErr(w, http.StatusPreconditionFailed, err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, j.View())
-		return
-	}
-	select {
-	case <-j.Done():
-		writeJSON(w, http.StatusOK, j.View())
-	case <-r.Context().Done():
-		// The client went away; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.View())
-	}
+	AnswerSubmit(w, r, req.Wait, j.Done(), j.View)
 }
 
 func (a *API) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, err := a.s.Job(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	v := j.View()
@@ -177,7 +149,7 @@ func (a *API) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // etagMatch implements the If-None-Match comparison: a wildcard or any
@@ -199,10 +171,10 @@ func etagMatch(header, etag string) bool {
 func (a *API) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j, err := a.s.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View())
+	WriteJSON(w, http.StatusOK, j.View())
 }
 
 // handleHealthz is the liveness probe: 200 for as long as the process can
@@ -212,7 +184,7 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if a.s.Draining() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  status,
 		"queued":  a.s.QueueDepth(),
 		"running": a.s.Running(),
@@ -249,7 +221,7 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if code != http.StatusOK {
 		w.Header().Set("Retry-After", strconv.Itoa(a.s.RetryAfterHint()))
 	}
-	writeJSON(w, code, v)
+	WriteJSON(w, code, v)
 }
 
 // handleJobCheckpoint streams the job's latest periodic checkpoint in the
@@ -260,17 +232,17 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (a *API) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := a.s.Job(id); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	path := a.s.CheckpointFile(id)
 	if path == "" {
-		writeErr(w, http.StatusNotFound, errors.New("serve: no checkpoint yet"))
+		WriteErr(w, http.StatusNotFound, errors.New("serve: no checkpoint yet"))
 		return
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	defer f.Close()
@@ -278,144 +250,62 @@ func (a *API) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, f)
 }
 
-// handleArtifactPut uploads bytes into the content-addressed store and
-// returns their hash. Idempotent by construction: re-uploading the same
-// bytes lands on the same key.
-func (a *API) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, store.MaxBlobSize))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading artifact: %w", err))
-		return
-	}
-	hash, err := a.s.Store().Put(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"hash": hash, "bytes": len(data)})
-}
-
-// handleArtifactGet serves artifact bytes (GET) or probes existence
-// (HEAD — Go's mux routes HEAD through GET patterns).
-func (a *API) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	st := a.s.Store()
-	if r.Method == http.MethodHead {
-		n, err := st.Size(hash)
-		if err != nil {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	data, err := st.Get(hash)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("ETag", `"`+hash+`"`)
-	w.Write(data)
-}
-
 // handleMetrics renders the service metrics in the Prometheus text
-// exposition format (hand-rolled: no client library in the module).
+// exposition format: live gauges read from their owners, the counter
+// table declared beside Metrics, the artifact store's counters, the
+// job-latency histograms, and per-engine and per-phase computational rates.
 func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	m := a.s.Metrics()
-	gov := a.s.Governor()
+	var e Exposition
+	m, gov, art := a.s.Metrics(), a.s.Governor(), a.s.Store()
 
-	gauge := func(name string, v any, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name string, v int64, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("eul3dd_queue_depth", a.s.QueueDepth(), "jobs waiting for a runner")
-	gauge("eul3dd_jobs_running", a.s.Running(), "jobs currently solving")
-	counter("eul3dd_jobs_submitted_total", m.Submitted.Load(), "jobs admitted")
-	counter("eul3dd_jobs_rejected_total", m.Rejected.Load(), "jobs refused admission (queue full)")
-	counter("eul3dd_jobs_completed_total", m.Completed.Load(), "jobs run to completion")
-	counter("eul3dd_jobs_failed_total", m.Failed.Load(), "jobs failed (error or divergence)")
-	counter("eul3dd_jobs_cancelled_total", m.Cancelled.Load(), "jobs cancelled by clients")
-	counter("eul3dd_jobs_expired_total", m.Expired.Load(), "jobs past their deadline")
-	counter("eul3dd_jobs_drained_total", m.Drained.Load(), "jobs checkpointed by graceful drain")
-	counter("eul3dd_jobs_resumed_total", m.Resumed.Load(), "jobs resumed from drain checkpoints")
-	counter("eul3dd_coalesce_attach_total", m.CoalesceAttach.Load(), "submissions attached as waiters to an identical live job")
-	counter("eul3dd_coalesce_fanout_total", m.CoalesceFanout.Load(), "waiter copies of a shared result delivered")
-	counter("eul3dd_engine_cache_hits_total", m.CacheHits.Load(), "engine cache hits")
-	counter("eul3dd_engine_cache_misses_total", m.CacheMisses.Load(), "engine cache misses")
-	counter("eul3dd_engine_builds_total", m.Builds.Load(), "engine constructions performed")
-	counter("eul3dd_engine_evictions_total", m.Evictions.Load(), "engines closed by LRU eviction")
-	gauge("eul3dd_engine_cache_hit_rate", fmt.Sprintf("%.4f", m.HitRate()), "cache hit fraction")
-	gauge("eul3dd_engine_cache_size", a.s.Cache().Len(), "engines resident in the cache")
-	counter("eul3dd_adapt_epochs_total", m.AdaptEpochs.Load(), "adaptation epochs run across adaptive jobs")
-	counter("eul3dd_adapt_cells_refined_total", m.AdaptCells.Load(), "cells added by adaptive refinement")
-	counter("eul3dd_adapt_rebuild_ns_total", m.AdaptRebuildNS.Load(), "nanoseconds spent in incremental engine rebuilds")
-	art := a.s.Store()
+	e.Value("eul3dd_queue_depth", "jobs waiting for a runner", "gauge", a.s.QueueDepth())
+	e.Value("eul3dd_jobs_running", "jobs currently solving", "gauge", a.s.Running())
+	e.Counters(m.table())
+	e.Value("eul3dd_engine_cache_hit_rate", "cache hit fraction", "gauge", fmt.Sprintf("%.4f", m.HitRate()))
+	e.Value("eul3dd_engine_cache_size", "engines resident in the cache", "gauge", a.s.Cache().Len())
 	as := art.Stats()
-	counter("eul3dd_artifact_hits_total", as.Hits, "artifact store reads served")
-	counter("eul3dd_artifact_misses_total", as.Misses, "artifact store reads missed (absent or quarantined)")
-	counter("eul3dd_artifact_puts_total", as.Puts, "distinct artifacts stored")
-	counter("eul3dd_artifact_dup_puts_total", as.DupPuts, "uploads deduplicated against existing content")
-	counter("eul3dd_artifact_evictions_total", as.Evictions, "artifact eviction actions under byte budgets")
-	counter("eul3dd_artifact_quarantines_total", as.Quarantines, "corrupt blobs quarantined")
-	gauge("eul3dd_artifact_count", art.Len(), "artifacts tracked (memory or disk)")
-	gauge("eul3dd_artifact_mem_bytes", art.MemBytes(), "resident artifact payload bytes")
-	gauge("eul3dd_artifact_disk_bytes", art.DiskBytes(), "on-disk artifact blob bytes")
-	gauge("eul3dd_worker_budget", gov.Cap(), "total pooled-worker budget")
-	gauge("eul3dd_workers_in_use", gov.InUse(), "pooled workers held by running jobs")
-	gauge("eul3dd_workers_peak", gov.Peak(), "high-water mark of pooled workers in use")
+	e.Value("eul3dd_artifact_hits_total", "artifact store reads served", "counter", as.Hits)
+	e.Value("eul3dd_artifact_misses_total", "artifact store reads missed (absent or quarantined)", "counter", as.Misses)
+	e.Value("eul3dd_artifact_puts_total", "distinct artifacts stored", "counter", as.Puts)
+	e.Value("eul3dd_artifact_dup_puts_total", "uploads deduplicated against existing content", "counter", as.DupPuts)
+	e.Value("eul3dd_artifact_evictions_total", "artifact eviction actions under byte budgets", "counter", as.Evictions)
+	e.Value("eul3dd_artifact_quarantines_total", "corrupt blobs quarantined", "counter", as.Quarantines)
+	e.Value("eul3dd_artifact_count", "artifacts tracked (memory or disk)", "gauge", art.Len())
+	e.Value("eul3dd_artifact_mem_bytes", "resident artifact payload bytes", "gauge", art.MemBytes())
+	e.Value("eul3dd_artifact_disk_bytes", "on-disk artifact blob bytes", "gauge", art.DiskBytes())
+	e.Value("eul3dd_worker_budget", "total pooled-worker budget", "gauge", gov.Cap())
+	e.Value("eul3dd_workers_in_use", "pooled workers held by running jobs", "gauge", gov.InUse())
+	e.Value("eul3dd_workers_peak", "high-water mark of pooled workers in use", "gauge", gov.Peak())
 
 	// Job-latency histograms: time spent queued and time spent solving.
-	m.QueueWait.WriteProm(&b, "eul3dd_job_queue_wait_seconds", "time from admission to dispatch")
-	m.RunTime.WriteProm(&b, "eul3dd_job_run_seconds", "solver run time per job")
+	m.QueueWait.WriteProm(&e, "eul3dd_job_queue_wait_seconds", "time from admission to dispatch")
+	m.RunTime.WriteProm(&e, "eul3dd_job_run_seconds", "solver run time per job")
 
-	// Per-engine computational rates from the accumulated perf.Stats.
-	fmt.Fprintf(&b, "# HELP eul3dd_engine_mflops analytic Mflops per cached engine\n# TYPE eul3dd_engine_mflops gauge\n")
+	// Per-engine computational rates from the accumulated perf.Stats; each
+	// engine's seconds follow without a family header of their own.
 	stats := a.s.Cache().EngineStats()
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	all := make([]perf.Stats, 0, len(keys))
-	for _, k := range keys {
-		total := stats[k].Total()
-		fmt.Fprintf(&b, "eul3dd_engine_mflops{engine=%q} %.1f\n", k, total.Mflops())
-		fmt.Fprintf(&b, "eul3dd_engine_seconds{engine=%q} %.4f\n", k, total.Seconds)
-		all = append(all, stats[k])
+	all := make([]perf.Stats, len(keys))
+	e.Series("eul3dd_engine_mflops", "analytic Mflops per cached engine", "engine", len(keys), func(i int) (string, any) {
+		all[i] = stats[keys[i]]
+		return keys[i], fmt.Sprintf("%.1f", all[i].Total().Mflops())
+	})
+	for i, k := range keys {
+		fmt.Fprintf(&e, "eul3dd_engine_seconds{engine=%q} %.4f\n", k, all[i].Total().Seconds)
 	}
 
 	// Fleet-wide per-phase breakdown: every cached engine's snapshot merged
 	// phase-by-name, the service-level analogue of the paper's timing table.
-	merged := perf.Merge(all...)
-	fmt.Fprintf(&b, "# HELP eul3dd_solver_phase_seconds accumulated wall-clock per solver phase across cached engines\n# TYPE eul3dd_solver_phase_seconds gauge\n")
-	for _, p := range merged.Phases {
-		fmt.Fprintf(&b, "eul3dd_solver_phase_seconds{phase=%q} %.4f\n", p.Name, p.Seconds)
-	}
-	fmt.Fprintf(&b, "# HELP eul3dd_solver_phase_mflops analytic Mflops per solver phase across cached engines\n# TYPE eul3dd_solver_phase_mflops gauge\n")
-	for _, p := range merged.Phases {
-		fmt.Fprintf(&b, "eul3dd_solver_phase_mflops{phase=%q} %.1f\n", p.Name, p.Mflops())
-	}
-	w.Write([]byte(b.String()))
-}
-
-// handleTrace streams the flight recorder as Chrome trace-event JSON,
-// loadable directly in Perfetto or chrome://tracing. 404 when the server
-// was started without tracing.
-func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := a.s.Tracer()
-	if tr == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: tracing disabled (start with -trace)"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := tr.WriteChrome(w); err != nil {
-		a.s.cfg.Log.Printf("trace export: %v", err)
-	}
+	phases := perf.Merge(all...).Phases
+	e.Series("eul3dd_solver_phase_seconds", "accumulated wall-clock per solver phase across cached engines", "phase", len(phases), func(i int) (string, any) {
+		return phases[i].Name, fmt.Sprintf("%.4f", phases[i].Seconds)
+	})
+	e.Series("eul3dd_solver_phase_mflops", "analytic Mflops per solver phase across cached engines", "phase", len(phases), func(i int) (string, any) {
+		return phases[i].Name, fmt.Sprintf("%.1f", phases[i].Mflops())
+	})
+	e.Serve(w)
 }

@@ -47,3 +47,27 @@ func (m *Metrics) HitRate() float64 {
 	}
 	return float64(h) / float64(h+s)
 }
+
+// table declares the /metrics rows of the counters above, in the order
+// they are rendered.
+func (m *Metrics) table() []Metric {
+	return []Metric{
+		{"eul3dd_jobs_submitted_total", "jobs admitted", &m.Submitted},
+		{"eul3dd_jobs_rejected_total", "jobs refused admission (queue full)", &m.Rejected},
+		{"eul3dd_jobs_completed_total", "jobs run to completion", &m.Completed},
+		{"eul3dd_jobs_failed_total", "jobs failed (error or divergence)", &m.Failed},
+		{"eul3dd_jobs_cancelled_total", "jobs cancelled by clients", &m.Cancelled},
+		{"eul3dd_jobs_expired_total", "jobs past their deadline", &m.Expired},
+		{"eul3dd_jobs_drained_total", "jobs checkpointed by graceful drain", &m.Drained},
+		{"eul3dd_jobs_resumed_total", "jobs resumed from drain checkpoints", &m.Resumed},
+		{"eul3dd_coalesce_attach_total", "submissions attached as waiters to an identical live job", &m.CoalesceAttach},
+		{"eul3dd_coalesce_fanout_total", "waiter copies of a shared result delivered", &m.CoalesceFanout},
+		{"eul3dd_engine_cache_hits_total", "engine cache hits", &m.CacheHits},
+		{"eul3dd_engine_cache_misses_total", "engine cache misses", &m.CacheMisses},
+		{"eul3dd_engine_builds_total", "engine constructions performed", &m.Builds},
+		{"eul3dd_engine_evictions_total", "engines closed by LRU eviction", &m.Evictions},
+		{"eul3dd_adapt_epochs_total", "adaptation epochs run across adaptive jobs", &m.AdaptEpochs},
+		{"eul3dd_adapt_cells_refined_total", "cells added by adaptive refinement", &m.AdaptCells},
+		{"eul3dd_adapt_rebuild_ns_total", "nanoseconds spent in incremental engine rebuilds", &m.AdaptRebuildNS},
+	}
+}

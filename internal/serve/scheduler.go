@@ -5,22 +5,16 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
-	"path/filepath"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"eul3d/internal/adapt"
-	"eul3d/internal/euler"
+	"eul3d/internal/flight"
 	"eul3d/internal/meshio"
 	"eul3d/internal/scenario"
 	"eul3d/internal/solver"
@@ -52,19 +46,28 @@ const (
 	StateCoalesced JobState = "coalesced" // attached as a waiter to an identical in-flight job
 )
 
+// terminal is a job's outcome: live while the job runs, final once its
+// done channel closes, and exactly what a coalesced waiter copies from
+// its leader when the shared flight lands.
+type terminal struct {
+	state       JobState
+	errMsg      string
+	history     []float64
+	result      *solver.Result
+	resultHash  string                // store key of the encoded result solution
+	diag        *scenario.Diagnostics // scenario jobs: post-run diagnostics
+	adaptEpochs []adapt.EpochStat     // adaptive jobs: per-epoch record after the run
+	key         EngineKey
+	keySet      bool
+}
+
 // Job is one tracked solve request.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
 	mu       sync.Mutex
-	state    JobState
-	history  []float64
-	errMsg   string
-	result   *solver.Result
-	diag     *scenario.Diagnostics // scenario jobs: post-run diagnostics
-	key      EngineKey
-	keySet   bool
+	terminal      // guarded by mu
 	built    bool // this job performed the engine construction (cache miss)
 	enqueued time.Time
 	deadline time.Time // zero when the job has no deadline
@@ -73,15 +76,10 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	ctx    context.Context
 	done   chan struct{} // closed when the job leaves the queue/runner for good
-	resume *meshio.Checkpoint
+	resume *snapshot     // where the run picks up (nil: from the spec's initial state)
 
-	adaptResume *adapt.Snapshot   // adaptive jobs: mesh-carrying resume point
-	adaptEpochs []adapt.EpochStat // adaptive jobs: per-epoch record after the run
-
-	resultHash    string  // store key of the encoded result solution
-	flight        *flight // non-nil on a coalescing leader
-	coalescedWith string  // waiters: the leader's job ID
-	noCoalesce    bool    // handoff/recovered jobs keep their own run
+	party         *flight.Party[terminal] // the job's stake in its (possibly shared) run
+	coalescedWith string                  // waiters: the leader's job ID
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -238,13 +236,13 @@ type Scheduler struct {
 	cache *Cache
 	gov   *Governor
 	met   *Metrics
-	trc   *schedTrace // nil when Config.Trace is nil
+	trc   schedTrace
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    jobQueue
 	jobs     map[string]*Job
-	flights  map[string]*flight // SpecHash -> in-flight coalescable job
+	flights  flight.Group[terminal] // keyed by SpecHash, or by job ID for runs that must not be shared
 	seq      int64
 	draining bool
 	stopped  bool
@@ -258,13 +256,12 @@ func NewScheduler(cfg Config) *Scheduler {
 	cfg.fill()
 	met := &Metrics{}
 	s := &Scheduler{
-		cfg:     cfg,
-		met:     met,
-		trc:     newSchedTrace(cfg.Trace),
-		cache:   NewCache(cfg.CacheCap, met),
-		gov:     NewGovernor(cfg.WorkerBudget),
-		jobs:    make(map[string]*Job),
-		flights: make(map[string]*flight),
+		cfg:   cfg,
+		met:   met,
+		trc:   newSchedTrace(cfg.Trace),
+		cache: NewCache(cfg.CacheCap, met),
+		gov:   NewGovernor(cfg.WorkerBudget),
+		jobs:  make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Runners; i++ {
@@ -355,19 +352,21 @@ func (s *Scheduler) CheckpointFile(id string) string {
 	if s.cfg.StateDir == "" {
 		return ""
 	}
-	p := s.ckptPath(id)
+	p := s.statePath(id + ".ckpt")
 	if _, err := os.Stat(p); err != nil {
 		return ""
 	}
 	return p
 }
 
-func newJobID() string {
+// NewJobID draws a random job ID behind a one-letter tier prefix ("j" for
+// a node's own jobs, "c" for a coordinator's).
+func NewJobID(prefix string) string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err) // crypto/rand never fails on supported platforms
 	}
-	return "j" + hex.EncodeToString(b[:])
+	return prefix + hex.EncodeToString(b[:])
 }
 
 // Submit validates and admits a job. It returns ErrQueueFull when the
@@ -378,16 +377,7 @@ func newJobID() string {
 // of occupying queue or runner capacity; the returned Job then mirrors
 // the leader's result when it lands.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.pooledWorkers() > s.gov.Cap() {
-		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", spec.pooledWorkers(), s.gov.Cap())
-	}
-	if h := spec.Mesh.Hash; h != "" && !s.cfg.Store.Has(h) {
-		return nil, fmt.Errorf("%w: %s", ErrNoArtifact, h)
-	}
-	return s.admit(&Job{ID: newJobID(), Spec: spec})
+	return s.submit(&Job{ID: NewJobID("j"), Spec: spec}, true)
 }
 
 // SubmitResume admits a job under a caller-chosen ID, optionally
@@ -395,86 +385,93 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 // coordinator re-dispatches an interrupted job to this node under its
 // original ID, resuming from the last checkpoint it pulled off the dying
 // node. An empty id falls back to a generated one; a nil ck starts from
-// scratch.
+// scratch. Handoff jobs carry a pinned identity (and possibly mid-run
+// state); they neither attach to another run nor accept waiters.
 func (s *Scheduler) SubmitResume(id string, spec JobSpec, ck *meshio.Checkpoint) (*Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.pooledWorkers() > s.gov.Cap() {
-		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", spec.pooledWorkers(), s.gov.Cap())
-	}
 	if id == "" {
-		id = newJobID()
+		id = NewJobID("j")
 	}
-	if h := spec.Mesh.Hash; h != "" && !s.cfg.Store.Has(h) {
-		return nil, fmt.Errorf("%w: %s", ErrNoArtifact, h)
+	j := &Job{ID: id, Spec: spec}
+	if ck != nil {
+		j.resume = &snapshot{ck: ck}
 	}
-	// Handoff jobs carry a pinned identity (and possibly mid-run state);
-	// they neither attach to another run nor accept waiters.
-	return s.admit(&Job{ID: id, Spec: spec, resume: ck, noCoalesce: true})
+	return s.submit(j, false)
 }
 
-// admit enqueues a prepared job (fresh or recovered), or — when an
-// identical coalescable job is already in flight — attaches it as a
-// waiter on that flight instead.
-func (s *Scheduler) admit(j *Job) (*Job, error) {
-	ckey := ""
-	if !j.noCoalesce {
-		ckey = j.Spec.SpecHash()
+// submit is the one admission check in front of admit; share says
+// whether identical live submissions may coalesce with this one.
+func (s *Scheduler) submit(j *Job, share bool) (*Job, error) {
+	if err := j.Spec.Validate(); err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
-	if s.draining || s.stopped {
-		s.mu.Unlock()
-		return nil, ErrDraining
+	if nw := j.Spec.pooledWorkers(); nw > s.gov.Cap() {
+		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", nw, s.gov.Cap())
 	}
-	if ckey != "" {
-		if f := s.flights[ckey]; f != nil && f.attachable() {
-			// Attaching bypasses the queue bound on purpose: a thundering
-			// herd of identical requests costs one slot however large.
-			s.attachLocked(f, j)
-			s.mu.Unlock()
-			return j, nil
-		}
+	if h := j.Spec.Mesh.Hash; h != "" && !s.cfg.Store.Has(h) {
+		return nil, fmt.Errorf("%w: %s", ErrNoArtifact, h)
 	}
-	if len(s.queue) >= s.cfg.QueueCap {
-		s.mu.Unlock()
-		s.met.Rejected.Add(1)
-		return nil, ErrQueueFull
+	if share {
+		return s.admit(j, j.Spec.SpecHash())
 	}
-	if old, dup := s.jobs[j.ID]; dup {
-		// A finished (or drained) record under the same ID is superseded:
-		// a coordinator re-dispatching a job it previously drained off this
-		// node must be able to reuse the job's pinned identity. Only a live
-		// duplicate — still queued or running — is a real conflict.
-		select {
-		case <-old.Done():
-			s.removeStateFiles(old.ID)
-			delete(s.jobs, old.ID)
-		default:
-			s.mu.Unlock()
-			return nil, fmt.Errorf("serve: job id %q already in use", j.ID)
-		}
-	}
-	j.state = StateQueued
+	return s.admit(j, ownFlight(j.ID))
+}
+
+// ownFlight is the flight key of a run only the named job may found: no
+// SpecHash (bare hex) can collide with it, so nothing coalesces onto it
+// by accident — Recover re-attaches a drained leader's waiters by it.
+func ownFlight(id string) string { return "job/" + id }
+
+// admit joins a prepared job (fresh or recovered) to the flight under
+// key: founding it enqueues the job as the flight's leader; finding it
+// live attaches the job as a waiter instead.
+func (s *Scheduler) admit(j *Job, key string) (*Job, error) {
 	j.enqueued = time.Now()
 	if j.Spec.DeadlineMS > 0 {
 		j.deadline = j.enqueued.Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
 	}
 	j.done = make(chan struct{})
-	ctx, cancel := context.WithCancelCause(context.Background())
-	j.ctx, j.cancel = ctx, cancel
+	j.ctx, j.cancel = context.WithCancelCause(context.Background())
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || s.stopped {
+		return nil, ErrDraining
+	}
+	old := s.jobs[j.ID]
+	if old != nil {
+		// A finished (or drained) record under the same ID is superseded:
+		// a coordinator re-dispatching a job it previously drained off this
+		// node must be able to reuse the job's pinned identity. Only a live
+		// duplicate — still queued or running — is a real conflict.
+		select {
+		case <-old.done:
+		default:
+			return nil, fmt.Errorf("serve: job id %q already in use", j.ID)
+		}
+	}
+	var founded bool
+	j.party, founded = s.flights.Join(key, j.ID, func() { j.cancel(errClientStop) })
+	if !founded {
+		// Attaching bypasses the queue bound on purpose: a thundering
+		// herd of identical requests costs one slot however large.
+		s.attachLocked(j)
+		return j, nil
+	}
+	if len(s.queue) >= s.cfg.QueueCap {
+		j.party.Leave()
+		s.met.Rejected.Add(1)
+		return nil, ErrQueueFull
+	}
+	if old != nil {
+		s.removeStateFiles(old.ID)
+	}
+	j.state = StateQueued
 	s.seq++
 	j.seq = s.seq
 	heap.Push(&s.queue, j)
 	s.jobs[j.ID] = j
-	if ckey != "" {
-		f := &flight{key: ckey, leader: j, parties: 1}
-		j.flight = f
-		s.flights[ckey] = f
-	}
 	s.met.Submitted.Add(1)
 	s.cond.Signal()
-	s.mu.Unlock()
 	return j, nil
 }
 
@@ -498,15 +495,25 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	j.mu.Lock()
+	party := j.party
+	j.mu.Unlock()
 	switch {
-	case j.flight != nil:
-		j.flight.leaderCancel()
+	case party == nil: // already settled
 	case j.coalescedWith != "":
-		j.cancel(errClientStop) // the waiter's watcher detaches it
+		j.cancel(errClientStop) // the waiter's watcher settles it and leaves the flight
 	default:
-		j.cancel(errClientStop)
+		party.Leave() // the run survives while waiters remain attached
 	}
 	return j, nil
+}
+
+// bounded returns the job's context cut off at its deadline, if it has one.
+func (j *Job) bounded() (context.Context, context.CancelFunc) {
+	if j.deadline.IsZero() {
+		return j.ctx, func() {}
+	}
+	return context.WithDeadline(j.ctx, j.deadline)
 }
 
 // runner is one dispatch loop: pop the highest-priority job, run it.
@@ -533,443 +540,38 @@ func (s *Scheduler) runner() {
 	}
 }
 
-// dispatch runs one popped job through its terminal state.
+// dispatch takes one popped job to settle: at once if it was cancelled or
+// expired while still queued, otherwise through run.
 func (s *Scheduler) dispatch(j *Job) {
-	defer close(j.done)
-	defer j.cancel(nil)
-
 	popped := time.Now()
 	s.met.QueueWait.Observe(popped.Sub(j.enqueued))
 	tk := s.trc.jobTrack(j.ID)
-	if s.trc != nil {
-		tk.Span(s.trc.phQueued, j.enqueued, popped, int64(j.Spec.Priority))
-	}
+	tk.Span(s.trc.phQueued, j.enqueued, popped, int64(j.Spec.Priority))
 
-	// Cancelled or expired while still queued?
-	if err := context.Cause(j.ctx); err != nil {
-		s.finish(j, nil, err)
+	ctx, stop := j.bounded()
+	defer stop()
+	if err := context.Cause(ctx); err != nil {
+		s.settle(j, ending{cause: err})
 		return
 	}
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		s.finish(j, nil, context.DeadlineExceeded)
-		return
-	}
-
 	j.mu.Lock()
 	j.state = StateRunning
 	if j.resume != nil {
-		j.history = append(j.history[:0], j.resume.History...)
+		// The visible history is seeded with the pre-interruption cycles,
+		// which Progress only reports from the resume point on.
+		j.history = append(j.history[:0], j.resume.ck.History...)
 	}
 	j.mu.Unlock()
-
-	ctx := j.ctx
-	if !j.deadline.IsZero() {
-		dctx, dcancel := context.WithDeadline(ctx, j.deadline)
-		defer dcancel()
-		ctx = dctx
-	}
-
-	if j.Spec.Adapt != nil {
-		// Adaptive jobs take their own path: the mesh mutates mid-run, so
-		// they bypass the engine cache and carry a mesh in their resume
-		// state instead of a plain checkpoint.
-		s.runAdapt(j, ctx, tk)
-		return
-	}
-
-	if h := j.Spec.Mesh.Hash; h != "" {
-		// Pin the mesh artifact while the job runs: eviction pressure
-		// must not drop the bytes an in-flight solve references.
-		if err := s.cfg.Store.Pin(h); err != nil {
-			s.finish(j, nil, fmt.Errorf("%w: %s", ErrNoArtifact, h))
-			return
-		}
-		defer s.cfg.Store.Unpin(h)
-	}
-	ms, err := j.Spec.BuildMeshesFrom(s.cfg.Store)
-	if err != nil {
-		s.finish(j, nil, err)
-		return
-	}
-	key := j.Spec.Key(ms)
-	j.mu.Lock()
-	j.key, j.keySet = key, true
-	j.mu.Unlock()
-
-	nw := j.Spec.pooledWorkers()
-	govStart := time.Now()
-	if err := s.gov.Acquire(ctx, nw); err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			err = cause
-		}
-		s.finish(j, nil, err)
-		return
-	}
-	defer s.gov.Release(nw)
-	if s.trc != nil {
-		tk.Span(s.trc.phGovWait, govStart, time.Now(), int64(nw))
-	}
-
-	acqStart := time.Now()
-	eng, err := s.cache.Acquire(ctx, key, func() (*solver.Steady, error) {
-		j.mu.Lock()
-		j.built = true
-		j.mu.Unlock()
-		return buildEngine(j.Spec, ms)
-	})
-	if err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			err = cause
-		}
-		s.finish(j, nil, err)
-		return
-	}
-	defer s.cache.Release(eng)
-	if s.trc != nil {
-		acqEnd := time.Now()
-		tk.Span(s.trc.phAcquire, acqStart, acqEnd, 0)
-		j.mu.Lock()
-		built := j.built
-		j.mu.Unlock()
-		if built {
-			tk.Instant(s.trc.phMiss, acqEnd, 0)
-		} else {
-			tk.Instant(s.trc.phHit, acqEnd, 0)
-		}
-	}
-
-	st := eng.Steady()
-	st.Reset()
-	if j.resume != nil {
-		if err := st.Restore(j.resume); err != nil {
-			s.finish(j, nil, fmt.Errorf("restoring checkpoint: %w", err))
-			return
-		}
-	} else if sc := j.Spec.scenario(); sc != nil {
-		// Scenario jobs start from the preset's initial state, not the
-		// freestream Reset left behind. A resumed job skips this: the
-		// checkpoint already holds the evolved state.
-		if err := st.SetInitial(sc.InitialState(ms[0])); err != nil {
-			s.finish(j, nil, fmt.Errorf("scenario initial state: %w", err))
-			return
-		}
-	}
-	opts := solver.Options{
-		MaxCycles: j.Spec.Cycles,
-		Tolerance: j.Spec.Tol,
-		Context:   ctx,
-		Progress: func(cycle int, norm float64) {
-			j.mu.Lock()
-			j.history = append(j.history, norm)
-			j.mu.Unlock()
-		},
-	}
-	if s.cfg.CheckpointEvery > 0 && s.cfg.StateDir != "" {
-		// Periodic checkpoints make the job survivable without a graceful
-		// drain: a SIGKILLed node resumes it on restart (the sidecar is
-		// written up front), and a coordinator can pull the checkpoint file
-		// while the job runs and hand it to another node.
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.CheckpointPath = s.ckptPath(j.ID)
-		opts.Mach = j.Spec.Mach
-		opts.AlphaDeg = j.Spec.AlphaDeg
-		if err := s.writeSidecar(sidecar{ID: j.ID, Spec: j.Spec, Checkpoint: j.ID + ".ckpt"}); err != nil {
-			s.cfg.Log.Printf("job %s: persisting run sidecar: %v", j.ID, err)
-		}
-	}
-	// The solver goroutine carries pprof labels, so CPU and goroutine
-	// profiles taken through the debug endpoints attribute samples to the
-	// job and engine they served.
-	runStart := time.Now()
-	var res *solver.Result
-	pprof.Do(ctx, pprof.Labels(
-		"job", j.ID, "engine", j.Spec.Engine, "levels", strconv.Itoa(j.Spec.Levels),
-	), func(ctx context.Context) {
-		res, err = st.Run(opts)
-	})
-	runEnd := time.Now()
-	s.met.RunTime.Observe(runEnd.Sub(runStart))
-	if s.trc != nil {
-		var cycles int64
-		if res != nil {
-			cycles = int64(res.Cycles)
-		}
-		tk.Span(s.trc.phRun, runStart, runEnd, cycles)
-	}
-	if err != nil {
-		s.finish(j, nil, err)
-		return
-	}
-	if res.Cancelled {
-		cause := context.Cause(ctx)
-		if errors.Is(cause, errDrainStop) {
-			s.drainCheckpoint(j, st, res)
-			return
-		}
-		s.finish(j, res, cause)
-		return
-	}
-	if i, v, diverged := divergedAt(res.History); diverged {
-		s.finish(j, res, fmt.Errorf("diverged: residual %g at cycle %d", v, i))
-		return
-	}
-	if sc := j.Spec.scenario(); sc != nil {
-		// Diagnose before the engine lease is released: the record needs
-		// only the result's solution copy and the fine mesh, both stable,
-		// but computing it here keeps the job's lifecycle phases honest.
-		d := sc.Diagnose(ms[0], res.FineSolution, res.FinalNorm)
-		j.mu.Lock()
-		j.diag = &d
-		j.mu.Unlock()
-	}
-	s.finish(j, res, nil)
+	s.run(ctx, j, tk)
 }
 
-// divergedAt scans a residual history for NaN/Inf.
-func divergedAt(hist []float64) (int, float64, bool) {
-	for i, v := range hist {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return i, v, true
-		}
-	}
-	return 0, 0, false
-}
-
-// finish records a job's terminal state from its run outcome. It runs
-// before dispatch's deferred close(j.done), so by the time waiters fan
-// out the terminal state (and result hash) is in place and the flight
-// is deregistered — a Submit racing with completion either attaches
-// while the flight is live or starts a fresh run, never attaches to a
-// finished one.
-func (s *Scheduler) finish(j *Job, res *solver.Result, err error) {
-	s.retireFlight(j)
-	if errors.Is(err, errDrainStop) {
-		// Drained before any cycle ran: persist the spec alone so the job
-		// restarts from scratch after the server comes back.
-		s.suspend(j, res)
-		return
-	}
-	var resultHash string
-	if err == nil && res != nil && len(res.FineSolution) > 0 {
-		// Content-address the completed solution while the engine lease
-		// still protects res.FineSolution from reuse. The hash doubles
-		// as the job's ETag and lets peers fetch the field by reference.
-		if enc, encErr := meshio.EncodeSolution(j.Spec.Mach, j.Spec.AlphaDeg, res.FineSolution); encErr == nil {
-			if h, putErr := s.cfg.Store.Put(enc); putErr == nil {
-				resultHash = h
-			} else {
-				s.cfg.Log.Printf("job %s: storing result artifact: %v", j.ID, putErr)
-			}
-		}
-	}
-	var state JobState
-	var cycles int
-	j.mu.Lock()
-	j.result = res
-	j.resultHash = resultHash
-	switch {
-	case err == nil:
-		j.state = StateCompleted
-		s.met.Completed.Add(1)
-	case errors.Is(err, errClientStop), errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		s.met.Cancelled.Add(1)
-	case errors.Is(err, context.DeadlineExceeded):
-		j.state = StateExpired
-		j.errMsg = "deadline exceeded"
-		s.met.Expired.Add(1)
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.met.Failed.Add(1)
-	}
-	state = j.state
-	cycles = len(j.history)
-	j.mu.Unlock()
-	if s.trc != nil {
-		s.trc.jobTrack(j.ID).Instant(s.trc.phDone, time.Now(), int64(cycles))
-	}
-	s.removeStateFiles(j.ID)
-	s.cfg.Log.Printf("job %s: %s", j.ID, state)
-}
-
-// suspend marks a job drained with only its spec persisted (no cycles ran,
-// so there is nothing to checkpoint).
-func (s *Scheduler) suspend(j *Job, res *solver.Result) {
-	if s.cfg.StateDir != "" {
-		if err := s.writeSidecar(sidecar{ID: j.ID, Spec: j.Spec}); err != nil {
-			s.cfg.Log.Printf("drain: persisting job %s: %v", j.ID, err)
-		}
-	}
-	j.mu.Lock()
-	j.state = StateDrained
-	j.result = res
-	j.mu.Unlock()
-	s.met.Drained.Add(1)
-	if s.trc != nil {
-		s.trc.jobTrack(j.ID).Instant(s.trc.phDrain, time.Now(), 0)
-	}
-	s.cfg.Log.Printf("job %s: drained (not started)", j.ID)
-}
-
-// --- graceful drain & resume ---------------------------------------------
-
-// sidecar is the restart record persisted per interrupted job.
-type sidecar struct {
-	ID         string  `json:"id"`
-	Spec       JobSpec `json:"spec"`
-	Checkpoint string  `json:"checkpoint,omitempty"` // file name within StateDir
-
-	// Adaptive jobs additionally persist the current (refined) mesh and
-	// the adaptation counters — a plain checkpoint cannot resume a run
-	// whose mesh no longer matches the spec's.
-	AdaptMesh string        `json:"adapt_mesh,omitempty"` // mesh file name within StateDir
-	Adapt     *adaptSidecar `json:"adapt,omitempty"`
-}
-
-// adaptSidecar is the adaptation state carried alongside the checkpoint.
-type adaptSidecar struct {
-	EpochsDone   int     `json:"epochs_done"`
-	Dt           float64 `json:"dt,omitempty"` // current global dt (0 on steady runs)
-	StepsLeft    int     `json:"steps_left"`
-	SinceEpoch   int     `json:"since_epoch"`
-	CellsRefined int     `json:"cells_refined"`
-}
-
-func (s *Scheduler) sidecarPath(id string) string {
-	return filepath.Join(s.cfg.StateDir, id+".job.json")
-}
-func (s *Scheduler) ckptPath(id string) string {
-	return filepath.Join(s.cfg.StateDir, id+".ckpt")
-}
-func (s *Scheduler) ameshPath(id string) string {
-	return filepath.Join(s.cfg.StateDir, id+".amesh")
-}
-
-func (s *Scheduler) removeStateFiles(id string) {
-	if s.cfg.StateDir == "" {
-		return
-	}
-	os.Remove(s.sidecarPath(id))
-	os.Remove(s.ckptPath(id))
-	os.Remove(s.ameshPath(id))
-}
-
-// drainCheckpoint persists an interrupted job so a restarted server can
-// resume it: the partial solution as a CRC-trailered meshio checkpoint
-// plus a JSON sidecar with the spec. The checkpointed solution is copied —
-// the engine is released back to the cache and would otherwise mutate it.
-func (s *Scheduler) drainCheckpoint(j *Job, st *solver.Steady, res *solver.Result) {
-	s.retireFlight(j)
-	if s.cfg.StateDir == "" {
-		s.finish(j, res, errDrainStop)
-		return
-	}
-	sc := sidecar{ID: j.ID, Spec: j.Spec}
-	if res.Cycles > 0 {
-		ck := &meshio.Checkpoint{
-			Cycle:    res.Cycles,
-			Mach:     j.Spec.Mach,
-			AlphaDeg: j.Spec.AlphaDeg,
-			CFL:      j.Spec.Params().CFL,
-			History:  append([]float64(nil), res.History...),
-			Sol:      append([]euler.State(nil), res.FineSolution...),
-		}
-		if err := meshio.SaveCheckpoint(s.ckptPath(j.ID), ck); err != nil {
-			s.finish(j, res, fmt.Errorf("drain checkpoint: %w", err))
-			return
-		}
-		sc.Checkpoint = j.ID + ".ckpt"
-	}
-	if err := s.writeSidecar(sc); err != nil {
-		s.finish(j, res, fmt.Errorf("drain sidecar: %w", err))
-		return
-	}
-	j.mu.Lock()
-	j.state = StateDrained
-	j.result = res
-	j.mu.Unlock()
-	s.met.Drained.Add(1)
-	if s.trc != nil {
-		s.trc.jobTrack(j.ID).Instant(s.trc.phDrain, time.Now(), int64(res.Cycles))
-	}
-	s.cfg.Log.Printf("job %s: drained at cycle %d", j.ID, res.Cycles)
-}
-
-func (s *Scheduler) writeSidecar(sc sidecar) error {
-	b, err := json.MarshalIndent(sc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := s.sidecarPath(sc.ID) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.sidecarPath(sc.ID))
-}
-
-// Drain gracefully shuts the scheduler down: admission stops, queued jobs
-// are persisted as restart sidecars, running jobs are cancelled
-// cooperatively and checkpointed, and Drain returns when every runner has
-// parked. After Drain the scheduler is stopped for good.
-func (s *Scheduler) Drain() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.draining = true
-	queued := make([]*Job, len(s.queue))
-	copy(queued, s.queue)
-	s.queue = s.queue[:0]
-	inQueue := make(map[string]bool, len(queued))
-	for _, j := range queued {
-		inQueue[j.ID] = true
-	}
-	// Cancel every job a runner holds — including ones popped from the
-	// queue but not yet marked running (their dispatch preamble sees the
-	// drain cause and suspends them).
-	var active []*Job
-	for _, j := range s.jobs {
-		if inQueue[j.ID] {
-			continue
-		}
-		if st := j.State(); st == StateQueued || st == StateRunning {
-			active = append(active, j)
-		}
-	}
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	for _, j := range queued {
-		s.retireFlight(j)
-		if s.cfg.StateDir != "" {
-			if err := s.writeSidecar(sidecar{ID: j.ID, Spec: j.Spec}); err != nil {
-				s.cfg.Log.Printf("drain: persisting queued job %s: %v", j.ID, err)
-			}
-		}
-		j.mu.Lock()
-		j.state = StateDrained
-		j.mu.Unlock()
-		s.met.Drained.Add(1)
-		if s.trc != nil {
-			s.trc.jobTrack(j.ID).Instant(s.trc.phDrain, time.Now(), 0)
-		}
-		j.cancel(errDrainStop)
-		close(j.done)
-	}
-	for _, j := range active {
-		j.cancel(errDrainStop)
-	}
-	s.wg.Wait()
-	s.cache.Close()
-}
-
-// Stop aborts without persisting: running jobs are cancelled as if by the
-// client and queued jobs are discarded. For tests.
-func (s *Scheduler) Stop() {
+// shutdown stops the scheduler for good: admission closes, still-queued
+// jobs are settled with cause on the spot, every run a runner holds —
+// including jobs popped but not yet marked running, whose dispatch
+// preamble sees the cause — is cancelled with it, and shutdown returns
+// when every runner has parked. Waiters are not cancelled: they follow
+// their flights, whose leaders all settle here or on a runner.
+func (s *Scheduler) shutdown(cause error) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -977,102 +579,32 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.draining, s.stopped = true, true
-	queued := make([]*Job, len(s.queue))
-	copy(queued, s.queue)
-	s.queue = s.queue[:0]
-	var all []*Job
+	queued := s.queue
+	s.queue = nil
+	var leaders []*Job
 	for _, j := range s.jobs {
-		all = append(all, j)
+		if j.coalescedWith == "" {
+			leaders = append(leaders, j)
+		}
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
+
 	for _, j := range queued {
-		s.retireFlight(j)
-		j.mu.Lock()
-		j.state = StateCancelled
-		j.mu.Unlock()
-		j.cancel(errClientStop)
-		close(j.done)
+		s.settle(j, ending{cause: cause})
 	}
-	for _, j := range all {
-		j.cancel(errClientStop)
+	for _, j := range leaders {
+		j.cancel(cause) // a no-op on jobs already settled
 	}
 	s.wg.Wait()
 	s.cache.Close()
 }
 
-// Recover scans StateDir for drain sidecars and re-admits each job under
-// its original ID, restoring the checkpointed solution when one exists.
-// Because the solver is deterministic, a resumed run's history and
-// solution are bitwise identical to an uninterrupted one.
-func (s *Scheduler) Recover() (int, error) {
-	if s.cfg.StateDir == "" {
-		return 0, nil
-	}
-	ents, err := os.ReadDir(s.cfg.StateDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	n := 0
-	for _, ent := range ents {
-		if !strings.HasSuffix(ent.Name(), ".job.json") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(s.cfg.StateDir, ent.Name()))
-		if err != nil {
-			s.cfg.Log.Printf("recover: %s: %v", ent.Name(), err)
-			continue
-		}
-		var sc sidecar
-		if err := json.Unmarshal(b, &sc); err != nil {
-			s.cfg.Log.Printf("recover: %s: %v", ent.Name(), err)
-			continue
-		}
-		j := &Job{ID: sc.ID, Spec: sc.Spec, noCoalesce: true}
-		if sc.Checkpoint != "" {
-			ck, err := meshio.LoadCheckpoint(filepath.Join(s.cfg.StateDir, sc.Checkpoint))
-			if err != nil {
-				s.cfg.Log.Printf("recover: job %s checkpoint: %v (restarting from scratch)", sc.ID, err)
-			} else {
-				j.resume = ck
-			}
-		}
-		if sc.AdaptMesh != "" && sc.Adapt != nil && j.resume != nil {
-			// Reconstruct the mesh-carrying resume point of an adaptive job.
-			// A load failure falls back to restarting the job from scratch.
-			m, err := meshio.LoadMesh(filepath.Join(s.cfg.StateDir, sc.AdaptMesh))
-			if err != nil {
-				s.cfg.Log.Printf("recover: job %s adapted mesh: %v (restarting from scratch)", sc.ID, err)
-				j.resume = nil
-			} else {
-				j.adaptResume = &adapt.Snapshot{
-					Mesh:         m,
-					W:            j.resume.Sol,
-					History:      j.resume.History,
-					Step:         j.resume.Cycle,
-					EpochsDone:   sc.Adapt.EpochsDone,
-					Dt:           sc.Adapt.Dt,
-					StepsLeft:    sc.Adapt.StepsLeft,
-					SinceEpoch:   sc.Adapt.SinceEpoch,
-					CellsRefined: sc.Adapt.CellsRefined,
-				}
-				j.resume = nil
-			}
-		}
-		if err := j.Spec.Validate(); err != nil {
-			s.cfg.Log.Printf("recover: job %s: %v", sc.ID, err)
-			s.removeStateFiles(sc.ID)
-			continue
-		}
-		if _, err := s.admit(j); err != nil {
-			s.cfg.Log.Printf("recover: job %s: %v", sc.ID, err)
-			continue
-		}
-		s.met.Resumed.Add(1)
-		n++
-	}
-	return n, nil
-}
+// Drain gracefully shuts the scheduler down: queued jobs are persisted as
+// restart sidecars, running jobs are cancelled cooperatively and
+// checkpointed. After Drain the scheduler is stopped for good.
+func (s *Scheduler) Drain() { s.shutdown(errDrainStop) }
+
+// Stop aborts without persisting: running jobs are cancelled as if by the
+// client and queued jobs are discarded. For tests.
+func (s *Scheduler) Stop() { s.shutdown(errClientStop) }

@@ -15,7 +15,9 @@ import (
 // spans, so the tracks stay tiny even with hundreds of jobs.
 const jobTrackCap = 32
 
-// schedTrace holds the scheduler's interned phases; nil disables tracing.
+// schedTrace holds the scheduler's interned phases. Over a nil tracer it
+// is inert: the phases intern to 0, jobTrack returns nil, and a nil Track
+// drops every event.
 type schedTrace struct {
 	tr *trace.Tracer
 
@@ -32,11 +34,8 @@ type schedTrace struct {
 	phFanout trace.PhaseID // shared result copied to a waiter (arg = cycles)
 }
 
-func newSchedTrace(tr *trace.Tracer) *schedTrace {
-	if tr == nil {
-		return nil
-	}
-	return &schedTrace{
+func newSchedTrace(tr *trace.Tracer) schedTrace {
+	return schedTrace{
 		tr:        tr,
 		phQueued:  tr.Phase("queued"),
 		phGovWait: tr.Phase("governor-wait"),
@@ -54,9 +53,10 @@ func newSchedTrace(tr *trace.Tracer) *schedTrace {
 // jobTrack returns (idempotently registering) the job's lifecycle track.
 // Beyond the tracer's track budget this returns nil, which every Track
 // method treats as a silent drop — old jobs keep their tracks, new ones
-// go untraced.
+// go untraced. So it does without a tracer — answered here, sparing the
+// job path the track name's allocation.
 func (t *schedTrace) jobTrack(id string) *trace.Track {
-	if t == nil {
+	if t.tr == nil {
 		return nil
 	}
 	return t.tr.TrackCap("job "+id, jobTrackCap)

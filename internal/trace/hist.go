@@ -83,6 +83,13 @@ func (h *Hist) Snapshot() [NumBuckets + 1]int64 {
 	return out
 }
 
+// PromHead writes the two comment lines that open a metric family in the
+// Prometheus text format; kind is counter, gauge or histogram. Every
+// /metrics page in the module opens its families through here.
+func PromHead(w io.Writer, name, help, kind string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+}
+
 // WriteProm renders the histogram as a Prometheus text-format histogram
 // metric: cumulative <name>_bucket{le="..."} series in seconds, then
 // <name>_sum and <name>_count. help becomes the # HELP line.
@@ -90,8 +97,7 @@ func (h *Hist) WriteProm(w io.Writer, name, help string) {
 	if h == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	PromHead(w, name, help, "histogram")
 	snap := h.Snapshot()
 	cum := int64(0)
 	for i, bound := range histBounds {
