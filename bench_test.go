@@ -228,31 +228,50 @@ func BenchmarkSharedMemoryStep(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedCycle measures one distributed single-grid cycle on
-// 16 simulated nodes, including all PARTI exchanges (sequential
-// orchestration; the concurrent MIMD mode moves identical traffic).
+// BenchmarkDistributedCycle measures one distributed cycle, all PARTI
+// exchanges included, under both drivers: "single" is the single grid on
+// 16 simulated nodes, "w2" a 2-level W-cycle on 8 (the shape of the
+// benchmark's distributed workload); "seq" runs Cycle, "mimd"
+// CycleConcurrent. It is the quick before/after number for a change to
+// dmsolver, parti or simnet.
 func BenchmarkDistributedCycle(b *testing.B) {
-	m, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(24, 12, 8, 17), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := graph.FromEdges(m.NV(), m.Edges)
+	g, err := graph.FromEdges(meshes[0].NV(), meshes[0].Edges)
 	if err != nil {
 		b.Fatal(err)
 	}
-	part, err := partition.Partition(g, m.X, 16, partition.Spectral, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dm, err := dmsolver.NewSingle(m, part, 16, euler.DefaultParams(0.768, 1.116))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dm.Cycle(); err != nil {
+	p := euler.DefaultParams(0.768, 1.116)
+	for _, shape := range []struct {
+		name   string
+		levels int
+		nproc  int
+	}{{"single", 1, 16}, {"w2", 2, 8}} {
+		part, err := partition.Partition(g, meshes[0].X, shape.nproc, partition.Spectral, 1)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name  string
+			cycle func(*dmsolver.Solver) (float64, error)
+		}{{"seq", (*dmsolver.Solver).Cycle}, {"mimd", (*dmsolver.Solver).CycleConcurrent}} {
+			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
+				parts := make([][]int32, shape.levels)
+				parts[0] = part
+				dm, err := dmsolver.NewMultigrid(meshes[:shape.levels], parts, shape.nproc, p, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := mode.cycle(dm); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

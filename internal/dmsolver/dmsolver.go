@@ -17,12 +17,19 @@
 //   - multigrid transfers use incremental schedules on top of the flow
 //     variable schedule, fetching only addresses not already ghosted.
 //
-// The package itself holds orchestration only — which phase runs when and
-// which exchange separates it from the next — so every euler.Params field
-// is honoured here by construction. On one processor the answers are
-// bitwise those of the sequential solver; across partition boundaries the
-// per-vertex sums reassociate and they agree to roundoff. Tests assert
-// both.
+// The package is one program and two drivers. The program (ops.go) is the
+// node program of the Delta port, stated once: which compute phase runs
+// when and which exchange separates it from the next. It holds no
+// arithmetic, so every euler.Params field is honoured here by construction.
+// A driver (driver.go) executes it: the sequential one, behind Cycle, runs
+// every processor's phases in turn on the calling goroutine and completes
+// each exchange as a whole-schedule collective; the MIMD one, behind
+// CycleConcurrent, gives every simulated processor a goroutine and
+// completes each exchange as send half, barrier, receive half, barrier.
+//
+// On one processor the answers are bitwise those of the sequential solver;
+// across partition boundaries the per-vertex sums reassociate and they
+// agree to roundoff. Tests assert both.
 package dmsolver
 
 import (
@@ -92,6 +99,8 @@ type Solver struct {
 	Levels []*Level
 	Comm   CommCounters
 
+	partial []float64 // per-processor terms of the residual-norm reduction
+
 	// Flight recorder (trace.go): nil when tracing is disabled. builds
 	// keeps the construction timings for replay into a later-attached
 	// tracer.
@@ -124,7 +133,7 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	if nproc < 1 {
 		return nil, fmt.Errorf("dmsolver: nproc must be >= 1")
 	}
-	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc)}
+	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc)}
 
 	// Sequential preprocessing: transfer operators between levels.
 	var restrictOps, prolongOps []*multigrid.TransferOp // index l: between level l-1 (fine) and l (coarse)
@@ -160,9 +169,8 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 						best = k
 					}
 				}
-				part[v] = parts[l-1][op.Addr[v][best]]
+				part[v] = s.Levels[l-1].Part[op.Addr[v][best]]
 			}
-			parts[l] = part
 		}
 		if len(part) != m.NV() {
 			return nil, fmt.Errorf("dmsolver: level %d partition has %d entries for %d vertices", l, len(part), m.NV())

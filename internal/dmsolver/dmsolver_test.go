@@ -337,33 +337,86 @@ func TestConcurrentMultigridMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := euler.DefaultParams(0.675, 0)
-	mk := func() *Solver {
-		dm, err := NewMultigrid(meshes, [][]int32{append([]int32(nil), part...), nil, nil}, 5, p, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dm
+	base := euler.DefaultParams(0.675, 0)
+	globalDt, oddSweeps := base, base
+	globalDt.GlobalDt = 1e-3 // time-accurate: the program skips the spectral radii and their scatter-add
+	oddSweeps.NSmooth = 1    // odd sweep count: the smoother ends in its scratch array and writes back
+	for _, tc := range []struct {
+		name string
+		p    euler.Params
+	}{{"default", base}, {"GlobalDt", globalDt}, {"NSmooth=1", oddSweeps}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Solver {
+				dm, err := NewMultigrid(meshes, [][]int32{append([]int32(nil), part...), nil, nil}, 5, tc.p, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return dm
+			}
+			seq, conc := mk(), mk()
+			for c := 0; c < 4; c++ {
+				ns, err := seq.Cycle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				nc, err := conc.CycleConcurrent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ns != nc {
+					t.Fatalf("cycle %d: norms differ: %v vs %v", c, ns, nc)
+				}
+			}
+			ws, wc := seq.GatherSolution(), conc.GatherSolution()
+			for i := range ws {
+				if ws[i] != wc[i] {
+					t.Fatalf("vertex %d differs (multigrid)", i)
+				}
+			}
+			// One program, so one exchange plan: identical counters and traffic.
+			if seq.Comm != conc.Comm {
+				t.Errorf("counters differ: %+v vs %+v", seq.Comm, conc.Comm)
+			}
+			ms, bs := seq.Fabric.TotalStats()
+			mc, bc := conc.Fabric.TotalStats()
+			if ms != mc || bs != bc {
+				t.Errorf("traffic differs: %d/%d vs %d/%d", ms, bs, mc, bc)
+			}
+		})
 	}
-	seq, conc := mk(), mk()
-	for c := 0; c < 4; c++ {
-		ns, err := seq.Cycle()
-		if err != nil {
-			t.Fatal(err)
+}
+
+// NewMultigrid must leave its caller's partition slice alone: inherited
+// coarse partitions live on the Levels, so a second solver built from the
+// same slice with another fine partition inherits from its own fine grid.
+func TestNewMultigridDoesNotFillCallersParts(t *testing.T) {
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(10, 6, 4, 17), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fine := channelAndPartition(t, 10, 6, 4, 4)
+	parts := [][]int32{fine, nil, nil}
+	dm, err := NewMultigrid(meshes, parts, 4, euler.DefaultParams(0.675, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 1; l < len(parts); l++ {
+		if parts[l] != nil {
+			t.Errorf("NewMultigrid filled parts[%d] of its caller's slice", l)
 		}
-		nc, err := conc.CycleConcurrent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ns != nc {
-			t.Fatalf("cycle %d: norms differ: %v vs %v", c, ns, nc)
+		if got := dm.Levels[l].Part; len(got) != meshes[l].NV() {
+			t.Errorf("Levels[%d].Part has %d entries for %d vertices", l, len(got), meshes[l].NV())
 		}
 	}
-	ws, wc := seq.GatherSolution(), conc.GatherSolution()
-	for i := range ws {
-		if ws[i] != wc[i] {
-			t.Fatalf("vertex %d differs (multigrid)", i)
-		}
+	// Inherited means: each coarse vertex sits with a fine vertex of its
+	// containing tetrahedron, so every processor that owns fine vertices
+	// here owns coarse ones too.
+	owners := map[int32]bool{}
+	for _, q := range dm.Levels[1].Part {
+		owners[q] = true
+	}
+	if len(owners) != 4 {
+		t.Errorf("inherited level-1 partition uses %d of 4 processors", len(owners))
 	}
 }
 
@@ -383,7 +436,7 @@ func TestConcurrentSingleProc(t *testing.T) {
 func TestConcurrentErrorPropagatesWithoutDeadlock(t *testing.T) {
 	m, part := channelAndPartition(t, 8, 5, 4, 4)
 	p := euler.DefaultParams(0.6, 0)
-	dm, err := NewSingle(m, part, 4, p)
+	single, err := NewSingle(m, part, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,25 +444,83 @@ func TestConcurrentErrorPropagatesWithoutDeadlock(t *testing.T) {
 	// gather's receive pops it, fails the length check, and every
 	// processor must bail out at the next barrier instead of deadlocking.
 	var from, to int
-	for pair := range dm.Levels[0].SchedW.PairVolumes() {
+	for pair := range single.Levels[0].SchedW.PairVolumes() {
 		from, to = pair[0], pair[1]
 		break
 	}
-	if err := dm.Fabric.Send(from, to, []float64{42}); err != nil {
+
+	// The multigrid row lands the error mid-transfer instead. Slabs along
+	// the channel, with the level-1 slabs dealt to the processor two over,
+	// make inter-grid partners of processors that share no fine-grid edge:
+	// a runt on the channel such a pair's residual scatter-add through
+	// Levels[1].SchedCoarse uses stays queued through the whole fine-grid
+	// step and is popped during the restriction.
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(12, 8, 6, 17), 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := dm.CycleConcurrent()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("corrupted traffic did not surface an error")
+	slabs := func(m *mesh.Mesh, shift int) []int32 {
+		lo, hi := m.X[0].X, m.X[0].X
+		for _, x := range m.X {
+			lo, hi = math.Min(lo, x.X), math.Max(hi, x.X)
 		}
-	case <-timeAfter():
-		t.Fatal("CycleConcurrent deadlocked on error")
+		part := make([]int32, m.NV())
+		for v, x := range m.X {
+			part[v] = int32((int(3.999*(x.X-lo)/(hi-lo)) + shift) % 4)
+		}
+		return part
+	}
+	mg, err := NewMultigrid(meshes, [][]int32{slabs(meshes[0], 0), slabs(meshes[1], 2), nil}, 4, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgFrom, mgTo := -1, -1
+	fineEdge := mg.Levels[0].SchedW.PairVolumes()
+	for pair := range mg.Levels[1].SchedCoarse.PairVolumes() {
+		if fineEdge[pair] == 0 && fineEdge[[2]int{pair[1], pair[0]}] == 0 {
+			mgFrom, mgTo = pair[1], pair[0] // a scatter-add runs against the gather direction
+			break
+		}
+	}
+	if mgFrom < 0 {
+		t.Fatal("fixture has no inter-grid pair that is not also a fine-grid pair")
+	}
+
+	for _, tc := range []struct {
+		name     string
+		dm       *Solver
+		from, to int
+	}{{"single", single, from, to}, {"multigrid", mg, mgFrom, mgTo}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dm := tc.dm
+			if err := dm.Fabric.Send(tc.from, tc.to, []float64{42}); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := dm.CycleConcurrent()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("corrupted traffic did not surface an error")
+				}
+			case <-timeAfter():
+				t.Fatal("CycleConcurrent deadlocked on error")
+			}
+			// Mid-transfer means after the fine-grid step: by then the fine
+			// solution has left the freestream.
+			if dm == mg {
+				moved := false
+				for _, w := range dm.GatherSolution() {
+					moved = moved || w != p.Freestream
+				}
+				if !moved {
+					t.Error("the error landed before the fine-grid step finished")
+				}
+			}
+		})
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"eul3d/internal/trace"
 )
 
-// This file is the recovery orchestrator: a driver loop around the
-// distributed cycle that gives the solver the resilience machinery of a
-// real runtime. Three mechanisms compose:
+// This file is the recovery orchestrator: a loop around the distributed
+// cycle that gives the solver the resilience machinery of a real runtime.
+// Three mechanisms compose:
 //
 //   - periodic checkpoints (in memory, optionally mirrored to disk as
 //     atomic CRC-trailered files) snapshot the fine-grid solution, cycle
@@ -42,9 +42,8 @@ type RunOptions struct {
 	LogEvery  int     // progress line period (0 = silent)
 	Log       io.Writer
 
-	// Concurrent selects the MIMD mode (one goroutine per simulated
-	// processor) instead of the sequential orchestration. Both produce
-	// bitwise identical results.
+	// Concurrent runs every cycle under the MIMD driver (one goroutine
+	// per simulated processor) instead of the sequential one.
 	Concurrent bool
 
 	// CheckpointEvery > 0 snapshots the run every that many cycles (an

@@ -3,11 +3,13 @@ package dmsolver
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
 	"eul3d/internal/simnet"
 )
@@ -37,6 +39,62 @@ func chaosPlan(crashNode, crashCycle int) *simnet.FaultPlan {
 		simnet.FaultEvent{Kind: simnet.FaultReorder, Src: -1, Dst: -1, Seq: 4},
 		simnet.FaultEvent{Kind: simnet.FaultCrash, Node: crashNode, Cycle: crashCycle},
 	)
+}
+
+// chaosMultigridSolver builds a 4-processor, 3-level W-cycle solver whose
+// coarse partitions are inherited from the fine one.
+func chaosMultigridSolver(t *testing.T) *Solver {
+	t.Helper()
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(10, 6, 4, 17), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, part := channelAndPartition(t, 10, 6, 4, 4)
+	s, err := NewMultigrid(meshes, [][]int32{part, nil, nil}, 4, euler.DefaultParams(0.675, 0), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// chaosMultigridRows is the multigrid row of the two chaos tests: only the
+// fine grid is checkpointed — the coarse levels are rebuilt from it every
+// cycle — so a node crash before the first periodic checkpoint, between
+// two, and on the last cycle must each replay to the fault-free history and
+// solution bitwise, restriction and prolongation exchanges included.
+func chaosMultigridRows(t *testing.T, concurrent bool) {
+	const cycles, every = 9, 3
+	ref, err := chaosMultigridSolver(t).Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, crashCycle := range []int{1, 4, cycles - 1} {
+		t.Run(fmt.Sprintf("multigrid/crash@%d", crashCycle), func(t *testing.T) {
+			s := chaosMultigridSolver(t)
+			plan := chaosPlan(crashCycle%s.NProc, crashCycle)
+			s.Fabric.SetFaultPlan(plan)
+			res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent, CheckpointEvery: every})
+			if err != nil {
+				t.Fatalf("chaos run failed: %v", err)
+			}
+			if res.Recoveries < 1 || plan.Unfired() != 0 {
+				t.Errorf("%d recoveries, %d faults never fired", res.Recoveries, plan.Unfired())
+			}
+			if len(res.History) != len(ref.History) {
+				t.Fatalf("chaos run has %d history entries, fault-free %d", len(res.History), len(ref.History))
+			}
+			for i := range ref.History {
+				if res.History[i] != ref.History[i] {
+					t.Fatalf("history[%d] = %v under faults, want %v (bitwise)", i, res.History[i], ref.History[i])
+				}
+			}
+			for i := range ref.FineSolution {
+				if res.FineSolution[i] != ref.FineSolution[i] {
+					t.Fatalf("solution vertex %d differs from fault-free run", i)
+				}
+			}
+		})
+	}
 }
 
 // TestChaosRecoversBitwise is the acceptance test of the fault-tolerance
@@ -91,6 +149,7 @@ func TestChaosRecoversBitwise(t *testing.T) {
 			t.Fatalf("solution vertex %d differs from fault-free run", i)
 		}
 	}
+	chaosMultigridRows(t, false)
 }
 
 // The same contract must hold in true MIMD mode, where every simulated
@@ -122,6 +181,7 @@ func TestChaosRecoversBitwiseConcurrent(t *testing.T) {
 			t.Fatalf("solution vertex %d differs from fault-free run", i)
 		}
 	}
+	chaosMultigridRows(t, true)
 }
 
 // Crash recovery disabled: the node failure must surface as ErrNodeDown.

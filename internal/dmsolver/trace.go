@@ -9,15 +9,15 @@ import (
 
 // Flight-recorder instrumentation of the distributed solver, giving the
 // paper-style computation-vs-communication breakdown per simulated
-// processor. The hooks sit at the communication choke points, so the
-// compute spans need no per-kernel wiring: on every track the time between
-// two exchanges *is* compute, and the recorder closes that gap with a
-// "compute" span when the next exchange opens.
+// processor. The hooks sit in the drivers' exchange, the communication
+// choke point, so the compute spans need no per-kernel wiring: on every
+// timeline the time between two exchanges *is* compute, and the recorder
+// closes that gap with a "compute" span when the next exchange opens.
 //
-//   - sequential orchestration: every whole-schedule collective becomes a
-//     span on the "comm" track ("gather-states", "scatter-states", ...,
+//   - sequential driver: every whole-schedule collective becomes a span on
+//     the "comm" track ("gather-states", "scatter-states", ...,
 //     arg = level);
-//   - MIMD mode: every per-processor exchange half becomes a span on that
+//   - MIMD driver: every per-processor exchange half becomes a span on that
 //     processor's track ("send-gather"/"recv-gather"/"send-scatter"/
 //     "recv-scatter") with the bulk-synchronous "barrier" waits between
 //     the halves — the per-node timeline of the Delta port;
@@ -27,7 +27,7 @@ import (
 //   - the recovery orchestrator (recovery.go) marks crashes, checkpoint
 //     restores and CFL backoffs as instants on the "events" track.
 
-// exchange kinds, indexing solverTrace.exPh.
+// exchange kinds, indexing CommCounters (Solver.count) and the span names.
 const (
 	exGatherState = iota
 	exScatterState
@@ -36,7 +36,24 @@ const (
 	nExKinds
 )
 
-var seqExNames = [nExKinds]string{"gather-states", "scatter-states", "gather-floats", "scatter-floats"}
+// The sorts of span a timeline is marked with; spanNames[sort][kind] names
+// the phase of that sort of span around an exchange of that kind.
+const (
+	spanCompute    = iota // gap since the previous exchange
+	spanCollective        // sequential whole-schedule collective
+	spanSend              // MIMD send half
+	spanRecv              // MIMD receive half
+	spanBarrier           // MIMD bulk-synchronous wait
+	nSpans
+)
+
+var spanNames = [nSpans][nExKinds]string{
+	spanCompute:    {"compute", "compute", "compute", "compute"},
+	spanCollective: {"gather-states", "scatter-states", "gather-floats", "scatter-floats"},
+	spanSend:       {"send-gather", "send-scatter", "send-gather", "send-scatter"},
+	spanRecv:       {"recv-gather", "recv-scatter", "recv-gather", "recv-scatter"},
+	spanBarrier:    {"barrier", "barrier", "barrier", "barrier"},
+}
 
 // buildSpan is one timed construction step, recorded before any tracer
 // exists and replayed by SetTrace.
@@ -46,30 +63,27 @@ type buildSpan struct {
 	from, to time.Time
 }
 
+// timeline is a track laid down as back-to-back spans: each mark closes the
+// interval since the previous one.
+type timeline struct {
+	st   *solverTrace
+	tk   *trace.Track
+	last time.Time
+}
+
 // solverTrace is the solver's attached recorder state; nil disables every
 // hook.
 type solverTrace struct {
 	tr    *trace.Tracer
-	comm  *trace.Track   // sequential collectives + compute gaps
-	procs []*trace.Track // MIMD: one per simulated processor
-	orch  *trace.Track   // recovery/checkpoint instants
+	comm  timeline     // sequential collectives + compute gaps
+	procs []timeline   // MIMD: one per simulated processor, owned by that processor's goroutine
+	orch  *trace.Track // recovery/checkpoint instants
 
-	exPh     [nExKinds]trace.PhaseID // sequential collective spans
-	sendPh   [nExKinds]trace.PhaseID // MIMD send halves
-	recvPh   [nExKinds]trace.PhaseID // MIMD receive halves
-	phBar    trace.PhaseID           // MIMD bulk-synchronous wait
-	phComp   trace.PhaseID           // compute gap between exchanges
-	phCrash  trace.PhaseID           // node crash detected (arg = cycle)
-	phRecov  trace.PhaseID           // checkpoint restore (arg = rewound-to cycle)
-	phBack   trace.PhaseID           // CFL backoff (arg = cycle)
-	phCkpt   trace.PhaseID           // checkpoint taken (arg = cycle)
-	lastSeq  time.Time               // end of the previous sequential collective
-	lastProc []time.Time             // per proc: end of its previous exchange (owned by that proc's goroutine)
-}
-
-var mimdExNames = [2][nExKinds]string{
-	{"send-gather", "send-scatter", "send-gather", "send-scatter"},
-	{"recv-gather", "recv-scatter", "recv-gather", "recv-scatter"},
+	ph      [nSpans][nExKinds]trace.PhaseID
+	phCrash trace.PhaseID // node crash detected (arg = cycle)
+	phRecov trace.PhaseID // checkpoint restore (arg = rewound-to cycle)
+	phBack  trace.PhaseID // CFL backoff (arg = cycle)
+	phCkpt  trace.PhaseID // checkpoint taken (arg = cycle)
 }
 
 // SetTrace attaches a flight-recorder tracer: the "comm" track carries the
@@ -82,23 +96,16 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
-	st := &solverTrace{
-		tr:       tr,
-		comm:     tr.Track("comm"),
-		orch:     tr.Track("events"),
-		procs:    make([]*trace.Track, s.NProc),
-		lastProc: make([]time.Time, s.NProc),
-	}
+	st := &solverTrace{tr: tr, orch: tr.Track("events"), procs: make([]timeline, s.NProc)}
+	st.comm = timeline{st: st, tk: tr.Track("comm")}
 	for p := range st.procs {
-		st.procs[p] = tr.Track(fmt.Sprintf("p%d", p))
+		st.procs[p] = timeline{st: st, tk: tr.Track(fmt.Sprintf("p%d", p))}
 	}
-	for k, n := range seqExNames {
-		st.exPh[k] = tr.Phase(n)
-		st.sendPh[k] = tr.Phase(mimdExNames[0][k])
-		st.recvPh[k] = tr.Phase(mimdExNames[1][k])
+	for sort, names := range spanNames {
+		for kind, n := range names {
+			st.ph[sort][kind] = tr.Phase(n)
+		}
 	}
-	st.phBar = tr.Phase("barrier")
-	st.phComp = tr.Phase("compute")
 	st.phCrash = tr.Phase("node-crash")
 	st.phRecov = tr.Phase("recovery")
 	st.phBack = tr.Phase("cfl-backoff")
@@ -114,23 +121,34 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 	s.st = st
 }
 
-// seqEx brackets one sequential whole-schedule collective: a compute span
-// closing the gap since the previous collective, then the collective span
-// itself.
-func (s *Solver) seqEx(kind, level int, fn func() error) error {
-	st := s.st
+// commLine and procLine return the timeline the sequential driver's
+// collectives, or processor p's exchange halves, are laid on: nil, whose
+// marks do nothing, with no tracer attached.
+func (st *solverTrace) commLine() *timeline {
 	if st == nil {
-		return fn()
+		return nil
 	}
-	t0 := time.Now()
-	if !st.lastSeq.IsZero() {
-		st.comm.Span(st.phComp, st.lastSeq, t0, int64(level))
+	return &st.comm
+}
+
+func (st *solverTrace) procLine(p int) *timeline {
+	if st == nil {
+		return nil
 	}
-	err := fn()
-	t1 := time.Now()
-	st.comm.Span(st.exPh[kind], t0, t1, int64(level))
-	st.lastSeq = t1
-	return err
+	return &st.procs[p]
+}
+
+// mark closes the interval since the timeline's previous mark as a span of
+// the given sort around an exchange of the given kind, and opens the next.
+func (tl *timeline) mark(sort, kind, arg int) {
+	if tl == nil {
+		return
+	}
+	now := time.Now()
+	if !tl.last.IsZero() {
+		tl.tk.Span(tl.st.ph[sort][kind], tl.last, now, int64(arg))
+	}
+	tl.last = now
 }
 
 // markIncident records a recovery-orchestrator instant on the events track.

@@ -9,9 +9,9 @@ import (
 
 // This file splits the executors into per-processor send and receive
 // halves. The whole-schedule executors in parti.go loop the halves over
-// all processors (the sequential-orchestration mode); the concurrent MIMD
-// mode of the distributed solver runs one goroutine per processor, each
-// calling its own half between barriers.
+// all processors (what the distributed solver's sequential driver calls);
+// its MIMD driver runs one goroutine per processor, each calling its own
+// half between barriers.
 
 // SendGatherStates packs and sends processor q's owned values for every
 // destination of the schedule.
