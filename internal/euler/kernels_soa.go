@@ -7,34 +7,45 @@ import (
 )
 
 // The SoA form of the operator: range kernels over explicit edge/face index
-// subsets and vertex ranges, operating on StateSoA blocks instead of
-// []State. The shared-memory parallel executor (package smsolver) calls
-// them per color group and per worker chunk — the Cray autotasking
-// decomposition of Section 3.1; within a color group no two edges touch the
-// same vertex, so the kernels are race-free. The engine converts at the
-// step boundaries so every public interface keeps []State. This is the
-// second and last statement of the scheme's arithmetic; the first is the
-// reference operator in ops.go, which the sequential and the distributed
-// engine drive.
+// subsets and vertex ranges, on StateSoA blocks instead of []State. The
+// shared-memory executor (package smsolver) calls them per color group and
+// worker chunk — the Cray autotasking decomposition of Section 3.1; within a
+// color group no two edges touch the same vertex, so the kernels are
+// race-free. The engine converts at the step boundaries, so every public
+// interface keeps []State. This is the second and last statement of the
+// scheme's arithmetic; the first is the reference operator in ops.go, which
+// the sequential and the distributed engine drive.
 //
-// Bitwise contract: each kernel performs the exact floating-point
-// operations of the reference operator, in the same order per (vertex,
-// component) accumulator slot (TestSoAKernelsBitwiseMatchReference). Where
-// a full 5-vector is needed per element (flux evaluation, spectral radii,
-// the stage-update admission) the state is gathered component-wise into a
-// State value and fed to the *same* helper (FluxDotN, SpectralRadius,
-// Params.admitUpdate), so the arithmetic is literally shared; the
-// component-wise accumulation statements mirror the reference expressions
-// term for term. Reordering across components is immaterial — each
-// accumulator slot still sees the same additions in the same edge order.
+// One sweep body, parts: what the scheme accumulates over edges from w alone
+// (spectral radii, convective flux, the dissipation's Laplacian and sensor
+// sums) is stated once, in EdgeSweepSoAKernel, which gathers both ends of an
+// edge once and performs whichever SweepParts the caller selected, each into
+// its own accumulators. Under one coloring any subset is legal in one pass:
+// the engine makes one pass per stage, and the one-part kernels are calls of
+// the same body. BFaceSweepSoAKernel is the same for a boundary face's two
+// parts. Dissipation pass 2 needs pass 1 complete, so it stays its own loop.
 //
-// Performance note: every kernel hoists the five component slices into
-// locals before its element loop and unrolls the component dimension.
-// Indexing stateSoA.Comp[k] inside a per-edge loop reloads a slice header
-// (and re-checks bounds) per component per edge; with the streams in
-// locals the compiler keeps the five base pointers in registers and the
-// inner body is straight-line loads, FMAs and stores — the layout the SoA
-// conversion exists to expose.
+// Vertex terms: 1/rho and the sound speed, which the reference operator
+// re-derives at both ends of every edge (FluxDotN, SpectralRadius; ~13 edges
+// meet at a vertex), are kept per vertex beside the pressure. setVertexTerms
+// writes all three from exactly the kernels that write a solution block
+// (StepInit, ResInit, UpdateNext), so no sweep can read a stale one, and the
+// edge loops are division-free with one square root (|n|) per edge.
+//
+// Bitwise contract: each kernel performs the exact floating-point operations
+// of the reference operator, in the same order per (vertex, component)
+// accumulator slot (TestSoAKernelsBitwiseMatchReference). A hoisted term is
+// the reference's own subexpression — 1/w[0], math.Sqrt(g.Gamma*p*rinv) —
+// rounded once per vertex to the bits it had per edge end; the flux and
+// spectral-radius lines mirror FluxDotN and SpectralRadius term for term;
+// fusing parts leaves every slot the same additions in the same edge order.
+//
+// Performance note: every kernel hoists the component slices into locals
+// (indexing Comp[k] per edge reloads a slice header per component) and
+// unrolls the component dimension. The edge loops gather into scalar locals,
+// not State{...} temporaries for FluxDotN/SpectralRadius: Go keeps arrays
+// longer than one element on the stack, a store and a reload per component,
+// and SpectralRadius, past the inlining budget, is a call per edge.
 
 // Scratch accessors for the parallel executor, which drives the kernels
 // itself but accumulates into this discretization's float workspace.
@@ -60,9 +71,16 @@ func (d *Disc) DtRangeKernel(lam []float64, lo, hi int) {
 	d.P.TimeSteps(d.Dt[lo:hi], d.M.Vol[lo:hi], lam[lo:hi])
 }
 
+// setVertexTerms stores vertex i's pressure p, 1/rho and sound speed, each
+// the reference operator's expression; every kernel that writes wS calls it.
+func (d *Disc) setVertexTerms(i int, rho, p float64) {
+	ri := 1 / rho
+	d.pres[i], d.rinv[i], d.snd[i] = p, ri, math.Sqrt(d.P.Gas.Gamma*p*ri)
+}
+
 // StepInitSoAKernel fuses the time-step preamble for vertices [lo,hi):
 // load w into the SoA solution block and the stage-0 snapshot, refresh the
-// pressure, and reset the spectral-radius accumulator.
+// vertex terms, and reset the spectral-radius accumulator.
 func (d *Disc) StepInitSoAKernel(w []State, wS, w0S *StateSoA, lo, hi int) {
 	g := d.P.Gas
 	s0, s1, s2, s3, s4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
@@ -71,20 +89,20 @@ func (d *Disc) StepInitSoAKernel(w []State, wS, w0S *StateSoA, lo, hi int) {
 		st := w[i]
 		s0[i], s1[i], s2[i], s3[i], s4[i] = st[0], st[1], st[2], st[3], st[4]
 		z0[i], z1[i], z2[i], z3[i], z4[i] = st[0], st[1], st[2], st[3], st[4]
-		d.pres[i] = g.Pressure(st)
+		d.setVertexTerms(i, st[0], g.Pressure(st))
 		d.lam[i] = 0
 	}
 }
 
 // ResInitSoAKernel loads w into the SoA solution block and refreshes the
-// pressure for vertices [lo,hi) (standalone-residual preamble).
+// vertex terms for vertices [lo,hi) (standalone-residual preamble).
 func (d *Disc) ResInitSoAKernel(w []State, wS *StateSoA, lo, hi int) {
 	g := d.P.Gas
 	s0, s1, s2, s3, s4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
 	for i := lo; i < hi; i++ {
 		st := w[i]
 		s0[i], s1[i], s2[i], s3[i], s4[i] = st[0], st[1], st[2], st[3], st[4]
-		d.pres[i] = g.Pressure(st)
+		d.setVertexTerms(i, st[0], g.Pressure(st))
 	}
 }
 
@@ -104,52 +122,172 @@ func (d *Disc) StageZeroSoAKernel(convS, dissS, laplS *StateSoA, zeroDiss bool, 
 	dissS.ZeroRange(lo, hi)
 }
 
-// ConvectiveEdgesSoAKernel accumulates the convective flux of the listed
-// edges into convS. Pressures must be current.
-func (d *Disc) ConvectiveEdgesSoAKernel(wS, convS *StateSoA, edges []int32) {
+// SweepParts selects what one pass of the edge or face sweep accumulates.
+type SweepParts uint8
+
+const (
+	PartLam   SweepParts = 1 << iota // spectral radii into lam
+	PartConv                         // convective flux (boundary closure) into convS
+	PartDiss1                        // undivided Laplacian and sensor sums into laplS, num, den
+)
+
+// EdgeSweepSoAKernel is the edge loop of the scheme's first pass: it gathers
+// both ends of each listed edge once and accumulates the selected parts.
+// Accumulators of unselected parts are not touched and may be nil.
+func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, lam, num, den []float64, edges []int32) {
 	m := d.M
-	pres := d.pres
+	pres, rinv, snd := d.pres, d.rinv, d.snd
 	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	c0, c1, c2, c3, c4 := convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+	var c0, c1, c2, c3, c4, l0, l1, l2, l3, l4 []float64
+	if parts&PartConv != 0 {
+		c0, c1, c2, c3, c4 = convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+	}
+	if parts&PartDiss1 != 0 {
+		l0, l1, l2, l3, l4 = laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
+	}
+	for _, e := range edges {
+		ed := m.Edges[e]
+		i, j := ed[0], ed[1]
+		a0, a1, a2, a3, a4 := w0[i], w1[i], w2[i], w3[i], w4[i]
+		b0, b1, b2, b3, b4 := w0[j], w1[j], w2[j], w3[j], w4[j]
+		pi, pj := pres[i], pres[j]
+		if parts&(PartLam|PartConv) != 0 {
+			n := m.EdgeNorm[e]
+			ri, rj := rinv[i], rinv[j]
+			if parts&PartLam != 0 {
+				u := 0.5 * (a1*ri + b1*rj) // SpectralRadius on the vertex terms
+				v := 0.5 * (a2*ri + b2*rj)
+				ww := 0.5 * (a3*ri + b3*rj)
+				lamE := math.Abs(u*n.X+v*n.Y+ww*n.Z) + 0.5*(snd[i]+snd[j])*n.Norm()
+				lam[i] += lamE
+				lam[j] += lamE
+			}
+			if parts&PartConv != 0 {
+				// 0.5*(FluxDotN(wi) + FluxDotN(wj)), term for term.
+				ui := (a1*n.X + a2*n.Y + a3*n.Z) * ri
+				uj := (b1*n.X + b2*n.Y + b3*n.Z) * rj
+				f0 := 0.5 * (a0*ui + b0*uj)
+				f1 := 0.5 * ((a1*ui + pi*n.X) + (b1*uj + pj*n.X))
+				f2 := 0.5 * ((a2*ui + pi*n.Y) + (b2*uj + pj*n.Y))
+				f3 := 0.5 * ((a3*ui + pi*n.Z) + (b3*uj + pj*n.Z))
+				f4 := 0.5 * ((a4+pi)*ui + (b4+pj)*uj)
+				c0[i] += f0
+				c0[j] -= f0
+				c1[i] += f1
+				c1[j] -= f1
+				c2[i] += f2
+				c2[j] -= f2
+				c3[i] += f3
+				c3[j] -= f3
+				c4[i] += f4
+				c4[j] -= f4
+			}
+		}
+		if parts&PartDiss1 != 0 {
+			l0[i] += b0 - a0
+			l0[j] -= b0 - a0
+			l1[i] += b1 - a1
+			l1[j] -= b1 - a1
+			l2[i] += b2 - a2
+			l2[j] -= b2 - a2
+			l3[i] += b3 - a3
+			l3[j] -= b3 - a3
+			l4[i] += b4 - a4
+			l4[j] -= b4 - a4
+			dp := pj - pi
+			num[i] += dp
+			num[j] -= dp
+			sp := pj + pi
+			den[i] += sp
+			den[j] += sp
+		}
+	}
+}
+
+// LambdaEdgesSoAKernel is the edge sweep's PartLam alone: spectral radii into lam.
+func (d *Disc) LambdaEdgesSoAKernel(wS *StateSoA, lam []float64, edges []int32) {
+	d.EdgeSweepSoAKernel(PartLam, wS, nil, nil, lam, nil, nil, edges)
+}
+
+// ConvectiveEdgesSoAKernel is the edge sweep's PartConv alone: fluxes into convS.
+func (d *Disc) ConvectiveEdgesSoAKernel(wS, convS *StateSoA, edges []int32) {
+	d.EdgeSweepSoAKernel(PartConv, wS, convS, nil, nil, nil, nil, edges)
+}
+
+// DissPass1SoAKernel is the edge sweep's PartDiss1 alone: the undivided
+// Laplacian into laplS and the pressure-sensor sums into num and den.
+func (d *Disc) DissPass1SoAKernel(wS, laplS *StateSoA, num, den []float64, edges []int32) {
+	d.EdgeSweepSoAKernel(PartDiss1, wS, nil, laplS, nil, num, den, edges)
+}
+
+// DissPass2SoAKernel accumulates the blended dissipative flux of the
+// listed edges into dissS, given the per-vertex switch nu and Laplacian.
+func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edges []int32) {
+	m := d.M
+	k2, k4 := d.P.K2, d.P.K4
+	rinv, snd := d.rinv, d.snd
+	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
+	l0, l1, l2, l3, l4 := laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
+	s0, s1, s2, s3, s4 := dissS.Comp[0], dissS.Comp[1], dissS.Comp[2], dissS.Comp[3], dissS.Comp[4]
 	for _, e := range edges {
 		ed := m.Edges[e]
 		i, j := ed[0], ed[1]
 		n := m.EdgeNorm[e]
-		fi := FluxDotN(State{w0[i], w1[i], w2[i], w3[i], w4[i]}, pres[i], n.X, n.Y, n.Z)
-		fj := FluxDotN(State{w0[j], w1[j], w2[j], w3[j], w4[j]}, pres[j], n.X, n.Y, n.Z)
-		f0 := 0.5 * (fi[0] + fj[0])
-		f1 := 0.5 * (fi[1] + fj[1])
-		f2 := 0.5 * (fi[2] + fj[2])
-		f3 := 0.5 * (fi[3] + fj[3])
-		f4 := 0.5 * (fi[4] + fj[4])
-		c0[i] += f0
-		c0[j] -= f0
-		c1[i] += f1
-		c1[j] -= f1
-		c2[i] += f2
-		c2[j] -= f2
-		c3[i] += f3
-		c3[j] -= f3
-		c4[i] += f4
-		c4[j] -= f4
+		ri, rj := rinv[i], rinv[j]
+		u := 0.5 * (w1[i]*ri + w1[j]*rj) // SpectralRadius, as in the edge sweep
+		v := 0.5 * (w2[i]*ri + w2[j]*rj)
+		ww := 0.5 * (w3[i]*ri + w3[j]*rj)
+		lamE := math.Abs(u*n.X+v*n.Y+ww*n.Z) + 0.5*(snd[i]+snd[j])*n.Norm()
+		eps2 := k2 * math.Max(nu[i], nu[j])
+		eps4 := math.Max(0, k4-eps2)
+		f0 := lamE * (eps2*(w0[j]-w0[i]) - eps4*(l0[j]-l0[i]))
+		f1 := lamE * (eps2*(w1[j]-w1[i]) - eps4*(l1[j]-l1[i]))
+		f2 := lamE * (eps2*(w2[j]-w2[i]) - eps4*(l2[j]-l2[i]))
+		f3 := lamE * (eps2*(w3[j]-w3[i]) - eps4*(l3[j]-l3[i]))
+		f4 := lamE * (eps2*(w4[j]-w4[i]) - eps4*(l4[j]-l4[i]))
+		s0[i] += f0
+		s0[j] -= f0
+		s1[i] += f1
+		s1[j] -= f1
+		s2[i] += f2
+		s2[j] -= f2
+		s3[i] += f3
+		s3[j] -= f3
+		s4[i] += f4
+		s4[j] -= f4
 	}
 }
 
-// BoundaryFluxSoAKernel accumulates the boundary closure of the listed
-// boundary faces into convS.
-func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
+// BFaceSweepSoAKernel is the one boundary-face loop: the face spectral
+// radii into lam (PartLam) and the boundary closure into convS (PartConv),
+// both lumped onto the face's three vertices, so one coloring covers both.
+func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []float64, faces []int32) {
 	m := d.M
 	g := d.P.Gas
+	pres, rinv, snd := d.pres, d.rinv, d.snd
 	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	c0, c1, c2, c3, c4 := convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+	var c0, c1, c2, c3, c4 []float64
+	if parts&PartConv != 0 {
+		c0, c1, c2, c3, c4 = convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+	}
 	for _, bi := range faces {
 		f := &m.BFaces[bi]
 		n := f.Normal
 		a, b, c := f.V[0], f.V[1], f.V[2]
+		if parts&PartLam != 0 {
+			nn := n.Norm()
+			for _, v := range f.V {
+				un := (w1[v]*n.X + w2[v]*n.Y + w3[v]*n.Z) * rinv[v]
+				lam[v] += (math.Abs(un) + snd[v]*nn) / 3
+			}
+		}
+		if parts&PartConv == 0 {
+			continue
+		}
 		var flux State
 		switch f.Kind {
 		case mesh.Wall, mesh.Symmetry:
-			p := (d.pres[a] + d.pres[b] + d.pres[c]) / 3
+			p := (pres[a] + pres[b] + pres[c]) / 3
 			flux = State{0, p * n.X, p * n.Y, p * n.Z, 0}
 		case mesh.FarField:
 			wi := State{
@@ -181,110 +319,14 @@ func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
 	}
 }
 
-// DissPass1SoAKernel accumulates the undivided Laplacian and pressure-
-// sensor sums of the listed edges into laplS, num and den.
-func (d *Disc) DissPass1SoAKernel(wS, laplS *StateSoA, num, den []float64, edges []int32) {
-	m := d.M
-	pres := d.pres
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	l0, l1, l2, l3, l4 := laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
-	for _, e := range edges {
-		ed := m.Edges[e]
-		i, j := ed[0], ed[1]
-		d0 := w0[j] - w0[i]
-		d1 := w1[j] - w1[i]
-		d2 := w2[j] - w2[i]
-		d3 := w3[j] - w3[i]
-		d4 := w4[j] - w4[i]
-		l0[i] += d0
-		l0[j] -= d0
-		l1[i] += d1
-		l1[j] -= d1
-		l2[i] += d2
-		l2[j] -= d2
-		l3[i] += d3
-		l3[j] -= d3
-		l4[i] += d4
-		l4[j] -= d4
-		dp := pres[j] - pres[i]
-		num[i] += dp
-		num[j] -= dp
-		sp := pres[j] + pres[i]
-		den[i] += sp
-		den[j] += sp
-	}
-}
-
-// DissPass2SoAKernel accumulates the blended dissipative flux of the
-// listed edges into dissS, given the per-vertex switch nu and Laplacian.
-func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edges []int32) {
-	m := d.M
-	k2, k4 := d.P.K2, d.P.K4
-	gas := d.P.Gas
-	pres := d.pres
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	l0, l1, l2, l3, l4 := laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
-	s0, s1, s2, s3, s4 := dissS.Comp[0], dissS.Comp[1], dissS.Comp[2], dissS.Comp[3], dissS.Comp[4]
-	for _, e := range edges {
-		ed := m.Edges[e]
-		i, j := ed[0], ed[1]
-		wi := State{w0[i], w1[i], w2[i], w3[i], w4[i]}
-		wj := State{w0[j], w1[j], w2[j], w3[j], w4[j]}
-		lamE := SpectralRadius(gas, wi, wj, pres[i], pres[j], m.EdgeNorm[e])
-		eps2 := k2 * math.Max(nu[i], nu[j])
-		eps4 := math.Max(0, k4-eps2)
-		f0 := lamE * (eps2*(w0[j]-w0[i]) - eps4*(l0[j]-l0[i]))
-		f1 := lamE * (eps2*(w1[j]-w1[i]) - eps4*(l1[j]-l1[i]))
-		f2 := lamE * (eps2*(w2[j]-w2[i]) - eps4*(l2[j]-l2[i]))
-		f3 := lamE * (eps2*(w3[j]-w3[i]) - eps4*(l3[j]-l3[i]))
-		f4 := lamE * (eps2*(w4[j]-w4[i]) - eps4*(l4[j]-l4[i]))
-		s0[i] += f0
-		s0[j] -= f0
-		s1[i] += f1
-		s1[j] -= f1
-		s2[i] += f2
-		s2[j] -= f2
-		s3[i] += f3
-		s3[j] -= f3
-		s4[i] += f4
-		s4[j] -= f4
-	}
-}
-
-// LambdaEdgesSoAKernel accumulates the spectral radii of the listed edges
-// into lam.
-func (d *Disc) LambdaEdgesSoAKernel(wS *StateSoA, lam []float64, edges []int32) {
-	m := d.M
-	gas := d.P.Gas
-	pres := d.pres
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	for _, e := range edges {
-		ed := m.Edges[e]
-		i, j := ed[0], ed[1]
-		wi := State{w0[i], w1[i], w2[i], w3[i], w4[i]}
-		wj := State{w0[j], w1[j], w2[j], w3[j], w4[j]}
-		lamE := SpectralRadius(gas, wi, wj, pres[i], pres[j], m.EdgeNorm[e])
-		lam[i] += lamE
-		lam[j] += lamE
-	}
-}
-
-// LambdaBFacesSoAKernel accumulates the boundary-face spectral radii of
-// the listed faces into lam.
+// LambdaBFacesSoAKernel is the face sweep's PartLam alone: face radii into lam.
 func (d *Disc) LambdaBFacesSoAKernel(wS *StateSoA, lam []float64, faces []int32) {
-	m := d.M
-	g := d.P.Gas
-	rho, mx, my, mz := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3]
-	for _, bi := range faces {
-		f := &m.BFaces[bi]
-		n := f.Normal
-		for _, v := range f.V {
-			inv := 1 / rho[v]
-			un := (mx[v]*n.X + my[v]*n.Y + mz[v]*n.Z) * inv
-			c := math.Sqrt(g.Gamma * d.pres[v] * inv)
-			lam[v] += (math.Abs(un) + c*n.Norm()) / 3
-		}
-	}
+	d.BFaceSweepSoAKernel(PartLam, wS, nil, lam, faces)
+}
+
+// BoundaryFluxSoAKernel is the face sweep's PartConv alone: closure into convS.
+func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
+	d.BFaceSweepSoAKernel(PartConv, wS, convS, nil, faces)
 }
 
 // SmoothGatherSoAKernel performs one whole Jacobi sweep of the residual
@@ -420,7 +462,7 @@ func (d *Disc) UpdateFinalSoAKernel(w []State, w0S, resS *StateSoA, alpha float6
 
 // UpdateNextSoAKernel applies an intermediate RK stage update for vertices
 // [lo,hi) into the SoA solution block and refreshes the next stage's
-// pressure from the updated state in the same sweep.
+// vertex terms from the updated state in the same sweep.
 func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, hi int) {
 	g := d.P.Gas
 	vol := d.M.Vol
@@ -432,6 +474,6 @@ func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, h
 		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
 		cand = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
 		s0[i], s1[i], s2[i], s3[i], s4[i] = cand[0], cand[1], cand[2], cand[3], cand[4]
-		d.pres[i] = g.Pressure(cand)
+		d.setVertexTerms(i, cand[0], g.Pressure(cand))
 	}
 }

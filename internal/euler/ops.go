@@ -75,15 +75,19 @@ type Disc struct {
 
 	// Scratch (sized to the mesh):
 	pres   []float64 // vertex pressures
+	rinv   []float64 // vertex 1/rho (SoA kernels only; see setVertexTerms)
+	snd    []float64 // vertex sound speeds (SoA kernels only)
 	lam    []float64 // vertex-accumulated spectral radii (for Dt)
 	sensor []float64 // pressure-switch numerator workspace
 	den    []float64 // pressure-switch denominator workspace
-	lapl   []State   // undivided Laplacian of w
-	smooth []State   // residual-averaging workspace
-	rhs    []State   // residual-averaging right-hand side copy
-	rdiss  []State   // dissipation scratch for Residual
 	deg    []int32   // vertex degrees (for Jacobi smoothing)
 	Dt     []float64 // local time steps
+	// Sequential-driver scratch, sized on first use by the methods that read
+	// it (their zero-allocation tests warm up first); nil in a pooled engine.
+	lapl   []State // undivided Laplacian of w
+	smooth []State // residual-averaging workspace
+	rhs    []State // residual-averaging right-hand side copy
+	rdiss  []State // dissipation scratch for Residual
 }
 
 // NewDisc allocates a discretization for mesh m with parameters p.
@@ -92,13 +96,11 @@ func NewDisc(m *mesh.Mesh, p Params) *Disc {
 	return &Disc{
 		M: m, P: p,
 		pres:   make([]float64, nv),
+		rinv:   make([]float64, nv),
+		snd:    make([]float64, nv),
 		lam:    make([]float64, nv),
 		sensor: make([]float64, nv),
 		den:    make([]float64, nv),
-		lapl:   make([]State, nv),
-		smooth: make([]State, nv),
-		rhs:    make([]State, nv),
-		rdiss:  make([]State, nv),
 		deg:    degrees(m),
 		Dt:     make([]float64, nv),
 	}
@@ -137,13 +139,11 @@ func (d *Disc) Retarget(m *mesh.Mesh, p Params) {
 	d.M, d.P = m, p
 	nv := m.NV()
 	d.pres = Grow(d.pres, nv)
+	d.rinv = Grow(d.rinv, nv)
+	d.snd = Grow(d.snd, nv)
 	d.lam = Grow(d.lam, nv)
 	d.sensor = Grow(d.sensor, nv)
 	d.den = Grow(d.den, nv)
-	d.lapl = Grow(d.lapl, nv)
-	d.smooth = Grow(d.smooth, nv)
-	d.rhs = Grow(d.rhs, nv)
-	d.rdiss = Grow(d.rdiss, nv)
 	d.Dt = Grow(d.Dt, nv)
 	d.deg = Grow(d.deg, nv)
 	for i := range d.deg {
@@ -425,6 +425,7 @@ func (d *Disc) Convective(w []State, res []State) {
 // passes. Pressures must be current.
 func (d *Disc) Dissipation(w []State, diss []State) {
 	m := d.M
+	d.lapl = Grow(d.lapl, m.NV())
 	DissPass1(m.Edges, w, d.pres, d.lapl, d.sensor, d.den)
 	ShockSwitch(d.sensor, d.den)
 	DissPass2(&d.P, m.Edges, m.EdgeNorm, w, d.pres, d.lapl, d.sensor, diss)
@@ -446,6 +447,7 @@ func (d *Disc) SmoothResiduals(res []State) {
 	if eps == 0 || d.P.NSmooth == 0 || len(res) == 0 {
 		return
 	}
+	d.rhs, d.smooth = Grow(d.rhs, len(res)), Grow(d.smooth, len(res))
 	copy(d.rhs, res) // the original R stays the Jacobi right-hand side
 	cur, next := res, d.smooth
 	for sweep := 0; sweep < d.P.NSmooth; sweep++ {

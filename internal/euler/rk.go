@@ -9,6 +9,7 @@ import "math"
 // adaptation indicator and tests; the RK driver below calls the same pieces
 // itself to control when the dissipation is refrozen.
 func (d *Disc) Residual(w, forcing, res []State) {
+	d.rdiss = Grow(d.rdiss, len(res))
 	d.computePressures(w)
 	d.Convective(w, res)
 	d.Dissipation(w, d.rdiss)

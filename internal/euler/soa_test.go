@@ -3,6 +3,8 @@ package euler
 import (
 	"math"
 	"testing"
+
+	"eul3d/internal/color"
 )
 
 // TestStateSoARoundTrip checks the SoA block's conversion surface: a
@@ -102,8 +104,10 @@ func (s *soaStepper) sameS(name string, ref []State, soa *StateSoA) {
 	}
 }
 
-// step is one multistage time step in the order the pooled engine issues
-// the kernels; it returns the first-stage residual norm.
+// step is one multistage time step, one part of the scheme per kernel call
+// (the pooled engine fuses the first-pass parts into one sweep;
+// checkFusedSweeps pins that against these calls); it returns the
+// first-stage residual norm.
 func (s *soaStepper) step(w, forcing []State) float64 {
 	d, ref := s.d, s.ref
 	nv := d.M.NV()
@@ -182,6 +186,72 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 	return norm
 }
 
+// checkFusedSweeps pins the fusion the pooled engine relies on: one edge
+// sweep with every part selected, and one face sweep with both of its parts,
+// leave in lam, convS, laplS, num and den exactly the bits the one-part
+// kernels leave, over the identity lists and over greedy color orders (which
+// are not the identity — the order cmd/bench and the engine's source-mesh
+// colorings drive the kernels in). The vertex terms are refreshed from w by
+// StepInitSoAKernel alone, as in a step.
+func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
+	t.Helper()
+	m := d.M
+	nv := m.NV()
+	ec, err := color.Greedy(nv, m.Edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faces := make([][3]int32, len(m.BFaces))
+	for i := range m.BFaces {
+		faces[i] = m.BFaces[i].V
+	}
+	fc, err := color.GreedyFaces(nv, faces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wS, w0S := NewStateSoA(nv), NewStateSoA(nv)
+	d.StepInitSoAKernel(w, wS, w0S, 0, nv)
+
+	type sums struct {
+		convS, laplS  *StateSoA
+		lam, num, den []float64
+	}
+	fresh := func() sums {
+		return sums{NewStateSoA(nv), NewStateSoA(nv), make([]float64, nv), make([]float64, nv), make([]float64, nv)}
+	}
+	for _, tc := range []struct {
+		name         string
+		edges, faces []int32
+	}{
+		{"identity", identity(m.NE()), identity(len(m.BFaces))},
+		{"greedy-order", ec.Order, fc.Order},
+	} {
+		one, all := fresh(), fresh()
+		d.LambdaEdgesSoAKernel(wS, one.lam, tc.edges)
+		d.ConvectiveEdgesSoAKernel(wS, one.convS, tc.edges)
+		d.DissPass1SoAKernel(wS, one.laplS, one.num, one.den, tc.edges)
+		d.LambdaBFacesSoAKernel(wS, one.lam, tc.faces)
+		d.BoundaryFluxSoAKernel(wS, one.convS, tc.faces)
+
+		d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, all.convS, all.laplS, all.lam, all.num, all.den, tc.edges)
+		d.BFaceSweepSoAKernel(PartLam|PartConv, wS, all.convS, all.lam, tc.faces)
+
+		for i := 0; i < nv; i++ {
+			same := one.convS.At(i) == all.convS.At(i) && one.laplS.At(i) == all.laplS.At(i) &&
+				one.lam[i] == all.lam[i] && one.num[i] == all.num[i] && one.den[i] == all.den[i]
+			if !same {
+				t.Fatalf("%s: vertex %d: fused sweep differs from the one-part kernels:\n"+
+					"conv %v vs %v\nlapl %v vs %v\nlam %v vs %v, num %v vs %v, den %v vs %v", tc.name, i,
+					one.convS.At(i), all.convS.At(i), one.laplS.At(i), all.laplS.At(i),
+					one.lam[i], all.lam[i], one.num[i], all.num[i], one.den[i], all.den[i])
+			}
+		}
+		if one.lam[0] == 0 || one.den[0] == 0 || one.convS.At(0) == (State{}) {
+			t.Fatalf("%s: the sweeps accumulated nothing at vertex 0", tc.name)
+		}
+	}
+}
+
 // TestSoAKernelsBitwiseMatchReference is the contract between the two
 // statements of the scheme's arithmetic: every SoA kernel, run over the
 // identity edge and face lists, must reproduce the reference operator —
@@ -190,7 +260,8 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 // the component streams change the memory layout, not one floating-point
 // operation. The three cases cover the steady scheme, the FAS forcing term,
 // and the time-accurate scheme (global dt, no averaging) with the convex
-// limiter made to act.
+// limiter made to act; on the field each leaves behind, the fused sweeps are
+// then held to the one-part kernels (checkFusedSweeps).
 func TestSoAKernelsBitwiseMatchReference(t *testing.T) {
 	const steps = 3
 	for _, tc := range []struct {
@@ -240,6 +311,8 @@ func TestSoAKernelsBitwiseMatchReference(t *testing.T) {
 			seq.computePressures(w)
 			soa.sameS("res-init w", w, wS)
 			soa.sameF("res-init pres", seq.pres, d.pres)
+
+			checkFusedSweeps(t, d, w)
 
 			if d.P.ConvexLimit {
 				// The limiter must have acted, or this case pins nothing the

@@ -183,10 +183,11 @@ func (mg *Multigrid) Close() {
 
 // SetTrace attaches a flight-recorder tracer to the pooled engine: worker
 // tracks carry kernel and barrier spans across every level (the kernel
-// span's argument is the color group; the level shows in the "phases"
-// track), and the orchestrator track carries the per-level accumulator
-// phases ("L<l> steps/residuals/transfers/corrections") plus a level-entry
-// instant per cycle visit. Call before the first Cycle.
+// span's argument is the color group, or the part set on the fused sweeps;
+// the level shows in the "phases" track), and the orchestrator track
+// carries the per-level accumulator phases ("L<l> steps/residuals/
+// transfers/corrections") plus a level-entry instant per cycle visit. Call
+// before the first Cycle.
 func (mg *Multigrid) SetTrace(tr *trace.Tracer) {
 	if tr == nil {
 		return

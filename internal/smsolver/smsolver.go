@@ -23,24 +23,28 @@
 //
 // Execution uses a persistent worker pool (see pool.go): the workers are
 // spawned once, parked between parallel regions, and driven through
-// prebuilt per-color chunk tables balanced by element count; adjacent
-// zero/copy sweeps are fused into the neighbouring vertex kernels and all
-// scratch is solver-owned, so a steady-state Step (and multigrid Cycle)
-// performs zero heap allocations. The hot path — flux and dissipation
-// accumulation over the colored edge groups and the fused vertex updates —
-// runs on a structure-of-arrays state layout (euler.StateSoA: five
-// contiguous component streams instead of 40-byte records, six blocks per
-// level whose lifetimes levelEngine documents), converting from the public
-// []State interfaces inside the fused preamble and update sweeps. The
+// prebuilt per-color chunk tables balanced by element count; all scratch is
+// solver-owned, so a steady-state Step (and multigrid Cycle) performs zero
+// heap allocations. The hot path runs on a structure-of-arrays state layout
+// (euler.StateSoA: five contiguous component streams instead of 40-byte
+// records, six blocks per level whose lifetimes levelEngine documents),
+// converting from the public []State interfaces inside the fused preamble
+// and update sweeps, which also refresh the per-vertex terms (pressure,
+// 1/rho, sound speed) the edge loops read and zero the next accumulators.
+// A stage makes one colored edge pass and one face pass
+// (euler.EdgeSweepSoAKernel) for everything that reads w alone — the
+// convective flux always, dissipation pass 1 while it is re-evaluated, the
+// spectral radii on stage 0 — and, on the dissipation stages, a second edge
+// pass for the blended flux: 7 colored edge passes per five-stage step. The
 // residual averaging is not a colored loop: each Jacobi sweep is one
 // vertex-parallel gather over the layout's adjacency, whose rows list the
 // neighbours in the order the colored edge sweep would meet them, so it is
 // that sweep's arithmetic bit for bit at one barrier instead of one per
-// color. The per-block residual-norm partials are padded to cache-line
-// boundaries so concurrent block writers never share a line. Grid levels
-// below SerialCutoffEdges skip the fork/join barrier entirely and run every
-// region inline on the caller — chunking and inlining never affect results.
-// The engine/levelEngine split in this file lets the same N parked workers
+// color. The per-block residual-norm partials are padded to cache lines so
+// concurrent block writers never share one. Grid levels below
+// SerialCutoffEdges skip the fork/join barrier and run every region inline
+// on the caller — chunking and inlining never affect results. The
+// engine/levelEngine split in this file lets the same N parked workers
 // drive either a single grid (Solver) or every level of a FAS multigrid
 // sequence (Multigrid, multigrid.go). Close releases the workers; a solver
 // dropped without Close is cleaned up by the garbage collector.
@@ -79,14 +83,10 @@ var SerialCutoffEdges = 4096
 type taskKind uint8
 
 const (
-	tInit         taskKind = iota // SoA load + w0 snapshot + pressures + lam reset (fused)
-	tLamEdges                     // colored: edge spectral radii
-	tLamFaces                     // colored: boundary-face spectral radii
-	tDtZero                       // local time steps + stage-0 accumulator zeroing (fused)
-	tConvEdges                    // colored: convective fluxes
-	tConvFaces                    // colored: boundary closure
-	tDiss1                        // colored: Laplacian + sensor sums
-	tNu                           // sensor sums -> shock switch
+	tInit         taskKind = iota // SoA load + w0 snapshot + vertex terms + accumulator zeroing (fused)
+	tEdgeSweep                    // colored: the stage's parts of {spectral radii, convective flux, Laplacian + sensor sums}
+	tFaceSweep                    // colored: boundary closure (+ boundary-face spectral radii on stage 0)
+	tNu                           // sensor sums -> shock switch (+ local time steps on stage 0)
 	tDiss2                        // colored: blended dissipative flux
 	tCombine                      // resS = convS - dissS (+ forcing), SoA
 	tCombineOut                   // res = convS - dissS (+ forcing), []State out
@@ -94,8 +94,8 @@ const (
 	tLoadRes                      // []State load into resS (correction smoothing preamble)
 	tSmoothGather                 // one whole Jacobi sweep, gather form over the adjacency
 	tUpdate                       // RK update scattered to []State (final stage)
-	tUpdateNext                   // RK update + next-stage pressures + zeroing (fused, SoA)
-	tResInit                      // SoA load + pressures + accumulator zeroing (standalone residual)
+	tUpdateNext                   // RK update + next-stage vertex terms + zeroing (fused, SoA)
+	tResInit                      // SoA load + vertex terms + accumulator zeroing (standalone residual)
 	tInterp                       // inter-grid interpolation over a target chunk
 	tScatter                      // destination-grouped residual restriction rows
 	tRepairSave                   // repair restricted states + snapshot (fused)
@@ -108,10 +108,10 @@ const (
 // Instrumented phases of one time step (the engine's internal phase
 // numbering; phaseMap routes them to accumulator slots).
 const (
-	phTimestep = iota // pressures, spectral radii, local time steps
-	phConvective
-	phDissipation
-	phResidual // residual combine + norm reduction
+	phTimestep    = iota // SoA load and per-vertex terms (pressure, 1/rho, sound speed)
+	phConvective         // the fused edge and face sweeps, whatever parts the stage selects
+	phDissipation        // shock switch (+ local time steps on stage 0) and dissipation pass 2
+	phResidual           // residual combine + norm reduction
 	phSmoothing
 	phUpdate
 	nPhases
@@ -184,9 +184,10 @@ type levelEngine struct {
 	faceSpans  [][]span
 	faceActive []int
 
-	// Analytic flop charges of the engine's step phases on this mesh.
-	flTimestep, flConv, flDiss, flCombine, flSmooth int64
-	flUpdate, flUpdateNext                          int64
+	// Analytic flop charges of the engine's regions on this mesh, charged to
+	// the phase that runs them; over one step they sum to flops.Step.
+	flInit, flDt, flConv, flDiss1, flDiss2      int64
+	flCombine, flSmooth, flUpdate, flUpdateNext int64
 }
 
 // newLevelEngine allocates the per-level scratch and chunk tables over lay.
@@ -231,9 +232,11 @@ func (le *levelEngine) chargeFlops() {
 	m, p := le.d.M, le.d.P
 	ne, nbf := int64(m.NE()), int64(len(m.BFaces))
 	nv64 := int64(m.NV())
-	le.flTimestep = nv64*flops.PresVert + ne*flops.DtEdge + nbf*flops.DtBFace + nv64*flops.DtVertex
+	le.flInit = nv64 * flops.PresVert
+	le.flDt = ne*flops.DtEdge + nbf*flops.DtBFace + nv64*flops.DtVertex // stage 0's sweep (its 2 flops per vertex ride the switch sweep)
 	le.flConv = ne*flops.ConvEdge + nbf*flops.ConvBFace
-	le.flDiss = ne*(flops.Diss1Edge+flops.Diss2Edge) + nv64*flops.NuVert
+	le.flDiss1 = ne * flops.Diss1Edge
+	le.flDiss2 = ne*flops.Diss2Edge + nv64*flops.NuVert
 	le.flCombine = nv64 * flops.CombineVert
 	le.flSmooth = int64(p.NSmooth) * (ne*flops.SmoothEdge + nv64*flops.SmoothVert)
 	le.flUpdate = nv64 * flops.UpdateVert
@@ -287,11 +290,13 @@ type engine struct {
 	// fork and read by the workers (the fork/join barrier orders both
 	// directions).
 	job      taskKind
-	group    int           // color group for colored tasks
-	alpha    float64       // RK stage coefficient
-	eps      float64       // residual-averaging coefficient
-	zeroDiss bool          // tDtZero/tUpdateNext: also zero dissipation arrays
-	w        []euler.State // solution being advanced
+	group    int              // color group for colored tasks
+	alpha    float64          // RK stage coefficient
+	eps      float64          // residual-averaging coefficient
+	parts    euler.SweepParts // tEdgeSweep/tFaceSweep: what the pass accumulates
+	withDt   bool             // tNu: also fill the time steps (stage 0)
+	zeroDiss bool             // tUpdateNext: also zero dissipation arrays
+	w        []euler.State    // solution being advanced
 	forcing  []euler.State
 
 	// Residual averaging: smS is the block holding the smoothed result so
@@ -335,20 +340,12 @@ func (e *engine) fork(j taskKind, group, active int) {
 	}
 }
 
-// coloredEdges runs one colored task over every edge group of the current
-// level (the autotasked vector loop of Section 3.1), one barrier per color.
-func (e *engine) coloredEdges(j taskKind) {
-	lev := e.lev
-	for g := range lev.edgeActive {
-		e.fork(j, g, lev.edgeActive[g])
-	}
-}
-
-// coloredFaces runs one colored task over every boundary-face group.
-func (e *engine) coloredFaces(j taskKind) {
-	lev := e.lev
-	for g := range lev.faceActive {
-		e.fork(j, g, lev.faceActive[g])
+// colored runs one colored task over every group of the current level's
+// edge or face coloring (the autotasked vector loop of Section 3.1), one
+// barrier per color; active is the level's edgeActive or faceActive.
+func (e *engine) colored(j taskKind, active []int) {
+	for g, a := range active {
+		e.fork(j, g, a)
 	}
 }
 
@@ -362,28 +359,19 @@ func (e *engine) exec(wk int) {
 	case tInit:
 		sp := lev.vertSpans[wk]
 		d.StepInitSoAKernel(e.w, lev.wS, lev.w0S, sp.lo, sp.hi)
-	case tLamEdges:
+		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, true, sp.lo, sp.hi)
+	case tEdgeSweep:
 		sp := lev.edgeSpans[e.group][wk]
-		d.LambdaEdgesSoAKernel(lev.wS, d.Lam(), lev.lay.edges.Order[sp.lo:sp.hi])
-	case tLamFaces:
+		d.EdgeSweepSoAKernel(e.parts, lev.wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
+	case tFaceSweep:
 		sp := lev.faceSpans[e.group][wk]
-		d.LambdaBFacesSoAKernel(lev.wS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
-	case tDtZero:
-		sp := lev.vertSpans[wk]
-		d.DtRangeKernel(d.Lam(), sp.lo, sp.hi)
-		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, e.zeroDiss, sp.lo, sp.hi)
-	case tConvEdges:
-		sp := lev.edgeSpans[e.group][wk]
-		d.ConvectiveEdgesSoAKernel(lev.wS, lev.convS, lev.lay.edges.Order[sp.lo:sp.hi])
-	case tConvFaces:
-		sp := lev.faceSpans[e.group][wk]
-		d.BoundaryFluxSoAKernel(lev.wS, lev.convS, lev.lay.faces.Order[sp.lo:sp.hi])
-	case tDiss1:
-		sp := lev.edgeSpans[e.group][wk]
-		d.DissPass1SoAKernel(lev.wS, lev.laplS, d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
+		d.BFaceSweepSoAKernel(e.parts, lev.wS, lev.convS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
 	case tNu:
 		sp := lev.vertSpans[wk]
 		d.NuRangeKernel(d.Sensor(), d.Den(), sp.lo, sp.hi)
+		if e.withDt {
+			d.DtRangeKernel(d.Lam(), sp.lo, sp.hi)
+		}
 	case tDiss2:
 		sp := lev.edgeSpans[e.group][wk]
 		d.DissPass2SoAKernel(lev.wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
@@ -476,36 +464,40 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	t := time.Now()
 	stepStart := t
 
-	// Pressures, spectral radii, local time steps; the leading fused sweep
-	// also loads the SoA solution block, and the trailing one zeroes the
-	// stage-0 accumulators.
+	// SoA load, per-vertex terms and the zeroing of every accumulator.
 	e.fork(tInit, 0, lev.vertActive)
-	if d.P.GlobalDt <= 0 {
-		// Time-accurate runs use a fixed global dt; the spectral radii feed
-		// only the local time steps, so the colored loops are skipped.
-		e.coloredEdges(tLamEdges)
-		e.coloredFaces(tLamFaces)
-	}
-	e.zeroDiss = euler.DissipStages > 0
-	e.fork(tDtZero, 0, lev.vertActive)
-	e.tick(phTimestep, lev.flTimestep, &t)
+	e.tick(phTimestep, lev.flInit, &t)
 
 	norm := 0.0
 	nstages := len(d.P.Stages)
 	for q, alpha := range d.P.Stages {
 		stageStart := t
-		// Convective operator (accumulators were zeroed by the previous
-		// stage's update sweep, or by tDtZero for stage 0).
-		e.coloredEdges(tConvEdges)
-		e.coloredFaces(tConvFaces)
-		e.tick(phConvective, lev.flConv, &t)
-
-		// Dissipation on the first stages, frozen afterwards.
+		// One edge and one face pass for everything that reads only w (into
+		// accumulators zeroed by the previous update sweep, or by tInit). A
+		// time-accurate run skips the radii: a fixed dt is all they feed.
+		parts, fl := euler.PartConv, lev.flConv
 		if q < euler.DissipStages {
-			e.coloredEdges(tDiss1)
+			parts |= euler.PartDiss1
+			fl += lev.flDiss1
+		}
+		if q == 0 {
+			if d.P.GlobalDt <= 0 {
+				parts |= euler.PartLam
+			}
+			fl += lev.flDt // the nominal count, as flops.Step has it
+		}
+		e.parts = parts
+		e.colored(tEdgeSweep, lev.edgeActive)
+		e.colored(tFaceSweep, lev.faceActive)
+		e.tick(phConvective, fl, &t)
+
+		// Dissipation on the first stages, frozen afterwards. The time steps
+		// ride stage 0's switch sweep, where the radii are first complete.
+		if q < euler.DissipStages {
+			e.withDt = q == 0
 			e.fork(tNu, 0, lev.vertActive)
-			e.coloredEdges(tDiss2)
-			e.tick(phDissipation, lev.flDiss, &t)
+			e.colored(tDiss2, lev.edgeActive)
+			e.tick(phDissipation, lev.flDiss2, &t)
 		}
 
 		e.fork(tCombine, 0, lev.vertActive)
@@ -522,7 +514,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 			e.fork(tUpdate, 0, lev.vertActive)
 			e.tick(phUpdate, lev.flUpdate, &t)
 		} else {
-			// Fused stage boundary: RK update, next stage's pressures, and
+			// Fused stage boundary: RK update, next stage's vertex terms, and
 			// next stage's accumulator zeroing in one sweep.
 			e.zeroDiss = q+1 < euler.DissipStages
 			e.fork(tUpdateNext, 0, lev.vertActive)
@@ -552,11 +544,11 @@ func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 	e.lev = lev
 	e.w, e.forcing = w, forcing
 	e.fork(tResInit, 0, lev.vertActive)
-	e.coloredEdges(tConvEdges)
-	e.coloredFaces(tConvFaces)
-	e.coloredEdges(tDiss1)
+	e.parts, e.withDt = euler.PartConv|euler.PartDiss1, false
+	e.colored(tEdgeSweep, lev.edgeActive)
+	e.colored(tFaceSweep, lev.faceActive)
 	e.fork(tNu, 0, lev.vertActive)
-	e.coloredEdges(tDiss2)
+	e.colored(tDiss2, lev.edgeActive)
 	e.fork(tCombineOut, 0, lev.vertActive)
 	e.w, e.forcing = nil, nil
 }

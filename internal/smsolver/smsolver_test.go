@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/flops"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 )
@@ -252,7 +253,8 @@ func TestStatsAccumulate(t *testing.T) {
 	defer s.Close()
 	w := make([]euler.State, m.NV())
 	s.InitUniform(w)
-	for c := 0; c < 3; c++ {
+	const steps = 3
+	for c := 0; c < steps; c++ {
 		s.Step(w, nil)
 	}
 	st := s.Stats()
@@ -263,6 +265,13 @@ func TestStatsAccumulate(t *testing.T) {
 		if p.Flops <= 0 {
 			t.Errorf("phase %s has no flops charged", p.Name)
 		}
+	}
+	// Charges move between phases with the work; their sum per step is the
+	// scheme's nominal operation count and does not.
+	pp := s.D.P
+	want := steps * flops.Step(int64(m.NV()), int64(m.NE()), int64(len(m.BFaces)), len(pp.Stages), euler.DissipStages, pp.NSmooth)
+	if got := st.Total().Flops; got != want {
+		t.Errorf("total flops %d over %d steps, want flops.Step x %d = %d", got, steps, steps, want)
 	}
 	if tot := st.Total(); tot.Seconds <= 0 || tot.Mflops() <= 0 {
 		t.Errorf("implausible total: %+v", tot)

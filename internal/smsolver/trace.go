@@ -22,12 +22,8 @@ import (
 // indexed by taskKind.
 var taskNames = [nTasks]string{
 	tInit:         "init",
-	tLamEdges:     "lam-edges",
-	tLamFaces:     "lam-faces",
-	tDtZero:       "dt-zero",
-	tConvEdges:    "conv-edges",
-	tConvFaces:    "conv-faces",
-	tDiss1:        "diss1",
+	tEdgeSweep:    "conv-edges",
+	tFaceSweep:    "conv-faces",
 	tNu:           "nu",
 	tDiss2:        "diss2",
 	tCombine:      "combine",
@@ -89,13 +85,19 @@ func (e *engine) attachTrace(tr *trace.Tracer, prefix string) {
 }
 
 // execTraced wraps exec with a kernel span on the worker's own track and
-// records the kernel end time for fork's barrier span. The kend slot is
-// written by worker wk and read by the orchestrator after the join; the
-// pool's atomic join counter provides the happens-before edge.
+// records the kernel end time for fork's barrier span. The span's argument
+// is the color group, except on the fused sweeps, where it is the part set
+// (euler.SweepParts) — what tells a stage-0 sweep from a later one. The kend
+// slot is written by worker wk and read by the orchestrator after the join;
+// the pool's atomic join counter provides the happens-before edge.
 func (e *engine) execTraced(wk int) {
 	start := time.Now()
 	e.exec(wk)
 	end := time.Now()
 	e.et.kend[wk] = end
-	e.et.wtracks[wk].Span(e.et.taskPh[e.job], start, end, int64(e.group))
+	arg := int64(e.group)
+	if e.job == tEdgeSweep || e.job == tFaceSweep {
+		arg = int64(e.parts)
+	}
+	e.et.wtracks[wk].Span(e.et.taskPh[e.job], start, end, arg)
 }

@@ -82,6 +82,24 @@ func TestTracedStepTracks(t *testing.T) {
 	if count(byName["phases"], "step") != 1 {
 		t.Error("phases track missing the step span")
 	}
+	// The fused sweep's spans carry the part set: stage 0's has the spectral
+	// radii, the dissipation stages the first pass, the rest only the flux.
+	sweeps := map[euler.SweepParts]int{}
+	for _, ev := range byName["w0"].Events() {
+		if tr.PhaseName(ev.Phase) == "conv-edges" {
+			sweeps[euler.SweepParts(ev.Arg)]++
+		}
+	}
+	ne, _ := s.NumColors()
+	for parts, stages := range map[euler.SweepParts]int{
+		euler.PartLam | euler.PartConv | euler.PartDiss1: 1,
+		euler.PartConv | euler.PartDiss1:                 euler.DissipStages - 1,
+		euler.PartConv:                                   len(s.D.P.Stages) - euler.DissipStages,
+	} {
+		if sweeps[parts] != stages*ne {
+			t.Errorf("w0 has %d conv-edges spans with parts %03b, want %d stages x %d colors", sweeps[parts], parts, stages, ne)
+		}
+	}
 	for _, wtk := range []string{"w0", "w1", "w2"} {
 		if count(byName[wtk], "conv-edges") == 0 {
 			t.Errorf("track %s has no conv-edges kernel spans", wtk)
