@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/multigrid"
 	"eul3d/internal/parti"
 	"eul3d/internal/partition"
 	"eul3d/internal/reorder"
@@ -175,4 +177,95 @@ func BenchmarkAblationIncrementalSchedules(b *testing.B) {
 	}
 	b.ReportMetric(float64(withOpt), "ghosts-incremental")
 	b.ReportMetric(float64(without), "ghosts-naive")
+}
+
+// BenchmarkAblationCoarsePartition explains the benchmark's ghost count:
+// the distributed workload's shape (48x24x16 channel, 2 levels, 8
+// processors) built with the coarse level partitioned spectrally on its own,
+// as the workload does, and with the coarse level inheriting the fine
+// partition through the transfer operator (parts[1] == nil). Reported per
+// variant: fine-level ghost slots over fine vertices (the ledger's
+// parti.ghost_frac), the items of the two transfer schedules, the share of
+// coarse vertices whose processor also owns their dominant fine
+// interpolation address — as partitioned, and under the relabelling of the
+// coarse parts that maximises it — and messages per W-cycle.
+func BenchmarkAblationCoarsePartition(b *testing.B) {
+	const nproc = 8
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(48, 24, 16, 42), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spectral := make([][]int32, 2)
+	for l, m := range meshes {
+		g, err := graph.FromEdges(m.NV(), m.Edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if spectral[l], err = partition.Partition(g, m.X, nproc, partition.Spectral, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	restrict, err := multigrid.BuildTransfer(meshes[1], meshes[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name  string
+		parts [][]int32
+	}{{"independent", spectral}, {"inherit", [][]int32{spectral[0], nil}}} {
+		b.Run(v.name, func(b *testing.B) {
+			var dm *dmsolver.Solver
+			for i := 0; i < b.N; i++ {
+				if dm, err = dmsolver.NewMultigrid(meshes, v.parts, nproc, euler.DefaultParams(0.675, 0), 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fine, coarse := dm.Levels[0], dm.Levels[1]
+			ghosts := 0
+			for p := 0; p < nproc; p++ {
+				ghosts += fine.GS.NumGhosts(p)
+			}
+			var overlap [nproc][nproc]int // [coarse part][part of the dominant fine address]
+			for c, q := range coarse.Part {
+				best := 0
+				for k := 1; k < 4; k++ {
+					if restrict.Wt[c][k] > restrict.Wt[c][best] {
+						best = k
+					}
+				}
+				overlap[q][fine.Part[restrict.Addr[c][best]]]++
+			}
+			aligned := 0
+			for q := range overlap {
+				aligned += overlap[q][q]
+			}
+			// Best assignment of coarse parts to processors, by exhaustion
+			// (8! orders).
+			relabelled := 0
+			var assign func(q, used, sum int)
+			assign = func(q, used, sum int) {
+				if q == nproc {
+					relabelled = max(relabelled, sum)
+					return
+				}
+				for p := 0; p < nproc; p++ {
+					if used&(1<<p) == 0 {
+						assign(q+1, used|1<<p, sum+overlap[q][p])
+					}
+				}
+			}
+			assign(0, 0, 0)
+			if _, err := dm.Cycle(); err != nil {
+				b.Fatal(err)
+			}
+			msgs, _ := dm.Fabric.TotalStats()
+			b.ReportMetric(float64(ghosts)/float64(meshes[0].NV()), "ghost-frac")
+			b.ReportMetric(float64(fine.SchedW.Items()), "edge-ghosts")
+			b.ReportMetric(float64(coarse.SchedFine.Items()), "restrict-ghosts")
+			b.ReportMetric(float64(coarse.SchedCoarse.Items()), "prolong-ghosts")
+			b.ReportMetric(float64(aligned)/float64(len(coarse.Part)), "coarse-aligned")
+			b.ReportMetric(float64(relabelled)/float64(len(coarse.Part)), "coarse-aligned-relabelled")
+			b.ReportMetric(float64(msgs), "msgs/cycle")
+		})
+	}
 }

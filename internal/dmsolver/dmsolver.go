@@ -13,7 +13,8 @@
 //     variables needed at the beginning of the step");
 //   - edge-loop accumulations (convective and dissipative residuals,
 //     Laplacians, sensor sums, spectral radii, smoothing sums) land in
-//     ghost slots and are scatter-added back to their owners;
+//     ghost slots and are scatter-added back to their owners, everything
+//     consecutive loops accumulated in one message per neighbour;
 //   - multigrid transfers use incremental schedules on top of the flow
 //     variable schedule, fetching only addresses not already ghosted.
 //
@@ -45,12 +46,14 @@ import (
 )
 
 // CommCounters tallies schedule executions per cycle class so the Delta
-// machine model can convert communication volume into time.
+// machine model can convert communication volume into time. An exchange
+// counts once, whatever it carries, under the element type of its first
+// array (states before scalars).
 type CommCounters struct {
-	GatherState  int64 // state-array gathers executed
-	ScatterState int64 // state-array scatter-adds executed
-	GatherFloat  int64
-	ScatterFloat int64
+	GatherState  int64 // gathers led by a state array
+	ScatterState int64 // scatter-adds led by a state array
+	GatherFloat  int64 // gathers of scalar arrays alone
+	ScatterFloat int64 // scatter-adds of scalar arrays alone
 }
 
 // Level holds the distributed state of one grid level.
@@ -62,8 +65,12 @@ type Level struct {
 	GS    *parti.GhostSpace
 
 	// SchedW fills ghosts of every vertex referenced by local edge or
-	// boundary-face loops.
-	SchedW *parti.Schedule
+	// boundary-face loops. It is built first, so its ghosts are the leading
+	// ghost slots: EdgeSpan[p] = owned + SchedW ghosts is the prefix of
+	// processor p's arrays those loops address. The slots the transfer
+	// schedules add behind it are read by restriction and prolongation only.
+	SchedW   *parti.Schedule
+	EdgeSpan []int
 	// SchedRestrict (on this level, for the coarser level's benefit) and
 	// SchedCoarse are built by the multigrid constructor; nil otherwise.
 	SchedFine   *parti.Schedule // extra fine-level ghosts for restriction (lives on the finer level)
@@ -268,6 +275,10 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 		refs[p] = append(refs[p], f.V[0], f.V[1], f.V[2])
 	}
 	lev.SchedW = parti.BuildSchedule(lev.GS, refs)
+	lev.EdgeSpan = make([]int, nproc)
+	for p := range lev.EdgeSpan {
+		lev.EdgeSpan[p] = lev.GS.TotalSize(p)
+	}
 
 	// Executor-side topology with localized addresses.
 	lev.Edges = make([][][2]int32, nproc)

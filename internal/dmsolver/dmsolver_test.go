@@ -10,6 +10,7 @@ import (
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
+	"eul3d/internal/parti"
 	"eul3d/internal/partition"
 )
 
@@ -230,27 +231,177 @@ func TestFreestreamNoDrift(t *testing.T) {
 	}
 }
 
+// planRow is n executions of one exchange of the plan: a schedule run in
+// one direction, every message carrying width floats per scheduled item.
+type planRow struct {
+	what  string
+	n     int
+	sched *parti.Schedule
+	dir   parti.Dir
+	width int // floats per item: 5 a state array, 1 a scalar array
+}
+
+// stepPlan is the exchange plan of one five-stage time step on lev, as
+// ops.go states it for the default Params (2 dissipation stages, 2
+// smoothing sweeps): 35 exchanges, all through the edge-loop schedule.
+func stepPlan(lev *Level) []planRow {
+	w := lev.SchedW
+	return []planRow{
+		{"flow-variable refresh, one a stage", 5, w, parti.Gather, 5},
+		{"spectral radii", 1, w, parti.ScatterAdd, 1},
+		{"Conv + Lapl + Num + Den, dissipation stages", 2, w, parti.ScatterAdd, 12},
+		{"Conv alone, the other stages", 3, w, parti.ScatterAdd, 5},
+		{"Lapl + shock switch re-gather", 2, w, parti.Gather, 6},
+		{"Diss", 2, w, parti.ScatterAdd, 5},
+		{"residual averaging, 2 sweeps a stage: gather", 10, w, parti.Gather, 5},
+		{"residual averaging, 2 sweeps a stage: scatter-add", 10, w, parti.ScatterAdd, 5},
+	}
+}
+
+// residualPlan is the plan of one residual evaluation with dissipation
+// between steps, its flow-variable refresh included.
+func residualPlan(lev *Level) []planRow {
+	w := lev.SchedW
+	return []planRow{
+		{"flow-variable refresh", 1, w, parti.Gather, 5},
+		{"Conv + Lapl + Num + Den", 1, w, parti.ScatterAdd, 12},
+		{"Lapl + shock switch re-gather", 1, w, parti.Gather, 6},
+		{"Diss", 1, w, parti.ScatterAdd, 5},
+	}
+}
+
+// wCyclePlan is the plan of one 2-level cycle: 88 exchanges.
+func wCyclePlan(fine, coarse *Level) []planRow {
+	plan := stepPlan(fine)
+	plan = append(plan, residualPlan(fine)...)
+	plan = append(plan,
+		planRow{"restriction: W through the edge-loop schedule", 1, fine.SchedW, parti.Gather, 5},
+		planRow{"restriction: W through the incremental schedule", 1, coarse.SchedFine, parti.Gather, 5},
+		planRow{"restricted residuals home, prolongation ghosts", 1, coarse.SchedCoarse, parti.ScatterAdd, 5},
+		planRow{"restricted residuals home, edge-loop ghosts", 1, coarse.SchedW, parti.ScatterAdd, 5},
+	)
+	plan = append(plan, residualPlan(coarse)...) // forcing
+	plan = append(plan, stepPlan(coarse)...)
+	return append(plan,
+		planRow{"correction through the prolongation schedule", 1, coarse.SchedCoarse, parti.Gather, 5},
+		planRow{"correction through the edge-loop schedule", 1, coarse.SchedW, parti.Gather, 5},
+		planRow{"correction smoothing: gather", 2, fine.SchedW, parti.Gather, 5},
+		planRow{"correction smoothing: scatter-add", 2, fine.SchedW, parti.ScatterAdd, 5},
+	)
+}
+
+// TestCommCountersAdvance pins the exchange plan: the per-kind counts of
+// one single-grid step and of one 2-level W-cycle, one message per
+// neighbour per exchange, and exactly the bytes the arrays take one at a
+// time. An exchange is tallied under the kind of its first array, states
+// before scalars, so no scalar gather is ever counted: the only scalar
+// gathered, the shock switch, rides with the Laplacian.
 func TestCommCountersAdvance(t *testing.T) {
-	m, part := channelAndPartition(t, 8, 5, 4, 4)
 	p := euler.DefaultParams(0.6, 0)
-	dm, err := NewSingle(m, part, 4, p)
+	check := func(name string, dm *Solver, plan []planRow, want CommCounters) {
+		t.Helper()
+		if _, err := dm.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+		if dm.Comm != want {
+			t.Errorf("%s: counters %+v, want %+v", name, dm.Comm, want)
+		}
+		var exchanges int
+		var wantMsgs, wantBytes int64
+		for _, r := range plan {
+			exchanges += r.n
+			wantMsgs += int64(r.n * r.sched.Messages())
+			wantBytes += int64(r.n * r.sched.Items() * r.width * 8)
+		}
+		if total := want.GatherState + want.ScatterState + want.GatherFloat + want.ScatterFloat; int64(exchanges) != total {
+			t.Errorf("%s: the plan table lists %d exchanges, the counters %d", name, exchanges, total)
+		}
+		msgs, bytes := dm.Fabric.TotalStats()
+		if msgs != wantMsgs || bytes != wantBytes {
+			t.Errorf("%s: %d msgs %d bytes on the fabric, the plan makes it %d and %d", name, msgs, bytes, wantMsgs, wantBytes)
+		}
+		if msgs == 0 {
+			t.Errorf("%s: no traffic recorded on the fabric", name)
+		}
+	}
+
+	m, part := channelAndPartition(t, 8, 5, 4, 4)
+	single, err := NewSingle(m, part, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dm.Cycle(); err != nil {
+	check("single-grid step", single, stepPlan(single.Levels[0]),
+		CommCounters{GatherState: 17, ScatterState: 17, ScatterFloat: 1})
+
+	meshes, parts := independentParts(t, meshgen.DefaultChannel(10, 6, 4, 17), 2, 4)
+	mg, err := NewMultigrid(meshes, parts, 4, p, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := dm.Comm
-	// Per 5-stage step: >=5 w gathers, 5 convective scatters, 2 dissipation
-	// rounds, 1 lam scatter, 10 smoothing exchanges.
-	if c.GatherState < 5 || c.ScatterState < 7 || c.ScatterFloat < 1 {
-		t.Errorf("implausible comm counters: %+v", c)
+	check("2-level W-cycle", mg, wCyclePlan(mg.Levels[0], mg.Levels[1]),
+		CommCounters{GatherState: 44, ScatterState: 42, ScatterFloat: 2})
+}
+
+// independentParts builds a mesh sequence with every level partitioned
+// spectrally on its own — the shape of the benchmark's distributed
+// workload, where the transfer schedules carry real traffic.
+func independentParts(t testing.TB, spec meshgen.ChannelSpec, levels, nproc int) ([]*mesh.Mesh, [][]int32) {
+	t.Helper()
+	meshes, err := meshgen.Sequence(spec, levels)
+	if err != nil {
+		t.Fatal(err)
 	}
-	msgs, bytes := dm.Fabric.TotalStats()
-	if msgs == 0 || bytes == 0 {
-		t.Error("no traffic recorded on the fabric")
+	parts := make([][]int32, levels)
+	for l, m := range meshes {
+		g, err := graph.FromEdges(m.NV(), m.Edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parts[l], err = partition.Partition(g, m.X, nproc, partition.Spectral, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("one cycle on 4 procs: %d msgs, %d bytes, counters %+v", msgs, bytes, c)
+	return meshes, parts
+}
+
+// cycleAllocs returns the heap allocations of one cycle in steady state.
+func cycleAllocs(t *testing.T, dm *Solver, cycle func() (float64, error)) float64 {
+	t.Helper()
+	run := func() {
+		if _, err := cycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: every pair's buffers reach the size of its longest message
+	return testing.AllocsPerRun(5, run)
+}
+
+// TestCycleAllocatesNothing: after one warm-up cycle the sequential driver
+// allocates nothing at all — every message is packed in a buffer the fabric
+// recycles — and the MIMD driver only what starting P goroutines costs,
+// whatever the mesh size.
+func TestCycleAllocatesNothing(t *testing.T) {
+	const nproc = 4
+	p := euler.DefaultParams(0.675, 0)
+	var mimd [2][]float64
+	for i, n := range [][3]int{{8, 5, 4}, {14, 8, 6}} {
+		for _, levels := range []int{1, 2} {
+			meshes, parts := independentParts(t, meshgen.DefaultChannel(n[0], n[1], n[2], 17), levels, nproc)
+			dm, err := NewMultigrid(meshes, parts, nproc, p, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := cycleAllocs(t, dm, dm.Cycle); a != 0 {
+				t.Errorf("%v, %d level(s): Cycle allocates %v objects per cycle, want 0", n, levels, a)
+			}
+			a := cycleAllocs(t, dm, dm.CycleConcurrent)
+			if a > 4*nproc+8 {
+				t.Errorf("%v, %d level(s): CycleConcurrent allocates %v objects per cycle, want at most %d", n, levels, a, 4*nproc+8)
+			}
+			mimd[i] = append(mimd[i], a)
+		}
+	}
+	t.Logf("CycleConcurrent allocations per cycle, small mesh %v, large mesh %v", mimd[0], mimd[1])
 }
 
 func TestBuildValidation(t *testing.T) {

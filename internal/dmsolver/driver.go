@@ -3,7 +3,6 @@ package dmsolver
 import (
 	"sync"
 
-	"eul3d/internal/euler"
 	"eul3d/internal/parti"
 	"eul3d/internal/simnet"
 )
@@ -21,25 +20,25 @@ type driver interface {
 	// closures, because a closure passed through the interface escapes: one
 	// heap allocation per phase where the program now makes none.
 	procs() (lo, hi int)
-	// exchange executes schedule sch, as an exchange of the given kind, on
-	// array a of level lev, and returns once the data this executor's
-	// processors receive has landed — or with the run's error, on every
-	// executor alike.
-	exchange(kind int, sch *parti.Schedule, lev *Level, a field) error
+	// exchange executes schedule sch in direction dir on the arrays a of
+	// level lev — one message per neighbour carrying all of them — and
+	// returns once the data this executor's processors receive has landed,
+	// or with the run's error, on every executor alike.
+	exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error
 	// sum returns part[0] + part[1] + ... in processor order once every
 	// processor's entry is written; part may be rewritten after it returns.
 	sum(part []float64) (float64, error)
 }
 
-// field is one distributed per-vertex array handed to an exchange: states
-// or scalars, whichever the exchange's kind moves.
-type field struct {
-	states [][]euler.State
-	floats [][]float64
+// kindOf classes an exchange for the counters and the span names: by its
+// direction and by the element type of its first array, states before
+// scalars.
+func kindOf(dir parti.Dir, a parti.Arrays) int {
+	if a.States[0] != nil {
+		return [...]int{parti.Gather: exGatherState, parti.ScatterAdd: exScatterState}[dir]
+	}
+	return [...]int{parti.Gather: exGatherFloat, parti.ScatterAdd: exScatterFloat}[dir]
 }
-
-func states(a [][]euler.State) field { return field{states: a} }
-func floats(a [][]float64) field     { return field{floats: a} }
 
 // count tallies one execution of an exchange of the given kind.
 func (s *Solver) count(kind int) {
@@ -66,20 +65,11 @@ func (d seqDriver) procs() (lo, hi int) { return 0, d.s.NProc }
 
 func (d seqDriver) sum(part []float64) (float64, error) { return total(part), nil }
 
-func (d seqDriver) exchange(kind int, sch *parti.Schedule, lev *Level, a field) (err error) {
-	s, tl := d.s, d.s.st.commLine()
+func (d seqDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error {
+	s, tl, kind := d.s, d.s.st.commLine(), kindOf(dir, a)
 	s.count(kind)
 	tl.mark(spanCompute, kind, lev.Index)
-	switch kind {
-	case exGatherState:
-		err = sch.GatherStates(s.Fabric, a.states)
-	case exScatterState:
-		err = sch.ScatterAddStates(s.Fabric, a.states)
-	case exGatherFloat:
-		err = sch.GatherFloats(s.Fabric, a.floats)
-	case exScatterFloat:
-		err = sch.ScatterAddFloats(s.Fabric, a.floats)
-	}
+	err := sch.Exchange(s.Fabric, dir, a)
 	tl.mark(spanCollective, kind, lev.Index)
 	return err
 }
@@ -152,38 +142,20 @@ func (d *mimdDriver) sum(part []float64) (float64, error) {
 
 // exchange also lays processor p's timeline down as it goes (trace.go), and
 // processor 0 keeps the counters for all.
-func (d *mimdDriver) exchange(kind int, sch *parti.Schedule, lev *Level, a field) error {
-	s, p, tl := d.s, d.p, d.s.st.procLine(d.p)
+func (d *mimdDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error {
+	s, p, tl, kind := d.s, d.p, d.s.st.procLine(d.p), kindOf(dir, a)
 	if p == 0 {
 		s.count(kind)
 	}
 	tl.mark(spanCompute, kind, 0)
-	switch kind {
-	case exGatherState:
-		d.fail(sch.SendGatherStates(s.Fabric, p, a.states))
-	case exScatterState:
-		d.fail(sch.SendScatterStates(s.Fabric, p, a.states))
-	case exGatherFloat:
-		d.fail(sch.SendGatherFloats(s.Fabric, p, a.floats))
-	case exScatterFloat:
-		d.fail(sch.SendScatterFloats(s.Fabric, p, a.floats))
-	}
+	d.fail(sch.Send(s.Fabric, dir, p, a))
 	tl.mark(spanSend, kind, 0)
 	err := d.sync()
 	tl.mark(spanBarrier, kind, 0)
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case exGatherState:
-		d.fail(sch.RecvGatherStates(s.Fabric, p, a.states))
-	case exScatterState:
-		d.fail(sch.RecvScatterStates(s.Fabric, p, a.states))
-	case exGatherFloat:
-		d.fail(sch.RecvGatherFloats(s.Fabric, p, a.floats))
-	case exScatterFloat:
-		d.fail(sch.RecvScatterFloats(s.Fabric, p, a.floats))
-	}
+	d.fail(sch.Recv(s.Fabric, dir, p, a))
 	tl.mark(spanRecv, kind, 0)
 	err = d.sync()
 	tl.mark(spanBarrier, kind, 0)

@@ -5,6 +5,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/multigrid"
+	"eul3d/internal/parti"
 )
 
 // This file is the distributed solver's program: the time step, the
@@ -18,13 +19,19 @@ import (
 // same exchange plan.
 //
 // The phases hold no arithmetic of their own: each hands processor p's
-// local arrays — edge loops over [owned | ghost], vertex sweeps over the
-// owned prefix [0, Dist.Count(p)) — to the function the sequential engine
+// local arrays — edge loops over [owned | edge ghosts], vertex sweeps over
+// the owned prefix [0, Dist.Count(p)) — to the function the sequential engine
 // runs over the whole mesh: the reference operator of package euler, and
 // for the inter-grid pieces multigrid's TransferOp and FAS range functions.
 
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
+
+// edgeSpan returns the prefix of a local array the edge and boundary-face
+// loops address: [owned | edge ghosts] (Level.EdgeSpan). An operator handed
+// it as the array it overwrites or sweeps stops there, leaving the
+// transfer-only ghost slots behind it alone.
+func edgeSpan[T any](lev *Level, p int, a []T) []T { return a[:lev.EdgeSpan[p]] }
 
 // each runs one compute phase on every processor x executes.
 func each(x driver, phase func(p int)) {
@@ -35,12 +42,12 @@ func each(x driver, phase func(p int)) {
 }
 
 // refreshW gathers level lev's flow-variable ghosts and recomputes the
-// pressures over [owned | ghost].
+// pressures over [owned | edge ghosts].
 func (s *Solver) refreshW(x driver, lev *Level) error {
-	if err := x.exchange(exGatherState, lev.SchedW, lev, states(lev.W)); err != nil {
+	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.W)); err != nil {
 		return err
 	}
-	each(x, func(p int) { euler.Pressures(s.P.Gas, lev.W[p], lev.Pres[p]) })
+	each(x, func(p int) { euler.Pressures(s.P.Gas, edgeSpan(lev, p, lev.W[p]), lev.Pres[p]) })
 	return nil
 }
 
@@ -50,9 +57,9 @@ func (s *Solver) refreshW(x driver, lev *Level) error {
 func (s *Solver) timeSteps(x driver, lev *Level) error {
 	if s.P.GlobalDt <= 0 {
 		each(x, func(p int) {
-			euler.SpectralRadii(s.P.Gas, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], lev.Lam[p])
+			euler.SpectralRadii(s.P.Gas, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Lam[p]))
 		})
-		if err := x.exchange(exScatterFloat, lev.SchedW, lev, floats(lev.Lam)); err != nil {
+		if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.Floats(lev.Lam)); err != nil {
 			return err
 		}
 	}
@@ -60,45 +67,43 @@ func (s *Solver) timeSteps(x driver, lev *Level) error {
 	return nil
 }
 
-// dissipation assembles D(w) into lev.Diss: pass 1 with scatter-add and
-// re-gather, then pass 2 with a final scatter-add — the consecutive-loop
-// structure that motivates the paper's incremental schedules.
+// dissipation finishes D(w) into lev.Diss from pass-1 sums complete at
+// their owners: the shock switch, the re-gather of Laplacian and switch in
+// one exchange, then pass 2 with its closing scatter-add — the
+// consecutive-loop structure that motivates the paper's incremental
+// schedules.
 func (s *Solver) dissipation(x driver, lev *Level) error {
-	each(x, func(p int) { euler.DissPass1(lev.Edges[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], lev.Den[p]) })
-	if err := x.exchange(exScatterState, lev.SchedW, lev, states(lev.Lapl)); err != nil {
-		return err
-	}
-	if err := x.exchange(exScatterFloat, lev.SchedW, lev, floats(lev.Num)); err != nil {
-		return err
-	}
-	if err := x.exchange(exScatterFloat, lev.SchedW, lev, floats(lev.Den)); err != nil {
-		return err
-	}
 	each(x, func(p int) {
 		n := lev.Dist.Count(p)
 		euler.ShockSwitch(lev.Num[p][:n], lev.Den[p][:n])
 	})
-	if err := x.exchange(exGatherState, lev.SchedW, lev, states(lev.Lapl)); err != nil {
-		return err
-	}
-	if err := x.exchange(exGatherFloat, lev.SchedW, lev, floats(lev.Num)); err != nil {
+	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.Lapl).And(parti.Floats(lev.Num))); err != nil {
 		return err
 	}
 	each(x, func(p int) {
-		euler.DissPass2(&s.P, lev.Edges[p], lev.ENorm[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], lev.Diss[p])
+		euler.DissPass2(&s.P, lev.Edges[p], lev.ENorm[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], edgeSpan(lev, p, lev.Diss[p]))
 	})
-	return x.exchange(exScatterState, lev.SchedW, lev, states(lev.Diss))
+	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(lev.Diss))
 }
 
 // residual computes R = Q - D (+ forcing if withForcing) into lev.Res at
-// owned vertices, from ghosts and pressures refreshW has made current: the
-// convective edge and boundary loops with their closing scatter-add, then
-// the dissipation — or, with diss false, the one a previous stage left.
+// owned vertices, from ghosts and pressures refreshW has made current. The
+// convective edge and boundary loops and, on a dissipation stage, pass 1
+// run back to back and close with one scatter-add of everything they
+// accumulated — one message per neighbour, not four; with diss false the
+// dissipation is the one a previous stage left.
 func (s *Solver) residual(x driver, lev *Level, withForcing, diss bool) error {
+	sums := parti.States(lev.Conv)
+	if diss {
+		sums = parti.States(lev.Conv, lev.Lapl).And(parti.Floats(lev.Num, lev.Den))
+	}
 	each(x, func(p int) {
-		euler.Convective(&s.P, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], lev.Conv[p])
+		euler.Convective(&s.P, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Conv[p]))
+		if diss {
+			euler.DissPass1(lev.Edges[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Lapl[p]), lev.Num[p], lev.Den[p])
+		}
 	})
-	if err := x.exchange(exScatterState, lev.SchedW, lev, states(lev.Conv)); err != nil {
+	if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, sums); err != nil {
 		return err
 	}
 	if diss {
@@ -125,12 +130,12 @@ func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 	each(x, func(p int) { copy(owned(lev, p, lev.RHS[p]), arr[p]) })
 	cur, next := arr, lev.Smooth
 	for sweep := 0; sweep < s.P.NSmooth; sweep++ {
-		if err := x.exchange(exGatherState, lev.SchedW, lev, states(cur)); err != nil {
+		if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(cur)); err != nil {
 			return err
 		}
 		cc, nn := cur, next
-		each(x, func(p int) { euler.SmoothAccum(lev.Edges[p], cc[p], nn[p]) })
-		if err := x.exchange(exScatterState, lev.SchedW, lev, states(next)); err != nil {
+		each(x, func(p int) { euler.SmoothAccum(lev.Edges[p], cc[p], edgeSpan(lev, p, nn[p])) })
+		if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(next)); err != nil {
 			return err
 		}
 		each(x, func(p int) { euler.SmoothCombine(lev.RHS[p], owned(lev, p, nn[p]), lev.Deg[p], eps) })
@@ -209,15 +214,15 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	// Forcing ever travel through SchedCoarse otherwise), and the
 	// incremental restriction schedule — then interpolate onto coarse-owned
 	// vertices.
-	if err := x.exchange(exGatherState, lev.SchedW, lev, states(lev.W)); err != nil {
+	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.W)); err != nil {
 		return 0, err
 	}
 	if lev.SchedCoarse != nil {
-		if err := x.exchange(exGatherState, lev.SchedCoarse, lev, states(lev.W)); err != nil {
+		if err := x.exchange(parti.Gather, lev.SchedCoarse, lev, parti.States(lev.W)); err != nil {
 			return 0, err
 		}
 	}
-	if err := x.exchange(exGatherState, next.SchedFine, lev, states(lev.W)); err != nil {
+	if err := x.exchange(parti.Gather, next.SchedFine, lev, parti.States(lev.W)); err != nil {
 		return 0, err
 	}
 	each(x, func(p int) {
@@ -230,10 +235,10 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	// schedule where possible (incremental schedules); accumulated
 	// contributions return to their owners through both schedules.
 	each(x, func(p int) { next.Prolong[p].ScatterTranspose(lev.Res[p], next.Forcing[p]) })
-	if err := x.exchange(exScatterState, next.SchedCoarse, next, states(next.Forcing)); err != nil {
+	if err := x.exchange(parti.ScatterAdd, next.SchedCoarse, next, parti.States(next.Forcing)); err != nil {
 		return 0, err
 	}
-	if err := x.exchange(exScatterState, next.SchedW, next, states(next.Forcing)); err != nil {
+	if err := x.exchange(parti.ScatterAdd, next.SchedW, next, parti.States(next.Forcing)); err != nil {
 		return 0, err
 	}
 
@@ -259,10 +264,10 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	// Correction: coarse delta, ghost refresh through both schedules,
 	// interpolate to fine, smooth, apply.
 	each(x, func(p int) { multigrid.Delta(next.Corr[p], next.W[p], next.WSaved[p], 0, next.Dist.Count(p)) })
-	if err := x.exchange(exGatherState, next.SchedCoarse, next, states(next.Corr)); err != nil {
+	if err := x.exchange(parti.Gather, next.SchedCoarse, next, parti.States(next.Corr)); err != nil {
 		return 0, err
 	}
-	if err := x.exchange(exGatherState, next.SchedW, next, states(next.Corr)); err != nil {
+	if err := x.exchange(parti.Gather, next.SchedW, next, parti.States(next.Corr)); err != nil {
 		return 0, err
 	}
 	each(x, func(p int) { next.Prolong[p].Interp(next.Corr[p], lev.Corr[p]) })

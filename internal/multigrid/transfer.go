@@ -28,46 +28,52 @@ type TransferOp struct {
 // tetAdjacency returns, for each tet, its up to four face-neighbours
 // (-1 where the face is on the boundary). Neighbour k is across the face
 // opposite vertex k.
+//
+// A face waits for its second tet in a chain per lowest vertex, threaded
+// through the list of open faces (head[lo] -> open[id].next -> ...), the
+// way mesh.Finish matches edges: a lookup walks the few faces of that
+// vertex still open, which neighbouring tets left moments ago. A matched
+// face leaves its chain, so a face met a third time opens afresh.
 func tetAdjacency(m *mesh.Mesh) [][4]int32 {
-	type slot struct {
-		tet  int32
-		face int8
-	}
-	faceOf := func(t [4]int32, k int) [3]int32 {
-		var f [3]int32
-		idx := 0
-		for i := 0; i < 4; i++ {
-			if i != k {
-				f[idx] = t[i]
-				idx++
-			}
-		}
-		// sort 3
-		if f[0] > f[1] {
-			f[0], f[1] = f[1], f[0]
-		}
-		if f[1] > f[2] {
-			f[1], f[2] = f[2], f[1]
-		}
-		if f[0] > f[1] {
-			f[0], f[1] = f[1], f[0]
-		}
-		return f
+	type openFace struct {
+		mid, hi int32 // the face's two higher vertices
+		tet     int32
+		face    int32
+		next    int32
 	}
 	adj := make([][4]int32, m.NT())
 	for i := range adj {
 		adj[i] = [4]int32{-1, -1, -1, -1}
 	}
-	open := make(map[[3]int32]slot, 2*m.NT())
+	head := make([]int32, m.NV())
+	for i := range head {
+		head[i] = -1
+	}
+	open := make([]openFace, 0, 2*m.NT()+len(m.BFaces)/2) // every distinct face of a manifold mesh
 	for ti, tet := range m.Tets {
 		for k := 0; k < 4; k++ {
-			f := faceOf(tet, k)
-			if s, ok := open[f]; ok {
-				adj[ti][k] = s.tet
-				adj[s.tet][s.face] = int32(ti)
-				delete(open, f)
+			lo, mid, hi := tet[(k+1)&3], tet[(k+2)&3], tet[(k+3)&3]
+			if lo > mid {
+				lo, mid = mid, lo
+			}
+			if mid > hi {
+				mid, hi = hi, mid
+			}
+			if lo > mid {
+				lo, mid = mid, lo
+			}
+			link := &head[lo]
+			for *link >= 0 && (open[*link].mid != mid || open[*link].hi != hi) {
+				link = &open[*link].next
+			}
+			if id := *link; id >= 0 {
+				o := &open[id]
+				adj[ti][k] = o.tet
+				adj[o.tet][o.face] = int32(ti)
+				*link = o.next
 			} else {
-				open[f] = slot{int32(ti), int8(k)}
+				open = append(open, openFace{mid: mid, hi: hi, tet: int32(ti), face: int32(k), next: head[lo]})
+				head[lo] = int32(len(open) - 1)
 			}
 		}
 	}

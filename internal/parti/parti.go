@@ -10,9 +10,10 @@
 //   - incremental schedules (BuildIncremental), which fetch only the
 //     off-processor data not already covered by pre-existing schedules —
 //     the communication optimization of Section 4.3;
-//   - executors (Gather*, ScatterAdd*) that move ghost data through the
-//     simnet fabric, packing all values for the same destination into one
-//     message to amortize latency.
+//   - executors (exec.go: Exchange and its per-processor halves, in the
+//     Gather and ScatterAdd directions) that move ghost data through the
+//     simnet fabric, packing all values for the same destination — of every
+//     array the exchange carries — into one message to amortize latency.
 //
 // Ghost copies live past the end of each processor's owned range: a
 // distributed array on processor p has layout [owned values | ghosts].
@@ -21,9 +22,6 @@ package parti
 import (
 	"fmt"
 	"sort"
-
-	"eul3d/internal/euler"
-	"eul3d/internal/simnet"
 )
 
 // Dist is the translation table of a distributed index space.
@@ -228,69 +226,4 @@ func (s *Schedule) PairVolumes() map[[2]int]int {
 		}
 	}
 	return out
-}
-
-// GatherStates executes the schedule for per-processor State arrays laid
-// out [owned | ghosts]: owners pack the scheduled values (one message per
-// destination) and receivers store them into ghost slots.
-func (s *Schedule) GatherStates(f *simnet.Fabric, data [][]euler.State) error {
-	for q := 0; q < s.d.NProc; q++ {
-		if err := s.SendGatherStates(f, q, data); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < s.d.NProc; p++ {
-		if err := s.RecvGatherStates(f, p, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScatterAddStates executes the transpose of the gather: ghost-slot values
-// are sent back to their owners and accumulated there, and the ghost slots
-// are zeroed. This closes the edge loops whose cross-partition edges
-// accumulated into ghosts.
-func (s *Schedule) ScatterAddStates(f *simnet.Fabric, data [][]euler.State) error {
-	for p := 0; p < s.d.NProc; p++ {
-		if err := s.SendScatterStates(f, p, data); err != nil {
-			return err
-		}
-	}
-	for q := 0; q < s.d.NProc; q++ {
-		if err := s.RecvScatterStates(f, q, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GatherFloats is GatherStates for scalar per-vertex arrays.
-func (s *Schedule) GatherFloats(f *simnet.Fabric, data [][]float64) error {
-	for q := 0; q < s.d.NProc; q++ {
-		if err := s.SendGatherFloats(f, q, data); err != nil {
-			return err
-		}
-	}
-	for p := 0; p < s.d.NProc; p++ {
-		if err := s.RecvGatherFloats(f, p, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScatterAddFloats is ScatterAddStates for scalar per-vertex arrays.
-func (s *Schedule) ScatterAddFloats(f *simnet.Fabric, data [][]float64) error {
-	for p := 0; p < s.d.NProc; p++ {
-		if err := s.SendScatterFloats(f, p, data); err != nil {
-			return err
-		}
-	}
-	for q := 0; q < s.d.NProc; q++ {
-		if err := s.RecvScatterFloats(f, q, data); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,6 +2,9 @@ package parti
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"eul3d/internal/euler"
@@ -167,5 +170,167 @@ func TestHealingGivesUpAfterBoundedAttempts(t *testing.T) {
 	_, err := recvHealing(f, 1, 0)
 	if !errors.Is(err, ErrNoPending) {
 		t.Fatalf("recv on silent pair returned %v, want ErrNoPending", err)
+	}
+}
+
+// mixedCase is a random distribution with two state and two scalar arrays,
+// the widest list one exchange carries.
+type mixedCase struct {
+	d    *Dist
+	sch  *Schedule
+	s, u [][]euler.State
+	a, b [][]float64
+}
+
+func newMixedCase(seed int64) *mixedCase {
+	rng := rand.New(rand.NewSource(seed))
+	n, nproc := 20+rng.Intn(60), 2+rng.Intn(5)
+	part := make([]int32, n)
+	for i := range part {
+		part[i] = int32(rng.Intn(nproc))
+	}
+	d, err := NewDist(part, nproc)
+	if err != nil {
+		panic(err)
+	}
+	gs := NewGhostSpace(d)
+	refs := make([][]int32, nproc)
+	for p := range refs {
+		for k := n; k > 0; k-- {
+			refs[p] = append(refs[p], int32(rng.Intn(n)))
+		}
+	}
+	c := &mixedCase{d: d, sch: BuildSchedule(gs, refs)}
+	for p := 0; p < nproc; p++ {
+		size := gs.TotalSize(p)
+		s, u := make([]euler.State, size), make([]euler.State, size)
+		a, b := make([]float64, size), make([]float64, size)
+		for i := 0; i < size; i++ { // owned and ghost alike: the scatter-add moves the ghosts
+			for k := 0; k < euler.NVar; k++ {
+				s[i][k], u[i][k] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		c.s, c.u, c.a, c.b = append(c.s, s), append(c.u, u), append(c.a, a), append(c.b, b)
+	}
+	return c
+}
+
+// run executes a mixed gather and a mixed scatter-add, either as the
+// whole-schedule collectives or MIMD-style (a goroutine per processor,
+// send half, barrier, receive half).
+func (c *mixedCase) run(f *simnet.Fabric, mimd bool) error {
+	// Different lists in the two directions, so consecutive messages on a
+	// pair differ in length.
+	gather, scatter := States(c.s, c.u).And(Floats(c.a)), States(c.u).And(Floats(c.b, c.a))
+	if !mimd {
+		if err := c.sch.Exchange(f, Gather, gather); err != nil {
+			return err
+		}
+		return c.sch.Exchange(f, ScatterAdd, scatter)
+	}
+	bar := simnet.NewBarrier(c.d.NProc)
+	errs := make([]error, c.d.NProc)
+	var wg sync.WaitGroup
+	for p := 0; p < c.d.NProc; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for _, ex := range []struct {
+				dir Dir
+				x   Arrays
+			}{{Gather, gather}, {ScatterAdd, scatter}} {
+				if err := c.sch.Send(f, ex.dir, p, ex.x); err != nil && errs[p] == nil {
+					errs[p] = err
+				}
+				bar.Await()
+				if err := c.sch.Recv(f, ex.dir, p, ex.x); err != nil && errs[p] == nil {
+					errs[p] = err
+				}
+				bar.Await()
+			}
+		}(p)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+func (c *mixedCase) equal(o *mixedCase) bool {
+	return reflect.DeepEqual(c.s, o.s) && reflect.DeepEqual(c.u, o.u) &&
+		reflect.DeepEqual(c.a, o.a) && reflect.DeepEqual(c.b, o.b)
+}
+
+// TestMixedExchangeHealsEveryFaultBitwise: for each message-fault kind on
+// the first message of every pair, and for seeded random schedules of all
+// of them, a mixed state + scalar exchange in both directions delivers
+// bitwise the arrays of a fault-free fabric — under the collectives and
+// under concurrent per-processor halves — replaying exactly where a
+// message was lost, damaged or late.
+func TestMixedExchangeHealsEveryFaultBitwise(t *testing.T) {
+	type plan struct {
+		name    string
+		make    func(seed int64) *simnet.FaultPlan
+		resends bool // a replay is due whenever the plan fires
+	}
+	one := func(kind simnet.FaultKind, seq uint64) func(int64) *simnet.FaultPlan {
+		return func(int64) *simnet.FaultPlan {
+			return simnet.NewFaultPlan(simnet.FaultEvent{Kind: kind, Src: -1, Dst: -1, Seq: seq, Delay: 2})
+		}
+	}
+	plans := []plan{
+		{"drop", one(simnet.FaultDrop, 0), true},
+		{"duplicate", one(simnet.FaultDuplicate, 0), false},
+		{"corrupt", one(simnet.FaultCorrupt, 1), true},
+		{"delay", one(simnet.FaultDelay, 1), true},
+		{"reorder", one(simnet.FaultReorder, 1), false},
+		{"random", func(seed int64) *simnet.FaultPlan {
+			return simnet.RandomFaultPlan(seed, simnet.FaultMix{
+				Drops: 2, Duplicates: 2, Corruptions: 2, Delays: 2, Reorders: 2, CrashNode: -1, MaxSeq: 2,
+			})
+		}, true},
+	}
+	for _, pl := range plans {
+		for seed := int64(1); seed <= 12; seed++ {
+			for _, mimd := range []bool{false, true} {
+				want := newMixedCase(seed)
+				if err := want.run(simnet.New(want.d.NProc), false); err != nil {
+					t.Fatal(err)
+				}
+				if want.sch.Messages() == 0 {
+					continue
+				}
+				got, fp := newMixedCase(seed), pl.make(seed)
+				f := simnet.New(got.d.NProc)
+				f.SetFaultPlan(fp)
+				if err := got.run(f, mimd); err != nil {
+					t.Fatalf("%s seed %d mimd %v: %v", pl.name, seed, mimd, err)
+				}
+				if !got.equal(want) {
+					t.Fatalf("%s seed %d mimd %v: arrays differ from the fault-free exchange", pl.name, seed, mimd)
+				}
+				if pl.name != "random" && fp.Unfired() != 0 {
+					t.Fatalf("%s seed %d: the fault never fired", pl.name, seed)
+				}
+				if st := fp.Stats(); pl.resends && st.Drops+st.Corruptions+st.Delays > 0 && f.Resends() == 0 {
+					t.Errorf("%s seed %d mimd %v: %+v injected but nothing was replayed", pl.name, seed, mimd, st)
+				}
+				if !pl.resends && f.Resends() != 0 {
+					t.Errorf("%s seed %d mimd %v: %d replays of messages that were never lost", pl.name, seed, mimd, f.Resends())
+				}
+				// What is left queued is stale (duplicates, late originals
+				// of replayed messages): nothing is deliverable, and the
+				// scan that says so discards it.
+				for p := 0; p < got.d.NProc; p++ {
+					for q := 0; q < got.d.NProc; q++ {
+						if _, err := f.Recv(p, q); !errors.Is(err, ErrNoPending) {
+							t.Errorf("%s seed %d: undelivered message %d<-%d after the exchanges (%v)", pl.name, seed, p, q, err)
+						}
+					}
+					if n := f.Pending(p); n != 0 {
+						t.Errorf("%s seed %d: %d stale messages survive a receive scan on %d", pl.name, seed, n, p)
+					}
+				}
+			}
+		}
 	}
 }
