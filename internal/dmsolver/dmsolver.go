@@ -2,11 +2,13 @@
 // mirroring the paper's Intel Touchstone Delta port. The mesh (and each
 // coarser mesh of a multigrid sequence) is partitioned across P simulated
 // processors, and the port is the paper's inspector/executor
-// transformation: the *same* loop bodies as the sequential solver — the
-// reference operator of package euler, called here on each processor's
-// partition-local edge, face and vertex arrays — with PARTI gather/scatter
-// executors inserted at exactly the points where off-processor data is
-// produced or consumed:
+// transformation: the *same* loop bodies as the shared-memory solver — the
+// fused edge and face kernels of euler/kernels_soa.go the pooled engine
+// runs per color, called here on each processor's partition-local edge and
+// face lists, and for the vertex sweeps the reference functions of
+// euler/ops.go on its owned range — with PARTI gather/scatter executors
+// inserted at exactly the points where off-processor data is produced or
+// consumed:
 //
 //   - flow variables are gathered into ghost slots once per Runge-Kutta
 //     stage (the paper: "We can obtain all of the off-processor flow
@@ -14,7 +16,7 @@
 //   - edge-loop accumulations (convective and dissipative residuals,
 //     Laplacians, sensor sums, spectral radii, smoothing sums) land in
 //     ghost slots and are scatter-added back to their owners, everything
-//     consecutive loops accumulated in one message per neighbour;
+//     one sweep accumulated in one message per neighbour;
 //   - multigrid transfers use incremental schedules on top of the flow
 //     variable schedule, fetching only addresses not already ghosted.
 //
@@ -47,13 +49,15 @@ import (
 
 // CommCounters tallies schedule executions per cycle class so the Delta
 // machine model can convert communication volume into time. An exchange
-// counts once, whatever it carries, under the element type of its first
-// array (states before scalars).
+// counts once, whatever it carries. Every exchange of the program is led by
+// a state array or an SoA block — each scalar it moves rides with the sums
+// of the sweep that accumulated it — so the two scalar-led fields, kept for
+// the programs that add the four up, always read 0.
 type CommCounters struct {
-	GatherState  int64 // gathers led by a state array
-	ScatterState int64 // scatter-adds led by a state array
-	GatherFloat  int64 // gathers of scalar arrays alone
-	ScatterFloat int64 // scatter-adds of scalar arrays alone
+	GatherState  int64 // gathers
+	ScatterState int64 // scatter-adds
+	GatherFloat  int64 // always 0: no gather is scalars-only
+	ScatterFloat int64 // always 0: no scatter-add is scalars-only
 }
 
 // Level holds the distributed state of one grid level.
@@ -83,9 +87,31 @@ type Level struct {
 	Vol    [][]float64    // owned only
 	Deg    [][]int32      // true global degree, owned only
 
-	// Per-processor solution and scratch arrays, sized TotalSize(p).
-	W, W0, Conv, Diss, Res, Lapl, Smooth, RHS, Forcing, WSaved, Corr [][]euler.State
-	Pres, Num, Den, Lam, Dt                                          [][]float64
+	// Per-processor solution and scratch arrays, AoS, each as long as the
+	// span it is addressed over: W, Corr and Forcing the whole local array
+	// [owned | edge ghosts | transfer ghosts] (GS.TotalSize), Res and Smooth
+	// the edge span, W0, RHS, WSaved and Dt the owned prefix; Forcing and
+	// WSaved, which only a coarse level has, are nil on the finest. W is the
+	// authoritative solution at every stage.
+	W, W0, Res, Smooth, RHS, Forcing, WSaved, Corr [][]euler.State
+	Dt                                             [][]float64
+	// Conv is read and written by nothing in the solver (the convective sums
+	// live in convS): a whole-local-array scratch kept for the exchange
+	// probe of cmd/bench, which scatter-adds it through SchedW.
+	Conv [][]euler.State
+
+	// The kernel context of each processor, over its edge span: a Disc on
+	// the local view (Edges[p], ENorm[p], BFaces[p], Vol[p]), which keeps the
+	// vertex terms p, 1/rho and c of wS; wS, the SoA copy of W the sweeps
+	// read, reloaded by every refreshW; and the edge-loop accumulators —
+	// three blocks and Num, Den, Lam, the Disc's own sensor and
+	// spectral-radius scratch. Of the Disc's copy of Params the kernels read
+	// Gas, K2, K4 and Freestream; CFL, which the recovery orchestrator
+	// changes, is only ever read from Solver.P.
+	disc                    []*euler.Disc
+	wS, convS, laplS, dissS []*euler.StateSoA
+	Num, Den, Lam           [][]float64
+	ident                   []int32 // 0, 1, 2, ...: a prefix lists all of a processor's edges, or faces, for a kernel
 
 	// Multigrid transfer operators localized per processor (nil on the
 	// finest level): the rows of the global operators whose target vertex
@@ -231,7 +257,7 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 
 	// Allocate solution arrays now that every ghost slot exists.
 	for _, lev := range s.Levels {
-		lev.alloc(nproc)
+		lev.alloc(nproc, p)
 	}
 	s.InitUniform()
 	return s, nil
@@ -325,26 +351,57 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	return lev, nil
 }
 
-// alloc sizes the per-processor solution arrays to owned+ghost.
-func (lev *Level) alloc(nproc int) {
-	mk := func() [][]euler.State {
+// alloc sizes the per-processor arrays, each to the span it is addressed
+// over, and builds the kernel contexts.
+func (lev *Level) alloc(nproc int, params euler.Params) {
+	states := func(size func(p int) int) [][]euler.State {
 		a := make([][]euler.State, nproc)
-		for p := 0; p < nproc; p++ {
-			a[p] = make([]euler.State, lev.GS.TotalSize(p))
+		for p := range a {
+			a[p] = make([]euler.State, size(p))
 		}
 		return a
 	}
-	mkf := func() [][]float64 {
-		a := make([][]float64, nproc)
-		for p := 0; p < nproc; p++ {
-			a[p] = make([]float64, lev.GS.TotalSize(p))
+	blocks := func() []*euler.StateSoA {
+		a := make([]*euler.StateSoA, nproc)
+		for p := range a {
+			a[p] = block(lev.EdgeSpan[p])
 		}
 		return a
 	}
-	lev.W, lev.W0, lev.Conv, lev.Diss = mk(), mk(), mk(), mk()
-	lev.Res, lev.Lapl, lev.Smooth, lev.RHS = mk(), mk(), mk(), mk()
-	lev.Forcing, lev.WSaved, lev.Corr = mk(), mk(), mk()
-	lev.Pres, lev.Num, lev.Den, lev.Lam, lev.Dt = mkf(), mkf(), mkf(), mkf(), mkf()
+	span, total, count := func(p int) int { return lev.EdgeSpan[p] }, lev.GS.TotalSize, lev.Dist.Count
+	lev.W, lev.Corr, lev.Conv = states(total), states(total), states(total)
+	lev.Res, lev.Smooth = states(span), states(span)
+	lev.W0, lev.RHS = states(count), states(count)
+	if lev.Index > 0 {
+		lev.Forcing, lev.WSaved = states(total), states(count)
+	}
+	lev.wS, lev.convS, lev.laplS, lev.dissS = blocks(), blocks(), blocks(), blocks()
+
+	lev.disc = make([]*euler.Disc, nproc)
+	lev.Num, lev.Den, lev.Lam, lev.Dt = make([][]float64, nproc), make([][]float64, nproc), make([][]float64, nproc), make([][]float64, nproc)
+	longest := 0
+	for p := range lev.disc {
+		view := &mesh.Mesh{Edges: lev.Edges[p], EdgeNorm: lev.ENorm[p], BFaces: lev.BFaces[p], Vol: lev.Vol[p]}
+		d := euler.NewViewDisc(view, params, lev.EdgeSpan[p])
+		lev.disc[p], lev.Num[p], lev.Den[p], lev.Lam[p] = d, d.Sensor(), d.Den(), d.Lam()
+		lev.Dt[p] = make([]float64, lev.Dist.Count(p))
+		longest = max(longest, len(lev.Edges[p]), len(lev.BFaces[p]))
+	}
+	lev.ident = make([]int32, longest)
+	for i := range lev.ident {
+		lev.ident[i] = int32(i)
+	}
+}
+
+// block returns an SoA block of exactly n vertices (euler.NewStateSoA
+// reserves a quarter more for adaptation epochs, which a partition never
+// sees).
+func block(n int) *euler.StateSoA {
+	b, s := make([]float64, euler.NVar*n), &euler.StateSoA{}
+	for k := range s.Comp {
+		s.Comp[k] = b[k*n : (k+1)*n : (k+1)*n]
+	}
+	return s
 }
 
 // InitUniform sets every level to the freestream state (owned and ghost).

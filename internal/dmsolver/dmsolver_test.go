@@ -243,16 +243,16 @@ type planRow struct {
 
 // stepPlan is the exchange plan of one five-stage time step on lev, as
 // ops.go states it for the default Params (2 dissipation stages, 2
-// smoothing sweeps): 35 exchanges, all through the edge-loop schedule.
+// smoothing sweeps): 34 exchanges, all through the edge-loop schedule.
 func stepPlan(lev *Level) []planRow {
 	w := lev.SchedW
 	return []planRow{
 		{"flow-variable refresh, one a stage", 5, w, parti.Gather, 5},
-		{"spectral radii", 1, w, parti.ScatterAdd, 1},
-		{"Conv + Lapl + Num + Den, dissipation stages", 2, w, parti.ScatterAdd, 12},
-		{"Conv alone, the other stages", 3, w, parti.ScatterAdd, 5},
-		{"Lapl + shock switch re-gather", 2, w, parti.Gather, 6},
-		{"Diss", 2, w, parti.ScatterAdd, 5},
+		{"conv + lapl + Num + Den + Lam, stage 0", 1, w, parti.ScatterAdd, 13},
+		{"conv + lapl + Num + Den, the other dissipation stage", 1, w, parti.ScatterAdd, 12},
+		{"conv alone, the other stages", 3, w, parti.ScatterAdd, 5},
+		{"lapl + shock switch re-gather", 2, w, parti.Gather, 6},
+		{"diss", 2, w, parti.ScatterAdd, 5},
 		{"residual averaging, 2 sweeps a stage: gather", 10, w, parti.Gather, 5},
 		{"residual averaging, 2 sweeps a stage: scatter-add", 10, w, parti.ScatterAdd, 5},
 	}
@@ -264,13 +264,13 @@ func residualPlan(lev *Level) []planRow {
 	w := lev.SchedW
 	return []planRow{
 		{"flow-variable refresh", 1, w, parti.Gather, 5},
-		{"Conv + Lapl + Num + Den", 1, w, parti.ScatterAdd, 12},
-		{"Lapl + shock switch re-gather", 1, w, parti.Gather, 6},
-		{"Diss", 1, w, parti.ScatterAdd, 5},
+		{"conv + lapl + Num + Den", 1, w, parti.ScatterAdd, 12},
+		{"lapl + shock switch re-gather", 1, w, parti.Gather, 6},
+		{"diss", 1, w, parti.ScatterAdd, 5},
 	}
 }
 
-// wCyclePlan is the plan of one 2-level cycle: 88 exchanges.
+// wCyclePlan is the plan of one 2-level cycle: 86 exchanges.
 func wCyclePlan(fine, coarse *Level) []planRow {
 	plan := stepPlan(fine)
 	plan = append(plan, residualPlan(fine)...)
@@ -290,12 +290,13 @@ func wCyclePlan(fine, coarse *Level) []planRow {
 	)
 }
 
-// TestCommCountersAdvance pins the exchange plan: the per-kind counts of
-// one single-grid step and of one 2-level W-cycle, one message per
-// neighbour per exchange, and exactly the bytes the arrays take one at a
-// time. An exchange is tallied under the kind of its first array, states
-// before scalars, so no scalar gather is ever counted: the only scalar
-// gathered, the shock switch, rides with the Laplacian.
+// TestCommCountersAdvance pins the exchange plan: the counts of one
+// single-grid step and of one 2-level W-cycle, one message per neighbour
+// per exchange, and exactly the bytes the arrays take one at a time (an SoA
+// block's are a state array's). No exchange is scalars-only — the sensor
+// sums and the spectral radii ride the scatter-add of the sweep that
+// accumulated them, the shock switch rides the Laplacian's gather — so the
+// two scalar-led counters stay 0.
 func TestCommCountersAdvance(t *testing.T) {
 	p := euler.DefaultParams(0.6, 0)
 	check := func(name string, dm *Solver, plan []planRow, want CommCounters) {
@@ -331,7 +332,7 @@ func TestCommCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("single-grid step", single, stepPlan(single.Levels[0]),
-		CommCounters{GatherState: 17, ScatterState: 17, ScatterFloat: 1})
+		CommCounters{GatherState: 17, ScatterState: 17})
 
 	meshes, parts := independentParts(t, meshgen.DefaultChannel(10, 6, 4, 17), 2, 4)
 	mg, err := NewMultigrid(meshes, parts, 4, p, 2)
@@ -339,7 +340,7 @@ func TestCommCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("2-level W-cycle", mg, wCyclePlan(mg.Levels[0], mg.Levels[1]),
-		CommCounters{GatherState: 44, ScatterState: 42, ScatterFloat: 2})
+		CommCounters{GatherState: 44, ScatterState: 42})
 }
 
 // independentParts builds a mesh sequence with every level partitioned
@@ -490,7 +491,7 @@ func TestConcurrentMultigridMatchesSequential(t *testing.T) {
 	}
 	base := euler.DefaultParams(0.675, 0)
 	globalDt, oddSweeps := base, base
-	globalDt.GlobalDt = 1e-3 // time-accurate: the program skips the spectral radii and their scatter-add
+	globalDt.GlobalDt = 1e-3 // time-accurate: stage 0's sweep and scatter-add leave the spectral radii out
 	oddSweeps.NSmooth = 1    // odd sweep count: the smoother ends in its scratch array and writes back
 	for _, tc := range []struct {
 		name string

@@ -30,20 +30,15 @@ type driver interface {
 	sum(part []float64) (float64, error)
 }
 
-// kindOf classes an exchange for the counters and the span names: by its
-// direction and by the element type of its first array, states before
-// scalars.
-func kindOf(dir parti.Dir, a parti.Arrays) int {
-	if a.States[0] != nil {
-		return [...]int{parti.Gather: exGatherState, parti.ScatterAdd: exScatterState}[dir]
+// count tallies one execution of an exchange in direction dir. An exchange
+// has no other class: whatever it carries, a state array or an SoA block
+// leads it (see CommCounters).
+func (s *Solver) count(dir parti.Dir) {
+	if dir == parti.Gather {
+		s.Comm.GatherState++
+	} else {
+		s.Comm.ScatterState++
 	}
-	return [...]int{parti.Gather: exGatherFloat, parti.ScatterAdd: exScatterFloat}[dir]
-}
-
-// count tallies one execution of an exchange of the given kind.
-func (s *Solver) count(kind int) {
-	c := &s.Comm
-	*[nExKinds]*int64{&c.GatherState, &c.ScatterState, &c.GatherFloat, &c.ScatterFloat}[kind]++
 }
 
 func total(part []float64) float64 {
@@ -66,11 +61,11 @@ func (d seqDriver) procs() (lo, hi int) { return 0, d.s.NProc }
 func (d seqDriver) sum(part []float64) (float64, error) { return total(part), nil }
 
 func (d seqDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error {
-	s, tl, kind := d.s, d.s.st.commLine(), kindOf(dir, a)
-	s.count(kind)
-	tl.mark(spanCompute, kind, lev.Index)
+	s, tl := d.s, d.s.st.commLine()
+	s.count(dir)
+	tl.mark(spanCompute, dir, lev.Index)
 	err := sch.Exchange(s.Fabric, dir, a)
-	tl.mark(spanCollective, kind, lev.Index)
+	tl.mark(spanCollective, dir, lev.Index)
 	return err
 }
 
@@ -143,22 +138,22 @@ func (d *mimdDriver) sum(part []float64) (float64, error) {
 // exchange also lays processor p's timeline down as it goes (trace.go), and
 // processor 0 keeps the counters for all.
 func (d *mimdDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error {
-	s, p, tl, kind := d.s, d.p, d.s.st.procLine(d.p), kindOf(dir, a)
+	s, p, tl := d.s, d.p, d.s.st.procLine(d.p)
 	if p == 0 {
-		s.count(kind)
+		s.count(dir)
 	}
-	tl.mark(spanCompute, kind, 0)
+	tl.mark(spanCompute, dir, 0)
 	d.fail(sch.Send(s.Fabric, dir, p, a))
-	tl.mark(spanSend, kind, 0)
+	tl.mark(spanSend, dir, 0)
 	err := d.sync()
-	tl.mark(spanBarrier, kind, 0)
+	tl.mark(spanBarrier, dir, 0)
 	if err != nil {
 		return err
 	}
 	d.fail(sch.Recv(s.Fabric, dir, p, a))
-	tl.mark(spanRecv, kind, 0)
+	tl.mark(spanRecv, dir, 0)
 	err = d.sync()
-	tl.mark(spanBarrier, kind, 0)
+	tl.mark(spanBarrier, dir, 0)
 	return err
 }
 

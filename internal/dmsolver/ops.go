@@ -18,11 +18,15 @@ import (
 // and Gamma, never on the processor, so every executor of it walks the
 // same exchange plan.
 //
-// The phases hold no arithmetic of their own: each hands processor p's
-// local arrays — edge loops over [owned | edge ghosts], vertex sweeps over
-// the owned prefix [0, Dist.Count(p)) — to the function the sequential engine
-// runs over the whole mesh: the reference operator of package euler, and
+// The phases hold no arithmetic of their own. An edge or boundary-face
+// loop is the kernel the pooled engine runs per color (euler's
+// kernels_soa.go), here over all of processor p's local edges or faces, on
+// p's SoA blocks over [owned | edge ghosts]; a vertex sweep hands the owned
+// prefix [0, Dist.Count(p)) of p's AoS arrays to the function the sequential
+// engine runs over the whole mesh — euler's reference vertex functions, and
 // for the inter-grid pieces multigrid's TransferOp and FAS range functions.
+// The smoother's edge loop is still the reference SmoothAccum: on these
+// lists in natural order the AoS loop is the faster one (EXPERIMENTS.md).
 
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
@@ -41,33 +45,18 @@ func each(x driver, phase func(p int)) {
 	}
 }
 
-// refreshW gathers level lev's flow-variable ghosts and recomputes the
-// pressures over [owned | edge ghosts].
+// refreshW gathers level lev's flow-variable ghosts and reloads the SoA
+// copy of W the sweeps read, with its vertex terms (p, 1/rho, c), over
+// [owned | edge ghosts] in one sweep.
 func (s *Solver) refreshW(x driver, lev *Level) error {
 	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.W)); err != nil {
 		return err
 	}
-	each(x, func(p int) { euler.Pressures(s.P.Gas, edgeSpan(lev, p, lev.W[p]), lev.Pres[p]) })
+	each(x, func(p int) { lev.disc[p].ResInitSoAKernel(lev.W[p], lev.wS[p], 0, lev.EdgeSpan[p]) })
 	return nil
 }
 
-// timeSteps fills the time steps on owned vertices. In time-accurate mode
-// (GlobalDt) the spectral radii feed nothing, so their loop and its
-// scatter-add are skipped, as in the sequential engine.
-func (s *Solver) timeSteps(x driver, lev *Level) error {
-	if s.P.GlobalDt <= 0 {
-		each(x, func(p int) {
-			euler.SpectralRadii(s.P.Gas, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Lam[p]))
-		})
-		if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.Floats(lev.Lam)); err != nil {
-			return err
-		}
-	}
-	each(x, func(p int) { s.P.TimeSteps(lev.Dt[p][:lev.Dist.Count(p)], lev.Vol[p], lev.Lam[p]) })
-	return nil
-}
-
-// dissipation finishes D(w) into lev.Diss from pass-1 sums complete at
+// dissipation finishes D(w) into lev.dissS from pass-1 sums complete at
 // their owners: the shock switch, the re-gather of Laplacian and switch in
 // one exchange, then pass 2 with its closing scatter-add — the
 // consecutive-loop structure that motivates the paper's incremental
@@ -77,31 +66,39 @@ func (s *Solver) dissipation(x driver, lev *Level) error {
 		n := lev.Dist.Count(p)
 		euler.ShockSwitch(lev.Num[p][:n], lev.Den[p][:n])
 	})
-	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.Lapl).And(parti.Floats(lev.Num))); err != nil {
+	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.Blocks(lev.laplS).And(parti.Floats(lev.Num))); err != nil {
 		return err
 	}
 	each(x, func(p int) {
-		euler.DissPass2(&s.P, lev.Edges[p], lev.ENorm[p], lev.W[p], lev.Pres[p], lev.Lapl[p], lev.Num[p], edgeSpan(lev, p, lev.Diss[p]))
+		lev.disc[p].DissPass2SoAKernel(lev.wS[p], lev.laplS[p], lev.dissS[p], lev.Num[p], lev.ident[:len(lev.Edges[p])])
 	})
-	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(lev.Diss))
+	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.Blocks(lev.dissS))
 }
 
 // residual computes R = Q - D (+ forcing if withForcing) into lev.Res at
-// owned vertices, from ghosts and pressures refreshW has made current. The
-// convective edge and boundary loops and, on a dissipation stage, pass 1
-// run back to back and close with one scatter-add of everything they
-// accumulated — one message per neighbour, not four; with diss false the
-// dissipation is the one a previous stage left.
-func (s *Solver) residual(x driver, lev *Level, withForcing, diss bool) error {
-	sums := parti.States(lev.Conv)
+// owned vertices, from the block and vertex terms refreshW has made
+// current. One edge sweep and one face sweep accumulate everything the
+// stage needs of w — the convective flux always, pass 1 of the dissipation
+// when diss is set, the spectral radii when lam is (only ever on a
+// dissipation stage) — and one scatter-add closes them: one message per
+// neighbour, not five. With diss false the dissipation is the one a
+// previous stage left.
+func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) error {
+	parts, sums := euler.PartConv, parti.Blocks(lev.convS)
 	if diss {
-		sums = parti.States(lev.Conv, lev.Lapl).And(parti.Floats(lev.Num, lev.Den))
+		parts, sums = parts|euler.PartDiss1, parti.Blocks(lev.convS, lev.laplS).And(parti.Floats(lev.Num, lev.Den))
+	}
+	if lam {
+		parts, sums = parts|euler.PartLam, sums.And(parti.Floats(lev.Num, lev.Den, lev.Lam))
 	}
 	each(x, func(p int) {
-		euler.Convective(&s.P, lev.Edges[p], lev.ENorm[p], lev.BFaces[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Conv[p]))
-		if diss {
-			euler.DissPass1(lev.Edges[p], lev.W[p], lev.Pres[p], edgeSpan(lev, p, lev.Lapl[p]), lev.Num[p], lev.Den[p])
+		d := lev.disc[p]
+		d.StageZeroSoAKernel(lev.convS[p], lev.dissS[p], lev.laplS[p], diss, 0, lev.EdgeSpan[p])
+		if lam {
+			clear(lev.Lam[p])
 		}
+		d.EdgeSweepSoAKernel(parts, lev.wS[p], lev.convS[p], lev.laplS[p], lev.Lam[p], lev.Num[p], lev.Den[p], lev.ident[:len(lev.Edges[p])])
+		d.BFaceSweepSoAKernel(parts&(euler.PartLam|euler.PartConv), lev.wS[p], lev.convS[p], lev.Lam[p], lev.ident[:len(lev.BFaces[p])])
 	})
 	if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, sums); err != nil {
 		return err
@@ -116,7 +113,7 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss bool) error {
 		if withForcing {
 			forcing = lev.Forcing[p]
 		}
-		euler.CombineResidual(owned(lev, p, lev.Res[p]), lev.Conv[p], lev.Diss[p], forcing)
+		lev.disc[p].CombineResidualOutKernel(lev.Res[p], lev.convS[p], lev.dissS[p], forcing, 0, lev.Dist.Count(p))
 	})
 	return nil
 }
@@ -155,9 +152,6 @@ func (s *Solver) step(x driver, l int) (float64, error) {
 	if err := s.refreshW(x, lev); err != nil {
 		return 0, err
 	}
-	if err := s.timeSteps(x, lev); err != nil {
-		return 0, err
-	}
 	norm := 0.0
 	for q, alpha := range s.P.Stages {
 		if q > 0 {
@@ -165,14 +159,22 @@ func (s *Solver) step(x driver, l int) (float64, error) {
 				return 0, err
 			}
 		}
-		if err := s.residual(x, lev, l > 0, q < euler.DissipStages); err != nil {
+		// The spectral radii ride stage 0's sweep and scatter-add. In
+		// time-accurate mode (GlobalDt) they feed nothing and are skipped, as
+		// in the other engines.
+		if err := s.residual(x, lev, l > 0, q < euler.DissipStages, q == 0 && s.P.GlobalDt <= 0); err != nil {
 			return 0, err
 		}
 		if q == 0 {
-			// Per-processor partials of the engine-wide blocked reduction
-			// (euler.NormBlock), summed in processor order, so that a
-			// one-processor solve reproduces the sequential norm bitwise.
-			each(x, func(p int) { s.partial[p] = euler.ResidualNormSq(lev.Res[p], lev.Vol[p], lev.Dist.Count(p)) })
+			// The time steps, and the per-processor partials of the
+			// engine-wide blocked reduction (euler.NormBlock), summed in
+			// processor order, so that a one-processor solve reproduces the
+			// sequential norm bitwise.
+			each(x, func(p int) {
+				n := lev.Dist.Count(p)
+				s.P.TimeSteps(lev.Dt[p], lev.Vol[p], lev.Lam[p][:n])
+				s.partial[p] = euler.ResidualNormSq(lev.Res[p], lev.Vol[p], n)
+			})
 			sum, err := x.sum(s.partial)
 			if err != nil {
 				return 0, err
@@ -202,7 +204,7 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	if err := s.refreshW(x, lev); err != nil {
 		return 0, err
 	}
-	if err := s.residual(x, lev, l > 0, true); err != nil {
+	if err := s.residual(x, lev, l > 0, true, false); err != nil {
 		return 0, err
 	}
 
@@ -246,7 +248,7 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	if err := s.refreshW(x, next); err != nil {
 		return 0, err
 	}
-	if err := s.residual(x, next, false, true); err != nil {
+	if err := s.residual(x, next, false, true, false); err != nil {
 		return 0, err
 	}
 	each(x, func(p int) { multigrid.Subtract(next.Forcing[p], next.Res[p], 0, next.Dist.Count(p)) })

@@ -1,0 +1,364 @@
+package dmsolver
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"eul3d/internal/euler"
+	"eul3d/internal/parti"
+	"eul3d/internal/simnet"
+)
+
+// hookDriver runs the program on another driver and calls before ahead of
+// every exchange — the one place a test can stand between two phases.
+type hookDriver struct {
+	driver
+	before func(x driver, dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays)
+}
+
+func (d hookDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) error {
+	d.before(d.driver, dir, sch, lev, a)
+	return d.driver.exchange(dir, sch, lev, a)
+}
+
+// oracle is the reference operator of euler/ops.go on processor-local AoS
+// arrays over the edge span: what every edge and face phase of ops.go
+// called before it ran the SoA kernels.
+type oracle struct {
+	pres, lam, num, den [][]float64
+	conv, lapl, diss    [][]euler.State
+}
+
+func newOracle(lev *Level) *oracle {
+	n := len(lev.W)
+	f := func() [][]float64 {
+		a := make([][]float64, n)
+		for p := range a {
+			a[p] = make([]float64, lev.EdgeSpan[p])
+		}
+		return a
+	}
+	st := func() [][]euler.State {
+		a := make([][]euler.State, n)
+		for p := range a {
+			a[p] = make([]euler.State, lev.EdgeSpan[p])
+		}
+		return a
+	}
+	return &oracle{pres: f(), lam: f(), num: f(), den: f(), conv: st(), lapl: st(), diss: st()}
+}
+
+// sameBlock fails unless block b equals the AoS array ref bitwise on [0, n).
+func sameBlock(t *testing.T, what string, p int, b *euler.StateSoA, ref []euler.State, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if got := b.At(i); got != ref[i] {
+			t.Fatalf("%s, processor %d, local vertex %d of %d: kernel %v, reference %v", what, p, i, n, got, ref[i])
+		}
+	}
+}
+
+func sameFloats(t *testing.T, what string, p int, got, ref []float64, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if got[i] != ref[i] {
+			t.Fatalf("%s, processor %d, local vertex %d of %d: kernel %v, reference %v", what, p, i, n, got[i], ref[i])
+		}
+	}
+}
+
+// TestSweepsMatchReferenceOnPartition: a stage's fused sweep and its
+// dissipation, run through the program's own phases on P = 1, 3 and 8
+// processors, against the reference operator on the same local arrays.
+// Every accumulator is bitwise the reference's over [owned | edge ghosts]
+// before its scatter-add, and on the owned prefix after it — the same
+// per-processor edge order and the same per-slot addition order, so the
+// reassociation across partition boundaries is the parent's exactly.
+func TestSweepsMatchReferenceOnPartition(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	for _, nproc := range []int{1, 3, 8} {
+		m, part := channelAndPartition(t, 10, 6, 4, max(nproc, 2))
+		if nproc == 1 {
+			part = make([]int32, m.NV())
+		}
+		s, err := NewSingle(m, part, nproc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 2; c++ { // leave the freestream: a uniform field exercises nothing
+			if _, err := s.Cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lev, o := s.Levels[0], newOracle(s.Levels[0])
+		count := lev.Dist.Count
+		mirror := func(dir parti.Dir, a parti.Arrays) {
+			t.Helper()
+			if err := lev.SchedW.Exchange(s.Fabric, dir, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// A stage with every part: what stage 0 runs. The hook sees the
+		// closing scatter-add of the sweep, the Laplacian + switch re-gather
+		// and the scatter-add of pass 2, in that order.
+		exchanges := 0
+		all := hookDriver{seqDriver{s}, func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
+			exchanges++
+			switch exchanges {
+			case 1:
+				for q := 0; q < nproc; q++ {
+					n, w := lev.EdgeSpan[q], lev.W[q]
+					euler.Pressures(p.Gas, w[:n], o.pres[q])
+					euler.SpectralRadii(p.Gas, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], w, o.pres[q], o.lam[q])
+					euler.Convective(&p, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], w, o.pres[q], o.conv[q])
+					euler.DissPass1(lev.Edges[q], w, o.pres[q], o.lapl[q], o.num[q], o.den[q])
+					sameBlock(t, "conv before its scatter-add", q, lev.convS[q], o.conv[q], n)
+					sameBlock(t, "lapl before its scatter-add", q, lev.laplS[q], o.lapl[q], n)
+					sameFloats(t, "num before its scatter-add", q, lev.Num[q], o.num[q], n)
+					sameFloats(t, "den before its scatter-add", q, lev.Den[q], o.den[q], n)
+					sameFloats(t, "lam before its scatter-add", q, lev.Lam[q], o.lam[q], n)
+				}
+				if a.Width() != 13 || a.Blocks[1] == nil || a.Floats[2] == nil {
+					t.Fatalf("stage 0's scatter-add carries %d floats an item, want conv, lapl | num, den, lam = 13", a.Width())
+				}
+				// The reference's four scatter-adds, one array at a time.
+				mirror(dir, parti.Floats(o.lam))
+				mirror(dir, parti.States(o.conv))
+				mirror(dir, parti.States(o.lapl))
+				mirror(dir, parti.Floats(o.num, o.den))
+			case 2:
+				for q := 0; q < nproc; q++ {
+					n := count(q)
+					sameBlock(t, "conv after its scatter-add", q, lev.convS[q], o.conv[q], n)
+					sameFloats(t, "lam after its scatter-add", q, lev.Lam[q], o.lam[q], n)
+					euler.ShockSwitch(o.num[q][:n], o.den[q][:n])
+					sameBlock(t, "lapl after its scatter-add", q, lev.laplS[q], o.lapl[q], n)
+					sameFloats(t, "den after its scatter-add", q, lev.Den[q], o.den[q], n)
+					sameFloats(t, "shock switch", q, lev.Num[q], o.num[q], n)
+				}
+				mirror(dir, parti.States(o.lapl).And(parti.Floats(o.num)))
+			case 3:
+				for q := 0; q < nproc; q++ {
+					n := lev.EdgeSpan[q]
+					sameBlock(t, "lapl after its re-gather", q, lev.laplS[q], o.lapl[q], n)
+					sameFloats(t, "shock switch after its re-gather", q, lev.Num[q], o.num[q], n)
+					euler.DissPass2(&p, lev.Edges[q], lev.ENorm[q], lev.W[q], o.pres[q], o.lapl[q], o.num[q], o.diss[q])
+					sameBlock(t, "diss before its scatter-add", q, lev.dissS[q], o.diss[q], n)
+				}
+				mirror(dir, parti.States(o.diss))
+			}
+		}}
+		if err := s.refreshW(seqDriver{s}, lev); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.residual(all, lev, false, true, true); err != nil {
+			t.Fatal(err)
+		}
+		if exchanges != 3 {
+			t.Fatalf("P = %d: a full stage made %d exchanges, want 3", nproc, exchanges)
+		}
+		res := make([]euler.State, m.NV())
+		for q := 0; q < nproc; q++ {
+			n := count(q)
+			sameBlock(t, "diss after its scatter-add", q, lev.dissS[q], o.diss[q], n)
+			euler.CombineResidual(res[:n], o.conv[q], o.diss[q], nil)
+			for i := 0; i < n; i++ {
+				if lev.Res[q][i] != res[i] {
+					t.Fatalf("P = %d: residual of processor %d, vertex %d: %v, reference %v", nproc, q, i, lev.Res[q][i], res[i])
+				}
+			}
+		}
+
+		// A convective-only stage: conv again bitwise, and the dissipation a
+		// previous stage left — which the residual still subtracts — intact.
+		convOnly := hookDriver{seqDriver{s}, func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
+			for q := 0; q < nproc; q++ {
+				euler.Convective(&p, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], lev.W[q], o.pres[q], o.conv[q])
+				sameBlock(t, "conv of a convective-only stage", q, lev.convS[q], o.conv[q], lev.EdgeSpan[q])
+			}
+			if a.Width() != 5 {
+				t.Fatalf("a convective-only stage scatter-adds %d floats an item, want 5", a.Width())
+			}
+			mirror(dir, parti.States(o.conv))
+		}}
+		if err := s.residual(convOnly, lev, false, false, false); err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < nproc; q++ {
+			n := count(q)
+			sameBlock(t, "frozen diss", q, lev.dissS[q], o.diss[q], n)
+			sameFloats(t, "lam of a stage without the part", q, lev.Lam[q], o.lam[q], n)
+			euler.CombineResidual(res[:n], o.conv[q], o.diss[q], nil)
+			for i := 0; i < n; i++ {
+				if lev.Res[q][i] != res[i] {
+					t.Fatalf("P = %d: convective-only residual of processor %d, vertex %d differs", nproc, q, i)
+				}
+			}
+		}
+	}
+}
+
+// poisonBeforeRefresh returns a driver that runs the program on x and, ahead
+// of the gather that opens every refreshW, overwrites the SoA solution block
+// and the vertex terms p, 1/rho and c of every processor x executes with
+// NaN over the whole edge span, ghost range included — through the one door
+// this package has to the terms, the kernel that loads a block, on an
+// all-NaN field. (The restriction's extra gather of W through the same
+// schedule is poisoned too; a refreshW follows before anything reads.)
+func poisonBeforeRefresh(x driver, nan [][]euler.State) driver {
+	return hookDriver{x, func(x driver, dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) {
+		if dir == parti.Gather && sch == lev.SchedW && a.States[0] != nil && &a.States[0][0] == &lev.W[0] {
+			each(x, func(p int) { lev.disc[p].ResInitSoAKernel(nan[lev.Index], lev.wS[p], 0, lev.EdgeSpan[p]) })
+		}
+	}}
+}
+
+// TestGhostVertexTermsNeverStale: the sweeps read 1/rho and the sound speed
+// of both ends of an edge from per-vertex arrays, ghost ends included, so
+// refreshW must rewrite all of them every time. Poisoned before every
+// refreshW, under both drivers, single grid and a 3-level W-cycle, the
+// residual history must stay finite and not move by a bit.
+func TestGhostVertexTermsNeverStale(t *testing.T) {
+	const cycles = 4
+	nanField := func(s *Solver) [][]euler.State {
+		nan := make([][]euler.State, len(s.Levels))
+		for l, lev := range s.Levels {
+			longest := 0
+			for _, n := range lev.EdgeSpan {
+				longest = max(longest, n)
+			}
+			nan[l] = make([]euler.State, longest)
+			for i := range nan[l] {
+				for k := range nan[l][i] {
+					nan[l][i][k] = math.NaN()
+				}
+			}
+		}
+		return nan
+	}
+	poisonedSeq := func(s *Solver, nan [][]euler.State) (float64, error) {
+		return s.cycle(poisonBeforeRefresh(seqDriver{s}, nan), 0)
+	}
+	poisonedMIMD := func(s *Solver, nan [][]euler.State) (float64, error) { // CycleConcurrent, every driver wrapped
+		r := &mimdRun{s: s, bar: simnet.NewBarrier(s.NProc)}
+		norms := make([]float64, s.NProc)
+		var wg sync.WaitGroup
+		for p := 0; p < s.NProc; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				norms[p], _ = s.cycle(poisonBeforeRefresh(&mimdDriver{r, p}, nan), 0)
+			}(p)
+		}
+		wg.Wait()
+		return norms[0], r.err
+	}
+
+	// Teeth: a poisoned context, not refreshed, reaches the sweep.
+	s := chaosSolver(t)
+	lev := s.Levels[0]
+	each(seqDriver{s}, func(p int) { lev.disc[p].ResInitSoAKernel(nanField(s)[0], lev.wS[p], 0, lev.EdgeSpan[p]) })
+	if err := s.residual(seqDriver{s}, lev, false, true, true); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(lev.Res[0][0][0]) {
+		t.Fatal("poisoned vertex terms did not reach the sweep: the test has no teeth")
+	}
+
+	for _, fixture := range []struct {
+		name string
+		mk   func(*testing.T) *Solver
+	}{{"single", chaosSolver}, {"w3", chaosMultigridSolver}} {
+		for _, mode := range []struct {
+			name     string
+			clean    func(*Solver) (float64, error)
+			poisoned func(*Solver, [][]euler.State) (float64, error)
+		}{{"seq", (*Solver).Cycle, poisonedSeq}, {"mimd", (*Solver).CycleConcurrent, poisonedMIMD}} {
+			t.Run(fixture.name+"/"+mode.name, func(t *testing.T) {
+				a, b := fixture.mk(t), fixture.mk(t)
+				nan := nanField(b)
+				for c := 0; c < cycles; c++ {
+					na, err := mode.clean(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nb, err := mode.poisoned(b, nan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.IsNaN(nb) || math.IsInf(nb, 0) || na != nb {
+						t.Fatalf("cycle %d: norm %v with every refreshW poisoned, %v clean", c, nb, na)
+					}
+				}
+				wa, wb := a.GatherSolution(), b.GatherSolution()
+				for i := range wa {
+					if wa[i] != wb[i] {
+						t.Fatalf("vertex %d differs after %d poisoned cycles", i, cycles)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestGlobalDtStepSkipsSpectralRadii: in time-accurate mode stage 0's sweep
+// leaves the spectral radii out — Lam is not touched — while the exchange
+// count stays the step's 34 (the radii only ever rode another scatter-add),
+// and on one processor the step is the sequential engine's bitwise.
+func TestGlobalDtStepSkipsSpectralRadii(t *testing.T) {
+	m, part := channelAndPartition(t, 8, 5, 4, 4)
+	p := euler.DefaultParams(0.6, 0)
+	for _, dt := range []float64{0, 1e-3} {
+		p.GlobalDt = dt
+		s, err := NewSingle(m, part, 4, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const sentinel = -7.5
+		for _, lam := range s.Levels[0].Lam {
+			for i := range lam {
+				lam[i] = sentinel
+			}
+		}
+		if _, err := s.Cycle(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Comm.GatherState + s.Comm.ScatterState + s.Comm.GatherFloat + s.Comm.ScatterFloat; n != 34 {
+			t.Errorf("GlobalDt = %g: a step made %d exchanges, want 34", dt, n)
+		}
+		untouched := true
+		for _, lam := range s.Levels[0].Lam {
+			for _, v := range lam {
+				untouched = untouched && v == sentinel
+			}
+		}
+		if untouched != (dt > 0) {
+			t.Errorf("GlobalDt = %g: spectral radii untouched = %v", dt, untouched)
+		}
+	}
+
+	one, err := NewSingle(m, make([]int32, m.NV()), 1, p) // p.GlobalDt is 1e-3 here
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := euler.NewDisc(m, p)
+	w := make([]euler.State, m.NV())
+	seq.InitUniform(w)
+	ws := euler.NewStepWorkspace(m.NV())
+	for c := 0; c < 5; c++ {
+		got, err := one.Cycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seq.Step(w, nil, ws); got != want {
+			t.Fatalf("step %d: norm %v on one processor, %v sequential", c, got, want)
+		}
+	}
+	for i, st := range one.GatherSolution() {
+		if st != w[i] {
+			t.Fatalf("vertex %d differs from the sequential engine under GlobalDt", i)
+		}
+	}
+}

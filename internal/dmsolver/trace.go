@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"eul3d/internal/parti"
 	"eul3d/internal/trace"
 )
 
@@ -15,8 +16,8 @@ import (
 // closes that gap with a "compute" span when the next exchange opens.
 //
 //   - sequential driver: every whole-schedule collective becomes a span on
-//     the "comm" track ("gather-states", "scatter-states", ...,
-//     arg = level);
+//     the "comm" track ("gather-states" or "scatter-states" — every
+//     exchange is led by a state array or an SoA block; arg = level);
 //   - MIMD driver: every per-processor exchange half becomes a span on that
 //     processor's track ("send-gather"/"recv-gather"/"send-scatter"/
 //     "recv-scatter") with the bulk-synchronous "barrier" waits between
@@ -27,17 +28,8 @@ import (
 //   - the recovery orchestrator (recovery.go) marks crashes, checkpoint
 //     restores and CFL backoffs as instants on the "events" track.
 
-// exchange kinds, indexing CommCounters (Solver.count) and the span names.
-const (
-	exGatherState = iota
-	exScatterState
-	exGatherFloat
-	exScatterFloat
-	nExKinds
-)
-
-// The sorts of span a timeline is marked with; spanNames[sort][kind] names
-// the phase of that sort of span around an exchange of that kind.
+// The sorts of span a timeline is marked with; spanNames[sort][dir] names
+// the phase of that sort of span around an exchange in direction dir.
 const (
 	spanCompute    = iota // gap since the previous exchange
 	spanCollective        // sequential whole-schedule collective
@@ -47,12 +39,12 @@ const (
 	nSpans
 )
 
-var spanNames = [nSpans][nExKinds]string{
-	spanCompute:    {"compute", "compute", "compute", "compute"},
-	spanCollective: {"gather-states", "scatter-states", "gather-floats", "scatter-floats"},
-	spanSend:       {"send-gather", "send-scatter", "send-gather", "send-scatter"},
-	spanRecv:       {"recv-gather", "recv-scatter", "recv-gather", "recv-scatter"},
-	spanBarrier:    {"barrier", "barrier", "barrier", "barrier"},
+var spanNames = [nSpans][2]string{
+	spanCompute:    {parti.Gather: "compute", parti.ScatterAdd: "compute"},
+	spanCollective: {parti.Gather: "gather-states", parti.ScatterAdd: "scatter-states"},
+	spanSend:       {parti.Gather: "send-gather", parti.ScatterAdd: "send-scatter"},
+	spanRecv:       {parti.Gather: "recv-gather", parti.ScatterAdd: "recv-scatter"},
+	spanBarrier:    {parti.Gather: "barrier", parti.ScatterAdd: "barrier"},
 }
 
 // buildSpan is one timed construction step, recorded before any tracer
@@ -79,7 +71,7 @@ type solverTrace struct {
 	procs []timeline   // MIMD: one per simulated processor, owned by that processor's goroutine
 	orch  *trace.Track // recovery/checkpoint instants
 
-	ph      [nSpans][nExKinds]trace.PhaseID
+	ph      [nSpans][2]trace.PhaseID
 	phCrash trace.PhaseID // node crash detected (arg = cycle)
 	phRecov trace.PhaseID // checkpoint restore (arg = rewound-to cycle)
 	phBack  trace.PhaseID // CFL backoff (arg = cycle)
@@ -102,8 +94,8 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 		st.procs[p] = timeline{st: st, tk: tr.Track(fmt.Sprintf("p%d", p))}
 	}
 	for sort, names := range spanNames {
-		for kind, n := range names {
-			st.ph[sort][kind] = tr.Phase(n)
+		for dir, n := range names {
+			st.ph[sort][dir] = tr.Phase(n)
 		}
 	}
 	st.phCrash = tr.Phase("node-crash")
@@ -139,14 +131,14 @@ func (st *solverTrace) procLine(p int) *timeline {
 }
 
 // mark closes the interval since the timeline's previous mark as a span of
-// the given sort around an exchange of the given kind, and opens the next.
-func (tl *timeline) mark(sort, kind, arg int) {
+// the given sort around an exchange in direction dir, and opens the next.
+func (tl *timeline) mark(sort int, dir parti.Dir, arg int) {
 	if tl == nil {
 		return
 	}
 	now := time.Now()
 	if !tl.last.IsZero() {
-		tl.tk.Span(tl.st.ph[sort][kind], tl.last, now, int64(arg))
+		tl.tk.Span(tl.st.ph[sort][dir], tl.last, now, int64(arg))
 	}
 	tl.last = now
 }

@@ -43,10 +43,7 @@ func TestTracedSequentialCycle(t *testing.T) {
 		t.Fatalf("missing tracks; have %v", len(tr.Tracks()))
 	}
 	comm := phaseCounts(tr, tks["comm"])
-	// No "gather-floats": the only scalar the plan gathers, the shock switch,
-	// rides in the Laplacian's message, and an exchange is named after its
-	// first array.
-	for _, ph := range []string{"gather-states", "scatter-states", "scatter-floats", "compute"} {
+	for _, ph := range []string{"gather-states", "scatter-states", "compute"} {
 		if comm[ph] == 0 {
 			t.Errorf("comm track has no %q spans (%v)", ph, comm)
 		}

@@ -11,10 +11,14 @@ import (
 // shared-memory executor (package smsolver) calls them per color group and
 // worker chunk — the Cray autotasking decomposition of Section 3.1; within a
 // color group no two edges touch the same vertex, so the kernels are
-// race-free. The engine converts at the step boundaries, so every public
-// interface keeps []State. This is the second and last statement of the
-// scheme's arithmetic; the first is the reference operator in ops.go, which
-// the sequential and the distributed engine drive.
+// race-free. The distributed solver (package dmsolver) calls the edge, face
+// and residual kernels once per simulated processor, over all of that
+// partition's local edges or faces (NewViewDisc), with the PARTI exchanges
+// between calls. Both convert at the step or stage boundaries, so every
+// public interface keeps []State. This is the second and last statement of
+// the scheme's arithmetic; the first is the reference operator in ops.go,
+// which the sequential engine drives and whose vertex functions and
+// smoother the distributed one still calls.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor
@@ -47,8 +51,30 @@ import (
 // longer than one element on the stack, a store and a reload per component,
 // and SpectralRadius, past the inlining budget, is a call per edge.
 
-// Scratch accessors for the parallel executor, which drives the kernels
-// itself but accumulates into this discretization's float workspace.
+// NewViewDisc returns a discretization for running the edge, face and
+// residual kernels over a view of a mesh: m lists the edges with their dual
+// normals and the boundary faces of one part of it in a local numbering of
+// nv vertices, and need carry no coordinates (no kernel reads X). This is
+// what the distributed solver builds per simulated processor, nv being its
+// [owned | edge ghosts] span. The vertex terms and the accumulator scratch
+// are sized nv; there are no degrees and no time steps, so the kernels that
+// read those (SmoothCombineSoAKernel, DtRangeKernel, the update kernels) are
+// the caller's to replace.
+func NewViewDisc(m *mesh.Mesh, p Params, nv int) *Disc {
+	return &Disc{
+		M: m, P: p,
+		pres:   make([]float64, nv),
+		rinv:   make([]float64, nv),
+		snd:    make([]float64, nv),
+		lam:    make([]float64, nv),
+		sensor: make([]float64, nv),
+		den:    make([]float64, nv),
+	}
+}
+
+// Scratch accessors for the executors that drive the kernels themselves
+// (the pooled engine, the distributed solver) but accumulate into this
+// discretization's float workspace.
 
 // Lam returns the spectral-radius scratch array.
 func (d *Disc) Lam() []float64 { return d.lam }

@@ -183,12 +183,14 @@ func MinStableDt(m *mesh.Mesh, p Params, w []State) float64 {
 // normals, a boundary-face list, the solution, its pressures and the
 // accumulators. They know nothing of who drives them. The sequential Disc
 // below runs them over the whole mesh; the distributed solver (package
-// dmsolver) runs the same functions over each processor's local
-// [owned | ghost] arrays with the PARTI exchanges between calls. Every
-// accumulating function overwrites its accumulators (it zeroes them first)
-// and visits edges and faces in list order, so the additions one slot
-// receives, and their order, are fixed by the lists alone. The SoA kernels
-// of kernels_soa.go are the only other statement of this arithmetic.
+// dmsolver) runs the vertex functions and SmoothAccum over each processor's
+// local [owned | ghost] arrays, and keeps the edge and face functions as
+// the oracle its sweeps are tested against. Every accumulating function
+// overwrites its accumulators (it zeroes them first) and visits edges and
+// faces in list order, so the additions one slot receives, and their order,
+// are fixed by the lists alone. The SoA kernels of kernels_soa.go — what
+// the pooled and the distributed engine run for the edge and face loops —
+// are the only other statement of this arithmetic.
 
 // Pressures fills pres[i] with the static pressure of w[i].
 func Pressures(g Gas, w []State, pres []float64) {

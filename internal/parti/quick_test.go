@@ -145,3 +145,58 @@ func TestQuickIncrementalNeverRefetches(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickBlocksTravelLikeStates: for random distributions and reference
+// patterns, an SoA block gathered and scatter-added through a schedule ends
+// up holding, value for value, what the AoS array of the same numbers does —
+// the layout an array is kept in is invisible to the exchange.
+func TestQuickBlocksTravelLikeStates(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(60)
+		nproc := 1 + rng.Intn(6)
+		part := make([]int32, n)
+		for i := range part {
+			part[i] = int32(rng.Intn(nproc))
+		}
+		d, err := NewDist(part, nproc)
+		if err != nil {
+			return false
+		}
+		gs := NewGhostSpace(d)
+		refs := make([][]int32, nproc)
+		for p := 0; p < nproc; p++ {
+			for k := rng.Intn(3 * n); k > 0; k-- {
+				refs[p] = append(refs[p], int32(rng.Intn(n)))
+			}
+		}
+		sch := BuildSchedule(gs, refs)
+		fab := simnet.New(nproc)
+		aos, soa := make([][]euler.State, nproc), make([]*euler.StateSoA, nproc)
+		for p := 0; p < nproc; p++ {
+			aos[p], soa[p] = make([]euler.State, gs.TotalSize(p)), euler.NewStateSoA(gs.TotalSize(p))
+			for i := range aos[p] {
+				for k := range aos[p][i] {
+					aos[p][i][k] = rng.NormFloat64()
+				}
+				soa[p].Set(i, aos[p][i])
+			}
+		}
+		for _, dir := range []Dir{Gather, ScatterAdd, Gather} {
+			if sch.Exchange(fab, dir, States(aos)) != nil || sch.Exchange(fab, dir, Blocks(soa)) != nil {
+				return false
+			}
+			for p := 0; p < nproc; p++ {
+				for i, st := range aos[p] {
+					if soa[p].At(i) != st {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}

@@ -173,13 +173,15 @@ func TestHealingGivesUpAfterBoundedAttempts(t *testing.T) {
 	}
 }
 
-// mixedCase is a random distribution with two state and two scalar arrays,
-// the widest list one exchange carries.
+// mixedCase is a random distribution with two SoA blocks, two state arrays
+// and three scalar arrays: the distributed solver's widest exchange, and
+// two state arrays on top.
 type mixedCase struct {
-	d    *Dist
-	sch  *Schedule
-	s, u [][]euler.State
-	a, b [][]float64
+	d       *Dist
+	sch     *Schedule
+	x, y    []*euler.StateSoA
+	s, u    [][]euler.State
+	a, b, c [][]float64
 }
 
 func newMixedCase(seed int64) *mixedCase {
@@ -200,29 +202,39 @@ func newMixedCase(seed int64) *mixedCase {
 			refs[p] = append(refs[p], int32(rng.Intn(n)))
 		}
 	}
-	c := &mixedCase{d: d, sch: BuildSchedule(gs, refs)}
+	mc := &mixedCase{d: d, sch: BuildSchedule(gs, refs)}
 	for p := 0; p < nproc; p++ {
 		size := gs.TotalSize(p)
+		x, y := euler.NewStateSoA(size), euler.NewStateSoA(size)
 		s, u := make([]euler.State, size), make([]euler.State, size)
-		a, b := make([]float64, size), make([]float64, size)
+		a, b, c := make([]float64, size), make([]float64, size), make([]float64, size)
 		for i := 0; i < size; i++ { // owned and ghost alike: the scatter-add moves the ghosts
 			for k := 0; k < euler.NVar; k++ {
 				s[i][k], u[i][k] = rng.NormFloat64(), rng.NormFloat64()
+				x.Comp[k][i], y.Comp[k][i] = rng.NormFloat64(), rng.NormFloat64()
 			}
-			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+			a[i], b[i], c[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 		}
-		c.s, c.u, c.a, c.b = append(c.s, s), append(c.u, u), append(c.a, a), append(c.b, b)
+		mc.x, mc.y = append(mc.x, x), append(mc.y, y)
+		mc.s, mc.u = append(mc.s, s), append(mc.u, u)
+		mc.a, mc.b, mc.c = append(mc.a, a), append(mc.b, b), append(mc.c, c)
 	}
-	return c
+	return mc
+}
+
+// plans returns the case's two exchanges: the widest gather, and a
+// scatter-add of a different list, so that consecutive messages on a pair
+// differ in length.
+func (c *mixedCase) plans() (gather, scatter Arrays) {
+	return Blocks(c.x, c.y).And(States(c.s, c.u)).And(Floats(c.a, c.b, c.c)),
+		Blocks(c.y).And(States(c.u)).And(Floats(c.b, c.a))
 }
 
 // run executes a mixed gather and a mixed scatter-add, either as the
 // whole-schedule collectives or MIMD-style (a goroutine per processor,
 // send half, barrier, receive half).
 func (c *mixedCase) run(f *simnet.Fabric, mimd bool) error {
-	// Different lists in the two directions, so consecutive messages on a
-	// pair differ in length.
-	gather, scatter := States(c.s, c.u).And(Floats(c.a)), States(c.u).And(Floats(c.b, c.a))
+	gather, scatter := c.plans()
 	if !mimd {
 		if err := c.sch.Exchange(f, Gather, gather); err != nil {
 			return err
@@ -255,9 +267,93 @@ func (c *mixedCase) run(f *simnet.Fabric, mimd bool) error {
 	return errors.Join(errs...)
 }
 
+// runOneByOne is run with every array exchanged alone, and every block as
+// the AoS state array of its values: the messages an exchange plan without
+// aggregation and without SoA blocks would send.
+func (c *mixedCase) runOneByOne(f *simnet.Fabric) error {
+	gather, scatter := c.plans()
+	for _, ex := range []struct {
+		dir Dir
+		x   Arrays
+	}{{Gather, gather}, {ScatterAdd, scatter}} {
+		for _, blk := range ex.x.Blocks {
+			if blk == nil {
+				break
+			}
+			aos := make([][]euler.State, len(blk))
+			for p, b := range blk {
+				aos[p] = make([]euler.State, b.Len())
+				b.ToStates(aos[p], 0, b.Len())
+			}
+			if err := c.sch.Exchange(f, ex.dir, States(aos)); err != nil {
+				return err
+			}
+			for p, b := range blk {
+				b.FromStates(aos[p], 0, b.Len())
+			}
+		}
+		for _, st := range ex.x.States {
+			if st != nil {
+				if err := c.sch.Exchange(f, ex.dir, States(st)); err != nil {
+					return err
+				}
+			}
+		}
+		for _, fl := range ex.x.Floats {
+			if fl != nil {
+				if err := c.sch.Exchange(f, ex.dir, Floats(fl)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func (c *mixedCase) equal(o *mixedCase) bool {
+	for p := range c.x {
+		if !reflect.DeepEqual(c.x[p].Comp, o.x[p].Comp) || !reflect.DeepEqual(c.y[p].Comp, o.y[p].Comp) {
+			return false
+		}
+	}
 	return reflect.DeepEqual(c.s, o.s) && reflect.DeepEqual(c.u, o.u) &&
-		reflect.DeepEqual(c.a, o.a) && reflect.DeepEqual(c.b, o.b)
+		reflect.DeepEqual(c.a, o.a) && reflect.DeepEqual(c.b, o.b) && reflect.DeepEqual(c.c, o.c)
+}
+
+// TestMixedExchangeEqualsPerArrayExchanges: two blocks, two state arrays and
+// three scalars in one message per neighbour, in both directions, under
+// seeded random fault schedules and both execution disciplines, leave every
+// array bitwise what exchanging them one at a time over a fault-free fabric
+// does — the blocks as AoS arrays, so neither the aggregation, nor the
+// layout, nor a healed fault shows in a single bit.
+func TestMixedExchangeEqualsPerArrayExchanges(t *testing.T) {
+	resends := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		want := newMixedCase(seed)
+		if err := want.runOneByOne(simnet.New(want.d.NProc)); err != nil {
+			t.Fatal(err)
+		}
+		for _, mimd := range []bool{false, true} {
+			got := newMixedCase(seed)
+			f := simnet.New(got.d.NProc)
+			f.SetFaultPlan(simnet.RandomFaultPlan(seed, simnet.FaultMix{
+				Drops: 2, Duplicates: 2, Corruptions: 2, Delays: 2, Reorders: 2, CrashNode: -1, MaxSeq: 2,
+			}))
+			if err := got.run(f, mimd); err != nil {
+				t.Fatalf("seed %d mimd %v: %v", seed, mimd, err)
+			}
+			if !got.equal(want) {
+				t.Fatalf("seed %d mimd %v: the mixed exchange differs from the per-array exchanges", seed, mimd)
+			}
+			if g, _ := got.plans(); g.Width() != 2*euler.NVar+2*euler.NVar+3 {
+				t.Fatalf("the widest exchange moves %d floats an item", g.Width())
+			}
+			resends += int(f.Resends())
+		}
+	}
+	if resends == 0 {
+		t.Error("no seed replayed a message: the fault plans never bit")
+	}
 }
 
 // TestMixedExchangeHealsEveryFaultBitwise: for each message-fault kind on
