@@ -20,10 +20,12 @@ test:
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
-# the adaptive driver that rebuilds the pooled engine between epochs, and
-# the party-counted flights both service tiers share work through.
+# the adaptive driver that rebuilds the pooled engine between epochs, the
+# party-counted flights both service tiers share work through, and the
+# block coloring whose run-disjointness is what lets the pool's workers
+# write without locks.
 race:
-	$(GO) test -race ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
+	$(GO) test -race ./internal/color/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 
 # Non-test Go lines per internal package and in total — the figures
 # ROADMAP and the issues quote. Plain line counts: comments and blanks
@@ -71,8 +73,8 @@ scenario-smoke:
 
 # End-to-end adaptive-solve smoke: build eul3d, run the Sod preset with
 # -adapt on the pooled engine, and assert the epoch count, cells refined,
-# mesh conformity, the incremental-vs-from-scratch rebuild comparison,
-# and the scenario physics check on the adapted mesh.
+# mesh conformity, the per-epoch rebuild report, and the scenario physics
+# check on the adapted mesh.
 adapt-smoke:
 	$(GO) test -run TestAdaptSmoke -count 1 -v ./cmd/eul3d
 

@@ -25,19 +25,28 @@ import (
 // BenchmarkAblationOrdering measures, in wall-clock on the benchmark's
 // 64x32x20 channel, what Section 4.2's reorderings are worth here: one
 // sequential Disc.Step on the generator's natural ordering, on that mesh's
-// color-canonical form (edges stored in color order — the order the pooled
-// engine sweeps) and on the RCM-renumbered mesh's color-canonical form; and
-// one pooled step at 1 and 2 workers on the natural and the RCM-renumbered
-// mesh (the engine lays either out color-contiguously itself). The finding
-// (EXPERIMENTS.md): color order costs the sequential loop some locality,
-// the pooled engine's contiguous layout wins it back, and RCM makes this
-// generator's already-local numbering worse, not better.
+// color-canonical form (edges stored in per-edge color order) and on the
+// RCM-renumbered mesh's color-canonical form; and one pooled step at 1 and 2
+// workers on the natural and the RCM-renumbered mesh and — the paper's
+// actual starting point, an order with no locality — on the scrambled mesh
+// and on the scrambled mesh RCM-renumbered (the engine lays each out in
+// groups of runs itself; the groups metric is how many it needed, and so
+// whether its layout found local runs or fell back to single edges). The
+// findings are in EXPERIMENTS.md.
 func BenchmarkAblationOrdering(b *testing.B) {
 	natural, err := meshgen.Channel(meshgen.DefaultChannel(64, 32, 20, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	rcm, err := reorder.RCMMesh(natural)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scrambled, err := reorder.Scramble(natural, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scrambledRCM, err := reorder.RCMMesh(scrambled)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,6 +85,8 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}{
 		{"natural", natural},
 		{"rcm", rcm},
+		{"scrambled", scrambled},
+		{"scrambled-rcm", scrambledRCM},
 	} {
 		for _, nw := range []int{1, 2} {
 			b.Run(fmt.Sprintf("pooled-w%d/%s", nw, tc.name), func(b *testing.B) {
@@ -91,6 +102,8 @@ func BenchmarkAblationOrdering(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s.Step(w, nil)
 				}
+				groups, _ := s.NumColors()
+				b.ReportMetric(float64(groups), "groups")
 			})
 		}
 	}

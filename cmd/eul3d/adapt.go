@@ -90,12 +90,9 @@ func runAdaptive(p euler.Params, sc *scenario.Scenario, loadSeq func(int) ([]*me
 	fmt.Printf("adaptation: %d epochs, %d cells refined (%d -> %d tetrahedra, %d -> %d points)\n",
 		len(res.Epochs), res.CellsRefined, m.NT(), res.Mesh.NT(), m.NV(), res.Mesh.NV())
 	for i, ep := range res.Epochs {
-		line := fmt.Sprintf("  epoch %d @ step %d: marked %d, cells %d -> %d (%d red, %d green), %d edge colors reused, rebuild %.2fms",
-			i+1, ep.Step, ep.Marked, ep.CellsBefore, ep.CellsAfter, ep.Red, ep.Green, ep.ReusedColors,
+		line := fmt.Sprintf("  epoch %d @ step %d: marked %d, cells %d -> %d (%d red, %d green), rebuild %.2fms",
+			i+1, ep.Step, ep.Marked, ep.CellsBefore, ep.CellsAfter, ep.Red, ep.Green,
 			float64(ep.RebuildNS)/1e6)
-		if ep.ScratchNS > 0 {
-			line += fmt.Sprintf(" (from-scratch build: %.2fms)", float64(ep.ScratchNS)/1e6)
-		}
 		if ep.Dt > 0 {
 			line += fmt.Sprintf(", dt %.3e", ep.Dt)
 		}

@@ -16,9 +16,10 @@
 //  4. recomputes the stable time step (time-accurate runs shrink GlobalDt
 //     to the refined mesh's CFL bound and re-mesh the remaining time so
 //     the run still lands exactly on the final time), and
-//  5. rebuilds the solve engine incrementally (smsolver.Rebuild /
-//     euler.Disc.Retarget): colorings extended rather than recomputed,
-//     scratch grown in place, the worker pool untouched.
+//  5. rebuilds the solve engine in place (smsolver.Rebuild /
+//     euler.Disc.Retarget): the layout recomputed from the refined mesh
+//     alone into the arrays the engine already owns, scratch grown in
+//     place, the worker pool untouched.
 //
 // Every stage runs sequentially in mesh order and depends only on the
 // mesh, the solution and the options — never on the worker count — so a
@@ -91,17 +92,15 @@ type Options struct {
 
 // EpochStat records one adaptation epoch.
 type EpochStat struct {
-	Step         int     `json:"step"` // step count when the epoch ran
-	Marked       int     `json:"marked"`
-	Red          int     `json:"red"`
-	Green        int     `json:"green"`
-	CellsBefore  int     `json:"cells_before"`
-	CellsAfter   int     `json:"cells_after"`
-	NewVerts     int     `json:"new_verts"`
-	ReusedColors int     `json:"reused_colors"`
-	Dt           float64 `json:"dt,omitempty"` // dt after the epoch; 0 on steady runs
-	RebuildNS    int64   `json:"rebuild_ns"`
-	ScratchNS    int64   `json:"scratch_ns,omitempty"` // from-scratch build, measured on the first epoch
+	Step        int     `json:"step"` // step count when the epoch ran
+	Marked      int     `json:"marked"`
+	Red         int     `json:"red"`
+	Green       int     `json:"green"`
+	CellsBefore int     `json:"cells_before"`
+	CellsAfter  int     `json:"cells_after"`
+	NewVerts    int     `json:"new_verts"`
+	Dt          float64 `json:"dt,omitempty"` // dt after the epoch; 0 on steady runs
+	RebuildNS   int64   `json:"rebuild_ns"`
 }
 
 // Result summarizes an adaptive run.
@@ -145,17 +144,16 @@ const (
 	phRefine
 	phTransfer
 	phRebuild
-	phScratch
 	nPhases
 )
 
-var phaseNames = [nPhases]string{"solve", "indicator", "refine", "transfer", "rebuild", "build-scratch"}
+var phaseNames = [nPhases]string{"solve", "indicator", "refine", "transfer", "rebuild"}
 
-// engine abstracts the two solve backends the driver can rebuild
-// incrementally between epochs.
+// engine abstracts the two solve backends the driver can rebuild in place
+// between epochs.
 type engine interface {
 	step(w []euler.State) float64
-	rebuild(m *mesh.Mesh, p euler.Params) (reusedColors int, err error)
+	rebuild(m *mesh.Mesh, p euler.Params) error
 	close()
 }
 
@@ -165,20 +163,18 @@ type singleEngine struct {
 }
 
 func (e *singleEngine) step(w []euler.State) float64 { return e.d.Step(w, nil, e.ws) }
-func (e *singleEngine) rebuild(m *mesh.Mesh, p euler.Params) (int, error) {
+func (e *singleEngine) rebuild(m *mesh.Mesh, p euler.Params) error {
 	e.d.Retarget(m, p)
 	e.ws.Resize(m.NV())
-	return 0, nil
+	return nil
 }
 func (e *singleEngine) close() {}
 
 type smEngine struct{ s *smsolver.Solver }
 
-func (e *smEngine) step(w []euler.State) float64 { return e.s.Step(w, nil) }
-func (e *smEngine) rebuild(m *mesh.Mesh, p euler.Params) (int, error) {
-	return e.s.Rebuild(m, p)
-}
-func (e *smEngine) close() { e.s.Close() }
+func (e *smEngine) step(w []euler.State) float64               { return e.s.Step(w, nil) }
+func (e *smEngine) rebuild(m *mesh.Mesh, p euler.Params) error { return e.s.Rebuild(m, p) }
+func (e *smEngine) close()                                     { e.s.Close() }
 
 func newEngine(kind string, m *mesh.Mesh, p euler.Params, workers int) (engine, error) {
 	switch kind {
@@ -369,29 +365,13 @@ func Run(opt Options) (*Result, error) {
 			}
 
 			tR := time.Now()
-			reused, err := eng.rebuild(r.Mesh, p)
+			err = eng.rebuild(r.Mesh, p)
 			rebuildDur := time.Since(tR)
 			if err != nil {
 				return nil, fmt.Errorf("adapt: epoch %d rebuild: %w", epochs+1, err)
 			}
 			acc.Add(phRebuild, rebuildDur, 0)
-			st.ReusedColors = reused
 			st.RebuildNS = int64(rebuildDur)
-
-			if len(res.Epochs) == 0 {
-				// Measure the cost a from-scratch engine build would have
-				// paid on the adapted mesh, once, for the incremental-vs-
-				// scratch comparison the run reports. The throwaway engine
-				// never steps, so results are unaffected.
-				tS := time.Now()
-				scratch, err := newEngine(opt.Engine, r.Mesh, p, opt.Workers)
-				scratchDur := time.Since(tS)
-				if err == nil {
-					scratch.close()
-					acc.Add(phScratch, scratchDur, 0)
-					st.ScratchNS = int64(scratchDur)
-				}
-			}
 
 			cellsRefined += r.Mesh.NT() - m.NT()
 			m, w = r.Mesh, wNew
@@ -400,11 +380,11 @@ func Run(opt Options) (*Result, error) {
 			if atrack != nil {
 				now := time.Now()
 				atrack.Span(phEpoch, epochStart, now, int64(epochs))
-				atrack.Span(phRebuildTr, tR, tR.Add(rebuildDur), int64(reused))
+				atrack.Span(phRebuildTr, tR, tR.Add(rebuildDur), int64(epochs))
 			}
 			if opt.Log != nil {
-				fmt.Fprintf(opt.Log, "epoch %d @ step %d: %d marked, cells %d -> %d (red %d, green %d), %d colors reused, rebuild %.2fms\n",
-					epochs, step, nmark, st.CellsBefore, st.CellsAfter, r.Red, r.Green, reused,
+				fmt.Fprintf(opt.Log, "epoch %d @ step %d: %d marked, cells %d -> %d (red %d, green %d), rebuild %.2fms\n",
+					epochs, step, nmark, st.CellsBefore, st.CellsAfter, r.Red, r.Green,
 					float64(st.RebuildNS)/1e6)
 			}
 			if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {

@@ -133,8 +133,16 @@ func TestAdaptiveSodSingle(t *testing.T) {
 
 // TestAdaptResume: cancelling mid-run and resuming from the snapshot
 // reproduces the uninterrupted run bitwise, including across an
-// adaptation epoch boundary.
+// adaptation epoch boundary — on the sequential engine and on the pooled
+// one, whose layout is a function of the current mesh alone, so an engine
+// built fresh on the adapted mesh is the engine that was rebuilt onto it.
 func TestAdaptResume(t *testing.T) {
+	for _, engine := range []string{"single", "sm"} {
+		t.Run(engine, func(t *testing.T) { testAdaptResume(t, engine) })
+	}
+}
+
+func testAdaptResume(t *testing.T, engine string) {
 	sc := scenario.Sod
 	ms, err := sc.Meshes(1)
 	if err != nil {
@@ -142,7 +150,8 @@ func TestAdaptResume(t *testing.T) {
 	}
 	base := Options{
 		Params:    sc.Params(),
-		Engine:    "single",
+		Engine:    engine,
+		Workers:   2,
 		Steps:     sc.Steps,
 		Interval:  40,
 		MaxEpochs: 2,

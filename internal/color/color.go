@@ -35,74 +35,25 @@ func (c *Coloring) GroupSizes() []int {
 // endpoint. By Vizing-type arguments the number of colors is bounded by
 // roughly twice the maximum vertex degree; on EUL3D-style tetrahedral
 // meshes it lands in the 20–40 range the paper reports ("the typical number
-// of groups is ... say 20 to 30").
+// of groups is ... say 20 to 30"). It is the block coloring with runs of one
+// edge (Blocked), the form a vector pipe needs.
 func Greedy(nv int, edges [][2]int32) (*Coloring, error) {
-	const none = int32(-1)
-	// used[v] holds the last edge color seen at vertex v, stamped per color
-	// scan via a versioned bitset. To keep it O(E * avgColors) without a
-	// per-edge allocation, track for each vertex a bitmask of small colors
-	// and fall back to a slice for the rare high colors.
-	type vertexColors struct {
-		mask uint64  // colors 0..63
-		ext  []int32 // colors >= 64 (rare)
-	}
-	vc := make([]vertexColors, nv)
-	has := func(v int32, c int32) bool {
-		if c < 64 {
-			return vc[v].mask&(1<<uint(c)) != 0
-		}
-		for _, e := range vc[v].ext {
-			if e == c {
-				return true
-			}
-		}
-		return false
-	}
-	add := func(v int32, c int32) {
-		if c < 64 {
-			vc[v].mask |= 1 << uint(c)
-		} else {
-			vc[v].ext = append(vc[v].ext, c)
-		}
-	}
+	return unitColoring(nv, edges)
+}
 
-	colorOf := make([]int32, len(edges))
-	maxColor := none
-	for ei, e := range edges {
-		a, b := e[0], e[1]
-		if a < 0 || int(a) >= nv || b < 0 || int(b) >= nv {
-			return nil, fmt.Errorf("color: edge %d (%d,%d) out of range [0,%d)", ei, a, b, nv)
-		}
-		if a == b {
-			return nil, fmt.Errorf("color: edge %d is a self-loop at vertex %d", ei, a)
-		}
-		c := int32(0)
-		for has(a, c) || has(b, c) {
-			c++
-		}
-		colorOf[ei] = c
-		add(a, c)
-		add(b, c)
-		if c > maxColor {
-			maxColor = c
-		}
-	}
+// GreedyFaces colors boundary triangles so that within a group no two
+// faces share a vertex — the boundary-loop analogue of the edge coloring,
+// needed because the boundary flux scatters to all three face vertices.
+func GreedyFaces(nv int, faces [][3]int32) (*Coloring, error) {
+	return unitColoring(nv, faces)
+}
 
-	nc := int(maxColor + 1)
-	start := make([]int32, nc+1)
-	for _, c := range colorOf {
-		start[c+1]++
+func unitColoring[E Elem](nv int, elems []E) (*Coloring, error) {
+	bl, err := Blocked(nv, elems, 1)
+	if err != nil {
+		return nil, err
 	}
-	for g := 0; g < nc; g++ {
-		start[g+1] += start[g]
-	}
-	order := make([]int32, len(edges))
-	fill := make([]int32, nc)
-	for ei, c := range colorOf {
-		order[start[c]+fill[c]] = int32(ei)
-		fill[c]++
-	}
-	return &Coloring{Order: order, Start: start}, nil
+	return &Coloring{Order: bl.Order, Start: bl.Start}, nil // not &bl.Coloring: that would keep the run table and scratch alive
 }
 
 // IdentityRuns returns the coloring whose group g is the contiguous
@@ -120,17 +71,23 @@ func IdentityRuns(start []int32) *Coloring {
 
 // Verify checks that the coloring is a permutation of the edge list and
 // that no two edges within a group share a vertex.
-func Verify(c *Coloring, nv int, edges [][2]int32) error {
-	if len(c.Order) != len(edges) {
-		return fmt.Errorf("color: order length %d != edge count %d", len(c.Order), len(edges))
+func Verify(c *Coloring, nv int, edges [][2]int32) error { return verify(c, nv, edges) }
+
+// VerifyFaces checks that no two faces within a group share a vertex and
+// the coloring is a permutation of the face list.
+func VerifyFaces(c *Coloring, nv int, faces [][3]int32) error { return verify(c, nv, faces) }
+
+func verify[E Elem](c *Coloring, nv int, elems []E) error {
+	if len(c.Order) != len(elems) {
+		return fmt.Errorf("color: order length %d != element count %d", len(c.Order), len(elems))
 	}
-	seen := make([]bool, len(edges))
+	seen := make([]bool, len(elems))
 	for _, ei := range c.Order {
-		if ei < 0 || int(ei) >= len(edges) {
-			return fmt.Errorf("color: edge index %d out of range", ei)
+		if ei < 0 || int(ei) >= len(elems) {
+			return fmt.Errorf("color: element index %d out of range", ei)
 		}
 		if seen[ei] {
-			return fmt.Errorf("color: edge %d appears twice", ei)
+			return fmt.Errorf("color: element %d appears twice", ei)
 		}
 		seen[ei] = true
 	}
@@ -140,11 +97,12 @@ func Verify(c *Coloring, nv int, edges [][2]int32) error {
 	}
 	for g := 0; g < c.NumColors(); g++ {
 		for _, ei := range c.Group(g) {
-			for _, v := range edges[ei] {
-				if touched[v] == int32(g) {
-					return fmt.Errorf("color: vertex %d touched twice in group %d", v, g)
+			e := elems[ei]
+			for k := 0; k < len(e); k++ {
+				if touched[e[k]] == int32(g) {
+					return fmt.Errorf("color: vertex %d touched twice in group %d", e[k], g)
 				}
-				touched[v] = int32(g)
+				touched[e[k]] = int32(g)
 			}
 		}
 	}

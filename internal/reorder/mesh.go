@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"fmt"
+	"math/rand"
 
 	"eul3d/internal/color"
 	"eul3d/internal/geom"
@@ -43,6 +44,33 @@ func ApplyToMesh(m *mesh.Mesh, perm []int32) (*mesh.Mesh, error) {
 	return out, nil
 }
 
+// Scramble returns m as a generator with no regard for locality would have
+// written it: vertices renumbered by a seeded random permutation and the
+// tetrahedron and boundary-face lists shuffled, so that Finish's
+// first-encounter edge numbering is arbitrary too. It is the worst-case
+// input of the ordering experiments (the paper's Section 4.2 starts from an
+// advancing-front mesh, whose numbering is essentially this) and of the
+// pooled engine's layout, whose runs assume a local edge order.
+func Scramble(m *mesh.Mesh, seed int64) (*mesh.Mesh, error) {
+	rng := rand.New(rand.NewSource(seed))
+	perm := make([]int32, m.NV())
+	for i, old := range rng.Perm(m.NV()) {
+		perm[i] = int32(old)
+	}
+	shuffled := &mesh.Mesh{
+		X:      m.X,
+		Tets:   append([][4]int32(nil), m.Tets...),
+		BFaces: append([]mesh.BFace(nil), m.BFaces...),
+	}
+	rng.Shuffle(len(shuffled.Tets), func(i, j int) {
+		shuffled.Tets[i], shuffled.Tets[j] = shuffled.Tets[j], shuffled.Tets[i]
+	})
+	rng.Shuffle(len(shuffled.BFaces), func(i, j int) {
+		shuffled.BFaces[i], shuffled.BFaces[j] = shuffled.BFaces[j], shuffled.BFaces[i]
+	})
+	return ApplyToMesh(shuffled, perm)
+}
+
 // RCMMesh renumbers a finished mesh with reverse Cuthill–McKee — the
 // paper's node renumbering, which places data of mesh-adjacent nodes in
 // nearby memory locations.
@@ -55,14 +83,18 @@ func RCMMesh(m *mesh.Mesh) (*mesh.Mesh, error) {
 }
 
 // ColorCanonical returns a copy of m whose edge list (with its dual
-// normals) and boundary-face list are permuted into color-group order,
-// together with the identity-run colorings aligned with the new index
-// order. On the canonical mesh a sequential loop over the edges visits
-// each vertex's edges in exactly the color order the pooled shared-memory
-// engine uses, so the colored-parallel solver built with these colorings
-// (smsolver.NewColored / NewMultigridColored) is *bitwise identical* to
-// the sequential solver, not merely roundoff-equal — the basis of the
-// cross-engine conformance suite. Geometry, topology and control volumes
+// normals) and boundary-face list are permuted into the group order of the
+// per-element greedy colorings, together with the identity-run colorings
+// aligned with the new index order. On the canonical mesh a sequential loop
+// over the edges visits each vertex's edges in exactly the order a pooled
+// shared-memory engine handed these colorings does (smsolver.NewColored /
+// NewMultigridColored: a per-element coloring is the engine's block
+// coloring with runs of one), so that engine is *bitwise identical* to the
+// sequential solver, not merely roundoff-equal — the basis of the
+// cross-engine conformance suite. It is not the layout smsolver.New builds
+// for itself, which groups cache-sized runs of m's own edge order and is
+// bitwise the sequential solver on its own view (Solver.D.M) instead.
+// Geometry, topology and control volumes
 // are untouched (X, Tets, Vol are shared with m); only the iteration
 // order of the element lists changes, which is solution-neutral for the
 // sequential solver up to its own accumulation roundoff.

@@ -1,6 +1,9 @@
 package reorder
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"eul3d/internal/graph"
@@ -53,15 +56,7 @@ func TestRCMMeshReducesBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scramble first so RCM has something to fix.
-	perm := make([]int32, m.NV())
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	for i := len(perm) - 1; i > 0; i-- {
-		j := (i*2654435761 + 17) % (i + 1)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	sm, err := ApplyToMesh(m, perm)
+	sm, err := Scramble(m, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +68,53 @@ func TestRCMMeshReducesBandwidth(t *testing.T) {
 	gAfter, _ := graph.FromEdges(rm.NV(), rm.Edges)
 	if gAfter.Bandwidth() >= gBefore.Bandwidth() {
 		t.Errorf("RCM did not reduce bandwidth: %d -> %d", gBefore.Bandwidth(), gAfter.Bandwidth())
+	}
+}
+
+// TestScramble: the scrambled mesh is the same mesh — counts, total and
+// sorted dual volumes, validity — in an order that has lost its locality,
+// and the seed decides which.
+func TestScramble(t *testing.T) {
+	m, err := meshgen.Channel(meshgen.DefaultChannel(10, 6, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Scramble(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NV() != m.NV() || a.NT() != m.NT() || a.NE() != m.NE() || len(a.BFaces) != len(m.BFaces) {
+		t.Fatalf("counts changed: %d/%d/%d/%d", a.NV(), a.NT(), a.NE(), len(a.BFaces))
+	}
+	if err := a.Validate(1e-10); err != nil {
+		t.Fatal(err)
+	}
+	volM, volA := append([]float64(nil), m.Vol...), append([]float64(nil), a.Vol...)
+	sort.Float64s(volM)
+	sort.Float64s(volA)
+	for i := range volM {
+		if math.Abs(volM[i]-volA[i]) > 1e-15 {
+			t.Fatalf("sorted dual volume %d: %g vs %g", i, volM[i], volA[i])
+		}
+	}
+	span := func(edges [][2]int32) (sum int) {
+		for _, e := range edges {
+			sum += int(max(e[0]-e[1], e[1]-e[0]))
+		}
+		return sum / len(edges)
+	}
+	if span(a.Edges) < 2*span(m.Edges) {
+		t.Errorf("mean |i-j| over edges: %d generated, %d scrambled", span(m.Edges), span(a.Edges))
+	}
+	again, err := Scramble(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Scramble(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.Edges, again.Edges) || slices.Equal(a.Edges, other.Edges) {
+		t.Error("the edge list is not a function of the seed")
 	}
 }

@@ -16,18 +16,14 @@ import (
 // adaptDriver prepares an adaptive job (Spec.Adapt != nil). It
 // deliberately bypasses the engine cache: an adaptive run refines its
 // mesh mid-flight, so a cached engine would be poisoned for every later
-// lease. The engine is built fresh, rebuilt incrementally by the driver
-// after every epoch, and closed when the run ends. Drain and restart
-// carry the current (adapted) mesh next to the checkpoint — a plain
-// solution checkpoint can no longer describe the run once the mesh has
-// changed.
-//
-// A drained run's resume is bitwise-exact for the sequential engine. A
-// resumed pooled engine re-colors the adapted mesh from scratch, whereas
-// the uninterrupted run's coloring descends from the original mesh via
-// ExtendGreedy — a different edge order inside parallel chunks, so the
-// continuation can differ from the uninterrupted run in the last ulps
-// (it is still a valid solve of the same discrete system).
+// lease. The engine is built fresh, rebuilt in place by the driver after
+// every epoch, and closed when the run ends. Drain and restart carry the
+// current (adapted) mesh next to the checkpoint — a plain solution
+// checkpoint can no longer describe the run once the mesh has changed. A
+// drained run's resume is bitwise-exact on both engines: the pooled
+// engine's layout is a function of the current mesh alone, so the engine
+// built fresh on the adapted mesh is the one the uninterrupted run rebuilt
+// onto it.
 func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *trace.Track) (executor, error) {
 	p := j.Spec.Params()
 	opts := adapt.Options{

@@ -45,8 +45,8 @@ type Colorings struct {
 // Multigrid drives FAS multigrid cycles with every level's RK stages,
 // residual evaluations, dissipation sweeps and inter-grid transfers
 // executed on one persistent worker pool: the same N parked workers serve
-// all grids through per-level color/chunk tables. Results are bitwise
-// identical across worker counts (fixed color order, disjoint writes per
+// all grids through per-level layouts and chunk tables. Results are bitwise
+// identical across worker counts (fixed layout order, disjoint writes per
 // chunk, block-ordered norm reduction), and a steady-state Cycle performs
 // zero heap allocations.
 type Multigrid struct {
@@ -74,13 +74,13 @@ type Multigrid struct {
 // first) with cycle index gamma (1 for V, 2 for W) and nworkers workers
 // (<= 0 selects GOMAXPROCS). The transfer operators and their
 // destination-grouped scatter plans are computed here, as are every
-// level's colorings and chunk tables.
+// level's layout and chunk tables.
 func NewMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int) (*Multigrid, error) {
 	return NewMultigridColored(meshes, p, gamma, nworkers, nil)
 }
 
 // NewMultigridColored is NewMultigrid with caller-provided per-level
-// colorings (nil entries select the greedy ones) — used with
+// per-element colorings (nil entries select the block colorings) — used with
 // color-canonical mesh sequences for bitwise conformance against the
 // serial multigrid.
 func NewMultigridColored(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, cols []Colorings) (*Multigrid, error) {

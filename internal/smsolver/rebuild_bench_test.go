@@ -8,11 +8,10 @@ import (
 	"eul3d/internal/refine"
 )
 
-// The incremental-vs-from-scratch rebuild comparison at paper scale
-// (~14k cells, ~5% marked). On this mesh the incremental path wins
-// wall-clock as well as allocation; on smoke-sized meshes the fixed
-// costs favor the from-scratch build (see TestIncrementalRebuildCheaper,
-// which asserts the load-independent allocation ratio instead).
+// The in-place rebuild against a from-scratch engine build at paper scale
+// (~14k cells, ~5% marked). Both color and permute by the same routine; the
+// rebuild saves the allocation and the pool (TestRebuildAllocatesNothing
+// pins the former).
 //
 //	go test -bench BenchmarkRebuild -benchtime 100x ./internal/smsolver/
 
@@ -35,7 +34,7 @@ func bigRefined(b *testing.B) (euler.Params, *Solver, *refine.Refined) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := s.Rebuild(r.Mesh, p); err != nil {
+	if err := s.Rebuild(r.Mesh, p); err != nil {
 		b.Fatal(err)
 	}
 	return p, s, r
@@ -46,7 +45,7 @@ func BenchmarkRebuildIncremental(b *testing.B) {
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Rebuild(r.Mesh, p); err != nil {
+		if err := s.Rebuild(r.Mesh, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,8 @@
 package smsolver
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
-	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
@@ -61,8 +58,9 @@ func stepsBitwise(t *testing.T, label string, a, b []euler.State, na, nb float64
 	}
 }
 
-// TestRebuildMatchesFresh asserts a rebuilt engine is bitwise identical to
-// a freshly constructed one using the same (extended) colorings.
+// TestRebuildMatchesFresh asserts a rebuilt engine is bitwise a freshly
+// constructed one on the refined mesh: the layout is a function of the
+// current mesh alone, whatever meshes the engine ran on before.
 func TestRebuildMatchesFresh(t *testing.T) {
 	old := SerialCutoffEdges
 	SerialCutoffEdges = 0
@@ -76,19 +74,13 @@ func TestRebuildMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	reused, err := s.Rebuild(r.Mesh, p)
-	if err != nil {
+	if err := s.Rebuild(r.Mesh, p); err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	if reused == 0 {
-		t.Fatal("rebuild reused no edge colors")
+	if &s.D.M.Edges[0] == &m0.Edges[0] || s.D.M.NE() != r.Mesh.NE() {
+		t.Fatal("rebuild did not move the engine onto a view of the refined mesh")
 	}
-
-	ec, _, err := color.ExtendGreedy(r.Mesh.NV(), r.Mesh.Edges, mustGreedy(t, m0), m0.Edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewColored(r.Mesh, p, 2, ec, nil)
+	fresh, err := New(r.Mesh, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +102,10 @@ func unshared(m *mesh.Mesh) *mesh.Mesh {
 	return &mesh.Mesh{X: m.X, Tets: m.Tets, Edges: m.Edges, EdgeNorm: m.EdgeNorm, Vol: m.Vol, BFaces: m.BFaces}
 }
 
-func mustGreedy(t *testing.T, m *mesh.Mesh) *color.Coloring {
-	t.Helper()
-	c, err := color.Greedy(m.NV(), m.Edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestRebuildWorkerDeterminism asserts rebuilt engines give bitwise
-// identical results at every pooled worker count: ExtendGreedy depends
-// only on the meshes, and chunking never changes per-vertex accumulation
-// order within a color.
+// identical results at every pooled worker count: the layout depends only
+// on the mesh, and cutting a group at run boundaries never changes a
+// vertex's accumulation order.
 func TestRebuildWorkerDeterminism(t *testing.T) {
 	old := SerialCutoffEdges
 	SerialCutoffEdges = 0
@@ -138,7 +121,7 @@ func TestRebuildWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Rebuild(r.Mesh, p); err != nil {
+		if err := s.Rebuild(r.Mesh, p); err != nil {
 			t.Fatal(err)
 		}
 		wk := append([]euler.State(nil), w...)
@@ -176,7 +159,7 @@ func TestRebuildGrowsAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Rebuild(r1.Mesh, p); err != nil {
+	if err := s.Rebuild(r1.Mesh, p); err != nil {
 		t.Fatal(err)
 	}
 	s.Step(w1, nil)
@@ -198,70 +181,54 @@ func TestRebuildGrowsAcrossEpochs(t *testing.T) {
 		}
 		w2[r2.NVOld+k] = p.Repair(st)
 	}
-	reused, err := s.Rebuild(r2.Mesh, p)
-	if err != nil {
+	if err := s.Rebuild(r2.Mesh, p); err != nil {
 		t.Fatal(err)
-	}
-	if reused == 0 {
-		t.Fatal("second rebuild reused nothing")
 	}
 	if n := s.Step(w2, nil); n <= 0 {
 		t.Fatalf("step on twice-refined mesh returned norm %g", n)
 	}
 }
 
-// TestIncrementalRebuildCheaper is the acceptance measurement: the
-// steady-state incremental rebuild must avoid nearly all of the
-// from-scratch work — greedy recoloring scratch, chunk tables, SoA
-// arrays, pool spawn. The assertion is on allocated bytes, which that
-// avoided work dominates and which don't wobble with machine load;
-// wall-clock is logged for the curious but not asserted, because the
-// timing of two sub-millisecond paths on a loaded single-CPU box (or
-// under the race detector) is noise.
-func TestIncrementalRebuildCheaper(t *testing.T) {
+// TestRebuildAllocatesNothing: once the engine owns arrays large enough —
+// here after a Rebuild to the larger of two refinements — every Rebuild to
+// a mesh inside that capacity recolors, re-permutes, re-cuts the chunk
+// tables and retargets the discretization without one allocation.
+func TestRebuildAllocatesNothing(t *testing.T) {
 	p := euler.DefaultParams(0.5, 0)
-	m0, r, _ := refinedCase(t, p)
+	m0, r1, _ := refinedCase(t, p)
+	marked := make([]bool, r1.Mesh.NT())
+	for i := 0; i < len(marked); i += 9 {
+		marked[i] = true
+	}
+	r2, err := refine.Selective(r1.Mesh, marked)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := New(m0, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Rebuild(r.Mesh, p); err != nil {
-		t.Fatal(err)
-	}
-
-	bytesPer := func(f func()) (uint64, time.Duration) {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		const runs = 5
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		d := time.Since(t0) / runs
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs, d
-	}
-	// After the first rebuild the capacities fit, so repeated rebuilds
-	// exercise the steady-state incremental path.
-	inc, incT := bytesPer(func() {
-		if _, err := s.Rebuild(r.Mesh, p); err != nil {
+	pair := [2]*mesh.Mesh{r1.Mesh, r2.Mesh}
+	for _, m := range pair {
+		if err := s.Rebuild(m, p); err != nil {
 			t.Fatal(err)
 		}
-	})
-	scratch, scratchT := bytesPer(func() {
-		f, err := New(unshared(r.Mesh), p, 2)
-		if err != nil {
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(6, func() {
+		if err := s.Rebuild(pair[next&1], p); err != nil {
 			t.Fatal(err)
 		}
-		f.Close()
+		next++
 	})
-	t.Logf("incremental rebuild: %d bytes, %v; from-scratch build: %d bytes, %v",
-		inc, incT, scratch, scratchT)
-	if inc*2 >= scratch {
-		t.Fatalf("incremental rebuild allocates %d bytes, from-scratch %d — rebuild is not reusing the engine's memory",
-			inc, scratch)
+	if allocs != 0 {
+		t.Fatalf("a rebuild inside the engine's capacity allocates %v times", allocs)
+	}
+	w := make([]euler.State, s.D.M.NV())
+	s.InitUniform(w)
+	if n := s.Step(w, nil); n != n {
+		t.Fatalf("step after the rebuilds returned norm %v", n)
 	}
 }

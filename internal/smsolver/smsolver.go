@@ -1,29 +1,37 @@
 // Package smsolver is the shared-memory parallel implementation of the
-// flow solver, mirroring the paper's Cray Y-MP C90 port (Section 3): each
-// edge loop is divided into recurrence-free color groups, and each group
-// is chunked across worker goroutines — the role the autotasking compiler
-// played on the C90. Because at most one edge per group touches any
-// vertex, the floating-point accumulation order per vertex is fixed by the
-// color order and is independent of the chunking: the solver produces
-// *bitwise identical* results for every worker count (tests assert this).
+// flow solver, the counterpart of the paper's Cray Y-MP C90 port (Section
+// 3): each edge loop is divided into groups inside which concurrent work is
+// free of recurrences, and each group is chunked across worker goroutines —
+// the role the autotasking compiler played on the C90. The C90's vector
+// pipes need every *edge* of a group to touch different vertices; scalar
+// workers on a cache machine need only that no two *workers* touch the same
+// vertex, so the groups here are made of runs — contiguous, cache-sized
+// pieces of the mesh's own edge order (color.Blocks) — no two runs of a
+// group share a vertex, and a worker takes whole runs. A vertex is then
+// touched by one run per group, in that run's stored order, so its
+// floating-point accumulation order is the stored order of the layout and
+// is independent of the chunking: the solver produces *bitwise identical*
+// results for every worker count (tests assert this).
 //
-// Every engine runs over a color-contiguous layout of its mesh (layout.go):
-// the edge list, its normals and the boundary faces physically permuted
-// into color order — the mesh's reorder.ColorCanonical form, Section 4.2's
-// edge reordering — so a worker's share of a color is an index range and
-// every colored sweep streams its element arrays. The layout is a pure
-// function of the mesh, built once per mesh (mesh.Derived) and shared by
-// all engines on it; New(m) is NewColored over that form, the one path.
-// On a color-canonical mesh the colored order is the stored order, so the
+// Every engine runs over a layout of its mesh (layout.go): the edge list,
+// its normals and the boundary faces physically permuted into group order,
+// runs kept in source order inside a group — Section 4.2's edge reordering
+// — so a worker's share of a group is an index range and every sweep
+// streams its element arrays. The layout is a pure function of the mesh,
+// built once per mesh (mesh.Derived) and shared by all engines on it. The
 // pooled solver is bitwise identical to the sequential solver on the view
-// (Solver.D.M); against the sequential solver on the source mesh, which
-// accumulates in that mesh's edge order, results agree to roundoff —
-// exactly as on the original machine, where the vectorized/autotasked code
-// also reordered the accumulations.
+// (Solver.D.M), whose stored order is the order it accumulates in; against
+// the sequential solver on the source mesh, which accumulates in that
+// mesh's edge order, results agree to roundoff — exactly as on the original
+// machine, where the vectorized/autotasked code also reordered the
+// accumulations. NewColored takes a per-edge coloring instead (runs of one
+// edge, the C90's form): on a mesh stored in that coloring's order
+// (reorder.ColorCanonical) it is bitwise the sequential solver on that
+// mesh, which is what the cross-engine conformance suites use.
 //
 // Execution uses a persistent worker pool (see pool.go): the workers are
 // spawned once, parked between parallel regions, and driven through
-// prebuilt per-color chunk tables balanced by element count; all scratch is
+// prebuilt per-group chunk tables balanced by element count; all scratch is
 // solver-owned, so a steady-state Step (and multigrid Cycle) performs zero
 // heap allocations. The hot path runs on a structure-of-arrays state layout
 // (euler.StateSoA: five contiguous component streams instead of 40-byte
@@ -31,20 +39,20 @@
 // converting from the public []State interfaces inside the fused preamble
 // and update sweeps, which also refresh the per-vertex terms (pressure,
 // 1/rho, sound speed) the edge loops read and zero the next accumulators.
-// A stage makes one colored edge pass and one face pass
-// (euler.EdgeSweepSoAKernel) for everything that reads w alone — the
-// convective flux always, dissipation pass 1 while it is re-evaluated, the
-// spectral radii on stage 0 — and, on the dissipation stages, a second edge
-// pass for the blended flux: 7 colored edge passes per five-stage step. The
-// residual averaging is not a colored loop: each Jacobi sweep is one
-// vertex-parallel gather over the layout's adjacency, whose rows list the
-// neighbours in the order the colored edge sweep would meet them, so it is
-// that sweep's arithmetic bit for bit at one barrier instead of one per
-// color. The per-block residual-norm partials are padded to cache lines so
-// concurrent block writers never share one. Grid levels below
-// SerialCutoffEdges skip the fork/join barrier and run every region inline
-// on the caller — chunking and inlining never affect results. The
-// engine/levelEngine split in this file lets the same N parked workers
+// A stage makes one edge pass and one face pass (euler.EdgeSweepSoAKernel)
+// for everything that reads w alone — the convective flux always,
+// dissipation pass 1 while it is re-evaluated, the spectral radii on stage 0
+// — and, on the dissipation stages, a second edge pass for the blended
+// flux: 7 edge passes per five-stage step, each one barrier per group (4–6
+// on the generated channel, where per-edge coloring needs 15). The residual
+// averaging is not a grouped loop: each Jacobi sweep is one vertex-parallel
+// gather over the layout's adjacency, whose rows list the neighbours in the
+// order the edge sweep would meet them, so it is that sweep's arithmetic
+// bit for bit at one barrier. The per-block residual-norm partials are
+// padded to cache lines so concurrent block writers never share one. Grid
+// levels below SerialCutoffEdges skip the fork/join barrier and run every
+// region inline on the caller — chunking and inlining never affect results.
+// The engine/levelEngine split in this file lets the same N parked workers
 // drive either a single grid (Solver) or every level of a FAS multigrid
 // sequence (Multigrid, multigrid.go). Close releases the workers; a solver
 // dropped without Close is cleaned up by the garbage collector.
@@ -67,16 +75,23 @@ import (
 
 // SerialCutoffEdges is the serial-fallback work threshold: a grid level
 // with fewer edges than this runs every parallel region inline on the
-// calling goroutine, skipping the fork/join barrier entirely. On the
-// coarse levels of a multigrid sequence the per-color chunks shrink to a
-// handful of edges, and the barrier latency of ~30 color groups per sweep
-// dominates the arithmetic — the main reason a pooled multigrid cycle used
-// to lose to the serial one at 2–8 workers. Results are unaffected
-// (chunking never changes the accumulation order within a color), which
-// TestSerialCutoffBitwise asserts. Tests that need the pooled path on
-// small meshes set this to 0; the default is tuned so channel-mesh coarse
-// levels (≲2.5k edges) serialize while paper-scale fine grids stay pooled.
-var SerialCutoffEdges = 4096
+// calling goroutine, skipping the fork/join barrier entirely. A five-stage
+// step is ~90 forks on the block-colored layout (7 edge passes over 4–9
+// groups, 5 face passes, ~25 vertex sweeps), each a wake-up and a join of
+// parked workers — 5–10 µs apiece in a running step, not the 0.5 µs of an
+// empty fork/join in a tight loop — against 0.27 µs an edge of arithmetic a
+// step: two workers break even near 5,000 edges, and BenchmarkSerialCutoff
+// (EXPERIMENTS.md, "Serial cutoff") has the benchmark sequence's
+// 5,253-edge level 1.24x slower pooled over two workers than inline (1.11x
+// when edges were colored singly, whose ~350-edge groups never forked). The
+// constant therefore sits above that level. The next one, 38,874 edges, also
+// loses on the development host (1.12x) while the 298,740-edge mesh gains
+// 1.5x — its two vCPUs do not behave as two cores on cache-resident work —
+// which is a property of that host, not of the barrier, and stays pooled.
+// Results are unaffected (chunking never changes a vertex's accumulation
+// order), which TestSerialCutoffBitwise asserts. Tests that need the pooled
+// path on small meshes set this to 0.
+var SerialCutoffEdges = 8192
 
 // taskKind names one parallel region; exec dispatches on it so that
 // forking never builds a closure.
@@ -84,10 +99,10 @@ type taskKind uint8
 
 const (
 	tInit         taskKind = iota // SoA load + w0 snapshot + vertex terms + accumulator zeroing (fused)
-	tEdgeSweep                    // colored: the stage's parts of {spectral radii, convective flux, Laplacian + sensor sums}
-	tFaceSweep                    // colored: boundary closure (+ boundary-face spectral radii on stage 0)
+	tEdgeSweep                    // grouped: the stage's parts of {spectral radii, convective flux, Laplacian + sensor sums}
+	tFaceSweep                    // grouped: boundary closure (+ boundary-face spectral radii on stage 0)
 	tNu                           // sensor sums -> shock switch (+ local time steps on stage 0)
-	tDiss2                        // colored: blended dissipative flux
+	tDiss2                        // grouped: blended dissipative flux
 	tCombine                      // resS = convS - dissS (+ forcing), SoA
 	tCombineOut                   // res = convS - dissS (+ forcing), []State out
 	tNorm                         // block partial sums of the residual norm
@@ -137,7 +152,7 @@ type normSlot struct {
 }
 
 // levelEngine holds everything the worker pool needs to run the scheme on
-// one mesh: the discretization, the colorings, the prebuilt chunk tables,
+// one mesh: the discretization, the layout, the prebuilt chunk tables,
 // the per-step scratch and the analytic flop charges. A single-grid
 // Solver owns one; a Multigrid owns one per level, all driven by the same
 // engine (and thus the same parked workers).
@@ -172,17 +187,15 @@ type levelEngine struct {
 	normPartial []normSlot
 
 	// Prebuilt chunk tables: per-worker vertex and norm-block ranges, and
-	// per-color per-worker edge/face ranges as absolute offsets into the
-	// coloring's Order permutation. On levels below SerialCutoffEdges the
-	// tables are built single-worker, so every region runs inline.
+	// per-group per-worker edge/face ranges of whole runs. On levels below
+	// SerialCutoffEdges the tables are built single-worker, so every region
+	// runs inline.
 	vertSpans  []span
 	vertActive int
 	normSpans  []span
 	normActive int
-	edgeSpans  [][]span
-	edgeActive []int
-	faceSpans  [][]span
-	faceActive []int
+	edgeSpans  groupSpans
+	faceSpans  groupSpans
 
 	// Analytic flop charges of the engine's regions on this mesh, charged to
 	// the phase that runs them; over one step they sum to flops.Step.
@@ -211,18 +224,19 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 	return le
 }
 
-// buildSpans (re)builds the chunk tables for the level's current layout.
-// Serial fallback: a level whose whole edge list is below the cutoff gets
-// single-worker tables, so every fork runs inline on the caller and no
-// barrier is paid. Chunking never affects results.
+// buildSpans (re)builds the chunk tables for the level's current layout,
+// reusing the old tables' arrays. Serial fallback: a level whose whole edge
+// list is below the cutoff gets single-worker tables, so every fork runs
+// inline on the caller and no barrier is paid. Chunking never affects
+// results.
 func (le *levelEngine) buildSpans(nworkers int) {
 	if le.lay.view.NE() < SerialCutoffEdges {
 		nworkers = 1
 	}
-	le.vertSpans, le.vertActive = buildSpans(le.lay.view.NV(), nworkers)
-	le.normSpans, le.normActive = buildSpans(len(le.normPartial), nworkers)
-	le.edgeSpans, le.edgeActive = colorSpans(le.lay.edges, nworkers)
-	le.faceSpans, le.faceActive = colorSpans(le.lay.faces, nworkers)
+	le.vertSpans, le.vertActive = buildSpans(le.vertSpans, le.lay.view.NV(), nworkers)
+	le.normSpans, le.normActive = buildSpans(le.normSpans, len(le.normPartial), nworkers)
+	le.edgeSpans.build(&le.lay.edges, nworkers)
+	le.faceSpans.build(&le.lay.faces, nworkers)
 }
 
 // chargeFlops recomputes the analytic per-phase flop charges from the
@@ -243,26 +257,27 @@ func (le *levelEngine) chargeFlops() {
 	le.flUpdateNext = nv64 * (flops.UpdateVert + flops.PresVert)
 }
 
-// colorSpans prebuilds the per-color per-worker chunk table of a coloring:
-// absolute [lo,hi) offsets into c.Order, plus the per-color active worker
-// count. Each color's edges split evenly (buildSpans balances the
-// remainder), so every active worker carries the same edge count ±1.
-func colorSpans(c *color.Coloring, nw int) ([][]span, []int) {
-	nc := c.NumColors()
-	spans := make([][]span, nc)
-	active := make([]int, nc)
-	for g := 0; g < nc; g++ {
-		base := int(c.Start[g])
-		n := int(c.Start[g+1]) - base
-		sp, a := buildSpans(n, nw)
-		for w := range sp {
-			sp[w].lo += base
-			sp[w].hi += base
-		}
-		spans[g], active[g] = sp, a
-	}
-	return spans, active
+// groupSpans is the chunk table of one block-colored list: for every group,
+// each worker's share of it as a [lo,hi) range of the list — whole runs,
+// balanced by element count (cutRuns) — and how many workers have one (as
+// many as the group's size is worth waking, workersFor).
+type groupSpans struct {
+	spans  []span // group g's worker w at spans[g*nw+w]
+	active []int
+	nw     int
 }
+
+func (t *groupSpans) build(bl *color.Blocks, nw int) {
+	nc := bl.NumColors()
+	t.spans, t.active, t.nw = euler.Grow(t.spans, nc*nw), euler.Grow(t.active, nc), nw
+	clear(t.spans)
+	for g := range t.active {
+		n := int(bl.Start[g+1] - bl.Start[g])
+		t.active[g] = cutRuns(bl.GroupRuns(g), t.spans[g*nw:g*nw+workersFor(n, nw)])
+	}
+}
+
+func (t *groupSpans) of(group, worker int) span { return t.spans[group*t.nw+worker] }
 
 // engine is the pool-driving half: the fork/join barrier, the job
 // descriptor published before every parallel region, and the
@@ -290,7 +305,7 @@ type engine struct {
 	// fork and read by the workers (the fork/join barrier orders both
 	// directions).
 	job      taskKind
-	group    int              // color group for colored tasks
+	group    int              // group for grouped tasks
 	alpha    float64          // RK stage coefficient
 	eps      float64          // residual-averaging coefficient
 	parts    euler.SweepParts // tEdgeSweep/tFaceSweep: what the pass accumulates
@@ -340,9 +355,9 @@ func (e *engine) fork(j taskKind, group, active int) {
 	}
 }
 
-// colored runs one colored task over every group of the current level's
-// edge or face coloring (the autotasked vector loop of Section 3.1), one
-// barrier per color; active is the level's edgeActive or faceActive.
+// colored runs one grouped task over every group of the current level's
+// edge or face blocks (the autotasked loop of Section 3.1), one barrier per
+// group; active is the level's edgeSpans.active or faceSpans.active.
 func (e *engine) colored(j taskKind, active []int) {
 	for g, a := range active {
 		e.fork(j, g, a)
@@ -361,10 +376,10 @@ func (e *engine) exec(wk int) {
 		d.StepInitSoAKernel(e.w, lev.wS, lev.w0S, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, true, sp.lo, sp.hi)
 	case tEdgeSweep:
-		sp := lev.edgeSpans[e.group][wk]
+		sp := lev.edgeSpans.of(e.group, wk)
 		d.EdgeSweepSoAKernel(e.parts, lev.wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tFaceSweep:
-		sp := lev.faceSpans[e.group][wk]
+		sp := lev.faceSpans.of(e.group, wk)
 		d.BFaceSweepSoAKernel(e.parts, lev.wS, lev.convS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
 	case tNu:
 		sp := lev.vertSpans[wk]
@@ -373,7 +388,7 @@ func (e *engine) exec(wk int) {
 			d.DtRangeKernel(d.Lam(), sp.lo, sp.hi)
 		}
 	case tDiss2:
-		sp := lev.edgeSpans[e.group][wk]
+		sp := lev.edgeSpans.of(e.group, wk)
 		d.DissPass2SoAKernel(lev.wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tCombine:
 		sp := lev.vertSpans[wk]
@@ -450,7 +465,7 @@ func (e *engine) tick(phase int, fl int64, t *time.Time) {
 }
 
 // step advances w by one multistage time step on lev, identically to
-// euler.Disc.Step but with all loops colored, dispatched to the worker
+// euler.Disc.Step but with all loops grouped, dispatched to the worker
 // pool, and running on the SoA layout between the fused init and update
 // sweeps. It returns the first-stage residual norm and performs no heap
 // allocations.
@@ -487,8 +502,8 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 			fl += lev.flDt // the nominal count, as flops.Step has it
 		}
 		e.parts = parts
-		e.colored(tEdgeSweep, lev.edgeActive)
-		e.colored(tFaceSweep, lev.faceActive)
+		e.colored(tEdgeSweep, lev.edgeSpans.active)
+		e.colored(tFaceSweep, lev.faceSpans.active)
 		e.tick(phConvective, fl, &t)
 
 		// Dissipation on the first stages, frozen afterwards. The time steps
@@ -496,7 +511,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 		if q < euler.DissipStages {
 			e.withDt = q == 0
 			e.fork(tNu, 0, lev.vertActive)
-			e.colored(tDiss2, lev.edgeActive)
+			e.colored(tDiss2, lev.edgeSpans.active)
 			e.tick(phDissipation, lev.flDiss2, &t)
 		}
 
@@ -545,10 +560,10 @@ func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 	e.w, e.forcing = w, forcing
 	e.fork(tResInit, 0, lev.vertActive)
 	e.parts, e.withDt = euler.PartConv|euler.PartDiss1, false
-	e.colored(tEdgeSweep, lev.edgeActive)
-	e.colored(tFaceSweep, lev.faceActive)
+	e.colored(tEdgeSweep, lev.edgeSpans.active)
+	e.colored(tFaceSweep, lev.faceSpans.active)
 	e.fork(tNu, 0, lev.vertActive)
-	e.colored(tDiss2, lev.edgeActive)
+	e.colored(tDiss2, lev.edgeSpans.active)
 	e.fork(tCombineOut, 0, lev.vertActive)
 	e.w, e.forcing = nil, nil
 }
@@ -569,7 +584,7 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 // smoothSoA applies the implicit residual averaging to lev.resS and leaves
 // e.smS pointing at the block that holds the result. Each Jacobi sweep is
 // one vertex-parallel gather over the layout's adjacency — one barrier,
-// where the colored edge form paid one per color plus a combine — reading
+// where the per-edge-colored edge form paid one per color plus a combine — reading
 // the right-hand side from resS, which no sweep writes, and writing
 // alternately into laplS and convS (dead at this point of a stage; see
 // levelEngine). The step path smooths the combined residual already in
@@ -625,13 +640,13 @@ func (e *engine) vertexOp(j taskKind, lev *levelEngine, a, b, dst []euler.State)
 	e.va, e.vb, e.vdst = nil, nil, nil
 }
 
-// Solver executes the five-stage scheme on a single grid with colored
+// Solver executes the five-stage scheme on a single grid with grouped
 // loops dispatched to a persistent worker pool.
 type Solver struct {
-	// D is the engine's discretization. D.M is the color-contiguous view of
-	// the mesh the solver was built on (or last rebuilt to): same vertices,
+	// D is the engine's discretization. D.M is the layout's view of the mesh
+	// the solver was built on (or last rebuilt to): same vertices,
 	// coordinates, tets and volumes, with the edge and boundary-face lists
-	// in color order, so edge and face indices are the view's, not the
+	// in group order, so edge and face indices are the view's, not the
 	// source mesh's.
 	D        *euler.Disc
 	NWorkers int
@@ -640,18 +655,19 @@ type Solver struct {
 	eng engine
 }
 
-// New builds a parallel solver over mesh m, on the greedy-colored layout
+// New builds a parallel solver over mesh m, on the block-colored layout
 // all engines on m share. nworkers <= 0 selects GOMAXPROCS. The worker
 // goroutines persist until Close (or until the Solver is garbage-collected).
 func New(m *mesh.Mesh, p euler.Params, nworkers int) (*Solver, error) {
 	return NewColored(m, p, nworkers, nil, nil)
 }
 
-// NewColored is New with caller-provided edge and boundary-face colorings
-// (verified here; the layout is then private to this solver) instead of
-// the greedy ones — used with color-canonical meshes, where the
-// identity-run colorings make the parallel solver bitwise identical to the
-// sequential one.
+// NewColored is New with caller-provided per-element edge and
+// boundary-face colorings (verified here; the layout is then private to
+// this solver) in place of the block colorings — each a block coloring with
+// runs of one. Used with color-canonical meshes, where the identity-run
+// colorings make the parallel solver bitwise identical to the sequential
+// one on that mesh.
 func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.Coloring) (*Solver, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)

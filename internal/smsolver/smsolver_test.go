@@ -127,12 +127,13 @@ func TestNumColorsReported(t *testing.T) {
 	}
 	defer s.Close()
 	ec, fc := s.NumColors()
-	// The paper: "the typical number of groups is not high, say 20 to 30".
-	if ec < 10 || ec > 64 {
-		t.Errorf("edge colors = %d", ec)
+	// Groups of runs, not of edges: a handful, where the paper's per-edge
+	// coloring has "say 20 to 30" (and ours 15 on this mesh).
+	if ec < 2 || ec > maxGroups {
+		t.Errorf("edge groups = %d", ec)
 	}
-	if fc < 2 || fc > 32 {
-		t.Errorf("face colors = %d", fc)
+	if fc < 2 || fc > maxGroups {
+		t.Errorf("face groups = %d", fc)
 	}
 	if s.NWorkers < 1 {
 		t.Errorf("workers = %d", s.NWorkers)

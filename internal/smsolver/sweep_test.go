@@ -123,7 +123,7 @@ func TestVertexTermsNeverStale(t *testing.T) {
 			w0 := make([]euler.State, m0.NV())
 			s.InitUniform(w0)
 			s.Step(w0, nil) // the vertex terms hold the old mesh's values
-			if _, err := s.Rebuild(r.Mesh, pr); err != nil {
+			if err := s.Rebuild(r.Mesh, pr); err != nil {
 				t.Fatal(err)
 			}
 			if poison {
