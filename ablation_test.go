@@ -198,10 +198,11 @@ func BenchmarkAblationIncrementalSchedules(b *testing.B) {
 // as the workload does, and with the coarse level inheriting the fine
 // partition through the transfer operator (parts[1] == nil). Reported per
 // variant: fine-level ghost slots over fine vertices (the ledger's
-// parti.ghost_frac), the items of the two transfer schedules, the share of
-// coarse vertices whose processor also owns their dominant fine
-// interpolation address — as partitioned, and under the relabelling of the
-// coarse parts that maximises it — and messages per W-cycle.
+// parti.ghost_frac), the items of the edge-loop, halo and two transfer
+// schedules, the share of coarse vertices whose processor also owns their
+// dominant fine interpolation address — as partitioned, and under the
+// relabelling of the coarse parts that maximises it — and messages per
+// W-cycle.
 func BenchmarkAblationCoarsePartition(b *testing.B) {
 	const nproc = 8
 	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(48, 24, 16, 42), 2)
@@ -274,6 +275,7 @@ func BenchmarkAblationCoarsePartition(b *testing.B) {
 			msgs, _ := dm.Fabric.TotalStats()
 			b.ReportMetric(float64(ghosts)/float64(meshes[0].NV()), "ghost-frac")
 			b.ReportMetric(float64(fine.SchedW.Items()), "edge-ghosts")
+			b.ReportMetric(float64(fine.SchedHalo.Items()), "halo-ghosts")
 			b.ReportMetric(float64(coarse.SchedFine.Items()), "restrict-ghosts")
 			b.ReportMetric(float64(coarse.SchedCoarse.Items()), "prolong-ghosts")
 			b.ReportMetric(float64(aligned)/float64(len(coarse.Part)), "coarse-aligned")

@@ -14,11 +14,20 @@
 //     stage (the paper: "We can obtain all of the off-processor flow
 //     variables needed at the beginning of the step");
 //   - edge-loop accumulations (convective and dissipative residuals,
-//     Laplacians, sensor sums, spectral radii, smoothing sums) land in
-//     ghost slots and are scatter-added back to their owners, everything
-//     one sweep accumulated in one message per neighbour;
-//   - multigrid transfers use incremental schedules on top of the flow
-//     variable schedule, fetching only addresses not already ghosted.
+//     Laplacians, sensor sums, spectral radii) land in ghost slots and are
+//     scatter-added back to their owners, everything one sweep accumulated
+//     in one message per neighbour;
+//   - the residual averaging accumulates nothing off-processor: an edge is
+//     computed by the owner of its first endpoint, so the flow-variable
+//     schedule ghosts forward neighbours only, and a second, incremental
+//     schedule (the halo) ghosts the back neighbours; with both, each Jacobi
+//     sweep is one gather of the iterate and one owner-computes vertex loop
+//     over the rows of the owned vertices' adjacency, in global edge order —
+//     the same sum, addition for addition, on every partition;
+//   - multigrid transfers use incremental schedules on top of those two,
+//     fetching only addresses not already ghosted, and every exchange that
+//     crosses several schedules' slots goes through their merged schedule,
+//     one message per neighbour (the paper's Section 4.3, both halves).
 //
 // The package is one program and two drivers. The program (ops.go) is the
 // node program of the Delta port, stated once: which compute phase runs
@@ -31,8 +40,10 @@
 // completes each exchange as send half, barrier, receive half, barrier.
 //
 // On one processor the answers are bitwise those of the sequential solver;
-// across partition boundaries the per-vertex sums reassociate and they
-// agree to roundoff. Tests assert both.
+// across partition boundaries the edge sweeps' per-vertex sums reassociate
+// (local edges, then each peer's partial) and they agree to roundoff, while
+// the smoother, given bitwise-equal owned inputs, returns bitwise-equal
+// outputs on every partition and processor count. Tests assert all three.
 package dmsolver
 
 import (
@@ -68,36 +79,70 @@ type Level struct {
 	Dist  *parti.Dist
 	GS    *parti.GhostSpace
 
-	// SchedW fills ghosts of every vertex referenced by local edge or
-	// boundary-face loops. It is built first, so its ghosts are the leading
-	// ghost slots: EdgeSpan[p] = owned + SchedW ghosts is the prefix of
-	// processor p's arrays those loops address. The slots the transfer
-	// schedules add behind it are read by restriction and prolongation only.
+	// A processor's local arrays are laid out [owned | edge ghosts | halo
+	// ghosts | transfer ghosts], one ghost region per schedule, in the order
+	// the schedules were built — each incremental on the ones before it, so a
+	// vertex has one slot however many loops reference it.
+	//
+	// SchedW fills the ghosts of every vertex the local edge and
+	// boundary-face loops reference: an edge is computed by the owner of its
+	// first endpoint, so these are forward neighbours. EdgeSpan[p] = owned +
+	// edge ghosts is the prefix of p's arrays those loops address, and the
+	// ghost region their sums are scatter-added home from.
 	SchedW   *parti.Schedule
 	EdgeSpan []int
-	// SchedRestrict (on this level, for the coarser level's benefit) and
-	// SchedCoarse are built by the multigrid constructor; nil otherwise.
-	SchedFine   *parti.Schedule // extra fine-level ghosts for restriction (lives on the finer level)
-	SchedCoarse *parti.Schedule // coarse-level ghosts for prolongation/residual scatter
+	// SchedHalo makes the ghost layer symmetric: it ghosts the back
+	// neighbours SchedW leaves out — the first endpoint of a cut edge, on the
+	// owner of the second (where that vertex is not an edge ghost already).
+	// With both, every neighbour of an owned vertex has a local slot inside
+	// SmoothSpan[p] = owned + edge ghosts + halo ghosts, which only the
+	// smoother's rows and the transfer operators read.
+	SchedHalo  *parti.Schedule
+	SmoothSpan []int
+	// SchedFine and SchedCoarse are built by the multigrid constructor (nil
+	// otherwise, SchedCoarse also on the finest level); their slots are the
+	// transfer ghosts, read by restriction and prolongation only. Being
+	// incremental they leave out every address one of the schedules above
+	// already ghosts — halo slots included — so no transfer travels through
+	// one of them alone: see the merged schedules below.
+	SchedFine   *parti.Schedule // the finer level's extra ghosts for restriction onto this level (slots live on the finer level)
+	SchedCoarse *parti.Schedule // this level's extra ghosts for prolongation from it / the residual scatter onto it
+
+	// The exchanges that cross more than one ghost region run through merged
+	// schedules (parti.Merge), one message per neighbour: smoothSched =
+	// SchedW + SchedHalo gathers the smoother's operand; restrictSched, on a
+	// level with a coarser one below it, = SchedW + SchedHalo + SchedCoarse +
+	// the coarser level's SchedFine refreshes every ghost of W the
+	// restriction may address; transferSched, on a coarse level, =
+	// SchedCoarse + SchedW + SchedHalo brings restricted residuals home and
+	// carries the correction out.
+	smoothSched, restrictSched, transferSched *parti.Schedule
 
 	// Per-processor topology, local indices into [owned | ghost] arrays.
 	Edges  [][][2]int32
 	ENorm  [][]geom.Vec3
 	BFaces [][]mesh.BFace // vertex indices local
 	Vol    [][]float64    // owned only
-	Deg    [][]int32      // true global degree, owned only
+	// The vertex adjacency of the owned vertices in CSR form: row i of
+	// processor p, Adj[p][AdjStart[p][i]:AdjStart[p][i+1]], lists the local
+	// slots (all below SmoothSpan[p]) of owned vertex i's neighbours in the
+	// order the global edge list meets i's edges. The row is the same
+	// sequence of vertices whichever processor owns i, and its length is i's
+	// true degree.
+	AdjStart, Adj [][]int32
 
 	// Per-processor solution and scratch arrays, AoS, each as long as the
-	// span it is addressed over: W, Corr and Forcing the whole local array
-	// [owned | edge ghosts | transfer ghosts] (GS.TotalSize), Res and Smooth
-	// the edge span, W0, RHS, WSaved and Dt the owned prefix; Forcing and
-	// WSaved, which only a coarse level has, are nil on the finest. W is the
-	// authoritative solution at every stage.
+	// span it is addressed over: W the whole local array (GS.TotalSize), as
+	// are, on a coarse level, Corr and Forcing, which the transfer operators
+	// address; Res, Smooth and the finest level's Corr the smoothing span;
+	// W0, RHS, WSaved and Dt the owned prefix. Forcing and WSaved, which only
+	// a coarse level has, are nil on the finest. W is the authoritative
+	// solution at every stage.
 	W, W0, Res, Smooth, RHS, Forcing, WSaved, Corr [][]euler.State
 	Dt                                             [][]float64
 	// Conv is read and written by nothing in the solver (the convective sums
-	// live in convS): a whole-local-array scratch kept for the exchange
-	// probe of cmd/bench, which scatter-adds it through SchedW.
+	// live in convS): an edge-span scratch kept for the exchange probe of
+	// cmd/bench, which scatter-adds it through SchedW.
 	Conv [][]euler.State
 
 	// The kernel context of each processor, over its edge span: a Disc on
@@ -226,23 +271,15 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 		rop, pop := restrictOps[l-1], prolongOps[l-1]
 
 		// Restriction: coarse-owned vertices reference fine globals.
-		fineRefs := make([][]int32, nproc)
-		for p := 0; p < nproc; p++ {
-			for _, g := range coarse.Dist.L2G[p] {
-				fineRefs[p] = append(fineRefs[p], rop.Addr[g][:]...)
-			}
-		}
-		coarse.SchedFine, _ = parti.BuildIncremental(fine.GS, fineRefs)
+		coarse.SchedFine, _ = parti.BuildIncremental(fine.GS, transferRefs(rop, coarse.Dist))
 
 		// Prolongation / residual scatter: fine-owned vertices reference
 		// coarse globals.
-		coarseRefs := make([][]int32, nproc)
-		for p := 0; p < nproc; p++ {
-			for _, g := range fine.Dist.L2G[p] {
-				coarseRefs[p] = append(coarseRefs[p], pop.Addr[g][:]...)
-			}
-		}
-		coarse.SchedCoarse, _ = parti.BuildIncremental(coarse.GS, coarseRefs)
+		coarse.SchedCoarse, _ = parti.BuildIncremental(coarse.GS, transferRefs(pop, fine.Dist))
+		coarse.transferSched = parti.Merge(coarse.SchedCoarse, coarse.SchedW, coarse.SchedHalo)
+		// fine's own SchedCoarse (nil on the finest level) was built when fine
+		// was the coarse level of the previous round.
+		fine.restrictSched = parti.Merge(fine.SchedW, fine.SchedHalo, fine.SchedCoarse, coarse.SchedFine)
 
 		// Localized operators (built after all ghost slots are allocated;
 		// Localize on an existing ghost is a lookup).
@@ -263,6 +300,19 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	return s, nil
 }
 
+// transferRefs returns, per processor, the source addresses (global) of the
+// rows of op whose target vertex the processor owns in targets.
+func transferRefs(op *multigrid.TransferOp, targets *parti.Dist) [][]int32 {
+	refs := make([][]int32, targets.NProc)
+	for p := range refs {
+		refs[p] = make([]int32, 0, 4*targets.Count(p))
+		for _, g := range targets.L2G[p] {
+			refs[p] = append(refs[p], op.Addr[g][:]...)
+		}
+	}
+	return refs
+}
+
 // localizeOp returns the rows of op for the target vertices proc p owns,
 // their source addresses translated to p's local numbering in gs.
 func localizeOp(op *multigrid.TransferOp, targets []int32, gs *parti.GhostSpace, p int) multigrid.TransferOp {
@@ -276,7 +326,10 @@ func localizeOp(op *multigrid.TransferOp, targets []int32, gs *parti.GhostSpace,
 	return loc
 }
 
-// buildLevel partitions one mesh's topology across processors.
+// buildLevel partitions one mesh's topology across processors. The global
+// edge list is walked three times — a count, the inspector's references,
+// the executor's localized lists — and every per-processor array is sized
+// from the count, so nothing here grows by append.
 func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	dist, err := parti.NewDist(part, nproc)
 	if err != nil {
@@ -285,38 +338,106 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 	// Processors may own no vertices of a level: the paper's coarsest grid
 	// had far fewer points than the Delta had nodes ("smaller data sets
 	// spread over an equally large number of processors"). Such processors
-	// simply idle through that level's loops.
+	// simply idle through that level's loops: no edges, no rows, no halo.
 	lev := &Level{M: m, Part: part, Dist: dist, GS: parti.NewGhostSpace(dist)}
 
-	// Inspector: collect each processor's references (edge endpoints and
-	// boundary-face vertices of the loops assigned to it).
-	refs := make([][]int32, nproc)
+	// Count: each edge is computed by the owner of its first endpoint, each
+	// boundary face by the owner of its first vertex. fwd[p] counts p's
+	// off-processor references (second endpoints, face vertices), back[q]
+	// the cut edges whose second endpoint q owns, pos[v] the degree of v.
+	ne, nbf := make([]int, nproc), make([]int, nproc)
+	fwd, back := make([]int, nproc), make([]int, nproc)
+	pos := make([]int32, m.NV())
 	for _, e := range m.Edges {
-		p := part[e[0]] // each edge is computed by the owner of its first endpoint
-		refs[p] = append(refs[p], e[0], e[1])
+		p, q := part[e[0]], part[e[1]]
+		ne[p]++
+		pos[e[0]]++
+		pos[e[1]]++
+		if p != q {
+			fwd[p]++
+			back[q]++
+		}
 	}
 	for i := range m.BFaces {
 		f := &m.BFaces[i]
 		p := part[f.V[0]]
-		refs[p] = append(refs[p], f.V[0], f.V[1], f.V[2])
-	}
-	lev.SchedW = parti.BuildSchedule(lev.GS, refs)
-	lev.EdgeSpan = make([]int, nproc)
-	for p := range lev.EdgeSpan {
-		lev.EdgeSpan[p] = lev.GS.TotalSize(p)
+		nbf[p]++
+		for _, v := range f.V[1:] {
+			if part[v] != p {
+				fwd[p]++
+			}
+		}
 	}
 
-	// Executor-side topology with localized addresses.
+	// Inspector: each processor's off-processor references, in the order its
+	// edge and then its boundary-face loop makes them (owned ones, which the
+	// schedule builder would hash out, are not listed), and the back
+	// references of the symmetric halo: the first endpoint of every cut
+	// edge, seen from the owner of the second.
+	refs, haloRefs := make([][]int32, nproc), make([][]int32, nproc)
+	for p := range refs {
+		refs[p], haloRefs[p] = make([]int32, 0, fwd[p]), make([]int32, 0, back[p])
+	}
+	for _, e := range m.Edges {
+		if p, q := part[e[0]], part[e[1]]; p != q {
+			refs[p] = append(refs[p], e[1])
+			haloRefs[q] = append(haloRefs[q], e[0])
+		}
+	}
+	for i := range m.BFaces {
+		f := &m.BFaces[i]
+		p := part[f.V[0]]
+		for _, v := range f.V[1:] {
+			if part[v] != p {
+				refs[p] = append(refs[p], v)
+			}
+		}
+	}
+	lev.SchedW = parti.BuildSchedule(lev.GS, refs)
+	lev.EdgeSpan = spans(lev.GS, nproc)
+	lev.SchedHalo = parti.BuildSchedule(lev.GS, haloRefs)
+	lev.SmoothSpan = spans(lev.GS, nproc)
+	lev.smoothSched = parti.Merge(lev.SchedW, lev.SchedHalo)
+
+	// Owned dual volumes, and the rows of the owned vertices' adjacency:
+	// pos[v] turns from v's degree into the cursor of v's row in its
+	// owner's Adj.
+	lev.Vol = make([][]float64, nproc)
+	lev.AdjStart, lev.Adj = make([][]int32, nproc), make([][]int32, nproc)
+	for p := 0; p < nproc; p++ {
+		n := dist.Count(p)
+		lev.Vol[p], lev.AdjStart[p] = make([]float64, n), make([]int32, n+1)
+		at := int32(0)
+		for li, g := range dist.L2G[p] {
+			lev.Vol[p][li] = m.Vol[g]
+			lev.AdjStart[p][li] = at
+			at, pos[g] = at+pos[g], at
+		}
+		lev.AdjStart[p][n] = at
+		lev.Adj[p] = make([]int32, at)
+	}
+
+	// Executor-side topology with localized addresses: one pass over the
+	// global edge list fills p's edge list and both endpoints' rows, so a
+	// row lists its vertex's neighbours in global edge order on whichever
+	// processor it lives.
 	lev.Edges = make([][][2]int32, nproc)
 	lev.ENorm = make([][]geom.Vec3, nproc)
 	lev.BFaces = make([][]mesh.BFace, nproc)
+	for p := 0; p < nproc; p++ {
+		lev.Edges[p] = make([][2]int32, 0, ne[p])
+		lev.ENorm[p] = make([]geom.Vec3, 0, ne[p])
+		lev.BFaces[p] = make([]mesh.BFace, 0, nbf[p])
+	}
 	for ei, e := range m.Edges {
-		p := int(part[e[0]])
-		lev.Edges[p] = append(lev.Edges[p], [2]int32{
-			lev.GS.Localize(p, e[0]),
-			lev.GS.Localize(p, e[1]),
-		})
+		p, q := int(part[e[0]]), int(part[e[1]])
+		a, b := dist.Local[e[0]], lev.GS.Localize(p, e[1])
+		lev.Edges[p] = append(lev.Edges[p], [2]int32{a, b})
 		lev.ENorm[p] = append(lev.ENorm[p], m.EdgeNorm[ei])
+		lev.Adj[p][pos[e[0]]] = b
+		pos[e[0]]++
+		lev.Adj[q][pos[e[1]]] = lev.GS.Localize(q, e[0])
+		pos[e[1]]++
 	}
 	for i := range m.BFaces {
 		f := &m.BFaces[i]
@@ -331,24 +452,17 @@ func buildLevel(m *mesh.Mesh, part []int32, nproc int) (*Level, error) {
 			Kind:   f.Kind,
 		})
 	}
-
-	// Owned dual volumes and true global degrees.
-	deg := make([]int32, m.NV())
-	for _, e := range m.Edges {
-		deg[e[0]]++
-		deg[e[1]]++
-	}
-	lev.Vol = make([][]float64, nproc)
-	lev.Deg = make([][]int32, nproc)
-	for p := 0; p < nproc; p++ {
-		lev.Vol[p] = make([]float64, dist.Count(p))
-		lev.Deg[p] = make([]int32, dist.Count(p))
-		for li, g := range dist.L2G[p] {
-			lev.Vol[p][li] = m.Vol[g]
-			lev.Deg[p][li] = deg[g]
-		}
-	}
 	return lev, nil
+}
+
+// spans returns every processor's current local-array size in gs: owned plus
+// the ghost slots allocated so far.
+func spans(gs *parti.GhostSpace, nproc int) []int {
+	n := make([]int, nproc)
+	for p := range n {
+		n[p] = gs.TotalSize(p)
+	}
+	return n
 }
 
 // alloc sizes the per-processor arrays, each to the span it is addressed
@@ -368,12 +482,13 @@ func (lev *Level) alloc(nproc int, params euler.Params) {
 		}
 		return a
 	}
-	span, total, count := func(p int) int { return lev.EdgeSpan[p] }, lev.GS.TotalSize, lev.Dist.Count
-	lev.W, lev.Corr, lev.Conv = states(total), states(total), states(total)
-	lev.Res, lev.Smooth = states(span), states(span)
+	edge, span := func(p int) int { return lev.EdgeSpan[p] }, func(p int) int { return lev.SmoothSpan[p] }
+	total, count := lev.GS.TotalSize, lev.Dist.Count
+	lev.W, lev.Conv = states(total), states(edge)
+	lev.Res, lev.Smooth, lev.Corr = states(span), states(span), states(span)
 	lev.W0, lev.RHS = states(count), states(count)
 	if lev.Index > 0 {
-		lev.Forcing, lev.WSaved = states(total), states(count)
+		lev.Corr, lev.Forcing, lev.WSaved = states(total), states(total), states(count)
 	}
 	lev.wS, lev.convS, lev.laplS, lev.dissS = blocks(), blocks(), blocks(), blocks()
 

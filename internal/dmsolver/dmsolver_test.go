@@ -243,7 +243,8 @@ type planRow struct {
 
 // stepPlan is the exchange plan of one five-stage time step on lev, as
 // ops.go states it for the default Params (2 dissipation stages, 2
-// smoothing sweeps): 34 exchanges, all through the edge-loop schedule.
+// smoothing sweeps): 24 exchanges, the sweeps' through the edge-loop
+// schedule, the smoother's gathers through edge-loop + halo.
 func stepPlan(lev *Level) []planRow {
 	w := lev.SchedW
 	return []planRow{
@@ -253,50 +254,58 @@ func stepPlan(lev *Level) []planRow {
 		{"conv alone, the other stages", 3, w, parti.ScatterAdd, 5},
 		{"lapl + shock switch re-gather", 2, w, parti.Gather, 6},
 		{"diss", 2, w, parti.ScatterAdd, 5},
-		{"residual averaging, 2 sweeps a stage: gather", 10, w, parti.Gather, 5},
-		{"residual averaging, 2 sweeps a stage: scatter-add", 10, w, parti.ScatterAdd, 5},
+		{"residual averaging, 2 sweeps a stage: the iterate, halo included", 10, lev.smoothSched, parti.Gather, 5},
 	}
 }
 
 // residualPlan is the plan of one residual evaluation with dissipation
-// between steps, its flow-variable refresh included.
-func residualPlan(lev *Level) []planRow {
+// between steps, its flow-variable refresh — through refresh — included.
+func residualPlan(lev *Level, refresh *parti.Schedule) []planRow {
 	w := lev.SchedW
 	return []planRow{
-		{"flow-variable refresh", 1, w, parti.Gather, 5},
+		{"flow-variable refresh", 1, refresh, parti.Gather, 5},
 		{"conv + lapl + Num + Den", 1, w, parti.ScatterAdd, 12},
 		{"lapl + shock switch re-gather", 1, w, parti.Gather, 6},
 		{"diss", 1, w, parti.ScatterAdd, 5},
 	}
 }
 
-// wCyclePlan is the plan of one 2-level cycle: 86 exchanges.
-func wCyclePlan(fine, coarse *Level) []planRow {
+// cyclePlan is the plan of one cycle from level l down, every coarse level
+// but the coarsest visited gamma times: 60 exchanges on two levels.
+func cyclePlan(levels []*Level, l, gamma int) []planRow {
+	fine := levels[l]
 	plan := stepPlan(fine)
-	plan = append(plan, residualPlan(fine)...)
-	plan = append(plan,
-		planRow{"restriction: W through the edge-loop schedule", 1, fine.SchedW, parti.Gather, 5},
-		planRow{"restriction: W through the incremental schedule", 1, coarse.SchedFine, parti.Gather, 5},
-		planRow{"restricted residuals home, prolongation ghosts", 1, coarse.SchedCoarse, parti.ScatterAdd, 5},
-		planRow{"restricted residuals home, edge-loop ghosts", 1, coarse.SchedW, parti.ScatterAdd, 5},
-	)
-	plan = append(plan, residualPlan(coarse)...) // forcing
-	plan = append(plan, stepPlan(coarse)...)
+	if l == len(levels)-1 {
+		return plan
+	}
+	coarse := levels[l+1]
+	// The post-step refresh is the restriction's gather too: every ghost of W.
+	plan = append(plan, residualPlan(fine, fine.restrictSched)...)
+	plan = append(plan, planRow{"restricted residuals home", 1, coarse.transferSched, parti.ScatterAdd, 5})
+	plan = append(plan, residualPlan(coarse, coarse.SchedW)...) // forcing
+	visits := gamma
+	if l+1 == len(levels)-1 {
+		visits = 1
+	}
+	for v := 0; v < visits; v++ {
+		plan = append(plan, cyclePlan(levels, l+1, gamma)...)
+	}
 	return append(plan,
-		planRow{"correction through the prolongation schedule", 1, coarse.SchedCoarse, parti.Gather, 5},
-		planRow{"correction through the edge-loop schedule", 1, coarse.SchedW, parti.Gather, 5},
-		planRow{"correction smoothing: gather", 2, fine.SchedW, parti.Gather, 5},
-		planRow{"correction smoothing: scatter-add", 2, fine.SchedW, parti.ScatterAdd, 5},
+		planRow{"correction out", 1, coarse.transferSched, parti.Gather, 5},
+		planRow{"correction smoothing: the iterate, halo included", 2, fine.smoothSched, parti.Gather, 5},
 	)
 }
 
 // TestCommCountersAdvance pins the exchange plan: the counts of one
-// single-grid step and of one 2-level W-cycle, one message per neighbour
-// per exchange, and exactly the bytes the arrays take one at a time (an SoA
-// block's are a state array's). No exchange is scalars-only — the sensor
-// sums and the spectral radii ride the scatter-add of the sweep that
-// accumulated them, the shock switch rides the Laplacian's gather — so the
-// two scalar-led counters stay 0.
+// single-grid step, one 2-level and one 3-level W-cycle (whose middle level
+// has a SchedCoarse of its own inside its restriction refresh), one message
+// per neighbour per exchange — a merged schedule's pairs, not its members'
+// — and exactly the bytes the arrays take one at a time (an SoA block's are
+// a state array's). No exchange is scalars-only — the sensor sums and the
+// spectral radii ride the scatter-add of the sweep that accumulated them,
+// the shock switch rides the Laplacian's gather — so the two scalar-led
+// counters stay 0. The only scatter-adds left are the sweeps' and the
+// restricted residuals': the smoother gathers.
 func TestCommCountersAdvance(t *testing.T) {
 	p := euler.DefaultParams(0.6, 0)
 	check := func(name string, dm *Solver, plan []planRow, want CommCounters) {
@@ -307,15 +316,19 @@ func TestCommCountersAdvance(t *testing.T) {
 		if dm.Comm != want {
 			t.Errorf("%s: counters %+v, want %+v", name, dm.Comm, want)
 		}
-		var exchanges int
+		var planned CommCounters
 		var wantMsgs, wantBytes int64
 		for _, r := range plan {
-			exchanges += r.n
+			if r.dir == parti.Gather {
+				planned.GatherState += int64(r.n)
+			} else {
+				planned.ScatterState += int64(r.n)
+			}
 			wantMsgs += int64(r.n * r.sched.Messages())
 			wantBytes += int64(r.n * r.sched.Items() * r.width * 8)
 		}
-		if total := want.GatherState + want.ScatterState + want.GatherFloat + want.ScatterFloat; int64(exchanges) != total {
-			t.Errorf("%s: the plan table lists %d exchanges, the counters %d", name, exchanges, total)
+		if planned != want {
+			t.Errorf("%s: the plan table lists %+v, want %+v", name, planned, want)
 		}
 		msgs, bytes := dm.Fabric.TotalStats()
 		if msgs != wantMsgs || bytes != wantBytes {
@@ -332,15 +345,28 @@ func TestCommCountersAdvance(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("single-grid step", single, stepPlan(single.Levels[0]),
-		CommCounters{GatherState: 17, ScatterState: 17})
+		CommCounters{GatherState: 17, ScatterState: 7})
 
 	meshes, parts := independentParts(t, meshgen.DefaultChannel(10, 6, 4, 17), 2, 4)
 	mg, err := NewMultigrid(meshes, parts, 4, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("2-level W-cycle", mg, wCyclePlan(mg.Levels[0], mg.Levels[1]),
-		CommCounters{GatherState: 44, ScatterState: 42})
+	check("2-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2),
+		CommCounters{GatherState: 41, ScatterState: 19})
+
+	// Three levels: the middle one is stepped twice, restricts twice and has
+	// transfer ghosts of both kinds. A level with a coarser one below it adds
+	// 24 gathers and 12 scatter-adds to what it recurses into.
+	meshes, parts = independentParts(t, meshgen.DefaultChannel(12, 8, 6, 17), 3, 4)
+	if mg, err = NewMultigrid(meshes, parts, 4, p, 2); err != nil {
+		t.Fatal(err)
+	}
+	if mid := mg.Levels[1]; mid.SchedCoarse.Items() == 0 || mg.Levels[2].SchedFine.Items() == 0 {
+		t.Fatal("fixture: the middle level's transfer schedules are empty")
+	}
+	check("3-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2),
+		CommCounters{GatherState: 24 + 2*41, ScatterState: 12 + 2*19})
 }
 
 // independentParts builds a mesh sequence with every level partitioned

@@ -31,12 +31,6 @@ import (
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
 
-// edgeSpan returns the prefix of a local array the edge and boundary-face
-// loops address: [owned | edge ghosts] (Level.EdgeSpan). An operator handed
-// it as the array it overwrites or sweeps stops there, leaving the
-// transfer-only ghost slots behind it alone.
-func edgeSpan[T any](lev *Level, p int, a []T) []T { return a[:lev.EdgeSpan[p]] }
-
 // each runs one compute phase on every processor x executes.
 func each(x driver, phase func(p int)) {
 	lo, hi := x.procs()
@@ -45,11 +39,12 @@ func each(x driver, phase func(p int)) {
 	}
 }
 
-// refreshW gathers level lev's flow-variable ghosts and reloads the SoA
-// copy of W the sweeps read, with its vertex terms (p, 1/rho, c), over
-// [owned | edge ghosts] in one sweep.
-func (s *Solver) refreshW(x driver, lev *Level) error {
-	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.W)); err != nil {
+// refreshW gathers level lev's flow-variable ghosts through sch — SchedW,
+// the ghosts the sweeps read, or a merged schedule that contains it — and
+// reloads the SoA copy of W the sweeps read, with its vertex terms (p,
+// 1/rho, c), over [owned | edge ghosts] in one sweep.
+func (s *Solver) refreshW(x driver, lev *Level, sch *parti.Schedule) error {
+	if err := x.exchange(parti.Gather, sch, lev, parti.States(lev.W)); err != nil {
 		return err
 	}
 	each(x, func(p int) { lev.disc[p].ResInitSoAKernel(lev.W[p], lev.wS[p], 0, lev.EdgeSpan[p]) })
@@ -118,7 +113,13 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) err
 	return nil
 }
 
-// smooth applies the distributed implicit residual averaging to arr.
+// smooth applies the distributed implicit residual averaging to arr, whose
+// owned values must be current: per Jacobi sweep one gather of the iterate
+// through SchedW + SchedHalo, which puts every neighbour of an owned vertex
+// in a local slot, and one vertex loop that writes each owned slot of the
+// next iterate once. Nothing is accumulated in a ghost slot, so nothing is
+// scatter-added, and a vertex's sum is one flat row sum in global edge
+// order: the sweep's result is bitwise the same on every partition.
 func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 	eps := s.P.EpsSmooth
 	if eps == 0 || s.P.NSmooth == 0 {
@@ -127,15 +128,13 @@ func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 	each(x, func(p int) { copy(owned(lev, p, lev.RHS[p]), arr[p]) })
 	cur, next := arr, lev.Smooth
 	for sweep := 0; sweep < s.P.NSmooth; sweep++ {
-		if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(cur)); err != nil {
+		if err := x.exchange(parti.Gather, lev.smoothSched, lev, parti.States(cur)); err != nil {
 			return err
 		}
 		cc, nn := cur, next
-		each(x, func(p int) { euler.SmoothAccum(lev.Edges[p], cc[p], edgeSpan(lev, p, nn[p])) })
-		if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(next)); err != nil {
-			return err
-		}
-		each(x, func(p int) { euler.SmoothCombine(lev.RHS[p], owned(lev, p, nn[p]), lev.Deg[p], eps) })
+		each(x, func(p int) {
+			euler.SmoothGather(lev.RHS[p], cc[p], nn[p], lev.AdjStart[p], lev.Adj[p], eps, lev.Dist.Count(p))
+		})
 		cur, next = next, cur
 	}
 	if &cur[0] != &arr[0] {
@@ -149,13 +148,13 @@ func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 func (s *Solver) step(x driver, l int) (float64, error) {
 	lev := s.Levels[l]
 	each(x, func(p int) { copy(owned(lev, p, lev.W0[p]), lev.W[p]) })
-	if err := s.refreshW(x, lev); err != nil {
+	if err := s.refreshW(x, lev, lev.SchedW); err != nil {
 		return 0, err
 	}
 	norm := 0.0
 	for q, alpha := range s.P.Stages {
 		if q > 0 {
-			if err := s.refreshW(x, lev); err != nil {
+			if err := s.refreshW(x, lev, lev.SchedW); err != nil {
 				return 0, err
 			}
 		}
@@ -200,52 +199,37 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	}
 	lev, next := s.Levels[l], s.Levels[l+1]
 
-	// Residual of the post-step solution (with forcing on coarse levels).
-	if err := s.refreshW(x, lev); err != nil {
+	// Residual of the post-step solution (with forcing on coarse levels). Its
+	// flow-variable refresh is the last gather of W before the restriction
+	// reads it, so it goes through every schedule that allocated a slot the
+	// restriction may address — the edge-loop schedule, the halo, this
+	// level's own prolongation schedule when it is itself a coarse level and
+	// the incremental restriction schedule, each of which leaves out what the
+	// ones before it ghost — merged into one.
+	if err := s.refreshW(x, lev, lev.restrictSched); err != nil {
 		return 0, err
 	}
 	if err := s.residual(x, lev, l > 0, true, false); err != nil {
 		return 0, err
 	}
 
-	// Restrict flow variables: refresh this level's ghosts through every
-	// schedule that allocated slots the restriction may address — the
-	// edge-loop schedule, this level's own prolongation schedule when it is
-	// itself a coarse level (the incremental restriction schedule counts
-	// those slots as already ghosted and leaves them out, but only Corr and
-	// Forcing ever travel through SchedCoarse otherwise), and the
-	// incremental restriction schedule — then interpolate onto coarse-owned
-	// vertices.
-	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.W)); err != nil {
-		return 0, err
-	}
-	if lev.SchedCoarse != nil {
-		if err := x.exchange(parti.Gather, lev.SchedCoarse, lev, parti.States(lev.W)); err != nil {
-			return 0, err
-		}
-	}
-	if err := x.exchange(parti.Gather, next.SchedFine, lev, parti.States(lev.W)); err != nil {
-		return 0, err
-	}
+	// Restrict flow variables onto coarse-owned vertices.
 	each(x, func(p int) {
 		next.Restrict[p].Interp(lev.W[p], next.W[p])
 		multigrid.RepairSave(&s.P, next.W[p], next.WSaved[p], 0, next.Dist.Count(p))
 	})
 
 	// Restrict residuals conservatively. The prolongation addresses reuse
-	// coarse ghost slots already allocated by the coarse edge-loop
-	// schedule where possible (incremental schedules); accumulated
-	// contributions return to their owners through both schedules.
+	// coarse ghost slots the coarse edge-loop and halo schedules allocated
+	// where possible (incremental schedules), so the accumulated
+	// contributions return to their owners through all three, merged.
 	each(x, func(p int) { next.Prolong[p].ScatterTranspose(lev.Res[p], next.Forcing[p]) })
-	if err := x.exchange(parti.ScatterAdd, next.SchedCoarse, next, parti.States(next.Forcing)); err != nil {
-		return 0, err
-	}
-	if err := x.exchange(parti.ScatterAdd, next.SchedW, next, parti.States(next.Forcing)); err != nil {
+	if err := x.exchange(parti.ScatterAdd, next.transferSched, next, parti.States(next.Forcing)); err != nil {
 		return 0, err
 	}
 
 	// Forcing P = R' - R(w').
-	if err := s.refreshW(x, next); err != nil {
+	if err := s.refreshW(x, next, next.SchedW); err != nil {
 		return 0, err
 	}
 	if err := s.residual(x, next, false, true, false); err != nil {
@@ -263,13 +247,10 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 		}
 	}
 
-	// Correction: coarse delta, ghost refresh through both schedules,
-	// interpolate to fine, smooth, apply.
+	// Correction: coarse delta, one ghost refresh through the merged
+	// transfer schedule, interpolate to fine, smooth, apply.
 	each(x, func(p int) { multigrid.Delta(next.Corr[p], next.W[p], next.WSaved[p], 0, next.Dist.Count(p)) })
-	if err := x.exchange(parti.Gather, next.SchedCoarse, next, parti.States(next.Corr)); err != nil {
-		return 0, err
-	}
-	if err := x.exchange(parti.Gather, next.SchedW, next, parti.States(next.Corr)); err != nil {
+	if err := x.exchange(parti.Gather, next.transferSched, next, parti.States(next.Corr)); err != nil {
 		return 0, err
 	}
 	each(x, func(p int) { next.Prolong[p].Interp(next.Corr[p], lev.Corr[p]) })

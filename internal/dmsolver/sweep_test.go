@@ -22,6 +22,34 @@ func (d hookDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a p
 	return d.driver.exchange(dir, sch, lev, a)
 }
 
+// onEveryProcessor runs program the way CycleConcurrent runs a cycle: one
+// goroutine and one MIMD driver per simulated processor.
+func onEveryProcessor(s *Solver, program func(x driver) error) error {
+	r := &mimdRun{s: s, bar: simnet.NewBarrier(s.NProc)}
+	var wg sync.WaitGroup
+	for p := 0; p < s.NProc; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			r.fail(program(&mimdDriver{r, p}))
+		}(p)
+	}
+	wg.Wait()
+	return r.err
+}
+
+// mimdCycle is CycleConcurrent with every processor's driver wrapped.
+func mimdCycle(s *Solver, wrap func(driver) driver) (float64, error) {
+	norms := make([]float64, s.NProc)
+	err := onEveryProcessor(s, func(x driver) error {
+		p, _ := x.procs()
+		var err error
+		norms[p], err = s.cycle(wrap(x), 0)
+		return err
+	})
+	return norms[0], err
+}
+
 // oracle is the reference operator of euler/ops.go on processor-local AoS
 // arrays over the edge span: what every edge and face phase of ops.go
 // called before it ran the SoA kernels.
@@ -150,7 +178,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 				mirror(dir, parti.States(o.diss))
 			}
 		}}
-		if err := s.refreshW(seqDriver{s}, lev); err != nil {
+		if err := s.refreshW(seqDriver{s}, lev, lev.SchedW); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.residual(all, lev, false, true, true); err != nil {
@@ -205,11 +233,11 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 // and the vertex terms p, 1/rho and c of every processor x executes with
 // NaN over the whole edge span, ghost range included — through the one door
 // this package has to the terms, the kernel that loads a block, on an
-// all-NaN field. (The restriction's extra gather of W through the same
-// schedule is poisoned too; a refreshW follows before anything reads.)
+// all-NaN field. W is gathered by refreshW and by nothing else, through SchedW
+// or, after a step that a restriction follows, the merged schedule around it.
 func poisonBeforeRefresh(x driver, nan [][]euler.State) driver {
 	return hookDriver{x, func(x driver, dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) {
-		if dir == parti.Gather && sch == lev.SchedW && a.States[0] != nil && &a.States[0][0] == &lev.W[0] {
+		if dir == parti.Gather && a.States[0] != nil && &a.States[0][0] == &lev.W[0] {
 			each(x, func(p int) { lev.disc[p].ResInitSoAKernel(nan[lev.Index], lev.wS[p], 0, lev.EdgeSpan[p]) })
 		}
 	}}
@@ -241,19 +269,8 @@ func TestGhostVertexTermsNeverStale(t *testing.T) {
 	poisonedSeq := func(s *Solver, nan [][]euler.State) (float64, error) {
 		return s.cycle(poisonBeforeRefresh(seqDriver{s}, nan), 0)
 	}
-	poisonedMIMD := func(s *Solver, nan [][]euler.State) (float64, error) { // CycleConcurrent, every driver wrapped
-		r := &mimdRun{s: s, bar: simnet.NewBarrier(s.NProc)}
-		norms := make([]float64, s.NProc)
-		var wg sync.WaitGroup
-		for p := 0; p < s.NProc; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				norms[p], _ = s.cycle(poisonBeforeRefresh(&mimdDriver{r, p}, nan), 0)
-			}(p)
-		}
-		wg.Wait()
-		return norms[0], r.err
+	poisonedMIMD := func(s *Solver, nan [][]euler.State) (float64, error) {
+		return mimdCycle(s, func(x driver) driver { return poisonBeforeRefresh(x, nan) })
 	}
 
 	// Teeth: a poisoned context, not refreshed, reaches the sweep.
@@ -305,7 +322,7 @@ func TestGhostVertexTermsNeverStale(t *testing.T) {
 
 // TestGlobalDtStepSkipsSpectralRadii: in time-accurate mode stage 0's sweep
 // leaves the spectral radii out — Lam is not touched — while the exchange
-// count stays the step's 34 (the radii only ever rode another scatter-add),
+// count stays the step's 24 (the radii only ever rode another scatter-add),
 // and on one processor the step is the sequential engine's bitwise.
 func TestGlobalDtStepSkipsSpectralRadii(t *testing.T) {
 	m, part := channelAndPartition(t, 8, 5, 4, 4)
@@ -325,8 +342,8 @@ func TestGlobalDtStepSkipsSpectralRadii(t *testing.T) {
 		if _, err := s.Cycle(); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.Comm.GatherState + s.Comm.ScatterState + s.Comm.GatherFloat + s.Comm.ScatterFloat; n != 34 {
-			t.Errorf("GlobalDt = %g: a step made %d exchanges, want 34", dt, n)
+		if n := s.Comm.GatherState + s.Comm.ScatterState + s.Comm.GatherFloat + s.Comm.ScatterFloat; n != 24 {
+			t.Errorf("GlobalDt = %g: a step made %d exchanges, want 24", dt, n)
 		}
 		untouched := true
 		for _, lam := range s.Levels[0].Lam {

@@ -15,8 +15,12 @@ import (
 // stage row includes what the form pays per stage besides the edge loops
 // (pressures or the block load with its vertex terms, the zeroing, the face
 // loop, the shock switch). ns/edge is the figure EXPERIMENTS.md quotes; it
-// is what sized the distributed solver's move to the kernels, and the
-// smoother row is why its smoother did not move.
+// is what sized the distributed solver's move to the kernels. The smoother
+// has four rows — one Jacobi sweep's neighbour sums in edge form (the
+// accumulation alone: its zeroing and combine pass are not in the row) and
+// the whole sweep in gather form over rows in edge order, each AoS and SoA:
+// the gather form is what the distributed solver runs AoS and the pooled
+// engine SoA.
 func BenchmarkReferenceVsSoA(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(48, 24, 16, 17))
 	if err != nil {
@@ -41,6 +45,9 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 	for i := range faces {
 		faces[i] = int32(i)
 	}
+
+	adjStart, adj := rowsInEdgeOrder(nv, m.Edges)
+	const eps = 0.6
 
 	for _, bc := range []struct {
 		name string
@@ -78,6 +85,8 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 			convS.ZeroRange(0, nv)
 			d.SmoothAccumSoAKernel(wS, convS, edges)
 		}},
+		{"smooth-gather/aos", func() { SmoothGather(lapl, w, conv, adjStart, adj, eps, nv) }},
+		{"smooth-gather/soa", func() { SmoothGatherSoAKernel(laplS, wS, convS, adjStart, adj, eps, 0, nv) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

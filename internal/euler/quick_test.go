@@ -113,3 +113,77 @@ func TestQuickFarFieldConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rowsInEdgeOrder returns the CSR vertex adjacency of an edge list with
+// every row in the order the list meets its vertex's edges — the order in
+// which an edge loop over the list adds into that vertex's slot.
+func rowsInEdgeOrder(nv int, edges [][2]int32) (start, adj []int32) {
+	start, adj = make([]int32, nv+1), make([]int32, 2*len(edges))
+	for _, e := range edges {
+		start[e[0]+1]++
+		start[e[1]+1]++
+	}
+	for i := 0; i < nv; i++ {
+		start[i+1] += start[i]
+	}
+	at := append([]int32(nil), start[:nv]...)
+	for _, e := range edges {
+		adj[at[e[0]]] = e[1]
+		at[e[0]]++
+		adj[at[e[1]]] = e[0]
+		at[e[1]]++
+	}
+	return start, adj
+}
+
+// TestQuickSmoothGatherIsTheEdgeForm: on random edge lists — multi-edges,
+// self-loops and isolated vertices included, nothing a mesh would produce
+// required — one sweep of SmoothGather over the rows in edge order is
+// SmoothAccum followed by SmoothCombine bit for bit, and it writes nothing
+// past the n vertices it is asked for.
+func TestQuickSmoothGatherIsTheEdgeForm(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nv := 1 + rng.Intn(80)
+		edges := make([][2]int32, rng.Intn(6*nv))
+		for i := range edges {
+			edges[i] = [2]int32{int32(rng.Intn(nv)), int32(rng.Intn(nv))}
+		}
+		rhs, cur := make([]State, nv), make([]State, nv)
+		for i := range cur {
+			for k := range cur[i] {
+				rhs[i][k], cur[i][k] = rng.NormFloat64(), 1e3*rng.NormFloat64()
+			}
+		}
+		eps := rng.Float64()
+		deg := make([]int32, nv)
+		for _, e := range edges {
+			deg[e[0]]++
+			deg[e[1]]++
+		}
+		want := make([]State, nv)
+		SmoothAccum(edges, cur, want)
+		SmoothCombine(rhs, want, deg, eps)
+
+		start, adj := rowsInEdgeOrder(nv, edges)
+		n := rng.Intn(nv + 1)
+		poison := State{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+		got := make([]State, nv)
+		for i := range got {
+			got[i] = poison // no zeroing needed: every slot below n is overwritten
+		}
+		SmoothGather(rhs, cur, got, start, adj, eps, n)
+		for i := range got {
+			if i < n && got[i] != want[i] {
+				return false
+			}
+			if i >= n && !math.IsNaN(got[i][0]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

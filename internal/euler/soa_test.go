@@ -72,18 +72,26 @@ type soaStepper struct {
 
 	wS, w0S, convS, dissS, laplS, resS, smoothS, rhsS *StateSoA
 	wq, convR, dissR, resR, resOut                    []State
+
+	// The gather form of the smoother: the mesh's rows in edge order and the
+	// AoS right-hand side and iterates SmoothGather sweeps.
+	adjStart, adj    []int32
+	gRHS, gCur, gNxt []State
 }
 
 func newSoAStepper(t *testing.T, d *Disc) *soaStepper {
 	nv := d.M.NV()
 	soa := func() *StateSoA { return NewStateSoA(nv) }
 	aos := func() []State { return make([]State, nv) }
-	return &soaStepper{
+	s := &soaStepper{
 		t: t, d: d, ref: NewDisc(d.M, d.P),
 		edges: identity(d.M.NE()), faces: identity(len(d.M.BFaces)),
 		wS: soa(), w0S: soa(), convS: soa(), dissS: soa(), laplS: soa(), resS: soa(), smoothS: soa(), rhsS: soa(),
 		wq: aos(), convR: aos(), dissR: aos(), resR: aos(), resOut: aos(),
+		gRHS: aos(), gCur: aos(), gNxt: aos(),
 	}
+	s.adjStart, s.adj = rowsInEdgeOrder(nv, d.M.Edges)
+	return s
 }
 
 func (s *soaStepper) sameF(name string, ref, soa []float64) {
@@ -173,8 +181,24 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 				s.resS.CopyRange(cur, 0, nv)
 			}
 		}
+		// The gather form, AoS, on the same unsmoothed residual: no zeroing,
+		// one pass a sweep.
+		copy(s.gRHS, s.resR)
+		gCur, gNxt := s.gCur, s.gNxt
+		copy(gCur, s.resR)
+		if eps := d.P.EpsSmooth; eps != 0 {
+			for sweep := 0; sweep < d.P.NSmooth; sweep++ {
+				SmoothGather(s.gRHS, gCur, gNxt, s.adjStart, s.adj, eps, nv)
+				gCur, gNxt = gNxt, gCur
+			}
+		}
 		ref.SmoothResiduals(s.resR)
 		s.sameS("smoothing", s.resR, s.resS)
+		for i := range s.resR {
+			if s.resR[i] != gCur[i] {
+				s.t.Fatalf("smoothing, gather form: vertex %d: %v (reference) vs %v", i, s.resR[i], gCur[i])
+			}
+		}
 
 		if q == len(d.P.Stages)-1 {
 			d.UpdateFinalSoAKernel(w, s.w0S, s.resS, alpha, 0, nv)
@@ -255,10 +279,11 @@ func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
 // TestSoAKernelsBitwiseMatchReference is the contract between the two
 // statements of the scheme's arithmetic: every SoA kernel, run over the
 // identity edge and face lists, must reproduce the reference operator —
-// Disc.Convective, Dissipation, ComputeTimeSteps, SmoothResiduals and, for
-// the fused init/combine/update sweeps, a whole Disc.Step — bit for bit:
-// the component streams change the memory layout, not one floating-point
-// operation. The three cases cover the steady scheme, the FAS forcing term,
+// Disc.Convective, Dissipation, ComputeTimeSteps, SmoothResiduals (which the
+// AoS gather form SmoothGather, over rows in edge order, must reproduce too)
+// and, for the fused init/combine/update sweeps, a whole Disc.Step — bit for
+// bit: the component streams change the memory layout, not one
+// floating-point operation. The three cases cover the steady scheme, the FAS forcing term,
 // and the time-accurate scheme (global dt, no averaging) with the convex
 // limiter made to act; on the field each leaves behind, the fused sweeps are
 // then held to the one-part kernels (checkFusedSweeps).

@@ -14,8 +14,10 @@ import (
 // benchmark's distributed workload (48x24x16 channel, 8 spectral parts):
 // one state gather and one state scatter-add through the edge-loop
 // schedule per iteration, the in-repo counterpart of the ledger's
-// parti.gather_ms / parti.scatter_ms. ns/value is per ghost value moved
-// (5 floats), both directions counted.
+// parti.gather_ms / parti.scatter_ms; then what the distributed smoother's
+// gather costs — the edge-loop schedule and the halo built on it — as two
+// exchanges in series and as one through their merged schedule. ns/value
+// is per ghost value moved (5 floats).
 func BenchmarkExchange(b *testing.B) {
 	const nproc = 8
 	m, err := meshgen.Channel(meshgen.DefaultChannel(48, 24, 16, 42))
@@ -34,9 +36,10 @@ func BenchmarkExchange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	refs := make([][]int32, nproc)
+	refs, back := make([][]int32, nproc), make([][]int32, nproc)
 	for _, e := range m.Edges {
 		refs[part[e[0]]] = append(refs[part[e[0]]], e[0], e[1])
+		back[part[e[1]]] = append(back[part[e[1]]], e[0])
 	}
 	for i := range m.BFaces {
 		v := m.BFaces[i].V
@@ -44,6 +47,8 @@ func BenchmarkExchange(b *testing.B) {
 	}
 	gs := NewGhostSpace(d)
 	sch := BuildSchedule(gs, refs)
+	halo := BuildSchedule(gs, back)
+	merged := Merge(sch, halo)
 	f := simnet.New(nproc)
 	data := make([][]euler.State, nproc)
 	for p := range data {
@@ -52,10 +57,22 @@ func BenchmarkExchange(b *testing.B) {
 			data[p][i] = euler.State{1, 0.5, 0, 0, 2.5}
 		}
 	}
+	series := func(f *simnet.Fabric, data [][]euler.State) error {
+		if err := sch.GatherStates(f, data); err != nil {
+			return err
+		}
+		return halo.GatherStates(f, data)
+	}
 	for _, ex := range []struct {
-		name string
-		run  func(*simnet.Fabric, [][]euler.State) error
-	}{{"gather", sch.GatherStates}, {"scatter-add", sch.ScatterAddStates}} {
+		name  string
+		items int
+		run   func(*simnet.Fabric, [][]euler.State) error
+	}{
+		{"gather", sch.Items(), sch.GatherStates},
+		{"scatter-add", sch.Items(), sch.ScatterAddStates},
+		{"halo-gather/series", merged.Items(), series},
+		{"halo-gather/merged", merged.Items(), merged.GatherStates},
+	} {
 		b.Run(ex.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -63,7 +80,7 @@ func BenchmarkExchange(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sch.Items()), "ns/value")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ex.items), "ns/value")
 		})
 	}
 }

@@ -10,6 +10,8 @@
 //   - incremental schedules (BuildIncremental), which fetch only the
 //     off-processor data not already covered by pre-existing schedules —
 //     the communication optimization of Section 4.3;
+//   - schedule merging (Merge), which sends what several such schedules
+//     move as one message per neighbour — the other half of Section 4.3;
 //   - executors (exec.go: Exchange and its per-processor halves, in the
 //     Gather and ScatterAdd directions) that move ghost data through the
 //     simnet fabric, packing all values for the same destination — of every
@@ -119,20 +121,22 @@ type Schedule struct {
 	nItems   int // total ghost values moved per execution
 }
 
+// newSchedule returns a schedule over d that moves nothing.
+func newSchedule(d *Dist) *Schedule {
+	s := &Schedule{d: d, sendIdx: make([][][]int32, d.NProc), recvSlot: make([][][]int32, d.NProc)}
+	for p := 0; p < d.NProc; p++ {
+		s.sendIdx[p] = make([][]int32, d.NProc)
+		s.recvSlot[p] = make([][]int32, d.NProc)
+	}
+	return s
+}
+
 // buildFromGlobals creates a schedule that fills, for each processor p, the
 // ghost slots of the listed globals (which must already be allocated in
 // gs).
 func buildFromGlobals(gs *GhostSpace, newGhosts [][]int32) *Schedule {
 	d := gs.d
-	s := &Schedule{
-		d:        d,
-		sendIdx:  make([][][]int32, d.NProc),
-		recvSlot: make([][][]int32, d.NProc),
-	}
-	for p := 0; p < d.NProc; p++ {
-		s.sendIdx[p] = make([][]int32, d.NProc)
-		s.recvSlot[p] = make([][]int32, d.NProc)
-	}
+	s := newSchedule(d)
 	for p := 0; p < d.NProc; p++ {
 		// Deterministic order: sort by owner then global id.
 		gl := append([]int32(nil), newGhosts[p]...)
@@ -226,4 +230,51 @@ func (s *Schedule) PairVolumes() map[[2]int]int {
 		}
 	}
 	return out
+}
+
+// Merge is PARTI's schedule merging: it returns the schedule that moves, in
+// one execution, everything the given schedules move one after the other —
+// per (sender, receiver) pair the members' lists concatenated in argument
+// order, so a pair the members reach in k messages is reached in one. The
+// members must be schedules over one ghost space filling disjoint slots,
+// which schedules built incrementally on each other are; nil members are
+// skipped. A gather through the merged schedule stores exactly what the
+// members' gathers store. A scatter-add delivers the same contributions,
+// but an owner that the members reach from several peers adds them peer by
+// peer instead of member by member.
+func Merge(scheds ...*Schedule) *Schedule {
+	members := make([]*Schedule, 0, len(scheds))
+	for _, m := range scheds {
+		if m == nil {
+			continue
+		}
+		if len(members) > 0 && m.d != members[0].d {
+			panic("parti: Merge of schedules over different distributions")
+		}
+		members = append(members, m)
+	}
+	if len(members) == 0 {
+		return nil
+	}
+	d := members[0].d
+	s := newSchedule(d)
+	for q := 0; q < d.NProc; q++ {
+		for p := 0; p < d.NProc; p++ {
+			n := 0
+			for _, m := range members {
+				n += len(m.sendIdx[q][p])
+			}
+			if n == 0 {
+				continue
+			}
+			send, recv := make([]int32, 0, n), make([]int32, 0, n)
+			for _, m := range members {
+				send = append(send, m.sendIdx[q][p]...)
+				recv = append(recv, m.recvSlot[p][q]...)
+			}
+			s.sendIdx[q][p], s.recvSlot[p][q] = send, recv
+			s.nItems += n
+		}
+	}
+	return s
 }

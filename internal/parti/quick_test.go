@@ -200,3 +200,120 @@ func TestQuickBlocksTravelLikeStates(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickMergeIsTheMembersInSeries: for random distributions and two
+// reference patterns, the second built incrementally on the first, an
+// exchange through Merge(a, b) leaves every array kind holding what the
+// exchange through a and then through b leaves — in both directions — in one
+// message per pair where the members take up to two, and its Items,
+// Messages and PairVolumes are the members' combined; a nil member is
+// skipped. The values are small integers: a scatter-add through the merged
+// schedule adds an owner's contributions peer by peer, not member by
+// member, and only exact sums make that order invisible.
+func TestQuickMergeIsTheMembersInSeries(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(60)
+		nproc := 1 + rng.Intn(6)
+		part := make([]int32, n)
+		for i := range part {
+			part[i] = int32(rng.Intn(nproc))
+		}
+		d, err := NewDist(part, nproc)
+		if err != nil {
+			return false
+		}
+		gs := NewGhostSpace(d)
+		pattern := func() [][]int32 {
+			refs := make([][]int32, nproc)
+			for p := 0; p < nproc; p++ {
+				for k := rng.Intn(2 * n); k > 0; k-- {
+					refs[p] = append(refs[p], int32(rng.Intn(n)))
+				}
+			}
+			return refs
+		}
+		a := BuildSchedule(gs, pattern())
+		b, _ := BuildIncremental(gs, pattern())
+		m := Merge(a, nil, b)
+
+		// The bookkeeping.
+		if m.Items() != a.Items()+b.Items() || Merge(nil, a).Items() != a.Items() || Merge(nil, nil) != nil {
+			return false
+		}
+		va, vb, pairs := a.PairVolumes(), b.PairVolumes(), 0
+		for pair, v := range m.PairVolumes() {
+			if v != va[pair]+vb[pair] {
+				return false
+			}
+			pairs++
+		}
+		for pair := range va {
+			if _, ok := vb[pair]; ok {
+				pairs++ // counted once in the merged schedule, twice in series
+			}
+		}
+		if m.Messages() != len(m.PairVolumes()) || pairs != a.Messages()+b.Messages() {
+			return false
+		}
+
+		// The data: two copies of every array kind, one per route.
+		type set struct {
+			aos [][]euler.State
+			soa []*euler.StateSoA
+			flt [][]float64
+		}
+		mk := func() (x, y set) {
+			for _, s := range []*set{&x, &y} {
+				s.aos, s.soa, s.flt = make([][]euler.State, nproc), make([]*euler.StateSoA, nproc), make([][]float64, nproc)
+			}
+			for p := 0; p < nproc; p++ {
+				size := gs.TotalSize(p)
+				for _, s := range []*set{&x, &y} {
+					s.aos[p], s.soa[p], s.flt[p] = make([]euler.State, size), euler.NewStateSoA(size), make([]float64, size)
+				}
+				for i := 0; i < size; i++ {
+					var st, bl euler.State
+					for k := range st {
+						st[k], bl[k] = float64(rng.Intn(200)-100), float64(rng.Intn(200)-100)
+					}
+					fl := float64(rng.Intn(200) - 100)
+					for _, s := range []*set{&x, &y} {
+						s.aos[p][i], s.flt[p][i] = st, fl
+						s.soa[p].Set(i, bl)
+					}
+				}
+			}
+			return x, y
+		}
+		arrays := func(s set) Arrays { return States(s.aos).And(Blocks(s.soa)).And(Floats(s.flt)) }
+		for _, dir := range []Dir{Gather, ScatterAdd} {
+			series, merged := mk()
+			fab := simnet.New(nproc)
+			if a.Exchange(fab, dir, arrays(series)) != nil || b.Exchange(fab, dir, arrays(series)) != nil {
+				return false
+			}
+			before, _ := fab.TotalStats()
+			if m.Exchange(fab, dir, arrays(merged)) != nil {
+				return false
+			}
+			if after, _ := fab.TotalStats(); after-before != int64(m.Messages()) {
+				return false
+			}
+			for p := 0; p < nproc; p++ {
+				for i := range series.aos[p] {
+					if series.aos[p][i] != merged.aos[p][i] || series.soa[p].At(i) != merged.soa[p].At(i) || series.flt[p][i] != merged.flt[p][i] {
+						return false
+					}
+				}
+				if fab.Pending(p) != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
