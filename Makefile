@@ -27,14 +27,18 @@ test:
 race:
 	$(GO) test -race ./internal/color/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 
-# Non-test Go lines per internal package and in total — the figures
-# ROADMAP and the issues quote. Plain line counts: comments and blanks
-# included, _test.go files not.
+# Non-test Go lines per internal package, their total, and per command —
+# the figures ROADMAP and the issues quote. Plain line counts: comments and
+# blanks included, _test.go files not. The benchmark programs (cmd/bench*)
+# are left out: no issue counts them.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done; \
-	printf '%6d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	printf '%6d  total (internal)\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
 
 # End-to-end serving smoke: build eul3dd, start it on a random port, run a
 # channel-mesh job to completion, check /metrics, then SIGTERM it mid-job

@@ -27,6 +27,8 @@ import (
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
 	"eul3d/internal/partition"
+	"eul3d/internal/perf"
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 	"eul3d/internal/simnet"
 	"eul3d/internal/solver"
@@ -34,45 +36,48 @@ import (
 	"eul3d/internal/trace"
 )
 
+// The flags. Every path reads them where it needs them: they are set once,
+// by flag.Parse, before anything runs.
+var (
+	nx       = flag.Int("nx", 32, "fine-mesh cells in x")
+	ny       = flag.Int("ny", 16, "fine-mesh cells in y")
+	nz       = flag.Int("nz", 12, "fine-mesh cells in z")
+	levels   = flag.Int("levels", 4, "multigrid levels (ignored for -strategy single)")
+	strategy = flag.String("strategy", "w", "solution strategy: single, v or w")
+	scenName = flag.String("scenario", "", "run a named verification preset from internal/scenario (\"list\" prints them); replaces the mesh and flow flags")
+	mach     = flag.Float64("mach", 0.768, "freestream Mach number")
+	alpha    = flag.Float64("alpha", 1.116, "angle of attack in degrees")
+	cycles   = flag.Int("cycles", 300, "maximum solver cycles")
+	tol      = flag.Float64("tol", 1e-6, "relative residual tolerance (0 = run all cycles)")
+	seed     = flag.Int64("seed", 17, "mesh jitter seed")
+	logEvery = flag.Int("log-every", 25, "cycles between progress lines (0 = silent)")
+	contours = flag.Bool("contours", false, "print ASCII Mach contours of the final solution")
+	workers  = flag.Int("workers", 0, "shared-memory worker-pool solver with this many workers (0 = sequential); works with every strategy")
+	stats    = flag.Bool("stats", false, "print the per-phase wall-clock / Mflops breakdown after the run")
+	meshPfx  = flag.String("mesh-prefix", "", "load meshes from <prefix>.L<level>.mesh (see cmd/meshgen) instead of generating")
+	saveSol  = flag.String("save-solution", "", "write the converged fine-grid solution to this file")
+	saveVTK  = flag.String("save-vtk", "", "write mesh + solution as a legacy VTK file (ParaView)")
+	initSol  = flag.String("init-solution", "", "warm-start from a saved solution file")
+	fmg      = flag.Int("fmg", 0, "full-multigrid initialization: cycles per coarse level (0 = off)")
+	history  = flag.String("history", "", "write the residual history as CSV to this file")
+	tracePth = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
+
+	adaptOn   = flag.Bool("adapt", false, "adaptive solve: refine the mesh during the run driven by an error indicator (single-grid; -workers selects the pooled engine)")
+	adaptBud  = flag.Int("adapt-budget", 0, "with -adapt: cell budget (0 = 4x the starting cell count)")
+	adaptIntv = flag.Int("adapt-interval", 50, "with -adapt: steps between adaptation epochs")
+	adaptEp   = flag.Int("adapt-epochs", 2, "with -adapt: maximum refinement epochs")
+	adaptInd  = flag.String("adapt-indicator", "density", "with -adapt: error indicator (density, pressure or residual)")
+	adaptFrac = flag.Float64("adapt-frac", 0.1, "with -adapt: fraction of cells marked per epoch")
+
+	nproc     = flag.Int("nproc", 0, "simulated processors for the distributed solver (0 = in-process sequential solver)")
+	mimd      = flag.Bool("mimd", false, "with -nproc: run one goroutine per simulated processor (true MIMD mode)")
+	faultSpec = flag.String("faults", "", "with -nproc: seeded fault-injection spec, e.g. seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@40")
+	ckptPath  = flag.String("checkpoint", "", "write periodic atomic checkpoints to this file")
+	ckptEvery = flag.Int("checkpoint-every", 25, "cycles between checkpoints (with -checkpoint)")
+	resume    = flag.String("resume", "", "restart from a checkpoint file written by -checkpoint")
+)
+
 func main() {
-	var (
-		nx       = flag.Int("nx", 32, "fine-mesh cells in x")
-		ny       = flag.Int("ny", 16, "fine-mesh cells in y")
-		nz       = flag.Int("nz", 12, "fine-mesh cells in z")
-		levels   = flag.Int("levels", 4, "multigrid levels (ignored for -strategy single)")
-		strategy = flag.String("strategy", "w", "solution strategy: single, v or w")
-		scenName = flag.String("scenario", "", "run a named verification preset from internal/scenario (\"list\" prints them); replaces the mesh and flow flags")
-		mach     = flag.Float64("mach", 0.768, "freestream Mach number")
-		alpha    = flag.Float64("alpha", 1.116, "angle of attack in degrees")
-		cycles   = flag.Int("cycles", 300, "maximum solver cycles")
-		tol      = flag.Float64("tol", 1e-6, "relative residual tolerance (0 = run all cycles)")
-		seed     = flag.Int64("seed", 17, "mesh jitter seed")
-		logEvery = flag.Int("log-every", 25, "cycles between progress lines (0 = silent)")
-		contours = flag.Bool("contours", false, "print ASCII Mach contours of the final solution")
-		workers  = flag.Int("workers", 0, "shared-memory worker-pool solver with this many workers (0 = sequential); works with every strategy")
-		stats    = flag.Bool("stats", false, "print the per-phase wall-clock / Mflops breakdown after the run")
-		meshPfx  = flag.String("mesh-prefix", "", "load meshes from <prefix>.L<level>.mesh (see cmd/meshgen) instead of generating")
-		saveSol  = flag.String("save-solution", "", "write the converged fine-grid solution to this file")
-		saveVTK  = flag.String("save-vtk", "", "write mesh + solution as a legacy VTK file (ParaView)")
-		initSol  = flag.String("init-solution", "", "warm-start from a saved solution file")
-		fmg      = flag.Int("fmg", 0, "full-multigrid initialization: cycles per coarse level (0 = off)")
-		history  = flag.String("history", "", "write the residual history as CSV to this file")
-		tracePth = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
-
-		adaptOn   = flag.Bool("adapt", false, "adaptive solve: refine the mesh during the run driven by an error indicator (single-grid; -workers selects the pooled engine)")
-		adaptBud  = flag.Int("adapt-budget", 0, "with -adapt: cell budget (0 = 4x the starting cell count)")
-		adaptIntv = flag.Int("adapt-interval", 50, "with -adapt: steps between adaptation epochs")
-		adaptEp   = flag.Int("adapt-epochs", 2, "with -adapt: maximum refinement epochs")
-		adaptInd  = flag.String("adapt-indicator", "density", "with -adapt: error indicator (density, pressure or residual)")
-		adaptFrac = flag.Float64("adapt-frac", 0.1, "with -adapt: fraction of cells marked per epoch")
-
-		nproc     = flag.Int("nproc", 0, "simulated processors for the distributed solver (0 = in-process sequential solver)")
-		mimd      = flag.Bool("mimd", false, "with -nproc: run one goroutine per simulated processor (true MIMD mode)")
-		faultSpec = flag.String("faults", "", "with -nproc: seeded fault-injection spec, e.g. seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@40")
-		ckptPath  = flag.String("checkpoint", "", "write periodic atomic checkpoints to this file")
-		ckptEvery = flag.Int("checkpoint-every", 25, "cycles between checkpoints (with -checkpoint)")
-		resume    = flag.String("resume", "", "restart from a checkpoint file written by -checkpoint")
-	)
 	flag.Parse()
 
 	p := euler.DefaultParams(*mach, *alpha)
@@ -185,26 +190,11 @@ func main() {
 			}
 			*strategy = "single"
 		}
-		runAdaptive(p, sc, loadSeq, adaptOpts{
-			budget: *adaptBud, interval: *adaptIntv, epochs: *adaptEp,
-			indicator: *adaptInd, frac: *adaptFrac,
-			workers: *workers, cycles: *cycles, tol: *tol, logEvery: *logEvery,
-			scenName: *scenName, stats: *stats,
-			history: *history, saveSol: *saveSol, saveVTK: *saveVTK,
-			mach: *mach, alpha: *alpha,
-			tracer: tracer, tracePath: *tracePth,
-		})
+		runAdaptive(p, sc, tracer, loadSeq)
 		return
 	}
 	if *nproc > 0 {
-		runDistributed(p, loadSeq, ck, distOpts{
-			strategy: *strategy, levels: *levels, nproc: *nproc, mimd: *mimd,
-			faults: *faultSpec, cycles: *cycles, tol: *tol, logEvery: *logEvery,
-			ckptPath: *ckptPath, ckptEvery: *ckptEvery,
-			mach: *mach, alpha: *alpha,
-			history: *history, saveSol: *saveSol, saveVTK: *saveVTK,
-			tracer: tracer, tracePath: *tracePth,
-		})
+		runDistributed(p, tracer, loadSeq, ck)
 		return
 	}
 
@@ -310,31 +300,178 @@ func main() {
 		Mach:            *mach,
 		AlphaDeg:        *alpha,
 	})
+	ran(tracer, err)
+	report(p.Gas, sc, finished{
+		res: res, mesh: fineMesh, maxMach: true,
+		statsTitle: "per-phase breakdown (analytic flop counts)", stats: st.Stats(),
+	})
+
+	if *contours && st.MG != nil {
+		f := tables.Figure4(st.MG, 78, 24)
+		fmt.Println("\nMach contours on the mid-span plane:")
+		fmt.Print(f.ASCII())
+	} else if *contours {
+		fmt.Println("(-contours requires the sequential multigrid strategy)")
+	}
+}
+
+// runDistributed is the fault-tolerant distributed path: spectral
+// partition per level, PARTI schedules, and the recovery orchestrator
+// around the simulated-interconnect solve.
+func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint) {
+	nlev := *levels
+	gamma := 0
+	switch *strategy {
+	case "single":
+		nlev = 1
+	case "v":
+		gamma = 1
+	case "w":
+		gamma = 2
+	default:
+		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", *strategy)
+	}
+	seq, err := loadSeq(nlev)
 	if err != nil {
-		writeTrace(tracer, *tracePth)
 		log.Fatalf("eul3d: %v", err)
 	}
+	parts := make([][]int32, nlev)
+	for l, m := range seq {
+		g, err := graph.FromEdges(m.NV(), m.Edges)
+		if err != nil {
+			log.Fatalf("eul3d: %v", err)
+		}
+		parts[l], err = partition.Partition(g, m.X, *nproc, partition.Spectral, 1)
+		if err != nil {
+			log.Fatalf("eul3d: %v", err)
+		}
+		q := partition.Evaluate(parts[l], m.Edges, *nproc)
+		fmt.Printf("level %d: %d points over %d processors, %v\n", l, m.NV(), *nproc, q)
+	}
+
+	var s *dmsolver.Solver
+	if nlev == 1 {
+		s, err = dmsolver.NewSingle(seq[0], parts[0], *nproc, p)
+	} else {
+		s, err = dmsolver.NewMultigrid(seq, parts, *nproc, p, gamma)
+	}
+	if err != nil {
+		log.Fatalf("eul3d: %v", err)
+	}
+
+	var plan *simnet.FaultPlan
+	if *faultSpec != "" {
+		plan, err = simnet.ParseFaultSpec(*faultSpec)
+		if err != nil {
+			log.Fatalf("eul3d: %v", err)
+		}
+		s.Fabric.SetFaultPlan(plan)
+		fmt.Printf("fault injection armed: %s\n", *faultSpec)
+	}
+
+	mode := "sequential orchestration"
+	if *mimd {
+		mode = "MIMD (goroutine per processor)"
+	}
+	fmt.Printf("distributed solve: %d simulated processors, %s\n", *nproc, mode)
+
+	incident := ""
+	if tracer != nil {
+		s.SetTrace(tracer)
+		incident = incidentPath(*tracePth)
+		fmt.Printf("flight recorder armed; trace goes to %s, incident dumps to %s\n", *tracePth, incident)
+	}
+
+	res, err := s.Run(dmsolver.RunOptions{
+		MaxCycles:       *cycles,
+		Tolerance:       *tol,
+		LogEvery:        *logEvery,
+		Log:             os.Stdout,
+		Concurrent:      *mimd,
+		CheckpointEvery: *ckptEvery,
+		CheckpointPath:  *ckptPath,
+		Mach:            *mach,
+		AlphaDeg:        *alpha,
+		Resume:          ck,
+		IncidentPath:    incident,
+	})
+	ran(tracer, err)
+	report(p.Gas, nil, finished{res: &res.Result, mesh: seq[0], detail: func() {
+		msgs, bytes := s.Fabric.TotalStats()
+		fmt.Printf("traffic: %d messages, %.2f MB, %d healed by retransmission\n",
+			msgs, float64(bytes)/1e6, s.Fabric.Resends())
+		if res.Recoveries > 0 || res.CFLBackoffs > 0 {
+			fmt.Printf("recovery: %d checkpoint restores after node crashes, %d CFL backoffs\n",
+				res.Recoveries, res.CFLBackoffs)
+		}
+		if plan != nil {
+			st := plan.Stats()
+			fmt.Printf("faults injected: %d drops, %d duplicates, %d corruptions, %d delays, %d reorders, %d crashes (%d scheduled never fired)\n",
+				st.Drops, st.Duplicates, st.Corruptions, st.Delays, st.Reorders, st.Crashes, plan.Unfired())
+		}
+	}})
+}
+
+// finished is a completed run as report prints it: the loop's result, and
+// what the paths differ in.
+type finished struct {
+	res  *runloop.Result
+	mesh *mesh.Mesh // the mesh res.FineSolution lives on
+
+	adaptive bool   // the loop counted steps on a changing mesh: no orders-of-ten figure
+	detail   func() // the path's own lines under the finished line (traffic and recovery, adaptation epochs); may be nil
+	maxMach  bool   // print the maximum local Mach number
+
+	statsTitle string // -stats heading; "" when the path has no breakdown
+	stats      perf.Stats
+}
+
+// ran follows every path's run: the trace is written, a failed run's too,
+// and a failed run ends here.
+func ran(tracer *trace.Tracer, err error) {
 	writeTrace(tracer, *tracePth)
+	if err != nil {
+		log.Fatalf("eul3d: %v", err)
+	}
+}
+
+// report is the tail of every run that returned a result: the divergence
+// check, the finished line, the path's detail, the flow-field summary,
+// scenario diagnostics, -stats, -history, -save-solution and -save-vtk.
+func report(g euler.Gas, sc *scenario.Scenario, f finished) {
+	res := f.res
 	checkDivergence(*scenName, res.History, res.FineSolution)
-	fmt.Printf("\nfinished after %d cycles: residual %.3e -> %.3e (%.1f orders)",
-		res.Cycles, res.InitialNorm, res.FinalNorm, res.Ordersof10)
+	if f.adaptive {
+		fmt.Printf("\nfinished after %d steps: residual %.3e -> %.3e", res.Cycles, res.InitialNorm, res.FinalNorm)
+	} else {
+		fmt.Printf("\nfinished after %d cycles: residual %.3e -> %.3e (%.1f orders)",
+			res.Cycles, res.InitialNorm, res.FinalNorm, res.Ordersof10)
+	}
 	if res.Converged {
 		fmt.Printf(" [converged]")
 	}
 	fmt.Println()
-
-	g := p.Gas
-	maxM := 0.0
-	for _, w := range res.FineSolution {
-		if m := g.Mach(w); m > maxM {
-			maxM = m
-		}
+	if f.detail != nil {
+		f.detail()
 	}
-	fmt.Printf("max local Mach number: %.3f\n", maxM)
+
+	if f.maxMach {
+		maxM := 0.0
+		for _, w := range res.FineSolution {
+			if m := g.Mach(w); m > maxM {
+				maxM = m
+			}
+		}
+		fmt.Printf("max local Mach number: %.3f\n", maxM)
+	}
 
 	if sc != nil {
-		d := sc.Diagnose(fineMesh, res.FineSolution, res.FinalNorm)
-		fmt.Printf("\nscenario %s diagnostics:\n", sc.Name)
+		d := sc.Diagnose(f.mesh, res.FineSolution, res.FinalNorm)
+		where := ""
+		if f.adaptive {
+			where = " (on the adapted mesh)"
+		}
+		fmt.Printf("\nscenario %s diagnostics%s:\n", sc.Name, where)
 		if d.L1Density >= 0 {
 			fmt.Printf("  L1 density error vs exact solution: %.6g (tolerance %.3g)\n", d.L1Density, sc.L1Tol)
 		}
@@ -348,10 +485,9 @@ func main() {
 		fmt.Println("scenario check passed")
 	}
 
-	if *stats {
-		fmt.Printf("\nper-phase breakdown (analytic flop counts):\n%s", st.Stats())
+	if *stats && f.statsTitle != "" {
+		fmt.Printf("\n%s:\n%s", f.statsTitle, f.stats)
 	}
-
 	writeHistory(*history, res.History)
 	if *saveSol != "" {
 		if err := meshio.SaveSolution(*saveSol, *mach, *alpha, res.FineSolution); err != nil {
@@ -360,159 +496,10 @@ func main() {
 		fmt.Printf("solution written to %s\n", *saveSol)
 	}
 	if *saveVTK != "" {
-		if err := meshio.SaveVTK(*saveVTK, fineMesh, p.Gas, res.FineSolution, "", nil); err != nil {
+		if err := meshio.SaveVTK(*saveVTK, f.mesh, g, res.FineSolution, "", nil); err != nil {
 			log.Fatalf("eul3d: %v", err)
 		}
 		fmt.Printf("VTK written to %s\n", *saveVTK)
-	}
-
-	if *contours && st.MG != nil {
-		f := tables.Figure4(st.MG, 78, 24)
-		fmt.Println("\nMach contours on the mid-span plane:")
-		fmt.Print(f.ASCII())
-	} else if *contours {
-		fmt.Println("(-contours requires the sequential multigrid strategy)")
-	}
-}
-
-type distOpts struct {
-	strategy  string
-	levels    int
-	nproc     int
-	mimd      bool
-	faults    string
-	cycles    int
-	tol       float64
-	logEvery  int
-	ckptPath  string
-	ckptEvery int
-	mach      float64
-	alpha     float64
-	history   string
-	saveSol   string
-	saveVTK   string
-	tracer    *trace.Tracer
-	tracePath string
-}
-
-// runDistributed is the fault-tolerant distributed path: spectral
-// partition per level, PARTI schedules, and the recovery orchestrator
-// around the simulated-interconnect solve.
-func runDistributed(p euler.Params, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint, o distOpts) {
-	nlev := o.levels
-	gamma := 0
-	switch o.strategy {
-	case "single":
-		nlev = 1
-	case "v":
-		gamma = 1
-	case "w":
-		gamma = 2
-	default:
-		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", o.strategy)
-	}
-	seq, err := loadSeq(nlev)
-	if err != nil {
-		log.Fatalf("eul3d: %v", err)
-	}
-	parts := make([][]int32, nlev)
-	for l, m := range seq {
-		g, err := graph.FromEdges(m.NV(), m.Edges)
-		if err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		parts[l], err = partition.Partition(g, m.X, o.nproc, partition.Spectral, 1)
-		if err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		q := partition.Evaluate(parts[l], m.Edges, o.nproc)
-		fmt.Printf("level %d: %d points over %d processors, %v\n", l, m.NV(), o.nproc, q)
-	}
-
-	var s *dmsolver.Solver
-	if nlev == 1 {
-		s, err = dmsolver.NewSingle(seq[0], parts[0], o.nproc, p)
-	} else {
-		s, err = dmsolver.NewMultigrid(seq, parts, o.nproc, p, gamma)
-	}
-	if err != nil {
-		log.Fatalf("eul3d: %v", err)
-	}
-
-	var plan *simnet.FaultPlan
-	if o.faults != "" {
-		plan, err = simnet.ParseFaultSpec(o.faults)
-		if err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		s.Fabric.SetFaultPlan(plan)
-		fmt.Printf("fault injection armed: %s\n", o.faults)
-	}
-
-	mode := "sequential orchestration"
-	if o.mimd {
-		mode = "MIMD (goroutine per processor)"
-	}
-	fmt.Printf("distributed solve: %d simulated processors, %s\n", o.nproc, mode)
-
-	incident := ""
-	if o.tracer != nil {
-		s.SetTrace(o.tracer)
-		incident = incidentPath(o.tracePath)
-		fmt.Printf("flight recorder armed; trace goes to %s, incident dumps to %s\n", o.tracePath, incident)
-	}
-
-	res, err := s.Run(dmsolver.RunOptions{
-		MaxCycles:       o.cycles,
-		Tolerance:       o.tol,
-		LogEvery:        o.logEvery,
-		Log:             os.Stdout,
-		Concurrent:      o.mimd,
-		CheckpointEvery: o.ckptEvery,
-		CheckpointPath:  o.ckptPath,
-		Mach:            o.mach,
-		AlphaDeg:        o.alpha,
-		Resume:          ck,
-		IncidentPath:    incident,
-	})
-	if err != nil {
-		writeTrace(o.tracer, o.tracePath)
-		log.Fatalf("eul3d: %v", err)
-	}
-	writeTrace(o.tracer, o.tracePath)
-	checkDivergence("", res.History, res.FineSolution)
-
-	fmt.Printf("\nfinished after %d cycles: residual %.3e -> %.3e (%.1f orders)",
-		res.Cycles, res.InitialNorm, res.FinalNorm, res.Ordersof10)
-	if res.Converged {
-		fmt.Printf(" [converged]")
-	}
-	fmt.Println()
-	msgs, bytes := s.Fabric.TotalStats()
-	fmt.Printf("traffic: %d messages, %.2f MB, %d healed by retransmission\n",
-		msgs, float64(bytes)/1e6, s.Fabric.Resends())
-	if res.Recoveries > 0 || res.CFLBackoffs > 0 {
-		fmt.Printf("recovery: %d checkpoint restores after node crashes, %d CFL backoffs\n",
-			res.Recoveries, res.CFLBackoffs)
-	}
-	if plan != nil {
-		st := plan.Stats()
-		fmt.Printf("faults injected: %d drops, %d duplicates, %d corruptions, %d delays, %d reorders, %d crashes (%d scheduled never fired)\n",
-			st.Drops, st.Duplicates, st.Corruptions, st.Delays, st.Reorders, st.Crashes, plan.Unfired())
-	}
-
-	writeHistory(o.history, res.History)
-	if o.saveSol != "" {
-		if err := meshio.SaveSolution(o.saveSol, o.mach, o.alpha, res.FineSolution); err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		fmt.Printf("solution written to %s\n", o.saveSol)
-	}
-	if o.saveVTK != "" {
-		if err := meshio.SaveVTK(o.saveVTK, seq[0], p.Gas, res.FineSolution, "", nil); err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		fmt.Printf("VTK written to %s\n", o.saveVTK)
 	}
 }
 

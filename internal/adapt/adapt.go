@@ -16,10 +16,13 @@
 //  4. recomputes the stable time step (time-accurate runs shrink GlobalDt
 //     to the refined mesh's CFL bound and re-mesh the remaining time so
 //     the run still lands exactly on the final time), and
-//  5. rebuilds the solve engine in place (smsolver.Rebuild /
-//     euler.Disc.Retarget): the layout recomputed from the refined mesh
-//     alone into the arrays the engine already owns, scratch grown in
-//     place, the worker pool untouched.
+//  5. rebuilds the solve engine in place (solver.Steady.Rebuild): the
+//     layout recomputed from the refined mesh alone into the arrays the
+//     engine already owns, scratch grown in place, the worker pool
+//     untouched.
+//
+// A solve interval is the one convergence loop (internal/runloop) run to
+// the next epoch boundary on solver's single-grid or pooled engine.
 //
 // Every stage runs sequentially in mesh order and depends only on the
 // mesh, the solution and the options — never on the worker count — so a
@@ -34,21 +37,21 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/perf"
 	"eul3d/internal/refine"
-	"eul3d/internal/smsolver"
+	"eul3d/internal/runloop"
+	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
 
 // Options configures an adaptive run.
 type Options struct {
 	Mesh   *mesh.Mesh    // starting mesh (ignored when Resume is set)
-	Init   []euler.State // initial condition on Mesh (taken over by the driver)
+	Init   []euler.State // initial condition on Mesh; nil starts from the freestream
 	Params euler.Params
 
 	Engine  string // "single" (default) or "sm"
@@ -103,17 +106,14 @@ type EpochStat struct {
 	RebuildNS   int64   `json:"rebuild_ns"`
 }
 
-// Result summarizes an adaptive run.
+// Result summarizes an adaptive run: the loop's result over all solve
+// intervals (steps map onto its cycles) and what adaptation did.
 type Result struct {
-	Steps       int
-	History     []float64
-	InitialNorm float64
-	FinalNorm   float64
-	Converged   bool
-	Cancelled   bool
+	runloop.Result
+	Steps int // = Cycles
 
 	Mesh     *mesh.Mesh    // final (adapted) mesh
-	Solution []euler.State // solution on Mesh
+	Solution []euler.State // solution on Mesh (= FineSolution)
 
 	Epochs       []EpochStat
 	CellsRefined int        // total cells added across all epochs
@@ -149,46 +149,14 @@ const (
 
 var phaseNames = [nPhases]string{"solve", "indicator", "refine", "transfer", "rebuild"}
 
-// engine abstracts the two solve backends the driver can rebuild in place
-// between epochs.
-type engine interface {
-	step(w []euler.State) float64
-	rebuild(m *mesh.Mesh, p euler.Params) error
-	close()
-}
-
-type singleEngine struct {
-	d  *euler.Disc
-	ws *euler.StepWorkspace
-}
-
-func (e *singleEngine) step(w []euler.State) float64 { return e.d.Step(w, nil, e.ws) }
-func (e *singleEngine) rebuild(m *mesh.Mesh, p euler.Params) error {
-	e.d.Retarget(m, p)
-	e.ws.Resize(m.NV())
-	return nil
-}
-func (e *singleEngine) close() {}
-
-type smEngine struct{ s *smsolver.Solver }
-
-func (e *smEngine) step(w []euler.State) float64               { return e.s.Step(w, nil) }
-func (e *smEngine) rebuild(m *mesh.Mesh, p euler.Params) error { return e.s.Rebuild(m, p) }
-func (e *smEngine) close()                                     { e.s.Close() }
-
-func newEngine(kind string, m *mesh.Mesh, p euler.Params, workers int) (engine, error) {
+// newEngine builds the solve engine of the given kind on m: solver's own
+// single-grid steppers, the two that can be rebuilt in place between epochs.
+func newEngine(kind string, m *mesh.Mesh, p euler.Params, workers int) (*solver.Steady, error) {
 	switch kind {
 	case "", "single":
-		return &singleEngine{d: euler.NewDisc(m, p), ws: euler.NewStepWorkspace(m.NV())}, nil
+		return solver.NewSingleGrid(m, p), nil
 	case "sm":
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s, err := smsolver.New(m, p, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &smEngine{s: s}, nil
+		return solver.NewSharedMemory(m, p, workers) // <= 0 workers selects GOMAXPROCS
 	default:
 		return nil, fmt.Errorf("adapt: unknown engine %q (want single or sm)", kind)
 	}
@@ -216,9 +184,6 @@ func Run(opt Options) (*Result, error) {
 	}
 	if m == nil || m.NV() == 0 {
 		return nil, errors.New("adapt: nil or empty mesh")
-	}
-	if len(w) != m.NV() {
-		return nil, fmt.Errorf("adapt: %d states for %d vertices", len(w), m.NV())
 	}
 	if opt.Steps <= 0 {
 		return nil, errors.New("adapt: Steps must be positive")
@@ -252,7 +217,12 @@ func Run(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer eng.close()
+	defer eng.Close()
+	if w != nil {
+		if err := eng.SetInitial(w); err != nil {
+			return nil, fmt.Errorf("adapt: %w", err)
+		}
+	}
 
 	var atrack *trace.Track
 	var phEpoch, phRebuildTr trace.PhaseID
@@ -264,10 +234,10 @@ func Run(opt Options) (*Result, error) {
 
 	acc := perf.NewAccum(phaseNames[:]...)
 	res := &Result{}
-	snapshot := func() *Snapshot {
+	snapshot := func(history []float64) *Snapshot {
 		return &Snapshot{
 			Mesh:         m,
-			W:            append([]euler.State(nil), w...),
+			W:            append([]euler.State(nil), eng.Solution()...),
 			History:      append([]float64(nil), history...),
 			Step:         step,
 			EpochsDone:   epochs,
@@ -278,40 +248,60 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 
-	for stepsLeft > 0 {
-		if ctx := opt.Context; ctx != nil {
-			select {
-			case <-ctx.Done():
-				res.Cancelled = true
-				res.Snap = snapshot()
-				stepsLeft = 0
-			default:
-			}
-			if res.Cancelled {
-				break
-			}
-		}
-		t0 := time.Now()
-		norm := eng.step(w)
-		acc.Add(phSolve, time.Since(t0), 0)
-		step++
-		stepsLeft--
-		since++
-		history = append(history, norm)
+	lo := runloop.Options{Context: opt.Context}
+	if !timeAccurate {
+		lo.Tolerance = opt.Tolerance
+	}
+	// Every step advances the driver's counters here — before the loop's
+	// checkpoint hook runs, so a snapshot sees them current. Steps are
+	// numbered from 1, and the progress line carries the mesh size and epoch
+	// count the loop's own does not know.
+	lo.Progress = func(c int, norm float64) {
+		step, stepsLeft, since = c+1, stepsLeft-1, since+1
 		if opt.Progress != nil {
 			opt.Progress(step, norm)
 		}
 		if opt.LogEvery > 0 && opt.Log != nil && step%opt.LogEvery == 0 {
 			fmt.Fprintf(opt.Log, "step %5d  res %.6e  cells %d  epochs %d\n", step, norm, m.NT(), epochs)
 		}
-		if !timeAccurate && opt.Tolerance > 0 && len(history) > 0 && norm/history[0] < opt.Tolerance {
-			res.Converged = true
+	}
+	if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {
+		lo.CheckpointEvery = opt.CheckpointEvery
+		lo.Checkpoint = func(history []float64) error {
+			if len(history) == lo.MaxCycles {
+				// The interval's last step: either the run is over, or the
+				// epoch below decides (a resume never replays a refinement).
+				return nil
+			}
+			return opt.OnCheckpoint(snapshot(history))
+		}
+	}
+
+	for {
+		// One solve interval: the loop, to the step the next epoch is due
+		// after — if that is not the run's last — or to the end.
+		lo.MaxCycles = step + stepsLeft
+		if due := max(interval-since, 1); epochs < maxEpochs && m.NT() < budget && due < stepsLeft {
+			lo.MaxCycles = step + due
+		}
+		t0 := time.Now()
+		lr, err := runloop.Run(eng, history, lo)
+		acc.Add(phSolve, time.Since(t0), 0)
+		if err != nil {
+			return nil, fmt.Errorf("adapt: %w", err)
+		}
+		res.Result, history = *lr, lr.History
+		if lr.Cancelled {
+			res.Snap = snapshot(history)
+		}
+		if lr.Cancelled || lr.Converged || lr.Diverged || stepsLeft == 0 {
 			break
 		}
 
-		if since >= interval && epochs < maxEpochs && m.NT() < budget && stepsLeft > 0 {
+		if since >= interval && epochs < maxEpochs && m.NT() < budget {
 			epochStart := time.Now()
 			t0 = epochStart
+			w = eng.Solution()
 			eta := ind.compute(m, w, p)
 			marked, nmark := markCells(eta, frac, theta, budget, m.NT())
 			acc.Add(phIndicator, time.Since(t0), 0)
@@ -365,7 +355,7 @@ func Run(opt Options) (*Result, error) {
 			}
 
 			tR := time.Now()
-			err = eng.rebuild(r.Mesh, p)
+			err = eng.Rebuild(r.Mesh, p, wNew)
 			rebuildDur := time.Since(tR)
 			if err != nil {
 				return nil, fmt.Errorf("adapt: epoch %d rebuild: %w", epochs+1, err)
@@ -374,7 +364,7 @@ func Run(opt Options) (*Result, error) {
 			st.RebuildNS = int64(rebuildDur)
 
 			cellsRefined += r.Mesh.NT() - m.NT()
-			m, w = r.Mesh, wNew
+			m = r.Mesh
 			epochs++
 			res.Epochs = append(res.Epochs, st)
 			if atrack != nil {
@@ -388,28 +378,15 @@ func Run(opt Options) (*Result, error) {
 					float64(st.RebuildNS)/1e6)
 			}
 			if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(snapshot()); err != nil {
+				if err := opt.OnCheckpoint(snapshot(history)); err != nil {
 					return nil, fmt.Errorf("adapt: checkpoint after epoch %d: %w", epochs, err)
 				}
 			}
-			continue
-		}
-
-		if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil && step%opt.CheckpointEvery == 0 && stepsLeft > 0 {
-			if err := opt.OnCheckpoint(snapshot()); err != nil {
-				return nil, fmt.Errorf("adapt: checkpoint at step %d: %w", step, err)
-			}
 		}
 	}
 
-	res.Steps = step
-	res.History = history
-	if len(history) > 0 {
-		res.InitialNorm = history[0]
-		res.FinalNorm = history[len(history)-1]
-	}
+	res.Steps, res.Solution = res.Cycles, res.FineSolution
 	res.Mesh = m
-	res.Solution = w
 	res.CellsRefined = cellsRefined
 	res.Stats = acc.Stats()
 	return res, nil

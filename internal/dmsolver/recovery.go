@@ -8,13 +8,15 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshio"
+	"eul3d/internal/runloop"
 	"eul3d/internal/simnet"
-	"eul3d/internal/trace"
 )
 
-// This file is the recovery orchestrator: a loop around the distributed
-// cycle that gives the solver the resilience machinery of a real runtime.
-// Three mechanisms compose:
+// This file is the recovery orchestrator: a stepper around the distributed
+// cycle that gives the solver the resilience machinery of a real runtime
+// under the one convergence loop (internal/runloop). It keeps the last
+// snapshot and answers a failed cycle with runloop.Rewind. Three mechanisms
+// compose:
 //
 //   - periodic checkpoints (in memory, optionally mirrored to disk as
 //     atomic CRC-trailered files) snapshot the fine-grid solution, cycle
@@ -75,45 +77,12 @@ type RunOptions struct {
 	BlowupFactor float64
 }
 
-// RunResult summarizes a fault-tolerant distributed run.
+// RunResult summarizes a fault-tolerant distributed run: the loop's result
+// (FineSolution is a gathered copy) and what recovering cost.
 type RunResult struct {
-	Cycles       int
-	History      []float64
-	InitialNorm  float64
-	FinalNorm    float64
-	Converged    bool
-	Ordersof10   float64
-	Recoveries   int // crash recoveries performed
-	CFLBackoffs  int // divergence-watchdog retries performed
-	FineSolution []euler.State
-}
-
-// snapshot is the in-memory checkpoint the orchestrator rewinds to.
-type snapshot struct {
-	cycle   int
-	cfl     float64
-	history []float64
-	sol     []euler.State
-}
-
-func (s *Solver) takeSnapshot(cycle int, history []float64) snapshot {
-	return snapshot{
-		cycle:   cycle,
-		cfl:     s.P.CFL,
-		history: append([]float64(nil), history...),
-		sol:     s.GatherSolution(),
-	}
-}
-
-// restoreSnapshot rewinds the solver to a snapshot: every partition's
-// owned and ghost values are rebuilt from the global solution, and the
-// transport layer is reset so the replay starts from a clean
-// bulk-synchronous slate.
-func (s *Solver) restoreSnapshot(sn snapshot) {
-	s.Fabric.Repair()
-	if err := s.SetFineSolution(sn.sol); err != nil {
-		panic("dmsolver: snapshot does not match solver: " + err.Error()) // impossible: snapshots come from this solver
-	}
+	runloop.Result
+	Recoveries  int // crash recoveries performed
+	CFLBackoffs int // divergence-watchdog retries performed
 }
 
 // SetFineSolution overwrites the fine-grid solution from a global state
@@ -136,129 +105,146 @@ func (s *Solver) SetFineSolution(sol []euler.State) error {
 	return nil
 }
 
+// recovering is the stepper Run hands the loop: the distributed cycle, the
+// checkpoint it can be put back to, and the budgets that bound how often.
+type recovering struct {
+	s   *Solver
+	opt RunOptions // budgets and blow-up factor defaulted
+
+	// snap is the rewind point: the last periodic checkpoint, or the run's
+	// start. Its history aliases the loop's, whose first snap.Cycle entries
+	// no rewind ever rewrites.
+	snap                 *meshio.Checkpoint
+	initial              float64 // the history's first residual: what the watchdog measures a blow-up against
+	recoveries, backoffs int
+}
+
+func (r *recovering) Solution() []euler.State { return r.s.GatherSolution() }
+
+// checkpoint is the loop's cadence hook: a new rewind point, mirrored to
+// disk when the run has a path.
+func (r *recovering) checkpoint(history []float64) error {
+	meta := runloop.Meta{Mach: r.opt.Mach, AlphaDeg: r.opt.AlphaDeg, CFL: r.s.P.CFL}
+	r.snap = meta.Checkpoint(history, r.s.GatherSolution())
+	r.s.markIncident("checkpoint", r.snap.Cycle)
+	if r.opt.CheckpointPath == "" {
+		return nil
+	}
+	return meshio.SaveCheckpoint(r.opt.CheckpointPath, r.snap)
+}
+
+// rewind puts the solver back to the rewind point at the given CFL: every
+// partition's owned and ghost values are rebuilt from the global solution,
+// and the transport layer is reset so the replay starts from a clean
+// bulk-synchronous slate. It returns what tells the loop to replay.
+func (r *recovering) rewind(cfl float64) error {
+	r.s.Fabric.Repair()
+	if err := r.s.SetFineSolution(r.snap.Sol); err != nil {
+		panic("dmsolver: snapshot does not match solver: " + err.Error()) // impossible: snapshots come from this solver
+	}
+	r.s.P.CFL = cfl
+	return runloop.Rewind{To: r.snap.Cycle}
+}
+
+// Cycle runs cycle c. A node crash inside the recovery budget, or a
+// residual the watchdog rejects inside the backoff budget, rewinds — CFL
+// restored or halved — and makes the loop replay from there; outside the
+// budgets either ends the run.
+func (r *recovering) Cycle(c int) (float64, error) {
+	s, opt := r.s, &r.opt
+	s.Fabric.BeginCycle(c)
+	cycle := s.Cycle
+	if opt.Concurrent {
+		cycle = s.CycleConcurrent
+	}
+	norm, err := cycle()
+	if err != nil {
+		if !errors.Is(err, simnet.ErrNodeDown) || r.recoveries >= opt.MaxRecoveries {
+			return 0, fmt.Errorf("cycle %d: %w", c, err)
+		}
+		r.recoveries++
+		s.markIncident("node-crash", c)
+		if opt.Log != nil {
+			fmt.Fprintf(opt.Log, "cycle %5d  node crash (%v); restoring checkpoint at cycle %d (recovery %d/%d)\n",
+				c, err, r.snap.Cycle, r.recoveries, opt.MaxRecoveries)
+		}
+		rw := r.rewind(r.snap.CFL)
+		s.markIncident("recovery", r.snap.Cycle)
+		s.dumpIncident(opt)
+		return 0, rw
+	}
+	if c == 0 {
+		r.initial = norm
+	}
+	// The watchdog predicate: NaN/Inf, or a later residual more than
+	// BlowupFactor times the initial one.
+	blownUp := c > 0 && r.initial > 0 && norm > opt.BlowupFactor*r.initial
+	if !blownUp && !math.IsNaN(norm) && !math.IsInf(norm, 0) {
+		return norm, nil
+	}
+	s.markIncident("cfl-backoff", c)
+	if r.backoffs >= opt.MaxCFLBackoffs {
+		s.dumpIncident(opt)
+		return 0, fmt.Errorf("cycle %d: residual %g diverged (initial %g)", c, norm, r.initial)
+	}
+	r.backoffs++
+	newCFL := s.P.CFL * 0.5
+	if opt.Log != nil {
+		fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e diverging; CFL %.3g -> %.3g, retrying from cycle %d (backoff %d/%d)\n",
+			c, norm, s.P.CFL, newCFL, r.snap.Cycle, r.backoffs, opt.MaxCFLBackoffs)
+	}
+	rw := r.rewind(newCFL) // keep the reduced CFL, not the checkpointed one
+	s.dumpIncident(opt)
+	return 0, rw
+}
+
 // Run drives the distributed solve to convergence or the cycle limit,
 // surviving seeded interconnect faults and node crashes when checkpointing
 // is enabled. Under any fault schedule the solver heals from, the final
 // solution and residual history are bitwise identical to the fault-free
 // run.
 func (s *Solver) Run(opt RunOptions) (*RunResult, error) {
-	if opt.MaxCycles <= 0 {
-		return nil, fmt.Errorf("dmsolver: MaxCycles must be positive")
+	r := &recovering{s: s, opt: opt}
+	if opt.MaxRecoveries == 0 {
+		r.opt.MaxRecoveries = 3
 	}
-	maxRecoveries := opt.MaxRecoveries
-	if maxRecoveries == 0 {
-		maxRecoveries = 3
+	if opt.MaxCFLBackoffs == 0 {
+		r.opt.MaxCFLBackoffs = 2
 	}
-	maxBackoffs := opt.MaxCFLBackoffs
-	if maxBackoffs == 0 {
-		maxBackoffs = 2
+	if opt.BlowupFactor == 0 {
+		r.opt.BlowupFactor = 1e4
 	}
-	blowup := opt.BlowupFactor
-	if blowup == 0 {
-		blowup = 1e4
-	}
-
-	res := &RunResult{}
-	var history []float64
-	c := 0
-	if opt.Resume != nil {
-		if len(opt.Resume.History) != opt.Resume.Cycle {
-			return nil, fmt.Errorf("dmsolver: checkpoint at cycle %d has %d history entries", opt.Resume.Cycle, len(opt.Resume.History))
+	var prior []float64
+	if ck := opt.Resume; ck != nil {
+		if len(ck.History) != ck.Cycle {
+			return nil, fmt.Errorf("dmsolver: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
 		}
-		if err := s.SetFineSolution(opt.Resume.Sol); err != nil {
+		if err := s.SetFineSolution(ck.Sol); err != nil {
 			return nil, err
 		}
-		if opt.Resume.CFL > 0 {
-			s.P.CFL = opt.Resume.CFL
+		if ck.CFL > 0 {
+			s.P.CFL = ck.CFL
 		}
-		c = opt.Resume.Cycle
-		history = append(history, opt.Resume.History...)
+		prior = append(prior, ck.History...)
+		if ck.Cycle > 0 {
+			r.initial = prior[0]
+		}
 	}
 	// Always hold a rewind point, even before the first periodic interval.
-	ckpt := s.takeSnapshot(c, history)
+	r.snap = runloop.Meta{CFL: s.P.CFL}.Checkpoint(prior, s.GatherSolution())
 
-	cycleOnce := func() (float64, error) {
-		if opt.Concurrent {
-			return s.CycleConcurrent()
-		}
-		return s.Cycle()
+	res, err := runloop.Run(r, prior, runloop.Options{
+		MaxCycles:       opt.MaxCycles,
+		Tolerance:       opt.Tolerance,
+		LogEvery:        opt.LogEvery,
+		Log:             opt.Log,
+		CheckpointEvery: opt.CheckpointEvery,
+		Checkpoint:      r.checkpoint,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dmsolver: %w", err)
 	}
-
-	for c < opt.MaxCycles {
-		s.Fabric.BeginCycle(c)
-		norm, err := cycleOnce()
-		if err != nil {
-			if errors.Is(err, simnet.ErrNodeDown) && maxRecoveries > 0 && res.Recoveries < maxRecoveries {
-				res.Recoveries++
-				s.markIncident(func(st *solverTrace) trace.PhaseID { return st.phCrash }, int64(c))
-				if opt.Log != nil {
-					fmt.Fprintf(opt.Log, "cycle %5d  node crash (%v); restoring checkpoint at cycle %d (recovery %d/%d)\n",
-						c, err, ckpt.cycle, res.Recoveries, maxRecoveries)
-				}
-				s.restoreSnapshot(ckpt)
-				s.markIncident(func(st *solverTrace) trace.PhaseID { return st.phRecov }, int64(ckpt.cycle))
-				s.dumpIncident(&opt)
-				s.P.CFL = ckpt.cfl
-				history = append(history[:0], ckpt.history...)
-				c = ckpt.cycle
-				continue
-			}
-			return nil, fmt.Errorf("dmsolver: cycle %d: %w", c, err)
-		}
-		if diverged(norm, history, blowup) {
-			s.markIncident(func(st *solverTrace) trace.PhaseID { return st.phBack }, int64(c))
-			if maxBackoffs > 0 && res.CFLBackoffs < maxBackoffs {
-				res.CFLBackoffs++
-				newCFL := s.P.CFL * 0.5
-				if opt.Log != nil {
-					fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e diverging; CFL %.3g -> %.3g, retrying from cycle %d (backoff %d/%d)\n",
-						c, norm, s.P.CFL, newCFL, ckpt.cycle, res.CFLBackoffs, maxBackoffs)
-				}
-				s.restoreSnapshot(ckpt)
-				s.P.CFL = newCFL // keep the reduced CFL, not the checkpointed one
-				history = append(history[:0], ckpt.history...)
-				c = ckpt.cycle
-				s.dumpIncident(&opt)
-				continue
-			}
-			s.dumpIncident(&opt)
-			return nil, fmt.Errorf("dmsolver: cycle %d: residual %g diverged (initial %g)", c, norm, initialOf(history, norm))
-		}
-		history = append(history, norm)
-		c++
-		if opt.LogEvery > 0 && opt.Log != nil && (c-1)%opt.LogEvery == 0 {
-			fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e\n", c-1, norm)
-		}
-		if opt.CheckpointEvery > 0 && c%opt.CheckpointEvery == 0 {
-			ckpt = s.takeSnapshot(c, history)
-			s.markIncident(func(st *solverTrace) trace.PhaseID { return st.phCkpt }, int64(c))
-			if opt.CheckpointPath != "" {
-				ck := &meshio.Checkpoint{
-					Cycle: ckpt.cycle, Mach: opt.Mach, AlphaDeg: opt.AlphaDeg, CFL: ckpt.cfl,
-					History: ckpt.history, Sol: ckpt.sol,
-				}
-				if err := meshio.SaveCheckpoint(opt.CheckpointPath, ck); err != nil {
-					return nil, fmt.Errorf("dmsolver: checkpoint at cycle %d: %w", c, err)
-				}
-			}
-		}
-		if opt.Tolerance > 0 && history[0] > 0 && norm/history[0] < opt.Tolerance {
-			res.Converged = true
-			break
-		}
-	}
-
-	res.Cycles = c
-	res.History = history
-	if len(history) > 0 {
-		res.InitialNorm = history[0]
-		res.FinalNorm = history[len(history)-1]
-	}
-	if res.InitialNorm > 0 && res.FinalNorm > 0 {
-		res.Ordersof10 = -math.Log10(res.FinalNorm / res.InitialNorm)
-	}
-	res.FineSolution = s.GatherSolution()
-	return res, nil
+	return &RunResult{Result: *res, Recoveries: r.recoveries, CFLBackoffs: r.backoffs}, nil
 }
 
 // dumpIncident writes the flight recorder to opt.IncidentPath, capturing
@@ -278,23 +264,4 @@ func (s *Solver) dumpIncident(opt *RunOptions) {
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "incident trace dumped to %s\n", opt.IncidentPath)
 	}
-}
-
-// diverged is the watchdog predicate: NaN/Inf, or a residual more than
-// factor times the initial one.
-func diverged(norm float64, history []float64, factor float64) bool {
-	if math.IsNaN(norm) || math.IsInf(norm, 0) {
-		return true
-	}
-	if len(history) == 0 {
-		return false
-	}
-	return history[0] > 0 && norm > factor*history[0]
-}
-
-func initialOf(history []float64, fallback float64) float64 {
-	if len(history) > 0 {
-		return history[0]
-	}
-	return fallback
 }

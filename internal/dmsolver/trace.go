@@ -71,11 +71,7 @@ type solverTrace struct {
 	procs []timeline   // MIMD: one per simulated processor, owned by that processor's goroutine
 	orch  *trace.Track // recovery/checkpoint instants
 
-	ph      [nSpans][2]trace.PhaseID
-	phCrash trace.PhaseID // node crash detected (arg = cycle)
-	phRecov trace.PhaseID // checkpoint restore (arg = rewound-to cycle)
-	phBack  trace.PhaseID // CFL backoff (arg = cycle)
-	phCkpt  trace.PhaseID // checkpoint taken (arg = cycle)
+	ph [nSpans][2]trace.PhaseID
 }
 
 // SetTrace attaches a flight-recorder tracer: the "comm" track carries the
@@ -98,10 +94,6 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 			st.ph[sort][dir] = tr.Phase(n)
 		}
 	}
-	st.phCrash = tr.Phase("node-crash")
-	st.phRecov = tr.Phase("recovery")
-	st.phBack = tr.Phase("cfl-backoff")
-	st.phCkpt = tr.Phase("checkpoint")
 
 	// Replay the construction timings recorded by build(). When the tracer
 	// was created after the solver these land at negative timestamps —
@@ -143,12 +135,14 @@ func (tl *timeline) mark(sort int, dir parti.Dir, arg int) {
 	tl.last = now
 }
 
-// markIncident records a recovery-orchestrator instant on the events track.
-func (s *Solver) markIncident(ph func(*solverTrace) trace.PhaseID, arg int64) {
+// markIncident records a recovery-stepper instant on the events track:
+// "node-crash", "cfl-backoff" and "checkpoint" with the cycle as arg,
+// "recovery" with the cycle rewound to.
+func (s *Solver) markIncident(incident string, arg int) {
 	if s.st == nil {
 		return
 	}
-	s.st.orch.Instant(ph(s.st), time.Now(), arg)
+	s.st.orch.Instant(s.st.tr.Phase(incident), time.Now(), int64(arg))
 }
 
 // recordBuild appends one construction timing for later replay.

@@ -3,13 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"eul3d/internal/adapt"
-	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
-	"eul3d/internal/meshio"
-	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
 
@@ -70,12 +66,7 @@ func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *t
 	} else {
 		opts.Mesh = ms[0]
 		if sc := j.Spec.scenario(); sc != nil {
-			opts.Init = sc.InitialState(ms[0])
-		} else {
-			opts.Init = make([]euler.State, ms[0].NV())
-			for i := range opts.Init {
-				opts.Init[i] = p.Freestream
-			}
+			opts.Init = sc.InitialState(ms[0]) // otherwise the freestream
 		}
 	}
 	if s.periodic() {
@@ -103,27 +94,12 @@ func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *t
 			j.mu.Lock()
 			j.adaptEpochs = res.Epochs
 			j.mu.Unlock()
-			return ran{res: adaptSolverResult(res), mesh: res.Mesh, snap: adaptSnapshot(j, res.Snap)}, nil
+			// The job keeps its result for good: hand it a copy of the loop's
+			// part, not a pointer into res, which would pin the adapted mesh.
+			lr := res.Result
+			return ran{res: &lr, mesh: res.Mesh, snap: adaptSnapshot(j, res.Snap)}, nil
 		},
 	}, nil
-}
-
-// adaptSolverResult shapes an adaptive result into the solver.Result the
-// shared run path classifies and settles (steps map onto cycles).
-func adaptSolverResult(res *adapt.Result) *solver.Result {
-	sr := &solver.Result{
-		Cycles:       res.Steps,
-		History:      res.History,
-		InitialNorm:  res.InitialNorm,
-		FinalNorm:    res.FinalNorm,
-		Converged:    res.Converged,
-		Cancelled:    res.Cancelled,
-		FineSolution: res.Solution,
-	}
-	if sr.InitialNorm > 0 && sr.FinalNorm > 0 {
-		sr.Ordersof10 = -math.Log10(sr.FinalNorm / sr.InitialNorm)
-	}
-	return sr
 }
 
 // adaptSnapshot shapes the driver's resume point for persist: the
@@ -134,14 +110,7 @@ func adaptSnapshot(j *Job, snap *adapt.Snapshot) *snapshot {
 		return nil
 	}
 	return &snapshot{
-		ck: &meshio.Checkpoint{
-			Cycle:    snap.Step,
-			Mach:     j.Spec.Mach,
-			AlphaDeg: j.Spec.AlphaDeg,
-			CFL:      j.Spec.Params().CFL,
-			History:  snap.History,
-			Sol:      snap.W,
-		},
+		ck:   j.Spec.meta().Checkpoint(snap.History, snap.W),
 		mesh: snap.Mesh,
 		adapt: &adaptSidecar{
 			EpochsDone:   snap.EpochsDone,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"eul3d/internal/mesh"
-	"eul3d/internal/meshio"
 	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
@@ -238,14 +237,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 			}
 			out := ran{res: res, mesh: ms[0]}
 			if res.Cancelled && res.Cycles > 0 {
-				out.snap = &snapshot{ck: &meshio.Checkpoint{
-					Cycle:    res.Cycles,
-					Mach:     j.Spec.Mach,
-					AlphaDeg: j.Spec.AlphaDeg,
-					CFL:      j.Spec.Params().CFL,
-					History:  res.History,
-					Sol:      res.FineSolution,
-				}}
+				out.snap = &snapshot{ck: j.Spec.meta().Checkpoint(res.History, res.FineSolution)}
 			}
 			return out, nil
 		},

@@ -29,6 +29,7 @@ import (
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 	"eul3d/internal/store"
 )
@@ -270,6 +271,11 @@ func (s *JobSpec) Params() euler.Params {
 		return sc.Params()
 	}
 	return euler.DefaultParams(s.Mach, s.AlphaDeg)
+}
+
+// meta is what a checkpoint of this job records about the run.
+func (s *JobSpec) meta() runloop.Meta {
+	return runloop.Meta{Mach: s.Mach, AlphaDeg: s.AlphaDeg, CFL: s.Params().CFL}
 }
 
 // BuildMeshes generates or loads the job's mesh sequence (finest first;

@@ -1,14 +1,14 @@
-// Package solver provides the steady-state driver used by the command-line
-// tools and examples: it wraps the single-grid scheme and the multigrid
-// cycles behind one Run loop with residual monitoring, convergence
-// detection and iteration limits.
+// Package solver provides the steady-state engines used by the
+// command-line tools, the daemon and the examples: the single-grid scheme
+// and the multigrid cycles, sequential and pooled, each a stepper the
+// convergence loop (internal/runloop) drives.
 package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -18,6 +18,7 @@ import (
 	"eul3d/internal/meshio"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/perf"
+	"eul3d/internal/runloop"
 	"eul3d/internal/smsolver"
 	"eul3d/internal/trace"
 )
@@ -52,17 +53,8 @@ type Options struct {
 	Progress func(cycle int, norm float64)
 }
 
-// Result summarizes a run.
-type Result struct {
-	Cycles       int
-	History      []float64 // residual norm per cycle
-	InitialNorm  float64
-	FinalNorm    float64
-	Converged    bool
-	Cancelled    bool // Options.Context was cancelled before the run finished
-	Ordersof10   float64
-	FineSolution []euler.State
-}
+// Result summarizes a run: the loop's own.
+type Result = runloop.Result
 
 // stepper abstracts one solver cycle.
 type stepper interface {
@@ -70,6 +62,13 @@ type stepper interface {
 	solution() []euler.State
 	stats() perf.Stats
 	initUniform()
+}
+
+// rebuilder is implemented by the single-grid steppers, whose engines can
+// be retargeted in place at another mesh (the multigrid ones are tied to
+// their mesh sequence's transfer operators).
+type rebuilder interface {
+	rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error
 }
 
 // traceable is implemented by the steppers whose engines can attach a
@@ -99,6 +98,18 @@ func (s *singleStepper) solution() []euler.State { return s.w }
 func (s *singleStepper) stats() perf.Stats       { return s.acc.Stats() }
 func (s *singleStepper) initUniform()            { s.d.InitUniform(s.w) }
 
+func (s *singleStepper) rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
+	s.d.Retarget(m, p)
+	s.ws.Resize(m.NV())
+	s.w, s.fl = w, stepFlops(m, p)
+	return nil
+}
+
+func stepFlops(m *mesh.Mesh, p euler.Params) int64 {
+	return flops.Step(int64(m.NV()), int64(m.NE()), int64(len(m.BFaces)),
+		len(p.Stages), euler.DissipStages, p.NSmooth)
+}
+
 type mgStepper struct{ mg *multigrid.Solver }
 
 func (s *mgStepper) cycle() float64          { return s.mg.Cycle() }
@@ -116,15 +127,18 @@ func (s *smStepper) solution() []euler.State { return s.w }
 func (s *smStepper) stats() perf.Stats       { return s.sm.Stats() }
 func (s *smStepper) initUniform()            { s.sm.InitUniform(s.w) }
 
+func (s *smStepper) rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
+	s.w = w
+	return s.sm.Rebuild(m, p)
+}
+
 // NewSingleGrid builds a single-grid steady solver over m.
 func NewSingleGrid(m *mesh.Mesh, p euler.Params) *Steady {
 	d := euler.NewDisc(m, p)
 	w := make([]euler.State, m.NV())
 	d.InitUniform(w)
-	fl := flops.Step(int64(m.NV()), int64(m.NE()), int64(len(m.BFaces)),
-		len(p.Stages), euler.DissipStages, p.NSmooth)
 	return &Steady{
-		s:   &singleStepper{d: d, w: w, ws: euler.NewStepWorkspace(m.NV()), acc: perf.NewAccum("step"), fl: fl},
+		s:   &singleStepper{d: d, w: w, ws: euler.NewStepWorkspace(m.NV()), acc: perf.NewAccum("step"), fl: stepFlops(m, p)},
 		cfl: p.CFL,
 	}
 }
@@ -179,11 +193,10 @@ type Steady struct {
 	s  stepper
 	MG *multigrid.Solver // non-nil for multigrid runs
 
-	cfl        float64   // recorded in checkpoints
-	startCycle int       // first cycle index Run will execute (set by Restore)
-	prior      []float64 // residual history carried over from a checkpoint
-	close      func()    // releases stepper resources (worker pool); may be nil
-	closeOnce  sync.Once
+	cfl       float64   // recorded in checkpoints
+	prior     []float64 // residual history carried over from a checkpoint: Run picks up at cycle len(prior)
+	close     func()    // releases stepper resources (worker pool); may be nil
+	closeOnce sync.Once
 }
 
 // Stats returns the per-phase wall-clock and analytic-Mflops breakdown
@@ -221,7 +234,6 @@ func (st *Steady) Close() {
 // not one run).
 func (st *Steady) Reset() {
 	st.s.initUniform()
-	st.startCycle = 0
 	st.prior = nil
 }
 
@@ -230,15 +242,20 @@ func (st *Steady) Reset() {
 // restored, cycle numbering resumes at ck.Cycle, and ck.History is
 // prepended to the new run's history. Because the solver is deterministic,
 // the resumed history and solution are bitwise identical to an
-// uninterrupted run.
+// uninterrupted run — at the CFL the checkpoint was written at. The engine's
+// CFL is fixed when it is built, so a checkpoint that records another (a
+// distributed run whose watchdog backed off) is rejected rather than
+// continued at the CFL it diverged at.
 func (st *Steady) Restore(ck *meshio.Checkpoint) error {
 	if len(ck.History) != ck.Cycle {
 		return fmt.Errorf("solver: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
 	}
+	if ck.CFL > 0 && ck.CFL != st.cfl {
+		return fmt.Errorf("solver: checkpoint was written at CFL %g, this engine runs at %g", ck.CFL, st.cfl)
+	}
 	if err := st.SetInitial(ck.Sol); err != nil {
 		return err
 	}
-	st.startCycle = ck.Cycle
 	st.prior = append([]float64(nil), ck.History...)
 	return nil
 }
@@ -255,66 +272,53 @@ func (st *Steady) SetInitial(w []euler.State) error {
 	return nil
 }
 
+// Rebuild retargets a single-grid engine, in place, at mesh m with
+// parameters p — the adaptive driver's move between refinement epochs — and
+// takes w over as the solution on m. The pooled engine recomputes its
+// layout into the arrays it owns and keeps its worker pool; the sequential
+// one regrows its scratch. On error the engine must only be Closed.
+func (st *Steady) Rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
+	r, ok := st.s.(rebuilder)
+	if !ok {
+		return errors.New("solver: a multigrid engine cannot be rebuilt onto another mesh")
+	}
+	if len(w) != m.NV() {
+		return fmt.Errorf("solver: rebuild with %d states for %d vertices", len(w), m.NV())
+	}
+	st.cfl = p.CFL
+	return r.rebuild(m, p, w)
+}
+
+// Cycle and Solution make a Steady the runloop.Stepper it is: one cycle of
+// the underlying engine (which cannot fail), and its live fine-grid state.
+func (st *Steady) Cycle(int) (float64, error) { return st.s.cycle(), nil }
+func (st *Steady) Solution() []euler.State    { return st.s.solution() }
+
 // Run iterates until convergence or the cycle limit and returns the
 // result. After a Restore, iteration picks up at the checkpointed cycle
 // and History includes the checkpointed prefix, so MaxCycles always means
 // the total cycle count. The returned FineSolution aliases the solver's
 // state.
 func (st *Steady) Run(opt Options) (*Result, error) {
-	if opt.MaxCycles <= 0 {
-		return nil, fmt.Errorf("solver: MaxCycles must be positive")
+	lo := runloop.Options{
+		MaxCycles: opt.MaxCycles,
+		Tolerance: opt.Tolerance,
+		LogEvery:  opt.LogEvery,
+		Log:       opt.Log,
+		Context:   opt.Context,
+		Progress:  opt.Progress,
 	}
-	res := &Result{History: append([]float64(nil), st.prior...)}
-	if n := len(res.History); n > 0 {
-		res.InitialNorm = res.History[0]
-		res.FinalNorm = res.History[n-1]
-		res.Cycles = n
-	}
-	for c := st.startCycle; c < opt.MaxCycles; c++ {
-		if opt.Context != nil && opt.Context.Err() != nil {
-			res.Cancelled = true
-			break
-		}
-		norm := st.s.cycle()
-		res.History = append(res.History, norm)
-		if len(res.History) == 1 {
-			res.InitialNorm = norm
-		}
-		res.FinalNorm = norm
-		res.Cycles = c + 1
-		if opt.Progress != nil {
-			opt.Progress(c, norm)
-		}
-		if opt.LogEvery > 0 && opt.Log != nil && c%opt.LogEvery == 0 {
-			fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e\n", c, norm)
-		}
-		if opt.CheckpointEvery > 0 && opt.CheckpointPath != "" && (c+1)%opt.CheckpointEvery == 0 {
-			if err := st.saveCheckpoint(&opt, c+1, res.History); err != nil {
-				return nil, fmt.Errorf("solver: checkpoint at cycle %d: %w", c+1, err)
-			}
-		}
-		if opt.Tolerance > 0 && res.InitialNorm > 0 && norm/res.InitialNorm < opt.Tolerance {
-			res.Converged = true
-			break
+	if opt.CheckpointEvery > 0 && opt.CheckpointPath != "" {
+		// Written before the next cycle mutates what the record aliases.
+		meta := runloop.Meta{Mach: opt.Mach, AlphaDeg: opt.AlphaDeg, CFL: st.cfl}
+		lo.CheckpointEvery = opt.CheckpointEvery
+		lo.Checkpoint = func(history []float64) error {
+			return meshio.SaveCheckpoint(opt.CheckpointPath, meta.Checkpoint(history, st.s.solution()))
 		}
 	}
-	if res.InitialNorm > 0 && res.FinalNorm > 0 {
-		res.Ordersof10 = -math.Log10(res.FinalNorm / res.InitialNorm)
+	res, err := runloop.Run(st, append([]float64(nil), st.prior...), lo)
+	if err != nil {
+		return nil, fmt.Errorf("solver: %w", err)
 	}
-	res.FineSolution = st.s.solution()
 	return res, nil
-}
-
-// saveCheckpoint snapshots the live solution (copied — checkpoints must
-// not alias mutating solver state) and writes it atomically.
-func (st *Steady) saveCheckpoint(opt *Options, cycle int, history []float64) error {
-	ck := &meshio.Checkpoint{
-		Cycle:    cycle,
-		Mach:     opt.Mach,
-		AlphaDeg: opt.AlphaDeg,
-		CFL:      st.cfl,
-		History:  append([]float64(nil), history...),
-		Sol:      append([]euler.State(nil), st.s.solution()...),
-	}
-	return meshio.SaveCheckpoint(opt.CheckpointPath, ck)
 }
