@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race loc verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-smoke bench-check clean
+.PHONY: all build test race loc verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
 
 all: build
 
@@ -86,7 +86,8 @@ adapt-smoke:
 # fault-spec parser, the exact Riemann solver, the artifact blob frame
 # decoder and the refinement midpoint table (errors, never panics), and
 # the serving, cluster, artifact-store, tracing, scenario and adaptive
-# smoke tests, then the benchmark's own compile-and-gate check.
+# smoke tests, every in-tree benchmark once, then the benchmark's own
+# compile-and-gate check.
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -101,6 +102,7 @@ verify: build
 	$(GO) test -run TestTraceSmoke -count 1 ./cmd/eul3d
 	$(GO) test -run TestScenarioSmoke -count 1 ./cmd/eul3dd
 	$(GO) test -run TestAdaptSmoke -count 1 ./cmd/eul3d
+	$(MAKE) bench-intree
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 
@@ -109,6 +111,13 @@ verify: build
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/benchsm -out BENCH_smsolver.json
+
+# Every in-tree Benchmark* once. EXPERIMENTS.md quotes them and several
+# b.Fatal when an invariant breaks, so a change that breaks one must fail
+# the gate, not the next person's measurement; unlike `make bench` this
+# writes nothing.
+bench-intree:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Compile-and-gate check of the repository's benchmark (cmd/bench, the
 # program BENCHMARK.json declares). It is a module of its own, so `go build

@@ -61,8 +61,8 @@ import (
 // CommCounters tallies schedule executions per cycle class so the Delta
 // machine model can convert communication volume into time. An exchange
 // counts once, whatever it carries. Every exchange of the program is led by
-// a state array or an SoA block — each scalar it moves rides with the sums
-// of the sweep that accumulated it — so the two scalar-led fields, kept for
+// a state array — each scalar it moves rides with the sums of the sweep
+// that accumulated it — so the two scalar-led fields, kept for
 // the programs that add the four up, always read 0.
 type CommCounters struct {
 	GatherState  int64 // gathers
@@ -140,23 +140,24 @@ type Level struct {
 	// solution at every stage.
 	W, W0, Res, Smooth, RHS, Forcing, WSaved, Corr [][]euler.State
 	Dt                                             [][]float64
-	// Conv is read and written by nothing in the solver (the convective sums
-	// live in convS): an edge-span scratch kept for the exchange probe of
-	// cmd/bench, which scatter-adds it through SchedW.
-	Conv [][]euler.State
 
 	// The kernel context of each processor, over its edge span: a Disc on
 	// the local view (Edges[p], ENorm[p], BFaces[p], Vol[p]), which keeps the
-	// vertex terms p, 1/rho and c of wS; wS, the SoA copy of W the sweeps
-	// read, reloaded by every refreshW; and the edge-loop accumulators —
-	// three blocks and Num, Den, Lam, the Disc's own sensor and
-	// spectral-radius scratch. Of the Disc's copy of Params the kernels read
-	// Gas, K2, K4 and Freestream; CFL, which the recovery orchestrator
-	// changes, is only ever read from Solver.P.
-	disc                    []*euler.Disc
-	wS, convS, laplS, dissS []*euler.StateSoA
-	Num, Den, Lam           [][]float64
-	ident                   []int32 // 0, 1, 2, ...: a prefix lists all of a processor's edges, or faces, for a kernel
+	// vertex terms p, 1/rho and c of W that every refreshW recomputes, and
+	// the edge-loop accumulators — the convective, Laplacian and dissipative
+	// sums, and Num, Den, Lam, the Disc's own sensor and spectral-radius
+	// scratch. The kernels take W and the sums as blocks and the exchanges
+	// take them as the state arrays they are: a block is one State record a
+	// vertex, so there is no copy of either. Of the Disc's copy of Params
+	// the kernels read Gas, K2, K4 and Freestream; CFL, which the recovery
+	// orchestrator changes, is only ever read from Solver.P. Conv is
+	// exported for cmd/bench's exchange probe, which scatter-adds it through
+	// SchedW between cycles; every sweep zeroes it before use.
+	disc          []*euler.Disc
+	Conv          [][]euler.State
+	lapl, diss    [][]euler.State
+	Num, Den, Lam [][]float64
+	ident         []int32 // 0, 1, 2, ...: a prefix lists all of a processor's edges, or faces, for a kernel
 
 	// Multigrid transfer operators localized per processor (nil on the
 	// finest level): the rows of the global operators whose target vertex
@@ -475,22 +476,15 @@ func (lev *Level) alloc(nproc int, params euler.Params) {
 		}
 		return a
 	}
-	blocks := func() []*euler.StateSoA {
-		a := make([]*euler.StateSoA, nproc)
-		for p := range a {
-			a[p] = block(lev.EdgeSpan[p])
-		}
-		return a
-	}
 	edge, span := func(p int) int { return lev.EdgeSpan[p] }, func(p int) int { return lev.SmoothSpan[p] }
 	total, count := lev.GS.TotalSize, lev.Dist.Count
-	lev.W, lev.Conv = states(total), states(edge)
+	lev.W = states(total)
+	lev.Conv, lev.lapl, lev.diss = states(edge), states(edge), states(edge)
 	lev.Res, lev.Smooth, lev.Corr = states(span), states(span), states(span)
 	lev.W0, lev.RHS = states(count), states(count)
 	if lev.Index > 0 {
 		lev.Corr, lev.Forcing, lev.WSaved = states(total), states(total), states(count)
 	}
-	lev.wS, lev.convS, lev.laplS, lev.dissS = blocks(), blocks(), blocks(), blocks()
 
 	lev.disc = make([]*euler.Disc, nproc)
 	lev.Num, lev.Den, lev.Lam, lev.Dt = make([][]float64, nproc), make([][]float64, nproc), make([][]float64, nproc), make([][]float64, nproc)
@@ -506,17 +500,6 @@ func (lev *Level) alloc(nproc int, params euler.Params) {
 	for i := range lev.ident {
 		lev.ident[i] = int32(i)
 	}
-}
-
-// block returns an SoA block of exactly n vertices (euler.NewStateSoA
-// reserves a quarter more for adaptation epochs, which a partition never
-// sees).
-func block(n int) *euler.StateSoA {
-	b, s := make([]float64, euler.NVar*n), &euler.StateSoA{}
-	for k := range s.Comp {
-		s.Comp[k] = b[k*n : (k+1)*n : (k+1)*n]
-	}
-	return s
 }
 
 // InitUniform sets every level to the freestream state (owned and ghost).

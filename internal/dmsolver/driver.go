@@ -31,8 +31,8 @@ type driver interface {
 }
 
 // count tallies one execution of an exchange in direction dir. An exchange
-// has no other class: whatever it carries, a state array or an SoA block
-// leads it (see CommCounters).
+// has no other class: whatever it carries, a state array leads it (see
+// CommCounters).
 func (s *Solver) count(dir parti.Dir) {
 	if dir == parti.Gather {
 		s.Comm.GatherState++

@@ -21,12 +21,12 @@ import (
 // The phases hold no arithmetic of their own. An edge or boundary-face
 // loop is the kernel the pooled engine runs per color (euler's
 // kernels_soa.go), here over all of processor p's local edges or faces, on
-// p's SoA blocks over [owned | edge ghosts]; a vertex sweep hands the owned
-// prefix [0, Dist.Count(p)) of p's AoS arrays to the function the sequential
-// engine runs over the whole mesh — euler's reference vertex functions, and
+// p's arrays over [owned | edge ghosts] viewed as blocks (euler.Block); a
+// vertex sweep hands the owned prefix [0, Dist.Count(p)) of p's arrays to
+// the function the sequential engine runs over the whole mesh — euler's
+// reference vertex functions, and
 // for the inter-grid pieces multigrid's TransferOp and FAS range functions.
-// The smoother's edge loop is still the reference SmoothAccum: on these
-// lists in natural order the AoS loop is the faster one (EXPERIMENTS.md).
+// The smoother is the reference SmoothGather over the owned rows.
 
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
@@ -41,17 +41,17 @@ func each(x driver, phase func(p int)) {
 
 // refreshW gathers level lev's flow-variable ghosts through sch — SchedW,
 // the ghosts the sweeps read, or a merged schedule that contains it — and
-// reloads the SoA copy of W the sweeps read, with its vertex terms (p,
-// 1/rho, c), over [owned | edge ghosts] in one sweep.
+// recomputes the vertex terms (p, 1/rho, c) of W, which the sweeps read as
+// their solution block, over [owned | edge ghosts].
 func (s *Solver) refreshW(x driver, lev *Level, sch *parti.Schedule) error {
 	if err := x.exchange(parti.Gather, sch, lev, parti.States(lev.W)); err != nil {
 		return err
 	}
-	each(x, func(p int) { lev.disc[p].ResInitSoAKernel(lev.W[p], lev.wS[p], 0, lev.EdgeSpan[p]) })
+	each(x, func(p int) { lev.disc[p].ResInitSoAKernel(lev.W[p], euler.Block(&lev.W[p]), 0, lev.EdgeSpan[p]) })
 	return nil
 }
 
-// dissipation finishes D(w) into lev.dissS from pass-1 sums complete at
+// dissipation finishes D(w) into lev.diss from pass-1 sums complete at
 // their owners: the shock switch, the re-gather of Laplacian and switch in
 // one exchange, then pass 2 with its closing scatter-add — the
 // consecutive-loop structure that motivates the paper's incremental
@@ -61,39 +61,38 @@ func (s *Solver) dissipation(x driver, lev *Level) error {
 		n := lev.Dist.Count(p)
 		euler.ShockSwitch(lev.Num[p][:n], lev.Den[p][:n])
 	})
-	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.Blocks(lev.laplS).And(parti.Floats(lev.Num))); err != nil {
+	if err := x.exchange(parti.Gather, lev.SchedW, lev, parti.States(lev.lapl).And(parti.Floats(lev.Num))); err != nil {
 		return err
 	}
 	each(x, func(p int) {
-		lev.disc[p].DissPass2SoAKernel(lev.wS[p], lev.laplS[p], lev.dissS[p], lev.Num[p], lev.ident[:len(lev.Edges[p])])
+		lev.disc[p].DissPass2SoAKernel(euler.Block(&lev.W[p]), euler.Block(&lev.lapl[p]), euler.Block(&lev.diss[p]), lev.Num[p], lev.ident[:len(lev.Edges[p])])
 	})
-	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.Blocks(lev.dissS))
+	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(lev.diss))
 }
 
 // residual computes R = Q - D (+ forcing if withForcing) into lev.Res at
-// owned vertices, from the block and vertex terms refreshW has made
-// current. One edge sweep and one face sweep accumulate everything the
+// owned vertices, from the W and vertex terms refreshW has made current. One edge sweep and one face sweep accumulate everything the
 // stage needs of w — the convective flux always, pass 1 of the dissipation
 // when diss is set, the spectral radii when lam is (only ever on a
 // dissipation stage) — and one scatter-add closes them: one message per
 // neighbour, not five. With diss false the dissipation is the one a
 // previous stage left.
 func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) error {
-	parts, sums := euler.PartConv, parti.Blocks(lev.convS)
+	parts, sums := euler.PartConv, parti.States(lev.Conv)
 	if diss {
-		parts, sums = parts|euler.PartDiss1, parti.Blocks(lev.convS, lev.laplS).And(parti.Floats(lev.Num, lev.Den))
+		parts, sums = parts|euler.PartDiss1, parti.States(lev.Conv, lev.lapl).And(parti.Floats(lev.Num, lev.Den))
 	}
 	if lam {
 		parts, sums = parts|euler.PartLam, sums.And(parti.Floats(lev.Num, lev.Den, lev.Lam))
 	}
 	each(x, func(p int) {
-		d := lev.disc[p]
-		d.StageZeroSoAKernel(lev.convS[p], lev.dissS[p], lev.laplS[p], diss, 0, lev.EdgeSpan[p])
+		d, w, conv, lapl := lev.disc[p], euler.Block(&lev.W[p]), euler.Block(&lev.Conv[p]), euler.Block(&lev.lapl[p])
+		d.StageZeroSoAKernel(conv, euler.Block(&lev.diss[p]), lapl, diss, 0, lev.EdgeSpan[p])
 		if lam {
 			clear(lev.Lam[p])
 		}
-		d.EdgeSweepSoAKernel(parts, lev.wS[p], lev.convS[p], lev.laplS[p], lev.Lam[p], lev.Num[p], lev.Den[p], lev.ident[:len(lev.Edges[p])])
-		d.BFaceSweepSoAKernel(parts&(euler.PartLam|euler.PartConv), lev.wS[p], lev.convS[p], lev.Lam[p], lev.ident[:len(lev.BFaces[p])])
+		d.EdgeSweepSoAKernel(parts, w, conv, lapl, lev.Lam[p], lev.Num[p], lev.Den[p], lev.ident[:len(lev.Edges[p])])
+		d.BFaceSweepSoAKernel(parts&(euler.PartLam|euler.PartConv), w, conv, lev.Lam[p], lev.ident[:len(lev.BFaces[p])])
 	})
 	if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, sums); err != nil {
 		return err
@@ -108,7 +107,7 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) err
 		if withForcing {
 			forcing = lev.Forcing[p]
 		}
-		lev.disc[p].CombineResidualOutKernel(lev.Res[p], lev.convS[p], lev.dissS[p], forcing, 0, lev.Dist.Count(p))
+		lev.disc[p].CombineResidualSoAKernel(euler.Block(&lev.Res[p]), euler.Block(&lev.Conv[p]), euler.Block(&lev.diss[p]), forcing, 0, lev.Dist.Count(p))
 	})
 	return nil
 }

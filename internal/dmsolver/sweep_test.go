@@ -77,11 +77,12 @@ func newOracle(lev *Level) *oracle {
 	return &oracle{pres: f(), lam: f(), num: f(), den: f(), conv: st(), lapl: st(), diss: st()}
 }
 
-// sameBlock fails unless block b equals the AoS array ref bitwise on [0, n).
-func sameBlock(t *testing.T, what string, p int, b *euler.StateSoA, ref []euler.State, n int) {
+// sameBlock fails unless the kernel's sums b equal the reference's ref
+// bitwise on [0, n).
+func sameBlock(t *testing.T, what string, p int, b, ref []euler.State, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if got := b.At(i); got != ref[i] {
+		if got := b[i]; got != ref[i] {
 			t.Fatalf("%s, processor %d, local vertex %d of %d: kernel %v, reference %v", what, p, i, n, got, ref[i])
 		}
 	}
@@ -142,13 +143,13 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 					euler.SpectralRadii(p.Gas, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], w, o.pres[q], o.lam[q])
 					euler.Convective(&p, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], w, o.pres[q], o.conv[q])
 					euler.DissPass1(lev.Edges[q], w, o.pres[q], o.lapl[q], o.num[q], o.den[q])
-					sameBlock(t, "conv before its scatter-add", q, lev.convS[q], o.conv[q], n)
-					sameBlock(t, "lapl before its scatter-add", q, lev.laplS[q], o.lapl[q], n)
+					sameBlock(t, "conv before its scatter-add", q, lev.Conv[q], o.conv[q], n)
+					sameBlock(t, "lapl before its scatter-add", q, lev.lapl[q], o.lapl[q], n)
 					sameFloats(t, "num before its scatter-add", q, lev.Num[q], o.num[q], n)
 					sameFloats(t, "den before its scatter-add", q, lev.Den[q], o.den[q], n)
 					sameFloats(t, "lam before its scatter-add", q, lev.Lam[q], o.lam[q], n)
 				}
-				if a.Width() != 13 || a.Blocks[1] == nil || a.Floats[2] == nil {
+				if a.Width() != 13 || a.States[1] == nil || a.Floats[2] == nil {
 					t.Fatalf("stage 0's scatter-add carries %d floats an item, want conv, lapl | num, den, lam = 13", a.Width())
 				}
 				// The reference's four scatter-adds, one array at a time.
@@ -159,10 +160,10 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 			case 2:
 				for q := 0; q < nproc; q++ {
 					n := count(q)
-					sameBlock(t, "conv after its scatter-add", q, lev.convS[q], o.conv[q], n)
+					sameBlock(t, "conv after its scatter-add", q, lev.Conv[q], o.conv[q], n)
 					sameFloats(t, "lam after its scatter-add", q, lev.Lam[q], o.lam[q], n)
 					euler.ShockSwitch(o.num[q][:n], o.den[q][:n])
-					sameBlock(t, "lapl after its scatter-add", q, lev.laplS[q], o.lapl[q], n)
+					sameBlock(t, "lapl after its scatter-add", q, lev.lapl[q], o.lapl[q], n)
 					sameFloats(t, "den after its scatter-add", q, lev.Den[q], o.den[q], n)
 					sameFloats(t, "shock switch", q, lev.Num[q], o.num[q], n)
 				}
@@ -170,10 +171,10 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 			case 3:
 				for q := 0; q < nproc; q++ {
 					n := lev.EdgeSpan[q]
-					sameBlock(t, "lapl after its re-gather", q, lev.laplS[q], o.lapl[q], n)
+					sameBlock(t, "lapl after its re-gather", q, lev.lapl[q], o.lapl[q], n)
 					sameFloats(t, "shock switch after its re-gather", q, lev.Num[q], o.num[q], n)
 					euler.DissPass2(&p, lev.Edges[q], lev.ENorm[q], lev.W[q], o.pres[q], o.lapl[q], o.num[q], o.diss[q])
-					sameBlock(t, "diss before its scatter-add", q, lev.dissS[q], o.diss[q], n)
+					sameBlock(t, "diss before its scatter-add", q, lev.diss[q], o.diss[q], n)
 				}
 				mirror(dir, parti.States(o.diss))
 			}
@@ -190,7 +191,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 		res := make([]euler.State, m.NV())
 		for q := 0; q < nproc; q++ {
 			n := count(q)
-			sameBlock(t, "diss after its scatter-add", q, lev.dissS[q], o.diss[q], n)
+			sameBlock(t, "diss after its scatter-add", q, lev.diss[q], o.diss[q], n)
 			euler.CombineResidual(res[:n], o.conv[q], o.diss[q], nil)
 			for i := 0; i < n; i++ {
 				if lev.Res[q][i] != res[i] {
@@ -204,7 +205,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 		convOnly := hookDriver{seqDriver{s}, func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
 			for q := 0; q < nproc; q++ {
 				euler.Convective(&p, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], lev.W[q], o.pres[q], o.conv[q])
-				sameBlock(t, "conv of a convective-only stage", q, lev.convS[q], o.conv[q], lev.EdgeSpan[q])
+				sameBlock(t, "conv of a convective-only stage", q, lev.Conv[q], o.conv[q], lev.EdgeSpan[q])
 			}
 			if a.Width() != 5 {
 				t.Fatalf("a convective-only stage scatter-adds %d floats an item, want 5", a.Width())
@@ -216,7 +217,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 		}
 		for q := 0; q < nproc; q++ {
 			n := count(q)
-			sameBlock(t, "frozen diss", q, lev.dissS[q], o.diss[q], n)
+			sameBlock(t, "frozen diss", q, lev.diss[q], o.diss[q], n)
 			sameFloats(t, "lam of a stage without the part", q, lev.Lam[q], o.lam[q], n)
 			euler.CombineResidual(res[:n], o.conv[q], o.diss[q], nil)
 			for i := 0; i < n; i++ {
@@ -228,17 +229,26 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 	}
 }
 
+// poisonTerms overwrites processor p's vertex terms p, 1/rho and c with NaN
+// over the whole edge span, ghost range included — through the one door
+// this package has to them, the kernel that loads a block, run on an all-NaN
+// field into a throwaway block.
+func poisonTerms(lev *Level, p int, nan []euler.State) {
+	lev.disc[p].ResInitSoAKernel(nan, euler.NewStateSoA(lev.EdgeSpan[p]), 0, lev.EdgeSpan[p])
+}
+
 // poisonBeforeRefresh returns a driver that runs the program on x and, ahead
-// of the gather that opens every refreshW, overwrites the SoA solution block
-// and the vertex terms p, 1/rho and c of every processor x executes with
-// NaN over the whole edge span, ghost range included — through the one door
-// this package has to the terms, the kernel that loads a block, on an
-// all-NaN field. W is gathered by refreshW and by nothing else, through SchedW
+// of the gather that opens every refreshW, poisons the vertex terms and the
+// ghost range of W — the edge ghosts the sweeps read — of every processor x
+// executes. W is gathered by refreshW and by nothing else, through SchedW
 // or, after a step that a restriction follows, the merged schedule around it.
 func poisonBeforeRefresh(x driver, nan [][]euler.State) driver {
 	return hookDriver{x, func(x driver, dir parti.Dir, sch *parti.Schedule, lev *Level, a parti.Arrays) {
 		if dir == parti.Gather && a.States[0] != nil && &a.States[0][0] == &lev.W[0] {
-			each(x, func(p int) { lev.disc[p].ResInitSoAKernel(nan[lev.Index], lev.wS[p], 0, lev.EdgeSpan[p]) })
+			each(x, func(p int) {
+				poisonTerms(lev, p, nan[lev.Index])
+				copy(lev.W[p][lev.Dist.Count(p):lev.EdgeSpan[p]], nan[lev.Index])
+			})
 		}
 	}}
 }
@@ -276,7 +286,7 @@ func TestGhostVertexTermsNeverStale(t *testing.T) {
 	// Teeth: a poisoned context, not refreshed, reaches the sweep.
 	s := chaosSolver(t)
 	lev := s.Levels[0]
-	each(seqDriver{s}, func(p int) { lev.disc[p].ResInitSoAKernel(nanField(s)[0], lev.wS[p], 0, lev.EdgeSpan[p]) })
+	each(seqDriver{s}, func(p int) { poisonTerms(lev, p, nanField(s)[0]) })
 	if err := s.residual(seqDriver{s}, lev, false, true, true); err != nil {
 		t.Fatal(err)
 	}

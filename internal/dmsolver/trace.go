@@ -17,7 +17,7 @@ import (
 //
 //   - sequential driver: every whole-schedule collective becomes a span on
 //     the "comm" track ("gather-states" or "scatter-states" — every
-//     exchange is led by a state array or an SoA block; arg = level);
+//     exchange is led by a state array; arg = level);
 //   - MIMD driver: every per-processor exchange half becomes a span on that
 //     processor's track ("send-gather"/"recv-gather"/"send-scatter"/
 //     "recv-scatter") with the bulk-synchronous "barrier" waits between

@@ -7,20 +7,26 @@ import (
 )
 
 // BenchmarkReferenceVsSoA times the three edge-loop shapes of a stage both
-// ways — the reference functions of ops.go on []State, and the SoA kernels
-// over an identity edge list — single-threaded on the 48x24x16 channel in
-// its natural (generation) order: the mesh of cmd/bench's distributed
-// workload and the order a partition's local lists keep, where
-// BenchmarkEdgeSweep compares the orders a pooled engine can walk. A
-// stage row includes what the form pays per stage besides the edge loops
-// (pressures or the block load with its vertex terms, the zeroing, the face
-// loop, the shock switch). ns/edge is the figure EXPERIMENTS.md quotes; it
-// is what sized the distributed solver's move to the kernels. The smoother
-// has four rows — one Jacobi sweep's neighbour sums in edge form (the
-// accumulation alone: its zeroing and combine pass are not in the row) and
-// the whole sweep in gather form over rows in edge order, each AoS and SoA:
-// the gather form is what the distributed solver runs AoS and the pooled
-// engine SoA.
+// ways — the reference functions of ops.go on []State, and the range
+// kernels of kernels_soa.go over an identity edge list — single-threaded on
+// the 48x24x16 channel in its natural (generation) order: the mesh of
+// cmd/bench's distributed workload and the order a partition's local lists
+// keep, where BenchmarkEdgeSweep compares the orders a pooled engine can
+// walk. Both forms read the same 40-byte records now; what a row pair
+// compares is the code — the reference's per-edge pressures-only vertex
+// terms and k loops against the kernels' hoisted 1/rho and sound speed and
+// unrolled components. A stage row includes what the form pays per stage
+// besides the edge loops (pressures or the block refresh with its vertex
+// terms, the zeroing, the face loop, the shock switch). ns/edge is the
+// figure EXPERIMENTS.md quotes; it is what sized the distributed solver's
+// move to the kernels. The smoother has four rows — one Jacobi sweep's
+// neighbour sums in edge form (the accumulation alone: its zeroing and
+// combine pass are not in the row), ops.go's SmoothAccum against
+// SmoothAccumSoAKernel, and the whole sweep in gather form over rows in
+// edge order, ops.go's SmoothGather (out of line, one State store a vertex:
+// what the distributed solver runs) against SmoothGatherSoAKernel (five
+// component stores: what the pooled engine runs). The
+// "aos" and "soa" suffixes name the two statements, no longer two layouts.
 func BenchmarkReferenceVsSoA(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(48, 24, 16, 17))
 	if err != nil {
@@ -37,7 +43,7 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 	pres, lam, num, den := make([]float64, nv), make([]float64, nv), make([]float64, nv), make([]float64, nv)
 	conv, lapl, diss := make([]State, nv), make([]State, nv), make([]State, nv)
 	wS, convS, laplS, dissS := NewStateSoA(nv), NewStateSoA(nv), NewStateSoA(nv), NewStateSoA(nv)
-	wS.FromStates(w, 0, nv)
+	copy(*wS, w)
 	edges, faces := make([]int32, ne), make([]int32, len(m.BFaces))
 	for i := range edges {
 		edges[i] = int32(i)

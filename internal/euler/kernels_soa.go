@@ -6,19 +6,20 @@ import (
 	"eul3d/internal/mesh"
 )
 
-// The SoA form of the operator: range kernels over explicit edge/face index
-// subsets and vertex ranges, on StateSoA blocks instead of []State. The
-// shared-memory executor (package smsolver) calls them per color group and
-// worker chunk — the Cray autotasking decomposition of Section 3.1; within a
-// color group no two edges touch the same vertex, so the kernels are
-// race-free. The distributed solver (package dmsolver) calls the edge, face
-// and residual kernels once per simulated processor, over all of that
-// partition's local edges or faces (NewViewDisc), with the PARTI exchanges
-// between calls. Both convert at the step or stage boundaries, so every
-// public interface keeps []State. This is the second and last statement of
-// the scheme's arithmetic; the first is the reference operator in ops.go,
-// which the sequential engine drives and whose vertex functions and
-// smoother the distributed one still calls.
+// The range form of the operator: kernels over explicit edge/face index
+// subsets and vertex ranges, on StateSoA blocks — one State record per
+// vertex, the []State layout itself. The shared-memory executor (package
+// smsolver) calls them per color group and worker chunk — the Cray
+// autotasking decomposition of Section 3.1; within a color group no two
+// edges touch the same vertex, so the kernels are race-free. The distributed
+// solver (package dmsolver) calls the edge, face and residual kernels once
+// per simulated processor, over all of that partition's local edges or
+// faces (NewViewDisc), with the PARTI exchanges between calls. Both hand
+// their []State arrays to the kernels as blocks (Block), so nothing is
+// converted anywhere. This is the second and last statement of the scheme's
+// arithmetic; the first is the reference operator in ops.go, which the
+// sequential engine drives and whose vertex functions and smoother the
+// distributed one still calls.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor
@@ -44,12 +45,15 @@ import (
 // spectral-radius lines mirror FluxDotN and SpectralRadius term for term;
 // fusing parts leaves every slot the same additions in the same edge order.
 //
-// Performance note: every kernel hoists the component slices into locals
-// (indexing Comp[k] per edge reloads a slice header per component) and
-// unrolls the component dimension. The edge loops gather into scalar locals,
-// not State{...} temporaries for FluxDotN/SpectralRadius: Go keeps arrays
-// longer than one element on the stack, a store and a reload per component,
-// and SpectralRadius, past the inlining budget, is a call per edge.
+// Performance note: an edge gathers each end as one record (&w[i], one
+// bounds check, then five constant-index loads from one or two cache lines)
+// and accumulates through &acc[i] the same way; five component streams cost
+// up to five lines an end and lost on every sweep an engine runs, by a
+// quarter to a half (EXPERIMENTS.md, "One record per vertex"). The
+// component dimension stays unrolled into scalar locals, not State{...}
+// temporaries for FluxDotN/SpectralRadius: Go keeps arrays longer than one
+// element on the stack, a store and a reload per component, and
+// SpectralRadius, past the inlining budget, is a call per edge.
 
 // NewViewDisc returns a discretization for running the edge, face and
 // residual kernels over a view of a mesh: m lists the edges with their dual
@@ -86,7 +90,7 @@ func (d *Disc) Sensor() []float64 { return d.sensor }
 func (d *Disc) Den() []float64 { return d.den }
 
 // NuRangeKernel converts the sensor sums to the shock switch for vertices
-// [lo,hi): the reference ShockSwitch on a range (no layout to convert).
+// [lo,hi): the reference ShockSwitch on a range.
 func (d *Disc) NuRangeKernel(num, den []float64, lo, hi int) {
 	ShockSwitch(num[lo:hi], den[lo:hi])
 }
@@ -105,35 +109,35 @@ func (d *Disc) setVertexTerms(i int, rho, p float64) {
 }
 
 // StepInitSoAKernel fuses the time-step preamble for vertices [lo,hi):
-// load w into the SoA solution block and the stage-0 snapshot, refresh the
-// vertex terms, and reset the spectral-radius accumulator.
+// copy w into the solution block and the stage-0 snapshot, refresh the
+// vertex terms, and reset the spectral-radius accumulator. wS may be w
+// itself (Block(&w)), as the pooled engine passes it.
 func (d *Disc) StepInitSoAKernel(w []State, wS, w0S *StateSoA, lo, hi int) {
 	g := d.P.Gas
-	s0, s1, s2, s3, s4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	z0, z1, z2, z3, z4 := w0S.Comp[0], w0S.Comp[1], w0S.Comp[2], w0S.Comp[3], w0S.Comp[4]
+	s, z := *wS, *w0S
 	for i := lo; i < hi; i++ {
 		st := w[i]
-		s0[i], s1[i], s2[i], s3[i], s4[i] = st[0], st[1], st[2], st[3], st[4]
-		z0[i], z1[i], z2[i], z3[i], z4[i] = st[0], st[1], st[2], st[3], st[4]
+		s[i], z[i] = st, st
 		d.setVertexTerms(i, st[0], g.Pressure(st))
 		d.lam[i] = 0
 	}
 }
 
-// ResInitSoAKernel loads w into the SoA solution block and refreshes the
-// vertex terms for vertices [lo,hi) (standalone-residual preamble).
+// ResInitSoAKernel copies w into the solution block and refreshes the
+// vertex terms for vertices [lo,hi) (standalone-residual preamble); wS may
+// be w itself.
 func (d *Disc) ResInitSoAKernel(w []State, wS *StateSoA, lo, hi int) {
 	g := d.P.Gas
-	s0, s1, s2, s3, s4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
+	s := *wS
 	for i := lo; i < hi; i++ {
 		st := w[i]
-		s0[i], s1[i], s2[i], s3[i], s4[i] = st[0], st[1], st[2], st[3], st[4]
+		s[i] = st
 		d.setVertexTerms(i, st[0], g.Pressure(st))
 	}
 }
 
-// StageZeroSoAKernel zeroes the SoA stage accumulators for vertices
-// [lo,hi): the convective residual always, and the dissipation workspace
+// StageZeroSoAKernel zeroes the stage accumulators for vertices [lo,hi):
+// the convective residual always, and the dissipation workspace
 // (Laplacian, sensor sums, dissipative residual) when zeroDiss is set.
 func (d *Disc) StageZeroSoAKernel(convS, dissS, laplS *StateSoA, zeroDiss bool, lo, hi int) {
 	convS.ZeroRange(lo, hi)
@@ -141,10 +145,8 @@ func (d *Disc) StageZeroSoAKernel(convS, dissS, laplS *StateSoA, zeroDiss bool, 
 		return
 	}
 	laplS.ZeroRange(lo, hi)
-	for i := lo; i < hi; i++ {
-		d.sensor[i] = 0
-		d.den[i] = 0
-	}
+	clear(d.sensor[lo:hi])
+	clear(d.den[lo:hi])
 	dissS.ZeroRange(lo, hi)
 }
 
@@ -163,19 +165,20 @@ const (
 func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, lam, num, den []float64, edges []int32) {
 	m := d.M
 	pres, rinv, snd := d.pres, d.rinv, d.snd
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	var c0, c1, c2, c3, c4, l0, l1, l2, l3, l4 []float64
+	w := *wS
+	var conv, lapl StateSoA
 	if parts&PartConv != 0 {
-		c0, c1, c2, c3, c4 = convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+		conv = *convS
 	}
 	if parts&PartDiss1 != 0 {
-		l0, l1, l2, l3, l4 = laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
+		lapl = *laplS
 	}
 	for _, e := range edges {
 		ed := m.Edges[e]
 		i, j := ed[0], ed[1]
-		a0, a1, a2, a3, a4 := w0[i], w1[i], w2[i], w3[i], w4[i]
-		b0, b1, b2, b3, b4 := w0[j], w1[j], w2[j], w3[j], w4[j]
+		wi, wj := &w[i], &w[j]
+		a0, a1, a2, a3, a4 := wi[0], wi[1], wi[2], wi[3], wi[4]
+		b0, b1, b2, b3, b4 := wj[0], wj[1], wj[2], wj[3], wj[4]
 		pi, pj := pres[i], pres[j]
 		if parts&(PartLam|PartConv) != 0 {
 			n := m.EdgeNorm[e]
@@ -197,29 +200,31 @@ func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, 
 				f2 := 0.5 * ((a2*ui + pi*n.Y) + (b2*uj + pj*n.Y))
 				f3 := 0.5 * ((a3*ui + pi*n.Z) + (b3*uj + pj*n.Z))
 				f4 := 0.5 * ((a4+pi)*ui + (b4+pj)*uj)
-				c0[i] += f0
-				c0[j] -= f0
-				c1[i] += f1
-				c1[j] -= f1
-				c2[i] += f2
-				c2[j] -= f2
-				c3[i] += f3
-				c3[j] -= f3
-				c4[i] += f4
-				c4[j] -= f4
+				ci, cj := &conv[i], &conv[j]
+				ci[0] += f0
+				cj[0] -= f0
+				ci[1] += f1
+				cj[1] -= f1
+				ci[2] += f2
+				cj[2] -= f2
+				ci[3] += f3
+				cj[3] -= f3
+				ci[4] += f4
+				cj[4] -= f4
 			}
 		}
 		if parts&PartDiss1 != 0 {
-			l0[i] += b0 - a0
-			l0[j] -= b0 - a0
-			l1[i] += b1 - a1
-			l1[j] -= b1 - a1
-			l2[i] += b2 - a2
-			l2[j] -= b2 - a2
-			l3[i] += b3 - a3
-			l3[j] -= b3 - a3
-			l4[i] += b4 - a4
-			l4[j] -= b4 - a4
+			li, lj := &lapl[i], &lapl[j]
+			li[0] += b0 - a0
+			lj[0] -= b0 - a0
+			li[1] += b1 - a1
+			lj[1] -= b1 - a1
+			li[2] += b2 - a2
+			lj[2] -= b2 - a2
+			li[3] += b3 - a3
+			lj[3] -= b3 - a3
+			li[4] += b4 - a4
+			lj[4] -= b4 - a4
 			dp := pj - pi
 			num[i] += dp
 			num[j] -= dp
@@ -252,35 +257,36 @@ func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edge
 	m := d.M
 	k2, k4 := d.P.K2, d.P.K4
 	rinv, snd := d.rinv, d.snd
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	l0, l1, l2, l3, l4 := laplS.Comp[0], laplS.Comp[1], laplS.Comp[2], laplS.Comp[3], laplS.Comp[4]
-	s0, s1, s2, s3, s4 := dissS.Comp[0], dissS.Comp[1], dissS.Comp[2], dissS.Comp[3], dissS.Comp[4]
+	w, lapl, diss := *wS, *laplS, *dissS
 	for _, e := range edges {
 		ed := m.Edges[e]
 		i, j := ed[0], ed[1]
 		n := m.EdgeNorm[e]
+		wi, wj := &w[i], &w[j]
 		ri, rj := rinv[i], rinv[j]
-		u := 0.5 * (w1[i]*ri + w1[j]*rj) // SpectralRadius, as in the edge sweep
-		v := 0.5 * (w2[i]*ri + w2[j]*rj)
-		ww := 0.5 * (w3[i]*ri + w3[j]*rj)
+		u := 0.5 * (wi[1]*ri + wj[1]*rj) // SpectralRadius, as in the edge sweep
+		v := 0.5 * (wi[2]*ri + wj[2]*rj)
+		ww := 0.5 * (wi[3]*ri + wj[3]*rj)
 		lamE := math.Abs(u*n.X+v*n.Y+ww*n.Z) + 0.5*(snd[i]+snd[j])*n.Norm()
 		eps2 := k2 * math.Max(nu[i], nu[j])
 		eps4 := math.Max(0, k4-eps2)
-		f0 := lamE * (eps2*(w0[j]-w0[i]) - eps4*(l0[j]-l0[i]))
-		f1 := lamE * (eps2*(w1[j]-w1[i]) - eps4*(l1[j]-l1[i]))
-		f2 := lamE * (eps2*(w2[j]-w2[i]) - eps4*(l2[j]-l2[i]))
-		f3 := lamE * (eps2*(w3[j]-w3[i]) - eps4*(l3[j]-l3[i]))
-		f4 := lamE * (eps2*(w4[j]-w4[i]) - eps4*(l4[j]-l4[i]))
-		s0[i] += f0
-		s0[j] -= f0
-		s1[i] += f1
-		s1[j] -= f1
-		s2[i] += f2
-		s2[j] -= f2
-		s3[i] += f3
-		s3[j] -= f3
-		s4[i] += f4
-		s4[j] -= f4
+		li, lj := &lapl[i], &lapl[j]
+		f0 := lamE * (eps2*(wj[0]-wi[0]) - eps4*(lj[0]-li[0]))
+		f1 := lamE * (eps2*(wj[1]-wi[1]) - eps4*(lj[1]-li[1]))
+		f2 := lamE * (eps2*(wj[2]-wi[2]) - eps4*(lj[2]-li[2]))
+		f3 := lamE * (eps2*(wj[3]-wi[3]) - eps4*(lj[3]-li[3]))
+		f4 := lamE * (eps2*(wj[4]-wi[4]) - eps4*(lj[4]-li[4]))
+		si, sj := &diss[i], &diss[j]
+		si[0] += f0
+		sj[0] -= f0
+		si[1] += f1
+		sj[1] -= f1
+		si[2] += f2
+		sj[2] -= f2
+		si[3] += f3
+		sj[3] -= f3
+		si[4] += f4
+		sj[4] -= f4
 	}
 }
 
@@ -291,10 +297,10 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 	m := d.M
 	g := d.P.Gas
 	pres, rinv, snd := d.pres, d.rinv, d.snd
-	w0, w1, w2, w3, w4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	var c0, c1, c2, c3, c4 []float64
+	w := *wS
+	var conv StateSoA
 	if parts&PartConv != 0 {
-		c0, c1, c2, c3, c4 = convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
+		conv = *convS
 	}
 	for _, bi := range faces {
 		f := &m.BFaces[bi]
@@ -303,7 +309,8 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 		if parts&PartLam != 0 {
 			nn := n.Norm()
 			for _, v := range f.V {
-				un := (w1[v]*n.X + w2[v]*n.Y + w3[v]*n.Z) * rinv[v]
+				wv := &w[v]
+				un := (wv[1]*n.X + wv[2]*n.Y + wv[3]*n.Z) * rinv[v]
 				lam[v] += (math.Abs(un) + snd[v]*nn) / 3
 			}
 		}
@@ -316,32 +323,21 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 			p := (pres[a] + pres[b] + pres[c]) / 3
 			flux = State{0, p * n.X, p * n.Y, p * n.Z, 0}
 		case mesh.FarField:
-			wi := State{
-				(w0[a] + w0[b] + w0[c]) / 3,
-				(w1[a] + w1[b] + w1[c]) / 3,
-				(w2[a] + w2[b] + w2[c]) / 3,
-				(w3[a] + w3[b] + w3[c]) / 3,
-				(w4[a] + w4[b] + w4[c]) / 3,
+			wa, wb, wc := &w[a], &w[b], &w[c]
+			var wi State
+			for k := range wi {
+				wi[k] = (wa[k] + wb[k] + wc[k]) / 3
 			}
-			wb := FarFieldState(g, wi, d.P.Freestream, n)
-			flux = FluxDotN(wb, g.Pressure(wb), n.X, n.Y, n.Z)
+			wf := FarFieldState(g, wi, d.P.Freestream, n)
+			flux = FluxDotN(wf, g.Pressure(wf), n.X, n.Y, n.Z)
 		}
-		t0, t1, t2, t3, t4 := flux[0]/3, flux[1]/3, flux[2]/3, flux[3]/3, flux[4]/3
-		c0[a] += t0
-		c0[b] += t0
-		c0[c] += t0
-		c1[a] += t1
-		c1[b] += t1
-		c1[c] += t1
-		c2[a] += t2
-		c2[b] += t2
-		c2[c] += t2
-		c3[a] += t3
-		c3[b] += t3
-		c3[c] += t3
-		c4[a] += t4
-		c4[b] += t4
-		c4[c] += t4
+		ca, cb, cc := &conv[a], &conv[b], &conv[c]
+		for k, fk := range flux {
+			t := fk / 3
+			ca[k] += t
+			cb[k] += t
+			cc[k] += t
+		}
 	}
 }
 
@@ -365,25 +361,25 @@ func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
 // is bitwise SmoothAccumSoAKernel over the edges followed by
 // SmoothCombineSoAKernel, which remain as its oracle.
 func SmoothGatherSoAKernel(rhsS, curS, nextS *StateSoA, adjStart, adj []int32, eps float64, lo, hi int) {
-	r0, r1, r2, r3, r4 := rhsS.Comp[0], rhsS.Comp[1], rhsS.Comp[2], rhsS.Comp[3], rhsS.Comp[4]
-	a0, a1, a2, a3, a4 := curS.Comp[0], curS.Comp[1], curS.Comp[2], curS.Comp[3], curS.Comp[4]
-	n0, n1, n2, n3, n4 := nextS.Comp[0], nextS.Comp[1], nextS.Comp[2], nextS.Comp[3], nextS.Comp[4]
+	rhs, cur, next := *rhsS, *curS, *nextS
 	for i := lo; i < hi; i++ {
 		row := adj[adjStart[i]:adjStart[i+1]]
 		var s0, s1, s2, s3, s4 float64
 		for _, j := range row {
-			s0 += a0[j]
-			s1 += a1[j]
-			s2 += a2[j]
-			s3 += a3[j]
-			s4 += a4[j]
+			c := &cur[j]
+			s0 += c[0]
+			s1 += c[1]
+			s2 += c[2]
+			s3 += c[3]
+			s4 += c[4]
 		}
 		inv := 1 / (1 + eps*float64(len(row)))
-		n0[i] = (r0[i] + eps*s0) * inv
-		n1[i] = (r1[i] + eps*s1) * inv
-		n2[i] = (r2[i] + eps*s2) * inv
-		n3[i] = (r3[i] + eps*s3) * inv
-		n4[i] = (r4[i] + eps*s4) * inv
+		r, nx := &rhs[i], &next[i]
+		nx[0] = (r[0] + eps*s0) * inv
+		nx[1] = (r[1] + eps*s1) * inv
+		nx[2] = (r[2] + eps*s2) * inv
+		nx[3] = (r[3] + eps*s3) * inv
+		nx[4] = (r[4] + eps*s4) * inv
 	}
 }
 
@@ -391,21 +387,22 @@ func SmoothGatherSoAKernel(rhsS, curS, nextS *StateSoA, adjStart, adj []int32, e
 // the listed edges (the gather phase of one Jacobi sweep in edge form).
 func (d *Disc) SmoothAccumSoAKernel(curS, nextS *StateSoA, edges []int32) {
 	m := d.M
-	a0, a1, a2, a3, a4 := curS.Comp[0], curS.Comp[1], curS.Comp[2], curS.Comp[3], curS.Comp[4]
-	n0, n1, n2, n3, n4 := nextS.Comp[0], nextS.Comp[1], nextS.Comp[2], nextS.Comp[3], nextS.Comp[4]
+	cur, next := *curS, *nextS
 	for _, e := range edges {
 		ed := m.Edges[e]
 		i, j := ed[0], ed[1]
-		n0[i] += a0[j]
-		n0[j] += a0[i]
-		n1[i] += a1[j]
-		n1[j] += a1[i]
-		n2[i] += a2[j]
-		n2[j] += a2[i]
-		n3[i] += a3[j]
-		n3[j] += a3[i]
-		n4[i] += a4[j]
-		n4[j] += a4[i]
+		ci, cj := &cur[i], &cur[j]
+		ni, nj := &next[i], &next[j]
+		ni[0] += cj[0]
+		nj[0] += ci[0]
+		ni[1] += cj[1]
+		nj[1] += ci[1]
+		ni[2] += cj[2]
+		nj[2] += ci[2]
+		ni[3] += cj[3]
+		nj[3] += ci[3]
+		ni[4] += cj[4]
+		nj[4] += ci[4]
 	}
 }
 
@@ -413,55 +410,27 @@ func (d *Disc) SmoothAccumSoAKernel(curS, nextS *StateSoA, edges []int32) {
 // next = (rhs + eps*next) / (1 + eps*deg).
 func (d *Disc) SmoothCombineSoAKernel(rhsS, nextS *StateSoA, eps float64, lo, hi int) {
 	deg := d.deg
-	r0, r1, r2, r3, r4 := rhsS.Comp[0], rhsS.Comp[1], rhsS.Comp[2], rhsS.Comp[3], rhsS.Comp[4]
-	n0, n1, n2, n3, n4 := nextS.Comp[0], nextS.Comp[1], nextS.Comp[2], nextS.Comp[3], nextS.Comp[4]
+	rhs, next := *rhsS, *nextS
 	for i := lo; i < hi; i++ {
 		inv := 1 / (1 + eps*float64(deg[i]))
-		n0[i] = (r0[i] + eps*n0[i]) * inv
-		n1[i] = (r1[i] + eps*n1[i]) * inv
-		n2[i] = (r2[i] + eps*n2[i]) * inv
-		n3[i] = (r3[i] + eps*n3[i]) * inv
-		n4[i] = (r4[i] + eps*n4[i]) * inv
+		r, nx := &rhs[i], &next[i]
+		nx[0] = (r[0] + eps*nx[0]) * inv
+		nx[1] = (r[1] + eps*nx[1]) * inv
+		nx[2] = (r[2] + eps*nx[2]) * inv
+		nx[3] = (r[3] + eps*nx[3]) * inv
+		nx[4] = (r[4] + eps*nx[4]) * inv
 	}
 }
 
 // CombineResidualSoAKernel forms resS = convS - dissS (+ forcing) for
-// vertices [lo,hi). The forcing stays in its []State interface layout.
+// vertices [lo,hi).
 func (d *Disc) CombineResidualSoAKernel(resS, convS, dissS *StateSoA, forcing []State, lo, hi int) {
-	r0, r1, r2, r3, r4 := resS.Comp[0], resS.Comp[1], resS.Comp[2], resS.Comp[3], resS.Comp[4]
-	c0, c1, c2, c3, c4 := convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
-	s0, s1, s2, s3, s4 := dissS.Comp[0], dissS.Comp[1], dissS.Comp[2], dissS.Comp[3], dissS.Comp[4]
-	if forcing == nil {
-		for i := lo; i < hi; i++ {
-			r0[i] = c0[i] - s0[i]
-			r1[i] = c1[i] - s1[i]
-			r2[i] = c2[i] - s2[i]
-			r3[i] = c3[i] - s3[i]
-			r4[i] = c4[i] - s4[i]
-		}
-		return
-	}
+	res, conv, diss := *resS, *convS, *dissS
 	for i := lo; i < hi; i++ {
-		fc := forcing[i]
-		r0[i] = c0[i] - s0[i] + fc[0]
-		r1[i] = c1[i] - s1[i] + fc[1]
-		r2[i] = c2[i] - s2[i] + fc[2]
-		r3[i] = c3[i] - s3[i] + fc[3]
-		r4[i] = c4[i] - s4[i] + fc[4]
-	}
-}
-
-// CombineResidualOutKernel forms res = convS - dissS (+ forcing) for
-// vertices [lo,hi), scattering straight into the []State layout — the
-// conversion shim of the standalone residual path, whose result feeds the
-// AoS multigrid transfer operators.
-func (d *Disc) CombineResidualOutKernel(res []State, convS, dissS *StateSoA, forcing []State, lo, hi int) {
-	c0, c1, c2, c3, c4 := convS.Comp[0], convS.Comp[1], convS.Comp[2], convS.Comp[3], convS.Comp[4]
-	s0, s1, s2, s3, s4 := dissS.Comp[0], dissS.Comp[1], dissS.Comp[2], dissS.Comp[3], dissS.Comp[4]
-	for i := lo; i < hi; i++ {
-		st := State{c0[i] - s0[i], c1[i] - s1[i], c2[i] - s2[i], c3[i] - s3[i], c4[i] - s4[i]}
+		c, s := &conv[i], &diss[i]
+		st := State{c[0] - s[0], c[1] - s[1], c[2] - s[2], c[3] - s[3], c[4] - s[4]}
 		if forcing != nil {
-			fc := forcing[i]
+			fc := &forcing[i]
 			st[0] += fc[0]
 			st[1] += fc[1]
 			st[2] += fc[2]
@@ -473,33 +442,31 @@ func (d *Disc) CombineResidualOutKernel(res []State, convS, dissS *StateSoA, for
 }
 
 // UpdateFinalSoAKernel applies the last RK stage update for vertices
-// [lo,hi), scattering the result straight into the []State solution:
-// w = w0 - alpha*Dt/V * res.
+// [lo,hi) into the solution w: w = w0 - alpha*Dt/V * res.
 func (d *Disc) UpdateFinalSoAKernel(w []State, w0S, resS *StateSoA, alpha float64, lo, hi int) {
 	vol := d.M.Vol
-	z0, z1, z2, z3, z4 := w0S.Comp[0], w0S.Comp[1], w0S.Comp[2], w0S.Comp[3], w0S.Comp[4]
-	r0, r1, r2, r3, r4 := resS.Comp[0], resS.Comp[1], resS.Comp[2], resS.Comp[3], resS.Comp[4]
+	w0, res := *w0S, *resS
 	for i := lo; i < hi; i++ {
 		f := alpha * d.Dt[i] / vol[i]
-		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
-		w[i] = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
+		z, r := &w0[i], &res[i]
+		cand := State{z[0] - f*r[0], z[1] - f*r[1], z[2] - f*r[2], z[3] - f*r[3], z[4] - f*r[4]}
+		w[i] = d.P.admitUpdate(*z, cand)
 	}
 }
 
 // UpdateNextSoAKernel applies an intermediate RK stage update for vertices
-// [lo,hi) into the SoA solution block and refreshes the next stage's
-// vertex terms from the updated state in the same sweep.
+// [lo,hi) into the solution block and refreshes the next stage's vertex
+// terms from the updated state in the same sweep.
 func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, hi int) {
 	g := d.P.Gas
 	vol := d.M.Vol
-	s0, s1, s2, s3, s4 := wS.Comp[0], wS.Comp[1], wS.Comp[2], wS.Comp[3], wS.Comp[4]
-	z0, z1, z2, z3, z4 := w0S.Comp[0], w0S.Comp[1], w0S.Comp[2], w0S.Comp[3], w0S.Comp[4]
-	r0, r1, r2, r3, r4 := resS.Comp[0], resS.Comp[1], resS.Comp[2], resS.Comp[3], resS.Comp[4]
+	w, w0, res := *wS, *w0S, *resS
 	for i := lo; i < hi; i++ {
 		f := alpha * d.Dt[i] / vol[i]
-		cand := State{z0[i] - f*r0[i], z1[i] - f*r1[i], z2[i] - f*r2[i], z3[i] - f*r3[i], z4[i] - f*r4[i]}
-		cand = d.P.admitUpdate(State{z0[i], z1[i], z2[i], z3[i], z4[i]}, cand)
-		s0[i], s1[i], s2[i], s3[i], s4[i] = cand[0], cand[1], cand[2], cand[3], cand[4]
+		z, r := &w0[i], &res[i]
+		cand := State{z[0] - f*r[0], z[1] - f*r[1], z[2] - f*r[2], z[3] - f*r[3], z[4] - f*r[4]}
+		cand = d.P.admitUpdate(*z, cand)
+		w[i] = cand
 		d.setVertexTerms(i, cand[0], g.Pressure(cand))
 	}
 }

@@ -1,96 +1,40 @@
 package euler
 
-// StateSoA is the structure-of-arrays layout of a []State field: one
-// contiguous float64 slice per conserved variable. The shared-memory
-// engine's hot edge kernels (flux and dissipation accumulation) and vertex
-// sweeps run on this layout — each k-component loop then streams five
-// independent contiguous arrays instead of striding through 40-byte
-// records, which is the data-layout conversion Dai et al. (arXiv:2209.01877)
-// apply to the same class of unstructured edge loops. The public solver
-// interfaces keep []State; the conversions below are the shims between the
-// two layouts and are exact (pure copies, no arithmetic), so switching
-// layouts never perturbs results.
-type StateSoA struct {
-	Comp [NVar][]float64
+// StateSoA is the block the range kernels of kernels_soa.go gather from and
+// accumulate into: one 40-byte State record per vertex, laid out exactly as
+// a []State. Since the edge sweeps were fused (PR 19) every edge reads all
+// five conserved components of both ends, and Go does not vectorise the
+// loops, so five component streams bought no SIMD and cost up to five cache
+// lines per endpoint where a record costs one or two. Measured against each
+// other, records take 26–29 % off the fused sweeps and dissipation pass 2
+// and 43 % off the gather smoother in the engine's order, and about half on
+// a scrambled mesh (EXPERIMENTS.md, "One record per vertex") — the
+// AoS-versus-SoA question Dai et al. (arXiv:2209.01877) and Maier &
+// Kronbichler (arXiv:2007.00094) settle by measurement, not by rule. The
+// name is the streams' and stays because the benchmark calls it.
+//
+// A block is a []State in all but name, so a solution, residual or
+// exchange array is handed to a kernel as it is (Block) and a block to
+// anything that takes a []State by dereferencing it: there are no shims.
+type StateSoA []State
 
-	backing []float64 // the single allocation the Comp slices view
-}
-
-// NewStateSoA allocates an SoA block for nv vertices.
+// NewStateSoA allocates a zeroed block of nv vertices.
 func NewStateSoA(nv int) *StateSoA {
-	s := &StateSoA{}
-	s.Resize(nv)
-	return s
+	s := make(StateSoA, nv)
+	return &s
 }
+
+// Block views the state array *w as a block: the same records, no copy.
+// The view follows *w, so it stays valid when *w is reassigned.
+func Block(w *[]State) *StateSoA { return (*StateSoA)(w) }
 
 // Resize re-views the block for nv vertices, reallocating only when the
 // backing array is too small (with headroom, so repeated adaptation epochs
 // amortize). Contents are not preserved across a Resize.
-func (s *StateSoA) Resize(nv int) {
-	need := NVar * nv
-	if cap(s.backing) < need {
-		// One backing allocation keeps the five component arrays adjacent,
-		// so a full-state sweep walks one contiguous region.
-		s.backing = make([]float64, need, need+need/4)
-	}
-	b := s.backing[:need]
-	for k := 0; k < NVar; k++ {
-		s.Comp[k] = b[k*nv : (k+1)*nv : (k+1)*nv]
-	}
-}
+func (s *StateSoA) Resize(nv int) { *s = Grow(*s, nv) }
 
 // Len returns the number of vertices.
-func (s *StateSoA) Len() int { return len(s.Comp[0]) }
-
-// FromStates copies w[lo:hi] into the SoA layout (gather shim), reading
-// each 40-byte record once.
-func (s *StateSoA) FromStates(w []State, lo, hi int) {
-	c0, c1, c2, c3, c4 := s.Comp[0], s.Comp[1], s.Comp[2], s.Comp[3], s.Comp[4]
-	for i := lo; i < hi; i++ {
-		st := w[i]
-		c0[i], c1[i], c2[i], c3[i], c4[i] = st[0], st[1], st[2], st[3], st[4]
-	}
-}
-
-// ToStates copies the SoA range [lo,hi) back into w (scatter shim).
-func (s *StateSoA) ToStates(w []State, lo, hi int) {
-	for k := 0; k < NVar; k++ {
-		c := s.Comp[k]
-		for i := lo; i < hi; i++ {
-			w[i][k] = c[i]
-		}
-	}
-}
-
-// At gathers vertex i as a State value.
-func (s *StateSoA) At(i int) State {
-	var st State
-	for k := 0; k < NVar; k++ {
-		st[k] = s.Comp[k][i]
-	}
-	return st
-}
-
-// Set scatters st into vertex i.
-func (s *StateSoA) Set(i int, st State) {
-	for k := 0; k < NVar; k++ {
-		s.Comp[k][i] = st[k]
-	}
-}
+func (s *StateSoA) Len() int { return len(*s) }
 
 // ZeroRange clears the vertices [lo,hi).
-func (s *StateSoA) ZeroRange(lo, hi int) {
-	for k := 0; k < NVar; k++ {
-		c := s.Comp[k][lo:hi]
-		for i := range c {
-			c[i] = 0
-		}
-	}
-}
-
-// CopyRange copies src's range [lo,hi) into s.
-func (s *StateSoA) CopyRange(src *StateSoA, lo, hi int) {
-	for k := 0; k < NVar; k++ {
-		copy(s.Comp[k][lo:hi], src.Comp[k][lo:hi])
-	}
-}
+func (s *StateSoA) ZeroRange(lo, hi int) { clear((*s)[lo:hi]) }

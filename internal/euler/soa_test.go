@@ -7,9 +7,10 @@ import (
 	"eul3d/internal/color"
 )
 
-// TestStateSoARoundTrip checks the SoA block's conversion surface: a
-// []State gathered with FromStates scatters back unchanged through At,
-// Set, ToStates and CopyRange, and ZeroRange clears exactly its range.
+// TestStateSoARoundTrip checks the block's surface: a block is a []State
+// in all but name — Block views an array without copying, and a block's
+// records are the array's — Resize keeps capacity it has, and ZeroRange
+// clears exactly its range.
 func TestStateSoARoundTrip(t *testing.T) {
 	_, w := kernelFixture(t)
 	n := len(w)
@@ -18,45 +19,41 @@ func TestStateSoARoundTrip(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("Len() = %d, want %d", s.Len(), n)
 	}
-	s.FromStates(w, 0, n)
+	copy(*s, w)
 	for i := range w {
-		if s.At(i) != w[i] {
-			t.Fatalf("At(%d) = %v, want %v", i, s.At(i), w[i])
+		if (*s)[i] != w[i] {
+			t.Fatalf("vertex %d = %v, want %v", i, (*s)[i], w[i])
 		}
 	}
 
-	back := make([]State, n)
-	s.ToStates(back, 0, n)
-	for i := range w {
-		if back[i] != w[i] {
-			t.Fatalf("ToStates: vertex %d = %v, want %v", i, back[i], w[i])
-		}
+	view := Block(&w)
+	if view.Len() != n || &(*view)[0] != &w[0] {
+		t.Fatal("Block copied the array instead of viewing it")
 	}
-
 	mod := State{1, 2, 3, 4, 5}
-	s.Set(7, mod)
-	if s.At(7) != mod {
-		t.Fatalf("Set/At: got %v, want %v", s.At(7), mod)
+	(*view)[7] = mod
+	if w[7] != mod {
+		t.Fatalf("a write through the view left w[7] = %v", w[7])
+	}
+	w = append(w[:0:0], w...)
+	if &(*view)[0] != &w[0] {
+		t.Fatal("the view does not follow its array when it is reassigned")
 	}
 
-	dst := NewStateSoA(n)
-	dst.CopyRange(s, 3, n-2)
-	for i := 3; i < n-2; i++ {
-		if dst.At(i) != s.At(i) {
-			t.Fatalf("CopyRange: vertex %d = %v, want %v", i, dst.At(i), s.At(i))
-		}
+	at := &(*s)[0]
+	s.Resize(n / 2)
+	if s.Len() != n/2 || &(*s)[0] != at {
+		t.Fatal("Resize within capacity reallocated")
 	}
-	if dst.At(0) != (State{}) || dst.At(n-1) != (State{}) {
-		t.Fatal("CopyRange wrote outside its range")
-	}
+	s.Resize(n)
 
 	s.ZeroRange(2, 5)
 	for i := 2; i < 5; i++ {
-		if s.At(i) != (State{}) {
-			t.Fatalf("ZeroRange left vertex %d = %v", i, s.At(i))
+		if (*s)[i] != (State{}) {
+			t.Fatalf("ZeroRange left vertex %d = %v", i, (*s)[i])
 		}
 	}
-	if s.At(1) == (State{}) || s.At(5) == (State{}) {
+	if (*s)[1] == (State{}) || (*s)[5] == (State{}) {
 		t.Fatal("ZeroRange cleared outside its range")
 	}
 }
@@ -71,7 +68,7 @@ type soaStepper struct {
 	edges, faces []int32
 
 	wS, w0S, convS, dissS, laplS, resS, smoothS, rhsS *StateSoA
-	wq, convR, dissR, resR, resOut                    []State
+	wq, convR, dissR, resR                            []State
 
 	// The gather form of the smoother: the mesh's rows in edge order and the
 	// AoS right-hand side and iterates SmoothGather sweeps.
@@ -87,7 +84,7 @@ func newSoAStepper(t *testing.T, d *Disc) *soaStepper {
 		t: t, d: d, ref: NewDisc(d.M, d.P),
 		edges: identity(d.M.NE()), faces: identity(len(d.M.BFaces)),
 		wS: soa(), w0S: soa(), convS: soa(), dissS: soa(), laplS: soa(), resS: soa(), smoothS: soa(), rhsS: soa(),
-		wq: aos(), convR: aos(), dissR: aos(), resR: aos(), resOut: aos(),
+		wq: aos(), convR: aos(), dissR: aos(), resR: aos(),
 		gRHS: aos(), gCur: aos(), gNxt: aos(),
 	}
 	s.adjStart, s.adj = rowsInEdgeOrder(nv, d.M.Edges)
@@ -106,7 +103,7 @@ func (s *soaStepper) sameF(name string, ref, soa []float64) {
 func (s *soaStepper) sameS(name string, ref []State, soa *StateSoA) {
 	s.t.Helper()
 	for i := range ref {
-		if got := soa.At(i); ref[i] != got {
+		if got := (*soa)[i]; ref[i] != got {
 			s.t.Fatalf("%s: vertex %d: %v (reference) vs %v (SoA)", name, i, ref[i], got)
 		}
 	}
@@ -136,7 +133,7 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 
 	norm := 0.0
 	for q, alpha := range d.P.Stages {
-		s.wS.ToStates(s.wq, 0, nv)
+		copy(s.wq, *s.wS)
 		ref.computePressures(s.wq)
 		s.sameF("stage pres", ref.pres, d.pres)
 
@@ -156,20 +153,14 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 		}
 
 		d.CombineResidualSoAKernel(s.resS, s.convS, s.dissS, forcing, 0, nv)
-		d.CombineResidualOutKernel(s.resOut, s.convS, s.dissS, forcing, 0, nv)
 		CombineResidual(s.resR, s.convR, s.dissR, forcing)
 		s.sameS("residual", s.resR, s.resS)
-		for i := range s.resR {
-			if s.resR[i] != s.resOut[i] {
-				s.t.Fatalf("residual-out: vertex %d: %v vs %v", i, s.resR[i], s.resOut[i])
-			}
-		}
 		if q == 0 {
-			norm = math.Sqrt(ResidualNormSq(s.resOut, d.M.Vol, nv) / float64(nv))
+			norm = math.Sqrt(ResidualNormSq(*s.resS, d.M.Vol, nv) / float64(nv))
 		}
 
 		if eps := d.P.EpsSmooth; eps != 0 && d.P.NSmooth != 0 {
-			s.rhsS.CopyRange(s.resS, 0, nv)
+			copy(*s.rhsS, *s.resS)
 			cur, next := s.resS, s.smoothS
 			for sweep := 0; sweep < d.P.NSmooth; sweep++ {
 				next.ZeroRange(0, nv)
@@ -178,7 +169,7 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 				cur, next = next, cur
 			}
 			if cur != s.resS {
-				s.resS.CopyRange(cur, 0, nv)
+				copy(*s.resS, *cur)
 			}
 		}
 		// The gather form, AoS, on the same unsmoothed residual: no zeroing,
@@ -261,16 +252,16 @@ func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
 		d.BFaceSweepSoAKernel(PartLam|PartConv, wS, all.convS, all.lam, tc.faces)
 
 		for i := 0; i < nv; i++ {
-			same := one.convS.At(i) == all.convS.At(i) && one.laplS.At(i) == all.laplS.At(i) &&
+			same := (*one.convS)[i] == (*all.convS)[i] && (*one.laplS)[i] == (*all.laplS)[i] &&
 				one.lam[i] == all.lam[i] && one.num[i] == all.num[i] && one.den[i] == all.den[i]
 			if !same {
 				t.Fatalf("%s: vertex %d: fused sweep differs from the one-part kernels:\n"+
 					"conv %v vs %v\nlapl %v vs %v\nlam %v vs %v, num %v vs %v, den %v vs %v", tc.name, i,
-					one.convS.At(i), all.convS.At(i), one.laplS.At(i), all.laplS.At(i),
+					(*one.convS)[i], (*all.convS)[i], (*one.laplS)[i], (*all.laplS)[i],
 					one.lam[i], all.lam[i], one.num[i], all.num[i], one.den[i], all.den[i])
 			}
 		}
-		if one.lam[0] == 0 || one.den[0] == 0 || one.convS.At(0) == (State{}) {
+		if one.lam[0] == 0 || one.den[0] == 0 || (*one.convS)[0] == (State{}) {
 			t.Fatalf("%s: the sweeps accumulated nothing at vertex 0", tc.name)
 		}
 	}

@@ -39,22 +39,16 @@ func Delta(dst, a, b []euler.State, lo, hi int) {
 	}
 }
 
-// Correct returns w + c, or w itself where the sum fails the positivity
-// guard (the correction is skipped at that vertex).
-func Correct(p *euler.Params, w, c euler.State) euler.State {
-	var cand euler.State
-	for k := 0; k < euler.NVar; k++ {
-		cand[k] = w[k] + c[k]
-	}
-	if !p.Guard(cand) {
-		return w
-	}
-	return cand
-}
-
-// ApplyCorrection adds the prolonged correction corr to w through Correct.
+// ApplyCorrection adds the prolonged correction corr to w[lo:hi], skipping
+// a vertex where the sum fails the positivity guard.
 func ApplyCorrection(p *euler.Params, w, corr []euler.State, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		w[i] = Correct(p, w[i], corr[i])
+		var cand euler.State
+		for k := 0; k < euler.NVar; k++ {
+			cand[k] = w[i][k] + corr[i][k]
+		}
+		if p.Guard(cand) {
+			w[i] = cand
+		}
 	}
 }

@@ -32,22 +32,19 @@ const (
 
 // maxArrays is how many arrays of each element kind one exchange carries at
 // most: the distributed solver's widest, stage 0's scatter-add, is two
-// blocks and three scalars.
+// state arrays and three scalars.
 const maxArrays = 3
 
 // Arrays lists the distributed arrays of one exchange, each laid out
-// [processor][owned | ghosts]; nil entries end a list. There are three
-// element kinds: AoS state arrays, SoA blocks (one *euler.StateSoA per
-// processor, what the edge kernels accumulate into) and scalar arrays. It is
-// a fixed-size value so that an exchange plan can be passed through an
+// [processor][owned | ghosts]; nil entries end a list. There are two
+// element kinds: state arrays — which is also what the edge kernels'
+// blocks are, one State record a vertex — and scalar arrays. It is a
+// fixed-size value so that an exchange plan can be passed through an
 // interface without allocating. A message is laid out array-major: all of
 // the pair's scheduled values of States[0], then of States[1], then the
-// Blocks — each component-major, as the block stores it — then the Floats.
-// A block is NVar floats an item like a state array, so the layout an
-// array is kept in never shows in the bytes.
+// Floats.
 type Arrays struct {
 	States [maxArrays][][]euler.State
-	Blocks [maxArrays][]*euler.StateSoA
 	Floats [maxArrays][][]float64
 }
 
@@ -55,14 +52,6 @@ type Arrays struct {
 func States(a ...[][]euler.State) (x Arrays) {
 	if copy(x.States[:], a) < len(a) {
 		panic("parti: more state arrays than one exchange carries")
-	}
-	return x
-}
-
-// Blocks lists SoA blocks for an exchange.
-func Blocks(a ...[]*euler.StateSoA) (x Arrays) {
-	if copy(x.Blocks[:], a) < len(a) {
-		panic("parti: more SoA blocks than one exchange carries")
 	}
 	return x
 }
@@ -76,13 +65,10 @@ func Floats(a ...[][]float64) (x Arrays) {
 }
 
 // And returns x with, for every element kind y lists arrays of, y's list in
-// place of x's: Blocks(a, b).And(Floats(c)) carries all three.
+// place of x's: States(a, b).And(Floats(c)) carries all three.
 func (x Arrays) And(y Arrays) Arrays {
 	if y.States[0] != nil {
 		x.States = y.States
-	}
-	if y.Blocks[0] != nil {
-		x.Blocks = y.Blocks
 	}
 	if y.Floats[0] != nil {
 		x.Floats = y.Floats
@@ -98,35 +84,12 @@ func (x Arrays) Width() int {
 			w += euler.NVar
 		}
 	}
-	for _, a := range x.Blocks {
-		if a != nil {
-			w += euler.NVar
-		}
-	}
 	for _, a := range x.Floats {
 		if a != nil {
 			w++
 		}
 	}
 	return w
-}
-
-// streams returns the n scalar streams processor a packs or unpacks behind
-// the state arrays, in message order: the components of every block, then
-// the scalar arrays.
-func (x Arrays) streams(a int) (s [maxArrays*euler.NVar + maxArrays][]float64, n int) {
-	for _, b := range x.Blocks {
-		if b != nil {
-			n += copy(s[n:], b[a].Comp[:])
-		}
-	}
-	for _, f := range x.Floats {
-		if f != nil {
-			s[n] = f[a]
-			n++
-		}
-	}
-	return s, n
 }
 
 // lists returns, for processor a of an exchange in direction dir, the
@@ -145,7 +108,6 @@ func (s *Schedule) lists(dir Dir, a int) (send, recv [][]int32) {
 // zeroes the ghost slots it has packed.
 func (s *Schedule) Send(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 	send, _ := s.lists(dir, a)
-	streams, ns := x.streams(a)
 	w := x.Width()
 	for b, list := range send {
 		if len(list) == 0 {
@@ -162,14 +124,18 @@ func (s *Schedule) Send(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 			}
 			d := arr[a]
 			for i, li := range list {
-				copy(at[i*euler.NVar:(i+1)*euler.NVar], d[li][:])
+				*(*euler.State)(at[i*euler.NVar:]) = d[li]
 				if dir == ScatterAdd {
 					d[li] = euler.State{}
 				}
 			}
 			at = at[len(list)*euler.NVar:]
 		}
-		for _, d := range streams[:ns] {
+		for _, arr := range x.Floats {
+			if arr == nil {
+				break
+			}
+			d := arr[a]
 			for i, li := range list {
 				at[i] = d[li]
 				if dir == ScatterAdd {
@@ -188,7 +154,6 @@ func (s *Schedule) Send(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 // recover.go) and stores (Gather) or accumulates (ScatterAdd) its values.
 func (s *Schedule) Recv(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 	_, recv := s.lists(dir, a)
-	streams, ns := x.streams(a)
 	w := x.Width()
 	for b, list := range recv {
 		if len(list) == 0 {
@@ -208,11 +173,11 @@ func (s *Schedule) Recv(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 			d := arr[a]
 			if dir == Gather {
 				for i, li := range list {
-					copy(d[li][:], buf[i*euler.NVar:(i+1)*euler.NVar])
+					d[li] = *(*euler.State)(buf[i*euler.NVar:])
 				}
 			} else {
 				for i, li := range list {
-					v, in := &d[li], buf[i*euler.NVar:(i+1)*euler.NVar]
+					v, in := &d[li], (*euler.State)(buf[i*euler.NVar:])
 					for k := range v {
 						v[k] += in[k]
 					}
@@ -220,7 +185,11 @@ func (s *Schedule) Recv(f *simnet.Fabric, dir Dir, a int, x Arrays) error {
 			}
 			buf = buf[len(list)*euler.NVar:]
 		}
-		for _, d := range streams[:ns] {
+		for _, arr := range x.Floats {
+			if arr == nil {
+				break
+			}
+			d := arr[a]
 			if dir == Gather {
 				for i, li := range list {
 					d[li] = buf[i]

@@ -146,61 +146,6 @@ func TestQuickIncrementalNeverRefetches(t *testing.T) {
 	}
 }
 
-// TestQuickBlocksTravelLikeStates: for random distributions and reference
-// patterns, an SoA block gathered and scatter-added through a schedule ends
-// up holding, value for value, what the AoS array of the same numbers does —
-// the layout an array is kept in is invisible to the exchange.
-func TestQuickBlocksTravelLikeStates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(60)
-		nproc := 1 + rng.Intn(6)
-		part := make([]int32, n)
-		for i := range part {
-			part[i] = int32(rng.Intn(nproc))
-		}
-		d, err := NewDist(part, nproc)
-		if err != nil {
-			return false
-		}
-		gs := NewGhostSpace(d)
-		refs := make([][]int32, nproc)
-		for p := 0; p < nproc; p++ {
-			for k := rng.Intn(3 * n); k > 0; k-- {
-				refs[p] = append(refs[p], int32(rng.Intn(n)))
-			}
-		}
-		sch := BuildSchedule(gs, refs)
-		fab := simnet.New(nproc)
-		aos, soa := make([][]euler.State, nproc), make([]*euler.StateSoA, nproc)
-		for p := 0; p < nproc; p++ {
-			aos[p], soa[p] = make([]euler.State, gs.TotalSize(p)), euler.NewStateSoA(gs.TotalSize(p))
-			for i := range aos[p] {
-				for k := range aos[p][i] {
-					aos[p][i][k] = rng.NormFloat64()
-				}
-				soa[p].Set(i, aos[p][i])
-			}
-		}
-		for _, dir := range []Dir{Gather, ScatterAdd, Gather} {
-			if sch.Exchange(fab, dir, States(aos)) != nil || sch.Exchange(fab, dir, Blocks(soa)) != nil {
-				return false
-			}
-			for p := 0; p < nproc; p++ {
-				for i, st := range aos[p] {
-					if soa[p].At(i) != st {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickMergeIsTheMembersInSeries: for random distributions and two
 // reference patterns, the second built incrementally on the first, an
 // exchange through Merge(a, b) leaves every array kind holding what the
@@ -260,33 +205,31 @@ func TestQuickMergeIsTheMembersInSeries(t *testing.T) {
 		// The data: two copies of every array kind, one per route.
 		type set struct {
 			aos [][]euler.State
-			soa []*euler.StateSoA
 			flt [][]float64
 		}
 		mk := func() (x, y set) {
 			for _, s := range []*set{&x, &y} {
-				s.aos, s.soa, s.flt = make([][]euler.State, nproc), make([]*euler.StateSoA, nproc), make([][]float64, nproc)
+				s.aos, s.flt = make([][]euler.State, nproc), make([][]float64, nproc)
 			}
 			for p := 0; p < nproc; p++ {
 				size := gs.TotalSize(p)
 				for _, s := range []*set{&x, &y} {
-					s.aos[p], s.soa[p], s.flt[p] = make([]euler.State, size), euler.NewStateSoA(size), make([]float64, size)
+					s.aos[p], s.flt[p] = make([]euler.State, size), make([]float64, size)
 				}
 				for i := 0; i < size; i++ {
-					var st, bl euler.State
+					var st euler.State
 					for k := range st {
-						st[k], bl[k] = float64(rng.Intn(200)-100), float64(rng.Intn(200)-100)
+						st[k] = float64(rng.Intn(200) - 100)
 					}
 					fl := float64(rng.Intn(200) - 100)
 					for _, s := range []*set{&x, &y} {
 						s.aos[p][i], s.flt[p][i] = st, fl
-						s.soa[p].Set(i, bl)
 					}
 				}
 			}
 			return x, y
 		}
-		arrays := func(s set) Arrays { return States(s.aos).And(Blocks(s.soa)).And(Floats(s.flt)) }
+		arrays := func(s set) Arrays { return States(s.aos).And(Floats(s.flt)) }
 		for _, dir := range []Dir{Gather, ScatterAdd} {
 			series, merged := mk()
 			fab := simnet.New(nproc)
@@ -302,7 +245,7 @@ func TestQuickMergeIsTheMembersInSeries(t *testing.T) {
 			}
 			for p := 0; p < nproc; p++ {
 				for i := range series.aos[p] {
-					if series.aos[p][i] != merged.aos[p][i] || series.soa[p].At(i) != merged.soa[p].At(i) || series.flt[p][i] != merged.flt[p][i] {
+					if series.aos[p][i] != merged.aos[p][i] || series.flt[p][i] != merged.flt[p][i] {
 						return false
 					}
 				}

@@ -173,15 +173,15 @@ func TestHealingGivesUpAfterBoundedAttempts(t *testing.T) {
 	}
 }
 
-// mixedCase is a random distribution with two SoA blocks, two state arrays
-// and three scalar arrays: the distributed solver's widest exchange, and
-// two state arrays on top.
+// mixedCase is a random distribution with four state arrays and three
+// scalar arrays; its gather carries the most arrays of each kind one
+// exchange can (the distributed solver's widest, stage 0's scatter-add, is
+// two state arrays and three scalars).
 type mixedCase struct {
-	d       *Dist
-	sch     *Schedule
-	x, y    []*euler.StateSoA
-	s, u    [][]euler.State
-	a, b, c [][]float64
+	d          *Dist
+	sch        *Schedule
+	x, y, s, u [][]euler.State
+	a, b, c    [][]float64
 }
 
 func newMixedCase(seed int64) *mixedCase {
@@ -205,13 +205,13 @@ func newMixedCase(seed int64) *mixedCase {
 	mc := &mixedCase{d: d, sch: BuildSchedule(gs, refs)}
 	for p := 0; p < nproc; p++ {
 		size := gs.TotalSize(p)
-		x, y := euler.NewStateSoA(size), euler.NewStateSoA(size)
+		x, y := make([]euler.State, size), make([]euler.State, size)
 		s, u := make([]euler.State, size), make([]euler.State, size)
 		a, b, c := make([]float64, size), make([]float64, size), make([]float64, size)
 		for i := 0; i < size; i++ { // owned and ghost alike: the scatter-add moves the ghosts
 			for k := 0; k < euler.NVar; k++ {
 				s[i][k], u[i][k] = rng.NormFloat64(), rng.NormFloat64()
-				x.Comp[k][i], y.Comp[k][i] = rng.NormFloat64(), rng.NormFloat64()
+				x[i][k], y[i][k] = rng.NormFloat64(), rng.NormFloat64()
 			}
 			a[i], b[i], c[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 		}
@@ -226,8 +226,8 @@ func newMixedCase(seed int64) *mixedCase {
 // scatter-add of a different list, so that consecutive messages on a pair
 // differ in length.
 func (c *mixedCase) plans() (gather, scatter Arrays) {
-	return Blocks(c.x, c.y).And(States(c.s, c.u)).And(Floats(c.a, c.b, c.c)),
-		Blocks(c.y).And(States(c.u)).And(Floats(c.b, c.a))
+	return States(c.x, c.y, c.s).And(Floats(c.a, c.b, c.c)),
+		States(c.y, c.u).And(Floats(c.b, c.a))
 }
 
 // run executes a mixed gather and a mixed scatter-add, either as the
@@ -267,31 +267,14 @@ func (c *mixedCase) run(f *simnet.Fabric, mimd bool) error {
 	return errors.Join(errs...)
 }
 
-// runOneByOne is run with every array exchanged alone, and every block as
-// the AoS state array of its values: the messages an exchange plan without
-// aggregation and without SoA blocks would send.
+// runOneByOne is run with every array exchanged alone: the messages an
+// exchange plan without aggregation would send.
 func (c *mixedCase) runOneByOne(f *simnet.Fabric) error {
 	gather, scatter := c.plans()
 	for _, ex := range []struct {
 		dir Dir
 		x   Arrays
 	}{{Gather, gather}, {ScatterAdd, scatter}} {
-		for _, blk := range ex.x.Blocks {
-			if blk == nil {
-				break
-			}
-			aos := make([][]euler.State, len(blk))
-			for p, b := range blk {
-				aos[p] = make([]euler.State, b.Len())
-				b.ToStates(aos[p], 0, b.Len())
-			}
-			if err := c.sch.Exchange(f, ex.dir, States(aos)); err != nil {
-				return err
-			}
-			for p, b := range blk {
-				b.FromStates(aos[p], 0, b.Len())
-			}
-		}
 		for _, st := range ex.x.States {
 			if st != nil {
 				if err := c.sch.Exchange(f, ex.dir, States(st)); err != nil {
@@ -311,21 +294,16 @@ func (c *mixedCase) runOneByOne(f *simnet.Fabric) error {
 }
 
 func (c *mixedCase) equal(o *mixedCase) bool {
-	for p := range c.x {
-		if !reflect.DeepEqual(c.x[p].Comp, o.x[p].Comp) || !reflect.DeepEqual(c.y[p].Comp, o.y[p].Comp) {
-			return false
-		}
-	}
-	return reflect.DeepEqual(c.s, o.s) && reflect.DeepEqual(c.u, o.u) &&
+	return reflect.DeepEqual(c.x, o.x) && reflect.DeepEqual(c.y, o.y) &&
+		reflect.DeepEqual(c.s, o.s) && reflect.DeepEqual(c.u, o.u) &&
 		reflect.DeepEqual(c.a, o.a) && reflect.DeepEqual(c.b, o.b) && reflect.DeepEqual(c.c, o.c)
 }
 
-// TestMixedExchangeEqualsPerArrayExchanges: two blocks, two state arrays and
-// three scalars in one message per neighbour, in both directions, under
-// seeded random fault schedules and both execution disciplines, leave every
-// array bitwise what exchanging them one at a time over a fault-free fabric
-// does — the blocks as AoS arrays, so neither the aggregation, nor the
-// layout, nor a healed fault shows in a single bit.
+// TestMixedExchangeEqualsPerArrayExchanges: three state arrays and three
+// scalars in one message per neighbour, in both directions, under seeded
+// random fault schedules and both execution disciplines, leave every array
+// bitwise what exchanging them one at a time over a fault-free fabric does —
+// neither the aggregation nor a healed fault shows in a single bit.
 func TestMixedExchangeEqualsPerArrayExchanges(t *testing.T) {
 	resends := 0
 	for seed := int64(1); seed <= 12; seed++ {
@@ -345,7 +323,7 @@ func TestMixedExchangeEqualsPerArrayExchanges(t *testing.T) {
 			if !got.equal(want) {
 				t.Fatalf("seed %d mimd %v: the mixed exchange differs from the per-array exchanges", seed, mimd)
 			}
-			if g, _ := got.plans(); g.Width() != 2*euler.NVar+2*euler.NVar+3 {
+			if g, _ := got.plans(); g.Width() != 3*euler.NVar+3 {
 				t.Fatalf("the widest exchange moves %d floats an item", g.Width())
 			}
 			resends += int(f.Resends())

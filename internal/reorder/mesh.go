@@ -1,8 +1,10 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"eul3d/internal/color"
 	"eul3d/internal/geom"
@@ -73,13 +75,28 @@ func Scramble(m *mesh.Mesh, seed int64) (*mesh.Mesh, error) {
 
 // RCMMesh renumbers a finished mesh with reverse Cuthill–McKee — the
 // paper's node renumbering, which places data of mesh-adjacent nodes in
-// nearby memory locations.
+// nearby memory locations — and stably sorts its tetrahedra and boundary
+// faces by their lowest new vertex: Finish numbers the edges in
+// tetrahedron order, so new vertex numbers alone would leave a scrambled
+// mesh's edge order, and every loop over it, as scattered as before.
 func RCMMesh(m *mesh.Mesh) (*mesh.Mesh, error) {
 	g, err := graph.FromEdges(m.NV(), m.Edges)
 	if err != nil {
 		return nil, err
 	}
-	return ApplyToMesh(m, CuthillMcKee(g, true))
+	perm := CuthillMcKee(g, true)
+	inv := InversePerm(perm)
+	lowest := func(vs []int32) int32 {
+		lo := inv[vs[0]]
+		for _, v := range vs[1:] {
+			lo = min(lo, inv[v])
+		}
+		return lo
+	}
+	sorted := &mesh.Mesh{X: m.X, Tets: slices.Clone(m.Tets), BFaces: slices.Clone(m.BFaces)}
+	slices.SortStableFunc(sorted.Tets, func(a, b [4]int32) int { return cmp.Compare(lowest(a[:]), lowest(b[:])) })
+	slices.SortStableFunc(sorted.BFaces, func(a, b mesh.BFace) int { return cmp.Compare(lowest(a.V[:]), lowest(b.V[:])) })
+	return ApplyToMesh(sorted, perm)
 }
 
 // ColorCanonical returns a copy of m whose edge list (with its dual

@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"eul3d/internal/dmsolver"
@@ -130,7 +131,7 @@ func TestScenarioConformance(t *testing.T) {
 }
 
 // TestScenarioStepAllocs pins the zero-allocation contract of the pooled
-// engine's SoA step path under scenario parameters — the convex limiter
+// engine's step path under scenario parameters — the convex limiter
 // and the global-dt branch must not introduce allocations into the hot
 // loop.
 func TestScenarioStepAllocs(t *testing.T) {
@@ -157,20 +158,30 @@ func TestScenarioStepAllocs(t *testing.T) {
 			defer s.Close()
 			w := sc.InitialState(cm)
 			s.Step(w, nil) // the first step is the limiter-heavy one; warm it up
-			// GC before measuring (and retry once) so an unrelated
-			// collection cycle inside AllocsPerRun's short window is not
-			// attributed to the step path; a genuine per-step allocation
-			// shows up on every attempt.
-			var allocs float64
-			for attempt := 0; attempt < 2; attempt++ {
-				runtime.GC()
-				if allocs = testing.AllocsPerRun(5, func() { s.Step(w, nil) }); allocs == 0 {
-					break
-				}
-			}
-			if allocs != 0 {
-				t.Fatalf("limited SoA step path allocates %v times per run", allocs)
+			if allocs := stepAllocs(s, w, 5); allocs != 0 {
+				t.Fatalf("5 steps of the limited pooled step path allocate %d times", allocs)
 			}
 		})
 	}
+}
+
+// stepAllocs counts, exactly and once, the heap allocations of n
+// steady-state steps of s, with GC off and on one P for the window: a
+// collection inside it runs queued cleanups and finalizers and drops the
+// central sudog cache, and at GOMAXPROCS > 1 a pool worker woken on another
+// P than it parked on carries its sudog over, leaving a P that allocates a
+// new one — the runtime's allocations, not the step's, which the old
+// GC-then-retry-once check could only hope to miss (internal/solver's
+// stepAllocs has the measurements).
+func stepAllocs(s *smsolver.Solver, w []euler.State, n int) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s.Step(w, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		s.Step(w, nil)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

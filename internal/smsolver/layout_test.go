@@ -33,17 +33,17 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 	for _, eps := range []float64{0, 0.5, 1.3} {
 		for sweeps := 1; sweeps <= 3; sweeps++ {
 			rhs := euler.NewStateSoA(nv)
-			for k := range rhs.Comp {
-				for i := range rhs.Comp[k] {
-					rhs.Comp[k][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			for k := 0; k < euler.NVar; k++ {
+				for i := range *rhs {
+					(*rhs)[i][k] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 				}
 			}
-			rhs.Comp[0][3] = math.Copysign(0, -1) // a sum that starts from -0 must still start from +0
+			(*rhs)[3][0] = math.Copysign(0, -1) // a sum that starts from -0 must still start from +0
 
 			// Edge form, as the engine ran it: zero, accumulate color by
 			// color, combine, ping-pong.
 			cur, next := euler.NewStateSoA(nv), euler.NewStateSoA(nv)
-			cur.CopyRange(rhs, 0, nv)
+			copy(*cur, *rhs)
 			for s := 0; s < sweeps; s++ {
 				next.ZeroRange(0, nv)
 				for g := 0; g < lay.edges.NumColors(); g++ {
@@ -65,7 +65,7 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 			}
 
 			for i := 0; i < nv; i++ {
-				a, b := cur.At(i), got.At(i)
+				a, b := (*cur)[i], (*got)[i]
 				for k := range a {
 					if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
 						t.Fatalf("eps=%g sweeps=%d: vertex %d comp %d: %v (edge form) vs %v (gather)", eps, sweeps, i, k, a[k], b[k])
@@ -480,6 +480,34 @@ func TestScrambledMeshFallsBack(t *testing.T) {
 }
 
 func first[A, B any](a A, _ B) A { return a }
+
+// TestRCMRestoresLocality: RCM renumbering of a scrambled mesh must hand the
+// layout local runs again — a handful of groups, as on the generated order,
+// not the per-edge colors of the scrambled one. New vertex numbers alone
+// leave the tetrahedra, and so Finish's edge order, scrambled; the element
+// sort is what makes the difference (at the parent of this test, 20 groups).
+func TestRCMRestoresLocality(t *testing.T) {
+	nat, err := meshgen.Channel(meshgen.DefaultChannel(32, 16, 10, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr, err := reorder.Scramble(nat, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := reorder.RCMMesh(scr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, euler.DefaultParams(0.675, 0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if edges, faces := s.NumColors(); edges > 6 {
+		t.Errorf("scrambled then RCM-renumbered mesh: %d edge groups, %d face groups — the layout found no local runs", edges, faces)
+	}
+}
 
 // TestStarNeedsMoreGroupsThanABitmaskHolds: one hub, 3000 spokes. Whatever
 // the run length, every run holds the hub and needs a group to itself, so

@@ -304,12 +304,12 @@ func (mg *Multigrid) cycle(l int) float64 {
 	// coarse grid evaluates sound speeds on them.
 	e.interp(next.restrict, lev.W, next.W, next.eng.vertSpans, next.eng.vertActive)
 	e.vertexOp(tRepairSave, next.eng, next.W, next.WSaved, nil)
-	e.scatter(next.scatter, lev.eng.res, next.Forcing, next.eng.vertSpans, next.eng.vertActive) // next.Forcing := R'
+	e.scatter(next.scatter, *lev.eng.resS, next.Forcing, next.eng.vertSpans, next.eng.vertActive) // next.Forcing := R'
 	mg.tick(4*l+2, mg.restrictFl[l], &t)
 
 	// Forcing P = R' - R(w').
 	e.residual(next.eng, next.W, nil)
-	e.vertexOp(tForcingSub, next.eng, next.Forcing, next.eng.res, nil)
+	e.vertexOp(tForcingSub, next.eng, next.Forcing, *next.eng.resS, nil)
 	mg.tick(4*(l+1)+1, mg.residFl[l+1], &t)
 
 	// Coarse-grid visits: gamma = 1 gives a V-cycle, 2 a W-cycle.
@@ -323,15 +323,15 @@ func (mg *Multigrid) cycle(l int) float64 {
 	t = time.Now()
 
 	// Prolong the coarse-grid correction back to this level.
-	e.vertexOp(tCorrDelta, next.eng, next.W, next.WSaved, next.eng.res)
-	e.interp(next.prolong, next.eng.res, lev.Corr, lev.eng.vertSpans, lev.eng.vertActive)
+	e.vertexOp(tCorrDelta, next.eng, next.W, next.WSaved, *next.eng.resS)
+	e.interp(next.prolong, *next.eng.resS, lev.Corr, lev.eng.vertSpans, lev.eng.vertActive)
 	mg.tick(4*l+2, mg.prolongFl[l], &t)
 
 	// Smooth the prolonged correction (the implicit averaging operator
-	// doubles as the correction smoother) — in this level's step scratch,
-	// free between steps — and apply it from there under the positivity
-	// guard.
-	e.smoothSoA(lev.eng, lev.Corr)
+	// doubles as the correction smoother) where it lies, the sweeps in this
+	// level's step scratch, free between steps, and apply the result under
+	// the positivity guard.
+	e.smooth(lev.eng, euler.Block(&lev.Corr))
 	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
 	mg.tick(4*l+3, mg.corrFl[l], &t)
 	return norm

@@ -19,7 +19,7 @@ import (
 //   - The parked worker pool is untouched: no goroutines are spawned or
 //     joined, and the engine's perf accumulator keeps accumulating.
 //   - The layout's arrays, the coloring scratch, the chunk tables, the
-//     discretization scratch, SoA blocks, residual array and norm partials
+//     discretization scratch, blocks and norm partials
 //     grow in place when capacity (reserved with 25% headroom) allows; a
 //     Rebuild to a mesh inside the headroom allocates nothing. The
 //     mesh-shared layout an engine starts on is never written: the first
@@ -44,11 +44,10 @@ func (s *Solver) Rebuild(m *mesh.Mesh, p euler.Params) error {
 	// Resize preserves no contents; the accumulators among these are zeroed
 	// by the fused stage sweeps before every read, but clear them anyway so
 	// a rebuild never leaks state from the previous mesh.
-	for _, b := range [...]*euler.StateSoA{le.wS, le.w0S, le.convS, le.dissS, le.resS, le.laplS} {
+	for _, b := range [...]*euler.StateSoA{le.w0S, le.convS, le.dissS, le.resS, le.laplS} {
 		b.Resize(nv)
 		b.ZeroRange(0, nv)
 	}
-	le.res = euler.Grow(le.res, nv)
 	le.normPartial = euler.Grow(le.normPartial, (nv+normBlock-1)/normBlock)
 	le.buildSpans(s.NWorkers)
 	le.chargeFlops()

@@ -33,12 +33,15 @@
 // spawned once, parked between parallel regions, and driven through
 // prebuilt per-group chunk tables balanced by element count; all scratch is
 // solver-owned, so a steady-state Step (and multigrid Cycle) performs zero
-// heap allocations. The hot path runs on a structure-of-arrays state layout
-// (euler.StateSoA: five contiguous component streams instead of 40-byte
-// records, six blocks per level whose lifetimes levelEngine documents),
-// converting from the public []State interfaces inside the fused preamble
-// and update sweeps, which also refresh the per-vertex terms (pressure,
-// 1/rho, sound speed) the edge loops read and zero the next accumulators.
+// heap allocations. The kernels run on blocks (euler.StateSoA) of one
+// 40-byte State record per vertex — the layout of the public []State
+// itself, chosen over five component streams because every edge reads a
+// whole record at both ends (EXPERIMENTS.md, "One record per vertex") — so
+// the caller's solution is the step's solution block and nothing is
+// converted: five scratch blocks per level, whose lifetimes levelEngine
+// documents. The fused preamble and update sweeps refresh the per-vertex
+// terms (pressure, 1/rho, sound speed) the edge loops read and zero the next
+// accumulators.
 // A stage makes one edge pass and one face pass (euler.EdgeSweepSoAKernel)
 // for everything that reads w alone — the convective flux always,
 // dissipation pass 1 while it is re-evaluated, the spectral radii on stage 0
@@ -98,32 +101,30 @@ var SerialCutoffEdges = 8192
 type taskKind uint8
 
 const (
-	tInit         taskKind = iota // SoA load + w0 snapshot + vertex terms + accumulator zeroing (fused)
+	tInit         taskKind = iota // w0 snapshot + vertex terms + accumulator zeroing (fused)
 	tEdgeSweep                    // grouped: the stage's parts of {spectral radii, convective flux, Laplacian + sensor sums}
 	tFaceSweep                    // grouped: boundary closure (+ boundary-face spectral radii on stage 0)
 	tNu                           // sensor sums -> shock switch (+ local time steps on stage 0)
 	tDiss2                        // grouped: blended dissipative flux
-	tCombine                      // resS = convS - dissS (+ forcing), SoA
-	tCombineOut                   // res = convS - dissS (+ forcing), []State out
+	tCombine                      // resS = convS - dissS (+ forcing)
 	tNorm                         // block partial sums of the residual norm
-	tLoadRes                      // []State load into resS (correction smoothing preamble)
 	tSmoothGather                 // one whole Jacobi sweep, gather form over the adjacency
-	tUpdate                       // RK update scattered to []State (final stage)
-	tUpdateNext                   // RK update + next-stage vertex terms + zeroing (fused, SoA)
-	tResInit                      // SoA load + vertex terms + accumulator zeroing (standalone residual)
+	tUpdate                       // RK update, final stage
+	tUpdateNext                   // RK update + next-stage vertex terms + zeroing (fused)
+	tResInit                      // vertex terms + accumulator zeroing (standalone residual)
 	tInterp                       // inter-grid interpolation over a target chunk
 	tScatter                      // destination-grouped residual restriction rows
 	tRepairSave                   // repair restricted states + snapshot (fused)
 	tCorrDelta                    // coarse correction delta W - WSaved
 	tForcingSub                   // FAS forcing P = R' - R(w')
-	tApplyCorr                    // guarded application of the smoothed correction (read from SoA)
+	tApplyCorr                    // guarded application of the smoothed correction
 	nTasks
 )
 
 // Instrumented phases of one time step (the engine's internal phase
 // numbering; phaseMap routes them to accumulator slots).
 const (
-	phTimestep    = iota // SoA load and per-vertex terms (pressure, 1/rho, sound speed)
+	phTimestep    = iota // stage-0 snapshot and per-vertex terms (pressure, 1/rho, sound speed)
 	phConvective         // the fused edge and face sweeps, whatever parts the stage selects
 	phDissipation        // shock switch (+ local time steps on stage 0) and dissipation pass 2
 	phResidual           // residual combine + norm reduction
@@ -157,20 +158,20 @@ type normSlot struct {
 // Solver owns one; a Multigrid owns one per level, all driven by the same
 // engine (and thus the same parked workers).
 //
-// The step-path scratch is six SoA blocks (euler.StateSoA), and their
-// lifetimes within a stage are what lets six suffice. wS (solution) and w0S
-// (stage-0 snapshot) are loaded from the caller's []State in the fused init
-// sweep and live for the step; dissS is written on the dissipation stages
-// and read, frozen, by every later combine. convS lives from the convective
-// sweep to the combine, laplS from dissipation pass 1 to pass 2 — both are
-// dead once resS is formed, so the smoother, whose right-hand side resS
-// must stay intact for every sweep, writes its sweeps alternately into
-// laplS and convS; the update reads whichever holds the last one
-// (engine.smS) and the stage-boundary sweep that follows re-zeroes both
-// before their next use. Between steps resS is free, and the multigrid
-// driver smooths the prolonged correction in it the same way. res keeps
-// the []State layout because the multigrid transfer operators consume it
-// directly.
+// The step-path scratch is five blocks (euler.StateSoA), and their
+// lifetimes within a stage are what lets five suffice. The solution block
+// is the caller's w itself (euler.Block), advanced in place by the update
+// sweeps; w0S, its stage-0 snapshot, is taken in the fused init sweep and
+// lives for the step. dissS is written on the dissipation stages and read,
+// frozen, by every later combine. convS lives from the convective sweep to
+// the combine, laplS from dissipation pass 1 to pass 2 — both are dead once
+// resS is formed, so the smoother, whose right-hand side resS must stay
+// intact for every sweep, writes its sweeps alternately into laplS and
+// convS; the update reads whichever holds the last one (engine.smS) and the
+// stage-boundary sweep that follows re-zeroes both before their next use.
+// Between steps resS is free: the standalone residual is formed in it and
+// the multigrid transfers read it as the []State it is, and the coarse
+// correction is staged in it on its way up.
 type levelEngine struct {
 	d *euler.Disc // over lay.view
 
@@ -179,11 +180,8 @@ type levelEngine struct {
 	lay    *layout
 	ownLay bool
 
-	wS, w0S      *euler.StateSoA
-	convS, dissS *euler.StateSoA
-	resS, laplS  *euler.StateSoA
+	w0S, convS, dissS, resS, laplS *euler.StateSoA
 
-	res         []euler.State // standalone-residual output (AoS, fed to transfers)
 	normPartial []normSlot
 
 	// Prebuilt chunk tables: per-worker vertex and norm-block ranges, and
@@ -210,13 +208,11 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 	le := &levelEngine{
 		d:           euler.NewDisc(lay.view, p),
 		lay:         lay,
-		wS:          euler.NewStateSoA(nv),
 		w0S:         euler.NewStateSoA(nv),
 		convS:       euler.NewStateSoA(nv),
 		dissS:       euler.NewStateSoA(nv),
 		resS:        euler.NewStateSoA(nv),
 		laplS:       euler.NewStateSoA(nv),
-		res:         make([]euler.State, nv),
 		normPartial: make([]normSlot, nb),
 	}
 	le.buildSpans(nworkers)
@@ -311,15 +307,14 @@ type engine struct {
 	parts    euler.SweepParts // tEdgeSweep/tFaceSweep: what the pass accumulates
 	withDt   bool             // tNu: also fill the time steps (stage 0)
 	zeroDiss bool             // tUpdateNext: also zero dissipation arrays
-	w        []euler.State    // solution being advanced
+	w        []euler.State    // solution being advanced: the step's solution block (euler.Block(&e.w))
 	forcing  []euler.State
 
 	// Residual averaging: smS is the block holding the smoothed result so
 	// far, which a sweep in flight reads (writing nextS) and the update and
-	// correction sweeps consume; the right-hand side is always the level's
-	// resS, which tLoadRes first fills from smLoad.
-	smS, nextS *euler.StateSoA
-	smLoad     []euler.State
+	// correction sweeps consume; rhsS is the right-hand side every sweep
+	// reads and none writes.
+	smS, nextS, rhsS *euler.StateSoA
 
 	// Generic per-vertex operands (tRepairSave/tCorrDelta/tForcingSub/
 	// tApplyCorr) and the inter-grid transfer descriptor.
@@ -370,17 +365,18 @@ func (e *engine) colored(j taskKind, active []int) {
 func (e *engine) exec(wk int) {
 	lev := e.lev
 	d := lev.d
+	wS := euler.Block(&e.w)
 	switch e.job {
 	case tInit:
 		sp := lev.vertSpans[wk]
-		d.StepInitSoAKernel(e.w, lev.wS, lev.w0S, sp.lo, sp.hi)
+		d.StepInitSoAKernel(e.w, wS, lev.w0S, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, true, sp.lo, sp.hi)
 	case tEdgeSweep:
 		sp := lev.edgeSpans.of(e.group, wk)
-		d.EdgeSweepSoAKernel(e.parts, lev.wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
+		d.EdgeSweepSoAKernel(e.parts, wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tFaceSweep:
 		sp := lev.faceSpans.of(e.group, wk)
-		d.BFaceSweepSoAKernel(e.parts, lev.wS, lev.convS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
+		d.BFaceSweepSoAKernel(e.parts, wS, lev.convS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
 	case tNu:
 		sp := lev.vertSpans[wk]
 		d.NuRangeKernel(d.Sensor(), d.Den(), sp.lo, sp.hi)
@@ -389,46 +385,30 @@ func (e *engine) exec(wk int) {
 		}
 	case tDiss2:
 		sp := lev.edgeSpans.of(e.group, wk)
-		d.DissPass2SoAKernel(lev.wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
+		d.DissPass2SoAKernel(wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
 	case tCombine:
 		sp := lev.vertSpans[wk]
 		d.CombineResidualSoAKernel(lev.resS, lev.convS, lev.dissS, e.forcing, sp.lo, sp.hi)
-	case tCombineOut:
-		sp := lev.vertSpans[wk]
-		d.CombineResidualOutKernel(lev.res, lev.convS, lev.dissS, e.forcing, sp.lo, sp.hi)
 	case tNorm:
 		sp := lev.normSpans[wk]
 		nv := d.M.NV()
-		res0 := lev.resS.Comp[0]
 		for b := sp.lo; b < sp.hi; b++ {
-			lo := b * normBlock
-			hi := lo + normBlock
-			if hi > nv {
-				hi = nv
-			}
-			sum := 0.0
-			for i := lo; i < hi; i++ {
-				r := res0[i] / d.M.Vol[i]
-				sum += r * r
-			}
-			lev.normPartial[b].v = sum
+			lo, hi := b*normBlock, min((b+1)*normBlock, nv)
+			lev.normPartial[b].v = euler.ResidualNormSq((*lev.resS)[lo:hi], d.M.Vol[lo:hi], hi-lo) // one block: its partial
 		}
-	case tLoadRes:
-		sp := lev.vertSpans[wk]
-		lev.resS.FromStates(e.smLoad, sp.lo, sp.hi)
 	case tSmoothGather:
 		sp := lev.vertSpans[wk]
-		euler.SmoothGatherSoAKernel(lev.resS, e.smS, e.nextS, lev.lay.adjStart, lev.lay.adj, e.eps, sp.lo, sp.hi)
+		euler.SmoothGatherSoAKernel(e.rhsS, e.smS, e.nextS, lev.lay.adjStart, lev.lay.adj, e.eps, sp.lo, sp.hi)
 	case tUpdate:
 		sp := lev.vertSpans[wk]
 		d.UpdateFinalSoAKernel(e.w, lev.w0S, e.smS, e.alpha, sp.lo, sp.hi)
 	case tUpdateNext:
 		sp := lev.vertSpans[wk]
-		d.UpdateNextSoAKernel(lev.wS, lev.w0S, e.smS, e.alpha, sp.lo, sp.hi)
+		d.UpdateNextSoAKernel(wS, lev.w0S, e.smS, e.alpha, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, e.zeroDiss, sp.lo, sp.hi)
 	case tResInit:
 		sp := lev.vertSpans[wk]
-		d.ResInitSoAKernel(e.w, lev.wS, sp.lo, sp.hi)
+		d.ResInitSoAKernel(e.w, wS, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, true, sp.lo, sp.hi)
 	case tInterp:
 		sp := e.xspans[wk]
@@ -447,9 +427,7 @@ func (e *engine) exec(wk int) {
 		multigrid.Subtract(e.va, e.vb, sp.lo, sp.hi)
 	case tApplyCorr:
 		sp := lev.vertSpans[wk]
-		for i := sp.lo; i < sp.hi; i++ {
-			e.va[i] = multigrid.Correct(&d.P, e.va[i], e.smS.At(i))
-		}
+		multigrid.ApplyCorrection(&d.P, e.va, *e.smS, sp.lo, sp.hi)
 	}
 }
 
@@ -466,9 +444,8 @@ func (e *engine) tick(phase int, fl int64, t *time.Time) {
 
 // step advances w by one multistage time step on lev, identically to
 // euler.Disc.Step but with all loops grouped, dispatched to the worker
-// pool, and running on the SoA layout between the fused init and update
-// sweeps. It returns the first-stage residual norm and performs no heap
-// allocations.
+// pool, and advancing w in place as the step's solution block. It returns
+// the first-stage residual norm and performs no heap allocations.
 func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	d := lev.d
 	if d.M.NV() == 0 {
@@ -479,7 +456,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	t := time.Now()
 	stepStart := t
 
-	// SoA load, per-vertex terms and the zeroing of every accumulator.
+	// Stage-0 snapshot, per-vertex terms and the zeroing of every accumulator.
 	e.fork(tInit, 0, lev.vertActive)
 	e.tick(phTimestep, lev.flInit, &t)
 
@@ -521,7 +498,7 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 		}
 		e.tick(phResidual, lev.flCombine, &t)
 
-		e.smoothSoA(lev, nil)
+		e.smooth(lev, lev.resS)
 		e.tick(phSmoothing, lev.flSmooth, &t)
 
 		e.alpha = alpha
@@ -547,10 +524,9 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 }
 
 // residual evaluates the steady residual R(w) plus the optional FAS
-// forcing into lev.res, matching euler.Disc.Residual (followed by the
-// forcing add) arithmetic-for-arithmetic. The edge kernels run SoA; the
-// combine sweep scatters straight into the []State output the transfer
-// operators consume. Used by the multigrid forcing construction; performs
+// forcing into lev.resS, matching euler.Disc.Residual (followed by the
+// forcing add) arithmetic-for-arithmetic; the transfer operators read it as
+// the []State it is. Used by the multigrid forcing construction; performs
 // no heap allocations.
 func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 	if lev.d.M.NV() == 0 {
@@ -564,7 +540,7 @@ func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 	e.colored(tFaceSweep, lev.faceSpans.active)
 	e.fork(tNu, 0, lev.vertActive)
 	e.colored(tDiss2, lev.edgeSpans.active)
-	e.fork(tCombineOut, 0, lev.vertActive)
+	e.fork(tCombine, 0, lev.vertActive)
 	e.w, e.forcing = nil, nil
 }
 
@@ -581,32 +557,26 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 	return math.Sqrt(sum / float64(lev.d.M.NV()))
 }
 
-// smoothSoA applies the implicit residual averaging to lev.resS and leaves
-// e.smS pointing at the block that holds the result. Each Jacobi sweep is
-// one vertex-parallel gather over the layout's adjacency — one barrier,
-// where the per-edge-colored edge form paid one per color plus a combine — reading
-// the right-hand side from resS, which no sweep writes, and writing
+// smooth applies the implicit residual averaging to rhs and leaves e.smS
+// pointing at the block that holds the result. Each Jacobi sweep is one
+// vertex-parallel gather over the layout's adjacency — one barrier, where
+// the per-edge-colored edge form paid one per color plus a combine —
+// reading the right-hand side from rhs, which no sweep writes, and writing
 // alternately into laplS and convS (dead at this point of a stage; see
-// levelEngine). The step path smooths the combined residual already in
-// resS (load == nil); the multigrid driver passes the prolonged correction
-// as load, converted into resS first. With averaging switched off the
-// result is resS itself.
-func (e *engine) smoothSoA(lev *levelEngine, load []euler.State) {
+// levelEngine). The step path smooths the combined residual in resS; the
+// multigrid driver smooths the prolonged correction where it lies, in its
+// level's Corr. With averaging switched off the result is rhs itself.
+func (e *engine) smooth(lev *levelEngine, rhs *euler.StateSoA) {
 	d := lev.d
 	sweeps := d.P.NSmooth
 	if d.P.EpsSmooth == 0 {
 		sweeps = 0
 	}
-	e.smS = lev.resS
-	if lev.resS.Len() == 0 {
+	e.smS, e.rhsS = rhs, rhs
+	if rhs.Len() == 0 {
 		return
 	}
 	e.lev = lev
-	if load != nil {
-		e.smLoad = load
-		e.fork(tLoadRes, 0, lev.vertActive)
-		e.smLoad = nil
-	}
 	e.eps = d.P.EpsSmooth
 	scratch := [2]*euler.StateSoA{lev.laplS, lev.convS}
 	for sweep := 0; sweep < sweeps; sweep++ {

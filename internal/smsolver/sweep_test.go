@@ -11,7 +11,7 @@ import (
 
 // poisonVertexTerms overwrites d's per-vertex pressures, 1/rho and sound
 // speeds with NaN, through the one door this package has to them: the step
-// preamble run on an all-NaN field into a throwaway SoA block.
+// preamble run on an all-NaN field into a throwaway block.
 func poisonVertexTerms(d *euler.Disc) {
 	nv := d.M.NV()
 	bad := make([]euler.State, nv)
@@ -26,7 +26,7 @@ func poisonVertexTerms(d *euler.Disc) {
 
 // TestVertexTermsNeverStale: the edge and face sweeps read 1/rho and the
 // sound speed from per-vertex arrays instead of deriving them per edge, so
-// every path that writes the SoA solution must refresh them itself. Poison
+// every path that writes the solution block must refresh them itself. Poison
 // them before every Step, before every Cycle (all levels) and after a
 // Rebuild: the histories and solutions must not move by a bit.
 func TestVertexTermsNeverStale(t *testing.T) {
@@ -46,11 +46,9 @@ func TestVertexTermsNeverStale(t *testing.T) {
 		nv := m.NV()
 		w := make([]euler.State, nv)
 		s.InitUniform(w)
-		wS := euler.NewStateSoA(nv)
-		wS.FromStates(w, 0, nv)
 		poisonVertexTerms(s.D)
 		lam := make([]float64, nv)
-		s.D.LambdaEdgesSoAKernel(wS, lam, []int32{0})
+		s.D.LambdaEdgesSoAKernel(euler.Block(&w), lam, []int32{0})
 		if e := s.D.M.Edges[0]; !math.IsNaN(lam[e[0]]) || !math.IsNaN(lam[e[1]]) {
 			t.Fatal("poisoned vertex terms did not reach the edge sweep: the test has no teeth")
 		}

@@ -27,9 +27,7 @@ var taskNames = [nTasks]string{
 	tNu:           "nu",
 	tDiss2:        "diss2",
 	tCombine:      "combine",
-	tCombineOut:   "combine-out",
 	tNorm:         "norm",
-	tLoadRes:      "load-res",
 	tSmoothGather: "smooth-gather",
 	tUpdate:       "update",
 	tUpdateNext:   "update-next",

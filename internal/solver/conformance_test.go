@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"eul3d/internal/dmsolver"
@@ -207,8 +208,7 @@ func abs64(x float64) float64 {
 // produce bitwise-identical residual histories and solutions at every
 // worker count — the state layout and the chunking are memory-placement
 // choices, not numerical ones. The same solver instances must also keep
-// the engine's zero-allocation contract on the SoA step path, which
-// testing.AllocsPerRun enforces.
+// the engine's zero-allocation contract on the step path (stepAllocs).
 func TestSingleGridSoAConformance(t *testing.T) {
 	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
 	smsolver.SerialCutoffEdges = 0
@@ -251,28 +251,34 @@ func TestSingleGridSoAConformance(t *testing.T) {
 				t.Fatalf("workers=%d: vertex %d state %v, serial %v", nw, i, w[i], refW[i])
 			}
 		}
-		// Collect the garbage from the previous worker count's solver
-		// before measuring: a GC cycle triggered inside AllocsPerRun's
-		// short window gets attributed to the step path. The retry keeps
-		// a straggling cycle from failing the run; a genuine per-step
-		// allocation shows up on every attempt.
-		if allocs := zeroAllocStep(s, w); allocs != 0 {
-			t.Fatalf("workers=%d: SoA step path allocates %v times per run", nw, allocs)
+		if allocs := stepAllocs(s, w, 10); allocs != 0 {
+			t.Fatalf("workers=%d: 10 steps of the pooled step path allocate %d times", nw, allocs)
 		}
 		s.Close()
 	}
 }
 
-// zeroAllocStep measures the steady-state allocation count of s.Step,
-// insulating the measurement from unrelated GC activity.
-func zeroAllocStep(s *smsolver.Solver, w []euler.State) float64 {
-	var allocs float64
-	for attempt := 0; attempt < 2; attempt++ {
-		runtime.GC()
-		allocs = testing.AllocsPerRun(5, func() { s.Step(w, nil) })
-		if allocs == 0 {
-			break
-		}
+// stepAllocs counts, exactly and once, the heap allocations of n
+// steady-state steps of s. What used to leak into the count came from the
+// runtime, not the step, and is fenced off here instead of retried away. A
+// collection inside the window — the one this check used to force just
+// before it included — runs whatever cleanups and finalizers it queued on
+// the runtime's own goroutine and drops the central sudog cache, so GC is
+// off for the window. And at GOMAXPROCS > 1 a pool worker that parks on one
+// P and is woken on another carries its sudog over, and a P left with none
+// allocates a new one: 1-6 stray allocations in 27 of 80 windows of 200
+// steps at GOMAXPROCS 2, none in 100 on one P. So the window runs on one P
+// (as testing.AllocsPerRun's does), after a warm-up step has stocked its
+// cache.
+func stepAllocs(s *smsolver.Solver, w []euler.State, n int) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s.Step(w, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		s.Step(w, nil)
 	}
-	return allocs
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
