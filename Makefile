@@ -84,7 +84,8 @@ adapt-smoke:
 
 # Full gate: vet, all tests, race pass, short fuzz smokes on the
 # fault-spec parser, the exact Riemann solver, the artifact blob frame
-# decoder and the refinement midpoint table (errors, never panics), and
+# decoder, the resume-record and mesh decoders and the refinement midpoint
+# table (errors, never panics), and
 # the serving, cluster, artifact-store, tracing, scenario and adaptive
 # smoke tests, every in-tree benchmark once, then the benchmark's own
 # compile-and-gate check.
@@ -95,6 +96,8 @@ verify: build
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 2s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzRiemann -fuzztime 2s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzArtifactDecode -fuzztime 2s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 2s ./internal/meshio
+	$(GO) test -run '^$$' -fuzz FuzzMeshDecode -fuzztime 2s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz FuzzMidpointTable -fuzztime 2s ./internal/refine
 	$(GO) test -run TestServeSmoke -count 1 ./cmd/eul3dd
 	$(GO) test -run TestClusterSmoke -count 1 ./cmd/eul3dc

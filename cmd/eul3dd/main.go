@@ -3,9 +3,9 @@
 // are queued with priorities and deadlines, run on cached engines (mesh +
 // discretization + colorings + parked worker pool, shared across jobs of
 // the same mesh), and observed or cancelled mid-flight. On SIGTERM the
-// server drains gracefully: in-flight jobs are checkpointed to -state-dir
-// in the standard meshio format and resume — bitwise identically — when
-// the server restarts.
+// server drains gracefully: each in-flight job's resume record (the
+// meshio checkpoint format) is written to -state-dir beside its spec, and
+// the job resumes — bitwise identically — when the server restarts.
 //
 // Usage:
 //
@@ -29,6 +29,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -44,9 +45,9 @@ func main() {
 		runners      = flag.Int("runners", 2, "jobs solving concurrently")
 		workerBudget = flag.Int("worker-budget", 8, "total pooled workers across concurrent jobs")
 		cacheCap     = flag.Int("cache-cap", 4, "idle engines kept warm")
-		stateDir     = flag.String("state-dir", "", "drain checkpoints + resume sidecars (empty disables resume)")
+		stateDir     = flag.String("state-dir", "", "per interrupted job, its resume record <id>.ckpt and spec <id>.job.json; also the artifact store's disk tier unless -artifact-dir is set (empty disables resume)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint running jobs every N cycles (with -state-dir; survives SIGKILL, enables cluster handoff)")
-		artDir       = flag.String("artifact-dir", "", "artifact-store disk tier (empty keeps uploads in memory only)")
+		artDir       = flag.String("artifact-dir", "", "artifact-store disk tier (empty: <state-dir>/artifacts, or memory only without -state-dir)")
 		artMemMB     = flag.Int("artifact-mem-mb", 256, "artifact-store memory budget in MiB")
 		artDiskMB    = flag.Int("artifact-disk-mb", 2048, "artifact-store disk budget in MiB (with -artifact-dir)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "grace period for SIGTERM drain")
@@ -70,6 +71,11 @@ func main() {
 	var tracer *trace.Tracer
 	if *doTrace {
 		tracer = trace.New(*traceRing)
+	}
+	if *artDir == "" && *stateDir != "" {
+		// The meshes adapted jobs' records name must survive the restart
+		// that resumes them.
+		*artDir = filepath.Join(*stateDir, "artifacts")
 	}
 	art, err := store.New(store.Config{
 		Dir:        *artDir,

@@ -41,6 +41,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
+	"eul3d/internal/meshio"
 	"eul3d/internal/perf"
 	"eul3d/internal/refine"
 	"eul3d/internal/runloop"
@@ -50,9 +51,10 @@ import (
 
 // Options configures an adaptive run.
 type Options struct {
-	Mesh   *mesh.Mesh    // starting mesh (ignored when Resume is set)
+	Mesh   *mesh.Mesh    // the mesh the run starts on: Resume's, when set
 	Init   []euler.State // initial condition on Mesh; nil starts from the freestream
 	Params euler.Params
+	Meta   runloop.Meta // what every record carries about the run besides its state
 
 	Engine  string // "single" (default) or "sm"
 	Workers int    // sm worker count; <=0 selects GOMAXPROCS
@@ -74,7 +76,7 @@ type Options struct {
 	Log      io.Writer
 
 	// Context, when non-nil, is checked before every step; cancellation
-	// stops the run with Result.Cancelled set and a resumable Snapshot.
+	// stops the run with Result.Cancelled set and a resumable record.
 	Context  context.Context
 	Progress func(step int, norm float64)
 
@@ -82,15 +84,23 @@ type Options struct {
 	// adaptation epoch and a nested rebuild span.
 	Trace *trace.Tracer
 
-	// CheckpointEvery > 0 invokes OnCheckpoint with a fresh Snapshot every
+	// CheckpointEvery > 0 invokes OnCheckpoint with a fresh record every
 	// that many steps (and after every adaptation epoch, so a resume never
 	// replays a refinement).
 	CheckpointEvery int
-	OnCheckpoint    func(*Snapshot) error
+	OnCheckpoint    func(*meshio.Checkpoint) error
 
-	// Resume continues a run from a Snapshot (produced by cancellation or
-	// OnCheckpoint) instead of starting from Mesh/Init.
-	Resume *Snapshot
+	// NameMesh, when set, names every mesh an epoch produces — the name
+	// each later record's Mesh carries, so that a record says which mesh
+	// its solution lives on. Records name the starting mesh "" (or, on a
+	// resumed run, as Resume did). Without it, records past an epoch leave
+	// Mesh empty and the caller keeps the mesh beside them (Result.Mesh).
+	NameMesh func(*mesh.Mesh) (string, error)
+
+	// Resume continues a run from a record (produced by cancellation or
+	// OnCheckpoint) instead of starting from Init; Mesh must be the mesh
+	// the record names.
+	Resume *meshio.Checkpoint
 }
 
 // EpochStat records one adaptation epoch.
@@ -119,22 +129,7 @@ type Result struct {
 	CellsRefined int        // total cells added across all epochs
 	Stats        perf.Stats // driver phases: solve/indicator/refine/transfer/rebuild
 
-	Snap *Snapshot // set when Cancelled: resume point
-}
-
-// Snapshot is the resumable state of an adaptive run: unlike a plain
-// solver checkpoint it carries the current (adapted) mesh and the
-// adaptation counters.
-type Snapshot struct {
-	Mesh         *mesh.Mesh
-	W            []euler.State
-	History      []float64
-	Step         int
-	EpochsDone   int
-	Dt           float64 // current global dt (0 on steady runs)
-	StepsLeft    int
-	SinceEpoch   int
-	CellsRefined int
+	Snap *meshio.Checkpoint // set when Cancelled: the resume point, on Mesh
 }
 
 // Driver phase slots of the perf accumulator.
@@ -169,24 +164,28 @@ func Run(opt Options) (*Result, error) {
 	dt := p.GlobalDt
 	timeAccurate := dt > 0
 	var history []float64
+	var meshName string
 	stepsLeft := opt.Steps
-	if rs := opt.Resume; rs != nil {
-		m, w = rs.Mesh, rs.W
-		history = append(history, rs.History...)
-		step, epochs, since = rs.Step, rs.EpochsDone, rs.SinceEpoch
-		cellsRefined = rs.CellsRefined
-		if timeAccurate {
-			dt, stepsLeft = rs.Dt, rs.StepsLeft
-			p.GlobalDt = dt
-		} else {
-			stepsLeft = opt.Steps - step
-		}
-	}
 	if m == nil || m.NV() == 0 {
 		return nil, errors.New("adapt: nil or empty mesh")
 	}
 	if opt.Steps <= 0 {
 		return nil, errors.New("adapt: Steps must be positive")
+	}
+	if rs := opt.Resume; rs != nil {
+		w, meshName = rs.Sol, rs.Mesh
+		history = append(history, rs.History...)
+		step, epochs, since = rs.Cycle, rs.Epochs, rs.SinceEpoch
+		cellsRefined = rs.CellsRefined
+		if timeAccurate {
+			if rs.Dt <= 0 {
+				return nil, errors.New("adapt: resuming a time-accurate run from a record with no time step")
+			}
+			dt, stepsLeft = rs.Dt, rs.StepsLeft
+			p.GlobalDt = dt
+		} else {
+			stepsLeft = opt.Steps - step
+		}
 	}
 	interval := opt.Interval
 	if interval <= 0 {
@@ -198,7 +197,7 @@ func Run(opt Options) (*Result, error) {
 	}
 	budget := opt.Budget
 	if budget <= 0 {
-		budget = 4 * m.NT()
+		budget = 4 * (m.NT() - cellsRefined) // the starting cell count, also on a resumed run
 	}
 	frac := opt.Frac
 	if frac <= 0 || frac > 0.5 {
@@ -234,18 +233,10 @@ func Run(opt Options) (*Result, error) {
 
 	acc := perf.NewAccum(phaseNames[:]...)
 	res := &Result{}
-	snapshot := func(history []float64) *Snapshot {
-		return &Snapshot{
-			Mesh:         m,
-			W:            append([]euler.State(nil), eng.Solution()...),
-			History:      append([]float64(nil), history...),
-			Step:         step,
-			EpochsDone:   epochs,
-			Dt:           dt,
-			StepsLeft:    stepsLeft,
-			SinceEpoch:   since,
-			CellsRefined: cellsRefined,
-		}
+	record := func(history []float64) *meshio.Checkpoint {
+		ck := opt.Meta.Checkpoint(append([]float64(nil), history...), append([]euler.State(nil), eng.Solution()...))
+		ck.Mesh, ck.Epochs, ck.SinceEpoch, ck.StepsLeft, ck.CellsRefined, ck.Dt = meshName, epochs, since, stepsLeft, cellsRefined, dt
+		return ck
 	}
 
 	lo := runloop.Options{Context: opt.Context}
@@ -253,7 +244,7 @@ func Run(opt Options) (*Result, error) {
 		lo.Tolerance = opt.Tolerance
 	}
 	// Every step advances the driver's counters here — before the loop's
-	// checkpoint hook runs, so a snapshot sees them current. Steps are
+	// checkpoint hook runs, so a record sees them current. Steps are
 	// numbered from 1, and the progress line carries the mesh size and epoch
 	// count the loop's own does not know.
 	lo.Progress = func(c int, norm float64) {
@@ -273,7 +264,7 @@ func Run(opt Options) (*Result, error) {
 				// epoch below decides (a resume never replays a refinement).
 				return nil
 			}
-			return opt.OnCheckpoint(snapshot(history))
+			return opt.OnCheckpoint(record(history))
 		}
 	}
 
@@ -292,7 +283,7 @@ func Run(opt Options) (*Result, error) {
 		}
 		res.Result, history = *lr, lr.History
 		if lr.Cancelled {
-			res.Snap = snapshot(history)
+			res.Snap = record(history)
 		}
 		if lr.Cancelled || lr.Converged || lr.Diverged || stepsLeft == 0 {
 			break
@@ -366,6 +357,12 @@ func Run(opt Options) (*Result, error) {
 			cellsRefined += r.Mesh.NT() - m.NT()
 			m = r.Mesh
 			epochs++
+			meshName = ""
+			if opt.NameMesh != nil {
+				if meshName, err = opt.NameMesh(m); err != nil {
+					return nil, fmt.Errorf("adapt: naming the mesh of epoch %d: %w", epochs, err)
+				}
+			}
 			res.Epochs = append(res.Epochs, st)
 			if atrack != nil {
 				now := time.Now()
@@ -378,7 +375,7 @@ func Run(opt Options) (*Result, error) {
 					float64(st.RebuildNS)/1e6)
 			}
 			if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(snapshot(history)); err != nil {
+				if err := opt.OnCheckpoint(record(history)); err != nil {
 					return nil, fmt.Errorf("adapt: checkpoint after epoch %d: %w", epochs, err)
 				}
 			}

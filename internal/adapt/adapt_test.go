@@ -131,7 +131,7 @@ func TestAdaptiveSodSingle(t *testing.T) {
 	}
 }
 
-// TestAdaptResume: cancelling mid-run and resuming from the snapshot
+// TestAdaptResume: cancelling mid-run and resuming from the record
 // reproduces the uninterrupted run bitwise, including across an
 // adaptation epoch boundary — on the sequential engine and on the pooled
 // one, whose layout is a function of the current mesh alone, so an engine
@@ -185,14 +185,14 @@ func testAdaptResume(t *testing.T, engine string) {
 		t.Fatal(err)
 	}
 	if !part.Cancelled || part.Snap == nil {
-		t.Fatal("cancelled run did not return a snapshot")
+		t.Fatal("cancelled run did not return a record")
 	}
-	if part.Snap.EpochsDone != 1 {
-		t.Fatalf("snapshot at step %d has %d epochs, want 1", part.Snap.Step, part.Snap.EpochsDone)
+	if part.Snap.Epochs != 1 {
+		t.Fatalf("record at step %d has %d epochs, want 1", part.Snap.Cycle, part.Snap.Epochs)
 	}
 
 	resumed := base
-	resumed.Resume = part.Snap
+	resumed.Mesh, resumed.Resume = part.Mesh, part.Snap
 	res2, err := Run(resumed)
 	if err != nil {
 		t.Fatal(err)

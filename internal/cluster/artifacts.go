@@ -15,23 +15,14 @@ import (
 // has the bytes.
 
 // artifactAffinity reroutes a placement toward the data: when the job
-// names artifacts (mesh hash, resume-checkpoint hash) that the routed
-// node would need pushed, but another routable node already holds them
-// all, placing on the holder skips the transfer entirely. Every check is
-// a HEAD probe — bytes only ever move when no holder exists. A warm
-// engine pin on the routed node always wins: rebuilding a solver engine
-// costs far more than moving a blob. Returns nil to keep the routed node.
+// names artifacts (its mesh, its resume record) that the routed node would
+// need pushed, but another routable node already holds them all, placing
+// on the holder skips the transfer entirely. Every check is a HEAD probe —
+// bytes only ever move when no holder exists. A warm engine pin on the
+// routed node always wins: rebuilding a solver engine costs far more than
+// moving a blob. Returns nil to keep the routed node.
 func (c *Coordinator) artifactAffinity(j *cjob, routed *node, exclude map[string]bool) *node {
-	j.mu.Lock()
-	ckptHash := j.ckptHash
-	j.mu.Unlock()
-	var hashes []string
-	if h := j.Spec.Mesh.Hash; h != "" {
-		hashes = append(hashes, h)
-	}
-	if ckptHash != "" {
-		hashes = append(hashes, ckptHash)
-	}
+	hashes := j.artifacts()
 	if len(hashes) == 0 {
 		return nil
 	}
@@ -77,27 +68,29 @@ func (c *Coordinator) nodeHasAll(n *node, hashes []string) bool {
 	return true
 }
 
-// ensureArtifact makes hash present on node n. Cheapest path first: the
-// node already holds it; else push from the coordinator's cache; else
-// proxy the bytes from a peer node, cache them, and push.
-func (c *Coordinator) ensureArtifact(n *node, hash string) error {
-	if ok, err := n.client.artifactHas(c.ctx, hash); err == nil && ok {
-		return nil
-	}
-	data, gerr := c.store.Get(hash)
-	if gerr != nil {
-		if data = c.proxyArtifact(hash, n.name); data == nil {
-			return fmt.Errorf("cluster: artifact %s held by neither the coordinator nor any peer", hash[:12])
+// ensureArtifacts makes every named hash present on node n. Cheapest path
+// first: the node already holds it; else push from the coordinator's
+// cache; else proxy the bytes from a peer node, cache them, and push.
+func (c *Coordinator) ensureArtifacts(n *node, hashes ...string) error {
+	for _, hash := range hashes {
+		if ok, err := n.client.artifactHas(c.ctx, hash); err == nil && ok {
+			continue
 		}
+		data, gerr := c.store.Get(hash)
+		if gerr != nil {
+			if data = c.proxyArtifact(hash, n.name); data == nil {
+				return fmt.Errorf("cluster: artifact %s held by neither the coordinator nor any peer", hash[:12])
+			}
+		}
+		got, err := n.client.artifactPut(c.ctx, data)
+		if err != nil {
+			return err
+		}
+		if got != hash {
+			return fmt.Errorf("cluster: node %s stored artifact as %s, want %s", n.name, got[:12], hash[:12])
+		}
+		c.met.ArtifactPushes.Add(1)
 	}
-	got, err := n.client.artifactPut(c.ctx, data)
-	if err != nil {
-		return err
-	}
-	if got != hash {
-		return fmt.Errorf("cluster: node %s stored artifact as %s, want %s", n.name, got[:12], hash[:12])
-	}
-	c.met.ArtifactPushes.Add(1)
 	return nil
 }
 
@@ -130,4 +123,15 @@ func (c *Coordinator) proxyArtifact(hash, skip string) []byte {
 		return data
 	}
 	return nil
+}
+
+// keep pins the mesh a pulled record names in the coordinator's store,
+// first proxying it from the nodes — the one the record came from holds it
+// — when the coordinator does not. It reports whether the mesh is now held
+// ("" names none and needs nothing).
+func (c *Coordinator) keep(mesh string) bool {
+	if mesh == "" || c.store.Pin(mesh) == nil {
+		return true
+	}
+	return c.proxyArtifact(mesh, "") != nil && c.store.Pin(mesh) == nil
 }

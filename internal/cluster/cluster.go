@@ -24,16 +24,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +137,11 @@ type Coordinator struct {
 	cancel context.CancelCauseFunc
 
 	// store caches artifacts passing through the coordinator — client
-	// uploads, peer proxy fetches, pulled checkpoints — so placement can
-	// push them to nodes without a round trip to wherever they came from.
-	// Memory-only: the nodes own the durable tier.
+	// uploads, peer proxy fetches, pulled records and the meshes they name
+	// — so placement can push them to nodes without a round trip to
+	// wherever they came from. Memory-only: the nodes own the durable tier.
+	// A job's latest record and its mesh stay pinned here until the job
+	// settles, so a handoff never finds them evicted.
 	store *store.Store
 
 	mu      sync.Mutex
@@ -423,10 +424,23 @@ type cjob struct {
 	mu        sync.Mutex
 	node      string // current placement ("" while unplaced)
 	view      serve.JobView
-	ckpt      []byte // last pulled checkpoint, raw meshio bytes
-	ckptHash  string // the checkpoint's key in the coordinator's store
+	ckptHash  string // the last pulled record's key in the coordinator's store
+	ckptMesh  string // the adapted mesh that record names ("" none)
 	ckptCycle int
 	handoffs  int
+}
+
+// artifacts lists what j's next placement needs on its node: the mesh its
+// run starts on — the one its latest record names, else the spec's — and
+// that record.
+func (j *cjob) artifacts() []string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	mesh := j.Spec.Mesh.Hash
+	if j.ckptMesh != "" {
+		mesh = j.ckptMesh
+	}
+	return slices.DeleteFunc([]string{mesh, j.ckptHash}, func(h string) bool { return h == "" })
 }
 
 // Done returns a channel closed when the job reaches a terminal state (or
@@ -580,7 +594,10 @@ func (c *Coordinator) settle(j *cjob, e ending) {
 		j.view.State, j.view.Error = e.state, e.errMsg
 	}
 	state, cycles, node := j.view.State, j.view.Cycles, j.node
+	record, mesh := j.ckptHash, j.ckptMesh
 	j.mu.Unlock()
+	c.store.Unpin(record) // the job's latest record and its mesh are pinned while it lives
+	c.store.Unpin(mesh)
 	if counter != nil {
 		counter.Add(1)
 		c.trc.jobTrack(j.ID).Instant(phase, time.Now(), int64(cycles))
@@ -691,29 +708,18 @@ func (c *Coordinator) place(j *cjob) (*node, error) {
 		if holder := c.artifactAffinity(j, n, exclude); holder != nil {
 			n = holder
 		}
-		// A hash-named mesh must be on the node before the spec referencing
-		// it lands there; a node the artifact cannot reach is excluded for
-		// the round.
-		if h := j.Spec.Mesh.Hash; h != "" {
-			if err := c.ensureArtifact(n, h); err != nil {
-				c.cfg.Log.Printf("job %s: mesh artifact for %s: %v", j.ID, n.name, err)
-				exclude[n.name] = true
-				retry(0)
-				continue
-			}
+		// Every artifact the job names — its mesh, and on a handoff its
+		// record — must be on the node before the spec referencing them
+		// lands there; a node they cannot reach is excluded for the round.
+		if err := c.ensureArtifacts(n, j.artifacts()...); err != nil {
+			c.cfg.Log.Printf("job %s: artifacts for %s: %v", j.ID, n.name, err)
+			exclude[n.name] = true
+			retry(0)
+			continue
 		}
-		sr := serve.SolveRequest{JobSpec: j.Spec, ID: j.ID}
 		j.mu.Lock()
-		ckpt, ckptHash := j.ckpt, j.ckptHash
+		sr := serve.SolveRequest{JobSpec: j.Spec, ID: j.ID, ResumeHash: j.ckptHash}
 		j.mu.Unlock()
-		// Hand checkpoints over by reference when possible: push the blob
-		// into the node's store and send only its hash. The inline base64
-		// copy remains the fallback for nodes the artifact cannot reach.
-		if ckptHash != "" && c.ensureArtifact(n, ckptHash) == nil {
-			sr.ResumeHash = ckptHash
-		} else if len(ckpt) > 0 {
-			sr.Resume = base64.StdEncoding.EncodeToString(ckpt)
-		}
 		view, code, after, err := n.client.submit(c.ctx, sr)
 		if err == nil {
 			c.adopt(j, n, view, attempt, "dispatched to")
@@ -810,29 +816,38 @@ func (c *Coordinator) watch(j *cjob, n *node) (e ending, handoff bool) {
 	}
 }
 
-// pullCheckpoint fetches the job's latest periodic checkpoint from its
-// node and keeps it if it parses (CRC-valid) and is newer than what we
-// hold. The raw bytes are retained for re-upload on handoff.
+// pullCheckpoint fetches the job's latest resume record from its node and,
+// if it parses (CRC-valid) and is newer than what we hold, makes it the
+// job's latest: stored and pinned in the coordinator's store with the
+// adapted mesh it names — proxied from the node when the coordinator lacks
+// it — so a handoff can move both by hash whatever becomes of the node.
+// The previous record's pins are released.
 func (c *Coordinator) pullCheckpoint(j *cjob, n *node) {
 	raw, err := n.client.checkpoint(c.ctx, j.ID)
 	if err != nil || len(raw) == 0 {
 		return
 	}
-	ck, err := meshio.ReadCheckpoint(bytes.NewReader(raw))
+	ck, err := meshio.DecodeCheckpoint(raw)
 	if err != nil {
-		return // torn or corrupt snapshot: keep the previous one
+		return // torn or corrupt record: keep the previous one
 	}
 	j.mu.Lock()
-	if ck.Cycle > j.ckptCycle {
-		j.ckpt = raw
-		j.ckptCycle = ck.Cycle
-		// Content-address the snapshot so a handoff can move it by hash;
-		// if the cache later evicts it, the inline bytes still dispatch.
-		if hash, err := c.store.Put(raw); err == nil {
-			j.ckptHash = hash
-		}
-		c.met.CkptPulls.Add(1)
-		c.trc.jobTrack(j.ID).Instant(c.trc.phCkpt, time.Now(), int64(ck.Cycle))
-	}
+	stale := ck.Cycle <= j.ckptCycle
 	j.mu.Unlock()
+	if stale || !c.keep(ck.Mesh) {
+		return
+	}
+	hash, err := c.store.Put(raw)
+	if err != nil || c.store.Pin(hash) != nil {
+		c.store.Unpin(ck.Mesh)
+		return
+	}
+	j.mu.Lock()
+	oldHash, oldMesh := j.ckptHash, j.ckptMesh
+	j.ckptHash, j.ckptMesh, j.ckptCycle = hash, ck.Mesh, ck.Cycle
+	j.mu.Unlock()
+	c.store.Unpin(oldHash)
+	c.store.Unpin(oldMesh)
+	c.met.CkptPulls.Add(1)
+	c.trc.jobTrack(j.ID).Instant(c.trc.phCkpt, time.Now(), int64(ck.Cycle))
 }

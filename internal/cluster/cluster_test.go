@@ -283,6 +283,84 @@ func TestClusterHandoffBitwise(t *testing.T) {
 	}
 }
 
+// TestClusterAdaptiveHandoffBitwise kills the node running an adaptive job
+// once the coordinator holds a record from past the first epoch — a record
+// naming a refined mesh that only the dead node and the coordinator hold.
+// The coordinator moves both by hash, and the job finishes on the survivor
+// with the history and result of an uninterrupted run.
+func TestClusterAdaptiveHandoffBitwise(t *testing.T) {
+	spec := serve.JobSpec{Scenario: "sod", Adapt: &serve.AdaptSpec{Interval: 30, Epochs: 2}}
+
+	ref := serve.NewScheduler(serve.Config{QueueCap: 4, Runners: 1, WorkerBudget: 4})
+	defer ref.Stop()
+	rj, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-rj.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatal("reference run did not finish")
+	}
+	want := rj.View()
+	if want.State != serve.StateCompleted || len(want.AdaptEpochs) == 0 {
+		t.Fatalf("reference ended %s with %d epochs (err %q)", want.State, len(want.AdaptEpochs), want.Error)
+	}
+
+	nodes := map[string]*testNode{
+		"n1": startNode(t, serve.Config{StateDir: t.TempDir(), CheckpointEvery: 10}),
+		"n2": startNode(t, serve.Config{StateDir: t.TempDir(), CheckpointEvery: 10}),
+	}
+	c := New(fastCfg())
+	defer c.Close()
+	for name, n := range nodes {
+		if err := c.AddNode(name, n.srv.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitRoutable(t, c, 2)
+
+	j, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	var victim string
+	for victim == "" && time.Now().Before(deadline) {
+		switch v := j.View(); {
+		case v.State == serve.StateCompleted:
+			t.Fatal("job finished before a record past the first epoch was pulled; raise cycles")
+		case v.CheckpointCycle > want.AdaptEpochs[0].Step && v.Node != "":
+			victim = v.Node
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if victim == "" {
+		t.Fatal("no record past the first epoch pulled within 60s")
+	}
+	nodes[victim].kill()
+
+	v := waitClusterDone(t, j)
+	if v.State != serve.StateCompleted {
+		t.Fatalf("job ended %s: %s", v.State, v.Error)
+	}
+	if v.Node == victim || v.Handoffs < 1 {
+		t.Fatalf("job completed on %s after %d handoffs; %s was killed", v.Node, v.Handoffs, victim)
+	}
+	if len(v.History) != len(want.History) {
+		t.Fatalf("final history %d entries, want %d", len(v.History), len(want.History))
+	}
+	for i := range want.History {
+		if v.History[i] != want.History[i] {
+			t.Fatalf("history diverges at step %d after handoff: %v != %v", i, v.History[i], want.History[i])
+		}
+	}
+	if v.ResultHash != want.ResultHash {
+		t.Fatalf("result hash %s after handoff, want %s", v.ResultHash, want.ResultHash)
+	}
+}
+
 // TestClusterOperatorDrainHandsOff covers the graceful path: an operator
 // drain moves the node's running job to a peer (from the drain checkpoint)
 // and the node stops receiving work.

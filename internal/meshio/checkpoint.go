@@ -1,25 +1,29 @@
 package meshio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
+	"strings"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/store"
 )
 
-const ckptMagic = "EUL3DK01"
+// ckptMagic names the record format. A record in an earlier format is
+// refused, not converted: there is one decoder.
+const ckptMagic = "EUL3DK02"
 
-// Checkpoint is a restartable snapshot of a steady-state solve: the
+// Checkpoint is a run's resume point — the one record a drain, a periodic
+// checkpoint, a cluster handoff and an adaptive epoch all write: the
 // fine-grid solution plus everything needed to make a resumed run
 // indistinguishable from an uninterrupted one — the cycle count, the full
-// residual history, and the CFL in force (which the divergence watchdog
-// may have lowered below its initial value).
+// residual history, the CFL in force (which the divergence watchdog may
+// have lowered below its initial value), the mesh the solution lives on and
+// the adaptive driver's counters.
 type Checkpoint struct {
 	Cycle    int
 	Mach     float64
@@ -27,48 +31,59 @@ type Checkpoint struct {
 	CFL      float64
 	History  []float64
 	Sol      []euler.State
+
+	// Mesh is the artifact-store hash of the mesh Sol lives on; "" means
+	// the run's own mesh (a job's spec mesh, the command line's). Only an
+	// adaptive run that has refined names one.
+	Mesh string
+
+	// The adaptive driver's counters, zero for every other run: epochs
+	// done, steps since the last epoch (or the start), steps left, the
+	// global time step in force (0 on steady runs) and cells added so far.
+	Epochs, SinceEpoch, StepsLeft, CellsRefined int
+	Dt                                          float64
 }
 
-// WriteCheckpoint serializes a checkpoint with a CRC32 (IEEE) trailer over
-// every preceding byte, so torn or bit-rotted files are rejected on load.
-func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+// ckptHeader is the fixed-size head of a record, after the magic; the
+// history (Cycle float64s) and the solution (NSol states) follow it.
+type ckptHeader struct {
+	Cycle, NSol                                 int64
+	Epochs, SinceEpoch, StepsLeft, CellsRefined int64
+	Mach, AlphaDeg, CFL, Dt                     float64
+	Mesh                                        [64]byte // zero for ""
+}
+
+// EncodeCheckpoint serializes a checkpoint with a CRC32 (IEEE) trailer
+// over every preceding byte, so torn or bit-rotted files are rejected on
+// load.
+func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	if len(ck.History) != ck.Cycle {
-		return fmt.Errorf("meshio: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
+		return nil, fmt.Errorf("meshio: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
 	}
-	h := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	if _, err := bw.WriteString(ckptMagic); err != nil {
-		return err
+	if ck.Mesh != "" && !store.ValidHash(ck.Mesh) {
+		return nil, fmt.Errorf("meshio: checkpoint names mesh %q, not an artifact hash", ck.Mesh)
 	}
-	hdr := []float64{float64(ck.Cycle), ck.Mach, ck.AlphaDeg, ck.CFL}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
+	hdr := ckptHeader{
+		Cycle: int64(ck.Cycle), NSol: int64(len(ck.Sol)),
+		Epochs: int64(ck.Epochs), SinceEpoch: int64(ck.SinceEpoch),
+		StepsLeft: int64(ck.StepsLeft), CellsRefined: int64(ck.CellsRefined),
+		Mach: ck.Mach, AlphaDeg: ck.AlphaDeg, CFL: ck.CFL, Dt: ck.Dt,
 	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(len(ck.History))); err != nil {
-		return err
+	copy(hdr.Mesh[:], ck.Mesh)
+	buf := bytes.NewBuffer(make([]byte, 0, len(ckptMagic)+binary.Size(hdr)+8*len(ck.History)+stateBytes*len(ck.Sol)+4))
+	buf.WriteString(ckptMagic)
+	for _, v := range []any{&hdr, ck.History, ck.Sol} {
+		if err := binary.Write(buf, binary.LittleEndian, v); err != nil {
+			return nil, err
+		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ck.History); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(len(ck.Sol))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, ck.Sol); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, h.Sum32())
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes())), nil
 }
 
-// ReadCheckpoint deserializes and validates a checkpoint, verifying the
-// CRC32 trailer before trusting any field.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("meshio: reading checkpoint: %w", err)
-	}
+// DecodeCheckpoint deserializes and validates checkpoint bytes, verifying
+// the CRC32 trailer before trusting any field and the header's counts
+// against the bytes that follow it before allocating anything.
+func DecodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if len(raw) < len(ckptMagic)+4 {
 		return nil, fmt.Errorf("meshio: truncated checkpoint (%d bytes)", len(raw))
 	}
@@ -76,27 +91,38 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
 		return nil, fmt.Errorf("meshio: checkpoint CRC mismatch: computed %08x, trailer %08x", got, want)
 	}
+	if magic := string(body[:len(ckptMagic)]); magic != ckptMagic && strings.HasPrefix(magic, ckptMagic[:6]) {
+		return nil, fmt.Errorf("meshio: checkpoint format %s is not this release's %s; drain before upgrading", magic, ckptMagic)
+	}
 	br := bytes.NewReader(body)
 	if err := expectMagic(br, ckptMagic); err != nil {
 		return nil, err
 	}
-	var hdr [4]float64
+	var hdr ckptHeader
 	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("meshio: checkpoint header: %w", err)
 	}
-	ck := &Checkpoint{Cycle: int(hdr[0]), Mach: hdr[1], AlphaDeg: hdr[2], CFL: hdr[3]}
-	if ck.Cycle < 0 || float64(ck.Cycle) != hdr[0] {
-		return nil, fmt.Errorf("meshio: implausible checkpoint cycle %g", hdr[0])
+	left := int64(br.Len())
+	if hdr.Cycle < 0 || hdr.NSol < 0 || hdr.Cycle > left/8 || hdr.NSol > left/stateBytes ||
+		hdr.Cycle*8+hdr.NSol*stateBytes != left {
+		return nil, fmt.Errorf("meshio: checkpoint header claims %d cycles and %d states, %d bytes follow", hdr.Cycle, hdr.NSol, left)
 	}
-	var nh int64
-	if err := binary.Read(br, binary.LittleEndian, &nh); err != nil {
-		return nil, fmt.Errorf("meshio: checkpoint history count: %w", err)
+	if hdr.Epochs < 0 || hdr.SinceEpoch < 0 || hdr.StepsLeft < 0 || hdr.CellsRefined < 0 || !(hdr.Dt >= 0) || math.IsInf(hdr.Dt, 0) {
+		return nil, fmt.Errorf("meshio: implausible adaptive counters in checkpoint header %+v", hdr)
 	}
-	if nh != int64(ck.Cycle) {
-		return nil, fmt.Errorf("meshio: checkpoint at cycle %d carries %d history entries", ck.Cycle, nh)
+	ck := &Checkpoint{
+		Cycle: int(hdr.Cycle), Mach: hdr.Mach, AlphaDeg: hdr.AlphaDeg, CFL: hdr.CFL,
+		Epochs: int(hdr.Epochs), SinceEpoch: int(hdr.SinceEpoch), StepsLeft: int(hdr.StepsLeft),
+		CellsRefined: int(hdr.CellsRefined), Dt: hdr.Dt,
+		History: make([]float64, hdr.Cycle),
+		Sol:     make([]euler.State, hdr.NSol),
 	}
-	ck.History = make([]float64, nh)
-	if err := binary.Read(br, binary.LittleEndian, &ck.History); err != nil {
+	if hdr.Mesh != [64]byte{} {
+		if ck.Mesh = string(hdr.Mesh[:]); !store.ValidHash(ck.Mesh) {
+			return nil, fmt.Errorf("meshio: checkpoint names mesh %q, not an artifact hash", ck.Mesh)
+		}
+	}
+	if err := binary.Read(br, binary.LittleEndian, ck.History); err != nil {
 		return nil, fmt.Errorf("meshio: checkpoint history: %w", err)
 	}
 	for i, v := range ck.History {
@@ -104,15 +130,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("meshio: checkpoint history entry %d is %g", i, v)
 		}
 	}
-	var ns int64
-	if err := binary.Read(br, binary.LittleEndian, &ns); err != nil {
-		return nil, fmt.Errorf("meshio: checkpoint solution count: %w", err)
-	}
-	if ns < 0 || ns > 1<<31 {
-		return nil, fmt.Errorf("meshio: implausible checkpoint solution size %d", ns)
-	}
-	ck.Sol = make([]euler.State, ns)
-	if err := binary.Read(br, binary.LittleEndian, &ck.Sol); err != nil {
+	if err := binary.Read(br, binary.LittleEndian, ck.Sol); err != nil {
 		return nil, fmt.Errorf("meshio: checkpoint solution: %w", err)
 	}
 	for i := range ck.Sol {
@@ -132,12 +150,16 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // <path>.tmp, are fsynced, and only then renamed over path — a crash
 // mid-write can never destroy the previous good checkpoint.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
+	b, err := EncodeCheckpoint(ck)
+	if err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := WriteCheckpoint(f, ck); err != nil {
+	if _, err := f.Write(b); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -156,10 +178,9 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 
 // LoadCheckpoint reads and validates a checkpoint from path.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	return DecodeCheckpoint(b)
 }

@@ -29,11 +29,11 @@ func sampleCheckpoint() *Checkpoint {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	ck := sampleCheckpoint()
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
+	raw, err := EncodeCheckpoint(ck)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := DecodeCheckpoint(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,32 +55,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointWriteRejectsInconsistentHistory(t *testing.T) {
 	ck := sampleCheckpoint()
 	ck.History = ck.History[:1] // 1 entry for cycle 3
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err == nil {
+	if _, err := EncodeCheckpoint(ck); err == nil {
 		t.Fatal("accepted checkpoint with history/cycle mismatch")
 	}
 }
 
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	ck := sampleCheckpoint()
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
+	good, err := EncodeCheckpoint(sampleCheckpoint())
+	if err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
 
 	// Any single flipped bit anywhere in the file must be caught by the
 	// CRC trailer (or, for trailer flips, by the mismatch itself).
 	for off := 0; off < len(good); off += 7 {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x10
-		if _, err := ReadCheckpoint(bytes.NewReader(bad)); err == nil {
+		if _, err := DecodeCheckpoint(bad); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
 	// Truncation at every length must error, never panic.
 	for n := 0; n < len(good); n++ {
-		if _, err := ReadCheckpoint(bytes.NewReader(good[:n])); err == nil {
+		if _, err := DecodeCheckpoint(good[:n]); err == nil {
 			t.Errorf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -153,15 +150,15 @@ func TestLoaderFuzzRegression(t *testing.T) {
 		load func([]byte) error
 	}{
 		{"mesh", meshBuf.Bytes(), func(b []byte) error {
-			_, err := ReadMesh(bytes.NewReader(b))
+			_, err := DecodeMesh(b)
 			return err
 		}},
 		{"solution", solBuf.Bytes(), func(b []byte) error {
-			_, _, _, err := ReadSolution(bytes.NewReader(b))
+			_, _, _, err := DecodeSolution(b)
 			return err
 		}},
 		{"partition", partBuf.Bytes(), func(b []byte) error {
-			_, _, err := ReadPartition(bytes.NewReader(b))
+			_, _, err := DecodePartition(b)
 			return err
 		}},
 	}

@@ -26,6 +26,9 @@ const (
 	partMagic = "EUL3DP01"
 )
 
+// stateBytes is one euler.State on the wire.
+const stateBytes = 8 * euler.NVar
+
 // WriteMesh serializes a finished mesh (vertices, tets, boundary faces
 // with kinds). Edge structures are rebuilt by Finish on load.
 func WriteMesh(w io.Writer, m *mesh.Mesh) error {
@@ -56,10 +59,13 @@ func WriteMesh(w io.Writer, m *mesh.Mesh) error {
 	return bw.Flush()
 }
 
-// ReadMesh deserializes a mesh and finishes it (rebuilding the edge-based
-// structures).
-func ReadMesh(r io.Reader) (*mesh.Mesh, error) {
-	br := bufio.NewReader(r)
+// DecodeMesh deserializes wire-format mesh bytes and finishes the mesh
+// (rebuilding the edge-based structures). Like every decoder here it holds
+// the whole input, so each count a header declares is checked against the
+// bytes that follow before anything is allocated: a crafted header cannot
+// make it allocate more than its input's size.
+func DecodeMesh(b []byte) (*mesh.Mesh, error) {
+	br := bytes.NewReader(b)
 	if err := expectMagic(br, meshMagic); err != nil {
 		return nil, err
 	}
@@ -71,15 +77,19 @@ func ReadMesh(r io.Reader) (*mesh.Mesh, error) {
 	if nv < 0 || nt < 0 || nbf < 0 || nv > 1<<31 || nt > 1<<31 || nbf > 1<<31 {
 		return nil, fmt.Errorf("meshio: implausible header %v", hdr)
 	}
+	if need := nv*24 + nt*16 + nbf*13; need > int64(br.Len()) {
+		return nil, fmt.Errorf("meshio: mesh header %v needs %d bytes, %d follow", hdr, need, br.Len())
+	}
+	xyz := make([]float64, 3*nv)
+	if err := binary.Read(br, binary.LittleEndian, xyz); err != nil {
+		return nil, fmt.Errorf("meshio: mesh vertices (%d): %w", nv, err)
+	}
 	m := &mesh.Mesh{
 		X:    make([]geom.Vec3, nv),
 		Tets: make([][4]int32, nt),
 	}
 	for i := range m.X {
-		var x [3]float64
-		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {
-			return nil, fmt.Errorf("meshio: mesh vertex %d of %d: %w", i, nv, err)
-		}
+		x := xyz[3*i : 3*i+3]
 		if math.IsNaN(x[0]) || math.IsNaN(x[1]) || math.IsNaN(x[2]) {
 			return nil, fmt.Errorf("meshio: mesh vertex %d has NaN coordinates", i)
 		}
@@ -138,9 +148,9 @@ func WriteSolution(w io.Writer, mach, alphaDeg float64, sol []euler.State) error
 	return bw.Flush()
 }
 
-// ReadSolution deserializes a flow solution.
-func ReadSolution(r io.Reader) (mach, alphaDeg float64, sol []euler.State, err error) {
-	br := bufio.NewReader(r)
+// DecodeSolution deserializes a flow solution.
+func DecodeSolution(b []byte) (mach, alphaDeg float64, sol []euler.State, err error) {
+	br := bytes.NewReader(b)
 	if err = expectMagic(br, solMagic); err != nil {
 		return
 	}
@@ -155,8 +165,8 @@ func ReadSolution(r io.Reader) (mach, alphaDeg float64, sol []euler.State, err e
 		err = fmt.Errorf("meshio: solution vertex count: %w", err)
 		return
 	}
-	if n < 0 || n > 1<<31 {
-		err = fmt.Errorf("meshio: implausible solution size %d", n)
+	if n < 0 || n > int64(br.Len())/stateBytes {
+		err = fmt.Errorf("meshio: solution header claims %d vertices, %d bytes follow", n, br.Len())
 		return
 	}
 	sol = make([]euler.State, n)
@@ -194,9 +204,9 @@ func WritePartition(w io.Writer, nproc int, part []int32) error {
 	return bw.Flush()
 }
 
-// ReadPartition deserializes a processor assignment, validating the range.
-func ReadPartition(r io.Reader) (nproc int, part []int32, err error) {
-	br := bufio.NewReader(r)
+// DecodePartition deserializes a processor assignment, validating the range.
+func DecodePartition(b []byte) (nproc int, part []int32, err error) {
+	br := bytes.NewReader(b)
 	if err = expectMagic(br, partMagic); err != nil {
 		return
 	}
@@ -205,8 +215,8 @@ func ReadPartition(r io.Reader) (nproc int, part []int32, err error) {
 		err = fmt.Errorf("meshio: partition header: %w", err)
 		return
 	}
-	if hdr[0] < 1 || hdr[1] < 0 || hdr[1] > 1<<31 {
-		err = fmt.Errorf("meshio: implausible partition header %v", hdr)
+	if hdr[0] < 1 || hdr[1] < 0 || hdr[1] > int64(br.Len())/4 {
+		err = fmt.Errorf("meshio: implausible partition header %v (%d bytes follow)", hdr, br.Len())
 		return
 	}
 	nproc = int(hdr[0])
@@ -234,12 +244,11 @@ func SaveMesh(path string, m *mesh.Mesh) error {
 
 // LoadMesh reads a mesh from path.
 func LoadMesh(path string) (*mesh.Mesh, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadMesh(f)
+	return DecodeMesh(b)
 }
 
 // SaveSolution writes a solution to path.
@@ -249,12 +258,11 @@ func SaveSolution(path string, mach, alphaDeg float64, sol []euler.State) error 
 
 // LoadSolution reads a solution from path.
 func LoadSolution(path string) (mach, alphaDeg float64, sol []euler.State, err error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	defer f.Close()
-	return ReadSolution(f)
+	return DecodeSolution(b)
 }
 
 // SavePartition writes a partition to path.
@@ -264,12 +272,11 @@ func SavePartition(path string, nproc int, part []int32) error {
 
 // LoadPartition reads a partition from path.
 func LoadPartition(path string) (int, []int32, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer f.Close()
-	return ReadPartition(f)
+	return DecodePartition(b)
 }
 
 func withCreate(path string, fn func(*os.File) error) error {
@@ -299,9 +306,9 @@ func expectMagic(r io.Reader, magic string) error {
 //
 // The content-addressed artifact store (internal/store) traffics in raw
 // payload bytes: a mesh artifact is the WriteMesh wire format, a solve
-// result the WriteSolution format, a checkpoint the WriteCheckpoint
-// format. These helpers bridge between those formats and []byte without
-// touching the filesystem.
+// result the WriteSolution format, a checkpoint EncodeCheckpoint's. These
+// helpers bridge between the writers and []byte without touching the
+// filesystem.
 
 // EncodeMesh serializes a mesh to its wire-format bytes.
 func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
@@ -312,11 +319,6 @@ func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeMesh deserializes wire-format mesh bytes (finishing the mesh).
-func DecodeMesh(b []byte) (*mesh.Mesh, error) {
-	return ReadMesh(bytes.NewReader(b))
-}
-
 // EncodeSolution serializes a solution to its wire-format bytes.
 func EncodeSolution(mach, alphaDeg float64, sol []euler.State) ([]byte, error) {
 	var buf bytes.Buffer
@@ -324,18 +326,4 @@ func EncodeSolution(mach, alphaDeg float64, sol []euler.State) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// EncodeCheckpoint serializes a checkpoint to its wire-format bytes.
-func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, ck); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeCheckpoint deserializes (and CRC-validates) checkpoint bytes.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	return ReadCheckpoint(bytes.NewReader(b))
 }

@@ -19,7 +19,7 @@ func TestMeshRoundTrip(t *testing.T) {
 	if err := WriteMesh(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadMesh(&buf)
+	m2, err := DecodeMesh(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSolutionRoundTrip(t *testing.T) {
 	if err := WriteSolution(&buf, 0.7, 1.0, sol); err != nil {
 		t.Fatal(err)
 	}
-	mach, alpha, got, err := ReadSolution(&buf)
+	mach, alpha, got, err := DecodeSolution(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSolutionRejectsUnphysical(t *testing.T) {
 	if err := WriteSolution(&buf, 0.5, 0, []euler.State{{-1, 0, 0, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ReadSolution(&buf); err == nil {
+	if _, _, _, err := DecodeSolution(buf.Bytes()); err == nil {
 		t.Error("accepted negative density")
 	}
 }
@@ -87,7 +87,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 	if err := WritePartition(&buf, 3, part); err != nil {
 		t.Fatal(err)
 	}
-	nproc, got, err := ReadPartition(&buf)
+	nproc, got, err := DecodePartition(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +106,19 @@ func TestPartitionRejectsBadProc(t *testing.T) {
 	if err := WritePartition(&buf, 2, []int32{0, 5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadPartition(&buf); err == nil {
+	if _, _, err := DecodePartition(buf.Bytes()); err == nil {
 		t.Error("accepted out-of-range processor")
 	}
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := ReadMesh(strings.NewReader("NOTMAGIC-whatever")); err == nil {
+	if _, err := DecodeMesh([]byte("NOTMAGIC-whatever")); err == nil {
 		t.Error("accepted bad mesh magic")
 	}
-	if _, _, _, err := ReadSolution(strings.NewReader("NOTMAGIC")); err == nil {
+	if _, _, _, err := DecodeSolution([]byte("NOTMAGIC")); err == nil {
 		t.Error("accepted bad solution magic")
 	}
-	if _, _, err := ReadPartition(strings.NewReader("")); err == nil {
+	if _, _, err := DecodePartition([]byte("")); err == nil {
 		t.Error("accepted empty partition file")
 	}
 }
@@ -133,7 +133,7 @@ func TestTruncatedMeshRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := ReadMesh(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, err := DecodeMesh(data[:len(data)/2]); err == nil {
 		t.Error("accepted truncated mesh")
 	}
 }

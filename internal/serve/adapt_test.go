@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"eul3d/internal/meshio"
 )
 
 func sodAdaptSpec(engine string, workers, interval, epochs int) JobSpec {
@@ -100,11 +105,12 @@ func TestAdaptSpecValidation(t *testing.T) {
 	}
 }
 
-// Draining an adaptive job mid-run persists the adapted mesh next to the
-// checkpoint; a fresh scheduler resumes it on that mesh and finishes
-// bitwise identical to an uninterrupted run — on the sequential engine and
-// on the pooled one, which builds on the adapted mesh exactly the layout
-// the uninterrupted run rebuilt onto it.
+// Draining an adaptive job mid-run persists one record, which names the
+// adapted mesh in the artifact store (the state dir's disk tier); a fresh
+// scheduler resumes it on that mesh and finishes bitwise identical to an
+// uninterrupted run — on the sequential engine and on the pooled one,
+// which builds on the adapted mesh exactly the layout the uninterrupted
+// run rebuilt onto it.
 func TestAdaptDrainResume(t *testing.T) {
 	t.Run("single", func(t *testing.T) { testAdaptDrainResume(t, sodAdaptSpec(KindSingle, 0, 30, 2)) })
 	t.Run("sm", func(t *testing.T) { testAdaptDrainResume(t, sodAdaptSpec(KindSM, 2, 30, 2)) })
@@ -149,12 +155,19 @@ func testAdaptDrainResume(t *testing.T, spec JobSpec) {
 	if cut >= len(refV.History) {
 		t.Fatalf("drained after %d cycles, not mid-flight", cut)
 	}
-	if _, err := os.Stat(filepath.Join(dir, j1.ID+".amesh")); err != nil {
-		t.Fatalf("adapted mesh not persisted on drain: %v", err)
+	if got, want := stateFiles(t, dir), []string{j1.ID + ".ckpt", j1.ID + ".job.json"}; !slices.Equal(got, want) {
+		t.Fatalf("state dir holds %v, want %v", got, want)
+	}
+	ck, err := meshio.LoadCheckpoint(filepath.Join(dir, j1.ID+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	s2 := NewScheduler(Config{Runners: 1, WorkerBudget: 4, StateDir: dir})
 	defer s2.Stop()
+	if ck.Mesh == "" || !s2.Store().Has(ck.Mesh) {
+		t.Fatalf("the drained record names mesh %q, which the restarted store does not hold", ck.Mesh)
+	}
 	n, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +199,95 @@ func testAdaptDrainResume(t *testing.T, spec JobSpec) {
 		t.Errorf("interrupted+resumed run recorded %d+%d epochs, want 2 total",
 			len(j1.View().AdaptEpochs), len(v.AdaptEpochs))
 	}
-	// Completion cleans up all three state files.
-	for _, suffix := range []string{".job.json", ".ckpt", ".amesh"} {
+	// Completion cleans up both state files.
+	for _, suffix := range []string{".job.json", ".ckpt"} {
 		if _, err := os.Stat(filepath.Join(dir, j1.ID+suffix)); !os.IsNotExist(err) {
 			t.Errorf("state file %s not removed after completion (err=%v)", suffix, err)
 		}
+	}
+}
+
+// TestHTTPAdaptResumeBitwise hands a drained adaptive Sod job to a fresh
+// node the way a coordinator does: the record goes into the node's store,
+// with the adapted mesh beside it when the record names one, and the job
+// follows by resume_hash under its own ID. Drained before the first epoch,
+// the record carries the steps since the start, so the epoch still fires
+// where the uninterrupted run's did; drained after it, the record names the
+// refined mesh the run continues on. Either way the resumed history and
+// result equal an uninterrupted run's, bit for bit.
+func TestHTTPAdaptResumeBitwise(t *testing.T) {
+	t.Run("before-epoch", func(t *testing.T) { testHTTPAdaptResume(t, 120, 5, false) })
+	t.Run("after-epoch", func(t *testing.T) { testHTTPAdaptResume(t, 30, 40, true) })
+}
+
+func testHTTPAdaptResume(t *testing.T, interval, cut int, refined bool) {
+	spec := sodAdaptSpec(KindSingle, 0, interval, 2)
+
+	ref := NewScheduler(Config{Runners: 1, WorkerBudget: 4})
+	defer ref.Stop()
+	jr, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, jr)
+	refV := jr.View()
+	if refV.State != StateCompleted || len(refV.AdaptEpochs) == 0 {
+		t.Fatalf("reference ended %s with %d epochs (err %q)", refV.State, len(refV.AdaptEpochs), refV.Error)
+	}
+
+	first := NewScheduler(Config{Runners: 1, WorkerBudget: 4, StateDir: t.TempDir()})
+	defer first.Stop()
+	j, err := first.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCycles(t, j, cut)
+	first.Drain()
+	if st := j.State(); st != StateDrained {
+		t.Fatalf("first-node job ended %s, want drained", st)
+	}
+	raw, err := os.ReadFile(first.CheckpointFile(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := meshio.DecodeCheckpoint(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ck.Epochs > 0; got != refined || (ck.Mesh != "") != refined {
+		t.Fatalf("drained at step %d with %d epochs, mesh %q: not the case under test", ck.Cycle, ck.Epochs, ck.Mesh)
+	}
+
+	_, srv := newTestServer(t, Config{Runners: 1, WorkerBudget: 4})
+	if ck.Mesh != "" {
+		blob, err := first.Store().Get(ck.Mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := putArtifact(t, srv, blob); h != ck.Mesh {
+			t.Fatalf("mesh pushed as %s, record names %s", h, ck.Mesh)
+		}
+	}
+	body, err := json.Marshal(SolveRequest{JobSpec: spec, ID: j.ID, ResumeHash: putArtifact(t, srv, raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postJob(t, srv, string(body)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("handoff submit: %d, want 202", resp.StatusCode)
+	}
+	v := waitViewDone(t, srv, j.ID)
+	if v.State != StateCompleted {
+		t.Fatalf("resumed job ended %s (err %q)", v.State, v.Error)
+	}
+	if len(v.History) != len(refV.History) {
+		t.Fatalf("resumed history %d steps, reference %d", len(v.History), len(refV.History))
+	}
+	for i := range refV.History {
+		if v.History[i] != refV.History[i] {
+			t.Fatalf("step %d: resumed %g, reference %g (handoff not bitwise)", i, v.History[i], refV.History[i])
+		}
+	}
+	if v.ResultHash != refV.ResultHash {
+		t.Fatalf("resumed result hash %s, reference %s", v.ResultHash, refV.ResultHash)
 	}
 }

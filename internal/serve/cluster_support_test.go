@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -174,7 +173,7 @@ func TestHTTPCheckpointEndpoint(t *testing.T) {
 	if raw == nil {
 		t.Fatal("no checkpoint served within 30s")
 	}
-	ck, err := meshio.ReadCheckpoint(bytes.NewReader(raw))
+	ck, err := meshio.DecodeCheckpoint(raw)
 	if err != nil {
 		t.Fatalf("served checkpoint does not parse: %v", err)
 	}
@@ -187,10 +186,32 @@ func TestHTTPCheckpointEndpoint(t *testing.T) {
 	waitDone(t, j)
 }
 
-// TestHTTPResumeBitwise interrupts a run with a drain, then resubmits the
-// drained checkpoint over HTTP — under the original job ID — to a second
-// server, and requires the stitched history to be bitwise identical to an
-// uninterrupted reference run.
+// putArtifact uploads bytes to a server's artifact store and returns the
+// hash it computed.
+func putArtifact(t *testing.T, srv *httptest.Server, data []byte) string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/artifacts", bytes.NewReader(data))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var put struct {
+		Hash string `json:"hash"`
+	}
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT artifact status %d, want 201", resp.StatusCode)
+	}
+	if err := jsonDecode(resp, &put); err != nil {
+		t.Fatal(err)
+	}
+	return put.Hash
+}
+
+// TestHTTPResumeBitwise interrupts a run with a drain, then hands the
+// drained record over HTTP — uploaded to a second server's artifact store
+// and named by resume_hash, under the original job ID — and requires the
+// stitched history to be bitwise identical to an uninterrupted reference
+// run.
 func TestHTTPResumeBitwise(t *testing.T) {
 	const cycles = 400
 	spec := chanSpec(6, 3, 2, 9, KindSingle, 0, cycles)
@@ -228,13 +249,13 @@ func TestHTTPResumeBitwise(t *testing.T) {
 	}
 	first.Stop()
 
-	// Handoff: replay the spec + checkpoint to a fresh server over HTTP,
-	// pinning the original job ID as the coordinator would.
+	// Handoff: push the record to a fresh server and replay the spec by
+	// hash over HTTP, pinning the original job ID as the coordinator would.
 	_, srv := newTestServer(t, Config{QueueCap: 4, Runners: 1, WorkerBudget: 4})
 	body, err := json.Marshal(map[string]any{
 		"mesh": spec.Mesh, "mach": spec.Mach, "engine": spec.Engine,
 		"cycles": spec.Cycles, "id": j.ID,
-		"resume": base64.StdEncoding.EncodeToString(raw),
+		"resume_hash": putArtifact(t, srv, raw),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -217,7 +217,24 @@ func TestDrainedWaiterResumes(t *testing.T) {
 		t.Errorf("completed %d engine runs after restart, want 1 (the waiter shares the leader's)", got)
 	}
 	// Both records are gone once the run lands: a further restart is clean.
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Errorf("%d state files left after completion, want 0", len(ents))
+	if files := stateFiles(t, dir); len(files) != 0 {
+		t.Errorf("state files %v left after completion, want none", files)
 	}
+}
+
+// stateFiles lists the files in a state dir, leaving out the directory of
+// the artifact store's disk tier.
+func stateFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	return names
 }

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -19,14 +17,15 @@ import (
 // API is the HTTP facade over a Scheduler:
 //
 //	POST   /v1/solve     submit a JobSpec; ?wait=1 (or "wait":true) blocks;
-//	                     "id" and "resume" (base64 checkpoint) or
-//	                     "resume_hash" (store reference) hand off an
+//	                     "id" and "resume_hash" (a resume record in the
+//	                     artifact store, pushed there first together with
+//	                     the adapted mesh it may name) hand off an
 //	                     interrupted job from another node
 //	GET    /v1/jobs/{id} job status + residual history so far; the
 //	                     completed result's content hash is the ETag and
 //	                     If-None-Match answers 304
 //	DELETE /v1/jobs/{id} cooperative cancellation
-//	GET    /v1/jobs/{id}/checkpoint  latest periodic checkpoint (binary)
+//	GET    /v1/jobs/{id}/checkpoint  latest resume record (binary)
 //	PUT    /v1/artifacts        upload bytes to the artifact store -> hash
 //	GET    /v1/artifacts/{hash} fetch an artifact (HEAD probes existence)
 //	GET    /healthz      liveness: 200 while the process serves requests
@@ -58,50 +57,34 @@ func (a *API) Handler() http.Handler {
 // SolveRequest is the body of POST /v1/solve — what a client sends and
 // what a coordinator dispatches: a JobSpec plus the synchronous-wait flag
 // and the cluster handoff fields. ID pins the job's identity across nodes
-// and the run warm-starts from either Resume (an inline base64 meshio
-// checkpoint) or ResumeHash (a reference to checkpoint bytes already in
-// this node's artifact store — the coordinator pushes the blob once, then
-// hands off by hash).
+// and the run warm-starts from ResumeHash, a resume record already in this
+// node's artifact store: the coordinator pushes the record (and the
+// adapted mesh it names, if any) once, then hands off by hash.
 type SolveRequest struct {
 	JobSpec
 	Wait       bool   `json:"wait,omitempty"`
 	ID         string `json:"id,omitempty"`
-	Resume     string `json:"resume,omitempty"`
 	ResumeHash string `json:"resume_hash,omitempty"`
 }
 
 func (a *API) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if !DecodeBody(w, r, 16<<20, &req) {
+	if !DecodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	var ck *meshio.Checkpoint
-	switch {
-	case req.Resume != "":
-		raw, err := base64.StdEncoding.DecodeString(req.Resume)
-		if err != nil {
-			WriteErr(w, http.StatusBadRequest, fmt.Errorf("decoding resume checkpoint: %w", err))
-			return
-		}
-		// ReadCheckpoint verifies the CRC trailer, so a truncated or
-		// corrupted handoff is rejected here rather than warm-starting the
-		// solver from garbage.
-		ck, err = meshio.ReadCheckpoint(bytes.NewReader(raw))
-		if err != nil {
-			WriteErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint: %w", err))
-			return
-		}
-	case req.ResumeHash != "":
+	if req.ResumeHash != "" {
 		raw, err := a.s.Store().Get(req.ResumeHash)
 		if err != nil {
 			// The referenced blob must be pushed before the handoff; 412
-			// tells the coordinator to fall back to inline bytes.
-			WriteErr(w, http.StatusPreconditionFailed, fmt.Errorf("resume checkpoint artifact: %w", err))
+			// tells the coordinator to push it, or to place elsewhere.
+			WriteErr(w, http.StatusPreconditionFailed, fmt.Errorf("resume record artifact: %w", err))
 			return
 		}
-		ck, err = meshio.DecodeCheckpoint(raw)
-		if err != nil {
-			WriteErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume checkpoint artifact: %w", err))
+		// The decoder verifies the CRC trailer, so a corrupted record is
+		// rejected here rather than warm-starting the solver from garbage.
+		if ck, err = meshio.DecodeCheckpoint(raw); err != nil {
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("parsing resume record artifact: %w", err))
 			return
 		}
 	}
@@ -224,11 +207,12 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, code, v)
 }
 
-// handleJobCheckpoint streams the job's latest periodic checkpoint in the
+// handleJobCheckpoint streams the job's latest resume record in the
 // binary meshio format. 404 until the first checkpoint cycle completes (or
 // when the server runs without -checkpoint-every). The coordinator polls
-// this while the job runs; whatever snapshot it last pulled is what a
-// handoff resumes from if this node dies without warning.
+// this while the job runs; whatever record it last pulled — with the
+// adapted mesh it names, fetched from this node's artifact store — is what
+// a handoff resumes from if this node dies without warning.
 func (a *API) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := a.s.Job(id); err != nil {

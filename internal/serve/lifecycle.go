@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"eul3d/internal/mesh"
 	"eul3d/internal/meshio"
 	"eul3d/internal/solver"
 )
@@ -25,7 +24,7 @@ import (
 type ending struct {
 	res    *solver.Result
 	cause  error
-	snap   *snapshot
+	snap   *meshio.Checkpoint
 	held   leases
 	mirror *terminal
 }
@@ -117,47 +116,14 @@ func (s *Scheduler) storeResult(j *Job, res *solver.Result) string {
 
 // --- persistence & resume -------------------------------------------------
 
-// sidecar is the restart record persisted per interrupted job.
+// sidecar is what a restart needs beside the job's resume record: the
+// spec, and the IDs of the jobs coalesced onto it when it was persisted,
+// which Recover re-attaches to the resumed run so they stay resolvable
+// across the restart. The record, if any, is <id>.ckpt.
 type sidecar struct {
-	ID         string  `json:"id"`
-	Spec       JobSpec `json:"spec"`
-	Checkpoint string  `json:"checkpoint,omitempty"` // file name within StateDir
-
-	// Adaptive jobs additionally persist the current (refined) mesh and
-	// the adaptation counters — a plain checkpoint cannot resume a run
-	// whose mesh no longer matches the spec's.
-	AdaptMesh string        `json:"adapt_mesh,omitempty"` // mesh file name within StateDir
-	Adapt     *adaptSidecar `json:"adapt,omitempty"`
-
-	// Waiters are the IDs of the jobs coalesced onto this one when it was
-	// persisted; Recover re-attaches them to the resumed run so they stay
-	// resolvable across the restart.
+	ID      string   `json:"id"`
+	Spec    JobSpec  `json:"spec"`
 	Waiters []string `json:"waiters,omitempty"`
-}
-
-// adaptSidecar is the adaptation state carried alongside the checkpoint.
-type adaptSidecar struct {
-	EpochsDone   int     `json:"epochs_done"`
-	Dt           float64 `json:"dt,omitempty"` // current global dt (0 on steady runs)
-	StepsLeft    int     `json:"steps_left"`
-	SinceEpoch   int     `json:"since_epoch"`
-	CellsRefined int     `json:"cells_refined"`
-}
-
-// snapshot is a job's resume point beyond its spec — what persist writes
-// and Recover (or a handoff) reads back. A nil *snapshot means there is
-// none: the job starts from scratch.
-type snapshot struct {
-	// ck is the solution, written as <id>.ckpt. Only persist may be handed
-	// a nil one: it then names the file without writing it, for runs whose
-	// solver writes periodic checkpoints there itself.
-	ck *meshio.Checkpoint
-
-	// Adaptive runs: the refined mesh ck's solution lives on, and the
-	// adaptation counters. All three are needed — the solution is
-	// meaningless without its mesh.
-	mesh  *mesh.Mesh
-	adapt *adaptSidecar
 }
 
 func (s *Scheduler) statePath(name string) string {
@@ -168,38 +134,34 @@ func (s *Scheduler) removeStateFiles(id string) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	for _, suffix := range []string{".job.json", ".ckpt", ".amesh"} {
+	for _, suffix := range []string{".job.json", ".ckpt"} {
 		os.Remove(s.statePath(id + suffix))
 	}
 }
 
-// persist writes a job's restart record so a restarted server can resume
-// it: the snapshot's solution as a CRC-trailered meshio checkpoint, an
-// adapted mesh if it carries one, and the JSON sidecar with the spec and
-// the flight's live waiters — each file atomically. It is the only writer
-// of the three state files. No-op without a StateDir.
-func (s *Scheduler) persist(j *Job, snap *snapshot) error {
+// persist writes a job's restart state so a restarted server can resume
+// it: its resume record — ck, or else the one the job was admitted with —
+// as <id>.ckpt, and the sidecar, each file atomically. It is the only
+// writer of the sidecar; beside it, only a plain run's solver writes
+// <id>.ckpt, at its periodic checkpoints. An adapted mesh a record names
+// lives in the artifact store, put there by the epoch that made it. No-op
+// without a StateDir.
+func (s *Scheduler) persist(j *Job, ck *meshio.Checkpoint) error {
 	if s.cfg.StateDir == "" {
 		return nil
+	}
+	if ck == nil {
+		ck = j.resume
+	}
+	if ck != nil {
+		if err := meshio.SaveCheckpoint(s.statePath(j.ID+".ckpt"), ck); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
 	}
 	sc := sidecar{ID: j.ID, Spec: j.Spec}
 	for _, id := range j.party.Live() {
 		if id != j.ID {
 			sc.Waiters = append(sc.Waiters, id)
-		}
-	}
-	if snap != nil {
-		sc.Checkpoint = j.ID + ".ckpt"
-		if snap.ck != nil {
-			if err := meshio.SaveCheckpoint(s.statePath(sc.Checkpoint), snap.ck); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-		}
-		if snap.mesh != nil {
-			sc.AdaptMesh, sc.Adapt = j.ID+".amesh", snap.adapt
-			if err := meshio.SaveMesh(s.statePath(sc.AdaptMesh), snap.mesh); err != nil {
-				return fmt.Errorf("adapted mesh: %w", err)
-			}
 		}
 	}
 	b, err := json.MarshalIndent(sc, "", "  ")
@@ -217,8 +179,8 @@ func (s *Scheduler) persist(j *Job, snap *snapshot) error {
 // periodic checkpoints on, so the node survives SIGKILL: a restart
 // resumes from the last periodic checkpoint. A failure degrades
 // survivability, not the run itself: log and keep solving.
-func (s *Scheduler) persistRunning(j *Job, snap *snapshot) {
-	if err := s.persist(j, snap); err != nil {
+func (s *Scheduler) persistRunning(j *Job, ck *meshio.Checkpoint) {
+	if err := s.persist(j, ck); err != nil {
 		s.cfg.Log.Printf("job %s: persisting run state: %v", j.ID, err)
 	}
 }
@@ -230,8 +192,8 @@ func (s *Scheduler) periodic() bool {
 }
 
 // Recover scans StateDir for drain sidecars and re-admits each job under
-// its original ID, restoring the checkpointed solution when one exists,
-// and re-attaches the waiters recorded with it. Because the solver is
+// its original ID, resuming from its record when one exists, and
+// re-attaches the waiters recorded with it. Because the solver is
 // deterministic, a resumed run's history and solution are bitwise
 // identical to an uninterrupted one. It returns the number of jobs —
 // leaders and waiters — brought back.
@@ -262,24 +224,14 @@ func (s *Scheduler) Recover() (int, error) {
 			continue
 		}
 		j := &Job{ID: sc.ID, Spec: sc.Spec}
-		if sc.Checkpoint != "" {
-			ck, err := meshio.LoadCheckpoint(s.statePath(sc.Checkpoint))
-			if err != nil {
-				s.cfg.Log.Printf("recover: job %s checkpoint: %v (restarting from scratch)", sc.ID, err)
-			} else {
-				j.resume = &snapshot{ck: ck}
-			}
-		}
-		if sc.AdaptMesh != "" && sc.Adapt != nil && j.resume != nil {
-			// The mesh-carrying resume point of an adaptive job. A load
-			// failure falls back to restarting the job from scratch.
-			m, err := meshio.LoadMesh(s.statePath(sc.AdaptMesh))
-			if err != nil {
-				s.cfg.Log.Printf("recover: job %s adapted mesh: %v (restarting from scratch)", sc.ID, err)
-				j.resume = nil
-			} else {
-				j.resume.mesh, j.resume.adapt = m, sc.Adapt
-			}
+		switch ck, err := meshio.LoadCheckpoint(s.statePath(sc.ID + ".ckpt")); {
+		case os.IsNotExist(err): // queued, or drained before its first cycle
+		case err != nil:
+			s.cfg.Log.Printf("recover: job %s checkpoint: %v (restarting from scratch)", sc.ID, err)
+		case ck.Mesh != "" && !s.cfg.Store.Has(ck.Mesh):
+			s.cfg.Log.Printf("recover: job %s: mesh %s is not in the artifact store (restarting from scratch)", sc.ID, ck.Mesh[:12])
+		default:
+			j.resume = ck
 		}
 		if err := j.Spec.Validate(); err != nil {
 			s.cfg.Log.Printf("recover: job %s: %v", sc.ID, err)

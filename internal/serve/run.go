@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"eul3d/internal/mesh"
+	"eul3d/internal/meshio"
 	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
@@ -16,8 +17,8 @@ import (
 // ran is what one execution of a job produced.
 type ran struct {
 	res  *solver.Result
-	mesh *mesh.Mesh // the mesh res.FineSolution lives on
-	snap *snapshot  // interrupted runs: where a restart picks up (nil: from scratch)
+	mesh *mesh.Mesh         // the mesh res.FineSolution lives on
+	snap *meshio.Checkpoint // interrupted runs: where a restart picks up (nil: from scratch)
 }
 
 // executor is the one fork in the run path — how a prepared job
@@ -121,19 +122,18 @@ func (s *Scheduler) prepare(ctx context.Context, j *Job, tk *trace.Track) (x exe
 		}
 	}()
 
-	var ms []*mesh.Mesh
-	if j.resume == nil || j.resume.mesh == nil { // a mesh-carrying resume point needs no spec mesh
-		if h := j.Spec.Mesh.Hash; h != "" {
-			// Pin the mesh artifact while the job runs: eviction pressure
-			// must not drop the bytes an in-flight solve references.
-			if err := s.cfg.Store.Pin(h); err != nil {
-				return x, held, fmt.Errorf("%w: %s", ErrNoArtifact, h)
-			}
-			held.pinned = h
+	h := j.meshHash()
+	if h != "" {
+		// Pin the mesh artifact while the job runs: eviction pressure
+		// must not drop the bytes an in-flight solve references.
+		if err := s.cfg.Store.Pin(h); err != nil {
+			return x, held, fmt.Errorf("%w: %s", ErrNoArtifact, h)
 		}
-		if ms, err = j.Spec.BuildMeshesFrom(s.cfg.Store); err != nil {
-			return x, held, err
-		}
+		held.pinned = h
+	}
+	ms, err := j.Spec.BuildMeshesFrom(s.cfg.Store, h)
+	if err != nil {
+		return x, held, err
 	}
 
 	nw := j.Spec.pooledWorkers()
@@ -163,6 +163,16 @@ func divergedAt(hist []float64) (int, float64, bool) {
 		}
 	}
 	return 0, 0, false
+}
+
+// meshHash is the mesh artifact the job's run starts on: the adapted mesh
+// its resume record names, else the spec's uploaded mesh ("" for a
+// generated or file mesh).
+func (j *Job) meshHash() string {
+	if j.resume != nil && j.resume.Mesh != "" {
+		return j.resume.Mesh
+	}
+	return j.Spec.Mesh.Hash
 }
 
 // progress is the per-cycle callback that grows the job's visible history.
@@ -203,7 +213,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 	st := eng.Steady()
 	st.Reset()
 	if j.resume != nil {
-		err = st.Restore(j.resume.ck)
+		err = st.Restore(j.resume)
 	} else if sc := j.Spec.scenario(); sc != nil {
 		// Scenario jobs start from the preset's initial state, not the
 		// freestream Reset left behind. A resumed job skips this: the
@@ -226,7 +236,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 		opts.CheckpointPath = s.statePath(j.ID + ".ckpt")
 		opts.Mach = j.Spec.Mach
 		opts.AlphaDeg = j.Spec.AlphaDeg
-		s.persistRunning(j, &snapshot{})
+		s.persistRunning(j, nil)
 	}
 	return executor{
 		exec: func(ctx context.Context) (ran, error) {
@@ -237,7 +247,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 			}
 			out := ran{res: res, mesh: ms[0]}
 			if res.Cancelled && res.Cycles > 0 {
-				out.snap = &snapshot{ck: j.Spec.meta().Checkpoint(res.History, res.FineSolution)}
+				out.snap = j.Spec.meta().Checkpoint(res.History, res.FineSolution)
 			}
 			return out, nil
 		},

@@ -10,6 +10,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -75,8 +76,8 @@ type Job struct {
 	seq    int64 // admission order, FIFO tiebreak within a priority
 	cancel context.CancelCauseFunc
 	ctx    context.Context
-	done   chan struct{} // closed when the job leaves the queue/runner for good
-	resume *snapshot     // where the run picks up (nil: from the spec's initial state)
+	done   chan struct{}      // closed when the job leaves the queue/runner for good
+	resume *meshio.Checkpoint // where the run picks up (nil: from the spec's initial state)
 
 	party         *flight.Party[terminal] // the job's stake in its (possibly shared) run
 	coalescedWith string                  // waiters: the leader's job ID
@@ -184,7 +185,7 @@ type Config struct {
 	Runners      int    // jobs solving concurrently (default 2)
 	WorkerBudget int    // total pooled workers across concurrent jobs (default 8)
 	CacheCap     int    // idle engines kept warm (default 4)
-	StateDir     string // drain checkpoints + resume sidecars ("" disables)
+	StateDir     string // interrupted jobs' resume records + sidecars ("" disables)
 	Log          *log.Logger
 
 	// CheckpointEvery, when positive (and StateDir is set), checkpoints
@@ -202,8 +203,10 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// Store is the content-addressed artifact store backing hash-named
-	// meshes, resume-by-hash checkpoints and result artifacts. Nil gets
-	// a default memory-only store.
+	// meshes, resume-by-hash records, the meshes adaptive runs refine and
+	// result artifacts. Nil gets a default store: with a StateDir, its disk
+	// tier is StateDir/artifacts, so the meshes interrupted adaptive jobs'
+	// records name survive a restart; without one, memory only.
 	Store *store.Store
 }
 
@@ -222,6 +225,13 @@ func (c *Config) fill() {
 	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
+	}
+	if c.Store == nil && c.StateDir != "" {
+		st, err := store.New(store.Config{Dir: filepath.Join(c.StateDir, "artifacts")})
+		if err != nil {
+			c.Log.Printf("artifact store under the state dir: %v (keeping artifacts in memory)", err)
+		}
+		c.Store = st
 	}
 	if c.Store == nil {
 		c.Store = store.NewMemory()
@@ -381,9 +391,9 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 }
 
 // SubmitResume admits a job under a caller-chosen ID, optionally
-// warm-started from a checkpoint. It is the handoff entry point: a cluster
-// coordinator re-dispatches an interrupted job to this node under its
-// original ID, resuming from the last checkpoint it pulled off the dying
+// warm-started from a resume record. It is the handoff entry point: a
+// cluster coordinator re-dispatches an interrupted job to this node under
+// its original ID, resuming from the last record it pulled off the dying
 // node. An empty id falls back to a generated one; a nil ck starts from
 // scratch. Handoff jobs carry a pinned identity (and possibly mid-run
 // state); they neither attach to another run nor accept waiters.
@@ -391,11 +401,10 @@ func (s *Scheduler) SubmitResume(id string, spec JobSpec, ck *meshio.Checkpoint)
 	if id == "" {
 		id = NewJobID("j")
 	}
-	j := &Job{ID: id, Spec: spec}
-	if ck != nil {
-		j.resume = &snapshot{ck: ck}
+	if ck != nil && ck.Mesh != "" && spec.Adapt == nil {
+		return nil, errors.New("serve: the resume record names an adapted mesh, but the job is not adaptive")
 	}
-	return s.submit(j, false)
+	return s.submit(&Job{ID: id, Spec: spec, resume: ck}, false)
 }
 
 // submit is the one admission check in front of admit; share says
@@ -407,7 +416,7 @@ func (s *Scheduler) submit(j *Job, share bool) (*Job, error) {
 	if nw := j.Spec.pooledWorkers(); nw > s.gov.Cap() {
 		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", nw, s.gov.Cap())
 	}
-	if h := j.Spec.Mesh.Hash; h != "" && !s.cfg.Store.Has(h) {
+	if h := j.meshHash(); h != "" && !s.cfg.Store.Has(h) {
 		return nil, fmt.Errorf("%w: %s", ErrNoArtifact, h)
 	}
 	if share {
@@ -559,7 +568,7 @@ func (s *Scheduler) dispatch(j *Job) {
 	if j.resume != nil {
 		// The visible history is seeded with the pre-interruption cycles,
 		// which Progress only reports from the resume point on.
-		j.history = append(j.history[:0], j.resume.ck.History...)
+		j.history = append(j.history[:0], j.resume.History...)
 	}
 	j.mu.Unlock()
 	s.run(ctx, j, tk)

@@ -303,23 +303,21 @@ func (s *JobSpec) BuildMeshes() ([]*mesh.Mesh, error) {
 	return meshgen.Sequence(spec, s.Levels)
 }
 
-// BuildMeshesFrom is BuildMeshes with an artifact store for hash-named
-// meshes: the bytes uploaded under Mesh.Hash are decoded as the meshio
-// wire format. The caller is expected to hold a Pin on the hash.
-func (s *JobSpec) BuildMeshesFrom(art *store.Store) ([]*mesh.Mesh, error) {
-	if s.Mesh.Hash == "" {
+// BuildMeshesFrom is BuildMeshes with an artifact store: a non-empty hash
+// names the one mesh to run on instead — the spec's own Mesh.Hash, or the
+// adapted mesh a resume record names — whose bytes are decoded as the
+// meshio wire format. The caller is expected to hold a Pin on the hash.
+func (s *JobSpec) BuildMeshesFrom(art *store.Store, hash string) ([]*mesh.Mesh, error) {
+	if hash == "" {
 		return s.BuildMeshes()
 	}
-	if art == nil {
-		return nil, fmt.Errorf("serve: mesh hash %s needs an artifact store", s.Mesh.Hash[:12])
-	}
-	data, err := art.Get(s.Mesh.Hash)
+	data, err := art.Get(hash)
 	if err != nil {
 		return nil, err
 	}
 	m, err := meshio.DecodeMesh(data)
 	if err != nil {
-		return nil, fmt.Errorf("serve: mesh artifact %s: %w", s.Mesh.Hash[:12], err)
+		return nil, fmt.Errorf("serve: mesh artifact %s: %w", hash[:12], err)
 	}
 	return []*mesh.Mesh{m}, nil
 }
