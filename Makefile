@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race loc verify serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
+.PHONY: all build test race loc verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
 
 all: build
 
@@ -39,6 +39,26 @@ loc:
 	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
+
+# Committed-results check: regenerate Figures 1-2 and Tables 1a-1c / 2a-2c
+# into a temporary directory and diff every file against results/, with the
+# "(generated in ...)" timings filtered out of both (~90 s on 2 CPUs). The
+# tables model the paper's machines from analytic counts and one recorded
+# cycle, so they must not move unless a change means them to.
+TABLES = fig1 fig2 1a 1b 1c 2a 2b 2c
+tables-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/benchtables" ./cmd/benchtables; mkdir "$$dir/out"; \
+	for id in $(TABLES); do \
+		"$$dir/benchtables" -only $$id -outdir "$$dir/out" > /dev/null; \
+	done; \
+	status=0; \
+	for f in "$$dir"/out/*; do \
+		n=$$(basename "$$f"); \
+		sed -E 's/ *\(generated in [^)]*\)//' "$$f" > "$$dir/got"; \
+		sed -E 's/ *\(generated in [^)]*\)//' "results/$$n" | diff -u - "$$dir/got" || { echo "tables-check: $$n differs from results/$$n"; status=1; }; \
+	done; \
+	[ $$status = 0 ] && echo "tables-check: $$(ls "$$dir/out" | wc -l) files match results/"; exit $$status
 
 # End-to-end serving smoke: build eul3dd, start it on a random port, run a
 # channel-mesh job to completion, check /metrics, then SIGTERM it mid-job
@@ -87,8 +107,8 @@ adapt-smoke:
 # decoder, the resume-record and mesh decoders and the refinement midpoint
 # table (errors, never panics), and
 # the serving, cluster, artifact-store, tracing, scenario and adaptive
-# smoke tests, every in-tree benchmark once, then the benchmark's own
-# compile-and-gate check.
+# smoke tests, every in-tree benchmark once, the benchmark's own
+# compile-and-gate check, and the committed tables regenerated.
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -108,6 +128,7 @@ verify: build
 	$(MAKE) bench-intree
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
+	$(MAKE) tables-check
 
 # Benchmarks: the Go micro-benchmarks plus the shared-memory scaling run,
 # which writes its results to BENCH_smsolver.json.

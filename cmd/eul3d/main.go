@@ -148,6 +148,19 @@ func main() {
 		return out, nil
 	}
 
+	// Full-multigrid initialization builds the starting solution; a warm
+	// start or a resume would overwrite it unseen, and the distributed
+	// solver has no FMG.
+	for flagName, on := range map[string]bool{
+		"-init-solution": *initSol != "",
+		"-resume":        *resume != "",
+		"-nproc":         *nproc > 0,
+	} {
+		if on && *fmg > 0 {
+			log.Fatalf("eul3d: -fmg builds the initial solution and is incompatible with %s", flagName)
+		}
+	}
+
 	var ck *meshio.Checkpoint
 	if *resume != "" {
 		var err error

@@ -56,6 +56,36 @@ func TestCheckDivergenceExit(t *testing.T) {
 	}
 }
 
+// TestFMGRejectsAReplacedStart: -fmg builds the fine solution that
+// -init-solution and -resume would overwrite, and the distributed solver
+// has no FMG, so eul3d refuses each pairing before it loads or builds
+// anything. main runs in a re-exec'd copy of the test binary, as log.Fatalf
+// exits.
+func TestFMGRejectsAReplacedStart(t *testing.T) {
+	if args := os.Getenv("EUL3D_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append(os.Args[:1], strings.Fields(args)...)
+		main()
+		os.Exit(0) // main should have exited already
+	}
+
+	for _, tc := range []struct{ args, flag string }{
+		{"-fmg 20 -init-solution missing.sol", "-init-solution"},
+		{"-fmg 20 -resume missing.ckpt", "-resume"},
+		{"-fmg 20 -nproc 4", "-nproc"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=TestFMGRejectsAReplacedStart")
+		cmd.Env = append(os.Environ(), "EUL3D_TEST_MAIN_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+			t.Fatalf("eul3d %s: err %v, want a nonzero exit\n%s", tc.args, err, out)
+		}
+		if want := "-fmg builds the initial solution and is incompatible with " + tc.flag; !strings.Contains(string(out), want) {
+			t.Errorf("eul3d %s: output missing %q:\n%s", tc.args, want, out)
+		}
+	}
+}
+
 // A clean (finite) history must not exit, whatever the solution holds.
 func TestCheckDivergenceClean(t *testing.T) {
 	checkDivergence("", []float64{1, 0.5, 0.25, 1e-9}, []euler.State{{1, 0, 0, 0, 2.5}})

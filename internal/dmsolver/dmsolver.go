@@ -178,7 +178,8 @@ type Solver struct {
 	Levels []*Level
 	Comm   CommCounters
 
-	partial []float64 // per-processor terms of the residual-norm reduction
+	partial []float64    // per-processor terms of the residual-norm reduction
+	hooks   []cycleHooks // per processor: the cycle's hooks bound to the executor it leads (cycle)
 
 	// Flight recorder (trace.go): nil when tracing is disabled. builds
 	// keeps the construction timings for replay into a later-attached
@@ -212,7 +213,7 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	if nproc < 1 {
 		return nil, fmt.Errorf("dmsolver: nproc must be >= 1")
 	}
-	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc)}
+	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc), hooks: make([]cycleHooks, nproc)}
 
 	// Sequential preprocessing: transfer operators between levels.
 	var restrictOps, prolongOps []*multigrid.TransferOp // index l: between level l-1 (fine) and l (coarse)

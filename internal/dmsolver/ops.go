@@ -10,13 +10,14 @@ import (
 
 // This file is the distributed solver's program: the time step, the
 // residual, the dissipation passes, the residual averaging and the FAS
-// cycle, each stated once as the sequence of per-processor compute phases
-// and PARTI exchanges the paper's node program runs. It is written against
-// a driver (driver.go), which decides the two things an execution mode
-// owns — which processors a compute phase runs on here, and how an
-// exchange completes — and it branches only on Params, the level count
-// and Gamma, never on the processor, so every executor of it walks the
-// same exchange plan.
+// cycle's restriction and correction, each stated once as the sequence of
+// per-processor compute phases and PARTI exchanges the paper's node program
+// runs; multigrid.Cycle orders the cycle's pieces, as it does every
+// engine's. It is written against a driver (driver.go), which decides the
+// two things an execution mode owns — which processors a compute phase runs
+// on here, and how an exchange completes — and it branches only on Params,
+// the level count and Gamma, never on the processor, so every executor of
+// it walks the same exchange plan.
 //
 // The phases hold no arithmetic of their own. An edge or boundary-face
 // loop is the kernel the pooled engine runs per color (euler's
@@ -26,7 +27,7 @@ import (
 // the function the sequential engine runs over the whole mesh — euler's
 // reference vertex functions, and
 // for the inter-grid pieces multigrid's TransferOp and FAS range functions.
-// The smoother is the reference SmoothGather over the owned rows.
+// The smoother is the pooled engine's gather sweep over the owned rows.
 
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
@@ -132,7 +133,7 @@ func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 		}
 		cc, nn := cur, next
 		each(x, func(p int) {
-			euler.SmoothGather(lev.RHS[p], cc[p], nn[p], lev.AdjStart[p], lev.Adj[p], eps, lev.Dist.Count(p))
+			euler.SmoothGatherSoAKernel(euler.Block(&lev.RHS[p]), euler.Block(&cc[p]), euler.Block(&nn[p]), lev.AdjStart[p], lev.Adj[p], eps, 0, lev.Dist.Count(p))
 		})
 		cur, next = next, cur
 	}
@@ -190,12 +191,31 @@ func (s *Solver) step(x driver, l int) (float64, error) {
 }
 
 // cycle performs one FAS multigrid cycle from level l down (a plain time
-// step on the coarsest level) and returns level l's residual norm.
+// step on the coarsest level) on executor x and returns level l's residual
+// norm: multigrid.Cycle over step, restrict and correct, bound to x in the
+// hook slot of x's first processor. Executors that run at once never share
+// a first processor, and the slot is the solver's, so binding x allocates
+// nothing.
 func (s *Solver) cycle(x driver, l int) (float64, error) {
-	norm, err := s.step(x, l)
-	if err != nil || l == len(s.Levels)-1 {
-		return norm, err
-	}
+	lo, _ := x.procs()
+	h := &s.hooks[lo]
+	*h = cycleHooks{s, x}
+	return multigrid.Cycle(h, l, len(s.Levels), s.Gamma)
+}
+
+// cycleHooks is the program's three level pieces bound to one executor.
+type cycleHooks struct {
+	s *Solver
+	x driver
+}
+
+func (h *cycleHooks) Step(l int) (float64, error) { return h.s.step(h.x, l) }
+func (h *cycleHooks) Restrict(l int) error        { return h.s.restrict(h.x, l) }
+func (h *cycleHooks) Correct(l int) error         { return h.s.correct(h.x, l) }
+
+// restrict forms level l+1's FAS problem from level l's post-step solution:
+// W restricted and repaired, the residual restricted, and the forcing.
+func (s *Solver) restrict(x driver, l int) error {
 	lev, next := s.Levels[l], s.Levels[l+1]
 
 	// Residual of the post-step solution (with forcing on coarse levels). Its
@@ -206,10 +226,10 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	// the incremental restriction schedule, each of which leaves out what the
 	// ones before it ghost — merged into one.
 	if err := s.refreshW(x, lev, lev.restrictSched); err != nil {
-		return 0, err
+		return err
 	}
 	if err := s.residual(x, lev, l > 0, true, false); err != nil {
-		return 0, err
+		return err
 	}
 
 	// Restrict flow variables onto coarse-owned vertices.
@@ -224,38 +244,33 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	// contributions return to their owners through all three, merged.
 	each(x, func(p int) { next.Prolong[p].ScatterTranspose(lev.Res[p], next.Forcing[p]) })
 	if err := x.exchange(parti.ScatterAdd, next.transferSched, next, parti.States(next.Forcing)); err != nil {
-		return 0, err
+		return err
 	}
 
 	// Forcing P = R' - R(w').
 	if err := s.refreshW(x, next, next.SchedW); err != nil {
-		return 0, err
+		return err
 	}
 	if err := s.residual(x, next, false, true, false); err != nil {
-		return 0, err
+		return err
 	}
 	each(x, func(p int) { multigrid.Subtract(next.Forcing[p], next.Res[p], 0, next.Dist.Count(p)) })
+	return nil
+}
 
-	visits := s.Gamma
-	if l+1 == len(s.Levels)-1 {
-		visits = 1
-	}
-	for v := 0; v < visits; v++ {
-		if _, err := s.cycle(x, l+1); err != nil {
-			return 0, err
-		}
-	}
-
-	// Correction: coarse delta, one ghost refresh through the merged
-	// transfer schedule, interpolate to fine, smooth, apply.
+// correct applies level l+1's correction to level l: coarse delta, one ghost
+// refresh through the merged transfer schedule, interpolate to fine, smooth,
+// apply.
+func (s *Solver) correct(x driver, l int) error {
+	lev, next := s.Levels[l], s.Levels[l+1]
 	each(x, func(p int) { multigrid.Delta(next.Corr[p], next.W[p], next.WSaved[p], 0, next.Dist.Count(p)) })
 	if err := x.exchange(parti.Gather, next.transferSched, next, parti.States(next.Corr)); err != nil {
-		return 0, err
+		return err
 	}
 	each(x, func(p int) { next.Prolong[p].Interp(next.Corr[p], lev.Corr[p]) })
 	if err := s.smooth(x, lev, lev.Corr); err != nil {
-		return 0, err
+		return err
 	}
 	each(x, func(p int) { multigrid.ApplyCorrection(&s.P, lev.W[p], lev.Corr[p], 0, lev.Dist.Count(p)) })
-	return norm, nil
+	return nil
 }

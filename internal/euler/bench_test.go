@@ -19,14 +19,13 @@ import (
 // besides the edge loops (pressures or the block refresh with its vertex
 // terms, the zeroing, the face loop, the shock switch). ns/edge is the
 // figure EXPERIMENTS.md quotes; it is what sized the distributed solver's
-// move to the kernels. The smoother has four rows — one Jacobi sweep's
+// move to the kernels. The smoother has three rows — one Jacobi sweep's
 // neighbour sums in edge form (the accumulation alone: its zeroing and
 // combine pass are not in the row), ops.go's SmoothAccum against
 // SmoothAccumSoAKernel, and the whole sweep in gather form over rows in
-// edge order, ops.go's SmoothGather (out of line, one State store a vertex:
-// what the distributed solver runs) against SmoothGatherSoAKernel (five
-// component stores: what the pooled engine runs). The
-// "aos" and "soa" suffixes name the two statements, no longer two layouts.
+// edge order, SmoothGatherSoAKernel, what the pooled and the distributed
+// engine run. The "reference" and "soa" suffixes name the two statements,
+// no longer two layouts.
 func BenchmarkReferenceVsSoA(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(48, 24, 16, 17))
 	if err != nil {
@@ -91,7 +90,6 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 			convS.ZeroRange(0, nv)
 			d.SmoothAccumSoAKernel(wS, convS, edges)
 		}},
-		{"smooth-gather/aos", func() { SmoothGather(lapl, w, conv, adjStart, adj, eps, nv) }},
 		{"smooth-gather/soa", func() { SmoothGatherSoAKernel(laplS, wS, convS, adjStart, adj, eps, 0, nv) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -14,12 +14,12 @@ import (
 // edges touch the same vertex, so the kernels are race-free. The distributed
 // solver (package dmsolver) calls the edge, face and residual kernels once
 // per simulated processor, over all of that partition's local edges or
-// faces (NewViewDisc), with the PARTI exchanges between calls. Both hand
-// their []State arrays to the kernels as blocks (Block), so nothing is
-// converted anywhere. This is the second and last statement of the scheme's
-// arithmetic; the first is the reference operator in ops.go, which the
-// sequential engine drives and whose vertex functions and smoother the
-// distributed one still calls.
+// faces (NewViewDisc), and the gather smoother over its owned rows, with the
+// PARTI exchanges between calls. Both hand their []State arrays to the
+// kernels as blocks (Block), so nothing is converted anywhere. This is the
+// second and last statement of the scheme's arithmetic; the first is the
+// reference operator in ops.go, which the sequential engine drives and
+// whose vertex functions the distributed one still calls.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor
@@ -355,11 +355,14 @@ func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
 // averaging for vertices [lo,hi) in gather form: next[i] = (rhs[i] +
 // eps*sum_j cur[j]) / (1 + eps*deg(i)), j running over row i of the CSR
 // vertex adjacency (adjStart, adj). Every vertex writes only its own slot,
-// so the sweep needs no coloring and no zeroing, and rhs and cur are only
-// read. With the rows in the order an edge loop meets each vertex's edges,
-// the additions into every sum are that loop's, in its order: the result
-// is bitwise SmoothAccumSoAKernel over the edges followed by
-// SmoothCombineSoAKernel, which remain as its oracle.
+// so the sweep needs no coloring and no zeroing, rhs and cur are only read,
+// and cur may be longer than the rows: the pool runs it over worker chunks,
+// the distributed solver over a processor's owned rows of [owned | ghosts].
+// With the rows in the order an edge loop meets each vertex's edges, the
+// additions into every sum are that loop's, in its order: the result is
+// bitwise SmoothAccumSoAKernel over the edges followed by
+// SmoothCombineSoAKernel — or SmoothAccum and SmoothCombine — which remain
+// as its oracles.
 func SmoothGatherSoAKernel(rhsS, curS, nextS *StateSoA, adjStart, adj []int32, eps float64, lo, hi int) {
 	rhs, cur, next := *rhsS, *curS, *nextS
 	for i := lo; i < hi; i++ {

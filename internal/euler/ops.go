@@ -183,14 +183,14 @@ func MinStableDt(m *mesh.Mesh, p Params, w []State) float64 {
 // normals, a boundary-face list, the solution, its pressures and the
 // accumulators. They know nothing of who drives them. The sequential Disc
 // below runs them over the whole mesh; the distributed solver (package
-// dmsolver) runs the vertex functions and SmoothGather over each
-// processor's local [owned | ghost] arrays, and keeps the edge and face
-// functions as the oracle its sweeps are tested against. Every accumulating
-// function overwrites its accumulators (it zeroes them first) and visits
-// edges and faces in list order, so the additions one slot receives, and
-// their order, are fixed by the lists alone. The SoA kernels of
-// kernels_soa.go — what the pooled and the distributed engine run for the
-// edge and face loops — are the only other statement of this arithmetic.
+// dmsolver) runs the vertex functions over each processor's local
+// [owned | ghost] arrays, and keeps the edge and face functions as the
+// oracle its sweeps are tested against. Every accumulating function
+// overwrites its accumulators (it zeroes them first) and visits edges and
+// faces in list order, so the additions one slot receives, and their order,
+// are fixed by the lists alone. The SoA kernels of kernels_soa.go — what
+// the pooled and the distributed engine run for the edge and face loops and
+// the smoother — are the only other statement of this arithmetic.
 
 // Pressures fills pres[i] with the static pressure of w[i].
 func Pressures(g Gas, w []State, pres []float64) {
@@ -394,35 +394,6 @@ func SmoothCombine(rhs, next []State, deg []int32, eps float64) {
 		for k := 0; k < NVar; k++ {
 			next[i][k] = (rhs[i][k] + eps*next[i][k]) * inv
 		}
-	}
-}
-
-// SmoothGather is one whole Jacobi sweep in gather form, for vertices [0, n):
-// next[i] = (rhs[i] + eps*sum_j cur[j]) / (1 + eps*deg(i)), j running over
-// row i of the CSR vertex adjacency (adjStart, adj) and deg(i) being the
-// row's length. Every vertex writes its own slot and nothing else, so there
-// is nothing to zero and cur may be longer than n — the distributed solver's
-// [owned | ghosts]. With each row in the order an edge list meets the
-// vertex's edges the additions into every sum are SmoothAccum's over that
-// list, in its order, and the result is bitwise SmoothAccum followed by
-// SmoothCombine, which stay as its oracle. Not inlined, for SmoothAccum's
-// reason.
-//
-//go:noinline
-func SmoothGather(rhs, cur, next []State, adjStart, adj []int32, eps float64, n int) {
-	for i := 0; i < n; i++ {
-		row := adj[adjStart[i]:adjStart[i+1]]
-		var s0, s1, s2, s3, s4 float64
-		for _, j := range row {
-			c := &cur[j]
-			s0 += c[0]
-			s1 += c[1]
-			s2 += c[2]
-			s3 += c[3]
-			s4 += c[4]
-		}
-		inv, r := 1/(1+eps*float64(len(row))), &rhs[i]
-		next[i] = State{(r[0] + eps*s0) * inv, (r[1] + eps*s1) * inv, (r[2] + eps*s2) * inv, (r[3] + eps*s3) * inv, (r[4] + eps*s4) * inv}
 	}
 }
 

@@ -138,9 +138,9 @@ func rowsInEdgeOrder(nv int, edges [][2]int32) (start, adj []int32) {
 
 // TestQuickSmoothGatherIsTheEdgeForm: on random edge lists — multi-edges,
 // self-loops and isolated vertices included, nothing a mesh would produce
-// required — one sweep of SmoothGather over the rows in edge order is
-// SmoothAccum followed by SmoothCombine bit for bit, and it writes nothing
-// past the n vertices it is asked for.
+// required — one sweep of SmoothGatherSoAKernel over the rows in edge order
+// is SmoothAccum followed by SmoothCombine bit for bit, and it writes
+// nothing outside the range [lo,hi) it is asked for.
 func TestQuickSmoothGatherIsTheEdgeForm(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -166,18 +166,20 @@ func TestQuickSmoothGatherIsTheEdgeForm(t *testing.T) {
 		SmoothCombine(rhs, want, deg, eps)
 
 		start, adj := rowsInEdgeOrder(nv, edges)
-		n := rng.Intn(nv + 1)
+		lo := rng.Intn(nv + 1)
+		hi := lo + rng.Intn(nv-lo+1)
 		poison := State{math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN()}
 		got := make([]State, nv)
 		for i := range got {
-			got[i] = poison // no zeroing needed: every slot below n is overwritten
+			got[i] = poison // no zeroing needed: every slot in [lo,hi) is overwritten
 		}
-		SmoothGather(rhs, cur, got, start, adj, eps, n)
+		SmoothGatherSoAKernel(Block(&rhs), Block(&cur), Block(&got), start, adj, eps, lo, hi)
 		for i := range got {
-			if i < n && got[i] != want[i] {
+			in := lo <= i && i < hi
+			if in && got[i] != want[i] {
 				return false
 			}
-			if i >= n && !math.IsNaN(got[i][0]) {
+			if !in && !math.IsNaN(got[i][0]) {
 				return false
 			}
 		}

@@ -71,7 +71,7 @@ type soaStepper struct {
 	wq, convR, dissR, resR                            []State
 
 	// The gather form of the smoother: the mesh's rows in edge order and the
-	// AoS right-hand side and iterates SmoothGather sweeps.
+	// right-hand side and iterates SmoothGatherSoAKernel sweeps.
 	adjStart, adj    []int32
 	gRHS, gCur, gNxt []State
 }
@@ -172,14 +172,14 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 				copy(*s.resS, *cur)
 			}
 		}
-		// The gather form, AoS, on the same unsmoothed residual: no zeroing,
-		// one pass a sweep.
+		// The gather form on the same unsmoothed residual: no zeroing, one
+		// pass a sweep.
 		copy(s.gRHS, s.resR)
 		gCur, gNxt := s.gCur, s.gNxt
 		copy(gCur, s.resR)
 		if eps := d.P.EpsSmooth; eps != 0 {
 			for sweep := 0; sweep < d.P.NSmooth; sweep++ {
-				SmoothGather(s.gRHS, gCur, gNxt, s.adjStart, s.adj, eps, nv)
+				SmoothGatherSoAKernel(Block(&s.gRHS), Block(&gCur), Block(&gNxt), s.adjStart, s.adj, eps, 0, nv)
 				gCur, gNxt = gNxt, gCur
 			}
 		}
@@ -271,7 +271,8 @@ func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
 // statements of the scheme's arithmetic: every SoA kernel, run over the
 // identity edge and face lists, must reproduce the reference operator —
 // Disc.Convective, Dissipation, ComputeTimeSteps, SmoothResiduals (which the
-// AoS gather form SmoothGather, over rows in edge order, must reproduce too)
+// gather form SmoothGatherSoAKernel, over rows in edge order, must reproduce
+// too)
 // and, for the fused init/combine/update sweeps, a whole Disc.Step — bit for
 // bit: the component streams change the memory layout, not one
 // floating-point operation. The three cases cover the steady scheme, the FAS forcing term,

@@ -1,6 +1,123 @@
 package multigrid
 
-import "eul3d/internal/euler"
+import (
+	"eul3d/internal/euler"
+	"eul3d/internal/flops"
+	"eul3d/internal/mesh"
+)
+
+// Levels is one engine's execution of the pieces of a FAS cycle on grid
+// level l (0 is the finest). Cycle decides which piece runs on which level
+// and when; an engine decides only how a piece executes — inline on whole
+// arrays (Solver), on a worker pool (package smsolver), or as per-processor
+// phases between PARTI exchanges (package dmsolver).
+type Levels interface {
+	// Step advances level l by one time step, under its forcing on a coarse
+	// level, and returns its first-stage residual norm.
+	Step(l int) (float64, error)
+	// Restrict forms the residual on level l, restricts W and the residual
+	// to level l+1, repairs and saves the restricted states, and forms level
+	// l+1's forcing P = R' - R(w').
+	Restrict(l int) error
+	// Correct forms level l+1's correction w - w', prolongs it to level l,
+	// smooths it and applies it under the positivity guard.
+	Correct(l int) error
+}
+
+// Cycle performs one FAS cycle of an n-level sequence from level l down and
+// returns level l's residual norm: a step on l and, unless l is the
+// coarsest, the restriction to l+1, gamma visits of l+1 (1 gives a V-cycle,
+// 2 a W-cycle) and the correction of l. It is the one statement of the
+// recursion — every engine's cycle, FMG's per-level solves and Schedule are
+// calls of it. The first error a hook returns is returned at once and no
+// later hook runs, so executors that must stay in lockstep (the distributed
+// solver's MIMD processors, which all see the same error) leave together.
+func Cycle(e Levels, l, n, gamma int) (float64, error) {
+	norm, err := e.Step(l)
+	if err != nil || l == n-1 {
+		return norm, err
+	}
+	if err := e.Restrict(l); err != nil {
+		return 0, err
+	}
+	visits := gamma
+	if l+1 == n-1 {
+		visits = 1 // revisiting the coarsest grid twice in a row is idle
+	}
+	for v := 0; v < visits; v++ {
+		if _, err := Cycle(e, l+1, n, gamma); err != nil {
+			return 0, err
+		}
+	}
+	if err := e.Correct(l); err != nil {
+		return 0, err
+	}
+	return norm, nil
+}
+
+// LevelCost is the analytic flop count (internal/flops) of each piece of a
+// cycle on one level. Restrict and Prolong are the transfers between the
+// level and the next coarser one, zero on the coarsest.
+type LevelCost struct {
+	Edges    int64 // the level's weight in work units
+	Step     int64 // one time step
+	Residual int64 // one residual evaluation
+	Restrict int64 // variables down + the residual's transpose scatter
+	Prolong  int64 // the correction up
+	Correct  int64 // correction smoothing + the guarded update
+}
+
+// Ledger is the cost of every level of a sequence, finest first: what the
+// engines charge their Stats per piece, and what CycleFlops and WorkUnits
+// total over a cycle.
+type Ledger []LevelCost
+
+// NewLedger prices the pieces of a cycle on meshes (finest first) under the
+// scheme parameters p.
+func NewLedger(meshes []*mesh.Mesh, p euler.Params) Ledger {
+	c := make(Ledger, len(meshes))
+	for l, m := range meshes {
+		nv, ne, nbf := int64(m.NV()), int64(m.NE()), int64(len(m.BFaces))
+		c[l] = LevelCost{
+			Edges:    ne,
+			Step:     flops.Step(nv, ne, nbf, len(p.Stages), euler.DissipStages, p.NSmooth),
+			Residual: flops.Residual(nv, ne, nbf),
+			Correct:  int64(p.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert) + nv*flops.UpdateVert,
+		}
+		if l > 0 {
+			nvFine := int64(meshes[l-1].NV())
+			c[l-1].Restrict = (nv + nvFine) * flops.XferVert
+			c[l-1].Prolong = nvFine * flops.XferVert
+		}
+	}
+	return c
+}
+
+// CycleFlops returns the flops of one cycle of index gamma: on every level
+// visit a step and, above the coarsest level, the restriction (its own
+// residual, the transfer down, the coarse residual) and the correction.
+func (c Ledger) CycleFlops(gamma int) int64 {
+	var fl int64
+	for l, v := range Visits(len(c), gamma) {
+		fl += int64(v) * c[l].Step
+		if l < len(c)-1 {
+			fl += int64(v) * (c[l].Residual + c[l].Restrict + c[l+1].Residual + c[l].Prolong + c[l].Correct)
+		}
+	}
+	return fl
+}
+
+// WorkUnits returns the work of one cycle of index gamma in fine-grid time
+// steps, each level's steps weighted by its edge count — the measure behind
+// the paper's "a W-cycle requires approximately 90% more CPU time than a
+// single grid cycle, the V-cycle 75%".
+func (c Ledger) WorkUnits(gamma int) float64 {
+	wu := 0.0
+	for l, v := range Visits(len(c), gamma) {
+		wu += float64(v) * float64(c[l].Edges) / float64(c[0].Edges)
+	}
+	return wu
+}
 
 // The vertex pieces of the FAS cycle as range functions over [lo,hi), so
 // the three drivers — the serial Solver (whole arrays), the pooled engine

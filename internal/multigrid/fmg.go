@@ -17,7 +17,7 @@ func (s *Solver) FMGInit(cyclesPerLevel int) {
 		// stand-alone multigrid solver on that mesh.
 		zeroForcing(s.Levels[l])
 		for c := 0; c < cyclesPerLevel; c++ {
-			s.cycle(l)
+			Cycle(serial{s}, l, len(s.Levels), s.Gamma) // serial hooks never fail
 		}
 		// Prolong the developed solution (not a correction) to the next
 		// finer level and smooth the interpolation noise.

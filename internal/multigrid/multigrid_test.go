@@ -141,28 +141,6 @@ func TestDiagramShape(t *testing.T) {
 	}
 }
 
-func TestVisitCountsMatchSchedule(t *testing.T) {
-	for _, gamma := range []int{1, 2} {
-		for levels := 1; levels <= 5; levels++ {
-			ev := Schedule(levels, gamma)
-			fromSchedule := make([]int, levels)
-			for _, e := range ev {
-				if e.Kind == EulerStep {
-					fromSchedule[e.Level]++
-				}
-			}
-			s := &Solver{Gamma: gamma, Levels: make([]*Level, levels)}
-			got := s.visitCounts()
-			for l := range got {
-				if got[l] != fromSchedule[l] {
-					t.Errorf("gamma=%d levels=%d: visitCounts=%v schedule=%v",
-						gamma, levels, got, fromSchedule)
-				}
-			}
-		}
-	}
-}
-
 func newSolver(t *testing.T, gamma int) *Solver {
 	t.Helper()
 	seq := sequence(t, 16, 8, 4, 3)
@@ -252,6 +230,18 @@ func TestWorkUnits(t *testing.T) {
 	wuV, wuW := v.WorkUnits(), wcy.WorkUnits()
 	if wuV <= 1 || wuW <= wuV {
 		t.Errorf("work units: V=%v W=%v", wuV, wuW)
+	}
+}
+
+// TestStatsChargeTheLedger: one cycle charges Stats exactly the flops the
+// ledger says a cycle costs, V and W.
+func TestStatsChargeTheLedger(t *testing.T) {
+	for _, gamma := range []int{1, 2} {
+		s := newSolver(t, gamma)
+		s.Cycle()
+		if got, want := s.Stats().Total().Flops, s.cost.CycleFlops(gamma); got != want {
+			t.Errorf("gamma %d: one cycle charged %d flops, the ledger says %d", gamma, got, want)
+		}
 	}
 }
 

@@ -31,29 +31,33 @@ func (e Event) String() string {
 	return fmt.Sprintf("I%d", e.Level)
 }
 
-// Schedule enumerates the exact sequence of time-steps and interpolations
-// performed by one cycle with the given number of levels and cycle index
-// (1 = V, 2 = W), mirroring Solver.cycle. This regenerates the structure of
-// Figure 1 programmatically.
+// recorder is a Levels that runs nothing and writes down the steps and
+// interpolations Cycle asks of it.
+type recorder []Event
+
+func (r *recorder) Step(l int) (float64, error) { *r = append(*r, Event{EulerStep, l}); return 0, nil }
+func (r *recorder) Restrict(int) error          { return nil }
+func (r *recorder) Correct(l int) error         { *r = append(*r, Event{Interpolate, l}); return nil }
+
+// Schedule enumerates the time-steps and interpolations of one cycle with
+// the given number of levels and cycle index (1 = V, 2 = W): the hooks
+// Cycle calls, recorded. This regenerates the structure of Figure 1.
 func Schedule(levels, gamma int) []Event {
-	var out []Event
-	var walk func(l int)
-	walk = func(l int) {
-		out = append(out, Event{EulerStep, l})
-		if l == levels-1 {
-			return
+	var r recorder
+	Cycle(&r, 0, levels, gamma) // a recorder never fails
+	return r
+}
+
+// Visits returns how many time-steps each of n levels performs in one cycle
+// of index gamma: the Step calls of Cycle, counted.
+func Visits(n, gamma int) []int {
+	v := make([]int, n)
+	for _, e := range Schedule(n, gamma) {
+		if e.Kind == EulerStep {
+			v[e.Level]++
 		}
-		visits := gamma
-		if l+1 == levels-1 {
-			visits = 1
-		}
-		for v := 0; v < visits; v++ {
-			walk(l + 1)
-		}
-		out = append(out, Event{Interpolate, l})
 	}
-	walk(0)
-	return out
+	return v
 }
 
 // FormatSchedule renders a schedule compactly, e.g.

@@ -7,7 +7,6 @@ import (
 
 	"eul3d/internal/color"
 	"eul3d/internal/euler"
-	"eul3d/internal/flops"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/perf"
@@ -57,17 +56,13 @@ type Multigrid struct {
 	eng    engine
 
 	// Instrumentation: one accumulator slot quadruple per level
-	// ("L<l> steps/residuals/transfers/corrections"); stepMap[l] collapses
-	// the engine's six step phases onto level l's steps slot.
-	stepMap    [][nPhases]int
-	slotPh     []trace.PhaseID // trace phase per accumulator slot (traced only)
-	phLevel    trace.PhaseID   // level-entry instant (arg = level)
-	stepFl     []int64         // one time step on level l
-	residFl    []int64         // one residual evaluation on level l
-	restrictFl []int64         // down-transfer around the l/l+1 pair
-	prolongFl  []int64         // up-transfer around the l/l+1 pair
-	corrFl     []int64         // correction smoothing + update on level l
-	cycleFl    int64           // analytic flops of one full cycle
+	// ("L<l> steps/residuals/transfers/corrections"), charged from the level
+	// ledger; stepMap[l] collapses the engine's six step phases onto level
+	// l's steps slot.
+	stepMap [][nPhases]int
+	slotPh  []trace.PhaseID // trace phase per accumulator slot (traced only)
+	phLevel trace.PhaseID   // level-entry instant (arg = level)
+	cost    multigrid.Ledger
 }
 
 // NewMultigrid builds a pooled multigrid solver over meshes (finest
@@ -129,42 +124,19 @@ func NewMultigridColored(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers in
 		mg.levels = append(mg.levels, lev)
 	}
 
-	// Per-level accumulator slots and analytic flop charges, mirroring the
-	// serial multigrid's but kept per level for the -stats breakdown.
-	n := len(mg.levels)
-	names := make([]string, 0, 4*n)
-	mg.stepMap = make([][nPhases]int, n)
-	mg.stepFl = make([]int64, n)
-	mg.residFl = make([]int64, n)
-	mg.restrictFl = make([]int64, n)
-	mg.prolongFl = make([]int64, n)
-	mg.corrFl = make([]int64, n)
-	for l, lev := range mg.levels {
+	// Per-level accumulator slots, the serial multigrid's four phases kept
+	// per level for the -stats breakdown.
+	names := make([]string, 0, 4*len(mg.levels))
+	mg.stepMap = make([][nPhases]int, len(mg.levels))
+	for l := range mg.levels {
 		names = append(names,
 			fmt.Sprintf("L%d steps", l), fmt.Sprintf("L%d residuals", l),
 			fmt.Sprintf("L%d transfers", l), fmt.Sprintf("L%d corrections", l))
 		for ph := range mg.stepMap[l] {
 			mg.stepMap[l][ph] = 4 * l
 		}
-		m := lev.eng.d.M
-		nv, ne, nbf := int64(m.NV()), int64(m.NE()), int64(len(m.BFaces))
-		mg.stepFl[l] = flops.Step(nv, ne, nbf, len(p.Stages), euler.DissipStages, p.NSmooth)
-		mg.residFl[l] = flops.Residual(nv, ne, nbf)
-		mg.corrFl[l] = int64(p.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert) + nv*flops.UpdateVert
-		if l > 0 {
-			nvFine := int64(meshes[l-1].NV())
-			mg.restrictFl[l-1] = (nv + nvFine) * flops.XferVert // variables down + residual scatter
-			mg.prolongFl[l-1] = nvFine * flops.XferVert         // correction up
-		}
 	}
-	visits := mg.visitCounts()
-	for l := range mg.levels {
-		mg.cycleFl += int64(visits[l]) * mg.stepFl[l]
-		if l < n-1 {
-			mg.cycleFl += int64(visits[l]) *
-				(mg.residFl[l] + mg.residFl[l+1] + mg.restrictFl[l] + mg.prolongFl[l] + mg.corrFl[l])
-		}
-	}
+	mg.cost = multigrid.NewLedger(meshes, p)
 
 	mg.eng.init(nworkers, perf.NewAccum(names...))
 	runtime.AddCleanup(mg, func(p *pool) { p.shutdown() }, mg.eng.pool)
@@ -220,40 +192,12 @@ func (mg *Multigrid) Stats() perf.Stats { return mg.eng.acc.Stats() }
 
 // CycleFlops returns the analytic flop count of one full cycle (the sum
 // of every level visit's step, residual, transfer and correction work).
-func (mg *Multigrid) CycleFlops() int64 { return mg.cycleFl }
+func (mg *Multigrid) CycleFlops() int64 { return mg.cost.CycleFlops(mg.Gamma) }
 
 // WorkUnits returns the per-cycle computational work in units of
 // fine-grid time-steps, weighted by edge count — same measure as the
 // serial multigrid's.
-func (mg *Multigrid) WorkUnits() float64 {
-	visits := mg.visitCounts()
-	fine := float64(mg.levels[0].eng.d.M.NE())
-	wu := 0.0
-	for l, lev := range mg.levels {
-		wu += float64(visits[l]) * float64(lev.eng.d.M.NE()) / fine
-	}
-	return wu
-}
-
-// visitCounts returns how many time-steps each level performs in one cycle.
-func (mg *Multigrid) visitCounts() []int {
-	n := len(mg.levels)
-	counts := make([]int, n)
-	var walk func(l, mult int)
-	walk = func(l, mult int) {
-		counts[l] += mult
-		if l == n-1 {
-			return
-		}
-		v := mg.Gamma
-		if l+1 == n-1 {
-			v = 1
-		}
-		walk(l+1, mult*v)
-	}
-	walk(0, 1)
-	return counts
-}
+func (mg *Multigrid) WorkUnits() float64 { return mg.cost.WorkUnits(mg.Gamma) }
 
 // tick charges the time since *t to accumulator slot with fl analytic
 // flops and advances *t.
@@ -270,33 +214,35 @@ func (mg *Multigrid) tick(slot int, fl int64, t *time.Time) {
 // returns the fine-grid residual norm measured at the first RK stage. At
 // steady state it performs zero heap allocations.
 func (mg *Multigrid) Cycle() float64 {
-	return mg.cycle(0)
+	norm, _ := multigrid.Cycle(pooled{mg}, 0, len(mg.levels), mg.Gamma) // pooled hooks never fail
+	return norm
 }
 
-// cycle is the recursive FAS driver, the exact arithmetic of
-// multigrid.Solver.cycle with every piece dispatched to the worker pool:
-// one pooled time-step, pooled residual + forcing, chunked restriction
-// (interp + destination-grouped scatter), gamma recursive visits, and the
-// chunked prolongation with pooled correction smoothing.
-func (mg *Multigrid) cycle(l int) float64 {
-	lev := mg.levels[l]
-	e := &mg.eng
+// pooled is the Multigrid's execution of the cycle's pieces — the exact
+// arithmetic of the serial multigrid's, every piece dispatched to the
+// worker pool: one pooled time-step, pooled residual + forcing, chunked
+// restriction (interp + destination-grouped scatter), and the chunked
+// prolongation with pooled correction smoothing. It is one pointer, so
+// multigrid.Cycle holds it without allocating. Its hooks never fail.
+type pooled struct{ *Multigrid }
+
+func (mg pooled) Step(l int) (float64, error) {
+	lev, e := mg.levels[l], &mg.eng
 	if e.et != nil {
 		e.et.orch.Instant(mg.phLevel, time.Now(), int64(l))
 	}
 	e.phaseMap = mg.stepMap[l]
-	norm := e.step(lev.eng, lev.W, lev.Forcing)
+	return e.step(lev.eng, lev.W, lev.Forcing), nil
+}
 
-	if l == len(mg.levels)-1 {
-		return norm
-	}
-	next := mg.levels[l+1]
+func (mg pooled) Restrict(l int) error {
+	lev, next, e := mg.levels[l], mg.levels[l+1], &mg.eng
 	t := time.Now()
 
 	// Residual of the current (post-step) solution, including forcing:
 	// this is what the coarse grid must reproduce.
 	e.residual(lev.eng, lev.W, lev.Forcing)
-	mg.tick(4*l+1, mg.residFl[l], &t)
+	mg.tick(4*l+1, mg.cost[l].Residual, &t)
 
 	// Transfer flow variables (interpolation) and residuals (conservative
 	// destination-grouped scatter) to the coarse grid, repairing the
@@ -305,27 +251,23 @@ func (mg *Multigrid) cycle(l int) float64 {
 	e.interp(next.restrict, lev.W, next.W, next.eng.vertSpans, next.eng.vertActive)
 	e.vertexOp(tRepairSave, next.eng, next.W, next.WSaved, nil)
 	e.scatter(next.scatter, *lev.eng.resS, next.Forcing, next.eng.vertSpans, next.eng.vertActive) // next.Forcing := R'
-	mg.tick(4*l+2, mg.restrictFl[l], &t)
+	mg.tick(4*l+2, mg.cost[l].Restrict, &t)
 
 	// Forcing P = R' - R(w').
 	e.residual(next.eng, next.W, nil)
 	e.vertexOp(tForcingSub, next.eng, next.Forcing, *next.eng.resS, nil)
-	mg.tick(4*(l+1)+1, mg.residFl[l+1], &t)
+	mg.tick(4*(l+1)+1, mg.cost[l+1].Residual, &t)
+	return nil
+}
 
-	// Coarse-grid visits: gamma = 1 gives a V-cycle, 2 a W-cycle.
-	visits := mg.Gamma
-	if l+1 == len(mg.levels)-1 {
-		visits = 1 // revisiting the coarsest grid twice in a row is idle
-	}
-	for v := 0; v < visits; v++ {
-		mg.cycle(l + 1) // recursion charges its own phases
-	}
-	t = time.Now()
+func (mg pooled) Correct(l int) error {
+	lev, next, e := mg.levels[l], mg.levels[l+1], &mg.eng
+	t := time.Now()
 
 	// Prolong the coarse-grid correction back to this level.
 	e.vertexOp(tCorrDelta, next.eng, next.W, next.WSaved, *next.eng.resS)
 	e.interp(next.prolong, *next.eng.resS, lev.Corr, lev.eng.vertSpans, lev.eng.vertActive)
-	mg.tick(4*l+2, mg.prolongFl[l], &t)
+	mg.tick(4*l+2, mg.cost[l].Prolong, &t)
 
 	// Smooth the prolonged correction (the implicit averaging operator
 	// doubles as the correction smoother) where it lies, the sweeps in this
@@ -333,6 +275,6 @@ func (mg *Multigrid) cycle(l int) float64 {
 	// the positivity guard.
 	e.smooth(lev.eng, euler.Block(&lev.Corr))
 	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
-	mg.tick(4*l+3, mg.corrFl[l], &t)
-	return norm
+	mg.tick(4*l+3, mg.cost[l].Correct, &t)
+	return nil
 }

@@ -105,20 +105,11 @@ func (lw *levelWork) residualRegions() []machine.Region {
 }
 
 // cycleRegions enumerates all parallel regions of one solver cycle for the
-// given strategy over the level sequence.
+// given strategy over the level sequence (one level for a single grid).
 func cycleRegions(levels []*levelWork, strategy Strategy, cfg Config) []machine.Region {
 	var out []machine.Region
-	if strategy == SingleGrid {
-		return levels[0].stepRegions(cfg)
-	}
 	nlev := len(levels)
-	ev := multigrid.Schedule(nlev, strategy.Gamma())
-	steps := make([]int, nlev)
-	for _, e := range ev {
-		if e.Kind == multigrid.EulerStep {
-			steps[e.Level]++
-		}
-	}
+	steps := multigrid.Visits(nlev, strategy.Gamma())
 	for l, lw := range levels {
 		for k := 0; k < steps[l]; k++ {
 			out = append(out, lw.stepRegions(cfg)...)

@@ -93,16 +93,8 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 		}
 
 		// Per-node computation from real per-node topology and the visit
-		// counts of the strategy.
-		steps := []int{1}
-		if strategy != SingleGrid {
-			steps = make([]int, len(meshes))
-			for _, e := range multigrid.Schedule(len(meshes), strategy.Gamma()) {
-				if e.Kind == multigrid.EulerStep {
-					steps[e.Level]++
-				}
-			}
-		}
+		// counts of the strategy (a single grid is one level).
+		steps := multigrid.Visits(len(meshes), strategy.Gamma())
 		compMax := 0.0
 		var totalFlops int64
 		for node := 0; node < nodes; node++ {
@@ -112,7 +104,7 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 				nbf := int64(len(lev.BFaces[node]))
 				nv := int64(lev.Dist.Count(node))
 				f += int64(steps[l]) * flops.Step(nv, ne, nbf, cfg.Stages, cfg.DissStages, cfg.NSmooth)
-				if strategy != SingleGrid && l < len(dm.Levels)-1 {
+				if l < len(dm.Levels)-1 {
 					nextLev := dm.Levels[l+1]
 					neC := int64(len(nextLev.Edges[node]))
 					nbfC := int64(len(nextLev.BFaces[node]))
