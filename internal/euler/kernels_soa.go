@@ -268,8 +268,10 @@ func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edge
 		v := 0.5 * (wi[2]*ri + wj[2]*rj)
 		ww := 0.5 * (wi[3]*ri + wj[3]*rj)
 		lamE := math.Abs(u*n.X+v*n.Y+ww*n.Z) + 0.5*(snd[i]+snd[j])*n.Norm()
-		eps2 := k2 * math.Max(nu[i], nu[j])
-		eps4 := math.Max(0, k4-eps2)
+		// The builtin max inlines where math.Max is an assembly call; the
+		// two agree on every input but NaN beside +Inf, non-finite either way.
+		eps2 := k2 * max(nu[i], nu[j])
+		eps4 := max(0, k4-eps2)
 		li, lj := &lapl[i], &lapl[j]
 		f0 := lamE * (eps2*(wj[0]-wi[0]) - eps4*(lj[0]-li[0]))
 		f1 := lamE * (eps2*(wj[1]-wi[1]) - eps4*(lj[1]-li[1]))

@@ -132,47 +132,38 @@ func DecodeMesh(b []byte) (*mesh.Mesh, error) {
 
 // WriteSolution serializes a flow solution with its reference condition.
 func WriteSolution(w io.Writer, mach, alphaDeg float64, sol []euler.State) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(solMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, []float64{mach, alphaDeg}); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(len(sol))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, sol); err != nil {
-		return err
-	}
-	return bw.Flush()
+	b, _ := EncodeSolution(mach, alphaDeg, sol) // cannot fail
+	_, err := w.Write(b)
+	return err
 }
+
+// solHeaderBytes is the reference condition and the vertex count.
+const solHeaderBytes = 3 * 8
 
 // DecodeSolution deserializes a flow solution.
 func DecodeSolution(b []byte) (mach, alphaDeg float64, sol []euler.State, err error) {
-	br := bytes.NewReader(b)
-	if err = expectMagic(br, solMagic); err != nil {
+	if err = expectMagic(bytes.NewReader(b), solMagic); err != nil {
 		return
 	}
-	var ref [2]float64
-	if err = binary.Read(br, binary.LittleEndian, &ref); err != nil {
-		err = fmt.Errorf("meshio: solution reference condition: %w", err)
+	b = b[len(solMagic):]
+	if len(b) < solHeaderBytes {
+		err = fmt.Errorf("meshio: solution header: %d bytes, want %d", len(b), solHeaderBytes)
 		return
 	}
-	mach, alphaDeg = ref[0], ref[1]
-	var n int64
-	if err = binary.Read(br, binary.LittleEndian, &n); err != nil {
-		err = fmt.Errorf("meshio: solution vertex count: %w", err)
-		return
-	}
-	if n < 0 || n > int64(br.Len())/stateBytes {
-		err = fmt.Errorf("meshio: solution header claims %d vertices, %d bytes follow", n, br.Len())
+	le := binary.LittleEndian
+	mach, alphaDeg = math.Float64frombits(le.Uint64(b)), math.Float64frombits(le.Uint64(b[8:]))
+	n := int64(le.Uint64(b[16:]))
+	b = b[solHeaderBytes:]
+	if n < 0 || n > int64(len(b))/stateBytes {
+		err = fmt.Errorf("meshio: solution header claims %d vertices, %d bytes follow", n, len(b))
 		return
 	}
 	sol = make([]euler.State, n)
-	if err = binary.Read(br, binary.LittleEndian, &sol); err != nil {
-		err = fmt.Errorf("meshio: solution states (%d vertices): %w", n, err)
-		return
+	for i := range sol {
+		for k := range sol[i] {
+			sol[i][k] = math.Float64frombits(le.Uint64(b[8*k:]))
+		}
+		b = b[stateBytes:]
 	}
 	for i := range sol {
 		if sol[i][0] <= 0 || math.IsNaN(sol[i][0]) {
@@ -319,11 +310,21 @@ func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// EncodeSolution serializes a solution to its wire-format bytes.
+// EncodeSolution serializes a solution to its wire-format bytes: the
+// magic, then every word little-endian — Mach, alpha, the vertex count and
+// the states — into one buffer sized up front. It cannot fail; the error
+// keeps the shape of the other encoders.
 func EncodeSolution(mach, alphaDeg float64, sol []euler.State) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteSolution(&buf, mach, alphaDeg, sol); err != nil {
-		return nil, err
+	le := binary.LittleEndian
+	b := make([]byte, 0, len(solMagic)+solHeaderBytes+len(sol)*stateBytes)
+	b = append(b, solMagic...)
+	b = le.AppendUint64(b, math.Float64bits(mach))
+	b = le.AppendUint64(b, math.Float64bits(alphaDeg))
+	b = le.AppendUint64(b, uint64(len(sol)))
+	for i := range sol {
+		for _, v := range sol[i] {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }

@@ -2,12 +2,14 @@ package meshio
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/store"
 )
 
 func TestMeshRoundTrip(t *testing.T) {
@@ -67,6 +69,42 @@ func TestSolutionRoundTrip(t *testing.T) {
 	for i := range sol {
 		if got[i] != sol[i] {
 			t.Fatalf("state %d differs", i)
+		}
+	}
+}
+
+// The solution format is pinned byte for byte: result artifacts are
+// content-addressed, so a job's result hash is the digest of these bytes,
+// and a change to the encoder would move every stored result's name. The
+// digest was taken from the reflective binary.Write encoder the current
+// one replaced; the state words include a negative zero and 1e-300.
+func TestSolutionEncodingPinned(t *testing.T) {
+	sol := []euler.State{
+		{1, 0.5, -0.25, 0.125, 2.5},
+		{0.875, math.Copysign(0, -1), 1e-300, -3.75, 2.0625},
+		{1.125, 0.1, 0.2, 0.3, 2.7182818284590451},
+	}
+	b, err := EncodeSolution(0.7, 1, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "86ecb3648b849b7b7edaaf9894fda3c1e3b46117f452e746eda85ed2f1e34014"
+	if got := store.Sum(b); got != want || len(b) != 152 {
+		t.Fatalf("EncodeSolution digest %s (%d bytes), want %s (152 bytes)", got, len(b), want)
+	}
+	var buf bytes.Buffer
+	if err := WriteSolution(&buf, 0.7, 1, sol); err != nil || !bytes.Equal(buf.Bytes(), b) {
+		t.Fatalf("WriteSolution wrote other bytes than EncodeSolution (err %v)", err)
+	}
+	mach, alpha, got, err := DecodeSolution(b)
+	if err != nil || mach != 0.7 || alpha != 1 || len(got) != len(sol) {
+		t.Fatalf("decode: %v %v %d states, err %v", mach, alpha, len(got), err)
+	}
+	for i := range sol {
+		for k := range sol[i] {
+			if math.Float64bits(got[i][k]) != math.Float64bits(sol[i][k]) {
+				t.Fatalf("state %d var %d: %v, want %v", i, k, got[i][k], sol[i][k])
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"eul3d/internal/adapt"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshio"
-	"eul3d/internal/trace"
 )
 
 // adaptDriver prepares an adaptive job (Spec.Adapt != nil). It
@@ -21,7 +20,7 @@ import (
 // bitwise-exact on both engines: the pooled engine's layout is a function
 // of the current mesh alone, so the engine built fresh on the adapted mesh
 // is the one the uninterrupted run rebuilt onto it.
-func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *trace.Track) (executor, error) {
+func (s *Scheduler) adaptDriver(j *Job, ms []*mesh.Mesh) executor {
 	opts := adapt.Options{
 		Mesh:      ms[0],
 		Params:    j.Spec.Params(),
@@ -75,7 +74,7 @@ func (s *Scheduler) adaptDriver(_ context.Context, j *Job, ms []*mesh.Mesh, _ *t
 			lr := res.Result
 			return ran{res: &lr, mesh: res.Mesh, snap: res.Snap}, nil
 		},
-	}, nil
+	}
 }
 
 // putMesh stores an adapted mesh and returns its hash, the name records

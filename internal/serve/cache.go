@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"eul3d/internal/mesh"
 	"eul3d/internal/perf"
 	"eul3d/internal/solver"
 )
@@ -16,6 +17,7 @@ import (
 type Engine struct {
 	key EngineKey
 	st  *solver.Steady
+	ms  []*mesh.Mesh // the meshes st was built over
 
 	// lease holds one token while the engine is idle; Acquire takes it,
 	// Release puts it back. A buffered channel (rather than a mutex) lets
@@ -42,11 +44,15 @@ type buildCall struct {
 // LRU eviction, plus single-flight construction so concurrent misses on
 // one key perform one build. The hit path — lookup, lease, release — does
 // zero heap allocations (asserted by tests), preserving the solve loop's
-// zero-alloc guarantee end to end.
+// zero-alloc guarantee end to end. Beside the keys, aliases map the mesh
+// sources that named a cached engine to its key, so a repeat request
+// finds the engine without building a mesh to hash; an alias is dropped
+// with its engine.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[EngineKey]*Engine
+	aliases  map[meshSource]EngineKey
 	lru      *list.List // *Engine, most recently released at the front
 	building map[EngineKey]*buildCall
 	met      *Metrics
@@ -63,6 +69,7 @@ func NewCache(capacity int, met *Metrics) *Cache {
 	return &Cache{
 		capacity: capacity,
 		entries:  make(map[EngineKey]*Engine),
+		aliases:  make(map[meshSource]EngineKey),
 		lru:      list.New(),
 		building: make(map[EngineKey]*buildCall),
 		met:      met,
@@ -76,12 +83,30 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Acquire leases the engine for key, building it with build on a miss.
-// Concurrent misses for the same key share a single construction
-// (single-flight); concurrent hits serialize on the engine lease. The
-// caller must Release the engine when its job finishes. A hit on an idle
-// engine performs no allocations.
-func (c *Cache) Acquire(ctx context.Context, key EngineKey, build func() (*solver.Steady, error)) (*Engine, error) {
+// lookup returns the key of the cached engine src names, if any.
+func (c *Cache) lookup(src meshSource) (EngineKey, bool) {
+	c.mu.Lock()
+	k, ok := c.aliases[src]
+	c.mu.Unlock()
+	return k, ok
+}
+
+// alias records that src names e, for as long as e stays cached. The
+// caller holds e's lease, so e cannot be evicted meanwhile.
+func (c *Cache) alias(src meshSource, e *Engine) {
+	c.mu.Lock()
+	if e.elem != nil {
+		c.aliases[src] = e.key
+	}
+	c.mu.Unlock()
+}
+
+// Acquire leases the engine for key, building it — and the meshes it runs
+// on — with build on a miss. Concurrent misses for the same key share a
+// single construction (single-flight); concurrent hits serialize on the
+// engine lease. The caller must Release the engine when its job finishes.
+// A hit on an idle engine performs no allocations.
+func (c *Cache) Acquire(ctx context.Context, key EngineKey, build func() (*solver.Steady, []*mesh.Mesh, error)) (*Engine, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -121,7 +146,7 @@ func (c *Cache) Acquire(ctx context.Context, key EngineKey, build func() (*solve
 		c.mu.Unlock()
 		c.met.CacheMisses.Add(1)
 
-		st, err := build()
+		st, ms, err := build()
 		c.mu.Lock()
 		delete(c.building, key)
 		if err != nil {
@@ -131,7 +156,7 @@ func (c *Cache) Acquire(ctx context.Context, key EngineKey, build func() (*solve
 			return nil, b.err
 		}
 		c.met.Builds.Add(1)
-		e := &Engine{key: key, st: st, lease: make(chan struct{}, 1)}
+		e := &Engine{key: key, st: st, ms: ms, lease: make(chan struct{}, 1)}
 		// The builder leases the fresh engine immediately (no token in the
 		// channel yet); sharers blocked on b.done find it busy and wait.
 		c.entries[key] = e
@@ -165,16 +190,27 @@ func (c *Cache) evictExcessLocked() {
 		if eng.waiters == 0 {
 			select {
 			case <-eng.lease: // idle: take the token so nobody can lease it
-				c.lru.Remove(e)
-				eng.elem = nil
-				delete(c.entries, eng.key)
-				eng.st.Close()
+				c.dropLocked(eng)
 				c.met.Evictions.Add(1)
 			default: // busy
 			}
 		}
 		e = prev
 	}
+}
+
+// dropLocked removes an idle engine whose lease token the caller has
+// taken, with the aliases that name it, and closes it.
+func (c *Cache) dropLocked(eng *Engine) {
+	c.lru.Remove(eng.elem)
+	eng.elem = nil
+	delete(c.entries, eng.key)
+	for src, k := range c.aliases {
+		if k == eng.key {
+			delete(c.aliases, src)
+		}
+	}
+	eng.st.Close()
 }
 
 // EngineStats snapshots the per-engine perf stats of every cached engine,
@@ -200,10 +236,7 @@ func (c *Cache) Close() {
 		eng := e.Value.(*Engine)
 		select {
 		case <-eng.lease:
-			c.lru.Remove(e)
-			eng.elem = nil
-			delete(c.entries, eng.key)
-			eng.st.Close()
+			c.dropLocked(eng)
 		default:
 		}
 		e = prev

@@ -7,11 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"eul3d/internal/mesh"
 	"eul3d/internal/solver"
 )
 
 // testEngineParts builds the meshes, key and builder for a spec.
-func testEngineParts(t *testing.T, spec JobSpec) (EngineKey, func() (*solver.Steady, error)) {
+func testEngineParts(t *testing.T, spec JobSpec) (EngineKey, func() (*solver.Steady, []*mesh.Mesh, error)) {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -20,7 +21,10 @@ func testEngineParts(t *testing.T, spec JobSpec) (EngineKey, func() (*solver.Ste
 	if err != nil {
 		t.Fatal(err)
 	}
-	return spec.Key(ms), func() (*solver.Steady, error) { return buildEngine(spec, ms) }
+	return spec.Key(ms), func() (*solver.Steady, []*mesh.Mesh, error) {
+		st, err := buildEngine(spec, ms)
+		return st, ms, err
+	}
 }
 
 // Concurrent misses on one key must share a single construction.
@@ -30,7 +34,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	spec := chanSpec(4, 2, 2, 1, KindSingle, 0, 10)
 	key, build := testEngineParts(t, spec)
 	var builds atomic.Int64
-	slowBuild := func() (*solver.Steady, error) {
+	slowBuild := func() (*solver.Steady, []*mesh.Mesh, error) {
 		builds.Add(1)
 		time.Sleep(30 * time.Millisecond)
 		return build()

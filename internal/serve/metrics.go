@@ -27,6 +27,7 @@ type Metrics struct {
 	CacheMisses atomic.Int64 // engine built (or waited on a shared build)
 	Builds      atomic.Int64 // engine constructions actually performed
 	Evictions   atomic.Int64 // engines closed by LRU eviction
+	MeshBuilds  atomic.Int64 // job mesh sequences generated, decoded or loaded on the request path
 
 	AdaptEpochs    atomic.Int64 // adaptation epochs run across adaptive jobs
 	AdaptCells     atomic.Int64 // cells added by adaptive refinement
@@ -65,6 +66,7 @@ func (m *Metrics) table() []Metric {
 		{"eul3dd_engine_cache_hits_total", "engine cache hits", &m.CacheHits},
 		{"eul3dd_engine_cache_misses_total", "engine cache misses", &m.CacheMisses},
 		{"eul3dd_engine_builds_total", "engine constructions performed", &m.Builds},
+		{"eul3dd_mesh_builds_total", "job mesh sequences generated, decoded or loaded", &m.MeshBuilds},
 		{"eul3dd_engine_evictions_total", "engines closed by LRU eviction", &m.Evictions},
 		{"eul3dd_adapt_epochs_total", "adaptation epochs run across adaptive jobs", &m.AdaptEpochs},
 		{"eul3dd_adapt_cells_refined_total", "cells added by adaptive refinement", &m.AdaptCells},

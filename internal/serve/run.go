@@ -60,8 +60,8 @@ func causeOr(ctx context.Context, err error) error {
 }
 
 // run takes a dispatched job from its mesh to settle — the only run path:
-// prepare (pin and build the mesh, wait for the worker budget, ready the
-// executor), run under pprof labels, record timing, then classify the
+// prepare (pin and resolve the mesh, wait for the worker budget, ready
+// the executor), run under pprof labels, record timing, then classify the
 // outcome as cancelled, drained, diverged or complete (diagnosing
 // scenario jobs). What prepare acquired is handed to settle, which lets
 // go of it only after it has read the result.
@@ -110,7 +110,7 @@ func (s *Scheduler) run(ctx context.Context, j *Job, tk *trace.Track) {
 }
 
 // prepare readies a dispatched job to execute: pin the mesh artifact,
-// build the mesh, acquire the worker budget (before the engine lease,
+// resolve the meshes, acquire the worker budget (before the engine lease,
 // released after it; the fixed order prevents deadlock), then the
 // executor itself. On success it returns what it acquired; on failure
 // that has already been given back.
@@ -131,7 +131,7 @@ func (s *Scheduler) prepare(ctx context.Context, j *Job, tk *trace.Track) (x exe
 		}
 		held.pinned = h
 	}
-	ms, err := j.Spec.BuildMeshesFrom(s.cfg.Store, h)
+	r, err := s.resolve(j, h)
 	if err != nil {
 		return x, held, err
 	}
@@ -144,15 +144,49 @@ func (s *Scheduler) prepare(ctx context.Context, j *Job, tk *trace.Track) (x exe
 	held.budget = true
 	tk.Span(s.trc.phGovWait, govStart, time.Now(), int64(nw))
 
-	ready := s.leaseEngine
 	if j.Spec.Adapt != nil {
-		ready = s.adaptDriver
-	}
-	if x, err = ready(ctx, j, ms, tk); err != nil {
+		x = s.adaptDriver(j, r.ms)
+	} else if x, err = s.leaseEngine(ctx, j, r, tk); err != nil {
 		return x, held, causeOr(ctx, err)
 	}
 	held.engine = x.engine
 	return x, held, nil
+}
+
+// resolved is what prepare found a job runs on before any lease: its
+// meshes, or — when its mesh source names a cached engine — that engine's
+// key alone, the engine holding the meshes.
+type resolved struct {
+	ms    []*mesh.Mesh // nil on a hit
+	src   meshSource
+	named bool      // src names the meshes (not a Path mesh)
+	key   EngineKey // the engine src names
+	hit   bool
+}
+
+// resolve looks a plain job's mesh source up in the cache's aliases; on a
+// hit it builds no mesh. Anything else — a miss, a Path mesh, an adaptive
+// job — builds the meshes here.
+func (s *Scheduler) resolve(j *Job, hash string) (r resolved, err error) {
+	if j.Spec.Adapt == nil {
+		if r.src, r.named = j.Spec.source(hash); r.named {
+			if r.key, r.hit = s.cache.lookup(r.src); r.hit {
+				return r, nil
+			}
+		}
+	}
+	r.ms, err = s.buildMeshes(j, hash)
+	return r, err
+}
+
+// buildMeshes generates, decodes or loads the job's meshes, counting each
+// time a request has to: the work a hit by mesh source saves.
+func (s *Scheduler) buildMeshes(j *Job, hash string) ([]*mesh.Mesh, error) {
+	ms, err := j.Spec.BuildMeshesFrom(s.cfg.Store, hash)
+	if err == nil {
+		s.met.MeshBuilds.Add(1)
+	}
+	return ms, err
 }
 
 // divergedAt scans a residual history for NaN/Inf.
@@ -184,20 +218,31 @@ func (j *Job) progress(_ int, norm float64) {
 
 // leaseEngine prepares a plain job: lease its engine from the cache
 // (building it on a miss), reset it, and load the job's starting state.
-// An engine is leased to exactly one job at a time, which is what keeps
-// results bitwise deterministic.
-func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk *trace.Track) (executor, error) {
-	key := j.Spec.Key(ms)
+// The job runs on the engine's own meshes. An engine is leased to exactly
+// one job at a time, which is what keeps results bitwise deterministic.
+func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, r resolved, tk *trace.Track) (executor, error) {
+	key := r.key
+	if !r.hit {
+		key = j.Spec.Key(r.ms)
+	}
 	j.mu.Lock()
 	j.key, j.keySet = key, true
 	j.mu.Unlock()
 
 	acqStart := time.Now()
-	eng, err := s.cache.Acquire(ctx, key, func() (*solver.Steady, error) {
+	eng, err := s.cache.Acquire(ctx, key, func() (*solver.Steady, []*mesh.Mesh, error) {
 		j.mu.Lock()
 		j.built = true
 		j.mu.Unlock()
-		return buildEngine(j.Spec, ms)
+		ms := r.ms
+		if ms == nil { // the engine the alias named has been evicted since
+			var err error
+			if ms, err = s.buildMeshes(j, j.meshHash()); err != nil {
+				return nil, nil, err
+			}
+		}
+		st, err := buildEngine(j.Spec, ms)
+		return st, ms, err
 	})
 	if err != nil {
 		return executor{}, err
@@ -209,7 +254,11 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 		hitOrMiss = s.trc.phMiss
 	}
 	tk.Instant(hitOrMiss, acqEnd, 0)
+	if r.named && (!r.hit || j.built) {
+		s.cache.alias(r.src, eng)
+	}
 
+	fine := eng.ms[0]
 	st := eng.Steady()
 	st.Reset()
 	if j.resume != nil {
@@ -218,7 +267,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 		// Scenario jobs start from the preset's initial state, not the
 		// freestream Reset left behind. A resumed job skips this: the
 		// checkpoint already holds the evolved state.
-		err = st.SetInitial(sc.InitialState(ms[0]))
+		err = st.SetInitial(sc.InitialState(fine))
 	}
 	if err != nil {
 		s.cache.Release(eng)
@@ -245,7 +294,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, ms []*mesh.Mesh, tk
 			if err != nil {
 				return ran{}, err
 			}
-			out := ran{res: res, mesh: ms[0]}
+			out := ran{res: res, mesh: fine}
 			if res.Cancelled && res.Cycles > 0 {
 				out.snap = j.Spec.meta().Checkpoint(res.History, res.FineSolution)
 			}

@@ -48,7 +48,9 @@ const (
 // kinds, as in eul3d -mesh-prefix), or — the upload-once path — the
 // sha256 of mesh bytes previously PUT to the node's artifact store
 // (Hash). The engine cache keys on the mesh *content*, not on this
-// spec, so a generated mesh and an identical upload share an engine.
+// spec, so a generated mesh and an identical upload share an engine; a
+// repeat of a generator, scenario or hash spec finds that engine by name
+// without building its mesh again (meshSource).
 type MeshSpec struct {
 	NX   int    `json:"nx,omitempty"`
 	NY   int    `json:"ny,omitempty"`
@@ -354,6 +356,38 @@ type EngineKey struct {
 // String renders a short stable form for logs and metrics labels.
 func (k EngineKey) String() string {
 	return fmt.Sprintf("%s/%d/%x", k.Kind, k.Workers, k.Sum[:6])
+}
+
+// meshSource names a job's meshes by how the request asked for them — a
+// generator's dimensions and seed, a scenario preset, or an artifact hash,
+// each with its levels — plus everything else Key folds in: flow state,
+// scenario, cycle index, engine kind and workers. Each of these names
+// meshes that cannot change under it, so equal sources always resolve to
+// one key; the converse need not hold (a generated mesh and its upload
+// are two sources of one key).
+type meshSource struct {
+	nx, ny, nz, levels, gamma, workers int
+	seed                               int64
+	mach, alpha                        uint64 // float bits
+	scenario, kind, hash               string
+}
+
+// source returns the job's mesh source when it has one. A Path mesh has
+// none: the file can change under its name, so its content is hashed on
+// every request. hash is the artifact the run starts on (Job.meshHash).
+func (s *JobSpec) source(hash string) (meshSource, bool) {
+	if s.Mesh.Path != "" {
+		return meshSource{}, false
+	}
+	src := meshSource{
+		levels: s.Levels, gamma: s.gamma(), workers: s.Workers,
+		mach: math.Float64bits(s.Mach), alpha: math.Float64bits(s.AlphaDeg),
+		scenario: s.Scenario, kind: s.Engine, hash: hash,
+	}
+	if hash == "" {
+		src.nx, src.ny, src.nz, src.seed = s.Mesh.NX, s.Mesh.NY, s.Mesh.NZ, s.Mesh.Seed
+	}
+	return src, true
 }
 
 // Key derives the engine-cache key for the given mesh sequence under this
