@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race loc verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
+.PHONY: all build test race loc abba verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
 
 all: build
 
@@ -39,6 +39,15 @@ loc:
 	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
+
+# ABBA comparison of the benchmark for a performance claim: BASE (default
+# HEAD) checked out in a temporary git worktree against the working tree,
+# PAIRS (default 5) alternating pairs of workload WL (default serve_mix).
+# Prints per metric the medians, the pairs won and, for the end-to-end
+# metrics, whether the change stays inside BENCHMARK.json's bound. See
+# scripts/abba.sh for SEED, WINDOW, TRACE, BASE_DIR and KEEP.
+abba:
+	WL=$(WL) BASE=$(BASE) PAIRS=$(PAIRS) sh scripts/abba.sh
 
 # Committed-results check: regenerate Figures 1-2 and Tables 1a-1c / 2a-2c
 # into a temporary directory and diff every file against results/, with the

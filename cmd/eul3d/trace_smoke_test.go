@@ -59,6 +59,15 @@ func TestTraceSmoke(t *testing.T) {
 	}
 	validate(smTrace, "phases", "w0", "w1", "w2")
 
+	// 1b. Sequential run: the pooled engine at one worker, so it traces too.
+	seqTrace := filepath.Join(dir, "seq.json")
+	seq := exec.Command(bin, "-nx", "10", "-ny", "5", "-nz", "4", "-strategy", "single",
+		"-cycles", "10", "-tol", "0", "-log-every", "0", "-trace", seqTrace)
+	if out, err := seq.CombinedOutput(); err != nil {
+		t.Fatalf("sequential run: %v\n%s", err, out)
+	}
+	validate(seqTrace, "phases", "w0")
+
 	// 2. Distributed run with an injected node crash: the comm timeline and
 	// per-proc tracks in the main trace, plus the automatic incident dump
 	// fired by the crash recovery.

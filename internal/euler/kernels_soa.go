@@ -16,10 +16,12 @@ import (
 // per simulated processor, over all of that partition's local edges or
 // faces (NewViewDisc), and the gather smoother over its owned rows, with the
 // PARTI exchanges between calls. Both hand their []State arrays to the
-// kernels as blocks (Block), so nothing is converted anywhere. This is the
-// second and last statement of the scheme's arithmetic; the first is the
-// reference operator in ops.go, which the sequential engine drives and
-// whose vertex functions the distributed one still calls.
+// kernels as blocks (Block), so nothing is converted anywhere; the
+// sequential engine is the pooled one at one worker, over the mesh's own
+// edge order (smsolver.NewSequential). This is the second and last
+// statement of the scheme's arithmetic; the first is the reference operator
+// in ops.go — the kernels' oracle, which Disc.Step and the serial multigrid
+// drive, and whose vertex functions the distributed engine still calls.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor

@@ -34,15 +34,6 @@ func NewStepWorkspace(nv int) *StepWorkspace {
 	}
 }
 
-// Resize grows the workspace for meshes of nv vertices, reusing the
-// existing arrays when their capacity allows (see Disc.Retarget).
-func (ws *StepWorkspace) Resize(nv int) {
-	ws.w0 = Grow(ws.w0, nv)
-	ws.conv = Grow(ws.conv, nv)
-	ws.diss = Grow(ws.diss, nv)
-	ws.res = Grow(ws.res, nv)
-}
-
 // Step advances w by one multistage time step of the hybrid scheme:
 //
 //	w(q) = w(0) - alpha_q * Dt/V * [ Q(w(q-1)) - D* + forcing ]

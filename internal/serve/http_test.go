@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 )
@@ -213,5 +215,43 @@ func TestHTTPMetricsShape(t *testing.T) {
 	}
 	if hr := metricValue(t, s, "eul3dd_engine_cache_hit_rate"); hr <= 0 {
 		t.Errorf("hit rate %v, want > 0", hr)
+	}
+}
+
+// The fleet phase table merges the cached engines phase by name. A
+// sequential single-grid engine is the pooled engine at one worker, so with
+// one of each cached both report the same six step phases, the table has
+// exactly those six rows, and no single-phase "step" row is left.
+func TestHTTPPhaseSecondsMerged(t *testing.T) {
+	s, srv := newTestServer(t, Config{Runners: 1, WorkerBudget: 2})
+	postJob(t, srv, `{"mesh":{"nx":4,"ny":2,"nz":2,"seed":1},"mach":0.5,"engine":"single","cycles":8,"wait":true}`)
+	postJob(t, srv, `{"mesh":{"nx":4,"ny":2,"nz":2,"seed":1},"mach":0.5,"engine":"sm","workers":2,"cycles":8,"wait":true}`)
+	want := []string{"timestep", "convective", "dissipation", "residual", "smoothing", "update"}
+	engines := s.Cache().EngineStats()
+	if len(engines) != 2 {
+		t.Fatalf("%d cached engines, want a single and an sm one", len(engines))
+	}
+	for k, st := range engines {
+		var names []string
+		for _, p := range st.Phases {
+			names = append(names, p.Name)
+		}
+		if !slices.Equal(names, want) {
+			t.Errorf("engine %s reports phases %v, want %v", k, names, want)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var rows []string
+	for _, m := range regexp.MustCompile(`(?m)^eul3dd_solver_phase_seconds\{phase="([^"]*)"\}`).FindAllStringSubmatch(string(body), -1) {
+		rows = append(rows, m[1])
+	}
+	if !slices.Equal(rows, want) {
+		t.Errorf("eul3dd_solver_phase_seconds rows %v, want %v", rows, want)
 	}
 }

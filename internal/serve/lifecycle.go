@@ -18,7 +18,8 @@ import (
 // partial, possibly nil) and the cause that stopped it — nil means it ran
 // to completion; for a drain, the resume point to persist beside the
 // spec; and, from the run path, what the run still holds (budget, engine
-// lease — res.FineSolution aliases engine state). A coalesced waiter
+// lease — res.FineSolution aliases engine state, so settle stores the
+// solution and keeps only res's convergence summary). A coalesced waiter
 // whose flight landed ends with mirror instead: the leader's terminal
 // data, copied verbatim.
 type ending struct {
@@ -73,7 +74,10 @@ func (s *Scheduler) settle(j *Job, e ending) {
 	if e.mirror != nil {
 		t = *e.mirror
 	} else {
-		t.state, t.errMsg, t.result, t.resultHash = state, errMsg, e.res, hash
+		t.state, t.errMsg, t.resultHash = state, errMsg, hash
+		if e.res != nil {
+			t.converged, t.orders = e.res.Converged, e.res.Ordersof10
+		}
 	}
 	j.terminal = t
 	party := j.party

@@ -18,7 +18,6 @@ import (
 	"eul3d/internal/flight"
 	"eul3d/internal/meshio"
 	"eul3d/internal/scenario"
-	"eul3d/internal/solver"
 	"eul3d/internal/store"
 	"eul3d/internal/trace"
 )
@@ -54,7 +53,8 @@ type terminal struct {
 	state       JobState
 	errMsg      string
 	history     []float64
-	result      *solver.Result
+	converged   bool                  // the run's convergence summary; the registry keeps no
+	orders      float64               // *solver.Result, whose FineSolution aliases engine state
 	resultHash  string                // store key of the encoded result solution
 	diag        *scenario.Diagnostics // scenario jobs: post-run diagnostics
 	adaptEpochs []adapt.EpochStat     // adaptive jobs: per-epoch record after the run
@@ -142,10 +142,7 @@ func (j *Job) View() JobView {
 		v.InitialNorm = j.history[0]
 		v.FinalNorm = j.history[n-1]
 	}
-	if r := j.result; r != nil {
-		v.Converged = r.Converged
-		v.Orders = r.Ordersof10
-	}
+	v.Converged, v.Orders = j.converged, j.orders
 	v.Diagnostics = j.diag
 	v.AdaptEpochs = append([]adapt.EpochStat(nil), j.adaptEpochs...)
 	return v

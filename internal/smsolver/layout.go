@@ -36,6 +36,10 @@ type layout struct {
 	// neighbours in the order the view's edge list meets them, which is the
 	// order the edge sweep adds them into vertex i's sum.
 	adjStart, adj []int32
+
+	// inOrder marks NewSequential's layout (fillInOrder), which one worker
+	// walks: each list is one run.
+	inOrder bool
 }
 
 // The run length is a rule over the list, not a knob: a list of n elements
@@ -153,11 +157,30 @@ func (lay *layout) fill(src *mesh.Mesh, ec, fc *color.Coloring) error {
 	return nil
 }
 
+// fillInOrder (re)builds the sequential engine's layout over src: the view
+// is src itself and each list one group holding one run in src's order, so
+// a sweep accumulates every vertex in the reference operator's order.
+func (lay *layout) fillInOrder(src *mesh.Mesh) {
+	lay.view, lay.inOrder = src, true
+	oneRun(&lay.edges, src.NE())
+	oneRun(&lay.faces, len(src.BFaces))
+	lay.adjacency()
+}
+
+// oneRun fills bl with one group holding one run of n elements.
+func oneRun(bl *color.Blocks, n int) {
+	bl.Order = euler.Grow(bl.Order, n)
+	for i := range bl.Order {
+		bl.Order[i] = int32(i)
+	}
+	bl.Start, bl.Run = append(bl.Start[:0], 0, int32(n)), append(bl.Run[:0], 0, int32(n))
+}
+
 // permute fills the view and the adjacency from src in the order of
 // lay.edges and lay.faces, block colorings of src's lists; the blocks then
 // describe the view, under the identity order.
 func (lay *layout) permute(src *mesh.Mesh) {
-	nv, ne := src.NV(), src.NE()
+	ne := src.NE()
 	v := lay.view
 	v.X, v.Tets, v.Vol = src.X, src.Tets, src.Vol
 	v.Edges = euler.Grow(v.Edges, ne)
@@ -172,10 +195,15 @@ func (lay *layout) permute(src *mesh.Mesh) {
 		v.BFaces[at] = src.BFaces[fi]
 		lay.faces.Order[at] = int32(at)
 	}
+	lay.adjacency()
+}
 
-	// Adjacency by counting sort over the view's edges. The fill advances
-	// each row's start to its end, i.e. to the next row's start; shifting
-	// the table up one slot afterwards restores it.
+// adjacency fills the smoother's rows from the view's edge list by counting
+// sort. The fill advances each row's start to its end, i.e. to the next
+// row's start; shifting the table up one slot afterwards restores it.
+func (lay *layout) adjacency() {
+	v := lay.view
+	nv, ne := v.NV(), v.NE()
 	start := euler.Grow(lay.adjStart, nv+1)
 	clear(start)
 	for _, e := range v.Edges {

@@ -12,7 +12,8 @@ import (
 // down. It is the path the adaptation driver takes between epochs:
 //
 //   - The layout is rebuilt from m by the routine every engine's layout
-//     comes from (layout.fill), so a rebuilt engine is bitwise a fresh New
+//     comes from (layout.fill; fillInOrder for NewSequential's, whose view
+//     stays the mesh itself), so a rebuilt engine is bitwise a fresh one
 //     on m: nothing of the meshes the run passed through on the way
 //     survives, which is what makes a resumed adaptive run the
 //     uninterrupted one.
@@ -34,7 +35,9 @@ func (s *Solver) Rebuild(m *mesh.Mesh, p euler.Params) error {
 	if !le.ownLay {
 		lay = &layout{view: &mesh.Mesh{}}
 	}
-	if err := lay.fill(m, nil, nil); err != nil {
+	if lay.inOrder {
+		lay.fillInOrder(m)
+	} else if err := lay.fill(m, nil, nil); err != nil {
 		return fmt.Errorf("smsolver: rebuild: %w", err)
 	}
 	le.lay, le.ownLay = lay, true

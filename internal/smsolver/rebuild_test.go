@@ -232,3 +232,44 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 		t.Fatalf("step after the rebuilds returned norm %v", n)
 	}
 }
+
+// TestSequentialViewIsTheMesh checks the sequential engine's form: its view
+// is the mesh it was built or rebuilt on, not a copy, each list is one group
+// holding one run (checkLayout: identity order, run-aligned tiles), the
+// mesh's Derived slot stays free, the form survives Rebuild, and the chunk
+// tables refuse a second worker, who could only race the first through the
+// one run.
+func TestSequentialViewIsTheMesh(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	m0, r, w := refinedCase(t, p)
+	s := NewSequential(m0, p)
+	defer s.Close()
+	for _, m := range []*mesh.Mesh{m0, r.Mesh} {
+		if m != m0 {
+			if err := s.Rebuild(m, p); err != nil {
+				t.Fatal(err)
+			}
+			s.Step(w, nil)
+		}
+		if s.D.M != m || s.le.lay.view != m {
+			t.Fatal("the sequential engine's view is not its mesh")
+		}
+		if e, f := s.NumColors(); e != 1 || f != 1 {
+			t.Fatalf("%d edge and %d face groups, want one each", e, f)
+		}
+		if s.le.lay.edges.NumRuns() != 1 || s.le.lay.faces.NumRuns() != 1 {
+			t.Fatal("a list of the sequential layout is not one run")
+		}
+		checkLayout(t, s.le.lay)
+		free := new(int)
+		if got := m.Derived(func(*mesh.Mesh) any { return free }); got != free {
+			t.Fatal("the sequential engine filled the mesh's Derived slot")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("chunk tables for two workers over the in-order layout did not panic")
+		}
+	}()
+	s.le.buildSpans(2)
+}

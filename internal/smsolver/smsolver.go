@@ -226,6 +226,9 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 // inline on the caller and no barrier is paid. Chunking never affects
 // results.
 func (le *levelEngine) buildSpans(nworkers int) {
+	if le.lay.inOrder && nworkers > 1 {
+		panic("smsolver: the in-order layout is one run per list; it runs on one worker")
+	}
 	if le.lay.view.NE() < SerialCutoffEdges {
 		nworkers = 1
 	}
@@ -646,6 +649,23 @@ func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.
 	if err != nil {
 		return nil, fmt.Errorf("smsolver: %w", err)
 	}
+	return newSolver(lay, p, nworkers), nil
+}
+
+// NewSequential builds the sequential engine over m: this engine at one
+// worker, each of m's edge and face lists one group holding one run in m's
+// own order. Its view is m itself (D.M == m), nothing goes in m's Derived
+// slot, and Rebuild keeps this form. The kernels are the reference
+// operator's arithmetic in its order, so Step is bitwise euler.Disc.Step.
+func NewSequential(m *mesh.Mesh, p euler.Params) *Solver {
+	lay := &layout{}
+	lay.fillInOrder(m)
+	s := newSolver(lay, p, 1)
+	s.le.ownLay = true // private: Rebuild refills it in place
+	return s
+}
+
+func newSolver(lay *layout, p euler.Params, nworkers int) *Solver {
 	le := newLevelEngine(lay, p, nworkers)
 	s := &Solver{D: le.d, NWorkers: nworkers, le: le}
 	s.eng.init(nworkers, perf.NewAccum(phaseNames[:]...))
@@ -653,7 +673,7 @@ func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.
 	// forks), so an abandoned Solver is collectable; shut its pool down
 	// when that happens.
 	runtime.AddCleanup(s, func(p *pool) { p.shutdown() }, s.eng.pool)
-	return s, nil
+	return s
 }
 
 // Close parks the engine permanently: the worker goroutines exit and the

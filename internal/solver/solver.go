@@ -2,6 +2,19 @@
 // command-line tools, the daemon and the examples: the single-grid scheme
 // and the multigrid cycles, sequential and pooled, each a stepper the
 // convergence loop (internal/runloop) drives.
+//
+// Both single-grid engines are the worker-pool engine of internal/smsolver
+// running the kernels of euler/kernels_soa.go: the sequential one
+// (NewSingleGrid) at one worker in the mesh's own edge and face order, which
+// makes it bitwise euler.Disc.Step on that mesh, and the pooled one
+// (NewSharedMemory) over the block-colored layout. The reference operator of
+// euler/ops.go still runs in three places: as the kernels' oracle in the
+// tests, under the serial multigrid (NewMultigrid, multigrid.Solver), and as
+// the benchmark's serial references, which time euler.Disc.Step and
+// multigrid.Solver.Cycle directly. It stays in the last two because a faster
+// serial reference would lower the benchmark's speedup_vs_serial at
+// unchanged engine speed; re-pointing those references is a change to the
+// benchmark itself.
 package solver
 
 import (
@@ -10,10 +23,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"eul3d/internal/euler"
-	"eul3d/internal/flops"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshio"
 	"eul3d/internal/multigrid"
@@ -64,51 +75,14 @@ type stepper interface {
 	initUniform()
 }
 
-// rebuilder is implemented by the single-grid steppers, whose engines can
-// be retargeted in place at another mesh (the multigrid ones are tied to
-// their mesh sequence's transfer operators).
-type rebuilder interface {
-	rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error
-}
-
 // traceable is implemented by the steppers whose engines can attach a
-// flight-recorder tracer (the pooled shared-memory ones).
+// flight-recorder tracer: every engine on the worker pool.
 type traceable interface {
 	setTrace(tr *trace.Tracer)
 }
 
 func (s *smStepper) setTrace(tr *trace.Tracer)  { s.sm.SetTrace(tr) }
 func (s *smgStepper) setTrace(tr *trace.Tracer) { s.mg.SetTrace(tr) }
-
-type singleStepper struct {
-	d   *euler.Disc
-	w   []euler.State
-	ws  *euler.StepWorkspace
-	acc *perf.Accum
-	fl  int64 // analytic flops of one time step
-}
-
-func (s *singleStepper) cycle() float64 {
-	t := time.Now()
-	norm := s.d.Step(s.w, nil, s.ws)
-	s.acc.Add(0, time.Since(t), s.fl)
-	return norm
-}
-func (s *singleStepper) solution() []euler.State { return s.w }
-func (s *singleStepper) stats() perf.Stats       { return s.acc.Stats() }
-func (s *singleStepper) initUniform()            { s.d.InitUniform(s.w) }
-
-func (s *singleStepper) rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
-	s.d.Retarget(m, p)
-	s.ws.Resize(m.NV())
-	s.w, s.fl = w, stepFlops(m, p)
-	return nil
-}
-
-func stepFlops(m *mesh.Mesh, p euler.Params) int64 {
-	return flops.Step(int64(m.NV()), int64(m.NE()), int64(len(m.BFaces)),
-		len(p.Stages), euler.DissipStages, p.NSmooth)
-}
 
 type mgStepper struct{ mg *multigrid.Solver }
 
@@ -127,35 +101,33 @@ func (s *smStepper) solution() []euler.State { return s.w }
 func (s *smStepper) stats() perf.Stats       { return s.sm.Stats() }
 func (s *smStepper) initUniform()            { s.sm.InitUniform(s.w) }
 
-func (s *smStepper) rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
-	s.w = w
-	return s.sm.Rebuild(m, p)
-}
-
-// NewSingleGrid builds a single-grid steady solver over m.
+// NewSingleGrid builds the sequential single-grid steady solver over m: the
+// pooled engine's kernels at one worker in m's own edge and face order
+// (smsolver.NewSequential), bitwise euler.Disc.Step on m. It reports the six
+// step phases in Stats and accepts a tracer.
 func NewSingleGrid(m *mesh.Mesh, p euler.Params) *Steady {
-	d := euler.NewDisc(m, p)
-	w := make([]euler.State, m.NV())
-	d.InitUniform(w)
-	return &Steady{
-		s:   &singleStepper{d: d, w: w, ws: euler.NewStepWorkspace(m.NV()), acc: perf.NewAccum("step"), fl: stepFlops(m, p)},
-		cfl: p.CFL,
-	}
+	return steadySM(smsolver.NewSequential(m, p), p)
 }
 
 // NewSharedMemory builds a single-grid steady solver over m driven by the
-// persistent worker-pool engine with nworkers workers (0 = GOMAXPROCS).
-// Results are bitwise identical to NewSingleGrid up to roundoff-free
-// reassociation of the colored accumulation order; per-phase timings are
-// available from Stats. Call Close when done to park the pool.
+// persistent worker-pool engine with nworkers workers (0 = GOMAXPROCS),
+// over the block-colored layout every pooled engine on m shares. Results
+// are bitwise identical for every worker count, and agree with
+// NewSingleGrid to roundoff: the layout's group order reassociates each
+// vertex's accumulation. Per-phase timings are available from Stats. Call
+// Close when done to park the pool.
 func NewSharedMemory(m *mesh.Mesh, p euler.Params, nworkers int) (*Steady, error) {
 	sm, err := smsolver.New(m, p, nworkers)
 	if err != nil {
 		return nil, err
 	}
-	w := make([]euler.State, m.NV())
+	return steadySM(sm, p), nil
+}
+
+func steadySM(sm *smsolver.Solver, p euler.Params) *Steady {
+	w := make([]euler.State, sm.D.M.NV())
 	sm.InitUniform(w)
-	return &Steady{s: &smStepper{sm: sm, w: w}, cfl: p.CFL, close: sm.Close}, nil
+	return &Steady{s: &smStepper{sm: sm, w: w}, cfl: p.CFL, close: sm.Close}
 }
 
 type smgStepper struct{ mg *smsolver.Multigrid }
@@ -204,9 +176,10 @@ type Steady struct {
 func (st *Steady) Stats() perf.Stats { return st.s.stats() }
 
 // SetTrace attaches a flight-recorder tracer to the underlying engine and
-// reports whether the stepper supports tracing (the pooled shared-memory
-// engines do; the sequential steppers are single timelines the per-phase
-// Stats already describe). Call before the first Run.
+// reports whether the stepper supports tracing: every engine on the worker
+// pool does, the sequential single grid included; the serial multigrid is a
+// single timeline its per-level Stats already describe. Call before the
+// first Run.
 func (st *Steady) SetTrace(tr *trace.Tracer) bool {
 	if t, ok := st.s.(traceable); ok && tr != nil {
 		t.setTrace(tr)
@@ -274,11 +247,14 @@ func (st *Steady) SetInitial(w []euler.State) error {
 
 // Rebuild retargets a single-grid engine, in place, at mesh m with
 // parameters p — the adaptive driver's move between refinement epochs — and
-// takes w over as the solution on m. The pooled engine recomputes its
-// layout into the arrays it owns and keeps its worker pool; the sequential
-// one regrows its scratch. On error the engine must only be Closed.
+// takes w over as the solution on m. The engine recomputes its layout into
+// the arrays it owns (the sequential one's stays m itself plus the
+// smoother's adjacency) and keeps its worker pool. On error the engine must
+// only be Closed.
 func (st *Steady) Rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
-	r, ok := st.s.(rebuilder)
+	// Only the single-grid stepper can move: the multigrid ones are tied to
+	// their mesh sequence's transfer operators.
+	s, ok := st.s.(*smStepper)
 	if !ok {
 		return errors.New("solver: a multigrid engine cannot be rebuilt onto another mesh")
 	}
@@ -286,7 +262,8 @@ func (st *Steady) Rebuild(m *mesh.Mesh, p euler.Params, w []euler.State) error {
 		return fmt.Errorf("solver: rebuild with %d states for %d vertices", len(w), m.NV())
 	}
 	st.cfl = p.CFL
-	return r.rebuild(m, p, w)
+	s.w = w
+	return s.sm.Rebuild(m, p)
 }
 
 // Cycle and Solution make a Steady the runloop.Stepper it is: one cycle of
