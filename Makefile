@@ -45,7 +45,7 @@ loc:
 # PAIRS (default 5) alternating pairs of workload WL (default serve_mix).
 # Prints per metric the medians, the pairs won and, for the end-to-end
 # metrics, whether the change stays inside BENCHMARK.json's bound. See
-# scripts/abba.sh for SEED, WINDOW, TRACE, BASE_DIR and KEEP.
+# scripts/abba.sh for SEED and TRACE.
 abba:
 	WL=$(WL) BASE=$(BASE) PAIRS=$(PAIRS) sh scripts/abba.sh
 

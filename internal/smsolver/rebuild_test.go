@@ -237,8 +237,9 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 // is the mesh it was built or rebuilt on, not a copy, each list is one group
 // holding one run (checkLayout: identity order, run-aligned tiles), the
 // mesh's Derived slot stays free, the form survives Rebuild, and the chunk
-// tables refuse a second worker, who could only race the first through the
-// one run.
+// tables refuse a second worker: the layout is only ever NewSequential's
+// one-worker form. (A second worker could not race the first anyway: runs
+// are never split, so the one run would all go to one of them.)
 func TestSequentialViewIsTheMesh(t *testing.T) {
 	p := euler.DefaultParams(0.675, 0)
 	m0, r, w := refinedCase(t, p)

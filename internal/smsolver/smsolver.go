@@ -227,7 +227,7 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 // results.
 func (le *levelEngine) buildSpans(nworkers int) {
 	if le.lay.inOrder && nworkers > 1 {
-		panic("smsolver: the in-order layout is one run per list; it runs on one worker")
+		panic("smsolver: the in-order layout is NewSequential's one-worker form")
 	}
 	if le.lay.view.NE() < SerialCutoffEdges {
 		nworkers = 1

@@ -16,8 +16,10 @@ import (
 // TestSingleGridIsDiscBitwise pins NewSingleGrid's contract: the sequential
 // engine runs the pooled engine's kernels at one worker in the mesh's own
 // edge and face order, so its residual history and solution equal
-// euler.Disc.Step's bit for bit on any mesh — the generated channel, the
-// same channel with its vertices and elements scrambled, the Sod preset's
+// euler.Disc.Step's bit for bit on any mesh — the generated channel, one
+// with more vertices than a residual-norm block (euler.NormBlock), so the
+// norm combines several blocks, the channel with its vertices and elements
+// scrambled, the Sod preset's
 // time-accurate parameters (global dt, convex limiter, positivity floors,
 // no smoothing), and after a Rebuild onto a selectively refined mesh. A
 // cycle allocates nothing, and the flop ledger charges exactly flops.Step
@@ -26,6 +28,13 @@ func TestSingleGridIsDiscBitwise(t *testing.T) {
 	base, err := meshgen.Channel(meshgen.DefaultChannel(10, 6, 4, 17))
 	if err != nil {
 		t.Fatal(err)
+	}
+	large, err := meshgen.Channel(meshgen.DefaultChannel(24, 16, 12, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large.NV() <= euler.NormBlock {
+		t.Fatalf("the large channel has %d vertices, not more than a norm block (%d)", large.NV(), euler.NormBlock)
 	}
 	scrambled, err := reorder.Scramble(base, 3)
 	if err != nil {
@@ -56,6 +65,7 @@ func TestSingleGridIsDiscBitwise(t *testing.T) {
 		rebuild *mesh.Mesh    // run on m first, then Rebuild onto this
 	}{
 		{name: "channel", m: base, p: channel},
+		{name: "blocks", m: large, p: channel},
 		{name: "scrambled", m: scrambled, p: channel},
 		{name: "sod", m: sod[0], p: scenario.Sod.Params(), init: scenario.Sod.InitialState(sod[0])},
 		{name: "rebuilt", m: base, p: channel, rebuild: refined.Mesh},

@@ -11,7 +11,9 @@
 // the end-to-end metrics it also prints whether the change's median stays
 // inside the manifest's bound — the share of the base median by which a
 // change may be worse. Runs with failed operations are listed; the exit
-// status is 1 if a metric is outside its bound or a run was incorrect.
+// status is 1 if a metric is outside its bound, a run was incorrect, or
+// the change's runs fail a larger share of their operations than the
+// base's.
 package main
 
 import (
@@ -57,18 +59,25 @@ func main() {
 	}
 	a, b := make([]result, pairs), make([]result, pairs)
 	ok := true
+	var failed, attempted [2]int // base, change
 	for i := range pairs {
 		readJSON(filepath.Join(os.Args[2], fmt.Sprintf("a%d.json", i+1)), &a[i])
 		readJSON(filepath.Join(os.Args[2], fmt.Sprintf("b%d.json", i+1)), &b[i])
-		for _, r := range []struct {
+		for side, r := range []struct {
 			tag string
 			res result
 		}{{"a", a[i]}, {"b", b[i]}} {
+			failed[side] += r.res.Failed
+			attempted[side] += r.res.Attempted
 			if !r.res.Correct || r.res.Failed > 0 {
 				fmt.Printf("run %s%d: correct=%v, %d of %d operations failed\n", r.tag, i+1, r.res.Correct, r.res.Failed, r.res.Attempted)
 				ok = ok && r.res.Correct
 			}
 		}
+	}
+	if share(failed[1], attempted[1]) > share(failed[0], attempted[0]) {
+		fmt.Printf("failed operations: A %d of %d, B %d of %d: the change fails a larger share\n", failed[0], attempted[0], failed[1], attempted[1])
+		ok = false
 	}
 
 	fmt.Printf("%-34s %-8s %12s %12s %8s %6s  %s\n", "metric", "unit", "A median", "B median", "move", "won", "bound")
@@ -118,6 +127,13 @@ func values(m metric, a, b []result) (av, bv []float64, won, n int) {
 		}
 	}
 	return av, bv, won, n
+}
+
+func share(failed, attempted int) float64 {
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
 }
 
 func median(v []float64) float64 {
