@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race loc abba verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
+.PHONY: all build test race loc abba cmp verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
 
 all: build
 
@@ -48,6 +48,14 @@ loc:
 # scripts/abba.sh for SEED and TRACE.
 abba:
 	WL=$(WL) BASE=$(BASE) PAIRS=$(PAIRS) sh scripts/abba.sh
+
+# Bitwise CLI comparison: BASE (default HEAD) against the working tree over
+# a fixed eul3d matrix (every in-process strategy with and without workers,
+# the distributed and chaos paths, the adaptive path and a checkpoint ->
+# resume pair), comparing histories, solutions, checkpoints and masked
+# stdout. One line per row; fails on any difference. See scripts/cmp.sh.
+cmp:
+	BASE=$(BASE) sh scripts/cmp.sh
 
 # Committed-results check: regenerate Figures 1-2 and Tables 1a-1c / 2a-2c
 # into a temporary directory and diff every file against results/, with the

@@ -9,6 +9,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/scenario"
+	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
 
@@ -28,9 +29,8 @@ func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, lo
 	if sc != nil {
 		w = sc.InitialState(m)
 	}
-	engine := "single"
-	if *workers > 0 {
-		engine = "sm"
+	engine := engineConfig()
+	if engine.Kind == solver.KindSM {
 		fmt.Printf("adaptive solve: pooled engine, %d workers\n", *workers)
 	} else {
 		fmt.Printf("adaptive solve: sequential engine\n")
@@ -39,8 +39,7 @@ func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, lo
 		*adaptInd, *adaptIntv, *adaptEp, *adaptFrac)
 
 	res, err := adapt.Run(adapt.Options{
-		Mesh: m, Init: w, Params: p,
-		Engine: engine, Workers: *workers,
+		Mesh: m, Init: w, Params: p, Engine: engine,
 		Steps: *cycles, Tolerance: *tol,
 		Budget: *adaptBud, Interval: *adaptIntv, MaxEpochs: *adaptEp,
 		Indicator: *adaptInd, Frac: *adaptFrac,

@@ -176,8 +176,23 @@ func main() {
 		fmt.Printf("resuming from %s at cycle %d\n", *resume, ck.Cycle)
 	}
 
-	if *faultSpec != "" && *nproc <= 0 {
-		log.Fatalf("eul3d: -faults requires the distributed solver (-nproc)")
+	// Each path refuses the flags it would otherwise silently ignore.
+	for flagName, on := range map[string]bool{
+		"-faults": *faultSpec != "",
+		"-mimd":   *mimd,
+	} {
+		if on && *nproc <= 0 {
+			log.Fatalf("eul3d: %s requires the distributed solver (-nproc)", flagName)
+		}
+	}
+	for flagName, on := range map[string]bool{
+		"-workers":       *workers > 0,
+		"-init-solution": *initSol != "",
+		"-contours":      *contours,
+	} {
+		if on && *nproc > 0 {
+			log.Fatalf("eul3d: -nproc runs the distributed solver and is incompatible with %s", flagName)
+		}
 	}
 	var tracer *trace.Tracer
 	if *tracePth != "" {
@@ -190,6 +205,7 @@ func main() {
 			"-resume":        *resume != "",
 			"-init-solution": *initSol != "",
 			"-contours":      *contours,
+			"-checkpoint":    *ckptPath != "",
 		} {
 			if on {
 				log.Fatalf("eul3d: -adapt is incompatible with %s", flagName)
@@ -211,57 +227,36 @@ func main() {
 		return
 	}
 
-	var st *solver.Steady
-	var fineMesh *mesh.Mesh
-	switch *strategy {
-	case "single":
-		seq, err := loadSeq(1)
-		if err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		m := seq[0]
-		fineMesh = m
-		fmt.Printf("mesh: %d points, %d tetrahedra, %d edges\n", m.NV(), m.NT(), m.NE())
-		if *workers > 0 {
-			st, err = solver.NewSharedMemory(m, p, *workers)
-			if err != nil {
-				log.Fatalf("eul3d: %v", err)
-			}
-			defer st.Close()
-			fmt.Printf("shared-memory solver: %d workers\n", *workers)
-		} else {
-			st = solver.NewSingleGrid(m, p)
-		}
-	case "v", "w":
-		seq, err := loadSeq(*levels)
-		if err != nil {
-			log.Fatalf("eul3d: %v", err)
-		}
-		fineMesh = seq[0]
+	cfg := engineConfig()
+	nlev := 1
+	if cfg.Gamma > 0 {
+		nlev = *levels
+	}
+	seq, err := loadSeq(nlev)
+	if err != nil {
+		log.Fatalf("eul3d: %v", err)
+	}
+	fineMesh := seq[0]
+	if cfg.Gamma == 0 {
+		fmt.Printf("mesh: %d points, %d tetrahedra, %d edges\n", fineMesh.NV(), fineMesh.NT(), fineMesh.NE())
+	} else {
 		for l, m := range seq {
 			fmt.Printf("level %d: %d points, %d tetrahedra, %d edges\n", l, m.NV(), m.NT(), m.NE())
 		}
-		gamma := 1
-		if *strategy == "w" {
-			gamma = 2
-		}
-		if *workers > 0 {
-			st, err = solver.NewSharedMemoryMultigrid(seq, p, gamma, *workers)
-			if err != nil {
-				log.Fatalf("eul3d: %v", err)
-			}
-			defer st.Close()
-			fmt.Printf("pooled multigrid: %d levels, %s-cycle, %d workers\n", *levels, *strategy, *workers)
-		} else {
-			st, err = solver.NewMultigrid(seq, p, gamma)
-			if err != nil {
-				log.Fatalf("eul3d: %v", err)
-			}
-			fmt.Printf("multigrid: %d levels, %s-cycle, %.2f work units per cycle, %.0f%% memory overhead\n",
-				*levels, *strategy, st.MG.WorkUnits(), 100*st.MG.MemoryOverhead())
-		}
-	default:
-		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", *strategy)
+	}
+	st, err := solver.Open(seq, p, cfg)
+	if err != nil {
+		log.Fatalf("eul3d: %v", err)
+	}
+	defer st.Close()
+	switch cfg.Kind {
+	case solver.KindSM:
+		fmt.Printf("shared-memory solver: %d workers\n", *workers)
+	case solver.KindSMMG:
+		fmt.Printf("pooled multigrid: %d levels, %s-cycle, %d workers\n", *levels, *strategy, *workers)
+	case solver.KindMG:
+		fmt.Printf("multigrid: %d levels, %s-cycle, %.2f work units per cycle, %.0f%% memory overhead\n",
+			*levels, *strategy, st.MG.WorkUnits(), 100*st.MG.MemoryOverhead())
 	}
 
 	if *fmg > 0 {
@@ -332,17 +327,10 @@ func main() {
 // partition per level, PARTI schedules, and the recovery orchestrator
 // around the simulated-interconnect solve.
 func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint) {
+	gamma := engineConfig().Gamma
 	nlev := *levels
-	gamma := 0
-	switch *strategy {
-	case "single":
+	if gamma == 0 {
 		nlev = 1
-	case "v":
-		gamma = 1
-	case "w":
-		gamma = 2
-	default:
-		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", *strategy)
 	}
 	seq, err := loadSeq(nlev)
 	if err != nil {
@@ -423,6 +411,30 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 				st.Drops, st.Duplicates, st.Corruptions, st.Delays, st.Reorders, st.Crashes, plan.Unfired())
 		}
 	}})
+}
+
+// engineConfig maps -strategy and -workers to the in-process engine the
+// main path and the -adapt path open; the distributed path takes its cycle
+// index.
+func engineConfig() solver.Config {
+	var c solver.Config
+	switch *strategy {
+	case "single":
+		c.Kind = solver.KindSingle
+	case "v":
+		c.Kind, c.Gamma = solver.KindMG, 1
+	case "w":
+		c.Kind, c.Gamma = solver.KindMG, 2
+	default:
+		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", *strategy)
+	}
+	if *workers > 0 {
+		c.Kind, c.Workers = solver.KindSM, *workers
+		if c.Gamma > 0 {
+			c.Kind = solver.KindSMMG
+		}
+	}
+	return c
 }
 
 // finished is a completed run as report prints it: the loop's result, and

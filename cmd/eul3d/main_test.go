@@ -56,33 +56,62 @@ func TestCheckDivergenceExit(t *testing.T) {
 	}
 }
 
-// TestFMGRejectsAReplacedStart: -fmg builds the fine solution that
-// -init-solution and -resume would overwrite, and the distributed solver
-// has no FMG, so eul3d refuses each pairing before it loads or builds
-// anything. main runs in a re-exec'd copy of the test binary, as log.Fatalf
-// exits.
-func TestFMGRejectsAReplacedStart(t *testing.T) {
+// mainIfReexeced runs main, and exits, when the test binary was re-exec'd
+// by refuses: main's refusals end in log.Fatalf.
+func mainIfReexeced() {
 	if args := os.Getenv("EUL3D_TEST_MAIN_ARGS"); args != "" {
 		os.Args = append(os.Args[:1], strings.Fields(args)...)
 		main()
 		os.Exit(0) // main should have exited already
 	}
+}
 
+// refuses runs eul3d with args in a re-exec'd copy of the test binary,
+// through the named test, and requires a nonzero exit whose output
+// contains want.
+func refuses(t *testing.T, test, args, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "EUL3D_TEST_MAIN_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+		t.Fatalf("eul3d %s: err %v, want a nonzero exit\n%s", args, err, out)
+	}
+	if !strings.Contains(string(out), want) {
+		t.Errorf("eul3d %s: output missing %q:\n%s", args, want, out)
+	}
+}
+
+// TestFMGRejectsAReplacedStart: -fmg builds the fine solution that
+// -init-solution and -resume would overwrite, and the distributed solver
+// has no FMG, so eul3d refuses each pairing before it loads or builds
+// anything.
+func TestFMGRejectsAReplacedStart(t *testing.T) {
+	mainIfReexeced()
 	for _, tc := range []struct{ args, flag string }{
 		{"-fmg 20 -init-solution missing.sol", "-init-solution"},
 		{"-fmg 20 -resume missing.ckpt", "-resume"},
 		{"-fmg 20 -nproc 4", "-nproc"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=TestFMGRejectsAReplacedStart")
-		cmd.Env = append(os.Environ(), "EUL3D_TEST_MAIN_ARGS="+tc.args)
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() == 0 {
-			t.Fatalf("eul3d %s: err %v, want a nonzero exit\n%s", tc.args, err, out)
-		}
-		if want := "-fmg builds the initial solution and is incompatible with " + tc.flag; !strings.Contains(string(out), want) {
-			t.Errorf("eul3d %s: output missing %q:\n%s", tc.args, want, out)
-		}
+		refuses(t, "TestFMGRejectsAReplacedStart", tc.args, "-fmg builds the initial solution and is incompatible with "+tc.flag)
+	}
+}
+
+// TestIgnoredFlagsRejected: a flag the chosen path would silently ignore
+// is refused before anything is loaded or built — -mimd without the
+// distributed solver; -workers, -init-solution and -contours with it; and
+// -checkpoint on the adaptive path, which writes no checkpoint.
+func TestIgnoredFlagsRejected(t *testing.T) {
+	mainIfReexeced()
+	for _, tc := range []struct{ args, want string }{
+		{"-mimd", "-mimd requires the distributed solver (-nproc)"},
+		{"-nproc 4 -workers 2", "-nproc runs the distributed solver and is incompatible with -workers"},
+		{"-nproc 4 -init-solution missing.sol", "-nproc runs the distributed solver and is incompatible with -init-solution"},
+		{"-nproc 4 -contours", "-nproc runs the distributed solver and is incompatible with -contours"},
+		{"-adapt -checkpoint run.ckpt", "-adapt is incompatible with -checkpoint"},
+	} {
+		refuses(t, "TestIgnoredFlagsRejected", tc.args, tc.want)
 	}
 }
 

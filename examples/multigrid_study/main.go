@@ -11,7 +11,6 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
-	"eul3d/internal/multigrid"
 	"eul3d/internal/solver"
 )
 
@@ -28,39 +27,33 @@ func main() {
 	}
 	var runs []run
 
-	// Single grid.
-	{
-		m, err := meshgen.Channel(spec)
+	// Single grid, then V- and W-cycles over a 4-level non-nested sequence.
+	for _, r := range []struct {
+		name   string
+		levels int
+		c      solver.Config
+	}{
+		{"single grid", 1, solver.Config{}},
+		{"V-cycle", 4, solver.Config{Kind: solver.KindMG, Gamma: 1}},
+		{"W-cycle", 4, solver.Config{Kind: solver.KindMG, Gamma: 2}},
+	} {
+		meshes, err := meshgen.Sequence(spec, r.levels)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st := solver.NewSingleGrid(m, params)
+		st, err := solver.Open(meshes, params, r.c)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := st.Run(solver.Options{MaxCycles: cycles})
 		if err != nil {
 			log.Fatal(err)
 		}
-		runs = append(runs, run{"single grid", res.History, 1, 0})
-	}
-
-	// V- and W-cycles over a 4-level non-nested sequence.
-	for _, gamma := range []int{1, 2} {
-		meshes, err := meshgen.Sequence(spec, 4)
-		if err != nil {
-			log.Fatal(err)
+		work, mem := 1.0, 0.0
+		if st.MG != nil {
+			work, mem = st.MG.WorkUnits(), st.MG.MemoryOverhead()
 		}
-		mg, err := multigrid.New(meshes, params, gamma)
-		if err != nil {
-			log.Fatal(err)
-		}
-		name := "V-cycle"
-		if gamma == 2 {
-			name = "W-cycle"
-		}
-		var hist []float64
-		for c := 0; c < cycles; c++ {
-			hist = append(hist, mg.Cycle())
-		}
-		runs = append(runs, run{name, hist, mg.WorkUnits(), mg.MemoryOverhead()})
+		runs = append(runs, run{r.name, res.History, work, mem})
 	}
 
 	fmt.Printf("convergence history (normalized density residual), %d cycles:\n\n", cycles)

@@ -15,8 +15,9 @@ import (
 	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/machine"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
-	"eul3d/internal/smsolver"
+	"eul3d/internal/solver"
 )
 
 func main() {
@@ -51,18 +52,17 @@ func main() {
 	var ref []float64
 	var lastStats string
 	for _, nw := range []int{1, 2, 4} {
-		s, err := smsolver.New(m, p, nw)
+		st, err := solver.Open([]*mesh.Mesh{m}, p, solver.Config{Kind: solver.KindSM, Workers: nw})
 		if err != nil {
 			log.Fatal(err)
 		}
-		w := make([]euler.State, m.NV())
-		s.InitUniform(w)
 		start := time.Now()
-		var norms []float64
-		for c := 0; c < 20; c++ {
-			norms = append(norms, s.Step(w, nil))
+		res, err := st.Run(solver.Options{MaxCycles: 20})
+		if err != nil {
+			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
+		norms := res.History
 		same := "reference"
 		if ref != nil {
 			same = "bitwise identical"
@@ -76,8 +76,8 @@ func main() {
 		}
 		fmt.Printf("  %d workers: 20 cycles in %7v, final residual %.6e  [%s]\n",
 			nw, elapsed.Round(time.Millisecond), norms[len(norms)-1], same)
-		lastStats = s.Stats().String()
-		s.Close()
+		lastStats = st.Stats().String()
+		st.Close()
 	}
 
 	// Per-phase breakdown of the last run (counted flops / measured time,

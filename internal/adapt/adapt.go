@@ -56,8 +56,7 @@ type Options struct {
 	Params euler.Params
 	Meta   runloop.Meta // what every record carries about the run besides its state
 
-	Engine  string // "single" (default) or "sm"
-	Workers int    // sm worker count; <=0 selects GOMAXPROCS
+	Engine solver.Config // a single-grid kind, the two a refinement epoch can rebuild in place
 
 	// Steps is the total step budget. Time-accurate runs (Params.GlobalDt
 	// > 0) integrate to the fixed final time Steps*GlobalDt; adaptation
@@ -144,19 +143,6 @@ const (
 
 var phaseNames = [nPhases]string{"solve", "indicator", "refine", "transfer", "rebuild"}
 
-// newEngine builds the solve engine of the given kind on m: solver's own
-// single-grid steppers, the two that can be rebuilt in place between epochs.
-func newEngine(kind string, m *mesh.Mesh, p euler.Params, workers int) (*solver.Steady, error) {
-	switch kind {
-	case "", "single":
-		return solver.NewSingleGrid(m, p), nil
-	case "sm":
-		return solver.NewSharedMemory(m, p, workers) // <= 0 workers selects GOMAXPROCS
-	default:
-		return nil, fmt.Errorf("adapt: unknown engine %q (want single or sm)", kind)
-	}
-}
-
 // Run executes an adaptive solve.
 func Run(opt Options) (*Result, error) {
 	m, w, p := opt.Mesh, opt.Init, opt.Params
@@ -171,6 +157,9 @@ func Run(opt Options) (*Result, error) {
 	}
 	if opt.Steps <= 0 {
 		return nil, errors.New("adapt: Steps must be positive")
+	}
+	if k := opt.Engine.Kind; k != "" && k != solver.KindSingle && k != solver.KindSM {
+		return nil, fmt.Errorf("adapt: engine %q cannot be rebuilt onto a refined mesh (want single or sm)", k)
 	}
 	if rs := opt.Resume; rs != nil {
 		w, meshName = rs.Sol, rs.Mesh
@@ -212,9 +201,9 @@ func Run(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(opt.Engine, m, p, opt.Workers)
+	eng, err := solver.Open([]*mesh.Mesh{m}, p, opt.Engine)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	defer eng.Close()
 	if w != nil {

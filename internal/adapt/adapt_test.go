@@ -8,9 +8,10 @@ import (
 	"eul3d/internal/refine"
 	"eul3d/internal/scenario"
 	"eul3d/internal/smsolver"
+	"eul3d/internal/solver"
 )
 
-func sodRun(t *testing.T, engine string, workers int) *Result {
+func sodRun(t *testing.T, engine solver.Config) *Result {
 	t.Helper()
 	sc := scenario.Sod
 	ms, err := sc.Meshes(1)
@@ -22,7 +23,6 @@ func sodRun(t *testing.T, engine string, workers int) *Result {
 		Init:      sc.InitialState(ms[0]),
 		Params:    sc.Params(),
 		Engine:    engine,
-		Workers:   workers,
 		Steps:     sc.Steps,
 		Interval:  50,
 		MaxEpochs: 2,
@@ -30,7 +30,7 @@ func sodRun(t *testing.T, engine string, workers int) *Result {
 		Frac:      0.1,
 	})
 	if err != nil {
-		t.Fatalf("adaptive sod (%s/%d): %v", engine, workers, err)
+		t.Fatalf("adaptive sod (%+v): %v", engine, err)
 	}
 	return res
 }
@@ -48,7 +48,7 @@ func TestAdaptiveSodGolden(t *testing.T) {
 	sc := scenario.Sod
 	var ref *Result
 	for _, nw := range []int{1, 2, 4} {
-		res := sodRun(t, "sm", nw)
+		res := sodRun(t, solver.Config{Kind: solver.KindSM, Workers: nw})
 		if len(res.Epochs) < 2 {
 			t.Fatalf("nw=%d: only %d adaptation epochs, want >= 2", nw, len(res.Epochs))
 		}
@@ -99,7 +99,7 @@ func TestAdaptiveSodGolden(t *testing.T) {
 // still land exactly on the final time (sum of steps*dt == Steps*dt0).
 func TestAdaptiveSodSingle(t *testing.T) {
 	sc := scenario.Sod
-	res := sodRun(t, "single", 0)
+	res := sodRun(t, solver.Config{})
 	if len(res.Epochs) < 2 {
 		t.Fatalf("single engine: %d epochs, want >= 2", len(res.Epochs))
 	}
@@ -137,12 +137,12 @@ func TestAdaptiveSodSingle(t *testing.T) {
 // one, whose layout is a function of the current mesh alone, so an engine
 // built fresh on the adapted mesh is the engine that was rebuilt onto it.
 func TestAdaptResume(t *testing.T) {
-	for _, engine := range []string{"single", "sm"} {
-		t.Run(engine, func(t *testing.T) { testAdaptResume(t, engine) })
+	for _, engine := range []solver.Config{{Kind: solver.KindSingle}, {Kind: solver.KindSM, Workers: 2}} {
+		t.Run(engine.Kind, func(t *testing.T) { testAdaptResume(t, engine) })
 	}
 }
 
-func testAdaptResume(t *testing.T, engine string) {
+func testAdaptResume(t *testing.T, engine solver.Config) {
 	sc := scenario.Sod
 	ms, err := sc.Meshes(1)
 	if err != nil {
@@ -151,7 +151,6 @@ func testAdaptResume(t *testing.T, engine string) {
 	base := Options{
 		Params:    sc.Params(),
 		Engine:    engine,
-		Workers:   2,
 		Steps:     sc.Steps,
 		Interval:  40,
 		MaxEpochs: 2,
@@ -325,7 +324,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{Mesh: nil, Init: w, Params: p, Steps: 10},
 		{Mesh: m, Init: w[:3], Params: p, Steps: 10},
 		{Mesh: m, Init: w, Params: p, Steps: 0},
-		{Mesh: m, Init: w, Params: p, Steps: 10, Engine: "warp"},
+		{Mesh: m, Init: w, Params: p, Steps: 10, Engine: solver.Config{Kind: "warp"}},
 		{Mesh: m, Init: w, Params: p, Steps: 10, Indicator: "entropy"},
 	}
 	for i, opt := range cases {

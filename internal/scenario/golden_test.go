@@ -32,7 +32,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			got, _, err := verify.Run(sc, verify.Engine{Kind: "single"})
+			got, _, err := verify.Run(sc, verify.Engine{})
 			if err != nil {
 				t.Fatal(err)
 			}

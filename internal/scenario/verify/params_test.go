@@ -62,17 +62,36 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 	}
 
 	// Each engine returns its construction error, or the history of a run
-	// from the freestream through the driver the CLI and the daemon use.
-	steady := func(st *solver.Steady, err error) ([]float64, error) {
-		if err != nil {
-			return nil, err
-		}
-		defer st.Close()
-		res, err := st.Run(solver.Options{MaxCycles: cycles})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.History, nil
+	// from the freestream through the driver the CLI and the daemon use:
+	// every steady kind through solver.Open, the distributed engine in both
+	// orchestrations.
+	type engine struct {
+		name string
+		run  func(p euler.Params) ([]float64, error)
+	}
+	var engines []engine
+	for _, c := range []solver.Config{
+		{Kind: solver.KindSingle},
+		{Kind: solver.KindSM, Workers: 2},
+		{Kind: solver.KindMG, Gamma: 2},
+		{Kind: solver.KindSMMG, Workers: 2, Gamma: 2},
+	} {
+		engines = append(engines, engine{c.Kind, func(p euler.Params) ([]float64, error) {
+			ms := meshes
+			if c.Gamma == 0 {
+				ms = meshes[:1]
+			}
+			st, err := solver.Open(ms, p, c)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			res, err := st.Run(solver.Options{MaxCycles: cycles})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.History, nil
+		}})
 	}
 	distributed := func(p euler.Params, mimd bool) ([]float64, error) {
 		dm, err := dmsolver.NewMultigrid(meshes, [][]int32{part, nil}, 3, p, 2)
@@ -85,19 +104,10 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 		}
 		return res.History, nil
 	}
-	engines := []struct {
-		name string
-		run  func(p euler.Params) ([]float64, error)
-	}{
-		{"sequential", func(p euler.Params) ([]float64, error) { return steady(solver.NewSingleGrid(meshes[0], p), nil) }},
-		{"pooled", func(p euler.Params) ([]float64, error) { return steady(solver.NewSharedMemory(meshes[0], p, 2)) }},
-		{"serial-multigrid", func(p euler.Params) ([]float64, error) { return steady(solver.NewMultigrid(meshes, p, 2)) }},
-		{"pooled-multigrid", func(p euler.Params) ([]float64, error) {
-			return steady(solver.NewSharedMemoryMultigrid(meshes, p, 2, 2))
-		}},
-		{"distributed", func(p euler.Params) ([]float64, error) { return distributed(p, false) }},
-		{"distributed-mimd", func(p euler.Params) ([]float64, error) { return distributed(p, true) }},
-	}
+	engines = append(engines,
+		engine{"distributed", func(p euler.Params) ([]float64, error) { return distributed(p, false) }},
+		engine{"distributed-mimd", func(p euler.Params) ([]float64, error) { return distributed(p, true) }},
+	)
 
 	for _, e := range engines {
 		ref, err := e.run(base)

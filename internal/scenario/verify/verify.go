@@ -13,20 +13,22 @@ import (
 	"eul3d/internal/solver"
 )
 
-// Engine names one solver configuration of the panel.
+// Engine names one solver configuration of the panel: the engine, and the
+// level count of the scenario's mesh sequence it runs on (0 or 1 is the
+// fine mesh alone; a multigrid kind at one level runs a degenerate
+// single-grid cycle).
 type Engine struct {
-	Kind    string // single | sm | mg | smmg
-	Workers int    // sm/smmg worker count
-	Levels  int    // mg/smmg level count (1 = degenerate single-grid cycle)
+	solver.Config
+	Levels int
 }
 
 func (e Engine) String() string {
 	switch e.Kind {
-	case "single":
+	case solver.KindSingle, "":
 		return "single"
-	case "sm":
+	case solver.KindSM:
 		return fmt.Sprintf("sm/w%d", e.Workers)
-	case "mg":
+	case solver.KindMG:
 		return fmt.Sprintf("mg/l%d", e.Levels)
 	default:
 		return fmt.Sprintf("%s/w%d/l%d", e.Kind, e.Workers, e.Levels)
@@ -34,18 +36,18 @@ func (e Engine) String() string {
 }
 
 // Engines returns the verification panel for sc: the sequential engine,
-// the pooled engine at several worker counts, and the multigrid engines.
-// Unsteady scenarios cap the multigrid engines at one level, where a cycle
-// is exactly one time-accurate fine-grid step.
+// the pooled engine at several worker counts, and the multigrid engines,
+// which run V-cycles. Unsteady scenarios cap the multigrid engines at one
+// level, where a cycle is exactly one time-accurate fine-grid step.
 func Engines(sc *scenario.Scenario) []Engine {
 	levels := sc.MaxLevels
 	return []Engine{
-		{Kind: "single"},
-		{Kind: "sm", Workers: 1},
-		{Kind: "sm", Workers: 2},
-		{Kind: "sm", Workers: 8},
-		{Kind: "mg", Levels: levels},
-		{Kind: "smmg", Workers: 2, Levels: levels},
+		{Config: solver.Config{Kind: solver.KindSingle}},
+		{Config: solver.Config{Kind: solver.KindSM, Workers: 1}},
+		{Config: solver.Config{Kind: solver.KindSM, Workers: 2}},
+		{Config: solver.Config{Kind: solver.KindSM, Workers: 8}},
+		{Config: solver.Config{Kind: solver.KindMG, Gamma: 1}, Levels: levels},
+		{Config: solver.Config{Kind: solver.KindSMMG, Workers: 2, Gamma: 1}, Levels: levels},
 	}
 }
 
@@ -63,19 +65,7 @@ func Run(sc *scenario.Scenario, e Engine) (scenario.Diagnostics, *solver.Result,
 	}
 	p := sc.Params()
 
-	var st *solver.Steady
-	switch e.Kind {
-	case "single":
-		st = solver.NewSingleGrid(meshes[0], p)
-	case "sm":
-		st, err = solver.NewSharedMemory(meshes[0], p, e.Workers)
-	case "mg":
-		st, err = solver.NewMultigrid(meshes, p, 1)
-	case "smmg":
-		st, err = solver.NewSharedMemoryMultigrid(meshes, p, 1, e.Workers)
-	default:
-		return scenario.Diagnostics{}, nil, fmt.Errorf("verify: unknown engine kind %q", e.Kind)
-	}
+	st, err := solver.Open(meshes, p, e.Config)
 	if err != nil {
 		return scenario.Diagnostics{}, nil, fmt.Errorf("verify: %s engine %s: %w", sc.Name, e, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"eul3d/internal/scenario"
+	"eul3d/internal/solver"
 )
 
 // TestScenarioPhysics runs every registered preset on the full engine
@@ -32,7 +33,7 @@ func TestScenarioPhysics(t *testing.T) {
 					if err := sc.Check(d); err != nil {
 						t.Error(err)
 					}
-					if e.Kind == "sm" {
+					if e.Kind == solver.KindSM {
 						if smRef == nil {
 							smRef = &d
 						} else if *smRef != d {

@@ -25,8 +25,7 @@ func (s *Scheduler) adaptDriver(j *Job, ms []*mesh.Mesh) executor {
 		Mesh:      ms[0],
 		Params:    j.Spec.Params(),
 		Meta:      j.Spec.meta(),
-		Engine:    j.Spec.Engine,
-		Workers:   j.Spec.Workers,
+		Engine:    j.Spec.config(),
 		Steps:     j.Spec.Cycles,
 		Tolerance: j.Spec.Tol,
 		Budget:    j.Spec.Adapt.Budget,

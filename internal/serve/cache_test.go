@@ -22,7 +22,7 @@ func testEngineParts(t *testing.T, spec JobSpec) (EngineKey, func() (*solver.Ste
 		t.Fatal(err)
 	}
 	return spec.Key(ms), func() (*solver.Steady, []*mesh.Mesh, error) {
-		st, err := buildEngine(spec, ms)
+		st, err := solver.Open(ms, spec.Params(), spec.config())
 		return st, ms, err
 	}
 }

@@ -241,7 +241,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, r resolved, tk *tra
 				return nil, nil, err
 			}
 		}
-		st, err := buildEngine(j.Spec, ms)
+		st, err := solver.Open(ms, j.Spec.Params(), j.Spec.config())
 		return st, ms, err
 	})
 	if err != nil {

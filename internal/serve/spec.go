@@ -31,15 +31,16 @@ import (
 	"eul3d/internal/meshio"
 	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
+	"eul3d/internal/solver"
 	"eul3d/internal/store"
 )
 
-// Engine kinds selectable per job.
+// Engine kinds selectable per job: solver's.
 const (
-	KindSingle = "single" // sequential single grid
-	KindSM     = "sm"     // shared-memory worker pool, single grid
-	KindMG     = "mg"     // sequential FAS multigrid
-	KindSMMG   = "smmg"   // pooled FAS multigrid
+	KindSingle = solver.KindSingle
+	KindSM     = solver.KindSM
+	KindMG     = solver.KindMG
+	KindSMMG   = solver.KindSMMG
 )
 
 // MeshSpec names the mesh a job runs on: a generated bump-channel mesh
@@ -248,6 +249,11 @@ func (s *JobSpec) gamma() int {
 		return 2
 	}
 	return 0
+}
+
+// config is the engine a Validated spec runs on, as solver.Open takes it.
+func (s *JobSpec) config() solver.Config {
+	return solver.Config{Kind: s.Engine, Workers: s.Workers, Gamma: s.gamma()}
 }
 
 // pooledWorkers is the worker count charged to the budget governor while

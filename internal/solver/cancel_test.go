@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 )
 
@@ -105,7 +106,7 @@ func TestCloseIdempotentAfterFailedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSharedMemory(m, euler.DefaultParams(0.5, 0), 2)
+	st, err := Open([]*mesh.Mesh{m}, euler.DefaultParams(0.5, 0), Config{Kind: KindSM, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestCheckpointResumeMultigridBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewMultigrid(seq, euler.DefaultParams(0.5, 0.5), 1)
+		st, err := Open(seq, euler.DefaultParams(0.5, 0.5), Config{Kind: KindMG, Gamma: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,14 +3,17 @@
 // and the multigrid cycles, sequential and pooled, each a stepper the
 // convergence loop (internal/runloop) drives.
 //
+// Open is the one way in: a Config names the engine kind and the values it
+// takes, and the mesh sequence sets the level count.
+//
 // Both single-grid engines are the worker-pool engine of internal/smsolver
 // running the kernels of euler/kernels_soa.go: the sequential one
-// (NewSingleGrid) at one worker in the mesh's own edge and face order, which
-// makes it bitwise euler.Disc.Step on that mesh, and the pooled one
-// (NewSharedMemory) over the block-colored layout. The reference operator of
-// euler/ops.go still runs in three places: as the kernels' oracle in the
-// tests, under the serial multigrid (NewMultigrid, multigrid.Solver), and as
-// the benchmark's serial references, which time euler.Disc.Step and
+// (KindSingle, NewSingleGrid) at one worker in the mesh's own edge and face
+// order, which makes it bitwise euler.Disc.Step on that mesh, and the
+// pooled one (KindSM) over the block-colored layout. The reference operator
+// of euler/ops.go still runs in three places: as the kernels' oracle in the
+// tests, under the serial multigrid (KindMG, multigrid.Solver), and as the
+// benchmark's serial references, which time euler.Disc.Step and
 // multigrid.Solver.Cycle directly. It stays in the last two because a faster
 // serial reference would lower the benchmark's speedup_vs_serial at
 // unchanged engine speed; re-pointing those references is a change to the
@@ -101,27 +104,82 @@ func (s *smStepper) solution() []euler.State { return s.w }
 func (s *smStepper) stats() perf.Stats       { return s.sm.Stats() }
 func (s *smStepper) initUniform()            { s.sm.InitUniform(s.w) }
 
-// NewSingleGrid builds the sequential single-grid steady solver over m: the
-// pooled engine's kernels at one worker in m's own edge and face order
-// (smsolver.NewSequential), bitwise euler.Disc.Step on m. It reports the six
-// step phases in Stats and accepts a tracer.
-func NewSingleGrid(m *mesh.Mesh, p euler.Params) *Steady {
-	return steadySM(smsolver.NewSequential(m, p), p)
+// Engine kinds: the values of Config.Kind.
+const (
+	KindSingle = "single" // sequential single grid
+	KindSM     = "sm"     // worker-pool single grid
+	KindMG     = "mg"     // sequential FAS multigrid
+	KindSMMG   = "smmg"   // worker-pool FAS multigrid
+)
+
+// Config chooses how a cycle executes. The zero Config is the sequential
+// single grid.
+type Config struct {
+	Kind    string // KindSingle (or ""), KindSM, KindMG or KindSMMG
+	Workers int    // pooled kinds: worker count, 0 = GOMAXPROCS
+	Gamma   int    // multigrid kinds: cycle index, 1 = V, 2 = W
 }
 
-// NewSharedMemory builds a single-grid steady solver over m driven by the
-// persistent worker-pool engine with nworkers workers (0 = GOMAXPROCS),
-// over the block-colored layout every pooled engine on m shares. Results
-// are bitwise identical for every worker count, and agree with
-// NewSingleGrid to roundoff: the layout's group order reassociates each
-// vertex's accumulation. Per-phase timings are available from Stats. Call
-// Close when done to park the pool.
-func NewSharedMemory(m *mesh.Mesh, p euler.Params, nworkers int) (*Steady, error) {
-	sm, err := smsolver.New(m, p, nworkers)
+// Open builds the steady solver c names over meshes (finest first), with
+// as many levels as meshes. It rejects what the chosen engine would
+// otherwise ignore: Workers on a sequential kind, Gamma on a single-grid
+// kind (or Gamma < 1 on a multigrid one), more than one mesh on a
+// single-grid kind, and an unknown kind. Pooled results are bitwise
+// identical for every worker count; the pooled single grid agrees with the
+// sequential one to roundoff, as its block layout reassociates each
+// vertex's accumulation. Call Close when done to park a pool.
+func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
+	kind := c.Kind
+	if kind == "" {
+		kind = KindSingle
+	}
+	pooled := kind == KindSM || kind == KindSMMG
+	multi := kind == KindMG || kind == KindSMMG
+	switch {
+	case !pooled && !multi && kind != KindSingle:
+		return nil, fmt.Errorf("solver: unknown engine kind %q (want single, sm, mg or smmg)", kind)
+	case len(meshes) == 0:
+		return nil, errors.New("solver: no meshes")
+	case !pooled && c.Workers != 0:
+		return nil, fmt.Errorf("solver: the %s engine is sequential; workers must be 0, not %d", kind, c.Workers)
+	case c.Workers < 0:
+		return nil, fmt.Errorf("solver: %d workers (0 selects GOMAXPROCS)", c.Workers)
+	case !multi && c.Gamma != 0:
+		return nil, fmt.Errorf("solver: the %s engine has no cycle index; gamma must be 0, not %d", kind, c.Gamma)
+	case multi && c.Gamma < 1:
+		return nil, fmt.Errorf("solver: the %s engine's cycle index must be >= 1, not %d", kind, c.Gamma)
+	case !multi && len(meshes) > 1:
+		return nil, fmt.Errorf("solver: the %s engine runs on one mesh, not %d", kind, len(meshes))
+	}
+	switch kind {
+	case KindSingle:
+		return NewSingleGrid(meshes[0], p), nil
+	case KindSM:
+		sm, err := smsolver.New(meshes[0], p, c.Workers)
+		if err != nil {
+			return nil, err
+		}
+		return steadySM(sm, p), nil
+	case KindMG:
+		mg, err := multigrid.New(meshes, p, c.Gamma)
+		if err != nil {
+			return nil, err
+		}
+		return &Steady{s: &mgStepper{mg: mg}, MG: mg, cfl: p.CFL}, nil
+	}
+	mg, err := smsolver.NewMultigrid(meshes, p, c.Gamma, c.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return steadySM(sm, p), nil
+	return &Steady{s: &smgStepper{mg: mg}, cfl: p.CFL, close: mg.Close}, nil
+}
+
+// NewSingleGrid builds the sequential single-grid steady solver over m: the
+// pooled engine's kernels at one worker in m's own edge and face order
+// (smsolver.NewSequential), bitwise euler.Disc.Step on m. It reports the six
+// step phases in Stats and accepts a tracer. It is Open's KindSingle.
+func NewSingleGrid(m *mesh.Mesh, p euler.Params) *Steady {
+	return steadySM(smsolver.NewSequential(m, p), p)
 }
 
 func steadySM(sm *smsolver.Solver, p euler.Params) *Steady {
@@ -136,29 +194,6 @@ func (s *smgStepper) cycle() float64          { return s.mg.Cycle() }
 func (s *smgStepper) solution() []euler.State { return s.mg.Fine().W }
 func (s *smgStepper) stats() perf.Stats       { return s.mg.Stats() }
 func (s *smgStepper) initUniform()            { s.mg.InitUniform() }
-
-// NewSharedMemoryMultigrid builds a multigrid steady solver over the mesh
-// sequence (finest first) with cycle index gamma, driven by the persistent
-// worker-pool engine with nworkers workers (0 = GOMAXPROCS). Cycles are
-// bitwise reproducible for any worker count; per-level timings are
-// available from Stats. Call Close when done to park the pool.
-func NewSharedMemoryMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int) (*Steady, error) {
-	mg, err := smsolver.NewMultigrid(meshes, p, gamma, nworkers)
-	if err != nil {
-		return nil, err
-	}
-	return &Steady{s: &smgStepper{mg: mg}, cfl: p.CFL, close: mg.Close}, nil
-}
-
-// NewMultigrid builds a multigrid steady solver over the mesh sequence
-// (finest first) with cycle index gamma.
-func NewMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma int) (*Steady, error) {
-	mg, err := multigrid.New(meshes, p, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return &Steady{s: &mgStepper{mg: mg}, MG: mg, cfl: p.CFL}, nil
-}
 
 // Steady is a steady-state solver ready to Run.
 type Steady struct {

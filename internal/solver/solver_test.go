@@ -41,7 +41,7 @@ func TestMultigridRunToleranceStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewMultigrid(seq, euler.DefaultParams(0.3, 0), 2)
+	st, err := Open(seq, euler.DefaultParams(0.3, 0), Config{Kind: KindMG, Gamma: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,14 @@ func (r *Figure2Result) OrdersReduced(name string) float64 {
 	return -math.Log10(last)
 }
 
-// CSV renders all series as cycle,strategy,residual rows.
+// CSV renders all series as cycle,strategy,residual rows, in the order
+// Figure2 runs the strategies (a map range would shuffle them run to run).
 func (r *Figure2Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("cycle,strategy,normalized_residual\n")
-	for name, series := range r.Series {
-		for _, pt := range series {
+	for _, strategy := range []Strategy{SingleGrid, VCycle, WCycle} {
+		name := strategy.String()
+		for _, pt := range r.Series[name] {
 			fmt.Fprintf(&b, "%d,%s,%.6e\n", pt.Cycle, name, pt.Residual)
 		}
 	}
