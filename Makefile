@@ -27,8 +27,8 @@ test:
 race:
 	$(GO) test -race ./internal/color/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 
-# Non-test Go lines per internal package, their total, and per command —
-# the figures ROADMAP and the issues quote. Plain line counts: comments and
+# Non-test Go lines per internal package, their total, per command and
+# over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and
 # blanks included, _test.go files not. The benchmark programs (cmd/bench*)
 # are left out: no issue counts them.
 loc:
@@ -36,7 +36,7 @@ loc:
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
 	done; \
 	printf '%6d  total (internal)\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
-	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition; do \
+	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition examples; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 

@@ -51,7 +51,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 		b.Fatal(err)
 	}
 	canonical := func(m *mesh.Mesh) *mesh.Mesh {
-		c, _, _, err := reorder.ColorCanonical(m)
+		c, err := reorder.ColorCanonical(m)
 		if err != nil {
 			b.Fatal(err)
 		}

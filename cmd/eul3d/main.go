@@ -51,14 +51,14 @@ var (
 	tol      = flag.Float64("tol", 1e-6, "relative residual tolerance (0 = run all cycles)")
 	seed     = flag.Int64("seed", 17, "mesh jitter seed")
 	logEvery = flag.Int("log-every", 25, "cycles between progress lines (0 = silent)")
-	contours = flag.Bool("contours", false, "print ASCII Mach contours of the final solution")
+	contours = flag.Bool("contours", false, "print ASCII Mach contours of the final solution's mid-span plane (every in-process strategy)")
 	workers  = flag.Int("workers", 0, "shared-memory worker-pool solver with this many workers (0 = sequential); works with every strategy")
 	stats    = flag.Bool("stats", false, "print the per-phase wall-clock / Mflops breakdown after the run")
 	meshPfx  = flag.String("mesh-prefix", "", "load meshes from <prefix>.L<level>.mesh (see cmd/meshgen) instead of generating")
 	saveSol  = flag.String("save-solution", "", "write the converged fine-grid solution to this file")
 	saveVTK  = flag.String("save-vtk", "", "write mesh + solution as a legacy VTK file (ParaView)")
 	initSol  = flag.String("init-solution", "", "warm-start from a saved solution file")
-	fmg      = flag.Int("fmg", 0, "full-multigrid initialization: cycles per coarse level (0 = off)")
+	fmg      = flag.Int("fmg", 0, "full-multigrid initialization: cycles per coarse level (0 = off; -strategy v or w, with or without -workers)")
 	history  = flag.String("history", "", "write the residual history as CSV to this file")
 	tracePth = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
 
@@ -228,6 +228,9 @@ func main() {
 	}
 
 	cfg := engineConfig()
+	if *fmg > 0 && cfg.Gamma == 0 {
+		log.Fatalf("eul3d: -fmg requires a multigrid strategy")
+	}
 	nlev := 1
 	if cfg.Gamma > 0 {
 		nlev = *levels
@@ -260,12 +263,6 @@ func main() {
 	}
 
 	if *fmg > 0 {
-		if st.MG == nil {
-			if *workers > 0 {
-				log.Fatalf("eul3d: -fmg is not supported by the pooled multigrid; drop -workers")
-			}
-			log.Fatalf("eul3d: -fmg requires a multigrid strategy")
-		}
 		st.MG.FMGInit(*fmg)
 		fmt.Printf("full-multigrid initialization: %d cycles per coarse level\n", *fmg)
 	}
@@ -290,11 +287,8 @@ func main() {
 		}
 	}
 	if tracer != nil {
-		if st.SetTrace(tracer) {
-			fmt.Printf("flight recorder armed; trace goes to %s\n", *tracePth)
-		} else {
-			fmt.Printf("(-trace: strategy %q without -workers has no traced stepper; trace will be empty)\n", *strategy)
-		}
+		st.SetTrace(tracer)
+		fmt.Printf("flight recorder armed; trace goes to %s\n", *tracePth)
 	}
 
 	res, err := st.Run(solver.Options{
@@ -314,12 +308,10 @@ func main() {
 		statsTitle: "per-phase breakdown (analytic flop counts)", stats: st.Stats(),
 	})
 
-	if *contours && st.MG != nil {
-		f := tables.Figure4(st.MG, 78, 24)
+	if *contours {
+		f := tables.MachPlane(fineMesh, res.FineSolution, p.Gas, 78, 24)
 		fmt.Println("\nMach contours on the mid-span plane:")
 		fmt.Print(f.ASCII())
-	} else if *contours {
-		fmt.Println("(-contours requires the sequential multigrid strategy)")
 	}
 }
 

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -113,6 +115,52 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 	} {
 		refuses(t, "TestIgnoredFlagsRejected", tc.args, tc.want)
 	}
+}
+
+// runs runs eul3d with args in a re-exec'd copy of the test binary,
+// through the named test, requires a zero exit and returns the output.
+func runs(t *testing.T, test, args string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "EUL3D_TEST_MAIN_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("eul3d %s: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// TestEveryStrategyHonoursFMGContoursAndTrace: every in-process engine is
+// the pooled engine on one of two layouts, so -fmg runs on the pooled
+// multigrid, -contours prints the raster after a single-grid run and
+// -trace records the sequential multigrid. -fmg stays refused where there
+// is no coarse grid to start from.
+func TestEveryStrategyHonoursFMGContoursAndTrace(t *testing.T) {
+	mainIfReexeced()
+	small := "-nx 10 -ny 6 -nz 4 -levels 3 -cycles 3 -tol 0 -log-every 0 "
+
+	if out := runs(t, "TestEveryStrategyHonoursFMGContoursAndTrace", small+"-strategy w -workers 2 -fmg 3"); !strings.Contains(out, "full-multigrid initialization: 3 cycles per coarse level") {
+		t.Errorf("-strategy w -workers 2 -fmg 3 did not initialize:\n%s", out)
+	}
+	if out := runs(t, "TestEveryStrategyHonoursFMGContoursAndTrace", small+"-strategy single -workers 2 -contours"); !strings.Contains(out, "Mach contours on the mid-span plane:") || !strings.Contains(out, "Mach range [") {
+		t.Errorf("-strategy single -workers 2 -contours printed no raster:\n%s", out)
+	}
+	path := filepath.Join(t.TempDir(), "t.json")
+	runs(t, "TestEveryStrategyHonoursFMGContoursAndTrace", small+"-strategy v -trace "+path)
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if b, err := os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(b, &tr); err != nil {
+		t.Fatalf("-strategy v -trace: %v", err)
+	}
+	if len(tr.TraceEvents) == 0 {
+		t.Error("-strategy v -trace wrote an empty trace")
+	}
+
+	refuses(t, "TestEveryStrategyHonoursFMGContoursAndTrace", small+"-strategy single -fmg 3", "-fmg requires a multigrid strategy")
+	refuses(t, "TestEveryStrategyHonoursFMGContoursAndTrace", small+"-strategy single -adapt -fmg 3", "-adapt is incompatible with -fmg")
 }
 
 // A clean (finite) history must not exit, whatever the solution holds.

@@ -79,7 +79,7 @@ func main() {
 	}
 
 	fmt.Println("\nMach contours (mid-span plane, '*' = supersonic):")
-	f := tables.Figure4(st.MG, 78, 22)
+	f := tables.MachPlane(m, res.FineSolution, g, 78, 22)
 	fmt.Print(f.ASCII())
 }
 

@@ -175,16 +175,6 @@ func (b *Blocks) GroupRuns(g int) []int32 {
 	return b.Run[lo : hi+1]
 }
 
-// UnitRuns returns a copy of c as the block coloring with runs of one
-// element.
-func UnitRuns(c *Coloring) *Blocks {
-	run := make([]int32, len(c.Order)+1)
-	for i := range run {
-		run[i] = int32(i)
-	}
-	return &Blocks{Coloring: Coloring{Order: slices.Clone(c.Order), Start: slices.Clone(c.Start)}, Run: run}
-}
-
 // VerifyBlocks checks that b is a block coloring of elems: Order a
 // permutation, every run a contiguous ascending range of the source list,
 // every group boundary a run boundary, and no vertex in two runs of one

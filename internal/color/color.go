@@ -56,19 +56,6 @@ func unitColoring[E Elem](nv int, elems []E) (*Coloring, error) {
 	return &Coloring{Order: bl.Order, Start: bl.Start}, nil // not &bl.Coloring: that would keep the run table and scratch alive
 }
 
-// IdentityRuns returns the coloring whose group g is the contiguous
-// identity range [start[g], start[g+1]) — for element lists already
-// stored in color-grouped order (reorder.ColorCanonical), where iterating
-// the elements in index order IS iterating them in color order.
-func IdentityRuns(start []int32) *Coloring {
-	n := int(start[len(start)-1])
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return &Coloring{Order: order, Start: append([]int32(nil), start...)}
-}
-
 // Verify checks that the coloring is a permutation of the edge list and
 // that no two edges within a group share a vertex.
 func Verify(c *Coloring, nv int, edges [][2]int32) error { return verify(c, nv, edges) }

@@ -35,7 +35,7 @@ func BenchmarkEdgeSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := euler.DefaultParams(0.768, 0)
-	greedy, _, _, err := reorder.ColorCanonical(src)
+	greedy, err := reorder.ColorCanonical(src)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package multigrid
 import (
 	"fmt"
 	"strings"
+
+	"eul3d/internal/mesh"
 )
 
 // EventKind distinguishes the two operations plotted in Figure 1 of the
@@ -91,12 +93,12 @@ func Diagram(levels, gamma int) string {
 	return b.String()
 }
 
-// levelWords estimates the storage of one solver level in 8-byte words:
-// mesh arrays (coordinates, dual volumes, edge endpoints and normals,
-// boundary faces), solver state and scratch (Disc + workspace + the level's
-// solution/residual arrays), and optionally the FAS forcing array.
-func levelWords(l *Level, withForcing bool) float64 {
-	m := l.Disc.M
+// levelWords estimates the storage of one solver level on m in 8-byte
+// words: mesh arrays (coordinates, dual volumes, edge endpoints and
+// normals, boundary faces), solver state and scratch (Disc + workspace +
+// the level's solution/residual arrays), and optionally the FAS forcing
+// array.
+func levelWords(m *mesh.Mesh, withForcing bool) float64 {
 	nv := float64(m.NV())
 	ne := float64(m.NE())
 	nbf := float64(len(m.BFaces))
@@ -111,22 +113,32 @@ func levelWords(l *Level, withForcing bool) float64 {
 	return words
 }
 
-// MemoryOverhead returns the fractional extra storage of the multigrid
-// solver relative to a single-grid solver on the finest mesh: all coarser
-// grid levels with their solver arrays, plus the inter-grid transfer
-// coefficients (4 addresses + 4 weights per vertex in each direction). The
-// paper reports roughly a 33% increase.
-func (s *Solver) MemoryOverhead() float64 {
-	base := levelWords(s.Levels[0], false)
+// MemoryOverhead returns the fractional extra storage of a multigrid
+// solver over meshes (finest first) relative to a single-grid solver on
+// the finest mesh: all coarser grid levels with their solver arrays, plus
+// the inter-grid transfer coefficients (4 addresses + 4 weights per vertex
+// in each direction). The paper reports roughly a 33% increase. It is a
+// model of the storage, a function of the meshes' sizes alone, so every
+// engine on the same sequence reports the same figure.
+func MemoryOverhead(meshes []*mesh.Mesh) float64 {
+	base := levelWords(meshes[0], false)
 	extra := 0.0
-	for l := 1; l < len(s.Levels); l++ {
-		lev := s.Levels[l]
-		extra += levelWords(lev, true)
-		// Transfer coefficients: Restrict is sized by this level's
-		// vertices, Prolong by the finer level's (4 int32 + 4 float64
-		// per vertex each, i.e. 6 words).
-		extra += 6 * float64(len(lev.Restrict.Addr))
-		extra += 6 * float64(len(lev.Prolong.Addr))
+	for l := 1; l < len(meshes); l++ {
+		extra += levelWords(meshes[l], true)
+		// Transfer coefficients: the restriction is sized by this level's
+		// vertices, the prolongation by the finer level's (4 int32 + 4
+		// float64 per vertex each, i.e. 6 words).
+		extra += 6 * float64(meshes[l].NV())
+		extra += 6 * float64(meshes[l-1].NV())
 	}
 	return extra / base
+}
+
+// MemoryOverhead returns MemoryOverhead of the solver's meshes.
+func (s *Solver) MemoryOverhead() float64 {
+	meshes := make([]*mesh.Mesh, len(s.Levels))
+	for l, lev := range s.Levels {
+		meshes[l] = lev.Disc.M
+	}
+	return MemoryOverhead(meshes)
 }

@@ -101,24 +101,19 @@ func RCMMesh(m *mesh.Mesh) (*mesh.Mesh, error) {
 
 // ColorCanonical returns a copy of m whose edge list (with its dual
 // normals) and boundary-face list are permuted into the group order of the
-// per-element greedy colorings, together with the identity-run colorings
-// aligned with the new index order. On the canonical mesh a sequential loop
-// over the edges visits each vertex's edges in exactly the order a pooled
-// shared-memory engine handed these colorings does (smsolver.NewColored /
-// NewMultigridColored: a per-element coloring is the engine's block
-// coloring with runs of one), so that engine is *bitwise identical* to the
-// sequential solver, not merely roundoff-equal — the basis of the
-// cross-engine conformance suite. It is not the layout smsolver.New builds
-// for itself, which groups cache-sized runs of m's own edge order and is
-// bitwise the sequential solver on its own view (Solver.D.M) instead.
-// Geometry, topology and control volumes
-// are untouched (X, Tets, Vol are shared with m); only the iteration
-// order of the element lists changes, which is solution-neutral for the
-// sequential solver up to its own accumulation roundoff.
-func ColorCanonical(m *mesh.Mesh) (*mesh.Mesh, *color.Coloring, *color.Coloring, error) {
+// per-element greedy colorings (color.Greedy, color.GreedyFaces): the order
+// a vector pipe walks, in which no two consecutive edges of a color share a
+// vertex. It is an input to the edge-ordering studies (the ordering
+// ablation, BenchmarkEdgeSweep), not a layout any engine builds: the pooled
+// engine groups cache-sized runs of m's own edge order instead (its view,
+// smsolver.Solver.D.M). Geometry, topology and control volumes are
+// untouched (X, Tets, Vol are shared with m); only the iteration order of
+// the element lists changes, which is solution-neutral for the sequential
+// solver up to its own accumulation roundoff.
+func ColorCanonical(m *mesh.Mesh) (*mesh.Mesh, error) {
 	ec, err := color.Greedy(m.NV(), m.Edges)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reorder: edge coloring: %w", err)
+		return nil, fmt.Errorf("reorder: edge coloring: %w", err)
 	}
 	faces := make([][3]int32, len(m.BFaces))
 	for i := range m.BFaces {
@@ -126,7 +121,7 @@ func ColorCanonical(m *mesh.Mesh) (*mesh.Mesh, *color.Coloring, *color.Coloring,
 	}
 	fc, err := color.GreedyFaces(m.NV(), faces)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reorder: face coloring: %w", err)
+		return nil, fmt.Errorf("reorder: face coloring: %w", err)
 	}
 	out := &mesh.Mesh{
 		X:        m.X,
@@ -143,5 +138,5 @@ func ColorCanonical(m *mesh.Mesh) (*mesh.Mesh, *color.Coloring, *color.Coloring,
 	for at, fi := range fc.Order {
 		out.BFaces[at] = m.BFaces[fi]
 	}
-	return out, color.IdentityRuns(ec.Start), color.IdentityRuns(fc.Start), nil
+	return out, nil
 }

@@ -9,18 +9,19 @@ import (
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/partition"
-	"eul3d/internal/reorder"
 	"eul3d/internal/scenario"
 	"eul3d/internal/smsolver"
 )
 
 // TestScenarioConformance extends the cross-engine bitwise suite to the
-// scenario presets: on a color-canonical scenario mesh, the sequential
-// stepper, the pooled engine at workers {1, 2, 8}, the pooled engine's
-// serial-cutoff inline path, and the distributed engine on one processor
-// (sequential orchestration and concurrent MIMD) must produce
+// scenario presets: on the pooled engine's view of a scenario mesh
+// (smsolver.Solver.D.M, the order its sweeps accumulate in), the reference
+// stepper, the pooled engine at workers {1, 2, 8} on the mesh itself, the
+// pooled engine's serial-cutoff inline path, and the distributed engine on
+// one processor (sequential orchestration and concurrent MIMD) must produce
 // bitwise-identical residual histories and solutions from the scenario's
 // initial state. The presets run with ConvexLimit and (for the unsteady
 // ones) GlobalDt, so this is the bitwise check of the limiter and the
@@ -41,11 +42,8 @@ func TestScenarioConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm, ec, fc, err := reorder.ColorCanonical(m)
-			if err != nil {
-				t.Fatal(err)
-			}
 			p := sc.Params()
+			cm := view(t, m, p)
 			steps := sc.Steps
 			if steps > 25 {
 				steps = 25 // the startup transient is where the limiter fires
@@ -64,12 +62,12 @@ func TestScenarioConformance(t *testing.T) {
 				t.Helper()
 				defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
 				smsolver.SerialCutoffEdges = cutoff
-				s, err := smsolver.NewColored(cm, p, nw, ec, fc)
+				s, err := smsolver.New(m, p, nw)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				w := sc.InitialState(cm)
+				w := sc.InitialState(m)
 				for c := 0; c < steps; c++ {
 					if norm := s.Step(w, nil); norm != refHist[c] {
 						t.Fatalf("%s: step %d norm %v, sequential %v", label, c, norm, refHist[c])
@@ -145,24 +143,32 @@ func TestScenarioStepAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm, ec, fc, err := reorder.ColorCanonical(m)
-			if err != nil {
-				t.Fatal(err)
-			}
 			defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
 			smsolver.SerialCutoffEdges = 0
-			s, err := smsolver.NewColored(cm, sc.Params(), 2, ec, fc)
+			s, err := smsolver.New(m, sc.Params(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			w := sc.InitialState(cm)
+			w := sc.InitialState(m)
 			s.Step(w, nil) // the first step is the limiter-heavy one; warm it up
 			if allocs := stepAllocs(s, w, 5); allocs != 0 {
 				t.Fatalf("5 steps of the limited pooled step path allocate %d times", allocs)
 			}
 		})
 	}
+}
+
+// view returns the pooled engine's view of m: m with its edge and
+// boundary-face lists in the block layout's order.
+func view(t *testing.T, m *mesh.Mesh, p euler.Params) *mesh.Mesh {
+	t.Helper()
+	s, err := smsolver.New(m, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	return s.D.M
 }
 
 // stepAllocs counts, exactly and once, the heap allocations of n

@@ -55,7 +55,7 @@ func BenchmarkBuildLayout(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildLayout(m, nil, nil); err != nil {
+		if _, err := buildLayout(m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkRunLength(b *testing.B) {
 	engineAt := func(m *mesh.Mesh, runLength, nw int) *Solver {
 		lay := &layout{view: &mesh.Mesh{}}
 		if runLength == 0 {
-			if err := lay.fill(m, nil, nil); err != nil {
+			if err := lay.fill(m); err != nil {
 				b.Fatal(err)
 			}
 		} else {

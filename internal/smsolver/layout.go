@@ -21,8 +21,7 @@ import (
 // group share a vertex, and a worker's share of a group is whole runs in
 // their source order. Vertex numbering is the source mesh's, so nothing is
 // permuted at the []State boundary. A layout is a pure function of the
-// mesh (or of the mesh and the caller's colorings), never of the worker
-// count.
+// mesh, never of the worker count.
 type layout struct {
 	// view has Edges, EdgeNorm and BFaces in group order and shares X, Tets
 	// and Vol with the source. edges and faces describe the view itself —
@@ -37,8 +36,8 @@ type layout struct {
 	// order the edge sweep adds them into vertex i's sum.
 	adjStart, adj []int32
 
-	// inOrder marks NewSequential's layout (fillInOrder), which one worker
-	// walks: each list is one run.
+	// inOrder marks the sequential engines' layout (fillInOrder), which one
+	// worker walks: each list is one run.
 	inOrder bool
 }
 
@@ -101,63 +100,54 @@ type layoutResult struct {
 	err error
 }
 
-// layoutFor returns the layout an engine on m runs over. With no colorings
-// given it is the block-colored one, built once per finished mesh
-// (mesh.Derived) and shared by every engine on it; a caller-provided
-// per-element coloring (a nil one of the pair selects the block coloring)
-// gets a private layout.
-func layoutFor(m *mesh.Mesh, ec, fc *color.Coloring) (*layout, error) {
-	if ec == nil && fc == nil {
-		r := m.Derived(func(m *mesh.Mesh) any {
-			lay, err := buildLayout(m, nil, nil)
-			// Shared and never refilled: keep only what the sweeps read.
-			lay.tris = nil
-			lay.edges.DropScratch()
-			lay.faces.DropScratch()
-			return layoutResult{lay, err}
-		}).(layoutResult)
-		return r.lay, r.err
-	}
-	return buildLayout(m, ec, fc)
+// layoutFor returns the block-colored layout an engine on m runs over,
+// built once per finished mesh (mesh.Derived) and shared by every engine on
+// it.
+func layoutFor(m *mesh.Mesh) (*layout, error) {
+	r := m.Derived(func(m *mesh.Mesh) any {
+		lay, err := buildLayout(m)
+		// Shared and never refilled: keep only what the sweeps read.
+		lay.tris = nil
+		lay.edges.DropScratch()
+		lay.faces.DropScratch()
+		return layoutResult{lay, err}
+	}).(layoutResult)
+	return r.lay, r.err
 }
 
-func buildLayout(src *mesh.Mesh, ec, fc *color.Coloring) (*layout, error) {
+func buildLayout(src *mesh.Mesh) (*layout, error) {
 	lay := &layout{view: &mesh.Mesh{}}
-	return lay, lay.fill(src, ec, fc)
+	return lay, lay.fill(src)
 }
 
-// fill (re)builds the layout over src, reusing the layout's arrays where
-// their capacity allows (euler.Grow). A per-element coloring the caller
-// provides (verified here) is the block coloring with runs of one element;
-// the lists it does not cover are block-colored by the rule above. On error
-// the layout is left half-filled.
-func (lay *layout) fill(src *mesh.Mesh, ec, fc *color.Coloring) error {
+// fill (re)builds the block-colored layout over src, reusing the layout's
+// arrays where their capacity allows (euler.Grow). On error the layout is
+// left half-filled.
+func (lay *layout) fill(src *mesh.Mesh) error {
 	nv := src.NV()
 	lay.tris = euler.Grow(lay.tris, len(src.BFaces))
 	for i := range src.BFaces {
 		lay.tris[i] = src.BFaces[i].V
 	}
-	if ec != nil {
-		if err := color.Verify(ec, nv, src.Edges); err != nil {
-			return fmt.Errorf("edge coloring: %w", err)
-		}
-		lay.edges = *color.UnitRuns(ec)
-	} else if err := colorBlocks(&lay.edges, nv, src.Edges); err != nil {
+	if err := colorBlocks(&lay.edges, nv, src.Edges); err != nil {
 		return fmt.Errorf("edge coloring: %w", err)
 	}
-	if fc != nil {
-		if err := color.VerifyFaces(fc, nv, lay.tris); err != nil {
-			return fmt.Errorf("face coloring: %w", err)
-		}
-		lay.faces = *color.UnitRuns(fc)
-	} else if err := colorBlocks(&lay.faces, nv, lay.tris); err != nil {
+	if err := colorBlocks(&lay.faces, nv, lay.tris); err != nil {
 		return fmt.Errorf("face coloring: %w", err)
 	}
 	lay.permute(src)
 	return nil
 }
 
-// fillInOrder (re)builds the sequential engine's layout over src: the view
+// inOrder returns the one-worker layout over m (fillInOrder), private to
+// the engine that asks.
+func inOrder(m *mesh.Mesh) *layout {
+	lay := &layout{}
+	lay.fillInOrder(m)
+	return lay
+}
+
+// fillInOrder (re)builds a sequential engine's layout over src: the view
 // is src itself and each list one group holding one run in src's order, so
 // a sweep accumulates every vertex in the reference operator's order.
 func (lay *layout) fillInOrder(src *mesh.Mesh) {

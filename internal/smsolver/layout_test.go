@@ -3,7 +3,6 @@ package smsolver
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -22,7 +21,7 @@ import (
 // followed by SmoothCombineSoAKernel, for 1–3 sweeps with averaging on and
 // with eps = 0.
 func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
-	lay, err := layoutFor(testMesh(t), nil, nil)
+	lay, err := layoutFor(testMesh(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,20 +131,14 @@ func TestLayoutSharedPerMesh(t *testing.T) {
 	}
 }
 
-// TestNewMatchesCanonicalAndSequential holds the two bitwise contracts of
-// the layout, at every worker count. New(m) runs over a view of m whose
-// stored edge order is the order the pooled sweeps accumulate in, so it
-// equals the sequential solver on that view (Solver.D.M). And a per-edge
-// coloring is the block coloring with runs of one: NewColored over the
-// mesh's color-canonical form with its identity-run colorings equals the
-// sequential solver on the canonical mesh.
-func TestNewMatchesCanonicalAndSequential(t *testing.T) {
+// TestNewMatchesSequentialOnView holds the bitwise contract of the layout,
+// at every worker count and either side of the serial cutoff: New(m) runs
+// over a view of m whose stored edge order is the order the pooled sweeps
+// accumulate in, so it equals the sequential solver on that view
+// (Solver.D.M).
+func TestNewMatchesSequentialOnView(t *testing.T) {
 	m := testMesh(t)
 	p := euler.DefaultParams(0.675, 0)
-	mc, ec, fc, err := reorder.ColorCanonical(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const steps = 6
 	sequential := func(on *mesh.Mesh) ([steps]float64, []euler.State) {
 		d := euler.NewDisc(on, p)
@@ -162,32 +155,22 @@ func TestNewMatchesCanonicalAndSequential(t *testing.T) {
 	for _, cutoff := range []int{0, SerialCutoffEdges} {
 		withCutoff(t, cutoff, func() {
 			for _, nw := range []int{1, 2, 8} {
-				plain, err := New(m, p, nw)
+				s, err := New(m, p, nw)
 				if err != nil {
 					t.Fatal(err)
 				}
-				colored, err := NewColored(mc, p, nw, ec, fc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, tc := range []struct {
-					name string
-					s    *Solver
-					on   *mesh.Mesh
-				}{{"New vs sequential on its view", plain, plain.D.M}, {"NewColored vs sequential on the canonical mesh", colored, mc}} {
-					seqNorms, wSeq := sequential(tc.on)
-					w := make([]euler.State, m.NV())
-					tc.s.InitUniform(w)
-					for c := 0; c < steps; c++ {
-						if n := tc.s.Step(w, nil); n != seqNorms[c] {
-							t.Fatalf("%s, cutoff=%d nw=%d step %d: norm %v vs %v", tc.name, cutoff, nw, c, n, seqNorms[c])
-						}
+				seqNorms, wSeq := sequential(s.D.M)
+				w := make([]euler.State, m.NV())
+				s.InitUniform(w)
+				for c := 0; c < steps; c++ {
+					if n := s.Step(w, nil); n != seqNorms[c] {
+						t.Fatalf("cutoff=%d nw=%d step %d: norm %v, sequential on the view %v", cutoff, nw, c, n, seqNorms[c])
 					}
-					tc.s.Close()
-					for i := range w {
-						if w[i] != wSeq[i] {
-							t.Fatalf("%s, cutoff=%d nw=%d: vertex %d: %v vs %v", tc.name, cutoff, nw, i, w[i], wSeq[i])
-						}
+				}
+				s.Close()
+				for i := range w {
+					if w[i] != wSeq[i] {
+						t.Fatalf("cutoff=%d nw=%d: vertex %d: %v, sequential on the view %v", cutoff, nw, i, w[i], wSeq[i])
 					}
 				}
 			}
@@ -329,8 +312,7 @@ func checkLayout(t *testing.T, lay *layout) {
 
 // TestLayoutStructure checks the layout of the meshes the engine meets: the
 // generated channel at two sizes (the rule's run length), a selectively
-// refined one (an adaptive epoch's), a 3-level sequence's coarse levels, and
-// per-edge colorings handed to NewColored (runs of one).
+// refined one (an adaptive epoch's) and a 3-level sequence's coarse levels.
 func TestLayoutStructure(t *testing.T) {
 	withCutoff(t, 0, func() {
 		big, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
@@ -340,7 +322,7 @@ func TestLayoutStructure(t *testing.T) {
 		_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
 		meshes := append(testSequence(t, 3), testMesh(t), big, r.Mesh)
 		for _, m := range meshes {
-			lay, err := layoutFor(m, nil, nil)
+			lay, err := layoutFor(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,37 +331,8 @@ func TestLayoutStructure(t *testing.T) {
 				t.Errorf("%d-edge mesh: %d groups, balanced %v", m.NE(), ng, balanced(&lay.edges))
 			}
 		}
-		if lay, _ := layoutFor(big, nil, nil); lay.edges.NumRuns() > 2*runsWanted || lay.edges.NumColors() >= 15 {
+		if lay, _ := layoutFor(big); lay.edges.NumRuns() > 2*runsWanted || lay.edges.NumColors() >= 15 {
 			t.Errorf("generated channel: %d runs in %d groups — the layout fell back on a mesh that is local", lay.edges.NumRuns(), lay.edges.NumColors())
-		}
-
-		mc, ec, fc, err := reorder.ColorCanonical(testMesh(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay, err := layoutFor(mc, ec, fc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkLayout(t, lay)
-		if lay.edges.NumRuns() != mc.NE() || !slices.Equal(lay.view.Edges, mc.Edges) {
-			t.Error("a per-edge coloring did not become runs of one over the canonical order")
-		}
-
-		// A coloring that is not already the stored order: the layout permutes
-		// by a copy, the caller's coloring is left as it was.
-		src := testMesh(t)
-		greedy, err := color.Greedy(src.NV(), src.Edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := slices.Clone(greedy.Order)
-		if lay, err = layoutFor(src, greedy, nil); err != nil {
-			t.Fatal(err)
-		}
-		checkLayout(t, lay)
-		if !slices.Equal(greedy.Order, want) {
-			t.Error("building a layout overwrote the caller's coloring")
 		}
 	})
 }
@@ -400,12 +353,12 @@ func TestScrambledMeshFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay, err := layoutFor(m, nil, nil)
+	lay, err := layoutFor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLayout(t, lay)
-	natLay, err := layoutFor(nat, nil, nil)
+	natLay, err := layoutFor(nat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
@@ -34,13 +33,6 @@ type MGLevel struct {
 	scatter  *multigrid.ScatterPlan
 }
 
-// Colorings carries optional precomputed edge and boundary-face colorings
-// for one level of NewMultigridColored.
-type Colorings struct {
-	Edges *color.Coloring
-	Faces *color.Coloring
-}
-
 // Multigrid drives FAS multigrid cycles with every level's RK stages,
 // residual evaluations, dissipation sweeps and inter-grid transfers
 // executed on one persistent worker pool: the same N parked workers serve
@@ -67,37 +59,38 @@ type Multigrid struct {
 
 // NewMultigrid builds a pooled multigrid solver over meshes (finest
 // first) with cycle index gamma (1 for V, 2 for W) and nworkers workers
-// (<= 0 selects GOMAXPROCS). The transfer operators and their
-// destination-grouped scatter plans are computed here, as are every
-// level's layout and chunk tables.
+// (<= 0 selects GOMAXPROCS), every level on the block-colored layout of its
+// mesh. The transfer operators and their destination-grouped scatter plans
+// are computed here, as are every level's layout and chunk tables.
 func NewMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int) (*Multigrid, error) {
-	return NewMultigridColored(meshes, p, gamma, nworkers, nil)
+	if nworkers <= 0 {
+		nworkers = runtime.GOMAXPROCS(0)
+	}
+	return newMultigrid(meshes, p, gamma, nworkers, layoutFor)
 }
 
-// NewMultigridColored is NewMultigrid with caller-provided per-level
-// per-element colorings (nil entries select the block colorings) — used with
-// color-canonical mesh sequences for bitwise conformance against the
-// serial multigrid.
-func NewMultigridColored(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, cols []Colorings) (*Multigrid, error) {
+// NewSequentialMultigrid builds the sequential multigrid over meshes: this
+// engine at one worker, every level on NewSequential's layout of its mesh —
+// the mesh itself, each list one run in its own order. Every piece of the
+// cycle is then the reference operator's arithmetic in the reference
+// order: the step and residual, the transfers, the destination-grouped
+// scatter (whose rows keep the source order) and the gather smoother (whose
+// rows follow the mesh's edge order). So its cycles, and FMGInit, are
+// bitwise multigrid.Solver's on any mesh sequence.
+func NewSequentialMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma int) (*Multigrid, error) {
+	return newMultigrid(meshes, p, gamma, 1, func(m *mesh.Mesh) (*layout, error) { return inOrder(m), nil })
+}
+
+func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layoutOf func(*mesh.Mesh) (*layout, error)) (*Multigrid, error) {
 	if len(meshes) == 0 {
 		return nil, fmt.Errorf("smsolver: no meshes")
 	}
 	if gamma < 1 {
 		return nil, fmt.Errorf("smsolver: cycle index must be >= 1, got %d", gamma)
 	}
-	if cols != nil && len(cols) != len(meshes) {
-		return nil, fmt.Errorf("smsolver: %d colorings for %d meshes", len(cols), len(meshes))
-	}
-	if nworkers <= 0 {
-		nworkers = runtime.GOMAXPROCS(0)
-	}
 	mg := &Multigrid{Gamma: gamma, NWorkers: nworkers}
 	for l, m := range meshes {
-		var ec, fc *color.Coloring
-		if cols != nil {
-			ec, fc = cols[l].Edges, cols[l].Faces
-		}
-		lay, err := layoutFor(m, ec, fc)
+		lay, err := layoutOf(m)
 		if err != nil {
 			return nil, fmt.Errorf("smsolver: level %d: %w", l, err)
 		}
@@ -190,6 +183,24 @@ func (mg *Multigrid) InitUniform() {
 // counts accumulated over all cycles so far.
 func (mg *Multigrid) Stats() perf.Stats { return mg.eng.acc.Stats() }
 
+// MemoryOverhead returns the modelled extra storage of the sequence over a
+// single grid on the finest mesh (multigrid.MemoryOverhead).
+func (mg *Multigrid) MemoryOverhead() float64 {
+	views := make([]*mesh.Mesh, len(mg.levels))
+	for l, lev := range mg.levels {
+		views[l] = lev.eng.d.M
+	}
+	return multigrid.MemoryOverhead(views)
+}
+
+// FMGInit performs full-multigrid initialization (multigrid.FMG) with
+// cyclesPerLevel cycles per coarse level, on the pool. After FMGInit, Cycle
+// continues on the finest grid as usual.
+func (mg *Multigrid) FMGInit(cyclesPerLevel int) {
+	clear(mg.levels[len(mg.levels)-1].Forcing)
+	multigrid.FMG(pooled{mg}, len(mg.levels), mg.Gamma, cyclesPerLevel) // pooled hooks never fail
+}
+
 // CycleFlops returns the analytic flop count of one full cycle (the sum
 // of every level visit's step, residual, transfer and correction work).
 func (mg *Multigrid) CycleFlops() int64 { return mg.cost.CycleFlops(mg.Gamma) }
@@ -221,9 +232,10 @@ func (mg *Multigrid) Cycle() float64 {
 // pooled is the Multigrid's execution of the cycle's pieces — the exact
 // arithmetic of the serial multigrid's, every piece dispatched to the
 // worker pool: one pooled time-step, pooled residual + forcing, chunked
-// restriction (interp + destination-grouped scatter), and the chunked
-// prolongation with pooled correction smoothing. It is one pointer, so
-// multigrid.Cycle holds it without allocating. Its hooks never fail.
+// restriction (interp + destination-grouped scatter), the chunked
+// prolongation with pooled correction smoothing, and FMG's lift. It is one
+// pointer, so multigrid.Cycle holds it without allocating. Its hooks never
+// fail.
 type pooled struct{ *Multigrid }
 
 func (mg pooled) Step(l int) (float64, error) {
@@ -276,5 +288,18 @@ func (mg pooled) Correct(l int) error {
 	e.smooth(lev.eng, euler.Block(&lev.Corr))
 	e.vertexOp(tApplyCorr, lev.eng, lev.W, nil, nil)
 	mg.tick(4*l+3, mg.cost[l].Correct, &t)
+	return nil
+}
+
+func (mg pooled) Lift(l int) error {
+	lev, from, e := mg.levels[l-1], mg.levels[l], &mg.eng
+
+	// Prolong the developed solution (not a correction), smooth the
+	// interpolation noise where it lies, and repair the result into W (the
+	// repaired states also land in the smoothing scratch, which is dead).
+	e.interp(from.prolong, from.W, lev.Corr, lev.eng.vertSpans, lev.eng.vertActive)
+	e.smooth(lev.eng, euler.Block(&lev.Corr))
+	e.vertexOp(tRepairSave, lev.eng, *e.smS, lev.W, nil)
+	clear(lev.Forcing)
 	return nil
 }

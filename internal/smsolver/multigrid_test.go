@@ -222,8 +222,11 @@ func TestMultigridValidation(t *testing.T) {
 	if _, err := NewMultigrid(meshes, p, 0, 1); err == nil {
 		t.Fatal("expected error for gamma 0")
 	}
-	if _, err := NewMultigridColored(meshes, p, 1, 1, make([]Colorings, 1)); err == nil {
-		t.Fatal("expected error for coloring count mismatch")
+	if _, err := NewSequentialMultigrid(nil, p, 1); err == nil {
+		t.Fatal("expected error for empty mesh list (sequential)")
+	}
+	if _, err := NewSequentialMultigrid(meshes, p, 0); err == nil {
+		t.Fatal("expected error for gamma 0 (sequential)")
 	}
 }
 
@@ -236,4 +239,39 @@ func TestMultigridCloseIdempotent(t *testing.T) {
 	mg.Cycle()
 	mg.Close()
 	mg.Close()
+}
+
+// TestSequentialMultigridLevelsAreSerial: NewSequentialMultigrid is
+// multigrid.Solver on every level, not only the finest — after a
+// full-multigrid initialization and after each W-cycle that follows, each
+// level's solution equals the reference's bit for bit, on a generated
+// sequence as it comes.
+func TestSequentialMultigridLevelsAreSerial(t *testing.T) {
+	meshes := testSequence(t, 3)
+	p := euler.DefaultParams(0.675, 0)
+	ref, err := multigrid.New(meshes, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := NewSequentialMultigrid(meshes, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mg.Close()
+	ref.FMGInit(3)
+	mg.FMGInit(3)
+	for c := 0; c <= 3; c++ {
+		if c > 0 {
+			if got, want := mg.Cycle(), ref.Cycle(); got != want {
+				t.Fatalf("cycle %d: norm %v, multigrid.Solver %v", c, got, want)
+			}
+		}
+		for l, lev := range mg.levels {
+			for i, w := range ref.Levels[l].W {
+				if lev.W[i] != w {
+					t.Fatalf("after cycle %d: level %d vertex %d: %v, multigrid.Solver %v", c, l, i, lev.W[i], w)
+				}
+			}
+		}
+	}
 }

@@ -37,7 +37,7 @@ func (s *Solver) Rebuild(m *mesh.Mesh, p euler.Params) error {
 	}
 	if lay.inOrder {
 		lay.fillInOrder(m)
-	} else if err := lay.fill(m, nil, nil); err != nil {
+	} else if err := lay.fill(m); err != nil {
 		return fmt.Errorf("smsolver: rebuild: %w", err)
 	}
 	le.lay, le.ownLay = lay, true

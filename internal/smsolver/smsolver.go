@@ -13,21 +13,23 @@
 // is independent of the chunking: the solver produces *bitwise identical*
 // results for every worker count (tests assert this).
 //
-// Every engine runs over a layout of its mesh (layout.go): the edge list,
-// its normals and the boundary faces physically permuted into group order,
-// runs kept in source order inside a group — Section 4.2's edge reordering
-// — so a worker's share of a group is an index range and every sweep
-// streams its element arrays. The layout is a pure function of the mesh,
-// built once per mesh (mesh.Derived) and shared by all engines on it. The
-// pooled solver is bitwise identical to the sequential solver on the view
-// (Solver.D.M), whose stored order is the order it accumulates in; against
-// the sequential solver on the source mesh, which accumulates in that
-// mesh's edge order, results agree to roundoff — exactly as on the original
+// Every engine runs over one of two layouts of its mesh (layout.go). The
+// block layout (New, NewMultigrid) has the edge list, its normals and the
+// boundary faces physically permuted into group order, runs kept in source
+// order inside a group — Section 4.2's edge reordering — so a worker's
+// share of a group is an index range and every sweep streams its element
+// arrays; it is a pure function of the mesh, built once per mesh
+// (mesh.Derived) and shared by all engines on it. The pooled solver is
+// bitwise identical to the sequential solver on that view (Solver.D.M),
+// whose stored order is the order it accumulates in; against the
+// sequential solver on the source mesh, which accumulates in that mesh's
+// edge order, results agree to roundoff — exactly as on the original
 // machine, where the vectorized/autotasked code also reordered the
-// accumulations. NewColored takes a per-edge coloring instead (runs of one
-// edge, the C90's form): on a mesh stored in that coloring's order
-// (reorder.ColorCanonical) it is bitwise the sequential solver on that
-// mesh, which is what the cross-engine conformance suites use.
+// accumulations. The in-order layout (NewSequential,
+// NewSequentialMultigrid) is the mesh itself at one worker, each list one
+// run: the reference operator's order, so those engines are bitwise
+// euler.Disc and multigrid.Solver on any mesh. The conformance suites
+// compare the two through the block layout's views.
 //
 // Execution uses a persistent worker pool (see pool.go): the workers are
 // spawned once, parked between parallel regions, and driven through
@@ -632,20 +634,10 @@ type Solver struct {
 // all engines on m share. nworkers <= 0 selects GOMAXPROCS. The worker
 // goroutines persist until Close (or until the Solver is garbage-collected).
 func New(m *mesh.Mesh, p euler.Params, nworkers int) (*Solver, error) {
-	return NewColored(m, p, nworkers, nil, nil)
-}
-
-// NewColored is New with caller-provided per-element edge and
-// boundary-face colorings (verified here; the layout is then private to
-// this solver) in place of the block colorings — each a block coloring with
-// runs of one. Used with color-canonical meshes, where the identity-run
-// colorings make the parallel solver bitwise identical to the sequential
-// one on that mesh.
-func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.Coloring) (*Solver, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	lay, err := layoutFor(m, edges, faces)
+	lay, err := layoutFor(m)
 	if err != nil {
 		return nil, fmt.Errorf("smsolver: %w", err)
 	}
@@ -658,9 +650,7 @@ func NewColored(m *mesh.Mesh, p euler.Params, nworkers int, edges, faces *color.
 // slot, and Rebuild keeps this form. The kernels are the reference
 // operator's arithmetic in its order, so Step is bitwise euler.Disc.Step.
 func NewSequential(m *mesh.Mesh, p euler.Params) *Solver {
-	lay := &layout{}
-	lay.fillInOrder(m)
-	s := newSolver(lay, p, 1)
+	s := newSolver(inOrder(m), p, 1)
 	s.le.ownLay = true // private: Rebuild refills it in place
 	return s
 }

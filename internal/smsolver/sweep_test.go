@@ -6,7 +6,6 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
-	"eul3d/internal/reorder"
 )
 
 // poisonVertexTerms overwrites d's per-vertex pressures, 1/rho and sound
@@ -143,9 +142,9 @@ func TestVertexTermsNeverStale(t *testing.T) {
 }
 
 // TestStageScheduleCorners: the parts of each stage's sweep follow from
-// q == 0 and q < euler.DissipStages, never from the five-stage scheme. On a
-// color-canonical mesh the pooled engine must stay bitwise equal to the
-// sequential one for schemes with fewer stages than dissipation
+// q == 0 and q < euler.DissipStages, never from the five-stage scheme. The
+// pooled engine must stay bitwise equal to the sequential one on its view
+// for schemes with fewer stages than dissipation
 // evaluations, exactly as many, and more — and in the time-accurate mode,
 // where stage 0 drops the spectral radii but still owes the time steps.
 func TestStageScheduleCorners(t *testing.T) {
@@ -153,11 +152,8 @@ func TestStageScheduleCorners(t *testing.T) {
 	SerialCutoffEdges = 0
 	defer func() { SerialCutoffEdges = old }()
 
-	mc, ec, fc, err := reorder.ColorCanonical(testMesh(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv := mc.NV()
+	m := testMesh(t)
+	nv := m.NV()
 	for _, tc := range []struct {
 		name     string
 		stages   []float64
@@ -179,15 +175,15 @@ func TestStageScheduleCorners(t *testing.T) {
 				wSeq[i] = p.Freestream
 			}
 			if tc.globalDt {
-				p.GlobalDt, p.EpsSmooth, p.NSmooth = 0.8*euler.MinStableDt(mc, p, wSeq), 0, 0
+				p.GlobalDt, p.EpsSmooth, p.NSmooth = 0.8*euler.MinStableDt(m, p, wSeq), 0, 0
 			}
-			d := euler.NewDisc(mc, p)
-			ws := euler.NewStepWorkspace(nv)
-			s, err := NewColored(mc, p, 2, ec, fc)
+			s, err := New(m, p, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			d := euler.NewDisc(s.D.M, p)
+			ws := euler.NewStepWorkspace(nv)
 			wPar := append([]euler.State(nil), wSeq...)
 			for c := 0; c < 4; c++ {
 				ns, np := d.Step(wSeq, nil, ws), s.Step(wPar, nil)

@@ -13,27 +13,28 @@ import (
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/partition"
-	"eul3d/internal/reorder"
 	"eul3d/internal/smsolver"
 )
 
 // TestCrossEngineConformance is the cross-engine bitwise conformance
-// suite: one mesh sequence, three solver engines — serial multigrid,
-// pooled shared-memory multigrid at several worker counts, and the
+// suite: one mesh sequence, every multigrid engine — the serial reference
+// multigrid, the sequential multigrid Open builds for KindMG, the pooled
+// shared-memory multigrid at several worker counts, and the
 // distributed-memory multigrid (both sequential orchestration and
 // concurrent MIMD) — asserting bitwise-identical solutions and residual
 // histories.
 //
 // Bitwise identity across engines requires identical floating-point
-// accumulation order, so the suite runs on color-canonical meshes
-// (reorder.ColorCanonical): the edge and boundary-face lists are stored
-// in color-group order, making the sequential raw-order accumulation, the
-// pooled engine's color-order accumulation, and the one-processor
-// distributed solver's partition-local order one and the same. The norm
-// reduction is blocked identically in all engines (euler.NormBlock).
-// Multi-processor distributed runs reassociate per-vertex sums across
-// partition boundaries and therefore agree to tight roundoff instead;
-// that is asserted separately.
+// accumulation order, so the suite runs on the pooled engine's views of
+// the generated meshes (smsolver.Solver.D.M, shared through mesh.Derived
+// with the multigrid built on the same mesh): each view stores its edge and
+// boundary-face lists in the order the pooled sweeps accumulate in, making
+// the pooled engine on the generated meshes, the sequential engines on the
+// views and the one-processor distributed solver's partition-local order
+// one and the same. The norm reduction is blocked identically in all
+// engines (euler.NormBlock). Multi-processor distributed runs reassociate
+// per-vertex sums across partition boundaries and therefore agree to tight
+// roundoff instead; that is asserted separately.
 func TestCrossEngineConformance(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -54,21 +55,12 @@ func TestCrossEngineConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			canon := make([]*mesh.Mesh, len(raw))
-			cols := make([]smsolver.Colorings, len(raw))
-			for i, m := range raw {
-				cm, ec, fc, err := reorder.ColorCanonical(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				canon[i] = cm
-				cols[i] = smsolver.Colorings{Edges: ec, Faces: fc}
-			}
 			p := euler.DefaultParams(0.675, 0)
+			view := views(t, raw, p)
 			const cycles = 5
 
 			// Reference: the serial FAS multigrid.
-			serial, err := multigrid.New(canon, p, tc.gamma)
+			serial, err := multigrid.New(view, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,9 +87,22 @@ func TestCrossEngineConformance(t *testing.T) {
 				}
 			}
 
-			// Pooled shared-memory multigrid, several worker counts.
+			// The sequential multigrid on the views.
+			st, err := Open(view, p, Config{Kind: KindMG, Gamma: tc.gamma})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := st.Run(Options{MaxCycles: cycles})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("sequential[mg]", res.History, res.FineSolution)
+			st.Close()
+
+			// Pooled shared-memory multigrid on the generated meshes, whose
+			// layouts are the views, several worker counts.
 			for _, nw := range []int{1, 2, 3, 8} {
-				mg, err := smsolver.NewMultigridColored(canon, p, tc.gamma, nw, cols)
+				mg, err := smsolver.NewMultigrid(raw, p, tc.gamma, nw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,9 +117,9 @@ func TestCrossEngineConformance(t *testing.T) {
 			// Distributed multigrid on one processor: partition-local index
 			// order equals mesh order, so it is bitwise too — in both the
 			// sequential orchestration and the concurrent MIMD mode.
-			parts := make([][]int32, len(canon))
-			parts[0] = make([]int32, canon[0].NV())
-			dmSeq, err := dmsolver.NewMultigrid(canon, parts, 1, p, tc.gamma)
+			parts := make([][]int32, len(view))
+			parts[0] = make([]int32, view[0].NV())
+			dmSeq, err := dmsolver.NewMultigrid(view, parts, 1, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +131,7 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 			check("distributed[nproc=1]", hist, dmSeq.GatherSolution())
 
-			dmConc, err := dmsolver.NewMultigrid(canon, parts, 1, p, tc.gamma)
+			dmConc, err := dmsolver.NewMultigrid(view, parts, 1, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,17 +149,17 @@ func TestCrossEngineConformance(t *testing.T) {
 			// the startup transient of this small mesh. The loose bound is a
 			// sanity cross-check (real defects show up at O(1)), not part of
 			// the bitwise contract established above.
-			g, err := graph.FromEdges(canon[0].NV(), canon[0].Edges)
+			g, err := graph.FromEdges(view[0].NV(), view[0].Edges)
 			if err != nil {
 				t.Fatal(err)
 			}
-			finePart, err := partition.Partition(g, canon[0].X, 4, partition.Spectral, 1)
+			finePart, err := partition.Partition(g, view[0].X, 4, partition.Spectral, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts4 := make([][]int32, len(canon))
+			parts4 := make([][]int32, len(view))
 			parts4[0] = finePart
-			dm4, err := dmsolver.NewMultigrid(canon, parts4, 4, p, tc.gamma)
+			dm4, err := dmsolver.NewMultigrid(view, parts4, 4, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,6 +184,23 @@ func TestCrossEngineConformance(t *testing.T) {
 	}
 }
 
+// views returns the pooled engine's view of each of meshes: the mesh with
+// its edge and boundary-face lists in the block layout's order, the
+// order the pooled sweeps accumulate in.
+func views(t *testing.T, meshes []*mesh.Mesh, p euler.Params) []*mesh.Mesh {
+	t.Helper()
+	out := make([]*mesh.Mesh, len(meshes))
+	for i, m := range meshes {
+		s, err := smsolver.New(m, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = s.D.M
+		s.Close()
+	}
+	return out
+}
+
 func relDiff(a, b float64) float64 {
 	d := a - b
 	if d < 0 {
@@ -201,13 +223,12 @@ func abs64(x float64) float64 {
 	return x
 }
 
-// TestSingleGridSoAConformance pins the pooled engine's SoA hot path
-// directly against the serial []State reference: on a color-canonical
-// mesh the sequential euler.Disc.Step (raw edge order, AoS layout) and
-// the pooled smsolver.Solver (color order, SoA component streams) must
-// produce bitwise-identical residual histories and solutions at every
-// worker count — the state layout and the chunking are memory-placement
-// choices, not numerical ones. The same solver instances must also keep
+// TestSingleGridSoAConformance pins the pooled engine's hot path directly
+// against the serial []State reference: the reference euler.Disc.Step on
+// the pooled engine's view of the mesh and the pooled smsolver.Solver on
+// the mesh itself must produce bitwise-identical residual histories and
+// solutions at every worker count — the state blocks and the chunking are
+// memory-placement choices, not numerical ones. The same solver instances must also keep
 // the engine's zero-allocation contract on the step path (stepAllocs).
 func TestSingleGridSoAConformance(t *testing.T) {
 	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
@@ -217,17 +238,14 @@ func TestSingleGridSoAConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, ec, fc, err := reorder.ColorCanonical(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := euler.DefaultParams(0.675, 0)
+	view := views(t, []*mesh.Mesh{m}, p)[0]
 	const steps = 5
 
-	// Serial reference: the sequential stepper on the canonical mesh.
-	d := euler.NewDisc(cm, p)
-	ws := euler.NewStepWorkspace(cm.NV())
-	refW := make([]euler.State, cm.NV())
+	// Serial reference: the reference stepper on the view.
+	d := euler.NewDisc(view, p)
+	ws := euler.NewStepWorkspace(view.NV())
+	refW := make([]euler.State, view.NV())
 	d.InitUniform(refW)
 	refHist := make([]float64, steps)
 	for c := range refHist {
@@ -235,11 +253,11 @@ func TestSingleGridSoAConformance(t *testing.T) {
 	}
 
 	for _, nw := range []int{1, 2, 3, 8} {
-		s, err := smsolver.NewColored(cm, p, nw, ec, fc)
+		s, err := smsolver.New(m, p, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := make([]euler.State, cm.NV())
+		w := make([]euler.State, view.NV())
 		s.InitUniform(w)
 		for c := 0; c < steps; c++ {
 			if norm := s.Step(w, nil); norm != refHist[c] {

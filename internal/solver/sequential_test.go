@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,9 +9,11 @@ import (
 	"eul3d/internal/flops"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/multigrid"
 	"eul3d/internal/refine"
 	"eul3d/internal/reorder"
 	"eul3d/internal/scenario"
+	"eul3d/internal/smsolver"
 )
 
 // TestSingleGridIsDiscBitwise pins NewSingleGrid's contract: the sequential
@@ -124,5 +127,121 @@ func TestSingleGridIsDiscBitwise(t *testing.T) {
 				t.Errorf("%v allocations per cycle, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestSequentialMultigridIsSerialBitwise pins Open's KindMG contract: the
+// sequential multigrid runs the pooled engine's kernels at one worker in
+// each mesh's own order, so its residual history and fine solution equal
+// multigrid.Solver's bit for bit on the generated sequences as they come —
+// a V-cycle over 2 levels, a W-cycle over 3, the 24x16x12 channel's, whose
+// fine mesh has more vertices than a residual-norm block, and a sequence
+// whose every level is scrambled — both from the freestream and after
+// full-multigrid initialization (FMGInit).
+func TestSequentialMultigridIsSerialBitwise(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	for _, tc := range []struct {
+		name          string
+		nx, ny, nz    int
+		gamma, levels int
+		scramble      bool
+	}{
+		{"V-2-levels", 10, 7, 5, 1, 2, false},
+		{"W-3-levels", 10, 7, 5, 2, 3, false},
+		{"blocks", 24, 16, 12, 2, 3, false},
+		{"scrambled", 10, 7, 5, 2, 3, true},
+	} {
+		meshes, err := meshgen.Sequence(meshgen.DefaultChannel(tc.nx, tc.ny, tc.nz, 17), tc.levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range meshes {
+			if tc.scramble {
+				if meshes[l], err = reorder.Scramble(meshes[l], int64(3+l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if tc.name == "blocks" && meshes[0].NV() <= euler.NormBlock {
+			t.Fatalf("the blocks sequence has %d fine vertices, not more than a norm block (%d)", meshes[0].NV(), euler.NormBlock)
+		}
+		for _, fmg := range []int{0, 5} {
+			t.Run(fmt.Sprintf("%s/fmg=%d", tc.name, fmg), func(t *testing.T) {
+				ref, err := multigrid.New(meshes, p, tc.gamma)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := Open(meshes, p, Config{Kind: KindMG, Gamma: tc.gamma})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if fmg > 0 {
+					ref.FMGInit(fmg)
+					st.MG.FMGInit(fmg)
+				}
+				mgBitwise(t, "mg", st, ref, 5)
+			})
+		}
+	}
+}
+
+// TestPooledFMGIsSerialBitwise: full-multigrid initialization on the
+// pooled multigrid (Open's KindSMMG) is one schedule (multigrid.FMG) over
+// the pooled hooks, so at 1, 2 and 3 workers it equals multigrid.Solver's
+// FMGInit on the engine's views bit for bit, and with it the cycles that
+// follow — on a fresh engine, and on one that has cycled first, whose
+// coarse levels hold forcings FMG must clear before each starts as the
+// finest grid.
+func TestPooledFMGIsSerialBitwise(t *testing.T) {
+	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
+	smsolver.SerialCutoffEdges = 0 // run the pools
+	p := euler.DefaultParams(0.675, 0)
+	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(10, 7, 5, 17), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := views(t, meshes, p)
+	for _, gamma := range []int{1, 2} {
+		for _, before := range []int{0, 2} {
+			for _, nw := range []int{1, 2, 3} {
+				ref, err := multigrid.New(vs, p, gamma)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := Open(meshes, p, Config{Kind: KindSMMG, Workers: nw, Gamma: gamma})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < before; c++ {
+					ref.Cycle()
+					st.Cycle(c)
+				}
+				ref.FMGInit(5)
+				st.MG.FMGInit(5)
+				mgBitwise(t, fmt.Sprintf("gamma=%d cycled=%d workers=%d", gamma, before, nw), st, ref, 4)
+				st.Close()
+			}
+		}
+	}
+}
+
+// mgBitwise runs cycles cycles of st and of ref side by side and requires
+// equal residual norms and, after them, an equal fine solution.
+func mgBitwise(t *testing.T, label string, st *Steady, ref *multigrid.Solver, cycles int) {
+	t.Helper()
+	res, err := st.Run(Options{MaxCycles: cycles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, got := range res.History {
+		if want := ref.Cycle(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: cycle %d norm %v, multigrid.Solver %v", label, c, got, want)
+		}
+	}
+	for i, w := range ref.Fine().W {
+		if res.FineSolution[i] != w {
+			t.Fatalf("%s: vertex %d: %v, multigrid.Solver %v", label, i, res.FineSolution[i], w)
+		}
 	}
 }

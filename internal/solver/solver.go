@@ -6,18 +6,19 @@
 // Open is the one way in: a Config names the engine kind and the values it
 // takes, and the mesh sequence sets the level count.
 //
-// Both single-grid engines are the worker-pool engine of internal/smsolver
-// running the kernels of euler/kernels_soa.go: the sequential one
-// (KindSingle, NewSingleGrid) at one worker in the mesh's own edge and face
-// order, which makes it bitwise euler.Disc.Step on that mesh, and the
-// pooled one (KindSM) over the block-colored layout. The reference operator
-// of euler/ops.go still runs in three places: as the kernels' oracle in the
-// tests, under the serial multigrid (KindMG, multigrid.Solver), and as the
-// benchmark's serial references, which time euler.Disc.Step and
-// multigrid.Solver.Cycle directly. It stays in the last two because a faster
-// serial reference would lower the benchmark's speedup_vs_serial at
-// unchanged engine speed; re-pointing those references is a change to the
-// benchmark itself.
+// Every engine is the worker-pool engine of internal/smsolver running the
+// kernels of euler/kernels_soa.go, on one of two layouts: each mesh's own
+// edge and face order at one worker (KindSingle, NewSingleGrid, and KindMG),
+// which makes the single grid bitwise euler.Disc.Step and the multigrid
+// bitwise multigrid.Solver on the same meshes; or the shared block-colored
+// layout on a pool (KindSM, KindSMMG), bitwise the former on the layout's
+// view of each mesh. The reference operator of euler/ops.go and
+// multigrid.Solver keep three roles outside this package: the oracle the
+// tests compare the engines against, the benchmark's serial references,
+// which time euler.Disc.Step and multigrid.Solver.Cycle directly (a faster
+// serial reference would lower speedup_vs_serial at unchanged engine speed,
+// so re-pointing them is a change to the benchmark itself), and the model
+// of internal/tables.
 package solver
 
 import (
@@ -30,7 +31,6 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshio"
-	"eul3d/internal/multigrid"
 	"eul3d/internal/perf"
 	"eul3d/internal/runloop"
 	"eul3d/internal/smsolver"
@@ -76,39 +76,25 @@ type stepper interface {
 	solution() []euler.State
 	stats() perf.Stats
 	initUniform()
-}
-
-// traceable is implemented by the steppers whose engines can attach a
-// flight-recorder tracer: every engine on the worker pool.
-type traceable interface {
 	setTrace(tr *trace.Tracer)
 }
-
-func (s *smStepper) setTrace(tr *trace.Tracer)  { s.sm.SetTrace(tr) }
-func (s *smgStepper) setTrace(tr *trace.Tracer) { s.mg.SetTrace(tr) }
-
-type mgStepper struct{ mg *multigrid.Solver }
-
-func (s *mgStepper) cycle() float64          { return s.mg.Cycle() }
-func (s *mgStepper) solution() []euler.State { return s.mg.Fine().W }
-func (s *mgStepper) stats() perf.Stats       { return s.mg.Stats() }
-func (s *mgStepper) initUniform()            { s.mg.InitUniform() }
 
 type smStepper struct {
 	sm *smsolver.Solver
 	w  []euler.State
 }
 
-func (s *smStepper) cycle() float64          { return s.sm.Step(s.w, nil) }
-func (s *smStepper) solution() []euler.State { return s.w }
-func (s *smStepper) stats() perf.Stats       { return s.sm.Stats() }
-func (s *smStepper) initUniform()            { s.sm.InitUniform(s.w) }
+func (s *smStepper) cycle() float64            { return s.sm.Step(s.w, nil) }
+func (s *smStepper) solution() []euler.State   { return s.w }
+func (s *smStepper) stats() perf.Stats         { return s.sm.Stats() }
+func (s *smStepper) initUniform()              { s.sm.InitUniform(s.w) }
+func (s *smStepper) setTrace(tr *trace.Tracer) { s.sm.SetTrace(tr) }
 
 // Engine kinds: the values of Config.Kind.
 const (
 	KindSingle = "single" // sequential single grid
 	KindSM     = "sm"     // worker-pool single grid
-	KindMG     = "mg"     // sequential FAS multigrid
+	KindMG     = "mg"     // sequential FAS multigrid (one worker, each mesh's own order)
 	KindSMMG   = "smmg"   // worker-pool FAS multigrid
 )
 
@@ -125,9 +111,10 @@ type Config struct {
 // otherwise ignore: Workers on a sequential kind, Gamma on a single-grid
 // kind (or Gamma < 1 on a multigrid one), more than one mesh on a
 // single-grid kind, and an unknown kind. Pooled results are bitwise
-// identical for every worker count; the pooled single grid agrees with the
-// sequential one to roundoff, as its block layout reassociates each
-// vertex's accumulation. Call Close when done to park a pool.
+// identical for every worker count; a pooled engine agrees with its
+// sequential kind to roundoff, as its block layout reassociates each
+// vertex's accumulation. Both multigrid kinds expose their engine as
+// Steady.MG. Call Close when done to park a pool.
 func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
 	kind := c.Kind
 	if kind == "" {
@@ -160,18 +147,18 @@ func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
 			return nil, err
 		}
 		return steadySM(sm, p), nil
-	case KindMG:
-		mg, err := multigrid.New(meshes, p, c.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		return &Steady{s: &mgStepper{mg: mg}, MG: mg, cfl: p.CFL}, nil
 	}
-	mg, err := smsolver.NewMultigrid(meshes, p, c.Gamma, c.Workers)
+	var mg *smsolver.Multigrid
+	var err error
+	if kind == KindMG {
+		mg, err = smsolver.NewSequentialMultigrid(meshes, p, c.Gamma)
+	} else {
+		mg, err = smsolver.NewMultigrid(meshes, p, c.Gamma, c.Workers)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Steady{s: &smgStepper{mg: mg}, cfl: p.CFL, close: mg.Close}, nil
+	return &Steady{s: &smgStepper{mg: mg}, MG: mg, cfl: p.CFL, close: mg.Close}, nil
 }
 
 // NewSingleGrid builds the sequential single-grid steady solver over m: the
@@ -190,15 +177,16 @@ func steadySM(sm *smsolver.Solver, p euler.Params) *Steady {
 
 type smgStepper struct{ mg *smsolver.Multigrid }
 
-func (s *smgStepper) cycle() float64          { return s.mg.Cycle() }
-func (s *smgStepper) solution() []euler.State { return s.mg.Fine().W }
-func (s *smgStepper) stats() perf.Stats       { return s.mg.Stats() }
-func (s *smgStepper) initUniform()            { s.mg.InitUniform() }
+func (s *smgStepper) cycle() float64            { return s.mg.Cycle() }
+func (s *smgStepper) solution() []euler.State   { return s.mg.Fine().W }
+func (s *smgStepper) stats() perf.Stats         { return s.mg.Stats() }
+func (s *smgStepper) initUniform()              { s.mg.InitUniform() }
+func (s *smgStepper) setTrace(tr *trace.Tracer) { s.mg.SetTrace(tr) }
 
 // Steady is a steady-state solver ready to Run.
 type Steady struct {
 	s  stepper
-	MG *multigrid.Solver // non-nil for multigrid runs
+	MG *smsolver.Multigrid // non-nil for the multigrid kinds
 
 	cfl       float64   // recorded in checkpoints
 	prior     []float64 // residual history carried over from a checkpoint: Run picks up at cycle len(prior)
@@ -210,18 +198,10 @@ type Steady struct {
 // accumulated over every cycle run so far.
 func (st *Steady) Stats() perf.Stats { return st.s.stats() }
 
-// SetTrace attaches a flight-recorder tracer to the underlying engine and
-// reports whether the stepper supports tracing: every engine on the worker
-// pool does, the sequential single grid included; the serial multigrid is a
-// single timeline its per-level Stats already describe. Call before the
-// first Run.
-func (st *Steady) SetTrace(tr *trace.Tracer) bool {
-	if t, ok := st.s.(traceable); ok && tr != nil {
-		t.setTrace(tr)
-		return true
-	}
-	return false
-}
+// SetTrace attaches a flight-recorder tracer to the underlying engine:
+// every kind runs on the worker pool, so every kind traces. Call before the
+// first Run; a nil tracer leaves tracing disabled.
+func (st *Steady) SetTrace(tr *trace.Tracer) { st.s.setTrace(tr) }
 
 // Close releases any resources held by the underlying stepper (the
 // shared-memory worker pool). It is idempotent — including under

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
 )
 
@@ -161,13 +162,16 @@ type MachField struct {
 	MaxM   float64
 }
 
-// Figure4 extracts the Mach field from the finest grid of a converged
-// multigrid solver by interpolating vertex Mach numbers onto a raster
-// using inverse-distance weighting of nearby vertices.
+// Figure4 is MachPlane of the finest grid of a converged multigrid solver.
 func Figure4(mg *multigrid.Solver, nx, ny int) *MachField {
-	m := mg.Fine().Disc.M
-	w := mg.Fine().W
-	g := mg.Fine().Disc.P.Gas
+	return MachPlane(mg.Fine().Disc.M, mg.Fine().W, mg.Fine().Disc.P.Gas, nx, ny)
+}
+
+// MachPlane extracts the Mach field of the solution w on mesh m (gas g)
+// on the mid-span plane as an nx x ny raster, interpolating vertex Mach
+// numbers by inverse-distance weighting of nearby vertices. It reads only
+// the mesh's coordinates, so any engine's solution on m contours the same.
+func MachPlane(m *mesh.Mesh, w []euler.State, g euler.Gas, nx, ny int) *MachField {
 
 	// Domain bounds.
 	minX, maxX := math.Inf(1), math.Inf(-1)

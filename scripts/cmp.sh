@@ -1,7 +1,7 @@
 #!/bin/sh
 # Bitwise CLI comparison of eul3d between a base commit and the working
 # tree: the check a change to an engine, its constructor, the convergence
-# loop or the FAS cycle is held to.
+# loop, the FAS cycle or full-multigrid initialization is held to.
 #
 #   make cmp                      # BASE=HEAD
 #   BASE=HEAD~1 sh scripts/cmp.sh
@@ -11,8 +11,8 @@
 # in .git. Both trees build their eul3d and run the same fixed matrix on the
 # 10x6x4 channel: -strategy single|v|w, each with and without -workers 2;
 # -nproc 4 with and without -mimd; the fault-injected chaos line;
-# -scenario sod -adapt with and without -workers 2; and one -checkpoint ->
-# -resume pair. Each row compares its -history, -save-solution and
+# -scenario sod -adapt with and without -workers 2; a W-cycle after -fmg 5;
+# a V-cycle with -contours; and one -checkpoint -> -resume pair. Each row compares its -history, -save-solution and
 # checkpoint files and its stdout, with the parts that vary run to run
 # masked: the adaptive rebuild time, and under -mimd which processor a
 # node-crash line names. One line per row; the exit status is 1 when any
@@ -78,6 +78,8 @@ row nproc4-mimd $mesh -levels 2 -strategy w -nproc 4 -mimd -cycles 30 $files
 row chaos $mesh -strategy single -nproc 4 -cycles 30 $chaos -checkpoint run.ckpt -checkpoint-every 10 $files
 row sod-adapt -scenario sod -adapt $files
 row sod-adapt-workers2 -scenario sod -adapt -workers 2 $files
+row w-fmg $mesh -levels 3 -strategy w -fmg 5 -cycles 30 $files
+row v-contours $mesh -levels 3 -strategy v -contours -cycles 30 $files
 
 # The resume pair: the second leg resumes, in the same directory, from the
 # first leg's checkpoint; both legs' stdout lands in one file.
