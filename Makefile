@@ -25,7 +25,7 @@ test:
 # block coloring whose run-disjointness is what lets the pool's workers
 # write without locks.
 race:
-	$(GO) test -race ./internal/color/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
+	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 
 # Non-test Go lines per internal package, their total, per command and
 # over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and

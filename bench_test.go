@@ -7,6 +7,7 @@
 package eul3d
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -229,11 +230,13 @@ func BenchmarkSharedMemoryStep(b *testing.B) {
 }
 
 // BenchmarkDistributedCycle measures one distributed cycle, all PARTI
-// exchanges included, under both drivers: "single" is the single grid on
-// 16 simulated nodes, "w2" a 2-level W-cycle on 8 (the shape of the
-// benchmark's distributed workload); "seq" runs Cycle, "mimd"
-// CycleConcurrent. It is the quick before/after number for a change to
-// dmsolver, parti or simnet.
+// exchanges included, on the executor's three shapes: "single" is the
+// single grid on 16 simulated nodes, "w2" a 2-level W-cycle on 8 (the shape
+// of the benchmark's distributed workload); "w1" runs Cycle on one worker
+// (the solver built at GOMAXPROCS 1), "wN" Cycle on min(P, GOMAXPROCS)
+// workers — the -cpu setting — and "mimd" CycleConcurrent, a worker per
+// node. It is the quick before/after number for a change to dmsolver,
+// parti or simnet.
 func BenchmarkDistributedCycle(b *testing.B) {
 	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(24, 12, 8, 17), 2)
 	if err != nil {
@@ -255,12 +258,18 @@ func BenchmarkDistributedCycle(b *testing.B) {
 		}
 		for _, mode := range []struct {
 			name  string
+			one   bool // build at GOMAXPROCS 1, which fixes Cycle at one worker
 			cycle func(*dmsolver.Solver) (float64, error)
-		}{{"seq", (*dmsolver.Solver).Cycle}, {"mimd", (*dmsolver.Solver).CycleConcurrent}} {
+		}{{"w1", true, (*dmsolver.Solver).Cycle}, {"wN", false, (*dmsolver.Solver).Cycle}, {"mimd", false, (*dmsolver.Solver).CycleConcurrent}} {
 			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
 				parts := make([][]int32, shape.levels)
 				parts[0] = part
+				procs := runtime.GOMAXPROCS(0)
+				if mode.one {
+					runtime.GOMAXPROCS(1)
+				}
 				dm, err := dmsolver.NewMultigrid(meshes[:shape.levels], parts, shape.nproc, p, 2)
+				runtime.GOMAXPROCS(procs)
 				if err != nil {
 					b.Fatal(err)
 				}

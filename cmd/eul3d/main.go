@@ -70,7 +70,7 @@ var (
 	adaptFrac = flag.Float64("adapt-frac", 0.1, "with -adapt: fraction of cells marked per epoch")
 
 	nproc     = flag.Int("nproc", 0, "simulated processors for the distributed solver (0 = in-process sequential solver)")
-	mimd      = flag.Bool("mimd", false, "with -nproc: run one goroutine per simulated processor (true MIMD mode)")
+	mimd      = flag.Bool("mimd", false, "with -nproc: run a worker per simulated processor (as on the Delta) instead of min(nproc, GOMAXPROCS)")
 	faultSpec = flag.String("faults", "", "with -nproc: seeded fault-injection spec, e.g. seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@40")
 	ckptPath  = flag.String("checkpoint", "", "write periodic atomic checkpoints to this file")
 	ckptEvery = flag.Int("checkpoint-every", 25, "cycles between checkpoints (with -checkpoint)")
@@ -362,11 +362,15 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 		fmt.Printf("fault injection armed: %s\n", *faultSpec)
 	}
 
-	mode := "sequential orchestration"
+	workers := s.Workers()
 	if *mimd {
-		mode = "MIMD (goroutine per processor)"
+		workers = *nproc
 	}
-	fmt.Printf("distributed solve: %d simulated processors, %s\n", *nproc, mode)
+	unit := "workers"
+	if workers == 1 {
+		unit = "worker"
+	}
+	fmt.Printf("distributed solve: %d simulated processors on %d %s\n", *nproc, workers, unit)
 
 	incident := ""
 	if tracer != nil {

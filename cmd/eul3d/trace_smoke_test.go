@@ -68,9 +68,22 @@ func TestTraceSmoke(t *testing.T) {
 	}
 	validate(seqTrace, "phases", "w0")
 
-	// 2. Distributed run with an injected node crash: the comm timeline and
-	// per-proc tracks in the main trace, plus the automatic incident dump
-	// fired by the crash recovery.
+	// 1c. Distributed run at GOMAXPROCS 2: three processors on two workers,
+	// one track per block — processor 0, and processors 1 and 2.
+	blockTrace := filepath.Join(dir, "blocks.json")
+	blocks := exec.Command(bin, "-nx", "8", "-ny", "4", "-nz", "3", "-strategy", "single",
+		"-nproc", "3", "-cycles", "4", "-tol", "0", "-log-every", "0", "-trace", blockTrace)
+	blocks.Env = append(os.Environ(), "GOMAXPROCS=2")
+	if out, err := blocks.CombinedOutput(); err != nil {
+		t.Fatalf("distributed run: %v\n%s", err, out)
+	} else if !strings.Contains(string(out), "3 simulated processors on 2 workers") {
+		t.Errorf("mode line does not name the two workers:\n%s", out)
+	}
+	validate(blockTrace, "p0", "p1-2")
+
+	// 2. Distributed run with an injected node crash, a worker per
+	// processor: the per-processor tracks in the main trace, plus the
+	// automatic incident dump fired by the crash recovery.
 	dmTrace := filepath.Join(dir, "dm.json")
 	dm := exec.Command(bin, "-nx", "8", "-ny", "4", "-nz", "3", "-strategy", "single",
 		"-nproc", "3", "-mimd", "-cycles", "10", "-tol", "0", "-log-every", "0",

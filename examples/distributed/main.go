@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
@@ -83,8 +84,10 @@ func main() {
 		}
 	}
 
-	// Concurrent MIMD mode: one goroutine per node, barrier-synchronized
-	// exchanges — bitwise identical to the sequential orchestration.
+	// Cycle ran the nodes on min(nodes, GOMAXPROCS) pooled workers, each a
+	// contiguous block of nodes; CycleConcurrent runs the same executor with
+	// a worker per node, as on the Delta — barrier-synchronized exchanges,
+	// bitwise identical whatever the worker count.
 	dmc, err := dmsolver.NewSingle(m, part, nodes, params)
 	if err != nil {
 		log.Fatal(err)
@@ -103,7 +106,8 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("\nconcurrent MIMD mode (goroutine per node): bitwise identical = %v\n", identical)
+	fmt.Printf("\na worker per node (CycleConcurrent) vs %d pooled workers (Cycle): bitwise identical = %v\n",
+		min(nodes, runtime.GOMAXPROCS(0)), identical)
 
 	// Max deviation between the two solutions.
 	wdm := dm.GatherSolution()

@@ -29,15 +29,17 @@
 //     crosses several schedules' slots goes through their merged schedule,
 //     one message per neighbour (the paper's Section 4.3, both halves).
 //
-// The package is one program and two drivers. The program (ops.go) is the
-// node program of the Delta port, stated once: which compute phase runs
+// The package is one program and one executor. The program (ops.go) is
+// the node program of the Delta port, stated once: which compute phase runs
 // when and which exchange separates it from the next. It holds no
 // arithmetic, so every euler.Params field is honoured here by construction.
-// A driver (driver.go) executes it: the sequential one, behind Cycle, runs
-// every processor's phases in turn on the calling goroutine and completes
-// each exchange as a whole-schedule collective; the MIMD one, behind
-// CycleConcurrent, gives every simulated processor a goroutine and
-// completes each exchange as send half, barrier, receive half, barrier.
+// The executor (driver.go) runs it on the host's cores: it maps the P
+// simulated processors onto W pooled workers in contiguous blocks, and
+// completes each exchange as the block's send halves, a barrier, its
+// receive halves, a barrier. Cycle runs W = min(P, GOMAXPROCS) — one worker
+// while a fault plan is attached, so that the plan strikes the same sends
+// on every run — and CycleConcurrent W = P, a worker per node as on the
+// Delta. The answers do not depend on W, bit for bit.
 //
 // On one processor the answers are bitwise those of the sequential solver;
 // across partition boundaries the edge sweeps' per-vertex sums reassociate
@@ -48,6 +50,7 @@ package dmsolver
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"eul3d/internal/euler"
@@ -179,7 +182,12 @@ type Solver struct {
 	Comm   CommCounters
 
 	partial []float64    // per-processor terms of the residual-norm reduction
-	hooks   []cycleHooks // per processor: the cycle's hooks bound to the executor it leads (cycle)
+	hooks   []cycleHooks // per processor: the cycle's hooks bound to the block it leads (cycle)
+
+	// workers is the W of Cycle: min(NProc, GOMAXPROCS at construction).
+	// execs holds the cycle executors built so far, one per W (driver.go).
+	workers int
+	execs   []*executor
 
 	// Flight recorder (trace.go): nil when tracing is disabled. builds
 	// keeps the construction timings for replay into a later-attached
@@ -213,7 +221,8 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	if nproc < 1 {
 		return nil, fmt.Errorf("dmsolver: nproc must be >= 1")
 	}
-	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc), hooks: make([]cycleHooks, nproc)}
+	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc), hooks: make([]cycleHooks, nproc),
+		workers: min(nproc, runtime.GOMAXPROCS(0))}
 
 	// Sequential preprocessing: transfer operators between levels.
 	var restrictOps, prolongOps []*multigrid.TransferOp // index l: between level l-1 (fine) and l (coarse)

@@ -13,11 +13,11 @@ import (
 // cycle's restriction and correction, each stated once as the sequence of
 // per-processor compute phases and PARTI exchanges the paper's node program
 // runs; multigrid.Cycle orders the cycle's pieces, as it does every
-// engine's. It is written against a driver (driver.go), which decides the
-// two things an execution mode owns — which processors a compute phase runs
-// on here, and how an exchange completes — and it branches only on Params,
-// the level count and Gamma, never on the processor, so every executor of
-// it walks the same exchange plan.
+// engine's. It is written against a driver (driver.go), one worker of the
+// executor, which decides the two things the mapping onto workers owns —
+// which processors a compute phase runs on here, and how an exchange
+// completes — and it branches only on Params, the level count and Gamma,
+// never on the processor, so every worker walks the same exchange plan.
 //
 // The phases hold no arithmetic of their own. An edge or boundary-face
 // loop is the kernel the pooled engine runs per color (euler's
@@ -32,7 +32,7 @@ import (
 // owned returns processor p's owned prefix of a local array.
 func owned(lev *Level, p int, a []euler.State) []euler.State { return a[:lev.Dist.Count(p)] }
 
-// each runs one compute phase on every processor x executes.
+// each runs one compute phase on every processor of x's block.
 func each(x driver, phase func(p int)) {
 	lo, hi := x.procs()
 	for p := lo; p < hi; p++ {
@@ -191,10 +191,10 @@ func (s *Solver) step(x driver, l int) (float64, error) {
 }
 
 // cycle performs one FAS multigrid cycle from level l down (a plain time
-// step on the coarsest level) on executor x and returns level l's residual
+// step on the coarsest level) on worker x and returns level l's residual
 // norm: multigrid.Cycle over step, restrict and correct, bound to x in the
-// hook slot of x's first processor. Executors that run at once never share
-// a first processor, and the slot is the solver's, so binding x allocates
+// hook slot of x's first processor. Workers that run at once never share a
+// first processor, and the slot is the solver's, so binding x allocates
 // nothing.
 func (s *Solver) cycle(x driver, l int) (float64, error) {
 	lo, _ := x.procs()
@@ -203,7 +203,7 @@ func (s *Solver) cycle(x driver, l int) (float64, error) {
 	return multigrid.Cycle(h, l, len(s.Levels), s.Gamma)
 }
 
-// cycleHooks is the program's three level pieces bound to one executor.
+// cycleHooks is the program's three level pieces bound to one worker.
 type cycleHooks struct {
 	s *Solver
 	x driver

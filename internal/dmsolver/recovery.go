@@ -44,8 +44,8 @@ type RunOptions struct {
 	LogEvery  int     // progress line period (0 = silent)
 	Log       io.Writer
 
-	// Concurrent runs every cycle under the MIMD driver (one goroutine
-	// per simulated processor) instead of the sequential one.
+	// Concurrent runs every cycle as CycleConcurrent (a worker per
+	// simulated processor) instead of Cycle.
 	Concurrent bool
 
 	// CheckpointEvery > 0 snapshots the run every that many cycles (an

@@ -120,7 +120,7 @@ func TestSmootherPartitionIndependent(t *testing.T) {
 				spectral = make([]int32, m.NV())
 			}
 			for name, part := range map[string][]int32{"spectral": spectral, "ragged": raggedPartition(m.NV(), nproc, int64(nproc))} {
-				for _, mode := range []string{"seq", "mimd"} {
+				for _, w := range workerCounts(nproc) {
 					s, err := NewSingle(m, part, nproc, p)
 					if err != nil {
 						t.Fatal(err)
@@ -131,20 +131,14 @@ func TestSmootherPartitionIndependent(t *testing.T) {
 							lev.Res[q][li] = field(g)
 						}
 					}
-					program := func(x driver) error { return s.smooth(x, lev, lev.Res) }
-					if mode == "seq" {
-						err = program(seqDriver{s})
-					} else {
-						err = onEveryProcessor(s, program)
-					}
-					if err != nil {
+					if err := onWorkers(s, w, func(x driver) error { return s.smooth(x, lev, lev.Res) }); err != nil {
 						t.Fatal(err)
 					}
 					for q := 0; q < nproc; q++ {
 						for li, g := range lev.Dist.L2G[q] {
 							if lev.Res[q][li] != want[g] {
-								t.Fatalf("%d sweeps, P = %d, %s, %s: vertex %d on processor %d: %v, sequential engine %v",
-									sweeps, nproc, name, mode, g, q, lev.Res[q][li], want[g])
+								t.Fatalf("%d sweeps, P = %d, %s, W = %d: vertex %d on processor %d: %v, sequential engine %v",
+									sweeps, nproc, name, w, g, q, lev.Res[q][li], want[g])
 							}
 						}
 					}
@@ -211,7 +205,7 @@ func TestSmootherHaloComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := holed.cycle(poisonBeforeSmoothGather(withoutHalo{seqDriver{holed}}), 0)
+		nb, err := holed.cycle(poisonBeforeSmoothGather(withoutHalo{sequential(holed)}), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,8 +220,8 @@ func TestSmootherHaloComplete(t *testing.T) {
 		clean    func(*Solver) (float64, error)
 		poisoned func(*Solver) (float64, error)
 	}{
-		{"seq", (*Solver).Cycle, func(s *Solver) (float64, error) { return s.cycle(poisonBeforeSmoothGather(seqDriver{s}), 0) }},
-		{"mimd", (*Solver).CycleConcurrent, func(s *Solver) (float64, error) { return mimdCycle(s, poisonBeforeSmoothGather) }},
+		{"seq", (*Solver).Cycle, func(s *Solver) (float64, error) { return wrappedCycle(s, 1, poisonBeforeSmoothGather) }},
+		{"mimd", (*Solver).CycleConcurrent, func(s *Solver) (float64, error) { return wrappedCycle(s, s.NProc, poisonBeforeSmoothGather) }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			a, b := mk(), mk()
@@ -314,7 +308,7 @@ func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 		{name: "forcing scatter-add", sched: coarse.transferSched, dir: parti.ScatterAdd, from: sf, to: st},
 	}
 	sent := map[[2]int]uint64{}
-	count := hookDriver{seqDriver{dry}, func(_ driver, dir parti.Dir, sch *parti.Schedule, _ *Level, _ parti.Arrays) {
+	count := hookDriver{sequential(dry), func(_ driver, dir parti.Dir, sch *parti.Schedule, _ *Level, _ parti.Arrays) {
 		for _, tg := range targets {
 			if !tg.seen && sch == tg.sched && dir == tg.dir {
 				tg.seq, tg.seen = sent[[2]int{tg.from, tg.to}], true

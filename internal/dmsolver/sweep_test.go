@@ -2,12 +2,10 @@ package dmsolver
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/parti"
-	"eul3d/internal/simnet"
 )
 
 // hookDriver runs the program on another driver and calls before ahead of
@@ -22,33 +20,29 @@ func (d hookDriver) exchange(dir parti.Dir, sch *parti.Schedule, lev *Level, a p
 	return d.driver.exchange(dir, sch, lev, a)
 }
 
-// onEveryProcessor runs program the way CycleConcurrent runs a cycle: one
-// goroutine and one MIMD driver per simulated processor.
-func onEveryProcessor(s *Solver, program func(x driver) error) error {
-	r := &mimdRun{s: s, bar: simnet.NewBarrier(s.NProc)}
-	var wg sync.WaitGroup
-	for p := 0; p < s.NProc; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			r.fail(program(&mimdDriver{r, p}))
-		}(p)
-	}
-	wg.Wait()
-	return r.err
+// runOn runs prog once on s's processors mapped onto w workers, as Cycle
+// runs a cycle, and returns processor 0's result and the first error.
+func runOn(s *Solver, w int, prog func(x driver) (float64, error)) (float64, error) {
+	x := newExecutor(s, w, prog)
+	defer x.pool.Shutdown()
+	return x.run()
 }
 
-// mimdCycle is CycleConcurrent with every processor's driver wrapped.
-func mimdCycle(s *Solver, wrap func(driver) driver) (float64, error) {
-	norms := make([]float64, s.NProc)
-	err := onEveryProcessor(s, func(x driver) error {
-		p, _ := x.procs()
-		var err error
-		norms[p], err = s.cycle(wrap(x), 0)
-		return err
-	})
-	return norms[0], err
+// onWorkers runs program on w workers and returns its first error.
+func onWorkers(s *Solver, w int, program func(x driver) error) error {
+	_, err := runOn(s, w, func(x driver) (float64, error) { return 0, program(x) })
+	return err
 }
+
+// wrappedCycle is a cycle on w workers with every worker's driver wrapped.
+func wrappedCycle(s *Solver, w int, wrap func(driver) driver) (float64, error) {
+	return runOn(s, w, func(x driver) (float64, error) { return s.cycle(wrap(x), 0) })
+}
+
+// sequential returns the driver of a one-worker executor on s: every
+// processor's phases on the calling goroutine, every exchange all sends
+// then all receives.
+func sequential(s *Solver) driver { return &newExecutor(s, 1, nil).blocks[0] }
 
 // oracle is the reference operator of euler/ops.go on processor-local AoS
 // arrays over the edge span: what every edge and face phase of ops.go
@@ -133,7 +127,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 		// closing scatter-add of the sweep, the Laplacian + switch re-gather
 		// and the scatter-add of pass 2, in that order.
 		exchanges := 0
-		all := hookDriver{seqDriver{s}, func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
+		all := hookDriver{sequential(s), func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
 			exchanges++
 			switch exchanges {
 			case 1:
@@ -179,7 +173,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 				mirror(dir, parti.States(o.diss))
 			}
 		}}
-		if err := s.refreshW(seqDriver{s}, lev, lev.SchedW); err != nil {
+		if err := s.refreshW(sequential(s), lev, lev.SchedW); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.residual(all, lev, false, true, true); err != nil {
@@ -202,7 +196,7 @@ func TestSweepsMatchReferenceOnPartition(t *testing.T) {
 
 		// A convective-only stage: conv again bitwise, and the dissipation a
 		// previous stage left — which the residual still subtracts — intact.
-		convOnly := hookDriver{seqDriver{s}, func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
+		convOnly := hookDriver{sequential(s), func(x driver, dir parti.Dir, sch *parti.Schedule, _ *Level, a parti.Arrays) {
 			for q := 0; q < nproc; q++ {
 				euler.Convective(&p, lev.Edges[q], lev.ENorm[q], lev.BFaces[q], lev.W[q], o.pres[q], o.conv[q])
 				sameBlock(t, "conv of a convective-only stage", q, lev.Conv[q], o.conv[q], lev.EdgeSpan[q])
@@ -277,17 +271,17 @@ func TestGhostVertexTermsNeverStale(t *testing.T) {
 		return nan
 	}
 	poisonedSeq := func(s *Solver, nan [][]euler.State) (float64, error) {
-		return s.cycle(poisonBeforeRefresh(seqDriver{s}, nan), 0)
+		return wrappedCycle(s, 1, func(x driver) driver { return poisonBeforeRefresh(x, nan) })
 	}
 	poisonedMIMD := func(s *Solver, nan [][]euler.State) (float64, error) {
-		return mimdCycle(s, func(x driver) driver { return poisonBeforeRefresh(x, nan) })
+		return wrappedCycle(s, s.NProc, func(x driver) driver { return poisonBeforeRefresh(x, nan) })
 	}
 
 	// Teeth: a poisoned context, not refreshed, reaches the sweep.
 	s := chaosSolver(t)
 	lev := s.Levels[0]
-	each(seqDriver{s}, func(p int) { poisonTerms(lev, p, nanField(s)[0]) })
-	if err := s.residual(seqDriver{s}, lev, false, true, true); err != nil {
+	each(sequential(s), func(p int) { poisonTerms(lev, p, nanField(s)[0]) })
+	if err := s.residual(sequential(s), lev, false, true, true); err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(lev.Res[0][0][0]) {

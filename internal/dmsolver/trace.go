@@ -9,19 +9,18 @@ import (
 )
 
 // Flight-recorder instrumentation of the distributed solver, giving the
-// paper-style computation-vs-communication breakdown per simulated
-// processor. The hooks sit in the drivers' exchange, the communication
-// choke point, so the compute spans need no per-kernel wiring: on every
-// timeline the time between two exchanges *is* compute, and the recorder
-// closes that gap with a "compute" span when the next exchange opens.
+// paper-style computation-vs-communication breakdown per worker. The hooks
+// sit in the executor's exchange, the communication choke point, so the
+// compute spans need no per-kernel wiring: on every timeline the time
+// between two exchanges *is* compute, and the recorder closes that gap
+// with a "compute" span when the next exchange opens.
 //
-//   - sequential driver: every whole-schedule collective becomes a span on
-//     the "comm" track ("gather-states" or "scatter-states" — every
-//     exchange is led by a state array; arg = level);
-//   - MIMD driver: every per-processor exchange half becomes a span on that
-//     processor's track ("send-gather"/"recv-gather"/"send-scatter"/
-//     "recv-scatter") with the bulk-synchronous "barrier" waits between
-//     the halves — the per-node timeline of the Delta port;
+//   - every worker of an executor has one track, named for its block of
+//     processors ("p3", or "p0-3" for processors 0 to 3): its exchange
+//     halves ("send-gather"/"recv-gather"/"send-scatter"/"recv-scatter",
+//     arg = level) with the bulk-synchronous "barrier" waits between them,
+//     and the residual reduction's barriers — at W = P the per-node
+//     timeline of the Delta port;
 //   - schedule and transfer-operator builds are timed during construction
 //     and replayed onto the "build" track when a tracer is attached (the
 //     paper's inspector-cost accounting);
@@ -31,20 +30,18 @@ import (
 // The sorts of span a timeline is marked with; spanNames[sort][dir] names
 // the phase of that sort of span around an exchange in direction dir.
 const (
-	spanCompute    = iota // gap since the previous exchange
-	spanCollective        // sequential whole-schedule collective
-	spanSend              // MIMD send half
-	spanRecv              // MIMD receive half
-	spanBarrier           // MIMD bulk-synchronous wait
+	spanCompute = iota // gap since the previous exchange
+	spanSend           // the block's send halves
+	spanRecv           // the block's receive halves
+	spanBarrier        // bulk-synchronous wait
 	nSpans
 )
 
 var spanNames = [nSpans][2]string{
-	spanCompute:    {parti.Gather: "compute", parti.ScatterAdd: "compute"},
-	spanCollective: {parti.Gather: "gather-states", parti.ScatterAdd: "scatter-states"},
-	spanSend:       {parti.Gather: "send-gather", parti.ScatterAdd: "send-scatter"},
-	spanRecv:       {parti.Gather: "recv-gather", parti.ScatterAdd: "recv-scatter"},
-	spanBarrier:    {parti.Gather: "barrier", parti.ScatterAdd: "barrier"},
+	spanCompute: {parti.Gather: "compute", parti.ScatterAdd: "compute"},
+	spanSend:    {parti.Gather: "send-gather", parti.ScatterAdd: "send-scatter"},
+	spanRecv:    {parti.Gather: "recv-gather", parti.ScatterAdd: "recv-scatter"},
+	spanBarrier: {parti.Gather: "barrier", parti.ScatterAdd: "barrier"},
 }
 
 // buildSpan is one timed construction step, recorded before any tracer
@@ -66,29 +63,23 @@ type timeline struct {
 // solverTrace is the solver's attached recorder state; nil disables every
 // hook.
 type solverTrace struct {
-	tr    *trace.Tracer
-	comm  timeline     // sequential collectives + compute gaps
-	procs []timeline   // MIMD: one per simulated processor, owned by that processor's goroutine
-	orch  *trace.Track // recovery/checkpoint instants
+	tr   *trace.Tracer
+	orch *trace.Track // recovery/checkpoint instants
 
 	ph [nSpans][2]trace.PhaseID
 }
 
-// SetTrace attaches a flight-recorder tracer: the "comm" track carries the
-// sequential collectives, "p<i>" tracks the per-processor MIMD exchange
-// halves and barrier waits, "build" the replayed schedule-construction
-// spans and "events" the recovery instants. Compute time appears as the
-// gap-filling "compute" spans. Call before Run/Cycle; a nil tracer leaves
-// tracing disabled.
+// SetTrace attaches a flight-recorder tracer: one track per worker of
+// every executor the solver runs, named for its block of processors, with
+// its exchange halves and barrier waits; "build" the replayed
+// schedule-construction spans and "events" the recovery instants. Compute
+// time appears as the gap-filling "compute" spans. Call before Run/Cycle;
+// a nil tracer leaves tracing disabled.
 func (s *Solver) SetTrace(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
-	st := &solverTrace{tr: tr, orch: tr.Track("events"), procs: make([]timeline, s.NProc)}
-	st.comm = timeline{st: st, tk: tr.Track("comm")}
-	for p := range st.procs {
-		st.procs[p] = timeline{st: st, tk: tr.Track(fmt.Sprintf("p%d", p))}
-	}
+	st := &solverTrace{tr: tr, orch: tr.Track("events")}
 	for sort, names := range spanNames {
 		for dir, n := range names {
 			st.ph[sort][dir] = tr.Phase(n)
@@ -103,23 +94,25 @@ func (s *Solver) SetTrace(tr *trace.Tracer) {
 		bt.Span(tr.Phase(b.name), b.from, b.to, int64(b.level))
 	}
 	s.st = st
+	for _, x := range s.execs {
+		st.attach(x)
+	}
 }
 
-// commLine and procLine return the timeline the sequential driver's
-// collectives, or processor p's exchange halves, are laid on: nil, whose
-// marks do nothing, with no tracer attached.
-func (st *solverTrace) commLine() *timeline {
+// attach gives every block of x its timeline; nothing without a tracer.
+// Two executors' blocks of the same processors share a track.
+func (st *solverTrace) attach(x *executor) {
 	if st == nil {
-		return nil
+		return
 	}
-	return &st.comm
-}
-
-func (st *solverTrace) procLine(p int) *timeline {
-	if st == nil {
-		return nil
+	for k := range x.blocks {
+		b := &x.blocks[k]
+		name := fmt.Sprintf("p%d", b.lo)
+		if b.hi-b.lo != 1 {
+			name = fmt.Sprintf("p%d-%d", b.lo, b.hi-1)
+		}
+		b.tl = &timeline{st: st, tk: st.tr.Track(name)}
 	}
-	return &st.procs[p]
 }
 
 // mark closes the interval since the timeline's previous mark as a span of

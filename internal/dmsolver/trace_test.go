@@ -28,30 +28,65 @@ func traceTracks(tr *trace.Tracer) map[string]*trace.Track {
 	return out
 }
 
-// TestTracedSequentialCycle checks the sequential orchestration's comm
-// timeline: collective spans interleaved with the gap-filling compute
-// spans on the "comm" track, and the replayed schedule-build spans.
+// exchangeSpans is what every worker's track carries over a cycle: both
+// halves of both directions, the barrier waits between them and the
+// compute gaps.
+var exchangeSpans = []string{"send-gather", "recv-gather", "send-scatter", "recv-scatter", "barrier", "compute"}
+
+// checkTracks fails unless the tracer holds exactly the worker tracks
+// named, each with every exchange span.
+func checkTracks(t *testing.T, tr *trace.Tracer, names ...string) {
+	t.Helper()
+	tks := traceTracks(tr)
+	for _, name := range names {
+		tk := tks[name]
+		if tk == nil {
+			t.Fatalf("missing worker track %s", name)
+		}
+		got := phaseCounts(tr, tk)
+		for _, ph := range exchangeSpans {
+			if got[ph] == 0 {
+				t.Errorf("track %s has no %q spans (%v)", name, ph, got)
+			}
+		}
+	}
+	if want := len(names) + 2; len(tks) != want { // + build, events
+		t.Errorf("%d tracks, want the %d workers' and build and events", len(tks), len(names))
+	}
+}
+
+// TestTracedSequentialCycle checks the one-worker timeline: a single track
+// named for all three processors, and the replayed schedule-build spans.
 func TestTracedSequentialCycle(t *testing.T) {
 	s := chaosSolver(t)
+	s.workers = 1
 	tr := trace.New(2048)
 	s.SetTrace(tr)
 	if _, err := s.Cycle(); err != nil {
 		t.Fatal(err)
 	}
-	tks := traceTracks(tr)
-	if tks["comm"] == nil || tks["build"] == nil || tks["events"] == nil {
-		t.Fatalf("missing tracks; have %v", len(tr.Tracks()))
-	}
-	comm := phaseCounts(tr, tks["comm"])
-	for _, ph := range []string{"gather-states", "scatter-states", "compute"} {
-		if comm[ph] == 0 {
-			t.Errorf("comm track has no %q spans (%v)", ph, comm)
-		}
-	}
-	build := phaseCounts(tr, tks["build"])
+	checkTracks(t, tr, "p0-2")
+	build := phaseCounts(tr, traceTracks(tr)["build"])
 	if build["schedule-build"] == 0 {
 		t.Errorf("build track has no schedule-build spans (%v)", build)
 	}
+}
+
+// TestTracedBlockCycle: at W = 2 on three processors the blocks are uneven
+// — processor 0, and processors 1 and 2 — and each has its track. A tracer
+// attached after the executor exists reaches it too.
+func TestTracedBlockCycle(t *testing.T) {
+	s := chaosSolver(t)
+	s.workers = 2
+	if _, err := s.Cycle(); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(2048)
+	s.SetTrace(tr)
+	if _, err := s.Cycle(); err != nil {
+		t.Fatal(err)
+	}
+	checkTracks(t, tr, "p0", "p1-2")
 }
 
 // TestTracedConcurrentCycle checks the MIMD timeline: every simulated
@@ -64,19 +99,7 @@ func TestTracedConcurrentCycle(t *testing.T) {
 	if _, err := s.CycleConcurrent(); err != nil {
 		t.Fatal(err)
 	}
-	tks := traceTracks(tr)
-	for _, name := range []string{"p0", "p1", "p2"} {
-		tk := tks[name]
-		if tk == nil {
-			t.Fatalf("missing processor track %s", name)
-		}
-		got := phaseCounts(tr, tk)
-		for _, ph := range []string{"send-gather", "recv-gather", "send-scatter", "recv-scatter", "barrier", "compute"} {
-			if got[ph] == 0 {
-				t.Errorf("track %s has no %q spans (%v)", name, ph, got)
-			}
-		}
-	}
+	checkTracks(t, tr, "p0", "p1", "p2")
 	var b strings.Builder
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatal(err)
@@ -121,8 +144,8 @@ func TestIncidentDumpOnCrash(t *testing.T) {
 		t.Fatal("incident dump is empty")
 	}
 
-	// The events track must hold the incident markers, and the comm ring
-	// the exchanges leading up to them.
+	// The events track must hold the incident markers, and the ring of the
+	// one worker a fault plan runs the exchanges leading up to them.
 	tks := traceTracks(tr)
 	events := phaseCounts(tr, tks["events"])
 	if events["node-crash"] == 0 || events["recovery"] == 0 {
@@ -131,8 +154,8 @@ func TestIncidentDumpOnCrash(t *testing.T) {
 	if events["checkpoint"] == 0 {
 		t.Errorf("events track missing checkpoint instants (%v)", events)
 	}
-	comm := phaseCounts(tr, tks["comm"])
-	if comm["gather-states"] == 0 {
-		t.Errorf("comm ring does not hold the exchanges before the incident (%v)", comm)
+	worker := phaseCounts(tr, tks["p0-2"])
+	if worker["send-gather"] == 0 || worker["recv-gather"] == 0 {
+		t.Errorf("worker ring does not hold the exchanges before the incident (%v)", worker)
 	}
 }

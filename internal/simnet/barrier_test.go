@@ -1,9 +1,11 @@
 package simnet
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBarrierReleasesAllParties(t *testing.T) {
@@ -132,5 +134,48 @@ func TestBarrierAwaitCheckConsistentVerdict(t *testing.T) {
 		if v := <-results; v {
 			t.Fatal("second-generation verdict should be false for every party")
 		}
+	}
+}
+
+// TestBarrierPollingParties: with no more parties than processors an early
+// party polls for the release, and parks when a late one takes longer than
+// spinFor. Either way every generation releases a full complement, with
+// the last arriver's verdict.
+func TestBarrierPollingParties(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n, generations = 2, 400
+	b := NewBarrier(n)
+	if !b.spin {
+		t.Fatal("two parties at GOMAXPROCS 2 do not poll")
+	}
+	var phase atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for g := 0; g < generations; g++ {
+				if p == g%n {
+					phase.Add(1)
+					if g%50 == 0 {
+						time.Sleep(2 * spinFor) // the other party parks
+					}
+				}
+				want := g%3 != 0
+				if got := b.AwaitCheck(func() bool { return want }); got != want {
+					t.Errorf("party %d generation %d: verdict %v, want %v", p, g, got, want)
+					return
+				}
+				if got := phase.Load(); got != int64(g+1) {
+					t.Errorf("party %d generation %d: released at phase %d", p, g, got)
+					return
+				}
+				b.Await()
+			}
+		}(p)
+	}
+	wg.Wait()
+	if NewBarrier(3).spin {
+		t.Error("three parties at GOMAXPROCS 2 poll")
 	}
 }

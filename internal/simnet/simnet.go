@@ -139,6 +139,9 @@ func (f *Fabric) N() int { return f.n }
 // called while exchanges are in flight.
 func (f *Fabric) SetFaultPlan(p *FaultPlan) { f.plan = p }
 
+// FaultPlan returns the attached plan, nil when none is.
+func (f *Fabric) FaultPlan() *FaultPlan { return f.plan }
+
 func (f *Fabric) nodeDown(p int) bool {
 	if !f.anyDown.Load() {
 		return false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/forkjoin"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/perf"
@@ -132,7 +133,7 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 	mg.cost = multigrid.NewLedger(meshes, p)
 
 	mg.eng.init(nworkers, perf.NewAccum(names...))
-	runtime.AddCleanup(mg, func(p *pool) { p.shutdown() }, mg.eng.pool)
+	runtime.AddCleanup(mg, (*forkjoin.Pool).Shutdown, mg.eng.pool)
 	mg.InitUniform()
 	return mg, nil
 }
@@ -140,10 +141,7 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 // Close parks the engine permanently; idempotent and optional (the
 // garbage collector releases the workers of an unreferenced Multigrid).
 func (mg *Multigrid) Close() {
-	if mg.eng.pool != nil {
-		mg.eng.pool.shutdown()
-		mg.eng.pool = nil
-	}
+	mg.eng.pool.Shutdown()
 }
 
 // SetTrace attaches a flight-recorder tracer to the pooled engine: worker

@@ -1,20 +1,11 @@
 package smsolver
 
-import (
-	"sync"
-	"sync/atomic"
+import "eul3d/internal/euler"
 
-	"eul3d/internal/euler"
-)
-
-// This file is the persistent worker-pool engine: N-1 long-lived goroutines
-// parked on buffered wake channels, driven through a lightweight fork/join
-// barrier, plus the prebuilt chunk tables that turn every colored loop into
-// a table lookup. The seed implementation paid a goroutine spawn and a
-// sync.WaitGroup fork/join for every color group of every kernel of every
-// RK stage — thousands of launches per time step; here a parallel region is
-// one channel send per woken worker, one atomic decrement per worker, and
-// one channel receive for the join, with zero allocations.
+// This file builds the prebuilt chunk tables that turn every colored loop
+// into a table lookup for the persistent worker pool (internal/forkjoin):
+// the per-worker shares of a vertex loop and of one group of a block
+// coloring.
 
 // span is a half-open index range [lo,hi) assigned to one worker.
 type span struct{ lo, hi int }
@@ -74,66 +65,3 @@ func cutRuns(runs []int32, dst []span) int {
 	}
 	return shares
 }
-
-// pool is the fork/join barrier itself. It deliberately holds no reference
-// to the Solver between forks (fn is cleared after every join), so a Solver
-// abandoned without Close becomes unreachable and its runtime cleanup can
-// shut the workers down.
-type pool struct {
-	wake    []chan struct{} // one per worker 1..nw-1, buffered
-	done    chan struct{}   // signalled by the last finishing worker
-	quit    chan struct{}   // closed on shutdown
-	pending atomic.Int32
-	fn      func(worker int)
-	stop    sync.Once
-}
-
-// newPool starts nw-1 parked workers (the caller is worker 0).
-func newPool(nw int) *pool {
-	p := &pool{
-		wake: make([]chan struct{}, nw),
-		done: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-	}
-	for i := 1; i < nw; i++ {
-		p.wake[i] = make(chan struct{}, 1)
-		go p.worker(i)
-	}
-	return p
-}
-
-func (p *pool) worker(id int) {
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.wake[id]:
-			p.fn(id)
-			if p.pending.Add(-1) == 0 {
-				p.done <- struct{}{}
-			}
-		}
-	}
-}
-
-// fork runs fn(0..active-1), executing fn(0) on the calling goroutine, and
-// returns after every worker has finished. The caller must publish the job
-// descriptor before forking; the channel operations and the atomic join
-// counter provide the happens-before edges in both directions.
-func (p *pool) fork(fn func(int), active int) {
-	if active <= 1 {
-		fn(0)
-		return
-	}
-	p.fn = fn
-	p.pending.Store(int32(active - 1))
-	for i := 1; i < active; i++ {
-		p.wake[i] <- struct{}{}
-	}
-	fn(0)
-	<-p.done
-	p.fn = nil
-}
-
-// shutdown terminates the workers; idempotent.
-func (p *pool) shutdown() { p.stop.Do(func() { close(p.quit) }) }

@@ -31,8 +31,8 @@
 // euler.Disc and multigrid.Solver on any mesh. The conformance suites
 // compare the two through the block layout's views.
 //
-// Execution uses a persistent worker pool (see pool.go): the workers are
-// spawned once, parked between parallel regions, and driven through
+// Execution uses a persistent worker pool (internal/forkjoin): the workers
+// are spawned once, parked between parallel regions, and driven through
 // prebuilt per-group chunk tables balanced by element count; all scratch is
 // solver-owned, so a steady-state Step (and multigrid Cycle) performs zero
 // heap allocations. The kernels run on blocks (euler.StateSoA) of one
@@ -72,6 +72,7 @@ import (
 	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/flops"
+	"eul3d/internal/forkjoin"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/perf"
@@ -286,7 +287,7 @@ func (t *groupSpans) of(group, worker int) span { return t.spans[group*t.nw+work
 // level currently being operated on, so the same N parked workers serve
 // every grid of a multigrid sequence.
 type engine struct {
-	pool   *pool
+	pool   *forkjoin.Pool
 	nw     int
 	execFn func(int) // e.exec (or e.execTraced), bound once so fork never allocates
 
@@ -337,7 +338,7 @@ func (e *engine) init(nworkers int, acc *perf.Accum) {
 	for i := range e.phaseMap {
 		e.phaseMap[i] = i
 	}
-	e.pool = newPool(nworkers)
+	e.pool = forkjoin.New(nworkers)
 	e.execFn = e.exec
 }
 
@@ -346,7 +347,7 @@ func (e *engine) init(nworkers int, acc *perf.Accum) {
 // barrier-wait span (that worker's kernel end → the join).
 func (e *engine) fork(j taskKind, group, active int) {
 	e.job, e.group = j, group
-	e.pool.fork(e.execFn, active)
+	e.pool.Fork(e.execFn, active)
 	if e.et != nil && active > 1 {
 		join := time.Now()
 		for w := 0; w < active; w++ {
@@ -662,7 +663,7 @@ func newSolver(lay *layout, p euler.Params, nworkers int) *Solver {
 	// The workers reference only the pool (its fn slot is cleared between
 	// forks), so an abandoned Solver is collectable; shut its pool down
 	// when that happens.
-	runtime.AddCleanup(s, func(p *pool) { p.shutdown() }, s.eng.pool)
+	runtime.AddCleanup(s, (*forkjoin.Pool).Shutdown, s.eng.pool)
 	return s
 }
 
@@ -671,10 +672,7 @@ func newSolver(lay *layout, p euler.Params, nworkers int) *Solver {
 // the garbage collector releases the workers of an unreferenced Solver —
 // but deterministic teardown is kinder to tests and long-lived processes.
 func (s *Solver) Close() {
-	if s.eng.pool != nil {
-		s.eng.pool.shutdown()
-		s.eng.pool = nil
-	}
+	s.eng.pool.Shutdown()
 }
 
 // SetTrace attaches a flight-recorder tracer: every pooled worker gets a

@@ -10,7 +10,8 @@
 # directory; no worktree is registered, so an interrupted run leaves nothing
 # in .git. Both trees build their eul3d and run the same fixed matrix on the
 # 10x6x4 channel: -strategy single|v|w, each with and without -workers 2;
-# -nproc 4 with and without -mimd; the fault-injected chaos line;
+# -nproc 4 with and without -mimd; -nproc 3, whose processors split
+# unevenly over two or more workers; the fault-injected chaos line;
 # -scenario sod -adapt with and without -workers 2; a W-cycle after -fmg 5;
 # a V-cycle with -contours; and one -checkpoint -> -resume pair. Each row compares its -history, -save-solution and
 # checkpoint files and its stdout, with the parts that vary run to run
@@ -75,6 +76,7 @@ for s in single v w; do
 done
 row nproc4 $mesh -levels 2 -strategy w -nproc 4 -cycles 30 $files
 row nproc4-mimd $mesh -levels 2 -strategy w -nproc 4 -mimd -cycles 30 $files
+row nproc3 $mesh -levels 2 -strategy w -nproc 3 -cycles 30 $files
 row chaos $mesh -strategy single -nproc 4 -cycles 30 $chaos -checkpoint run.ckpt -checkpoint-every 10 $files
 row sod-adapt -scenario sod -adapt $files
 row sod-adapt-workers2 -scenario sod -adapt -workers 2 $files
