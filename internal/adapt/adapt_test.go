@@ -7,7 +7,6 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/refine"
 	"eul3d/internal/scenario"
-	"eul3d/internal/smsolver"
 	"eul3d/internal/solver"
 )
 
@@ -41,10 +40,6 @@ func sodRun(t *testing.T, engine solver.Config) *Result {
 // adaptation schedule, pass the scenario physics check, and beat the
 // fixed-mesh L1 tolerance.
 func TestAdaptiveSodGolden(t *testing.T) {
-	old := smsolver.SerialCutoffEdges
-	smsolver.SerialCutoffEdges = 0
-	defer func() { smsolver.SerialCutoffEdges = old }()
-
 	sc := scenario.Sod
 	var ref *Result
 	for _, nw := range []int{1, 2, 4} {

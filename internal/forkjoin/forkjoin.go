@@ -1,26 +1,72 @@
 // Package forkjoin is the persistent worker pool both parallel engines run
-// on: N-1 long-lived goroutines parked on buffered wake channels, driven
-// through a lightweight fork/join barrier. A parallel region is one channel
-// send per woken worker, one atomic decrement per worker and one channel
-// receive for the join, with zero allocations.
-//
-// The shared-memory engine (smsolver) forks one region per colored loop;
-// the distributed engine (dmsolver) forks one per cycle, each worker
-// running the node program for a block of simulated processors.
+// on: N-1 long-lived goroutines that poll for the next fork for up to
+// PollFor before they park on their wake channels. A region that follows
+// closely costs one CAS per worker to start and an atomic decrement to
+// join; after a pause, a channel send per worker and a receive. Neither
+// allocates. smsolver forks one region per colored loop, dmsolver one per
+// cycle.
 package forkjoin
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+	"time"
+)
+
+// PollFor bounds every poll: about what waking a parked thread costs on a
+// virtual machine, and the largest gap between two parties' arrivals at a
+// barrier of the distributed cycle on a 2-vCPU host (EXPERIMENTS.md, "One
+// executor"). Every PollFor/4 a pool goroutine also yields its processor,
+// a worker before it joins and a forker before it forks: goroutines
+// outside the pools are not counted busy, and a pool that never parks
+// would keep them waiting for the runtime's 10 ms preemption
+// (EXPERIMENTS.md, "A pool that stays awake").
+const PollFor = 200 * time.Microsecond
+
+// busy counts the goroutines of every pool in the process that are running
+// a region or polling: each forker for the length of its Fork, and each
+// worker from the send that wakes it until it parks again.
+var busy atomic.Int32
+
+// Poll spins until done reports true and returns true, or returns false
+// once PollFor has passed or more goroutines are busy than there are
+// processors. It does not yield: a yielding poller re-queues itself
+// without waking an idle processor, and two goroutines can end up taking
+// turns on one for good.
+func Poll(done func() bool) bool {
+	procs := int32(runtime.GOMAXPROCS(0))
+	for start := time.Now(); busy.Load() <= procs && time.Since(start) < PollFor; {
+		if done() {
+			return true
+		}
+	}
+	return false
+}
+
+// joinParked is added to Pool.pending by a joiner that parks on done; the
+// worker whose decrement leaves exactly joinParked signals it. One atomic
+// word decides it, so no signal can reach a later region's join.
+const joinParked = 1 << 30
 
 // Pool is the fork/join barrier itself. It deliberately holds no reference
 // to its owner between forks (fn is cleared after every join), so an owner
 // abandoned without Shutdown becomes unreachable and a runtime cleanup
 // registered on it can shut the workers down.
 type Pool struct {
-	wake    []chan struct{} // one per worker 1..n-1, buffered; closed on shutdown
-	done    chan struct{}   // signalled by the last finishing worker
-	pending atomic.Int32
+	workers []worker // 1..n-1; workers[0] is the caller's and unused
 	fn      func(worker int)
+	pending atomic.Int32  // workers still running, plus joinParked
+	done    chan struct{} // signalled by the last worker of a parked join
 	closed  atomic.Bool
+	yielded time.Time // the forker's last yield
+}
+
+// worker is one worker's slot, alone on its cache line: the forker writes
+// it once a region and the worker polls it between regions.
+type worker struct {
+	polling atomic.Bool   // polling for the next fork; cleared by whichever of Fork and the worker CASes it first
+	wake    chan struct{} // buffered; closed on shutdown
+	_       [48]byte
 }
 
 // New starts n-1 parked workers (the caller is worker 0); n must be at
@@ -29,22 +75,50 @@ func New(n int) *Pool {
 	if n < 1 {
 		panic("forkjoin: a pool needs at least one worker")
 	}
-	p := &Pool{
-		wake: make([]chan struct{}, n),
-		done: make(chan struct{}, 1),
-	}
+	p := &Pool{workers: make([]worker, n), done: make(chan struct{}, 1)}
 	for i := 1; i < n; i++ {
-		p.wake[i] = make(chan struct{}, 1)
+		p.workers[i].wake = make(chan struct{}, 1)
 		go p.worker(i)
 	}
 	return p
 }
 
 func (p *Pool) worker(id int) {
-	for range p.wake[id] {
-		p.fn(id)
-		if p.pending.Add(-1) == 0 {
-			p.done <- struct{}{}
+	w := &p.workers[id]
+	yielded := time.Now()
+	for range w.wake {
+		for {
+			p.fn(id)
+			if time.Since(yielded) >= PollFor/4 {
+				runtime.Gosched() // before the join, so that no Fork can take it meanwhile
+				yielded = time.Now()
+			}
+			// Decide before the join, so that the next Fork finds the
+			// worker either polling or about to park.
+			poll := busy.Load() <= int32(runtime.GOMAXPROCS(0))
+			if poll {
+				w.polling.Store(true)
+			} else {
+				busy.Add(-1)
+			}
+			if p.pending.Add(-1) == joinParked {
+				p.done <- struct{}{}
+				if poll {
+					// The send readied the joiner on this processor, behind
+					// this goroutine: let it run here at once, rather than
+					// poll while it waits for another processor to steal it.
+					runtime.Gosched()
+				}
+			}
+			if !poll {
+				break
+			}
+			Poll(func() bool { return !w.polling.Load() || p.closed.Load() })
+			if w.polling.CompareAndSwap(true, false) {
+				busy.Add(-1)
+				break // park, or exit after Shutdown
+			}
+			// Fork took the worker: run its region.
 		}
 	}
 }
@@ -52,29 +126,53 @@ func (p *Pool) worker(id int) {
 // Fork runs fn(0..active-1), executing fn(0) on the calling goroutine, and
 // returns after every worker has finished; active must not exceed the
 // pool's size. The caller must publish the job descriptor before forking;
-// the channel operations and the atomic join counter provide the
+// the atomics and channel operations of the fork and the join provide the
 // happens-before edges in both directions.
+//
+// A polling worker is taken with one CAS of its flag, a parked one woken
+// with a send; the CAS settles the race with a worker giving up its poll in
+// exactly one direction. The forker polls for the join only if it took
+// every worker polling: one it had to wake may still be waiting for a
+// processor, which a polling joiner would be holding.
 func (p *Pool) Fork(fn func(int), active int) {
-	if active > 1 {
-		p.fn = fn
-		p.pending.Store(int32(active - 1))
-		for _, w := range p.wake[1:active] {
-			w <- struct{}{}
+	busy.Add(1)
+	if active <= 1 {
+		fn(0)
+		busy.Add(-1)
+		return
+	}
+	if time.Since(p.yielded) >= PollFor/4 {
+		runtime.Gosched()
+		p.yielded = time.Now()
+	}
+	p.fn = fn
+	p.pending.Store(int32(active - 1))
+	allPolling := true
+	for i := 1; i < active; i++ {
+		if w := &p.workers[i]; !w.polling.CompareAndSwap(true, false) {
+			allPolling = false
+			busy.Add(1)
+			w.wake <- struct{}{}
 		}
 	}
 	fn(0)
-	if active > 1 {
-		<-p.done
-		p.fn = nil
+	if !allPolling || !Poll(func() bool { return p.pending.Load() == 0 }) {
+		// Announce the park: if every worker has finished, none will
+		// signal; otherwise the last one's decrement sees the mark.
+		if p.pending.Add(joinParked) != joinParked {
+			<-p.done
+		}
 	}
+	p.fn = nil
+	busy.Add(-1)
 }
 
 // Shutdown terminates the workers; idempotent. The pool must not fork
 // afterwards.
 func (p *Pool) Shutdown() {
 	if p.closed.CompareAndSwap(false, true) {
-		for i := 1; i < len(p.wake); i++ {
-			close(p.wake[i])
+		for i := 1; i < len(p.workers); i++ {
+			close(p.workers[i].wake)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package forkjoin
 
 import (
+	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,26 +31,208 @@ func TestForkRunsEveryWorkerOnce(t *testing.T) {
 	}
 }
 
-// TestForkAllocatesNothing: a region is channel operations and an atomic
-// counter on prebuilt state.
+// TestForkStress runs every transition of a worker — parked to polling,
+// polling to taken, polling to parked — and both joins, under the race
+// detector (make race): two pools fork regions of random widths at once,
+// with pauses longer than a poll, beside a goroutine that computes in
+// bursts, on two processors. Every region must run each of its workers exactly once.
+func TestForkStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // computes in bursts, so that the pools sometimes find both processors free
+		defer wg.Done()
+		x := 1.0
+		for !stop.Load() {
+			for start := time.Now(); time.Since(start) < 3*PollFor; {
+				x = x*0.999 + 1
+			}
+			time.Sleep(3 * PollFor)
+		}
+		_ = x
+	}()
+	var forks sync.WaitGroup
+	for seed := int64(1); seed <= 2; seed++ {
+		forks.Add(1)
+		go func() {
+			defer forks.Done()
+			const n = 3
+			p := New(n)
+			defer p.Shutdown()
+			rng := rand.New(rand.NewSource(seed))
+			var hits [n]atomic.Int32
+			var lag time.Duration // worker 0's extra work: the others may finish first
+			fn := func(w int) {
+				hits[w].Add(1)
+				for start := time.Now(); w == 0 && time.Since(start) < lag; {
+				}
+			}
+			for r := 0; r < 3000; r++ {
+				active := 1 + rng.Intn(n)
+				lag = time.Duration(rng.Intn(3)) * 20 * time.Microsecond
+				p.Fork(fn, active)
+				for w := range hits {
+					want := int32(0)
+					if w < active {
+						want = 1
+					}
+					if got := hits[w].Swap(0); got != want {
+						t.Errorf("seed %d region %d, active %d: worker %d ran %d times, want %d", seed, r, active, w, got, want)
+						return
+					}
+				}
+				if rng.Intn(20) == 0 {
+					// The workers give up polling and park, and the other
+					// pool has the processors to itself for a while.
+					time.Sleep(time.Duration(1+rng.Intn(10)) * PollFor)
+				}
+			}
+		}()
+	}
+	forks.Wait()
+	stop.Store(true)
+	wg.Wait()
+	// A worker still polling when its pool shut down stays counted until
+	// its poll runs out.
+	for deadline := time.Now().Add(5 * time.Second); busy.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if b := busy.Load(); b != 0 {
+		t.Errorf("%d goroutines counted busy after every pool has shut down", b)
+	}
+}
+
+// TestPollGate: a worker decides before its join whether to poll, and it
+// polls only while no more goroutines are busy than there are processors.
+// On one processor the forker and the worker are already too many; on two,
+// a region beside another pool's open region makes three.
+func TestPollGate(t *testing.T) {
+	p := New(2)
+	defer p.Shutdown()
+	fn := func(int) {}
+	polls := func() bool { return p.workers[1].polling.Load() }
+
+	prev := runtime.GOMAXPROCS(1)
+	for r := 0; r < 50; r++ {
+		if p.Fork(fn, 2); polls() {
+			t.Fatalf("GOMAXPROCS 1, region %d: the worker polls", r)
+		}
+	}
+	runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+
+	// A worker that polls after a region is usually still polling when
+	// Fork returns; it stops by itself only after PollFor.
+	seen := false
+	for r := 0; r < 50 && !seen; r++ {
+		p.Fork(fn, 2)
+		seen = polls()
+	}
+	if !seen {
+		t.Error("GOMAXPROCS 2: the worker never polls after a region")
+	}
+
+	other := New(1)
+	defer other.Shutdown()
+	inside, release := make(chan struct{}), make(chan struct{})
+	go other.Fork(func(int) { close(inside); <-release }, 1)
+	<-inside
+	for r := 0; r < 50; r++ {
+		if p.Fork(fn, 2); polls() {
+			t.Fatalf("beside another pool's region, region %d: the worker polls", r)
+		}
+	}
+	close(release)
+}
+
+// TestLateParkLeavesNoSignal: a joiner that announces its park after the
+// last worker has finished returns at once, and no signal is left over for
+// a later join to return on before its worker is done. At one processor the
+// workers never poll and every join is the parked kind; worker 0 finishes
+// last in two regions of three and first in the third.
+func TestLateParkLeavesNoSignal(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := New(2)
+	defer p.Shutdown()
+	var finished atomic.Int32
+	for r := 0; r < 30; r++ {
+		lastFirst := r%3 != 2
+		p.Fork(func(w int) {
+			switch {
+			case w == 1 && !lastFirst:
+				time.Sleep(time.Millisecond)
+				fallthrough
+			case w == 1:
+				finished.Add(1)
+			case lastFirst:
+				for p.pending.Load() != 0 {
+					runtime.Gosched()
+				}
+			}
+		}, 2)
+		if finished.Swap(0) != 1 {
+			t.Fatalf("region %d: Fork returned before its worker finished", r)
+		}
+	}
+}
+
+// TestForkAllocatesNothing: a region is atomics and channel operations on
+// prebuilt state. testing.AllocsPerRun runs at one processor, where the
+// workers park after every region; the second count runs a 2-worker pool
+// at two, where the worker polls and Fork takes it without a channel. A
+// worker that does park there (a stall longer than PollFor) and is woken
+// on the other processor can make the runtime allocate a sudog for that
+// processor's cache, so the second count is the least of ten windows.
 func TestForkAllocatesNothing(t *testing.T) {
 	p := New(3)
 	defer p.Shutdown()
 	var sum atomic.Int64
 	fn := func(w int) { sum.Add(int64(w)) }
 	if a := testing.AllocsPerRun(50, func() { p.Fork(fn, 3) }); a != 0 {
-		t.Errorf("Fork allocates %v objects per region, want 0", a)
+		t.Errorf("Fork allocates %v objects per region at GOMAXPROCS 1, want 0", a)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	two := New(2)
+	defer two.Shutdown()
+	least := ^uint64(0)
+	for try := 0; try < 10 && least > 0; try++ {
+		for i := 0; i < 100; i++ {
+			two.Fork(fn, 2)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 1000; i++ {
+			two.Fork(fn, 2)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Errorf("1000 regions at GOMAXPROCS 2 allocate %d objects, want 0", least)
 	}
 }
 
-// TestShutdownStopsWorkers: after Shutdown the parked goroutines exit, and a
-// second Shutdown is harmless.
+// TestShutdownStopsWorkers: after Shutdown the workers exit, whether they
+// were parked or polling for the next fork, and a second Shutdown is
+// harmless.
 func TestShutdownStopsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	before := runtime.NumGoroutine()
-	p := New(5)
-	p.Fork(func(int) {}, 5)
-	p.Shutdown()
-	p.Shutdown()
+
+	wide := New(5) // five workers on two processors: most park
+	wide.Fork(func(int) {}, 5)
+	wide.Shutdown()
+	wide.Shutdown()
+
+	narrow := New(2)
+	for r := 0; r < 50 && !narrow.workers[1].polling.Load(); r++ {
+		narrow.Fork(func(int) {}, 2)
+	}
+	narrow.Shutdown()
+
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

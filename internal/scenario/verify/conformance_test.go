@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -19,9 +20,9 @@ import (
 // TestScenarioConformance extends the cross-engine bitwise suite to the
 // scenario presets: on the pooled engine's view of a scenario mesh
 // (smsolver.Solver.D.M, the order its sweeps accumulate in), the reference
-// stepper, the pooled engine at workers {1, 2, 8} on the mesh itself, the
-// pooled engine's serial-cutoff inline path, and the distributed engine on
-// one processor (sequential orchestration and concurrent MIMD) must produce
+// stepper, the pooled engine at workers {1, 2, 8} on the mesh itself (at
+// one worker every region runs inline on the caller), and the distributed
+// engine on one processor (sequential orchestration and concurrent MIMD) must produce
 // bitwise-identical residual histories and solutions from the scenario's
 // initial state. The presets run with ConvexLimit and (for the unsteady
 // ones) GlobalDt, so this is the bitwise check of the limiter and the
@@ -58,10 +59,8 @@ func TestScenarioConformance(t *testing.T) {
 				refHist[c] = d.Step(refW, nil, ws)
 			}
 
-			run := func(label string, cutoff, nw int) {
+			run := func(label string, nw int) {
 				t.Helper()
-				defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-				smsolver.SerialCutoffEdges = cutoff
 				s, err := smsolver.New(m, p, nw)
 				if err != nil {
 					t.Fatal(err)
@@ -81,8 +80,7 @@ func TestScenarioConformance(t *testing.T) {
 			}
 
 			for _, nw := range []int{1, 2, 8} {
-				run("pooled", 0, nw)
-				run("serial-cutoff", 1<<30, nw)
+				run(fmt.Sprintf("pooled[workers=%d]", nw), nw)
 			}
 
 			runDist := func(label string, part []int32, nproc int, cycle func(*dmsolver.Solver) (float64, error), tol float64) {
@@ -143,8 +141,6 @@ func TestScenarioStepAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-			smsolver.SerialCutoffEdges = 0
 			s, err := smsolver.New(m, sc.Params(), 2)
 			if err != nil {
 				t.Fatal(err)

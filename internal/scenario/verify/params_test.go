@@ -10,7 +10,6 @@ import (
 	"eul3d/internal/graph"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/partition"
-	"eul3d/internal/smsolver"
 	"eul3d/internal/solver"
 )
 
@@ -34,8 +33,6 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-	smsolver.SerialCutoffEdges = 0 // the pooled rows must run the pooled kernels
 
 	// The baseline keeps the positivity floors just under the freestream,
 	// so the guard is live in the bump's expansion within three cycles:

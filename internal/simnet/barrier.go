@@ -1,45 +1,36 @@
 package simnet
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"eul3d/internal/forkjoin"
 )
 
 // Barrier is a reusable (cyclic) synchronization barrier for n parties —
 // the bulk-synchronous structure of the distributed solver's executor: all
 // processors send, barrier, all receive, barrier.
 //
-// When every party can have a processor of its own (n <= GOMAXPROCS at
-// construction), a party that arrives early polls for the release for up
-// to spinFor before it parks. The phases between two barriers last tens to
-// hundreds of microseconds, about what waking a parked thread costs on a
-// virtual machine, so parking at every barrier would cost a large share of
-// the cycle. It polls without yielding: a poller that yields goes back to
-// the scheduler's global queue without waking an idle processor, and two
-// parties can then end up taking turns on one processor for good. With more
-// parties than processors a poller would only keep a runnable party off
-// its processor, so they park at once.
+// A party that arrives early polls for the release under the pools' rule
+// (forkjoin.Poll) before it parks. The phases between two barriers last
+// tens to hundreds of microseconds, about what waking a parked thread costs
+// on a virtual machine, so parking at every barrier would cost a large
+// share of the cycle. The parties of the distributed executor are pool
+// goroutines, counted busy: with more of them than processors, or beside
+// another engine's busy goroutines, a poller would only keep a runnable
+// goroutine off its processor, so they park at once.
 type Barrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	n       int
 	count   int
-	spin    bool
 	gen     atomic.Uint64
 	verdict atomic.Bool
 }
 
-// spinFor bounds how long an early party polls for the release: about the
-// largest gap between two parties' arrivals in the distributed cycle on
-// the benchmark's mesh, on the 2-vCPU host (EXPERIMENTS.md, "One
-// executor").
-const spinFor = 200 * time.Microsecond
-
 // NewBarrier creates a barrier for n parties (n >= 1).
 func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n, spin: n <= runtime.GOMAXPROCS(0)}
+	b := &Barrier{n: n}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -72,17 +63,20 @@ func (b *Barrier) AwaitCheck(check func() bool) bool {
 		return v
 	}
 	b.mu.Unlock()
-	if b.spin {
-		for start := time.Now(); time.Since(start) < spinFor; {
-			if b.gen.Load() != gen {
-				return b.verdict.Load()
-			}
-		}
+	b.wait(gen)
+	return b.verdict.Load()
+}
+
+// wait returns once generation gen has been released: it polls under the
+// pools' rule (forkjoin.Poll), then parks.
+func (b *Barrier) wait(gen uint64) {
+	released := func() bool { return b.gen.Load() != gen }
+	if forkjoin.Poll(released) {
+		return
 	}
 	b.mu.Lock()
-	for b.gen.Load() == gen {
+	for !released() {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
-	return b.verdict.Load()
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eul3d/internal/forkjoin"
 )
 
 func TestBarrierReleasesAllParties(t *testing.T) {
@@ -137,17 +139,14 @@ func TestBarrierAwaitCheckConsistentVerdict(t *testing.T) {
 	}
 }
 
-// TestBarrierPollingParties: with no more parties than processors an early
-// party polls for the release, and parks when a late one takes longer than
-// spinFor. Either way every generation releases a full complement, with
-// the last arriver's verdict.
+// TestBarrierPollingParties: an early party polls for the release under
+// forkjoin.Poll's rule, and parks when a late one takes longer than
+// forkjoin.PollFor. Either way every generation releases a full
+// complement, with the last arriver's verdict.
 func TestBarrierPollingParties(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n, generations = 2, 400
 	b := NewBarrier(n)
-	if !b.spin {
-		t.Fatal("two parties at GOMAXPROCS 2 do not poll")
-	}
 	var phase atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
@@ -158,7 +157,7 @@ func TestBarrierPollingParties(t *testing.T) {
 				if p == g%n {
 					phase.Add(1)
 					if g%50 == 0 {
-						time.Sleep(2 * spinFor) // the other party parks
+						time.Sleep(2 * forkjoin.PollFor) // the other party parks
 					}
 				}
 				want := g%3 != 0
@@ -175,7 +174,4 @@ func TestBarrierPollingParties(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if NewBarrier(3).spin {
-		t.Error("three parties at GOMAXPROCS 2 poll")
-	}
 }

@@ -77,9 +77,6 @@ func BenchmarkRunLength(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := euler.DefaultParams(0.675, 0)
-	old := SerialCutoffEdges
-	SerialCutoffEdges = 0
-	defer func() { SerialCutoffEdges = old }()
 	runLengths := []int{1, 256, 512, 1024, 2048, 4096, 0}
 
 	engineAt := func(m *mesh.Mesh, runLength, nw int) *Solver {
@@ -150,27 +147,28 @@ func BenchmarkRunLength(b *testing.B) {
 	}
 }
 
-// BenchmarkSerialCutoff is the measurement SerialCutoffEdges is set from:
-// one step of the benchmark sequence's three coarser levels, every region
-// inline on the caller against the same engine pooled over two workers.
+// BenchmarkSerialCutoff asks whether a serial cutoff would pay: one step of
+// the benchmark sequence's three coarser levels on one worker, where every
+// region runs inline on the caller, against the same mesh pooled over two.
 // A round times one step of each, back to back (interleaved for the reason
 // BenchmarkRunLength gives); the row reports the two medians and the median
-// of the per-round pooled/inline ratio.
+// of the per-round pooled/inline ratio. At a region cost of a thread
+// wake-up the engine kept levels below 8,192 edges inline; with workers
+// that poll for the next fork, two workers win on every level the
+// per-worker minimum (minChunk) lets them split (EXPERIMENTS.md, "A pool
+// that stays awake").
 func BenchmarkSerialCutoff(b *testing.B) {
 	seq, err := meshgen.Sequence(meshgen.DefaultChannel(64, 32, 20, 1), 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := euler.DefaultParams(0.675, 0)
-	old := SerialCutoffEdges
-	defer func() { SerialCutoffEdges = old }()
 	for _, m := range seq[1:] {
 		b.Run(fmt.Sprintf("edges=%d", m.NE()), func(b *testing.B) {
 			var eng [2]*Solver
 			var w [2][]euler.State
-			for i, cutoff := range []int{1 << 30, 0} {
-				SerialCutoffEdges = cutoff
-				if eng[i], err = New(m, p, 2); err != nil {
+			for i := range eng {
+				if eng[i], err = New(m, p, i+1); err != nil {
 					b.Fatal(err)
 				}
 				defer eng[i].Close()

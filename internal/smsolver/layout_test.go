@@ -132,7 +132,7 @@ func TestLayoutSharedPerMesh(t *testing.T) {
 }
 
 // TestNewMatchesSequentialOnView holds the bitwise contract of the layout,
-// at every worker count and either side of the serial cutoff: New(m) runs
+// at every worker count: New(m) runs
 // over a view of m whose stored edge order is the order the pooled sweeps
 // accumulate in, so it equals the sequential solver on that view
 // (Solver.D.M).
@@ -152,29 +152,25 @@ func TestNewMatchesSequentialOnView(t *testing.T) {
 		return norms, w
 	}
 
-	for _, cutoff := range []int{0, SerialCutoffEdges} {
-		withCutoff(t, cutoff, func() {
-			for _, nw := range []int{1, 2, 8} {
-				s, err := New(m, p, nw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seqNorms, wSeq := sequential(s.D.M)
-				w := make([]euler.State, m.NV())
-				s.InitUniform(w)
-				for c := 0; c < steps; c++ {
-					if n := s.Step(w, nil); n != seqNorms[c] {
-						t.Fatalf("cutoff=%d nw=%d step %d: norm %v, sequential on the view %v", cutoff, nw, c, n, seqNorms[c])
-					}
-				}
-				s.Close()
-				for i := range w {
-					if w[i] != wSeq[i] {
-						t.Fatalf("cutoff=%d nw=%d: vertex %d: %v, sequential on the view %v", cutoff, nw, i, w[i], wSeq[i])
-					}
-				}
+	for _, nw := range []int{1, 2, 8} {
+		s, err := New(m, p, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqNorms, wSeq := sequential(s.D.M)
+		w := make([]euler.State, m.NV())
+		s.InitUniform(w)
+		for c := 0; c < steps; c++ {
+			if n := s.Step(w, nil); n != seqNorms[c] {
+				t.Fatalf("nw=%d step %d: norm %v, sequential on the view %v", nw, c, n, seqNorms[c])
 			}
-		})
+		}
+		s.Close()
+		for i := range w {
+			if w[i] != wSeq[i] {
+				t.Fatalf("nw=%d: vertex %d: %v, sequential on the view %v", nw, i, w[i], wSeq[i])
+			}
+		}
 	}
 }
 
@@ -201,55 +197,51 @@ var (
 func TestGoldenHistoryUnchanged(t *testing.T) {
 	spec := meshgen.DefaultChannel(12, 6, 4, 17)
 	p := euler.DefaultParams(0.675, 0)
-	for _, cutoff := range []int{0, SerialCutoffEdges} {
-		withCutoff(t, cutoff, func() {
-			for _, nw := range []int{1, 2, 8} {
-				m, err := meshgen.Channel(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := New(m, p, nw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := euler.NewDisc(s.D.M, p)
-				ws := euler.NewStepWorkspace(m.NV())
-				w, wSeq := make([]euler.State, m.NV()), make([]euler.State, m.NV())
-				s.InitUniform(w)
-				d.InitUniform(wSeq)
-				for c, want := range goldenSingle {
-					got, seq := math.Float64bits(s.Step(w, nil)), math.Float64bits(d.Step(wSeq, nil, ws))
-					if got != want || got != seq {
-						t.Fatalf("single grid, cutoff=%d nw=%d step %d: norm bits %#x, golden %#x, sequential on the view %#x", cutoff, nw, c, got, want, seq)
-					}
-				}
-				s.Close()
-
-				seq, err := meshgen.Sequence(spec, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mg, err := NewMultigrid(seq, p, 2, nw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				views := make([]*mesh.Mesh, len(mg.levels))
-				for l, lev := range mg.levels {
-					views[l] = lev.eng.lay.view
-				}
-				ref, err := multigrid.New(views, p, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for c, want := range goldenW3 {
-					got, seq := math.Float64bits(mg.Cycle()), math.Float64bits(ref.Cycle())
-					if got != want || got != seq {
-						t.Fatalf("3-level W, cutoff=%d nw=%d cycle %d: norm bits %#x, golden %#x, sequential on the views %#x", cutoff, nw, c, got, want, seq)
-					}
-				}
-				mg.Close()
+	for _, nw := range []int{1, 2, 8} {
+		m, err := meshgen.Channel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(m, p, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := euler.NewDisc(s.D.M, p)
+		ws := euler.NewStepWorkspace(m.NV())
+		w, wSeq := make([]euler.State, m.NV()), make([]euler.State, m.NV())
+		s.InitUniform(w)
+		d.InitUniform(wSeq)
+		for c, want := range goldenSingle {
+			got, seq := math.Float64bits(s.Step(w, nil)), math.Float64bits(d.Step(wSeq, nil, ws))
+			if got != want || got != seq {
+				t.Fatalf("single grid, nw=%d step %d: norm bits %#x, golden %#x, sequential on the view %#x", nw, c, got, want, seq)
 			}
-		})
+		}
+		s.Close()
+
+		seq, err := meshgen.Sequence(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mg, err := NewMultigrid(seq, p, 2, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := make([]*mesh.Mesh, len(mg.levels))
+		for l, lev := range mg.levels {
+			views[l] = lev.eng.lay.view
+		}
+		ref, err := multigrid.New(views, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, want := range goldenW3 {
+			got, seq := math.Float64bits(mg.Cycle()), math.Float64bits(ref.Cycle())
+			if got != want || got != seq {
+				t.Fatalf("3-level W, nw=%d cycle %d: norm bits %#x, golden %#x, sequential on the views %#x", nw, c, got, want, seq)
+			}
+		}
+		mg.Close()
 	}
 }
 
@@ -314,27 +306,25 @@ func checkLayout(t *testing.T, lay *layout) {
 // generated channel at two sizes (the rule's run length), a selectively
 // refined one (an adaptive epoch's) and a 3-level sequence's coarse levels.
 func TestLayoutStructure(t *testing.T) {
-	withCutoff(t, 0, func() {
-		big, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
+	big, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
+	meshes := append(testSequence(t, 3), testMesh(t), big, r.Mesh)
+	for _, m := range meshes {
+		lay, err := layoutFor(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
-		meshes := append(testSequence(t, 3), testMesh(t), big, r.Mesh)
-		for _, m := range meshes {
-			lay, err := layoutFor(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkLayout(t, lay)
-			if ng := lay.edges.NumColors(); ng > maxGroups || !balanced(&lay.edges) {
-				t.Errorf("%d-edge mesh: %d groups, balanced %v", m.NE(), ng, balanced(&lay.edges))
-			}
+		checkLayout(t, lay)
+		if ng := lay.edges.NumColors(); ng > maxGroups || !balanced(&lay.edges) {
+			t.Errorf("%d-edge mesh: %d groups, balanced %v", m.NE(), ng, balanced(&lay.edges))
 		}
-		if lay, _ := layoutFor(big); lay.edges.NumRuns() > 2*runsWanted || lay.edges.NumColors() >= 15 {
-			t.Errorf("generated channel: %d runs in %d groups — the layout fell back on a mesh that is local", lay.edges.NumRuns(), lay.edges.NumColors())
-		}
-	})
+	}
+	if lay, _ := layoutFor(big); lay.edges.NumRuns() > 2*runsWanted || lay.edges.NumColors() >= 15 {
+		t.Errorf("generated channel: %d runs in %d groups — the layout fell back on a mesh that is local", lay.edges.NumRuns(), lay.edges.NumColors())
+	}
 }
 
 // TestScrambledMeshFallsBack: a mesh whose vertices and tetrahedra arrive
@@ -342,7 +332,7 @@ func TestLayoutStructure(t *testing.T) {
 // from what it built, not from who sent the mesh — fall back to short runs
 // without panicking, still verify and balance, and the engine on it must
 // keep every relational contract: equal to the sequential solver on its
-// view, equal across worker counts and cutoffs, and equal to the sequential
+// view, equal across worker counts, and equal to the sequential
 // solver on the source mesh to roundoff.
 func TestScrambledMeshFallsBack(t *testing.T) {
 	nat, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
@@ -387,21 +377,18 @@ func TestScrambledMeshFallsBack(t *testing.T) {
 		norms [steps]float64
 		w     []euler.State
 	}
-	pooled := func(cutoff, nw int) (r run, view *mesh.Mesh) {
-		withCutoff(t, cutoff, func() {
-			s, err := New(m, p, nw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			r.w = make([]euler.State, m.NV())
-			s.InitUniform(r.w)
-			for c := range r.norms {
-				r.norms[c] = s.Step(r.w, nil)
-			}
-			view = s.D.M
-		})
-		return r, view
+	pooled := func(nw int) (r run, view *mesh.Mesh) {
+		s, err := New(m, p, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		r.w = make([]euler.State, m.NV())
+		s.InitUniform(r.w)
+		for c := range r.norms {
+			r.norms[c] = s.Step(r.w, nil)
+		}
+		return r, s.D.M
 	}
 	sequential := func(on *mesh.Mesh) (r run) {
 		d := euler.NewDisc(on, p)
@@ -413,12 +400,11 @@ func TestScrambledMeshFallsBack(t *testing.T) {
 		}
 		return r
 	}
-	ref, view := pooled(0, 1)
+	ref, view := pooled(1)
 	for name, other := range map[string]run{
 		"sequential on the view": sequential(view),
-		"2 workers":              first(pooled(0, 2)),
-		"8 workers":              first(pooled(0, 8)),
-		"default cutoff":         first(pooled(SerialCutoffEdges, 2)),
+		"2 workers":              first(pooled(2)),
+		"8 workers":              first(pooled(8)),
 	} {
 		for c := range ref.norms {
 			stepsBitwise(t, "1 worker vs "+name, ref.w, other.w, ref.norms[c], other.norms[c])

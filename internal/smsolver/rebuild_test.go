@@ -62,10 +62,6 @@ func stepsBitwise(t *testing.T, label string, a, b []euler.State, na, nb float64
 // constructed one on the refined mesh: the layout is a function of the
 // current mesh alone, whatever meshes the engine ran on before.
 func TestRebuildMatchesFresh(t *testing.T) {
-	old := SerialCutoffEdges
-	SerialCutoffEdges = 0
-	defer func() { SerialCutoffEdges = old }()
-
 	p := euler.DefaultParams(0.5, 0)
 	m0, r, w := refinedCase(t, p)
 
@@ -107,10 +103,6 @@ func unshared(m *mesh.Mesh) *mesh.Mesh {
 // on the mesh, and cutting a group at run boundaries never changes a
 // vertex's accumulation order.
 func TestRebuildWorkerDeterminism(t *testing.T) {
-	old := SerialCutoffEdges
-	SerialCutoffEdges = 0
-	defer func() { SerialCutoffEdges = old }()
-
 	p := euler.DefaultParams(0.5, 0)
 	m0, r, w := refinedCase(t, p)
 

@@ -32,10 +32,10 @@
 // compare the two through the block layout's views.
 //
 // Execution uses a persistent worker pool (internal/forkjoin): the workers
-// are spawned once, parked between parallel regions, and driven through
-// prebuilt per-group chunk tables balanced by element count; all scratch is
-// solver-owned, so a steady-state Step (and multigrid Cycle) performs zero
-// heap allocations. The kernels run on blocks (euler.StateSoA) of one
+// are spawned once, poll for the next region before they park, and are
+// driven through prebuilt per-group chunk tables balanced by element count;
+// all scratch is solver-owned, so a steady-state Step (and multigrid
+// Cycle) performs zero heap allocations. The kernels run on blocks (euler.StateSoA) of one
 // 40-byte State record per vertex — the layout of the public []State
 // itself, chosen over five component streams because every edge reads a
 // whole record at both ends (EXPERIMENTS.md, "One record per vertex") — so
@@ -54,9 +54,12 @@
 // gather over the layout's adjacency, whose rows list the neighbours in the
 // order the edge sweep would meet them, so it is that sweep's arithmetic
 // bit for bit at one barrier. The per-block residual-norm partials are
-// padded to cache lines so concurrent block writers never share one. Grid
-// levels below SerialCutoffEdges skip the fork/join barrier and run every
-// region inline on the caller — chunking and inlining never affect results.
+// padded to cache lines so concurrent block writers never share one. A loop
+// too short to give every worker minChunk elements wakes fewer of them, down
+// to running inline on the caller — chunking never affects results. Every
+// level of every size is pooled: the pool's workers poll for the next fork,
+// so a region costs about what its arithmetic costs even on a coarse grid
+// (EXPERIMENTS.md, "A pool that stays awake").
 // The engine/levelEngine split in this file lets the same N parked workers
 // drive either a single grid (Solver) or every level of a FAS multigrid
 // sequence (Multigrid, multigrid.go). Close releases the workers; a solver
@@ -78,26 +81,6 @@ import (
 	"eul3d/internal/perf"
 	"eul3d/internal/trace"
 )
-
-// SerialCutoffEdges is the serial-fallback work threshold: a grid level
-// with fewer edges than this runs every parallel region inline on the
-// calling goroutine, skipping the fork/join barrier entirely. A five-stage
-// step is ~90 forks on the block-colored layout (7 edge passes over 4–9
-// groups, 5 face passes, ~25 vertex sweeps), each a wake-up and a join of
-// parked workers — 5–10 µs apiece in a running step, not the 0.5 µs of an
-// empty fork/join in a tight loop — against 0.27 µs an edge of arithmetic a
-// step: two workers break even near 5,000 edges, and BenchmarkSerialCutoff
-// (EXPERIMENTS.md, "Serial cutoff") has the benchmark sequence's
-// 5,253-edge level 1.24x slower pooled over two workers than inline (1.11x
-// when edges were colored singly, whose ~350-edge groups never forked). The
-// constant therefore sits above that level. The next one, 38,874 edges, also
-// loses on the development host (1.12x) while the 298,740-edge mesh gains
-// 1.5x — its two vCPUs do not behave as two cores on cache-resident work —
-// which is a property of that host, not of the barrier, and stays pooled.
-// Results are unaffected (chunking never changes a vertex's accumulation
-// order), which TestSerialCutoffBitwise asserts. Tests that need the pooled
-// path on small meshes set this to 0.
-var SerialCutoffEdges = 8192
 
 // taskKind names one parallel region; exec dispatches on it so that
 // forking never builds a closure.
@@ -188,9 +171,7 @@ type levelEngine struct {
 	normPartial []normSlot
 
 	// Prebuilt chunk tables: per-worker vertex and norm-block ranges, and
-	// per-group per-worker edge/face ranges of whole runs. On levels below
-	// SerialCutoffEdges the tables are built single-worker, so every region
-	// runs inline.
+	// per-group per-worker edge/face ranges of whole runs.
 	vertSpans  []span
 	vertActive int
 	normSpans  []span
@@ -224,16 +205,10 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 }
 
 // buildSpans (re)builds the chunk tables for the level's current layout,
-// reusing the old tables' arrays. Serial fallback: a level whose whole edge
-// list is below the cutoff gets single-worker tables, so every fork runs
-// inline on the caller and no barrier is paid. Chunking never affects
-// results.
+// reusing the old tables' arrays. Chunking never affects results.
 func (le *levelEngine) buildSpans(nworkers int) {
 	if le.lay.inOrder && nworkers > 1 {
 		panic("smsolver: the in-order layout is NewSequential's one-worker form")
-	}
-	if le.lay.view.NE() < SerialCutoffEdges {
-		nworkers = 1
 	}
 	le.vertSpans, le.vertActive = buildSpans(le.vertSpans, le.lay.view.NV(), nworkers)
 	le.normSpans, le.normActive = buildSpans(le.normSpans, len(le.normPartial), nworkers)

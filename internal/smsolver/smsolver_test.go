@@ -3,6 +3,7 @@ package smsolver
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"eul3d/internal/euler"
@@ -189,7 +190,8 @@ func TestOddSmoothingSweeps(t *testing.T) {
 
 // TestStepZeroAllocs asserts the acceptance criterion of the pool engine:
 // a steady-state Step allocates nothing, with the fork/join barrier and
-// every chunk table prebuilt in New.
+// every chunk table prebuilt in New, whether the workers park between
+// regions (one processor) or poll (two).
 func TestStepZeroAllocs(t *testing.T) {
 	m := testMesh(t)
 	s, err := New(m, euler.DefaultParams(0.675, 0), 2)
@@ -204,6 +206,32 @@ func TestStepZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { s.Step(w, forcing) }); n != 0 {
 		t.Errorf("Step allocates %v times per call, want 0", n)
 	}
+	if n := pollingAllocs(func() { s.Step(w, forcing) }, 20); n != 0 {
+		t.Errorf("20 steps at GOMAXPROCS 2 allocate %d times, want 0", n)
+	}
+}
+
+// pollingAllocs counts the mallocs of n calls of f at GOMAXPROCS 2, where
+// a 2-worker pool's worker polls for the next region (testing.AllocsPerRun
+// runs at one processor, where it parks), with the collector off. It is
+// the least of ten windows: a worker that does park and is woken on the
+// other processor can make the runtime allocate a sudog for that
+// processor's cache.
+func pollingAllocs(f func(), n int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := ^uint64(0)
+	for try := 0; try < 10 && least > 0; try++ {
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
 }
 
 // TestEmptyMesh: a degenerate (zero-vertex) mesh must construct and step

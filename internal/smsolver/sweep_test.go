@@ -29,9 +29,6 @@ func poisonVertexTerms(d *euler.Disc) {
 // them before every Step, before every Cycle (all levels) and after a
 // Rebuild: the histories and solutions must not move by a bit.
 func TestVertexTermsNeverStale(t *testing.T) {
-	old := SerialCutoffEdges
-	SerialCutoffEdges = 0
-	defer func() { SerialCutoffEdges = old }()
 	p := euler.DefaultParams(0.675, 0)
 	const steps = 4
 
@@ -148,10 +145,6 @@ func TestVertexTermsNeverStale(t *testing.T) {
 // evaluations, exactly as many, and more — and in the time-accurate mode,
 // where stage 0 drops the spectral radii but still owes the time steps.
 func TestStageScheduleCorners(t *testing.T) {
-	old := SerialCutoffEdges
-	SerialCutoffEdges = 0
-	defer func() { SerialCutoffEdges = old }()
-
 	m := testMesh(t)
 	nv := m.NV()
 	for _, tc := range []struct {

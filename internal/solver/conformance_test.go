@@ -44,13 +44,6 @@ func TestCrossEngineConformance(t *testing.T) {
 		{"W-cycle-3-levels", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// The conformance meshes sit below the engine's default
-			// serial-fallback threshold; pin it to zero so the pooled
-			// engine really runs its pooled path here (the inline path has
-			// its own bitwise test, smsolver's TestSerialCutoffBitwise).
-			defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-			smsolver.SerialCutoffEdges = 0
-
 			raw, err := meshgen.Sequence(meshgen.DefaultChannel(10, 7, 5, 17), tc.levels)
 			if err != nil {
 				t.Fatal(err)
@@ -231,9 +224,6 @@ func abs64(x float64) float64 {
 // memory-placement choices, not numerical ones. The same solver instances must also keep
 // the engine's zero-allocation contract on the step path (stepAllocs).
 func TestSingleGridSoAConformance(t *testing.T) {
-	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-	smsolver.SerialCutoffEdges = 0
-
 	m, err := meshgen.Channel(meshgen.DefaultChannel(10, 7, 5, 17))
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
-	"eul3d/internal/smsolver"
 	"eul3d/internal/trace"
 )
 
@@ -28,8 +27,6 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-	smsolver.SerialCutoffEdges = 0 // the pooled kinds must run their pools
 	p := euler.DefaultParams(0.675, 0)
 
 	// run returns Open's error, or the history and the number of trace

@@ -13,7 +13,6 @@ import (
 	"eul3d/internal/refine"
 	"eul3d/internal/reorder"
 	"eul3d/internal/scenario"
-	"eul3d/internal/smsolver"
 )
 
 // TestSingleGridIsDiscBitwise pins NewSingleGrid's contract: the sequential
@@ -194,8 +193,6 @@ func TestSequentialMultigridIsSerialBitwise(t *testing.T) {
 // coarse levels hold forcings FMG must clear before each starts as the
 // finest grid.
 func TestPooledFMGIsSerialBitwise(t *testing.T) {
-	defer func(old int) { smsolver.SerialCutoffEdges = old }(smsolver.SerialCutoffEdges)
-	smsolver.SerialCutoffEdges = 0 // run the pools
 	p := euler.DefaultParams(0.675, 0)
 	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(10, 7, 5, 17), 3)
 	if err != nil {
