@@ -1,6 +1,7 @@
 package forkjoin
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,15 +21,15 @@ func region(sink []float64) func(int) {
 }
 
 // BenchmarkForkContended is ns per short region of a 2-worker pool, alone
-// ("idle") and while a third goroutine computes. In "contended" the third
-// goroutine computes in regions of a one-worker pool, as a sequential job
-// beside a pooled one does, so the pools' busy count sees it. In
-// "contended-uncounted" it computes outside any pool, as a mesh build or an
-// encoder does, and the count does not. Run it at -cpu 2: three goroutines
-// then want two processors, and a worker or joiner that polls for a
-// goroutine without a processor burns its whole poll. The file uses only
-// New, Fork and Shutdown, so it runs unchanged against any version of the
-// pool.
+// ("idle") and beside other work on the processors. In "contended" a
+// second 2-worker pool forks short regions, as a second pooled job does,
+// and the pools' busy count sees its goroutines. In "contended-uncounted" a
+// goroutine computes outside any pool and never blocks, as a mesh build or
+// an encoder does, and the count does not see it. Run it at -cpu 2: the
+// pool's goroutines then want a processor that is not free, and a worker
+// or joiner that polls for a goroutine without one burns its whole poll.
+// The file uses only New, Fork and Shutdown, so it runs unchanged against
+// any version of the pool.
 func BenchmarkForkContended(b *testing.B) {
 	for _, c := range []struct {
 		name      string
@@ -36,11 +37,11 @@ func BenchmarkForkContended(b *testing.B) {
 	}{
 		{"idle", nil},
 		{"contended", func(stop *atomic.Bool) {
-			q := New(1)
+			q := New(2)
 			defer q.Shutdown()
-			work := region(make([]float64, 8))
+			work := region(make([]float64, 16))
 			for !stop.Load() {
-				q.Fork(work, 1)
+				q.Fork(work, 2)
 			}
 		}},
 		{"contended-uncounted", func(stop *atomic.Bool) {
@@ -140,4 +141,73 @@ func BenchmarkForkNeighbour(b *testing.B) {
 	<-forking
 	close(req)
 	b.ReportMetric(float64(regions.Load())/elapsed.Seconds()/1e3, "kregions/s")
+}
+
+// BenchmarkForkNetNeighbour is what a pool that forks back to back leaves
+// to a connection, as a daemon's requests beside a pooled job: a loopback
+// TCP round trip to an echo goroutine that computes 10 µs, every 200 µs,
+// while a 2-worker pool runs 20 µs regions. rtt-µs is the round trip. The
+// runtime polls the network only from a processor that has run out of
+// work, or every 10 ms. Run it at -cpu 2.
+func BenchmarkForkNetNeighbour(b *testing.B) {
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 1)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+			spin(10 * time.Microsecond)
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	p := New(2)
+	defer p.Shutdown()
+	var stop atomic.Bool
+	forking := make(chan struct{})
+	go func() {
+		defer close(forking)
+		fn := func(int) { spin(20 * time.Microsecond) }
+		for !stop.Load() {
+			p.Fork(fn, 2)
+		}
+	}()
+	defer func() { // before Shutdown
+		stop.Store(true)
+		<-forking
+	}()
+	buf := make([]byte, 1)
+	var rtt time.Duration
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if _, err := c.Write(buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Read(buf); err != nil {
+			b.Fatal(err)
+		}
+		rtt += time.Since(start)
+		time.Sleep(200 * time.Microsecond)
+	}
+	b.ReportMetric(float64(rtt.Microseconds())/float64(b.N), "rtt-µs")
 }

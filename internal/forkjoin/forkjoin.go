@@ -1,10 +1,10 @@
 // Package forkjoin is the persistent worker pool both parallel engines run
 // on: N-1 long-lived goroutines that poll for the next fork for up to
 // PollFor before they park on their wake channels. A region that follows
-// closely costs one CAS per worker to start and an atomic decrement to
-// join; after a pause, a channel send per worker and a receive. Neither
-// allocates. smsolver forks one region per colored loop, dmsolver one per
-// cycle.
+// closely costs one atomic swap per worker to start and an atomic
+// decrement to join; after a pause, a channel send per worker and a
+// receive. Neither allocates. smsolver forks one region per colored loop,
+// dmsolver one per cycle.
 package forkjoin
 
 import (
@@ -16,26 +16,62 @@ import (
 // PollFor bounds every poll: about what waking a parked thread costs on a
 // virtual machine, and the largest gap between two parties' arrivals at a
 // barrier of the distributed cycle on a 2-vCPU host (EXPERIMENTS.md, "One
-// executor"). Every PollFor/4 a pool goroutine also yields its processor,
-// a worker before it joins and a forker before it forks: goroutines
-// outside the pools are not counted busy, and a pool that never parks
-// would keep them waiting for the runtime's 10 ms preemption
-// (EXPERIMENTS.md, "A pool that stays awake").
+// executor", "A pool that stays awake").
 const PollFor = 200 * time.Microsecond
 
+// yieldEvery is how often a polling worker yields its processor.
+// Goroutines outside the pools are not counted busy, and a pool that forks
+// back to back would keep them waiting for the runtime's 10 ms preemption.
+// Unlike Poll's callers, a worker may yield: Fork takes it wherever it
+// waits, and the start check (Pool.joined) keeps the forker from spinning
+// for it while it waits for its processor back.
+const yieldEvery = PollFor / 4
+
+// startBy bounds how long a joiner waits for a worker it took polling, but
+// off its processor, to start (Pool.joined).
+const startBy = PollFor / 4
+
 // busy counts the goroutines of every pool in the process that are running
-// a region or polling: each forker for the length of its Fork, and each
-// worker from the send that wakes it until it parks again.
+// a region of two or more workers or polling: each such region's forker for
+// the length of its Fork, and each worker from the Fork that takes it until
+// it parks again.
 var busy atomic.Int32
 
+// seqUntil is when the sequential engines' lease runs out, in Unix
+// nanoseconds (a step of the wall clock only stretches or cuts one lease
+// short): while it lies ahead, a one-worker pool has run a region
+// lately, and the pools count one more busy goroutine. Every seqEvery-th
+// inline region of a one-worker pool renews it for seqLease. Counting each
+// inline region in busy would take two atomics a region, and under the
+// race detector those made a sequential engine a third slower.
+var seqUntil atomic.Int64
+
+const (
+	seqEvery = 16
+	seqLease = 2 * time.Millisecond
+)
+
+// mayPoll is the pools' one polling rule: poll only while every busy pool
+// goroutine, and a sequential engine that ran lately, can have a processor
+// of its own.
+func mayPoll(procs int32) bool {
+	n := busy.Load()
+	if time.Now().UnixNano() < seqUntil.Load() {
+		n++
+	}
+	return n <= procs
+}
+
 // Poll spins until done reports true and returns true, or returns false
-// once PollFor has passed or more goroutines are busy than there are
-// processors. It does not yield: a yielding poller re-queues itself
-// without waking an idle processor, and two goroutines can end up taking
-// turns on one for good.
+// once PollFor has passed or mayPoll fails. It does not yield: a yielding
+// poller re-queues itself without waking an idle processor, and two
+// goroutines can end up taking turns on one for good.
 func Poll(done func() bool) bool {
-	procs := int32(runtime.GOMAXPROCS(0))
-	for start := time.Now(); busy.Load() <= procs && time.Since(start) < PollFor; {
+	return poll(int32(runtime.GOMAXPROCS(0)), PollFor, done)
+}
+
+func poll(procs int32, bound time.Duration, done func() bool) bool {
+	for start := time.Now(); mayPoll(procs) && time.Since(start) < bound; {
 		if done() {
 			return true
 		}
@@ -48,6 +84,16 @@ func Poll(done func() bool) bool {
 // word decides it, so no signal can reach a later region's join.
 const joinParked = 1 << 30
 
+// A worker's state. Fork swaps in taken, and wakes the worker through its
+// channel unless the old state was polling; the worker gives up polling
+// only by a CAS that fails once Fork has swapped. So exactly one side
+// decides how a region reaches a worker.
+const (
+	idle    int32 = iota // running or parked: Fork must wake it
+	polling              // polling for the next fork
+	taken                // handed a region by Fork, not started yet
+)
+
 // Pool is the fork/join barrier itself. It deliberately holds no reference
 // to its owner between forks (fn is cleared after every join), so an owner
 // abandoned without Shutdown becomes unreachable and a runtime cleanup
@@ -55,18 +101,20 @@ const joinParked = 1 << 30
 type Pool struct {
 	workers []worker // 1..n-1; workers[0] is the caller's and unused
 	fn      func(worker int)
+	procs   int32         // GOMAXPROCS, read once a Fork
+	missed  time.Time     // when joined last waited startBy in vain
+	inline  int           // regions run inline, for the sequential lease
 	pending atomic.Int32  // workers still running, plus joinParked
 	done    chan struct{} // signalled by the last worker of a parked join
 	closed  atomic.Bool
-	yielded time.Time // the forker's last yield
 }
 
-// worker is one worker's slot, alone on its cache line: the forker writes
-// it once a region and the worker polls it between regions.
+// worker is one worker's slot, alone on its cache line: the forker swaps
+// its state once a region, and the worker polls it between regions.
 type worker struct {
-	polling atomic.Bool   // polling for the next fork; cleared by whichever of Fork and the worker CASes it first
-	wake    chan struct{} // buffered; closed on shutdown
-	_       [48]byte
+	state atomic.Int32
+	wake  chan struct{} // buffered; closed on shutdown
+	_     [48]byte
 }
 
 // New starts n-1 parked workers (the caller is worker 0); n must be at
@@ -88,33 +136,38 @@ func (p *Pool) worker(id int) {
 	yielded := time.Now()
 	for range w.wake {
 		for {
+			w.state.Store(idle) // the start a polling joiner looks for
 			p.fn(id)
-			if time.Since(yielded) >= PollFor/4 {
-				runtime.Gosched() // before the join, so that no Fork can take it meanwhile
-				yielded = time.Now()
-			}
 			// Decide before the join, so that the next Fork finds the
 			// worker either polling or about to park.
-			poll := busy.Load() <= int32(runtime.GOMAXPROCS(0))
-			if poll {
-				w.polling.Store(true)
+			procs := p.procs
+			stay := mayPoll(procs)
+			if stay {
+				w.state.Store(polling)
 			} else {
 				busy.Add(-1)
 			}
 			if p.pending.Add(-1) == joinParked {
 				p.done <- struct{}{}
-				if poll {
+				if stay {
 					// The send readied the joiner on this processor, behind
 					// this goroutine: let it run here at once, rather than
 					// poll while it waits for another processor to steal it.
 					runtime.Gosched()
+					yielded = time.Now()
 				}
 			}
-			if !poll {
+			if !stay {
 				break
 			}
-			Poll(func() bool { return !w.polling.Load() || p.closed.Load() })
-			if w.polling.CompareAndSwap(true, false) {
+			poll(procs, PollFor, func() bool {
+				if time.Since(yielded) >= yieldEvery {
+					runtime.Gosched()
+					yielded = time.Now()
+				}
+				return w.state.Load() != polling || p.closed.Load()
+			})
+			if w.state.CompareAndSwap(polling, idle) {
 				busy.Add(-1)
 				break // park, or exit after Shutdown
 			}
@@ -129,34 +182,32 @@ func (p *Pool) worker(id int) {
 // the atomics and channel operations of the fork and the join provide the
 // happens-before edges in both directions.
 //
-// A polling worker is taken with one CAS of its flag, a parked one woken
-// with a send; the CAS settles the race with a worker giving up its poll in
-// exactly one direction. The forker polls for the join only if it took
-// every worker polling: one it had to wake may still be waiting for a
-// processor, which a polling joiner would be holding.
+// A polling worker is taken with one swap of its state, a parked one woken
+// with a send as well. The forker then parks for the join unless it took
+// every worker polling (rule 2: one it had to wake may still be waiting for
+// a processor, which a polling joiner would be holding) and joined polls.
 func (p *Pool) Fork(fn func(int), active int) {
-	busy.Add(1)
 	if active <= 1 {
+		if p.inline++; len(p.workers) == 1 && p.inline%seqEvery == 0 {
+			seqUntil.Store(time.Now().Add(seqLease).UnixNano())
+		}
 		fn(0)
-		busy.Add(-1)
 		return
 	}
-	if time.Since(p.yielded) >= PollFor/4 {
-		runtime.Gosched()
-		p.yielded = time.Now()
-	}
-	p.fn = fn
+	busy.Add(1)
+	procs := int32(runtime.GOMAXPROCS(0))
+	p.fn, p.procs = fn, procs
 	p.pending.Store(int32(active - 1))
-	allPolling := true
+	woke := false
 	for i := 1; i < active; i++ {
-		if w := &p.workers[i]; !w.polling.CompareAndSwap(true, false) {
-			allPolling = false
+		if w := &p.workers[i]; w.state.Swap(taken) != polling {
+			woke = true
 			busy.Add(1)
 			w.wake <- struct{}{}
 		}
 	}
 	fn(0)
-	if !allPolling || !Poll(func() bool { return p.pending.Load() == 0 }) {
+	if woke || !p.joined(procs, active) {
 		// Announce the park: if every worker has finished, none will
 		// signal; otherwise the last one's decrement sees the mark.
 		if p.pending.Add(joinParked) != joinParked {
@@ -166,6 +217,35 @@ func (p *Pool) Fork(fn func(int), active int) {
 	p.fn = nil
 	busy.Add(-1)
 }
+
+// joined polls for the join of workers taken polling, and reports whether
+// it came. It first looks for every worker to have started: a polling
+// worker starts within a microsecond, so one that has not is off its
+// processor (it yielded, or was preempted) and a joiner that polled for it
+// might be holding the processor it waits for. It waits startBy for a late
+// start, long enough for an idle processor's thread to wake and pick the
+// worker up; after a miss it only looks once, until PollFor has passed
+// since the last one.
+func (p *Pool) joined(procs int32, active int) bool {
+	started := func() bool {
+		for i := 1; i < active; i++ {
+			if p.workers[i].state.Load() == taken {
+				return false
+			}
+		}
+		return true
+	}
+	if !started() {
+		if time.Since(p.missed) < PollFor || !poll(procs, startBy, started) {
+			p.missed = time.Now()
+			return false
+		}
+	}
+	return poll(procs, PollFor, p.finished)
+}
+
+// finished reports whether every worker of the region has finished.
+func (p *Pool) finished() bool { return p.pending.Load() == 0 }
 
 // Shutdown terminates the workers; idempotent. The pool must not fork
 // afterwards.

@@ -93,8 +93,8 @@ func TestForkStress(t *testing.T) {
 	forks.Wait()
 	stop.Store(true)
 	wg.Wait()
-	// A worker still polling when its pool shut down stays counted until
-	// its poll runs out.
+	// A worker that was polling when its pool shut down stays counted
+	// until it notices.
 	for deadline := time.Now().Add(5 * time.Second); busy.Load() != 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
@@ -106,12 +106,13 @@ func TestForkStress(t *testing.T) {
 // TestPollGate: a worker decides before its join whether to poll, and it
 // polls only while no more goroutines are busy than there are processors.
 // On one processor the forker and the worker are already too many; on two,
-// a region beside another pool's open region makes three.
+// a region beside another pool's open region makes three, and so does one
+// beside a sequential engine that is running.
 func TestPollGate(t *testing.T) {
 	p := New(2)
 	defer p.Shutdown()
 	fn := func(int) {}
-	polls := func() bool { return p.workers[1].polling.Load() }
+	polls := func() bool { return p.workers[1].state.Load() == polling }
 
 	prev := runtime.GOMAXPROCS(1)
 	for r := 0; r < 50; r++ {
@@ -133,10 +134,15 @@ func TestPollGate(t *testing.T) {
 		t.Error("GOMAXPROCS 2: the worker never polls after a region")
 	}
 
-	other := New(1)
+	other := New(2)
 	defer other.Shutdown()
 	inside, release := make(chan struct{}), make(chan struct{})
-	go other.Fork(func(int) { close(inside); <-release }, 1)
+	go other.Fork(func(w int) {
+		if w == 0 {
+			close(inside)
+			<-release
+		}
+	}, 2)
 	<-inside
 	for r := 0; r < 50; r++ {
 		if p.Fork(fn, 2); polls() {
@@ -144,6 +150,62 @@ func TestPollGate(t *testing.T) {
 		}
 	}
 	close(release)
+	other.Shutdown()
+	for deadline := time.Now().Add(5 * time.Second); busy.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
+	// A sequential engine's regions renew a lease that counts as one more
+	// busy goroutine. A stall longer than the lease lets the worker poll,
+	// so it has to stay off in one region of fifty, not in all of them.
+	seq := New(1)
+	defer seq.Shutdown()
+	off := false
+	for r := 0; r < 50 && !off; r++ {
+		for i := 0; i < seqEvery; i++ {
+			seq.Fork(fn, 1)
+		}
+		p.Fork(fn, 2)
+		off = !polls()
+	}
+	if !off {
+		t.Error("beside a sequential engine's regions, the worker polls")
+	}
+}
+
+// TestJoinLooksForStart: a joiner whose taken worker has not started waits
+// startBy for it and parks; after such a miss it looks once and parks at
+// once, until PollFor has passed. The worker here is parked, and its state
+// is set by hand to the one Fork leaves on a worker it took off its
+// processor.
+func TestJoinLooksForStart(t *testing.T) {
+	for deadline := time.Now().Add(5 * time.Second); busy.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // an earlier test's workers may still be counted
+	}
+	p := New(2)
+	defer p.Shutdown()
+	p.workers[1].state.Store(taken)
+	defer p.workers[1].state.Store(idle)
+	procs := int32(runtime.GOMAXPROCS(0))
+	look := func() time.Duration {
+		start := time.Now()
+		if p.joined(procs, 2) {
+			t.Fatal("joined with a worker that never started")
+		}
+		return time.Since(start)
+	}
+	if took := look(); took < startBy {
+		t.Errorf("the first look took %v, want a wait of %v", took, startBy)
+	}
+	// The next ones do not wait; a host that stalls the test may still
+	// make one slow, so the quickest of five counts.
+	quickest := time.Hour
+	for r := 0; r < 5; r++ {
+		quickest = min(quickest, look())
+	}
+	if quickest >= startBy {
+		t.Errorf("the looks after a miss took at least %v, want no wait", quickest)
+	}
 }
 
 // TestLateParkLeavesNoSignal: a joiner that announces its park after the
@@ -228,7 +290,7 @@ func TestShutdownStopsWorkers(t *testing.T) {
 	wide.Shutdown()
 
 	narrow := New(2)
-	for r := 0; r < 50 && !narrow.workers[1].polling.Load(); r++ {
+	for r := 0; r < 50 && narrow.workers[1].state.Load() != polling; r++ {
 		narrow.Fork(func(int) {}, 2)
 	}
 	narrow.Shutdown()
