@@ -20,11 +20,13 @@ type subgraph struct {
 	adj   []int32 // local indices
 }
 
-// localDegree returns the degree of local vertex v within the subgraph.
+// degree returns the degree of local vertex v within the subgraph.
 func (s *subgraph) degree(v int32) int32 { return s.ptr[v+1] - s.ptr[v] }
 
-// lapMatVec computes y = L x with L = D - A of the subgraph.
-func (s *subgraph) lapMatVec(x, y []float64) {
+// lapMatVecDot computes y = L x with L = D - A of the subgraph and returns
+// the dot product y·x, accumulated vertex by vertex in the same pass.
+func (s *subgraph) lapMatVecDot(x, y []float64) float64 {
+	dot := 0.0
 	for v := range y {
 		d := float64(s.degree(int32(v)))
 		sum := 0.0
@@ -32,14 +34,27 @@ func (s *subgraph) lapMatVec(x, y []float64) {
 			sum += x[w]
 		}
 		y[v] = d*x[v] - sum
+		dot += y[v] * x[v]
 	}
+	return dot
 }
 
 // fiedler returns an approximation to the eigenvector of the second-
 // smallest eigenvalue of the subgraph Laplacian, computed by Lanczos with
 // full reorthogonalization (and deflation of the constant vector). rng
-// seeds the starting vector so results are deterministic.
-func (s *subgraph) fiedler(rng *rand.Rand, maxIter int) ([]float64, error) {
+// seeds the starting vector so results are deterministic. basis is scratch
+// for the Lanczos vectors, grown when it holds fewer than m·n values.
+//
+// The solve is bound by the latency of its dot products: each is one
+// chain of dependent adds over the vertices, about 2,000 of them for 60
+// iterations. So every pass over the vertices carries exactly one chain,
+// with the vector updates that precede it riding along: the Laplacian
+// product with α, the α/β updates with the constant-mode dot, each
+// Gram–Schmidt update against basis vector j with the dot against vector
+// j+1, and the last update with the norm. Each value still goes through
+// the same floating-point operations in the same order as in separate
+// passes, so the vector is the same to the bit.
+func (s *subgraph) fiedler(rng *rand.Rand, maxIter int, basis *[]float64) ([]float64, error) {
 	n := len(s.verts)
 	if n < 2 {
 		return nil, fmt.Errorf("partition: fiedler on %d vertices", n)
@@ -53,86 +68,90 @@ func (s *subgraph) fiedler(rng *rand.Rand, maxIter int) ([]float64, error) {
 	}
 
 	ones := 1 / math.Sqrt(float64(n))
-	// Lanczos basis, alpha/beta of the tridiagonal.
-	V := make([][]float64, 0, m)
+	// The Lanczos basis, vector j at V[j*n:(j+1)*n]; alpha/beta of the
+	// tridiagonal.
+	if cap(*basis) < m*n {
+		*basis = make([]float64, m*n)
+	}
+	V := (*basis)[:m*n]
+	vec := func(j int) []float64 { return V[j*n : (j+1)*n : (j+1)*n] }
 	alpha := make([]float64, 0, m)
 	beta := make([]float64, 0, m)
 
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
+	// Start from a random vector with the constant mode projected out.
+	w := make([]float64, n)
+	dot := 0.0
+	for i := range w {
+		w[i] = rng.NormFloat64()
+		dot += w[i] * ones
 	}
-	orthoOnes := func(x []float64) {
-		dot := 0.0
-		for i := range x {
-			dot += x[i] * ones
-		}
-		for i := range x {
-			x[i] -= dot * ones
-		}
+	nrm := 0.0
+	for i := range w {
+		w[i] -= dot * ones
+		nrm += w[i] * w[i]
 	}
-	normalize := func(x []float64) float64 {
-		nrm := 0.0
-		for i := range x {
-			nrm += x[i] * x[i]
-		}
-		nrm = math.Sqrt(nrm)
-		if nrm > 0 {
-			inv := 1 / nrm
-			for i := range x {
-				x[i] *= inv
-			}
-		}
-		return nrm
-	}
-	orthoOnes(v)
-	if normalize(v) == 0 {
+	if nrm = math.Sqrt(nrm); nrm == 0 {
 		return nil, fmt.Errorf("partition: degenerate Lanczos start")
 	}
+	scaleInto(vec(0), w, 1/nrm)
 
-	w := make([]float64, n)
 	for it := 0; it < m; it++ {
-		V = append(V, append([]float64(nil), v...))
-		s.lapMatVec(v, w)
-		a := 0.0
-		for i := range w {
-			a += w[i] * v[i]
-		}
+		v := vec(it)
+		a := s.lapMatVecDot(v, w)
 		alpha = append(alpha, a)
-		// w = w - a*v - beta*v_prev, then full reorthogonalization.
-		for i := range w {
-			w[i] -= a * v[i]
+		if it == m-1 {
+			// The last step's β would be beta[m-1], which the
+			// tridiagonal solve below never reads.
+			break
 		}
+		// w -= a·v + β·v_prev, then full reorthogonalization: against
+		// the constant mode, then modified Gram–Schmidt over the basis.
+		dot := 0.0
 		if it > 0 {
-			b := beta[it-1]
-			prev := V[it-1]
+			b, prev := beta[it-1], vec(it-1)
 			for i := range w {
+				w[i] -= a * v[i]
 				w[i] -= b * prev[i]
+				dot += w[i] * ones
+			}
+		} else {
+			for i := range w {
+				w[i] -= a * v[i]
+				dot += w[i] * ones
 			}
 		}
-		orthoOnes(w)
-		for _, u := range V {
-			dot := 0.0
-			for i := range w {
-				dot += w[i] * u[i]
-			}
+		u := vec(0)
+		next := 0.0
+		for i := range w {
+			w[i] -= dot * ones
+			next += w[i] * u[i]
+		}
+		for j := 0; j < it; j++ {
+			u, un := vec(j), vec(j+1)
+			dot, next = next, 0.0
 			for i := range w {
 				w[i] -= dot * u[i]
+				next += w[i] * un[i]
 			}
 		}
-		b := normalize(w)
+		nrm := 0.0
+		for i := range w {
+			w[i] -= next * v[i]
+			nrm += w[i] * w[i]
+		}
+		b := math.Sqrt(nrm)
 		if b < 1e-12 {
 			break
 		}
 		beta = append(beta, b)
-		copy(v, w)
+		scaleInto(vec(it+1), w, 1/b)
 	}
 
 	k := len(alpha)
 	// Solve the k x k tridiagonal eigenproblem; take the eigenvector of the
 	// smallest eigenvalue (the constant mode was deflated, so this Ritz
 	// pair approximates the Fiedler pair).
-	evals, evecs := tridiagEigen(append([]float64(nil), alpha...), append([]float64(nil), beta[:k-1]...))
+	evals, evecs := tridiagEigen(alpha, beta[:k-1])
 	best := 0
 	for i := 1; i < k; i++ {
 		if evals[i] < evals[best] {
@@ -142,11 +161,19 @@ func (s *subgraph) fiedler(rng *rand.Rand, maxIter int) ([]float64, error) {
 	out := make([]float64, n)
 	for j := 0; j < k; j++ {
 		c := evecs[j][best]
+		u := vec(j)
 		for i := range out {
-			out[i] += c * V[j][i]
+			out[i] += c * u[i]
 		}
 	}
 	return out, nil
+}
+
+// scaleInto sets dst = s·x.
+func scaleInto(dst, x []float64, s float64) {
+	for i := range dst {
+		dst[i] = x[i] * s
+	}
 }
 
 // tridiagEigen computes all eigenvalues and eigenvectors of the symmetric

@@ -61,6 +61,10 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 	}
 
 	rng := rand.New(rand.NewSource(seed))
+	var sc *scratch
+	if method == Spectral {
+		sc = newScratch(n)
+	}
 	all := make([]int32, n)
 	for i := range all {
 		all[i] = int32(i)
@@ -79,7 +83,7 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 		var err error
 		switch method {
 		case Spectral:
-			left, right, err = spectralSplit(g, verts, frac, rng)
+			left, right, err = spectralSplit(g, verts, frac, rng, sc)
 		case Inertial:
 			left, right, err = inertialSplit(coords, verts, frac)
 		default:
@@ -99,16 +103,33 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 	return part, nil
 }
 
-// induced builds the local-index subgraph of verts.
-func induced(g *graph.CSR, verts []int32) *subgraph {
-	local := make(map[int32]int32, len(verts))
+// scratch is what the recursive bisection reuses from split to split: a
+// dense global→local vertex table, -1 wherever no subgraph is being built,
+// and the Lanczos basis.
+type scratch struct {
+	local []int32
+	basis []float64
+}
+
+func newScratch(n int) *scratch {
+	local := make([]int32, n)
+	for i := range local {
+		local[i] = -1
+	}
+	return &scratch{local: local}
+}
+
+// induced builds the local-index subgraph of verts, marking verts in
+// sc.local for the build and clearing them again after.
+func induced(g *graph.CSR, verts []int32, sc *scratch) *subgraph {
+	local := sc.local
 	for li, v := range verts {
 		local[v] = int32(li)
 	}
 	s := &subgraph{verts: verts, ptr: make([]int32, len(verts)+1)}
 	for li, v := range verts {
 		for _, w := range g.Neighbors(v) {
-			if _, ok := local[w]; ok {
+			if local[w] >= 0 {
 				s.ptr[li+1]++
 			}
 		}
@@ -117,14 +138,17 @@ func induced(g *graph.CSR, verts []int32) *subgraph {
 		s.ptr[i+1] += s.ptr[i]
 	}
 	s.adj = make([]int32, s.ptr[len(verts)])
-	fill := make([]int32, len(verts))
 	for li, v := range verts {
+		k := s.ptr[li]
 		for _, w := range g.Neighbors(v) {
-			if lw, ok := local[w]; ok {
-				s.adj[s.ptr[li]+fill[li]] = lw
-				fill[li]++
+			if lw := local[w]; lw >= 0 {
+				s.adj[k] = lw
+				k++
 			}
 		}
+	}
+	for _, v := range verts {
+		local[v] = -1
 	}
 	return s
 }
@@ -159,17 +183,17 @@ func splitByKey(verts []int32, key []float64, frac float64) (left, right []int32
 // spectralSplit bisects verts by the Fiedler vector of the induced
 // subgraph. Disconnected subgraphs fall back to a BFS ordering split (the
 // Fiedler vector of a disconnected graph only separates components).
-func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand) (left, right []int32, err error) {
-	s := induced(g, verts)
+func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand, sc *scratch) (left, right []int32, err error) {
 	if len(verts) <= 3 {
 		return splitIdentity(verts, frac)
 	}
+	s := induced(g, verts, sc)
 	if nc := countComponents(s); nc > 1 {
 		key := bfsKey(s)
 		l, r := splitByKey(verts, key, frac)
 		return l, r, nil
 	}
-	f, err := s.fiedler(rng, 60)
+	f, err := s.fiedler(rng, 60, &sc.basis)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,7 +22,7 @@ func meshGraph(t *testing.T, nx, ny, nz int) (*graph.CSR, [][2]int32, []int, int
 	return g, m.Edges, nil, nil
 }
 
-func checkPartition(t *testing.T, part []int32, nparts int) {
+func checkPartition(t testing.TB, part []int32, nparts int) {
 	t.Helper()
 	sizes := make([]int, nparts)
 	for v, p := range part {
@@ -132,8 +132,9 @@ func TestFiedlerMatchesPathEigenvector(t *testing.T) {
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	s := induced(g, verts)
-	f, err := s.fiedler(rand.New(rand.NewSource(2)), 40)
+	s := induced(g, verts, newScratch(n))
+	var basis []float64
+	f, err := s.fiedler(rand.New(rand.NewSource(2)), 40, &basis)
 	if err != nil {
 		t.Fatal(err)
 	}
