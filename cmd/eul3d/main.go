@@ -19,6 +19,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"time"
 
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
@@ -317,7 +318,10 @@ func main() {
 
 // runDistributed is the fault-tolerant distributed path: spectral
 // partition per level, PARTI schedules, and the recovery orchestrator
-// around the simulated-interconnect solve.
+// around the simulated-interconnect solve. With a tracer, a "setup" track
+// holds one "partition" span per level (argument: the level) and one
+// "engine-build" span for the solver's constructor (argument: the level
+// count).
 func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint) {
 	gamma := engineConfig().Gamma
 	nlev := *levels
@@ -328,8 +332,10 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 	if err != nil {
 		log.Fatalf("eul3d: %v", err)
 	}
+	setup := tracer.Track("setup")
 	parts := make([][]int32, nlev)
 	for l, m := range seq {
+		from := time.Now()
 		g, err := graph.FromEdges(m.NV(), m.Edges)
 		if err != nil {
 			log.Fatalf("eul3d: %v", err)
@@ -338,11 +344,13 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 		if err != nil {
 			log.Fatalf("eul3d: %v", err)
 		}
+		setup.Span(tracer.Phase("partition"), from, time.Now(), int64(l))
 		q := partition.Evaluate(parts[l], m.Edges, *nproc)
 		fmt.Printf("level %d: %d points over %d processors, %v\n", l, m.NV(), *nproc, q)
 	}
 
 	var s *dmsolver.Solver
+	from := time.Now()
 	if nlev == 1 {
 		s, err = dmsolver.NewSingle(seq[0], parts[0], *nproc, p)
 	} else {
@@ -351,6 +359,7 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 	if err != nil {
 		log.Fatalf("eul3d: %v", err)
 	}
+	setup.Span(tracer.Phase("engine-build"), from, time.Now(), int64(nlev))
 
 	var plan *simnet.FaultPlan
 	if *faultSpec != "" {

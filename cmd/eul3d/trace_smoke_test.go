@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,7 +80,10 @@ func TestTraceSmoke(t *testing.T) {
 	} else if !strings.Contains(string(out), "3 simulated processors on 2 workers") {
 		t.Errorf("mode line does not name the two workers:\n%s", out)
 	}
-	validate(blockTrace, "p0", "p1-2")
+	validate(blockTrace, "setup", "p0", "p1-2")
+	if got := trackSpans(t, blockTrace, "setup"); got["partition"] != 1 || got["engine-build"] != 1 || len(got) != 2 {
+		t.Errorf("setup track spans %v, want one partition and one engine-build", got)
+	}
 
 	// 2. Distributed run with an injected node crash, a worker per
 	// processor: the per-processor tracks in the main trace, plus the
@@ -95,7 +99,7 @@ func TestTraceSmoke(t *testing.T) {
 	if !strings.Contains(string(out), "restoring checkpoint") {
 		t.Fatalf("injected crash did not trigger a recovery:\n%s", out)
 	}
-	validate(dmTrace, "p0", "p1", "p2", "events")
+	validate(dmTrace, "setup", "p0", "p1", "p2", "events")
 
 	incident := strings.TrimSuffix(dmTrace, ".json") + ".incident.json"
 	validate(incident, "events")
@@ -105,4 +109,38 @@ func TestTraceSmoke(t *testing.T) {
 			t.Errorf("incident dump missing %q instant", want)
 		}
 	}
+}
+
+// trackSpans counts the complete ("X") events on the named track of a
+// Chrome trace file, by span name.
+func trackSpans(t *testing.T, path, track string) map[string]int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			TID   int64          `json:"tid"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	tid := int64(-1)
+	for _, ev := range f.TraceEvents {
+		if ev.Phase == "M" && ev.Name == "thread_name" && ev.Args["name"] == track {
+			tid = ev.TID
+		}
+	}
+	counts := map[string]int{}
+	for _, ev := range f.TraceEvents {
+		if ev.Phase == "X" && ev.TID == tid {
+			counts[ev.Name]++
+		}
+	}
+	return counts
 }
