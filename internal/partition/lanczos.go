@@ -42,8 +42,7 @@ func (s *subgraph) lapMatVecDot(x, y []float64) float64 {
 // fiedler returns an approximation to the eigenvector of the second-
 // smallest eigenvalue of the subgraph Laplacian, computed by Lanczos with
 // full reorthogonalization (and deflation of the constant vector). rng
-// seeds the starting vector so results are deterministic. basis is scratch
-// for the Lanczos vectors, grown when it holds fewer than m·n values.
+// seeds the starting vector so results are deterministic.
 //
 // The solve is bound by the latency of its dot products: each is one
 // chain of dependent adds over the vertices, about 2,000 of them for 60
@@ -54,7 +53,7 @@ func (s *subgraph) lapMatVecDot(x, y []float64) float64 {
 // j+1, and the last update with the norm. Each value still goes through
 // the same floating-point operations in the same order as in separate
 // passes, so the vector is the same to the bit.
-func (s *subgraph) fiedler(rng *rand.Rand, maxIter int, basis *[]float64) ([]float64, error) {
+func (s *subgraph) fiedler(rng *rand.Rand, maxIter int) ([]float64, error) {
 	n := len(s.verts)
 	if n < 2 {
 		return nil, fmt.Errorf("partition: fiedler on %d vertices", n)
@@ -70,10 +69,7 @@ func (s *subgraph) fiedler(rng *rand.Rand, maxIter int, basis *[]float64) ([]flo
 	ones := 1 / math.Sqrt(float64(n))
 	// The Lanczos basis, vector j at V[j*n:(j+1)*n]; alpha/beta of the
 	// tridiagonal.
-	if cap(*basis) < m*n {
-		*basis = make([]float64, m*n)
-	}
-	V := (*basis)[:m*n]
+	V := make([]float64, m*n)
 	vec := func(j int) []float64 { return V[j*n : (j+1)*n : (j+1)*n] }
 	alpha := make([]float64, 0, m)
 	beta := make([]float64, 0, m)

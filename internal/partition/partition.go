@@ -61,9 +61,9 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	var sc *scratch
+	var local []int32
 	if method == Spectral {
-		sc = newScratch(n)
+		local = newLocal(n)
 	}
 	all := make([]int32, n)
 	for i := range all {
@@ -83,7 +83,7 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 		var err error
 		switch method {
 		case Spectral:
-			left, right, err = spectralSplit(g, verts, frac, rng, sc)
+			left, right, err = spectralSplit(g, verts, frac, rng, local)
 		case Inertial:
 			left, right, err = inertialSplit(coords, verts, frac)
 		default:
@@ -103,26 +103,19 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 	return part, nil
 }
 
-// scratch is what the recursive bisection reuses from split to split: a
-// dense global→local vertex table, -1 wherever no subgraph is being built,
-// and the Lanczos basis.
-type scratch struct {
-	local []int32
-	basis []float64
-}
-
-func newScratch(n int) *scratch {
+// newLocal returns the recursion's dense global→local vertex table for a
+// graph of n vertices: -1 wherever no subgraph is being built.
+func newLocal(n int) []int32 {
 	local := make([]int32, n)
 	for i := range local {
 		local[i] = -1
 	}
-	return &scratch{local: local}
+	return local
 }
 
-// induced builds the local-index subgraph of verts, marking verts in
-// sc.local for the build and clearing them again after.
-func induced(g *graph.CSR, verts []int32, sc *scratch) *subgraph {
-	local := sc.local
+// induced builds the local-index subgraph of verts, marking verts in local
+// (a newLocal table) for the build and clearing them again after.
+func induced(g *graph.CSR, verts []int32, local []int32) *subgraph {
 	for li, v := range verts {
 		local[v] = int32(li)
 	}
@@ -183,17 +176,17 @@ func splitByKey(verts []int32, key []float64, frac float64) (left, right []int32
 // spectralSplit bisects verts by the Fiedler vector of the induced
 // subgraph. Disconnected subgraphs fall back to a BFS ordering split (the
 // Fiedler vector of a disconnected graph only separates components).
-func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand, sc *scratch) (left, right []int32, err error) {
+func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand, local []int32) (left, right []int32, err error) {
 	if len(verts) <= 3 {
 		return splitIdentity(verts, frac)
 	}
-	s := induced(g, verts, sc)
+	s := induced(g, verts, local)
 	if nc := countComponents(s); nc > 1 {
 		key := bfsKey(s)
 		l, r := splitByKey(verts, key, frac)
 		return l, r, nil
 	}
-	f, err := s.fiedler(rng, 60, &sc.basis)
+	f, err := s.fiedler(rng, 60)
 	if err != nil {
 		return nil, nil, err
 	}

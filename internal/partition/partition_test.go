@@ -132,9 +132,8 @@ func TestFiedlerMatchesPathEigenvector(t *testing.T) {
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	s := induced(g, verts, newScratch(n))
-	var basis []float64
-	f, err := s.fiedler(rand.New(rand.NewSource(2)), 40, &basis)
+	s := induced(g, verts, newLocal(n))
+	f, err := s.fiedler(rand.New(rand.NewSource(2)), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
