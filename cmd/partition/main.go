@@ -2,9 +2,10 @@
 // processors with the paper's recursive spectral bisection (or the cheaper
 // inertial / BFS-greedy baselines) and prints the quality report: edge cut,
 // imbalance, boundary fraction, and the PARTI communication schedule the
-// partition induces. It also times the partitioner relative to the flow
-// solution, reproducing the paper's observation that spectral partitioning
-// costs as much as a whole flow solve.
+// partition induces. It also times the partitioner against a modelled C90
+// solver cycle. The paper found spectral partitioning as costly as a whole
+// sequential flow solve; here it costs 0.09× a 100-cycle solve of the same
+// mesh at 64 parts (cmd/benchtables -only claims, results/claims.txt).
 package main
 
 import (

@@ -67,10 +67,10 @@ func (s *subgraph) fiedler(rng *rand.Rand, maxIter int) ([]float64, error) {
 	}
 
 	ones := 1 / math.Sqrt(float64(n))
-	// The Lanczos basis, one allocation per vector as the steps reach it.
-	// (One m×n slab, 10 MB on the 48×24×16 channel, made the heap jump
-	// past the collector's trigger at once and raised the distributed
-	// benchmark's peak RSS by 8–9 %.) alpha/beta of the tridiagonal.
+	// The Lanczos basis, one allocation per vector as the steps reach it:
+	// one m×n slab (10 MB on the 48×24×16 channel) read the distributed
+	// benchmark's peak RSS higher (EXPERIMENTS.md, "The partitioner at its
+	// floor"). alpha/beta of the tridiagonal.
 	V := make([][]float64, 0, m)
 	alpha := make([]float64, 0, m)
 	beta := make([]float64, 0, m)

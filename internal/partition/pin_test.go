@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"eul3d/internal/graph"
@@ -20,6 +22,53 @@ func partHash(part []int32) string {
 		h.Write(b[:])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// vecHash is the FNV-64a hash of a vector's IEEE-754 bits, each value
+// little-endian.
+func vecHash(x []float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFiedlerPinned holds the Fiedler solve itself to fixed bits, which a
+// partition hash cannot do alone: a split moves only when a vertex crosses
+// the median, so a reassociated sum can leave most partitions as they were.
+// The 10x8x6 mesh runs all 60 Lanczos steps; the 36-vertex one runs out of
+// Krylov space.
+func TestFiedlerPinned(t *testing.T) {
+	for _, c := range []struct {
+		nx, ny, nz int
+		want       string
+	}{
+		{10, 8, 6, "54ae8ec94ad84e9f"},
+		{3, 2, 2, "b5ffde3554f9cb99"},
+	} {
+		m, err := meshgen.Channel(meshgen.DefaultChannel(c.nx, c.ny, c.nz, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.FromEdges(m.NV(), m.Edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verts := make([]int32, m.NV())
+		for i := range verts {
+			verts[i] = int32(i)
+		}
+		f, err := induced(g, verts, newLocal(m.NV())).fiedler(rand.New(rand.NewSource(1)), 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vecHash(f); got != c.want {
+			t.Errorf("%dx%dx%d: Fiedler vector hash %s, want %s", c.nx, c.ny, c.nz, got, c.want)
+		}
+	}
 }
 
 // TestSpectralPinned holds recursive spectral bisection to fixed partitions,
