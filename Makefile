@@ -57,12 +57,12 @@ abba:
 cmp:
 	BASE=$(BASE) sh scripts/cmp.sh
 
-# Committed-results check: regenerate Figures 1-2 and Tables 1a-1c / 2a-2c
+# Committed-results check: regenerate Figures 1-4 and Tables 1a-1c / 2a-2c
 # into a temporary directory and diff every file against results/, with the
-# "(generated in ...)" timings filtered out of both (~90 s on 2 CPUs). The
+# "(generated in ...)" timings filtered out of both (~2 min on 2 CPUs). The
 # tables model the paper's machines from analytic counts and one recorded
 # cycle, so they must not move unless a change means them to.
-TABLES = fig1 fig2 1a 1b 1c 2a 2b 2c
+TABLES = fig1 fig2 fig3 fig4 1a 1b 1c 2a 2b 2c
 tables-check:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/benchtables" ./cmd/benchtables; mkdir "$$dir/out"; \

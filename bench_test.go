@@ -19,6 +19,7 @@ import (
 	"eul3d/internal/multigrid"
 	"eul3d/internal/partition"
 	"eul3d/internal/smsolver"
+	"eul3d/internal/solver"
 	"eul3d/internal/tables"
 )
 
@@ -133,7 +134,7 @@ func BenchmarkFigure3(b *testing.B) {
 
 var fig4Once struct {
 	sync.Once
-	mg  *multigrid.Solver
+	mg  *smsolver.Multigrid
 	err error
 }
 
@@ -147,15 +148,15 @@ func BenchmarkFigure4(b *testing.B) {
 			fig4Once.err = err
 			return
 		}
-		mg, err := multigrid.New(meshes, euler.DefaultParams(cfg.Mach, cfg.AlphaDeg), 2)
+		st, err := solver.Open(meshes, euler.DefaultParams(cfg.Mach, cfg.AlphaDeg), solver.Config{Kind: solver.KindMG, Gamma: 2})
 		if err != nil {
 			fig4Once.err = err
 			return
 		}
 		for c := 0; c < 60; c++ {
-			mg.Cycle()
+			st.MG.Cycle()
 		}
-		fig4Once.mg = mg
+		fig4Once.mg = st.MG
 	})
 	if fig4Once.err != nil {
 		b.Fatal(fig4Once.err)

@@ -27,6 +27,7 @@ import (
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
+	"eul3d/internal/multigrid"
 	"eul3d/internal/partition"
 	"eul3d/internal/perf"
 	"eul3d/internal/runloop"
@@ -260,7 +261,7 @@ func main() {
 		fmt.Printf("pooled multigrid: %d levels, %s-cycle, %d workers\n", *levels, *strategy, *workers)
 	case solver.KindMG:
 		fmt.Printf("multigrid: %d levels, %s-cycle, %.2f work units per cycle, %.0f%% memory overhead\n",
-			*levels, *strategy, st.MG.WorkUnits(), 100*st.MG.MemoryOverhead())
+			*levels, *strategy, st.MG.WorkUnits(), 100*multigrid.MemoryOverhead(seq))
 	}
 
 	if *fmg > 0 {

@@ -18,6 +18,7 @@ import (
 	"eul3d/internal/meshgen"
 	"eul3d/internal/parti"
 	"eul3d/internal/partition"
+	"eul3d/internal/solver"
 )
 
 func main() {
@@ -68,17 +69,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq := euler.NewDisc(m, params)
-	wseq := make([]euler.State, m.NV())
-	seq.InitUniform(wseq)
-	ws := euler.NewStepWorkspace(m.NV())
+	seq := solver.NewSingleGrid(m, params)
 
 	for c := 0; c < cycles; c++ {
 		dmNorm, err := dm.Cycle()
 		if err != nil {
 			log.Fatal(err)
 		}
-		seqNorm := seq.Step(wseq, nil, ws)
+		seqNorm, _ := seq.Cycle(c) // a sequential step cannot fail
 		if c%5 == 0 {
 			fmt.Printf("cycle %2d: distributed %.6e  sequential %.6e\n", c, dmNorm, seqNorm)
 		}
@@ -110,7 +108,7 @@ func main() {
 		min(nodes, runtime.GOMAXPROCS(0)), identical)
 
 	// Max deviation between the two solutions.
-	wdm := dm.GatherSolution()
+	wdm, wseq := dm.GatherSolution(), seq.Solution()
 	worst := 0.0
 	for i := range wdm {
 		for k := 0; k < euler.NVar; k++ {

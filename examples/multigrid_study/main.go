@@ -11,6 +11,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/multigrid"
 	"eul3d/internal/solver"
 )
 
@@ -51,7 +52,7 @@ func main() {
 		}
 		work, mem := 1.0, 0.0
 		if st.MG != nil {
-			work, mem = st.MG.WorkUnits(), st.MG.MemoryOverhead()
+			work, mem = st.MG.WorkUnits(), multigrid.MemoryOverhead(meshes)
 		}
 		runs = append(runs, run{r.name, res.History, work, mem})
 	}

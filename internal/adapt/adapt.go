@@ -282,7 +282,10 @@ func Run(opt Options) (*Result, error) {
 			epochStart := time.Now()
 			t0 = epochStart
 			w = eng.Solution()
-			eta := ind.compute(m, w, p)
+			eta, err := ind.compute(m, w, p)
+			if err != nil {
+				return nil, fmt.Errorf("adapt: epoch %d: %w", epochs+1, err)
+			}
 			marked, nmark := markCells(eta, frac, theta, budget, m.NT())
 			acc.Add(phIndicator, time.Since(t0), 0)
 			since = 0

@@ -2,9 +2,11 @@ package adapt
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/meshgen"
 	"eul3d/internal/refine"
 	"eul3d/internal/scenario"
 	"eul3d/internal/solver"
@@ -220,7 +222,10 @@ func TestIndicatorKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eta := ind.compute(m, w, p)
+		eta, err := ind.compute(m, w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(eta) != m.NT() {
 			t.Fatalf("%s: %d values for %d cells", kind, len(eta), m.NT())
 		}
@@ -261,6 +266,52 @@ func TestIndicatorKinds(t *testing.T) {
 	}
 	if _, err := newIndicator("bogus"); err == nil {
 		t.Fatal("unknown indicator accepted")
+	}
+}
+
+// TestResidualIndicatorIsDiscResidual holds the residual indicator to the
+// reference operator bit for bit: its eta equals max |R_rho|/V over each
+// cell's vertices with R from euler.Disc.Residual, on a jittered channel
+// carrying a non-uniform state, and again after each epoch's refinement,
+// where the indicator's engine is rebuilt rather than built anew.
+func TestResidualIndicatorIsDiscResidual(t *testing.T) {
+	m, err := meshgen.Channel(meshgen.DefaultChannel(8, 5, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := euler.DefaultParams(0.675, 1)
+	w := make([]euler.State, m.NV())
+	euler.NewDisc(m, p).InitUniform(w)
+	for i, x := range m.X {
+		w[i][0] *= 1 + 0.1*math.Sin(3*x.X)*math.Cos(2*x.Y)
+		w[i][4] *= 1 + 0.05*math.Cos(4*x.Z+x.X)
+	}
+	ind, err := newIndicator("residual")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < 3; epoch++ {
+		eta, err := ind.compute(m, w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := make([]euler.State, m.NV())
+		euler.NewDisc(m, p).Residual(w, nil, res)
+		for c, tet := range m.Tets {
+			want := 0.0
+			for _, v := range tet {
+				want = math.Max(want, math.Abs(res[v][0])/m.Vol[v])
+			}
+			if math.Float64bits(eta[c]) != math.Float64bits(want) {
+				t.Fatalf("epoch %d (%d cells): cell %d eta %.17g, Disc.Residual gives %.17g", epoch, m.NT(), c, eta[c], want)
+			}
+		}
+		marked, _ := markCells(eta, 0.2, 0.1, 4*m.NT(), m.NT())
+		r, err := refine.Selective(m, marked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, m = Transfer(r, w, &p), r.Mesh
 	}
 }
 

@@ -29,7 +29,10 @@ func TestAdaptedMeshRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eta := ind.compute(m, w, p)
+	eta, err := ind.compute(m, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	marked, n := markCells(eta, 0.1, 0.25, 4*m.NT(), m.NT())
 	if n == 0 {
 		t.Fatal("nothing marked on the Sod diaphragm")

@@ -7,6 +7,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
+	"eul3d/internal/smsolver"
 )
 
 // indicator computes the per-cell refinement indicator eta. The three
@@ -22,15 +23,15 @@ import (
 //     the same normalized switch the JST dissipation sensor uses; picks up
 //     shocks while ignoring contact discontinuities.
 //   - "residual": max |R_rho(v)|/V_v over the cell's vertices, from a
-//     sequential steady-residual evaluation — the multigrid-style
-//     indicator, concentrating cells where the discrete equations are
-//     least satisfied.
+//     steady-residual evaluation on a sequential engine (mesh order, one
+//     worker) — the multigrid-style indicator, concentrating cells where
+//     the discrete equations are least satisfied.
 type indicator struct {
 	kind string
 
-	// residual-kind scratch, built lazily and retargeted per epoch
-	d   *euler.Disc
-	res []euler.State
+	// residual kind: built lazily, rebuilt per epoch; at one worker it
+	// starts no goroutines, so it needs no Close
+	eng *smsolver.Solver
 
 	pres []float64 // pressure-kind scratch
 	eta  []float64
@@ -60,7 +61,7 @@ var tetPairs = [6][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 
 // compute returns the per-cell indicator on m for solution w. The returned
 // slice is owned by the indicator and valid until the next compute call.
-func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) []float64 {
+func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) ([]float64, error) {
 	nt := m.NT()
 	if cap(in.eta) < nt {
 		in.eta = make([]float64, nt)
@@ -101,28 +102,23 @@ func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) []fl
 			eta[t] = max
 		}
 	case "residual":
-		if in.d == nil {
-			in.d = euler.NewDisc(m, p)
-		} else {
-			in.d.Retarget(m, p)
+		if in.eng == nil {
+			in.eng = smsolver.NewSequential(m, p)
+		} else if err := in.eng.Rebuild(m, p); err != nil {
+			return nil, err
 		}
-		nv := m.NV()
-		if cap(in.res) < nv {
-			in.res = make([]euler.State, nv)
-		}
-		in.res = in.res[:nv]
-		in.d.Residual(w, nil, in.res)
+		res := in.eng.Residual(w)
 		for t, tet := range m.Tets {
 			max := 0.0
 			for _, v := range tet {
-				if r := math.Abs(in.res[v][0]) / m.Vol[v]; r > max {
+				if r := math.Abs(res[v][0]) / m.Vol[v]; r > max {
 					max = r
 				}
 			}
 			eta[t] = max
 		}
 	}
-	return eta
+	return eta, nil
 }
 
 // markCells selects the refinement set: cells with eta within theta of the

@@ -20,8 +20,11 @@ import (
 // sequential engine is the pooled one at one worker, over the mesh's own
 // edge order (smsolver.NewSequential). This is the second and last
 // statement of the scheme's arithmetic; the first is the reference operator
-// in ops.go — the kernels' oracle, which Disc.Step and the serial multigrid
-// drive, and whose vertex functions the distributed engine still calls.
+// in ops.go, which Disc.Step, Disc.Residual and the serial multigrid drive,
+// and whose vertex functions the distributed engine still calls. Its steps
+// have two roles and no engine among them: the tests' oracle, and the
+// serial references the benchmark times (cmd/bench, cmd/benchsm). The
+// tables, the examples and the adaptive residual indicator run the engines.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor

@@ -171,7 +171,3 @@ func (s serial) Correct(l int) error {
 	s.tick(phCorrections, s.cost[l].Correct, &t)
 	return nil
 }
-
-// WorkUnits returns the per-cycle computational work of this solver in
-// units of fine-grid time-steps (Ledger.WorkUnits).
-func (s *Solver) WorkUnits() float64 { return s.cost.WorkUnits(s.Gamma) }

@@ -227,7 +227,7 @@ func TestMultigridAcceleratesConvergence(t *testing.T) {
 func TestWorkUnits(t *testing.T) {
 	v := newSolver(t, 1)
 	wcy := newSolver(t, 2)
-	wuV, wuW := v.WorkUnits(), wcy.WorkUnits()
+	wuV, wuW := v.cost.WorkUnits(1), wcy.cost.WorkUnits(2)
 	if wuV <= 1 || wuW <= wuV {
 		t.Errorf("work units: V=%v W=%v", wuV, wuW)
 	}
@@ -246,8 +246,7 @@ func TestStatsChargeTheLedger(t *testing.T) {
 }
 
 func TestMemoryOverhead(t *testing.T) {
-	s := newSolver(t, 2)
-	ov := s.MemoryOverhead()
+	ov := MemoryOverhead(sequence(t, 16, 8, 4, 3))
 	if ov <= 0 || ov > 1 {
 		t.Errorf("memory overhead = %v, expected a modest fraction", ov)
 	}

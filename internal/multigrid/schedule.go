@@ -133,12 +133,3 @@ func MemoryOverhead(meshes []*mesh.Mesh) float64 {
 	}
 	return extra / base
 }
-
-// MemoryOverhead returns MemoryOverhead of the solver's meshes.
-func (s *Solver) MemoryOverhead() float64 {
-	meshes := make([]*mesh.Mesh, len(s.Levels))
-	for l, lev := range s.Levels {
-		meshes[l] = lev.Disc.M
-	}
-	return MemoryOverhead(meshes)
-}

@@ -20,6 +20,7 @@ type MGLevel struct {
 	WSaved  []euler.State // transferred solution w' (for corrections)
 	Forcing []euler.State // FAS forcing function P (nil on the finest grid)
 	Corr    []euler.State // prolonged-correction scratch (own mesh size)
+	D       *euler.Disc   // the level's discretization, as Solver.D: D.M is the layout's view of its mesh
 
 	eng *levelEngine
 
@@ -101,6 +102,7 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 			W:      make([]euler.State, nv),
 			WSaved: make([]euler.State, nv),
 			Corr:   make([]euler.State, nv),
+			D:      le.d,
 			eng:    le,
 		}
 		if l > 0 {
@@ -180,16 +182,6 @@ func (mg *Multigrid) InitUniform() {
 // Stats snapshots the per-level per-phase wall clock and analytic flop
 // counts accumulated over all cycles so far.
 func (mg *Multigrid) Stats() perf.Stats { return mg.eng.acc.Stats() }
-
-// MemoryOverhead returns the modelled extra storage of the sequence over a
-// single grid on the finest mesh (multigrid.MemoryOverhead).
-func (mg *Multigrid) MemoryOverhead() float64 {
-	views := make([]*mesh.Mesh, len(mg.levels))
-	for l, lev := range mg.levels {
-		views[l] = lev.eng.d.M
-	}
-	return multigrid.MemoryOverhead(views)
-}
 
 // FMGInit performs full-multigrid initialization (multigrid.FMG) with
 // cyclesPerLevel cycles per coarse level, on the pool. After FMGInit, Cycle

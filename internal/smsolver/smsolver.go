@@ -673,5 +673,14 @@ func (s *Solver) Step(w []euler.State, forcing []euler.State) float64 {
 	return s.eng.step(s.le, w, forcing)
 }
 
+// Residual evaluates the steady residual R(w), without forcing, into a
+// block the solver owns and returns it; the block is valid until the next
+// Step, Residual or Rebuild. On a NewSequential engine it is bitwise
+// euler.Disc.Residual on D.M. It performs no heap allocations.
+func (s *Solver) Residual(w []euler.State) []euler.State {
+	s.eng.residual(s.le, w, nil)
+	return *s.le.resS
+}
+
 // InitUniform fills w with the freestream state.
 func (s *Solver) InitUniform(w []euler.State) { s.D.InitUniform(w) }

@@ -13,12 +13,13 @@
 // bitwise multigrid.Solver on the same meshes; or the shared block-colored
 // layout on a pool (KindSM, KindSMMG), bitwise the former on the layout's
 // view of each mesh. The reference operator of euler/ops.go and
-// multigrid.Solver keep three roles outside this package: the oracle the
-// tests compare the engines against, the benchmark's serial references,
-// which time euler.Disc.Step and multigrid.Solver.Cycle directly (a faster
-// serial reference would lower speedup_vs_serial at unchanged engine speed,
-// so re-pointing them is a change to the benchmark itself), and the model
-// of internal/tables.
+// multigrid.Solver keep two roles, neither of them a product path: the
+// oracle the tests compare the engines against, and the benchmark's serial
+// references, which time euler.Disc.Step and multigrid.Solver.Cycle
+// directly (a faster serial reference would lower speedup_vs_serial at
+// unchanged engine speed, so re-pointing them is a change to the benchmark
+// itself). The tables, the examples and the adaptive driver, its residual
+// indicator included, run the engines built here.
 package solver
 
 import (

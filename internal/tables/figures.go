@@ -8,6 +8,8 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
+	"eul3d/internal/smsolver"
+	"eul3d/internal/solver"
 )
 
 // Figure1 renders the V and W cycle structures (Euler steps E and
@@ -38,12 +40,12 @@ type ConvergencePoint struct {
 // Figure2 reruns the convergence experiment of Figure 2: the residual
 // history of the single-grid, V-cycle and W-cycle strategies on the same
 // fine mesh. It returns one series per strategy (normalized density
-// residuals) and the final flow fields are kept by the returned solvers'
-// owners — Figure4 reuses the W-cycle result.
+// residuals) and keeps the converged W-cycle engine — Figure4 contours its
+// solution.
 type Figure2Result struct {
 	Config   Config
 	Series   map[string][]ConvergencePoint
-	WSolver  *multigrid.Solver // converged W-cycle solver (for Figure 4)
+	WSolver  *smsolver.Multigrid // converged W-cycle engine (for Figure 4)
 	WorkUnit map[string]float64
 }
 
@@ -56,7 +58,8 @@ func Figure2Config() Config {
 	return c
 }
 
-// Figure2 runs the three solution strategies and records their histories.
+// Figure2 runs the three solution strategies on the sequential engines
+// solver.Open builds and records their histories.
 func Figure2(cfg Config) (*Figure2Result, error) {
 	res := &Figure2Result{
 		Config:   cfg,
@@ -70,41 +73,41 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := strategy.String()
-		var first float64
-		record := func(c int, norm float64) {
-			if c == 0 {
-				first = norm
-			}
-			res.Series[name] = append(res.Series[name], ConvergencePoint{
-				Cycle:    c,
-				Residual: norm / first,
-			})
-		}
-		if strategy == SingleGrid {
-			d := euler.NewDisc(meshes[0], p)
-			w := make([]euler.State, meshes[0].NV())
-			d.InitUniform(w)
-			ws := euler.NewStepWorkspace(len(w))
-			for c := 0; c < cfg.Cycles; c++ {
-				record(c, d.Step(w, nil, ws))
-			}
-			res.WorkUnit[name] = 1
-			continue
-		}
-		mg, err := multigrid.New(meshes, p, strategy.Gamma())
+		st, err := openEngine(meshes, strategy, p)
 		if err != nil {
 			return nil, err
 		}
-		for c := 0; c < cfg.Cycles; c++ {
-			record(c, mg.Cycle())
+		run, err := st.Run(solver.Options{MaxCycles: cfg.Cycles})
+		if err != nil {
+			return nil, err
 		}
-		res.WorkUnit[name] = mg.WorkUnits()
+		name := strategy.String()
+		for c, norm := range run.History {
+			res.Series[name] = append(res.Series[name], ConvergencePoint{
+				Cycle:    c,
+				Residual: norm / run.History[0],
+			})
+		}
+		res.WorkUnit[name] = 1
+		if st.MG != nil {
+			res.WorkUnit[name] = st.MG.WorkUnits()
+		}
 		if strategy == WCycle {
-			res.WSolver = mg
+			res.WSolver = st.MG
 		}
 	}
 	return res, nil
+}
+
+// openEngine opens the sequential engine of strategy on meshes (finest
+// first): the single grid on the finest, or the FAS multigrid with the
+// strategy's cycle index on all of them.
+func openEngine(meshes []*mesh.Mesh, strategy Strategy, p euler.Params) (*solver.Steady, error) {
+	g := strategy.Gamma()
+	if g == 0 {
+		return solver.Open(meshes[:1], p, solver.Config{})
+	}
+	return solver.Open(meshes, p, solver.Config{Kind: solver.KindMG, Gamma: g})
 }
 
 // OrdersReduced returns how many orders of magnitude the named strategy's
@@ -162,9 +165,10 @@ type MachField struct {
 	MaxM   float64
 }
 
-// Figure4 is MachPlane of the finest grid of a converged multigrid solver.
-func Figure4(mg *multigrid.Solver, nx, ny int) *MachField {
-	return MachPlane(mg.Fine().Disc.M, mg.Fine().W, mg.Fine().Disc.P.Gas, nx, ny)
+// Figure4 is MachPlane of the finest grid of a converged multigrid engine.
+func Figure4(mg *smsolver.Multigrid, nx, ny int) *MachField {
+	fine := mg.Fine()
+	return MachPlane(fine.D.M, fine.W, fine.D.P.Gas, nx, ny)
 }
 
 // MachPlane extracts the Mach field of the solution w on mesh m (gas g)

@@ -12,7 +12,8 @@
 # 10x6x4 channel: -strategy single|v|w, each with and without -workers 2;
 # -nproc 4 with and without -mimd; -nproc 3, whose processors split
 # unevenly over two or more workers; the fault-injected chaos line;
-# -scenario sod -adapt with and without -workers 2; a W-cycle after -fmg 5;
+# -scenario sod -adapt with and without -workers 2, and with the residual
+# indicator; a W-cycle after -fmg 5;
 # a V-cycle with -contours; and one -checkpoint -> -resume pair. Each row compares its -history, -save-solution and
 # checkpoint files and its stdout, with the parts that vary run to run
 # masked: the adaptive rebuild time, and under -mimd which processor a
@@ -80,6 +81,7 @@ row nproc3 $mesh -levels 2 -strategy w -nproc 3 -cycles 30 $files
 row chaos $mesh -strategy single -nproc 4 -cycles 30 $chaos -checkpoint run.ckpt -checkpoint-every 10 $files
 row sod-adapt -scenario sod -adapt $files
 row sod-adapt-workers2 -scenario sod -adapt -workers 2 $files
+row sod-adapt-residual -scenario sod -adapt -adapt-indicator residual $files
 row w-fmg $mesh -levels 3 -strategy w -fmg 5 -cycles 30 $files
 row v-contours $mesh -levels 3 -strategy v -contours -cycles 30 $files
 
