@@ -11,12 +11,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-bearing packages: the simulated interconnect,
+# Race-check the concurrency-bearing packages: the mesh-sequence generator
+# that builds its coarse levels on goroutines, the simulated interconnect,
 # the PARTI executors with self-healing receives, the MIMD solver with its
 # recovery orchestrator, the shared-memory worker-pool engine (single-grid
 # and pooled multigrid, V- and W-cycles), the transfer operators the
-# pooled multigrid scatters in parallel, the flight-recorder tracer
-# whose rings are written from every worker concurrently, the cluster
+# pooled multigrid builds side by side and scatters in parallel, the
+# flight-recorder tracer whose rings are written from every worker
+# concurrently, the cluster
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
@@ -25,7 +27,7 @@ test:
 # block coloring whose run-disjointness is what lets the pool's workers
 # write without locks.
 race:
-	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
+	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 
 # Non-test Go lines per internal package, their total, per command and
 # over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and

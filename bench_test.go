@@ -9,12 +9,15 @@ package eul3d
 import (
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
 	"eul3d/internal/machine"
+	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/partition"
@@ -209,8 +212,33 @@ func BenchmarkEdgeLoop(b *testing.B) {
 	}
 }
 
+// cpuClock is where a timed loop started, in process CPU time and in
+// wall time.
+type cpuClock struct {
+	cpu  time.Duration
+	wall time.Time
+}
+
+// processCPU returns the CPU time, user and system, the process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+func startCPU() cpuClock { return cpuClock{processCPU(), time.Now()} }
+
+// report adds cpu-%: the process CPU time since c over the wall time, so
+// 200 is two cores busy throughout. A 2-worker loop reading ~100 got one
+// core's worth of CPU, whatever its ns/op says.
+func (c cpuClock) report(b *testing.B) {
+	b.ReportMetric(100*float64(processCPU()-c.cpu)/float64(time.Since(c.wall)), "cpu-%")
+}
+
 // BenchmarkSharedMemoryStep measures one colored-parallel time step (the
-// shared-memory port's unit of work) at GOMAXPROCS workers.
+// shared-memory port's unit of work) at GOMAXPROCS workers, with cpu-%.
 func BenchmarkSharedMemoryStep(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
 	if err != nil {
@@ -225,9 +253,11 @@ func BenchmarkSharedMemoryStep(b *testing.B) {
 	s.InitUniform(w)
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu := startCPU()
 	for i := 0; i < b.N; i++ {
 		s.Step(w, nil)
 	}
+	cpu.report(b)
 }
 
 // BenchmarkDistributedCycle measures one distributed cycle, all PARTI
@@ -236,14 +266,10 @@ func BenchmarkSharedMemoryStep(b *testing.B) {
 // of the benchmark's distributed workload); "w1" runs Cycle on one worker
 // (the solver built at GOMAXPROCS 1), "wN" Cycle on min(P, GOMAXPROCS)
 // workers — the -cpu setting — and "mimd" CycleConcurrent, a worker per
-// node. It is the quick before/after number for a change to dmsolver,
-// parti or simnet.
+// node, each with cpu-%. It is the quick before/after number for a change
+// to dmsolver, parti or simnet.
 func BenchmarkDistributedCycle(b *testing.B) {
 	meshes, err := meshgen.Sequence(meshgen.DefaultChannel(24, 12, 8, 17), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := graph.FromEdges(meshes[0].NV(), meshes[0].Edges)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +279,7 @@ func BenchmarkDistributedCycle(b *testing.B) {
 		levels int
 		nproc  int
 	}{{"single", 1, 16}, {"w2", 2, 8}} {
-		part, err := partition.Partition(g, meshes[0].X, shape.nproc, partition.Spectral, 1)
+		part, err := spectralParts(meshes[0], shape.nproc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,12 +302,66 @@ func BenchmarkDistributedCycle(b *testing.B) {
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
+				cpu := startCPU()
 				for i := 0; i < b.N; i++ {
 					if _, err := mode.cycle(dm); err != nil {
 						b.Fatal(err)
 					}
 				}
+				cpu.report(b)
 			})
 		}
 	}
+}
+
+// BenchmarkSetup times whole multilevel builds in ms/build, at the
+// benchmark's set-up shapes: "wcycle" generates a 4-level sequence on the
+// 64x32x20 channel and builds the pooled W-cycle engine on it (GOMAXPROCS
+// workers); "distributed" generates a 2-level sequence on the 48x24x16
+// channel, partitions both levels spectrally 8 ways and builds the
+// distributed W-cycle on them.
+func BenchmarkSetup(b *testing.B) {
+	p := euler.DefaultParams(0.675, 0)
+	b.Run("wcycle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			meshes, err := meshgen.Sequence(meshgen.DefaultChannel(64, 32, 20, 1), 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mg, err := smsolver.NewMultigrid(meshes, p, 2, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mg.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+	})
+	b.Run("distributed", func(b *testing.B) {
+		const nproc = 8
+		for i := 0; i < b.N; i++ {
+			meshes, err := meshgen.Sequence(meshgen.DefaultChannel(48, 24, 16, 1), 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			parts := make([][]int32, len(meshes))
+			for l, m := range meshes {
+				if parts[l], err = spectralParts(m, nproc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := dmsolver.NewMultigrid(meshes, parts, nproc, p, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+	})
+}
+
+// spectralParts partitions m's vertex graph spectrally into nproc parts.
+func spectralParts(m *mesh.Mesh, nproc int) ([]int32, error) {
+	g, err := graph.FromEdges(m.NV(), m.Edges)
+	if err != nil {
+		return nil, err
+	}
+	return partition.Partition(g, m.X, nproc, partition.Spectral, 1)
 }

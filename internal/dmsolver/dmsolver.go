@@ -224,20 +224,15 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	s := &Solver{P: p, NProc: nproc, Gamma: gamma, Fabric: simnet.New(nproc), partial: make([]float64, nproc), hooks: make([]cycleHooks, nproc),
 		workers: min(nproc, runtime.GOMAXPROCS(0))}
 
-	// Sequential preprocessing: transfer operators between levels.
-	var restrictOps, prolongOps []*multigrid.TransferOp // index l: between level l-1 (fine) and l (coarse)
+	// Global preprocessing: the transfer operators between levels (index l:
+	// between level l-1, fine, and l, coarse), built side by side. Each
+	// level's transfer-build span is the whole concurrent build.
+	bt := time.Now()
+	restrictOps, prolongOps, err := multigrid.Transfers(meshes)
+	if err != nil {
+		return nil, fmt.Errorf("dmsolver: %w", err)
+	}
 	for l := 1; l < len(meshes); l++ {
-		bt := time.Now()
-		r, err := multigrid.BuildTransfer(meshes[l], meshes[l-1])
-		if err != nil {
-			return nil, fmt.Errorf("dmsolver: restrict %d: %w", l, err)
-		}
-		pr, err := multigrid.BuildTransfer(meshes[l-1], meshes[l])
-		if err != nil {
-			return nil, fmt.Errorf("dmsolver: prolong %d: %w", l, err)
-		}
-		restrictOps = append(restrictOps, r)
-		prolongOps = append(prolongOps, pr)
 		s.recordBuild("transfer-build", l, bt)
 	}
 
@@ -249,7 +244,7 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 			}
 			// Inherit: coarse vertex joins the processor of the dominant
 			// fine interpolation address.
-			op := restrictOps[l-1]
+			op := restrictOps[l]
 			part = make([]int32, m.NV())
 			for v := range part {
 				best := 0
@@ -279,7 +274,7 @@ func build(meshes []*mesh.Mesh, parts [][]int32, nproc int, p euler.Params, gamm
 	for l := 1; l < len(s.Levels); l++ {
 		bt := time.Now()
 		fine, coarse := s.Levels[l-1], s.Levels[l]
-		rop, pop := restrictOps[l-1], prolongOps[l-1]
+		rop, pop := restrictOps[l], prolongOps[l]
 
 		// Restriction: coarse-owned vertices reference fine globals.
 		coarse.SchedFine, _ = parti.BuildIncremental(fine.GS, transferRefs(rop, coarse.Dist))

@@ -161,12 +161,23 @@ func (d *Disc) Retarget(m *mesh.Mesh, p Params) {
 // epoch. It runs sequentially in mesh order (a fixed adaptation schedule
 // must yield bitwise-identical steps at every worker count) and owns its
 // scratch, so it is safe to call on any mesh/solution pair without a Disc.
+// Its spectral radii are the kernels': the vertex terms, then
+// LambdaEdgesSoAKernel over the edges and LambdaBFacesSoAKernel over the
+// boundary faces in list order, which make the reference SpectralRadii's
+// additions in its order, bit for bit. w is only read.
 func MinStableDt(m *mesh.Mesh, p Params, w []State) float64 {
 	nv := m.NV()
-	pres := make([]float64, nv)
+	d := &Disc{M: m, P: p, pres: make([]float64, nv), rinv: make([]float64, nv), snd: make([]float64, nv)}
+	for i, st := range w {
+		d.setVertexTerms(i, st[0], p.Gas.Pressure(st))
+	}
+	ids := make([]int32, max(len(m.Edges), len(m.BFaces)))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
 	lam := make([]float64, nv)
-	Pressures(p.Gas, w, pres)
-	SpectralRadii(p.Gas, m.Edges, m.EdgeNorm, m.BFaces, w, pres, lam)
+	d.LambdaEdgesSoAKernel(Block(&w), lam, ids[:len(m.Edges)])
+	d.LambdaBFacesSoAKernel(Block(&w), lam, ids[:len(m.BFaces)])
 	min := math.Inf(1)
 	for i := 0; i < nv; i++ {
 		if lam[i] > 0 {

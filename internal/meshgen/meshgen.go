@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"eul3d/internal/geom"
 	"eul3d/internal/mesh"
@@ -293,23 +294,35 @@ func addBoundaryFaces(m *mesh.Mesh, spec ChannelSpec, vid func(i, j, k int) int3
 // Sequence generates a multigrid sequence of levels meshes over the same
 // domain, finest first. Each level halves the cell counts (never below 2)
 // and uses a different jitter seed, so consecutive grids are non-nested —
-// the regime EUL3D's transfer operators are designed for.
+// the regime EUL3D's transfer operators are designed for. Every level is a
+// Channel of its own spec alone, so levels 1.. are generated on goroutines
+// of their own while the caller's generates level 0 (a one-level sequence
+// starts none); the first failure in level order is reported.
 func Sequence(spec ChannelSpec, levels int) ([]*mesh.Mesh, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("meshgen: levels must be >= 1, got %d", levels)
 	}
 	out := make([]*mesh.Mesh, levels)
+	errs := make([]error, levels)
+	var wg sync.WaitGroup
 	s := spec
-	for l := 0; l < levels; l++ {
+	for l := 1; l < levels; l++ {
 		s.Seed = spec.Seed + int64(1000*l)
-		m, err := Channel(s)
-		if err != nil {
-			return nil, fmt.Errorf("meshgen: level %d: %w", l, err)
-		}
-		out[l] = m
 		s.NX = max2(s.NX/2, 2)
 		s.NY = max2(s.NY/2, 2)
 		s.NZ = max2(s.NZ/2, 2)
+		wg.Add(1)
+		go func(s ChannelSpec) {
+			defer wg.Done()
+			out[l], errs[l] = Channel(s)
+		}(s)
+	}
+	out[0], errs[0] = Channel(spec)
+	wg.Wait()
+	for l, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("meshgen: level %d: %w", l, err)
+		}
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package meshgen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"eul3d/internal/geom"
@@ -209,5 +210,92 @@ func TestSteepBumpRejected(t *testing.T) {
 	spec.Jitter = 0
 	if _, err := Channel(spec); err == nil {
 		t.Error("accepted an impossible bump")
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// coords flattens vectors to their components.
+func coords(v []geom.Vec3) []float64 {
+	out := make([]float64, 0, 3*len(v))
+	for _, x := range v {
+		out = append(out, x.X, x.Y, x.Z)
+	}
+	return out
+}
+
+// sameMesh reports whether a and b have the same X, Tets, Edges, EdgeNorm,
+// Vol and BFaces, floats compared by their bits.
+func sameMesh(a, b *mesh.Mesh) bool {
+	if len(a.Tets) != len(b.Tets) || len(a.Edges) != len(b.Edges) || len(a.BFaces) != len(b.BFaces) {
+		return false
+	}
+	for i := range a.Tets {
+		if a.Tets[i] != b.Tets[i] {
+			return false
+		}
+	}
+	for i := range a.Edges {
+		if a.Edges[i] != b.Edges[i] {
+			return false
+		}
+	}
+	na, nb := make([]geom.Vec3, len(a.BFaces)), make([]geom.Vec3, len(b.BFaces))
+	for i := range a.BFaces {
+		if a.BFaces[i].V != b.BFaces[i].V || a.BFaces[i].Kind != b.BFaces[i].Kind {
+			return false
+		}
+		na[i], nb[i] = a.BFaces[i].Normal, b.BFaces[i].Normal
+	}
+	return sameBits(coords(a.X), coords(b.X)) && sameBits(coords(a.EdgeNorm), coords(b.EdgeNorm)) &&
+		sameBits(a.Vol, b.Vol) && sameBits(coords(na), coords(nb))
+}
+
+// TestSequenceMatchesChannels holds every level Sequence generates beside
+// the others to Channel of that level's spec, generated alone, bit for bit.
+func TestSequenceMatchesChannels(t *testing.T) {
+	spec := DefaultChannel(16, 8, 6, 5)
+	for _, levels := range []int{1, 4} {
+		seq, err := Sequence(spec, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := spec
+		for l, got := range seq {
+			s.Seed = spec.Seed + int64(1000*l)
+			want, err := Channel(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMesh(got, want) {
+				t.Errorf("%d levels: level %d differs from Channel of its spec", levels, l)
+			}
+			s.NX, s.NY, s.NZ = max(s.NX/2, 2), max(s.NY/2, 2), max(s.NZ/2, 2)
+		}
+	}
+}
+
+// TestSequenceReportsFirstFailingLevel fails every level — the coarse ones,
+// being smaller, first — and expects level 0's message.
+func TestSequenceReportsFirstFailingLevel(t *testing.T) {
+	spec := DefaultChannel(12, 8, 6, 1)
+	spec.BumpHeight = 40
+	spec.Jitter = 0
+	for rep := 0; rep < 10; rep++ {
+		_, err := Sequence(spec, 3)
+		if err == nil || !strings.HasPrefix(err.Error(), "meshgen: level 0: ") {
+			t.Fatalf("got %v, want level 0's failure", err)
+		}
 	}
 }

@@ -51,14 +51,18 @@ type Solver struct {
 
 // New builds a multigrid solver over meshes (finest first) with the given
 // scheme parameters and cycle index gamma (1 for V, 2 for W). The transfer
-// operators for every level pair are computed here — the preprocessing
-// phase of Section 2.4.
+// operators for every level pair are computed here (Transfers) — the
+// preprocessing phase of Section 2.4.
 func New(meshes []*mesh.Mesh, p euler.Params, gamma int) (*Solver, error) {
 	if len(meshes) == 0 {
 		return nil, fmt.Errorf("multigrid: no meshes")
 	}
 	if gamma < 1 {
 		return nil, fmt.Errorf("multigrid: cycle index must be >= 1, got %d", gamma)
+	}
+	restrict, prolong, err := Transfers(meshes)
+	if err != nil {
+		return nil, fmt.Errorf("multigrid: %w", err)
 	}
 	s := &Solver{Gamma: gamma}
 	for l, m := range meshes {
@@ -70,18 +74,12 @@ func New(meshes []*mesh.Mesh, p euler.Params, gamma int) (*Solver, error) {
 			Res:    make([]euler.State, nv),
 			Corr:   make([]euler.State, nv),
 			WS:     euler.NewStepWorkspace(nv),
+
+			Restrict: restrict[l],
+			Prolong:  prolong[l],
 		}
 		if l > 0 {
 			lev.Forcing = make([]euler.State, nv)
-			var err error
-			lev.Restrict, err = BuildTransfer(m, meshes[l-1])
-			if err != nil {
-				return nil, fmt.Errorf("multigrid: restrict %d->%d: %w", l-1, l, err)
-			}
-			lev.Prolong, err = BuildTransfer(meshes[l-1], m)
-			if err != nil {
-				return nil, fmt.Errorf("multigrid: prolong %d->%d: %w", l, l-1, err)
-			}
 		}
 		s.Levels = append(s.Levels, lev)
 	}

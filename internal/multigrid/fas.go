@@ -59,7 +59,7 @@ func Cycle(e Levels, l, n, gamma int) (float64, error) {
 // cycle on one level. Restrict and Prolong are the transfers between the
 // level and the next coarser one, zero on the coarsest.
 type LevelCost struct {
-	Edges    int64 // the level's weight in work units
+	Edges    int64 // the level's weight in WorkUnits
 	Step     int64 // one time step
 	Residual int64 // one residual evaluation
 	Restrict int64 // variables down + the residual's transpose scatter
@@ -107,10 +107,15 @@ func (c Ledger) CycleFlops(gamma int) int64 {
 	return fl
 }
 
-// WorkUnits returns the work of one cycle of index gamma in fine-grid time
-// steps, each level's steps weighted by its edge count — the measure behind
-// the paper's "a W-cycle requires approximately 90% more CPU time than a
-// single grid cycle, the V-cycle 75%".
+// WorkUnits counts the time steps of one cycle of index gamma in fine-grid
+// steps, each level's steps weighted by its edge count relative to the
+// finest level's. It is a step count, not a time: it leaves out the
+// residuals, transfers and corrections, and what a step costs beyond its
+// edges. So it is not the paper's "a W-cycle requires approximately 90%
+// more CPU time than a single grid cycle, the V-cycle 75%", which is
+// measured: on a 4-level 32x16x12 channel it reads +36 % (W) and +16 % (V)
+// where the sequential engines take +84 % and +52 % (EXPERIMENTS.md,
+// "In-text claims").
 func (c Ledger) WorkUnits(gamma int) float64 {
 	wu := 0.0
 	for l, v := range Visits(len(c), gamma) {

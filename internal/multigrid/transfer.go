@@ -9,6 +9,7 @@ package multigrid
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/geom"
@@ -170,6 +171,42 @@ func BuildTransfer(target, source *mesh.Mesh) (*TransferOp, error) {
 		start = bestTet // next target vertex is usually nearby
 	}
 	return op, nil
+}
+
+// Transfers builds the transfer operators of every level pair of meshes
+// (finest first): restrict[l] locates level l's vertices in level l-1,
+// prolong[l] level l-1's vertices in level l, both nil at l = 0. Each of
+// the 2(len(meshes)-1) operators is a BuildTransfer of two meshes nothing
+// writes, so they are built side by side, one goroutine each, and every
+// operator is the one the pairwise call returns, bit for bit. The error is
+// the first failure in level order (restrict before prolong), whichever
+// build finished first.
+func Transfers(meshes []*mesh.Mesh) (restrict, prolong []*TransferOp, err error) {
+	n := len(meshes)
+	restrict, prolong = make([]*TransferOp, n), make([]*TransferOp, n)
+	errs := make([][2]error, n)
+	var wg sync.WaitGroup
+	for l := 1; l < n; l++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			restrict[l], errs[l][0] = BuildTransfer(meshes[l], meshes[l-1])
+		}()
+		go func() {
+			defer wg.Done()
+			prolong[l], errs[l][1] = BuildTransfer(meshes[l-1], meshes[l])
+		}()
+	}
+	wg.Wait()
+	for l, e := range errs {
+		if e[0] != nil {
+			return nil, nil, fmt.Errorf("restrict %d->%d: %w", l-1, l, e[0])
+		}
+		if e[1] != nil {
+			return nil, nil, fmt.Errorf("prolong %d->%d: %w", l, l-1, e[1])
+		}
+	}
+	return restrict, prolong, nil
 }
 
 // Interp evaluates dst[v] = sum_k Wt[v][k] * src[Addr[v][k]] for every

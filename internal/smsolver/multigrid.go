@@ -62,8 +62,9 @@ type Multigrid struct {
 // NewMultigrid builds a pooled multigrid solver over meshes (finest
 // first) with cycle index gamma (1 for V, 2 for W) and nworkers workers
 // (<= 0 selects GOMAXPROCS), every level on the block-colored layout of its
-// mesh. The transfer operators and their destination-grouped scatter plans
-// are computed here, as are every level's layout and chunk tables.
+// mesh. The transfer operators (multigrid.Transfers) and their
+// destination-grouped scatter plans are computed here, as are every level's
+// layout and chunk tables.
 func NewMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int) (*Multigrid, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
@@ -90,31 +91,49 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 	if gamma < 1 {
 		return nil, fmt.Errorf("smsolver: cycle index must be >= 1, got %d", gamma)
 	}
+
+	// The transfer operators and the level layouts are pure functions of
+	// the meshes, and none reads another: the operators are built on their
+	// own goroutines while this one lays the levels out and sets up their
+	// engines.
+	var restrict, prolong []*multigrid.TransferOp
+	transfers := make(chan error, 1)
+	go func() {
+		var err error
+		restrict, prolong, err = multigrid.Transfers(meshes)
+		transfers <- err
+	}()
+	engs := make([]*levelEngine, len(meshes))
+	var err error
+	for l, m := range meshes {
+		var lay *layout
+		if lay, err = layoutOf(m); err != nil {
+			err = fmt.Errorf("smsolver: level %d: %w", l, err)
+			break
+		}
+		engs[l] = newLevelEngine(lay, p, nworkers)
+	}
+	if terr := <-transfers; err == nil && terr != nil {
+		err = fmt.Errorf("smsolver: %w", terr)
+	}
+	if err != nil {
+		return nil, err
+	}
+
 	mg := &Multigrid{Gamma: gamma, NWorkers: nworkers}
 	for l, m := range meshes {
-		lay, err := layoutOf(m)
-		if err != nil {
-			return nil, fmt.Errorf("smsolver: level %d: %w", l, err)
-		}
-		le := newLevelEngine(lay, p, nworkers)
-		nv := m.NV()
+		le, nv := engs[l], m.NV()
 		lev := &MGLevel{
-			W:      make([]euler.State, nv),
-			WSaved: make([]euler.State, nv),
-			Corr:   make([]euler.State, nv),
-			D:      le.d,
-			eng:    le,
+			W:        make([]euler.State, nv),
+			WSaved:   make([]euler.State, nv),
+			Corr:     make([]euler.State, nv),
+			D:        le.d,
+			eng:      le,
+			restrict: restrict[l],
+			prolong:  prolong[l],
 		}
 		if l > 0 {
 			lev.Forcing = make([]euler.State, nv)
-			lev.restrict, err = multigrid.BuildTransfer(m, meshes[l-1])
-			if err != nil {
-				return nil, fmt.Errorf("smsolver: restrict %d->%d: %w", l-1, l, err)
-			}
-			lev.prolong, err = multigrid.BuildTransfer(meshes[l-1], m)
-			if err != nil {
-				return nil, fmt.Errorf("smsolver: prolong %d->%d: %w", l, l-1, err)
-			}
 			lev.scatter = lev.prolong.Plan(nv)
 		}
 		mg.levels = append(mg.levels, lev)
@@ -195,9 +214,9 @@ func (mg *Multigrid) FMGInit(cyclesPerLevel int) {
 // of every level visit's step, residual, transfer and correction work).
 func (mg *Multigrid) CycleFlops() int64 { return mg.cost.CycleFlops(mg.Gamma) }
 
-// WorkUnits returns the per-cycle computational work in units of
-// fine-grid time-steps, weighted by edge count — same measure as the
-// serial multigrid's.
+// WorkUnits returns the ledger's edge-weighted count of a cycle's time
+// steps, in fine-grid steps (multigrid.Ledger.WorkUnits): a step count,
+// not a time.
 func (mg *Multigrid) WorkUnits() float64 { return mg.cost.WorkUnits(mg.Gamma) }
 
 // tick charges the time since *t to accumulator slot with fl analytic
