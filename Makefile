@@ -13,8 +13,8 @@ test:
 
 # Race-check the concurrency-bearing packages: the mesh-sequence generator
 # that builds its coarse levels on goroutines, the simulated interconnect,
-# the PARTI executors with self-healing receives, the MIMD solver with its
-# recovery orchestrator, the shared-memory worker-pool engine (single-grid
+# the PARTI executors with self-healing receives, the distributed solver
+# with its recovery orchestrator, the shared-memory worker-pool engine (single-grid
 # and pooled multigrid, V- and W-cycles), the transfer operators the
 # pooled multigrid builds side by side and scatters in parallel, the
 # flight-recorder tracer whose rings are written from every worker
@@ -32,7 +32,10 @@ race:
 # Non-test Go lines per internal package, their total, per command and
 # over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and
 # blanks included, _test.go files not. The benchmark programs (cmd/bench*)
-# are left out: no issue counts them.
+# are left out. Then the independently settable
+# values (scripts/settable.go): the exported fields of every Config,
+# Options and RunOptions struct under internal/, the flags of each serving
+# and solving command, and their total.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $${d%/}; \
@@ -41,6 +44,7 @@ loc:
 	for d in cmd/eul3d cmd/eul3dd cmd/eul3dc cmd/meshgen cmd/partition examples; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
+	@$(GO) run scripts/settable.go internal cmd/eul3d cmd/eul3dd cmd/eul3dc
 
 # ABBA comparison of the benchmark for a performance claim: BASE (default
 # HEAD) checked out in a temporary git worktree against the working tree,

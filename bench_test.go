@@ -35,7 +35,6 @@ func benchConfig() tables.Config {
 		AlphaDeg: 1.116,
 		Seed:     17,
 		Cycles:   100,
-		Stages:   5, DissStages: 2, NSmooth: 2,
 	}
 }
 

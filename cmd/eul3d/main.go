@@ -72,7 +72,6 @@ var (
 	adaptFrac = flag.Float64("adapt-frac", 0.1, "with -adapt: fraction of cells marked per epoch")
 
 	nproc     = flag.Int("nproc", 0, "simulated processors for the distributed solver (0 = in-process sequential solver)")
-	mimd      = flag.Bool("mimd", false, "with -nproc: run a worker per simulated processor (as on the Delta) instead of min(nproc, GOMAXPROCS)")
 	faultSpec = flag.String("faults", "", "with -nproc: seeded fault-injection spec, e.g. seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@40")
 	ckptPath  = flag.String("checkpoint", "", "write periodic atomic checkpoints to this file")
 	ckptEvery = flag.Int("checkpoint-every", 25, "cycles between checkpoints (with -checkpoint)")
@@ -179,13 +178,8 @@ func main() {
 	}
 
 	// Each path refuses the flags it would otherwise silently ignore.
-	for flagName, on := range map[string]bool{
-		"-faults": *faultSpec != "",
-		"-mimd":   *mimd,
-	} {
-		if on && *nproc <= 0 {
-			log.Fatalf("eul3d: %s requires the distributed solver (-nproc)", flagName)
-		}
+	if *faultSpec != "" && *nproc <= 0 {
+		log.Fatalf("eul3d: -faults requires the distributed solver (-nproc)")
 	}
 	for flagName, on := range map[string]bool{
 		"-workers":       *workers > 0,
@@ -373,9 +367,6 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 	}
 
 	workers := s.Workers()
-	if *mimd {
-		workers = *nproc
-	}
 	unit := "workers"
 	if workers == 1 {
 		unit = "worker"
@@ -394,7 +385,6 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 		Tolerance:       *tol,
 		LogEvery:        *logEvery,
 		Log:             os.Stdout,
-		Concurrent:      *mimd,
 		CheckpointEvery: *ckptEvery,
 		CheckpointPath:  *ckptPath,
 		Mach:            *mach,

@@ -101,13 +101,13 @@ func TestFMGRejectsAReplacedStart(t *testing.T) {
 }
 
 // TestIgnoredFlagsRejected: a flag the chosen path would silently ignore
-// is refused before anything is loaded or built — -mimd without the
+// is refused before anything is loaded or built — -faults without the
 // distributed solver; -workers, -init-solution and -contours with it; and
 // -checkpoint on the adaptive path, which writes no checkpoint.
 func TestIgnoredFlagsRejected(t *testing.T) {
 	mainIfReexeced()
 	for _, tc := range []struct{ args, want string }{
-		{"-mimd", "-mimd requires the distributed solver (-nproc)"},
+		{"-faults seed=7,crash=1@4", "-faults requires the distributed solver (-nproc)"},
 		{"-nproc 4 -workers 2", "-nproc runs the distributed solver and is incompatible with -workers"},
 		{"-nproc 4 -init-solution missing.sol", "-nproc runs the distributed solver and is incompatible with -init-solution"},
 		{"-nproc 4 -contours", "-nproc runs the distributed solver and is incompatible with -contours"},

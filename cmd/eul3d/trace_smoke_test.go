@@ -85,12 +85,13 @@ func TestTraceSmoke(t *testing.T) {
 		t.Errorf("setup track spans %v, want one partition and one engine-build", got)
 	}
 
-	// 2. Distributed run with an injected node crash, a worker per
-	// processor: the per-processor tracks in the main trace, plus the
-	// automatic incident dump fired by the crash recovery.
+	// 2. Distributed run with an injected node crash: the fault plan puts
+	// the three processors on one worker, one track for the block, in the
+	// main trace, plus the automatic incident dump fired by the crash
+	// recovery.
 	dmTrace := filepath.Join(dir, "dm.json")
 	dm := exec.Command(bin, "-nx", "8", "-ny", "4", "-nz", "3", "-strategy", "single",
-		"-nproc", "3", "-mimd", "-cycles", "10", "-tol", "0", "-log-every", "0",
+		"-nproc", "3", "-cycles", "10", "-tol", "0", "-log-every", "0",
 		"-checkpoint-every", "2", "-faults", "seed=7,crash=1@4", "-trace", dmTrace)
 	out, err := dm.CombinedOutput()
 	if err != nil {
@@ -99,7 +100,7 @@ func TestTraceSmoke(t *testing.T) {
 	if !strings.Contains(string(out), "restoring checkpoint") {
 		t.Fatalf("injected crash did not trigger a recovery:\n%s", out)
 	}
-	validate(dmTrace, "setup", "p0", "p1", "p2", "events")
+	validate(dmTrace, "setup", "p0-2", "events")
 
 	incident := strings.TrimSuffix(dmTrace, ".json") + ".incident.json"
 	validate(incident, "events")

@@ -69,7 +69,6 @@ type Options struct {
 	MaxEpochs int     // refinement epochs allowed (default 2)
 	Indicator string  // "density" (default), "pressure", "residual"
 	Frac      float64 // fraction of cells marked per epoch (default 0.1)
-	Theta     float64 // relative indicator threshold in (0,1] (default 0.25)
 
 	LogEvery int
 	Log      io.Writer
@@ -192,11 +191,6 @@ func Run(opt Options) (*Result, error) {
 	if frac <= 0 || frac > 0.5 {
 		frac = 0.1
 	}
-	theta := opt.Theta
-	if theta <= 0 || theta > 1 {
-		theta = 0.25
-	}
-
 	ind, err := newIndicator(opt.Indicator)
 	if err != nil {
 		return nil, err
@@ -286,7 +280,7 @@ func Run(opt Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("adapt: epoch %d: %w", epochs+1, err)
 			}
-			marked, nmark := markCells(eta, frac, theta, budget, m.NT())
+			marked, nmark := markCells(eta, frac, budget, m.NT())
 			acc.Add(phIndicator, time.Since(t0), 0)
 			since = 0
 			if nmark == 0 {

@@ -250,7 +250,7 @@ func TestIndicatorKinds(t *testing.T) {
 		if nonzero > m.NT()/2 {
 			t.Fatalf("%s: %d of %d cells flagged on a single discontinuity", kind, nonzero, m.NT())
 		}
-		marked, n := markCells(eta, 0.1, 0.25, 4*m.NT(), m.NT())
+		marked, n := markCells(eta, 0.1, 4*m.NT(), m.NT())
 		if n == 0 || n > m.NT()/10+1 {
 			t.Fatalf("%s: marked %d cells", kind, n)
 		}
@@ -306,7 +306,7 @@ func TestResidualIndicatorIsDiscResidual(t *testing.T) {
 				t.Fatalf("epoch %d (%d cells): cell %d eta %.17g, Disc.Residual gives %.17g", epoch, m.NT(), c, eta[c], want)
 			}
 		}
-		marked, _ := markCells(eta, 0.2, 0.1, 4*m.NT(), m.NT())
+		marked, _ := markCells(eta, 0.2, 4*m.NT(), m.NT())
 		r, err := refine.Selective(m, marked)
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func TestAdaptedMeshRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	marked, n := markCells(eta, 0.1, 0.25, 4*m.NT(), m.NT())
+	marked, n := markCells(eta, 0.1, 4*m.NT(), m.NT())
 	if n == 0 {
 		t.Fatal("nothing marked on the Sod diaphragm")
 	}

@@ -121,13 +121,17 @@ func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) ([]f
 	return eta, nil
 }
 
-// markCells selects the refinement set: cells with eta within theta of the
-// maximum, strongest first, capped both by frac of the current cell count
-// and by the headroom the budget leaves (each red cell adds at least seven
-// children net, so (budget-nt)/8 marks can never blow through it by more
-// than the green closure). Ties break toward the lower cell index, so the
-// selection is a deterministic function of eta alone.
-func markCells(eta []float64, frac, theta float64, budget, nt int) ([]bool, int) {
+// markTheta is the relative indicator threshold: only cells whose eta is
+// at least markTheta times the largest are candidates for refinement.
+const markTheta = 0.25
+
+// markCells selects the refinement set: cells with eta at least markTheta
+// of the maximum, strongest first, capped both by frac of the current cell
+// count and by the headroom the budget leaves (each red cell adds at least
+// seven children net, so (budget-nt)/8 marks can never blow through it by
+// more than the green closure). Ties break toward the lower cell index, so
+// the selection is a deterministic function of eta alone.
+func markCells(eta []float64, frac float64, budget, nt int) ([]bool, int) {
 	etaMax := 0.0
 	for _, e := range eta {
 		if e > etaMax {
@@ -137,7 +141,7 @@ func markCells(eta []float64, frac, theta float64, budget, nt int) ([]bool, int)
 	if etaMax <= 0 {
 		return nil, 0
 	}
-	cut := theta * etaMax
+	cut := markTheta * etaMax
 	cand := make([]int32, 0, nt/4)
 	for t, e := range eta {
 		if e >= cut {

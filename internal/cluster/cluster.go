@@ -71,13 +71,20 @@ type Config struct {
 	RetryBudget       int           // dispatch attempts per placement round (default 5)
 	BackoffBase       time.Duration // first retry delay (default 100ms)
 	BackoffMax        time.Duration // retry delay cap (default 5s)
-	StealThreshold    int           // ring-owner load above which cold jobs steal (default 1)
-	Replicas          int           // virtual nodes per member on the ring (default 64)
 	ParkTimeout       time.Duration // how long an orphaned job waits for a node before failing (default 2m)
-	Seed              int64         // backoff-jitter seed (0 = fixed default)
 	Log               *log.Logger
 	Trace             *trace.Tracer // nil disables coordinator tracing
 }
+
+// Fixed placement and retry policy: each member stands on the ring as
+// ringReplicas virtual nodes, a cold job whose ring owner runs
+// stealThreshold or more coordinator-placed jobs goes to the least-loaded
+// routable node instead, and the retry jitter draws from a fixed seed.
+const (
+	ringReplicas   = 64
+	stealThreshold = 1
+	backoffSeed    = 1
+)
 
 func (c *Config) fill() {
 	if c.HeartbeatInterval <= 0 {
@@ -106,12 +113,6 @@ func (c *Config) fill() {
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 5
-	}
-	if c.StealThreshold <= 0 {
-		c.StealThreshold = 1
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 64
 	}
 	if c.ParkTimeout <= 0 {
 		c.ParkTimeout = 2 * time.Minute
@@ -161,11 +162,11 @@ func New(cfg Config) *Coordinator {
 		cfg:   cfg,
 		met:   &Metrics{},
 		trc:   newClusterTrace(cfg.Trace),
-		bo:    NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
+		bo:    NewBackoff(cfg.BackoffBase, cfg.BackoffMax, backoffSeed),
 		hc:    &http.Client{},
 		store: store.NewMemory(),
 		nodes: make(map[string]*node),
-		ring:  NewRing(cfg.Replicas),
+		ring:  NewRing(ringReplicas),
 		jobs:  make(map[string]*cjob),
 		warm:  make(map[string]string),
 	}
@@ -374,7 +375,7 @@ func (c *Coordinator) route(key string, exclude map[string]bool) (*node, bool) {
 	if owner == nil {
 		return nil, false
 	}
-	if _, warm := c.warm[key]; !warm && int(owner.inflight.Load()) >= c.cfg.StealThreshold {
+	if _, warm := c.warm[key]; !warm && int(owner.inflight.Load()) >= stealThreshold {
 		// Cold key on a busy owner: nothing is warm anywhere, so place it
 		// wherever the queue is shortest.
 		best := owner

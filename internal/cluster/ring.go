@@ -6,11 +6,11 @@ import (
 	"strconv"
 )
 
-// Ring is a consistent-hash ring over node names. Each node owns Replicas
-// virtual points, so keys spread roughly evenly and adding or removing one
-// node remaps only the keys whose nearest point belonged to it — hot
-// engine-cache keys keep hitting the node whose cache is already warm
-// across membership changes.
+// Ring is a consistent-hash ring over node names. Each node owns the same
+// number of virtual points, so keys spread roughly evenly and adding or
+// removing one node remaps only the keys whose nearest point belonged to
+// it — hot engine-cache keys keep hitting the node whose cache is already
+// warm across membership changes.
 //
 // Ring is not synchronized; the Coordinator guards it with its registry
 // lock.

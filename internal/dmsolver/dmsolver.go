@@ -36,10 +36,12 @@
 // The executor (driver.go) runs it on the host's cores: it maps the P
 // simulated processors onto W pooled workers in contiguous blocks, and
 // completes each exchange as the block's send halves, a barrier, its
-// receive halves, a barrier. Cycle runs W = min(P, GOMAXPROCS) — one worker
-// while a fault plan is attached, so that the plan strikes the same sends
-// on every run — and CycleConcurrent W = P, a worker per node as on the
-// Delta. The answers do not depend on W, bit for bit.
+// receive halves, a barrier. Cycle, the one cycle Run drives, runs
+// W = min(P, GOMAXPROCS) — one worker while a fault plan is attached, so
+// that the plan strikes the same sends on every run. The answers do not
+// depend on W, bit for bit; CycleConcurrent runs W = P, a worker per node as
+// on the Delta, and is not a run mode but the reference that claim is
+// checked against: the benchmark's bitwise gate and the tests' W = P run.
 //
 // On one processor the answers are bitwise those of the sequential solver;
 // across partition boundaries the edge sweeps' per-vertex sums reassociate
@@ -65,8 +67,8 @@ import (
 // machine model can convert communication volume into time. An exchange
 // counts once, whatever it carries. Every exchange of the program is led by
 // a state array — each scalar it moves rides with the sums of the sweep
-// that accumulated it — so the two scalar-led fields, kept for
-// the programs that add the four up, always read 0.
+// that accumulated it — so the two scalar-led fields always read 0; they
+// stay only because the benchmark program still adds them in.
 type CommCounters struct {
 	GatherState  int64 // gathers
 	ScatterState int64 // scatter-adds

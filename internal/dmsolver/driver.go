@@ -227,7 +227,8 @@ func (s *Solver) Cycle() (float64, error) {
 
 // CycleConcurrent performs one cycle with a worker per simulated processor
 // — the Delta's node program, each node on its own goroutine — and returns
-// the fine-grid residual norm, bitwise Cycle's.
+// the fine-grid residual norm, bitwise Cycle's. Run never calls it: it is
+// the W = P reference Cycle is checked against.
 func (s *Solver) CycleConcurrent() (float64, error) {
 	return s.executor(s.NProc).run()
 }

@@ -31,7 +31,7 @@ import (
 //     fault-free run;
 //   - a divergence watchdog catches NaN/Inf or blown-up residuals, halves
 //     the CFL and retries from the last checkpoint, bounded by
-//     MaxCFLBackoffs.
+//     maxCFLBackoffs.
 //
 // Transient message faults (drops, corruption, duplication, delays,
 // reordering) never reach this layer: the PARTI executors heal them with
@@ -43,10 +43,6 @@ type RunOptions struct {
 	Tolerance float64 // stop when residual/initial falls below this (0 = run all cycles)
 	LogEvery  int     // progress line period (0 = silent)
 	Log       io.Writer
-
-	// Concurrent runs every cycle as CycleConcurrent (a worker per
-	// simulated processor) instead of Cycle.
-	Concurrent bool
 
 	// CheckpointEvery > 0 snapshots the run every that many cycles (an
 	// initial cycle-0 checkpoint is always taken so a crash before the
@@ -65,17 +61,16 @@ type RunOptions struct {
 	// so the rings hold the events leading up to it. Later incidents
 	// overwrite earlier dumps: the file always describes the most recent.
 	IncidentPath string
-
-	// MaxRecoveries bounds crash recoveries (default 3 when zero; negative
-	// disables recovery entirely).
-	MaxRecoveries int
-	// MaxCFLBackoffs bounds divergence-watchdog retries (default 2 when
-	// zero; negative disables the watchdog).
-	MaxCFLBackoffs int
-	// BlowupFactor: a residual above BlowupFactor times the initial
-	// residual counts as divergence (default 1e4 when zero).
-	BlowupFactor float64
 }
+
+// The budgets of a run: past maxRecoveries crash recoveries or
+// maxCFLBackoffs watchdog retries the run fails, and a residual above
+// blowupFactor times the initial one counts as divergence.
+const (
+	maxRecoveries  = 3
+	maxCFLBackoffs = 2
+	blowupFactor   = 1e4
+)
 
 // RunResult summarizes a fault-tolerant distributed run: the loop's result
 // (FineSolution is a gathered copy) and what recovering cost.
@@ -106,10 +101,10 @@ func (s *Solver) SetFineSolution(sol []euler.State) error {
 }
 
 // recovering is the stepper Run hands the loop: the distributed cycle, the
-// checkpoint it can be put back to, and the budgets that bound how often.
+// checkpoint it can be put back to, and how often it has been.
 type recovering struct {
 	s   *Solver
-	opt RunOptions // budgets and blow-up factor defaulted
+	opt RunOptions
 
 	// snap is the rewind point: the last periodic checkpoint, or the run's
 	// start. Its history aliases the loop's, whose first snap.Cycle entries
@@ -153,20 +148,16 @@ func (r *recovering) rewind(cfl float64) error {
 func (r *recovering) Cycle(c int) (float64, error) {
 	s, opt := r.s, &r.opt
 	s.Fabric.BeginCycle(c)
-	cycle := s.Cycle
-	if opt.Concurrent {
-		cycle = s.CycleConcurrent
-	}
-	norm, err := cycle()
+	norm, err := s.Cycle()
 	if err != nil {
-		if !errors.Is(err, simnet.ErrNodeDown) || r.recoveries >= opt.MaxRecoveries {
+		if !errors.Is(err, simnet.ErrNodeDown) || r.recoveries >= maxRecoveries {
 			return 0, fmt.Errorf("cycle %d: %w", c, err)
 		}
 		r.recoveries++
 		s.markIncident("node-crash", c)
 		if opt.Log != nil {
 			fmt.Fprintf(opt.Log, "cycle %5d  node crash (%v); restoring checkpoint at cycle %d (recovery %d/%d)\n",
-				c, err, r.snap.Cycle, r.recoveries, opt.MaxRecoveries)
+				c, err, r.snap.Cycle, r.recoveries, maxRecoveries)
 		}
 		rw := r.rewind(r.snap.CFL)
 		s.markIncident("recovery", r.snap.Cycle)
@@ -177,13 +168,13 @@ func (r *recovering) Cycle(c int) (float64, error) {
 		r.initial = norm
 	}
 	// The watchdog predicate: NaN/Inf, or a later residual more than
-	// BlowupFactor times the initial one.
-	blownUp := c > 0 && r.initial > 0 && norm > opt.BlowupFactor*r.initial
+	// blowupFactor times the initial one.
+	blownUp := c > 0 && r.initial > 0 && norm > blowupFactor*r.initial
 	if !blownUp && !math.IsNaN(norm) && !math.IsInf(norm, 0) {
 		return norm, nil
 	}
 	s.markIncident("cfl-backoff", c)
-	if r.backoffs >= opt.MaxCFLBackoffs {
+	if r.backoffs >= maxCFLBackoffs {
 		s.dumpIncident(opt)
 		return 0, fmt.Errorf("cycle %d: residual %g diverged (initial %g)", c, norm, r.initial)
 	}
@@ -191,7 +182,7 @@ func (r *recovering) Cycle(c int) (float64, error) {
 	newCFL := s.P.CFL * 0.5
 	if opt.Log != nil {
 		fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e diverging; CFL %.3g -> %.3g, retrying from cycle %d (backoff %d/%d)\n",
-			c, norm, s.P.CFL, newCFL, r.snap.Cycle, r.backoffs, opt.MaxCFLBackoffs)
+			c, norm, s.P.CFL, newCFL, r.snap.Cycle, r.backoffs, maxCFLBackoffs)
 	}
 	rw := r.rewind(newCFL) // keep the reduced CFL, not the checkpointed one
 	s.dumpIncident(opt)
@@ -205,15 +196,6 @@ func (r *recovering) Cycle(c int) (float64, error) {
 // run.
 func (s *Solver) Run(opt RunOptions) (*RunResult, error) {
 	r := &recovering{s: s, opt: opt}
-	if opt.MaxRecoveries == 0 {
-		r.opt.MaxRecoveries = 3
-	}
-	if opt.MaxCFLBackoffs == 0 {
-		r.opt.MaxCFLBackoffs = 2
-	}
-	if opt.BlowupFactor == 0 {
-		r.opt.BlowupFactor = 1e4
-	}
 	var prior []float64
 	if ck := opt.Resume; ck != nil {
 		if len(ck.History) != ck.Cycle {

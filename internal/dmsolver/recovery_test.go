@@ -57,14 +57,14 @@ func chaosMultigridSolver(t *testing.T) *Solver {
 	return s
 }
 
-// chaosMultigridRows is the multigrid row of the two chaos tests: only the
+// chaosMultigridRows is the multigrid row of the chaos test: only the
 // fine grid is checkpointed — the coarse levels are rebuilt from it every
 // cycle — so a node crash before the first periodic checkpoint, between
 // two, and on the last cycle must each replay to the fault-free history and
 // solution bitwise, restriction and prolongation exchanges included.
-func chaosMultigridRows(t *testing.T, concurrent bool) {
+func chaosMultigridRows(t *testing.T) {
 	const cycles, every = 9, 3
-	ref, err := chaosMultigridSolver(t).Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent})
+	ref, err := chaosMultigridSolver(t).Run(RunOptions{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func chaosMultigridRows(t *testing.T, concurrent bool) {
 			s := chaosMultigridSolver(t)
 			plan := chaosPlan(crashCycle%s.NProc, crashCycle)
 			s.Fabric.SetFaultPlan(plan)
-			res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent, CheckpointEvery: every})
+			res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: every})
 			if err != nil {
 				t.Fatalf("chaos run failed: %v", err)
 			}
@@ -149,48 +149,26 @@ func TestChaosRecoversBitwise(t *testing.T) {
 			t.Fatalf("solution vertex %d differs from fault-free run", i)
 		}
 	}
-	chaosMultigridRows(t, false)
+	chaosMultigridRows(t)
 }
 
-// The same contract must hold in true MIMD mode, where every simulated
-// processor heals its own exchanges concurrently.
-func TestChaosRecoversBitwiseConcurrent(t *testing.T) {
-	const cycles = 8
-
-	ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := chaosSolver(t)
-	s.Fabric.SetFaultPlan(chaosPlan(2, 4))
-	res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: true, CheckpointEvery: 2})
-	if err != nil {
-		t.Fatalf("concurrent chaos run failed: %v", err)
-	}
-	if res.Recoveries < 1 {
-		t.Error("crash never triggered a recovery")
-	}
-	for i := range ref.History {
-		if res.History[i] != ref.History[i] {
-			t.Fatalf("history[%d] = %v under faults, want %v", i, res.History[i], ref.History[i])
-		}
-	}
-	for i := range ref.FineSolution {
-		if res.FineSolution[i] != ref.FineSolution[i] {
-			t.Fatalf("solution vertex %d differs from fault-free run", i)
-		}
-	}
-	chaosMultigridRows(t, true)
-}
-
-// Crash recovery disabled: the node failure must surface as ErrNodeDown.
+// A crash past the recovery budget is not recovered: the fourth of four
+// crashes, against a budget of three, surfaces as ErrNodeDown.
 func TestCrashWithoutRecoveryFails(t *testing.T) {
 	s := chaosSolver(t)
-	s.Fabric.SetFaultPlan(simnet.NewFaultPlan(simnet.FaultEvent{Kind: simnet.FaultCrash, Node: 0, Cycle: 2}))
-	_, err := s.Run(RunOptions{MaxCycles: 6, CheckpointEvery: 1, MaxRecoveries: -1})
+	var crashes []simnet.FaultEvent
+	for c := 1; c <= maxRecoveries+1; c++ {
+		crashes = append(crashes, simnet.FaultEvent{Kind: simnet.FaultCrash, Node: c % s.NProc, Cycle: c})
+	}
+	plan := simnet.NewFaultPlan(crashes...)
+	s.Fabric.SetFaultPlan(plan)
+	var log bytes.Buffer
+	_, err := s.Run(RunOptions{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
 	if !errors.Is(err, simnet.ErrNodeDown) {
 		t.Fatalf("run returned %v, want ErrNodeDown", err)
+	}
+	if n := strings.Count(log.String(), "restoring checkpoint"); n != maxRecoveries || plan.Unfired() != 0 {
+		t.Fatalf("%d recoveries, %d crashes never fired; want %d and 0\nlog:\n%s", n, plan.Unfired(), maxRecoveries, log.String())
 	}
 }
 
@@ -239,24 +217,28 @@ func TestRunCheckpointResumeFromDisk(t *testing.T) {
 }
 
 // The divergence watchdog halves the CFL and rewinds; when retries are
-// exhausted the run fails with a diagnosable error rather than NaNs.
+// exhausted the run fails with a diagnosable error rather than NaNs. The
+// run genuinely diverges: a CFL far past the scheme's stability limit, with
+// the positivity floors that would otherwise hold the state off, still
+// blows up at a half and a quarter of it.
 func TestDivergenceWatchdogBacksOffCFL(t *testing.T) {
-	s := chaosSolver(t)
-	cfl0 := s.P.CFL
+	m, part := channelAndPartition(t, 10, 6, 4, 3)
+	p := euler.DefaultParams(0.675, 0)
+	p.CFL = 1000
+	p.MinDensity, p.MinPressure = 0, 0
+	s, err := NewSingle(m, part, 3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var log bytes.Buffer
-	// A blow-up factor below any realistic residual ratio makes every
-	// cycle-1 residual look like a divergence, exercising the rewind path.
-	_, err := s.Run(RunOptions{
-		MaxCycles: 5, CheckpointEvery: 1, MaxCFLBackoffs: 2,
-		BlowupFactor: 1e-6, Log: &log,
-	})
+	res, err := s.Run(RunOptions{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("run returned %v, want divergence error", err)
+		t.Fatalf("run returned %v, %v, want divergence error\nlog:\n%s", res, err, log.String())
 	}
-	if !strings.Contains(log.String(), "CFL") {
-		t.Errorf("no CFL backoff logged:\n%s", log.String())
+	if n := strings.Count(log.String(), "diverging; CFL"); n != maxCFLBackoffs {
+		t.Errorf("%d CFL backoffs logged, want %d:\n%s", n, maxCFLBackoffs, log.String())
 	}
-	if want := cfl0 * 0.25; s.P.CFL != want {
+	if want := p.CFL * 0.25; s.P.CFL != want {
 		t.Errorf("CFL after two backoffs = %g, want %g", s.P.CFL, want)
 	}
 }

@@ -275,8 +275,10 @@ func mergedPair(t *testing.T, merged *parti.Schedule, members ...*parti.Schedule
 // aimed at one merged message — a smoothing gather through SchedW +
 // SchedHalo, and the forcing scatter-add through SchedCoarse + SchedW +
 // SchedHalo — heal to the fault-free history and solution bitwise, under
-// both drivers. The per-pair sequence number to strike is read off a dry run
-// of the same plan.
+// Run, whose Cycle a fault plan puts on one worker, and stepping
+// CycleConcurrent, a worker per processor each healing its own receives.
+// The per-pair sequence number to strike is read off a dry run of the same
+// plan.
 func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 	const cycles, nproc = 3, 4
 	p := euler.DefaultParams(0.675, 0)
@@ -326,7 +328,11 @@ func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 	}
 
 	for _, concurrent := range []bool{false, true} {
-		ref, err := mk().Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent})
+		run := func(s *Solver) (*RunResult, error) { return s.Run(RunOptions{MaxCycles: cycles}) }
+		if concurrent {
+			run = func(s *Solver) (*RunResult, error) { return stepConcurrent(s, cycles) }
+		}
+		ref, err := run(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +345,7 @@ func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 					s := mk()
 					plan := simnet.NewFaultPlan(simnet.FaultEvent{Kind: kind, Src: tg.from, Dst: tg.to, Seq: tg.seq})
 					s.Fabric.SetFaultPlan(plan)
-					res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent})
+					res, err := run(s)
 					if err != nil {
 						t.Fatalf("run under a %s: %v", kind, err)
 					}
@@ -354,6 +360,22 @@ func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stepConcurrent runs cycles cycles of CycleConcurrent, announcing each to
+// the fabric as Run does, and returns the history and gathered solution.
+func stepConcurrent(s *Solver, cycles int) (*RunResult, error) {
+	res := &RunResult{}
+	for c := 0; c < cycles; c++ {
+		s.Fabric.BeginCycle(c)
+		norm, err := s.CycleConcurrent()
+		if err != nil {
+			return nil, err
+		}
+		res.History = append(res.History, norm)
+	}
+	res.FineSolution = s.GatherSolution()
+	return res, nil
 }
 
 // sameRun fails unless two runs have bitwise the same history and solution.
@@ -377,8 +399,7 @@ func sameRun(t *testing.T, got, want *RunResult) {
 // TestIdleCoarseProcessorCyclesAndRecovers: a processor that owns nothing on
 // the coarse level — no edges, no rows, an empty halo, nothing to send or
 // receive through any of that level's schedules — idles through the level's
-// phases, and the run survives its crash, and a busy neighbour's, bitwise,
-// under both drivers.
+// phases, and the run survives its crash, and a busy neighbour's, bitwise.
 func TestIdleCoarseProcessorCyclesAndRecovers(t *testing.T) {
 	const cycles, nproc, idle = 8, 4, 3
 	p := euler.DefaultParams(0.675, 0)
@@ -405,23 +426,21 @@ func TestIdleCoarseProcessorCyclesAndRecovers(t *testing.T) {
 			t.Fatalf("the idle processor sends coarse values to %d", pair[1])
 		}
 	}
-	for _, concurrent := range []bool{false, true} {
-		ref, err := mk().Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent})
+	ref, err := mk().Run(RunOptions{MaxCycles: cycles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{idle, 0} {
+		s := mk()
+		plan := simnet.NewFaultPlan(simnet.FaultEvent{Kind: simnet.FaultCrash, Node: node, Cycle: 5})
+		s.Fabric.SetFaultPlan(plan)
+		res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: 3})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("crash of node %d: %v", node, err)
 		}
-		for _, node := range []int{idle, 0} {
-			s := mk()
-			plan := simnet.NewFaultPlan(simnet.FaultEvent{Kind: simnet.FaultCrash, Node: node, Cycle: 5})
-			s.Fabric.SetFaultPlan(plan)
-			res, err := s.Run(RunOptions{MaxCycles: cycles, Concurrent: concurrent, CheckpointEvery: 3})
-			if err != nil {
-				t.Fatalf("concurrent=%v, crash of node %d: %v", concurrent, node, err)
-			}
-			if res.Recoveries != 1 || plan.Unfired() != 0 {
-				t.Errorf("concurrent=%v, crash of node %d: %d recoveries, %d faults never fired", concurrent, node, res.Recoveries, plan.Unfired())
-			}
-			sameRun(t, res, ref)
+		if res.Recoveries != 1 || plan.Unfired() != 0 {
+			t.Errorf("crash of node %d: %d recoveries, %d faults never fired", node, res.Recoveries, plan.Unfired())
 		}
+		sameRun(t, res, ref)
 	}
 }

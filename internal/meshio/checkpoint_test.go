@@ -124,7 +124,7 @@ func TestLoaderFuzzRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meshBuf, solBuf, partBuf bytes.Buffer
+	var meshBuf, solBuf bytes.Buffer
 	if err := WriteMesh(&meshBuf, m); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,6 @@ func TestLoaderFuzzRegression(t *testing.T) {
 		sol[i] = g.Freestream(0.7, 1)
 	}
 	if err := WriteSolution(&solBuf, 0.7, 1, sol); err != nil {
-		t.Fatal(err)
-	}
-	part := make([]int32, m.NV())
-	for i := range part {
-		part[i] = int32(i % 3)
-	}
-	if err := WritePartition(&partBuf, 3, part); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,10 +148,6 @@ func TestLoaderFuzzRegression(t *testing.T) {
 		}},
 		{"solution", solBuf.Bytes(), func(b []byte) error {
 			_, _, _, err := DecodeSolution(b)
-			return err
-		}},
-		{"partition", partBuf.Bytes(), func(b []byte) error {
-			_, _, err := DecodePartition(b)
 			return err
 		}},
 	}

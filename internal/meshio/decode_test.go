@@ -38,9 +38,6 @@ func TestDecodersBoundHeaderCounts(t *testing.T) {
 	sol = binary.LittleEndian.AppendUint64(sol, 0) // mach
 	sol = binary.LittleEndian.AppendUint64(sol, 0) // alpha
 	sol = binary.LittleEndian.AppendUint64(sol, 1<<31)
-	part := []byte(partMagic)
-	part = binary.LittleEndian.AppendUint64(part, 2)
-	part = binary.LittleEndian.AppendUint64(part, 1<<31)
 
 	for _, c := range []struct {
 		name   string
@@ -49,7 +46,6 @@ func TestDecodersBoundHeaderCounts(t *testing.T) {
 		{"checkpoint", func() error { _, err := DecodeCheckpoint(craftedCheckpoint()); return err }},
 		{"mesh", func() error { _, err := DecodeMesh(craftedMesh()); return err }},
 		{"solution", func() error { _, _, _, err := DecodeSolution(sol); return err }},
-		{"partition", func() error { _, _, err := DecodePartition(part); return err }},
 	} {
 		if err := c.decode(); err == nil || !strings.Contains(err.Error(), "meshio:") {
 			t.Errorf("%s: crafted header gave %v, want a meshio error", c.name, err)

@@ -1,8 +1,9 @@
 // Package meshio reads and writes the on-disk artifacts of the solver
 // pipeline, mirroring the paper's file-based workflow (grids are generated
-// and partitioned in a sequential preprocessing phase, written out, and
-// read back by the solver; the reported C90 runs even include "the time to
-// read all grid files, write out the solution"). The formats are compact
+// in a sequential preprocessing phase, written out, and read back by the
+// solver; the reported C90 runs even include "the time to read all grid
+// files, write out the solution"). Partitions have no file: the solver
+// computes them in process from the mesh it loaded. The formats are compact
 // little-endian binaries with a magic header and explicit counts.
 package meshio
 
@@ -23,7 +24,6 @@ import (
 const (
 	meshMagic = "EUL3DM01"
 	solMagic  = "EUL3DS01"
-	partMagic = "EUL3DP01"
 )
 
 // stateBytes is one euler.State on the wire.
@@ -180,53 +180,8 @@ func DecodeSolution(b []byte) (mach, alphaDeg float64, sol []euler.State, err er
 	return
 }
 
-// WritePartition serializes a processor assignment.
-func WritePartition(w io.Writer, nproc int, part []int32) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(partMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, []int64{int64(nproc), int64(len(part))}); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, part); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// DecodePartition deserializes a processor assignment, validating the range.
-func DecodePartition(b []byte) (nproc int, part []int32, err error) {
-	br := bytes.NewReader(b)
-	if err = expectMagic(br, partMagic); err != nil {
-		return
-	}
-	var hdr [2]int64
-	if err = binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		err = fmt.Errorf("meshio: partition header: %w", err)
-		return
-	}
-	if hdr[0] < 1 || hdr[1] < 0 || hdr[1] > int64(br.Len())/4 {
-		err = fmt.Errorf("meshio: implausible partition header %v (%d bytes follow)", hdr, br.Len())
-		return
-	}
-	nproc = int(hdr[0])
-	part = make([]int32, hdr[1])
-	if err = binary.Read(br, binary.LittleEndian, &part); err != nil {
-		err = fmt.Errorf("meshio: partition assignments (%d vertices): %w", hdr[1], err)
-		return
-	}
-	for g, p := range part {
-		if p < 0 || int(p) >= nproc {
-			err = fmt.Errorf("meshio: vertex %d assigned to invalid processor %d of %d", g, p, nproc)
-			return
-		}
-	}
-	return
-}
-
-// SaveMesh / LoadMesh / SaveSolution / LoadSolution / SavePartition /
-// LoadPartition are the file-path conveniences used by the commands.
+// SaveMesh / LoadMesh / SaveSolution / LoadSolution are the file-path
+// conveniences used by the commands.
 
 // SaveMesh writes m to path.
 func SaveMesh(path string, m *mesh.Mesh) error {
@@ -254,20 +209,6 @@ func LoadSolution(path string) (mach, alphaDeg float64, sol []euler.State, err e
 		return 0, 0, nil, err
 	}
 	return DecodeSolution(b)
-}
-
-// SavePartition writes a partition to path.
-func SavePartition(path string, nproc int, part []int32) error {
-	return withCreate(path, func(f *os.File) error { return WritePartition(f, nproc, part) })
-}
-
-// LoadPartition reads a partition from path.
-func LoadPartition(path string) (int, []int32, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return DecodePartition(b)
 }
 
 func withCreate(path string, fn func(*os.File) error) error {

@@ -119,45 +119,12 @@ func TestSolutionRejectsUnphysical(t *testing.T) {
 	}
 }
 
-func TestPartitionRoundTrip(t *testing.T) {
-	part := []int32{0, 1, 2, 1, 0, 2, 2}
-	var buf bytes.Buffer
-	if err := WritePartition(&buf, 3, part); err != nil {
-		t.Fatal(err)
-	}
-	nproc, got, err := DecodePartition(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nproc != 3 || len(got) != len(part) {
-		t.Fatalf("header: %d %d", nproc, len(got))
-	}
-	for i := range part {
-		if got[i] != part[i] {
-			t.Fatal("partition differs")
-		}
-	}
-}
-
-func TestPartitionRejectsBadProc(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePartition(&buf, 2, []int32{0, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodePartition(buf.Bytes()); err == nil {
-		t.Error("accepted out-of-range processor")
-	}
-}
-
 func TestBadMagicRejected(t *testing.T) {
 	if _, err := DecodeMesh([]byte("NOTMAGIC-whatever")); err == nil {
 		t.Error("accepted bad mesh magic")
 	}
 	if _, _, _, err := DecodeSolution([]byte("NOTMAGIC")); err == nil {
 		t.Error("accepted bad solution magic")
-	}
-	if _, _, err := DecodePartition([]byte("")); err == nil {
-		t.Error("accepted empty partition file")
 	}
 }
 
@@ -204,15 +171,6 @@ func TestFileHelpers(t *testing.T) {
 	}
 	if _, _, got, err := LoadSolution(sp); err != nil || len(got) != len(sol) {
 		t.Errorf("solution helper: %v %d", err, len(got))
-	}
-
-	pp := filepath.Join(dir, "part.bin")
-	part := make([]int32, m.NV())
-	if err := SavePartition(pp, 1, part); err != nil {
-		t.Fatal(err)
-	}
-	if np, got, err := LoadPartition(pp); err != nil || np != 1 || len(got) != m.NV() {
-		t.Errorf("partition helper: %v %d %d", err, np, len(got))
 	}
 
 	if _, err := LoadMesh(filepath.Join(dir, "missing.bin")); err == nil {

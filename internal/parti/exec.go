@@ -232,13 +232,3 @@ func (s *Schedule) GatherStates(f *simnet.Fabric, data [][]euler.State) error {
 func (s *Schedule) ScatterAddStates(f *simnet.Fabric, data [][]euler.State) error {
 	return s.Exchange(f, ScatterAdd, States(data))
 }
-
-// GatherFloats is GatherStates for scalar per-vertex arrays.
-func (s *Schedule) GatherFloats(f *simnet.Fabric, data [][]float64) error {
-	return s.Exchange(f, Gather, Floats(data))
-}
-
-// ScatterAddFloats is ScatterAddStates for scalar per-vertex arrays.
-func (s *Schedule) ScatterAddFloats(f *simnet.Fabric, data [][]float64) error {
-	return s.Exchange(f, ScatterAdd, Floats(data))
-}

@@ -219,7 +219,7 @@ func (s *Schedule) Messages() int {
 }
 
 // PairVolumes returns, for each (sender, receiver) pair with traffic, the
-// number of values exchanged. Used by the Delta machine model.
+// number of values exchanged.
 func (s *Schedule) PairVolumes() map[[2]int]int {
 	out := make(map[[2]int]int)
 	for q := range s.sendIdx {

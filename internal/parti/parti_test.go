@@ -170,7 +170,7 @@ func TestFloatsGatherScatter(t *testing.T) {
 			data[p][li] = float64(g) * 1.5
 		}
 	}
-	if err := sch.GatherFloats(f, data); err != nil {
+	if err := sch.Exchange(f, Gather, Floats(data)); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < nproc; p++ {
@@ -190,7 +190,7 @@ func TestFloatsGatherScatter(t *testing.T) {
 			data[p][li] = 0
 		}
 	}
-	if err := sch.ScatterAddFloats(f, data); err != nil {
+	if err := sch.Exchange(f, ScatterAdd, Floats(data)); err != nil {
 		t.Fatal(err)
 	}
 	var total float64

@@ -95,7 +95,7 @@ func TestQuickScatterAddConserves(t *testing.T) {
 				want += data[p][li]
 			}
 		}
-		if err := sch.ScatterAddFloats(fab, data); err != nil {
+		if err := sch.Exchange(fab, ScatterAdd, Floats(data)); err != nil {
 			return false
 		}
 		got := 0.0

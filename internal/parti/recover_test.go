@@ -136,7 +136,7 @@ func TestFloatsGatherHealsWildcardFaults(t *testing.T) {
 			data[p][li] = float64(g)
 		}
 	}
-	if err := sch.GatherFloats(f, data); err != nil {
+	if err := sch.Exchange(f, Gather, Floats(data)); err != nil {
 		t.Fatalf("float gather did not heal: %v", err)
 	}
 	for p := 0; p < d.NProc; p++ {

@@ -90,21 +90,17 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 			return res.History, nil
 		}})
 	}
-	distributed := func(p euler.Params, mimd bool) ([]float64, error) {
+	engines = append(engines, engine{"distributed", func(p euler.Params) ([]float64, error) {
 		dm, err := dmsolver.NewMultigrid(meshes, [][]int32{part, nil}, 3, p, 2)
 		if err != nil {
 			return nil, err
 		}
-		res, err := dm.Run(dmsolver.RunOptions{MaxCycles: cycles, Concurrent: mimd})
+		res, err := dm.Run(dmsolver.RunOptions{MaxCycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.History, nil
-	}
-	engines = append(engines,
-		engine{"distributed", func(p euler.Params) ([]float64, error) { return distributed(p, false) }},
-		engine{"distributed-mimd", func(p euler.Params) ([]float64, error) { return distributed(p, true) }},
-	)
+	}})
 
 	for _, e := range engines {
 		ref, err := e.run(base)

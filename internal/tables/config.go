@@ -65,10 +65,6 @@ type Config struct {
 	AlphaDeg   float64 // angle of attack
 	Seed       int64
 	Cycles     int // cycles per run (the paper reports 100)
-
-	Stages     int // RK stages (5)
-	DissStages int // dissipation evaluations per step (2)
-	NSmooth    int // residual-averaging sweeps (2)
 }
 
 // DefaultConfig is the default table workload: a ~152k-point fine grid
@@ -83,7 +79,6 @@ func DefaultConfig() Config {
 		AlphaDeg: 1.116,
 		Seed:     17,
 		Cycles:   100,
-		Stages:   5, DissStages: 2, NSmooth: 2,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"eul3d/internal/color"
+	"eul3d/internal/euler"
 	"eul3d/internal/flops"
 	"eul3d/internal/machine"
 	"eul3d/internal/mesh"
@@ -61,10 +62,11 @@ func (lw *levelWork) edgeRegions(flopsPer int64) []machine.Region {
 	return out
 }
 
-// stepRegions enumerates the parallel regions of one multistage time step.
-func (lw *levelWork) stepRegions(cfg Config) []machine.Region {
+// stepRegions enumerates the parallel regions of one multistage time step
+// of the scheme p.
+func (lw *levelWork) stepRegions(p *euler.Params) []machine.Region {
 	var r []machine.Region
-	s := int64(cfg.Stages)
+	s := int64(len(p.Stages))
 	// Per stage: pressures, convective edge loop, boundary loop, residual
 	// combine + update.
 	for q := int64(0); q < s; q++ {
@@ -72,14 +74,14 @@ func (lw *levelWork) stepRegions(cfg Config) []machine.Region {
 		r = append(r, lw.edgeRegions(flops.ConvEdge)...)
 		r = append(r, machine.Region{N: lw.nbf, FlopsPer: flops.ConvBFace})
 		// Residual smoothing: per sweep an edge loop and a vertex loop.
-		for sw := 0; sw < cfg.NSmooth; sw++ {
+		for sw := 0; sw < p.NSmooth; sw++ {
 			r = append(r, lw.edgeRegions(flops.SmoothEdge)...)
 			r = append(r, machine.Region{N: lw.nv, FlopsPer: flops.SmoothVert})
 		}
 		r = append(r, machine.Region{N: lw.nv, FlopsPer: flops.StageVert})
 	}
-	// Dissipation on the first DissStages stages: two edge passes + sensor.
-	for q := 0; q < cfg.DissStages; q++ {
+	// Dissipation on the first DissipStages stages: two edge passes + sensor.
+	for q := 0; q < euler.DissipStages; q++ {
 		r = append(r, lw.edgeRegions(flops.Diss1Edge)...)
 		r = append(r, machine.Region{N: lw.nv, FlopsPer: flops.NuVert})
 		r = append(r, lw.edgeRegions(flops.Diss2Edge)...)
@@ -104,15 +106,16 @@ func (lw *levelWork) residualRegions() []machine.Region {
 	return r
 }
 
-// cycleRegions enumerates all parallel regions of one solver cycle for the
-// given strategy over the level sequence (one level for a single grid).
-func cycleRegions(levels []*levelWork, strategy Strategy, cfg Config) []machine.Region {
+// cycleRegions enumerates all parallel regions of one solver cycle of the
+// scheme p for the given strategy over the level sequence (one level for a
+// single grid).
+func cycleRegions(levels []*levelWork, strategy Strategy, p *euler.Params) []machine.Region {
 	var out []machine.Region
 	nlev := len(levels)
 	steps := multigrid.Visits(nlev, strategy.Gamma())
 	for l, lw := range levels {
 		for k := 0; k < steps[l]; k++ {
-			out = append(out, lw.stepRegions(cfg)...)
+			out = append(out, lw.stepRegions(p)...)
 		}
 	}
 	// Transfers and forcing: each non-coarsest-level visit computes the
@@ -127,7 +130,7 @@ func cycleRegions(levels []*levelWork, strategy Strategy, cfg Config) []machine.
 			out = append(out, machine.Region{N: coarse.nv, FlopsPer: flops.XferVert}) // w restriction
 			out = append(out, machine.Region{N: fine.nv, FlopsPer: flops.XferVert})   // residual scatter
 			out = append(out, machine.Region{N: fine.nv, FlopsPer: flops.XferVert})   // correction prolongation
-			for sw := 0; sw < cfg.NSmooth; sw++ {
+			for sw := 0; sw < p.NSmooth; sw++ {
 				out = append(out, fine.edgeRegions(flops.SmoothEdge)...)
 				out = append(out, machine.Region{N: fine.nv, FlopsPer: flops.SmoothVert})
 			}
@@ -152,7 +155,8 @@ func Table1(cfg Config, strategy Strategy, mach *machine.SharedMachine) (*C90Tab
 		}
 		lws = append(lws, lw)
 	}
-	regions := cycleRegions(lws, strategy, cfg)
+	p := euler.DefaultParams(cfg.Mach, cfg.AlphaDeg)
+	regions := cycleRegions(lws, strategy, &p)
 	totalFlops := machine.Flops(regions)
 
 	t := &C90Table{

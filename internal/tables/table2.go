@@ -77,7 +77,7 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 		if _, err := dm.Cycle(); err != nil {
 			return nil, err
 		}
-		phases := dm.Comm.GatherState + dm.Comm.ScatterState + dm.Comm.GatherFloat + dm.Comm.ScatterFloat
+		phases := dm.Comm.GatherState + dm.Comm.ScatterState
 
 		commMax := 0.0
 		var totMsgs, totBytes int64
@@ -103,7 +103,7 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 				ne := int64(len(lev.Edges[node]))
 				nbf := int64(len(lev.BFaces[node]))
 				nv := int64(lev.Dist.Count(node))
-				f += int64(steps[l]) * flops.Step(nv, ne, nbf, cfg.Stages, cfg.DissStages, cfg.NSmooth)
+				f += int64(steps[l]) * flops.Step(nv, ne, nbf, len(p.Stages), euler.DissipStages, p.NSmooth)
 				if l < len(dm.Levels)-1 {
 					nextLev := dm.Levels[l+1]
 					neC := int64(len(nextLev.Edges[node]))
@@ -111,7 +111,7 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 					nvC := int64(nextLev.Dist.Count(node))
 					per := flops.Residual(nv, ne, nbf) + flops.Residual(nvC, neC, nbfC) +
 						flops.Transfer(nv, nvC) +
-						int64(cfg.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert)
+						int64(p.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert)
 					f += int64(steps[l]) * per
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"eul3d/internal/euler"
+	"eul3d/internal/flops"
 	"eul3d/internal/machine"
 	"eul3d/internal/partition"
 )
@@ -18,7 +20,6 @@ func testConfig() Config {
 		AlphaDeg: 0,
 		Seed:     17,
 		Cycles:   100,
-		Stages:   5, DissStages: 2, NSmooth: 2,
 	}
 }
 
@@ -79,6 +80,29 @@ func TestTable1Shapes(t *testing.T) {
 			t.Error("table header missing")
 		}
 		prev = tab
+	}
+}
+
+// The C90 model's regions count the flops of the scheme the engines run:
+// one step of euler.DefaultParams is flops.Step with its stage count,
+// dissipation stages and smoothing sweeps, and one residual evaluation is
+// flops.Residual — the counts the Delta model uses.
+func TestC90RegionsMatchFlopCounts(t *testing.T) {
+	cfg := testConfig()
+	meshes, err := cfg.Meshes(SingleGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := buildLevelWork(meshes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := euler.DefaultParams(cfg.Mach, cfg.AlphaDeg)
+	if got, want := machine.Flops(lw.stepRegions(&p)), flops.Step(lw.nv, lw.ne, lw.nbf, len(p.Stages), euler.DissipStages, p.NSmooth); got != want {
+		t.Errorf("step regions count %d flops, flops.Step %d", got, want)
+	}
+	if got, want := machine.Flops(lw.residualRegions()), flops.Residual(lw.nv, lw.ne, lw.nbf); got != want {
+		t.Errorf("residual regions count %d flops, flops.Residual %d", got, want)
 	}
 }
 

@@ -25,7 +25,6 @@ package trace
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -63,15 +62,14 @@ type Track struct {
 
 // Tracer owns the tracks and the phase name table.
 type Tracer struct {
-	start     time.Time
-	ringCap   int
-	maxTracks int
+	start   time.Time
+	ringCap int
 
 	mu       sync.Mutex
 	tracks   []*Track
 	phases   []string
 	phaseIDs map[string]PhaseID
-	refused  int // track registrations refused past maxTracks
+	refused  int // track registrations refused past DefaultMaxTracks
 }
 
 // DefaultMaxTracks bounds the number of tracks a tracer will register, so
@@ -93,21 +91,10 @@ func NewStartingAt(ringCap int, start time.Time) *Tracer {
 		ringCap = 16
 	}
 	return &Tracer{
-		start:     start,
-		ringCap:   ringCap,
-		maxTracks: DefaultMaxTracks,
-		phaseIDs:  make(map[string]PhaseID),
+		start:    start,
+		ringCap:  ringCap,
+		phaseIDs: make(map[string]PhaseID),
 	}
-}
-
-// SetMaxTracks adjusts the track-count bound (minimum 1).
-func (t *Tracer) SetMaxTracks(n int) {
-	if t == nil || n < 1 {
-		return
-	}
-	t.mu.Lock()
-	t.maxTracks = n
-	t.mu.Unlock()
 }
 
 // Start returns the tracer's timestamp origin.
@@ -136,7 +123,7 @@ func (t *Tracer) TrackCap(name string, ringCap int) *Track {
 			return tk
 		}
 	}
-	if len(t.tracks) >= t.maxTracks {
+	if len(t.tracks) >= DefaultMaxTracks {
 		t.refused++
 		return nil
 	}
@@ -279,60 +266,6 @@ func (t *Tracer) Refused() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.refused
-}
-
-// phaseStat is one row of the summary aggregation.
-type phaseStat struct {
-	name  string
-	count int64
-	total int64 // ns
-	min   int64
-	max   int64
-}
-
-// Summary renders a per-phase aggregate over every track: span count,
-// total / mean / min / max duration. Instants are counted with zero
-// duration. The text form is the quick comm/comp breakdown when a full
-// timeline is more than the question needs.
-func (t *Tracer) Summary() string {
-	if t == nil {
-		return ""
-	}
-	stats := make(map[PhaseID]*phaseStat)
-	var order []PhaseID
-	for _, tk := range t.Tracks() {
-		for _, ev := range tk.Events() {
-			st, ok := stats[ev.Phase]
-			if !ok {
-				st = &phaseStat{name: t.PhaseName(ev.Phase), min: ev.Dur, max: ev.Dur}
-				stats[ev.Phase] = st
-				order = append(order, ev.Phase)
-			}
-			st.count++
-			st.total += ev.Dur
-			if ev.Dur < st.min {
-				st.min = ev.Dur
-			}
-			if ev.Dur > st.max {
-				st.max = ev.Dur
-			}
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return stats[order[a]].total > stats[order[b]].total
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %9s %12s %12s %12s %12s\n", "phase", "count", "total ms", "mean us", "min us", "max us")
-	for _, id := range order {
-		st := stats[id]
-		mean := float64(0)
-		if st.count > 0 {
-			mean = float64(st.total) / float64(st.count) / 1e3
-		}
-		fmt.Fprintf(&b, "%-24s %9d %12.3f %12.3f %12.3f %12.3f\n",
-			st.name, st.count, float64(st.total)/1e6, mean, float64(st.min)/1e3, float64(st.max)/1e3)
-	}
-	return b.String()
 }
 
 // WriteChromeFile dumps the trace as a Chrome trace-event JSON file
