@@ -15,17 +15,18 @@ test:
 # that builds its coarse levels on goroutines, the simulated interconnect,
 # the PARTI executors with self-healing receives, the distributed solver
 # with its recovery orchestrator, the shared-memory worker-pool engine (single-grid
-# and pooled multigrid, V- and W-cycles), the transfer operators the
+# and pooled multigrid, V- and W-cycles), whose workers write without locks
+# because each stores only into the vertex range it owns, the transfer operators the
 # pooled multigrid builds side by side and scatters in parallel, the
 # flight-recorder tracer whose rings are written from every worker
 # concurrently, the cluster
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
-# the adaptive driver that rebuilds the pooled engine between epochs, the
-# party-counted flights both service tiers share work through, and the
-# block coloring whose run-disjointness is what lets the pool's workers
-# write without locks.
+# the adaptive driver that rebuilds the pooled engine between epochs, and
+# the party-counted flights both service tiers share work through. The
+# edge coloring the C90 model reads is serial; it stays on the list, where
+# it costs a second.
 race:
 	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
 

@@ -29,10 +29,10 @@ import (
 // RCM-renumbered mesh's color-canonical form; and one pooled step at 1 and 2
 // workers on the natural and the RCM-renumbered mesh and — the paper's
 // actual starting point, an order with no locality — on the scrambled mesh
-// and on the scrambled mesh RCM-renumbered (the engine lays each out in
-// groups of runs itself; the groups metric is how many it needed, and so
-// whether its layout found local runs or fell back to single edges). The
-// findings are in EXPERIMENTS.md.
+// and on the scrambled mesh RCM-renumbered (the engine walks each mesh's
+// own order; how many edges its workers' vertex ranges cut, and so compute
+// twice, is smsolver's BenchmarkStep's cut-%). The findings are in
+// EXPERIMENTS.md.
 func BenchmarkAblationOrdering(b *testing.B) {
 	natural, err := meshgen.Channel(meshgen.DefaultChannel(64, 32, 20, 1))
 	if err != nil {
@@ -102,8 +102,6 @@ func BenchmarkAblationOrdering(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s.Step(w, nil)
 				}
-				groups, _ := s.NumColors()
-				b.ReportMetric(float64(groups), "groups")
 			})
 		}
 	}

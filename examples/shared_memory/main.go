@@ -1,9 +1,11 @@
-// Shared memory: the Cray Y-MP C90 port in miniature (Section 3). The
-// edge loops are split into recurrence-free color groups and chunked over
-// goroutine workers — the role of the autotasking compiler on the C90 —
-// and the result is bitwise identical for every worker count. The example
-// prints the color structure, verifies determinism, and reports what the
-// calibrated C90 model predicts for the same loop structure on 1-16 CPUs.
+// Shared memory: the Cray Y-MP C90 port in miniature (Section 3). On the
+// C90 the edge loops are split into recurrence-free color groups, each
+// vectorized and chunked over processors by the autotasking compiler; the
+// example prints that coloring, which the calibrated C90 model reads. The
+// goroutine workers that run the solver need no coloring: each owns a
+// range of vertices and sweeps the edges that touch them, so the result is
+// bitwise identical for every worker count, which the example verifies
+// before it reports what the C90 model predicts on 1-16 CPUs.
 package main
 
 import (
@@ -27,7 +29,7 @@ func main() {
 	}
 	fmt.Printf("mesh: %d points, %d edges\n", m.NV(), m.NE())
 
-	// The coloring that makes the edge loops vectorizable/parallel.
+	// The coloring that makes the C90's edge loops vectorizable/parallel.
 	col, err := color.Greedy(m.NV(), m.Edges)
 	if err != nil {
 		log.Fatal(err)

@@ -102,9 +102,13 @@ func (in *indicator) compute(m *mesh.Mesh, w []euler.State, p euler.Params) ([]f
 			eta[t] = max
 		}
 	case "residual":
+		var err error
 		if in.eng == nil {
-			in.eng = smsolver.NewSequential(m, p)
-		} else if err := in.eng.Rebuild(m, p); err != nil {
+			in.eng, err = smsolver.New(m, p, 1)
+		} else {
+			err = in.eng.Rebuild(m, p)
+		}
+		if err != nil {
 			return nil, err
 		}
 		res := in.eng.Residual(w)

@@ -2,10 +2,16 @@
 // EUL3D on vector/parallel shared-memory machines. The edge loop is divided
 // into groups ("colors") such that within a group no two edges touch the
 // same vertex, so each group is free of data recurrences and can be
-// vectorized and further chunked across processors (Cray autotasking).
+// vectorized and further chunked across processors (Cray autotasking). The
+// C90 model (internal/machine, the tables) reads it; the pooled engine does
+// not color, its workers own vertices instead (internal/smsolver).
 package color
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Coloring holds a partition of the edge list into recurrence-free groups.
 // Group g occupies Order[Start[g]:Start[g+1]], where Order is a permutation
@@ -30,30 +36,89 @@ func (c *Coloring) GroupSizes() []int {
 	return s
 }
 
+// elem is an element's vertex tuple: an edge or a boundary triangle.
+type elem interface{ [2]int32 | [3]int32 }
+
 // Greedy colors the edges of a mesh with nv vertices greedily in a single
-// sweep: each edge takes the lowest color not already incident on either
-// endpoint. By Vizing-type arguments the number of colors is bounded by
-// roughly twice the maximum vertex degree; on EUL3D-style tetrahedral
+// sweep: each edge, in order, takes the lowest color not already incident on
+// either endpoint. By Vizing-type arguments the number of colors is bounded
+// by roughly twice the maximum vertex degree; on EUL3D-style tetrahedral
 // meshes it lands in the 20–40 range the paper reports ("the typical number
-// of groups is ... say 20 to 30"). It is the block coloring with runs of one
-// edge (Blocked), the form a vector pipe needs.
+// of groups is ... say 20 to 30"). Each group lists its edges in source
+// order.
 func Greedy(nv int, edges [][2]int32) (*Coloring, error) {
-	return unitColoring(nv, edges)
+	return greedy(nv, edges)
 }
 
 // GreedyFaces colors boundary triangles so that within a group no two
 // faces share a vertex — the boundary-loop analogue of the edge coloring,
 // needed because the boundary flux scatters to all three face vertices.
 func GreedyFaces(nv int, faces [][3]int32) (*Coloring, error) {
-	return unitColoring(nv, faces)
+	return greedy(nv, faces)
 }
 
-func unitColoring[E Elem](nv int, elems []E) (*Coloring, error) {
-	bl, err := Blocked(nv, elems, 1)
-	if err != nil {
-		return nil, err
+func greedy[E elem](nv int, elems []E) (*Coloring, error) {
+	// Colors below 64 are a bit per vertex; the rare ones above (a hub of
+	// degree > 64) spill to a lazily made per-vertex list.
+	mask := make([]uint64, nv)
+	var spill map[int32][]int32
+	var taken []int32
+	colorOf := make([]int32, len(elems))
+	nc := int32(0)
+	for i := range elems {
+		e := elems[i]
+		var held uint64
+		for k := 0; k < len(e); k++ {
+			if e[k] < 0 || int(e[k]) >= nv {
+				return nil, fmt.Errorf("color: element %d vertex %d out of range [0,%d)", i, e[k], nv)
+			}
+			if e[k] == e[(k+1)%len(e)] {
+				return nil, fmt.Errorf("color: element %d repeats vertex %d", i, e[k])
+			}
+			held |= mask[e[k]]
+		}
+		c := int32(bits.TrailingZeros64(^held))
+		if c == 64 {
+			taken = taken[:0]
+			for k := 0; k < len(e); k++ {
+				taken = append(taken, spill[e[k]]...)
+			}
+			slices.Sort(taken)
+			for _, t := range taken {
+				if t == c {
+					c++
+				}
+			}
+		}
+		colorOf[i] = c
+		for k := 0; k < len(e); k++ {
+			if c < 64 {
+				mask[e[k]] |= 1 << uint(c)
+			} else {
+				if spill == nil {
+					spill = make(map[int32][]int32)
+				}
+				spill[e[k]] = append(spill[e[k]], c)
+			}
+		}
+		nc = max(nc, c+1)
 	}
-	return &Coloring{Order: bl.Order, Start: bl.Start}, nil // not &bl.Coloring: that would keep the run table and scratch alive
+
+	// Counting sort by color, stable in source order.
+	start := make([]int32, nc+1)
+	for _, c := range colorOf {
+		start[c+1]++
+	}
+	for g := int32(0); g < nc; g++ {
+		start[g+1] += start[g]
+	}
+	next := slices.Clone(start[:nc])
+	order := make([]int32, len(elems))
+	for i, c := range colorOf {
+		order[next[c]] = int32(i)
+		next[c]++
+	}
+	return &Coloring{Order: order, Start: start}, nil
 }
 
 // Verify checks that the coloring is a permutation of the edge list and
@@ -64,7 +129,7 @@ func Verify(c *Coloring, nv int, edges [][2]int32) error { return verify(c, nv, 
 // the coloring is a permutation of the face list.
 func VerifyFaces(c *Coloring, nv int, faces [][3]int32) error { return verify(c, nv, faces) }
 
-func verify[E Elem](c *Coloring, nv int, elems []E) error {
+func verify[E elem](c *Coloring, nv int, elems []E) error {
 	if len(c.Order) != len(elems) {
 		return fmt.Errorf("color: order length %d != element count %d", len(c.Order), len(elems))
 	}

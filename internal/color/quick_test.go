@@ -2,6 +2,7 @@ package color
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,32 @@ func TestQuickGreedyAlwaysValid(t *testing.T) {
 			return false
 		}
 		return Verify(c, nv, edges) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickBlocksAlwaysValid colors random edge and face lists and checks
+// each coloring both through Verify and VerifyFaces and against the
+// per-element greedy oracle.
+func TestQuickBlocksAlwaysValid(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nv := 3 + rng.Intn(80)
+		edges := randomEdges(rng, nv, rng.Intn(400))
+		faces := randomFaces(rng, nv, rng.Intn(200))
+		ec, err := Greedy(nv, edges)
+		if err != nil || Verify(ec, nv, edges) != nil {
+			return false
+		}
+		fc, err := GreedyFaces(nv, faces)
+		if err != nil || VerifyFaces(fc, nv, faces) != nil {
+			return false
+		}
+		we, wf := perElementGreedy(nv, edges), perElementGreedy(nv, faces)
+		return slices.Equal(ec.Order, we.Order) && slices.Equal(ec.Start, we.Start) &&
+			slices.Equal(fc.Order, wf.Order) && slices.Equal(fc.Start, wf.Start)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -20,9 +20,10 @@ import (
 // never on the processor, so every worker walks the same exchange plan.
 //
 // The phases hold no arithmetic of their own. An edge or boundary-face
-// loop is the kernel the pooled engine runs per color (euler's
-// kernels_soa.go), here over all of processor p's local edges or faces, on
-// p's arrays over [owned | edge ghosts] viewed as blocks (euler.Block); a
+// loop is the kernel the pooled engine runs per worker (euler's
+// kernels_soa.go), here over all of processor p's local edges or faces and
+// its whole local range, on p's arrays over [owned | edge ghosts] viewed as
+// blocks (euler.Block); a
 // vertex sweep hands the owned prefix [0, Dist.Count(p)) of p's arrays to
 // the function the sequential engine runs over the whole mesh — euler's
 // reference vertex functions, and
@@ -66,7 +67,7 @@ func (s *Solver) dissipation(x driver, lev *Level) error {
 		return err
 	}
 	each(x, func(p int) {
-		lev.disc[p].DissPass2SoAKernel(euler.Block(&lev.W[p]), euler.Block(&lev.lapl[p]), euler.Block(&lev.diss[p]), lev.Num[p], lev.ident[:len(lev.Edges[p])])
+		lev.disc[p].Diss2SweepSoAKernel(euler.Block(&lev.W[p]), euler.Block(&lev.lapl[p]), euler.Block(&lev.diss[p]), lev.Num[p], lev.ident[:len(lev.Edges[p])], 0, lev.EdgeSpan[p])
 	})
 	return x.exchange(parti.ScatterAdd, lev.SchedW, lev, parti.States(lev.diss))
 }
@@ -92,8 +93,9 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) err
 		if lam {
 			clear(lev.Lam[p])
 		}
-		d.EdgeSweepSoAKernel(parts, w, conv, lapl, lev.Lam[p], lev.Num[p], lev.Den[p], lev.ident[:len(lev.Edges[p])])
-		d.BFaceSweepSoAKernel(parts&(euler.PartLam|euler.PartConv), w, conv, lev.Lam[p], lev.ident[:len(lev.BFaces[p])])
+		span := lev.EdgeSpan[p]
+		d.EdgeSweepSoAKernel(parts, w, conv, lapl, lev.Lam[p], lev.Num[p], lev.Den[p], lev.ident[:len(lev.Edges[p])], 0, span)
+		d.BFaceSweepSoAKernel(parts&(euler.PartLam|euler.PartConv), w, conv, lev.Lam[p], lev.ident[:len(lev.BFaces[p])], 0, span)
 	})
 	if err := x.exchange(parti.ScatterAdd, lev.SchedW, lev, sums); err != nil {
 		return err

@@ -70,8 +70,8 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 			d.ResInitSoAKernel(w, wS, 0, nv)
 			d.StageZeroSoAKernel(convS, dissS, laplS, true, 0, nv)
 			clear(d.Lam())
-			d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, convS, laplS, d.Lam(), d.Sensor(), d.Den(), edges)
-			d.BFaceSweepSoAKernel(PartLam|PartConv, wS, convS, d.Lam(), faces)
+			d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, convS, laplS, d.Lam(), d.Sensor(), d.Den(), edges, 0, nv)
+			d.BFaceSweepSoAKernel(PartLam|PartConv, wS, convS, d.Lam(), faces, 0, nv)
 			d.NuRangeKernel(d.Sensor(), d.Den(), 0, nv)
 			d.DissPass2SoAKernel(wS, laplS, dissS, d.Sensor(), edges)
 		}},
@@ -82,8 +82,8 @@ func BenchmarkReferenceVsSoA(b *testing.B) {
 		{"conv-stage/soa", func() {
 			d.ResInitSoAKernel(w, wS, 0, nv)
 			d.StageZeroSoAKernel(convS, dissS, laplS, false, 0, nv)
-			d.EdgeSweepSoAKernel(PartConv, wS, convS, nil, nil, nil, nil, edges)
-			d.BFaceSweepSoAKernel(PartConv, wS, convS, nil, faces)
+			d.EdgeSweepSoAKernel(PartConv, wS, convS, nil, nil, nil, nil, edges, 0, nv)
+			d.BFaceSweepSoAKernel(PartConv, wS, convS, nil, faces, 0, nv)
 		}},
 		{"smooth-accum/reference", func() { SmoothAccum(m.Edges, w, conv) }},
 		{"smooth-accum/soa", func() {

@@ -7,33 +7,42 @@ import (
 )
 
 // The range form of the operator: kernels over explicit edge/face index
-// subsets and vertex ranges, on StateSoA blocks — one State record per
+// lists and vertex ranges, on StateSoA blocks — one State record per
 // vertex, the []State layout itself. The shared-memory executor (package
-// smsolver) calls them per color group and worker chunk — the Cray
-// autotasking decomposition of Section 3.1; within a color group no two
-// edges touch the same vertex, so the kernels are race-free. The distributed
-// solver (package dmsolver) calls the edge, face and residual kernels once
-// per simulated processor, over all of that partition's local edges or
-// faces (NewViewDisc), and the gather smoother over its owned rows, with the
-// PARTI exchanges between calls. Both hand their []State arrays to the
-// kernels as blocks (Block), so nothing is converted anywhere; the
-// sequential engine is the pooled one at one worker, over the mesh's own
-// edge order (smsolver.NewSequential). This is the second and last
-// statement of the scheme's arithmetic; the first is the reference operator
-// in ops.go, which Disc.Step, Disc.Residual and the serial multigrid drive,
-// and whose vertex functions the distributed engine still calls. Its steps
-// have two roles and no engine among them: the tests' oracle, and the
-// serial references the benchmark times (cmd/bench, cmd/benchsm). The
-// tables, the examples and the adaptive residual indicator run the engines.
+// smsolver) runs them owner-computes: each worker owns a contiguous vertex
+// range, walks every edge or face that touches it in the mesh's order, and
+// the sweeps take that ownership range [lo,hi) and store only into owned
+// vertices — an edge cut by the ranges is computed by both its owners, each
+// keeping its own end — so no two workers write one slot and every vertex
+// receives its additions in the mesh's edge order. The distributed solver
+// (package dmsolver) calls the edge, face and residual kernels once per
+// simulated processor, over all of that partition's local edges or faces
+// (NewViewDisc) and its whole local range, and the gather smoother over its
+// owned rows, with the PARTI exchanges between calls. Both hand their
+// []State arrays to the kernels as blocks (Block), so nothing is converted
+// anywhere; the sequential engine is the pooled one at one worker. This is
+// the second and last statement of the scheme's arithmetic; the first is
+// the reference operator in ops.go, which Disc.Step, Disc.Residual and the
+// serial multigrid drive, and whose vertex functions the distributed engine
+// still calls. Its steps have two roles and no engine among them: the
+// tests' oracle, and the serial references the benchmark times (cmd/bench,
+// cmd/benchsm). The tables, the examples and the adaptive residual
+// indicator run the engines.
 //
 // One sweep body, parts: what the scheme accumulates over edges from w alone
 // (spectral radii, convective flux, the dissipation's Laplacian and sensor
 // sums) is stated once, in EdgeSweepSoAKernel, which gathers both ends of an
 // edge once and performs whichever SweepParts the caller selected, each into
-// its own accumulators. Under one coloring any subset is legal in one pass:
-// the engine makes one pass per stage, and the one-part kernels are calls of
-// the same body. BFaceSweepSoAKernel is the same for a boundary face's two
-// parts. Dissipation pass 2 needs pass 1 complete, so it stays its own loop.
+// its own accumulators. Any subset is legal in one pass: the engine makes one
+// pass per stage, and the one-part kernels are calls of the same body over
+// the whole vertex range. BFaceSweepSoAKernel is the same for a boundary
+// face's two parts. Dissipation pass 2 needs pass 1 complete, so it stays
+// its own loop (Diss2SweepSoAKernel). The ownership range guards stores
+// only, never arithmetic: a sweep computes every listed element's terms in
+// full and keeps the ends it owns, so the owned slots' bits do not depend
+// on the range. An unowned end's additions are pointed at a sink on the
+// stack rather than branched around, which keeps the body one straight line
+// (EXPERIMENTS.md, "Owner-computes sweeps").
 //
 // Vertex terms: 1/rho and the sound speed, which the reference operator
 // re-derives at both ends of every edge (FluxDotN, SpectralRadius; ~13 edges
@@ -164,13 +173,20 @@ const (
 	PartDiss1                        // undivided Laplacian and sensor sums into laplS, num, den
 )
 
+// owns reports whether vertex v lies in the ownership range [lo, lo+n).
+func owns(v int32, lo int, n uint) bool { return uint(int(v)-lo) < n }
+
 // EdgeSweepSoAKernel is the edge loop of the scheme's first pass: it gathers
-// both ends of each listed edge once and accumulates the selected parts.
-// Accumulators of unselected parts are not touched and may be nil.
-func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, lam, num, den []float64, edges []int32) {
+// both ends of each listed edge once, computes the selected parts, and adds
+// them into the ends inside the ownership range [lo,hi). Accumulators of
+// unselected parts are not touched and may be nil.
+func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, lam, num, den []float64, edges []int32, lo, hi int) {
 	m := d.M
 	pres, rinv, snd := d.pres, d.rinv, d.snd
 	w := *wS
+	own := uint(hi - lo)
+	var sink State // where the ends outside [lo,hi) add, never read
+	var sinkF float64
 	var conv, lapl StateSoA
 	if parts&PartConv != 0 {
 		conv = *convS
@@ -193,8 +209,15 @@ func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, 
 				v := 0.5 * (a2*ri + b2*rj)
 				ww := 0.5 * (a3*ri + b3*rj)
 				lamE := math.Abs(u*n.X+v*n.Y+ww*n.Z) + 0.5*(snd[i]+snd[j])*n.Norm()
-				lam[i] += lamE
-				lam[j] += lamE
+				li, lj := &lam[i], &lam[j]
+				if !owns(i, lo, own) {
+					li = &sinkF
+				}
+				if !owns(j, lo, own) {
+					lj = &sinkF
+				}
+				*li += lamE
+				*lj += lamE
 			}
 			if parts&PartConv != 0 {
 				// 0.5*(FluxDotN(wi) + FluxDotN(wj)), term for term.
@@ -206,6 +229,12 @@ func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, 
 				f3 := 0.5 * ((a3*ui + pi*n.Z) + (b3*uj + pj*n.Z))
 				f4 := 0.5 * ((a4+pi)*ui + (b4+pj)*uj)
 				ci, cj := &conv[i], &conv[j]
+				if !owns(i, lo, own) {
+					ci = &sink
+				}
+				if !owns(j, lo, own) {
+					cj = &sink
+				}
 				ci[0] += f0
 				cj[0] -= f0
 				ci[1] += f1
@@ -220,6 +249,13 @@ func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, 
 		}
 		if parts&PartDiss1 != 0 {
 			li, lj := &lapl[i], &lapl[j]
+			ni, nj, di, dj := &num[i], &num[j], &den[i], &den[j]
+			if !owns(i, lo, own) {
+				li, ni, di = &sink, &sinkF, &sinkF
+			}
+			if !owns(j, lo, own) {
+				lj, nj, dj = &sink, &sinkF, &sinkF
+			}
 			li[0] += b0 - a0
 			lj[0] -= b0 - a0
 			li[1] += b1 - a1
@@ -231,38 +267,44 @@ func (d *Disc) EdgeSweepSoAKernel(parts SweepParts, wS, convS, laplS *StateSoA, 
 			li[4] += b4 - a4
 			lj[4] -= b4 - a4
 			dp := pj - pi
-			num[i] += dp
-			num[j] -= dp
+			*ni += dp
+			*nj -= dp
 			sp := pj + pi
-			den[i] += sp
-			den[j] += sp
+			*di += sp
+			*dj += sp
 		}
 	}
 }
 
-// LambdaEdgesSoAKernel is the edge sweep's PartLam alone: spectral radii into lam.
+// LambdaEdgesSoAKernel is the edge sweep's PartLam alone, over every
+// vertex: spectral radii into lam.
 func (d *Disc) LambdaEdgesSoAKernel(wS *StateSoA, lam []float64, edges []int32) {
-	d.EdgeSweepSoAKernel(PartLam, wS, nil, nil, lam, nil, nil, edges)
+	d.EdgeSweepSoAKernel(PartLam, wS, nil, nil, lam, nil, nil, edges, 0, wS.Len())
 }
 
-// ConvectiveEdgesSoAKernel is the edge sweep's PartConv alone: fluxes into convS.
+// ConvectiveEdgesSoAKernel is the edge sweep's PartConv alone, over every
+// vertex: fluxes into convS.
 func (d *Disc) ConvectiveEdgesSoAKernel(wS, convS *StateSoA, edges []int32) {
-	d.EdgeSweepSoAKernel(PartConv, wS, convS, nil, nil, nil, nil, edges)
+	d.EdgeSweepSoAKernel(PartConv, wS, convS, nil, nil, nil, nil, edges, 0, wS.Len())
 }
 
-// DissPass1SoAKernel is the edge sweep's PartDiss1 alone: the undivided
-// Laplacian into laplS and the pressure-sensor sums into num and den.
+// DissPass1SoAKernel is the edge sweep's PartDiss1 alone, over every
+// vertex: the undivided Laplacian into laplS and the pressure-sensor sums
+// into num and den.
 func (d *Disc) DissPass1SoAKernel(wS, laplS *StateSoA, num, den []float64, edges []int32) {
-	d.EdgeSweepSoAKernel(PartDiss1, wS, nil, laplS, nil, num, den, edges)
+	d.EdgeSweepSoAKernel(PartDiss1, wS, nil, laplS, nil, num, den, edges, 0, wS.Len())
 }
 
-// DissPass2SoAKernel accumulates the blended dissipative flux of the
-// listed edges into dissS, given the per-vertex switch nu and Laplacian.
-func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edges []int32) {
+// Diss2SweepSoAKernel accumulates the blended dissipative flux of the
+// listed edges into the ends of dissS inside the ownership range [lo,hi),
+// given the per-vertex switch nu and Laplacian.
+func (d *Disc) Diss2SweepSoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edges []int32, lo, hi int) {
 	m := d.M
 	k2, k4 := d.P.K2, d.P.K4
 	rinv, snd := d.rinv, d.snd
 	w, lapl, diss := *wS, *laplS, *dissS
+	own := uint(hi - lo)
+	var sink State // where the ends outside [lo,hi) add, never read
 	for _, e := range edges {
 		ed := m.Edges[e]
 		i, j := ed[0], ed[1]
@@ -284,6 +326,12 @@ func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edge
 		f3 := lamE * (eps2*(wj[3]-wi[3]) - eps4*(lj[3]-li[3]))
 		f4 := lamE * (eps2*(wj[4]-wi[4]) - eps4*(lj[4]-li[4]))
 		si, sj := &diss[i], &diss[j]
+		if !owns(i, lo, own) {
+			si = &sink
+		}
+		if !owns(j, lo, own) {
+			sj = &sink
+		}
 		si[0] += f0
 		sj[0] -= f0
 		si[1] += f1
@@ -297,14 +345,23 @@ func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edge
 	}
 }
 
+// DissPass2SoAKernel is Diss2SweepSoAKernel over every vertex.
+func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edges []int32) {
+	d.Diss2SweepSoAKernel(wS, laplS, dissS, nu, edges, 0, wS.Len())
+}
+
 // BFaceSweepSoAKernel is the one boundary-face loop: the face spectral
 // radii into lam (PartLam) and the boundary closure into convS (PartConv),
-// both lumped onto the face's three vertices, so one coloring covers both.
-func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []float64, faces []int32) {
+// both lumped onto the face's three vertices and stored into those inside
+// the ownership range [lo,hi).
+func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []float64, faces []int32, lo, hi int) {
 	m := d.M
 	g := d.P.Gas
 	pres, rinv, snd := d.pres, d.rinv, d.snd
 	w := *wS
+	own := uint(hi - lo)
+	var sink State // where the vertices outside [lo,hi) add, never read
+	var sinkF float64
 	var conv StateSoA
 	if parts&PartConv != 0 {
 		conv = *convS
@@ -318,7 +375,11 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 			for _, v := range f.V {
 				wv := &w[v]
 				un := (wv[1]*n.X + wv[2]*n.Y + wv[3]*n.Z) * rinv[v]
-				lam[v] += (math.Abs(un) + snd[v]*nn) / 3
+				lv := &lam[v]
+				if !owns(v, lo, own) {
+					lv = &sinkF
+				}
+				*lv += (math.Abs(un) + snd[v]*nn) / 3
 			}
 		}
 		if parts&PartConv == 0 {
@@ -339,6 +400,15 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 			flux = FluxDotN(wf, g.Pressure(wf), n.X, n.Y, n.Z)
 		}
 		ca, cb, cc := &conv[a], &conv[b], &conv[c]
+		if !owns(a, lo, own) {
+			ca = &sink
+		}
+		if !owns(b, lo, own) {
+			cb = &sink
+		}
+		if !owns(c, lo, own) {
+			cc = &sink
+		}
 		for k, fk := range flux {
 			t := fk / 3
 			ca[k] += t
@@ -348,14 +418,16 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 	}
 }
 
-// LambdaBFacesSoAKernel is the face sweep's PartLam alone: face radii into lam.
+// LambdaBFacesSoAKernel is the face sweep's PartLam alone, over every
+// vertex: face radii into lam.
 func (d *Disc) LambdaBFacesSoAKernel(wS *StateSoA, lam []float64, faces []int32) {
-	d.BFaceSweepSoAKernel(PartLam, wS, nil, lam, faces)
+	d.BFaceSweepSoAKernel(PartLam, wS, nil, lam, faces, 0, wS.Len())
 }
 
-// BoundaryFluxSoAKernel is the face sweep's PartConv alone: closure into convS.
+// BoundaryFluxSoAKernel is the face sweep's PartConv alone, over every
+// vertex: closure into convS.
 func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
-	d.BFaceSweepSoAKernel(PartConv, wS, convS, nil, faces)
+	d.BFaceSweepSoAKernel(PartConv, wS, convS, nil, faces, 0, wS.Len())
 }
 
 // SmoothGatherSoAKernel performs one whole Jacobi sweep of the residual

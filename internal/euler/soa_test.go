@@ -206,8 +206,11 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 // leave in lam, convS, laplS, num and den exactly the bits the one-part
 // kernels leave, over the identity lists and over greedy color orders (which
 // are not the identity — the order cmd/bench and the engine's source-mesh
-// colorings drive the kernels in). The vertex terms are refreshed from w by
-// StepInitSoAKernel alone, as in a step.
+// colorings drive the kernels in). Split between two owners of vertex
+// ranges, each sweeping the whole list, the sweeps and dissipation pass 2
+// leave those bits too: the ownership range guards stores, not arithmetic.
+// The vertex terms are refreshed from w by StepInitSoAKernel alone, as in a
+// step.
 func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
 	t.Helper()
 	m := d.M
@@ -248,17 +251,38 @@ func checkFusedSweeps(t *testing.T, d *Disc, w []State) {
 		d.LambdaBFacesSoAKernel(wS, one.lam, tc.faces)
 		d.BoundaryFluxSoAKernel(wS, one.convS, tc.faces)
 
-		d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, all.convS, all.laplS, all.lam, all.num, all.den, tc.edges)
-		d.BFaceSweepSoAKernel(PartLam|PartConv, wS, all.convS, all.lam, tc.faces)
+		d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, all.convS, all.laplS, all.lam, all.num, all.den, tc.edges, 0, nv)
+		d.BFaceSweepSoAKernel(PartLam|PartConv, wS, all.convS, all.lam, tc.faces, 0, nv)
+
+		split := fresh()
+		owners := [2][2]int{{0, nv / 3}, {nv / 3, nv}}
+		for _, o := range owners {
+			d.EdgeSweepSoAKernel(PartLam|PartConv|PartDiss1, wS, split.convS, split.laplS, split.lam, split.num, split.den, tc.edges, o[0], o[1])
+			d.BFaceSweepSoAKernel(PartLam|PartConv, wS, split.convS, split.lam, tc.faces, o[0], o[1])
+		}
+		oneDiss, splitDiss := NewStateSoA(nv), NewStateSoA(nv)
+		d.DissPass2SoAKernel(wS, one.laplS, oneDiss, one.num, tc.edges)
+		for _, o := range owners {
+			d.Diss2SweepSoAKernel(wS, one.laplS, splitDiss, one.num, tc.edges, o[0], o[1])
+		}
 
 		for i := 0; i < nv; i++ {
-			same := (*one.convS)[i] == (*all.convS)[i] && (*one.laplS)[i] == (*all.laplS)[i] &&
-				one.lam[i] == all.lam[i] && one.num[i] == all.num[i] && one.den[i] == all.den[i]
-			if !same {
-				t.Fatalf("%s: vertex %d: fused sweep differs from the one-part kernels:\n"+
-					"conv %v vs %v\nlapl %v vs %v\nlam %v vs %v, num %v vs %v, den %v vs %v", tc.name, i,
-					(*one.convS)[i], (*all.convS)[i], (*one.laplS)[i], (*all.laplS)[i],
-					one.lam[i], all.lam[i], one.num[i], all.num[i], one.den[i], all.den[i])
+			for _, other := range []struct {
+				name string
+				sums
+			}{{"fused sweep", all}, {"split sweep", split}} {
+				got := other.sums
+				same := (*one.convS)[i] == (*got.convS)[i] && (*one.laplS)[i] == (*got.laplS)[i] &&
+					one.lam[i] == got.lam[i] && one.num[i] == got.num[i] && one.den[i] == got.den[i]
+				if !same {
+					t.Fatalf("%s: vertex %d: %s differs from the one-part kernels:\n"+
+						"conv %v vs %v\nlapl %v vs %v\nlam %v vs %v, num %v vs %v, den %v vs %v", tc.name, i, other.name,
+						(*one.convS)[i], (*got.convS)[i], (*one.laplS)[i], (*got.laplS)[i],
+						one.lam[i], got.lam[i], one.num[i], got.num[i], one.den[i], got.den[i])
+				}
+			}
+			if (*oneDiss)[i] != (*splitDiss)[i] {
+				t.Fatalf("%s: vertex %d: split pass 2 %v, whole %v", tc.name, i, (*splitDiss)[i], (*oneDiss)[i])
 			}
 		}
 		if one.lam[0] == 0 || one.den[0] == 0 || (*one.convS)[0] == (State{}) {

@@ -9,26 +9,22 @@ import (
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/reorder"
-	"eul3d/internal/smsolver"
 )
 
 // BenchmarkEdgeSweep times the first-pass edge sweep part by part and
 // fused, dissipation pass 2 and one gather-form smoothing sweep,
 // single-threaded on the 64x32x20 channel (the mesh of cmd/bench's
-// single_grid workload) in four edge orders: greedy, the per-edge color
-// order the pooled engine walked until it colored runs
-// (reorder.ColorCanonical — no two consecutive edges of a color share a
-// vertex); block, the order it walks now (the engine's own view,
-// Solver.D.M: groups of cache-sized runs of the generator's order);
-// natural, the generator's order itself, which no parallel engine can walk
-// but which bounds what locality is worth; and scrambled, the engine's view
-// of the same mesh after reorder.Scramble — an input with no locality,
-// where every gather misses and the operand's layout matters most. The
-// single-part rows go through the exported one-part kernels; the smooth row
-// walks vertices, not edges, over rows in each order's edge order, and is
-// reported per edge all the same. ns/edge is the figure EXPERIMENTS.md
-// quotes; cmd/bench's euler.*_ns_per_elem probes walk the greedy order over
-// the source mesh and so cannot show the difference.
+// single_grid workload) in three edge orders: greedy, the per-edge color
+// order a vector pipe walks (reorder.ColorCanonical — no two consecutive
+// edges of a color share a vertex); natural, the generator's order, which
+// the pooled engine walks (each worker the part of it that touches its
+// vertices); and scrambled, the generator's mesh after reorder.Scramble — an
+// input with no locality, where every gather misses and the operand's
+// layout matters most. The single-part rows go through the exported
+// one-part kernels; the smooth row walks vertices, not edges, over rows in
+// each order's edge order, and is reported per edge all the same. ns/edge
+// is the figure EXPERIMENTS.md quotes; cmd/bench's euler.*_ns_per_elem
+// probes walk the greedy order and so cannot show the difference.
 func BenchmarkEdgeSweep(b *testing.B) {
 	src, err := meshgen.Channel(meshgen.DefaultChannel(64, 32, 20, 17))
 	if err != nil {
@@ -42,14 +38,6 @@ func BenchmarkEdgeSweep(b *testing.B) {
 	scrambled, err := reorder.Scramble(src, 1)
 	if err != nil {
 		b.Fatal(err)
-	}
-	view := func(m *mesh.Mesh) *mesh.Mesh {
-		s, err := smsolver.New(m, p, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
-		return s.D.M
 	}
 	edges := make([]int32, src.NE())
 	for i := range edges {
@@ -66,7 +54,7 @@ func BenchmarkEdgeSweep(b *testing.B) {
 	for _, o := range []struct {
 		name string
 		m    *mesh.Mesh
-	}{{"greedy", greedy}, {"block", view(src)}, {"natural", src}, {"scrambled", view(scrambled)}} {
+	}{{"greedy", greedy}, {"natural", src}, {"scrambled", scrambled}} {
 		d := euler.NewDisc(o.m, p)
 		nv := o.m.NV()
 		w := make([]euler.State, nv)
@@ -79,7 +67,7 @@ func BenchmarkEdgeSweep(b *testing.B) {
 
 	// One row per kernel; a round times the orders back to back, and the row
 	// reports each order's median ns/edge and the median of the per-round
-	// block/greedy ratio. Interleaved because this host's speed wanders by
+	// natural/greedy ratio. Interleaved because this host's speed wanders by
 	// 1.3-1.5x over minutes and a neighbour's burst on a shared vCPU lasts
 	// longer than one sweep: whole rows run one after the other cannot be
 	// compared, adjacent samples can.
@@ -91,10 +79,10 @@ func BenchmarkEdgeSweep(b *testing.B) {
 		{"conv", func(o *orderState) { o.d.ConvectiveEdgesSoAKernel(o.wS, o.convS, edges) }},
 		{"diss1", func(o *orderState) { o.d.DissPass1SoAKernel(o.wS, o.laplS, o.d.Sensor(), o.d.Den(), edges) }},
 		{"lam+conv+diss1", func(o *orderState) {
-			o.d.EdgeSweepSoAKernel(euler.PartLam|euler.PartConv|euler.PartDiss1, o.wS, o.convS, o.laplS, o.d.Lam(), o.d.Sensor(), o.d.Den(), edges)
+			o.d.EdgeSweepSoAKernel(euler.PartLam|euler.PartConv|euler.PartDiss1, o.wS, o.convS, o.laplS, o.d.Lam(), o.d.Sensor(), o.d.Den(), edges, 0, o.wS.Len())
 		}},
 		{"conv+diss1", func(o *orderState) {
-			o.d.EdgeSweepSoAKernel(euler.PartConv|euler.PartDiss1, o.wS, o.convS, o.laplS, nil, o.d.Sensor(), o.d.Den(), edges)
+			o.d.EdgeSweepSoAKernel(euler.PartConv|euler.PartDiss1, o.wS, o.convS, o.laplS, nil, o.d.Sensor(), o.d.Den(), edges, 0, o.wS.Len())
 		}},
 		{"diss2", func(o *orderState) { o.d.DissPass2SoAKernel(o.wS, o.laplS, o.dissS, o.d.Sensor(), edges) }},
 		{"smooth", func(o *orderState) {
@@ -102,7 +90,7 @@ func BenchmarkEdgeSweep(b *testing.B) {
 		}},
 	} {
 		b.Run(kernel.name, func(b *testing.B) {
-			samples := make([][]float64, len(orders)+1) // per order, then block/greedy
+			samples := make([][]float64, len(orders)+1) // per order, then natural/greedy
 			for i := range orders {
 				// The accumulators only ever grow here; zero them per row so no
 				// row runs on overflowed sums.
@@ -123,7 +111,7 @@ func BenchmarkEdgeSweep(b *testing.B) {
 				samples[len(orders)] = append(samples[len(orders)], ns[1]/ns[0])
 			}
 			for i, s := range samples {
-				unit := "block/greedy"
+				unit := "natural/greedy"
 				if i < len(orders) {
 					unit = orders[i].name + "-ns/edge"
 				}

@@ -3,8 +3,8 @@
 // PollFor before they park on their wake channels. A region that follows
 // closely costs one atomic swap per worker to start and an atomic
 // decrement to join; after a pause, a channel send per worker and a
-// receive. Neither allocates. smsolver forks one region per colored loop,
-// dmsolver one per cycle.
+// receive. Neither allocates. smsolver forks one region per loop (a
+// stage's edge and face sweeps are one), dmsolver one per cycle.
 package forkjoin
 
 import (

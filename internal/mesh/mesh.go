@@ -11,7 +11,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"eul3d/internal/geom"
 )
@@ -61,25 +60,6 @@ type Mesh struct {
 	Vol      []float64   // median-dual control volume per vertex
 
 	BFaces []BFace
-
-	// derived memoises the one value Derived computes from the finished
-	// mesh; Finish resets it.
-	derived struct {
-		once sync.Once
-		val  any
-	}
-}
-
-// Derived returns build(m), computing it on the first call after Finish and
-// handing every later caller — concurrent ones included — that same value.
-// It is how preprocessing output that is a pure function of the mesh is
-// shared by everything built on it; the mesh has one slot, and the pooled
-// engine's color-contiguous layout (package smsolver) is what lives there.
-// The value must be treated as immutable, and the mesh must not be modified
-// while derived values are in use.
-func (m *Mesh) Derived(build func(*Mesh) any) any {
-	m.derived.once.Do(func() { m.derived.val = build(m) })
-	return m.derived.val
 }
 
 // NV returns the number of vertices.
@@ -117,7 +97,6 @@ var tetEdges = [6][4]int{
 // itself (head[lo] -> next[id] -> ...): a lookup walks the handful of edges
 // that vertex owns, which its neighbouring tets created moments ago.
 func (m *Mesh) Finish() error {
-	m.derived.once, m.derived.val = sync.Once{}, nil
 	nv := m.NV()
 	for ti, tet := range m.Tets {
 		for _, v := range tet {

@@ -52,7 +52,9 @@ func ApplyToMesh(m *mesh.Mesh, perm []int32) (*mesh.Mesh, error) {
 // first-encounter edge numbering is arbitrary too. It is the worst-case
 // input of the ordering experiments (the paper's Section 4.2 starts from an
 // advancing-front mesh, whose numbering is essentially this) and of the
-// pooled engine's layout, whose runs assume a local edge order.
+// pooled engine, whose workers each own a contiguous vertex range: on a
+// scrambled mesh about half the edges join two workers' ranges and are
+// computed by both.
 func Scramble(m *mesh.Mesh, seed int64) (*mesh.Mesh, error) {
 	rng := rand.New(rand.NewSource(seed))
 	perm := make([]int32, m.NV())
@@ -105,8 +107,8 @@ func RCMMesh(m *mesh.Mesh) (*mesh.Mesh, error) {
 // a vector pipe walks, in which no two consecutive edges of a color share a
 // vertex. It is an input to the edge-ordering studies (the ordering
 // ablation, BenchmarkEdgeSweep), not a layout any engine builds: the pooled
-// engine groups cache-sized runs of m's own edge order instead (its view,
-// smsolver.Solver.D.M). Geometry, topology and control volumes are
+// engine walks m's own edge order, each worker the edges that touch the
+// vertices it owns. Geometry, topology and control volumes are
 // untouched (X, Tets, Vol are shared with m); only the iteration order of
 // the element lists changes, which is solution-neutral for the sequential
 // solver up to its own accumulation roundoff.

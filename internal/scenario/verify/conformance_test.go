@@ -10,7 +10,6 @@ import (
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
-	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/partition"
 	"eul3d/internal/scenario"
@@ -18,10 +17,9 @@ import (
 )
 
 // TestScenarioConformance extends the cross-engine bitwise suite to the
-// scenario presets: on the pooled engine's view of a scenario mesh
-// (smsolver.Solver.D.M, the order its sweeps accumulate in), the reference
-// stepper, the pooled engine at workers {1, 2, 8} on the mesh itself (at
-// one worker every region runs inline on the caller), and the distributed
+// scenario presets: on a scenario mesh, the reference stepper, the pooled
+// engine at workers {1, 2, 8} (at one worker every region runs inline on
+// the caller), and the distributed
 // engine on one processor (sequential orchestration and concurrent MIMD) must produce
 // bitwise-identical residual histories and solutions from the scenario's
 // initial state. The presets run with ConvexLimit and (for the unsteady
@@ -44,16 +42,15 @@ func TestScenarioConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := sc.Params()
-			cm := view(t, m, p)
 			steps := sc.Steps
 			if steps > 25 {
 				steps = 25 // the startup transient is where the limiter fires
 			}
 
 			// Sequential reference from the scenario's initial state.
-			d := euler.NewDisc(cm, p)
-			ws := euler.NewStepWorkspace(cm.NV())
-			refW := sc.InitialState(cm)
+			d := euler.NewDisc(m, p)
+			ws := euler.NewStepWorkspace(m.NV())
+			refW := sc.InitialState(m)
 			refHist := make([]float64, steps)
 			for c := range refHist {
 				refHist[c] = d.Step(refW, nil, ws)
@@ -85,11 +82,11 @@ func TestScenarioConformance(t *testing.T) {
 
 			runDist := func(label string, part []int32, nproc int, cycle func(*dmsolver.Solver) (float64, error), tol float64) {
 				t.Helper()
-				dm, err := dmsolver.NewSingle(cm, part, nproc, p)
+				dm, err := dmsolver.NewSingle(m, part, nproc, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := dm.SetFineSolution(sc.InitialState(cm)); err != nil {
+				if err := dm.SetFineSolution(sc.InitialState(m)); err != nil {
 					t.Fatal(err)
 				}
 				for c := 0; c < steps; c++ {
@@ -109,14 +106,14 @@ func TestScenarioConformance(t *testing.T) {
 					}
 				}
 			}
-			one := make([]int32, cm.NV()) // everything on processor 0
+			one := make([]int32, m.NV()) // everything on processor 0
 			runDist("distributed[nproc=1]", one, 1, (*dmsolver.Solver).Cycle, 0)
 			runDist("distributed-mimd[nproc=1]", one, 1, (*dmsolver.Solver).CycleConcurrent, 0)
-			g, err := graph.FromEdges(cm.NV(), cm.Edges)
+			g, err := graph.FromEdges(m.NV(), m.Edges)
 			if err != nil {
 				t.Fatal(err)
 			}
-			four, err := partition.Partition(g, cm.X, 4, partition.Spectral, 1)
+			four, err := partition.Partition(g, m.X, 4, partition.Spectral, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,18 +150,6 @@ func TestScenarioStepAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// view returns the pooled engine's view of m: m with its edge and
-// boundary-face lists in the block layout's order.
-func view(t *testing.T, m *mesh.Mesh, p euler.Params) *mesh.Mesh {
-	t.Helper()
-	s, err := smsolver.New(m, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	return s.D.M
 }
 
 // stepAllocs counts, exactly and once, the heap allocations of n

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"eul3d/internal/scenario"
@@ -10,17 +11,22 @@ import (
 // TestScenarioPhysics runs every registered preset on the full engine
 // panel and checks the analytic assertions: L1 density error under the
 // committed tolerance, positive density/pressure, finite fields, and the
-// preset's probe. The pooled engine must additionally produce
-// bitwise-identical diagnostics at every worker count — that contract
-// holds on any mesh, canonical or not.
+// preset's probe. A pooled engine must additionally be bitwise its
+// sequential kind at every worker count — the sm rows the single row's
+// diagnostics and residual history, the smmg row the mg row's.
 func TestScenarioPhysics(t *testing.T) {
+	sequentialOf := map[string]string{solver.KindSM: solver.KindSingle, solver.KindSMMG: solver.KindMG}
 	for _, name := range scenario.Names() {
 		sc, err := scenario.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			var smRef *scenario.Diagnostics
+			type outcome struct {
+				d       scenario.Diagnostics
+				history []float64
+			}
+			ref := map[string]outcome{}
 			for _, e := range Engines(sc) {
 				e := e
 				t.Run(e.String(), func(t *testing.T) {
@@ -33,12 +39,17 @@ func TestScenarioPhysics(t *testing.T) {
 					if err := sc.Check(d); err != nil {
 						t.Error(err)
 					}
-					if e.Kind == solver.KindSM {
-						if smRef == nil {
-							smRef = &d
-						} else if *smRef != d {
-							t.Errorf("pooled diagnostics differ across worker counts:\n  w1: %+v\n  w%d: %+v", *smRef, e.Workers, d)
-						}
+					seq, pooled := sequentialOf[e.Kind]
+					if !pooled {
+						ref[e.Kind] = outcome{d, res.History}
+						return
+					}
+					want, ok := ref[seq]
+					if !ok {
+						t.Fatalf("no %s row ran before %s", seq, e)
+					}
+					if d != want.d || !slices.Equal(res.History, want.history) {
+						t.Errorf("%s differs from %s:\n  %s: %+v\n  %s: %+v", e, seq, e, d, seq, want.d)
 					}
 				})
 			}

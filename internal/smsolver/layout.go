@@ -3,200 +3,118 @@ package smsolver
 import (
 	"fmt"
 
-	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 )
 
-// layout is what every sweep of the pooled engine streams: the mesh with
-// its edge and boundary-face lists laid out group by group of a block
-// coloring (color.Blocks), plus the vertex adjacency of the gather-form
-// smoother. The paper colors single edges (Section 3.1) because a vector
-// pipe needs every element of a loop free of recurrences; a cache machine
-// with scalar workers needs only that two workers never hold the same
-// vertex at once, and otherwise wants an edge next to the edges that share
-// its vertices (Section 4.2). So the source lists — mesh.Finish numbers
-// edges in first-encounter order over the tetrahedra, which is already
-// local — are cut into runs, the runs are grouped so that no two runs of a
-// group share a vertex, and a worker's share of a group is whole runs in
-// their source order. Vertex numbering is the source mesh's, so nothing is
-// permuted at the []State boundary. A layout is a pure function of the
-// mesh, never of the worker count.
+// layout is what the pooled engine's sweeps walk on one mesh: the smoother's
+// adjacency, and for each worker the edges and the boundary faces that
+// touch a vertex it owns — the vertex span it takes in every vertex loop —
+// in the mesh's own order. A worker computes each of its elements once, in
+// the stored orientation, and adds the result only into the ends it owns;
+// an element cut by the spans is listed, and computed, by each of its
+// owners. Every vertex therefore receives its additions from one worker in
+// the mesh's edge order, which is the sequential operator's order: the
+// pooled engine is bitwise euler.Disc.Step at any worker count, and no two
+// workers ever write one slot. The paper colors edges because a vector pipe
+// needs loops free of recurrences (Section 3.1); scalar workers need only
+// disjoint writes, which ownership gives without reordering anything.
 type layout struct {
-	// view has Edges, EdgeNorm and BFaces in group order and shares X, Tets
-	// and Vol with the source. edges and faces describe the view itself —
-	// their Order is the identity — so a worker's share, Order[lo:hi], is
-	// the index range and the kernels' m.Edges[e] loads stream.
-	view         *mesh.Mesh
-	edges, faces color.Blocks
-	tris         [][3]int32 // the boundary faces' vertex triples (coloring input)
+	// Worker w's edges are edges[edgeStart[w]:edgeStart[w+1]] and its faces
+	// faces[faceStart[w]:faceStart[w+1]], each ascending.
+	edgeStart, edges []int32
+	faceStart, faces []int32
 
 	// CSR vertex adjacency: row i = adj[adjStart[i]:adjStart[i+1]] lists i's
-	// neighbours in the order the view's edge list meets them, which is the
+	// neighbours in the order the mesh's edge list meets them, which is the
 	// order the edge sweep adds them into vertex i's sum.
 	adjStart, adj []int32
 
-	// inOrder marks the sequential engines' layout (fillInOrder), which one
-	// worker walks: each list is one run.
-	inOrder bool
+	owner []int32 // fill's scratch: each vertex's worker
 }
 
-// The run length is a rule over the list, not a knob: a list of n elements
-// starts from runs of clamp(n/runsWanted, minRun, maxRun) — about 160 runs,
-// enough for every group to split evenly over balanceWays workers, of at
-// most 2048 edges, whose ~700 vertices stay cache-resident while the run
-// is walked (EXPERIMENTS.md, "Run length"). The result is then checked,
-// because the rule assumes a list that is local to begin with: a mesh whose
-// tetrahedra arrive in arbitrary order has runs that touch ~2B scattered
-// vertices and conflict with everything. More than maxGroups groups (a
-// pass joins once per group, and a vertex of a tetrahedral mesh has ~14
-// edges, so its per-edge coloring never needs fewer than that: a block
-// coloring that needs more buys nothing), or groups too lumpy for
-// balanceWays workers, halve the run length and recolor, down to runs of
-// one — the per-edge coloring, which always balances.
-const (
-	runsWanted  = 160
-	minRun      = 64
-	maxRun      = 2048
-	maxGroups   = 14
-	balanceWays = 8
-)
+// edgesOf returns worker w's edges.
+func (lay *layout) edgesOf(w int) []int32 { return lay.edges[lay.edgeStart[w]:lay.edgeStart[w+1]] }
 
-// colorBlocks fills bl with the block coloring of elems the layout uses.
-func colorBlocks[E color.Elem](bl *color.Blocks, nv int, elems []E) error {
-	for b := max(minRun, min(len(elems)/runsWanted, maxRun)); b > 1; b /= 2 {
-		if ok, err := color.BlockedInto(bl, nv, elems, b, maxGroups); err != nil {
-			return err
-		} else if ok && balanced(bl) {
-			return nil
+// facesOf returns worker w's boundary faces.
+func (lay *layout) facesOf(w int) []int32 { return lay.faces[lay.faceStart[w]:lay.faceStart[w+1]] }
+
+// fill (re)builds the layout of m for the workers owning the vertex spans
+// own, reusing the layout's arrays where their capacity allows
+// (euler.Grow). It fails, leaving the layout half-filled, on an element
+// list that is not over m's vertices.
+func (lay *layout) fill(m *mesh.Mesh, own []span) error {
+	owner := euler.Grow(lay.owner, m.NV())
+	for w, sp := range own {
+		for v := sp.lo; v < sp.hi; v++ {
+			owner[v] = int32(w)
 		}
 	}
-	_, err := color.BlockedInto(bl, nv, elems, 1, 0)
-	return err
-}
-
-// balanced reports whether balanceWays workers — fewer on a list too short
-// to be worth waking that many — taking whole runs would finish a pass over
-// bl within twice the time they would need if they could cut anywhere: the
-// sum over the groups of the largest share, against an even share of the
-// list.
-func balanced(bl *color.Blocks) bool {
-	var share [balanceWays]span
-	ways := workersFor(len(bl.Order), balanceWays)
-	longest := 0
-	for g := 0; g < bl.NumColors(); g++ {
-		most := 0
-		for _, sp := range share[:cutRuns(bl.GroupRuns(g), share[:ways])] {
-			most = max(most, sp.hi-sp.lo)
-		}
-		longest += most
+	lay.owner = owner
+	var err error
+	lay.edgeStart, lay.edges, err = touching(lay.edgeStart, lay.edges, owner, len(own), m.NE(), func(e int) []int32 { return m.Edges[e][:] })
+	if err != nil {
+		return fmt.Errorf("edges: %w", err)
 	}
-	return longest <= 2*((len(bl.Order)+ways-1)/ways)
-}
-
-// layoutResult is what the per-mesh memo holds.
-type layoutResult struct {
-	lay *layout
-	err error
-}
-
-// layoutFor returns the block-colored layout an engine on m runs over,
-// built once per finished mesh (mesh.Derived) and shared by every engine on
-// it.
-func layoutFor(m *mesh.Mesh) (*layout, error) {
-	r := m.Derived(func(m *mesh.Mesh) any {
-		lay, err := buildLayout(m)
-		// Shared and never refilled: keep only what the sweeps read.
-		lay.tris = nil
-		lay.edges.DropScratch()
-		lay.faces.DropScratch()
-		return layoutResult{lay, err}
-	}).(layoutResult)
-	return r.lay, r.err
-}
-
-func buildLayout(src *mesh.Mesh) (*layout, error) {
-	lay := &layout{view: &mesh.Mesh{}}
-	return lay, lay.fill(src)
-}
-
-// fill (re)builds the block-colored layout over src, reusing the layout's
-// arrays where their capacity allows (euler.Grow). On error the layout is
-// left half-filled.
-func (lay *layout) fill(src *mesh.Mesh) error {
-	nv := src.NV()
-	lay.tris = euler.Grow(lay.tris, len(src.BFaces))
-	for i := range src.BFaces {
-		lay.tris[i] = src.BFaces[i].V
+	lay.faceStart, lay.faces, err = touching(lay.faceStart, lay.faces, owner, len(own), len(m.BFaces), func(f int) []int32 { return m.BFaces[f].V[:] })
+	if err != nil {
+		return fmt.Errorf("boundary faces: %w", err)
 	}
-	if err := colorBlocks(&lay.edges, nv, src.Edges); err != nil {
-		return fmt.Errorf("edge coloring: %w", err)
-	}
-	if err := colorBlocks(&lay.faces, nv, lay.tris); err != nil {
-		return fmt.Errorf("face coloring: %w", err)
-	}
-	lay.permute(src)
+	lay.adjacency(m)
 	return nil
 }
 
-// inOrder returns the one-worker layout over m (fillInOrder), private to
-// the engine that asks.
-func inOrder(m *mesh.Mesh) *layout {
-	lay := &layout{}
-	lay.fillInOrder(m)
-	return lay
-}
-
-// fillInOrder (re)builds a sequential engine's layout over src: the view
-// is src itself and each list one group holding one run in src's order, so
-// a sweep accumulates every vertex in the reference operator's order.
-func (lay *layout) fillInOrder(src *mesh.Mesh) {
-	lay.view, lay.inOrder = src, true
-	oneRun(&lay.edges, src.NE())
-	oneRun(&lay.faces, len(src.BFaces))
-	lay.adjacency()
-}
-
-// oneRun fills bl with one group holding one run of n elements.
-func oneRun(bl *color.Blocks, n int) {
-	bl.Order = euler.Grow(bl.Order, n)
-	for i := range bl.Order {
-		bl.Order[i] = int32(i)
+// touching lists, for each of nw workers, the indices of the n elements
+// (vertex tuples verts(i)) that have a vertex v with owner[v] == w,
+// ascending, at list[start[w]:start[w+1]]: an element is listed once per
+// worker owning one of its vertices. The fill advances each worker's start
+// to its end, i.e. to the next worker's start; shifting the table up one
+// slot afterwards restores it.
+func touching(start, list, owner []int32, nw, n int, verts func(int) []int32) ([]int32, []int32, error) {
+	start = euler.Grow(start, nw+1)
+	clear(start)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			vs := verts(i)
+		vertices:
+			for k, v := range vs {
+				if uint(v) >= uint(len(owner)) {
+					return start, list, fmt.Errorf("element %d vertex %d out of range [0,%d)", i, v, len(owner))
+				}
+				w := owner[v]
+				for _, u := range vs[:k] {
+					if owner[u] == w {
+						continue vertices
+					}
+				}
+				if pass == 0 {
+					start[w+1]++
+				} else {
+					list[start[w]] = int32(i)
+					start[w]++
+				}
+			}
+		}
+		if pass == 0 {
+			for w := 0; w < nw; w++ {
+				start[w+1] += start[w]
+			}
+			list = euler.Grow(list, int(start[nw]))
+		}
 	}
-	bl.Start, bl.Run = append(bl.Start[:0], 0, int32(n)), append(bl.Run[:0], 0, int32(n))
+	copy(start[1:], start[:nw])
+	start[0] = 0
+	return start, list, nil
 }
 
-// permute fills the view and the adjacency from src in the order of
-// lay.edges and lay.faces, block colorings of src's lists; the blocks then
-// describe the view, under the identity order.
-func (lay *layout) permute(src *mesh.Mesh) {
-	ne := src.NE()
-	v := lay.view
-	v.X, v.Tets, v.Vol = src.X, src.Tets, src.Vol
-	v.Edges = euler.Grow(v.Edges, ne)
-	v.EdgeNorm = euler.Grow(v.EdgeNorm, ne)
-	v.BFaces = euler.Grow(v.BFaces, len(src.BFaces))
-	for at, ei := range lay.edges.Order {
-		v.Edges[at] = src.Edges[ei]
-		v.EdgeNorm[at] = src.EdgeNorm[ei]
-		lay.edges.Order[at] = int32(at)
-	}
-	for at, fi := range lay.faces.Order {
-		v.BFaces[at] = src.BFaces[fi]
-		lay.faces.Order[at] = int32(at)
-	}
-	lay.adjacency()
-}
-
-// adjacency fills the smoother's rows from the view's edge list by counting
-// sort. The fill advances each row's start to its end, i.e. to the next
-// row's start; shifting the table up one slot afterwards restores it.
-func (lay *layout) adjacency() {
-	v := lay.view
-	nv, ne := v.NV(), v.NE()
+// adjacency fills the smoother's rows from m's edge list by counting sort.
+// The fill advances each row's start to its end, i.e. to the next row's
+// start; shifting the table up one slot afterwards restores it.
+func (lay *layout) adjacency(m *mesh.Mesh) {
+	nv, ne := m.NV(), m.NE()
 	start := euler.Grow(lay.adjStart, nv+1)
 	clear(start)
-	for _, e := range v.Edges {
+	for _, e := range m.Edges {
 		start[e[0]+1]++
 		start[e[1]+1]++
 	}
@@ -204,7 +122,7 @@ func (lay *layout) adjacency() {
 		start[i+1] += start[i]
 	}
 	adj := euler.Grow(lay.adj, 2*ne)
-	for _, e := range v.Edges {
+	for _, e := range m.Edges {
 		i, j := e[0], e[1]
 		adj[start[i]] = j
 		start[i]++

@@ -3,11 +3,11 @@ package smsolver
 import (
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
-	"eul3d/internal/color"
 	"eul3d/internal/euler"
+	"eul3d/internal/geom"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
@@ -15,18 +15,18 @@ import (
 )
 
 // TestSmoothGatherBitwiseMatchesEdgeSweep pins the gather-form smoother to
-// the edge form it replaced in the engine: on random fields over the
-// block-colored layout, NSmooth gather sweeps over the adjacency equal —
-// bit for bit — the SmoothAccumSoAKernel sweep over every group
-// followed by SmoothCombineSoAKernel, for 1–3 sweeps with averaging on and
-// with eps = 0.
+// the edge form: on random fields over the layout's adjacency, NSmooth
+// gather sweeps equal — bit for bit — the SmoothAccumSoAKernel sweep over
+// the mesh's edge list followed by SmoothCombineSoAKernel, for 1–3 sweeps
+// with averaging on and with eps = 0.
 func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
-	lay, err := layoutFor(testMesh(t))
-	if err != nil {
+	m := testMesh(t)
+	nv := m.NV()
+	var lay layout
+	if err := lay.fill(m, []span{{0, nv}}); err != nil {
 		t.Fatal(err)
 	}
-	nv := lay.view.NV()
-	d := euler.NewDisc(lay.view, euler.DefaultParams(0.675, 0))
+	d := euler.NewDisc(m, euler.DefaultParams(0.675, 0))
 	rng := rand.New(rand.NewSource(5))
 
 	for _, eps := range []float64{0, 0.5, 1.3} {
@@ -39,15 +39,13 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 			}
 			(*rhs)[3][0] = math.Copysign(0, -1) // a sum that starts from -0 must still start from +0
 
-			// Edge form, as the engine ran it: zero, accumulate color by
-			// color, combine, ping-pong.
+			// Edge form: zero, accumulate over the edge list, combine,
+			// ping-pong.
 			cur, next := euler.NewStateSoA(nv), euler.NewStateSoA(nv)
 			copy(*cur, *rhs)
 			for s := 0; s < sweeps; s++ {
 				next.ZeroRange(0, nv)
-				for g := 0; g < lay.edges.NumColors(); g++ {
-					d.SmoothAccumSoAKernel(cur, next, lay.edges.Group(g))
-				}
+				d.SmoothAccumSoAKernel(cur, next, lay.edges)
 				d.SmoothCombineSoAKernel(rhs, next, eps, 0, nv)
 				cur, next = next, cur
 			}
@@ -75,122 +73,75 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 	}
 }
 
-// TestLayoutSharedPerMesh checks the per-mesh memo: engines on one mesh
-// run over one layout (same edge and adjacency arrays), engines on another
-// mesh do not, and concurrent builders all get the one layout.
-func TestLayoutSharedPerMesh(t *testing.T) {
-	m := testMesh(t)
-	p := euler.DefaultParams(0.675, 0)
-	a, err := New(m, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(m, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if &a.D.M.Edges[0] != &b.D.M.Edges[0] || &a.le.lay.adj[0] != &b.le.lay.adj[0] {
-		t.Fatal("two engines on one mesh do not share the layout")
-	}
-	if &a.D.M.Edges[0] == &m.Edges[0] {
-		t.Fatal("the layout aliases the source mesh's edge list")
-	}
-
-	other, err := New(testMesh(t), p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	if &other.D.M.Edges[0] == &a.D.M.Edges[0] || &other.le.lay.adj[0] == &a.le.lay.adj[0] {
-		t.Fatal("engines on different meshes share a layout")
-	}
-
-	fresh := testMesh(t)
-	lays := make([]*layout, 8)
-	var wg sync.WaitGroup
-	for i := range lays {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s, err := New(fresh, p, 1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			lays[i] = s.le.lay
-			s.Close()
-		}(i)
-	}
-	wg.Wait()
-	for i, l := range lays {
-		if l != lays[0] {
-			t.Fatalf("concurrent New %d built its own layout", i)
-		}
-	}
-}
-
-// TestNewMatchesSequentialOnView holds the bitwise contract of the layout,
-// at every worker count: New(m) runs
-// over a view of m whose stored edge order is the order the pooled sweeps
-// accumulate in, so it equals the sequential solver on that view
-// (Solver.D.M).
+// TestNewMatchesSequentialOnView holds the bitwise contract at every worker
+// count: New(m) runs over m itself (Solver.D.M), whose stored edge order is
+// the order every vertex accumulates in, so it equals the sequential
+// solver on it.
 func TestNewMatchesSequentialOnView(t *testing.T) {
 	m := testMesh(t)
 	p := euler.DefaultParams(0.675, 0)
 	const steps = 6
-	sequential := func(on *mesh.Mesh) ([steps]float64, []euler.State) {
-		d := euler.NewDisc(on, p)
-		ws := euler.NewStepWorkspace(on.NV())
-		w := make([]euler.State, on.NV())
-		d.InitUniform(w)
-		var norms [steps]float64
-		for c := range norms {
-			norms[c] = d.Step(w, nil, ws)
-		}
-		return norms, w
-	}
-
 	for _, nw := range []int{1, 2, 8} {
 		s, err := New(m, p, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqNorms, wSeq := sequential(s.D.M)
+		if s.D.M != m {
+			t.Fatalf("nw=%d: the engine runs on a copy of its mesh", nw)
+		}
+		seqNorms, wSeq := sequentialSteps(s.D.M, p, nil, steps)
 		w := make([]euler.State, m.NV())
 		s.InitUniform(w)
 		for c := 0; c < steps; c++ {
 			if n := s.Step(w, nil); n != seqNorms[c] {
-				t.Fatalf("nw=%d step %d: norm %v, sequential on the view %v", nw, c, n, seqNorms[c])
+				t.Fatalf("nw=%d step %d: norm %v, sequential %v", nw, c, n, seqNorms[c])
 			}
 		}
 		s.Close()
 		for i := range w {
 			if w[i] != wSeq[i] {
-				t.Fatalf("nw=%d: vertex %d: %v, sequential on the view %v", nw, i, w[i], wSeq[i])
+				t.Fatalf("nw=%d: vertex %d: %v, sequential %v", nw, i, w[i], wSeq[i])
 			}
 		}
 	}
 }
 
-// Residual histories of the 12x6x4 seed-17 channel at Mach 0.675 on the
-// block-colored layout, re-recorded once when the layout moved from
-// per-edge colors to runs (every vertex's accumulation order changed with
-// it). What makes the words trustworthy is checked beside them: each equals
-// the sequential euler.Disc / multigrid.Solver on the engine's own views.
-// Anything that changes where data sits or how a sweep is cut into barriers,
-// and not an accumulation order, must leave them alone.
+// sequentialSteps runs steps of euler.Disc.Step on m from init (nil: the
+// freestream) and returns the norms and the final state.
+func sequentialSteps(m *mesh.Mesh, p euler.Params, init []euler.State, steps int) ([]float64, []euler.State) {
+	d := euler.NewDisc(m, p)
+	ws := euler.NewStepWorkspace(m.NV())
+	w := make([]euler.State, m.NV())
+	if init != nil {
+		copy(w, init)
+	} else {
+		d.InitUniform(w)
+	}
+	norms := make([]float64, steps)
+	for c := range norms {
+		norms[c] = d.Step(w, nil, ws)
+	}
+	return norms, w
+}
+
+// Residual histories of the 12x6x4 seed-17 channel at Mach 0.675, recorded
+// from euler.Disc.Step and multigrid.Solver on the generated meshes when the
+// pooled engine moved from a block-colored copy of each mesh to
+// owner-computes sweeps in the mesh's own order (its accumulation order
+// became the sequential engine's). What makes the words trustworthy is
+// checked beside them: each equals the sequential engine's. Anything that
+// changes where data sits or how a sweep is divided among workers, and not
+// an accumulation order, must leave them alone.
 var (
 	goldenSingle = [12]uint64{
-		0x3fc775b5f73eb25d, 0x3fbf1e83be0653fa, 0x3fb372b3f2cc7479, 0x3fb033e3b2094e52,
-		0x3fb1fc938f830621, 0x3fb1ad556515e2cb, 0x3faed0cfc183d02f, 0x3fae86efc3e4f1cb,
-		0x3faec78f2cc4be76, 0x3fae85076f3c1654, 0x3faba68afa7d724c, 0x3fa98815652e4030,
+		0x3fc775b5f73eb25d, 0x3fbf1e83be0653fd, 0x3fb372b3f2cc7478, 0x3fb033e3b2094e59,
+		0x3fb1fc938f83062b, 0x3fb1ad556515e2d0, 0x3faed0cfc183d033, 0x3fae86efc3e4f1e7,
+		0x3faec78f2cc4be94, 0x3fae85076f3c1686, 0x3faba68afa7d7265, 0x3fa98815652e4047,
 	}
 	goldenW3 = [12]uint64{
-		0x3fc775b5f73eb25d, 0x3fbf3251af17f14a, 0x3fb48ce77c4b858a, 0x3fb4db03724cadef,
-		0x3fb0bbb7881eb874, 0x3fa89cce3867d44f, 0x3fa9b20a00094f20, 0x3facad2cfc6e778c,
-		0x3fa9706599b2ef8b, 0x3fa51b8fb17c0ea7, 0x3fa36185fcdd0de6, 0x3fa22c8c16c20c52,
+		0x3fc775b5f73eb25d, 0x3fbf3251af17f150, 0x3fb48ce77c4b858b, 0x3fb4db03724cadfd,
+		0x3fb0bbb7881eb884, 0x3fa89cce3867d48e, 0x3fa9b20a00094f64, 0x3facad2cfc6e7799,
+		0x3fa9706599b2efbb, 0x3fa51b8fb17c0ec0, 0x3fa36185fcdd0dfd, 0x3fa22c8c16c20c4c,
 	}
 )
 
@@ -206,7 +157,7 @@ func TestGoldenHistoryUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := euler.NewDisc(s.D.M, p)
+		d := euler.NewDisc(m, p)
 		ws := euler.NewStepWorkspace(m.NV())
 		w, wSeq := make([]euler.State, m.NV()), make([]euler.State, m.NV())
 		s.InitUniform(w)
@@ -214,7 +165,7 @@ func TestGoldenHistoryUnchanged(t *testing.T) {
 		for c, want := range goldenSingle {
 			got, seq := math.Float64bits(s.Step(w, nil)), math.Float64bits(d.Step(wSeq, nil, ws))
 			if got != want || got != seq {
-				t.Fatalf("single grid, nw=%d step %d: norm bits %#x, golden %#x, sequential on the view %#x", nw, c, got, want, seq)
+				t.Fatalf("single grid, nw=%d step %d: norm bits %#x, golden %#x, sequential %#x", nw, c, got, want, seq)
 			}
 		}
 		s.Close()
@@ -227,204 +178,228 @@ func TestGoldenHistoryUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := make([]*mesh.Mesh, len(mg.levels))
-		for l, lev := range mg.levels {
-			views[l] = lev.eng.lay.view
-		}
-		ref, err := multigrid.New(views, p, 2)
+		ref, err := multigrid.New(seq, p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c, want := range goldenW3 {
 			got, seq := math.Float64bits(mg.Cycle()), math.Float64bits(ref.Cycle())
 			if got != want || got != seq {
-				t.Fatalf("3-level W, nw=%d cycle %d: norm bits %#x, golden %#x, sequential on the views %#x", nw, c, got, want, seq)
+				t.Fatalf("3-level W, nw=%d cycle %d: norm bits %#x, golden %#x, sequential %#x", nw, c, got, want, seq)
 			}
 		}
 		mg.Close()
 	}
 }
 
-// checkLayout verifies a layout's structure from the outside: the blocks
-// describe the view (identity order, valid block colorings of its edge and
-// face lists), and for every worker count each group's chunk table tiles the
-// group with cuts on run boundaries only — a cut inside a run is a data
-// race the bitwise tests can miss at two workers.
-func checkLayout(t *testing.T, lay *layout) {
+// checkLayout verifies, from the outside, the layout that nw workers get
+// on m: worker w's edge and face lists are ascending and hold exactly the
+// elements with a vertex in w's span, so every element is listed once per
+// worker owning one of its vertices; and the adjacency rows list each
+// vertex's neighbours in the mesh's edge order.
+func checkLayout(t *testing.T, m *mesh.Mesh, nw int) {
 	t.Helper()
-	v := lay.view
-	tris := make([][3]int32, len(v.BFaces))
-	for i := range tris {
-		tris[i] = v.BFaces[i].V
+	le, err := newLevelEngine(m, euler.DefaultParams(0.675, 0), nw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := color.VerifyBlocks(&lay.edges, v.NV(), v.Edges); err != nil {
-		t.Fatalf("edges: %v", err)
-	}
-	if err := color.VerifyBlocks(&lay.faces, v.NV(), tris); err != nil {
-		t.Fatalf("faces: %v", err)
-	}
-	for name, bl := range map[string]*color.Blocks{"edges": &lay.edges, "faces": &lay.faces} {
-		for at, i := range bl.Order {
-			if int(i) != at {
-				t.Fatalf("%s: Order[%d] = %d, not the identity", name, at, i)
-			}
+	lay, own := &le.lay, le.vertSpans[:le.vertActive]
+	at := 0
+	for w, sp := range own {
+		if sp.lo != at || sp.hi < sp.lo {
+			t.Fatalf("nw=%d: worker %d owns %v after %d", nw, w, sp, at)
 		}
-		isCut := make(map[int]bool, len(bl.Run))
-		for _, at := range bl.Run {
-			isCut[int(at)] = true
+		at = sp.hi
+	}
+	if at != m.NV() {
+		t.Fatalf("nw=%d: the spans end at %d of %d vertices", nw, at, m.NV())
+	}
+	check := func(kind string, start, list []int32, n int, verts func(int) []int32) {
+		if len(start) != len(own)+1 || start[0] != 0 || int(start[len(own)]) != len(list) {
+			t.Fatalf("nw=%d %s: start table %v over %d entries", nw, kind, start, len(list))
 		}
-		for _, nw := range []int{1, 2, 3, 8} {
-			var tab groupSpans
-			tab.build(bl, nw)
-			for g := 0; g < bl.NumColors(); g++ {
-				at := int(bl.Start[g])
-				if a := tab.active[g]; a < 1 || a > nw {
-					t.Fatalf("%s nw=%d group %d: %d active workers", name, nw, g, a)
-				}
-				for w := 0; w < nw; w++ {
-					sp := tab.of(g, w)
-					if w >= tab.active[g] {
-						if sp != (span{}) {
-							t.Fatalf("%s nw=%d group %d: idle worker %d holds %v", name, nw, g, w, sp)
-						}
-						continue
-					}
-					if sp.lo != at || sp.hi < sp.lo || !isCut[sp.lo] || !isCut[sp.hi] {
-						t.Fatalf("%s nw=%d group %d worker %d: span %v after %d is not a run-aligned tile", name, nw, g, w, sp, at)
-					}
-					at = sp.hi
-				}
-				if at != int(bl.Start[g+1]) {
-					t.Fatalf("%s nw=%d group %d: spans end at %d, group at %d", name, nw, g, at, bl.Start[g+1])
+		for w, sp := range own {
+			var want []int32
+			for i := 0; i < n; i++ {
+				if slices.ContainsFunc(verts(i), func(v int32) bool { return sp.lo <= int(v) && int(v) < sp.hi }) {
+					want = append(want, int32(i))
 				}
 			}
+			if got := list[start[w]:start[w+1]]; !slices.Equal(got, want) {
+				t.Fatalf("nw=%d %s: worker %d lists %d elements, %d touch its span %v", nw, kind, w, len(got), len(want), sp)
+			}
+		}
+	}
+	check("edges", lay.edgeStart, lay.edges, m.NE(), func(e int) []int32 { return m.Edges[e][:] })
+	check("faces", lay.faceStart, lay.faces, len(m.BFaces), func(f int) []int32 { return m.BFaces[f].V[:] })
+
+	rows := make([][]int32, m.NV())
+	for _, e := range m.Edges {
+		rows[e[0]] = append(rows[e[0]], e[1])
+		rows[e[1]] = append(rows[e[1]], e[0])
+	}
+	for i, row := range rows {
+		if got := lay.adj[lay.adjStart[i]:lay.adjStart[i+1]]; !slices.Equal(got, row) {
+			t.Fatalf("vertex %d: adjacency row %v, edge order %v", i, got, row)
 		}
 	}
 }
 
-// TestLayoutStructure checks the layout of the meshes the engine meets: the
-// generated channel at two sizes (the rule's run length), a selectively
-// refined one (an adaptive epoch's) and a 3-level sequence's coarse levels.
+// TestLayoutStructure checks the layout of the meshes the engine meets —
+// the generated channel, a selectively refined one (an adaptive epoch's), a
+// 3-level sequence's coarse levels and a scrambled mesh — at worker counts
+// that leave one owner, cut the vertices evenly and unevenly, and wake
+// fewer workers than asked.
 func TestLayoutStructure(t *testing.T) {
-	big, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
+	_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
+	scr, err := reorder.Scramble(testMesh(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
-	meshes := append(testSequence(t, 3), testMesh(t), big, r.Mesh)
+	meshes := append(testSequence(t, 3), r.Mesh, scr)
 	for _, m := range meshes {
-		lay, err := layoutFor(m)
-		if err != nil {
-			t.Fatal(err)
+		for _, nw := range []int{1, 2, 3, 8} {
+			checkLayout(t, m, nw)
 		}
-		checkLayout(t, lay)
-		if ng := lay.edges.NumColors(); ng > maxGroups || !balanced(&lay.edges) {
-			t.Errorf("%d-edge mesh: %d groups, balanced %v", m.NE(), ng, balanced(&lay.edges))
-		}
-	}
-	if lay, _ := layoutFor(big); lay.edges.NumRuns() > 2*runsWanted || lay.edges.NumColors() >= 15 {
-		t.Errorf("generated channel: %d runs in %d groups — the layout fell back on a mesh that is local", lay.edges.NumRuns(), lay.edges.NumColors())
 	}
 }
 
-// TestScrambledMeshFallsBack: a mesh whose vertices and tetrahedra arrive
-// in arbitrary order has no local runs to find. The layout must notice —
-// from what it built, not from who sent the mesh — fall back to short runs
-// without panicking, still verify and balance, and the engine on it must
-// keep every relational contract: equal to the sequential solver on its
-// view, equal across worker counts, and equal to the sequential
-// solver on the source mesh to roundoff.
-func TestScrambledMeshFallsBack(t *testing.T) {
-	nat, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
-	if err != nil {
-		t.Fatal(err)
+// starMesh is one hub joined to n spokes and nothing else: no tetrahedra,
+// no boundary, every edge's normal pointing out along its spoke. It is a
+// flow mesh only in the data structure's sense, which is all the sweeps
+// read, and the worst case for ownership — every edge touches the hub's
+// owner.
+func starMesh(n int) *mesh.Mesh {
+	m := &mesh.Mesh{X: make([]geom.Vec3, n+1), Vol: make([]float64, n+1)}
+	m.Vol[0] = 1
+	for i := 1; i <= n; i++ {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		m.X[i] = geom.Vec3{X: math.Cos(a), Y: math.Sin(a)}
+		m.Vol[i] = 0.01
+		m.Edges = append(m.Edges, [2]int32{0, int32(i)})
+		m.EdgeNorm = append(m.EdgeNorm, geom.Vec3{X: 1e-3 * math.Cos(a), Y: 1e-3 * math.Sin(a), Z: 1e-4})
 	}
-	m, err := reorder.Scramble(nat, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay, err := layoutFor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkLayout(t, lay)
-	natLay, err := layoutFor(nat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.edges.NumRuns() < 8*natLay.edges.NumRuns() {
-		t.Errorf("scrambled mesh kept %d runs (generated order: %d): no fallback happened", lay.edges.NumRuns(), natLay.edges.NumRuns())
-	}
-	if !balanced(&lay.edges) || !balanced(&lay.faces) {
-		t.Error("the fallback layout does not balance")
-	}
-	// Every group splits over eight workers within 2x of even.
-	var tab groupSpans
-	tab.build(&lay.edges, 8)
-	for g := range tab.active {
-		n, most := int(lay.edges.Start[g+1]-lay.edges.Start[g]), 0
-		for w := 0; w < 8; w++ {
-			most = max(most, tab.of(g, w).hi-tab.of(g, w).lo)
-		}
-		if ways := workersFor(n, 8); most > 2*((n+ways-1)/ways) {
-			t.Errorf("group %d: %d edges, largest of %d shares %d", g, n, ways, most)
-		}
-	}
+	return m
+}
 
-	p := euler.DefaultParams(0.675, 0)
+// pooledIsSequential steps New(m, p, W) at W = 1, 2, 3 and 8 from init (a
+// uniform state when nil) and holds every residual norm and the final
+// state bitwise to euler.Disc.Step on m.
+func pooledIsSequential(t *testing.T, name string, m *mesh.Mesh, p euler.Params, init []euler.State) {
+	t.Helper()
 	const steps = 4
-	type run struct {
-		norms [steps]float64
-		w     []euler.State
-	}
-	pooled := func(nw int) (r run, view *mesh.Mesh) {
+	norms, want := sequentialSteps(m, p, init, steps)
+	for _, nw := range []int{1, 2, 3, 8} {
 		s, err := New(m, p, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		r.w = make([]euler.State, m.NV())
-		s.InitUniform(r.w)
-		for c := range r.norms {
-			r.norms[c] = s.Step(r.w, nil)
+		w := make([]euler.State, m.NV())
+		if init != nil {
+			copy(w, init)
+		} else {
+			s.InitUniform(w)
 		}
-		return r, s.D.M
-	}
-	sequential := func(on *mesh.Mesh) (r run) {
-		d := euler.NewDisc(on, p)
-		ws := euler.NewStepWorkspace(on.NV())
-		r.w = make([]euler.State, on.NV())
-		d.InitUniform(r.w)
-		for c := range r.norms {
-			r.norms[c] = d.Step(r.w, nil, ws)
+		for c := 0; c < steps; c++ {
+			n := s.Step(w, nil)
+			if math.IsNaN(n) || n == 0 {
+				t.Fatalf("%s nw=%d step %d: degenerate norm %v", name, nw, c, n)
+			}
+			if math.Float64bits(n) != math.Float64bits(norms[c]) {
+				t.Fatalf("%s nw=%d step %d: norm %v, euler.Disc.Step %v", name, nw, c, n, norms[c])
+			}
 		}
-		return r
-	}
-	ref, view := pooled(1)
-	for name, other := range map[string]run{
-		"sequential on the view": sequential(view),
-		"2 workers":              first(pooled(2)),
-		"8 workers":              first(pooled(8)),
-	} {
-		for c := range ref.norms {
-			stepsBitwise(t, "1 worker vs "+name, ref.w, other.w, ref.norms[c], other.norms[c])
-		}
-	}
-	src := sequential(m)
-	for c := range ref.norms {
-		if d := math.Abs(ref.norms[c]-src.norms[c]) / src.norms[c]; d > 1e-9 {
-			t.Errorf("step %d: pooled norm %v vs sequential on the source mesh %v (rel %g)", c, ref.norms[c], src.norms[c], d)
+		s.Close()
+		for i := range w {
+			if w[i] != want[i] {
+				t.Fatalf("%s nw=%d: vertex %d %v, euler.Disc.Step %v", name, nw, i, w[i], want[i])
+			}
 		}
 	}
 }
 
-func first[A, B any](a A, _ B) A { return a }
+// TestScrambledMeshFallsBack: a mesh whose vertices and tetrahedra arrive
+// in arbitrary order has no locality for the workers' vertex ranges to
+// follow, so about half its edges are cut and each worker's list falls
+// back to most of the mesh. The lists must still be exactly the elements
+// touching each span, and New(m, p, W) must still step bitwise as
+// euler.Disc.Step on the scrambled mesh itself at W = 1, 2, 3 and 8.
+func TestScrambledMeshFallsBack(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	scr, err := reorder.Scramble(testMesh(t), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le, err := newLevelEngine(scr, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cutShare(le); c < 0.3 {
+		t.Errorf("scrambled mesh: %.1f%% of the edges cut at two workers — the mesh kept its locality", 100*c)
+	}
+	checkLayout(t, scr, 2)
+	pooledIsSequential(t, "scrambled", scr, p, nil)
+}
 
-// TestRCMRestoresLocality: RCM renumbering of a scrambled mesh must hand the
-// layout local runs again — a handful of groups, as on the generated order,
-// not the per-edge colors of the scrambled one. New vertex numbers alone
-// leave the tetrahedra, and so Finish's edge order, scrambled; the element
-// sort is what makes the difference (at the parent of this test, 20 groups).
+// TestStarNeedsMoreGroupsThanABitmaskHolds: one hub, 3,000 spokes. A
+// coloring needs a group per spoke, far past the 64 a vertex's bitmask
+// holds; ownership needs none — the hub's worker computes every edge and
+// each spoke's owner its own. The step is bitwise euler.Disc.Step at W = 1,
+// 2, 3 and 8, from a state whose hub is out of equilibrium so that every
+// spoke sees a flux.
+func TestStarNeedsMoreGroupsThanABitmaskHolds(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	star := starMesh(3000)
+	free := make([]euler.State, star.NV())
+	euler.NewDisc(star, p).InitUniform(free)
+	free[0][4] *= 1.01
+	for _, nw := range []int{2, 8} {
+		checkLayout(t, star, nw)
+	}
+	pooledIsSequential(t, "star", star, p, free)
+}
+
+// TestPooledIsSequentialBitwise is the engine's contract: New(m, p, W)
+// steps bitwise as euler.Disc.Step on the generated channel at W = 1, 2, 3
+// and 8, in residual histories and states (the scrambled mesh and the star
+// have tests of their own); and the 4-level NewMultigrid cycles bitwise as
+// multigrid.Solver on the generated sequence, every level's state included.
+func TestPooledIsSequentialBitwise(t *testing.T) {
+	p := euler.DefaultParams(0.675, 0)
+	pooledIsSequential(t, "channel", testMesh(t), p, nil)
+
+	seq, err := meshgen.Sequence(meshgen.DefaultChannel(16, 8, 8, 17), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := multigrid.New(seq, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := NewMultigrid(seq, p, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mg.Close()
+	for c := 0; c < 3; c++ {
+		if got, want := mg.Cycle(), ref.Cycle(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("4-level W cycle %d: norm %v, multigrid.Solver %v", c, got, want)
+		}
+		for l, lev := range mg.levels {
+			for i, w := range ref.Levels[l].W {
+				if lev.W[i] != w {
+					t.Fatalf("after cycle %d: level %d vertex %d: %v, multigrid.Solver %v", c, l, i, lev.W[i], w)
+				}
+			}
+		}
+	}
+}
+
+// TestRCMRestoresLocality: on a scrambled mesh two workers' vertex ranges
+// split about half the edges, each computed by both; RCM renumbering must
+// bring that down to a few percent, as on the generated order. New vertex
+// numbers alone would leave the tetrahedra, and so Finish's edge order,
+// scrambled; the element sort is what keeps each worker's edges local.
 func TestRCMRestoresLocality(t *testing.T) {
 	nat, err := meshgen.Channel(meshgen.DefaultChannel(32, 16, 10, 17))
 	if err != nil {
@@ -434,44 +409,24 @@ func TestRCMRestoresLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := reorder.RCMMesh(scr)
+	rcm, err := reorder.RCMMesh(scr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(m, euler.DefaultParams(0.675, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if edges, faces := s.NumColors(); edges > 6 {
-		t.Errorf("scrambled then RCM-renumbered mesh: %d edge groups, %d face groups — the layout found no local runs", edges, faces)
-	}
-}
-
-// TestStarNeedsMoreGroupsThanABitmaskHolds: one hub, 3000 spokes. Whatever
-// the run length, every run holds the hub and needs a group to itself, so
-// the rule halves its way down to runs of one and 3000 groups — far past the
-// 64 a vertex's bitmask holds — and the chunk tables take it.
-func TestStarNeedsMoreGroupsThanABitmaskHolds(t *testing.T) {
-	edges := make([][2]int32, 3000)
-	for i := range edges {
-		edges[i] = [2]int32{0, int32(i + 1)}
-	}
-	var bl color.Blocks
-	if err := colorBlocks(&bl, len(edges)+1, edges); err != nil {
-		t.Fatal(err)
-	}
-	if err := color.VerifyBlocks(&bl, len(edges)+1, edges); err != nil {
-		t.Fatal(err)
-	}
-	if bl.NumColors() != len(edges) || bl.NumRuns() != len(edges) {
-		t.Fatalf("%d groups of %d runs, want %d of one run each", bl.NumColors(), bl.NumRuns(), len(edges))
-	}
-	var tab groupSpans
-	tab.build(&bl, 8)
-	for g, a := range tab.active {
-		if sp := tab.of(g, 0); a != 1 || sp != (span{g, g + 1}) {
-			t.Fatalf("group %d: %d active, worker 0 holds %v", g, a, sp)
+	p := euler.DefaultParams(0.675, 0)
+	cut := func(m *mesh.Mesh) float64 {
+		le, err := newLevelEngine(m, p, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return cutShare(le)
+	}
+	cn, cs, cr := cut(nat), cut(scr), cut(rcm)
+	t.Logf("edges cut at two workers: generated %.1f%%, scrambled %.1f%%, scrambled then RCM %.1f%%", 100*cn, 100*cs, 100*cr)
+	if cs < 0.3 {
+		t.Errorf("scrambled mesh: %.1f%% of the edges cut — the mesh kept its locality", 100*cs)
+	}
+	if cr > cn {
+		t.Errorf("scrambled then RCM-renumbered mesh: %.1f%% of the edges cut, the generated order %.1f%%", 100*cr, 100*cn)
 	}
 }

@@ -20,7 +20,7 @@ type MGLevel struct {
 	WSaved  []euler.State // transferred solution w' (for corrections)
 	Forcing []euler.State // FAS forcing function P (nil on the finest grid)
 	Corr    []euler.State // prolonged-correction scratch (own mesh size)
-	D       *euler.Disc   // the level's discretization, as Solver.D: D.M is the layout's view of its mesh
+	D       *euler.Disc   // the level's discretization, as Solver.D: D.M is its mesh
 
 	eng *levelEngine
 
@@ -38,10 +38,12 @@ type MGLevel struct {
 // Multigrid drives FAS multigrid cycles with every level's RK stages,
 // residual evaluations, dissipation sweeps and inter-grid transfers
 // executed on one persistent worker pool: the same N parked workers serve
-// all grids through per-level layouts and chunk tables. Results are bitwise
-// identical across worker counts (fixed layout order, disjoint writes per
-// chunk, block-ordered norm reduction), and a steady-state Cycle performs
-// zero heap allocations.
+// all grids through per-level layouts and chunk tables. Every piece is the
+// serial multigrid's arithmetic in its order — the owner-computes sweeps,
+// the gather smoother, the transfers, the destination-grouped scatter
+// (whose rows keep the source order) and the block-ordered norm — so its
+// cycles, and FMGInit, are bitwise multigrid.Solver's on the same meshes at
+// any worker count. A steady-state Cycle performs zero heap allocations.
 type Multigrid struct {
 	Gamma    int // cycle index: 1 = V-cycle, 2 = W-cycle
 	NWorkers int
@@ -61,30 +63,13 @@ type Multigrid struct {
 
 // NewMultigrid builds a pooled multigrid solver over meshes (finest
 // first) with cycle index gamma (1 for V, 2 for W) and nworkers workers
-// (<= 0 selects GOMAXPROCS), every level on the block-colored layout of its
-// mesh. The transfer operators (multigrid.Transfers) and their
-// destination-grouped scatter plans are computed here, as are every level's
-// layout and chunk tables.
+// (<= 0 selects GOMAXPROCS; one is the sequential multigrid). The transfer
+// operators (multigrid.Transfers) and their destination-grouped scatter
+// plans are computed here, as are every level's layout and chunk tables.
 func NewMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int) (*Multigrid, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	return newMultigrid(meshes, p, gamma, nworkers, layoutFor)
-}
-
-// NewSequentialMultigrid builds the sequential multigrid over meshes: this
-// engine at one worker, every level on NewSequential's layout of its mesh —
-// the mesh itself, each list one run in its own order. Every piece of the
-// cycle is then the reference operator's arithmetic in the reference
-// order: the step and residual, the transfers, the destination-grouped
-// scatter (whose rows keep the source order) and the gather smoother (whose
-// rows follow the mesh's edge order). So its cycles, and FMGInit, are
-// bitwise multigrid.Solver's on any mesh sequence.
-func NewSequentialMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma int) (*Multigrid, error) {
-	return newMultigrid(meshes, p, gamma, 1, func(m *mesh.Mesh) (*layout, error) { return inOrder(m), nil })
-}
-
-func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layoutOf func(*mesh.Mesh) (*layout, error)) (*Multigrid, error) {
 	if len(meshes) == 0 {
 		return nil, fmt.Errorf("smsolver: no meshes")
 	}
@@ -92,9 +77,9 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 		return nil, fmt.Errorf("smsolver: cycle index must be >= 1, got %d", gamma)
 	}
 
-	// The transfer operators and the level layouts are pure functions of
-	// the meshes, and none reads another: the operators are built on their
-	// own goroutines while this one lays the levels out and sets up their
+	// The transfer operators and the level engines are functions of the
+	// meshes, and none reads another: the operators are built on their own
+	// goroutines while this one lays the levels out and sets up their
 	// engines.
 	var restrict, prolong []*multigrid.TransferOp
 	transfers := make(chan error, 1)
@@ -106,12 +91,10 @@ func newMultigrid(meshes []*mesh.Mesh, p euler.Params, gamma, nworkers int, layo
 	engs := make([]*levelEngine, len(meshes))
 	var err error
 	for l, m := range meshes {
-		var lay *layout
-		if lay, err = layoutOf(m); err != nil {
+		if engs[l], err = newLevelEngine(m, p, nworkers); err != nil {
 			err = fmt.Errorf("smsolver: level %d: %w", l, err)
 			break
 		}
-		engs[l] = newLevelEngine(lay, p, nworkers)
 	}
 	if terr := <-transfers; err == nil && terr != nil {
 		err = fmt.Errorf("smsolver: %w", terr)
@@ -167,8 +150,8 @@ func (mg *Multigrid) Close() {
 
 // SetTrace attaches a flight-recorder tracer to the pooled engine: worker
 // tracks carry kernel and barrier spans across every level (the kernel
-// span's argument is the color group, or the part set on the fused sweeps;
-// the level shows in the "phases" track), and the orchestrator track
+// span's argument is the part set on the fused sweeps; the level shows in
+// the "phases" track), and the orchestrator track
 // carries the per-level accumulator phases ("L<l> steps/residuals/
 // transfers/corrections") plus a level-entry instant per cycle visit. Call
 // before the first Cycle.

@@ -1,6 +1,7 @@
 package smsolver
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -20,8 +21,9 @@ func testSequence(t *testing.T, levels int) []*mesh.Mesh {
 }
 
 // Pooled multigrid must be bitwise identical for every worker count, for
-// both V- and W-cycles: fixed color order, disjoint writes per chunk, and
-// the block-ordered norm reduction make the chunking invisible.
+// both V- and W-cycles: owner-computes sweeps in the mesh's order,
+// disjoint writes per chunk, and the block-ordered norm reduction make the
+// chunking invisible.
 func TestMultigridBitwiseAcrossWorkers(t *testing.T) {
 	meshes := testSequence(t, 3)
 	p := euler.DefaultParams(0.675, 0)
@@ -59,12 +61,12 @@ func TestMultigridBitwiseAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Against the serial multigrid — which accumulates in raw edge order —
-// the pooled cycles agree to roundoff on an arbitrary mesh sequence. The
-// sweep counts steer the correction smoother, which loads the prolonged
-// []State correction into the SoA residual block: two sweeps leave the
-// result there, three end in the ping-pong scratch (copy-back), and with
-// averaging off the load alone must still reach the guarded apply.
+// Against the serial multigrid the pooled cycles agree bit for bit — the
+// roundoff this test once allowed is gone. The sweep counts steer the
+// correction smoother, which loads the prolonged []State correction into
+// the SoA residual block: two sweeps leave the result there, three end in
+// the ping-pong scratch (copy-back), and with averaging off the load alone
+// must still reach the guarded apply.
 func TestMultigridMatchesSerialToRoundoff(t *testing.T) {
 	meshes := testSequence(t, 3)
 	for _, tc := range []struct {
@@ -90,17 +92,14 @@ func TestMultigridMatchesSerialToRoundoff(t *testing.T) {
 			for c := 0; c < 4; c++ {
 				ns := serial.Cycle()
 				np := mg.Cycle()
-				if rel := abs(ns-np) / ns; !(rel <= 1e-9) {
-					t.Fatalf("cycle %d: serial norm %v pooled %v rel %v", c, ns, np, rel)
+				if math.Float64bits(ns) != math.Float64bits(np) {
+					t.Fatalf("cycle %d: serial norm %v pooled %v", c, ns, np)
 				}
 			}
 			ws, wp := serial.Fine().W, mg.Fine().W
 			for i := range ws {
-				for k := 0; k < euler.NVar; k++ {
-					d := abs(ws[i][k] - wp[i][k])
-					if !(d <= 1e-9*(abs(ws[i][k])+1)) {
-						t.Fatalf("vertex %d var %d: serial %v pooled %v", i, k, ws[i][k], wp[i][k])
-					}
+				if ws[i] != wp[i] {
+					t.Fatalf("vertex %d: serial %v pooled %v", i, ws[i], wp[i])
 				}
 			}
 		})
@@ -222,12 +221,6 @@ func TestMultigridValidation(t *testing.T) {
 	if _, err := NewMultigrid(meshes, p, 0, 1); err == nil {
 		t.Fatal("expected error for gamma 0")
 	}
-	if _, err := NewSequentialMultigrid(nil, p, 1); err == nil {
-		t.Fatal("expected error for empty mesh list (sequential)")
-	}
-	if _, err := NewSequentialMultigrid(meshes, p, 0); err == nil {
-		t.Fatal("expected error for gamma 0 (sequential)")
-	}
 }
 
 func TestMultigridCloseIdempotent(t *testing.T) {
@@ -241,37 +234,40 @@ func TestMultigridCloseIdempotent(t *testing.T) {
 	mg.Close()
 }
 
-// TestSequentialMultigridLevelsAreSerial: NewSequentialMultigrid is
-// multigrid.Solver on every level, not only the finest — after a
-// full-multigrid initialization and after each W-cycle that follows, each
-// level's solution equals the reference's bit for bit, on a generated
-// sequence as it comes.
+// TestSequentialMultigridLevelsAreSerial: the sequential multigrid — the
+// pooled one at one worker — is multigrid.Solver on every level, not only
+// the finest, and so is the pool at two workers: after a full-multigrid
+// initialization and after each W-cycle that follows, each level's
+// solution equals the reference's bit for bit, on a generated sequence as
+// it comes.
 func TestSequentialMultigridLevelsAreSerial(t *testing.T) {
 	meshes := testSequence(t, 3)
 	p := euler.DefaultParams(0.675, 0)
-	ref, err := multigrid.New(meshes, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg, err := NewSequentialMultigrid(meshes, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mg.Close()
-	ref.FMGInit(3)
-	mg.FMGInit(3)
-	for c := 0; c <= 3; c++ {
-		if c > 0 {
-			if got, want := mg.Cycle(), ref.Cycle(); got != want {
-				t.Fatalf("cycle %d: norm %v, multigrid.Solver %v", c, got, want)
-			}
+	for _, nw := range []int{1, 2} {
+		ref, err := multigrid.New(meshes, p, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for l, lev := range mg.levels {
-			for i, w := range ref.Levels[l].W {
-				if lev.W[i] != w {
-					t.Fatalf("after cycle %d: level %d vertex %d: %v, multigrid.Solver %v", c, l, i, lev.W[i], w)
+		mg, err := NewMultigrid(meshes, p, 2, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.FMGInit(3)
+		mg.FMGInit(3)
+		for c := 0; c <= 3; c++ {
+			if c > 0 {
+				if got, want := mg.Cycle(), ref.Cycle(); got != want {
+					t.Fatalf("nw=%d cycle %d: norm %v, multigrid.Solver %v", nw, c, got, want)
+				}
+			}
+			for l, lev := range mg.levels {
+				for i, w := range ref.Levels[l].W {
+					if lev.W[i] != w {
+						t.Fatalf("nw=%d after cycle %d: level %d vertex %d: %v, multigrid.Solver %v", nw, c, l, i, lev.W[i], w)
+					}
 				}
 			}
 		}
+		mg.Close()
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The in-place rebuild against a from-scratch engine build at paper scale
-// (~14k cells, ~5% marked). Both color and permute by the same routine; the
+// (~14k cells, ~5% marked). Both lay the mesh out by the same routine; the
 // rebuild saves the allocation and the pool (TestRebuildAllocatesNothing
 // pins the former).
 //
@@ -55,7 +55,7 @@ func BenchmarkRebuildScratch(b *testing.B) {
 	p, _, r := bigRefined(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := New(unshared(r.Mesh), p, 2)
+		f, err := New(r.Mesh, p, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package smsolver
 
 import (
+	"slices"
 	"testing"
 
 	"eul3d/internal/euler"
@@ -73,8 +74,8 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	if err := s.Rebuild(r.Mesh, p); err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	if &s.D.M.Edges[0] == &m0.Edges[0] || s.D.M.NE() != r.Mesh.NE() {
-		t.Fatal("rebuild did not move the engine onto a view of the refined mesh")
+	if s.D.M != r.Mesh {
+		t.Fatal("rebuild did not move the engine onto the refined mesh")
 	}
 	fresh, err := New(r.Mesh, p, 2)
 	if err != nil {
@@ -91,17 +92,9 @@ func TestRebuildMatchesFresh(t *testing.T) {
 	}
 }
 
-// unshared returns a mesh over m's arrays that carries no memoised layout,
-// so that New on it pays the whole from-scratch build (coloring and
-// permutation included) the way it does on a mesh fresh out of refinement.
-func unshared(m *mesh.Mesh) *mesh.Mesh {
-	return &mesh.Mesh{X: m.X, Tets: m.Tets, Edges: m.Edges, EdgeNorm: m.EdgeNorm, Vol: m.Vol, BFaces: m.BFaces}
-}
-
 // TestRebuildWorkerDeterminism asserts rebuilt engines give bitwise
-// identical results at every pooled worker count: the layout depends only
-// on the mesh, and cutting a group at run boundaries never changes a
-// vertex's accumulation order.
+// identical results at every pooled worker count: every vertex accumulates
+// in the mesh's edge order whoever owns it.
 func TestRebuildWorkerDeterminism(t *testing.T) {
 	p := euler.DefaultParams(0.5, 0)
 	m0, r, w := refinedCase(t, p)
@@ -183,8 +176,9 @@ func TestRebuildGrowsAcrossEpochs(t *testing.T) {
 
 // TestRebuildAllocatesNothing: once the engine owns arrays large enough —
 // here after a Rebuild to the larger of two refinements — every Rebuild to
-// a mesh inside that capacity recolors, re-permutes, re-cuts the chunk
-// tables and retargets the discretization without one allocation.
+// a mesh inside that capacity relists every worker's edges and faces,
+// rebuilds the adjacency and the chunk tables and retargets the
+// discretization without one allocation.
 func TestRebuildAllocatesNothing(t *testing.T) {
 	p := euler.DefaultParams(0.5, 0)
 	m0, r1, _ := refinedCase(t, p)
@@ -225,44 +219,40 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSequentialViewIsTheMesh checks the sequential engine's form: its view
-// is the mesh it was built or rebuilt on, not a copy, each list is one group
-// holding one run (checkLayout: identity order, run-aligned tiles), the
-// mesh's Derived slot stays free, the form survives Rebuild, and the chunk
-// tables refuse a second worker: the layout is only ever NewSequential's
-// one-worker form. (A second worker could not race the first anyway: runs
-// are never split, so the one run would all go to one of them.)
+// TestSequentialViewIsTheMesh checks that an engine runs on the mesh it was
+// built or rebuilt on, not a copy, at one worker — the sequential engine —
+// and on a pool, and that its layout is the one a fresh engine lays out
+// (checkLayout) after a Rebuild too.
 func TestSequentialViewIsTheMesh(t *testing.T) {
 	p := euler.DefaultParams(0.675, 0)
 	m0, r, w := refinedCase(t, p)
-	s := NewSequential(m0, p)
-	defer s.Close()
-	for _, m := range []*mesh.Mesh{m0, r.Mesh} {
-		if m != m0 {
-			if err := s.Rebuild(m, p); err != nil {
+	for _, nw := range []int{1, 2} {
+		s, err := New(m0, p, nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*mesh.Mesh{m0, r.Mesh} {
+			if m != m0 {
+				if err := s.Rebuild(m, p); err != nil {
+					t.Fatal(err)
+				}
+				s.Step(append([]euler.State(nil), w...), nil)
+			}
+			if s.D.M != m {
+				t.Fatalf("nw=%d: the engine's mesh is not the one it was given", nw)
+			}
+			fresh, err := newLevelEngine(m, p, nw)
+			if err != nil {
 				t.Fatal(err)
 			}
-			s.Step(w, nil)
+			got, want := &s.le.lay, &fresh.lay
+			if !slices.Equal(got.edgeStart, want.edgeStart) || !slices.Equal(got.edges, want.edges) ||
+				!slices.Equal(got.faceStart, want.faceStart) || !slices.Equal(got.faces, want.faces) ||
+				!slices.Equal(got.adjStart, want.adjStart) || !slices.Equal(got.adj, want.adj) {
+				t.Fatalf("nw=%d: the layout differs from a fresh engine's on the same mesh", nw)
+			}
+			checkLayout(t, m, nw)
 		}
-		if s.D.M != m || s.le.lay.view != m {
-			t.Fatal("the sequential engine's view is not its mesh")
-		}
-		if e, f := s.NumColors(); e != 1 || f != 1 {
-			t.Fatalf("%d edge and %d face groups, want one each", e, f)
-		}
-		if s.le.lay.edges.NumRuns() != 1 || s.le.lay.faces.NumRuns() != 1 {
-			t.Fatal("a list of the sequential layout is not one run")
-		}
-		checkLayout(t, s.le.lay)
-		free := new(int)
-		if got := m.Derived(func(*mesh.Mesh) any { return free }); got != free {
-			t.Fatal("the sequential engine filled the mesh's Derived slot")
-		}
+		s.Close()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("chunk tables for two workers over the in-order layout did not panic")
-		}
-	}()
-	s.le.buildSpans(2)
 }

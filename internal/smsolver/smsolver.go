@@ -1,65 +1,47 @@
 // Package smsolver is the shared-memory parallel implementation of the
 // flow solver, the counterpart of the paper's Cray Y-MP C90 port (Section
-// 3): each edge loop is divided into groups inside which concurrent work is
-// free of recurrences, and each group is chunked across worker goroutines —
-// the role the autotasking compiler played on the C90. The C90's vector
-// pipes need every *edge* of a group to touch different vertices; scalar
-// workers on a cache machine need only that no two *workers* touch the same
-// vertex, so the groups here are made of runs — contiguous, cache-sized
-// pieces of the mesh's own edge order (color.Blocks) — no two runs of a
-// group share a vertex, and a worker takes whole runs. A vertex is then
-// touched by one run per group, in that run's stored order, so its
-// floating-point accumulation order is the stored order of the layout and
-// is independent of the chunking: the solver produces *bitwise identical*
-// results for every worker count (tests assert this).
-//
-// Every engine runs over one of two layouts of its mesh (layout.go). The
-// block layout (New, NewMultigrid) has the edge list, its normals and the
-// boundary faces physically permuted into group order, runs kept in source
-// order inside a group — Section 4.2's edge reordering — so a worker's
-// share of a group is an index range and every sweep streams its element
-// arrays; it is a pure function of the mesh, built once per mesh
-// (mesh.Derived) and shared by all engines on it. The pooled solver is
-// bitwise identical to the sequential solver on that view (Solver.D.M),
-// whose stored order is the order it accumulates in; against the
-// sequential solver on the source mesh, which accumulates in that mesh's
-// edge order, results agree to roundoff — exactly as on the original
-// machine, where the vectorized/autotasked code also reordered the
-// accumulations. The in-order layout (NewSequential,
-// NewSequentialMultigrid) is the mesh itself at one worker, each list one
-// run: the reference operator's order, so those engines are bitwise
-// euler.Disc and multigrid.Solver on any mesh. The conformance suites
-// compare the two through the block layout's views.
+// 3). The C90 colors edges because its vector pipes need loops free of
+// recurrences; scalar workers on a cache machine need only that no two of
+// them write one vertex, and the engine gets that from ownership instead —
+// the decomposition of the paper's distributed-memory port. Each worker
+// owns the contiguous vertex range it takes in every vertex loop, walks, in
+// the mesh's own order, every edge and boundary face that touches one of
+// its vertices (layout.go), computes each once in the stored orientation
+// and adds it only into the ends it owns; an edge cut by the ranges is
+// computed by both its owners. Every vertex thus receives its additions in
+// the mesh's edge order, from one worker: a pooled engine is *bitwise*
+// euler.Disc.Step (and a pooled multigrid bitwise multigrid.Solver) on any
+// mesh at any worker count, and the sequential engine is this one at one
+// worker (tests assert all of it).
 //
 // Execution uses a persistent worker pool (internal/forkjoin): the workers
 // are spawned once, poll for the next region before they park, and are
-// driven through prebuilt per-group chunk tables balanced by element count;
-// all scratch is solver-owned, so a steady-state Step (and multigrid
-// Cycle) performs zero heap allocations. The kernels run on blocks (euler.StateSoA) of one
-// 40-byte State record per vertex — the layout of the public []State
-// itself, chosen over five component streams because every edge reads a
-// whole record at both ends (EXPERIMENTS.md, "One record per vertex") — so
-// the caller's solution is the step's solution block and nothing is
-// converted: five scratch blocks per level, whose lifetimes levelEngine
-// documents. The fused preamble and update sweeps refresh the per-vertex
-// terms (pressure, 1/rho, sound speed) the edge loops read and zero the next
-// accumulators.
-// A stage makes one edge pass and one face pass (euler.EdgeSweepSoAKernel)
-// for everything that reads w alone — the convective flux always,
-// dissipation pass 1 while it is re-evaluated, the spectral radii on stage 0
-// — and, on the dissipation stages, a second edge pass for the blended
-// flux: 7 edge passes per five-stage step, each one barrier per group (4–6
-// on the generated channel, where per-edge coloring needs 15). The residual
-// averaging is not a grouped loop: each Jacobi sweep is one vertex-parallel
-// gather over the layout's adjacency, whose rows list the neighbours in the
-// order the edge sweep would meet them, so it is that sweep's arithmetic
-// bit for bit at one barrier. The per-block residual-norm partials are
-// padded to cache lines so concurrent block writers never share one. A loop
-// too short to give every worker minChunk elements wakes fewer of them, down
-// to running inline on the caller — chunking never affects results. Every
-// level of every size is pooled: the pool's workers poll for the next fork,
-// so a region costs about what its arithmetic costs even on a coarse grid
-// (EXPERIMENTS.md, "A pool that stays awake").
+// driven through prebuilt per-worker tables; all scratch is solver-owned, so
+// a steady-state Step (and multigrid Cycle) performs zero heap allocations.
+// The kernels run on blocks (euler.StateSoA) of one 40-byte State record per
+// vertex — the layout of the public []State itself, chosen over five
+// component streams because every edge reads a whole record at both ends
+// (EXPERIMENTS.md, "One record per vertex") — so the caller's solution is
+// the step's solution block and nothing is converted: five scratch blocks
+// per level, whose lifetimes levelEngine documents. The fused preamble and
+// update sweeps refresh the per-vertex terms (pressure, 1/rho, sound speed)
+// the edge loops read and zero the next accumulators.
+// A stage makes one region of edge and face sweeps (euler.EdgeSweepSoAKernel
+// and BFaceSweepSoAKernel) for everything that reads w alone — the
+// convective flux always, dissipation pass 1 while it is re-evaluated, the
+// spectral radii on stage 0 — and, on the dissipation stages, a second
+// edge region for the blended flux: 31 regions a five-stage step with two
+// smoothing sweeps, whatever the mesh. The residual averaging is a
+// vertex-parallel gather over the layout's adjacency, whose rows list the
+// neighbours in the order the edge sweep would meet them, so each Jacobi
+// sweep is that sweep's arithmetic bit for bit at one barrier. The
+// per-block residual-norm partials are padded to cache lines so concurrent
+// block writers never share one. A mesh too small to give every worker
+// minChunk vertices wakes fewer of them, down to running inline on the
+// caller — ownership never affects results. Every level of every size is
+// pooled: the pool's workers poll for the next fork, so a region costs
+// about what its arithmetic costs even on a coarse grid (EXPERIMENTS.md, "A
+// pool that stays awake").
 // The engine/levelEngine split in this file lets the same N parked workers
 // drive either a single grid (Solver) or every level of a FAS multigrid
 // sequence (Multigrid, multigrid.go). Close releases the workers; a solver
@@ -72,7 +54,6 @@ import (
 	"runtime"
 	"time"
 
-	"eul3d/internal/color"
 	"eul3d/internal/euler"
 	"eul3d/internal/flops"
 	"eul3d/internal/forkjoin"
@@ -88,10 +69,9 @@ type taskKind uint8
 
 const (
 	tInit         taskKind = iota // w0 snapshot + vertex terms + accumulator zeroing (fused)
-	tEdgeSweep                    // grouped: the stage's parts of {spectral radii, convective flux, Laplacian + sensor sums}
-	tFaceSweep                    // grouped: boundary closure (+ boundary-face spectral radii on stage 0)
+	tSweep                        // the stage's edge parts of {spectral radii, convective flux, Laplacian + sensor sums}, then its face parts
 	tNu                           // sensor sums -> shock switch (+ local time steps on stage 0)
-	tDiss2                        // grouped: blended dissipative flux
+	tDiss2                        // blended dissipative flux
 	tCombine                      // resS = convS - dissS (+ forcing)
 	tNorm                         // block partial sums of the residual norm
 	tSmoothGather                 // one whole Jacobi sweep, gather form over the adjacency
@@ -159,25 +139,19 @@ type normSlot struct {
 // the multigrid transfers read it as the []State it is, and the coarse
 // correction is staged in it on its way up.
 type levelEngine struct {
-	d *euler.Disc // over lay.view
-
-	// lay is shared with every engine built on the same mesh until Rebuild
-	// replaces it with one this engine owns (ownLay) and may refill.
-	lay    *layout
-	ownLay bool
+	d   *euler.Disc // over the engine's mesh itself
+	lay layout
 
 	w0S, convS, dissS, resS, laplS *euler.StateSoA
 
 	normPartial []normSlot
 
-	// Prebuilt chunk tables: per-worker vertex and norm-block ranges, and
-	// per-group per-worker edge/face ranges of whole runs.
+	// Prebuilt chunk tables: per-worker vertex ranges — what each worker
+	// owns in the sweeps — and norm-block ranges.
 	vertSpans  []span
 	vertActive int
 	normSpans  []span
 	normActive int
-	edgeSpans  groupSpans
-	faceSpans  groupSpans
 
 	// Analytic flop charges of the engine's regions on this mesh, charged to
 	// the phase that runs them; over one step they sum to flops.Step.
@@ -185,13 +159,11 @@ type levelEngine struct {
 	flCombine, flSmooth, flUpdate, flUpdateNext int64
 }
 
-// newLevelEngine allocates the per-level scratch and chunk tables over lay.
-func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
-	nv := lay.view.NV()
+// newLevelEngine allocates the per-level scratch and chunk tables over m.
+func newLevelEngine(m *mesh.Mesh, p euler.Params, nworkers int) (*levelEngine, error) {
+	nv := m.NV()
 	nb := (nv + normBlock - 1) / normBlock
 	le := &levelEngine{
-		d:           euler.NewDisc(lay.view, p),
-		lay:         lay,
 		w0S:         euler.NewStateSoA(nv),
 		convS:       euler.NewStateSoA(nv),
 		dissS:       euler.NewStateSoA(nv),
@@ -199,21 +171,22 @@ func newLevelEngine(lay *layout, p euler.Params, nworkers int) *levelEngine {
 		laplS:       euler.NewStateSoA(nv),
 		normPartial: make([]normSlot, nb),
 	}
-	le.buildSpans(nworkers)
+	if err := le.build(m, nworkers); err != nil {
+		return nil, err
+	}
+	le.d = euler.NewDisc(m, p)
 	le.chargeFlops()
-	return le
+	return le, nil
 }
 
-// buildSpans (re)builds the chunk tables for the level's current layout,
-// reusing the old tables' arrays. Chunking never affects results.
-func (le *levelEngine) buildSpans(nworkers int) {
-	if le.lay.inOrder && nworkers > 1 {
-		panic("smsolver: the in-order layout is NewSequential's one-worker form")
-	}
-	le.vertSpans, le.vertActive = buildSpans(le.vertSpans, le.lay.view.NV(), nworkers)
+// build (re)builds the chunk tables and the layout for m, reusing the old
+// arrays; it is what checks that m's element lists are over its vertices,
+// so it runs before anything indexes by them. Ownership never affects
+// results.
+func (le *levelEngine) build(m *mesh.Mesh, nworkers int) error {
+	le.vertSpans, le.vertActive = buildSpans(le.vertSpans, m.NV(), nworkers)
 	le.normSpans, le.normActive = buildSpans(le.normSpans, len(le.normPartial), nworkers)
-	le.edgeSpans.build(&le.lay.edges, nworkers)
-	le.faceSpans.build(&le.lay.faces, nworkers)
+	return le.lay.fill(m, le.vertSpans[:le.vertActive])
 }
 
 // chargeFlops recomputes the analytic per-phase flop charges from the
@@ -233,28 +206,6 @@ func (le *levelEngine) chargeFlops() {
 	le.flUpdate = nv64 * flops.UpdateVert
 	le.flUpdateNext = nv64 * (flops.UpdateVert + flops.PresVert)
 }
-
-// groupSpans is the chunk table of one block-colored list: for every group,
-// each worker's share of it as a [lo,hi) range of the list — whole runs,
-// balanced by element count (cutRuns) — and how many workers have one (as
-// many as the group's size is worth waking, workersFor).
-type groupSpans struct {
-	spans  []span // group g's worker w at spans[g*nw+w]
-	active []int
-	nw     int
-}
-
-func (t *groupSpans) build(bl *color.Blocks, nw int) {
-	nc := bl.NumColors()
-	t.spans, t.active, t.nw = euler.Grow(t.spans, nc*nw), euler.Grow(t.active, nc), nw
-	clear(t.spans)
-	for g := range t.active {
-		n := int(bl.Start[g+1] - bl.Start[g])
-		t.active[g] = cutRuns(bl.GroupRuns(g), t.spans[g*nw:g*nw+workersFor(n, nw)])
-	}
-}
-
-func (t *groupSpans) of(group, worker int) span { return t.spans[group*t.nw+worker] }
 
 // engine is the pool-driving half: the fork/join barrier, the job
 // descriptor published before every parallel region, and the
@@ -282,10 +233,9 @@ type engine struct {
 	// fork and read by the workers (the fork/join barrier orders both
 	// directions).
 	job      taskKind
-	group    int              // group for grouped tasks
 	alpha    float64          // RK stage coefficient
 	eps      float64          // residual-averaging coefficient
-	parts    euler.SweepParts // tEdgeSweep/tFaceSweep: what the pass accumulates
+	parts    euler.SweepParts // tSweep: what the pass accumulates
 	withDt   bool             // tNu: also fill the time steps (stage 0)
 	zeroDiss bool             // tUpdateNext: also zero dissipation arrays
 	w        []euler.State    // solution being advanced: the step's solution block (euler.Block(&e.w))
@@ -320,23 +270,14 @@ func (e *engine) init(nworkers int, acc *perf.Accum) {
 // fork publishes the job descriptor and runs one parallel region. With a
 // tracer attached it also closes the region on every worker's track with a
 // barrier-wait span (that worker's kernel end → the join).
-func (e *engine) fork(j taskKind, group, active int) {
-	e.job, e.group = j, group
+func (e *engine) fork(j taskKind, active int) {
+	e.job = j
 	e.pool.Fork(e.execFn, active)
 	if e.et != nil && active > 1 {
 		join := time.Now()
 		for w := 0; w < active; w++ {
 			e.et.wtracks[w].Span(e.et.phBarrier, e.et.kend[w], join, int64(j))
 		}
-	}
-}
-
-// colored runs one grouped task over every group of the current level's
-// edge or face blocks (the autotasked loop of Section 3.1), one barrier per
-// group; active is the level's edgeSpans.active or faceSpans.active.
-func (e *engine) colored(j taskKind, active []int) {
-	for g, a := range active {
-		e.fork(j, g, a)
 	}
 }
 
@@ -352,12 +293,10 @@ func (e *engine) exec(wk int) {
 		sp := lev.vertSpans[wk]
 		d.StepInitSoAKernel(e.w, wS, lev.w0S, sp.lo, sp.hi)
 		d.StageZeroSoAKernel(lev.convS, lev.dissS, lev.laplS, true, sp.lo, sp.hi)
-	case tEdgeSweep:
-		sp := lev.edgeSpans.of(e.group, wk)
-		d.EdgeSweepSoAKernel(e.parts, wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edges.Order[sp.lo:sp.hi])
-	case tFaceSweep:
-		sp := lev.faceSpans.of(e.group, wk)
-		d.BFaceSweepSoAKernel(e.parts, wS, lev.convS, d.Lam(), lev.lay.faces.Order[sp.lo:sp.hi])
+	case tSweep:
+		sp := lev.vertSpans[wk]
+		d.EdgeSweepSoAKernel(e.parts, wS, lev.convS, lev.laplS, d.Lam(), d.Sensor(), d.Den(), lev.lay.edgesOf(wk), sp.lo, sp.hi)
+		d.BFaceSweepSoAKernel(e.parts, wS, lev.convS, d.Lam(), lev.lay.facesOf(wk), sp.lo, sp.hi)
 	case tNu:
 		sp := lev.vertSpans[wk]
 		d.NuRangeKernel(d.Sensor(), d.Den(), sp.lo, sp.hi)
@@ -365,8 +304,8 @@ func (e *engine) exec(wk int) {
 			d.DtRangeKernel(d.Lam(), sp.lo, sp.hi)
 		}
 	case tDiss2:
-		sp := lev.edgeSpans.of(e.group, wk)
-		d.DissPass2SoAKernel(wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edges.Order[sp.lo:sp.hi])
+		sp := lev.vertSpans[wk]
+		d.Diss2SweepSoAKernel(wS, lev.laplS, lev.dissS, d.Sensor(), lev.lay.edgesOf(wk), sp.lo, sp.hi)
 	case tCombine:
 		sp := lev.vertSpans[wk]
 		d.CombineResidualSoAKernel(lev.resS, lev.convS, lev.dissS, e.forcing, sp.lo, sp.hi)
@@ -424,8 +363,8 @@ func (e *engine) tick(phase int, fl int64, t *time.Time) {
 }
 
 // step advances w by one multistage time step on lev, identically to
-// euler.Disc.Step but with all loops grouped, dispatched to the worker
-// pool, and advancing w in place as the step's solution block. It returns
+// euler.Disc.Step but with every loop dispatched to the worker pool, and
+// advancing w in place as the step's solution block. It returns
 // the first-stage residual norm and performs no heap allocations.
 func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	d := lev.d
@@ -438,14 +377,14 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	stepStart := t
 
 	// Stage-0 snapshot, per-vertex terms and the zeroing of every accumulator.
-	e.fork(tInit, 0, lev.vertActive)
+	e.fork(tInit, lev.vertActive)
 	e.tick(phTimestep, lev.flInit, &t)
 
 	norm := 0.0
 	nstages := len(d.P.Stages)
 	for q, alpha := range d.P.Stages {
 		stageStart := t
-		// One edge and one face pass for everything that reads only w (into
+		// One edge and face pass for everything that reads only w (into
 		// accumulators zeroed by the previous update sweep, or by tInit). A
 		// time-accurate run skips the radii: a fixed dt is all they feed.
 		parts, fl := euler.PartConv, lev.flConv
@@ -460,20 +399,19 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 			fl += lev.flDt // the nominal count, as flops.Step has it
 		}
 		e.parts = parts
-		e.colored(tEdgeSweep, lev.edgeSpans.active)
-		e.colored(tFaceSweep, lev.faceSpans.active)
+		e.fork(tSweep, lev.vertActive)
 		e.tick(phConvective, fl, &t)
 
 		// Dissipation on the first stages, frozen afterwards. The time steps
 		// ride stage 0's switch sweep, where the radii are first complete.
 		if q < euler.DissipStages {
 			e.withDt = q == 0
-			e.fork(tNu, 0, lev.vertActive)
-			e.colored(tDiss2, lev.edgeSpans.active)
+			e.fork(tNu, lev.vertActive)
+			e.fork(tDiss2, lev.vertActive)
 			e.tick(phDissipation, lev.flDiss2, &t)
 		}
 
-		e.fork(tCombine, 0, lev.vertActive)
+		e.fork(tCombine, lev.vertActive)
 		if q == 0 {
 			norm = e.residualNorm(lev)
 		}
@@ -484,13 +422,13 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 
 		e.alpha = alpha
 		if q == nstages-1 {
-			e.fork(tUpdate, 0, lev.vertActive)
+			e.fork(tUpdate, lev.vertActive)
 			e.tick(phUpdate, lev.flUpdate, &t)
 		} else {
 			// Fused stage boundary: RK update, next stage's vertex terms, and
 			// next stage's accumulator zeroing in one sweep.
 			e.zeroDiss = q+1 < euler.DissipStages
-			e.fork(tUpdateNext, 0, lev.vertActive)
+			e.fork(tUpdateNext, lev.vertActive)
 			e.tick(phUpdate, lev.flUpdateNext, &t)
 		}
 		if e.et != nil {
@@ -515,13 +453,12 @@ func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 	}
 	e.lev = lev
 	e.w, e.forcing = w, forcing
-	e.fork(tResInit, 0, lev.vertActive)
+	e.fork(tResInit, lev.vertActive)
 	e.parts, e.withDt = euler.PartConv|euler.PartDiss1, false
-	e.colored(tEdgeSweep, lev.edgeSpans.active)
-	e.colored(tFaceSweep, lev.faceSpans.active)
-	e.fork(tNu, 0, lev.vertActive)
-	e.colored(tDiss2, lev.edgeSpans.active)
-	e.fork(tCombine, 0, lev.vertActive)
+	e.fork(tSweep, lev.vertActive)
+	e.fork(tNu, lev.vertActive)
+	e.fork(tDiss2, lev.vertActive)
+	e.fork(tCombine, lev.vertActive)
 	e.w, e.forcing = nil, nil
 }
 
@@ -530,7 +467,7 @@ func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
 // result is independent of the worker count and equal to the sequential
 // solver's euler.ResidualNormSq.
 func (e *engine) residualNorm(lev *levelEngine) float64 {
-	e.fork(tNorm, 0, lev.normActive)
+	e.fork(tNorm, lev.normActive)
 	sum := 0.0
 	for b := range lev.normPartial {
 		sum += lev.normPartial[b].v
@@ -540,8 +477,7 @@ func (e *engine) residualNorm(lev *levelEngine) float64 {
 
 // smooth applies the implicit residual averaging to rhs and leaves e.smS
 // pointing at the block that holds the result. Each Jacobi sweep is one
-// vertex-parallel gather over the layout's adjacency — one barrier, where
-// the per-edge-colored edge form paid one per color plus a combine —
+// vertex-parallel gather over the layout's adjacency — one barrier —
 // reading the right-hand side from rhs, which no sweep writes, and writing
 // alternately into laplS and convS (dead at this point of a stage; see
 // levelEngine). The step path smooths the combined residual in resS; the
@@ -562,7 +498,7 @@ func (e *engine) smooth(lev *levelEngine, rhs *euler.StateSoA) {
 	scratch := [2]*euler.StateSoA{lev.laplS, lev.convS}
 	for sweep := 0; sweep < sweeps; sweep++ {
 		e.nextS = scratch[sweep&1]
-		e.fork(tSmoothGather, 0, lev.vertActive)
+		e.fork(tSmoothGather, lev.vertActive)
 		e.smS = e.nextS
 	}
 }
@@ -571,7 +507,7 @@ func (e *engine) smooth(lev *levelEngine, rhs *euler.StateSoA) {
 // table (spans/active belong to the level owning dst).
 func (e *engine) interp(op *multigrid.TransferOp, src, dst []euler.State, spans []span, active int) {
 	e.xop, e.xsrc, e.xdst, e.xspans = op, src, dst, spans
-	e.fork(tInterp, 0, active)
+	e.fork(tInterp, active)
 	e.xop, e.xsrc, e.xdst, e.xspans = nil, nil, nil, nil
 }
 
@@ -579,7 +515,7 @@ func (e *engine) interp(op *multigrid.TransferOp, src, dst []euler.State, spans 
 // the destination-row table.
 func (e *engine) scatter(pl *multigrid.ScatterPlan, src, dst []euler.State, spans []span, active int) {
 	e.xplan, e.xsrc, e.xdst, e.xspans = pl, src, dst, spans
-	e.fork(tScatter, 0, active)
+	e.fork(tScatter, active)
 	e.xplan, e.xsrc, e.xdst, e.xspans = nil, nil, nil, nil
 }
 
@@ -587,18 +523,15 @@ func (e *engine) scatter(pl *multigrid.ScatterPlan, src, dst []euler.State, span
 func (e *engine) vertexOp(j taskKind, lev *levelEngine, a, b, dst []euler.State) {
 	e.lev = lev
 	e.va, e.vb, e.vdst = a, b, dst
-	e.fork(j, 0, lev.vertActive)
+	e.fork(j, lev.vertActive)
 	e.va, e.vb, e.vdst = nil, nil, nil
 }
 
-// Solver executes the five-stage scheme on a single grid with grouped
-// loops dispatched to a persistent worker pool.
+// Solver executes the five-stage scheme on a single grid with every loop
+// dispatched to a persistent worker pool.
 type Solver struct {
-	// D is the engine's discretization. D.M is the layout's view of the mesh
-	// the solver was built on (or last rebuilt to): same vertices,
-	// coordinates, tets and volumes, with the edge and boundary-face lists
-	// in group order, so edge and face indices are the view's, not the
-	// source mesh's.
+	// D is the engine's discretization; D.M is the mesh the solver was
+	// built on (or last rebuilt to).
 	D        *euler.Disc
 	NWorkers int
 
@@ -606,40 +539,27 @@ type Solver struct {
 	eng engine
 }
 
-// New builds a parallel solver over mesh m, on the block-colored layout
-// all engines on m share. nworkers <= 0 selects GOMAXPROCS. The worker
-// goroutines persist until Close (or until the Solver is garbage-collected).
+// New builds a parallel solver over the finished mesh m. nworkers <= 0
+// selects GOMAXPROCS; at one worker it is the sequential engine, every
+// region inline on the caller. Step is bitwise euler.Disc.Step on m at any
+// worker count. It fails on a mesh whose edge or face list is not over its
+// vertices. The worker goroutines persist until Close (or until the Solver
+// is garbage-collected).
 func New(m *mesh.Mesh, p euler.Params, nworkers int) (*Solver, error) {
 	if nworkers <= 0 {
 		nworkers = runtime.GOMAXPROCS(0)
 	}
-	lay, err := layoutFor(m)
+	le, err := newLevelEngine(m, p, nworkers)
 	if err != nil {
 		return nil, fmt.Errorf("smsolver: %w", err)
 	}
-	return newSolver(lay, p, nworkers), nil
-}
-
-// NewSequential builds the sequential engine over m: this engine at one
-// worker, each of m's edge and face lists one group holding one run in m's
-// own order. Its view is m itself (D.M == m), nothing goes in m's Derived
-// slot, and Rebuild keeps this form. The kernels are the reference
-// operator's arithmetic in its order, so Step is bitwise euler.Disc.Step.
-func NewSequential(m *mesh.Mesh, p euler.Params) *Solver {
-	s := newSolver(inOrder(m), p, 1)
-	s.le.ownLay = true // private: Rebuild refills it in place
-	return s
-}
-
-func newSolver(lay *layout, p euler.Params, nworkers int) *Solver {
-	le := newLevelEngine(lay, p, nworkers)
 	s := &Solver{D: le.d, NWorkers: nworkers, le: le}
 	s.eng.init(nworkers, perf.NewAccum(phaseNames[:]...))
 	// The workers reference only the pool (its fn slot is cleared between
 	// forks), so an abandoned Solver is collectable; shut its pool down
 	// when that happens.
 	runtime.AddCleanup(s, (*forkjoin.Pool).Shutdown, s.eng.pool)
-	return s
+	return s, nil
 }
 
 // Close parks the engine permanently: the worker goroutines exit and the
@@ -656,11 +576,6 @@ func (s *Solver) Close() {
 // tracer leaves tracing disabled. Traced steps stay allocation-free.
 func (s *Solver) SetTrace(tr *trace.Tracer) { s.eng.attachTrace(tr, "") }
 
-// NumColors returns the edge and boundary-face group counts.
-func (s *Solver) NumColors() (edges, faces int) {
-	return s.le.lay.edges.NumColors(), s.le.lay.faces.NumColors()
-}
-
 // Stats returns the accumulated per-phase wall-clock timings with their
 // analytic flop charges (internal/flops), from which per-phase and total
 // MFlops rates follow.
@@ -675,8 +590,8 @@ func (s *Solver) Step(w []euler.State, forcing []euler.State) float64 {
 
 // Residual evaluates the steady residual R(w), without forcing, into a
 // block the solver owns and returns it; the block is valid until the next
-// Step, Residual or Rebuild. On a NewSequential engine it is bitwise
-// euler.Disc.Residual on D.M. It performs no heap allocations.
+// Step, Residual or Rebuild. It is bitwise euler.Disc.Residual on D.M and
+// performs no heap allocations.
 func (s *Solver) Residual(w []euler.State) []euler.State {
 	s.eng.residual(s.le, w, nil)
 	return *s.le.resS

@@ -57,16 +57,25 @@ func TestBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMatchesSequentialToRoundoff: the roundoff this test once allowed is
+// gone — at four workers the pooled step is euler.Disc.Step bit for bit,
+// norms and states.
 func TestMatchesSequentialToRoundoff(t *testing.T) {
 	m := testMesh(t)
 	p := euler.DefaultParams(0.675, 0)
+	matchesSequential(t, m, p, 4, 10)
+}
 
+// matchesSequential steps New(m, p, nw) and euler.Disc.Step side by side
+// and requires equal norms and states, bit for bit.
+func matchesSequential(t *testing.T, m *mesh.Mesh, p euler.Params, nw, steps int) {
+	t.Helper()
 	seq := euler.NewDisc(m, p)
 	wseq := make([]euler.State, m.NV())
 	seq.InitUniform(wseq)
 	ws := euler.NewStepWorkspace(m.NV())
 
-	par, err := New(m, p, 4)
+	par, err := New(m, p, nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,22 +83,8 @@ func TestMatchesSequentialToRoundoff(t *testing.T) {
 	wpar := make([]euler.State, m.NV())
 	par.InitUniform(wpar)
 
-	for c := 0; c < 10; c++ {
-		ns := seq.Step(wseq, nil, ws)
-		np := par.Step(wpar, nil)
-		if rel := math.Abs(ns-np) / (1e-300 + ns); rel > 1e-10 {
-			t.Fatalf("cycle %d: norms diverge: %v vs %v", c, ns, np)
-		}
-	}
-	worst := 0.0
-	for i := range wseq {
-		for k := 0; k < euler.NVar; k++ {
-			d := math.Abs(wseq[i][k]-wpar[i][k]) / (1 + math.Abs(wseq[i][k]))
-			worst = math.Max(worst, d)
-		}
-	}
-	if worst > 1e-10 {
-		t.Errorf("solutions diverge beyond roundoff: %g", worst)
+	for c := 0; c < steps; c++ {
+		stepsBitwise(t, "sequential vs pooled", wseq, wpar, seq.Step(wseq, nil, ws), par.Step(wpar, nil))
 	}
 }
 
@@ -120,27 +115,6 @@ func TestFreestreamPreserved(t *testing.T) {
 	}
 }
 
-func TestNumColorsReported(t *testing.T) {
-	m := testMesh(t)
-	s, err := New(m, euler.DefaultParams(0.5, 0), 0) // 0 -> GOMAXPROCS
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ec, fc := s.NumColors()
-	// Groups of runs, not of edges: a handful, where the paper's per-edge
-	// coloring has "say 20 to 30" (and ours 15 on this mesh).
-	if ec < 2 || ec > maxGroups {
-		t.Errorf("edge groups = %d", ec)
-	}
-	if fc < 2 || fc > maxGroups {
-		t.Errorf("face groups = %d", fc)
-	}
-	if s.NWorkers < 1 {
-		t.Errorf("workers = %d", s.NWorkers)
-	}
-}
-
 func TestSmoothingDisabledPath(t *testing.T) {
 	m := testMesh(t)
 	p := euler.DefaultParams(0.675, 0)
@@ -160,37 +134,17 @@ func TestSmoothingDisabledPath(t *testing.T) {
 
 // TestOddSmoothingSweeps exercises the copy-back path of the pooled
 // smoother (an odd sweep count leaves the result in the ping-pong scratch)
-// and checks it still matches the sequential solver to roundoff.
+// and checks it still matches the sequential solver bit for bit.
 func TestOddSmoothingSweeps(t *testing.T) {
 	m := testMesh(t)
 	p := euler.DefaultParams(0.675, 0)
 	p.NSmooth = 3
-
-	seq := euler.NewDisc(m, p)
-	wseq := make([]euler.State, m.NV())
-	seq.InitUniform(wseq)
-	ws := euler.NewStepWorkspace(m.NV())
-
-	par, err := New(m, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	wpar := make([]euler.State, m.NV())
-	par.InitUniform(wpar)
-
-	for c := 0; c < 5; c++ {
-		ns := seq.Step(wseq, nil, ws)
-		np := par.Step(wpar, nil)
-		if rel := math.Abs(ns-np) / (1e-300 + ns); rel > 1e-10 {
-			t.Fatalf("cycle %d: norms diverge: %v vs %v", c, ns, np)
-		}
-	}
+	matchesSequential(t, m, p, 3, 5)
 }
 
 // TestStepZeroAllocs asserts the acceptance criterion of the pool engine:
 // a steady-state Step allocates nothing, with the fork/join barrier and
-// every chunk table prebuilt in New, whether the workers park between
+// every table prebuilt in New, whether the workers park between
 // regions (one processor) or poll (two).
 func TestStepZeroAllocs(t *testing.T) {
 	m := testMesh(t)
@@ -307,5 +261,34 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("empty stats rendering")
+	}
+}
+
+// TestNewRejectsForeignVertices: an edge or boundary face naming a vertex
+// the mesh does not have is an error from New and from Rebuild, not a
+// panic in the first sweep.
+func TestNewRejectsForeignVertices(t *testing.T) {
+	p := euler.DefaultParams(0.5, 0)
+	good := testMesh(t)
+	badEdge := *good
+	badEdge.Edges = append(append([][2]int32(nil), good.Edges...), [2]int32{0, int32(good.NV())})
+	badEdge.EdgeNorm = append(append(badEdge.EdgeNorm[:0:0], good.EdgeNorm...), good.EdgeNorm[0])
+	badFace := *good
+	badFace.BFaces = append(append([]mesh.BFace(nil), good.BFaces...), mesh.BFace{V: [3]int32{0, 1, -1}})
+	for name, m := range map[string]*mesh.Mesh{"edge": &badEdge, "face": &badFace} {
+		for _, nw := range []int{1, 2} {
+			if s, err := New(m, p, nw); err == nil {
+				s.Close()
+				t.Errorf("%s, nw=%d: New accepted a vertex out of range", name, nw)
+			}
+		}
+		s, err := New(good, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rebuild(m, p); err == nil {
+			t.Errorf("%s: Rebuild accepted a vertex out of range", name)
+		}
+		s.Close()
 	}
 }

@@ -140,7 +140,7 @@ func TestVertexTermsNeverStale(t *testing.T) {
 
 // TestStageScheduleCorners: the parts of each stage's sweep follow from
 // q == 0 and q < euler.DissipStages, never from the five-stage scheme. The
-// pooled engine must stay bitwise equal to the sequential one on its view
+// pooled engine must stay bitwise equal to the sequential one on its mesh
 // for schemes with fewer stages than dissipation
 // evaluations, exactly as many, and more — and in the time-accurate mode,
 // where stage 0 drops the spectral radii but still owes the time steps.

@@ -22,8 +22,7 @@ import (
 // indexed by taskKind.
 var taskNames = [nTasks]string{
 	tInit:         "init",
-	tEdgeSweep:    "conv-edges",
-	tFaceSweep:    "conv-faces",
+	tSweep:        "sweep",
 	tNu:           "nu",
 	tDiss2:        "diss2",
 	tCombine:      "combine",
@@ -84,8 +83,8 @@ func (e *engine) attachTrace(tr *trace.Tracer, prefix string) {
 
 // execTraced wraps exec with a kernel span on the worker's own track and
 // records the kernel end time for fork's barrier span. The span's argument
-// is the color group, except on the fused sweeps, where it is the part set
-// (euler.SweepParts) — what tells a stage-0 sweep from a later one. The kend
+// is the part set (euler.SweepParts) on the fused sweeps — what tells a
+// stage-0 sweep from a later one — and 0 elsewhere. The kend
 // slot is written by worker wk and read by the orchestrator after the join;
 // the pool's atomic join counter provides the happens-before edge.
 func (e *engine) execTraced(wk int) {
@@ -93,8 +92,8 @@ func (e *engine) execTraced(wk int) {
 	e.exec(wk)
 	end := time.Now()
 	e.et.kend[wk] = end
-	arg := int64(e.group)
-	if e.job == tEdgeSweep || e.job == tFaceSweep {
+	arg := int64(0)
+	if e.job == tSweep {
 		arg = int64(e.parts)
 	}
 	e.et.wtracks[wk].Span(e.et.taskPh[e.job], start, end, arg)

@@ -9,7 +9,6 @@ import (
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
-	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
 	"eul3d/internal/partition"
@@ -25,14 +24,12 @@ import (
 // histories.
 //
 // Bitwise identity across engines requires identical floating-point
-// accumulation order, so the suite runs on the pooled engine's views of
-// the generated meshes (smsolver.Solver.D.M, shared through mesh.Derived
-// with the multigrid built on the same mesh): each view stores its edge and
-// boundary-face lists in the order the pooled sweeps accumulate in, making
-// the pooled engine on the generated meshes, the sequential engines on the
-// views and the one-processor distributed solver's partition-local order
-// one and the same. The norm reduction is blocked identically in all
-// engines (euler.NormBlock). Multi-processor distributed runs reassociate
+// accumulation order: every engine here accumulates each vertex in the
+// generated mesh's edge order — the pooled engine because each worker
+// sweeps the edges touching its own vertices in that order, the
+// one-processor distributed solver because its partition-local order is
+// the mesh's. The norm reduction is blocked identically in all engines
+// (euler.NormBlock). Multi-processor distributed runs reassociate
 // per-vertex sums across partition boundaries and therefore agree to tight
 // roundoff instead; that is asserted separately.
 func TestCrossEngineConformance(t *testing.T) {
@@ -44,16 +41,15 @@ func TestCrossEngineConformance(t *testing.T) {
 		{"W-cycle-3-levels", 2, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			raw, err := meshgen.Sequence(meshgen.DefaultChannel(10, 7, 5, 17), tc.levels)
+			meshes, err := meshgen.Sequence(meshgen.DefaultChannel(10, 7, 5, 17), tc.levels)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p := euler.DefaultParams(0.675, 0)
-			view := views(t, raw, p)
 			const cycles = 5
 
 			// Reference: the serial FAS multigrid.
-			serial, err := multigrid.New(view, p, tc.gamma)
+			serial, err := multigrid.New(meshes, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,8 +76,8 @@ func TestCrossEngineConformance(t *testing.T) {
 				}
 			}
 
-			// The sequential multigrid on the views.
-			st, err := Open(view, p, Config{Kind: KindMG, Gamma: tc.gamma})
+			// The sequential multigrid.
+			st, err := Open(meshes, p, Config{Kind: KindMG, Gamma: tc.gamma})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,10 +88,9 @@ func TestCrossEngineConformance(t *testing.T) {
 			check("sequential[mg]", res.History, res.FineSolution)
 			st.Close()
 
-			// Pooled shared-memory multigrid on the generated meshes, whose
-			// layouts are the views, several worker counts.
+			// Pooled shared-memory multigrid, several worker counts.
 			for _, nw := range []int{1, 2, 3, 8} {
-				mg, err := smsolver.NewMultigrid(raw, p, tc.gamma, nw)
+				mg, err := smsolver.NewMultigrid(meshes, p, tc.gamma, nw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,9 +105,9 @@ func TestCrossEngineConformance(t *testing.T) {
 			// Distributed multigrid on one processor: partition-local index
 			// order equals mesh order, so it is bitwise too — in both the
 			// sequential orchestration and the concurrent MIMD mode.
-			parts := make([][]int32, len(view))
-			parts[0] = make([]int32, view[0].NV())
-			dmSeq, err := dmsolver.NewMultigrid(view, parts, 1, p, tc.gamma)
+			parts := make([][]int32, len(meshes))
+			parts[0] = make([]int32, meshes[0].NV())
+			dmSeq, err := dmsolver.NewMultigrid(meshes, parts, 1, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +119,7 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 			check("distributed[nproc=1]", hist, dmSeq.GatherSolution())
 
-			dmConc, err := dmsolver.NewMultigrid(view, parts, 1, p, tc.gamma)
+			dmConc, err := dmsolver.NewMultigrid(meshes, parts, 1, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,17 +137,17 @@ func TestCrossEngineConformance(t *testing.T) {
 			// the startup transient of this small mesh. The loose bound is a
 			// sanity cross-check (real defects show up at O(1)), not part of
 			// the bitwise contract established above.
-			g, err := graph.FromEdges(view[0].NV(), view[0].Edges)
+			g, err := graph.FromEdges(meshes[0].NV(), meshes[0].Edges)
 			if err != nil {
 				t.Fatal(err)
 			}
-			finePart, err := partition.Partition(g, view[0].X, 4, partition.Spectral, 1)
+			finePart, err := partition.Partition(g, meshes[0].X, 4, partition.Spectral, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts4 := make([][]int32, len(view))
+			parts4 := make([][]int32, len(meshes))
 			parts4[0] = finePart
-			dm4, err := dmsolver.NewMultigrid(view, parts4, 4, p, tc.gamma)
+			dm4, err := dmsolver.NewMultigrid(meshes, parts4, 4, p, tc.gamma)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,23 +170,6 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 		})
 	}
-}
-
-// views returns the pooled engine's view of each of meshes: the mesh with
-// its edge and boundary-face lists in the block layout's order, the
-// order the pooled sweeps accumulate in.
-func views(t *testing.T, meshes []*mesh.Mesh, p euler.Params) []*mesh.Mesh {
-	t.Helper()
-	out := make([]*mesh.Mesh, len(meshes))
-	for i, m := range meshes {
-		s, err := smsolver.New(m, p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = s.D.M
-		s.Close()
-	}
-	return out
 }
 
 func relDiff(a, b float64) float64 {
@@ -217,10 +195,9 @@ func abs64(x float64) float64 {
 }
 
 // TestSingleGridSoAConformance pins the pooled engine's hot path directly
-// against the serial []State reference: the reference euler.Disc.Step on
-// the pooled engine's view of the mesh and the pooled smsolver.Solver on
-// the mesh itself must produce bitwise-identical residual histories and
-// solutions at every worker count — the state blocks and the chunking are
+// against the serial []State reference: the reference euler.Disc.Step and
+// the pooled smsolver.Solver on one mesh must produce bitwise-identical
+// residual histories and solutions at every worker count — the state blocks and the chunking are
 // memory-placement choices, not numerical ones. The same solver instances must also keep
 // the engine's zero-allocation contract on the step path (stepAllocs).
 func TestSingleGridSoAConformance(t *testing.T) {
@@ -229,13 +206,12 @@ func TestSingleGridSoAConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := euler.DefaultParams(0.675, 0)
-	view := views(t, []*mesh.Mesh{m}, p)[0]
 	const steps = 5
 
-	// Serial reference: the reference stepper on the view.
-	d := euler.NewDisc(view, p)
-	ws := euler.NewStepWorkspace(view.NV())
-	refW := make([]euler.State, view.NV())
+	// Serial reference: the reference stepper.
+	d := euler.NewDisc(m, p)
+	ws := euler.NewStepWorkspace(m.NV())
+	refW := make([]euler.State, m.NV())
 	d.InitUniform(refW)
 	refHist := make([]float64, steps)
 	for c := range refHist {
@@ -247,7 +223,7 @@ func TestSingleGridSoAConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := make([]euler.State, view.NV())
+		w := make([]euler.State, m.NV())
 		s.InitUniform(w)
 		for c := 0; c < steps; c++ {
 			if norm := s.Step(w, nil); norm != refHist[c] {

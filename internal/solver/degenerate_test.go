@@ -35,8 +35,8 @@ func TestEmptyMeshRun(t *testing.T) {
 }
 
 // TestSharedMemoryMatchesSingleGrid runs the pool-engine Steady next to the
-// sequential one and requires residual histories to agree to roundoff,
-// with per-phase stats accumulated on both.
+// sequential one and requires residual histories and solutions to agree
+// bit for bit, with per-phase stats accumulated on both.
 func TestSharedMemoryMatchesSingleGrid(t *testing.T) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(10, 6, 4, 17))
 	if err != nil {
@@ -64,9 +64,13 @@ func TestSharedMemoryMatchesSingleGrid(t *testing.T) {
 		t.Fatalf("history lengths differ: %d vs %d", len(rseq.History), len(rpar.History))
 	}
 	for c := range rseq.History {
-		rel := math.Abs(rseq.History[c]-rpar.History[c]) / (1e-300 + rseq.History[c])
-		if rel > 1e-10 {
-			t.Errorf("cycle %d: residuals diverge: %v vs %v", c, rseq.History[c], rpar.History[c])
+		if math.Float64bits(rseq.History[c]) != math.Float64bits(rpar.History[c]) {
+			t.Errorf("cycle %d: residuals differ: %v vs %v", c, rseq.History[c], rpar.History[c])
+		}
+	}
+	for i := range rseq.FineSolution {
+		if rseq.FineSolution[i] != rpar.FineSolution[i] {
+			t.Fatalf("vertex %d: %v vs %v", i, rseq.FineSolution[i], rpar.FineSolution[i])
 		}
 	}
 

@@ -188,7 +188,7 @@ func TestSequentialMultigridIsSerialBitwise(t *testing.T) {
 // TestPooledFMGIsSerialBitwise: full-multigrid initialization on the
 // pooled multigrid (Open's KindSMMG) is one schedule (multigrid.FMG) over
 // the pooled hooks, so at 1, 2 and 3 workers it equals multigrid.Solver's
-// FMGInit on the engine's views bit for bit, and with it the cycles that
+// FMGInit bit for bit, and with it the cycles that
 // follow — on a fresh engine, and on one that has cycled first, whose
 // coarse levels hold forcings FMG must clear before each starts as the
 // finest grid.
@@ -198,11 +198,10 @@ func TestPooledFMGIsSerialBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := views(t, meshes, p)
 	for _, gamma := range []int{1, 2} {
 		for _, before := range []int{0, 2} {
 			for _, nw := range []int{1, 2, 3} {
-				ref, err := multigrid.New(vs, p, gamma)
+				ref, err := multigrid.New(meshes, p, gamma)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,12 +7,11 @@
 // takes, and the mesh sequence sets the level count.
 //
 // Every engine is the worker-pool engine of internal/smsolver running the
-// kernels of euler/kernels_soa.go, on one of two layouts: each mesh's own
-// edge and face order at one worker (KindSingle, NewSingleGrid, and KindMG),
-// which makes the single grid bitwise euler.Disc.Step and the multigrid
-// bitwise multigrid.Solver on the same meshes; or the shared block-colored
-// layout on a pool (KindSM, KindSMMG), bitwise the former on the layout's
-// view of each mesh. The reference operator of euler/ops.go and
+// kernels of euler/kernels_soa.go owner-computes, in each mesh's own edge
+// and face order: at one worker (KindSingle, NewSingleGrid, and KindMG) or
+// on a pool (KindSM, KindSMMG), the single grid is bitwise euler.Disc.Step
+// and the multigrid bitwise multigrid.Solver on the same meshes. The
+// reference operator of euler/ops.go and
 // multigrid.Solver keep two roles, neither of them a product path: the
 // oracle the tests compare the engines against, and the benchmark's serial
 // references, which time euler.Disc.Step and multigrid.Solver.Cycle
@@ -111,11 +110,9 @@ type Config struct {
 // as many levels as meshes. It rejects what the chosen engine would
 // otherwise ignore: Workers on a sequential kind, Gamma on a single-grid
 // kind (or Gamma < 1 on a multigrid one), more than one mesh on a
-// single-grid kind, and an unknown kind. Pooled results are bitwise
-// identical for every worker count; a pooled engine agrees with its
-// sequential kind to roundoff, as its block layout reassociates each
-// vertex's accumulation. Both multigrid kinds expose their engine as
-// Steady.MG. Call Close when done to park a pool.
+// single-grid kind, and an unknown kind. A pooled kind is bitwise its
+// sequential kind at every worker count. Both multigrid kinds expose their
+// engine as Steady.MG. Call Close when done to park a pool.
 func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
 	kind := c.Kind
 	if kind == "" {
@@ -139,35 +136,36 @@ func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
 	case !multi && len(meshes) > 1:
 		return nil, fmt.Errorf("solver: the %s engine runs on one mesh, not %d", kind, len(meshes))
 	}
-	switch kind {
-	case KindSingle:
-		return NewSingleGrid(meshes[0], p), nil
-	case KindSM:
-		sm, err := smsolver.New(meshes[0], p, c.Workers)
+	workers := c.Workers
+	if !pooled {
+		workers = 1
+	}
+	if !multi {
+		sm, err := smsolver.New(meshes[0], p, workers)
 		if err != nil {
 			return nil, err
 		}
 		return steadySM(sm, p), nil
 	}
-	var mg *smsolver.Multigrid
-	var err error
-	if kind == KindMG {
-		mg, err = smsolver.NewSequentialMultigrid(meshes, p, c.Gamma)
-	} else {
-		mg, err = smsolver.NewMultigrid(meshes, p, c.Gamma, c.Workers)
-	}
+	mg, err := smsolver.NewMultigrid(meshes, p, c.Gamma, workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Steady{s: &smgStepper{mg: mg}, MG: mg, cfl: p.CFL, close: mg.Close}, nil
 }
 
-// NewSingleGrid builds the sequential single-grid steady solver over m: the
-// pooled engine's kernels at one worker in m's own edge and face order
-// (smsolver.NewSequential), bitwise euler.Disc.Step on m. It reports the six
-// step phases in Stats and accepts a tracer. It is Open's KindSingle.
+// NewSingleGrid builds the sequential single-grid steady solver over the
+// finished mesh m: the pooled engine at one worker (smsolver.New), bitwise
+// euler.Disc.Step on m, as Open's KindSingle builds it. It reports the six
+// step phases in Stats and accepts a tracer. It panics on a mesh whose edge
+// or face list is not over its vertices, which no finished mesh has; Open
+// reports that as an error.
 func NewSingleGrid(m *mesh.Mesh, p euler.Params) *Steady {
-	return steadySM(smsolver.NewSequential(m, p), p)
+	sm, err := smsolver.New(m, p, 1)
+	if err != nil {
+		panic(err)
+	}
+	return steadySM(sm, p)
 }
 
 func steadySM(sm *smsolver.Solver, p euler.Params) *Steady {

@@ -16,8 +16,10 @@
 # -fmg 5; a V-cycle with -contours; and one -checkpoint -> -resume pair.
 # Each row compares its -history, -save-solution and checkpoint files and
 # its stdout, with the one part that varies run to run masked: the adaptive
-# rebuild time. One line per row; the exit status is 1 when any row differs
-# or fails.
+# rebuild time. One line per row. Then, on side B alone, each -workers 2
+# row's -history and -save-solution are compared with its row's without
+# -workers (single, v, w, sod-adapt): the pooled engines are bitwise their
+# sequential kinds. The exit status is 1 when any row differs or fails.
 set -eu
 BASE=${BASE:-HEAD}
 
@@ -92,5 +94,19 @@ for side in a b; do
 		{ echo "resume: FAILED on $side's first leg"; status=1; }
 done
 row resume $mesh -levels 3 -strategy w -cycles 30 -resume leg1.ckpt $files
+
+# The pooled rows against the sequential ones, on the working tree's build.
+for s in single v w sod-adapt; do
+	diffs=""
+	for f in h.csv w.sol; do
+		cmp -s "$tmp/$s/b/$f" "$tmp/$s-workers2/b/$f" || diffs="$diffs $f"
+	done
+	if [ -n "$diffs" ]; then
+		echo "$s-workers2 vs $s on B: DIFFERS:$diffs"
+		status=1
+	else
+		echo "$s-workers2 vs $s on B: identical (h.csv w.sol)"
+	fi
+done
 
 exit $status
