@@ -4,7 +4,7 @@
 // imbalance, boundary fraction, and the PARTI communication schedule the
 // partition induces. It also times the partitioner against a modelled C90
 // solver cycle. The paper found spectral partitioning as costly as a whole
-// sequential flow solve; here it costs 0.09× a 100-cycle solve of the same
+// sequential flow solve; here it costs 0.07× a 100-cycle solve of the same
 // mesh at 64 parts (cmd/benchtables -only claims, results/claims.txt).
 package main
 
@@ -29,7 +29,7 @@ func main() {
 		nz     = flag.Int("nz", 12, "mesh cells in z")
 		nparts = flag.Int("parts", 16, "number of partitions")
 		method = flag.String("method", "spectral", "partitioner: spectral, inertial, greedy, or all (compare)")
-		seed   = flag.Int64("seed", 17, "mesh and partitioner seed")
+		seed   = flag.Int64("seed", 17, "mesh seed")
 	)
 	flag.Parse()
 

@@ -3,8 +3,8 @@ package partition
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
 
 	"eul3d/internal/geom"
 	"eul3d/internal/graph"
@@ -16,7 +16,7 @@ type Method int
 const (
 	// Spectral is recursive spectral bisection (the paper's choice): high
 	// quality. The paper found it as costly as a sequential flow solution;
-	// here 64 parts cost 0.09× a 100-cycle single-grid solve of the same
+	// here 64 parts cost 0.07× a 100-cycle single-grid solve of the same
 	// mesh (results/claims.txt).
 	Spectral Method = iota
 	// Inertial is recursive coordinate bisection along the principal axis:
@@ -42,7 +42,10 @@ func (m Method) String() string {
 
 // Partition assigns each of the graph's vertices to one of nparts parts.
 // coords are required by Inertial and ignored by the others (may be nil).
-// The algorithms are deterministic for a fixed seed.
+// Every method is deterministic and draws no random numbers: seed is
+// ignored, and kept only for the callers that pass it. The bisections run
+// the subtrees of their top splits concurrently when GOMAXPROCS allows,
+// with the same result at any GOMAXPROCS.
 func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed int64) ([]int32, error) {
 	n := g.N()
 	if nparts < 1 {
@@ -62,7 +65,6 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 		return bfsGreedy(g, nparts)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
 	var local []int32
 	if method == Spectral {
 		local = newLocal(n)
@@ -71,8 +73,17 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 	for i := range all {
 		all[i] = int32(i)
 	}
-	var recurse func(verts []int32, first, count int) error
-	recurse = func(verts []int32, first, count int) error {
+	// The two subtrees of a split share no state but part, where they
+	// write disjoint vertices, so down to spawnDepth a split runs its left
+	// subtree on a goroutine of its own (with its own local table) beside
+	// the right one: one subtree for each of GOMAXPROCS processors. The
+	// partition is the same at any GOMAXPROCS.
+	spawnDepth := 0
+	for 1<<spawnDepth < runtime.GOMAXPROCS(0) {
+		spawnDepth++
+	}
+	var recurse func(verts []int32, first, count, depth int, local []int32) error
+	recurse = func(verts []int32, first, count, depth int, local []int32) error {
 		if count == 1 {
 			for _, v := range verts {
 				part[v] = int32(first)
@@ -85,7 +96,7 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 		var err error
 		switch method {
 		case Spectral:
-			left, right, err = spectralSplit(g, verts, frac, rng, local)
+			left, right, err = spectralSplit(g, verts, frac, local)
 		case Inertial:
 			left, right, err = inertialSplit(coords, verts, frac)
 		default:
@@ -94,12 +105,27 @@ func Partition(g *graph.CSR, coords []geom.Vec3, nparts int, method Method, seed
 		if err != nil {
 			return err
 		}
-		if err := recurse(left, first, k1); err != nil {
+		if depth >= spawnDepth {
+			if err := recurse(left, first, k1, depth+1, local); err != nil {
+				return err
+			}
+			return recurse(right, first+k1, count-k1, depth+1, local)
+		}
+		lerr := make(chan error, 1)
+		go func() {
+			own := local
+			if local != nil {
+				own = newLocal(n)
+			}
+			lerr <- recurse(left, first, k1, depth+1, own)
+		}()
+		rerr := recurse(right, first+k1, count-k1, depth+1, local)
+		if err := <-lerr; err != nil {
 			return err
 		}
-		return recurse(right, first+k1, count-k1)
+		return rerr
 	}
-	if err := recurse(all, 0, nparts); err != nil {
+	if err := recurse(all, 0, nparts, 0, local); err != nil {
 		return nil, err
 	}
 	return part, nil
@@ -148,14 +174,12 @@ func induced(g *graph.CSR, verts []int32, local []int32) *subgraph {
 	return s
 }
 
-// splitByKey partitions verts at the weighted median of key, putting
-// round(frac*len) vertices with the smallest keys on the left.
+// splitByKey partitions verts at the weighted median of key: the
+// round(frac*len) vertices first in the total order by key, then by
+// position in verts, go left and the rest right, each side in verts' order.
+// A sorted copy of the keys gives the threshold; the split itself is one
+// stable pass, so equal keys keep their input order.
 func splitByKey(verts []int32, key []float64, frac float64) (left, right []int32) {
-	order := make([]int, len(verts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return key[order[a]] < key[order[b]] })
 	nl := int(frac*float64(len(verts)) + 0.5)
 	if nl < 1 {
 		nl = 1
@@ -163,13 +187,22 @@ func splitByKey(verts []int32, key []float64, frac float64) (left, right []int32
 	if nl > len(verts)-1 {
 		nl = len(verts) - 1
 	}
+	sorted := slices.Clone(key)
+	slices.Sort(sorted)
+	thr := sorted[nl-1]
+	// ties: how many of the keys equal to thr still go left.
+	first, _ := slices.BinarySearch(sorted, thr)
+	ties := nl - first
 	left = make([]int32, 0, nl)
 	right = make([]int32, 0, len(verts)-nl)
-	for i, o := range order {
-		if i < nl {
-			left = append(left, verts[o])
+	for i, v := range verts {
+		if k := key[i]; k < thr || (k == thr && ties > 0) {
+			if k == thr {
+				ties--
+			}
+			left = append(left, v)
 		} else {
-			right = append(right, verts[o])
+			right = append(right, v)
 		}
 	}
 	return left, right
@@ -178,7 +211,7 @@ func splitByKey(verts []int32, key []float64, frac float64) (left, right []int32
 // spectralSplit bisects verts by the Fiedler vector of the induced
 // subgraph. Disconnected subgraphs fall back to a BFS ordering split (the
 // Fiedler vector of a disconnected graph only separates components).
-func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand, local []int32) (left, right []int32, err error) {
+func spectralSplit(g *graph.CSR, verts []int32, frac float64, local []int32) (left, right []int32, err error) {
 	if len(verts) <= 3 {
 		return splitIdentity(verts, frac)
 	}
@@ -188,7 +221,7 @@ func spectralSplit(g *graph.CSR, verts []int32, frac float64, rng *rand.Rand, lo
 		l, r := splitByKey(verts, key, frac)
 		return l, r, nil
 	}
-	f, err := s.fiedler(rng, 60)
+	f, err := s.fiedler()
 	if err != nil {
 		return nil, nil, err
 	}

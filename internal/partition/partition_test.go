@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eul3d/internal/graph"
@@ -133,7 +134,7 @@ func TestFiedlerMatchesPathEigenvector(t *testing.T) {
 		verts[i] = int32(i)
 	}
 	s := induced(g, verts, newLocal(n))
-	f, err := s.fiedler(rand.New(rand.NewSource(2)), 40)
+	f, err := s.fiedler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,10 @@ func TestTridiagEigenKnown(t *testing.T) {
 	for i := range e {
 		e[i] = -1
 	}
-	evals, evecs := tridiagEigen(d, e)
+	evals, evecs, err := tridiagEigen(d, e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]float64, n)
 	for k := 1; k <= n; k++ {
 		want[k-1] = 2 - 2*math.Cos(float64(k)*math.Pi/float64(n+1))
@@ -189,6 +193,80 @@ func TestTridiagEigenKnown(t *testing.T) {
 		if math.Abs(s-1) > 1e-9 {
 			t.Errorf("eigenvector %d norm^2 = %v", j, s)
 		}
+	}
+}
+
+// TestTridiagEigenResiduals checks every eigenpair of random symmetric
+// tridiagonals up to n = 60, twice the largest the Lanczos solves make
+// (coarseSteps): ‖Tz − λz‖ ≤ 1e-12 ‖T‖ with z of unit length.
+func TestTridiagEigenResiduals(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		d := make([]float64, n)
+		e := make([]float64, n-1)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		for i := range e {
+			e[i] = rng.NormFloat64()
+			if trial%3 == 0 {
+				// Lanczos-like: a positive diagonal above small
+				// off-diagonals.
+				d[i] = math.Abs(d[i]) + 2
+				e[i] *= 0.1
+			}
+		}
+		T := func(z func(int) float64, i int) float64 {
+			v := d[i] * z(i)
+			if i > 0 {
+				v += e[i-1] * z(i-1)
+			}
+			if i < n-1 {
+				v += e[i] * z(i+1)
+			}
+			return v
+		}
+		// ‖T‖ bounded by its largest absolute row sum.
+		norm := 0.0
+		for i := 0; i < n; i++ {
+			r := math.Abs(d[i])
+			if i > 0 {
+				r += math.Abs(e[i-1])
+			}
+			if i < n-1 {
+				r += math.Abs(e[i])
+			}
+			norm = math.Max(norm, r)
+		}
+		evals, evecs, err := tridiagEigen(slices.Clone(d), slices.Clone(e))
+		if err != nil {
+			t.Fatalf("trial %d (n = %d): %v", trial, n, err)
+		}
+		for j := 0; j < n; j++ {
+			z := func(i int) float64 { return evecs[i][j] }
+			res, zz := 0.0, 0.0
+			for i := 0; i < n; i++ {
+				r := T(z, i) - evals[j]*z(i)
+				res += r * r
+				zz += z(i) * z(i)
+			}
+			if math.Abs(zz-1) > 1e-12 {
+				t.Fatalf("trial %d (n = %d): eigenvector %d has norm² %v", trial, n, j, zz)
+			}
+			if math.Sqrt(res) > 1e-12*norm {
+				t.Fatalf("trial %d (n = %d): pair %d residual %.3g, ‖T‖ %.3g", trial, n, j, math.Sqrt(res), norm)
+			}
+		}
+	}
+}
+
+// TestTridiagEigenReportsNoConvergence: a NaN never passes the
+// convergence test, so the 50-iteration cap is reached, and the solve must
+// say so rather than return a Ritz pair.
+func TestTridiagEigenReportsNoConvergence(t *testing.T) {
+	if _, _, err := tridiagEigen([]float64{1, math.NaN(), 2}, []float64{0.5, 0.5}); err == nil {
+		t.Fatal("tridiagEigen accepted a matrix it could not converge on")
 	}
 }
 
@@ -233,8 +311,9 @@ func TestPartitionDisconnected(t *testing.T) {
 }
 
 func TestPartitionDeterministic(t *testing.T) {
-	g, edges, _, _ := meshGraph(t, 8, 6, 4)
-	a, err := Partition(g, nil, 8, Spectral, 42)
+	// The recursion draws no random numbers: the seed changes nothing.
+	g, _, _, _ := meshGraph(t, 8, 6, 4)
+	a, err := Partition(g, nil, 8, Spectral, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +323,29 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("same seed produced different partitions")
+			t.Fatal("seeds 1 and 42 produced different partitions")
 		}
 	}
-	_ = edges
+}
+
+func TestSplitByKeyTotalOrder(t *testing.T) {
+	verts := []int32{9, 3, 7, 1, 5, 0, 8}
+	// All keys equal: the first round(frac*n) vertices in input order go
+	// left, whatever the sort does with ties.
+	left, right := splitByKey(verts, make([]float64, len(verts)), 3.0/7)
+	if !slices.Equal(left, verts[:3]) || !slices.Equal(right, verts[3:]) {
+		t.Errorf("all-equal keys split %v | %v, want %v | %v", left, right, verts[:3], verts[3:])
+	}
+	// Ties at the median go left in input order; each side keeps the
+	// input order.
+	key := []float64{2, 1, 1, 0, 1, 3, 1}
+	left, right = splitByKey(verts, key, 3.0/7)
+	if want := []int32{3, 7, 1}; !slices.Equal(left, want) {
+		t.Errorf("left %v, want %v", left, want)
+	}
+	if want := []int32{9, 5, 0, 8}; !slices.Equal(right, want) {
+		t.Errorf("right %v, want %v", right, want)
+	}
 }
 
 func TestMethodString(t *testing.T) {
