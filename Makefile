@@ -23,12 +23,14 @@ test:
 # coordinator with its health monitors and handoff machinery, the
 # scenario harness that drives every engine over the presets, the
 # content-addressed artifact store hit from every HTTP handler at once,
-# the adaptive driver that rebuilds the pooled engine between epochs, and
-# the party-counted flights both service tiers share work through. The
+# the adaptive driver that rebuilds the pooled engine between epochs, the
+# spectral partitioner whose top splits run their subtrees on goroutines
+# that write disjoint vertices of one part array, and the party-counted
+# flights both service tiers share work through. The
 # edge coloring the C90 model reads is serial; it stays on the list, where
 # it costs a second.
 race:
-	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/...
+	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/... ./internal/partition/...
 
 # Non-test Go lines per internal package, their total, per command and
 # over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and
