@@ -70,9 +70,10 @@ func meshHash(m *mesh.Mesh) string {
 // the wedge scenario's ramp channel, a selectively refined mesh after an
 // encode/decode round trip, that channel scrambled and scrambled then RCM
 // renumbered, and, large enough for Finish's pipeline, the distributed
-// benchmark's fine channel. Set-up may be made faster; it may not move a
-// bit of what it builds, since every golden history and pinned partition
-// rests on it.
+// benchmark's fine channel; also a channel the generator has to retry at
+// smaller jitter and a single cell, every face of which is boundary.
+// Set-up may be made faster; it may not move a bit of what it builds,
+// since every golden history and pinned partition rests on it.
 func TestMeshesPinned(t *testing.T) {
 	want := map[string]string{
 		"sequence/L0":   "812fb6d97f958c59",
@@ -85,6 +86,8 @@ func TestMeshesPinned(t *testing.T) {
 		"scrambled":     "168e8226a84bd5f9",
 		"scrambled+rcm": "6de158c65213da6e",
 		"48x24x16":      "84f8894f111fd241",
+		"retried":       "22812cccc00a9c89",
+		"1x1x1":         "6133c207c6c00e15",
 	}
 	got := map[string]*mesh.Mesh{}
 	seq, err := meshgen.Sequence(meshgen.DefaultChannel(24, 12, 8, 17), 3)
@@ -131,6 +134,15 @@ func TestMeshesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got["scrambled+rcm"], err = reorder.RCMMesh(got["scrambled"]); err != nil {
+		t.Fatal(err)
+	}
+	// Jitter 0.9 inverts tets, so the generator halves it and retries.
+	retried := meshgen.DefaultChannel(5, 4, 3, 13)
+	retried.Jitter = 0.9
+	if got["retried"], err = meshgen.Channel(retried); err != nil {
+		t.Fatal(err)
+	}
+	if got["1x1x1"], err = meshgen.Channel(meshgen.DefaultChannel(1, 1, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got["48x24x16"], err = meshgen.Channel(meshgen.DefaultChannel(48, 24, 16, 1)); err != nil {
