@@ -11,12 +11,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-bearing packages: the mesh-sequence generator
-# that builds its coarse levels on goroutines, the simulated interconnect,
+# Race-check the concurrency-bearing packages: the edge-structure build
+# (mesh.Finish) whose workers compute tet geometry ahead of its ordered
+# assembly, the mesh-sequence generator that builds its coarse levels on
+# goroutines, the simulated interconnect,
 # the PARTI executors with self-healing receives, the distributed solver
 # with its recovery orchestrator, the shared-memory worker-pool engine (single-grid
 # and pooled multigrid, V- and W-cycles), whose workers write without locks
-# because each stores only into the vertex range it owns, the transfer operators the
+# because each stores only into the vertex range it owns and whose layout is
+# listed from element chunks on goroutines, the transfer operators the
 # pooled multigrid builds side by side and scatters in parallel, the
 # flight-recorder tracer whose rings are written from every worker
 # concurrently, the cluster
@@ -30,7 +33,7 @@ test:
 # edge coloring the C90 model reads is serial; it stays on the list, where
 # it costs a second.
 race:
-	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/... ./internal/partition/...
+	$(GO) test -race ./internal/color/... ./internal/forkjoin/... ./internal/mesh/... ./internal/meshgen/... ./internal/simnet/... ./internal/parti/... ./internal/dmsolver/... ./internal/smsolver/... ./internal/multigrid/... ./internal/serve/... ./internal/trace/... ./internal/cluster/... ./internal/scenario/... ./internal/store/... ./internal/adapt/... ./internal/flight/... ./internal/partition/...
 
 # Non-test Go lines per internal package, their total, per command and
 # over examples/ — the figures ROADMAP and the issues quote. Plain line counts: comments and

@@ -236,8 +236,9 @@ func (c cpuClock) report(b *testing.B) {
 	b.ReportMetric(100*float64(processCPU()-c.cpu)/float64(time.Since(c.wall)), "cpu-%")
 }
 
-// BenchmarkSharedMemoryStep measures one colored-parallel time step (the
-// shared-memory port's unit of work) at GOMAXPROCS workers, with cpu-%.
+// BenchmarkSharedMemoryStep measures one pooled time step (the
+// shared-memory port's unit of work, each worker sweeping the edges and
+// faces of the vertices it owns) at GOMAXPROCS workers, with cpu-%.
 func BenchmarkSharedMemoryStep(b *testing.B) {
 	m, err := meshgen.Channel(meshgen.DefaultChannel(24, 12, 8, 17))
 	if err != nil {
@@ -313,14 +314,29 @@ func BenchmarkDistributedCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkSetup times whole multilevel builds in ms/build, at the
-// benchmark's set-up shapes: "wcycle" generates a 4-level sequence on the
-// 64x32x20 channel and builds the pooled W-cycle engine on it (GOMAXPROCS
-// workers); "distributed" generates a 2-level sequence on the 48x24x16
-// channel, partitions both levels spectrally 8 ways and builds the
-// distributed W-cycle on them.
+// BenchmarkSetup times whole builds in ms/build, at the benchmark's set-up
+// shapes: "single" generates the 64x32x20 channel and builds the pooled
+// single-grid engine on it; "wcycle" generates a 4-level sequence on that
+// channel and builds the pooled W-cycle engine on it; "distributed"
+// generates a 2-level sequence on the 48x24x16 channel, partitions both
+// levels spectrally 8 ways and builds the distributed W-cycle on them. The
+// pooled engines have two workers, as the benchmark's do on a 2-vCPU host.
 func BenchmarkSetup(b *testing.B) {
 	p := euler.DefaultParams(0.675, 0)
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m, err := meshgen.Channel(meshgen.DefaultChannel(64, 32, 20, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := smsolver.New(m, p, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Close()
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+	})
 	b.Run("wcycle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			meshes, err := meshgen.Sequence(meshgen.DefaultChannel(64, 32, 20, 1), 4)

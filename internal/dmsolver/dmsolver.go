@@ -4,8 +4,8 @@
 // processors, and the port is the paper's inspector/executor
 // transformation: the *same* loop bodies as the shared-memory solver — the
 // fused edge and face kernels of euler/kernels_soa.go the pooled engine
-// runs per color, called here on each processor's partition-local edge and
-// face lists, and for the vertex sweeps the reference functions of
+// runs over each worker's owned vertices, called here on each processor's
+// partition-local edge and face lists, and for the vertex sweeps the reference functions of
 // euler/ops.go on its owned range — with PARTI gather/scatter executors
 // inserted at exactly the points where off-processor data is produced or
 // consumed:

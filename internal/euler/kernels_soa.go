@@ -76,8 +76,8 @@ import (
 // what the distributed solver builds per simulated processor, nv being its
 // [owned | edge ghosts] span. The vertex terms and the accumulator scratch
 // are sized nv; there are no degrees and no time steps, so the kernels that
-// read those (SmoothCombineSoAKernel, DtRangeKernel, the update kernels) are
-// the caller's to replace.
+// read those (DtRangeKernel, the update kernels) are the caller's to
+// replace.
 func NewViewDisc(m *mesh.Mesh, p Params, nv int) *Disc {
 	return &Disc{
 		M: m, P: p,
@@ -439,9 +439,8 @@ func (d *Disc) BoundaryFluxSoAKernel(wS, convS *StateSoA, faces []int32) {
 // the distributed solver over a processor's owned rows of [owned | ghosts].
 // With the rows in the order an edge loop meets each vertex's edges, the
 // additions into every sum are that loop's, in its order: the result is
-// bitwise SmoothAccumSoAKernel over the edges followed by
-// SmoothCombineSoAKernel — or SmoothAccum and SmoothCombine — which remain
-// as its oracles.
+// bitwise SmoothAccumSoAKernel over the edges followed by SmoothCombine —
+// or SmoothAccum and SmoothCombine — which remain as its oracles.
 func SmoothGatherSoAKernel(rhsS, curS, nextS *StateSoA, adjStart, adj []int32, eps float64, lo, hi int) {
 	rhs, cur, next := *rhsS, *curS, *nextS
 	for i := lo; i < hi; i++ {
@@ -485,22 +484,6 @@ func (d *Disc) SmoothAccumSoAKernel(curS, nextS *StateSoA, edges []int32) {
 		nj[3] += ci[3]
 		ni[4] += cj[4]
 		nj[4] += ci[4]
-	}
-}
-
-// SmoothCombineSoAKernel finishes one Jacobi sweep for vertices [lo,hi):
-// next = (rhs + eps*next) / (1 + eps*deg).
-func (d *Disc) SmoothCombineSoAKernel(rhsS, nextS *StateSoA, eps float64, lo, hi int) {
-	deg := d.deg
-	rhs, next := *rhsS, *nextS
-	for i := lo; i < hi; i++ {
-		inv := 1 / (1 + eps*float64(deg[i]))
-		r, nx := &rhs[i], &next[i]
-		nx[0] = (r[0] + eps*nx[0]) * inv
-		nx[1] = (r[1] + eps*nx[1]) * inv
-		nx[2] = (r[2] + eps*nx[2]) * inv
-		nx[3] = (r[3] + eps*nx[3]) * inv
-		nx[4] = (r[4] + eps*nx[4]) * inv
 	}
 }
 

@@ -162,10 +162,11 @@ func (s *soaStepper) step(w, forcing []State) float64 {
 		if eps := d.P.EpsSmooth; eps != 0 && d.P.NSmooth != 0 {
 			copy(*s.rhsS, *s.resS)
 			cur, next := s.resS, s.smoothS
+			deg := d.M.VertexDegrees()
 			for sweep := 0; sweep < d.P.NSmooth; sweep++ {
 				next.ZeroRange(0, nv)
 				d.SmoothAccumSoAKernel(cur, next, s.edges)
-				d.SmoothCombineSoAKernel(s.rhsS, next, eps, 0, nv)
+				SmoothCombine(*s.rhsS, *next, deg, eps)
 				cur, next = next, cur
 			}
 			if cur != s.resS {

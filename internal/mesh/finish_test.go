@@ -1,13 +1,17 @@
 package mesh_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"eul3d/internal/geom"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
 	"eul3d/internal/refine"
+	"eul3d/internal/reorder"
 )
 
 // finishWithMap is the Go-map edge index Finish used to be built on, kept
@@ -68,7 +72,9 @@ func finishWithMap(m *mesh.Mesh) (edges [][2]int32, norms []geom.Vec3, vol []flo
 // TestFinishMatchesMapOracle requires the edge numbering, the per-edge
 // normal sums and the control volumes of Finish to equal the map-indexed
 // construction bit for bit, on generated, jittered, selectively refined
-// and decoded meshes.
+// and decoded meshes below the pipeline's threshold and on a channel and a
+// scrambled channel above it, at GOMAXPROCS 1 (inline), 2 and 3 (the
+// pipeline, on one worker fewer than its bound and one more).
 func TestFinishMatchesMapOracle(t *testing.T) {
 	plain := meshgen.DefaultChannel(9, 5, 4, 3)
 	plain.Jitter = 0
@@ -96,22 +102,73 @@ func TestFinishMatchesMapOracle(t *testing.T) {
 	if cases["decoded"], err = meshio.DecodeMesh(blob); err != nil {
 		t.Fatal(err)
 	}
+	// 28x14x10 cells are 23,520 tets, over the inline threshold with a
+	// short last block.
+	if cases["large"], err = meshgen.Channel(meshgen.DefaultChannel(28, 14, 10, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if cases["large-scrambled"], err = reorder.Scramble(cases["large"], 9); err != nil {
+		t.Fatal(err)
+	}
+	if cases["large"].NT() < 16*1024 {
+		t.Fatalf("the large case has %d tets, under the pipeline's threshold", cases["large"].NT())
+	}
 
 	for name, m := range cases {
 		edges, norms, vol := finishWithMap(m)
-		if len(edges) != m.NE() || len(norms) != len(m.EdgeNorm) || len(vol) != len(m.Vol) {
-			t.Fatalf("%s: sizes %d/%d/%d, oracle %d/%d/%d", name, m.NE(), len(m.EdgeNorm), len(m.Vol), len(edges), len(norms), len(vol))
-		}
-		for e := range edges {
-			if m.Edges[e] != edges[e] || m.EdgeNorm[e] != norms[e] {
-				t.Fatalf("%s: edge %d is %v %v, oracle %v %v", name, e, m.Edges[e], m.EdgeNorm[e], edges[e], norms[e])
+		for _, procs := range []int{1, 2, 3} {
+			prev := runtime.GOMAXPROCS(procs)
+			err := m.Finish()
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if len(edges) != m.NE() || len(norms) != len(m.EdgeNorm) || len(vol) != len(m.Vol) {
+				t.Fatalf("%s at GOMAXPROCS %d: sizes %d/%d/%d, oracle %d/%d/%d", name, procs, m.NE(), len(m.EdgeNorm), len(m.Vol), len(edges), len(norms), len(vol))
+			}
+			for e := range edges {
+				if m.Edges[e] != edges[e] || m.EdgeNorm[e] != norms[e] {
+					t.Fatalf("%s at GOMAXPROCS %d: edge %d is %v %v, oracle %v %v", name, procs, e, m.Edges[e], m.EdgeNorm[e], edges[e], norms[e])
+				}
+			}
+			for v := range vol {
+				if m.Vol[v] != vol[v] {
+					t.Fatalf("%s at GOMAXPROCS %d: volume %d is %v, oracle %v", name, procs, v, m.Vol[v], vol[v])
+				}
 			}
 		}
-		for v := range vol {
-			if m.Vol[v] != vol[v] {
-				t.Fatalf("%s: volume %d is %v, oracle %v", name, v, m.Vol[v], vol[v])
-			}
+	}
+}
+
+// TestFinishReportsFirstBadTet inverts two tets of a mesh over the
+// pipeline's threshold, in different blocks, and requires Finish to name
+// the lower one at every GOMAXPROCS — the pipeline's caller validates the
+// blocks in order — and to leave no goroutine running.
+func TestFinishReportsFirstBadTet(t *testing.T) {
+	m, err := meshgen.Channel(meshgen.DefaultChannel(28, 14, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ti := range []int{3 * 1024, 19000} {
+		m.Tets[ti][0], m.Tets[ti][1] = m.Tets[ti][1], m.Tets[ti][0]
+	}
+	before := runtime.NumGoroutine()
+	for _, procs := range []int{1, 2, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		err := m.Finish()
+		runtime.GOMAXPROCS(prev)
+		if err == nil || !strings.Contains(err.Error(), "tet 3072 ") {
+			t.Errorf("GOMAXPROCS %d: err=%v, want tet 3072's", procs, err)
 		}
+	}
+	// A worker's deferred Done precedes its exit by a few instructions.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before Finish, %d after", before, after)
 	}
 }
 

@@ -71,98 +71,6 @@ func (m *Mesh) NT() int { return len(m.Tets) }
 // NE returns the number of unique edges.
 func (m *Mesh) NE() int { return len(m.Edges) }
 
-// tetEdges lists the six edges of a tetrahedron as index quadruples
-// (a, b, c, d): (a,b) is the edge and (a,b,c,d) is an even permutation of
-// the positively-oriented tet, which makes the assembled median-dual face
-// normal point from a to b.
-var tetEdges = [6][4]int{
-	{0, 1, 2, 3},
-	{0, 2, 3, 1},
-	{0, 3, 1, 2},
-	{1, 2, 0, 3},
-	{1, 3, 2, 0},
-	{2, 3, 0, 1},
-}
-
-// Finish builds the edge list, median-dual edge normals, dual control
-// volumes and boundary-face normals from the vertex coordinates, tetrahedra
-// and boundary-face vertex triples already stored in m. It must be called
-// once after the mesh topology is assembled and before the mesh is used by
-// a solver. It returns an error if a tetrahedron references a vertex out
-// of range or has non-positive volume.
-//
-// Edges are numbered in first-encounter order over the tetrahedra, and
-// every edge normal accumulates its tets' contributions in tet order. The
-// edge index is a chain per lower endpoint threaded through the edge list
-// itself (head[lo] -> next[id] -> ...): a lookup walks the handful of edges
-// that vertex owns, which its neighbouring tets created moments ago.
-func (m *Mesh) Finish() error {
-	nv := m.NV()
-	for ti, tet := range m.Tets {
-		for _, v := range tet {
-			if v < 0 || int(v) >= nv {
-				return fmt.Errorf("mesh: tet %d references vertex out of range", ti)
-			}
-		}
-	}
-	m.Vol = make([]float64, nv)
-	// Euler's formula gives V + T + Fb/2 - 1 edges for a triangulated ball;
-	// other topologies only make the hint inexact.
-	hint := nv + m.NT() + len(m.BFaces)/2
-	m.Edges = make([][2]int32, 0, hint)
-	m.EdgeNorm = make([]geom.Vec3, 0, hint)
-	head := make([]int32, nv)
-	for i := range head {
-		head[i] = -1
-	}
-	next := make([]int32, 0, hint)
-
-	for ti, tet := range m.Tets {
-		xa, xb, xc, xd := m.X[tet[0]], m.X[tet[1]], m.X[tet[2]], m.X[tet[3]]
-		vol := geom.TetVolume(xa, xb, xc, xd)
-		if vol <= 0 {
-			return fmt.Errorf("mesh: tet %d has non-positive volume %g", ti, vol)
-		}
-		q := vol / 4
-		for _, v := range tet {
-			m.Vol[v] += q
-		}
-		gt := geom.TetCentroid(xa, xb, xc, xd)
-		for _, e := range tetEdges {
-			a, b, c, d := tet[e[0]], tet[e[1]], tet[e[2]], tet[e[3]]
-			pa, pb, pc, pd := m.X[a], m.X[b], m.X[c], m.X[d]
-			mid := pa.Add(pb).Scale(0.5)
-			g1 := geom.TriCentroid(pa, pb, pc)
-			g2 := geom.TriCentroid(pa, pb, pd)
-			n := geom.TriAreaNormal(mid, g1, gt).Add(geom.TriAreaNormal(mid, gt, g2))
-			lo, hi := a, b
-			if a > b { // stored edge runs b -> a; flip contribution
-				lo, hi = b, a
-				n = n.Scale(-1)
-			}
-			id := head[lo]
-			for id >= 0 && m.Edges[id][1] != hi {
-				id = next[id]
-			}
-			if id < 0 {
-				id = int32(len(m.Edges))
-				m.Edges = append(m.Edges, [2]int32{lo, hi})
-				m.EdgeNorm = append(m.EdgeNorm, geom.Vec3{})
-				next = append(next, head[lo])
-				head[lo] = id
-			}
-			m.EdgeNorm[id] = m.EdgeNorm[id].Add(n)
-		}
-	}
-
-	// Boundary-face normals from their (outward-ordered) vertex triples.
-	for i := range m.BFaces {
-		f := &m.BFaces[i]
-		f.Normal = geom.TriAreaNormal(m.X[f.V[0]], m.X[f.V[1]], m.X[f.V[2]])
-	}
-	return nil
-}
-
 // Validate checks the geometric consistency of a finished mesh:
 //
 //  1. every dual control volume is positive and their sum equals the total

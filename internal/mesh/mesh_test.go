@@ -148,6 +148,19 @@ func TestFinishRejectsOutOfRangeVertex(t *testing.T) {
 	}
 }
 
+// TestFinishRejectsOutOfRangeFaceVertex requires Finish to return an error,
+// not panic, on a boundary face with a vertex past the end or negative.
+func TestFinishRejectsOutOfRangeFaceVertex(t *testing.T) {
+	for _, v := range []int32{4, -1} {
+		m := singleTet(t)
+		m.BFaces[2].V[1] = v
+		err := m.Finish()
+		if err == nil || !strings.Contains(err.Error(), "boundary face 2") {
+			t.Errorf("face vertex %d: err=%v", v, err)
+		}
+	}
+}
+
 func TestValidateBeforeFinish(t *testing.T) {
 	m := &Mesh{}
 	if err := m.Validate(1e-9); err == nil || !strings.Contains(err.Error(), "before Finish") {

@@ -111,6 +111,24 @@ func Channel(spec ChannelSpec) (*mesh.Mesh, error) {
 	hy := spec.LY / float64(ny)
 	hz := spec.LZ / float64(nz)
 
+	// The topology does not depend on the coordinates: tets and boundary
+	// faces once, then coordinates until Finish accepts every tet.
+	m.Tets = make([][4]int32, 0, 6*nx*ny*nz)
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				var c [8]int32
+				for b := 0; b < 8; b++ {
+					c[b] = vid(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
+				}
+				for _, t := range kuhnTets {
+					m.Tets = append(m.Tets, [4]int32{c[t[0]], c[t[1]], c[t[2]], c[t[3]]})
+				}
+			}
+		}
+	}
+	addBoundaryFaces(m, spec, vid)
+
 	rng := rand.New(rand.NewSource(spec.Seed))
 	jit := spec.Jitter
 	for try := 0; ; try++ {
@@ -134,56 +152,17 @@ func Channel(spec ChannelSpec) (*mesh.Mesh, error) {
 				}
 			}
 		}
-		if positiveCells(m.X, spec, vid) {
-			break
+		// Every index is in range, so Finish fails only on a tet of
+		// non-positive volume: jitter or bump shear inverted one. Retry
+		// with smaller jitter.
+		if m.Finish() == nil {
+			return m, nil
 		}
-		// Jitter or bump shear inverted a tet; retry with smaller jitter.
 		jit /= 2
 		if try > 20 {
 			return nil, fmt.Errorf("meshgen: could not generate positively-oriented mesh (bump too steep?)")
 		}
 	}
-
-	m.Tets = make([][4]int32, 0, 6*nx*ny*nz)
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				var c [8]int32
-				for b := 0; b < 8; b++ {
-					c[b] = vid(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
-				}
-				for _, t := range kuhnTets {
-					m.Tets = append(m.Tets, [4]int32{c[t[0]], c[t[1]], c[t[2]], c[t[3]]})
-				}
-			}
-		}
-	}
-
-	addBoundaryFaces(m, spec, vid)
-	if err := m.Finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// positiveCells checks every Kuhn tet of every cell for positive volume.
-func positiveCells(x []geom.Vec3, spec ChannelSpec, vid func(i, j, k int) int32) bool {
-	for k := 0; k < spec.NZ; k++ {
-		for j := 0; j < spec.NY; j++ {
-			for i := 0; i < spec.NX; i++ {
-				var c [8]int32
-				for b := 0; b < 8; b++ {
-					c[b] = vid(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
-				}
-				for _, t := range kuhnTets {
-					if geom.TetVolume(x[c[t[0]]], x[c[t[1]]], x[c[t[2]]], x[c[t[3]]]) <= 0 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
 }
 
 // outwardFaces lists, for a positively oriented tet (a,b,c,d), its four
@@ -195,96 +174,72 @@ var outwardFaces = [4][3]int{
 	{0, 2, 1}, // opposite vertex 3
 }
 
-// addBoundaryFaces walks the cells adjacent to each domain boundary plane
-// and collects tet faces lying entirely in that plane (in index space),
-// already outward-oriented. This is O(surface) and needs no global face
-// hashing, which matters at paper scale (4.5M tets).
-func addBoundaryFaces(m *mesh.Mesh, spec ChannelSpec, vid func(i, j, k int) int32) {
-	nx, ny, nz := spec.NX, spec.NY, spec.NZ
-	nvx, nvy := nx+1, ny+1
-
-	// decode returns structured coordinates of vertex v.
-	decode := func(v int32) (i, j, k int) {
-		i = int(v) % nvx
-		j = (int(v) / nvx) % nvy
-		k = int(v) / (nvx * nvy)
-		return
-	}
-	onPlane := func(v int32, axis, val int) bool {
-		i, j, k := decode(v)
-		switch axis {
-		case 0:
-			return i == val
-		case 1:
-			return j == val
-		default:
-			return k == val
+// cellFaces[axis][side] lists, as cell-corner triples in kuhnTets then
+// outwardFaces order, the outward tet faces that lie in a cell's face on
+// the low (side 0) or high (side 1) end of axis: those whose three corners
+// all have that value of the axis's corner bit. Each cell face is split
+// into two of them.
+var cellFaces = func() (cf [3][2][][3]int) {
+	for _, t := range kuhnTets {
+		for _, f := range outwardFaces {
+			c := [3]int{t[f[0]], t[f[1]], t[f[2]]}
+			for axis := range 3 {
+				for side := range 2 {
+					if c[0]>>axis&1 == side && c[1]>>axis&1 == side && c[2]>>axis&1 == side {
+						cf[axis][side] = append(cf[axis][side], c)
+					}
+				}
+			}
 		}
+	}
+	return cf
+}()
+
+// addBoundaryFaces walks the cells adjacent to each domain boundary plane
+// and emits, from cellFaces, the tet faces lying in that plane, already
+// outward-oriented. This is O(surface) and needs no global face hashing,
+// which matters at paper scale (4.5M tets).
+func addBoundaryFaces(m *mesh.Mesh, spec ChannelSpec, vid func(i, j, k int) int32) {
+	n := [3]int{spec.NX, spec.NY, spec.NZ}
+	// corner[b] is the offset of cell corner b from the cell's corner 0.
+	var corner [8]int32
+	for b := range corner {
+		corner[b] = vid(b&1, (b>>1)&1, (b>>2)&1)
 	}
 
 	type plane struct {
-		axis, val int
-		kind      mesh.BCKind
+		axis, side int
+		kind       mesh.BCKind
 	}
 	endKind := mesh.FarField
 	if spec.WallEnds {
 		endKind = mesh.Wall
 	}
 	planes := []plane{
-		{0, 0, endKind},    // inflow (or closed shock-tube end)
-		{0, nx, endKind},   // outflow (or closed shock-tube end)
-		{1, 0, mesh.Wall},  // bottom wall (bump)
-		{1, ny, mesh.Wall}, // top wall
+		{0, 0, endKind},   // inflow (or closed shock-tube end)
+		{0, 1, endKind},   // outflow (or closed shock-tube end)
+		{1, 0, mesh.Wall}, // bottom wall (bump)
+		{1, 1, mesh.Wall}, // top wall
 		{2, 0, mesh.Symmetry},
-		{2, nz, mesh.Symmetry},
+		{2, 1, mesh.Symmetry},
 	}
 
-	emitCell := func(i, j, k int, p plane) {
-		var c [8]int32
-		for b := 0; b < 8; b++ {
-			c[b] = vid(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
-		}
-		for _, t := range kuhnTets {
-			tet := [4]int32{c[t[0]], c[t[1]], c[t[2]], c[t[3]]}
-			for _, f := range outwardFaces {
-				v0, v1, v2 := tet[f[0]], tet[f[1]], tet[f[2]]
-				if onPlane(v0, p.axis, p.val) && onPlane(v1, p.axis, p.val) && onPlane(v2, p.axis, p.val) {
-					m.BFaces = append(m.BFaces, mesh.BFace{V: [3]int32{v0, v1, v2}, Kind: p.kind})
-				}
-			}
-		}
-	}
-
+	m.BFaces = make([]mesh.BFace, 0, 4*(n[1]*n[2]+n[0]*n[2]+n[0]*n[1]))
 	for _, p := range planes {
-		switch p.axis {
-		case 0:
-			i := 0
-			if p.val == nx {
-				i = nx - 1
-			}
-			for k := 0; k < nz; k++ {
-				for j := 0; j < ny; j++ {
-					emitCell(i, j, k, p)
-				}
-			}
-		case 1:
-			j := 0
-			if p.val == ny {
-				j = ny - 1
-			}
-			for k := 0; k < nz; k++ {
-				for i := 0; i < nx; i++ {
-					emitCell(i, j, k, p)
-				}
-			}
-		default:
-			k := 0
-			if p.val == nz {
-				k = nz - 1
-			}
-			for j := 0; j < ny; j++ {
-				for i := 0; i < nx; i++ {
-					emitCell(i, j, k, p)
+		// The plane's cells run over the other two axes, the lower one
+		// fastest.
+		u, w := (p.axis+1)%3, (p.axis+2)%3
+		u, w = min(u, w), max(u, w)
+		var cell [3]int
+		cell[p.axis] = p.side * (n[p.axis] - 1)
+		for cell[w] = 0; cell[w] < n[w]; cell[w]++ {
+			for cell[u] = 0; cell[u] < n[u]; cell[u]++ {
+				base := vid(cell[0], cell[1], cell[2])
+				for _, c := range cellFaces[p.axis][p.side] {
+					m.BFaces = append(m.BFaces, mesh.BFace{
+						V:    [3]int32{base + corner[c[0]], base + corner[c[1]], base + corner[c[2]]},
+						Kind: p.kind,
+					})
 				}
 			}
 		}

@@ -1,9 +1,11 @@
 package smsolver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"eul3d/internal/euler"
@@ -17,7 +19,7 @@ import (
 // TestSmoothGatherBitwiseMatchesEdgeSweep pins the gather-form smoother to
 // the edge form: on random fields over the layout's adjacency, NSmooth
 // gather sweeps equal — bit for bit — the SmoothAccumSoAKernel sweep over
-// the mesh's edge list followed by SmoothCombineSoAKernel, for 1–3 sweeps
+// the mesh's edge list followed by euler.SmoothCombine, for 1–3 sweeps
 // with averaging on and with eps = 0.
 func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 	m := testMesh(t)
@@ -27,6 +29,7 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := euler.NewDisc(m, euler.DefaultParams(0.675, 0))
+	deg := m.VertexDegrees()
 	rng := rand.New(rand.NewSource(5))
 
 	for _, eps := range []float64{0, 0.5, 1.3} {
@@ -46,7 +49,7 @@ func TestSmoothGatherBitwiseMatchesEdgeSweep(t *testing.T) {
 			for s := 0; s < sweeps; s++ {
 				next.ZeroRange(0, nv)
 				d.SmoothAccumSoAKernel(cur, next, lay.edges)
-				d.SmoothCombineSoAKernel(rhs, next, eps, 0, nv)
+				euler.SmoothCombine(*rhs, *next, deg, eps)
 				cur, next = next, cur
 			}
 
@@ -250,16 +253,56 @@ func checkLayout(t *testing.T, m *mesh.Mesh, nw int) {
 // 3-level sequence's coarse levels and a scrambled mesh — at worker counts
 // that leave one owner, cut the vertices evenly and unevenly, and wake
 // fewer workers than asked.
+//
+// A channel of 36x18x12 cells, as generated and scrambled, has over three
+// fillChunks of edges, so its lists are filled from two chunks at two
+// workers and three at three and eight.
 func TestLayoutStructure(t *testing.T) {
 	_, r, _ := refinedCase(t, euler.DefaultParams(0.5, 0))
 	scr, err := reorder.Scramble(testMesh(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meshes := append(testSequence(t, 3), r.Mesh, scr)
+	large, err := meshgen.Channel(meshgen.DefaultChannel(36, 18, 12, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large.NE() < 3*fillChunk {
+		t.Fatalf("the large channel has %d edges, under three chunks", large.NE())
+	}
+	largeScr, err := reorder.Scramble(large, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshes := append(testSequence(t, 3), r.Mesh, scr, large, largeScr)
 	for _, m := range meshes {
 		for _, nw := range []int{1, 2, 3, 8} {
 			checkLayout(t, m, nw)
+		}
+	}
+}
+
+// TestFillReportsFirstForeignElement puts vertices out of range into edges
+// of two chunks of a layout filled from three, and requires the error to
+// name the lower edge whichever chunk finds its own first.
+func TestFillReportsFirstForeignElement(t *testing.T) {
+	good, err := meshgen.Channel(meshgen.DefaultChannel(36, 18, 12, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne := good.NE()
+	own, _ := buildSpans(nil, good.NV(), 3)
+	for _, bad := range [][]int{{ne / 2}, {ne / 5, ne - 1}, {ne/2 + 1, ne - 7}} {
+		m := *good
+		m.Edges = slices.Clone(good.Edges)
+		for _, e := range bad {
+			m.Edges[e][1] = int32(good.NV() + e)
+		}
+		var lay layout
+		err := lay.fill(&m, own)
+		want := fmt.Sprintf("element %d vertex %d out of range", bad[0], good.NV()+bad[0])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("bad edges %v: err=%v, want %q", bad, err, want)
 		}
 	}
 }
