@@ -218,6 +218,7 @@ func (m *Mesh) pipeline(head, next []int32, nw int) error {
 		wg.Wait()
 	}()
 	for w := range nw {
+		// Two slots each, one per buffer of the worker: no send blocks.
 		full[w] = make(chan []tetGeom, 2)
 		empty[w] = make(chan []tetGeom, 2)
 		for range 2 {

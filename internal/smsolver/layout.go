@@ -130,9 +130,7 @@ func (l *listing) touching(start, list, owner []int32, nw int, m *mesh.Mesh, fac
 	l.list = euler.Grow(list, int(at))
 	l.fill = true
 	l.run()
-	list = l.list
-	l.list = nil
-	return start, list, nil
+	return start, l.list, nil
 }
 
 // len returns the number of elements listed.
