@@ -62,7 +62,7 @@ func (lay *layout) fill(m *mesh.Mesh, own []span) error {
 	if err != nil {
 		return fmt.Errorf("boundary faces: %w", err)
 	}
-	lay.pass.m = nil
+	lay.pass.m = nil // the layout outlives m when the engine is rebuilt
 	lay.adjacency(m)
 	return nil
 }
@@ -92,8 +92,6 @@ type listing struct {
 	// chunk c with a vertex out of range, 0 if none.
 	cnt  []int32
 	list []int32
-
-	wg sync.WaitGroup
 }
 
 // touching lists, for each of nw workers, the indices of m's edges (or
@@ -156,15 +154,16 @@ func (l *listing) run() {
 		l.chunk(0)
 		return
 	}
-	l.wg.Add(l.nc - 1)
+	var wg sync.WaitGroup
+	wg.Add(l.nc - 1)
 	for c := 1; c < l.nc; c++ {
 		go func() {
-			defer l.wg.Done()
+			defer wg.Done()
 			l.chunk(c)
 		}()
 	}
 	l.chunk(0)
-	l.wg.Wait()
+	wg.Wait()
 }
 
 // chunk runs the current pass over chunk c's elements, stopping at the
