@@ -92,6 +92,8 @@ type listing struct {
 	// chunk c with a vertex out of range, 0 if none.
 	cnt  []int32
 	list []int32
+
+	wg sync.WaitGroup
 }
 
 // touching lists, for each of nw workers, the indices of m's edges (or
@@ -154,16 +156,15 @@ func (l *listing) run() {
 		l.chunk(0)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(l.nc - 1)
+	l.wg.Add(l.nc - 1)
 	for c := 1; c < l.nc; c++ {
 		go func() {
-			defer wg.Done()
+			defer l.wg.Done()
 			l.chunk(c)
 		}()
 	}
 	l.chunk(0)
-	wg.Wait()
+	l.wg.Wait()
 }
 
 // chunk runs the current pass over chunk c's elements, stopping at the
