@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race loc abba cmp verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
+.PHONY: all build test race loc deadcheck abba cmp verify tables-check serve-smoke cluster-smoke store-smoke trace-smoke scenario-smoke adapt-smoke bench bench-intree bench-smoke bench-check clean
 
 all: build
 
@@ -51,6 +51,16 @@ loc:
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 	@$(GO) run scripts/settable.go internal cmd/eul3d cmd/eul3dd cmd/eul3dc
+
+# Debt list check: scripts/deadnames.go builds every product root (the
+# commands, cmd/benchtables and examples/*) with inlining off and lists the
+# exported functions and methods under internal/ that none of them links,
+# marked bench (only cmd/bench keeps it alive) or test (only tests, or
+# nothing). Fails while that list differs from scripts/deadnames.txt in
+# either direction: a new dead name, or a listed one that is gone or live.
+# Regenerate with `go run scripts/deadnames.go > scripts/deadnames.txt`.
+deadcheck:
+	@$(GO) run scripts/deadnames.go | diff -u scripts/deadnames.txt - && echo "deadcheck: scripts/deadnames.txt matches the tree"
 
 # ABBA comparison of the benchmark for a performance claim: BASE (default
 # HEAD) checked out in a temporary git worktree against the working tree,
@@ -136,8 +146,9 @@ adapt-smoke:
 # decoder, the resume-record and mesh decoders and the refinement midpoint
 # table (errors, never panics), and
 # the serving, cluster, artifact-store, tracing, scenario and adaptive
-# smoke tests, every in-tree benchmark once, the benchmark's own
-# compile-and-gate check, and the committed tables regenerated.
+# smoke tests, the debt list check, every in-tree benchmark once, the
+# benchmark's own compile-and-gate check, and the committed tables
+# regenerated.
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -154,6 +165,7 @@ verify: build
 	$(GO) test -run TestTraceSmoke -count 1 ./cmd/eul3d
 	$(GO) test -run TestScenarioSmoke -count 1 ./cmd/eul3dd
 	$(GO) test -run TestAdaptSmoke -count 1 ./cmd/eul3d
+	$(MAKE) deadcheck
 	$(MAKE) bench-intree
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check

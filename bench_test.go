@@ -150,7 +150,7 @@ func BenchmarkFigure4(b *testing.B) {
 			fig4Once.err = err
 			return
 		}
-		st, err := solver.Open(meshes, euler.DefaultParams(cfg.Mach, cfg.AlphaDeg), solver.Config{Kind: solver.KindMG, Gamma: 2})
+		st, err := solver.Open(meshes, euler.DefaultParams(cfg.Mach, cfg.AlphaDeg), solver.Config{Gamma: 2})
 		if err != nil {
 			fig4Once.err = err
 			return

@@ -9,7 +9,6 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/scenario"
-	"eul3d/internal/solver"
 	"eul3d/internal/trace"
 )
 
@@ -30,7 +29,7 @@ func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, lo
 		w = sc.InitialState(m)
 	}
 	engine := engineConfig()
-	if engine.Kind == solver.KindSM {
+	if engine.Workers > 0 {
 		fmt.Printf("adaptive solve: pooled engine, %d workers\n", *workers)
 	} else {
 		fmt.Printf("adaptive solve: sequential engine\n")

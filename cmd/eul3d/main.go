@@ -248,12 +248,12 @@ func main() {
 		log.Fatalf("eul3d: %v", err)
 	}
 	defer st.Close()
-	switch cfg.Kind {
-	case solver.KindSM:
+	switch {
+	case cfg.Workers > 0 && cfg.Gamma == 0:
 		fmt.Printf("shared-memory solver: %d workers\n", *workers)
-	case solver.KindSMMG:
+	case cfg.Workers > 0:
 		fmt.Printf("pooled multigrid: %d levels, %s-cycle, %d workers\n", *levels, *strategy, *workers)
-	case solver.KindMG:
+	case cfg.Gamma > 0:
 		fmt.Printf("multigrid: %d levels, %s-cycle, %.2f work units per cycle, %.0f%% memory overhead\n",
 			*levels, *strategy, st.MG.WorkUnits(), 100*multigrid.MemoryOverhead(seq))
 	}
@@ -409,26 +409,19 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 	}})
 }
 
-// engineConfig maps -strategy and -workers to the in-process engine the
-// main path and the -adapt path open; the distributed path takes its cycle
-// index.
+// engineConfig maps -strategy to the grid shape and -workers to the worker
+// count of the in-process engine the main path and the -adapt path open;
+// the distributed path takes its cycle index.
 func engineConfig() solver.Config {
-	var c solver.Config
+	c := solver.Config{Workers: *workers}
 	switch *strategy {
 	case "single":
-		c.Kind = solver.KindSingle
 	case "v":
-		c.Kind, c.Gamma = solver.KindMG, 1
+		c.Gamma = 1
 	case "w":
-		c.Kind, c.Gamma = solver.KindMG, 2
+		c.Gamma = 2
 	default:
 		log.Fatalf("eul3d: unknown strategy %q (want single, v or w)", *strategy)
-	}
-	if *workers > 0 {
-		c.Kind, c.Workers = solver.KindSM, *workers
-		if c.Gamma > 0 {
-			c.Kind = solver.KindSMMG
-		}
 	}
 	return c
 }

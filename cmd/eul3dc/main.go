@@ -1,7 +1,10 @@
 // Command eul3dc is the cluster coordinator: an HTTP front end over
 // internal/cluster that routes solve jobs across a fleet of eul3dd nodes.
-// Jobs are consistent-hashed by engine-cache key so hot meshes pin to
-// nodes with warm engines (cold jobs steal to the least-loaded node);
+// Jobs are consistent-hashed by their engine identity (the problem and the
+// worker count; the engine name is only a default for those, see eul3dd)
+// so hot meshes pin to nodes with warm engines (cold jobs steal to the
+// least-loaded node), and concurrent jobs that differ only in engine name
+// or workers coalesce into one run;
 // every node is health-checked with liveness probes, a missed-beat
 // threshold and a flap-quarantining circuit breaker; and running jobs'
 // periodic checkpoints are pulled off their nodes so that when a node is

@@ -7,6 +7,15 @@
 // meshio checkpoint format) is written to -state-dir beside its spec, and
 // the job resumes — bitwise identically — when the server restarts.
 //
+// A job runs one of two grid shapes: the single grid ("levels" 1) or the
+// FAS multigrid ("levels" 2 to 8, "cycle" v or w). The engine names are
+// defaults for them: "single" and "sm" one level, "mg" and "smmg" three;
+// "single" and "mg" one worker, "sm" and "smmg" two. An explicit "levels"
+// or "workers" is honoured on every name. Workers change speed, never the
+// answer: jobs that differ only in engine name or workers coalesce into
+// one run and return the same result_hash. Every running job holds its
+// workers in the -worker-budget.
+//
 // Usage:
 //
 //	eul3dd -addr :8080 -state-dir /var/lib/eul3dd
@@ -43,7 +52,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address (host:0 picks a random port)")
 		queueCap     = flag.Int("queue-cap", 16, "queued jobs admitted before 429s")
 		runners      = flag.Int("runners", 2, "jobs solving concurrently")
-		workerBudget = flag.Int("worker-budget", 8, "total pooled workers across concurrent jobs")
+		workerBudget = flag.Int("worker-budget", 8, "total workers across concurrent jobs (a one-worker job holds one)")
 		cacheCap     = flag.Int("cache-cap", 4, "idle engines kept warm")
 		stateDir     = flag.String("state-dir", "", "per interrupted job, its resume record <id>.ckpt and spec <id>.job.json; also the artifact store's disk tier unless -artifact-dir is set (empty disables resume)")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint running jobs every N cycles (with -state-dir; survives SIGKILL, enables cluster handoff)")

@@ -35,8 +35,8 @@ func main() {
 		c      solver.Config
 	}{
 		{"single grid", 1, solver.Config{}},
-		{"V-cycle", 4, solver.Config{Kind: solver.KindMG, Gamma: 1}},
-		{"W-cycle", 4, solver.Config{Kind: solver.KindMG, Gamma: 2}},
+		{"V-cycle", 4, solver.Config{Gamma: 1}},
+		{"W-cycle", 4, solver.Config{Gamma: 2}},
 	} {
 		meshes, err := meshgen.Sequence(spec, r.levels)
 		if err != nil {

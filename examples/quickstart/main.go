@@ -32,7 +32,7 @@ func main() {
 	params := euler.DefaultParams(0.5, 0)
 
 	// 3. A W-cycle multigrid steady solver.
-	st, err := solver.Open(meshes, params, solver.Config{Kind: solver.KindMG, Gamma: 2})
+	st, err := solver.Open(meshes, params, solver.Config{Gamma: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

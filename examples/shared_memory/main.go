@@ -54,7 +54,7 @@ func main() {
 	var ref []float64
 	var lastStats string
 	for _, nw := range []int{1, 2, 4} {
-		st, err := solver.Open([]*mesh.Mesh{m}, p, solver.Config{Kind: solver.KindSM, Workers: nw})
+		st, err := solver.Open([]*mesh.Mesh{m}, p, solver.Config{Workers: nw})
 		if err != nil {
 			log.Fatal(err)
 		}

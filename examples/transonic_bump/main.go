@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("fine mesh: %d points, %d tetrahedra\n", meshes[0].NV(), meshes[0].NT())
 
 	params := euler.DefaultParams(0.768, 1.116)
-	st, err := solver.Open(meshes, params, solver.Config{Kind: solver.KindMG, Gamma: 2})
+	st, err := solver.Open(meshes, params, solver.Config{Gamma: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ type Options struct {
 	Params euler.Params
 	Meta   runloop.Meta // what every record carries about the run besides its state
 
-	Engine solver.Config // a single-grid kind, the two a refinement epoch can rebuild in place
+	Engine solver.Config // the single grid (Gamma 0), the shape a refinement epoch can rebuild in place
 
 	// Steps is the total step budget. Time-accurate runs (Params.GlobalDt
 	// > 0) integrate to the fixed final time Steps*GlobalDt; adaptation
@@ -157,8 +157,8 @@ func Run(opt Options) (*Result, error) {
 	if opt.Steps <= 0 {
 		return nil, errors.New("adapt: Steps must be positive")
 	}
-	if k := opt.Engine.Kind; k != "" && k != solver.KindSingle && k != solver.KindSM {
-		return nil, fmt.Errorf("adapt: engine %q cannot be rebuilt onto a refined mesh (want single or sm)", k)
+	if opt.Engine.Gamma != 0 {
+		return nil, errors.New("adapt: a multigrid engine cannot be rebuilt onto a refined mesh (want the single grid, Gamma 0)")
 	}
 	if rs := opt.Resume; rs != nil {
 		w, meshName = rs.Sol, rs.Mesh

@@ -45,7 +45,7 @@ func TestAdaptiveSodGolden(t *testing.T) {
 	sc := scenario.Sod
 	var ref *Result
 	for _, nw := range []int{1, 2, 4} {
-		res := sodRun(t, solver.Config{Kind: solver.KindSM, Workers: nw})
+		res := sodRun(t, solver.Config{Workers: nw})
 		if len(res.Epochs) < 2 {
 			t.Fatalf("nw=%d: only %d adaptation epochs, want >= 2", nw, len(res.Epochs))
 		}
@@ -134,9 +134,8 @@ func TestAdaptiveSodSingle(t *testing.T) {
 // one, whose layout is a function of the current mesh alone, so an engine
 // built fresh on the adapted mesh is the engine that was rebuilt onto it.
 func TestAdaptResume(t *testing.T) {
-	for _, engine := range []solver.Config{{Kind: solver.KindSingle}, {Kind: solver.KindSM, Workers: 2}} {
-		t.Run(engine.Kind, func(t *testing.T) { testAdaptResume(t, engine) })
-	}
+	t.Run("single", func(t *testing.T) { testAdaptResume(t, solver.Config{}) })
+	t.Run("sm", func(t *testing.T) { testAdaptResume(t, solver.Config{Workers: 2}) })
 }
 
 func testAdaptResume(t *testing.T, engine solver.Config) {
@@ -370,7 +369,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{Mesh: nil, Init: w, Params: p, Steps: 10},
 		{Mesh: m, Init: w[:3], Params: p, Steps: 10},
 		{Mesh: m, Init: w, Params: p, Steps: 0},
-		{Mesh: m, Init: w, Params: p, Steps: 10, Engine: solver.Config{Kind: "warp"}},
+		{Mesh: m, Init: w, Params: p, Steps: 10, Engine: solver.Config{Gamma: 2}},
 		{Mesh: m, Init: w, Params: p, Steps: 10, Indicator: "entropy"},
 	}
 	for i, opt := range cases {

@@ -47,8 +47,11 @@ func TestClusterHashAffinity(t *testing.T) {
 	// reroute is observable. The coordinator's own cache stays empty too:
 	// if affinity failed, placement would have to proxy+push (bumping
 	// ArtifactPushes), which the test asserts never happens.
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	holder := "n2"
-	if c.ring.Owner(RouteKey(spec)) == "n2" {
+	if c.ring.Owner(spec.RouteKey()) == "n2" {
 		holder = "n1"
 	}
 	if _, err := nodes[holder].sched.Store().Put(blob); err != nil {
@@ -62,7 +65,7 @@ func TestClusterHashAffinity(t *testing.T) {
 	}
 	if v.Node != holder {
 		t.Errorf("job placed on %s, want artifact holder %s (ring owner %s)",
-			v.Node, holder, c.ring.Owner(RouteKey(spec)))
+			v.Node, holder, c.ring.Owner(spec.RouteKey()))
 	}
 	m := c.Metrics()
 	if got := m.HashPlacements.Load(); got < 1 {

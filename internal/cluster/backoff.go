@@ -9,8 +9,9 @@ import (
 // Backoff computes jittered exponential retry delays for coordinator→node
 // calls. Delays double from Base up to Max, and each is jittered by ±Jitter
 // (a fraction) so a burst of retries against a recovering node spreads out
-// instead of arriving in lockstep. The jitter source is seeded, keeping
-// tests deterministic.
+// instead of arriving in lockstep. The jitter source is seeded with
+// backoffSeed, so every policy draws the same sequence and tests stay
+// deterministic.
 type Backoff struct {
 	Base   time.Duration
 	Max    time.Duration
@@ -22,17 +23,14 @@ type Backoff struct {
 
 // NewBackoff builds a backoff policy. Zero base/max fall back to
 // 100ms/5s; jitter defaults to 0.5.
-func NewBackoff(base, max time.Duration, seed int64) *Backoff {
+func NewBackoff(base, max time.Duration) *Backoff {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	return &Backoff{Base: base, Max: max, Jitter: 0.5, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{Base: base, Max: max, Jitter: 0.5, rng: rand.New(rand.NewSource(backoffSeed))}
 }
 
 // Delay returns the jittered delay for the given zero-based attempt.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	b := NewBackoff(100*time.Millisecond, time.Second, 1)
+	b := NewBackoff(100*time.Millisecond, time.Second)
 	b.Jitter = 0 // exact schedule
 	want := []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
@@ -20,7 +20,7 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := NewBackoff(100*time.Millisecond, 5*time.Second, 42)
+	b := NewBackoff(100*time.Millisecond, 5*time.Second)
 	for attempt := 0; attempt < 4; attempt++ {
 		nominal := 100 * time.Millisecond << attempt
 		lo := time.Duration(float64(nominal) * (1 - b.Jitter))
@@ -32,7 +32,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 		}
 	}
 	// Jitter can never push a delay to zero.
-	tiny := NewBackoff(time.Millisecond, time.Second, 7)
+	tiny := NewBackoff(time.Millisecond, time.Second)
 	for i := 0; i < 100; i++ {
 		if d := tiny.Delay(0); d < time.Millisecond {
 			t.Fatalf("Delay floor violated: %v", d)
@@ -41,7 +41,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestBackoffSeedDeterminism(t *testing.T) {
-	a, b := NewBackoff(0, 0, 99), NewBackoff(0, 0, 99)
+	a, b := NewBackoff(0, 0), NewBackoff(0, 0)
 	for i := 0; i < 20; i++ {
 		if da, db := a.Delay(i), b.Delay(i); da != db {
 			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i, da, db)
@@ -50,7 +50,7 @@ func TestBackoffSeedDeterminism(t *testing.T) {
 }
 
 func TestBackoffHonorsRetryAfter(t *testing.T) {
-	b := NewBackoff(10*time.Millisecond, time.Second, 1)
+	b := NewBackoff(10*time.Millisecond, time.Second)
 	b.Jitter = 0
 	// A server hint longer than the schedule wins...
 	if got := b.DelayAfter(0, 2*time.Second); got != 2*time.Second {

@@ -25,8 +25,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -162,11 +160,11 @@ func New(cfg Config) *Coordinator {
 		cfg:   cfg,
 		met:   &Metrics{},
 		trc:   newClusterTrace(cfg.Trace),
-		bo:    NewBackoff(cfg.BackoffBase, cfg.BackoffMax, backoffSeed),
+		bo:    NewBackoff(cfg.BackoffBase, cfg.BackoffMax),
 		hc:    &http.Client{},
 		store: store.NewMemory(),
 		nodes: make(map[string]*node),
-		ring:  NewRing(ringReplicas),
+		ring:  NewRing(),
 		jobs:  make(map[string]*cjob),
 		warm:  make(map[string]string),
 	}
@@ -336,19 +334,6 @@ func (c *Coordinator) RetryAfterHint() int {
 
 // --- routing --------------------------------------------------------------
 
-// RouteKey condenses the engine-identity fields of a spec — mesh, numeric
-// parameters, engine kind, worker count — into the string the ring hashes.
-// Two jobs with the same RouteKey share a cached engine on whichever node
-// they land, so routing by it pins hot meshes to warm nodes. The spec must
-// be validated (defaults normalized) first.
-func RouteKey(spec serve.JobSpec) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "scenario=%s|mesh=%s/%s/%d/%d/%d/%d|mach=%x|alpha=%x|engine=%s|workers=%d|levels=%d|cycle=%s",
-		spec.Scenario, spec.Mesh.Hash, spec.Mesh.Path, spec.Mesh.NX, spec.Mesh.NY, spec.Mesh.NZ, spec.Mesh.Seed,
-		spec.Mach, spec.AlphaDeg, spec.Engine, spec.Workers, spec.Levels, spec.Cycle)
-	return hex.EncodeToString(h.Sum(nil)[:8])
-}
-
 // route picks the node for key, skipping exclude: the warm pin if
 // routable, else the first routable node in ring order — and for cold keys
 // whose ring owner is already loaded, the least-loaded routable node
@@ -488,7 +473,7 @@ func (c *Coordinator) Submit(spec serve.JobSpec) (*cjob, error) {
 		c.trc.jobTrack("shed").Instant(c.trc.phShed, time.Now(), 0)
 		return nil, ErrNoHealthyNodes
 	}
-	j := &cjob{ID: serve.NewJobID("c"), Spec: spec, key: RouteKey(spec), done: make(chan struct{})}
+	j := &cjob{ID: serve.NewJobID("c"), Spec: spec, key: spec.RouteKey(), done: make(chan struct{})}
 	j.ctx, j.cancel = context.WithCancelCause(c.ctx)
 	pursue := c.runJob
 	c.mu.Lock()

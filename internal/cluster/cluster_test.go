@@ -433,7 +433,8 @@ func TestClusterRoutePlacement(t *testing.T) {
 	nb := addStatic("b", StatusHealthy, 0)
 	nc_ := addStatic("c", StatusUnhealthy, 0)
 
-	key := RouteKey(clusterSpec(1, 10))
+	spec := clusterSpec(1, 10)
+	key := spec.RouteKey()
 	owner := c.ring.Owner(key)
 
 	// Idle cluster: the ring owner gets the key (unless the owner is the
@@ -473,7 +474,8 @@ func TestClusterRoutePlacement(t *testing.T) {
 		// Owner is the unhealthy node: route already fails over; re-key the
 		// test onto a key owned by a healthy node.
 		for i := 0; ; i++ {
-			key = RouteKey(clusterSpec(int64(100+i), 10))
+			spec := clusterSpec(int64(100+i), 10)
+			key = spec.RouteKey()
 			ownerNode = c.nodeByName(c.ring.Owner(key))
 			if ownerNode.statusNow() == StatusHealthy {
 				break

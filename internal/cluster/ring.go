@@ -15,9 +15,8 @@ import (
 // Ring is not synchronized; the Coordinator guards it with its registry
 // lock.
 type Ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
-	names    map[string]bool
+	points []ringPoint // sorted by hash
+	names  map[string]bool
 }
 
 type ringPoint struct {
@@ -25,13 +24,10 @@ type ringPoint struct {
 	name string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per
-// member (minimum 1).
-func NewRing(replicas int) *Ring {
-	if replicas < 1 {
-		replicas = 1
-	}
-	return &Ring{replicas: replicas, names: make(map[string]bool)}
+// NewRing builds an empty ring with ringReplicas virtual points per
+// member.
+func NewRing() *Ring {
+	return &Ring{names: make(map[string]bool)}
 }
 
 func ringHash(s string) uint64 {
@@ -47,7 +43,7 @@ func (r *Ring) Add(name string) {
 		return
 	}
 	r.names[name] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < ringReplicas; i++ {
 		r.points = append(r.points, ringPoint{h: ringHash(name + "#" + strconv.Itoa(i)), name: name})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].h < r.points[b].h })
@@ -70,15 +66,6 @@ func (r *Ring) Remove(name string) {
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.names) }
-
-// Members returns the member names in unspecified order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.names))
-	for n := range r.names {
-		out = append(out, n)
-	}
-	return out
-}
 
 // Order returns every member in ring-preference order for key: the owner
 // first, then each successor walking clockwise. Callers route to the first

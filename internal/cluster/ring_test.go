@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// keyN generates keys shaped like RouteKey's output (hex digests).
-// Sequential "key-N" literals would be misleading here: they differ only
+// keyN generates keys shaped like serve.JobSpec.RouteKey's output (hex
+// digests). Sequential "key-N" literals would be misleading here: they differ only
 // in their final bytes, which FNV maps to near-identical ring positions,
 // clustering whole runs of keys onto one point.
 func keyN(i int) string {
@@ -17,7 +17,7 @@ func keyN(i int) string {
 }
 
 func TestRingEmptyAndDuplicates(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if got := r.Order("k"); got != nil {
 		t.Fatalf("empty ring Order = %v, want nil", got)
 	}
@@ -38,7 +38,7 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 
 func TestRingOrderDeterministicAndDistinct(t *testing.T) {
 	members := []string{"n1", "n2", "n3", "n4", "n5"}
-	a, b := NewRing(64), NewRing(64)
+	a, b := NewRing(), NewRing()
 	for _, m := range members {
 		a.Add(m)
 	}
@@ -71,7 +71,7 @@ func TestRingOrderDeterministicAndDistinct(t *testing.T) {
 // keys stay put (the property that keeps engine caches warm across
 // membership changes).
 func TestRingMinimalRemap(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	for _, m := range []string{"n1", "n2", "n3", "n4", "n5"} {
 		r.Add(m)
 	}
@@ -98,7 +98,7 @@ func TestRingMinimalRemap(t *testing.T) {
 	}
 	// And failover is exactly the precomputed successor: Order[1] before
 	// the removal is Owner after it.
-	r2 := NewRing(64)
+	r2 := NewRing()
 	for _, m := range []string{"n1", "n2", "n3", "n4", "n5"} {
 		r2.Add(m)
 	}
@@ -114,7 +114,7 @@ func TestRingMinimalRemap(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing()
 	members := []string{"n1", "n2", "n3", "n4", "n5"}
 	for _, m := range members {
 		r.Add(m)

@@ -30,8 +30,8 @@ type Scenario struct {
 	// Unsteady marks time-accurate presets: fixed global dt, no residual
 	// averaging, Steps is the exact number of time steps (Tol is zero), and
 	// multigrid engines must run with a single level (a 1-level cycle is
-	// exactly one fine-grid step, so the "mg"/"smmg" engine kinds remain
-	// usable and bitwise-equal to their single-grid counterparts).
+	// exactly one fine-grid step, so the "mg"/"smmg" engine names remain
+	// usable and bitwise-equal to the single grid).
 	Unsteady bool
 
 	Steps     int     // default cycle/step count

@@ -15,23 +15,25 @@ import (
 
 // Engine names one solver configuration of the panel: the engine, and the
 // level count of the scenario's mesh sequence it runs on (0 or 1 is the
-// fine mesh alone; a multigrid kind at one level runs a degenerate
-// single-grid cycle).
+// fine mesh alone; a multigrid at one level runs a degenerate single-grid
+// cycle).
 type Engine struct {
 	solver.Config
 	Levels int
 }
 
+// String spells e by the wire name it answers to: single or mg with the
+// worker count unset, sm or smmg with it set.
 func (e Engine) String() string {
-	switch e.Kind {
-	case solver.KindSingle, "":
+	switch {
+	case e.Gamma == 0 && e.Workers == 0:
 		return "single"
-	case solver.KindSM:
+	case e.Gamma == 0:
 		return fmt.Sprintf("sm/w%d", e.Workers)
-	case solver.KindMG:
+	case e.Workers == 0:
 		return fmt.Sprintf("mg/l%d", e.Levels)
 	default:
-		return fmt.Sprintf("%s/w%d/l%d", e.Kind, e.Workers, e.Levels)
+		return fmt.Sprintf("smmg/w%d/l%d", e.Workers, e.Levels)
 	}
 }
 
@@ -42,12 +44,12 @@ func (e Engine) String() string {
 func Engines(sc *scenario.Scenario) []Engine {
 	levels := sc.MaxLevels
 	return []Engine{
-		{Config: solver.Config{Kind: solver.KindSingle}},
-		{Config: solver.Config{Kind: solver.KindSM, Workers: 1}},
-		{Config: solver.Config{Kind: solver.KindSM, Workers: 2}},
-		{Config: solver.Config{Kind: solver.KindSM, Workers: 8}},
-		{Config: solver.Config{Kind: solver.KindMG, Gamma: 1}, Levels: levels},
-		{Config: solver.Config{Kind: solver.KindSMMG, Workers: 2, Gamma: 1}, Levels: levels},
+		{},
+		{Config: solver.Config{Workers: 1}},
+		{Config: solver.Config{Workers: 2}},
+		{Config: solver.Config{Workers: 8}},
+		{Config: solver.Config{Gamma: 1}, Levels: levels},
+		{Config: solver.Config{Workers: 2, Gamma: 1}, Levels: levels},
 	}
 }
 

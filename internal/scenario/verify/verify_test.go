@@ -5,17 +5,15 @@ import (
 	"testing"
 
 	"eul3d/internal/scenario"
-	"eul3d/internal/solver"
 )
 
 // TestScenarioPhysics runs every registered preset on the full engine
 // panel and checks the analytic assertions: L1 density error under the
 // committed tolerance, positive density/pressure, finite fields, and the
-// preset's probe. A pooled engine must additionally be bitwise its
-// sequential kind at every worker count — the sm rows the single row's
+// preset's probe. Each row must additionally be bitwise the first row of
+// its grid shape, whatever its worker count — the sm rows the single row's
 // diagnostics and residual history, the smmg row the mg row's.
 func TestScenarioPhysics(t *testing.T) {
-	sequentialOf := map[string]string{solver.KindSM: solver.KindSingle, solver.KindSMMG: solver.KindMG}
 	for _, name := range scenario.Names() {
 		sc, err := scenario.Get(name)
 		if err != nil {
@@ -26,7 +24,11 @@ func TestScenarioPhysics(t *testing.T) {
 				d       scenario.Diagnostics
 				history []float64
 			}
-			ref := map[string]outcome{}
+			type first struct {
+				outcome
+				e Engine
+			}
+			ref := map[bool]first{} // by grid shape: multigrid or not
 			for _, e := range Engines(sc) {
 				e := e
 				t.Run(e.String(), func(t *testing.T) {
@@ -39,17 +41,13 @@ func TestScenarioPhysics(t *testing.T) {
 					if err := sc.Check(d); err != nil {
 						t.Error(err)
 					}
-					seq, pooled := sequentialOf[e.Kind]
-					if !pooled {
-						ref[e.Kind] = outcome{d, res.History}
+					want, ok := ref[e.Gamma > 0]
+					if !ok {
+						ref[e.Gamma > 0] = first{outcome{d, res.History}, e}
 						return
 					}
-					want, ok := ref[seq]
-					if !ok {
-						t.Fatalf("no %s row ran before %s", seq, e)
-					}
 					if d != want.d || !slices.Equal(res.History, want.history) {
-						t.Errorf("%s differs from %s:\n  %s: %+v\n  %s: %+v", e, seq, e, d, seq, want.d)
+						t.Errorf("%s differs from %s:\n  %s: %+v\n  %s: %+v", e, want.e, e, d, want.e, want.d)
 					}
 				})
 			}

@@ -79,8 +79,11 @@ func TestAdaptSpecValidation(t *testing.T) {
 		name string
 		spec JobSpec
 	}{
-		{"multigrid engine", JobSpec{Scenario: "sod", Engine: KindMG, Adapt: &AdaptSpec{}}},
-		{"pooled multigrid engine", JobSpec{Scenario: "sod", Engine: KindSMMG, Adapt: &AdaptSpec{}}},
+		// The sod preset caps the hierarchy at one level, where mg names
+		// the single grid; wedge's two levels are a multigrid.
+		{"multigrid engine", JobSpec{Scenario: "wedge", Engine: KindMG, Adapt: &AdaptSpec{}}},
+		{"pooled multigrid engine", JobSpec{Scenario: "wedge", Engine: KindSMMG, Adapt: &AdaptSpec{}}},
+		{"explicit levels", JobSpec{Scenario: "wedge", Levels: 2, Adapt: &AdaptSpec{}}},
 		{"bogus indicator", JobSpec{Scenario: "sod", Adapt: &AdaptSpec{Indicator: "entropy"}}},
 		{"negative interval", JobSpec{Scenario: "sod", Adapt: &AdaptSpec{Interval: -1}}},
 		{"too many epochs", JobSpec{Scenario: "sod", Adapt: &AdaptSpec{Epochs: 17}}},

@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// Governor is the global worker-budget semaphore: every job running on a
-// pooled engine holds its worker count for the duration of the run, so the
-// total number of actively-forking pooled workers across concurrent jobs
+// Governor is the global worker-budget semaphore: every running job holds
+// its worker count for the duration of the run — a one-worker job holds
+// one core — so the total number of busy workers across concurrent jobs
 // never exceeds the budget. (Parked workers of idle cached engines cost
 // nothing and are not charged.) Waiters are served FIFO, which prevents a
 // stream of small requests from starving a large one.

@@ -42,7 +42,7 @@ func (s *Scheduler) release(j *Job, l leases) {
 		s.cache.Release(l.engine)
 	}
 	if l.budget {
-		s.gov.Release(j.Spec.pooledWorkers())
+		s.gov.Release(j.Spec.Workers)
 	}
 	if l.pinned != "" {
 		s.cfg.Store.Unpin(l.pinned)
@@ -77,7 +77,7 @@ func (s *Scheduler) run(ctx context.Context, j *Job, tk *trace.Track) {
 	runStart := time.Now()
 	var out ran
 	pprof.Do(ctx, pprof.Labels(
-		"job", j.ID, "engine", j.Spec.Engine, "levels", strconv.Itoa(j.Spec.Levels),
+		"job", j.ID, "workers", strconv.Itoa(j.Spec.Workers), "levels", strconv.Itoa(j.Spec.Levels),
 		"adapt", strconv.FormatBool(j.Spec.Adapt != nil),
 	), func(ctx context.Context) {
 		out, err = x.exec(ctx)
@@ -136,7 +136,7 @@ func (s *Scheduler) prepare(ctx context.Context, j *Job, tk *trace.Track) (x exe
 		return x, held, err
 	}
 
-	nw := j.Spec.pooledWorkers()
+	nw := j.Spec.Workers
 	govStart := time.Now()
 	if err := s.gov.Acquire(ctx, nw); err != nil {
 		return x, held, causeOr(ctx, err)

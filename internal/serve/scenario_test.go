@@ -24,7 +24,7 @@ func TestScenarioSpecValidate(t *testing.T) {
 		t.Fatalf("defaults not taken from preset: cycles=%d tol=%g, want %d/%g", s.Cycles, s.Tol, sod.Steps, sod.Tol)
 	}
 
-	// Unsteady preset on a multigrid kind: levels clamp to 1 instead of
+	// Unsteady preset on the multigrid: levels clamp to 1 instead of
 	// being rejected (a 1-level cycle is one time-accurate step).
 	s = JobSpec{Scenario: "sod", Engine: KindMG}
 	if err := s.Validate(); err != nil {
@@ -78,8 +78,8 @@ func TestScenarioJobDiagnostics(t *testing.T) {
 	if err := sod.Check(*seq.Diagnostics); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(seq.Engine, KindSingle) {
-		t.Fatalf("engine key %q, want kind single", seq.Engine)
+	if !strings.HasPrefix(seq.Engine, "w1/") {
+		t.Fatalf("engine key %q, want one worker", seq.Engine)
 	}
 
 	// Same preset again: engine cache hit, bitwise-identical diagnostics.

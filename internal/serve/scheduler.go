@@ -410,8 +410,8 @@ func (s *Scheduler) submit(j *Job, share bool) (*Job, error) {
 	if err := j.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if nw := j.Spec.pooledWorkers(); nw > s.gov.Cap() {
-		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", nw, s.gov.Cap())
+	if j.Spec.Workers > s.gov.Cap() {
+		return nil, fmt.Errorf("serve: job wants %d workers, budget is %d", j.Spec.Workers, s.gov.Cap())
 	}
 	if h := j.meshHash(); h != "" && !s.cfg.Store.Has(h) {
 		return nil, fmt.Errorf("%w: %s", ErrNoArtifact, h)

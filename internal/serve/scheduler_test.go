@@ -11,7 +11,7 @@ import (
 )
 
 // The acceptance scenario: >= 8 concurrent mixed jobs — cache hits and
-// misses across engine kinds, client cancellations of queued and running
+// misses across engine names and worker counts, client cancellations of queued and running
 // jobs, and one queue-full rejection — under the race detector, with the
 // worker-budget governor never exceeding its cap (asserted via metrics).
 func TestSchedulerConcurrentMixedJobs(t *testing.T) {
@@ -43,7 +43,7 @@ func TestSchedulerConcurrentMixedJobs(t *testing.T) {
 	// Fill the bounded queue: two more identical-mesh jobs (cache hits once
 	// they run; one cycle apart so they queue rather than coalesce), one
 	// distinct shared-memory mesh (miss), one sequential single-grid job
-	// (miss, different kind).
+	// (miss, different mesh and worker count).
 	queued := []*Job{}
 	for _, spec := range []JobSpec{
 		chanSpec(6, 3, 2, 1, KindSM, 2, 20),
@@ -236,7 +236,7 @@ func TestSchedulerAdmissionValidation(t *testing.T) {
 	}
 	unknown := chanSpec(4, 2, 2, 1, "gpu", 0, 10)
 	if _, err := s.Submit(unknown); err == nil {
-		t.Error("unknown engine kind admitted")
+		t.Error("unknown engine name admitted")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"math"
 
 	"eul3d/internal/adapt"
@@ -35,18 +36,28 @@ import (
 	"eul3d/internal/store"
 )
 
-// Engine kinds selectable per job: solver's.
+// Engine names a job may give. There are two grid shapes, the single grid
+// (one level) and the FAS multigrid (more), and a name is only the
+// defaults of a shape and a worker count: single and sm name the single
+// grid, mg and smmg a 3-level multigrid, single and mg one worker, sm and
+// smmg two. Workers change speed, never the answer. Validate maps a name
+// to Levels, Cycle and Workers, and nothing after it reads the name.
 const (
-	KindSingle = solver.KindSingle
-	KindSM     = solver.KindSM
-	KindMG     = solver.KindMG
-	KindSMMG   = solver.KindSMMG
+	KindSingle = "single"
+	KindSM     = "sm"
+	KindMG     = "mg"
+	KindSMMG   = "smmg"
 )
+
+// engineDefaults is each engine name's default levels and workers.
+var engineDefaults = map[string]struct{ levels, workers int }{
+	KindSingle: {1, 1}, KindSM: {1, 2}, KindMG: {3, 1}, KindSMMG: {3, 2},
+}
 
 // MeshSpec names the mesh a job runs on: a generated bump-channel mesh
 // (NX/NY/NZ/Seed, the repository's standard geometry), a mesh file
-// written by cmd/meshgen (Path; Path is a per-level prefix for multigrid
-// kinds, as in eul3d -mesh-prefix), or — the upload-once path — the
+// written by cmd/meshgen (Path; Path is a per-level prefix for the
+// multigrid, as in eul3d -mesh-prefix), or — the upload-once path — the
 // sha256 of mesh bytes previously PUT to the node's artifact store
 // (Hash). The engine cache keys on the mesh *content*, not on this
 // spec, so a generated mesh and an identical upload share an engine; a
@@ -75,9 +86,9 @@ type JobSpec struct {
 	Scenario string `json:"scenario,omitempty"`
 
 	Engine  string `json:"engine,omitempty"`  // single | sm | mg | smmg (default single)
-	Workers int    `json:"workers,omitempty"` // pooled kinds: worker-pool size (default 2)
-	Levels  int    `json:"levels,omitempty"`  // multigrid kinds: grid levels (default 3)
-	Cycle   string `json:"cycle,omitempty"`   // multigrid kinds: "v" or "w" (default "w")
+	Workers int    `json:"workers,omitempty"` // worker-pool size (default by engine name)
+	Levels  int    `json:"levels,omitempty"`  // grid levels, 1 = the single grid (default by engine name)
+	Cycle   string `json:"cycle,omitempty"`   // multigrid: "v" or "w" (default "w")
 
 	Cycles int     `json:"cycles"`        // MaxCycles for the run
 	Tol    float64 `json:"tol,omitempty"` // relative residual tolerance (0 = run all cycles)
@@ -131,50 +142,42 @@ func (s *JobSpec) Validate() error {
 	if s.Engine == "" {
 		s.Engine = KindSingle
 	}
-	switch s.Engine {
-	case KindSingle, KindMG:
-		s.Workers = 0
-	case KindSM, KindSMMG:
-		if s.Workers == 0 {
-			s.Workers = 2
-		}
-		if s.Workers < 1 || s.Workers > 256 {
-			return fmt.Errorf("serve: workers %d out of range [1,256]", s.Workers)
-		}
-	default:
+	// An explicit levels or workers is honoured on every name. One level
+	// is the single grid (a one-level cycle is exactly a single-grid step).
+	def, ok := engineDefaults[s.Engine]
+	if !ok {
 		return fmt.Errorf("serve: unknown engine %q (want single, sm, mg or smmg)", s.Engine)
 	}
-	switch s.Engine {
-	case KindMG, KindSMMG:
-		if s.Levels == 0 {
-			s.Levels = 3
-		}
-		minLevels := 2
-		if sc != nil {
-			// Scenario presets cap the hierarchy depth; unsteady ones force
-			// a single level, where a cycle degenerates to exactly one
-			// time-accurate fine-grid step.
-			if s.Levels > sc.MaxLevels {
-				s.Levels = sc.MaxLevels
-			}
-			minLevels = 1
-		}
-		if s.Levels < minLevels || s.Levels > 8 {
-			return fmt.Errorf("serve: levels %d out of range [%d,8]", s.Levels, minLevels)
-		}
-		switch s.Cycle {
-		case "":
-			s.Cycle = "w"
-		case "v", "w":
-		default:
-			return fmt.Errorf("serve: unknown cycle %q (want v or w)", s.Cycle)
-		}
+	if s.Workers == 0 {
+		s.Workers = def.workers
+	}
+	if s.Workers < 1 || s.Workers > 256 {
+		return fmt.Errorf("serve: workers %d out of range [1,256]", s.Workers)
+	}
+	if s.Levels == 0 {
+		s.Levels = def.levels
+	}
+	if sc != nil && s.Levels > sc.MaxLevels {
+		// Scenario presets cap the hierarchy depth; unsteady ones force
+		// the single grid.
+		s.Levels = sc.MaxLevels
+	}
+	if s.Levels < 1 || s.Levels > 8 {
+		return fmt.Errorf("serve: levels %d out of range [1,8]", s.Levels)
+	}
+	switch s.Cycle {
+	case "", "v", "w":
 	default:
-		s.Levels, s.Cycle = 1, ""
+		return fmt.Errorf("serve: unknown cycle %q (want v or w)", s.Cycle)
+	}
+	if s.Levels == 1 {
+		s.Cycle = ""
+	} else if s.Cycle == "" {
+		s.Cycle = "w"
 	}
 	if a := s.Adapt; a != nil {
-		if s.Engine != KindSingle && s.Engine != KindSM {
-			return fmt.Errorf("serve: adaptation requires a single-grid engine (single or sm), not %q", s.Engine)
+		if s.Levels > 1 {
+			return fmt.Errorf("serve: adaptation requires the single grid, not %d levels", s.Levels)
 		}
 		if a.Interval == 0 {
 			a.Interval = 50
@@ -212,9 +215,9 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("serve: mesh hash is exclusive with path and generator dimensions")
 		}
 		if s.Levels != 1 {
-			// A hash names exactly one mesh artifact; the multigrid kinds
-			// need a coarsening sequence the store does not hold.
-			return fmt.Errorf("serve: mesh hash requires a single-grid engine (single or sm)")
+			// A hash names exactly one mesh artifact; the multigrid needs
+			// a coarsening sequence the store does not hold.
+			return fmt.Errorf("serve: mesh hash requires the single grid, not %d levels", s.Levels)
 		}
 	}
 	if s.Scenario == "" && s.Mesh.Path == "" && s.Mesh.Hash == "" {
@@ -240,7 +243,7 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// gamma returns the multigrid cycle index (0 for single-grid kinds).
+// gamma returns the multigrid cycle index (0 for the single grid).
 func (s *JobSpec) gamma() int {
 	switch s.Cycle {
 	case "v":
@@ -253,12 +256,8 @@ func (s *JobSpec) gamma() int {
 
 // config is the engine a Validated spec runs on, as solver.Open takes it.
 func (s *JobSpec) config() solver.Config {
-	return solver.Config{Kind: s.Engine, Workers: s.Workers, Gamma: s.gamma()}
+	return solver.Config{Workers: s.Workers, Gamma: s.gamma()}
 }
-
-// pooledWorkers is the worker count charged to the budget governor while
-// the job runs (0 for sequential kinds).
-func (s *JobSpec) pooledWorkers() int { return s.Workers }
 
 // scenario returns the job's preset, or nil. The spec has been Validated,
 // so a lookup failure is impossible; it returns nil defensively anyway.
@@ -287,7 +286,7 @@ func (s *JobSpec) meta() runloop.Meta {
 }
 
 // BuildMeshes generates or loads the job's mesh sequence (finest first;
-// one level for single-grid kinds).
+// one level for the single grid).
 func (s *JobSpec) BuildMeshes() ([]*mesh.Mesh, error) {
 	if sc := s.scenario(); sc != nil {
 		return sc.Meshes(s.Levels)
@@ -330,52 +329,75 @@ func (s *JobSpec) BuildMeshesFrom(art *store.Store, hash string) ([]*mesh.Mesh, 
 	return []*mesh.Mesh{m}, nil
 }
 
+// problem writes what a validated spec's answer depends on besides its
+// cycle budget — mesh identity, flow state, scenario, levels and cycle
+// shape — to w. It is the one spelling of a job's identity: SpecHash
+// adds the budget, RouteKey the worker count. The engine name is not in
+// it: Validate has already mapped the name to a grid shape and a worker
+// count.
+func (s *JobSpec) problem(w io.Writer) {
+	fmt.Fprintf(w, "scenario=%s|mesh=%s/%s/%d/%d/%d/%d|mach=%x|alpha=%x|levels=%d|cycle=%s",
+		s.Scenario, s.Mesh.Hash, s.Mesh.Path, s.Mesh.NX, s.Mesh.NY, s.Mesh.NZ, s.Mesh.Seed,
+		s.Mach, s.AlphaDeg, s.Levels, s.Cycle)
+}
+
 // SpecHash condenses every result-determining field of a validated spec
-// — mesh identity, flow state, scenario, engine kind, workers, levels,
-// cycle shape, cycle budget, tolerance — into the coalescing key. Two
-// concurrent jobs with equal SpecHash would run the identical solve and
-// produce bitwise-identical results, so the scheduler runs one and fans
-// the result out. Priority and deadline are deliberately excluded: they
-// shape scheduling, not the answer.
+// — the problem, cycle budget, tolerance and adaptation schedule — into
+// the coalescing key. Two concurrent jobs with equal SpecHash would run
+// the identical solve and produce bitwise-identical results, so the
+// scheduler runs one and fans the result out. The engine name and the
+// worker count are left out, since workers change speed, never the
+// answer: jobs that differ only in them share one run. Priority and
+// deadline are left out too: they shape scheduling, not the answer.
 func (s *JobSpec) SpecHash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "scenario=%s|mesh=%s/%s/%d/%d/%d/%d|mach=%x|alpha=%x|engine=%s|workers=%d|levels=%d|cycle=%s|cycles=%d|tol=%x",
-		s.Scenario, s.Mesh.Hash, s.Mesh.Path, s.Mesh.NX, s.Mesh.NY, s.Mesh.NZ, s.Mesh.Seed,
-		s.Mach, s.AlphaDeg, s.Engine, s.Workers, s.Levels, s.Cycle, s.Cycles, s.Tol)
+	s.problem(h)
+	fmt.Fprintf(h, "|cycles=%d|tol=%x", s.Cycles, s.Tol)
 	if a := s.Adapt; a != nil {
 		// The adaptation schedule determines the result (refined mesh and
-		// all); folded in only when present so non-adaptive hashes are
-		// unchanged from earlier releases.
+		// all); folded in only when present.
 		fmt.Fprintf(h, "|adapt=%d/%d/%d/%s/%x", a.Budget, a.Interval, a.Epochs, a.Indicator, a.Frac)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// RouteKey condenses the engine identity of a validated spec — the
+// problem and the worker count, which fixes a pooled engine's layout —
+// into the string a cluster's ring hashes. Two jobs with the same RouteKey
+// share a cached engine on whichever node they land, so routing by it pins
+// hot meshes to warm nodes.
+func (s *JobSpec) RouteKey() string {
+	h := sha256.New()
+	s.problem(h)
+	fmt.Fprintf(h, "|workers=%d", s.Workers)
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
 // EngineKey identifies a cached engine: the mesh-content + parameter hash,
-// the engine kind, and the pool size (which fixes the chunk tables).
+// which fixes the grid shape and the answer, and the worker count, which
+// fixes the pool's layout but not the answer.
 type EngineKey struct {
 	Sum     [sha256.Size]byte
-	Kind    string
 	Workers int
 }
 
 // String renders a short stable form for logs and metrics labels.
 func (k EngineKey) String() string {
-	return fmt.Sprintf("%s/%d/%x", k.Kind, k.Workers, k.Sum[:6])
+	return fmt.Sprintf("w%d/%x", k.Workers, k.Sum[:6])
 }
 
 // meshSource names a job's meshes by how the request asked for them — a
 // generator's dimensions and seed, a scenario preset, or an artifact hash,
 // each with its levels — plus everything else Key folds in: flow state,
-// scenario, cycle index, engine kind and workers. Each of these names
-// meshes that cannot change under it, so equal sources always resolve to
-// one key; the converse need not hold (a generated mesh and its upload
-// are two sources of one key).
+// scenario, cycle index and workers. Each of these names meshes that
+// cannot change under it, so equal sources always resolve to one key; the
+// converse need not hold (a generated mesh and its upload are two sources
+// of one key).
 type meshSource struct {
 	nx, ny, nz, levels, gamma, workers int
 	seed                               int64
 	mach, alpha                        uint64 // float bits
-	scenario, kind, hash               string
+	scenario, hash                     string
 }
 
 // source returns the job's mesh source when it has one. A Path mesh has
@@ -388,7 +410,7 @@ func (s *JobSpec) source(hash string) (meshSource, bool) {
 	src := meshSource{
 		levels: s.Levels, gamma: s.gamma(), workers: s.Workers,
 		mach: math.Float64bits(s.Mach), alpha: math.Float64bits(s.AlphaDeg),
-		scenario: s.Scenario, kind: s.Engine, hash: hash,
+		scenario: s.Scenario, hash: hash,
 	}
 	if hash == "" {
 		src.nx, src.ny, src.nz, src.seed = s.Mesh.NX, s.Mesh.NY, s.Mesh.NZ, s.Mesh.Seed
@@ -410,7 +432,7 @@ func (s *JobSpec) Key(ms []*mesh.Mesh) EngineKey {
 	// scenario name is folded in explicitly: a preset also fixes the
 	// initial state, which the mesh+params hash cannot see.
 	fmt.Fprintf(h, "|params=%v|gamma=%d|scenario=%s", p, s.gamma(), s.Scenario)
-	k := EngineKey{Kind: s.Engine, Workers: s.Workers}
+	k := EngineKey{Workers: s.Workers}
 	h.Sum(k.Sum[:0])
 	return k
 }

@@ -106,7 +106,7 @@ func TestCloseIdempotentAfterFailedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open([]*mesh.Mesh{m}, euler.DefaultParams(0.5, 0), Config{Kind: KindSM, Workers: 2})
+	st, err := Open([]*mesh.Mesh{m}, euler.DefaultParams(0.5, 0), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // TestCrossEngineConformance is the cross-engine bitwise conformance
 // suite: one mesh sequence, every multigrid engine — the serial reference
-// multigrid, the sequential multigrid Open builds for KindMG, the pooled
+// multigrid, the one-worker multigrid Open builds, the pooled
 // shared-memory multigrid at several worker counts, and the
 // distributed-memory multigrid (both sequential orchestration and
 // concurrent MIMD) — asserting bitwise-identical solutions and residual
@@ -77,7 +77,7 @@ func TestCrossEngineConformance(t *testing.T) {
 			}
 
 			// The sequential multigrid.
-			st, err := Open(meshes, p, Config{Kind: KindMG, Gamma: tc.gamma})
+			st, err := Open(meshes, p, Config{Gamma: tc.gamma})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TestEmptyMeshRun(t *testing.T) {
 		t.Fatalf("single grid on empty mesh: %v", err)
 	}
 
-	sm, err := Open([]*mesh.Mesh{m}, p, Config{Kind: KindSM, Workers: 2})
+	sm, err := Open([]*mesh.Mesh{m}, p, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSharedMemoryMatchesSingleGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par, err := Open([]*mesh.Mesh{m}, p, Config{Kind: KindSM, Workers: 3})
+	par, err := Open([]*mesh.Mesh{m}, p, Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func TestSingleGridIsDiscBitwise(t *testing.T) {
 	}
 }
 
-// TestSequentialMultigridIsSerialBitwise pins Open's KindMG contract: the
-// sequential multigrid runs the pooled engine's kernels at one worker in
+// TestSequentialMultigridIsSerialBitwise pins Open's contract at one
+// worker: the sequential multigrid runs the pooled engine's kernels at one worker in
 // each mesh's own order, so its residual history and fine solution equal
 // multigrid.Solver's bit for bit on the generated sequences as they come —
 // a V-cycle over 2 levels, a W-cycle over 3, the 24x16x12 channel's, whose
@@ -170,7 +170,7 @@ func TestSequentialMultigridIsSerialBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := Open(meshes, p, Config{Kind: KindMG, Gamma: tc.gamma})
+				st, err := Open(meshes, p, Config{Gamma: tc.gamma})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,10 +186,9 @@ func TestSequentialMultigridIsSerialBitwise(t *testing.T) {
 }
 
 // TestPooledFMGIsSerialBitwise: full-multigrid initialization on the
-// pooled multigrid (Open's KindSMMG) is one schedule (multigrid.FMG) over
-// the pooled hooks, so at 1, 2 and 3 workers it equals multigrid.Solver's
-// FMGInit bit for bit, and with it the cycles that
-// follow — on a fresh engine, and on one that has cycled first, whose
+// pooled multigrid is one schedule (multigrid.FMG) over the pooled hooks,
+// so at 1, 2 and 3 workers it equals multigrid.Solver's FMGInit bit for
+// bit, and with it the cycles that follow — on a fresh engine, and on one that has cycled first, whose
 // coarse levels hold forcings FMG must clear before each starts as the
 // finest grid.
 func TestPooledFMGIsSerialBitwise(t *testing.T) {
@@ -205,7 +204,7 @@ func TestPooledFMGIsSerialBitwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := Open(meshes, p, Config{Kind: KindSMMG, Workers: nw, Gamma: gamma})
+				st, err := Open(meshes, p, Config{Workers: nw, Gamma: gamma})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,17 +1,18 @@
 // Package solver provides the steady-state engines used by the
-// command-line tools, the daemon and the examples: the single-grid scheme
-// and the multigrid cycles, sequential and pooled, each a stepper the
-// convergence loop (internal/runloop) drives.
+// command-line tools, the daemon and the examples: the single grid and the
+// FAS multigrid cycles, each a stepper the convergence loop
+// (internal/runloop) drives.
 //
-// Open is the one way in: a Config names the engine kind and the values it
-// takes, and the mesh sequence sets the level count.
+// Open is the one way in. A Config picks one of two grid shapes — the
+// single grid (Gamma 0, one mesh) or the multigrid (Gamma >= 1, as many
+// levels as meshes) — and a worker count, which is a speed setting only:
+// workers change speed, never the answer.
 //
 // Every engine is the worker-pool engine of internal/smsolver running the
 // kernels of euler/kernels_soa.go owner-computes, in each mesh's own edge
-// and face order: at one worker (KindSingle, NewSingleGrid, and KindMG) or
-// on a pool (KindSM, KindSMMG), the single grid is bitwise euler.Disc.Step
-// and the multigrid bitwise multigrid.Solver on the same meshes. The
-// reference operator of euler/ops.go and
+// and face order, so at any worker count the single grid is bitwise
+// euler.Disc.Step and the multigrid bitwise multigrid.Solver on the same
+// meshes. The reference operator of euler/ops.go and
 // multigrid.Solver keep two roles, neither of them a product path: the
 // oracle the tests compare the engines against, and the benchmark's serial
 // references, which time euler.Disc.Step and multigrid.Solver.Cycle
@@ -90,57 +91,32 @@ func (s *smStepper) stats() perf.Stats         { return s.sm.Stats() }
 func (s *smStepper) initUniform()              { s.sm.InitUniform(s.w) }
 func (s *smStepper) setTrace(tr *trace.Tracer) { s.sm.SetTrace(tr) }
 
-// Engine kinds: the values of Config.Kind.
-const (
-	KindSingle = "single" // sequential single grid
-	KindSM     = "sm"     // worker-pool single grid
-	KindMG     = "mg"     // sequential FAS multigrid (one worker, each mesh's own order)
-	KindSMMG   = "smmg"   // worker-pool FAS multigrid
-)
-
-// Config chooses how a cycle executes. The zero Config is the sequential
-// single grid.
+// Config chooses the engine. The zero Config is the single grid on one
+// worker.
 type Config struct {
-	Kind    string // KindSingle (or ""), KindSM, KindMG or KindSMMG
-	Workers int    // pooled kinds: worker count, 0 = GOMAXPROCS
-	Gamma   int    // multigrid kinds: cycle index, 1 = V, 2 = W
+	Workers int // worker count, 0 = 1; changes speed, never the answer
+	Gamma   int // 0: single grid; >= 1: multigrid cycle index, 1 = V, 2 = W
 }
 
-// Open builds the steady solver c names over meshes (finest first), with
-// as many levels as meshes. It rejects what the chosen engine would
-// otherwise ignore: Workers on a sequential kind, Gamma on a single-grid
-// kind (or Gamma < 1 on a multigrid one), more than one mesh on a
-// single-grid kind, and an unknown kind. A pooled kind is bitwise its
-// sequential kind at every worker count. Both multigrid kinds expose their
-// engine as Steady.MG. Call Close when done to park a pool.
+// Open builds the steady solver c names over meshes (finest first): the
+// single grid on exactly one mesh, or the multigrid with as many levels as
+// meshes. It rejects a negative worker count or cycle index and a single
+// grid given more than one mesh. The result is bitwise the same at every
+// worker count. A multigrid engine is exposed as Steady.MG. Call Close when
+// done to park the pool.
 func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
-	kind := c.Kind
-	if kind == "" {
-		kind = KindSingle
-	}
-	pooled := kind == KindSM || kind == KindSMMG
-	multi := kind == KindMG || kind == KindSMMG
 	switch {
-	case !pooled && !multi && kind != KindSingle:
-		return nil, fmt.Errorf("solver: unknown engine kind %q (want single, sm, mg or smmg)", kind)
 	case len(meshes) == 0:
 		return nil, errors.New("solver: no meshes")
-	case !pooled && c.Workers != 0:
-		return nil, fmt.Errorf("solver: the %s engine is sequential; workers must be 0, not %d", kind, c.Workers)
 	case c.Workers < 0:
-		return nil, fmt.Errorf("solver: %d workers (0 selects GOMAXPROCS)", c.Workers)
-	case !multi && c.Gamma != 0:
-		return nil, fmt.Errorf("solver: the %s engine has no cycle index; gamma must be 0, not %d", kind, c.Gamma)
-	case multi && c.Gamma < 1:
-		return nil, fmt.Errorf("solver: the %s engine's cycle index must be >= 1, not %d", kind, c.Gamma)
-	case !multi && len(meshes) > 1:
-		return nil, fmt.Errorf("solver: the %s engine runs on one mesh, not %d", kind, len(meshes))
+		return nil, fmt.Errorf("solver: %d workers (0 selects one)", c.Workers)
+	case c.Gamma < 0:
+		return nil, fmt.Errorf("solver: cycle index %d (0 selects the single grid)", c.Gamma)
+	case c.Gamma == 0 && len(meshes) > 1:
+		return nil, fmt.Errorf("solver: the single grid runs on one mesh, not %d", len(meshes))
 	}
-	workers := c.Workers
-	if !pooled {
-		workers = 1
-	}
-	if !multi {
+	workers := max(c.Workers, 1)
+	if c.Gamma == 0 {
 		sm, err := smsolver.New(meshes[0], p, workers)
 		if err != nil {
 			return nil, err
@@ -156,7 +132,7 @@ func Open(meshes []*mesh.Mesh, p euler.Params, c Config) (*Steady, error) {
 
 // NewSingleGrid builds the sequential single-grid steady solver over the
 // finished mesh m: the pooled engine at one worker (smsolver.New), bitwise
-// euler.Disc.Step on m, as Open's KindSingle builds it. It reports the six
+// euler.Disc.Step on m, as Open builds it from the zero Config. It reports the six
 // step phases in Stats and accepts a tracer. It panics on a mesh whose edge
 // or face list is not over its vertices, which no finished mesh has; Open
 // reports that as an error.
@@ -185,7 +161,7 @@ func (s *smgStepper) setTrace(tr *trace.Tracer) { s.mg.SetTrace(tr) }
 // Steady is a steady-state solver ready to Run.
 type Steady struct {
 	s  stepper
-	MG *smsolver.Multigrid // non-nil for the multigrid kinds
+	MG *smsolver.Multigrid // non-nil for the multigrid
 
 	cfl       float64   // recorded in checkpoints
 	prior     []float64 // residual history carried over from a checkpoint: Run picks up at cycle len(prior)
@@ -198,7 +174,7 @@ type Steady struct {
 func (st *Steady) Stats() perf.Stats { return st.s.stats() }
 
 // SetTrace attaches a flight-recorder tracer to the underlying engine:
-// every kind runs on the worker pool, so every kind traces. Call before the
+// every engine runs on the worker pool, so every engine traces. Call before the
 // first Run; a nil tracer leaves tracing disabled.
 func (st *Steady) SetTrace(tr *trace.Tracer) { st.s.setTrace(tr) }
 

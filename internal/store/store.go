@@ -517,14 +517,3 @@ func (s *Store) Stats() Stats {
 		Quarantines: s.met.quarantines,
 	}
 }
-
-// Hashes returns the tracked hashes (unordered); for tests and debug.
-func (s *Store) Hashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for h := range s.entries {
-		out = append(out, h)
-	}
-	return out
-}

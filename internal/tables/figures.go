@@ -105,9 +105,9 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 func openEngine(meshes []*mesh.Mesh, strategy Strategy, p euler.Params) (*solver.Steady, error) {
 	g := strategy.Gamma()
 	if g == 0 {
-		return solver.Open(meshes[:1], p, solver.Config{})
+		meshes = meshes[:1]
 	}
-	return solver.Open(meshes, p, solver.Config{Kind: solver.KindMG, Gamma: g})
+	return solver.Open(meshes, p, solver.Config{Gamma: g})
 }
 
 // OrdersReduced returns how many orders of magnitude the named strategy's
