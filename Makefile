@@ -63,11 +63,11 @@ deadcheck:
 	@$(GO) run scripts/deadnames.go | diff -u scripts/deadnames.txt - && echo "deadcheck: scripts/deadnames.txt matches the tree"
 
 # ABBA comparison of the benchmark for a performance claim: BASE (default
-# HEAD) checked out in a temporary git worktree against the working tree,
+# HEAD) extracted into a temporary directory against the working tree,
 # PAIRS (default 5) alternating pairs of workload WL (default serve_mix).
 # Prints per metric the medians, the pairs won and, for the end-to-end
 # metrics, whether the change stays inside BENCHMARK.json's bound. See
-# scripts/abba.sh for SEED and TRACE.
+# scripts/abba.sh for SEED, TRACE and LAYOUT (2: both code-layout parities).
 abba:
 	WL=$(WL) BASE=$(BASE) PAIRS=$(PAIRS) sh scripts/abba.sh
 

@@ -270,11 +270,30 @@ func residualPlan(lev *Level, refresh *parti.Schedule) []planRow {
 	}
 }
 
+// freshStepPlan is stepPlan less the refresh and the three exchanges of
+// stage 0's residual, which the restriction's forcing residual made: the
+// plan of a step that directly follows a restriction (multigrid.Levels.Step).
+func freshStepPlan(lev *Level) []planRow {
+	w := lev.SchedW
+	return []planRow{
+		{"flow-variable refresh, the stages after the first", 4, w, parti.Gather, 5},
+		{"conv + lapl + Num + Den, the other dissipation stage", 1, w, parti.ScatterAdd, 12},
+		{"conv alone, the other stages", 3, w, parti.ScatterAdd, 5},
+		{"lapl + shock switch re-gather, the other dissipation stage", 1, w, parti.Gather, 6},
+		{"diss, the other dissipation stage", 1, w, parti.ScatterAdd, 5},
+		{"residual averaging, 2 sweeps a stage: the iterate, halo included", 10, lev.smoothSched, parti.Gather, 5},
+	}
+}
+
 // cyclePlan is the plan of one cycle from level l down, every coarse level
-// but the coarsest visited gamma times: 60 exchanges on two levels.
-func cyclePlan(levels []*Level, l, gamma int) []planRow {
+// but the coarsest visited gamma times, the first visit after each
+// restriction fresh: 56 exchanges on two levels.
+func cyclePlan(levels []*Level, l, gamma int, fresh bool) []planRow {
 	fine := levels[l]
 	plan := stepPlan(fine)
+	if fresh {
+		plan = freshStepPlan(fine)
+	}
 	if l == len(levels)-1 {
 		return plan
 	}
@@ -282,13 +301,20 @@ func cyclePlan(levels []*Level, l, gamma int) []planRow {
 	// The post-step refresh is the restriction's gather too: every ghost of W.
 	plan = append(plan, residualPlan(fine, fine.restrictSched)...)
 	plan = append(plan, planRow{"restricted residuals home", 1, coarse.transferSched, parti.ScatterAdd, 5})
-	plan = append(plan, residualPlan(coarse, coarse.SchedW)...) // forcing
+	// The forcing residual, its scatter-add carrying the spectral radii as
+	// stage 0's does.
+	plan = append(plan,
+		planRow{"flow-variable refresh", 1, coarse.SchedW, parti.Gather, 5},
+		planRow{"conv + lapl + Num + Den + Lam", 1, coarse.SchedW, parti.ScatterAdd, 13},
+		planRow{"lapl + shock switch re-gather", 1, coarse.SchedW, parti.Gather, 6},
+		planRow{"diss", 1, coarse.SchedW, parti.ScatterAdd, 5},
+	)
 	visits := gamma
 	if l+1 == len(levels)-1 {
 		visits = 1
 	}
 	for v := 0; v < visits; v++ {
-		plan = append(plan, cyclePlan(levels, l+1, gamma)...)
+		plan = append(plan, cyclePlan(levels, l+1, gamma, v == 0)...)
 	}
 	return append(plan,
 		planRow{"correction out", 1, coarse.transferSched, parti.Gather, 5},
@@ -352,12 +378,14 @@ func TestCommCountersAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("2-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2),
-		CommCounters{GatherState: 41, ScatterState: 19})
+	check("2-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2, false),
+		CommCounters{GatherState: 39, ScatterState: 17})
 
-	// Three levels: the middle one is stepped twice, restricts twice and has
-	// transfer ghosts of both kinds. A level with a coarser one below it adds
-	// 24 gathers and 12 scatter-adds to what it recurses into.
+	// Three levels: the middle one is stepped twice, the first time fresh,
+	// restricts twice and has transfer ghosts of both kinds. The finest level
+	// adds 24 gathers and 12 scatter-adds to the two 2-level cycles it
+	// recurses into, 39 and 17 each, less the first one's fresh step's 2 and
+	// 2.
 	meshes, parts = independentParts(t, meshgen.DefaultChannel(12, 8, 6, 17), 3, 4)
 	if mg, err = NewMultigrid(meshes, parts, 4, p, 2); err != nil {
 		t.Fatal(err)
@@ -365,8 +393,8 @@ func TestCommCountersAdvance(t *testing.T) {
 	if mid := mg.Levels[1]; mid.SchedCoarse.Items() == 0 || mg.Levels[2].SchedFine.Items() == 0 {
 		t.Fatal("fixture: the middle level's transfer schedules are empty")
 	}
-	check("3-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2),
-		CommCounters{GatherState: 24 + 2*41, ScatterState: 12 + 2*19})
+	check("3-level W-cycle", mg, cyclePlan(mg.Levels, 0, 2, false),
+		CommCounters{GatherState: 24 + 39 + 39 - 2, ScatterState: 12 + 17 + 17 - 2})
 }
 
 // independentParts builds a mesh sequence with every level partitioned

@@ -3,6 +3,7 @@ package dmsolver
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,11 +161,45 @@ func TestFaultPlanRunsOneWorker(t *testing.T) {
 	}
 }
 
+// poolWorkers counts the goroutines of the whole test binary that run a
+// forkjoin pool's worker loop: the goroutines a solver's pools start.
+func poolWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "forkjoin.(*Pool).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// settledPoolWorkers lets the pools of solvers earlier tests dropped be
+// collected and shut down, and returns the pool-worker count once two
+// collections in a row have left it where it was.
+func settledPoolWorkers(t *testing.T) int {
+	n, still := poolWorkers(), 0
+	for deadline := time.Now().Add(10 * time.Second); still < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pool workers earlier tests left never settled: %d", n)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		m := poolWorkers()
+		if still++; m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestDroppedSolverStopsItsWorkers: the workers reference only their pool,
 // so a solver dropped after cycling on several workers is collected and its
-// pools shut down.
+// pools shut down. It counts pool workers alone, after the ones earlier
+// tests dropped are gone, so no other test's goroutines come or go inside
+// its count.
 func TestDroppedSolverStopsItsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledPoolWorkers(t)
 	func() {
 		s := chaosMultigridSolver(t)
 		s.workers = 2
@@ -174,14 +209,14 @@ func TestDroppedSolverStopsItsWorkers(t *testing.T) {
 		if _, err := s.CycleConcurrent(); err != nil {
 			t.Fatal(err)
 		}
-		if n := runtime.NumGoroutine(); n < before+1+3 {
-			t.Fatalf("%d goroutines with the solver's pools up, %d before", n, before)
+		if n := poolWorkers(); n < before+1+3 {
+			t.Fatalf("%d pool workers with the solver's pools up, %d before", n, before)
 		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for poolWorkers() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the solver was dropped, %d before", runtime.NumGoroutine(), before)
+			t.Fatalf("%d pool workers after the solver was dropped, %d before", poolWorkers(), before)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)

@@ -105,6 +105,13 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) err
 			return err
 		}
 	}
+	combine(x, lev, withForcing)
+	return nil
+}
+
+// combine forms R = Q - D (+ forcing if withForcing) into lev.Res at owned
+// vertices from the convective and dissipative sums complete there.
+func combine(x driver, lev *Level, withForcing bool) {
 	each(x, func(p int) {
 		var forcing []euler.State
 		if withForcing {
@@ -112,7 +119,6 @@ func (s *Solver) residual(x driver, lev *Level, withForcing, diss, lam bool) err
 		}
 		lev.disc[p].CombineResidualSoAKernel(euler.Block(&lev.Res[p]), euler.Block(&lev.Conv[p]), euler.Block(&lev.diss[p]), forcing, 0, lev.Dist.Count(p))
 	})
-	return nil
 }
 
 // smooth applies the distributed implicit residual averaging to arr, whose
@@ -146,25 +152,28 @@ func (s *Solver) smooth(x driver, lev *Level, arr [][]euler.State) error {
 }
 
 // step advances level l by one five-stage time step and returns the
-// first-stage residual norm.
-func (s *Solver) step(x driver, l int) (float64, error) {
+// first-stage residual norm. A fresh step (multigrid.Levels.Step) starts at
+// stage 0's combine: restrict's R(w') refreshed this same W and left its
+// convective and dissipative sums and its spectral radii complete at their
+// owners, so the step's opening refresh and the four exchanges of its
+// stage-0 residual are skipped.
+func (s *Solver) step(x driver, l int, fresh bool) (float64, error) {
 	lev := s.Levels[l]
 	each(x, func(p int) { copy(owned(lev, p, lev.W0[p]), lev.W[p]) })
-	if err := s.refreshW(x, lev, lev.SchedW); err != nil {
-		return 0, err
-	}
 	norm := 0.0
 	for q, alpha := range s.P.Stages {
-		if q > 0 {
+		if q == 0 && fresh {
+			combine(x, lev, true)
+		} else {
 			if err := s.refreshW(x, lev, lev.SchedW); err != nil {
 				return 0, err
 			}
-		}
-		// The spectral radii ride stage 0's sweep and scatter-add. In
-		// time-accurate mode (GlobalDt) they feed nothing and are skipped, as
-		// in the other engines.
-		if err := s.residual(x, lev, l > 0, q < euler.DissipStages, q == 0 && s.P.GlobalDt <= 0); err != nil {
-			return 0, err
+			// The spectral radii ride stage 0's sweep and scatter-add. In
+			// time-accurate mode (GlobalDt) they feed nothing and are
+			// skipped, as in the other engines.
+			if err := s.residual(x, lev, l > 0, q < euler.DissipStages, q == 0 && s.P.GlobalDt <= 0); err != nil {
+				return 0, err
+			}
 		}
 		if q == 0 {
 			// The time steps, and the per-processor partials of the
@@ -211,9 +220,9 @@ type cycleHooks struct {
 	x driver
 }
 
-func (h *cycleHooks) Step(l int) (float64, error) { return h.s.step(h.x, l) }
-func (h *cycleHooks) Restrict(l int) error        { return h.s.restrict(h.x, l) }
-func (h *cycleHooks) Correct(l int) error         { return h.s.correct(h.x, l) }
+func (h *cycleHooks) Step(l int, fresh bool) (float64, error) { return h.s.step(h.x, l, fresh) }
+func (h *cycleHooks) Restrict(l int) error                    { return h.s.restrict(h.x, l) }
+func (h *cycleHooks) Correct(l int) error                     { return h.s.correct(h.x, l) }
 
 // restrict forms level l+1's FAS problem from level l's post-step solution:
 // W restricted and repaired, the residual restricted, and the forcing.
@@ -249,11 +258,13 @@ func (s *Solver) restrict(x driver, l int) error {
 		return err
 	}
 
-	// Forcing P = R' - R(w').
+	// Forcing P = R' - R(w'), R(w') evaluated as the coarse step's stage 0
+	// evaluates it, the spectral radii in its scatter-add: the fresh visit
+	// that follows starts from it.
 	if err := s.refreshW(x, next, next.SchedW); err != nil {
 		return err
 	}
-	if err := s.residual(x, next, false, true, false); err != nil {
+	if err := s.residual(x, next, false, true, s.P.GlobalDt <= 0); err != nil {
 		return err
 	}
 	each(x, func(p int) { multigrid.Subtract(next.Forcing[p], next.Res[p], 0, next.Dist.Count(p)) })

@@ -353,10 +353,12 @@ func (d *Disc) DissPass2SoAKernel(wS, laplS, dissS *StateSoA, nu []float64, edge
 // BFaceSweepSoAKernel is the one boundary-face loop: the face spectral
 // radii into lam (PartLam) and the boundary closure into convS (PartConv),
 // both lumped onto the face's three vertices and stored into those inside
-// the ownership range [lo,hi).
+// the ownership range [lo,hi). The far-field closure's freestream half
+// (FarField) is derived once per call.
 func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []float64, faces []int32, lo, hi int) {
 	m := d.M
 	g := d.P.Gas
+	ff := NewFarField(g, d.P.Freestream)
 	pres, rinv, snd := d.pres, d.rinv, d.snd
 	w := *wS
 	own := uint(hi - lo)
@@ -396,7 +398,7 @@ func (d *Disc) BFaceSweepSoAKernel(parts SweepParts, wS, convS *StateSoA, lam []
 			for k := range wi {
 				wi[k] = (wa[k] + wb[k] + wc[k]) / 3
 			}
-			wf := FarFieldState(g, wi, d.P.Freestream, n)
+			wf := ff.State(wi, n)
 			flux = FluxDotN(wf, g.Pressure(wf), n.X, n.Y, n.Z)
 		}
 		ca, cb, cc := &conv[a], &conv[b], &conv[c]
@@ -521,7 +523,9 @@ func (d *Disc) UpdateFinalSoAKernel(w []State, w0S, resS *StateSoA, alpha float6
 
 // UpdateNextSoAKernel applies an intermediate RK stage update for vertices
 // [lo,hi) into the solution block and refreshes the next stage's vertex
-// terms from the updated state in the same sweep.
+// terms from the updated state in the same sweep. The candidate's pressure
+// is formed once, for the admission test and the vertex terms both; only a
+// reverted or limited vertex forms its state's pressure again.
 func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, hi int) {
 	g := d.P.Gas
 	vol := d.M.Vol
@@ -530,8 +534,12 @@ func (d *Disc) UpdateNextSoAKernel(wS, w0S, resS *StateSoA, alpha float64, lo, h
 		f := alpha * d.Dt[i] / vol[i]
 		z, r := &w0[i], &res[i]
 		cand := State{z[0] - f*r[0], z[1] - f*r[1], z[2] - f*r[2], z[3] - f*r[3], z[4] - f*r[4]}
-		cand = d.P.admitUpdate(*z, cand)
-		w[i] = cand
-		d.setVertexTerms(i, cand[0], g.Pressure(cand))
+		pc := g.Pressure(cand)
+		st, admitted := d.P.admitWithPressure(*z, cand, pc)
+		if !admitted {
+			pc = g.Pressure(st)
+		}
+		w[i] = st
+		d.setVertexTerms(i, st[0], pc)
 	}
 }

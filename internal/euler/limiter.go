@@ -73,11 +73,11 @@ func (p *Params) LimitUpdate(w0, cand State) State {
 
 // admitUpdate is the single admission point of every stage update — the
 // reference Params.StageUpdate (sequential and distributed engines) and
-// the SoA kernels (UpdateFinalSoAKernel, UpdateNextSoAKernel) — so all
-// engines perform literally the same arithmetic and stay bitwise
-// conformant. With ConvexLimit unset it reproduces the historical guard
-// exactly: revert the whole vertex for the stage when the candidate leaves
-// the admissible set.
+// the SoA kernels (UpdateFinalSoAKernel, and UpdateNextSoAKernel through
+// admitWithPressure) — so all engines perform literally the same
+// arithmetic and stay bitwise conformant. With ConvexLimit unset it
+// reproduces the historical guard exactly: revert the whole vertex for the
+// stage when the candidate leaves the admissible set.
 func (p *Params) admitUpdate(w0, cand State) State {
 	if p.ConvexLimit {
 		return p.LimitUpdate(w0, cand)
@@ -86,4 +86,16 @@ func (p *Params) admitUpdate(w0, cand State) State {
 		return w0
 	}
 	return cand
+}
+
+// admitWithPressure is admitUpdate for a candidate whose pressure pc the
+// caller has formed: an admissible candidate is passed by guardPressure on
+// pc, as admitUpdate passes it by Guard, and anything else goes through
+// admitUpdate. admitted reports that the result is cand itself, whose
+// pressure is pc.
+func (p *Params) admitWithPressure(w0, cand State, pc float64) (st State, admitted bool) {
+	if p.guardPressure(cand, pc) {
+		return cand, true
+	}
+	return p.admitUpdate(w0, cand), false
 }

@@ -490,6 +490,17 @@ func (p *Params) Guard(s State) bool {
 	return p.Gas.Pressure(s) >= p.MinPressure
 }
 
+// guardPressure is Guard on a state s whose pressure pr is already known.
+func (p *Params) guardPressure(s State, pr float64) bool {
+	if p.MinDensity <= 0 && p.MinPressure <= 0 {
+		return true
+	}
+	if s[0] < p.MinDensity {
+		return false
+	}
+	return pr >= p.MinPressure
+}
+
 // Repair enforces the positivity floors on s, preserving velocity:
 // density and pressure are clamped from below and the conserved state is
 // rebuilt. States produced by *interpolation* (multigrid restriction and

@@ -38,7 +38,7 @@ func Step(nv, ne, nbf int64, stages, dissStages, nsmooth int) int64 {
 	var f int64
 	f += s * (ne*ConvEdge + nbf*ConvBFace) // convective operator per stage
 	f += d * ne * (Diss1Edge + Diss2Edge)  // dissipation on the first stages
-	f += ne*DtEdge + nbf*DtBFace + nv*DtVertex
+	f += TimeSteps(nv, ne, nbf)
 	f += sm * (ne*SmoothEdge + nv*SmoothVert)
 	f += s * nv * (PresVert + StageVert)
 	f += d * nv * NuVert
@@ -49,6 +49,12 @@ func Step(nv, ne, nbf int64, stages, dissStages, nsmooth int) int64 {
 // multigrid forcing construction).
 func Residual(nv, ne, nbf int64) int64 {
 	return ne*ConvEdge + nbf*ConvBFace + ne*(Diss1Edge+Diss2Edge) + nv*(PresVert+NuVert)
+}
+
+// TimeSteps returns the flops of the spectral radii and the local time
+// steps: what a step's first stage evaluates beyond a residual.
+func TimeSteps(nv, ne, nbf int64) int64 {
+	return ne*DtEdge + nbf*DtBFace + nv*DtVertex
 }
 
 // Transfer returns the flops of the inter-grid transfers around one

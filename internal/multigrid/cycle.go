@@ -120,10 +120,13 @@ func (s *Solver) Cycle() float64 {
 
 // serial is the Solver's execution of the cycle's pieces: inline, on whole
 // arrays, each phase charged to its Stats slot. It is one pointer, so Cycle
-// holds it without allocating. Its hooks never fail.
+// holds it without allocating. Its hooks never fail. It recomputes
+// everything: a fresh step evaluates its first stage in full, after the
+// restriction's own R(w'), so that it stays the plain statement of the
+// scheme the engines are tested against.
 type serial struct{ *Solver }
 
-func (s serial) Step(l int) (float64, error) {
+func (s serial) Step(l int, _ bool) (float64, error) {
 	lev, t := s.Levels[l], time.Now()
 	norm := lev.Disc.Step(lev.W, lev.Forcing, lev.WS)
 	s.tick(phSteps, s.cost[l].Step, &t)

@@ -8,27 +8,96 @@ import (
 	"testing"
 )
 
-// fakeLevels is a Levels that runs nothing: it records every hook Cycle
-// calls, as "E<l>" (Step), "R<l>" (Restrict) and "I<l>" (Correct), and fails
-// the call numbered failAt (counting from 0; -1 never fails).
+// fakeLevels is an FMGLevels that runs nothing: it records every hook
+// Cycle and FMG call, as "E<l>" (Step), "R<l>" (Restrict), "I<l>" (Correct)
+// and "L<l>" (Lift), with each call's fresh argument (false but for a
+// fresh Step), and fails the call numbered failAt (counting from 0; -1
+// never fails).
 type fakeLevels struct {
 	calls  []string
+	fresh  []bool
 	failAt int
 }
 
 var errHook = errors.New("hook failed")
 
-func (f *fakeLevels) hook(kind string, l int) error {
+func (f *fakeLevels) hook(kind string, l int, fresh bool) error {
 	f.calls = append(f.calls, fmt.Sprintf("%s%d", kind, l))
+	f.fresh = append(f.fresh, fresh)
 	if len(f.calls)-1 == f.failAt {
 		return errHook
 	}
 	return nil
 }
 
-func (f *fakeLevels) Step(l int) (float64, error) { return 1, f.hook("E", l) }
-func (f *fakeLevels) Restrict(l int) error        { return f.hook("R", l) }
-func (f *fakeLevels) Correct(l int) error         { return f.hook("I", l) }
+func (f *fakeLevels) Step(l int, fresh bool) (float64, error) { return 1, f.hook("E", l, fresh) }
+func (f *fakeLevels) Restrict(l int) error                    { return f.hook("R", l, false) }
+func (f *fakeLevels) Correct(l int) error                     { return f.hook("I", l, false) }
+func (f *fakeLevels) Lift(l int) error                        { return f.hook("L", l, false) }
+
+// TestCycleMarksFreshVisits: Cycle marks a step fresh exactly when it is
+// the first visit of its level after the restriction onto it — the call
+// before it is Restrict(l-1) — for V and W cycles on 2, 3 and 4 levels and
+// under FMG, whose top-level cycles (after a Lift, or at the start) are
+// never fresh. Schedule's events carry the same marks, and the ledger's
+// fresh steps are as many as its corrections.
+func TestCycleMarksFreshVisits(t *testing.T) {
+	check := func(what string, f *fakeLevels) {
+		t.Helper()
+		for i, c := range f.calls {
+			if c[0] != 'E' {
+				if f.fresh[i] {
+					t.Errorf("%s: %s marked fresh", what, c)
+				}
+				continue
+			}
+			l := int(c[1] - '0')
+			want := i > 0 && f.calls[i-1] == fmt.Sprintf("R%d", l-1)
+			if f.fresh[i] != want {
+				t.Errorf("%s: call %d (%s) fresh = %v, want %v: %v", what, i, c, f.fresh[i], want, f.calls)
+			}
+		}
+	}
+	for n := 2; n <= 4; n++ {
+		for _, gamma := range []int{1, 2} {
+			what := fmt.Sprintf("%d levels, gamma %d", n, gamma)
+			f := &fakeLevels{failAt: -1}
+			if _, err := Cycle(f, 0, n, gamma); err != nil {
+				t.Fatal(err)
+			}
+			check(what, f)
+			var fromCalls, fromSchedule []bool
+			for i, c := range f.calls {
+				if c[0] == 'E' {
+					fromCalls = append(fromCalls, f.fresh[i])
+				}
+			}
+			fresh, corrections := 0, 0
+			for _, e := range Schedule(n, gamma) {
+				if e.Kind == EulerStep {
+					fromSchedule = append(fromSchedule, e.Fresh)
+					if e.Fresh {
+						fresh++
+					}
+				} else {
+					corrections++
+				}
+			}
+			if !slices.Equal(fromCalls, fromSchedule) {
+				t.Errorf("%s: Schedule marks %v, Cycle %v", what, fromSchedule, fromCalls)
+			}
+			if fresh == 0 || fresh != corrections {
+				t.Errorf("%s: %d fresh steps for %d restrictions", what, fresh, corrections)
+			}
+
+			f = &fakeLevels{failAt: -1}
+			if err := FMG(f, n, gamma, 2); err != nil {
+				t.Fatal(err)
+			}
+			check("FMG, "+what, f)
+		}
+	}
+}
 
 // TestCycleHookOrderIsFigure1: for 1–4 levels, V and W, the steps and
 // corrections Cycle asks for render to Figure 1's strings, and every step

@@ -13,11 +13,20 @@ import (
 // phases between PARTI exchanges (package dmsolver).
 type Levels interface {
 	// Step advances level l by one time step, under its forcing on a coarse
-	// level, and returns its first-stage residual norm.
-	Step(l int) (float64, error)
+	// level, and returns its first-stage residual norm. fresh reports that
+	// the step directly follows Restrict(l-1): level l's solution is still
+	// the restricted one, and R(w') is what its first stage evaluates
+	// before the forcing is added. An engine whose restriction formed
+	// R(w') as that stage's front half (see Restrict) starts a fresh step
+	// from it; one that does not ignores fresh.
+	Step(l int, fresh bool) (float64, error)
 	// Restrict forms the residual on level l, restricts W and the residual
 	// to level l+1, repairs and saves the restricted states, and forms level
-	// l+1's forcing P = R' - R(w').
+	// l+1's forcing P = R' - R(w'). An engine may form R(w') as the front
+	// half of a step's first stage on w' — the snapshot, the vertex terms,
+	// the sweeps with the spectral radii, the shock switch with the time
+	// steps and dissipation pass 2 — which is the residual's arithmetic plus
+	// the radii and time steps, and leave it for the fresh step that follows.
 	Restrict(l int) error
 	// Correct forms level l+1's correction w - w', prolongs it to level l,
 	// smooths it and applies it under the positivity guard.
@@ -32,8 +41,14 @@ type Levels interface {
 // calls of it. The first error a hook returns is returned at once and no
 // later hook runs, so executors that must stay in lockstep (the distributed
 // solver's MIMD processors, which all see the same error) leave together.
+// The first visit of l+1 after the restriction is fresh (Levels.Step);
+// level l's own step, the top of the cycle, is not.
 func Cycle(e Levels, l, n, gamma int) (float64, error) {
-	norm, err := e.Step(l)
+	return cycle(e, l, n, gamma, false)
+}
+
+func cycle(e Levels, l, n, gamma int, fresh bool) (float64, error) {
+	norm, err := e.Step(l, fresh)
 	if err != nil || l == n-1 {
 		return norm, err
 	}
@@ -45,7 +60,7 @@ func Cycle(e Levels, l, n, gamma int) (float64, error) {
 		visits = 1 // revisiting the coarsest grid twice in a row is idle
 	}
 	for v := 0; v < visits; v++ {
-		if _, err := Cycle(e, l+1, n, gamma); err != nil {
+		if _, err := cycle(e, l+1, n, gamma, v == 0); err != nil {
 			return 0, err
 		}
 	}
@@ -57,11 +72,15 @@ func Cycle(e Levels, l, n, gamma int) (float64, error) {
 
 // LevelCost is the analytic flop count (internal/flops) of each piece of a
 // cycle on one level. Restrict and Prolong are the transfers between the
-// level and the next coarser one, zero on the coarsest.
+// level and the next coarser one, zero on the coarsest. Forcing prices
+// R(w') as the engines that start a fresh step from it form it
+// (Levels.Step): a fresh step then costs Step - Forcing, so a fresh visit
+// costs a step and no residual.
 type LevelCost struct {
 	Edges    int64 // the level's weight in WorkUnits
 	Step     int64 // one time step
 	Residual int64 // one residual evaluation
+	Forcing  int64 // R(w') as a step's stage-0 front half: Residual + the spectral radii and time steps
 	Restrict int64 // variables down + the residual's transpose scatter
 	Prolong  int64 // the correction up
 	Correct  int64 // correction smoothing + the guarded update
@@ -82,6 +101,7 @@ func NewLedger(meshes []*mesh.Mesh, p euler.Params) Ledger {
 			Edges:    ne,
 			Step:     flops.Step(nv, ne, nbf, len(p.Stages), euler.DissipStages, p.NSmooth),
 			Residual: flops.Residual(nv, ne, nbf),
+			Forcing:  flops.Residual(nv, ne, nbf) + flops.TimeSteps(nv, ne, nbf),
 			Correct:  int64(p.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert) + nv*flops.UpdateVert,
 		}
 		if l > 0 {
@@ -93,15 +113,24 @@ func NewLedger(meshes []*mesh.Mesh, p euler.Params) Ledger {
 	return c
 }
 
-// CycleFlops returns the flops of one cycle of index gamma: on every level
-// visit a step and, above the coarsest level, the restriction (its own
-// residual, the transfer down, the coarse residual) and the correction.
+// CycleFlops returns the flops of one cycle of index gamma as the pooled
+// and distributed engines run it: on every level visit a step, less its
+// front half (Forcing) when it directly follows a restriction, and, above the
+// coarsest level, the restriction (its own residual, the transfer down,
+// the coarse residual as a step's front half) and the correction. The
+// serial Solver recomputes the fresh visits' front halves, and charges
+// each its Residual more.
 func (c Ledger) CycleFlops(gamma int) int64 {
 	var fl int64
-	for l, v := range Visits(len(c), gamma) {
-		fl += int64(v) * c[l].Step
-		if l < len(c)-1 {
-			fl += int64(v) * (c[l].Residual + c[l].Restrict + c[l+1].Residual + c[l].Prolong + c[l].Correct)
+	for _, e := range Schedule(len(c), gamma) {
+		l := e.Level
+		switch {
+		case e.Kind == EulerStep && e.Fresh:
+			fl += c[l].Step - c[l].Forcing
+		case e.Kind == EulerStep:
+			fl += c[l].Step
+		default: // a correction: one per restriction
+			fl += c[l].Residual + c[l].Restrict + c[l+1].Forcing + c[l].Prolong + c[l].Correct
 		}
 	}
 	return fl

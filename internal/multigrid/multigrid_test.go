@@ -234,12 +234,19 @@ func TestWorkUnits(t *testing.T) {
 }
 
 // TestStatsChargeTheLedger: one cycle charges Stats exactly the flops the
-// ledger says a cycle costs, V and W.
+// ledger says a cycle costs, V and W, plus what the serial Solver alone
+// runs: the residual each fresh step recomputes (Ledger.CycleFlops).
 func TestStatsChargeTheLedger(t *testing.T) {
 	for _, gamma := range []int{1, 2} {
 		s := newSolver(t, gamma)
 		s.Cycle()
-		if got, want := s.Stats().Total().Flops, s.cost.CycleFlops(gamma); got != want {
+		want := s.cost.CycleFlops(gamma)
+		for _, e := range Schedule(len(s.cost), gamma) {
+			if e.Fresh {
+				want += s.cost[e.Level].Residual
+			}
+		}
+		if got := s.Stats().Total().Flops; got != want {
 			t.Errorf("gamma %d: one cycle charged %d flops, the ledger says %d", gamma, got, want)
 		}
 	}

@@ -19,10 +19,12 @@ const (
 )
 
 // Event is one node of a multigrid cycle diagram. Level 0 is the finest
-// grid.
+// grid. Fresh marks a step that directly follows the restriction onto its
+// level (Levels.Step); it does not show in the diagram.
 type Event struct {
 	Kind  EventKind
 	Level int
+	Fresh bool
 }
 
 // String renders the event as in Figure 1: E<level> or I<level>.
@@ -37,9 +39,12 @@ func (e Event) String() string {
 // interpolations Cycle asks of it.
 type recorder []Event
 
-func (r *recorder) Step(l int) (float64, error) { *r = append(*r, Event{EulerStep, l}); return 0, nil }
-func (r *recorder) Restrict(int) error          { return nil }
-func (r *recorder) Correct(l int) error         { *r = append(*r, Event{Interpolate, l}); return nil }
+func (r *recorder) Step(l int, fresh bool) (float64, error) {
+	*r = append(*r, Event{EulerStep, l, fresh})
+	return 0, nil
+}
+func (r *recorder) Restrict(int) error  { return nil }
+func (r *recorder) Correct(l int) error { *r = append(*r, Event{Interpolate, l, false}); return nil }
 
 // Schedule enumerates the time-steps and interpolations of one cycle with
 // the given number of levels and cycle index (1 = V, 2 = W): the hooks

@@ -230,13 +230,13 @@ func (mg *Multigrid) Cycle() float64 {
 // fail.
 type pooled struct{ *Multigrid }
 
-func (mg pooled) Step(l int) (float64, error) {
+func (mg pooled) Step(l int, fresh bool) (float64, error) {
 	lev, e := mg.levels[l], &mg.eng
 	if e.et != nil {
 		e.et.orch.Instant(mg.phLevel, time.Now(), int64(l))
 	}
 	e.phaseMap = mg.stepMap[l]
-	return e.step(lev.eng, lev.W, lev.Forcing), nil
+	return e.step(lev.eng, lev.W, lev.Forcing, fresh), nil
 }
 
 func (mg pooled) Restrict(l int) error {
@@ -245,7 +245,7 @@ func (mg pooled) Restrict(l int) error {
 
 	// Residual of the current (post-step) solution, including forcing:
 	// this is what the coarse grid must reproduce.
-	e.residual(lev.eng, lev.W, lev.Forcing)
+	e.residual(lev.eng, lev.W, lev.Forcing, false)
 	mg.tick(4*l+1, mg.cost[l].Residual, &t)
 
 	// Transfer flow variables (interpolation) and residuals (conservative
@@ -257,10 +257,11 @@ func (mg pooled) Restrict(l int) error {
 	e.scatter(next.scatter, *lev.eng.resS, next.Forcing, next.eng.vertSpans, next.eng.vertActive) // next.Forcing := R'
 	mg.tick(4*l+2, mg.cost[l].Restrict, &t)
 
-	// Forcing P = R' - R(w').
-	e.residual(next.eng, next.W, nil)
+	// Forcing P = R' - R(w'), R(w') formed as the front half of the coarse
+	// step's stage 0, which the fresh visit that follows starts from.
+	e.residual(next.eng, next.W, nil, true)
 	e.vertexOp(tForcingSub, next.eng, next.Forcing, *next.eng.resS, nil)
-	mg.tick(4*(l+1)+1, mg.cost[l+1].Residual, &t)
+	mg.tick(4*(l+1)+1, mg.cost[l+1].Forcing, &t)
 	return nil
 }
 

@@ -236,14 +236,14 @@ func TestMultigridCloseIdempotent(t *testing.T) {
 
 // TestSequentialMultigridLevelsAreSerial: the sequential multigrid — the
 // pooled one at one worker — is multigrid.Solver on every level, not only
-// the finest, and so is the pool at two workers: after a full-multigrid
-// initialization and after each W-cycle that follows, each level's
-// solution equals the reference's bit for bit, on a generated sequence as
-// it comes.
+// the finest, and so is the pool at two and three workers: after a
+// full-multigrid initialization and after each W-cycle that follows, each
+// level's solution equals the reference's bit for bit, on a generated
+// sequence as it comes.
 func TestSequentialMultigridLevelsAreSerial(t *testing.T) {
 	meshes := testSequence(t, 3)
 	p := euler.DefaultParams(0.675, 0)
-	for _, nw := range []int{1, 2} {
+	for _, nw := range []int{1, 2, 3} {
 		ref, err := multigrid.New(meshes, p, 2)
 		if err != nil {
 			t.Fatal(err)

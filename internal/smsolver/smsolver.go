@@ -44,7 +44,13 @@
 // pool that stays awake").
 // The engine/levelEngine split in this file lets the same N parked workers
 // drive either a single grid (Solver) or every level of a FAS multigrid
-// sequence (Multigrid, multigrid.go). Close releases the workers; a solver
+// sequence (Multigrid, multigrid.go). There a restriction forms the coarse
+// residual R(w') for the forcing as the front half of the coarse step's
+// stage 0 — the snapshot and vertex terms, the sweep with the spectral
+// radii, the switch with the time steps, pass 2 — and the fresh visit that
+// follows (multigrid.Levels.Step) starts at its combine: the same
+// arithmetic on the same inputs, so bitwise, four regions fewer (27), and
+// 446 regions a 4-level W-cycle. Close releases the workers; a solver
 // dropped without Close is cleaned up by the garbage collector.
 package smsolver
 
@@ -197,7 +203,7 @@ func (le *levelEngine) chargeFlops() {
 	ne, nbf := int64(m.NE()), int64(len(m.BFaces))
 	nv64 := int64(m.NV())
 	le.flInit = nv64 * flops.PresVert
-	le.flDt = ne*flops.DtEdge + nbf*flops.DtBFace + nv64*flops.DtVertex // stage 0's sweep (its 2 flops per vertex ride the switch sweep)
+	le.flDt = flops.TimeSteps(nv64, ne, nbf) // stage 0's sweep (its 2 flops per vertex ride the switch sweep)
 	le.flConv = ne*flops.ConvEdge + nbf*flops.ConvBFace
 	le.flDiss1 = ne * flops.Diss1Edge
 	le.flDiss2 = ne*flops.Diss2Edge + nv64*flops.NuVert
@@ -365,8 +371,12 @@ func (e *engine) tick(phase int, fl int64, t *time.Time) {
 // step advances w by one multistage time step on lev, identically to
 // euler.Disc.Step but with every loop dispatched to the worker pool, and
 // advancing w in place as the step's solution block. It returns
-// the first-stage residual norm and performs no heap allocations.
-func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
+// the first-stage residual norm and performs no heap allocations. A fresh
+// step (multigrid.Levels.Step) starts stage 0 at its combine: residual, in
+// its front form, left everything the combine reads — the snapshot, the
+// vertex terms, the sums with the radii, the time steps and pass 2 — of
+// this same w, and nothing has written lev since.
+func (e *engine) step(lev *levelEngine, w, forcing []euler.State, fresh bool) float64 {
 	d := lev.d
 	if d.M.NV() == 0 {
 		return 0
@@ -377,38 +387,43 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 	stepStart := t
 
 	// Stage-0 snapshot, per-vertex terms and the zeroing of every accumulator.
-	e.fork(tInit, lev.vertActive)
-	e.tick(phTimestep, lev.flInit, &t)
+	if !fresh {
+		e.fork(tInit, lev.vertActive)
+		e.tick(phTimestep, lev.flInit, &t)
+	}
 
 	norm := 0.0
 	nstages := len(d.P.Stages)
 	for q, alpha := range d.P.Stages {
 		stageStart := t
-		// One edge and face pass for everything that reads only w (into
-		// accumulators zeroed by the previous update sweep, or by tInit). A
-		// time-accurate run skips the radii: a fixed dt is all they feed.
-		parts, fl := euler.PartConv, lev.flConv
-		if q < euler.DissipStages {
-			parts |= euler.PartDiss1
-			fl += lev.flDiss1
-		}
-		if q == 0 {
-			if d.P.GlobalDt <= 0 {
-				parts |= euler.PartLam
+		if q > 0 || !fresh {
+			// One edge and face pass for everything that reads only w (into
+			// accumulators zeroed by the previous update sweep, or by tInit). A
+			// time-accurate run skips the radii: a fixed dt is all they feed.
+			parts, fl := euler.PartConv, lev.flConv
+			if q < euler.DissipStages {
+				parts |= euler.PartDiss1
+				fl += lev.flDiss1
 			}
-			fl += lev.flDt // the nominal count, as flops.Step has it
-		}
-		e.parts = parts
-		e.fork(tSweep, lev.vertActive)
-		e.tick(phConvective, fl, &t)
+			if q == 0 {
+				if d.P.GlobalDt <= 0 {
+					parts |= euler.PartLam
+				}
+				fl += lev.flDt // the nominal count, as flops.Step has it
+			}
+			e.parts = parts
+			e.fork(tSweep, lev.vertActive)
+			e.tick(phConvective, fl, &t)
 
-		// Dissipation on the first stages, frozen afterwards. The time steps
-		// ride stage 0's switch sweep, where the radii are first complete.
-		if q < euler.DissipStages {
-			e.withDt = q == 0
-			e.fork(tNu, lev.vertActive)
-			e.fork(tDiss2, lev.vertActive)
-			e.tick(phDissipation, lev.flDiss2, &t)
+			// Dissipation on the first stages, frozen afterwards. The time
+			// steps ride stage 0's switch sweep, where the radii are first
+			// complete.
+			if q < euler.DissipStages {
+				e.withDt = q == 0
+				e.fork(tNu, lev.vertActive)
+				e.fork(tDiss2, lev.vertActive)
+				e.tick(phDissipation, lev.flDiss2, &t)
+			}
 		}
 
 		e.fork(tCombine, lev.vertActive)
@@ -446,15 +461,25 @@ func (e *engine) step(lev *levelEngine, w, forcing []euler.State) float64 {
 // forcing into lev.resS, matching euler.Disc.Residual (followed by the
 // forcing add) arithmetic-for-arithmetic; the transfer operators read it as
 // the []State it is. Used by the multigrid forcing construction; performs
-// no heap allocations.
-func (e *engine) residual(lev *levelEngine, w, forcing []euler.State) {
+// no heap allocations. With front set it is the front half of a step's
+// stage 0 on w, then its combine: the same R(w), formed with the
+// step's snapshot, spectral radii and time steps beside it, so that a
+// fresh step on w can start at its own combine.
+func (e *engine) residual(lev *levelEngine, w, forcing []euler.State, front bool) {
 	if lev.d.M.NV() == 0 {
 		return
 	}
 	e.lev = lev
 	e.w, e.forcing = w, forcing
-	e.fork(tResInit, lev.vertActive)
-	e.parts, e.withDt = euler.PartConv|euler.PartDiss1, false
+	init, parts := tResInit, euler.PartConv|euler.PartDiss1
+	if front {
+		init = tInit
+		if lev.d.P.GlobalDt <= 0 {
+			parts |= euler.PartLam
+		}
+	}
+	e.fork(init, lev.vertActive)
+	e.parts, e.withDt = parts, front
 	e.fork(tSweep, lev.vertActive)
 	e.fork(tNu, lev.vertActive)
 	e.fork(tDiss2, lev.vertActive)
@@ -585,7 +610,7 @@ func (s *Solver) Stats() perf.Stats { return s.eng.acc.Stats() }
 // euler.Disc.Step but parallel. It returns the first-stage residual norm
 // and performs no heap allocations.
 func (s *Solver) Step(w []euler.State, forcing []euler.State) float64 {
-	return s.eng.step(s.le, w, forcing)
+	return s.eng.step(s.le, w, forcing, false)
 }
 
 // Residual evaluates the steady residual R(w), without forcing, into a
@@ -593,7 +618,7 @@ func (s *Solver) Step(w []euler.State, forcing []euler.State) float64 {
 // Step, Residual or Rebuild. It is bitwise euler.Disc.Residual on D.M and
 // performs no heap allocations.
 func (s *Solver) Residual(w []euler.State) []euler.State {
-	s.eng.residual(s.le, w, nil)
+	s.eng.residual(s.le, w, nil, false)
 	return *s.le.resS
 }
 

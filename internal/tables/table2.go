@@ -93,7 +93,11 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 		}
 
 		// Per-node computation from real per-node topology and the visit
-		// counts of the strategy (a single grid is one level).
+		// counts of the strategy (a single grid is one level), priced as
+		// multigrid.Ledger.CycleFlops prices the cycle that ran: the coarse
+		// residual a restriction forms for the forcing is the front half of
+		// the fresh step that follows (multigrid.Levels.Step), counted in
+		// that step and not again.
 		steps := multigrid.Visits(len(meshes), strategy.Gamma())
 		compMax := 0.0
 		var totalFlops int64
@@ -105,11 +109,8 @@ func Table2(cfg Config, strategy Strategy, nodeCounts []int, method partition.Me
 				nv := int64(lev.Dist.Count(node))
 				f += int64(steps[l]) * flops.Step(nv, ne, nbf, len(p.Stages), euler.DissipStages, p.NSmooth)
 				if l < len(dm.Levels)-1 {
-					nextLev := dm.Levels[l+1]
-					neC := int64(len(nextLev.Edges[node]))
-					nbfC := int64(len(nextLev.BFaces[node]))
-					nvC := int64(nextLev.Dist.Count(node))
-					per := flops.Residual(nv, ne, nbf) + flops.Residual(nvC, neC, nbfC) +
+					nvC := int64(dm.Levels[l+1].Dist.Count(node))
+					per := flops.Residual(nv, ne, nbf) +
 						flops.Transfer(nv, nvC) +
 						int64(p.NSmooth)*(ne*flops.SmoothEdge+nv*flops.SmoothVert)
 					f += int64(steps[l]) * per
