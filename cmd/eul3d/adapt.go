@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"eul3d/internal/adapt"
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 	"eul3d/internal/trace"
 )
@@ -16,7 +16,7 @@ import (
 // indicator-driven refinement epochs (internal/adapt). The engine is
 // rebuilt incrementally after every epoch; the run reports the
 // incremental-vs-from-scratch build comparison per epoch.
-func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error)) {
+func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), run runloop.Options) {
 	seq, err := loadSeq(1)
 	if err != nil {
 		log.Fatalf("eul3d: %v", err)
@@ -39,11 +39,9 @@ func runAdaptive(p euler.Params, sc *scenario.Scenario, tracer *trace.Tracer, lo
 
 	res, err := adapt.Run(adapt.Options{
 		Mesh: m, Init: w, Params: p, Engine: engine,
-		Steps: *cycles, Tolerance: *tol,
 		Budget: *adaptBud, Interval: *adaptIntv, MaxEpochs: *adaptEp,
 		Indicator: *adaptInd, Frac: *adaptFrac,
-		LogEvery: *logEvery, Log: os.Stdout,
-		Trace: tracer,
+		Trace: tracer, Loop: run,
 	})
 	ran(tracer, err)
 	report(p.Gas, sc, finished{

@@ -194,6 +194,18 @@ func main() {
 	if *tracePth != "" {
 		tracer = trace.New(1 << 14)
 	}
+	// The run every path makes: the loop's one description of it.
+	run := runloop.Options{
+		MaxCycles:       *cycles,
+		Tolerance:       *tol,
+		LogEvery:        *logEvery,
+		Log:             os.Stdout,
+		CheckpointEvery: *ckptEvery,
+		Meta:            runloop.Meta{Mach: *mach, AlphaDeg: *alpha},
+	}
+	if *ckptPath != "" {
+		run.OnCheckpoint = func(ck *meshio.Checkpoint) error { return meshio.SaveCheckpoint(*ckptPath, ck) }
+	}
 	if *adaptOn {
 		for flagName, on := range map[string]bool{
 			"-nproc":         *nproc > 0,
@@ -215,11 +227,11 @@ func main() {
 			}
 			*strategy = "single"
 		}
-		runAdaptive(p, sc, tracer, loadSeq)
+		runAdaptive(p, sc, tracer, loadSeq, run)
 		return
 	}
 	if *nproc > 0 {
-		runDistributed(p, tracer, loadSeq, ck)
+		runDistributed(p, tracer, loadSeq, ck, run)
 		return
 	}
 
@@ -287,17 +299,7 @@ func main() {
 		fmt.Printf("flight recorder armed; trace goes to %s\n", *tracePth)
 	}
 
-	res, err := st.Run(solver.Options{
-		MaxCycles: *cycles,
-		Tolerance: *tol,
-		LogEvery:  *logEvery,
-		Log:       os.Stdout,
-
-		CheckpointEvery: *ckptEvery,
-		CheckpointPath:  *ckptPath,
-		Mach:            *mach,
-		AlphaDeg:        *alpha,
-	})
+	res, err := st.Run(run)
 	ran(tracer, err)
 	report(p.Gas, sc, finished{
 		res: res, mesh: fineMesh, maxMach: true,
@@ -317,7 +319,7 @@ func main() {
 // holds one "partition" span per level (argument: the level) and one
 // "engine-build" span for the solver's constructor (argument: the level
 // count).
-func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint) {
+func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*mesh.Mesh, error), ck *meshio.Checkpoint, run runloop.Options) {
 	gamma := engineConfig().Gamma
 	nlev := *levels
 	if gamma == 0 {
@@ -373,25 +375,18 @@ func runDistributed(p euler.Params, tracer *trace.Tracer, loadSeq func(int) ([]*
 	}
 	fmt.Printf("distributed solve: %d simulated processors on %d %s\n", *nproc, workers, unit)
 
-	incident := ""
 	if tracer != nil {
-		s.SetTrace(tracer)
-		incident = incidentPath(*tracePth)
+		incident := incidentPath(*tracePth)
+		s.SetTrace(tracer, incident)
 		fmt.Printf("flight recorder armed; trace goes to %s, incident dumps to %s\n", *tracePth, incident)
 	}
+	if ck != nil {
+		if err := s.Restore(ck); err != nil {
+			log.Fatalf("eul3d: %v", err)
+		}
+	}
 
-	res, err := s.Run(dmsolver.RunOptions{
-		MaxCycles:       *cycles,
-		Tolerance:       *tol,
-		LogEvery:        *logEvery,
-		Log:             os.Stdout,
-		CheckpointEvery: *ckptEvery,
-		CheckpointPath:  *ckptPath,
-		Mach:            *mach,
-		AlphaDeg:        *alpha,
-		Resume:          ck,
-		IncidentPath:    incident,
-	})
+	res, err := s.Run(run)
 	ran(tracer, err)
 	report(p.Gas, nil, finished{res: &res.Result, mesh: seq[0], detail: func() {
 		msgs, bytes := s.Fabric.TotalStats()

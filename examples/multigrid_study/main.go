@@ -12,6 +12,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/multigrid"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 )
 
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := st.Run(solver.Options{MaxCycles: cycles})
+		res, err := st.Run(runloop.Options{MaxCycles: cycles})
 		if err != nil {
 			log.Fatal(err)
 		}

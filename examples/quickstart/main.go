@@ -10,6 +10,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := st.Run(solver.Options{
+	res, err := st.Run(runloop.Options{
 		MaxCycles: 1200,
 		Tolerance: 1e-5,
 		LogEvery:  20,

@@ -19,6 +19,7 @@ import (
 	"eul3d/internal/machine"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 )
 
@@ -59,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		res, err := st.Run(solver.Options{MaxCycles: 20})
+		res, err := st.Run(runloop.Options{MaxCycles: 20})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 	"eul3d/internal/tables"
 )
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := st.Run(solver.Options{
+	res, err := st.Run(runloop.Options{
 		MaxCycles: 250,
 		Tolerance: 1e-6,
 		LogEvery:  25,

@@ -32,10 +32,8 @@
 package adapt
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -49,20 +47,14 @@ import (
 	"eul3d/internal/trace"
 )
 
-// Options configures an adaptive run.
+// Options configures an adaptive run: where it starts, how it adapts, and
+// Loop, the description every run takes.
 type Options struct {
 	Mesh   *mesh.Mesh    // the mesh the run starts on: Resume's, when set
 	Init   []euler.State // initial condition on Mesh; nil starts from the freestream
 	Params euler.Params
-	Meta   runloop.Meta // what every record carries about the run besides its state
 
 	Engine solver.Config // the single grid (Gamma 0), the shape a refinement epoch can rebuild in place
-
-	// Steps is the total step budget. Time-accurate runs (Params.GlobalDt
-	// > 0) integrate to the fixed final time Steps*GlobalDt; adaptation
-	// shrinks the step and raises the step count to land exactly there.
-	Steps     int
-	Tolerance float64 // steady runs: stop when norm/initial falls below this
 
 	Budget    int     // cell budget; 0 = 4x the starting cell count
 	Interval  int     // steps between adaptation epochs (default 50)
@@ -70,23 +62,9 @@ type Options struct {
 	Indicator string  // "density" (default), "pressure", "residual"
 	Frac      float64 // fraction of cells marked per epoch (default 0.1)
 
-	LogEvery int
-	Log      io.Writer
-
-	// Context, when non-nil, is checked before every step; cancellation
-	// stops the run with Result.Cancelled set and a resumable record.
-	Context  context.Context
-	Progress func(step int, norm float64)
-
 	// Trace, when non-nil, records an "adapt" track with one span per
 	// adaptation epoch and a nested rebuild span.
 	Trace *trace.Tracer
-
-	// CheckpointEvery > 0 invokes OnCheckpoint with a fresh record every
-	// that many steps (and after every adaptation epoch, so a resume never
-	// replays a refinement).
-	CheckpointEvery int
-	OnCheckpoint    func(*meshio.Checkpoint) error
 
 	// NameMesh, when set, names every mesh an epoch produces — the name
 	// each later record's Mesh carries, so that a record says which mesh
@@ -97,8 +75,25 @@ type Options struct {
 
 	// Resume continues a run from a record (produced by cancellation or
 	// OnCheckpoint) instead of starting from Init; Mesh must be the mesh
-	// the record names.
+	// the record names. The engine restores it (solver.Steady.Restore),
+	// so a record written at another CFL is rejected.
 	Resume *meshio.Checkpoint
+
+	// Loop is the run as every entry point describes it, read in steps:
+	//   - MaxCycles is the total step budget. Time-accurate runs
+	//     (Params.GlobalDt > 0) integrate to the fixed final time
+	//     MaxCycles*GlobalDt; adaptation shrinks the step and raises the
+	//     step count to land exactly there. Tolerance applies to steady
+	//     runs only.
+	//   - Context stops the run with Result.Cancelled set and a resumable
+	//     record, Result.Snap. Progress sees every step, numbered from 0 as
+	//     the loop numbers cycles. The progress line every LogEvery steps is
+	//     the driver's own: it adds the mesh size and the epoch count.
+	//   - OnCheckpoint receives a record every CheckpointEvery steps but an
+	//     interval's last, and one after every adaptation epoch, so a resume
+	//     never replays a refinement. Records carry Meta at the engine's
+	//     CFL, the driver's counters and the mesh name.
+	Loop runloop.Options
 }
 
 // EpochStat records one adaptation epoch.
@@ -115,13 +110,11 @@ type EpochStat struct {
 }
 
 // Result summarizes an adaptive run: the loop's result over all solve
-// intervals (steps map onto its cycles) and what adaptation did.
+// intervals (its Cycles are the steps taken, its FineSolution lives on
+// Mesh) and what adaptation did.
 type Result struct {
 	runloop.Result
-	Steps int // = Cycles
-
-	Mesh     *mesh.Mesh    // final (adapted) mesh
-	Solution []euler.State // solution on Mesh (= FineSolution)
+	Mesh *mesh.Mesh // final (adapted) mesh
 
 	Epochs       []EpochStat
 	CellsRefined int        // total cells added across all epochs
@@ -150,18 +143,18 @@ func Run(opt Options) (*Result, error) {
 	timeAccurate := dt > 0
 	var history []float64
 	var meshName string
-	stepsLeft := opt.Steps
+	stepsLeft := opt.Loop.MaxCycles
 	if m == nil || m.NV() == 0 {
 		return nil, errors.New("adapt: nil or empty mesh")
 	}
-	if opt.Steps <= 0 {
-		return nil, errors.New("adapt: Steps must be positive")
+	if stepsLeft <= 0 {
+		return nil, errors.New("adapt: MaxCycles must be positive")
 	}
 	if opt.Engine.Gamma != 0 {
 		return nil, errors.New("adapt: a multigrid engine cannot be rebuilt onto a refined mesh (want the single grid, Gamma 0)")
 	}
 	if rs := opt.Resume; rs != nil {
-		w, meshName = rs.Sol, rs.Mesh
+		meshName = rs.Mesh
 		history = append(history, rs.History...)
 		step, epochs, since = rs.Cycle, rs.Epochs, rs.SinceEpoch
 		cellsRefined = rs.CellsRefined
@@ -172,7 +165,7 @@ func Run(opt Options) (*Result, error) {
 			dt, stepsLeft = rs.Dt, rs.StepsLeft
 			p.GlobalDt = dt
 		} else {
-			stepsLeft = opt.Steps - step
+			stepsLeft -= step
 		}
 	}
 	interval := opt.Interval
@@ -200,10 +193,14 @@ func Run(opt Options) (*Result, error) {
 		return nil, fmt.Errorf("adapt: %w", err)
 	}
 	defer eng.Close()
-	if w != nil {
-		if err := eng.SetInitial(w); err != nil {
-			return nil, fmt.Errorf("adapt: %w", err)
-		}
+	switch {
+	case opt.Resume != nil:
+		err = eng.Restore(opt.Resume)
+	case w != nil:
+		err = eng.SetInitial(w)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("adapt: %w", err)
 	}
 
 	var atrack *trace.Track
@@ -216,38 +213,42 @@ func Run(opt Options) (*Result, error) {
 
 	acc := perf.NewAccum(phaseNames[:]...)
 	res := &Result{}
-	record := func(history []float64) *meshio.Checkpoint {
-		ck := opt.Meta.Checkpoint(append([]float64(nil), history...), append([]euler.State(nil), eng.Solution()...))
+
+	// lo is the caller's loop, run one solve interval at a time, with the
+	// driver's hooks around the caller's.
+	lo, user := opt.Loop, opt.Loop
+	lo.Meta.CFL = p.CFL
+	lo.LogEvery = 0
+	if timeAccurate {
+		lo.Tolerance = 0
+	}
+	// record completes a record of the run with the driver's counters and
+	// the name of the mesh its solution lives on.
+	record := func(ck *meshio.Checkpoint) *meshio.Checkpoint {
 		ck.Mesh, ck.Epochs, ck.SinceEpoch, ck.StepsLeft, ck.CellsRefined, ck.Dt = meshName, epochs, since, stepsLeft, cellsRefined, dt
 		return ck
 	}
-
-	lo := runloop.Options{Context: opt.Context}
-	if !timeAccurate {
-		lo.Tolerance = opt.Tolerance
-	}
-	// Every step advances the driver's counters here — before the loop's
-	// checkpoint hook runs, so a record sees them current. Steps are
-	// numbered from 1, and the progress line carries the mesh size and epoch
-	// count the loop's own does not know.
+	// Every step advances the driver's counters here — before the loop
+	// hands over a record, so the record sees them current. The progress
+	// line carries the mesh size and epoch count the loop's own does not
+	// know.
 	lo.Progress = func(c int, norm float64) {
 		step, stepsLeft, since = c+1, stepsLeft-1, since+1
-		if opt.Progress != nil {
-			opt.Progress(step, norm)
+		if user.Progress != nil {
+			user.Progress(c, norm)
 		}
-		if opt.LogEvery > 0 && opt.Log != nil && step%opt.LogEvery == 0 {
-			fmt.Fprintf(opt.Log, "step %5d  res %.6e  cells %d  epochs %d\n", step, norm, m.NT(), epochs)
+		if user.LogEvery > 0 && user.Log != nil && step%user.LogEvery == 0 {
+			fmt.Fprintf(user.Log, "step %5d  res %.6e  cells %d  epochs %d\n", step, norm, m.NT(), epochs)
 		}
 	}
-	if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {
-		lo.CheckpointEvery = opt.CheckpointEvery
-		lo.Checkpoint = func(history []float64) error {
-			if len(history) == lo.MaxCycles {
+	if user.OnCheckpoint != nil {
+		lo.OnCheckpoint = func(ck *meshio.Checkpoint) error {
+			if ck.Cycle == lo.MaxCycles {
 				// The interval's last step: either the run is over, or the
 				// epoch below decides (a resume never replays a refinement).
 				return nil
 			}
-			return opt.OnCheckpoint(record(history))
+			return user.OnCheckpoint(record(ck))
 		}
 	}
 
@@ -266,7 +267,7 @@ func Run(opt Options) (*Result, error) {
 		}
 		res.Result, history = *lr, lr.History
 		if lr.Cancelled {
-			res.Snap = record(history)
+			res.Snap = record(lo.Meta.Checkpoint(history, eng.Solution()))
 		}
 		if lr.Cancelled || lr.Converged || lr.Diverged || stepsLeft == 0 {
 			break
@@ -355,20 +356,19 @@ func Run(opt Options) (*Result, error) {
 				atrack.Span(phEpoch, epochStart, now, int64(epochs))
 				atrack.Span(phRebuildTr, tR, tR.Add(rebuildDur), int64(epochs))
 			}
-			if opt.Log != nil {
-				fmt.Fprintf(opt.Log, "epoch %d @ step %d: %d marked, cells %d -> %d (red %d, green %d), rebuild %.2fms\n",
+			if user.Log != nil {
+				fmt.Fprintf(user.Log, "epoch %d @ step %d: %d marked, cells %d -> %d (red %d, green %d), rebuild %.2fms\n",
 					epochs, step, nmark, st.CellsBefore, st.CellsAfter, r.Red, r.Green,
 					float64(st.RebuildNS)/1e6)
 			}
-			if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil {
-				if err := opt.OnCheckpoint(record(history)); err != nil {
+			if lo.CheckpointEvery > 0 && user.OnCheckpoint != nil {
+				if err := user.OnCheckpoint(record(lo.Meta.Checkpoint(history, eng.Solution()))); err != nil {
 					return nil, fmt.Errorf("adapt: checkpoint after epoch %d: %w", epochs, err)
 				}
 			}
 		}
 	}
 
-	res.Steps, res.Solution = res.Cycles, res.FineSolution
 	res.Mesh = m
 	res.CellsRefined = cellsRefined
 	res.Stats = acc.Stats()

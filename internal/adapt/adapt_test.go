@@ -3,11 +3,14 @@ package adapt
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/meshio"
 	"eul3d/internal/refine"
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 	"eul3d/internal/solver"
 )
@@ -24,7 +27,7 @@ func sodRun(t *testing.T, engine solver.Config) *Result {
 		Init:      sc.InitialState(ms[0]),
 		Params:    sc.Params(),
 		Engine:    engine,
-		Steps:     sc.Steps,
+		Loop:      runloop.Options{MaxCycles: sc.Steps},
 		Interval:  50,
 		MaxEpochs: 2,
 		Indicator: "density",
@@ -59,7 +62,7 @@ func TestAdaptiveSodGolden(t *testing.T) {
 		}
 		if ref == nil {
 			ref = res
-			d := sc.Diagnose(res.Mesh, res.Solution, res.FinalNorm)
+			d := sc.Diagnose(res.Mesh, res.FineSolution, res.FinalNorm)
 			if err := sc.Check(d); err != nil {
 				t.Fatalf("physics check failed on adapted run: %v", err)
 			}
@@ -67,11 +70,11 @@ func TestAdaptiveSodGolden(t *testing.T) {
 				t.Fatalf("adaptive L1 density error %.6g exceeds fixed-mesh tolerance %g", d.L1Density, sc.L1Tol)
 			}
 			t.Logf("adaptive sod: %d steps, %d cells (from %d), L1 %.6g (tol %g)",
-				res.Steps, res.Mesh.NT(), ref.Epochs[0].CellsBefore, d.L1Density, sc.L1Tol)
+				res.Cycles, res.Mesh.NT(), ref.Epochs[0].CellsBefore, d.L1Density, sc.L1Tol)
 			continue
 		}
-		if res.Steps != ref.Steps || len(res.History) != len(ref.History) {
-			t.Fatalf("nw=%d: schedule diverged: %d steps vs %d", nw, res.Steps, ref.Steps)
+		if res.Cycles != ref.Cycles || len(res.History) != len(ref.History) {
+			t.Fatalf("nw=%d: schedule diverged: %d steps vs %d", nw, res.Cycles, ref.Cycles)
 		}
 		for i := range res.History {
 			if res.History[i] != ref.History[i] {
@@ -81,8 +84,8 @@ func TestAdaptiveSodGolden(t *testing.T) {
 		if res.Mesh.NT() != ref.Mesh.NT() || res.Mesh.NV() != ref.Mesh.NV() {
 			t.Fatalf("nw=%d: adapted mesh differs in size", nw)
 		}
-		for i := range res.Solution {
-			if res.Solution[i] != ref.Solution[i] {
+		for i := range res.FineSolution {
+			if res.FineSolution[i] != ref.FineSolution[i] {
 				t.Fatalf("nw=%d: solution vertex %d differs", nw, i)
 			}
 		}
@@ -100,7 +103,7 @@ func TestAdaptiveSodSingle(t *testing.T) {
 	if len(res.Epochs) < 2 {
 		t.Fatalf("single engine: %d epochs, want >= 2", len(res.Epochs))
 	}
-	d := sc.Diagnose(res.Mesh, res.Solution, res.FinalNorm)
+	d := sc.Diagnose(res.Mesh, res.FineSolution, res.FinalNorm)
 	if err := sc.Check(d); err != nil {
 		t.Fatalf("physics check failed: %v", err)
 	}
@@ -110,8 +113,8 @@ func TestAdaptiveSodSingle(t *testing.T) {
 			t.Fatalf("epoch %d: dt %.6g not shrunk below %g", i, ep.Dt, p.GlobalDt)
 		}
 	}
-	if res.Steps <= sc.Steps {
-		t.Fatalf("refined run took %d steps, want more than the fixed-mesh %d", res.Steps, sc.Steps)
+	if res.Cycles <= sc.Steps {
+		t.Fatalf("refined run took %d steps, want more than the fixed-mesh %d", res.Cycles, sc.Steps)
 	}
 	// Reconstruct total integrated time from the epoch schedule: steps
 	// before the first epoch at dt0, between epochs at each epoch's dt.
@@ -121,7 +124,7 @@ func TestAdaptiveSodSingle(t *testing.T) {
 		total += float64(ep.Step-prevStep) * prevDt
 		prevStep, prevDt = ep.Step, ep.Dt
 	}
-	total += float64(res.Steps-prevStep) * prevDt
+	total += float64(res.Cycles-prevStep) * prevDt
 	want := float64(sc.Steps) * p.GlobalDt
 	if diff := total - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("integrated time %.17g != final time %.17g", total, want)
@@ -147,7 +150,7 @@ func testAdaptResume(t *testing.T, engine solver.Config) {
 	base := Options{
 		Params:    sc.Params(),
 		Engine:    engine,
-		Steps:     sc.Steps,
+		Loop:      runloop.Options{MaxCycles: sc.Steps},
 		Interval:  40,
 		MaxEpochs: 2,
 		Indicator: "density",
@@ -169,9 +172,9 @@ func testAdaptResume(t *testing.T, engine solver.Config) {
 	cut := refRes.Epochs[0].Step + 10
 	interrupted := base
 	interrupted.Mesh, interrupted.Init = ms[0], sc.InitialState(ms[0])
-	interrupted.Context = ctx
-	interrupted.Progress = func(step int, _ float64) {
-		if step == cut {
+	interrupted.Loop.Context = ctx
+	interrupted.Loop.Progress = func(c int, _ float64) {
+		if c+1 == cut {
 			cancel()
 		}
 	}
@@ -192,16 +195,16 @@ func testAdaptResume(t *testing.T, engine solver.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Steps != refRes.Steps || len(res2.History) != len(refRes.History) {
-		t.Fatalf("resumed run: %d steps vs %d uninterrupted", res2.Steps, refRes.Steps)
+	if res2.Cycles != refRes.Cycles || len(res2.History) != len(refRes.History) {
+		t.Fatalf("resumed run: %d steps vs %d uninterrupted", res2.Cycles, refRes.Cycles)
 	}
 	for i := range res2.History {
 		if res2.History[i] != refRes.History[i] {
 			t.Fatalf("history[%d] differs after resume: %.17g vs %.17g", i, res2.History[i], refRes.History[i])
 		}
 	}
-	for i := range res2.Solution {
-		if res2.Solution[i] != refRes.Solution[i] {
+	for i := range res2.FineSolution {
+		if res2.FineSolution[i] != refRes.FineSolution[i] {
 			t.Fatalf("solution vertex %d differs after resume", i)
 		}
 	}
@@ -365,16 +368,23 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	m := ms[0]
 	w := sc.InitialState(m)
 	p := sc.Params()
+	ten := runloop.Options{MaxCycles: 10}
 	cases := []Options{
-		{Mesh: nil, Init: w, Params: p, Steps: 10},
-		{Mesh: m, Init: w[:3], Params: p, Steps: 10},
-		{Mesh: m, Init: w, Params: p, Steps: 0},
-		{Mesh: m, Init: w, Params: p, Steps: 10, Engine: solver.Config{Gamma: 2}},
-		{Mesh: m, Init: w, Params: p, Steps: 10, Indicator: "entropy"},
+		{Mesh: nil, Init: w, Params: p, Loop: ten},
+		{Mesh: m, Init: w[:3], Params: p, Loop: ten},
+		{Mesh: m, Init: w, Params: p},
+		{Mesh: m, Init: w, Params: p, Loop: ten, Engine: solver.Config{Gamma: 2}},
+		{Mesh: m, Init: w, Params: p, Loop: ten, Indicator: "entropy"},
 	}
 	for i, opt := range cases {
 		if _, err := Run(opt); err == nil {
 			t.Fatalf("case %d: bad options accepted", i)
 		}
+	}
+	// A resume record is outside input: one written at another CFL is
+	// rejected, as the engine's Restore rejects it on a plain run.
+	foreign := &meshio.Checkpoint{Sol: w, CFL: p.CFL / 2, Dt: p.GlobalDt, StepsLeft: 10}
+	if _, err := Run(Options{Mesh: m, Params: p, Loop: ten, Resume: foreign}); err == nil || !strings.Contains(err.Error(), "CFL") {
+		t.Fatalf("record at CFL %g resumed by a run at %g: %v", foreign.CFL, p.CFL, err)
 	}
 }

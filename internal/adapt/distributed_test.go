@@ -5,8 +5,10 @@ import (
 
 	"eul3d/internal/dmsolver"
 	"eul3d/internal/graph"
+	"eul3d/internal/meshio"
 	"eul3d/internal/partition"
 	"eul3d/internal/refine"
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 )
 
@@ -55,10 +57,10 @@ func TestAdaptedMeshRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("distributed solver on adapted mesh: %v", err)
 	}
-	if err := s.SetFineSolution(wNew); err != nil {
+	if err := s.Restore(&meshio.Checkpoint{Sol: wNew}); err != nil {
 		t.Fatalf("transferred solution rejected: %v", err)
 	}
-	res, err := s.Run(dmsolver.RunOptions{MaxCycles: 5})
+	res, err := s.Run(runloop.Options{MaxCycles: 5})
 	if err != nil {
 		t.Fatalf("run on adapted partitions: %v", err)
 	}

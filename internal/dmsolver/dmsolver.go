@@ -183,6 +183,7 @@ type Solver struct {
 	Levels []*Level
 	Comm   CommCounters
 
+	prior   []float64    // residual history a Restore carried over: Run picks up at cycle len(prior)
 	partial []float64    // per-processor terms of the residual-norm reduction
 	hooks   []cycleHooks // per processor: the cycle's hooks bound to the block it leads (cycle)
 

@@ -10,6 +10,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/runloop"
 	"eul3d/internal/simnet"
 )
 
@@ -131,7 +132,7 @@ func TestFaultPlanRunsOneWorker(t *testing.T) {
 		}
 		plan := simnet.RandomFaultPlan(11, mix)
 		s.Fabric.SetFaultPlan(plan)
-		res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: 2})
+		res, err := s.Run(runloop.Options{MaxCycles: cycles, CheckpointEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

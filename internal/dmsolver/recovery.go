@@ -14,15 +14,17 @@ import (
 
 // This file is the recovery orchestrator: a stepper around the distributed
 // cycle that gives the solver the resilience machinery of a real runtime
-// under the one convergence loop (internal/runloop). It keeps the last
-// snapshot and answers a failed cycle with runloop.Rewind. Three mechanisms
-// compose:
+// under the one convergence loop (internal/runloop). Run takes the loop's
+// Options as every entry point does; Restore is the one way a run resumes.
+// The stepper keeps the last snapshot and answers a failed cycle with
+// runloop.Rewind. Three mechanisms compose:
 //
-//   - periodic checkpoints (in memory, optionally mirrored to disk as
-//     atomic CRC-trailered files) snapshot the fine-grid solution, cycle
-//     count, residual history and CFL — the only state that persists across
-//     cycles (coarse multigrid levels are rebuilt every cycle from the fine
-//     grid);
+//   - the loop's periodic checkpoints snapshot the fine-grid solution,
+//     cycle count, residual history and the CFL in force — the only state
+//     that persists across cycles (coarse multigrid levels are rebuilt every
+//     cycle from the fine grid). Each record becomes the rewind point before
+//     it goes on to the caller's OnCheckpoint, so CheckpointEvery alone
+//     keeps snapshots in memory; the start of the run is one too;
 //   - on a whole-node crash (simnet.ErrNodeDown bubbling out of a cycle)
 //     the fabric is repaired, every partition is restored from the last
 //     checkpoint, and the run resumes at the checkpointed cycle. Because
@@ -31,37 +33,12 @@ import (
 //     fault-free run;
 //   - a divergence watchdog catches NaN/Inf or blown-up residuals, halves
 //     the CFL and retries from the last checkpoint, bounded by
-//     maxCFLBackoffs.
+//     maxCFLBackoffs. Its records carry the lowered CFL, so Restore adopts
+//     a record's CFL where solver.Steady.Restore rejects a foreign one.
 //
 // Transient message faults (drops, corruption, duplication, delays,
 // reordering) never reach this layer: the PARTI executors heal them with
 // the bounded retry/re-request protocol in parti.recvHealing.
-
-// RunOptions controls a fault-tolerant distributed steady-state run.
-type RunOptions struct {
-	MaxCycles int     // hard iteration limit (total, including resumed cycles)
-	Tolerance float64 // stop when residual/initial falls below this (0 = run all cycles)
-	LogEvery  int     // progress line period (0 = silent)
-	Log       io.Writer
-
-	// CheckpointEvery > 0 snapshots the run every that many cycles (an
-	// initial cycle-0 checkpoint is always taken so a crash before the
-	// first interval remains recoverable). CheckpointPath, when set,
-	// additionally mirrors every snapshot to disk atomically.
-	CheckpointEvery int
-	CheckpointPath  string
-	Mach, AlphaDeg  float64 // metadata recorded in disk checkpoints
-
-	// Resume warm-starts the run from a previously saved checkpoint.
-	Resume *meshio.Checkpoint
-
-	// IncidentPath, when set and a tracer is attached (SetTrace), dumps
-	// the flight recorder there (Chrome trace-event JSON) at every
-	// incident — node crash, CFL backoff, or unrecoverable divergence —
-	// so the rings hold the events leading up to it. Later incidents
-	// overwrite earlier dumps: the file always describes the most recent.
-	IncidentPath string
-}
 
 // The budgets of a run: past maxRecoveries crash recoveries or
 // maxCFLBackoffs watchdog retries the run fails, and a residual above
@@ -80,10 +57,29 @@ type RunResult struct {
 	CFLBackoffs int // divergence-watchdog retries performed
 }
 
-// SetFineSolution overwrites the fine-grid solution from a global state
-// array, filling owned ranges and ghost slots without communication — the
-// restore half of checkpoint/restart.
-func (s *Solver) SetFineSolution(sol []euler.State) error {
+// Restore warm-starts the solver from a checkpoint so that the next Run
+// continues where the checkpointed run stopped: every partition's owned
+// and ghost values are filled from ck.Sol, cycle numbering resumes at
+// ck.Cycle and ck.History is prepended to the run's history. A record that
+// states a CFL sets the solver's: the watchdog writes its checkpoints at
+// the CFL it backed off to, and the resumed run continues at that one.
+func (s *Solver) Restore(ck *meshio.Checkpoint) error {
+	if len(ck.History) != ck.Cycle {
+		return fmt.Errorf("dmsolver: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
+	}
+	if err := s.setFineSolution(ck.Sol); err != nil {
+		return err
+	}
+	if ck.CFL > 0 {
+		s.P.CFL = ck.CFL
+	}
+	s.prior = append([]float64(nil), ck.History...)
+	return nil
+}
+
+// setFineSolution overwrites the fine-grid solution from a global state
+// array, filling owned ranges and ghost slots without communication.
+func (s *Solver) setFineSolution(sol []euler.State) error {
 	lev := s.Levels[0]
 	if len(sol) != lev.M.NV() {
 		return fmt.Errorf("dmsolver: solution has %d states for %d vertices", len(sol), lev.M.NV())
@@ -104,7 +100,7 @@ func (s *Solver) SetFineSolution(sol []euler.State) error {
 // checkpoint it can be put back to, and how often it has been.
 type recovering struct {
 	s   *Solver
-	opt RunOptions
+	log io.Writer
 
 	// snap is the rewind point: the last periodic checkpoint, or the run's
 	// start. Its history aliases the loop's, whose first snap.Cycle entries
@@ -116,25 +112,13 @@ type recovering struct {
 
 func (r *recovering) Solution() []euler.State { return r.s.GatherSolution() }
 
-// checkpoint is the loop's cadence hook: a new rewind point, mirrored to
-// disk when the run has a path.
-func (r *recovering) checkpoint(history []float64) error {
-	meta := runloop.Meta{Mach: r.opt.Mach, AlphaDeg: r.opt.AlphaDeg, CFL: r.s.P.CFL}
-	r.snap = meta.Checkpoint(history, r.s.GatherSolution())
-	r.s.markIncident("checkpoint", r.snap.Cycle)
-	if r.opt.CheckpointPath == "" {
-		return nil
-	}
-	return meshio.SaveCheckpoint(r.opt.CheckpointPath, r.snap)
-}
-
 // rewind puts the solver back to the rewind point at the given CFL: every
 // partition's owned and ghost values are rebuilt from the global solution,
 // and the transport layer is reset so the replay starts from a clean
 // bulk-synchronous slate. It returns what tells the loop to replay.
 func (r *recovering) rewind(cfl float64) error {
 	r.s.Fabric.Repair()
-	if err := r.s.SetFineSolution(r.snap.Sol); err != nil {
+	if err := r.s.setFineSolution(r.snap.Sol); err != nil {
 		panic("dmsolver: snapshot does not match solver: " + err.Error()) // impossible: snapshots come from this solver
 	}
 	r.s.P.CFL = cfl
@@ -146,7 +130,7 @@ func (r *recovering) rewind(cfl float64) error {
 // restored or halved — and makes the loop replay from there; outside the
 // budgets either ends the run.
 func (r *recovering) Cycle(c int) (float64, error) {
-	s, opt := r.s, &r.opt
+	s, log := r.s, r.log
 	s.Fabric.BeginCycle(c)
 	norm, err := s.Cycle()
 	if err != nil {
@@ -155,13 +139,13 @@ func (r *recovering) Cycle(c int) (float64, error) {
 		}
 		r.recoveries++
 		s.markIncident("node-crash", c)
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "cycle %5d  node crash (%v); restoring checkpoint at cycle %d (recovery %d/%d)\n",
+		if log != nil {
+			fmt.Fprintf(log, "cycle %5d  node crash (%v); restoring checkpoint at cycle %d (recovery %d/%d)\n",
 				c, err, r.snap.Cycle, r.recoveries, maxRecoveries)
 		}
 		rw := r.rewind(r.snap.CFL)
 		s.markIncident("recovery", r.snap.Cycle)
-		s.dumpIncident(opt)
+		s.dumpIncident(log)
 		return 0, rw
 	}
 	if c == 0 {
@@ -175,75 +159,68 @@ func (r *recovering) Cycle(c int) (float64, error) {
 	}
 	s.markIncident("cfl-backoff", c)
 	if r.backoffs >= maxCFLBackoffs {
-		s.dumpIncident(opt)
+		s.dumpIncident(log)
 		return 0, fmt.Errorf("cycle %d: residual %g diverged (initial %g)", c, norm, r.initial)
 	}
 	r.backoffs++
 	newCFL := s.P.CFL * 0.5
-	if opt.Log != nil {
-		fmt.Fprintf(opt.Log, "cycle %5d  residual %.3e diverging; CFL %.3g -> %.3g, retrying from cycle %d (backoff %d/%d)\n",
+	if log != nil {
+		fmt.Fprintf(log, "cycle %5d  residual %.3e diverging; CFL %.3g -> %.3g, retrying from cycle %d (backoff %d/%d)\n",
 			c, norm, s.P.CFL, newCFL, r.snap.Cycle, r.backoffs, maxCFLBackoffs)
 	}
 	rw := r.rewind(newCFL) // keep the reduced CFL, not the checkpointed one
-	s.dumpIncident(opt)
+	s.dumpIncident(log)
 	return 0, rw
 }
 
 // Run drives the distributed solve to convergence or the cycle limit,
 // surviving seeded interconnect faults and node crashes when checkpointing
-// is enabled. Under any fault schedule the solver heals from, the final
-// solution and residual history are bitwise identical to the fault-free
-// run.
-func (s *Solver) Run(opt RunOptions) (*RunResult, error) {
-	r := &recovering{s: s, opt: opt}
-	var prior []float64
-	if ck := opt.Resume; ck != nil {
-		if len(ck.History) != ck.Cycle {
-			return nil, fmt.Errorf("dmsolver: checkpoint at cycle %d has %d history entries", ck.Cycle, len(ck.History))
-		}
-		if err := s.SetFineSolution(ck.Sol); err != nil {
-			return nil, err
-		}
-		if ck.CFL > 0 {
-			s.P.CFL = ck.CFL
-		}
-		prior = append(prior, ck.History...)
-		if ck.Cycle > 0 {
-			r.initial = prior[0]
-		}
+// is enabled. After a Restore it picks up at the checkpointed cycle, and
+// MaxCycles counts the restored prefix. Every record handed to
+// opt.OnCheckpoint carries the CFL in force. Under any fault schedule the
+// solver heals from, the final solution and residual history are bitwise
+// identical to the fault-free run.
+func (s *Solver) Run(opt runloop.Options) (*RunResult, error) {
+	prior := append([]float64(nil), s.prior...)
+	r := &recovering{s: s, log: opt.Log}
+	if len(prior) > 0 {
+		r.initial = prior[0]
 	}
 	// Always hold a rewind point, even before the first periodic interval.
 	r.snap = runloop.Meta{CFL: s.P.CFL}.Checkpoint(prior, s.GatherSolution())
-
-	res, err := runloop.Run(r, prior, runloop.Options{
-		MaxCycles:       opt.MaxCycles,
-		Tolerance:       opt.Tolerance,
-		LogEvery:        opt.LogEvery,
-		Log:             opt.Log,
-		CheckpointEvery: opt.CheckpointEvery,
-		Checkpoint:      r.checkpoint,
-	})
+	sink := opt.OnCheckpoint
+	opt.OnCheckpoint = func(ck *meshio.Checkpoint) error {
+		ck.CFL = s.P.CFL
+		r.snap = ck
+		s.markIncident("checkpoint", ck.Cycle)
+		if sink == nil {
+			return nil
+		}
+		return sink(ck)
+	}
+	res, err := runloop.Run(r, prior, opt)
 	if err != nil {
 		return nil, fmt.Errorf("dmsolver: %w", err)
 	}
 	return &RunResult{Result: *res, Recoveries: r.recoveries, CFLBackoffs: r.backoffs}, nil
 }
 
-// dumpIncident writes the flight recorder to opt.IncidentPath, capturing
-// the ring contents — the events leading up to the incident that was just
-// marked. Dump failures are reported on the log but never fail the run:
-// post-mortem capture must not take the solve down with it.
-func (s *Solver) dumpIncident(opt *RunOptions) {
-	if s.st == nil || opt.IncidentPath == "" {
+// dumpIncident writes the flight recorder to the incident path SetTrace
+// was given, capturing the ring contents — the events leading up to the
+// incident that was just marked. Dump failures are reported on the log but
+// never fail the run: post-mortem capture must not take the solve down
+// with it.
+func (s *Solver) dumpIncident(log io.Writer) {
+	if s.st == nil || s.st.incident == "" {
 		return
 	}
-	if err := s.st.tr.WriteChromeFile(opt.IncidentPath); err != nil {
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "incident trace dump: %v\n", err)
+	if err := s.st.tr.WriteChromeFile(s.st.incident); err != nil {
+		if log != nil {
+			fmt.Fprintf(log, "incident trace dump: %v\n", err)
 		}
 		return
 	}
-	if opt.Log != nil {
-		fmt.Fprintf(opt.Log, "incident trace dumped to %s\n", opt.IncidentPath)
+	if log != nil {
+		fmt.Fprintf(log, "incident trace dumped to %s\n", s.st.incident)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
+	"eul3d/internal/runloop"
 	"eul3d/internal/simnet"
 )
 
@@ -64,7 +65,7 @@ func chaosMultigridSolver(t *testing.T) *Solver {
 // solution bitwise, restriction and prolongation exchanges included.
 func chaosMultigridRows(t *testing.T) {
 	const cycles, every = 9, 3
-	ref, err := chaosMultigridSolver(t).Run(RunOptions{MaxCycles: cycles})
+	ref, err := chaosMultigridSolver(t).Run(runloop.Options{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func chaosMultigridRows(t *testing.T) {
 			s := chaosMultigridSolver(t)
 			plan := chaosPlan(crashCycle%s.NProc, crashCycle)
 			s.Fabric.SetFaultPlan(plan)
-			res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: every})
+			res, err := s.Run(runloop.Options{MaxCycles: cycles, CheckpointEvery: every})
 			if err != nil {
 				t.Fatalf("chaos run failed: %v", err)
 			}
@@ -105,7 +106,7 @@ func chaosMultigridRows(t *testing.T) {
 func TestChaosRecoversBitwise(t *testing.T) {
 	const cycles = 10
 
-	ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles})
+	ref, err := chaosSolver(t).Run(runloop.Options{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestChaosRecoversBitwise(t *testing.T) {
 	plan := chaosPlan(1, 5)
 	s.Fabric.SetFaultPlan(plan)
 	var log bytes.Buffer
-	res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: 3, Log: &log})
+	res, err := s.Run(runloop.Options{MaxCycles: cycles, CheckpointEvery: 3, Log: &log})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v\nlog:\n%s", err, log.String())
 	}
@@ -163,7 +164,7 @@ func TestCrashWithoutRecoveryFails(t *testing.T) {
 	plan := simnet.NewFaultPlan(crashes...)
 	s.Fabric.SetFaultPlan(plan)
 	var log bytes.Buffer
-	_, err := s.Run(RunOptions{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
+	_, err := s.Run(runloop.Options{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
 	if !errors.Is(err, simnet.ErrNodeDown) {
 		t.Fatalf("run returned %v, want ErrNodeDown", err)
 	}
@@ -177,15 +178,15 @@ func TestCrashWithoutRecoveryFails(t *testing.T) {
 func TestRunCheckpointResumeFromDisk(t *testing.T) {
 	const cycles, every = 10, 3
 
-	ref, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles})
+	ref, err := chaosSolver(t).Run(runloop.Options{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "dm.ckpt")
-	if _, err := chaosSolver(t).Run(RunOptions{
-		MaxCycles: 2 * every, CheckpointEvery: every, CheckpointPath: path,
-		Mach: 0.675,
+	if _, err := chaosSolver(t).Run(runloop.Options{
+		MaxCycles: 2 * every, CheckpointEvery: every, Meta: runloop.Meta{Mach: 0.675},
+		OnCheckpoint: func(ck *meshio.Checkpoint) error { return meshio.SaveCheckpoint(path, ck) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,11 @@ func TestRunCheckpointResumeFromDisk(t *testing.T) {
 		t.Fatalf("disk checkpoint at cycle %d, want %d", ck.Cycle, 2*every)
 	}
 
-	res, err := chaosSolver(t).Run(RunOptions{MaxCycles: cycles, Resume: ck})
+	s := chaosSolver(t)
+	if err := s.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(runloop.Options{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +236,7 @@ func TestDivergenceWatchdogBacksOffCFL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	res, err := s.Run(RunOptions{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
+	res, err := s.Run(runloop.Options{MaxCycles: 8, CheckpointEvery: 1, Log: &log})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("run returned %v, %v, want divergence error\nlog:\n%s", res, err, log.String())
 	}

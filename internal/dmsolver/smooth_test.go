@@ -10,6 +10,7 @@ import (
 	"eul3d/internal/mesh"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/parti"
+	"eul3d/internal/runloop"
 	"eul3d/internal/simnet"
 )
 
@@ -328,7 +329,7 @@ func TestFaultsOnMergedMessagesHeal(t *testing.T) {
 	}
 
 	for _, concurrent := range []bool{false, true} {
-		run := func(s *Solver) (*RunResult, error) { return s.Run(RunOptions{MaxCycles: cycles}) }
+		run := func(s *Solver) (*RunResult, error) { return s.Run(runloop.Options{MaxCycles: cycles}) }
 		if concurrent {
 			run = func(s *Solver) (*RunResult, error) { return stepConcurrent(s, cycles) }
 		}
@@ -426,7 +427,7 @@ func TestIdleCoarseProcessorCyclesAndRecovers(t *testing.T) {
 			t.Fatalf("the idle processor sends coarse values to %d", pair[1])
 		}
 	}
-	ref, err := mk().Run(RunOptions{MaxCycles: cycles})
+	ref, err := mk().Run(runloop.Options{MaxCycles: cycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,7 @@ func TestIdleCoarseProcessorCyclesAndRecovers(t *testing.T) {
 		s := mk()
 		plan := simnet.NewFaultPlan(simnet.FaultEvent{Kind: simnet.FaultCrash, Node: node, Cycle: 5})
 		s.Fabric.SetFaultPlan(plan)
-		res, err := s.Run(RunOptions{MaxCycles: cycles, CheckpointEvery: 3})
+		res, err := s.Run(runloop.Options{MaxCycles: cycles, CheckpointEvery: 3})
 		if err != nil {
 			t.Fatalf("crash of node %d: %v", node, err)
 		}

@@ -63,8 +63,9 @@ type timeline struct {
 // solverTrace is the solver's attached recorder state; nil disables every
 // hook.
 type solverTrace struct {
-	tr   *trace.Tracer
-	orch *trace.Track // recovery/checkpoint instants
+	tr       *trace.Tracer
+	orch     *trace.Track // recovery/checkpoint instants
+	incident string       // where Run dumps the recorder at an incident; "" = nowhere
 
 	ph [nSpans][2]trace.PhaseID
 }
@@ -73,13 +74,17 @@ type solverTrace struct {
 // every executor the solver runs, named for its block of processors, with
 // its exchange halves and barrier waits; "build" the replayed
 // schedule-construction spans and "events" the recovery instants. Compute
-// time appears as the gap-filling "compute" spans. Call before Run/Cycle;
-// a nil tracer leaves tracing disabled.
-func (s *Solver) SetTrace(tr *trace.Tracer) {
+// time appears as the gap-filling "compute" spans. When incidentPath is not
+// empty, Run dumps the recorder there (Chrome trace-event JSON) at every
+// incident — node crash, CFL backoff, or unrecoverable divergence — so the
+// rings hold the events leading up to it; a later incident overwrites an
+// earlier dump. Call before Run/Cycle; a nil tracer leaves tracing
+// disabled.
+func (s *Solver) SetTrace(tr *trace.Tracer, incidentPath string) {
 	if tr == nil {
 		return
 	}
-	st := &solverTrace{tr: tr, orch: tr.Track("events")}
+	st := &solverTrace{tr: tr, orch: tr.Track("events"), incident: incidentPath}
 	for sort, names := range spanNames {
 		for dir, n := range names {
 			st.ph[sort][dir] = tr.Phase(n)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"eul3d/internal/runloop"
 	"eul3d/internal/simnet"
 	"eul3d/internal/trace"
 )
@@ -61,7 +62,7 @@ func TestTracedSequentialCycle(t *testing.T) {
 	s := chaosSolver(t)
 	s.workers = 1
 	tr := trace.New(2048)
-	s.SetTrace(tr)
+	s.SetTrace(tr, "")
 	if _, err := s.Cycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestTracedBlockCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New(2048)
-	s.SetTrace(tr)
+	s.SetTrace(tr, "")
 	if _, err := s.Cycle(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestTracedBlockCycle(t *testing.T) {
 func TestTracedConcurrentCycle(t *testing.T) {
 	s := chaosSolver(t)
 	tr := trace.New(4096)
-	s.SetTrace(tr)
+	s.SetTrace(tr, "")
 	if _, err := s.CycleConcurrent(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestIncidentDumpOnCrash(t *testing.T) {
 	s.Fabric.SetFaultPlan(simnet.NewFaultPlan(
 		simnet.FaultEvent{Kind: simnet.FaultCrash, Node: 1, Cycle: 4}))
 	tr := trace.New(1024)
-	s.SetTrace(tr)
-
 	dump := filepath.Join(t.TempDir(), "incident.json")
+	s.SetTrace(tr, dump)
+
 	var log bytes.Buffer
-	res, err := s.Run(RunOptions{MaxCycles: 8, CheckpointEvery: 2, IncidentPath: dump, Log: &log})
+	res, err := s.Run(runloop.Options{MaxCycles: 8, CheckpointEvery: 2, Log: &log})
 	if err != nil {
 		t.Fatalf("run failed: %v\nlog:\n%s", err, log.String())
 	}

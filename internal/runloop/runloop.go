@@ -1,9 +1,12 @@
 // Package runloop is the convergence loop — the one definition of a run
 // every engine executes under (DESIGN §3.1). The paper runs one EUL3D on
 // the Y-MP and on the Delta: the architecture changes how a cycle executes,
-// never the loop around it. solver.Steady, dmsolver's recovery stepper and
-// adapt (one call per solve interval) each hand Run a Stepper and shape its
-// Result. The package is a leaf: it knows nothing of how a cycle executes.
+// never the loop around it. Options is the one description of a run:
+// solver.Steady.Run and dmsolver.Solver.Run take it as it is, adapt.Run as
+// its Loop, and each hands Run a Stepper and shapes its Result. A run's
+// checkpoints have one shape too, the meshio.Checkpoint record the loop
+// hands OnCheckpoint. The package is a leaf: it knows nothing of how a
+// cycle executes.
 package runloop
 
 import (
@@ -37,7 +40,8 @@ type Rewind struct{ To int }
 
 func (r Rewind) Error() string { return fmt.Sprintf("rewind to cycle %d", r.To) }
 
-// Options controls a run; the entry points' own option structs map onto it.
+// Options describes a run. Every entry point takes it; the ones that need
+// more wrap its hooks rather than restate its fields.
 type Options struct {
 	MaxCycles int     // hard iteration limit (total, including the prior history)
 	Tolerance float64 // stop when residual/initial falls below this (0 = run all cycles)
@@ -47,11 +51,14 @@ type Options struct {
 	Context  context.Context               // nil, or checked before every cycle: cancellation stops the run, Result.Cancelled set
 	Progress func(cycle int, norm float64) // nil, or called after every cycle with its 0-based index
 
-	// Checkpoint, when set, is called whenever the count of completed cycles
-	// — len(history), the loop's live slice — is a multiple of
-	// CheckpointEvery. An error from it ends the run.
+	// OnCheckpoint, when set, is handed the run's record whenever the count
+	// of completed cycles is a multiple of CheckpointEvery: Meta, the
+	// history and the stepper's Solution (Meta.Checkpoint). The record
+	// aliases live state, so the sink writes it out or copies it before it
+	// returns. An error from it ends the run.
 	CheckpointEvery int
-	Checkpoint      func(history []float64) error
+	OnCheckpoint    func(*meshio.Checkpoint) error
+	Meta            Meta // what every record carries about the run besides its state
 }
 
 // Result summarizes a run.
@@ -104,8 +111,8 @@ func Run(s Stepper, prior []float64, opt Options) (*Result, error) {
 			res.Diverged = true
 			break
 		}
-		if opt.CheckpointEvery > 0 && opt.Checkpoint != nil && (c+1)%opt.CheckpointEvery == 0 {
-			if err := opt.Checkpoint(res.History); err != nil {
+		if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil && (c+1)%opt.CheckpointEvery == 0 {
+			if err := opt.OnCheckpoint(opt.Meta.Checkpoint(res.History, s.Solution())); err != nil {
 				return nil, fmt.Errorf("checkpoint at cycle %d: %w", c+1, err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"eul3d/internal/euler"
+	"eul3d/internal/meshio"
 )
 
 // scripted is a stepper that plays back a script: entry i is what the i-th
@@ -200,9 +201,14 @@ func TestRun(t *testing.T) {
 				}
 			}
 			var saves []int
-			opt.Checkpoint = func(h []float64) error {
-				saves = append(saves, len(h))
-				return tc.ckptErr[len(h)]
+			opt.Meta = Meta{Mach: 0.7}
+			opt.OnCheckpoint = func(ck *meshio.Checkpoint) error {
+				if ck.Cycle != len(ck.History) || ck.Mach != 0.7 || len(ck.Sol) != 1 || ck.Sol[0][0] != float64(len(s.calls)) {
+					t.Errorf("record at cycle %d: %d history entries, Mach %g, solution %v after %d calls",
+						ck.Cycle, len(ck.History), ck.Mach, ck.Sol, len(s.calls))
+				}
+				saves = append(saves, ck.Cycle)
+				return tc.ckptErr[ck.Cycle]
 			}
 			res, err := Run(s, tc.prior, opt)
 			if !errors.Is(err, tc.wantErr) {

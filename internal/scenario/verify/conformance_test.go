@@ -11,6 +11,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/graph"
 	"eul3d/internal/meshgen"
+	"eul3d/internal/meshio"
 	"eul3d/internal/partition"
 	"eul3d/internal/scenario"
 	"eul3d/internal/smsolver"
@@ -86,7 +87,7 @@ func TestScenarioConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := dm.SetFineSolution(sc.InitialState(m)); err != nil {
+				if err := dm.Restore(&meshio.Checkpoint{Sol: sc.InitialState(m)}); err != nil {
 					t.Fatal(err)
 				}
 				for c := 0; c < steps; c++ {

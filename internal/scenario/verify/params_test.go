@@ -11,6 +11,7 @@ import (
 	"eul3d/internal/graph"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/partition"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 )
 
@@ -84,7 +85,7 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 				return nil, err
 			}
 			defer st.Close()
-			res, err := st.Run(solver.Options{MaxCycles: cycles})
+			res, err := st.Run(runloop.Options{MaxCycles: cycles})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +97,7 @@ func TestEveryParamHonouredOrRejected(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := dm.Run(dmsolver.RunOptions{MaxCycles: cycles})
+		res, err := dm.Run(runloop.Options{MaxCycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}

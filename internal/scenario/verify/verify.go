@@ -9,6 +9,7 @@ package verify
 import (
 	"fmt"
 
+	"eul3d/internal/runloop"
 	"eul3d/internal/scenario"
 	"eul3d/internal/solver"
 )
@@ -76,7 +77,7 @@ func Run(sc *scenario.Scenario, e Engine) (scenario.Diagnostics, *solver.Result,
 	if err := st.SetInitial(sc.InitialState(meshes[0])); err != nil {
 		return scenario.Diagnostics{}, nil, fmt.Errorf("verify: %s initial state: %w", sc.Name, err)
 	}
-	res, err := st.Run(solver.Options{MaxCycles: sc.Steps, Tolerance: sc.Tol})
+	res, err := st.Run(runloop.Options{MaxCycles: sc.Steps, Tolerance: sc.Tol})
 	if err != nil {
 		return scenario.Diagnostics{}, nil, fmt.Errorf("verify: %s run on %s: %w", sc.Name, e, err)
 	}

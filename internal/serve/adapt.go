@@ -24,18 +24,15 @@ func (s *Scheduler) adaptDriver(j *Job, ms []*mesh.Mesh) executor {
 	opts := adapt.Options{
 		Mesh:      ms[0],
 		Params:    j.Spec.Params(),
-		Meta:      j.Spec.meta(),
 		Engine:    j.Spec.config(),
-		Steps:     j.Spec.Cycles,
-		Tolerance: j.Spec.Tol,
 		Budget:    j.Spec.Adapt.Budget,
 		Interval:  j.Spec.Adapt.Interval,
 		MaxEpochs: j.Spec.Adapt.Epochs,
 		Indicator: j.Spec.Adapt.Indicator,
 		Frac:      j.Spec.Adapt.Frac,
 		Trace:     s.cfg.Trace,
-		Progress:  j.progress,
 		Resume:    j.resume,
+		Loop:      s.runOptions(j),
 	}
 	if sc := j.Spec.scenario(); sc != nil && j.resume == nil {
 		opts.Init = sc.InitialState(ms[0]) // otherwise the freestream
@@ -43,17 +40,9 @@ func (s *Scheduler) adaptDriver(j *Job, ms []*mesh.Mesh) executor {
 	if s.cfg.StateDir != "" {
 		opts.NameMesh = s.putMesh
 	}
-	if s.periodic() {
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.OnCheckpoint = func(ck *meshio.Checkpoint) error {
-			s.persistRunning(j, ck)
-			return nil
-		}
-		s.persistRunning(j, nil)
-	}
 	return executor{
 		exec: func(ctx context.Context) (ran, error) {
-			opts.Context = ctx
+			opts.Loop.Context = ctx
 			res, err := adapt.Run(opts)
 			if err != nil {
 				return ran{}, err

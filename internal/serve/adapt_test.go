@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"eul3d/internal/euler"
 	"eul3d/internal/meshio"
 )
 
@@ -105,6 +107,33 @@ func TestAdaptSpecValidation(t *testing.T) {
 	}
 	if a.SpecHash() == b.SpecHash() {
 		t.Error("different adaptation schedules share a SpecHash")
+	}
+}
+
+// A resume record is outside input (any artifact can be named as
+// resume_hash), so one written at another CFL than the job's engine runs at
+// fails the job, plain or adaptive, rather than continue a foreign history.
+func TestResumeRejectsForeignCFL(t *testing.T) {
+	s := NewScheduler(Config{Runners: 1, WorkerBudget: 4})
+	defer s.Stop()
+	for _, spec := range []JobSpec{chanSpec(6, 3, 2, 9, KindSingle, 0, 10), sodAdaptSpec(KindSingle, 0, 30, 2)} {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := spec.BuildMeshes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := spec.Params()
+		ck := &meshio.Checkpoint{Sol: make([]euler.State, ms[0].NV()), CFL: p.CFL / 2, Dt: p.GlobalDt, StepsLeft: spec.Cycles}
+		j, err := s.SubmitResume("", spec, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if v := j.View(); v.State != StateFailed || !strings.Contains(v.Error, "CFL") {
+			t.Errorf("adaptive=%v: record at CFL %g ended %s (%q), want failed on the CFL", spec.Adapt != nil, ck.CFL, v.State, v.Error)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"eul3d/internal/meshio"
+	"eul3d/internal/runloop"
 	"eul3d/internal/solver"
 )
 
@@ -146,10 +147,9 @@ func (s *Scheduler) removeStateFiles(id string) {
 // persist writes a job's restart state so a restarted server can resume
 // it: its resume record — ck, or else the one the job was admitted with —
 // as <id>.ckpt, and the sidecar, each file atomically. It is the only
-// writer of the sidecar; beside it, only a plain run's solver writes
-// <id>.ckpt, at its periodic checkpoints. An adapted mesh a record names
-// lives in the artifact store, put there by the epoch that made it. No-op
-// without a StateDir.
+// writer of both; a run's periodic checkpoints reach it through
+// runOptions. An adapted mesh a record names lives in the artifact
+// store, put there by the epoch that made it. No-op without a StateDir.
 func (s *Scheduler) persist(j *Job, ck *meshio.Checkpoint) error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -179,20 +179,33 @@ func (s *Scheduler) persist(j *Job, ck *meshio.Checkpoint) error {
 	return os.Rename(path+".tmp", path)
 }
 
-// persistRunning writes the restart record of a job about to run with
-// periodic checkpoints on, so the node survives SIGKILL: a restart
-// resumes from the last periodic checkpoint. A failure degrades
-// survivability, not the run itself: log and keep solving.
-func (s *Scheduler) persistRunning(j *Job, ck *meshio.Checkpoint) {
-	if err := s.persist(j, ck); err != nil {
-		s.cfg.Log.Printf("job %s: persisting run state: %v", j.ID, err)
+// runOptions is the run j's spec describes, plain or adaptive: its cycle
+// budget and tolerance, each cycle's residual into the job's history, and
+// records stamped with the job's flow. When running jobs checkpoint
+// (Config.CheckpointEvery, with a StateDir) it writes j's restart state
+// now, and every periodic checkpoint becomes j's resume record, so that a
+// restart resumes from the last one and a coordinator can pull it and hand
+// it to another node. A failed write degrades survivability, not the run
+// itself: it is logged and the run goes on.
+func (s *Scheduler) runOptions(j *Job) runloop.Options {
+	opt := runloop.Options{
+		MaxCycles: j.Spec.Cycles,
+		Tolerance: j.Spec.Tol,
+		Progress:  j.progress,
+		Meta:      j.Spec.meta(),
 	}
-}
-
-// periodic reports whether running jobs checkpoint every
-// Config.CheckpointEvery cycles.
-func (s *Scheduler) periodic() bool {
-	return s.cfg.CheckpointEvery > 0 && s.cfg.StateDir != ""
+	if s.cfg.CheckpointEvery <= 0 || s.cfg.StateDir == "" {
+		return opt
+	}
+	record := func(ck *meshio.Checkpoint) error {
+		if err := s.persist(j, ck); err != nil {
+			s.cfg.Log.Printf("job %s: persisting run state: %v", j.ID, err)
+		}
+		return nil
+	}
+	opt.CheckpointEvery, opt.OnCheckpoint = s.cfg.CheckpointEvery, record
+	record(nil)
+	return opt
 }
 
 // Recover scans StateDir for drain sidecars and re-admits each job under

@@ -273,20 +273,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, r resolved, tk *tra
 		s.cache.Release(eng)
 		return executor{}, fmt.Errorf("loading the starting state: %w", err)
 	}
-	opts := solver.Options{
-		MaxCycles: j.Spec.Cycles,
-		Tolerance: j.Spec.Tol,
-		Progress:  j.progress,
-	}
-	if s.periodic() {
-		// The solver writes the periodic checkpoints itself; a coordinator
-		// can pull the file while the job runs and hand it to another node.
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.CheckpointPath = s.statePath(j.ID + ".ckpt")
-		opts.Mach = j.Spec.Mach
-		opts.AlphaDeg = j.Spec.AlphaDeg
-		s.persistRunning(j, nil)
-	}
+	opts := s.runOptions(j)
 	return executor{
 		exec: func(ctx context.Context) (ran, error) {
 			opts.Context = ctx
@@ -296,7 +283,7 @@ func (s *Scheduler) leaseEngine(ctx context.Context, j *Job, r resolved, tk *tra
 			}
 			out := ran{res: res, mesh: fine}
 			if res.Cancelled && res.Cycles > 0 {
-				out.snap = j.Spec.meta().Checkpoint(res.History, res.FineSolution)
+				out.snap = opts.Meta.Checkpoint(res.History, res.FineSolution)
 			}
 			return out, nil
 		},

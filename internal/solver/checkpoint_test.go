@@ -7,7 +7,13 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/meshgen"
 	"eul3d/internal/meshio"
+	"eul3d/internal/runloop"
 )
+
+// saveTo is the checkpoint sink that writes every record to path.
+func saveTo(path string) func(*meshio.Checkpoint) error {
+	return func(ck *meshio.Checkpoint) error { return meshio.SaveCheckpoint(path, ck) }
+}
 
 // TestCheckpointResumeBitwise is the determinism contract for restart: run N
 // cycles straight through, then run the same problem with a mid-run
@@ -33,8 +39,8 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	// Checkpointed run, stopped partway.
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	first, err := build().Run(Options{
-		MaxCycles: 2 * every, CheckpointEvery: every, CheckpointPath: path,
-		Mach: 0.6, AlphaDeg: 1,
+		MaxCycles: 2 * every, CheckpointEvery: every, OnCheckpoint: saveTo(path),
+		Meta: runloop.Meta{Mach: 0.6, AlphaDeg: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +110,7 @@ func TestCheckpointResumeMultigridBitwise(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "mg.ckpt")
 	if _, err := build().Run(Options{
-		MaxCycles: every, CheckpointEvery: every, CheckpointPath: path,
+		MaxCycles: every, CheckpointEvery: every, OnCheckpoint: saveTo(path),
 	}); err != nil {
 		t.Fatal(err)
 	}

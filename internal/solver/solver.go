@@ -1,7 +1,12 @@
 // Package solver provides the steady-state engines used by the
 // command-line tools, the daemon and the examples: the single grid and the
 // FAS multigrid cycles, each a stepper the convergence loop
-// (internal/runloop) drives.
+// (internal/runloop) drives. A run is described as every run is, by
+// runloop.Options (Options is that type under this package's name): Run
+// hands each checkpoint record, stamped with the engine's CFL, to its
+// OnCheckpoint, and Restore resumes from such a record. The engine's CFL
+// is fixed when it is built, so Restore rejects a record written at
+// another.
 //
 // Open is the one way in. A Config picks one of two grid shapes — the
 // single grid (Gamma 0, one mesh) or the multigrid (Gamma >= 1, as many
@@ -23,10 +28,8 @@
 package solver
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"eul3d/internal/euler"
@@ -38,35 +41,9 @@ import (
 	"eul3d/internal/trace"
 )
 
-// Options controls a steady-state run.
-type Options struct {
-	MaxCycles int     // hard iteration limit (total, including resumed cycles)
-	Tolerance float64 // stop when residual/initial falls below this (0 = run all cycles)
-	LogEvery  int     // progress line period (0 = silent)
-	Log       io.Writer
-
-	// Checkpointing: every CheckpointEvery cycles an atomic, CRC-trailered
-	// snapshot of the solution, cycle count and residual history is written
-	// to CheckpointPath (both fields must be set to enable it). Mach and
-	// AlphaDeg are recorded as metadata. A run restored from such a
-	// snapshot (Restore) reproduces the uninterrupted residual history
-	// bitwise.
-	CheckpointEvery int
-	CheckpointPath  string
-	Mach            float64
-	AlphaDeg        float64
-
-	// Context, when non-nil, is checked before every cycle: once it is
-	// cancelled (or its deadline passes) Run stops and returns the partial
-	// Result with Cancelled set and a nil error. A nil Context reproduces
-	// the uncancellable behaviour exactly.
-	Context context.Context
-
-	// Progress, when non-nil, is invoked after every completed cycle with
-	// the cycle index and its residual norm. It runs on the solver
-	// goroutine, so long callbacks slow the solve.
-	Progress func(cycle int, norm float64)
-}
+// Options is the loop's: a steady run is described as every run is. The
+// name stays for callers that already spell it.
+type Options = runloop.Options
 
 // Result summarizes a run: the loop's own.
 type Result = runloop.Result
@@ -264,26 +241,11 @@ func (st *Steady) Solution() []euler.State    { return st.s.solution() }
 // Run iterates until convergence or the cycle limit and returns the
 // result. After a Restore, iteration picks up at the checkpointed cycle
 // and History includes the checkpointed prefix, so MaxCycles always means
-// the total cycle count. The returned FineSolution aliases the solver's
-// state.
-func (st *Steady) Run(opt Options) (*Result, error) {
-	lo := runloop.Options{
-		MaxCycles: opt.MaxCycles,
-		Tolerance: opt.Tolerance,
-		LogEvery:  opt.LogEvery,
-		Log:       opt.Log,
-		Context:   opt.Context,
-		Progress:  opt.Progress,
-	}
-	if opt.CheckpointEvery > 0 && opt.CheckpointPath != "" {
-		// Written before the next cycle mutates what the record aliases.
-		meta := runloop.Meta{Mach: opt.Mach, AlphaDeg: opt.AlphaDeg, CFL: st.cfl}
-		lo.CheckpointEvery = opt.CheckpointEvery
-		lo.Checkpoint = func(history []float64) error {
-			return meshio.SaveCheckpoint(opt.CheckpointPath, meta.Checkpoint(history, st.s.solution()))
-		}
-	}
-	res, err := runloop.Run(st, append([]float64(nil), st.prior...), lo)
+// the total cycle count. Every record handed to opt.OnCheckpoint carries
+// the engine's CFL. The returned FineSolution aliases the solver's state.
+func (st *Steady) Run(opt runloop.Options) (*Result, error) {
+	opt.Meta.CFL = st.cfl
+	res, err := runloop.Run(st, append([]float64(nil), st.prior...), opt)
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"eul3d/internal/euler"
 	"eul3d/internal/mesh"
 	"eul3d/internal/multigrid"
+	"eul3d/internal/runloop"
 	"eul3d/internal/smsolver"
 	"eul3d/internal/solver"
 )
@@ -77,7 +78,7 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := st.Run(solver.Options{MaxCycles: cfg.Cycles})
+		run, err := st.Run(runloop.Options{MaxCycles: cfg.Cycles})
 		if err != nil {
 			return nil, err
 		}

@@ -13,10 +13,14 @@
 # -nproc 4; -nproc 3, whose processors split unevenly over two or more
 # workers; the fault-injected chaos line; -scenario sod -adapt with and
 # without -workers 2, and with the residual indicator; a W-cycle after
-# -fmg 5; a V-cycle with -contours; and one -checkpoint -> -resume pair.
+# -fmg 5; a V-cycle with -contours; and two -checkpoint -> -resume pairs,
+# one in process and one through the distributed solver (-nproc 4).
 # Each row compares its -history, -save-solution and checkpoint files and
 # its stdout, with the one part that varies run to run masked: the adaptive
-# rebuild time. One line per row. Then, on side B alone, each -workers 2
+# rebuild time. A distributed row's "traffic:" line (messages and bytes
+# exchanged) is compared as an item of its own, "traffic", so a change to
+# the exchange plan alone reads "DIFFERS: traffic", not "stdout". One line
+# per row. Then, on side B alone, each -workers 2
 # row's -history and -save-solution are compared with its row's without
 # -workers (single, v, w, sod-adapt): the pooled engines are bitwise their
 # sequential kinds. The exit status is 1 when any row differs or fails.
@@ -39,7 +43,8 @@ chaos="-faults seed=7,drop=2,dup=1,corrupt=1,delay=1,reorder=1,crash=2@12"
 status=0
 
 # wrote <side>: the files the current row's run on that side left, on one
-# line, besides its raw stdout and stderr.
+# line, besides its raw stdout and stderr: the run's own files, its masked
+# stdout and, on a distributed row, its traffic line.
 wrote() { (cd "$tmp/$name/$1" && ls | grep -v -x -e raw.out -e err.log | paste -s -d ' ' -); }
 
 # row <name> <args...>: run both builds, each in its own directory under
@@ -55,7 +60,8 @@ row() {
 			status=1
 			return
 		fi
-		sed -E 's/rebuild [0-9.]+ms/rebuild _ms/' "$d/raw.out" >"$d/stdout"
+		sed -E -e '/^traffic:/d' -e 's/rebuild [0-9.]+ms/rebuild _ms/' "$d/raw.out" >"$d/stdout"
+		grep '^traffic:' "$d/raw.out" >"$d/traffic" || rm -f "$d/traffic"
 	done
 	files_a=$(wrote a)
 	diffs=""
@@ -84,16 +90,24 @@ row sod-adapt-residual -scenario sod -adapt -adapt-indicator residual $files
 row w-fmg $mesh -levels 3 -strategy w -fmg 5 -cycles 30 $files
 row v-contours $mesh -levels 3 -strategy v -contours -cycles 30 $files
 
-# The resume pair: the second leg resumes, in the same directory, from the
-# first leg's checkpoint; both legs' stdout lands in one file.
-for side in a b; do
-	d=$tmp/resume/$side
-	mkdir -p "$d"
-	(cd "$d" && "$tmp/$side.eul3d" $mesh -levels 3 -strategy w -cycles 20 \
-		-checkpoint leg1.ckpt -checkpoint-every 10 -history leg1.csv >raw.out 2>err.log) ||
-		{ echo "resume: FAILED on $side's first leg"; status=1; }
-done
-row resume $mesh -levels 3 -strategy w -cycles 30 -resume leg1.ckpt $files
+# pair <name> <args...>: a checkpoint -> resume pair. The first leg runs 20
+# cycles with a checkpoint every 10; the row is the second leg, which
+# resumes from that checkpoint in the same directory and runs to 30. Both
+# legs' stdout lands in one file.
+pair() {
+	name=$1
+	shift
+	for side in a b; do
+		d=$tmp/$name/$side
+		mkdir -p "$d"
+		(cd "$d" && "$tmp/$side.eul3d" "$@" -cycles 20 \
+			-checkpoint leg1.ckpt -checkpoint-every 10 -history leg1.csv >raw.out 2>err.log) ||
+			{ echo "$name: FAILED on $side's first leg"; status=1; }
+	done
+	row "$name" "$@" -cycles 30 -resume leg1.ckpt $files
+}
+pair resume $mesh -levels 3 -strategy w
+pair resume-nproc4 $mesh -levels 2 -strategy w -nproc 4
 
 # The pooled rows against the sequential ones, on the working tree's build.
 for s in single v w sod-adapt; do
